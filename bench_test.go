@@ -20,9 +20,9 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/apps"
 	"repro/internal/backend"
-	"repro/internal/cluster"
 	"repro/internal/coll"
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/exper"
 	"repro/internal/machine"
 	"repro/internal/rules"
@@ -350,50 +350,6 @@ func BenchmarkBcastAlgorithms(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterCollectives compares flat and hierarchical collectives
-// on a cluster of SMPs under cyclic (adversarial) placement, where the
-// placement-aware hierarchy pays only ceil(log nodes) expensive
-// start-ups.
-func BenchmarkClusterCollectives(b *testing.B) {
-	tp := cluster.Topology{
-		Nodes: 6, Cores: 8,
-		Intra:     machine.Params{Ts: 1, Tw: 1},
-		Inter:     machine.Params{Ts: 10000, Tw: 1},
-		Placement: cluster.Cyclic,
-	}
-	runBody := func(b *testing.B, body func(p *machine.Proc, cs cluster.Comms)) {
-		vm := tp.Machine()
-		var makespan float64
-		for i := 0; i < b.N; i++ {
-			res := vm.Run(func(p *machine.Proc) {
-				body(p, cluster.CommsFor(tp, p))
-			})
-			makespan = res.Makespan
-		}
-		b.ReportMetric(makespan, "vtime")
-	}
-	b.Run("allreduce/flat", func(b *testing.B) {
-		runBody(b, func(p *machine.Proc, cs cluster.Comms) {
-			coll.AllReduce(cs.World, algebra.Add, algebra.Scalar(1))
-		})
-	})
-	b.Run("allreduce/hierarchical", func(b *testing.B) {
-		runBody(b, func(p *machine.Proc, cs cluster.Comms) {
-			cluster.AllReduce(cs, algebra.Add, algebra.Scalar(1))
-		})
-	})
-	b.Run("bcast/flat", func(b *testing.B) {
-		runBody(b, func(p *machine.Proc, cs cluster.Comms) {
-			coll.Bcast(cs.World, 0, algebra.Scalar(1))
-		})
-	})
-	b.Run("bcast/hierarchical", func(b *testing.B) {
-		runBody(b, func(p *machine.Proc, cs cluster.Comms) {
-			cluster.Bcast(cs, algebra.Scalar(1))
-		})
-	})
-}
-
 // BenchmarkApps measures the collective-only applications of
 // internal/apps end to end.
 func BenchmarkApps(b *testing.B) {
@@ -488,14 +444,14 @@ func BenchmarkAllReduceAlgorithms(b *testing.B) {
 		{"bandwidth_large", machine.Params{Ts: 10, Tw: 4}, 1 << 14},
 	}
 	for _, cse := range cases {
-		for _, alg := range []coll.AllReduceAlg{coll.AllReduceButterfly, coll.AllReduceRingAlg} {
+		for _, alg := range []cost.Algo{cost.AlgoButterfly, cost.AlgoRing} {
 			vm := machine.New(16, cse.params)
-			b.Run(cse.name+"/"+alg.String(), func(b *testing.B) {
+			b.Run(cse.name+"/"+string(alg), func(b *testing.B) {
 				var makespan float64
 				for i := 0; i < b.N; i++ {
 					res := vm.Run(func(pr *machine.Proc) {
 						c := coll.World(pr)
-						coll.AllReduceWith(c, algebra.Add, make(algebra.Vec, cse.words), alg)
+						coll.ReduceBy(c, algebra.Add, make(algebra.Vec, cse.words), true, alg, 0)
 					})
 					makespan = res.Makespan
 				}

@@ -297,7 +297,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *table1 {
 		fmt.Fprintf(stdout, "== Table 1 (ts=%g tw=%g p=%d m=%d)%s ==\n", *ts, *tw, *p, *m, unit)
-		rows := exper.Table1On(mach, *measured, run)
+		rows := exper.Table1(mach, *measured, run)
 		fmt.Fprint(stdout, exper.FormatTable1(rows, *measured))
 		fmt.Fprintln(stdout)
 	}
@@ -321,17 +321,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "\ntime saved: %.0f (%.1f%%)\n\n", tB-tA, 100*(tB-tA)/tB)
 	}
 	if *fig7 {
-		fig := exper.Figure7On(params, *m, *p, run)
+		fig := exper.Figure7(params, *m, *p, run)
 		emit(stdout, fig, *csv)
 	}
 	if *fig8 {
-		fig := exper.Figure8On(params, *p, *m/8+1, *m*4, run)
+		fig := exper.Figure8(params, *p, *m/8+1, *m*4, run)
 		emit(stdout, fig, *csv)
 	}
 	if *crossover {
 		fmt.Fprintf(stdout, "== Crossovers (largest m where the rule still improves; ts=%g tw=%g p=%d)%s ==\n", *ts, *tw, *p, unit)
 		for _, rule := range []string{"SR-Reduction", "SS2-Scan", "SS-Scan"} {
-			res := exper.MeasureCrossoverOn(rule, core.Machine{Ts: *ts, Tw: *tw, P: *p}, 1<<15, run)
+			res := exper.MeasureCrossover(rule, core.Machine{Ts: *ts, Tw: *tw, P: *p}, 1<<15, run)
 			fmt.Fprintf(stdout, "  %-14s predicted m = %-6d measured m = %d\n", res.Rule, res.Predicted, res.Measured)
 		}
 		fmt.Fprintln(stdout)
@@ -339,7 +339,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *crossfig {
 		tsI := int(*ts)
 		ms := []int{tsI / 8, tsI / 4, 3 * tsI / 8, tsI / 2, 5 * tsI / 8, 3 * tsI / 4, tsI}
-		fig := exper.CrossoverFigureOn("SS2-Scan", params, min(*p, 16), ms, run)
+		fig := exper.CrossoverFigure("SS2-Scan", params, min(*p, 16), ms, run)
 		emit(stdout, fig, *csv)
 	}
 	if *scaling {
@@ -347,7 +347,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for q := 2; q <= *p; q *= 2 {
 			ps = append(ps, q)
 		}
-		fig := exper.ScalingOn("SR2-Reduction", params, *m**p, ps, run)
+		fig := exper.Scaling("SR2-Reduction", params, *m**p, ps, run)
 		emit(stdout, fig, *csv)
 	}
 	if *appsFlag {

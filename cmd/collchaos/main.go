@@ -37,6 +37,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exper"
 	"repro/internal/lang"
+	"repro/internal/mpbackend"
 	"repro/internal/rules"
 	"repro/internal/term"
 )
@@ -130,66 +131,6 @@ type harness struct {
 	runs       int
 }
 
-// blocks builds one deterministic m-word block per rank — the same
-// inputs as the conformance tests.
-func blocks(p, m int) []algebra.Value {
-	in := make([]algebra.Value, p)
-	for r := range in {
-		b := make(algebra.Vec, m)
-		for j := range b {
-			b[j] = float64((r*7+j*3)%5 + 1)
-		}
-		in[r] = b
-	}
-	return in
-}
-
-// inputsFor adapts the inputs to the program: a leading scatter consumes
-// a p-component list on rank 0, a leading reduce_scatterv a full
-// ΣCounts-word vector per rank, and a leading allgatherv the ragged
-// counts[r]-word blocks.
-func inputsFor(prog term.Seq, p, m int) []algebra.Value {
-	if len(prog) > 0 {
-		switch st := prog[0].(type) {
-		case term.Scatter:
-			in := make([]algebra.Value, p)
-			list := make(algebra.Tuple, p)
-			copy(list, blocks(p, m))
-			in[0] = list
-			for r := 1; r < p; r++ {
-				in[r] = algebra.Scalar(float64(-r))
-			}
-			return in
-		case term.ReduceScatterV:
-			total := term.SumCounts(st.Counts)
-			in := make([]algebra.Value, p)
-			for r := range in {
-				b := make(algebra.Vec, total)
-				for j := range b {
-					b[j] = float64((r*7+j*3)%5 + 1)
-				}
-				in[r] = b
-			}
-			return in
-		case term.AllGatherV:
-			in := make([]algebra.Value, p)
-			for r := range in {
-				cnt := 0
-				if r < len(st.Counts) {
-					cnt = st.Counts[r]
-				}
-				b := make(algebra.Vec, cnt)
-				for j := range b {
-					b[j] = float64((r*7+j*3)%5 + 1)
-				}
-				in[r] = b
-			}
-			return in
-		}
-	}
-	return blocks(p, m)
-}
-
 // check runs one case under one transport and returns the first
 // divergence (or hang, surfaced as a panic) as an error.
 func (h *harness) check(c chaos.Case, tr backend.TransportMode) (err error) {
@@ -199,8 +140,8 @@ func (h *harness) check(c chaos.Case, tr backend.TransportMode) (err error) {
 		}
 	}()
 	h.runs++
-	in := inputsFor(c.Prog, c.P, c.M)
-	want, _ := core.ExecNative(c.Prog, backend.New(c.P), in)
+	in := mpbackend.ConformanceInputs(c.Prog, c.P, c.M)
+	want, _ := core.FromTerm(c.Prog).RunNative(c.P, in)
 	got := chaos.RunNativeTransport(c.Prog, c.P, c.Profile, c.Seed, in, tr)
 	sem := term.Eval(c.Prog, in)
 	for r := 0; r < c.P; r++ {

@@ -194,9 +194,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	var opt core.Optimization
 	switch {
 	case *all:
-		opt = prog.OptimizeExhaustively(algebra.Default(), *p)
-		opt.EstimateBefore = prog.Estimate(mach)
-		opt.EstimateAfter = opt.Program.Estimate(mach)
+		opt = prog.OptimizeExhaustively(algebra.Default(), mach)
 	case *search:
 		opt, _ = prog.OptimizeOpts(mach, core.OptimizeOptions{Search: true, Auto: *selectAlgos})
 		fmt.Fprintf(stdout, "plan search: %d nodes, %d memo hits, %d pruned, exhausted=%v\n",

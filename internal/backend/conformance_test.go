@@ -14,8 +14,10 @@ import (
 	"repro/internal/backend"
 	"repro/internal/coll"
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/exper"
 	"repro/internal/machine"
+	"repro/internal/mpbackend"
 	"repro/internal/rules"
 	"repro/internal/term"
 )
@@ -24,19 +26,9 @@ import (
 // paths) and non-powers of two (the fold/unfold and balanced-tree paths).
 var groupSizes = []int{1, 2, 3, 4, 5, 7, 8, 12, 16}
 
-// blocks builds one deterministic m-word block per rank, with small
-// integer entries so long operator chains stay exactly representable.
-func blocks(p, m int) []algebra.Value {
-	in := make([]algebra.Value, p)
-	for r := range in {
-		b := make(algebra.Vec, m)
-		for j := range b {
-			b[j] = float64((r*7+j*3)%5 + 1)
-		}
-		in[r] = b
-	}
-	return in
-}
+// blocks are the conformance harness's deterministic m-word blocks, one
+// per rank.
+func blocks(p, m int) []algebra.Value { return mpbackend.ConformanceInputs(nil, p, m) }
 
 // onBoth runs the same SPMD body once on each backend with identical
 // per-rank inputs and returns the two output lists.
@@ -133,21 +125,21 @@ func collectiveCases(p int) map[string]func(c coll.Comm, x algebra.Value) algebr
 		// The ring algorithms need at least one vector element per member;
 		// the m=16 blocks below satisfy that up to p=16.
 		cases["allreduce_ring"] = func(c coll.Comm, x algebra.Value) algebra.Value {
-			return coll.AllReduceWith(c, algebra.Add, x, coll.AllReduceRingAlg)
+			return coll.ReduceBy(c, algebra.Add, x, true, cost.AlgoRing, 0)
 		}
 		cases["reduce_scatter"] = func(c coll.Comm, x algebra.Value) algebra.Value {
 			return coll.ReduceScatter(c, algebra.Add, x)
 		}
 		cases["allreduce_rabenseifner"] = func(c coll.Comm, x algebra.Value) algebra.Value {
-			return coll.AllReduceWith(c, algebra.Add, x, coll.AllReduceRabenseifnerAlg)
+			return coll.ReduceBy(c, algebra.Add, x, true, cost.AlgoRabenseifner, 0)
 		}
 		cases["reduce_pipelined"] = func(c coll.Comm, x algebra.Value) algebra.Value {
-			return coll.ReduceWith(c, 0, algebra.Add, x, coll.ReducePipelineAlg, 3)
+			return coll.ReduceBy(c, algebra.Add, x, false, cost.AlgoPipeline, 3)
 		}
 		if 2*p <= 16 {
 			// ring-bi needs two vector elements per member.
 			cases["allreduce_ring_bi"] = func(c coll.Comm, x algebra.Value) algebra.Value {
-				return coll.AllReduceWith(c, algebra.Add, x, coll.AllReduceRingBiAlg)
+				return coll.ReduceBy(c, algebra.Add, x, true, cost.AlgoRingBi, 0)
 			}
 		}
 	}

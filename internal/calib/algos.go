@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/algebra"
 	"repro/internal/backend"
 	"repro/internal/cost"
 	"repro/internal/exper"
@@ -49,13 +48,6 @@ type AlgoValidation struct {
 	Agreement float64 `json:"agreement"`
 }
 
-// algoMeasurer produces, for one group size p, the measurement function
-// of the head-to-head sweep: given a portfolio pairing it returns the
-// butterfly's and the algorithm's wall-clock nanoseconds. Factoring the
-// measurer out lets the native and multi-process validations share the
-// sweep and crossover logic verbatim.
-type algoMeasurer func(p int) func(collective string, a cost.Algo, m, segments int) (bfNs, algNs float64, err error)
-
 // ValidateAlgos runs every portfolio algorithm head-to-head against the
 // butterfly on the native backend across the configured sweep and
 // reports the predicted-vs-measured crossover per (collective,
@@ -64,17 +56,7 @@ type algoMeasurer func(p int) func(collective string, a cost.Algo, m, segments i
 // of fit; measurements take the minimum over cfg.Reps runs. Only the
 // block sizes the algorithm can run at (cost.Applicable) are measured.
 func ValidateAlgos(fit Fit, cfg Config) ([]AlgoValidation, error) {
-	op := algebra.Add
-	return validateAlgosWith(fit, cfg, func(p int) func(string, cost.Algo, int, int) (float64, float64, error) {
-		nm := backend.New(p)
-		return func(collective string, a cost.Algo, m, segments int) (bfNs, algNs float64, err error) {
-			in := inputsFor(11, p, m)
-			exper.MeasureCollective(nm, collective, a, op, in, segments, 1) // warm-up
-			bfNs = exper.MeasureCollective(nm, collective, cost.AlgoButterfly, op, in, 0, cfg.Reps)
-			algNs = exper.MeasureCollective(nm, collective, a, op, in, segments, cfg.Reps)
-			return bfNs, algNs, nil
-		}
-	})
+	return validateAlgosWith(fit, cfg, exper.NativeAlgoMeasurer(cfg.Reps, backend.TransportZeroCopy))
 }
 
 // ValidateAlgosMP is ValidateAlgos across process boundaries: the same
@@ -83,94 +65,51 @@ func ValidateAlgos(fit Fit, cfg Config) ([]AlgoValidation, error) {
 // the multi-process transport actually exhibits. fit must be the
 // multi-process fit — its ts/tw drive the predicted side.
 func ValidateAlgosMP(fit Fit, cfg Config) ([]AlgoValidation, error) {
-	return validateAlgosWith(fit, cfg, func(p int) func(string, cost.Algo, int, int) (float64, float64, error) {
-		return func(collective string, a cost.Algo, m, segments int) (bfNs, algNs float64, err error) {
-			if bfNs, err = exper.MeasureCollectiveMP(collective, cost.AlgoButterfly, p, m, 0, cfg.Reps); err != nil {
-				return 0, 0, err
-			}
-			algNs, err = exper.MeasureCollectiveMP(collective, a, p, m, segments, cfg.Reps)
-			return bfNs, algNs, err
-		}
-	})
+	return validateAlgosWith(fit, cfg, exper.MPAlgoMeasurer(cfg.Reps))
 }
 
-// validateAlgosWith is the transport-independent sweep: it walks every
-// (collective, algorithm, group size), measures the applicable block
-// sizes with the given measurer, and derives agreement and the
-// predicted-vs-measured crossover.
-func validateAlgosWith(fit Fit, cfg Config, measurer algoMeasurer) ([]AlgoValidation, error) {
+// validateAlgosWith runs the portfolio sweep (exper.SweepAlgos) with the
+// given measurer and derives, per group, the model's agreement with the
+// measured winners and the predicted-vs-measured crossover error.
+func validateAlgosWith(fit Fit, cfg Config, measure exper.AlgoMeasurer) ([]AlgoValidation, error) {
 	ps := cfg.AlgoPs
 	if len(ps) == 0 {
 		ps = []int{cfg.ValidateP}
 	}
-	ms := cfg.ValidateMs
-	if len(ms) == 0 {
+	if len(cfg.ValidateMs) == 0 {
 		return nil, fmt.Errorf("calib: algorithm validation needs a non-empty block-size sweep")
 	}
-	maxM := ms[len(ms)-1]
-	var out []AlgoValidation
-	for _, p := range ps {
-		if p < 2 {
-			return nil, fmt.Errorf("calib: algorithm validation needs p ≥ 2, got %d", p)
+	groups, err := exper.SweepAlgos(fit.Ts, fit.Tw, ps, cfg.ValidateMs, measure)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]AlgoValidation, 0, len(groups))
+	for _, g := range groups {
+		v := AlgoValidation{
+			Collective: g.Collective, Algo: g.Algo, P: g.P,
+			Ms: g.Ms, ButterflyNs: g.ButterflyNs, AlgoNs: g.AlgoNs,
+			PredCross: g.PredCross, MeasCross: g.MeasCross,
 		}
-		measureAt := measurer(p)
-		base := cost.Params{Ts: fit.Ts, Tw: fit.Tw, P: p}
-		for _, collective := range []string{cost.CollAllReduce, cost.CollReduce} {
-			for _, a := range cost.Algos(collective)[1:] {
-				measure := func(m int) (bfNs, algNs float64, err error) {
-					pp := base
-					pp.M = m
-					return measureAt(collective, a, m, cost.PipelineSegments(pp))
-				}
-				v := AlgoValidation{Collective: collective, Algo: a, P: p}
-				agree := 0
-				for _, m := range ms {
-					pp := base
-					pp.M = m
-					if !cost.Applicable(collective, a, pp) {
-						continue
-					}
-					bfNs, algNs, err := measure(m)
-					if err != nil {
-						return nil, err
-					}
-					v.Ms = append(v.Ms, m)
-					v.ButterflyNs = append(v.ButterflyNs, bfNs)
-					v.AlgoNs = append(v.AlgoNs, algNs)
-					c, _ := cost.AlgoCost(collective, a, pp)
-					bf, _ := cost.AlgoCost(collective, cost.AlgoButterfly, pp)
-					if (c < bf) == (algNs < bfNs) {
-						agree++
-					}
-				}
-				if len(v.Ms) == 0 {
-					continue
-				}
-				v.Agreement = float64(agree) / float64(len(v.Ms))
-				v.PredCross = cost.BreakEven(collective, a, base, maxM)
-				won := make([]bool, len(v.Ms))
-				for i := range v.Ms {
-					won[i] = v.AlgoNs[i] < v.ButterflyNs[i]
-				}
-				v.MeasCross = exper.FirstWinCrossover(v.Ms, won, func(m int) bool {
-					// A failed bisection probe counts as a loss; the
-					// bracketing sweep points already measured fine, so the
-					// crossover just degrades to sweep resolution.
-					bfNs, algNs, err := measure(m)
-					return err == nil && algNs < bfNs
-				})
-				v.AbsErr = v.PredCross - v.MeasCross
-				if v.AbsErr < 0 {
-					v.AbsErr = -v.AbsErr
-				}
-				denom := v.MeasCross
-				if denom == 0 {
-					denom = maxM
-				}
-				v.RelErr = float64(v.AbsErr) / float64(denom)
-				out = append(out, v)
+		agree := 0
+		for i, m := range g.Ms {
+			pp := cost.Params{Ts: fit.Ts, Tw: fit.Tw, P: g.P, M: m}
+			c, _ := cost.AlgoCost(g.Collective, g.Algo, pp)
+			bf, _ := cost.AlgoCost(g.Collective, cost.AlgoButterfly, pp)
+			if (c < bf) == (g.AlgoNs[i] < g.ButterflyNs[i]) {
+				agree++
 			}
 		}
+		v.Agreement = float64(agree) / float64(len(g.Ms))
+		v.AbsErr = v.PredCross - v.MeasCross
+		if v.AbsErr < 0 {
+			v.AbsErr = -v.AbsErr
+		}
+		denom := v.MeasCross
+		if denom == 0 {
+			denom = cfg.ValidateMs[len(cfg.ValidateMs)-1]
+		}
+		v.RelErr = float64(v.AbsErr) / float64(denom)
+		out = append(out, v)
 	}
 	return out, nil
 }

@@ -42,6 +42,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/backend"
 	"repro/internal/coll"
+	"repro/internal/mpbackend"
 )
 
 // Probe kinds. Each has a distinct (start-up, transfer, compute)
@@ -239,18 +240,9 @@ func minRun(p, reps int, body func(pr *backend.Proc)) float64 {
 	return best
 }
 
-// vec builds an m-word block with small deterministic entries.
-func vec(rng *rand.Rand, m int) algebra.Vec {
-	v := make(algebra.Vec, m)
-	for i := range v {
-		v[i] = float64(rng.Intn(9) + 1)
-	}
-	return v
-}
-
 func pingpong(m int, cfg Config, workers int) Sample {
 	rounds := cfg.Rounds * 4
-	v := vec(rand.New(rand.NewSource(1)), m)
+	v := mpbackend.SeededBlock(rand.New(rand.NewSource(1)), m)
 	ns := minRun(2, cfg.Reps, func(pr *backend.Proc) {
 		for i := 0; i < rounds; i++ {
 			t1, t2 := pr.NextTag(), pr.NextTag()
@@ -273,7 +265,7 @@ func compute(m int, cfg Config, workers int) Sample {
 	// operations to rise above timer resolution.
 	rounds := cfg.Rounds * max(16, 4096/m)
 	rng := rand.New(rand.NewSource(2))
-	v0, w := vec(rng, m), vec(rng, m)
+	v0, w := mpbackend.SeededBlock(rng, m), mpbackend.SeededBlock(rng, m)
 	acc := make(algebra.Vec, m)
 	ns := minRun(1, cfg.Reps, func(pr *backend.Proc) {
 		copy(acc, v0)
@@ -291,14 +283,10 @@ func compute(m int, cfg Config, workers int) Sample {
 }
 
 func collectiveProbe(probe string, p, m int, cfg Config, workers int) Sample {
-	rng := rand.New(rand.NewSource(3))
-	blocks := make([]algebra.Vec, p)
-	for i := range blocks {
-		blocks[i] = vec(rng, m)
-	}
+	blocks := mpbackend.SeededInputs(3, p, m)
 	rounds := cfg.Rounds
 	ns := minRun(p, cfg.Reps, func(pr *backend.Proc) {
-		v := algebra.Value(blocks[pr.Rank()])
+		v := blocks[pr.Rank()]
 		for i := 0; i < rounds; i++ {
 			switch probe {
 			case ProbeBcast:

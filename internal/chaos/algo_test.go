@@ -102,8 +102,8 @@ func TestPortfolioConformsUnderChaos(t *testing.T) {
 
 // TestSelectedProgramConformsUnderChaos runs a whole auto-selected
 // program — the execution path serving actually takes — under chaos:
-// RunStagesSelected with non-butterfly selections must match the plain
-// butterfly executor's fault-free result bitwise.
+// RunStages with non-butterfly selections must match the plain butterfly
+// executor's fault-free result bitwise.
 func TestSelectedProgramConformsUnderChaos(t *testing.T) {
 	prog := term.Seq{
 		term.Reduce{Op: algebra.Add, All: true},
@@ -133,7 +133,7 @@ func TestSelectedProgramConformsUnderChaos(t *testing.T) {
 			for seed := int64(0); seed < seeds; seed++ {
 				got := make([]algebra.Value, p)
 				chaos.OnNative(p, prof, seed, func(c *chaos.Comm) {
-					got[c.Rank()] = core.RunStagesSelected(c, prog, in[c.Rank()], sels)
+					got[c.Rank()] = core.RunStages(c, prog, in[c.Rank()], sels...)
 				})
 				for r := 0; r < p; r++ {
 					if !algebra.Equal(want[r], got[r]) {

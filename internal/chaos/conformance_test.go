@@ -15,6 +15,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/chaos"
 	"repro/internal/exper"
+	"repro/internal/mpbackend"
 	"repro/internal/rules"
 	"repro/internal/term"
 )
@@ -126,14 +127,7 @@ func TestRulesConformUnderChaos(t *testing.T) {
 // scatterInput gives rank 0 a p-component list (what a leading scatter
 // consumes) and the other ranks don't-care scalars.
 func scatterInput(p, m int) []algebra.Value {
-	in := make([]algebra.Value, p)
-	list := make(algebra.Tuple, p)
-	copy(list, blocks(p, m))
-	in[0] = list
-	for r := 1; r < p; r++ {
-		in[r] = algebra.Scalar(float64(-r))
-	}
-	return in
+	return mpbackend.ConformanceInputs(term.Seq{term.Scatter{}}, p, m)
 }
 
 // TestExtensionsConformUnderChaos is the same sweep for the seven

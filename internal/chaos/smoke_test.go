@@ -5,30 +5,20 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
-	"repro/internal/backend"
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/mpbackend"
 	"repro/internal/term"
 )
 
-// blocks builds one deterministic m-word block per rank, with small
-// integer entries so long operator chains stay exactly representable.
-func blocks(p, m int) []algebra.Value {
-	in := make([]algebra.Value, p)
-	for r := range in {
-		b := make(algebra.Vec, m)
-		for j := range b {
-			b[j] = float64((r*7+j*3)%5 + 1)
-		}
-		in[r] = b
-	}
-	return in
-}
+// blocks are the conformance harness's deterministic m-word blocks, one
+// per rank.
+func blocks(p, m int) []algebra.Value { return mpbackend.ConformanceInputs(nil, p, m) }
 
 // faultFree is the chaos sweeps' baseline: the same program on the bare
 // native backend.
 func faultFree(t term.Term, p int, in []algebra.Value) []algebra.Value {
-	out, _ := core.ExecNative(t, backend.New(p), in)
+	out, _ := core.FromTerm(t).RunNative(p, in)
 	return out
 }
 

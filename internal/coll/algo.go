@@ -1,9 +1,8 @@
 package coll
 
 import (
-	"fmt"
-
 	"repro/internal/algebra"
+	"repro/internal/cost"
 )
 
 // This file implements the algorithm portfolio behind the selection layer
@@ -337,48 +336,39 @@ func AllReduceRingBi(c Comm, op *algebra.Op, x Value) Value {
 	return out
 }
 
-// Extended all-reduce algorithm choices (the first two are defined in
-// ring.go).
-const (
-	// AllReduceRabenseifnerAlg is reduce-scatter + allgather via
-	// recursive halving/doubling: 2·log p start-ups, ~2m bandwidth.
-	AllReduceRabenseifnerAlg AllReduceAlg = iota + 2
-	// AllReduceRingBiAlg is the bidirectional ring: both directions carry
-	// half the block concurrently.
-	AllReduceRingBiAlg
-)
-
-// ReduceAlg selects a rooted-reduction implementation for ReduceWith.
-type ReduceAlg int
-
-// Rooted-reduction algorithm choices.
-const (
-	// ReduceBinomial is the mirrored binomial tree of §4.1, the
-	// implementation the paper's estimates assume.
-	ReduceBinomial ReduceAlg = iota
-	// ReducePipelineAlg is the chain-pipelined segmented reduction.
-	ReducePipelineAlg
-)
-
-func (a ReduceAlg) String() string {
-	switch a {
-	case ReduceBinomial:
-		return "butterfly"
-	case ReducePipelineAlg:
-		return "pipeline"
+// ReduceBy is the one place a portfolio algorithm name becomes a
+// collective call: it runs the unbalanced reduction of x — the
+// all-reduction when all is set, otherwise rooted at the first processor —
+// with algorithm a, and every layer that executes a selection (the stage
+// executor, the native and multi-process measurements) goes through it.
+// segments is the pipeline's segment count, ignored by the others. An
+// algorithm that cannot run this collective at the run-time shape — x is
+// not a Vec, or cost.Applicable rejects (group size, block length) — falls
+// back to the §4.1 butterfly, as does an unknown or empty name. The check
+// is on the member's local value, so SPMD callers must feed uniformly
+// shaped blocks: the same contract the collectives themselves have.
+func ReduceBy(c Comm, op *algebra.Op, x Value, all bool, a cost.Algo, segments int) Value {
+	collective := cost.CollReduce
+	if all {
+		collective = cost.CollAllReduce
 	}
-	return fmt.Sprintf("ReduceAlg(%d)", int(a))
-}
-
-// ReduceWith performs the rooted reduction with the chosen algorithm.
-// segments is the pipeline's segment count (ignored by the binomial
-// tree); cost.PipelineSegments gives the calibrated optimum.
-func ReduceWith(c Comm, root int, op *algebra.Op, x Value, alg ReduceAlg, segments int) Value {
-	if alg == ReducePipelineAlg {
-		if root != 0 {
-			panic("coll: ReducePipelined chains toward the first processor; root must be 0")
+	if a != cost.AlgoButterfly {
+		vec, ok := x.(algebra.Vec)
+		if ok && cost.Applicable(collective, a, cost.Params{P: c.Size(), M: len(vec)}) {
+			switch a {
+			case cost.AlgoRabenseifner:
+				return AllReduceRabenseifner(c, op, x)
+			case cost.AlgoRing:
+				return AllReduceRing(c, op, x)
+			case cost.AlgoRingBi:
+				return AllReduceRingBi(c, op, x)
+			case cost.AlgoPipeline:
+				return ReducePipelined(c, op, x, segments)
+			}
 		}
-		return ReducePipelined(c, op, x, segments)
 	}
-	return Reduce(c, root, op, x)
+	if all {
+		return AllReduce(c, op, x)
+	}
+	return Reduce(c, 0, op, x)
 }

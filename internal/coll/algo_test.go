@@ -2,10 +2,10 @@ package coll
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/cost"
 	"repro/internal/machine"
 )
 
@@ -98,31 +98,31 @@ func TestReducePipelinedAllSizes(t *testing.T) {
 }
 
 // TestReducePipelinedMatchesReduce: bitwise agreement with the binomial
-// tree on integer inputs, via ReduceWith on both paths.
+// tree on integer inputs, via ReduceBy on both paths.
 func TestReducePipelinedMatchesReduce(t *testing.T) {
 	rng := rand.New(rand.NewSource(305))
 	n, m := 6, 13
 	blocks := randBlocks(rng, n, m)
-	run := func(alg ReduceAlg) Value {
+	run := func(alg cost.Algo) Value {
 		out, _ := runSPMD(n, machine.Params{Ts: 4, Tw: 1}, func(pr Comm) Value {
-			return ReduceWith(pr, 0, algebra.Add, blocks[pr.Rank()].Clone(), alg, 4)
+			return ReduceBy(pr, algebra.Add, blocks[pr.Rank()].Clone(), false, alg, 4)
 		})
 		return out[0]
 	}
-	tree, pipe := run(ReduceBinomial), run(ReducePipelineAlg)
+	tree, pipe := run(cost.AlgoButterfly), run(cost.AlgoPipeline)
 	if !algebra.Equal(tree, pipe) {
 		t.Fatalf("pipelined %v differs from binomial %v", pipe, tree)
 	}
 }
 
 // TestAllReduceWithNewAlgorithms: every portfolio member agrees bitwise
-// with the butterfly through the AllReduceWith dispatcher.
+// with the butterfly through the ReduceBy dispatcher.
 func TestAllReduceWithNewAlgorithms(t *testing.T) {
 	blocks := randBlocks(rand.New(rand.NewSource(306)), 6, 14)
 	want := elementwiseSum(blocks)
-	for _, alg := range []AllReduceAlg{AllReduceButterfly, AllReduceRingAlg, AllReduceRabenseifnerAlg, AllReduceRingBiAlg} {
+	for _, alg := range cost.Algos(cost.CollAllReduce) {
 		out, _ := runSPMD(6, machine.Params{Ts: 4, Tw: 1}, func(pr Comm) Value {
-			return AllReduceWith(pr, algebra.Add, blocks[pr.Rank()].Clone(), alg)
+			return ReduceBy(pr, algebra.Add, blocks[pr.Rank()].Clone(), true, alg, 0)
 		})
 		for r, v := range out {
 			if !algebra.Equal(v, want) {
@@ -155,27 +155,41 @@ func TestAlgoShapePanics(t *testing.T) {
 	}
 }
 
-func TestReduceWithNonZeroRootPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	vm := machine.New(4, machine.Params{})
-	vm.Run(func(proc *machine.Proc) {
-		ReduceWith(World(proc), 1, algebra.Add, make(algebra.Vec, 8), ReducePipelineAlg, 2)
-	})
-}
-
+// TestReduceAlgString: the rooted dispatch is keyed by name too —
+// "pipeline" streams the chain (same virtual makespan as ReducePipelined
+// at that segment count), "butterfly" and names of the other collective's
+// algorithms run the binomial tree, and every portfolio name parses back
+// to itself (cost.ParseAlgo), so a name read off a plan selects what it
+// says.
 func TestReduceAlgString(t *testing.T) {
-	if ReduceBinomial.String() != "butterfly" || ReducePipelineAlg.String() != "pipeline" {
-		t.Fatal("algorithm names")
+	params := machine.Params{Ts: 10, Tw: 4}
+	p, m, k := 8, 256, 4
+	run := func(body func(c Comm, x Value) Value) float64 {
+		_, res := runSPMD(p, params, func(pr Comm) Value { return body(pr, make(algebra.Vec, m)) })
+		return res.Makespan
 	}
-	if !strings.Contains(ReduceAlg(9).String(), "9") {
-		t.Fatal("unknown algorithm name")
+	by := func(a cost.Algo) float64 {
+		return run(func(c Comm, x Value) Value { return ReduceBy(c, algebra.Add, x, false, a, k) })
 	}
-	if AllReduceRabenseifnerAlg.String() != "rabenseifner" || AllReduceRingBiAlg.String() != "ring-bi" {
-		t.Fatal("extended allreduce names")
+	tree := run(func(c Comm, x Value) Value { return Reduce(c, 0, algebra.Add, x) })
+	pipe := run(func(c Comm, x Value) Value { return ReducePipelined(c, algebra.Add, x, k) })
+	if tree == pipe {
+		t.Fatal("the two algorithms must be distinguishable by makespan here")
+	}
+	if got := by("pipeline"); got != pipe {
+		t.Fatalf("\"pipeline\" ran in %g, ReducePipelined in %g", got, pipe)
+	}
+	for _, name := range []cost.Algo{"butterfly", "rabenseifner", "ring-bi", "9"} {
+		if got := by(name); got != tree {
+			t.Fatalf("%q on a rooted reduction ran in %g, want the binomial tree's %g", name, got, tree)
+		}
+	}
+	for _, coll := range []string{cost.CollAllReduce, cost.CollReduce} {
+		for _, a := range cost.Algos(coll) {
+			if back, err := cost.ParseAlgo(string(a)); err != nil || back != a {
+				t.Fatalf("ParseAlgo(%q) = %q, %v", a, back, err)
+			}
+		}
 	}
 }
 
@@ -184,13 +198,7 @@ func TestReduceAlgString(t *testing.T) {
 func TestRabenseifnerBeatsButterflyOnLargeBlocks(t *testing.T) {
 	params := machine.Params{Ts: 10, Tw: 4}
 	p, m := 16, 1<<14
-	run := func(alg AllReduceAlg) float64 {
-		_, res := runSPMD(p, params, func(pr Comm) Value {
-			return AllReduceWith(pr, algebra.Add, make(algebra.Vec, m), alg)
-		})
-		return res.Makespan
-	}
-	if rab, bf := run(AllReduceRabenseifnerAlg), run(AllReduceButterfly); rab >= bf {
+	if rab, bf := run2(params, p, m, cost.AlgoRabenseifner), run2(params, p, m, cost.AlgoButterfly); rab >= bf {
 		t.Fatalf("rabenseifner (%g) should beat butterfly (%g) on large blocks", rab, bf)
 	}
 }

@@ -1,10 +1,6 @@
 package coll
 
-import (
-	"fmt"
-
-	"repro/internal/algebra"
-)
+import "repro/internal/algebra"
 
 // This file adds the bandwidth-optimal reduction algorithms built from
 // reduce-scatter: the ring all-reduce (reduce-scatter + allgather) moves
@@ -109,43 +105,4 @@ func AllReduceRing(c Comm, op *algebra.Op, x Value) Value {
 		out = append(out, chunks[i]...)
 	}
 	return out
-}
-
-// AllReduceAlg selects an all-reduce implementation for AllReduceWith.
-type AllReduceAlg int
-
-// All-reduce algorithm choices.
-const (
-	// AllReduceButterfly is the log p exchange pattern of §4.1.
-	AllReduceButterfly AllReduceAlg = iota
-	// AllReduceRingAlg is reduce-scatter + allgather: more start-ups,
-	// ~2m bandwidth — wins for large blocks.
-	AllReduceRingAlg
-)
-
-func (a AllReduceAlg) String() string {
-	switch a {
-	case AllReduceButterfly:
-		return "butterfly"
-	case AllReduceRingAlg:
-		return "ring"
-	case AllReduceRabenseifnerAlg:
-		return "rabenseifner"
-	case AllReduceRingBiAlg:
-		return "ring-bi"
-	}
-	return fmt.Sprintf("AllReduceAlg(%d)", int(a))
-}
-
-// AllReduceWith performs the all-reduction with the chosen algorithm.
-func AllReduceWith(c Comm, op *algebra.Op, x Value, alg AllReduceAlg) Value {
-	switch alg {
-	case AllReduceRingAlg:
-		return AllReduceRing(c, op, x)
-	case AllReduceRabenseifnerAlg:
-		return AllReduceRabenseifner(c, op, x)
-	case AllReduceRingBiAlg:
-		return AllReduceRingBi(c, op, x)
-	}
-	return AllReduce(c, op, x)
 }

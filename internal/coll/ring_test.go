@@ -2,10 +2,10 @@ package coll
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/cost"
 	"repro/internal/machine"
 )
 
@@ -115,9 +115,9 @@ func TestAllReduceRingAllSizes(t *testing.T) {
 func TestAllReduceWithSelectsAlgorithm(t *testing.T) {
 	blocks := randBlocks(rand.New(rand.NewSource(204)), 4, 8)
 	want := elementwiseSum(blocks)
-	for _, alg := range []AllReduceAlg{AllReduceButterfly, AllReduceRingAlg} {
+	for _, alg := range []cost.Algo{cost.AlgoButterfly, cost.AlgoRing} {
 		out, _ := runSPMD(4, machine.Params{Ts: 4, Tw: 1}, func(pr Comm) Value {
-			return AllReduceWith(pr, algebra.Add, blocks[pr.Rank()].Clone(), alg)
+			return ReduceBy(pr, algebra.Add, blocks[pr.Rank()].Clone(), true, alg, 0)
 		})
 		for r, v := range out {
 			if !algebra.Equal(v, want) {
@@ -131,35 +131,52 @@ func TestAllReduceWithSelectsAlgorithm(t *testing.T) {
 func TestRingBeatsButterflyOnLargeBlocks(t *testing.T) {
 	params := machine.Params{Ts: 10, Tw: 4}
 	p, m := 16, 1<<14
-	run := func(alg AllReduceAlg) float64 {
-		_, res := runSPMD(p, params, func(pr Comm) Value {
-			return AllReduceWith(pr, algebra.Add, make(algebra.Vec, m), alg)
-		})
-		return res.Makespan
+	run := func(alg cost.Algo) float64 {
+		return run2(params, p, m, alg)
 	}
-	if ring, bf := run(AllReduceRingAlg), run(AllReduceButterfly); ring >= bf {
+	if ring, bf := run(cost.AlgoRing), run(cost.AlgoButterfly); ring >= bf {
 		t.Fatalf("ring (%g) should beat butterfly (%g) on large blocks", ring, bf)
 	}
 	// And the butterfly wins the start-up-dominated regime.
 	params = machine.Params{Ts: 10000, Tw: 1}
 	m = 64
-	if ring, bf := run2(params, p, m, AllReduceRingAlg), run2(params, p, m, AllReduceButterfly); bf >= ring {
+	if ring, bf := run2(params, p, m, cost.AlgoRing), run2(params, p, m, cost.AlgoButterfly); bf >= ring {
 		t.Fatalf("butterfly (%g) should beat ring (%g) on small blocks", bf, ring)
 	}
 }
 
-func run2(params machine.Params, p, m int, alg AllReduceAlg) float64 {
+// run2 is the virtual makespan of one all-reduction of m-word blocks
+// dispatched by algorithm name.
+func run2(params machine.Params, p, m int, alg cost.Algo) float64 {
 	_, res := runSPMD(p, params, func(pr Comm) Value {
-		return AllReduceWith(pr, algebra.Add, make(algebra.Vec, m), alg)
+		return ReduceBy(pr, algebra.Add, make(algebra.Vec, m), true, alg, 0)
 	})
 	return res.Makespan
 }
 
+// TestAllReduceAlgString: the dispatch is keyed by the algorithms' string
+// names — "butterfly" and "ring" run exactly the collectives they name
+// (same virtual makespan as the direct calls), and an unknown name runs
+// the butterfly.
 func TestAllReduceAlgString(t *testing.T) {
-	if AllReduceButterfly.String() != "butterfly" || AllReduceRingAlg.String() != "ring" {
-		t.Fatal("algorithm names")
+	params := machine.Params{Ts: 10, Tw: 4}
+	p, m := 8, 256
+	direct := func(body func(c Comm, x Value) Value) float64 {
+		_, res := runSPMD(p, params, func(pr Comm) Value { return body(pr, make(algebra.Vec, m)) })
+		return res.Makespan
 	}
-	if !strings.Contains(AllReduceAlg(7).String(), "7") {
-		t.Fatal("unknown algorithm name")
+	bf := direct(func(c Comm, x Value) Value { return AllReduce(c, algebra.Add, x) })
+	ring := direct(func(c Comm, x Value) Value { return AllReduceRing(c, algebra.Add, x) })
+	if bf == ring {
+		t.Fatal("the two algorithms must be distinguishable by makespan here")
+	}
+	if got := run2(params, p, m, "butterfly"); got != bf {
+		t.Fatalf("\"butterfly\" ran in %g, AllReduce in %g", got, bf)
+	}
+	if got := run2(params, p, m, "ring"); got != ring {
+		t.Fatalf("\"ring\" ran in %g, AllReduceRing in %g", got, ring)
+	}
+	if got := run2(params, p, m, "7"); got != bf {
+		t.Fatalf("unknown algorithm name ran in %g, want the butterfly's %g", got, bf)
 	}
 }

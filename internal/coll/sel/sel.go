@@ -3,9 +3,9 @@
 // from the calibrated portfolio (cost/algo.go) at that stage's (p, m) —
 // turning the rule engine's target shape from "the butterfly form" into
 // "the best-known form on this machine". Selections are pure data: the
-// executor (core.RunStagesSelected) dispatches on them, the serving layer
-// records them in plans and cache keys, and collbench sweeps them against
-// measurements.
+// executor (core.RunStages) hands each to the one algorithm dispatch
+// (coll.ReduceBy), the serving layer records them in plans and cache
+// keys, and collbench sweeps them against measurements.
 //
 // Only unbalanced reductions over elementwise base operators are eligible
 // (cost.SelectableReduce): every portfolio alternative splits or segments
@@ -16,7 +16,6 @@ package sel
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cost"
 	"repro/internal/term"
@@ -69,39 +68,25 @@ func Choose(collective string, p cost.Params) Selection {
 	return s
 }
 
-// ForTerm walks the flattened stages of t, tracking the per-processor
-// block size the way cost.OfTerm does (gather/scatter reshape it), and
-// returns a Selection for every eligible reduction stage — including
-// stages where the butterfly itself wins, so callers can see the whole
-// decision. A nil result means no stage was eligible.
+// ForTerm returns a Selection for every eligible reduction stage of t —
+// including stages where the butterfly itself wins, so callers can see
+// the whole decision. It reads the stages, their flattened indices and
+// their block sizes (gather/scatter reshape them) off cost.Walk, the walk
+// every estimate sums, and decides eligibility with cost.Selectable as
+// the portfolio pricing does — so each Selection's Predicted is exactly
+// what cost.OfTermAuto charges for its stage (the walk's own prices are
+// not needed here, hence the cheapest policy). A nil result means no
+// stage was eligible.
 func ForTerm(t term.Term, p cost.Params) []Selection {
 	var out []Selection
-	idx := 0
-	walk(t, p, float64(p.M), &idx, &out)
+	cost.Walk(t, p, cost.PriceButterfly, func(st cost.Step) {
+		if collective, at, ok := cost.Selectable(st.Stage, p, st.In); ok {
+			s := Choose(collective, at)
+			s.Stage = st.Index
+			out = append(out, s)
+		}
+	})
 	return out
-}
-
-func walk(t term.Term, p cost.Params, b float64, idx *int, out *[]Selection) float64 {
-	for _, stage := range term.Stages(t) {
-		if s, ok := stage.(term.Seq); ok {
-			b = walk(s, p, b, idx, out)
-			continue
-		}
-		if r, ok := stage.(term.Reduce); ok && cost.SelectableReduce(r) {
-			collective := cost.CollReduce
-			if r.All {
-				collective = cost.CollAllReduce
-			}
-			pp := p
-			pp.M = int(math.Round(b))
-			s := Choose(collective, pp)
-			s.Stage = *idx
-			*out = append(*out, s)
-		}
-		_, b = cost.StageCost(stage, p, b)
-		*idx++
-	}
-	return b
 }
 
 // Total sums the predicted costs of the selections — the portfolio's

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/cost"
+	"repro/internal/rules"
 	"repro/internal/term"
 )
 
@@ -192,5 +193,70 @@ func TestTotal(t *testing.T) {
 	pred, bf := Total([]Selection{{Predicted: 10, Butterfly: 30}, {Predicted: 5, Butterfly: 5}})
 	if pred != 15 || bf != 35 {
 		t.Fatalf("Total = %g, %g, want 15, 35", pred, bf)
+	}
+}
+
+// TestForTermSharesTheEstimateWalk is the cost half of the single-walk
+// property: over random dense and sparse programs, power-of-two and other
+// machine sizes, and block sizes on both sides of every cost.Applicable
+// threshold, the auto estimate is exactly the sum, over the one walk, of
+// Selection.Predicted for the selected stages and the butterfly price for
+// the rest; the selections sit at the walk's indices and block sizes; and
+// the three pricings keep their order (auto ≤ butterfly, floor ≤
+// butterfly).
+func TestForTermSharesTheEstimateWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(1208))
+	for _, p := range []int{1, 2, 5, 7, 8, 16} {
+		for _, m := range []int{1, p - 1, p, 2*p - 1, 2 * p, 4096} {
+			if m < 1 {
+				continue
+			}
+			for trial := 0; trial < 40; trial++ {
+				prog := rules.RandProgram(rng, 8)
+				if trial%3 == 2 && p > 1 {
+					// Sparse stages reshape the block ahead of dense ones.
+					prog = term.Compose(rules.RandSparseProgram(rng, p), prog)
+				}
+				params := cost.Params{Ts: calibrated.Ts, Tw: calibrated.Tw, P: p, M: m}
+				if trial%2 == 1 {
+					params.Ts, params.Tw = 1, 1 // cheap start-ups: the alternatives win
+				}
+				sels := ForTerm(prog, params)
+				var butterfly []float64
+				cost.Walk(prog, params, cost.PriceButterfly, func(st cost.Step) {
+					butterfly = append(butterfly, st.Cost)
+				})
+				sum, next := 0.0, 0
+				auto := cost.Walk(prog, params, cost.PricePortfolio, func(st cost.Step) {
+					if next < len(sels) && sels[next].Stage == st.Index {
+						s := sels[next]
+						next++
+						if s.M != int(math.Round(st.In)) || s.Predicted != st.Cost {
+							t.Fatalf("%s at %+v: selection %+v, walk step %+v", prog, params, s, st)
+						}
+						sum += s.Predicted
+						return
+					}
+					if st.Cost != butterfly[st.Index] {
+						t.Fatalf("%s at %+v: unselected stage %d priced %g, butterfly %g",
+							prog, params, st.Index, st.Cost, butterfly[st.Index])
+					}
+					sum += butterfly[st.Index]
+				})
+				if next != len(sels) {
+					t.Fatalf("%s: %d of %d selections matched a walk index", prog, next, len(sels))
+				}
+				if got := cost.OfTermAuto(prog, params); got != auto || got != sum {
+					t.Fatalf("%s at %+v: OfTermAuto %g, portfolio walk %g, Σ selections+butterfly %g", prog, params, got, auto, sum)
+				}
+				// Up to rounding: the portfolio prices its butterfly candidate
+				// through equation (16), the walk through the arity/cost
+				// generalization of it — equal reals, different expressions.
+				bf := cost.OfTerm(prog, params) * (1 + 1e-12)
+				if auto > bf || cost.Floor(prog, params) > bf {
+					t.Fatalf("%s at %+v: auto %g, floor %g exceed butterfly %g", prog, params, auto, cost.Floor(prog, params), bf)
+				}
+			}
+		}
 	}
 }

@@ -10,7 +10,7 @@
 //
 //	prog := core.NewProgram().Scan(algebra.Mul).Reduce(algebra.Add)
 //	opt := prog.Optimize(core.Machine{Ts: 1000, Tw: 1, P: 64, M: 128})
-//	out, res := opt.Run(core.Machine{Ts: 1000, Tw: 1, P: 64}, input)
+//	out, res := opt.Program.Run(core.Machine{Ts: 1000, Tw: 1, P: 64}, input)
 package core
 
 import (
@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/coll"
+	"repro/internal/coll/sel"
 	"repro/internal/cost"
 	"repro/internal/machine"
 	"repro/internal/term"
@@ -46,40 +47,36 @@ func (m Machine) virtual() *machine.Machine {
 	return machine.New(m.P, machine.Params{Ts: m.Ts, Tw: m.Tw})
 }
 
-// Exec runs a term on the virtual machine, SPMD-style: one goroutine per
-// processor, each stage realized by the corresponding collective from
-// package coll, with communication and computation charged to the virtual
-// clocks. It returns the output list and the run's Result (whose Makespan
-// is the program's run time under the §4.1 cost model).
-func Exec(t term.Term, vm *machine.Machine, input []algebra.Value) ([]algebra.Value, machine.Result) {
-	if len(input) != vm.P {
-		panic(fmt.Sprintf("core: input length %d does not match machine size %d", len(input), vm.P))
-	}
-	out := make([]algebra.Value, vm.P)
-	res := vm.Run(func(p *machine.Proc) {
-		out[p.Rank()] = RunStages(coll.World(p), t, input[p.Rank()])
-	})
-	return out, res
-}
-
 // RunStages executes the stages of t over an arbitrary communicator —
-// the backend-generic heart of the executor. It is called once per group
-// member from inside an SPMD body (Exec does so on the virtual machine,
-// ExecNative on the native backend), threading the member's value through
-// every stage. Stage boundaries are marked when the communicator records
-// them.
-func RunStages(c coll.Comm, t term.Term, v algebra.Value) algebra.Value {
+// the one stage loop of the executor, on every backend. It is called once
+// per group member from inside an SPMD body (Program.Run does so on the
+// virtual machine, RunOn on the native backend, mpbackend's bodies across
+// processes), threading the member's value through every stage. Stage
+// boundaries are marked when the communicator records them.
+//
+// sels are optional algorithm selections (sel.ForTerm's, addressing
+// stages by the same flattened index this loop counts): an unbalanced
+// reduction stage carrying one runs the chosen portfolio algorithm, with
+// coll.ReduceBy's run-time fallback to the butterfly; every other stage,
+// and every stage without a selection, runs the §4.1 implementation.
+func RunStages(c coll.Comm, t term.Term, v algebra.Value, sels ...sel.Selection) algebra.Value {
 	mk, _ := c.(coll.Marker)
-	for _, s := range term.Stages(t) {
+	for i, s := range term.Stages(t) {
 		if mk != nil {
 			mk.Mark(s.String())
 		}
-		v = execStage(s, c, v)
+		algo, segments := cost.AlgoButterfly, 0
+		for _, cand := range sels {
+			if cand.Stage == i {
+				algo, segments = cand.Algo, cand.Segments
+			}
+		}
+		v = execStage(s, c, v, algo, segments)
 	}
 	return v
 }
 
-func execStage(s term.Term, c coll.Comm, v algebra.Value) algebra.Value {
+func execStage(s term.Term, c coll.Comm, v algebra.Value, algo cost.Algo, segments int) algebra.Value {
 	switch st := s.(type) {
 	case term.Map:
 		next := st.F.F(v)
@@ -103,10 +100,8 @@ func execStage(s term.Term, c coll.Comm, v algebra.Value) algebra.Value {
 			return coll.AllReduceBalanced(c, st.Op, v)
 		case st.Balanced:
 			return coll.ReduceBalanced(c, st.Op, v)
-		case st.All:
-			return coll.AllReduce(c, st.Op, v)
 		default:
-			return coll.Reduce(c, 0, st.Op, v)
+			return coll.ReduceBy(c, st.Op, v, st.All, algo, segments)
 		}
 	case term.Bcast:
 		return coll.Bcast(c, 0, v)
@@ -142,11 +137,6 @@ func execStage(s term.Term, c coll.Comm, v algebra.Value) algebra.Value {
 		return coll.AllGatherV(c, st.Counts, v)
 	case term.ReduceScatterV:
 		return coll.ReduceScatterV(c, st.Op, st.Counts, v)
-	case term.Seq:
-		for _, sub := range term.Stages(st) {
-			v = execStage(sub, c, v)
-		}
-		return v
 	}
 	panic(fmt.Sprintf("core: cannot execute stage %T", s))
 }

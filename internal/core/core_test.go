@@ -137,7 +137,7 @@ func TestOptimizedProgramsAgreeOnMachine(t *testing.T) {
 		NewProgram().Bcast().AllReduce(algebra.Add),                // CR
 	}
 	for _, prog := range progs {
-		opt := prog.OptimizeExhaustively(algebra.Default(), 8)
+		opt := prog.OptimizeExhaustively(algebra.Default(), testMachine(8))
 		if len(opt.Applications) == 0 {
 			t.Fatalf("no rule applied to %s", prog)
 		}
@@ -198,9 +198,28 @@ func TestApplicableReporting(t *testing.T) {
 	}
 }
 
+// TestExhaustiveSummaryQuotesEstimates: OptimizeExhaustively fills both
+// estimates at the given machine, so Summary reports a finite ratio
+// instead of "0 -> 0 (NaNx)".
+func TestExhaustiveSummaryQuotesEstimates(t *testing.T) {
+	m := Machine{Ts: 1000, Tw: 1, P: 8, M: 16}
+	prog := NewProgram().Scan(algebra.Mul).Reduce(algebra.Add)
+	opt := prog.OptimizeExhaustively(algebra.Default(), m)
+	if opt.EstimateBefore != prog.Estimate(m) || opt.EstimateAfter != opt.Program.Estimate(m) {
+		t.Fatalf("estimates %g -> %g, want %g -> %g",
+			opt.EstimateBefore, opt.EstimateAfter, prog.Estimate(m), opt.Program.Estimate(m))
+	}
+	// SR2-Reduction at p=8: 3·(2·1000 + 16·(2·1+3)) -> 3·(1000 + 16·(2·1+3)).
+	want := "applied SR2-Reduction @0: scan(*) ; reduce(+)  =>  map pair ; reduce(op_sr2(*,+)) ; map pi_1\n" +
+		"estimate: 6240 -> 3240 (1.93x)\n"
+	if got := opt.Summary(); got != want {
+		t.Fatalf("Summary() =\n%s\nwant\n%s", got, want)
+	}
+}
+
 func TestVerifyProgramPair(t *testing.T) {
 	lhs := NewProgram().Scan(algebra.Mul).Scan(algebra.Add)
-	opt := lhs.OptimizeExhaustively(algebra.Default(), 0)
+	opt := lhs.OptimizeExhaustively(algebra.Default(), Machine{})
 	if err := lhs.Verify(opt.Program, rules.VerifyConfig{Seed: 4, BlockWords: 4}); err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func (d *Derivation) Apply(ruleName string, pos int) (rules.Application, error) 
 	if !ok {
 		return rules.Application{}, fmt.Errorf("core: unknown rule %q", ruleName)
 	}
-	stages := term.Stages(d.Current().Term())
+	stages := d.Current().stages
 	for i := range stages {
 		if pos >= 0 && i != pos {
 			continue

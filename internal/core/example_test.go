@@ -44,7 +44,7 @@ func ExampleProgram_Run() {
 // functional semantics.
 func ExampleProgram_Verify() {
 	lhs := core.NewProgram().Bcast().Scan(algebra.Add).Scan(algebra.Add)
-	opt := lhs.OptimizeExhaustively(algebra.Default(), 0)
+	opt := lhs.OptimizeExhaustively(algebra.Default(), core.Machine{})
 
 	err := lhs.Verify(opt.Program, rules.VerifyConfig{Seed: 1})
 	fmt.Println(opt.Program)

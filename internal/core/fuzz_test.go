@@ -31,7 +31,7 @@ func TestFuzzMachineAgreesWithSemantics(t *testing.T) {
 			t.Fatalf("trial %d original: %v\n  program: %s", trial, err, prog)
 		}
 
-		opt := prog.OptimizeExhaustively(algebra.Default(), mach.P)
+		opt := prog.OptimizeExhaustively(algebra.Default(), mach)
 		if err := opt.Program.CrossCheckTol(mach, in, 1e-9); err != nil {
 			t.Fatalf("trial %d optimized: %v\n  program: %s", trial, err, opt.Program)
 		}

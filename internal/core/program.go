@@ -5,6 +5,8 @@ import (
 	"strings"
 
 	"repro/internal/algebra"
+	"repro/internal/backend"
+	"repro/internal/coll"
 	"repro/internal/coll/sel"
 	"repro/internal/cost"
 	"repro/internal/machine"
@@ -18,6 +20,11 @@ import (
 // returns a new Program (programs are immutable values).
 type Program struct {
 	stages term.Seq
+	// sels are the algorithm selections of the optimization that produced
+	// this program (OptimizeOptions.Auto), honored by every Run method so
+	// a program executes what its estimate priced. They address stages by
+	// index, so every builder method, changing the stage list, drops them.
+	sels []sel.Selection
 }
 
 // NewProgram returns the empty program.
@@ -109,13 +116,14 @@ type Optimization struct {
 	// EstimateBefore and EstimateAfter are cost estimates of the whole
 	// program on the target machine.
 	EstimateBefore, EstimateAfter float64
-	// Search carries the plan-search statistics when the optimization was
-	// produced by OptimizeSearch/OptimizeSearchVerified; nil for greedy.
+	// Search carries the plan-search statistics when the optimization ran
+	// the plan search (OptimizeOptions.Search); nil for greedy.
 	Search *rules.SearchStats
 	// Selection records the per-stage algorithm choices when the
 	// optimization ran with auto-selection (OptimizeOptions.Auto); the
-	// estimates then use the portfolio model (cost.OfTermAuto). Nil
-	// without auto-selection.
+	// estimates then use the portfolio model (cost.OfTermAuto), and
+	// Program carries the selections into its Run methods. Nil without
+	// auto-selection.
 	Selection []sel.Selection
 }
 
@@ -156,9 +164,9 @@ type OptimizeOptions struct {
 	Registry *algebra.Registry
 }
 
-// OptimizeOpts is the general optimizer entry point: every other
-// Optimize* method is a fixed configuration of it. The error is non-nil
-// only when verification is requested and fails.
+// OptimizeOpts is the optimizer entry point (Optimize is its zero-options
+// call). The error is non-nil only when verification is requested and
+// fails.
 func (p Program) OptimizeOpts(m Machine, o OptimizeOptions) (Optimization, error) {
 	eng := rules.NewCostGuidedEngine(m.costParams())
 	if o.Registry != nil {
@@ -201,51 +209,20 @@ func (p Program) OptimizeOpts(m Machine, o OptimizeOptions) (Optimization, error
 	}
 	if o.Auto {
 		res.Selection = sel.ForTerm(opt, m.costParams())
+		res.Program.sels = res.Selection
 	}
 	return res, nil
 }
 
 // Optimize rewrites the program with the cost-guided engine: a rule is
 // applied only where the Table 1-style estimates predict an improvement on
-// machine m. The registry declaring the operators' algebraic properties
-// defaults to algebra.Default; use OptimizeWith to supply your own.
+// machine m. It is OptimizeOpts with the zero options — greedy, butterfly
+// pricing, unverified, algebra.Default's operator properties; search,
+// auto-selection, verification and a custom registry are OptimizeOptions
+// fields.
 func (p Program) Optimize(m Machine) Optimization {
-	return p.OptimizeWith(m, algebra.Default())
-}
-
-// OptimizeWith is Optimize with an explicit property registry.
-func (p Program) OptimizeWith(m Machine, reg *algebra.Registry) Optimization {
-	o, _ := p.OptimizeOpts(m, OptimizeOptions{Registry: reg})
+	o, _ := p.OptimizeOpts(m, OptimizeOptions{})
 	return o
-}
-
-// OptimizeVerified is Optimize followed by verification: every rule
-// application and the end-to-end equality of the original and optimized
-// program are checked under the functional semantics before the result
-// is returned. This is the plan-cache entry point of the optimization
-// service (package serve) — a cached plan is a verified plan.
-func (p Program) OptimizeVerified(m Machine, cfg rules.VerifyConfig) (Optimization, error) {
-	return p.OptimizeOpts(m, OptimizeOptions{Verify: true, VerifyConfig: cfg})
-}
-
-// OptimizeSearch rewrites the program with the global plan search
-// (rules.SearchOptimize): a bounded branch-and-bound exploration of all
-// rule-application sequences scored by the end-to-end cost estimate,
-// never worse than the greedy Optimize and strictly better where the
-// greedy window heuristic forfeits a cheaper derivation downstream. The
-// zero SearchConfig selects the default budgets.
-func (p Program) OptimizeSearch(m Machine, scfg rules.SearchConfig) Optimization {
-	o, _ := p.OptimizeOpts(m, OptimizeOptions{Search: true, SearchConfig: scfg})
-	return o
-}
-
-// OptimizeSearchVerified is OptimizeSearch followed by verification of
-// every rule application of the winning derivation and of the end-to-end
-// equality of the original and optimized program — the searched
-// counterpart of OptimizeVerified, and the plan-cache entry point for
-// the search strategy (package serve).
-func (p Program) OptimizeSearchVerified(m Machine, cfg rules.VerifyConfig, scfg rules.SearchConfig) (Optimization, error) {
-	return p.OptimizeOpts(m, OptimizeOptions{Search: true, SearchConfig: scfg, Verify: true, VerifyConfig: cfg})
 }
 
 // Canonical renders the program in the stable canonical surface syntax
@@ -255,13 +232,20 @@ func (p Program) Canonical() string {
 }
 
 // OptimizeExhaustively rewrites with every applicable rule regardless of
-// the cost estimates (the purely algebraic view of §3).
-func (p Program) OptimizeExhaustively(reg *algebra.Registry, machineP int) Optimization {
+// the cost estimates (the purely algebraic view of §3). The machine
+// supplies the processor count the Local rules need and the parameters
+// the before/after estimates are quoted at.
+func (p Program) OptimizeExhaustively(reg *algebra.Registry, m Machine) Optimization {
 	eng := rules.NewEngine()
 	eng.Env.Reg = reg
-	eng.Env.P = machineP
+	eng.Env.P = m.P
 	opt, apps := eng.Optimize(p.stages)
-	return Optimization{Program: FromTerm(opt), Applications: apps}
+	return Optimization{
+		Program:        FromTerm(opt),
+		Applications:   apps,
+		EstimateBefore: cost.OfTerm(p.stages, m.costParams()),
+		EstimateAfter:  cost.OfTerm(opt, m.costParams()),
+	}
 }
 
 // Applicable lists the rule applications available in the program without
@@ -279,9 +263,11 @@ func (p Program) Estimate(m Machine) float64 {
 
 // Run executes the program on a virtual machine with m.P processors and
 // returns the output list and the machine result; Result.Makespan is the
-// measured run time under the cost model.
+// measured run time under the cost model. Like every Run method it panics
+// unless input holds one value per processor, and runs the algorithm
+// selections the program carries (see Optimization.Selection).
 func (p Program) Run(m Machine, input []algebra.Value) ([]algebra.Value, machine.Result) {
-	return Exec(p.stages, m.virtual(), input)
+	return p.runVirtual(m.virtual(), input)
 }
 
 // RunTraced is Run with an event trace collected for timeline rendering.
@@ -289,8 +275,53 @@ func (p Program) RunTraced(m Machine, input []algebra.Value) ([]algebra.Value, m
 	vm := m.virtual()
 	tr := machine.NewTracer()
 	vm.SetTracer(tr)
-	out, res := Exec(p.stages, vm, input)
+	out, res := p.runVirtual(vm, input)
 	return out, res, tr.Events()
+}
+
+// checkInput panics unless input holds one value per processor.
+func checkInput(input []algebra.Value, procs int) {
+	if len(input) != procs {
+		panic(fmt.Sprintf("core: input length %d does not match machine size %d", len(input), procs))
+	}
+}
+
+// runVirtual runs the program SPMD-style on the virtual machine: one
+// goroutine per processor, each stage realized by the corresponding
+// collective from package coll, with communication and computation
+// charged to the virtual clocks.
+func (p Program) runVirtual(vm *machine.Machine, input []algebra.Value) ([]algebra.Value, machine.Result) {
+	checkInput(input, vm.P)
+	out := make([]algebra.Value, vm.P)
+	t := p.Term() // boxed once here, not once per rank inside the body
+	res := vm.Run(func(pr *machine.Proc) {
+		out[pr.Rank()] = RunStages(coll.World(pr), t, input[pr.Rank()], p.sels...)
+	})
+	return out, res
+}
+
+// RunNative executes the program on the native backend with procs ranks
+// and returns the output list and the wall-clock result. The outputs are
+// bit-identical to Run's — both backends execute the same collective
+// algorithms in the same combining order — only the notion of time
+// differs.
+func (p Program) RunNative(procs int, input []algebra.Value) ([]algebra.Value, backend.Result) {
+	return p.RunOn(backend.New(procs), input)
+}
+
+// RunOn is RunNative with a caller-configured machine (timeout, injected
+// start-up latency, transport): one real goroutine per rank, every stage
+// realized by the same collectives as on the virtual machine but with
+// wall-clock timing — Result.Makespan is the host's measured run time from
+// the barrier-synchronized start to the last rank's finish.
+func (p Program) RunOn(nm *backend.Machine, input []algebra.Value) ([]algebra.Value, backend.Result) {
+	checkInput(input, nm.P)
+	out := make([]algebra.Value, nm.P)
+	t := p.Term() // boxed once here, not once per rank inside the body
+	res := nm.Run(func(pr *backend.Proc) {
+		out[pr.Rank()] = RunStages(pr, t, input[pr.Rank()], p.sels...)
+	})
+	return out, res
 }
 
 // Verify checks that this program and q are semantically equivalent by

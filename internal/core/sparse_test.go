@@ -7,9 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
-	"repro/internal/backend"
 	"repro/internal/lang"
-	"repro/internal/machine"
 	"repro/internal/rules"
 	"repro/internal/term"
 )
@@ -89,8 +87,8 @@ func TestSparseConformance(t *testing.T) {
 				t.Fatalf("p=%d %s: parse: %v", p, kind, err)
 			}
 			want := term.Eval(prog, in)
-			virt, _ := Exec(prog, machine.New(p, machine.Params{Ts: 4, Tw: 1}), in)
-			nat, _ := ExecNative(prog, backend.New(p), in)
+			virt, _ := FromTerm(prog).Run(Machine{Ts: 4, Tw: 1, P: p}, in)
+			nat, _ := FromTerm(prog).RunNative(p, in)
 			for r := 0; r < p; r++ {
 				if !algebra.Equal(virt[r], want[r]) {
 					t.Fatalf("p=%d %s rank %d: virtual %v, eval %v", p, kind, r, virt[r], want[r])
@@ -122,8 +120,8 @@ func TestSparseOptimizedConformance(t *testing.T) {
 				t.Fatalf("p=%d %s: no rewrite fired on %s", p, kind, src)
 			}
 			want := term.Eval(prog, in)
-			virt, _ := Exec(opt, machine.New(p, machine.Params{Ts: 4, Tw: 1}), in)
-			nat, _ := ExecNative(opt, backend.New(p), in)
+			virt, _ := FromTerm(opt).Run(Machine{Ts: 4, Tw: 1, P: p}, in)
+			nat, _ := FromTerm(opt).RunNative(p, in)
 			for r := 0; r < p; r++ {
 				if !algebra.Equal(virt[r], want[r]) {
 					t.Fatalf("p=%d %s rank %d: optimized virtual %v, eval %v", p, kind, r, virt[r], want[r])

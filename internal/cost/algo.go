@@ -244,36 +244,25 @@ func BestAlgo(collective string, p Params, elementwise bool) (Algo, float64) {
 // of the auto-selecting engine (rules.Engine.Auto). Every other stage is
 // priced exactly as OfTerm, so OfTermAuto(t) ≤ OfTerm(t) always, and the
 // two agree on programs without eligible reductions.
-func OfTermAuto(t term.Term, p Params) float64 {
-	total, _ := ofStagesAuto(t, p, p.m())
-	return total
-}
+func OfTermAuto(t term.Term, p Params) float64 { return Walk(t, p, PricePortfolio, nil) }
 
-func ofStagesAuto(t term.Term, p Params, b float64) (float64, float64) {
-	total := 0.0
-	for _, stage := range term.Stages(t) {
-		var c float64
-		c, b = ofStageAuto(stage, p, b)
-		total += c
+// Selectable reports whether a stage seeing per-processor block size b is
+// a reduction eligible for algorithm selection (SelectableReduce) and, if
+// so, the collective it is and the parameters the portfolio prices it at:
+// p at the block size rounded to whole words. The walk's portfolio
+// pricing and the selection layer (coll/sel) both decide through it, so
+// the estimate and the recorded selections cannot drift apart.
+func Selectable(stage term.Term, p Params, b float64) (collective string, at Params, ok bool) {
+	r, isReduce := stage.(term.Reduce)
+	if !isReduce || !SelectableReduce(r) {
+		return "", p, false
 	}
-	return total, b
-}
-
-func ofStageAuto(t term.Term, p Params, b float64) (float64, float64) {
-	if s, ok := t.(term.Seq); ok {
-		return ofStagesAuto(s, p, b)
+	collective = CollReduce
+	if r.All {
+		collective = CollAllReduce
 	}
-	if r, ok := t.(term.Reduce); ok && SelectableReduce(r) {
-		collective := CollReduce
-		if r.All {
-			collective = CollAllReduce
-		}
-		pp := p
-		pp.M = int(math.Round(b))
-		_, c := BestAlgo(collective, pp, true)
-		return c, b
-	}
-	return ofStage(t, p, b)
+	p.M = int(math.Round(b))
+	return collective, p, true
 }
 
 // SelectableReduce reports whether a reduction stage is eligible for

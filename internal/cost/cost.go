@@ -56,12 +56,42 @@ func Scan(p Params) float64 {
 	return p.LogP() * (p.Ts + p.m()*(p.Tw+2))
 }
 
-// OfTerm estimates the run time of an arbitrary term under the butterfly
-// implementation model. It generalizes equations (15)–(17) to the derived
-// tuple operators: an operator of arity a and per-element cost c makes a
-// reduction phase cost ts + a·m·tw + c·m and a scan phase
-// ts + a·m·tw + 2·c·m. Local stages cost their per-element count times m,
-// without the log p factor; duplication and projection are free (§4.2).
+// Pricing is the policy the stage walk charges stages under. It is a
+// plain value, so the three estimators below share one traversal without
+// allocating: the plan search makes thousands of these calls per plan.
+type Pricing uint8
+
+// The pricing policies.
+const (
+	// PriceButterfly charges every stage its §4.1 butterfly line — the
+	// policy of OfTerm.
+	PriceButterfly Pricing = iota
+	// PricePortfolio charges a reduction eligible for algorithm
+	// selection (Selectable) the cheapest applicable portfolio line and
+	// every other stage its butterfly line — the policy of OfTermAuto.
+	PricePortfolio
+	// PriceFloor charges only the stages no rule can remove — the policy
+	// of Floor.
+	PriceFloor
+)
+
+// Step is what the stage walk reports for one stage.
+type Step struct {
+	// Index is the stage's position in the flattened stage list — the
+	// numbering the executor (core.RunStages) runs stages under.
+	Index int
+	// Stage is the stage itself.
+	Stage term.Term
+	// In and Out are the per-processor block sizes before and after it.
+	In, Out float64
+	// Cost is the stage's price under the walk's policy.
+	Cost float64
+}
+
+// Walk is the one block-size-tracking traversal behind every estimate:
+// it prices the flattened stages of t in order under the given policy,
+// calls visit (when non-nil) with each stage's Step, and returns the
+// total.
 //
 // The per-processor block size is tracked through the redistribution
 // stages: a gather leaves the root with a p·m-word block and a scatter
@@ -69,28 +99,42 @@ func Scan(p Params) float64 {
 // between are charged at the block size they actually see rather than at
 // the global Params.M. For programs without redistribution (all of the
 // paper's rules) the estimate is unchanged.
-func OfTerm(t term.Term, p Params) float64 {
-	total, _ := ofStages(t, p, p.m())
+func Walk(t term.Term, p Params, pr Pricing, visit func(Step)) float64 {
+	total, b, logp := 0.0, p.m(), p.LogP()
+	for i, stage := range term.Stages(t) {
+		c, out := ofStage(stage, p, logp, b)
+		switch pr {
+		case PricePortfolio:
+			if collective, at, ok := Selectable(stage, p, b); ok {
+				_, c = BestAlgo(collective, at, true)
+			}
+		case PriceFloor:
+			if !survivesRewriting(stage) {
+				c = 0
+			}
+		}
+		total += c
+		if visit != nil {
+			visit(Step{Index: i, Stage: stage, In: b, Out: out, Cost: c})
+		}
+		b = out
+	}
 	return total
 }
 
-// ofStages walks the stages of t threading the current per-processor
-// block size b, and returns the accumulated cost and the block size
-// after the last stage.
-func ofStages(t term.Term, p Params, b float64) (float64, float64) {
-	total := 0.0
-	for _, stage := range term.Stages(t) {
-		var c float64
-		c, b = ofStage(stage, p, b)
-		total += c
-	}
-	return total, b
-}
+// OfTerm estimates the run time of an arbitrary term under the butterfly
+// implementation model. It generalizes equations (15)–(17) to the derived
+// tuple operators: an operator of arity a and per-element cost c makes a
+// reduction phase cost ts + a·m·tw + c·m and a scan phase
+// ts + a·m·tw + 2·c·m. Local stages cost their per-element count times m,
+// without the log p factor; duplication and projection are free (§4.2).
+// Block sizes are tracked through the redistribution stages (see Walk).
+func OfTerm(t term.Term, p Params) float64 { return Walk(t, p, PriceButterfly, nil) }
 
-// ofStage estimates one stage at per-processor block size b and returns
-// its cost together with the block size downstream stages see.
-func ofStage(t term.Term, p Params, b float64) (float64, float64) {
-	logp := p.LogP()
+// ofStage estimates one stage at per-processor block size b (logp is
+// p.LogP(), computed once per walk) and returns its butterfly cost
+// together with the block size downstream stages see.
+func ofStage(t term.Term, p Params, logp, b float64) (float64, float64) {
 	switch s := t.(type) {
 	case term.Map:
 		return float64(s.F.Cost) * b, b
@@ -146,67 +190,34 @@ func ofStage(t term.Term, p Params, b float64) (float64, float64) {
 	case term.ReduceScatterV:
 		// The widest slice bounds the makespan; downstream stages see it.
 		return ReduceScatterVLine(s.Op.Cost, s.Counts, p), float64(maxCount(s.Counts))
-	case term.Seq:
-		return ofStages(s, p, b)
 	}
 	return 0, b
 }
 
-// StageCost estimates a single stage at per-processor block size b and
-// returns its cost together with the block size downstream stages see —
-// the per-stage step of OfTerm, exported for layers that walk a program
-// themselves (the selection layer in coll/sel tracks block sizes with it).
-func StageCost(t term.Term, p Params, b float64) (float64, float64) {
-	return ofStage(t, p, b)
-}
-
 // Floor is an admissible lower bound on the cost of every term reachable
 // from t by the optimization rules, used to prune the plan search
-// (rules.SearchOptimize). The rules rewrite only scans, unbalanced
-// reductions, broadcasts, maps and gather/scatter pairs; the derived
-// stages they produce — map#, iter, scan_balanced, balanced reductions,
-// comcast — match no rule pattern, local work is never discarded (maps
-// are only moved or fused, preserving their total cost), and the
-// removable gather;scatter round trips are block-neutral. The cost of
-// those surviving stages, charged at their tracked block sizes, is
-// therefore a floor under every derivation.
-func Floor(t term.Term, p Params) float64 {
-	total, _ := floorStages(t, p, p.m())
-	return total
-}
+// (rules.SearchOptimize): the cost of the stages that survive every
+// derivation (survivesRewriting), charged at their tracked block sizes.
+func Floor(t term.Term, p Params) float64 { return Walk(t, p, PriceFloor, nil) }
 
-func floorStages(t term.Term, p Params, b float64) (float64, float64) {
-	total := 0.0
-	for _, stage := range term.Stages(t) {
-		switch s := stage.(type) {
-		case term.Seq:
-			var c float64
-			c, b = floorStages(s, p, b)
-			total += c
-		case term.Gather, term.Scatter:
-			// Removable (GS-Id/SG-Id): contributes nothing to the floor,
-			// but still reshapes the block for the stages after it.
-			_, b = ofStage(stage, p, b)
-		case term.Halo, term.AllGatherV, term.ReduceScatterV:
-			// Rewritable (HH-Combine fuses halos, RSAG-AllReduce replaces
-			// the reduce_scatterv;allgatherv pair): no floor contribution,
-			// but the block reshaping survives every derivation — combined
-			// halos multiply the fan-ins, and the pair rewrite only fires
-			// when the counts match, leaving the downstream block at T.
-			_, b = ofStage(stage, p, b)
-		case term.Map, term.MapIdx, term.Iter, term.ScanBal, term.Comcast:
-			var c float64
-			c, b = ofStage(stage, p, b)
-			total += c
-		case term.Reduce:
-			if s.Balanced {
-				var c float64
-				c, b = ofStage(stage, p, b)
-				total += c
-			}
-		}
+// survivesRewriting reports whether a stage contributes to Floor. The
+// rules rewrite only scans, unbalanced reductions, broadcasts, maps and
+// gather/scatter pairs; the derived stages they produce — map#, iter,
+// scan_balanced, balanced reductions, comcast — match no rule pattern,
+// and local work is never discarded (maps are only moved or fused,
+// preserving their total cost). Everything else is removable and
+// contributes nothing, though it still reshapes the block for the stages
+// after it: gather;scatter round trips (GS-Id/SG-Id) are block-neutral,
+// combined halos (HH-Combine) multiply the fan-ins, and RSAG-AllReduce
+// only fires when the counts match, leaving the downstream block at T.
+func survivesRewriting(stage term.Term) bool {
+	switch s := stage.(type) {
+	case term.Map, term.MapIdx, term.Iter, term.ScanBal, term.Comcast:
+		return true
+	case term.Reduce:
+		return s.Balanced
 	}
-	return total, b
+	return false
 }
 
 // lin is a linear form a·ts + b·m·tw + c·m (all per log p), the shape of

@@ -151,8 +151,6 @@ func symbolicOfStage(t term.Term) LinForm {
 		return LinForm{Ts: 1, MTw: 1, M: float64(s.Ops.CostO)}
 	case term.Iter:
 		return LinForm{M: float64(s.Op.Cost)}
-	case term.Seq:
-		return SymbolicOfTerm(s)
 	}
 	panic(fmt.Sprintf("cost: no symbolic form for %T", t))
 }

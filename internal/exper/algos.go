@@ -8,6 +8,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/coll"
 	"repro/internal/cost"
+	"repro/internal/mpbackend"
 )
 
 // This file is the wall-clock side of the algorithm portfolio: it runs
@@ -29,26 +30,7 @@ func MeasureCollective(nm *backend.Machine, collective string, a cost.Algo, op *
 	best := math.MaxFloat64
 	for i := 0; i < reps; i++ {
 		res := nm.Run(func(pr *backend.Proc) {
-			v := in[pr.Rank()]
-			switch collective {
-			case cost.CollAllReduce:
-				switch a {
-				case cost.AlgoRabenseifner:
-					coll.AllReduceRabenseifner(pr, op, v)
-				case cost.AlgoRing:
-					coll.AllReduceRing(pr, op, v)
-				case cost.AlgoRingBi:
-					coll.AllReduceRingBi(pr, op, v)
-				default:
-					coll.AllReduce(pr, op, v)
-				}
-			default: // cost.CollReduce
-				if a == cost.AlgoPipeline {
-					coll.ReducePipelined(pr, op, v, segments)
-				} else {
-					coll.Reduce(pr, 0, op, v)
-				}
-			}
+			coll.ReduceBy(pr, op, in[pr.Rank()], collective == cost.CollAllReduce, a, segments)
 		})
 		if ns := float64(res.Makespan.Nanoseconds()); ns < best {
 			best = ns
@@ -116,85 +98,145 @@ func DefaultNativeAlgoConfig() NativeAlgoConfig {
 	return NativeAlgoConfig{Ps: []int{7, 8}, Ms: []int{16, 256, 1024, 4096, 16384}, Reps: 7}
 }
 
+// AlgoMeasurer measures one head-to-head point of the portfolio sweep:
+// the wall-clock nanoseconds of the butterfly and of algorithm a running
+// the collective on p ranks at block size m (segments is the pipeline's
+// segment count at that point). It is what differs between the native and
+// the multi-process sweep; everything else is SweepAlgos.
+type AlgoMeasurer func(collective string, a cost.Algo, p, m, segments int) (bfNs, algNs float64, err error)
+
+// NativeAlgoMeasurer measures on the native backend: seeded inputs
+// (seed 11), one discarded warm-up so mailbox and arena allocation stays
+// out of the minimum, then the minimum over reps runs of each side on one
+// machine per group size.
+func NativeAlgoMeasurer(reps int, transport backend.TransportMode) AlgoMeasurer {
+	var nm *backend.Machine
+	return func(collective string, a cost.Algo, p, m, segments int) (bfNs, algNs float64, err error) {
+		if nm == nil || nm.P != p {
+			nm = backend.New(p)
+			nm.Transport = transport
+		}
+		in := mpbackend.SeededInputs(11, p, m)
+		MeasureCollective(nm, collective, a, algebra.Add, in, segments, 1) // warm-up
+		bfNs = MeasureCollective(nm, collective, cost.AlgoButterfly, algebra.Add, in, 0, reps)
+		algNs = MeasureCollective(nm, collective, a, algebra.Add, in, segments, reps)
+		return bfNs, algNs, nil
+	}
+}
+
+// AlgoSweep is one (collective, algorithm, group size) group of the
+// portfolio sweep: the applicable block sizes with both sides' measured
+// times, and the predicted and measured crossover — the smallest m at
+// which the algorithm first beats the butterfly, the measured one
+// sharpened by bisection between sweep points; 0 means it never won in
+// range.
+type AlgoSweep struct {
+	Collective          string
+	Algo                cost.Algo
+	P                   int
+	Ms                  []int
+	ButterflyNs, AlgoNs []float64
+	PredCross           int
+	MeasCross           int
+}
+
+// SweepAlgos is the one walk of the (collective × algorithm × p × m) grid:
+// every portfolio algorithm head-to-head against the butterfly at each
+// group size in ps and each block size in ms it can run at
+// (cost.Applicable), measured by measure, with crossovers predicted from
+// ts/tw (cost.BreakEven up to the largest m). The benchmark records
+// (NativeAlgos, MultiProcAlgos) and the calibration's crossover
+// validation (calib.ValidateAlgos) are views of its groups. Groups with no
+// applicable block size are omitted.
+func SweepAlgos(ts, tw float64, ps, ms []int, measure AlgoMeasurer) ([]AlgoSweep, error) {
+	if len(ps) == 0 || len(ms) == 0 {
+		return nil, fmt.Errorf("exper: the algorithm sweep needs group and block sizes")
+	}
+	maxM := ms[len(ms)-1]
+	var out []AlgoSweep
+	for _, p := range ps {
+		if p < 2 {
+			return nil, fmt.Errorf("exper: the algorithm sweep needs p ≥ 2, got %d", p)
+		}
+		base := cost.Params{Ts: ts, Tw: tw, P: p}
+		for _, collective := range []string{cost.CollAllReduce, cost.CollReduce} {
+			for _, a := range cost.Algos(collective)[1:] {
+				at := func(m int) (float64, float64, error) {
+					pp := base
+					pp.M = m
+					return measure(collective, a, p, m, cost.PipelineSegments(pp))
+				}
+				g := AlgoSweep{Collective: collective, Algo: a, P: p}
+				var won []bool
+				for _, m := range ms {
+					pp := base
+					pp.M = m
+					if !cost.Applicable(collective, a, pp) {
+						continue
+					}
+					bfNs, algNs, err := at(m)
+					if err != nil {
+						return nil, err
+					}
+					g.Ms = append(g.Ms, m)
+					g.ButterflyNs = append(g.ButterflyNs, bfNs)
+					g.AlgoNs = append(g.AlgoNs, algNs)
+					won = append(won, algNs < bfNs)
+				}
+				if len(g.Ms) == 0 {
+					continue
+				}
+				g.PredCross = cost.BreakEven(collective, a, base, maxM)
+				g.MeasCross = FirstWinCrossover(g.Ms, won, func(m int) bool {
+					// A failed bisection probe counts as a loss: the
+					// bracketing sweep measurements already succeeded, so
+					// the reported crossover degrades to sweep resolution
+					// instead of failing the whole suite.
+					bfNs, algNs, err := at(m)
+					return err == nil && algNs < bfNs
+				})
+				out = append(out, g)
+			}
+		}
+	}
+	return out, nil
+}
+
 // NativeAlgos measures every portfolio algorithm head-to-head against
 // the butterfly on the native backend — the wall-clock records behind
 // docs/ALGORITHMS.md's crossover table. Rows pair up like the fusion
 // suite's: per (collective, algorithm, p, m) a "lhs" row carries the
 // butterfly and an "rhs" row the algorithm, with Speedup the ratio. Each
 // rhs row additionally carries the predicted and measured crossover
-// block sizes of its (collective, algorithm, p) group — the smallest m
-// at which the algorithm first beats the butterfly, sharpened by
-// bisection between sweep points; 0 means it never won in range.
+// block sizes of its (collective, algorithm, p) group (see AlgoSweep).
 func NativeAlgos(cfg NativeAlgoConfig) ([]NativeBenchRecord, error) {
-	if len(cfg.Ps) == 0 || len(cfg.Ms) == 0 {
-		return nil, fmt.Errorf("exper: the algorithm sweep needs group and block sizes")
+	return algoRecords("native", cfg, NativeAlgoMeasurer(cfg.Reps, cfg.Transport))
+}
+
+// algoRecords runs the sweep and renders its groups as benchmark records
+// labelled with the backend.
+func algoRecords(backendName string, cfg NativeAlgoConfig, measure AlgoMeasurer) ([]NativeBenchRecord, error) {
+	groups, err := SweepAlgos(cfg.Ts, cfg.Tw, cfg.Ps, cfg.Ms, measure)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Reps < 1 {
-		cfg.Reps = 1
-	}
-	op := algebra.Add
-	maxM := cfg.Ms[len(cfg.Ms)-1]
+	reps := max(cfg.Reps, 1)
 	var out []NativeBenchRecord
-	for _, p := range cfg.Ps {
-		if p < 2 {
-			return nil, fmt.Errorf("exper: the algorithm sweep needs p ≥ 2, got %d", p)
-		}
-		nm := backend.New(p)
-		nm.Transport = cfg.Transport
-		base := cost.Params{Ts: cfg.Ts, Tw: cfg.Tw, P: p}
-		for _, collective := range []string{cost.CollAllReduce, cost.CollReduce} {
-			for _, a := range cost.Algos(collective)[1:] {
-				var recs []NativeBenchRecord
-				var ms []int
-				var won []bool
-				measure := func(m int) (bfNs, algNs float64) {
-					pp := base
-					pp.M = m
-					segs := cost.PipelineSegments(pp)
-					in := inputs(11, p, m)
-					MeasureCollective(nm, collective, a, op, in, segs, 1) // warm-up
-					bfNs = MeasureCollective(nm, collective, cost.AlgoButterfly, op, in, 0, cfg.Reps)
-					algNs = MeasureCollective(nm, collective, a, op, in, segs, cfg.Reps)
-					return bfNs, algNs
-				}
-				for _, m := range cfg.Ms {
-					pp := base
-					pp.M = m
-					if !cost.Applicable(collective, a, pp) {
-						continue
-					}
-					bfNs, algNs := measure(m)
-					ms = append(ms, m)
-					won = append(won, algNs < bfNs)
-					params := cost.Params{Ts: cfg.Ts, Tw: cfg.Tw, P: p, M: m}
-					recs = append(recs,
-						NativeBenchRecord{
-							Backend: "native", Reps: cfg.Reps, Params: params,
-							Op: collective + "(+)", Rule: algoRule(collective, a), Side: "lhs",
-							P: p, M: m, NsPerOp: bfNs, Speedup: 1,
-						},
-						NativeBenchRecord{
-							Backend: "native", Reps: cfg.Reps, Params: params,
-							Op: fmt.Sprintf("%s(+)@%s", collective, a), Rule: algoRule(collective, a), Side: "rhs",
-							P: p, M: m, NsPerOp: algNs, Speedup: bfNs / algNs,
-						})
-				}
-				if len(ms) == 0 {
-					continue
-				}
-				pred := cost.BreakEven(collective, a, base, maxM)
-				meas := FirstWinCrossover(ms, won, func(m int) bool {
-					bfNs, algNs := measure(m)
-					return algNs < bfNs
+	for _, g := range groups {
+		for i, m := range g.Ms {
+			params := cost.Params{Ts: cfg.Ts, Tw: cfg.Tw, P: g.P, M: m}
+			out = append(out,
+				NativeBenchRecord{
+					Backend: backendName, Reps: reps, Params: params,
+					Op: g.Collective + "(+)", Rule: algoRule(g.Collective, g.Algo), Side: "lhs",
+					P: g.P, M: m, NsPerOp: g.ButterflyNs[i], Speedup: 1,
+				},
+				NativeBenchRecord{
+					Backend: backendName, Reps: reps, Params: params,
+					Op: fmt.Sprintf("%s(+)@%s", g.Collective, g.Algo), Rule: algoRule(g.Collective, g.Algo), Side: "rhs",
+					P: g.P, M: m, NsPerOp: g.AlgoNs[i], Speedup: g.ButterflyNs[i] / g.AlgoNs[i],
+					PredCross: g.PredCross, MeasCross: g.MeasCross,
 				})
-				for i := range recs {
-					if recs[i].Side == "rhs" {
-						recs[i].PredCross = pred
-						recs[i].MeasCross = meas
-					}
-				}
-				out = append(out, recs...)
-			}
 		}
 	}
 	return out, nil

@@ -8,7 +8,6 @@ package exper
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"repro/internal/algebra"
@@ -52,26 +51,6 @@ func (f Figure) CSV() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// block builds a deterministic pseudo-random m-word block for processor r.
-func block(rng *rand.Rand, m int) algebra.Vec {
-	v := make(algebra.Vec, m)
-	for i := range v {
-		v[i] = float64(rng.Intn(9) + 1)
-	}
-	return v
-}
-
-// inputs builds one block per processor; only the first matters for
-// broadcast-rooted programs but all are populated.
-func inputs(seed int64, p, m int) []algebra.Value {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]algebra.Value, p)
-	for i := range out {
-		out[i] = block(rng, m)
-	}
-	return out
 }
 
 // measure runs a program and returns its makespan on the machine.

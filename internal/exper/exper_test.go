@@ -16,7 +16,7 @@ var parsytec = machine.Params{Ts: 5000, Tw: 1}
 
 func TestTable1Predicted(t *testing.T) {
 	mach := core.Machine{Ts: 1000, Tw: 1, P: 64, M: 32}
-	rows := Table1(mach, false)
+	rows := Table1(mach, false, RunVirtual)
 	if len(rows) != 11 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -44,7 +44,7 @@ func TestTable1MeasuredMatchesPredicted(t *testing.T) {
 		{Ts: 1, Tw: 1, P: 32, M: 16384}, // bandwidth dominated
 	}
 	for _, mach := range machines {
-		rows := Table1(mach, true)
+		rows := Table1(mach, true, RunVirtual)
 		for _, r := range rows {
 			if r.MeasBefore <= 0 || r.MeasAfter <= 0 {
 				t.Fatalf("%s: no measurement", r.Rule)
@@ -72,7 +72,7 @@ func within(a, b, frac float64) bool {
 
 func TestFormatTable1Measured(t *testing.T) {
 	mach := core.Machine{Ts: 5000, Tw: 1, P: 8, M: 4}
-	rows := Table1(mach, true)
+	rows := Table1(mach, true, RunVirtual)
 	out := FormatTable1(rows, true)
 	if !strings.Contains(out, "meas before") || !strings.Contains(out, "BSS-Comcast") {
 		t.Fatalf("format:\n%s", out)
@@ -82,7 +82,7 @@ func TestFormatTable1Measured(t *testing.T) {
 // TestFigure7Shape asserts the paper's Figure 7 result: at a fixed large
 // block, for every processor count, bcast;repeat < comcast < bcast;scan.
 func TestFigure7Shape(t *testing.T) {
-	fig := Figure7(parsytec, 2048, 64)
+	fig := Figure7(parsytec, 2048, 64, RunVirtual)
 	if len(fig.Series) != 3 {
 		t.Fatalf("series = %d", len(fig.Series))
 	}
@@ -104,7 +104,7 @@ func TestFigure7Shape(t *testing.T) {
 // TestFigure8Shape asserts Figure 8: on 64 processors the three curves
 // grow linearly in the block size and keep the same ordering.
 func TestFigure8Shape(t *testing.T) {
-	fig := Figure8(parsytec, 64, 512, 4096)
+	fig := Figure8(parsytec, 64, 512, 4096, RunVirtual)
 	scan, com, rep := fig.Series[0], fig.Series[1], fig.Series[2]
 	for i := range scan.X {
 		if !(rep.Y[i] < com.Y[i] && com.Y[i] < scan.Y[i]) {
@@ -125,7 +125,7 @@ func TestFigure8Shape(t *testing.T) {
 }
 
 func TestFigureCSV(t *testing.T) {
-	fig := Figure7(parsytec, 64, 8)
+	fig := Figure7(parsytec, 64, 8, RunVirtual)
 	csv := fig.CSV()
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	// Header + p = 2, 4, 8.
@@ -138,7 +138,7 @@ func TestFigureCSV(t *testing.T) {
 }
 
 func TestFigurePlot(t *testing.T) {
-	fig := Figure7(parsytec, 64, 16)
+	fig := Figure7(parsytec, 64, 16, RunVirtual)
 	out := fig.Plot(40, 10)
 	if !strings.Contains(out, "Figure 7") || !strings.Contains(out, "s=bcast; scan") {
 		t.Fatalf("plot:\n%s", out)
@@ -185,7 +185,7 @@ func TestFigure3Timelines(t *testing.T) {
 // the virtual machine and compares it with the predicted ts/2 (§4.2).
 func TestSS2CrossoverMeasured(t *testing.T) {
 	mach := core.Machine{Ts: 1024, Tw: 1, P: 16}
-	res := MeasureCrossover("SS2-Scan", mach, 1<<14)
+	res := MeasureCrossover("SS2-Scan", mach, 1<<14, RunVirtual)
 	if res.Predicted != 511 {
 		// Largest m with ts > 2m at ts = 1024 is m = 511.
 		t.Fatalf("predicted crossover = %d, want 511", res.Predicted)
@@ -198,7 +198,7 @@ func TestSS2CrossoverMeasured(t *testing.T) {
 // TestSRCrossoverMeasured does the same for SR-Reduction (ts > m).
 func TestSRCrossoverMeasured(t *testing.T) {
 	mach := core.Machine{Ts: 777, Tw: 2, P: 16}
-	res := MeasureCrossover("SR-Reduction", mach, 1<<13)
+	res := MeasureCrossover("SR-Reduction", mach, 1<<13, RunVirtual)
 	if res.Predicted != 776 {
 		t.Fatalf("predicted crossover = %d, want 776", res.Predicted)
 	}
@@ -273,7 +273,7 @@ func TestPolyEvalLargeMachineUsesSafePoints(t *testing.T) {
 func TestCrossoverFigureShowsIntersection(t *testing.T) {
 	params := machine.Params{Ts: 1024, Tw: 1}
 	ms := []int{128, 256, 384, 512, 640, 768, 1024}
-	fig := CrossoverFigure("SS2-Scan", params, 16, ms)
+	fig := CrossoverFigure("SS2-Scan", params, 16, ms, RunVirtual)
 	if len(fig.Series) != 2 {
 		t.Fatalf("series = %d", len(fig.Series))
 	}
@@ -294,14 +294,14 @@ func TestCrossoverFigureUnknownRulePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	CrossoverFigure("No-Such-Rule", machine.Params{Ts: 1}, 8, []int{1})
+	CrossoverFigure("No-Such-Rule", machine.Params{Ts: 1}, 8, []int{1}, RunVirtual)
 }
 
 // TestScalingGapGrowsWithP: at fixed total data, the saving of
 // SR2-Reduction grows with the machine size (the fused start-up is paid
 // log p times).
 func TestScalingGapGrowsWithP(t *testing.T) {
-	fig := Scaling("SR2-Reduction", machine.Params{Ts: 5000, Tw: 1}, 1<<14, []int{2, 4, 8, 16, 32, 64})
+	fig := Scaling("SR2-Reduction", machine.Params{Ts: 5000, Tw: 1}, 1<<14, []int{2, 4, 8, 16, 32, 64}, RunVirtual)
 	before, after := fig.Series[0], fig.Series[1]
 	prevGap := 0.0
 	for i := range before.X {
@@ -322,7 +322,7 @@ func TestScalingUnknownRulePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Scaling("No-Such-Rule", machine.Params{Ts: 1}, 8, []int{2})
+	Scaling("No-Such-Rule", machine.Params{Ts: 1}, 8, []int{2}, RunVirtual)
 }
 
 func TestAppSpeedup(t *testing.T) {

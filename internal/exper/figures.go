@@ -7,6 +7,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/mpbackend"
 	"repro/internal/rules"
 	"repro/internal/term"
 )
@@ -25,13 +26,8 @@ func comcastVariants() (lhs, comcastOpt, bcastRepeat core.Program) {
 // Figure7 reproduces Figure 7: run time of the three comcast variants as
 // a function of the number of processors, at fixed block size blockWords
 // (the paper uses 32·10³ on up to 64 processors). Machine sizes are the
-// powers of two up to maxP.
-func Figure7(params machine.Params, blockWords, maxP int) Figure {
-	return Figure7On(params, blockWords, maxP, RunVirtual)
-}
-
-// Figure7On is Figure7 with an explicit measurement backend.
-func Figure7On(params machine.Params, blockWords, maxP int, run Runner) Figure {
+// powers of two up to maxP; run is the measurement backend.
+func Figure7(params machine.Params, blockWords, maxP int, run Runner) Figure {
 	fig := Figure{
 		Title:  fmt.Sprintf("Figure 7: BS-Comcast variants, block size %d", blockWords),
 		XLabel: "processors",
@@ -44,7 +40,7 @@ func Figure7On(params machine.Params, blockWords, maxP int, run Runner) Figure {
 		s := Series{Label: labels[i]}
 		for p := 2; p <= maxP; p *= 2 {
 			mach := core.Machine{Ts: params.Ts, Tw: params.Tw, P: p, M: blockWords}
-			in := inputs(7, p, blockWords)
+			in := mpbackend.SeededInputs(7, p, blockWords)
 			s.X = append(s.X, float64(p))
 			s.Y = append(s.Y, run(prog, mach, in))
 		}
@@ -55,13 +51,9 @@ func Figure7On(params machine.Params, blockWords, maxP int, run Runner) Figure {
 
 // Figure8 reproduces Figure 8: run time of the three comcast variants as
 // a function of the block size, at fixed machine size p (64 in the
-// paper). Block sizes sweep from step to maxM in equal steps.
-func Figure8(params machine.Params, p, step, maxM int) Figure {
-	return Figure8On(params, p, step, maxM, RunVirtual)
-}
-
-// Figure8On is Figure8 with an explicit measurement backend.
-func Figure8On(params machine.Params, p, step, maxM int, run Runner) Figure {
+// paper). Block sizes sweep from step to maxM in equal steps; run is the
+// measurement backend.
+func Figure8(params machine.Params, p, step, maxM int, run Runner) Figure {
 	fig := Figure{
 		Title:  fmt.Sprintf("Figure 8: BS-Comcast variants on %d processors", p),
 		XLabel: "block size",
@@ -74,7 +66,7 @@ func Figure8On(params machine.Params, p, step, maxM int, run Runner) Figure {
 		s := Series{Label: labels[i]}
 		for m := step; m <= maxM; m += step {
 			mach := core.Machine{Ts: params.Ts, Tw: params.Tw, P: p, M: m}
-			in := inputs(8, p, m)
+			in := mpbackend.SeededInputs(8, p, m)
 			s.X = append(s.X, float64(m))
 			s.Y = append(s.Y, run(prog, mach, in))
 		}
@@ -86,16 +78,11 @@ func Figure8On(params machine.Params, p, step, maxM int, run Runner) Figure {
 // CrossoverFigure visualizes the §4.2 analysis for one rule: the measured
 // run times of the left-hand side and the rewritten right-hand side as
 // the block size m sweeps across the predicted crossover — SS2-Scan's
-// ts > 2m, for instance, makes the two curves intersect at m = ts/2.
-func CrossoverFigure(ruleName string, params machine.Params, p int, ms []int) Figure {
-	return CrossoverFigureOn(ruleName, params, p, ms, RunVirtual)
-}
-
-// CrossoverFigureOn is CrossoverFigure with an explicit measurement
-// backend: with NativeRunner the crossover plotted is the host's real
-// one — where the fused form's saved synchronization rounds stop paying
-// for its extra local work.
-func CrossoverFigureOn(ruleName string, params machine.Params, p int, ms []int, run Runner) Figure {
+// ts > 2m, for instance, makes the two curves intersect at m = ts/2. run
+// is the measurement backend: with NativeRunner the crossover plotted is
+// the host's real one — where the fused form's saved synchronization
+// rounds stop paying for its extra local work.
+func CrossoverFigure(ruleName string, params machine.Params, p int, ms []int, run Runner) Figure {
 	var pat *RulePattern
 	for _, candidate := range Patterns() {
 		if candidate.Rule == ruleName {
@@ -128,7 +115,7 @@ func CrossoverFigureOn(ruleName string, params machine.Params, p int, ms []int, 
 	rhsSeries := Series{Label: "after"}
 	for _, m := range ms {
 		mach := core.Machine{Ts: params.Ts, Tw: params.Tw, P: p, M: m}
-		in := inputs(4, p, m)
+		in := mpbackend.SeededInputs(4, p, m)
 		lhsSeries.X = append(lhsSeries.X, float64(m))
 		lhsSeries.Y = append(lhsSeries.Y, run(pat.LHS, mach, in))
 		rhsSeries.X = append(rhsSeries.X, float64(m))
@@ -140,16 +127,11 @@ func CrossoverFigureOn(ruleName string, params machine.Params, p int, ms []int, 
 
 // Scaling measures strong scaling of a rule's effect: at fixed total data
 // N = p·m, sweep the machine size over the given powers of two and record
-// the virtual run times of the rule's left-hand side and its rewrite. The
-// gap grows with p — every fused start-up is paid log p times — which is
-// the operational content of the paper's claim that "good optimization
-// here may pay a lot" on large machines.
-func Scaling(ruleName string, params machine.Params, totalWords int, ps []int) Figure {
-	return ScalingOn(ruleName, params, totalWords, ps, RunVirtual)
-}
-
-// ScalingOn is Scaling with an explicit measurement backend.
-func ScalingOn(ruleName string, params machine.Params, totalWords int, ps []int, run Runner) Figure {
+// the run times, on the measurement backend run, of the rule's left-hand
+// side and its rewrite. The gap grows with p — every fused start-up is
+// paid log p times — which is the operational content of the paper's
+// claim that "good optimization here may pay a lot" on large machines.
+func Scaling(ruleName string, params machine.Params, totalWords int, ps []int, run Runner) Figure {
 	var pat *RulePattern
 	for _, candidate := range Patterns() {
 		if candidate.Rule == ruleName {
@@ -182,7 +164,7 @@ func ScalingOn(ruleName string, params machine.Params, totalWords int, ps []int,
 			m = 1
 		}
 		mach := core.Machine{Ts: params.Ts, Tw: params.Tw, P: p, M: m}
-		in := inputs(5, p, m)
+		in := mpbackend.SeededInputs(5, p, m)
 		before.X = append(before.X, float64(p))
 		before.Y = append(before.Y, run(pat.LHS, mach, in))
 		after.X = append(after.X, float64(p))
@@ -228,7 +210,7 @@ func Figure3(mach core.Machine, width int) (before, after string, tBefore, tAfte
 	}
 	optimized := core.FromTerm(optTerm)
 
-	in := inputs(3, mach.P, mach.M)
+	in := mpbackend.SeededInputs(3, mach.P, mach.M)
 	_, resB, evB := example.RunTraced(mach, in)
 	_, resA, evA := optimized.RunTraced(mach, in)
 	var b strings.Builder

@@ -10,15 +10,15 @@ import (
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/mpbackend"
 	"repro/internal/rules"
 )
 
 // Runner measures one program run and returns its makespan — the
 // backend-selection point of the experiment harness. RunVirtual yields
 // deterministic cost-model time units; NativeRunner yields wall-clock
-// nanoseconds on the goroutine backend. Every figure/table function has
-// an *On variant taking a Runner, so each experiment can be re-run for
-// real on the host.
+// nanoseconds on the goroutine backend. Every figure/table function
+// takes one, so each experiment can be re-run for real on the host.
 type Runner func(prog core.Program, mach core.Machine, in []algebra.Value) float64
 
 // RunVirtual measures on the virtual machine: deterministic makespans in
@@ -179,7 +179,7 @@ func NativeFusion(cfg NativeFusionConfig) ([]NativeBenchRecord, error) {
 		rhs := core.FromTerm(opt)
 		for _, m := range cfg.Ms {
 			mach := core.Machine{P: cfg.P, M: m}
-			in := inputs(11, cfg.P, m)
+			in := mpbackend.SeededInputs(11, cfg.P, m)
 			// Warm up once so first-run allocation noise stays out of
 			// both measurements.
 			run(pat.LHS, mach, in)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mpbackend"
 
 	"repro/internal/algebra"
 )
@@ -14,7 +15,7 @@ import (
 func TestNativeRunnerMeasuresWallClock(t *testing.T) {
 	run := NativeRunner(3)
 	prog := core.NewProgram().Bcast().Scan(algebra.Add)
-	in := inputs(2, 4, 8)
+	in := mpbackend.SeededInputs(2, 4, 8)
 	ns := run(prog, core.Machine{P: 4}, in)
 	if ns <= 0 {
 		t.Fatalf("native measurement = %g ns, want > 0", ns)
@@ -91,7 +92,7 @@ func TestNativeFusionSkipsLocalRulesOnNonPow2(t *testing.T) {
 
 func TestTable1OnNative(t *testing.T) {
 	mach := core.Machine{Ts: 100, Tw: 1, P: 4, M: 4}
-	rows := Table1On(mach, true, NativeRunner(2))
+	rows := Table1(mach, true, NativeRunner(2))
 	if len(rows) != 11 {
 		t.Fatalf("got %d rows, want 11", len(rows))
 	}

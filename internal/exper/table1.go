@@ -7,6 +7,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/mpbackend"
 	"repro/internal/rules"
 )
 
@@ -62,17 +63,12 @@ type Table1Row struct {
 // Table1 reproduces the paper's Table 1 at the given parameters: for every
 // rule, the predicted before/after times and the improvement verdict. With
 // measured = true it additionally applies each rule with the rewrite
-// engine and measures both sides on the virtual machine (p must then be a
-// power of two, matching the butterfly model the predictions assume).
-func Table1(mach core.Machine, measured bool) []Table1Row {
-	return Table1On(mach, measured, RunVirtual)
-}
-
-// Table1On is Table1 with an explicit measurement backend: pass
-// NativeRunner to fill the measured columns with wall-clock nanoseconds
-// from the goroutine backend instead of virtual time units (the
-// predictions stay the closed forms either way).
-func Table1On(mach core.Machine, measured bool, run Runner) []Table1Row {
+// engine and measures both sides with run (p must then be a power of two,
+// matching the butterfly model the predictions assume): RunVirtual fills
+// the measured columns with virtual time units, NativeRunner with
+// wall-clock nanoseconds from the goroutine backend (the predictions stay
+// the closed forms either way).
+func Table1(mach core.Machine, measured bool, run Runner) []Table1Row {
 	params := cost.Params{Ts: mach.Ts, Tw: mach.Tw, M: mach.M, P: mach.P}
 	var out []Table1Row
 	for _, pat := range Patterns() {
@@ -100,7 +96,7 @@ func Table1On(mach core.Machine, measured bool, run Runner) []Table1Row {
 				panic(fmt.Sprintf("exper: rule %s did not apply to %s", pat.Rule, pat.LHS))
 			}
 			rhs := core.FromTerm(opt)
-			in := inputs(1, mach.P, mach.M)
+			in := mpbackend.SeededInputs(1, mach.P, mach.M)
 			row.MeasBefore = run(pat.LHS, mach, in)
 			row.MeasAfter = run(rhs, mach, in)
 			row.MeasImproves = row.MeasAfter < row.MeasBefore
@@ -143,19 +139,15 @@ type CrossoverResult struct {
 }
 
 // MeasureCrossover locates the measured crossover block size of a rule by
-// bisection on the virtual machine, alongside the prediction from the
-// closed forms. maxM bounds the search. The measured makespans are exact
-// under the deterministic cost model, so bisection is sound as long as
-// the improvement is monotone in m, which it is for every Table 1 rule.
-func MeasureCrossover(ruleName string, mach core.Machine, maxM int) CrossoverResult {
-	return MeasureCrossoverOn(ruleName, mach, maxM, RunVirtual)
-}
-
-// MeasureCrossoverOn is MeasureCrossover with an explicit measurement
-// backend. With NativeRunner the bisection runs on noisy wall-clock
-// times; use enough repetitions that the improvement stays effectively
-// monotone, and read the result as an estimate, not an exact bound.
-func MeasureCrossoverOn(ruleName string, mach core.Machine, maxM int, run Runner) CrossoverResult {
+// bisection on the measurement backend run, alongside the prediction from
+// the closed forms. maxM bounds the search. Under RunVirtual the measured
+// makespans are exact under the deterministic cost model, so bisection is
+// sound as long as the improvement is monotone in m, which it is for
+// every Table 1 rule. With NativeRunner the bisection runs on noisy
+// wall-clock times; use enough repetitions that the improvement stays
+// effectively monotone, and read the result as an estimate, not an exact
+// bound.
+func MeasureCrossover(ruleName string, mach core.Machine, maxM int, run Runner) CrossoverResult {
 	entry, ok := cost.Lookup(ruleName)
 	if !ok {
 		panic(fmt.Sprintf("exper: no Table 1 entry for %s", ruleName))
@@ -188,7 +180,7 @@ func MeasureCrossoverOn(ruleName string, mach core.Machine, maxM int, run Runner
 	improves := func(m int) bool {
 		mm := mach
 		mm.M = m
-		in := inputs(1, mach.P, m)
+		in := mpbackend.SeededInputs(1, mach.P, m)
 		return run(rhs, mm, in) < run(pat.LHS, mm, in)
 	}
 	switch {

@@ -44,12 +44,11 @@ func opByName(name string) (*algebra.Op, error) {
 	return nil, fmt.Errorf("mpbackend: unknown operator %q", name)
 }
 
-// vecOf mirrors the deterministic block generators of calib and exper
-// (calib.vec, exper.block): m words with small integer entries drawn
-// sequentially from rng. The formula is duplicated here because those
-// packages sit above this one in the import graph; a cross-check test in
-// exper pins the two in sync.
-func vecOf(rng *rand.Rand, m int) algebra.Vec {
+// SeededBlock draws one m-word block of small integer entries (1..9, so
+// long operator chains stay exactly representable) sequentially from rng —
+// the one seeded block generator of the measurement layers (calib's
+// probes, exper's sweeps, the bodies below).
+func SeededBlock(rng *rand.Rand, m int) algebra.Vec {
 	v := make(algebra.Vec, m)
 	for i := range v {
 		v[i] = float64(rng.Intn(9) + 1)
@@ -57,16 +56,15 @@ func vecOf(rng *rand.Rand, m int) algebra.Vec {
 	return v
 }
 
-// SeededInputs mirrors exper.inputs/calib.inputsFor: one block per rank,
-// drawn sequentially so every rank deterministically reconstructs the
-// whole input list and picks its own. It is exported so exper can pin the
-// two generators bitwise-identical with a cross-check test — the
-// multi-process conformance comparisons depend on it.
+// SeededInputs builds one SeededBlock per rank from one source, drawn
+// sequentially so every rank process deterministically reconstructs the
+// whole input list and picks its own — the in-process and multi-process
+// measurements and conformance comparisons all run on these blocks.
 func SeededInputs(seed int64, p, m int) []algebra.Value {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]algebra.Value, p)
 	for i := range out {
-		out[i] = vecOf(rng, m)
+		out[i] = SeededBlock(rng, m)
 	}
 	return out
 }
@@ -188,7 +186,7 @@ func probeBody(p *Proc, raw json.RawMessage) (any, error) {
 		if p.Size() != 2 {
 			return nil, fmt.Errorf("mpbackend: pingpong needs exactly 2 ranks, got %d", p.Size())
 		}
-		v := algebra.Value(vecOf(rand.New(rand.NewSource(1)), ps.M))
+		v := algebra.Value(SeededBlock(rand.New(rand.NewSource(1)), ps.M))
 		op = func() {
 			for i := 0; i < ps.Rounds; i++ {
 				t1, t2 := p.NextTag(), p.NextTag()
@@ -203,7 +201,7 @@ func probeBody(p *Proc, raw json.RawMessage) (any, error) {
 		}
 	case "compute":
 		rng := rand.New(rand.NewSource(2))
-		v0, w := vecOf(rng, ps.M), vecOf(rng, ps.M)
+		v0, w := SeededBlock(rng, ps.M), SeededBlock(rng, ps.M)
 		acc := make(algebra.Vec, ps.M)
 		op = func() {
 			copy(acc, v0)
@@ -265,29 +263,11 @@ func collectiveBody(p *Proc, raw json.RawMessage) (any, error) {
 	}
 	in := SeededInputs(ps.Seed, p.Size(), ps.M)[p.Rank()]
 	var out algebra.Value
+	if ps.Collective != cost.CollAllReduce && ps.Collective != cost.CollReduce {
+		return nil, fmt.Errorf("mpbackend: unknown collective %q", ps.Collective)
+	}
 	run := func() {
-		// Mirrors exper.MeasureCollective's dispatch.
-		switch ps.Collective {
-		case cost.CollAllReduce:
-			switch cost.Algo(ps.Algo) {
-			case cost.AlgoRabenseifner:
-				out = coll.AllReduceRabenseifner(p, op, in)
-			case cost.AlgoRing:
-				out = coll.AllReduceRing(p, op, in)
-			case cost.AlgoRingBi:
-				out = coll.AllReduceRingBi(p, op, in)
-			default:
-				out = coll.AllReduce(p, op, in)
-			}
-		case cost.CollReduce:
-			if cost.Algo(ps.Algo) == cost.AlgoPipeline {
-				out = coll.ReducePipelined(p, op, in, ps.Segments)
-			} else {
-				out = coll.Reduce(p, 0, op, in)
-			}
-		default:
-			panic(fmt.Sprintf("unknown collective %q", ps.Collective))
-		}
+		out = coll.ReduceBy(p, op, in, ps.Collective == cost.CollAllReduce, cost.Algo(ps.Algo), ps.Segments)
 	}
 	ns := repTimed(p, ps.Reps, run)
 	// Re-box before the arena-backed result is encoded: the final
@@ -304,12 +284,14 @@ type ProgramParams struct {
 	Reps int    `json:"reps"`
 }
 
-// confBlocks mirrors the conformance harness's deterministic per-rank
-// blocks (backend's conformance_test.blocks and collchaos's).
-func confBlocks(p, m int) []algebra.Value {
+// confBlocks builds the conformance harnesses' deterministic blocks:
+// rank r holds words(r) words, word j being (7r+3j) mod 5 + 1 — small
+// integers, so long operator chains stay exactly representable and
+// "bitwise equal" is a fair demand across backends.
+func confBlocks(p int, words func(r int) int) []algebra.Value {
 	in := make([]algebra.Value, p)
 	for r := range in {
-		b := make(algebra.Vec, m)
+		b := make(algebra.Vec, words(r))
 		for j := range b {
 			b[j] = float64((r*7+j*3)%5 + 1)
 		}
@@ -318,50 +300,37 @@ func confBlocks(p, m int) []algebra.Value {
 	return in
 }
 
-// confInputs adapts the blocks to the program: a leading scatter consumes
-// a p-component list on rank 0, a leading reduce_scatterv a full
-// ΣCounts-word vector per rank, and a leading allgatherv the ragged
-// counts[r]-word blocks — as in the chaos harness.
-func confInputs(prog term.Seq, p, m int) []algebra.Value {
+// ConformanceInputs adapts the conformance blocks to the program: m words
+// per rank (all a nil program gets), except that a leading scatter consumes a p-component list of
+// them on rank 0, a leading reduce_scatterv a full ΣCounts-word vector
+// per rank, and a leading allgatherv the ragged counts[r]-word blocks.
+// Every conformance driver — the chaos harness and its collchaos command,
+// the backend comparisons, the "program" body below — takes its inputs
+// here, so a case reproduces identically in all of them.
+func ConformanceInputs(prog term.Seq, p, m int) []algebra.Value {
+	words := func(int) int { return m }
 	if len(prog) > 0 {
 		switch st := prog[0].(type) {
 		case term.Scatter:
 			in := make([]algebra.Value, p)
-			list := make(algebra.Tuple, p)
-			copy(list, confBlocks(p, m))
-			in[0] = list
+			in[0] = algebra.Tuple(confBlocks(p, words))
 			for r := 1; r < p; r++ {
 				in[r] = algebra.Scalar(float64(-r))
 			}
 			return in
 		case term.ReduceScatterV:
 			total := term.SumCounts(st.Counts)
-			in := make([]algebra.Value, p)
-			for r := range in {
-				b := make(algebra.Vec, total)
-				for j := range b {
-					b[j] = float64((r*7+j*3)%5 + 1)
-				}
-				in[r] = b
-			}
-			return in
+			words = func(int) int { return total }
 		case term.AllGatherV:
-			in := make([]algebra.Value, p)
-			for r := range in {
-				cnt := 0
+			words = func(r int) int {
 				if r < len(st.Counts) {
-					cnt = st.Counts[r]
+					return st.Counts[r]
 				}
-				b := make(algebra.Vec, cnt)
-				for j := range b {
-					b[j] = float64((r*7+j*3)%5 + 1)
-				}
-				in[r] = b
+				return 0
 			}
-			return in
 		}
 	}
-	return confBlocks(p, m)
+	return confBlocks(p, words)
 }
 
 func programBody(p *Proc, raw json.RawMessage) (any, error) {
@@ -383,7 +352,7 @@ func programBody(p *Proc, raw json.RawMessage) (any, error) {
 		return nil, fmt.Errorf("mpbackend: bad program: %v", err)
 	}
 	prog := term.Compose(t)
-	in := confInputs(prog, p.Size(), ps.M)[p.Rank()]
+	in := ConformanceInputs(prog, p.Size(), ps.M)[p.Rank()]
 	var out algebra.Value
 	ns := repTimed(p, ps.Reps, func() {
 		out = core.RunStages(p, prog, in)

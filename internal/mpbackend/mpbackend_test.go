@@ -7,7 +7,6 @@ package mpbackend_test
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 	"testing"
 
@@ -25,19 +24,6 @@ import (
 func TestMain(m *testing.M) {
 	mpbackend.MaybeWorker()
 	os.Exit(m.Run())
-}
-
-// confBlocks mirrors the conformance harness's deterministic inputs.
-func confBlocks(p, m int) []algebra.Value {
-	in := make([]algebra.Value, p)
-	for r := range in {
-		b := make(algebra.Vec, m)
-		for j := range b {
-			b[j] = float64((r*7+j*3)%5 + 1)
-		}
-		in[r] = b
-	}
-	return in
 }
 
 // mpResults runs the "program" body and decodes the per-rank values.
@@ -93,8 +79,8 @@ func TestProgramsConform(t *testing.T) {
 				}
 				prog := term.Compose(parsed)
 				const m = 16
-				in := confBlocks(p, m)
-				want, _ := core.ExecNative(prog, backend.New(p), in)
+				in := mpbackend.ConformanceInputs(prog, p, m)
+				want, _ := core.FromTerm(prog).RunNative(p, in)
 				sem := term.Eval(prog, in)
 				got := mpResults(t, src, p, m)
 				for r := 0; r < p; r++ {
@@ -132,13 +118,13 @@ func TestCollectiveAlgosConform(t *testing.T) {
 	}
 	const m, seed, segments = 32, 11, 3
 	for _, p := range sizes {
-		in := seededBlocks(seed, p, m)
+		in := mpbackend.SeededInputs(seed, p, m)
 		for _, c := range cases {
 			t.Run(fmt.Sprintf("p=%d/%s@%s", p, c.collective, c.algo), func(t *testing.T) {
 				want := make([]algebra.Value, p)
 				nm := backend.New(p)
 				nm.Run(func(pr *backend.Proc) {
-					want[pr.Rank()] = runCollective(pr, c.collective, c.algo, in[pr.Rank()], segments)
+					want[pr.Rank()] = coll.ReduceBy(pr, algebra.Add, in[pr.Rank()], c.collective == cost.CollAllReduce, c.algo, segments)
 				})
 				res, err := mpbackend.Run("collective", p, mpbackend.CollectiveParams{
 					Collective: c.collective, Algo: string(c.algo), Op: "add",
@@ -168,44 +154,6 @@ func TestCollectiveAlgosConform(t *testing.T) {
 	}
 }
 
-// seededBlocks mirrors the seeded input generator shared by exper, calib
-// and the collective body.
-func seededBlocks(seed int64, p, m int) []algebra.Value {
-	in := make([]algebra.Value, p)
-	rng := rand.New(rand.NewSource(seed))
-	for i := range in {
-		b := make(algebra.Vec, m)
-		for j := range b {
-			b[j] = float64(rng.Intn(9) + 1)
-		}
-		in[i] = b
-	}
-	return in
-}
-
-// runCollective mirrors the collective body's dispatch on an in-process
-// communicator.
-func runCollective(c coll.Comm, collective string, a cost.Algo, v algebra.Value, segments int) algebra.Value {
-	switch collective {
-	case cost.CollAllReduce:
-		switch a {
-		case cost.AlgoRabenseifner:
-			return coll.AllReduceRabenseifner(c, algebra.Add, v)
-		case cost.AlgoRing:
-			return coll.AllReduceRing(c, algebra.Add, v)
-		case cost.AlgoRingBi:
-			return coll.AllReduceRingBi(c, algebra.Add, v)
-		default:
-			return coll.AllReduce(c, algebra.Add, v)
-		}
-	default:
-		if a == cost.AlgoPipeline {
-			return coll.ReducePipelined(c, algebra.Add, v, segments)
-		}
-		return coll.Reduce(c, 0, algebra.Add, v)
-	}
-}
-
 // TestCountersMatchNative cross-checks the traffic accounting: the same
 // program must move the same messages and words across process boundaries
 // as it does on the in-process backends.
@@ -218,7 +166,7 @@ func TestCountersMatchNative(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := term.Compose(parsed)
-	in := confBlocks(p, m)
+	in := mpbackend.ConformanceInputs(prog, p, m)
 	nm := backend.New(p)
 	nres := nm.Run(func(pr *backend.Proc) {
 		core.RunStages(pr, prog, in[pr.Rank()])

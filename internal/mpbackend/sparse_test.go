@@ -23,40 +23,6 @@ import (
 	"repro/internal/term"
 )
 
-// sparseConfInputs mirrors the body-side confInputs: a leading
-// reduce_scatterv gets a full ΣCounts-word vector per rank, a leading
-// allgatherv the ragged counts[r]-word blocks, everything else the
-// dense deterministic blocks.
-func sparseConfInputs(prog term.Seq, p, m int) []algebra.Value {
-	word := func(r, j int) float64 { return float64((r*7+j*3)%5 + 1) }
-	if len(prog) > 0 {
-		switch st := prog[0].(type) {
-		case term.ReduceScatterV:
-			total := term.SumCounts(st.Counts)
-			in := make([]algebra.Value, p)
-			for r := range in {
-				b := make(algebra.Vec, total)
-				for j := range b {
-					b[j] = word(r, j)
-				}
-				in[r] = b
-			}
-			return in
-		case term.AllGatherV:
-			in := make([]algebra.Value, p)
-			for r := range in {
-				b := make(algebra.Vec, st.Counts[r])
-				for j := range b {
-					b[j] = word(r, j)
-				}
-				in[r] = b
-			}
-			return in
-		}
-	}
-	return confBlocks(p, m)
-}
-
 // TestSparseProgramsConform drives the sparse surface syntax through the
 // multi-process backend on power-of-two and non-power-of-two machines.
 // Counts vectors pin the machine size, so each program carries its own
@@ -92,8 +58,8 @@ func TestSparseProgramsConform(t *testing.T) {
 				}
 				prog := term.Compose(parsed)
 				const m = 4
-				in := sparseConfInputs(prog, p, m)
-				want, _ := core.ExecNative(prog, backend.New(p), in)
+				in := mpbackend.ConformanceInputs(prog, p, m)
+				want, _ := core.FromTerm(prog).RunNative(p, in)
 				sem := term.Eval(prog, in)
 				got := mpResults(t, c.src, p, m)
 				for r := 0; r < p; r++ {

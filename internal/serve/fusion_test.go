@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/algebra"
-	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/lang"
 	"repro/internal/rules"
@@ -242,7 +241,7 @@ func TestFusedPlanExecutesBitwiseEqual(t *testing.T) {
 					}
 					fusedIn[r] = v
 				}
-				fusedOut, _ := core.ExecNative(plan.Term, backend.New(p), fusedIn)
+				fusedOut, _ := core.FromTerm(plan.Term).RunNative(p, fusedIn)
 
 				for i := range ms {
 					// De-batch member i's slice via its offset.
@@ -255,7 +254,7 @@ func TestFusedPlanExecutesBitwiseEqual(t *testing.T) {
 						member[r] = slice
 					}
 					// Bitwise equal to the unfused run of the same plan...
-					unfused, _ := core.ExecNative(plan.Term, backend.New(p), blocks[i])
+					unfused, _ := core.FromTerm(plan.Term).RunNative(p, blocks[i])
 					for r := 0; r < p; r++ {
 						if !algebra.Equal(member[r], unfused[r]) {
 							t.Fatalf("member %d rank %d: fused %v, unfused %v", i, r, member[r], unfused[r])

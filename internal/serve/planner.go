@@ -95,62 +95,31 @@ func (pl *Planner) ParseProgram(src string) (term.Seq, error) {
 	return term.Compose(t), nil
 }
 
-// Key builds the cache key for a canonical program at machine
+// KeyOpts builds the cache key for a canonical program at machine
 // parameters: the fused and unfused paths, and every client spelling of
-// one program, converge on the same key.
-func Key(canonical string, m core.Machine) string {
-	return fmt.Sprintf("%s|ts=%g|tw=%g|p=%d|m=%d", canonical, m.Ts, m.Tw, m.P, m.M)
-}
-
-// KeyStrategy qualifies Key with the optimization strategy. Greedy keys
-// are unchanged (cached plans from before the strategy field keep
-// working); searched plans get a distinct suffix so the two strategies
-// never serve each other's plans.
-func KeyStrategy(canonical string, m core.Machine, strat Strategy) string {
-	k := Key(canonical, m)
+// one program, converge on the same key. The strategy and auto-selection
+// qualify it: greedy unselected keys carry no suffix (cached plans from
+// before either field keep working), searched plans get a distinct suffix
+// so the two strategies never serve each other's plans, and selected
+// plans — different estimates, a selection stanza — never share an entry
+// with unselected plans of the same program.
+func KeyOpts(canonical string, m core.Machine, strat Strategy, autoSel bool) string {
+	k := fmt.Sprintf("%s|ts=%g|tw=%g|p=%d|m=%d", canonical, m.Ts, m.Tw, m.P, m.M)
 	if strat == StrategySearch {
 		k += "|strategy=search"
 	}
-	return k
-}
-
-// KeyOpts additionally qualifies the key with auto-selection: selected
-// plans carry different estimates and a selection stanza, so they never
-// share a cache entry with unselected plans of the same program.
-func KeyOpts(canonical string, m core.Machine, strat Strategy, autoSel bool) string {
-	k := KeyStrategy(canonical, m, strat)
 	if autoSel {
 		k += "|select"
 	}
 	return k
 }
 
-// Plan parses src and returns its optimized plan at machine m, from the
-// cache when resident (cached = true) and by one engine run otherwise.
-func (pl *Planner) Plan(src string, m core.Machine) (Plan, bool, error) {
-	t, err := pl.ParseProgram(src)
-	if err != nil {
-		return Plan{}, false, err
-	}
-	return pl.PlanTerm(t, m)
-}
-
-// PlanTerm is Plan for an already-parsed term, with the greedy strategy.
-func (pl *Planner) PlanTerm(t term.Seq, m core.Machine) (Plan, bool, error) {
-	return pl.PlanTermStrategy(t, m, StrategyGreedy)
-}
-
-// PlanTermStrategy is PlanTerm with an explicit optimization strategy.
-// Searched plans share the cache with greedy plans under a
-// strategy-qualified key.
-func (pl *Planner) PlanTermStrategy(t term.Seq, m core.Machine, strat Strategy) (Plan, bool, error) {
-	return pl.PlanTermOpts(t, m, strat, false)
-}
-
-// PlanTermOpts is PlanTermStrategy with collective-algorithm
-// auto-selection: the optimizer scores rewrites with the portfolio model
-// and the plan records the per-stage selections. Selected plans live
-// under their own cache keys (see KeyOpts).
+// PlanTermOpts returns the optimized plan of an already-parsed term
+// (ParseProgram) at machine m under the given strategy, from the cache
+// when resident (cached = true) and by one engine run otherwise. With
+// autoSel the optimizer scores rewrites with the portfolio model and the
+// plan records the per-stage algorithm selections. Strategies and
+// selected plans share the cache under qualified keys (see KeyOpts).
 func (pl *Planner) PlanTermOpts(t term.Seq, m core.Machine, strat Strategy, autoSel bool) (Plan, bool, error) {
 	canonical := rules.Canonical(t)
 	return pl.Cache.GetOrCompute(KeyOpts(canonical, m, strat, autoSel), func() (Plan, error) {

@@ -55,7 +55,7 @@ func TestPlanSelection(t *testing.T) {
 // qualifier and leaves legacy keys unchanged.
 func TestKeyOptsQualifiers(t *testing.T) {
 	m := core.Machine{Ts: 1, Tw: 2, P: 4, M: 8}
-	base := Key("prog", m)
+	const base = "prog|ts=1|tw=2|p=4|m=8" // the key format before either qualifier existed
 	if KeyOpts("prog", m, StrategyGreedy, false) != base {
 		t.Fatal("greedy unselected key must equal the legacy key")
 	}

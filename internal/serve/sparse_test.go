@@ -14,11 +14,18 @@ import (
 // fire, the plan must verify (the verifier pins its machine sizes to
 // the counts length, overriding the planner's dense defaults), and the
 // second request must come from the cache without another engine run.
+func planSource(pl *Planner, src string, m core.Machine) (Plan, bool, error) {
+	t, err := pl.ParseProgram(src)
+	if err != nil {
+		return Plan{}, false, err
+	}
+	return pl.PlanTermOpts(t, m, StrategyGreedy, false)
+}
+
 func TestSparsePlanEndToEnd(t *testing.T) {
 	pl := NewPlanner(16, 1)
 	m := core.Machine{Ts: 4, Tw: 1, P: 3, M: 2}
-	const src = "reduce_scatterv(+,2,0,3) ; allgatherv(2,0,3)"
-	plan, cached, err := pl.Plan(src, m)
+	plan, cached, err := planSource(pl, "reduce_scatterv(+,2,0,3) ; allgatherv(2,0,3)", m)
 	if err != nil {
 		t.Fatalf("sparse plan failed: %v", err)
 	}
@@ -39,7 +46,7 @@ func TestSparsePlanEndToEnd(t *testing.T) {
 		t.Fatalf("plan did not improve: %g -> %g", plan.CostBefore, plan.CostAfter)
 	}
 	// A re-spelled but canonically identical program hits the cache.
-	again, cached, err := pl.Plan("reduce_scatterv(+,2,0,3);allgatherv(2,0,3)", m)
+	again, cached, err := planSource(pl, "reduce_scatterv(+,2,0,3);allgatherv(2,0,3)", m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,14 +72,14 @@ func TestSparseSearchPlanEscapesGreedyTrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, _, err := pl.PlanTermStrategy(prog, m, StrategyGreedy)
+	greedy, _, err := pl.PlanTermOpts(prog, m, StrategyGreedy, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(greedy.Applications) != 0 {
 		t.Fatalf("greedy unexpectedly applied %v", greedy.Applications)
 	}
-	searched, cached, err := pl.PlanTermStrategy(prog, m, StrategySearch)
+	searched, cached, err := pl.PlanTermOpts(prog, m, StrategySearch, false)
 	if err != nil {
 		t.Fatal(err)
 	}
