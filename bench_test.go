@@ -293,18 +293,19 @@ func BenchmarkNativeFusion(b *testing.B) {
 // BENCH_native.json is regenerated; `go run ./cmd/collbench -benchjson`
 // is the command-line equivalent).
 func TestEmitBenchNative(t *testing.T) {
-	cfg := exper.NativeFusionConfig{P: 4, Ms: []int{1, 256}, Reps: 2,
+	cfg := exper.NativeFusionConfig{P: 4, Ms: []int{1, 256},
 		Rules: []string{"SS2-Scan", "SR-Reduction"}}
+	reps := 2
 	path := filepath.Join(t.TempDir(), "BENCH_native.json")
 	if out := os.Getenv("BENCH_NATIVE_OUT"); out != "" {
-		cfg = exper.DefaultNativeFusionConfig()
+		cfg, reps = exper.DefaultNativeFusionConfig(), 7
 		path = out
 	}
-	recs, err := exper.NativeFusion(cfg)
+	recs, err := exper.NativeFusion(exper.NativeHost(backend.TransportZeroCopy, reps), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := exper.WriteBenchJSON(path, recs); err != nil {
+	if err := exper.WriteJSON(path, recs); err != nil {
 		t.Fatal(err)
 	}
 	info, err := os.Stat(path)

@@ -21,19 +21,19 @@
 //	collbench -benchjson FILE         wall-clock fusion + algorithm suites → JSON
 //	collbench -calibrate              fit ts/tw/tc from native microbenchmarks
 //
-// Measurements default to the virtual machine, whose deterministic
-// makespans follow the §4.1 cost model; -backend native re-runs them on
-// the native goroutine backend, reporting real wall-clock nanoseconds
-// (minimum over -reps repetitions), and -backend multiproc runs the
-// calibration and algorithm sweeps (-calibrate, -algos, -benchjson) with
-// the ranks as separate OS processes over Unix sockets — the transport
-// where per-word cost is real. -transport picks the native payload
-// discipline: zerocopy (the default reference hand-off) or copy
-// (payloads deep-copied at the send site; see docs/PERF.md). Machine
-// parameters default to a Parsytec-like start-up-dominated network
-// (ts = 5000, tw = 1) and can be overridden with -ts/-tw/-p/-m; the
-// native backend ignores ts/tw — the host's real start-up and bandwidth
-// apply.
+// -backend, -transport and -reps resolve once to an exper.Host. The
+// default is the virtual machine, whose deterministic makespans follow
+// the §4.1 cost model; -backend native re-runs measurements on the
+// goroutine backend in wall-clock nanoseconds (minimum over -reps
+// repetitions), and -backend multiproc runs the calibration and
+// algorithm sweeps (-calibrate, -algos, -benchjson) with the ranks as
+// separate OS processes over Unix sockets — the transport where per-word
+// cost is real. -transport picks the native payload discipline: zerocopy
+// (the default reference hand-off) or copy (payloads deep-copied at the
+// send site; see docs/PERF.md). Machine parameters default to a
+// Parsytec-like start-up-dominated network (ts = 5000, tw = 1) and can be
+// overridden with -ts/-tw/-p/-m; the native backend ignores ts/tw — the
+// host's real start-up and bandwidth apply.
 //
 // -calibrate measures this machine's actual parameters: it runs the
 // ping-pong/compute/collective probe family on the native backend, fits
@@ -114,109 +114,94 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	transport, err := backend.ParseTransport(*transportFlag)
+	// fail reports err and returns the exit code: 2 for a bad invocation,
+	// 1 for a run that failed.
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "collbench: %v\n", err)
+		return code
+	}
+	if *everything {
+		*table1, *measured, *fig2, *fig3, *fig7, *fig8, *crossover, *polyeval =
+			true, true, true, true, true, true, true, true
+	}
+	if err := validate(*p, *m, *reps, *table1 && *measured); err != nil {
+		return fail(2, err)
+	}
+	// hostTs/hostTw are the selected Host's calibrated parameters, used
+	// for the predicted side of its algorithm sweeps; they default to the
+	// -ts/-tw values and are overridden by a loaded report's multiproc
+	// section.
+	hostTs, hostTw := *ts, *tw
+	if *paramsFile != "" && !*calibrate {
+		rep, err := calib.ReadReport(*paramsFile)
+		if err != nil {
+			return fail(1, err)
+		}
+		*ts, *tw = rep.Fit.Ts, rep.Fit.Tw
+		hostTs, hostTw = *ts, *tw
+		fmt.Fprintf(stdout, "using calibrated parameters from %s: ts=%.1f tw=%.4f\n", *paramsFile, *ts, *tw)
+		if mp := rep.MultiProc; mp != nil {
+			hostTs, hostTw = mp.Fit.Ts, mp.Fit.Tw
+			fmt.Fprintf(stdout, "multiproc section: ts=%.1f tw=%.4f\n", hostTs, hostTw)
+		}
+	}
+	host, native, err := resolveHosts(*backendFlag, *transportFlag, *reps, *ts, *tw)
 	if err != nil {
-		fmt.Fprintf(stderr, "collbench: %v\n", err)
-		return 2
-	}
-	if err := validate(*p, *m, *reps, *backendFlag, *table1 && *measured); err != nil {
-		fmt.Fprintf(stderr, "collbench: %v\n", err)
-		return 2
-	}
-	multiproc := *backendFlag == "multiproc"
-	if multiproc && transport == backend.TransportCopy {
-		fmt.Fprintln(stderr, "collbench: -transport copy applies to the native backend; a process boundary always copies")
-		return 2
+		return fail(2, err)
 	}
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
-		fmt.Fprintf(stderr, "collbench: %v\n", err)
-		return 2
+		return fail(2, err)
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
-			fmt.Fprintf(stderr, "collbench: %v\n", err)
+			fail(1, err)
 		}
 	}()
-
+	// A selected Host that cannot run whole programs (multiproc, until a
+	// plan can cross the wire) takes part in the wall-clock suites only,
+	// with its own section or rows beside the native Host's.
+	wallOnly := host.Run == nil
 	if *calibrate {
 		cfg := calib.DefaultConfig()
 		if *quick {
 			cfg = calib.QuickConfig()
 		}
-		cfg.Reps = *reps
-		rep, err := calib.Run(cfg)
+		rep, err := calib.Run(native, cfg)
 		if err != nil {
-			fmt.Fprintf(stderr, "collbench: %v\n", err)
-			return 1
+			return fail(1, err)
 		}
-		if multiproc {
-			mp, err := calib.RunMP(cfg)
+		if wallOnly {
+			sub, err := calib.Run(host, cfg)
 			if err != nil {
-				fmt.Fprintf(stderr, "collbench: %v\n", err)
-				return 1
+				return fail(1, err)
 			}
-			rep.MultiProc = mp
+			rep.MultiProc = calib.Section(host, sub)
 		}
 		fmt.Fprint(stdout, calib.FormatReport(rep))
 		if *paramsFile != "" {
 			if err := calib.WriteReport(*paramsFile, rep); err != nil {
-				fmt.Fprintf(stderr, "collbench: %v\n", err)
-				return 1
+				return fail(1, err)
 			}
 			fmt.Fprintf(stdout, "wrote calibration report to %s\n", *paramsFile)
 		}
 		return 0
 	}
-	// mpTs/mpTw are the multi-process transport's calibrated parameters,
-	// used for the predicted side of multi-process sweeps; they default to
-	// the -ts/-tw values and are overridden by a loaded report's multiproc
-	// section.
-	mpTs, mpTw := *ts, *tw
-	if *paramsFile != "" {
-		rep, err := calib.ReadReport(*paramsFile)
-		if err != nil {
-			fmt.Fprintf(stderr, "collbench: %v\n", err)
-			return 1
-		}
-		*ts, *tw = rep.Fit.Ts, rep.Fit.Tw
-		mpTs, mpTw = *ts, *tw
-		fmt.Fprintf(stdout, "using calibrated parameters from %s: ts=%.1f tw=%.4f\n", *paramsFile, *ts, *tw)
-		if mp := rep.MultiProc; mp != nil {
-			mpTs, mpTw = mp.Fit.Ts, mp.Fit.Tw
-			fmt.Fprintf(stdout, "multiproc section: ts=%.1f tw=%.4f\n", mpTs, mpTw)
-		}
-	}
-	native := *backendFlag == "native"
-	run := exper.RunVirtual
-	unit := ""
-	if native {
-		run = exper.TransportRunner(*reps, transport)
-		unit = " [native wall-clock, ns]"
-	}
-	// virtualOnly flags modes whose output is inherently cost-model based.
-	virtualOnly := func(mode string) {
-		if native {
-			fmt.Fprintf(stderr, "collbench: %s runs on the virtual machine regardless of -backend\n", mode)
-		}
-	}
+	acfg := exper.DefaultNativeAlgoConfig()
+	acfg.Ts, acfg.Tw = *ts, *tw
+	hcfg := acfg
+	hcfg.Ts, hcfg.Tw = hostTs, hostTw
 
 	if *algosFlag {
-		cfg := exper.DefaultNativeAlgoConfig()
-		cfg.Reps = *reps
-		cfg.Ts, cfg.Tw = *ts, *tw
-		cfg.Transport = transport
-		measure, kind := exper.NativeAlgos, "native"
-		if multiproc {
-			measure, kind = exper.MultiProcAlgos, "multi-process"
-			cfg.Ts, cfg.Tw = mpTs, mpTw
+		wall, cfg := native, acfg
+		if wallOnly {
+			wall, cfg = host, hcfg
 		}
-		recs, err := measure(cfg)
+		recs, err := exper.AlgoRecords(wall, cfg)
 		if err != nil {
-			fmt.Fprintf(stderr, "collbench: %v\n", err)
-			return 1
+			return fail(1, err)
 		}
-		fmt.Fprintf(stdout, "== Collective-algorithm portfolio vs butterfly (%s wall-clock, reps=%d) ==\n", kind, cfg.Reps)
+		fmt.Fprintf(stdout, "== Collective-algorithm portfolio vs butterfly (%s wall-clock, reps=%d) ==\n", wall.Name, wall.Reps)
 		fmt.Fprint(stdout, exper.FormatNativeFusion(recs))
 		fmt.Fprintln(stdout)
 		fmt.Fprint(stdout, exper.FormatAlgoCrossovers(recs))
@@ -226,42 +211,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *benchjson != "" {
 		cfg := exper.DefaultNativeFusionConfig()
 		cfg.P = *p
-		cfg.Reps = *reps
 		cfg.Ts, cfg.Tw = *ts, *tw
-		cfg.Transport = transport
-		recs, err := exper.NativeFusion(cfg)
+		recs, err := exper.NativeFusion(native, cfg)
 		if err != nil {
-			fmt.Fprintf(stderr, "collbench: %v\n", err)
-			return 1
+			return fail(1, err)
 		}
-		acfg := exper.DefaultNativeAlgoConfig()
-		acfg.Reps = *reps
-		acfg.Ts, acfg.Tw = *ts, *tw
-		acfg.Transport = transport
-		arecs, err := exper.NativeAlgos(acfg)
+		arecs, err := exper.AlgoRecords(native, acfg)
 		if err != nil {
-			fmt.Fprintf(stderr, "collbench: %v\n", err)
-			return 1
+			return fail(1, err)
 		}
 		recs = append(recs, arecs...)
-		if multiproc {
-			// The multi-process rows ride along after the native suites:
-			// same record shape, Backend "multiproc", real tw. Their
-			// predicted crossovers use the multi-process calibration.
-			mcfg := acfg
-			mcfg.Ts, mcfg.Tw = mpTs, mpTw
-			mrecs, err := exper.MultiProcAlgos(mcfg)
+		if wallOnly {
+			// Its algorithm rows ride along after the native suites:
+			// same record shape, its own Backend label and real tw,
+			// crossovers predicted from its own calibration.
+			hrecs, err := exper.AlgoRecords(host, hcfg)
 			if err != nil {
-				fmt.Fprintf(stderr, "collbench: %v\n", err)
-				return 1
+				return fail(1, err)
 			}
-			recs = append(recs, mrecs...)
+			recs = append(recs, hrecs...)
 		}
-		if err := exper.WriteBenchJSON(*benchjson, recs); err != nil {
-			fmt.Fprintf(stderr, "collbench: %v\n", err)
-			return 1
+		if err := exper.WriteJSON(*benchjson, recs); err != nil {
+			return fail(1, err)
 		}
-		fmt.Fprintf(stdout, "== Native wall-clock fusion suite (p=%d, reps=%d) ==\n", cfg.P, cfg.Reps)
+		fmt.Fprintf(stdout, "== Native wall-clock fusion suite (p=%d, reps=%d) ==\n", cfg.P, native.Reps)
 		fmt.Fprint(stdout, exper.FormatNativeFusion(recs))
 		fmt.Fprintln(stdout)
 		fmt.Fprint(stdout, exper.FormatAlgoCrossovers(arecs))
@@ -269,9 +242,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if multiproc {
-		fmt.Fprintln(stderr, "collbench: -backend multiproc supports -calibrate, -algos and -benchjson; other modes run on the virtual or native backend")
-		return 2
+	run, unit := host.Run, ""
+	if wallOnly {
+		return fail(2, fmt.Errorf("-backend %s supports -calibrate, -algos and -benchjson; other modes run on the virtual or native backend", host.Name))
+	}
+	if host.Name != "virtual" {
+		unit = fmt.Sprintf(" [%s wall-clock, ns]", host.Name)
+	}
+	// virtualOnly flags modes whose output is inherently cost-model based.
+	virtualOnly := func(mode string) {
+		if host.Name != "virtual" {
+			fmt.Fprintf(stderr, "collbench: %s runs on the virtual machine regardless of -backend\n", mode)
+		}
 	}
 	if *report {
 		virtualOnly("-report")
@@ -279,14 +261,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *everything {
-		*table1, *measured, *fig2, *fig3, *fig7, *fig8, *crossover, *polyeval =
-			true, true, true, true, true, true, true, true
-		if err := validate(*p, *m, *reps, *backendFlag, *measured); err != nil {
-			fmt.Fprintf(stderr, "collbench: %v\n", err)
-			return 2
-		}
-	}
 	if !*table1 && !*fig2 && !*fig3 && !*fig7 && !*fig8 && !*crossover && !*crossfig && !*scaling && !*appsFlag && !*polyeval && !*report {
 		fmt.Fprintln(stderr, "collbench: select an experiment (or -everything)")
 		fs.PrintDefaults()
@@ -376,7 +350,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // validate rejects flag values that would otherwise panic deep inside an
 // experiment, so bad invocations die with a clear message and exit 2.
-func validate(p, m, reps int, backend string, measuredTable bool) error {
+func validate(p, m, reps int, measuredTable bool) error {
 	if p < 1 {
 		return fmt.Errorf("-p must be a positive processor count, got %d", p)
 	}
@@ -386,13 +360,34 @@ func validate(p, m, reps int, backend string, measuredTable bool) error {
 	if reps < 1 {
 		return fmt.Errorf("-reps must be at least 1, got %d", reps)
 	}
-	if backend != "virtual" && backend != "native" && backend != "multiproc" {
-		return fmt.Errorf("-backend must be \"virtual\", \"native\" or \"multiproc\", got %q", backend)
-	}
 	if measuredTable && !coll.IsPow2(p) {
 		return fmt.Errorf("-table1 -measured needs a power-of-two -p (the Local rules rewrite to butterfly programs), got %d", p)
 	}
 	return nil
+}
+
+// resolveHosts is the one place -backend, -transport and -reps become a
+// Host: host is the selected backend, native the Host of the wall-clock
+// suites (-calibrate, -algos, -benchjson), which have no virtual-time
+// form and run natively whatever -backend says.
+func resolveHosts(name, transportName string, reps int, ts, tw float64) (host, native exper.Host, err error) {
+	transport, err := backend.ParseTransport(transportName)
+	if err != nil {
+		return host, native, err
+	}
+	native = exper.NativeHost(transport, reps)
+	switch name {
+	case "virtual":
+		return exper.VirtualHost(ts, tw), native, nil
+	case "native":
+		return native, native, nil
+	case "multiproc":
+		if transport == backend.TransportCopy {
+			return host, native, fmt.Errorf("-transport copy applies to the native backend; a process boundary always copies")
+		}
+		return exper.MultiProcHost(reps), native, nil
+	}
+	return host, native, fmt.Errorf("-backend must be \"virtual\", \"native\" or \"multiproc\", got %q", name)
 }
 
 func emit(stdout io.Writer, fig exper.Figure, csv bool) {

@@ -10,7 +10,16 @@ import (
 
 	"repro/internal/calib"
 	"repro/internal/exper"
+	"repro/internal/mpbackend"
 )
+
+// TestMain lets -backend multiproc run inside the tests: the test binary
+// re-executes itself as the rank workers, and MaybeWorker diverts those
+// re-executions before any test runs.
+func TestMain(m *testing.M) {
+	mpbackend.MaybeWorker()
+	os.Exit(m.Run())
+}
 
 func runBench(t *testing.T, args ...string) (string, string, int) {
 	t.Helper()
@@ -228,6 +237,7 @@ func TestBenchJSONMode(t *testing.T) {
 	if crossRows == 0 {
 		t.Fatal("no algorithm row carries a crossover")
 	}
+	sameSchema(t, path, "../../BENCH_native.json")
 }
 
 func TestCrossFig(t *testing.T) {
@@ -301,5 +311,75 @@ func TestParamsFileErrors(t *testing.T) {
 	if _, errb, code := runBench(t, "-table1", "-params-file", bad); code != 1 ||
 		!strings.Contains(errb, "not a calibration report") {
 		t.Fatalf("exit %d, stderr: %s", code, errb)
+	}
+}
+
+// jsonKeys collects every key path of a decoded JSON document, array
+// elements folded together — the file's schema.
+func jsonKeys(t *testing.T, path string) map[string]bool {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	keys := map[string]bool{}
+	var walk func(prefix string, v any)
+	walk = func(prefix string, v any) {
+		switch x := v.(type) {
+		case map[string]any:
+			for k, sub := range x {
+				keys[prefix+k] = true
+				walk(prefix+k+".", sub)
+			}
+		case []any:
+			for _, sub := range x {
+				walk(prefix+"[].", sub)
+			}
+		}
+	}
+	walk("", doc)
+	return keys
+}
+
+// sameSchema fails the test unless the JSON file at path has exactly the
+// key set of the committed file, so a schema cannot drift silently under
+// the file's readers (-params-file, the docs, external tooling).
+func sameSchema(t *testing.T, path, committed string) {
+	t.Helper()
+	got, want := jsonKeys(t, path), jsonKeys(t, committed)
+	for k := range want {
+		if !got[k] {
+			t.Errorf("%s: key %q of the committed file is gone", filepath.Base(committed), k)
+		}
+	}
+	for k := range got {
+		if !want[k] {
+			t.Errorf("%s: new key %q is not in the committed file", filepath.Base(committed), k)
+		}
+	}
+}
+
+// TestCalibrateMultiProcKeepsTheReportSchema: a report with a multiproc
+// section, as written today, has the schema of the committed
+// CALIB_native.json — which itself still loads.
+func TestCalibrateMultiProcKeepsTheReportSchema(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes")
+	}
+	path := filepath.Join(t.TempDir(), "calib.json")
+	out, errb, code := runBench(t, "-calibrate", "-quick", "-reps", "1", "-backend", "multiproc", "-params-file", path)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb)
+	}
+	if !strings.Contains(out, "Multi-process calibration") {
+		t.Errorf("output lacks the multiproc section:\n%s", out)
+	}
+	sameSchema(t, path, "../../CALIB_native.json")
+	if _, err := calib.ReadReport("../../CALIB_native.json"); err != nil {
+		t.Errorf("committed report no longer loads: %v", err)
 	}
 }

@@ -249,12 +249,9 @@ func (h *harness) runRules() int {
 			}
 		}
 		for _, p := range sizes {
-			eng := rules.NewEngine()
-			eng.Rules = []rules.Rule{r}
-			eng.Env.P = p
-			opt, apps := eng.Optimize(j.LHS)
-			if len(apps) == 0 {
-				fmt.Fprintf(h.out, "FAIL rule %s did not apply to %s at p=%d\n", j.Rule, j.LHS, p)
+			opt, err := exper.ApplyRule(j.Rule, j.LHS, p)
+			if err != nil {
+				fmt.Fprintf(h.out, "FAIL %v\n", err)
 				failures++
 				continue
 			}

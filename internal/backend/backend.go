@@ -20,7 +20,7 @@
 // # Timing methodology
 //
 // Every Run follows the same discipline, shared by the experiment
-// harness (exper.NativeRunner) and the calibration probes (package
+// harness (exper.NativeHost) and the calibration probes (package
 // calib):
 //
 //   - Barrier start. All P rank goroutines are spawned first and wait on
@@ -37,8 +37,8 @@
 // Single runs of short programs sit near timer resolution and scheduler
 // noise; callers that need stable numbers iterate the operation inside
 // one Run to amortize the timer, repeat the run several times, and take
-// the minimum as the undisturbed estimate. NativeRunner and the calib
-// probes both do exactly this.
+// the minimum as the undisturbed estimate. exper.NativeHost's launcher
+// does exactly this for every job it times.
 package backend
 
 import (

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/backend"
 	"repro/internal/cost"
 	"repro/internal/exper"
 )
@@ -32,7 +31,7 @@ type AlgoValidation struct {
 	// PredCross and MeasCross are the break-even block sizes — the
 	// smallest m at which the algorithm undercuts the butterfly —
 	// predicted by the calibrated cost lines (cost.BreakEven) and
-	// measured by bisection on the native backend. 0 means the
+	// measured by bisection on the Host. 0 means the
 	// algorithm never won within the sweep.
 	PredCross int `json:"predicted_crossover"`
 	MeasCross int `json:"measured_crossover"`
@@ -49,37 +48,18 @@ type AlgoValidation struct {
 }
 
 // ValidateAlgos runs every portfolio algorithm head-to-head against the
-// butterfly on the native backend across the configured sweep and
-// reports the predicted-vs-measured crossover per (collective,
-// algorithm, group size) — the calibration evidence behind the
-// selection layer (coll/sel). Predictions use the calibrated parameters
-// of fit; measurements take the minimum over cfg.Reps runs. Only the
-// block sizes the algorithm can run at (cost.Applicable) are measured.
-func ValidateAlgos(fit Fit, cfg Config) ([]AlgoValidation, error) {
-	return validateAlgosWith(fit, cfg, exper.NativeAlgoMeasurer(cfg.Reps, backend.TransportZeroCopy))
-}
-
-// ValidateAlgosMP is ValidateAlgos across process boundaries: the same
-// sweep, measured with mpbackend's "collective" jobs
-// (exper.MeasureCollectiveMP), so the crossovers recorded are the ones
-// the multi-process transport actually exhibits. fit must be the
-// multi-process fit — its ts/tw drive the predicted side.
-func ValidateAlgosMP(fit Fit, cfg Config) ([]AlgoValidation, error) {
-	return validateAlgosWith(fit, cfg, exper.MPAlgoMeasurer(cfg.Reps))
-}
-
-// validateAlgosWith runs the portfolio sweep (exper.SweepAlgos) with the
-// given measurer and derives, per group, the model's agreement with the
-// measured winners and the predicted-vs-measured crossover error.
-func validateAlgosWith(fit Fit, cfg Config, measure exper.AlgoMeasurer) ([]AlgoValidation, error) {
+// butterfly on h across the configured sweep (exper.SweepAlgos) and
+// reports the predicted-vs-measured crossover and the model's agreement
+// with the measured winners per (collective, algorithm, group size) —
+// the calibration evidence behind the selection layer (coll/sel). fit
+// must be h's own: its ts/tw drive the predicted side. Only the block
+// sizes the algorithm can run at (cost.Applicable) are measured.
+func ValidateAlgos(h exper.Host, fit Fit, cfg Config) ([]AlgoValidation, error) {
 	ps := cfg.AlgoPs
 	if len(ps) == 0 {
 		ps = []int{cfg.ValidateP}
 	}
-	if len(cfg.ValidateMs) == 0 {
-		return nil, fmt.Errorf("calib: algorithm validation needs a non-empty block-size sweep")
-	}
-	groups, err := exper.SweepAlgos(fit.Ts, fit.Tw, ps, cfg.ValidateMs, measure)
+	groups, err := exper.SweepAlgos(h, fit.Ts, fit.Tw, ps, cfg.ValidateMs)
 	if err != nil {
 		return nil, err
 	}
@@ -100,15 +80,7 @@ func validateAlgosWith(fit Fit, cfg Config, measure exper.AlgoMeasurer) ([]AlgoV
 			}
 		}
 		v.Agreement = float64(agree) / float64(len(g.Ms))
-		v.AbsErr = v.PredCross - v.MeasCross
-		if v.AbsErr < 0 {
-			v.AbsErr = -v.AbsErr
-		}
-		denom := v.MeasCross
-		if denom == 0 {
-			denom = cfg.ValidateMs[len(cfg.ValidateMs)-1]
-		}
-		v.RelErr = float64(v.AbsErr) / float64(denom)
+		v.AbsErr, v.RelErr = relErr(v.PredCross, v.MeasCross, cfg.ValidateMs[len(cfg.ValidateMs)-1])
 		out = append(out, v)
 	}
 	return out, nil
@@ -124,15 +96,9 @@ func FormatAlgoValidation(val []AlgoValidation) string {
 	fmt.Fprintf(&b, "%-10s %-13s %4s %12s %12s %8s %8s %7s\n",
 		"Collective", "algorithm", "p", "predicted m", "measured m", "abs err", "rel err", "agree")
 	for _, v := range val {
-		pred, meas := fmt.Sprintf("%d", v.PredCross), fmt.Sprintf("%d", v.MeasCross)
-		if v.PredCross == 0 {
-			pred = "never"
-		}
-		if v.MeasCross == 0 {
-			meas = "never"
-		}
 		fmt.Fprintf(&b, "%-10s %-13s %4d %12s %12s %8d %7.0f%% %6.0f%%\n",
-			v.Collective, v.Algo, v.P, pred, meas, v.AbsErr, 100*v.RelErr, 100*v.Agreement)
+			v.Collective, v.Algo, v.P, exper.FormatFirstWin(v.PredCross), exper.FormatFirstWin(v.MeasCross),
+			v.AbsErr, 100*v.RelErr, 100*v.Agreement)
 	}
 	return b.String()
 }

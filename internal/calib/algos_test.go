@@ -12,7 +12,7 @@ func TestValidateAlgosCoversPortfolio(t *testing.T) {
 	cfg.AlgoPs = []int{4, 7}
 	cfg.ValidateMs = []int{16, 256}
 	fit := Fit{TsNs: 600, TwNs: 0, TcNs: 4, Ts: 150, Tw: 0.01}
-	val, err := ValidateAlgos(fit, cfg)
+	val, err := ValidateAlgos(native, fit, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestValidateAlgosFallsBackToValidateP(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.AlgoPs = nil
 	cfg.ValidateMs = []int{64}
-	val, err := ValidateAlgos(Fit{Ts: 100, Tw: 0.01, TcNs: 1}, cfg)
+	val, err := ValidateAlgos(native, Fit{Ts: 100, Tw: 0.01, TcNs: 1}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,11 @@
-// Package calib closes the paper's predict-vs-measure loop on the native
-// backend: it measures this machine's cost-model parameters instead of
-// assuming them, so the cost-guided optimizer of package rules decides
-// with numbers that are true here.
+// Package calib closes the paper's predict-vs-measure loop: it measures
+// a Host's cost-model parameters instead of assuming them, so the
+// cost-guided optimizer of package rules decides with numbers that are
+// true there. A calibration is Host × job × view: an exper.Host (native
+// goroutines, OS processes over sockets, or the virtual machine) times
+// the jobs, which are written once over coll.Comm (mpbackend.ProbeParams,
+// CollectiveParams), and everything in this package is a view of those
+// timings that never asks which Host it got.
 //
 // The §4.1 model prices a program as a·ts + b·m·tw + c·m — a message
 // start-ups, b·m words shipped, c·m elementary operations — with ts and
@@ -15,15 +19,20 @@
 // weighted least-squares fit over all samples (FitSamples) recovers
 // TsNs, TwNs and TcNs — the start-up, per-word and per-operation costs
 // in nanoseconds — and reports residuals; dividing by TcNs yields the
-// dimensionless Ts and Tw that cost.Params expects.
+// dimensionless Ts and Tw that cost.Params expects. On the native Host a
+// send hands over a reference and TwNs is indistinguishable from zero;
+// across process boundaries every message is serialized, tw > 0 becomes
+// measurable and the §4.1 crossovers appear for real (the "multiproc"
+// section of CALIB_native.json); on the virtual Host the fit recovers the
+// machine's own (ts, tw) exactly — the non-circular check of Coef.
 //
 // Timing methodology (shared with package backend): every probe run
 // releases all ranks from a barrier-synchronized start, each rank
 // records its own elapsed wall time, and the sample's time is the
 // makespan — the last rank's finish. Each probe iterates its operation
 // Rounds times inside one run to amortize timer resolution, and takes
-// the minimum over Reps runs as the undisturbed estimate (the standard
-// noise filter for wall-clock microbenchmarks).
+// the minimum over the Host's Reps runs as the undisturbed estimate (the
+// standard noise filter for wall-clock microbenchmarks).
 //
 // Validate then replays every optimization rule's unfused and fused
 // form at a sweep of block sizes and compares the measured break-even
@@ -36,12 +45,8 @@ package calib
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"runtime"
 
-	"repro/internal/algebra"
-	"repro/internal/backend"
-	"repro/internal/coll"
+	"repro/internal/exper"
 	"repro/internal/mpbackend"
 )
 
@@ -88,8 +93,8 @@ type Sample struct {
 // run's wall time. The group-size factor is ceil(log2 p), matching
 // cost.Params.LogP on non-power-of-two groups.
 //
-// workers is the host's available parallelism (runtime.GOMAXPROCS for a
-// real run; ≤ 0 means unlimited). With workers ≥ p the coefficients are
+// workers is the host's available parallelism (exper.Host.Workers; ≤ 0
+// means unlimited). With workers ≥ p the coefficients are
 // exactly the §4.1 critical-path counts — log p phases of one message
 // and 0/1/2 combines for bcast/reduce/scan, equations (15)–(17). With
 // fewer cores than ranks the ranks' concurrent phase work serializes,
@@ -139,9 +144,6 @@ type Config struct {
 	Ps []int
 	// Ms are the block sizes swept by every probe.
 	Ms []int
-	// Reps is the number of repetitions per sample (minimum taken),
-	// after one discarded warm-up run.
-	Reps int
 	// Rounds is the base iteration count inside one run; individual
 	// probes scale it to keep each run well above timer resolution.
 	Rounds int
@@ -164,7 +166,6 @@ func DefaultConfig() Config {
 	return Config{
 		Ps:         []int{2, 4, 8},
 		Ms:         []int{1, 4, 16, 64, 256, 1024, 4096},
-		Reps:       5,
 		Rounds:     32,
 		ValidateP:  8,
 		ValidateMs: []int{1, 4, 16, 64, 256, 1024, 4096},
@@ -181,7 +182,6 @@ func QuickConfig() Config {
 	return Config{
 		Ps:         []int{2, 4},
 		Ms:         []int{1, 16, 256, 1024},
-		Reps:       2,
 		Rounds:     8,
 		ValidateP:  4,
 		ValidateMs: []int{1, 64},
@@ -189,123 +189,60 @@ func QuickConfig() Config {
 	}
 }
 
-// sink keeps the compute probe's result alive.
-var sink algebra.Value
-
-// Measure runs every probe of the configuration on the native backend
-// and returns the samples, ready for FitSamples. The compute probe only
-// runs at block sizes of 64 words and up: below that the per-ApplyInto
-// dispatch overhead dominates the per-word cost and would contaminate
-// the fitted unit — in the collectives that overhead is a per-message
-// effect and lands in TsNs, where it belongs.
-func Measure(cfg Config) []Sample {
-	workers := runtime.GOMAXPROCS(0)
+// Measure runs every probe of the configuration on h and returns the
+// samples, ready for FitSamples. The compute probe only runs at block
+// sizes of 64 words and up: below that the per-ApplyInto dispatch
+// overhead dominates the per-word cost and would contaminate the fitted
+// unit — in the collectives that overhead is a per-message effect and
+// lands in TsNs, where it belongs. The compute probe's iteration count
+// scales with 1/m so every block size executes enough operations to
+// rise above timer resolution.
+func Measure(h exper.Host, cfg Config) ([]Sample, error) {
 	var out []Sample
-	computeOnce := true
+	var err error
+	probe := func(kind string, p, m, rounds int) {
+		if err != nil {
+			return
+		}
+		s := Sample{Probe: kind, P: p, M: m, Rounds: rounds}
+		s.Ns, err = h.Probe(mpbackend.ProbeParams{Probe: kind, M: m, Rounds: rounds}, p)
+		s.CoefTs, s.CoefTw, s.CoefC = Coef(kind, p, m, rounds, h.Workers)
+		out = append(out, s)
+	}
+	compute := func(m int) { probe(ProbeCompute, 1, m, cfg.Rounds*max(16, 4096/m)) }
+	computed := false
 	for _, m := range cfg.Ms {
-		out = append(out, pingpong(m, cfg, workers))
+		probe(ProbePingPong, 2, m, cfg.Rounds*4)
 		if m >= 64 {
-			out = append(out, compute(m, cfg, workers))
-			computeOnce = false
+			compute(m)
+			computed = true
 		}
 	}
-	if computeOnce {
-		out = append(out, compute(64, cfg, workers))
+	if !computed {
+		compute(64)
 	}
 	for _, p := range cfg.Ps {
 		if p < 2 {
 			continue
 		}
 		for _, m := range cfg.Ms {
-			for _, probe := range []string{ProbeBcast, ProbeReduce, ProbeScan} {
-				out = append(out, collectiveProbe(probe, p, m, cfg, workers))
+			for _, kind := range []string{ProbeBcast, ProbeReduce, ProbeScan} {
+				probe(kind, p, m, cfg.Rounds)
 			}
 		}
 	}
-	return out
-}
-
-// minRun executes body on a fresh machine of p ranks reps+1 times and
-// returns the minimum makespan in nanoseconds, discarding the first
-// (warm-up) run.
-func minRun(p, reps int, body func(pr *backend.Proc)) float64 {
-	mach := backend.New(p)
-	best := math.MaxFloat64
-	for i := 0; i <= reps; i++ {
-		res := mach.Run(body)
-		if ns := float64(res.Makespan.Nanoseconds()); i > 0 && ns < best {
-			best = ns
-		}
+	if err != nil {
+		return nil, fmt.Errorf("calib: %w", err)
 	}
-	return best
-}
-
-func pingpong(m int, cfg Config, workers int) Sample {
-	rounds := cfg.Rounds * 4
-	v := mpbackend.SeededBlock(rand.New(rand.NewSource(1)), m)
-	ns := minRun(2, cfg.Reps, func(pr *backend.Proc) {
-		for i := 0; i < rounds; i++ {
-			t1, t2 := pr.NextTag(), pr.NextTag()
-			if pr.Rank() == 0 {
-				pr.Send(1, v, t1)
-				pr.Recv(1, t2)
-			} else {
-				w := pr.Recv(0, t1)
-				pr.Send(0, w, t2)
-			}
-		}
-	})
-	s := Sample{Probe: ProbePingPong, P: 2, M: m, Rounds: rounds, Ns: ns}
-	s.CoefTs, s.CoefTw, s.CoefC = Coef(s.Probe, s.P, s.M, s.Rounds, workers)
-	return s
-}
-
-func compute(m int, cfg Config, workers int) Sample {
-	// Scale the iteration count so every block size executes enough
-	// operations to rise above timer resolution.
-	rounds := cfg.Rounds * max(16, 4096/m)
-	rng := rand.New(rand.NewSource(2))
-	v0, w := mpbackend.SeededBlock(rng, m), mpbackend.SeededBlock(rng, m)
-	acc := make(algebra.Vec, m)
-	ns := minRun(1, cfg.Reps, func(pr *backend.Proc) {
-		copy(acc, v0)
-		// The in-place kernel, not the boxed reference: the unit must
-		// price the path the collectives actually run.
-		v := algebra.Value(acc)
-		for i := 0; i < rounds; i++ {
-			v = algebra.Add.ApplyInto(v, v, w)
-		}
-		sink = v
-	})
-	s := Sample{Probe: ProbeCompute, P: 1, M: m, Rounds: rounds, Ns: ns}
-	s.CoefTs, s.CoefTw, s.CoefC = Coef(s.Probe, s.P, s.M, s.Rounds, workers)
-	return s
-}
-
-func collectiveProbe(probe string, p, m int, cfg Config, workers int) Sample {
-	blocks := mpbackend.SeededInputs(3, p, m)
-	rounds := cfg.Rounds
-	ns := minRun(p, cfg.Reps, func(pr *backend.Proc) {
-		v := blocks[pr.Rank()]
-		for i := 0; i < rounds; i++ {
-			switch probe {
-			case ProbeBcast:
-				coll.Bcast(pr, 0, v)
-			case ProbeReduce:
-				coll.Reduce(pr, 0, algebra.Add, v)
-			case ProbeScan:
-				coll.Scan(pr, algebra.Add, v)
-			}
-		}
-	})
-	s := Sample{Probe: probe, P: p, M: m, Rounds: rounds, Ns: ns}
-	s.CoefTs, s.CoefTw, s.CoefC = Coef(s.Probe, s.P, s.M, s.Rounds, workers)
-	return s
+	return out, nil
 }
 
 // Calibrate measures and fits in one call.
-func Calibrate(cfg Config) (Fit, []Sample, error) {
-	samples := Measure(cfg)
+func Calibrate(h exper.Host, cfg Config) (Fit, []Sample, error) {
+	samples, err := Measure(h, cfg)
+	if err != nil {
+		return Fit{}, nil, err
+	}
 	fit, err := FitSamples(samples)
 	return fit, samples, err
 }

@@ -5,11 +5,21 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/backend"
+	"repro/internal/exper"
 )
+
+// native is the Host most tests calibrate: goroutine ranks, two
+// repetitions per measurement.
+var native = exper.NativeHost(backend.TransportZeroCopy, 2)
 
 func TestMeasureProducesFittableSamples(t *testing.T) {
 	cfg := QuickConfig()
-	samples := Measure(cfg)
+	samples, err := Measure(native, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(samples) == 0 {
 		t.Fatal("no samples measured")
 	}
@@ -40,7 +50,7 @@ func TestMeasureProducesFittableSamples(t *testing.T) {
 func TestValidateCoversEveryRule(t *testing.T) {
 	cfg := QuickConfig()
 	fit := Fit{TsNs: 600, TwNs: 0, TcNs: 4, Ts: 150, Tw: 0}
-	val, err := Validate(fit, cfg)
+	val, err := Validate(native, fit, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +78,7 @@ func TestValidateCoversEveryRule(t *testing.T) {
 func TestValidateSkipsLocalRulesOnNonPow2(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.ValidateP = 6
-	val, err := Validate(Fit{Ts: 100, TcNs: 1}, cfg)
+	val, err := Validate(native, Fit{Ts: 100, TcNs: 1}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +93,11 @@ func TestValidateSkipsLocalRulesOnNonPow2(t *testing.T) {
 }
 
 func TestRunAndReportRoundTrip(t *testing.T) {
-	rep, err := Run(QuickConfig())
+	rep, err := Run(native, QuickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Backend != "native" || rep.Reps != QuickConfig().Reps {
+	if rep.Backend != "native" || rep.Reps != native.Reps {
 		t.Errorf("report is not self-describing: backend=%q reps=%d", rep.Backend, rep.Reps)
 	}
 	path := filepath.Join(t.TempDir(), "calib.json")

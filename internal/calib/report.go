@@ -5,15 +5,17 @@ import (
 	"fmt"
 	"os"
 	"strings"
+
+	"repro/internal/exper"
 )
 
 // Report is the machine-readable calibration artifact (CALIB_native.json):
-// the backend and repetition discipline that produced it, the fitted
+// the Host and repetition discipline that produced it, the fitted
 // parameters with residuals, every raw probe sample, and the per-rule
 // break-even validation. A report is self-describing — everything needed
 // to reproduce or audit the numbers is in the file.
 type Report struct {
-	// Backend names the measurement backend ("native").
+	// Backend names the Host that measured ("native").
 	Backend string `json:"backend"`
 	// Reps is the repetitions per measurement (minimum taken) and
 	// Rounds the base in-run iteration count.
@@ -29,45 +31,56 @@ type Report struct {
 	// Algos is the per-algorithm predicted-vs-measured crossover record
 	// of the collective portfolio (see ValidateAlgos).
 	Algos []AlgoValidation `json:"algos,omitempty"`
-	// MultiProc is the multi-process transport's own fit, samples and
-	// crossover validation (see RunMP) — the section where tw > 0.
+	// MultiProc is the multi-process Host's own fit, samples and
+	// crossover validation (see Section) — the section where tw > 0.
 	MultiProc *MPSection `json:"multiproc,omitempty"`
 }
 
-// Run performs the full calibration pipeline — measure, fit, validate —
-// and assembles the report.
-func Run(cfg Config) (Report, error) {
-	fit, samples, err := Calibrate(cfg)
-	if err != nil {
+// MPSection is the shape a second Host's calibration takes inside a
+// report: its own fit, raw samples, and portfolio-crossover validation.
+type MPSection struct {
+	// Workers is the host parallelism the probe coefficients assumed
+	// (ranks beyond it serialize — see Coef).
+	Workers int `json:"workers"`
+	// Reps and Rounds document the repetition discipline.
+	Reps   int `json:"reps"`
+	Rounds int `json:"rounds"`
+	// Fit is the fitted parameter set of this transport.
+	Fit Fit `json:"fit"`
+	// Samples are the raw probe observations on this transport.
+	Samples []Sample `json:"samples"`
+	// Algos is the portfolio-crossover validation on this transport.
+	Algos []AlgoValidation `json:"algos,omitempty"`
+}
+
+// Run performs the full calibration pipeline on h — measure, fit,
+// validate — and assembles the report. The rule validation needs whole
+// programs, so a Host without a Runner gets none.
+func Run(h exper.Host, cfg Config) (Report, error) {
+	rep := Report{Backend: h.Name, Reps: h.Reps, Rounds: cfg.Rounds}
+	var err error
+	if rep.Fit, rep.Samples, err = Calibrate(h, cfg); err != nil {
 		return Report{}, err
 	}
-	val, err := Validate(fit, cfg)
-	if err != nil {
+	if h.Run != nil {
+		if rep.Validation, err = Validate(h, rep.Fit, cfg); err != nil {
+			return Report{}, err
+		}
+	}
+	if rep.Algos, err = ValidateAlgos(h, rep.Fit, cfg); err != nil {
 		return Report{}, err
 	}
-	algos, err := ValidateAlgos(fit, cfg)
-	if err != nil {
-		return Report{}, err
-	}
-	return Report{
-		Backend:    "native",
-		Reps:       cfg.Reps,
-		Rounds:     cfg.Rounds,
-		Fit:        fit,
-		Samples:    samples,
-		Validation: val,
-		Algos:      algos,
-	}, nil
+	return rep, nil
+}
+
+// Section recasts h's report as the section another Host's report
+// carries under "multiproc".
+func Section(h exper.Host, r Report) *MPSection {
+	return &MPSection{Workers: h.Workers, Reps: r.Reps, Rounds: r.Rounds, Fit: r.Fit, Samples: r.Samples, Algos: r.Algos}
 }
 
 // WriteReport writes the report as indented JSON.
-func WriteReport(path string, r Report) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
+func WriteReport(path string, r Report) error { return exper.WriteJSON(path, r) }
 
 // ReadReport loads a report written by WriteReport. CLI front-ends use
 // it to feed the calibrated Ts/Tw back into the cost-guided optimizer
@@ -91,35 +104,29 @@ func ReadReport(path string) (Report, error) {
 // human half of collbench -calibrate.
 func FormatReport(r Report) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "== Calibration (%s backend, reps=%d, %d samples) ==\n", r.Backend, r.Reps, len(r.Samples))
-	fmt.Fprintf(&b, "fitted (ns):   Ts = %.1f   Tw = %.4f   Tc = %.3f\n", r.Fit.TsNs, r.Fit.TwNs, r.Fit.TcNs)
-	fmt.Fprintf(&b, "model units:   ts = %.1f    tw = %.4f   (1 unit = one elementary op = %.3f ns)\n",
-		r.Fit.Ts, r.Fit.Tw, r.Fit.TcNs)
-	fmt.Fprintf(&b, "fit quality:   R² = %.4f   rel RMSE = %.1f%%   max rel err = %.1f%%\n",
-		r.Fit.R2, 100*r.Fit.RelRMSE, 100*r.Fit.MaxRelErr)
-	if len(r.Validation) > 0 {
-		b.WriteByte('\n')
-		b.WriteString(FormatValidation(r.Validation))
-	}
-	if len(r.Algos) > 0 {
-		b.WriteByte('\n')
-		b.WriteString(FormatAlgoValidation(r.Algos))
-	}
+	formatSection(&b, fmt.Sprintf("Calibration (%s backend", r.Backend), r.Reps, r.Fit, r.Samples, r.Validation, r.Algos)
 	if mp := r.MultiProc; mp != nil {
 		b.WriteByte('\n')
-		fmt.Fprintf(&b, "== Multi-process calibration (one OS process per rank, reps=%d, %d samples) ==\n",
-			mp.Reps, len(mp.Samples))
-		fmt.Fprintf(&b, "fitted (ns):   Ts = %.1f   Tw = %.4f   Tc = %.3f\n", mp.Fit.TsNs, mp.Fit.TwNs, mp.Fit.TcNs)
-		fmt.Fprintf(&b, "model units:   ts = %.1f    tw = %.4f   (1 unit = one elementary op = %.3f ns)\n",
-			mp.Fit.Ts, mp.Fit.Tw, mp.Fit.TcNs)
-		fmt.Fprintf(&b, "fit quality:   R² = %.4f   rel RMSE = %.1f%%   max rel err = %.1f%%\n",
-			mp.Fit.R2, 100*mp.Fit.RelRMSE, 100*mp.Fit.MaxRelErr)
-		if len(mp.Algos) > 0 {
-			b.WriteByte('\n')
-			b.WriteString(FormatAlgoValidation(mp.Algos))
-		}
+		formatSection(&b, "Multi-process calibration (one OS process per rank", mp.Reps, mp.Fit, mp.Samples, nil, mp.Algos)
 	}
 	return b.String()
+}
+
+// formatSection prints one Host's calibration: the fit, its quality, and
+// whichever validations it carries.
+func formatSection(b *strings.Builder, title string, reps int, fit Fit, samples []Sample, val []RuleValidation, algos []AlgoValidation) {
+	fmt.Fprintf(b, "== %s, reps=%d, %d samples) ==\n", title, reps, len(samples))
+	fmt.Fprintf(b, "fitted (ns):   Ts = %.1f   Tw = %.4f   Tc = %.3f\n", fit.TsNs, fit.TwNs, fit.TcNs)
+	fmt.Fprintf(b, "model units:   ts = %.1f    tw = %.4f   (1 unit = one elementary op = %.3f ns)\n",
+		fit.Ts, fit.Tw, fit.TcNs)
+	fmt.Fprintf(b, "fit quality:   R² = %.4f   rel RMSE = %.1f%%   max rel err = %.1f%%\n",
+		fit.R2, 100*fit.RelRMSE, 100*fit.MaxRelErr)
+	for _, table := range []string{FormatValidation(val), FormatAlgoValidation(algos)} {
+		if table != "" {
+			b.WriteByte('\n')
+			b.WriteString(table)
+		}
+	}
 }
 
 // FormatValidation renders the per-rule break-even table.

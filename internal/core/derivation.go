@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/rules"
-	"repro/internal/term"
 )
 
 // Derivation is an interactive program-design session in the style of §5:
@@ -43,49 +42,34 @@ func (d *Derivation) Current() Program {
 // Options lists the rule applications available on the current program,
 // with cost estimates for the target machine.
 func (d *Derivation) Options() []rules.Application {
+	return d.engine().Applicable(d.Current().Term())
+}
+
+func (d *Derivation) engine() *rules.Engine {
 	eng := rules.NewCostGuidedEngine(d.mach.costParams())
 	eng.Env = d.env
-	return eng.Applicable(d.Current().Term())
+	return eng
 }
 
 // Apply applies the named rule at the first position it matches (or at
-// the given stage position if pos ≥ 0). It verifies the step's semantic
-// equality on random inputs before committing and returns the recorded
-// application.
+// the given stage position if pos ≥ 0). Any rule rules.ByName knows may
+// be named, not only those on the Options menu. It verifies the step's
+// semantic equality on random inputs before committing and returns the
+// recorded application.
 func (d *Derivation) Apply(ruleName string, pos int) (rules.Application, error) {
-	r, ok := rules.ByName(ruleName)
-	if !ok {
+	if _, ok := rules.ByName(ruleName); !ok {
 		return rules.Application{}, fmt.Errorf("core: unknown rule %q", ruleName)
 	}
-	stages := d.Current().stages
-	for i := range stages {
-		if pos >= 0 && i != pos {
+	eng := d.engine()
+	eng.Rules = rules.AllWithExtensions()
+	for _, app := range eng.Applicable(d.Current().Term()) {
+		if app.Rule != ruleName || (pos >= 0 && app.Pos != pos) {
 			continue
 		}
-		if i+r.Window > len(stages) {
-			continue
-		}
-		window := stages[i : i+r.Window]
-		repl, ok := r.Try(window, d.env)
-		if !ok {
-			continue
-		}
-		app := rules.Application{
-			Rule:   r.Name,
-			Pos:    i,
-			Before: append([]term.Term(nil), window...),
-			After:  repl,
-		}
-		app.CostBefore = costOf(term.Seq(window), d.mach)
-		app.CostAfter = costOf(term.Seq(repl), d.mach)
 		if err := rules.VerifyApplication(app, rules.VerifyConfig{Seed: 17, BlockWords: 3}); err != nil {
 			return rules.Application{}, fmt.Errorf("core: rule %s failed verification: %w", ruleName, err)
 		}
-		out := make([]term.Term, 0, len(stages)-r.Window+len(repl))
-		out = append(out, stages[:i]...)
-		out = append(out, repl...)
-		out = append(out, stages[i+r.Window:]...)
-		d.history = append(d.history, FromTerm(term.Seq(out)))
+		d.history = append(d.history, FromTerm(app.Rewrite(d.Current().stages)))
 		d.steps = append(d.steps, app)
 		return app, nil
 	}
@@ -131,9 +115,4 @@ func ruleCond(name string) string {
 		return r.Cond
 	}
 	return "—"
-}
-
-// costOf estimates a term fragment on the machine.
-func costOf(t term.Term, m Machine) float64 {
-	return FromTerm(t).Estimate(m)
 }

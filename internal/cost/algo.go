@@ -190,32 +190,24 @@ func AlgoCost(collective string, a Algo, p Params) (float64, bool) {
 // a strictly smaller per-word slope than the butterfly's wherever it
 // wins at all: once ahead, it stays ahead as m grows.
 func BreakEven(collective string, a Algo, base Params, hi int) int {
-	wins := func(m int) bool {
+	loses := func(m int) bool {
 		p := base
 		p.M = m
 		c, ok := AlgoCost(collective, a, p)
 		if !ok {
-			return false
+			return true
 		}
 		bf, _ := AlgoCost(collective, AlgoButterfly, p)
-		return c < bf
+		return c >= bf
 	}
-	if !wins(hi) {
+	if loses(hi) {
 		return 0
 	}
-	if wins(1) {
+	if !loses(1) {
 		return 1
 	}
-	lo, up := 1, hi // !wins(lo), wins(up)
-	for up-lo > 1 {
-		mid := (lo + up) / 2
-		if wins(mid) {
-			up = mid
-		} else {
-			lo = mid
-		}
-	}
-	return up
+	_, first := Bisect(1, hi, -1, loses)
+	return first
 }
 
 // BestAlgo returns the cheapest applicable algorithm for the collective

@@ -318,6 +318,24 @@ func Lookup(rule string) (Entry, bool) {
 	return Entry{}, false
 }
 
+// Bisect halves the bracket [lo, hi] of a predicate that is monotone in
+// the block size — holds(lo) is true, holds(hi) is false — and returns
+// the narrowed bracket: lo is the largest m found to hold, hi the
+// smallest found not to. steps caps the number of probes (the noisy
+// wall-clock searches stop at sweep-relative resolution); a negative
+// steps runs until lo and hi are adjacent, which is exact. It is the one
+// halving loop under every crossover search of cost, exper and calib.
+func Bisect(lo, hi, steps int, holds func(m int) bool) (int, int) {
+	for ; steps != 0 && hi-lo > 1; steps-- {
+		if mid := (lo + hi) / 2; holds(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo, hi
+}
+
 // Crossover finds, by bisection over the block size m at fixed ts, tw and
 // p, the largest m (within [1, hi]) at which the rule still improves
 // performance according to the closed forms. It returns hi if the rule
@@ -335,14 +353,6 @@ func Crossover(e Entry, base Params, hi int) int {
 	if !improves(1) {
 		return 0
 	}
-	lo, up := 1, hi // improves(lo), !improves(up)
-	for up-lo > 1 {
-		mid := (lo + up) / 2
-		if improves(mid) {
-			lo = mid
-		} else {
-			up = mid
-		}
-	}
+	lo, _ := Bisect(1, hi, -1, improves)
 	return lo
 }

@@ -2,72 +2,36 @@ package exper
 
 import (
 	"fmt"
-	"math"
+	"strconv"
 
-	"repro/internal/algebra"
-	"repro/internal/backend"
-	"repro/internal/coll"
 	"repro/internal/cost"
 	"repro/internal/mpbackend"
 )
 
-// This file is the wall-clock side of the algorithm portfolio: it runs
-// each portfolio algorithm (coll/algo.go) head-to-head against the §4.1
-// butterfly on the native backend, the measurement under both the
-// BENCH_native algorithm records and calib's crossover validation.
+// This file is the algorithm portfolio's measurement: each portfolio
+// algorithm (coll/algo.go) head-to-head against the §4.1 butterfly on a
+// Host, under both the BENCH_native algorithm records and calib's
+// crossover validation.
 
-// MeasureCollective measures the wall-clock makespan in nanoseconds of
-// one collective executed with the given portfolio algorithm on the
-// native backend machine nm, taking the minimum over reps runs. segments
-// is the pipeline's segment count and is ignored by every other
-// algorithm. The caller is expected to warm the machine up with one
-// discarded call so mailbox and arena allocation stays out of the
-// minimum.
-func MeasureCollective(nm *backend.Machine, collective string, a cost.Algo, op *algebra.Op, in []algebra.Value, segments, reps int) float64 {
-	if reps < 1 {
-		reps = 1
+// firstWin locates the smallest block size at which the algorithm beats
+// the butterfly: the sweep gives the bracket — the first swept point
+// where it measured faster, and the one before — and bisection with fresh
+// wins() measurements sharpens the boundary inside it, so the resolution
+// does not depend on the sweep's granularity. It returns 0 when the
+// algorithm never won in the sweep and the smallest swept size when it
+// already won there.
+func (g AlgoSweep) firstWin(wins func(m int) bool) int {
+	first := 0
+	for first < len(g.Ms) && g.AlgoNs[first] >= g.ButterflyNs[first] {
+		first++
 	}
-	best := math.MaxFloat64
-	for i := 0; i < reps; i++ {
-		res := nm.Run(func(pr *backend.Proc) {
-			coll.ReduceBy(pr, op, in[pr.Rank()], collective == cost.CollAllReduce, a, segments)
-		})
-		if ns := float64(res.Makespan.Nanoseconds()); ns < best {
-			best = ns
-		}
-	}
-	return best
-}
-
-// FirstWinCrossover locates the smallest block size at which wins(m)
-// holds: won are the sweep verdicts at the block sizes ms, giving the
-// bracket, and bisection with fresh wins() measurements sharpens the
-// boundary inside it, so the resolution does not depend on the sweep's
-// granularity. It returns 0 when the algorithm never wins in the sweep
-// and ms[0] when it already wins at the smallest tested size.
-func FirstWinCrossover(ms []int, won []bool, wins func(m int) bool) int {
-	first := -1
-	for i, w := range won {
-		if w {
-			first = i
-			break
-		}
-	}
-	switch {
-	case first < 0:
+	switch first {
+	case len(g.Ms):
 		return 0
-	case first == 0:
-		return ms[0]
+	case 0:
+		return g.Ms[0]
 	}
-	lo, hi := ms[first-1], ms[first] // !wins(lo), wins(hi)
-	for i := 0; i < 8 && hi-lo > 1; i++ {
-		mid := (lo + hi) / 2
-		if wins(mid) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
+	_, hi := cost.Bisect(g.Ms[first-1], g.Ms[first], 8, func(m int) bool { return !wins(m) })
 	return hi
 }
 
@@ -79,49 +43,17 @@ type NativeAlgoConfig struct {
 	// Ms are the block sizes swept; per algorithm only the applicable
 	// subset is measured (the chunked algorithms need m ≥ p or 2p).
 	Ms []int
-	// Reps is the number of repetitions per measurement (minimum taken).
-	Reps int
 	// Ts and Tw are the calibrated cost-model parameters recorded with
 	// each row and used for the predicted crossovers (they do not affect
-	// the measurement — the host's real costs apply).
+	// the measurement — the Host's real costs apply).
 	Ts, Tw float64
-	// Transport selects the native machine's transport mode; the zero
-	// value is the zero-copy default. MultiProcAlgos ignores it — a
-	// process boundary always serializes.
-	Transport backend.TransportMode
 }
 
 // DefaultNativeAlgoConfig sweeps the portfolio on 7 and 8 ranks across
 // block sizes spanning the start-up-dominated and bandwidth-dominated
 // regimes.
 func DefaultNativeAlgoConfig() NativeAlgoConfig {
-	return NativeAlgoConfig{Ps: []int{7, 8}, Ms: []int{16, 256, 1024, 4096, 16384}, Reps: 7}
-}
-
-// AlgoMeasurer measures one head-to-head point of the portfolio sweep:
-// the wall-clock nanoseconds of the butterfly and of algorithm a running
-// the collective on p ranks at block size m (segments is the pipeline's
-// segment count at that point). It is what differs between the native and
-// the multi-process sweep; everything else is SweepAlgos.
-type AlgoMeasurer func(collective string, a cost.Algo, p, m, segments int) (bfNs, algNs float64, err error)
-
-// NativeAlgoMeasurer measures on the native backend: seeded inputs
-// (seed 11), one discarded warm-up so mailbox and arena allocation stays
-// out of the minimum, then the minimum over reps runs of each side on one
-// machine per group size.
-func NativeAlgoMeasurer(reps int, transport backend.TransportMode) AlgoMeasurer {
-	var nm *backend.Machine
-	return func(collective string, a cost.Algo, p, m, segments int) (bfNs, algNs float64, err error) {
-		if nm == nil || nm.P != p {
-			nm = backend.New(p)
-			nm.Transport = transport
-		}
-		in := mpbackend.SeededInputs(11, p, m)
-		MeasureCollective(nm, collective, a, algebra.Add, in, segments, 1) // warm-up
-		bfNs = MeasureCollective(nm, collective, cost.AlgoButterfly, algebra.Add, in, 0, reps)
-		algNs = MeasureCollective(nm, collective, a, algebra.Add, in, segments, reps)
-		return bfNs, algNs, nil
-	}
+	return NativeAlgoConfig{Ps: []int{7, 8}, Ms: []int{16, 256, 1024, 4096, 16384}}
 }
 
 // AlgoSweep is one (collective, algorithm, group size) group of the
@@ -143,12 +75,12 @@ type AlgoSweep struct {
 // SweepAlgos is the one walk of the (collective × algorithm × p × m) grid:
 // every portfolio algorithm head-to-head against the butterfly at each
 // group size in ps and each block size in ms it can run at
-// (cost.Applicable), measured by measure, with crossovers predicted from
-// ts/tw (cost.BreakEven up to the largest m). The benchmark records
-// (NativeAlgos, MultiProcAlgos) and the calibration's crossover
-// validation (calib.ValidateAlgos) are views of its groups. Groups with no
-// applicable block size are omitted.
-func SweepAlgos(ts, tw float64, ps, ms []int, measure AlgoMeasurer) ([]AlgoSweep, error) {
+// (cost.Applicable), timed on h as "collective" jobs over the seed-11
+// blocks, with crossovers predicted from ts/tw (cost.BreakEven up to the
+// largest m). The benchmark records (AlgoRecords) and the calibration's
+// crossover validation (calib.ValidateAlgos) are views of its groups.
+// Groups with no applicable block size are omitted.
+func SweepAlgos(h Host, ts, tw float64, ps, ms []int) ([]AlgoSweep, error) {
 	if len(ps) == 0 || len(ms) == 0 {
 		return nil, fmt.Errorf("exper: the algorithm sweep needs group and block sizes")
 	}
@@ -161,13 +93,18 @@ func SweepAlgos(ts, tw float64, ps, ms []int, measure AlgoMeasurer) ([]AlgoSweep
 		base := cost.Params{Ts: ts, Tw: tw, P: p}
 		for _, collective := range []string{cost.CollAllReduce, cost.CollReduce} {
 			for _, a := range cost.Algos(collective)[1:] {
-				at := func(m int) (float64, float64, error) {
+				at := func(m int) (bfNs, algNs float64, err error) {
 					pp := base
 					pp.M = m
-					return measure(collective, a, p, m, cost.PipelineSegments(pp))
+					job := mpbackend.CollectiveParams{Collective: collective, Op: "add", M: m, Seed: 11}
+					if bfNs, _, err = h.Collective(job, p); err != nil {
+						return 0, 0, err
+					}
+					job.Algo, job.Segments = string(a), cost.PipelineSegments(pp)
+					algNs, _, err = h.Collective(job, p)
+					return bfNs, algNs, err
 				}
 				g := AlgoSweep{Collective: collective, Algo: a, P: p}
-				var won []bool
 				for _, m := range ms {
 					pp := base
 					pp.M = m
@@ -181,13 +118,12 @@ func SweepAlgos(ts, tw float64, ps, ms []int, measure AlgoMeasurer) ([]AlgoSweep
 					g.Ms = append(g.Ms, m)
 					g.ButterflyNs = append(g.ButterflyNs, bfNs)
 					g.AlgoNs = append(g.AlgoNs, algNs)
-					won = append(won, algNs < bfNs)
 				}
 				if len(g.Ms) == 0 {
 					continue
 				}
 				g.PredCross = cost.BreakEven(collective, a, base, maxM)
-				g.MeasCross = FirstWinCrossover(g.Ms, won, func(m int) bool {
+				g.MeasCross = g.firstWin(func(m int) bool {
 					// A failed bisection probe counts as a loss: the
 					// bracketing sweep measurements already succeeded, so
 					// the reported crossover degrades to sweep resolution
@@ -202,50 +138,31 @@ func SweepAlgos(ts, tw float64, ps, ms []int, measure AlgoMeasurer) ([]AlgoSweep
 	return out, nil
 }
 
-// NativeAlgos measures every portfolio algorithm head-to-head against
-// the butterfly on the native backend — the wall-clock records behind
-// docs/ALGORITHMS.md's crossover table. Rows pair up like the fusion
-// suite's: per (collective, algorithm, p, m) a "lhs" row carries the
-// butterfly and an "rhs" row the algorithm, with Speedup the ratio. Each
-// rhs row additionally carries the predicted and measured crossover
-// block sizes of its (collective, algorithm, p) group (see AlgoSweep).
-func NativeAlgos(cfg NativeAlgoConfig) ([]NativeBenchRecord, error) {
-	return algoRecords("native", cfg, NativeAlgoMeasurer(cfg.Reps, cfg.Transport))
-}
-
-// algoRecords runs the sweep and renders its groups as benchmark records
-// labelled with the backend.
-func algoRecords(backendName string, cfg NativeAlgoConfig, measure AlgoMeasurer) ([]NativeBenchRecord, error) {
-	groups, err := SweepAlgos(cfg.Ts, cfg.Tw, cfg.Ps, cfg.Ms, measure)
+// AlgoRecords measures every portfolio algorithm head-to-head against
+// the butterfly on h — the wall-clock records behind docs/ALGORITHMS.md's
+// crossover table, labelled with the Host's name. Rows pair up like the
+// fusion suite's: per (collective, algorithm, p, m) a "lhs" row carries
+// the butterfly and an "rhs" row the algorithm, with Speedup the ratio.
+// Each rhs row additionally carries the predicted and measured crossover
+// block sizes of its (collective, algorithm, p) group (see AlgoSweep);
+// cfg.Ts/cfg.Tw should be h's own calibration, so the predicted
+// crossovers are the ones the calibrated model would act on there.
+func AlgoRecords(h Host, cfg NativeAlgoConfig) ([]NativeBenchRecord, error) {
+	groups, err := SweepAlgos(h, cfg.Ts, cfg.Tw, cfg.Ps, cfg.Ms)
 	if err != nil {
 		return nil, err
 	}
-	reps := max(cfg.Reps, 1)
 	var out []NativeBenchRecord
 	for _, g := range groups {
+		rule := fmt.Sprintf("Algo-%s/%s", g.Collective, g.Algo) // the record group, e.g. "Algo-allreduce/ring-bi"
 		for i, m := range g.Ms {
-			params := cost.Params{Ts: cfg.Ts, Tw: cfg.Tw, P: g.P, M: m}
-			out = append(out,
-				NativeBenchRecord{
-					Backend: backendName, Reps: reps, Params: params,
-					Op: g.Collective + "(+)", Rule: algoRule(g.Collective, g.Algo), Side: "lhs",
-					P: g.P, M: m, NsPerOp: g.ButterflyNs[i], Speedup: 1,
-				},
-				NativeBenchRecord{
-					Backend: backendName, Reps: reps, Params: params,
-					Op: fmt.Sprintf("%s(+)@%s", g.Collective, g.Algo), Rule: algoRule(g.Collective, g.Algo), Side: "rhs",
-					P: g.P, M: m, NsPerOp: g.AlgoNs[i], Speedup: g.ButterflyNs[i] / g.AlgoNs[i],
-					PredCross: g.PredCross, MeasCross: g.MeasCross,
-				})
+			pair := h.recordPair(cost.Params{Ts: cfg.Ts, Tw: cfg.Tw, P: g.P, M: m}, rule,
+				g.Collective+"(+)", fmt.Sprintf("%s(+)@%s", g.Collective, g.Algo), g.ButterflyNs[i], g.AlgoNs[i])
+			pair[1].PredCross, pair[1].MeasCross = g.PredCross, g.MeasCross
+			out = append(out, pair...)
 		}
 	}
 	return out, nil
-}
-
-// algoRule names an algorithm sweep's record group in the Rule field,
-// e.g. "Algo-allreduce/ring-bi".
-func algoRule(collective string, a cost.Algo) string {
-	return fmt.Sprintf("Algo-%s/%s", collective, a)
 }
 
 // FormatAlgoCrossovers renders the per-(algorithm, p) crossover summary
@@ -263,14 +180,16 @@ func FormatAlgoCrossovers(recs []NativeBenchRecord) string {
 			continue
 		}
 		seen[key] = true
-		pred, meas := fmt.Sprintf("%d", r.PredCross), fmt.Sprintf("%d", r.MeasCross)
-		if r.PredCross == 0 {
-			pred = "never"
-		}
-		if r.MeasCross == 0 {
-			meas = "never"
-		}
-		out += fmt.Sprintf("%-28s %4d %12s %12s\n", r.Rule, r.P, pred, meas)
+		out += fmt.Sprintf("%-28s %4d %12s %12s\n", r.Rule, r.P, FormatFirstWin(r.PredCross), FormatFirstWin(r.MeasCross))
 	}
 	return out
+}
+
+// FormatFirstWin renders an algorithm's crossover block size, "never" for
+// the 0 that means it did not win in range.
+func FormatFirstWin(m int) string {
+	if m == 0 {
+		return "never"
+	}
+	return strconv.Itoa(m)
 }

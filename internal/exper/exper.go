@@ -1,17 +1,17 @@
-// Package exper is the experiment harness: it regenerates every table and
-// figure of the paper's evaluation on the virtual machine — Table 1
-// (predicted and measured), the BS-Comcast experiments of Figures 7 and 8,
-// the Figure 2/3 illustrations, and the §5 polynomial-evaluation case
-// study. Each experiment returns structured rows/series and can render
-// itself as text (tables and ASCII plots) or CSV.
+// Package exper is the experiment harness and the measurement layer under
+// it. A measurement is Host × job × view: a Host (host.go — virtual time,
+// native goroutines, or OS processes) times jobs written once over
+// coll.Comm, and every table, figure, sweep and record here is a view
+// over a Host or its Runner — Table 1 (predicted and measured), the
+// BS-Comcast experiments of Figures 7 and 8, the Figure 2/3 illustrations,
+// the §5 polynomial-evaluation case study, the rule and algorithm sweeps
+// behind BENCH_native.json. Each experiment returns structured rows/series
+// and can render itself as text (tables and ASCII plots) or CSV.
 package exper
 
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/algebra"
-	"repro/internal/core"
 )
 
 // Series is one plotted curve: a label and (x, y) points.
@@ -51,10 +51,4 @@ func (f Figure) CSV() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// measure runs a program and returns its makespan on the machine.
-func measure(prog core.Program, mach core.Machine, in []algebra.Value) float64 {
-	_, res := prog.Run(mach, in)
-	return res.Makespan
 }

@@ -79,50 +79,31 @@ func Figure8(params machine.Params, p, step, maxM int, run Runner) Figure {
 // run times of the left-hand side and the rewritten right-hand side as
 // the block size m sweeps across the predicted crossover — SS2-Scan's
 // ts > 2m, for instance, makes the two curves intersect at m = ts/2. run
-// is the measurement backend: with NativeRunner the crossover plotted is
-// the host's real one — where the fused form's saved synchronization
-// rounds stop paying for its extra local work.
+// is the measurement backend: with NativeHost's Runner the crossover
+// plotted is the host's real one — where the fused form's saved
+// synchronization rounds stop paying for its extra local work.
 func CrossoverFigure(ruleName string, params machine.Params, p int, ms []int, run Runner) Figure {
-	var pat *RulePattern
-	for _, candidate := range Patterns() {
-		if candidate.Rule == ruleName {
-			c := candidate
-			pat = &c
-			break
-		}
+	groups, err := SweepRules(run, core.Machine{Ts: params.Ts, Tw: params.Tw, P: p}, ms, []string{ruleName})
+	if err != nil {
+		panic(err.Error())
 	}
-	if pat == nil {
-		panic(fmt.Sprintf("exper: no pattern for %s", ruleName))
+	if len(groups) != 1 {
+		panic(fmt.Sprintf("exper: no pattern for %s on %d ranks", ruleName, p))
 	}
-	r, ok := rules.ByName(ruleName)
-	if !ok {
-		panic(fmt.Sprintf("exper: no rule named %s", ruleName))
+	g := groups[0]
+	x := make([]float64, len(ms))
+	for i, m := range ms {
+		x[i] = float64(m)
 	}
-	eng := rules.NewEngine()
-	eng.Rules = []rules.Rule{r}
-	eng.Env.P = p
-	opt, apps := eng.Optimize(pat.LHS.Term())
-	if len(apps) != 1 {
-		panic(fmt.Sprintf("exper: rule %s did not apply", ruleName))
-	}
-	rhs := core.FromTerm(opt)
-	fig := Figure{
+	return Figure{
 		Title:  fmt.Sprintf("%s crossover (ts=%g, tw=%g, p=%d)", ruleName, params.Ts, params.Tw, p),
 		XLabel: "block size",
 		YLabel: "time",
+		Series: []Series{
+			{Label: "before (" + g.LHS.String() + ")", X: x, Y: g.LhsT},
+			{Label: "after", X: x, Y: g.RhsT},
+		},
 	}
-	lhsSeries := Series{Label: "before (" + pat.LHS.String() + ")"}
-	rhsSeries := Series{Label: "after"}
-	for _, m := range ms {
-		mach := core.Machine{Ts: params.Ts, Tw: params.Tw, P: p, M: m}
-		in := mpbackend.SeededInputs(4, p, m)
-		lhsSeries.X = append(lhsSeries.X, float64(m))
-		lhsSeries.Y = append(lhsSeries.Y, run(pat.LHS, mach, in))
-		rhsSeries.X = append(rhsSeries.X, float64(m))
-		rhsSeries.Y = append(rhsSeries.Y, run(rhs, mach, in))
-	}
-	fig.Series = []Series{lhsSeries, rhsSeries}
-	return fig
 }
 
 // Scaling measures strong scaling of a rule's effect: at fixed total data
@@ -132,17 +113,6 @@ func CrossoverFigure(ruleName string, params machine.Params, p int, ms []int, ru
 // paid log p times — which is the operational content of the paper's
 // claim that "good optimization here may pay a lot" on large machines.
 func Scaling(ruleName string, params machine.Params, totalWords int, ps []int, run Runner) Figure {
-	var pat *RulePattern
-	for _, candidate := range Patterns() {
-		if candidate.Rule == ruleName {
-			c := candidate
-			pat = &c
-			break
-		}
-	}
-	if pat == nil {
-		panic(fmt.Sprintf("exper: no pattern for %s", ruleName))
-	}
 	fig := Figure{
 		Title:  fmt.Sprintf("%s strong scaling (N = %d words, ts=%g, tw=%g)", ruleName, totalWords, params.Ts, params.Tw),
 		XLabel: "processors",
@@ -151,24 +121,17 @@ func Scaling(ruleName string, params machine.Params, totalWords int, ps []int, r
 	before := Series{Label: "before"}
 	after := Series{Label: "after"}
 	for _, p := range ps {
-		r, _ := rules.ByName(ruleName)
-		eng := rules.NewEngine()
-		eng.Rules = []rules.Rule{r}
-		eng.Env.P = p
-		opt, apps := eng.Optimize(pat.LHS.Term())
-		if len(apps) != 1 {
-			panic(fmt.Sprintf("exper: rule %s did not apply at p=%d", ruleName, p))
+		lhs, rhs, err := RulePair(ruleName, p)
+		if err != nil {
+			panic(err.Error())
 		}
-		m := totalWords / p
-		if m < 1 {
-			m = 1
-		}
+		m := max(totalWords/p, 1)
 		mach := core.Machine{Ts: params.Ts, Tw: params.Tw, P: p, M: m}
 		in := mpbackend.SeededInputs(5, p, m)
 		before.X = append(before.X, float64(p))
-		before.Y = append(before.Y, run(pat.LHS, mach, in))
+		before.Y = append(before.Y, run(lhs, mach, in))
 		after.X = append(after.X, float64(p))
-		after.Y = append(after.Y, run(core.FromTerm(opt), mach, in))
+		after.Y = append(after.Y, run(rhs, mach, in))
 	}
 	fig.Series = []Series{before, after}
 	return fig

@@ -6,14 +6,14 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/algebra"
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/mpbackend"
-
-	"repro/internal/algebra"
 )
 
 func TestNativeRunnerMeasuresWallClock(t *testing.T) {
-	run := NativeRunner(3)
+	run := NativeHost(backend.TransportZeroCopy, 3).Run
 	prog := core.NewProgram().Bcast().Scan(algebra.Add)
 	in := mpbackend.SeededInputs(2, 4, 8)
 	ns := run(prog, core.Machine{P: 4}, in)
@@ -23,9 +23,10 @@ func TestNativeRunnerMeasuresWallClock(t *testing.T) {
 }
 
 func TestNativeFusionRecordsAndJSON(t *testing.T) {
-	cfg := NativeFusionConfig{P: 4, Ms: []int{1, 16}, Reps: 2,
+	cfg := NativeFusionConfig{P: 4, Ms: []int{1, 16},
 		Rules: []string{"SS2-Scan", "BR-Local"}, Ts: 150, Tw: 0.5}
-	recs, err := NativeFusion(cfg)
+	host := NativeHost(backend.TransportZeroCopy, 2)
+	recs, err := NativeFusion(host, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,15 +46,15 @@ func TestNativeFusionRecordsAndJSON(t *testing.T) {
 		}
 		// Every record is self-describing: backend, reps, and the
 		// cost-model parameters in force.
-		if r.Backend != "native" || r.Reps != cfg.Reps {
-			t.Errorf("%s/%s: backend=%q reps=%d, want native/%d", r.Rule, r.Side, r.Backend, r.Reps, cfg.Reps)
+		if r.Backend != "native" || r.Reps != host.Reps {
+			t.Errorf("%s/%s: backend=%q reps=%d, want native/%d", r.Rule, r.Side, r.Backend, r.Reps, host.Reps)
 		}
 		if r.Params.Ts != cfg.Ts || r.Params.Tw != cfg.Tw || r.Params.P != cfg.P || r.Params.M != r.M {
 			t.Errorf("%s/%s m=%d: params %+v do not describe the run", r.Rule, r.Side, r.M, r.Params)
 		}
 	}
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := WriteBenchJSON(path, recs); err != nil {
+	if err := WriteJSON(path, recs); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -75,7 +76,7 @@ func TestNativeFusionRecordsAndJSON(t *testing.T) {
 }
 
 func TestNativeFusionSkipsLocalRulesOnNonPow2(t *testing.T) {
-	recs, err := NativeFusion(NativeFusionConfig{P: 6, Ms: []int{1}, Reps: 1})
+	recs, err := NativeFusion(NativeHost(backend.TransportZeroCopy, 1), NativeFusionConfig{P: 6, Ms: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestNativeFusionSkipsLocalRulesOnNonPow2(t *testing.T) {
 
 func TestTable1OnNative(t *testing.T) {
 	mach := core.Machine{Ts: 100, Tw: 1, P: 4, M: 4}
-	rows := Table1(mach, true, NativeRunner(2))
+	rows := Table1(mach, true, NativeHost(backend.TransportCopy, 2).Run)
 	if len(rows) != 11 {
 		t.Fatalf("got %d rows, want 11", len(rows))
 	}

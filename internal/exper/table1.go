@@ -2,13 +2,16 @@ package exper
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/algebra"
+	"repro/internal/coll"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/mpbackend"
 	"repro/internal/rules"
+	"repro/internal/term"
 )
 
 // RulePattern pairs a rule with a concrete program matching its left-hand
@@ -39,6 +42,125 @@ func Patterns() []RulePattern {
 	}
 }
 
+// RulePair returns the named Table 1 rule's left-hand side (its entry in
+// Patterns) and the right-hand side the rule rewrites it to on p ranks —
+// the two programs every table, figure, sweep and validation measures
+// against each other.
+func RulePair(rule string, p int) (lhs, rhs core.Program, err error) {
+	for _, pat := range Patterns() {
+		if pat.Rule == rule {
+			opt, err := ApplyRule(rule, pat.LHS.Term(), p)
+			return pat.LHS, core.FromTerm(opt), err
+		}
+	}
+	return lhs, rhs, fmt.Errorf("exper: no pattern for %s", rule)
+}
+
+// ApplyRule rewrites lhs on p ranks with an engine holding only the named
+// rule, and expects exactly one application — the right-hand side of one
+// rule, not whatever the full rule set would make of it. RulePair feeds
+// it the Table 1 patterns; collchaos its extension left-hand sides.
+func ApplyRule(rule string, lhs term.Term, p int) (term.Term, error) {
+	r, ok := rules.ByName(rule)
+	if !ok {
+		return nil, fmt.Errorf("exper: no rule named %s", rule)
+	}
+	eng := rules.NewEngine()
+	eng.Rules = []rules.Rule{r}
+	eng.Env.P = p
+	opt, apps := eng.Optimize(lhs)
+	if len(apps) != 1 {
+		return nil, fmt.Errorf("exper: rule %s did not apply to %s at p=%d", rule, lhs, p)
+	}
+	return opt, nil
+}
+
+// RuleSweep is one rule of the rule-grid walk: its two sides and their
+// measured times at each swept block size.
+type RuleSweep struct {
+	// Rule and Class identify the rule; LHS and RHS are its two sides.
+	Rule, Class string
+	LHS, RHS    core.Program
+	// Ms, LhsT and RhsT are the sweep: block sizes and both sides'
+	// measured times (the Runner's unit).
+	Ms         []int
+	LhsT, RhsT []float64
+	// At measures both sides afresh at any block size, with the sweep's
+	// own discipline — the probe a crossover bisection calls.
+	At func(m int) (lhs, rhs float64)
+}
+
+// SweepRules is the one walk of the (rule × m) grid: every Table 1 rule
+// in only (nil: all of them) with its left- and right-hand side measured
+// by run at each block size in ms, on mach.P ranks over the seed-11
+// blocks, one discarded run first so first-run allocation noise stays
+// out of both sides. The Local rules rewrite to f^(log p) and need a
+// power-of-two machine; on any other they are skipped rather than
+// measured as a rewrite that does not apply. The fusion records
+// (NativeFusion), the calibration's break-even validation
+// (calib.Validate) and CrossoverFigure are views of its groups.
+func SweepRules(run Runner, mach core.Machine, ms []int, only []string) ([]RuleSweep, error) {
+	if run == nil {
+		return nil, fmt.Errorf("exper: this host cannot run whole programs yet")
+	}
+	var out []RuleSweep
+	for _, pat := range Patterns() {
+		if only != nil && !slices.Contains(only, pat.Rule) {
+			continue
+		}
+		r, _ := rules.ByName(pat.Rule) // an unknown rule is RulePair's error
+		if r.Class == "Local" && !coll.IsPow2(mach.P) {
+			continue
+		}
+		lhs, rhs, err := RulePair(pat.Rule, mach.P)
+		if err != nil {
+			return nil, err
+		}
+		g := RuleSweep{Rule: pat.Rule, Class: r.Class, LHS: lhs, RHS: rhs, Ms: ms}
+		g.At = func(m int) (float64, float64) {
+			mm := mach
+			mm.M = m
+			in := mpbackend.SeededInputs(11, mach.P, m)
+			run(lhs, mm, in)
+			return run(lhs, mm, in), run(rhs, mm, in)
+		}
+		for _, m := range ms {
+			l, r := g.At(m)
+			g.LhsT, g.RhsT = append(g.LhsT, l), append(g.RhsT, r)
+		}
+		out = append(out, g)
+	}
+	return out, nil
+}
+
+// LastWin locates the largest block size at which the right-hand side
+// still wins. The sweep gives the bracket — the last swept point where it
+// measured faster and the next, where it did not — and bisection with
+// fresh At measurements sharpens the boundary inside it: at most steps
+// probes on noisy wall-clock times, to adjacency (exact, for the virtual
+// machine's deterministic times) when steps is negative. It returns 0
+// when the right-hand side never won and the largest swept size when it
+// won there.
+func (g RuleSweep) LastWin(steps int) int {
+	last := -1
+	for i := range g.Ms {
+		if g.RhsT[i] < g.LhsT[i] {
+			last = i
+		}
+	}
+	if last < 0 {
+		return 0
+	}
+	if last == len(g.Ms)-1 {
+		return g.Ms[last]
+	}
+	lo, _ := cost.Bisect(g.Ms[last], g.Ms[last+1], steps, func(m int) bool {
+		l, r := g.At(m)
+		return r < l
+	})
+	return lo
+}
+
 // Table1Row is one row of the reproduced Table 1: the closed-form
 // estimates plus, when measured, the virtual-machine makespans of the
 // rule's left- and right-hand sides.
@@ -65,7 +187,7 @@ type Table1Row struct {
 // measured = true it additionally applies each rule with the rewrite
 // engine and measures both sides with run (p must then be a power of two,
 // matching the butterfly model the predictions assume): RunVirtual fills
-// the measured columns with virtual time units, NativeRunner with
+// the measured columns with virtual time units, NativeHost's Runner with
 // wall-clock nanoseconds from the goroutine backend (the predictions stay
 // the closed forms either way).
 func Table1(mach core.Machine, measured bool, run Runner) []Table1Row {
@@ -84,20 +206,12 @@ func Table1(mach core.Machine, measured bool, run Runner) []Table1Row {
 			PredImproves: entry.Improves(params),
 		}
 		if measured {
-			r, ok := rules.ByName(pat.Rule)
-			if !ok {
-				panic(fmt.Sprintf("exper: no rule named %s", pat.Rule))
+			lhs, rhs, err := RulePair(pat.Rule, mach.P)
+			if err != nil {
+				panic(err.Error())
 			}
-			eng := rules.NewEngine()
-			eng.Rules = []rules.Rule{r}
-			eng.Env.P = mach.P
-			opt, apps := eng.Optimize(pat.LHS.Term())
-			if len(apps) != 1 {
-				panic(fmt.Sprintf("exper: rule %s did not apply to %s", pat.Rule, pat.LHS))
-			}
-			rhs := core.FromTerm(opt)
 			in := mpbackend.SeededInputs(1, mach.P, mach.M)
-			row.MeasBefore = run(pat.LHS, mach, in)
+			row.MeasBefore = run(lhs, mach, in)
 			row.MeasAfter = run(rhs, mach, in)
 			row.MeasImproves = row.MeasAfter < row.MeasBefore
 			row.Rewritten = rhs.String()
@@ -139,66 +253,24 @@ type CrossoverResult struct {
 }
 
 // MeasureCrossover locates the measured crossover block size of a rule by
-// bisection on the measurement backend run, alongside the prediction from
-// the closed forms. maxM bounds the search. Under RunVirtual the measured
-// makespans are exact under the deterministic cost model, so bisection is
-// sound as long as the improvement is monotone in m, which it is for
-// every Table 1 rule. With NativeRunner the bisection runs on noisy
-// wall-clock times; use enough repetitions that the improvement stays
-// effectively monotone, and read the result as an estimate, not an exact
-// bound.
+// bisection on the measurement backend run (the rule's SweepRules group
+// at m = 1 and maxM, then LastWin to adjacency), alongside the prediction
+// from the closed forms. maxM bounds the search. Under RunVirtual the
+// measured makespans are exact under the deterministic cost model, so
+// bisection is sound as long as the improvement is monotone in m, which
+// it is for every Table 1 rule. On the native Host the bisection runs on
+// noisy wall-clock times; use enough repetitions that the improvement
+// stays effectively monotone, and read the result as an estimate, not an
+// exact bound.
 func MeasureCrossover(ruleName string, mach core.Machine, maxM int, run Runner) CrossoverResult {
-	entry, ok := cost.Lookup(ruleName)
-	if !ok {
-		panic(fmt.Sprintf("exper: no Table 1 entry for %s", ruleName))
+	groups, err := SweepRules(run, mach, []int{1, maxM}, []string{ruleName})
+	if err != nil || len(groups) != 1 {
+		panic(fmt.Sprintf("exper: cannot measure %s on %d ranks: %v", ruleName, mach.P, err))
 	}
-	base := cost.Params{Ts: mach.Ts, Tw: mach.Tw, P: mach.P}
-	res := CrossoverResult{
+	entry, _ := cost.Lookup(ruleName) // every pattern has an entry: Table1 panics otherwise
+	return CrossoverResult{
 		Rule:      ruleName,
-		Predicted: cost.Crossover(entry, base, maxM),
+		Predicted: cost.Crossover(entry, cost.Params{Ts: mach.Ts, Tw: mach.Tw, P: mach.P}, maxM),
+		Measured:  groups[0].LastWin(-1),
 	}
-	var pat *RulePattern
-	for _, p := range Patterns() {
-		if p.Rule == ruleName {
-			pp := p
-			pat = &pp
-			break
-		}
-	}
-	if pat == nil {
-		panic(fmt.Sprintf("exper: no pattern for %s", ruleName))
-	}
-	r, _ := rules.ByName(ruleName)
-	eng := rules.NewEngine()
-	eng.Rules = []rules.Rule{r}
-	eng.Env.P = mach.P
-	opt, apps := eng.Optimize(pat.LHS.Term())
-	if len(apps) != 1 {
-		panic(fmt.Sprintf("exper: rule %s did not apply", ruleName))
-	}
-	rhs := core.FromTerm(opt)
-	improves := func(m int) bool {
-		mm := mach
-		mm.M = m
-		in := mpbackend.SeededInputs(1, mach.P, m)
-		return run(rhs, mm, in) < run(pat.LHS, mm, in)
-	}
-	switch {
-	case improves(maxM):
-		res.Measured = maxM
-	case !improves(1):
-		res.Measured = 0
-	default:
-		lo, hi := 1, maxM
-		for hi-lo > 1 {
-			mid := (lo + hi) / 2
-			if improves(mid) {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		res.Measured = lo
-	}
-	return res
 }

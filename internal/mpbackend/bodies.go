@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"repro/internal/algebra"
@@ -19,16 +20,16 @@ import (
 
 // Built-in bodies: the calibration probes ("probe"), the algorithm
 // portfolio measurement ("collective"), and the rule-grammar program
-// executor ("program"). Together they let calib and exper re-run every
-// table and figure across process boundaries without any new measurement
-// code of their own — the same probes, the same collectives, the same
-// timing discipline (barrier-synchronized repetitions, minimum taken by
-// the caller), just on this backend.
+// executor ("program"). The two measurement jobs are written once, over
+// coll.Comm (ProbeParams.Prepare, CollectiveParams.Prepare): the bodies here time
+// them across process boundaries, and exper.Host times the very same
+// operations on the native and virtual machines — a measurement is
+// Host × job, and the only per-backend code is the launcher.
 
 func init() {
-	Register("probe", probeBody)
-	Register("collective", collectiveBody)
-	Register("program", programBody)
+	Register("probe", timedBody(func(ps ProbeParams) int { return ps.Reps }))
+	Register("collective", timedBody(func(cs CollectiveParams) int { return cs.Reps }))
+	Register("program", timedBody(func(ps ProgramParams) int { return max(ps.Reps, 1) }))
 }
 
 // opByName resolves the operator names jobs may carry.
@@ -92,8 +93,19 @@ func DecodeResult(s string) (algebra.Value, error) {
 	return v, nil
 }
 
-// ProbeParams parameterizes the "probe" body: the calib probe kinds run
-// on this backend. Rounds is the in-run iteration count (already scaled
+// Job is a measurement job's parameters: Prepare validates them for a
+// group of size ranks and returns the SPMD operation the group times —
+// every rank runs it once per repetition from a barrier-synchronized
+// start, over whatever communicator the backend underneath provides.
+// Set-up (seeded inputs, accumulators) happens in Prepare, outside the
+// timed region. The returned value is the rank's result where the job has
+// one (the conformance hook), nil otherwise.
+type Job interface {
+	Prepare(size int) (func(c coll.Comm) algebra.Value, error)
+}
+
+// ProbeParams parameterizes the "probe" job: the calibration probe kinds
+// of package calib. Rounds is the in-run iteration count (already scaled
 // by the caller), Reps the number of barrier-separated repetitions — one
 // extra warm-up repetition is prepended and reported, so callers discard
 // RepNs[0].
@@ -169,73 +181,95 @@ func repTimed(p *Proc, reps int, op func()) []float64 {
 	return ns
 }
 
-// sink keeps the compute probe's result alive.
-var sink algebra.Value
+// timedBody is the measurement body of a job type: the job's operation
+// under repTimed, reps(job) repetitions after the warm-up, the last
+// repetition's value as the result.
+func timedBody[J Job](reps func(J) int) Body {
+	return func(p *Proc, raw json.RawMessage) (any, error) {
+		var job J
+		if err := json.Unmarshal(raw, &job); err != nil {
+			return nil, err
+		}
+		if reps(job) < 1 {
+			return nil, fmt.Errorf("mpbackend: a measurement job needs reps ≥ 1")
+		}
+		op, err := job.Prepare(p.Size())
+		if err != nil {
+			return nil, err
+		}
+		var out algebra.Value
+		res := TimingResult{RepNs: repTimed(p, reps(job), func() { out = op(p) })}
+		if out != nil {
+			// Re-box before the arena-backed result is encoded: the final
+			// repetition's buffers are still live (no Reset ran after it).
+			res.Result = encodeResult(out)
+		}
+		return res, nil
+	}
+}
 
-func probeBody(p *Proc, raw json.RawMessage) (any, error) {
-	var ps ProbeParams
-	if err := json.Unmarshal(raw, &ps); err != nil {
-		return nil, err
+// Prepare is the probe family, one loop per kind. The compute probe both
+// executes the in-place kernel — the path the collectives actually run,
+// not the boxed reference — and charges the same work to the clock, so it
+// prices the unit on wall-clock and virtual-time backends alike.
+func (ps ProbeParams) Prepare(size int) (func(c coll.Comm) algebra.Value, error) {
+	if ps.Rounds < 1 || ps.M < 1 {
+		return nil, fmt.Errorf("mpbackend: probe needs rounds and m ≥ 1")
 	}
-	if ps.Reps < 1 || ps.Rounds < 1 || ps.M < 1 {
-		return nil, fmt.Errorf("mpbackend: probe needs reps, rounds and m ≥ 1")
-	}
-	var op func()
 	switch ps.Probe {
 	case "pingpong":
-		if p.Size() != 2 {
-			return nil, fmt.Errorf("mpbackend: pingpong needs exactly 2 ranks, got %d", p.Size())
+		if size != 2 {
+			return nil, fmt.Errorf("mpbackend: pingpong needs exactly 2 ranks, got %d", size)
 		}
 		v := algebra.Value(SeededBlock(rand.New(rand.NewSource(1)), ps.M))
-		op = func() {
+		return func(c coll.Comm) algebra.Value {
 			for i := 0; i < ps.Rounds; i++ {
-				t1, t2 := p.NextTag(), p.NextTag()
-				if p.Rank() == 0 {
-					p.Send(1, v, t1)
-					p.Recv(1, t2)
+				t1, t2 := c.NextTag(), c.NextTag()
+				if c.Rank() == 0 {
+					c.Send(1, v, t1)
+					c.Recv(1, t2)
 				} else {
-					w := p.Recv(0, t1)
-					p.Send(0, w, t2)
+					w := c.Recv(0, t1)
+					c.Send(0, w, t2)
 				}
 			}
-		}
+			return nil
+		}, nil
 	case "compute":
 		rng := rand.New(rand.NewSource(2))
 		v0, w := SeededBlock(rng, ps.M), SeededBlock(rng, ps.M)
-		acc := make(algebra.Vec, ps.M)
-		op = func() {
+		accs := make(algebra.Vec, size*ps.M) // one accumulator per rank
+		return func(c coll.Comm) algebra.Value {
+			acc := accs[c.Rank()*ps.M:][:ps.M]
 			copy(acc, v0)
 			v := algebra.Value(acc)
 			for i := 0; i < ps.Rounds; i++ {
 				v = algebra.Add.ApplyInto(v, v, w)
 			}
-			sink = v
-		}
+			c.Compute(float64(ps.Rounds * ps.M))
+			runtime.KeepAlive(v)
+			return nil
+		}, nil
 	case "bcast", "reduce", "scan":
-		blocks := SeededInputs(3, p.Size(), ps.M)
-		v := blocks[p.Rank()]
-		probe := ps.Probe
-		op = func() {
+		blocks := SeededInputs(3, size, ps.M)
+		round := map[string]func(c coll.Comm){
+			"bcast":  func(c coll.Comm) { coll.Bcast(c, 0, blocks[c.Rank()]) },
+			"reduce": func(c coll.Comm) { coll.Reduce(c, 0, algebra.Add, blocks[c.Rank()]) },
+			"scan":   func(c coll.Comm) { coll.Scan(c, algebra.Add, blocks[c.Rank()]) },
+		}[ps.Probe]
+		return func(c coll.Comm) algebra.Value {
 			for i := 0; i < ps.Rounds; i++ {
-				switch probe {
-				case "bcast":
-					coll.Bcast(p, 0, v)
-				case "reduce":
-					coll.Reduce(p, 0, algebra.Add, v)
-				case "scan":
-					coll.Scan(p, algebra.Add, v)
-				}
+				round(c)
 			}
-		}
-	default:
-		return nil, fmt.Errorf("mpbackend: unknown probe %q", ps.Probe)
+			return nil
+		}, nil
 	}
-	return TimingResult{RepNs: repTimed(p, ps.Reps, op)}, nil
+	return nil, fmt.Errorf("mpbackend: unknown probe %q", ps.Probe)
 }
 
-// CollectiveParams parameterizes the "collective" body: one portfolio
+// CollectiveParams parameterizes the "collective" job: one portfolio
 // algorithm of one collective, run on seeded inputs — the measurement
-// behind the multi-process algorithm sweep and the crossover validation.
+// behind the algorithm sweep and the crossover validation.
 type CollectiveParams struct {
 	// Collective is cost.CollReduce or cost.CollAllReduce; Algo a
 	// portfolio algorithm name (cost.Algo), "" or "butterfly" for the
@@ -249,30 +283,23 @@ type CollectiveParams struct {
 	Seed       int64  `json:"seed"`
 }
 
-func collectiveBody(p *Proc, raw json.RawMessage) (any, error) {
-	var ps CollectiveParams
-	if err := json.Unmarshal(raw, &ps); err != nil {
-		return nil, err
+// Prepare runs the collective with the named algorithm (coll.ReduceBy) on
+// each rank's seeded block and returns the rank's result.
+func (cs CollectiveParams) Prepare(size int) (func(c coll.Comm) algebra.Value, error) {
+	if cs.M < 1 {
+		return nil, fmt.Errorf("mpbackend: collective needs m ≥ 1")
 	}
-	if ps.Reps < 1 || ps.M < 1 {
-		return nil, fmt.Errorf("mpbackend: collective needs reps and m ≥ 1")
-	}
-	op, err := opByName(ps.Op)
+	op, err := opByName(cs.Op)
 	if err != nil {
 		return nil, err
 	}
-	in := SeededInputs(ps.Seed, p.Size(), ps.M)[p.Rank()]
-	var out algebra.Value
-	if ps.Collective != cost.CollAllReduce && ps.Collective != cost.CollReduce {
-		return nil, fmt.Errorf("mpbackend: unknown collective %q", ps.Collective)
+	if cs.Collective != cost.CollAllReduce && cs.Collective != cost.CollReduce {
+		return nil, fmt.Errorf("mpbackend: unknown collective %q", cs.Collective)
 	}
-	run := func() {
-		out = coll.ReduceBy(p, op, in, ps.Collective == cost.CollAllReduce, cost.Algo(ps.Algo), ps.Segments)
-	}
-	ns := repTimed(p, ps.Reps, run)
-	// Re-box before the arena-backed result is encoded: the final
-	// repetition's buffers are still live (no Reset ran after it).
-	return TimingResult{RepNs: ns, Result: encodeResult(out)}, nil
+	in := SeededInputs(cs.Seed, size, cs.M)
+	return func(c coll.Comm) algebra.Value {
+		return coll.ReduceBy(c, op, in[c.Rank()], cs.Collective == cost.CollAllReduce, cost.Algo(cs.Algo), cs.Segments)
+	}, nil
 }
 
 // ProgramParams parameterizes the "program" body: a rule-grammar program
@@ -333,16 +360,11 @@ func ConformanceInputs(prog term.Seq, p, m int) []algebra.Value {
 	return confBlocks(p, words)
 }
 
-func programBody(p *Proc, raw json.RawMessage) (any, error) {
-	var ps ProgramParams
-	if err := json.Unmarshal(raw, &ps); err != nil {
-		return nil, err
-	}
+// Prepare parses the program and runs it with the backend-generic stage
+// executor on the rank's conformance block.
+func (ps ProgramParams) Prepare(size int) (func(c coll.Comm) algebra.Value, error) {
 	if ps.M < 1 {
 		return nil, fmt.Errorf("mpbackend: program needs m ≥ 1")
-	}
-	if ps.Reps < 1 {
-		ps.Reps = 1
 	}
 	syms := lang.NewSymbols()
 	syms.DefineFn(rules.IncFn)
@@ -352,10 +374,6 @@ func programBody(p *Proc, raw json.RawMessage) (any, error) {
 		return nil, fmt.Errorf("mpbackend: bad program: %v", err)
 	}
 	prog := term.Compose(t)
-	in := ConformanceInputs(prog, p.Size(), ps.M)[p.Rank()]
-	var out algebra.Value
-	ns := repTimed(p, ps.Reps, func() {
-		out = core.RunStages(p, prog, in)
-	})
-	return TimingResult{RepNs: ns, Result: encodeResult(out)}, nil
+	in := ConformanceInputs(prog, size, ps.M)
+	return func(c coll.Comm) algebra.Value { return core.RunStages(c, prog, in[c.Rank()]) }, nil
 }

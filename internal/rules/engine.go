@@ -78,41 +78,64 @@ func (e *Engine) rules() []Rule {
 	return append(All(), Sparse()...)
 }
 
-// Step performs the first applicable rule application, scanning stages
-// left to right and trying rules in priority order at each position. It
-// returns the rewritten term and the application, or ok = false if no
-// rule applies.
-func (e *Engine) Step(t term.Term) (term.Term, Application, bool) {
-	stages := term.Stages(t)
-	for i := range stages {
-		for _, r := range e.rules() {
-			if i+r.Window > len(stages) {
-				continue
-			}
-			window := stages[i : i+r.Window]
-			repl, ok := r.Try(window, e.Env)
-			if !ok {
-				continue
-			}
-			app := Application{
-				Rule:   r.Name,
-				Pos:    i,
-				Before: append([]term.Term(nil), window...),
-				After:  repl,
-			}
-			if e.Params != nil {
-				app.CostBefore = e.score(term.Seq(window), *e.Params)
-				app.CostAfter = e.score(term.Seq(repl), *e.Params)
-				if app.CostAfter >= app.CostBefore && !(r.CostNeutral && app.CostAfter == app.CostBefore) {
-					continue
-				}
-			}
-			out := make([]term.Term, 0, len(stages)-r.Window+len(repl))
-			out = append(out, stages[:i]...)
-			out = append(out, repl...)
-			out = append(out, stages[i+r.Window:]...)
-			return term.Seq(out), app, true
+// nextMatch is the one rule-match loop: it scans (position × rule) pairs
+// from cursor from onward — stages left to right, rs in priority order at
+// each position, pair k being position k/len(rs) and rule k%len(rs) — and
+// returns the first whose pattern and conditions match, as an Application
+// priced by e.score when the engine is cost-guided, with the pair's
+// cursor; resume at cursor+1. Step, Applicable, the plan search and
+// (through Applicable) core.Derivation all enumerate with it, so a match
+// is recorded and priced the same way whoever asks.
+func (e *Engine) nextMatch(stages []term.Term, rs []Rule, from int) (Application, int, bool) {
+	for k := from; k < len(stages)*len(rs); k++ {
+		i, r := k/len(rs), &rs[k%len(rs)]
+		if i+r.Window > len(stages) {
+			continue
 		}
+		window := stages[i : i+r.Window]
+		repl, ok := r.Try(window, e.Env)
+		if !ok {
+			continue
+		}
+		app := Application{
+			Rule:   r.Name,
+			Pos:    i,
+			Before: append([]term.Term(nil), window...),
+			After:  repl,
+		}
+		if e.Params != nil {
+			app.CostBefore = e.score(term.Seq(window), *e.Params)
+			app.CostAfter = e.score(term.Seq(repl), *e.Params)
+		}
+		return app, k, true
+	}
+	return Application{}, 0, false
+}
+
+// Rewrite returns the flattened stage list (term.Stages) with the
+// application's matched window replaced by its replacement.
+func (a Application) Rewrite(stages []term.Term) term.Term {
+	out := make([]term.Term, 0, len(stages)-len(a.Before)+len(a.After))
+	out = append(out, stages[:a.Pos]...)
+	out = append(out, a.After...)
+	out = append(out, stages[a.Pos+len(a.Before):]...)
+	return term.Seq(out)
+}
+
+// Step performs the first applicable rule application, scanning stages
+// left to right and trying rules in priority order at each position; a
+// cost-guided engine skips matches whose replacement does not price
+// strictly lower than the window (or, for a CostNeutral rule, not
+// higher). It returns the rewritten term and the application, or ok =
+// false if no rule applies.
+func (e *Engine) Step(t term.Term) (term.Term, Application, bool) {
+	stages, rs := term.Stages(t), e.rules()
+	for app, k, ok := e.nextMatch(stages, rs, 0); ok; app, k, ok = e.nextMatch(stages, rs, k+1) {
+		if e.Params != nil && app.CostAfter >= app.CostBefore &&
+			!(rs[k%len(rs)].CostNeutral && app.CostAfter == app.CostBefore) {
+			continue
+		}
+		return app.Rewrite(stages), app, true
 	}
 	return t, Application{}, false
 }
@@ -134,32 +157,18 @@ func (e *Engine) Optimize(t term.Term) (term.Term, []Application) {
 
 // Applicable lists, without rewriting, every (position, rule) pair whose
 // pattern and conditions match in the term — the menu the programmer
-// chooses from in the paper's methodical design process.
+// chooses from in the paper's methodical design process, and the plan
+// search's branching (unlike the greedy Step, no match is filtered by its
+// window delta).
 func (e *Engine) Applicable(t term.Term) []Application {
-	stages := term.Stages(t)
+	return e.applicable(term.Stages(t))
+}
+
+func (e *Engine) applicable(stages []term.Term) []Application {
+	rs := e.rules()
 	var out []Application
-	for i := range stages {
-		for _, r := range e.rules() {
-			if i+r.Window > len(stages) {
-				continue
-			}
-			window := stages[i : i+r.Window]
-			repl, ok := r.Try(window, e.Env)
-			if !ok {
-				continue
-			}
-			app := Application{
-				Rule:   r.Name,
-				Pos:    i,
-				Before: append([]term.Term(nil), window...),
-				After:  repl,
-			}
-			if e.Params != nil {
-				app.CostBefore = e.score(term.Seq(window), *e.Params)
-				app.CostAfter = e.score(term.Seq(repl), *e.Params)
-			}
-			out = append(out, app)
-		}
+	for app, k, ok := e.nextMatch(stages, rs, 0); ok; app, k, ok = e.nextMatch(stages, rs, k+1) {
+		out = append(out, app)
 	}
 	return out
 }

@@ -155,14 +155,13 @@ func (s *searcher) explore(t term.Term, depth int) (term.Term, []Application, fl
 		s.stats.Pruned++
 	default:
 		stages := term.Stages(t)
-		for _, app := range s.applicable(stages) {
+		for _, app := range s.e.applicable(stages) {
 			if s.stats.Nodes >= s.cfg.maxNodes() {
 				s.stats.Exhausted = false
 				break
 			}
 			s.stats.Nodes++
-			child := splice(stages, app.Pos, len(app.Before), app.After)
-			ct, capps, ccost := s.explore(child, depth+1)
+			ct, capps, ccost := s.explore(app.Rewrite(stages), depth+1)
 			if ccost < bestCost {
 				bestT, bestCost = ct, ccost
 				bestApps = append([]Application{app}, capps...)
@@ -175,43 +174,6 @@ func (s *searcher) explore(t term.Term, depth int) (term.Term, []Application, fl
 
 	s.memo[key] = memoEntry{cost: bestCost, t: bestT, apps: bestApps}
 	return bestT, bestApps, bestCost
-}
-
-// applicable enumerates every (position, rule) match in the stages, with
-// the window cost estimates filled in for reporting — unlike the greedy
-// Step, no match is filtered by its window delta.
-func (s *searcher) applicable(stages []term.Term) []Application {
-	var out []Application
-	for i := range stages {
-		for _, r := range s.e.rules() {
-			if i+r.Window > len(stages) {
-				continue
-			}
-			window := stages[i : i+r.Window]
-			repl, ok := r.Try(window, s.e.Env)
-			if !ok {
-				continue
-			}
-			out = append(out, Application{
-				Rule:       r.Name,
-				Pos:        i,
-				Before:     append([]term.Term(nil), window...),
-				After:      repl,
-				CostBefore: cost.OfTerm(term.Seq(window), s.p),
-				CostAfter:  cost.OfTerm(term.Seq(repl), s.p),
-			})
-		}
-	}
-	return out
-}
-
-// splice replaces stages[pos:pos+window] with repl.
-func splice(stages []term.Term, pos, window int, repl []term.Term) term.Term {
-	out := make([]term.Term, 0, len(stages)-window+len(repl))
-	out = append(out, stages[:pos]...)
-	out = append(out, repl...)
-	out = append(out, stages[pos+window:]...)
-	return term.Seq(out)
 }
 
 // VerifySearchOptimization runs the plan search and verifies both every

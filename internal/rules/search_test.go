@@ -185,3 +185,37 @@ func TestSearchRequiresCostGuidedEngine(t *testing.T) {
 	}()
 	NewEngine().SearchOptimize(term.Seq{term.Bcast{}}, SearchConfig{})
 }
+
+// TestSearchPricesWindowsWithTheEngineModel: a derivation found by the
+// plan search reports its window costs under the engine's own model — the
+// portfolio's on an Auto engine — like every other enumeration of the one
+// match loop. The program is a committed case where the search beats the
+// greedy plan on an Auto engine and the portfolio prices the
+// bcast ; allreduce(*) window below the butterfly line, so pricing a
+// searched window with cost.OfTerm (as the search once did) shows.
+func TestSearchPricesWindowsWithTheEngineModel(t *testing.T) {
+	pp := cost.Params{Ts: 150, Tw: 1.25, M: 65536, P: 8}
+	prog := term.Seq{
+		term.Bcast{},
+		term.Reduce{Op: algebra.Mul, All: true},
+		term.Reduce{Op: algebra.Left},
+	}
+	e := NewCostGuidedEngine(pp)
+	e.Auto = true
+	_, apps, stats := e.SearchOptimize(prog, SearchConfig{})
+	if !stats.Improved() || len(apps) == 0 {
+		t.Fatalf("want a searched (non-greedy) derivation, got %v with %+v", apps, stats)
+	}
+	differs := false
+	for _, a := range append(apps, e.Applicable(prog)...) {
+		before, after := e.score(term.Seq(a.Before), pp), e.score(term.Seq(a.After), pp)
+		if a.CostBefore != before || a.CostAfter != after {
+			t.Errorf("%s @%d: reported %g -> %g, the engine's model prices the window %g -> %g",
+				a.Rule, a.Pos, a.CostBefore, a.CostAfter, before, after)
+		}
+		differs = differs || before != cost.OfTerm(term.Seq(a.Before), pp)
+	}
+	if !differs {
+		t.Fatal("no window is priced differently by the portfolio; the case no longer tests anything")
+	}
+}
