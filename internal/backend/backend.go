@@ -23,12 +23,13 @@
 // harness (exper.NativeHost) and the calibration probes (package
 // calib):
 //
-//   - Barrier start. All P rank goroutines are spawned first and wait on
-//     a barrier; the clock of every rank starts only when all ranks are
-//     released together, so goroutine spawn cost never pollutes the
-//     measurement and no rank gets a head start.
+//   - Barrier start. A machine's P rank goroutines are spawned once, by
+//     its first Run, and stay parked between runs. A run takes one
+//     timestamp — the origin of every rank's clock — and then releases
+//     the parked ranks, so goroutine spawn cost and stack growth never
+//     pollute the measurement and no rank's clock gets a head start.
 //   - Per-rank elapsed time. Each rank records its own time.Now delta
-//     from the barrier release to the end of its program, giving a
+//     from that shared origin to the end of its program, giving a
 //     per-rank profile (Result.Ranks).
 //   - Makespan. The run's reported cost is the maximum per-rank elapsed
 //     time — the finish of the last rank — matching how the §4.1 model
@@ -43,8 +44,8 @@ package backend
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -96,7 +97,9 @@ func ParseTransport(s string) (TransportMode, error) {
 
 // Machine is a native shared-memory machine of P ranks. Create one with
 // New, then call Run to execute an SPMD program; a Machine runs one
-// program at a time.
+// program at a time. Its rank goroutines live from its first Run until it
+// becomes unreachable (see Run), so it needs no closing and must not be
+// copied once it has run.
 type Machine struct {
 	// P is the number of ranks (goroutines).
 	P int
@@ -129,12 +132,9 @@ type Machine struct {
 	// stores per blocking operation, so it is off by default.
 	Watchdog time.Duration
 
-	procs []*Proc
-	// abort is closed by the watchdog to cancel every blocked rank;
-	// wdReport carries its report to Run. Both are per-run state.
-	abort    chan struct{}
-	wdReport string
-	wdWG     sync.WaitGroup
+	// ranks are the parked rank goroutines, spawned by the first Run and
+	// discarded by a run that fails.
+	ranks *parked
 }
 
 // New creates a native machine with p ranks and the default timeout.
@@ -162,11 +162,129 @@ type packet struct {
 // outstanding messages per pair.
 const mailboxCap = 4
 
-func (m *Machine) mailboxCap() int {
-	if m.MailboxCap > 0 {
-		return m.MailboxCap
+// world is what a machine's ranks share. The rank goroutines reference it
+// and never the Machine, so an unreachable Machine can be collected while
+// its ranks are parked (see parked); Run copies the Machine's settings in
+// before every release.
+type world struct {
+	timeout, startup time.Duration
+	mailboxCap       int
+	transport        TransportMode
+	// watched is Watchdog > 0: blocking ranks publish their wait state.
+	watched bool
+
+	procs []*Proc
+	// body and start are the run's program and clock origin, written
+	// before the ranks are released.
+	body  func(p *Proc)
+	start time.Time
+	// running counts the ranks still in body; the one that takes it to
+	// zero signals joined.
+	running atomic.Int32
+	joined  chan struct{}
+
+	// abort is closed, once, by the first rank failure or by the watchdog
+	// and cancels every blocked rank. A world with a closed abort is
+	// discarded, so the channel is never reused.
+	abort   chan struct{}
+	aborted atomic.Bool
+	failure string // what Run raises: the failing rank's panic, or the watchdog's report
+	// lost is set by a rank whose goroutine ended inside body
+	// (runtime.Goexit, as t.FailNow calls): the run is not a failure, but
+	// the world is a rank short and is discarded.
+	lost atomic.Bool
+}
+
+// cancel records the run's first failure and cancels every blocked rank;
+// later failures, and the cancelled ranks' own aborts, are dropped.
+func (w *world) cancel(failure string) {
+	if w.aborted.CompareAndSwap(false, true) {
+		w.failure = failure
+		close(w.abort)
 	}
-	return mailboxCap
+}
+
+// parked is a Machine's handle on its rank goroutines. Between runs each
+// rank waits on its wake channel, keeping its grown stack, its timer, its
+// arena and its mailboxes; closing the channels ends the goroutines. The
+// ranks hold the world, not this handle, so when the Machine becomes
+// unreachable the handle does too and its finalizer releases them.
+type parked struct{ *world }
+
+func (m *Machine) park() *world {
+	if m.ranks != nil && len(m.ranks.procs) == m.P {
+		return m.ranks.world
+	}
+	m.discard()
+	w := &world{
+		procs:  make([]*Proc, m.P),
+		joined: make(chan struct{}, 1),
+		abort:  make(chan struct{}),
+	}
+	for r := range w.procs {
+		p := &Proc{
+			rank:  r,
+			w:     w,
+			in:    make([]atomic.Pointer[chan packet], m.P),
+			arena: algebra.NewArena(),
+			wake:  make(chan struct{}, 1),
+		}
+		w.procs[r] = p
+		go p.serve()
+	}
+	m.ranks = &parked{w}
+	runtime.SetFinalizer(m.ranks, (*parked).release)
+	return w
+}
+
+// release ends the rank goroutines. It runs once per world: from discard,
+// which clears the finalizer, or from the finalizer.
+func (h *parked) release() {
+	for _, p := range h.procs {
+		close(p.wake)
+	}
+}
+
+// discard drops the machine's ranks; the next Run spawns fresh ones.
+func (m *Machine) discard() {
+	if m.ranks != nil {
+		runtime.SetFinalizer(m.ranks, nil)
+		m.ranks.release()
+		m.ranks = nil
+	}
+}
+
+// serve is a rank's goroutine: one body per release, until released for
+// good.
+func (p *Proc) serve() {
+	for range p.wake {
+		if !p.run() {
+			return
+		}
+	}
+}
+
+// run executes the run's body on this rank and joins. It reports false
+// when the goroutine is ending inside body rather than returning from it.
+func (p *Proc) run() (returned bool) {
+	w := p.w
+	defer func() {
+		p.elapsed = time.Since(w.start)
+		p.finished.Store(true)
+		if e := recover(); e != nil {
+			if e != errAborted {
+				w.cancel(fmt.Sprintf("backend: rank %d failed: %v", p.rank, e))
+			}
+			returned = true
+		} else if !returned {
+			w.lost.Store(true)
+		}
+		if w.running.Add(-1) == 0 {
+			w.joined <- struct{}{}
+		}
+	}()
+	w.body(p)
+	return true
 }
 
 // waitInfo is one rank's published blocking state, read by the watchdog.
@@ -197,7 +315,10 @@ type StageMark struct {
 // the goroutine running that rank's SPMD body.
 type Proc struct {
 	rank int
-	m    *Machine
+	w    *world
+	// wake releases the parked rank into the next run's body; closing it
+	// ends the rank's goroutine.
+	wake chan struct{}
 	// in[src] lazily materializes the channel carrying messages from rank
 	// src to this rank, so Run setup is O(messages actually exchanged)
 	// rather than O(P²) channel allocations per run.
@@ -209,9 +330,7 @@ type Proc struct {
 	// arena is the rank's scratch-buffer pool, reset at the start of every
 	// run; package coll's collectives draw their combining buffers from it.
 	arena *algebra.Arena
-	// start is the barrier-synchronized run start, shared by all ranks.
-	start time.Time
-	// elapsed is the rank's wall time from start to body return.
+	// elapsed is the rank's wall time from the run's start to body return.
 	elapsed time.Duration
 	// sent/recvd/sentWords/ops mirror the virtual machine's counters so
 	// both backends report comparable volume figures.
@@ -234,7 +353,7 @@ func (p *Proc) mailbox(src int) chan packet {
 	if ch := p.in[src].Load(); ch != nil {
 		return *ch
 	}
-	ch := make(chan packet, p.m.mailboxCap())
+	ch := make(chan packet, p.w.mailboxCap)
 	if p.in[src].CompareAndSwap(nil, &ch) {
 		return ch
 	}
@@ -251,7 +370,7 @@ func (p *Proc) ScratchArena() *algebra.Arena { return p.arena }
 func (p *Proc) Rank() int { return p.rank }
 
 // Size is the machine size.
-func (p *Proc) Size() int { return p.m.P }
+func (p *Proc) Size() int { return len(p.w.procs) }
 
 // NextTag returns a fresh message tag. As on the virtual machine, the
 // per-rank counters of an SPMD program stay synchronized, giving each
@@ -275,14 +394,14 @@ func (p *Proc) Compute(n float64) {
 
 // Mark records a stage-boundary annotation at the current wall offset.
 func (p *Proc) Mark(label string) {
-	p.marks = append(p.marks, StageMark{Label: label, At: time.Since(p.start)})
+	p.marks = append(p.marks, StageMark{Label: label, At: time.Since(p.w.start)})
 }
 
 // outbound prepares v for the wire: under TransportCopy every payload is
 // deep-copied at the send site (the memory-isolation baseline); under
 // TransportZeroCopy the reference itself crosses.
 func (p *Proc) outbound(v algebra.Value) algebra.Value {
-	if p.m.Transport == TransportCopy {
+	if p.w.transport == TransportCopy {
 		return algebra.CloneValue(v)
 	}
 	return v
@@ -296,7 +415,7 @@ func (p *Proc) Send(dst int, v algebra.Value, tag int) {
 		panic(fmt.Sprintf("backend: rank %d sending to itself", p.rank))
 	}
 	p.checkRank(dst)
-	p.m.startupWait()
+	p.w.startupWait()
 	p.sent++
 	p.sentWords += v.Words()
 	p.put(dst, packet{value: p.outbound(v), tag: tag})
@@ -317,7 +436,7 @@ func (p *Proc) SendMove(dst int, v algebra.Value, tag int) {
 		panic(fmt.Sprintf("backend: rank %d sending to itself", p.rank))
 	}
 	p.checkRank(dst)
-	p.m.startupWait()
+	p.w.startupWait()
 	p.sent++
 	p.sentWords += v.Words()
 	wire := p.outbound(v)
@@ -329,27 +448,25 @@ func (p *Proc) SendMove(dst int, v algebra.Value, tag int) {
 }
 
 // put enqueues a packet for dst. The fast path is a plain buffered-channel
-// send; when the mailbox is full and the watchdog is armed, the rank
-// publishes its blocked-on state and stays cancellable, so a send-side
-// deadlock (every mailbox full, nobody receiving) is diagnosed like a
-// receive-side one.
+// send; when the mailbox is full the rank stays cancellable — by a failing
+// peer or by the watchdog, to which it publishes its blocked-on state when
+// one is armed, so a send-side deadlock (every mailbox full, nobody
+// receiving) is diagnosed like a receive-side one.
 func (p *Proc) put(dst int, pkt packet) {
-	ch := p.m.procs[dst].mailbox(p.rank)
-	if p.m.abort == nil {
-		ch <- pkt
-		return
-	}
+	ch := p.w.procs[dst].mailbox(p.rank)
 	select {
 	case ch <- pkt:
 		return
 	default:
 	}
-	p.wait.Store(&waitInfo{dir: "sending to", peer: dst, tag: pkt.tag, since: time.Now()})
-	defer p.wait.Store(nil)
+	if p.w.watched {
+		p.wait.Store(&waitInfo{dir: "sending to", peer: dst, tag: pkt.tag, since: time.Now()})
+		defer p.wait.Store(nil)
+	}
 	select {
 	case ch <- pkt:
-	case <-p.m.abort:
-		panic(errWatchdogAbort)
+	case <-p.w.abort:
+		panic(errAborted)
 	}
 }
 
@@ -363,11 +480,11 @@ func (p *Proc) TrySend(dst int, v algebra.Value, tag int) bool {
 	}
 	p.checkRank(dst)
 	select {
-	case p.m.procs[dst].mailbox(p.rank) <- packet{value: p.outbound(v), tag: tag}:
+	case p.w.procs[dst].mailbox(p.rank) <- packet{value: p.outbound(v), tag: tag}:
 	default:
 		return false
 	}
-	p.m.startupWait()
+	p.w.startupWait()
 	p.sent++
 	p.sentWords += v.Words()
 	return true
@@ -389,7 +506,7 @@ func (p *Proc) Exchange(partner int, v algebra.Value, tag int) algebra.Value {
 		panic(fmt.Sprintf("backend: rank %d exchanging with itself", p.rank))
 	}
 	p.checkRank(partner)
-	p.m.startupWait()
+	p.w.startupWait()
 	p.sent++
 	p.sentWords += v.Words()
 	p.put(partner, packet{value: p.outbound(v), tag: tag})
@@ -442,64 +559,57 @@ func (p *Proc) TryRecvAny(src int) (algebra.Value, int, bool) {
 // (NextTag counts up from 1, subgroup tags are offset positive).
 const anyTag = -1 << 62
 
-// errWatchdogAbort is the sentinel panic value of a rank cancelled by the
-// deadlock watchdog; Run replaces it with the watchdog's full report.
-var errWatchdogAbort = fmt.Errorf("backend: run aborted by deadlock watchdog")
+// errAborted is the sentinel panic value of a rank cancelled because the
+// run is already lost — a peer failed, or the deadlock watchdog fired. Run
+// raises the failure that caused the cancellation, never the sentinel.
+var errAborted = fmt.Errorf("backend: run aborted")
 
 // take dequeues the next packet from src with the timeout and tag
-// discipline of the virtual machine. The timeout uses the rank's reusable
-// timer: stopped and drained after every successful receive, so a
-// receive-heavy run arms one timer object instead of allocating one per
-// message the way time.After would.
+// discipline of the virtual machine. A message that is already there skips
+// the timer and the wait-state publication entirely; a rank that has to
+// block stays cancellable. The timeout uses the rank's reusable timer:
+// stopped and drained after every successful receive, so a receive-heavy
+// run arms one timer object instead of allocating one per message the way
+// time.After would.
 func (p *Proc) take(src, tag int, verb string) packet {
 	var pkt packet
 	ch := p.mailbox(src)
-	watched := p.m.abort != nil
-	if p.m.Timeout > 0 || watched {
-		// Fast path: the message is already there — skip the timer and
-		// the wait-state publication entirely.
-		select {
-		case pkt = <-ch:
-			return p.accept(pkt, src, tag)
-		default:
+	select {
+	case pkt = <-ch:
+		return p.accept(pkt, src, tag)
+	default:
+	}
+	w := p.w
+	if w.watched {
+		p.wait.Store(&waitInfo{dir: blockDir(verb), peer: src, tag: tag, since: time.Now()})
+		defer p.wait.Store(nil)
+	}
+	// A nil timer channel blocks forever, so Timeout == 0 leaves only the
+	// message and the abort to wait for.
+	var timeoutC <-chan time.Time
+	if w.timeout > 0 {
+		if p.timer == nil {
+			p.timer = time.NewTimer(w.timeout)
+		} else {
+			p.timer.Reset(w.timeout)
 		}
-		if watched {
-			p.wait.Store(&waitInfo{dir: blockDir(verb), peer: src, tag: tag, since: time.Now()})
-			defer p.wait.Store(nil)
-		}
-		// A nil timer channel blocks forever, so the watchdog-only case
-		// (Timeout == 0) falls through to the abort select cleanly.
-		var timeoutC <-chan time.Time
-		if p.m.Timeout > 0 {
-			if p.timer == nil {
-				p.timer = time.NewTimer(p.m.Timeout)
-			} else {
-				p.timer.Reset(p.m.Timeout)
+		timeoutC = p.timer.C
+	}
+	select {
+	case pkt = <-ch:
+		if timeoutC != nil && !p.timer.Stop() {
+			// The timer fired concurrently with the receive; drain it
+			// so the next Reset starts from a clean channel.
+			select {
+			case <-p.timer.C:
+			default:
 			}
-			timeoutC = p.timer.C
 		}
-		var abortC chan struct{}
-		if watched {
-			abortC = p.m.abort
-		}
-		select {
-		case pkt = <-ch:
-			if p.timer != nil && !p.timer.Stop() {
-				// The timer fired concurrently with the receive; drain it
-				// so the next Reset starts from a clean channel.
-				select {
-				case <-p.timer.C:
-				default:
-				}
-			}
-		case <-timeoutC:
-			panic(fmt.Sprintf("backend: rank %d timed out after %v %s rank %d (tag %d); %d messages received, %d sent so far",
-				p.rank, p.m.Timeout, verb, src, tag, p.recvd, p.sent))
-		case <-abortC:
-			panic(errWatchdogAbort)
-		}
-	} else {
-		pkt = <-ch
+	case <-timeoutC:
+		panic(fmt.Sprintf("backend: rank %d timed out after %v %s rank %d (tag %d); %d messages received, %d sent so far",
+			p.rank, w.timeout, verb, src, tag, p.recvd, p.sent))
+	case <-w.abort:
+		panic(errAborted)
 	}
 	return p.accept(pkt, src, tag)
 }
@@ -523,20 +633,20 @@ func blockDir(verb string) string {
 }
 
 func (p *Proc) checkRank(r int) {
-	if r < 0 || r >= p.m.P {
-		panic(fmt.Sprintf("backend: rank %d out of range [0,%d)", r, p.m.P))
+	if r < 0 || r >= len(p.w.procs) {
+		panic(fmt.Sprintf("backend: rank %d out of range [0,%d)", r, len(p.w.procs)))
 	}
 }
 
 // startupWait busy-waits for the injected per-message start-up. A spin
 // rather than a sleep: the emulated start-ups of interest sit well below
 // the scheduler's sleep granularity.
-func (m *Machine) startupWait() {
-	if m.Startup <= 0 {
+func (w *world) startupWait() {
+	if w.startup <= 0 {
 		return
 	}
 	t0 := time.Now()
-	for time.Since(t0) < m.Startup {
+	for time.Since(t0) < w.startup {
 	}
 }
 
@@ -560,77 +670,65 @@ type Result struct {
 	Marks [][]StageMark
 }
 
-// Run executes body as an SPMD program: one goroutine per rank, all
-// released from a common barrier so the per-rank timings share one origin.
-// It returns when every rank's body has finished. A panic in any rank's
-// body aborts the run and is re-raised on the caller's goroutine with the
-// rank identified.
+// Run executes body as an SPMD program, once on every rank, and returns
+// when every rank's body has finished. The ranks are goroutines parked
+// since the machine's first Run: a run resets their state, takes the start
+// timestamp all per-rank timings share, releases them and joins them. A
+// panic in a rank's body cancels the ranks blocked on a send or receive,
+// aborts the run and is re-raised on the caller's goroutine with the rank
+// identified.
 //
-// The machine caches its ranks across runs: mailbox channels, timeout
-// timers, and scratch arenas warm up on the first run and are reused by
-// later ones, so a repeated benchmark loop measures the steady state
-// rather than per-run setup.
+// The parked ranks keep their grown stacks, mailbox channels, timeout
+// timers and scratch arenas, so every run after the first measures the
+// steady state rather than per-run setup. They are released for good when
+// the Machine becomes unreachable, and by a run that fails: it can leave
+// packets in flight, so the next Run starts from fresh ranks.
 func (m *Machine) Run(body func(p *Proc)) Result {
-	m.reset()
-	var ready, done sync.WaitGroup
-	release := make(chan struct{})
-	panics := make([]any, m.P)
-	for r := 0; r < m.P; r++ {
-		ready.Add(1)
-		done.Add(1)
-		go func(p *Proc) {
-			defer done.Done()
-			ready.Done()
-			<-release
-			defer func() {
-				p.elapsed = time.Since(p.start)
-				p.finished.Store(true)
-				if e := recover(); e != nil {
-					panics[p.rank] = e
-				}
-			}()
-			body(p)
-		}(m.procs[r])
+	w := m.park()
+	w.reset()
+	w.timeout, w.startup, w.transport = m.Timeout, m.Startup, m.Transport
+	w.mailboxCap = mailboxCap
+	if m.MailboxCap > 0 {
+		w.mailboxCap = m.MailboxCap
 	}
-	ready.Wait()
-	var wdStop chan struct{}
-	if m.Watchdog > 0 {
-		m.abort = make(chan struct{})
-		m.wdReport = ""
-		wdStop = make(chan struct{})
-		m.wdWG.Add(1)
-		go m.watch(wdStop)
+	w.watched = m.Watchdog > 0
+	var wdStop, wdDone chan struct{}
+	if w.watched {
+		wdStop, wdDone = make(chan struct{}), make(chan struct{})
+		go w.watch(m.Watchdog, wdStop, wdDone)
 	}
-	start := time.Now()
-	for _, p := range m.procs {
-		p.start = start
+	w.body = body
+	w.running.Store(int32(len(w.procs)))
+	w.start = time.Now()
+	for _, p := range w.procs {
+		p.wake <- struct{}{}
 	}
-	close(release)
-	done.Wait()
-	if wdStop != nil {
+	<-w.joined
+	// The body may reference the Machine, which the parked ranks must not.
+	w.body = nil
+	if w.watched {
 		close(wdStop)
-		m.wdWG.Wait()
-		m.abort = nil
+		<-wdDone
 	}
-	if m.wdReport != "" {
-		// The watchdog cancelled a quiesced run: every blocked rank
-		// panicked with the sentinel; surface the per-rank report instead.
-		m.procs = nil
-		panic(m.wdReport)
+	if w.aborted.Load() || w.lost.Load() {
+		m.discard()
 	}
-	for r, e := range panics {
-		if e != nil {
-			// An aborted run can leave packets in flight; drop the cached
-			// ranks so the next run rebuilds clean mailboxes.
-			m.procs = nil
-			panic(fmt.Sprintf("backend: rank %d failed: %v", r, e))
-		}
+	if w.aborted.Load() {
+		panic(w.failure)
 	}
-	res := Result{Ranks: make([]time.Duration, m.P), Marks: make([][]StageMark, m.P)}
-	for r, p := range m.procs {
+	res := Result{Ranks: make([]time.Duration, len(w.procs)), Marks: make([][]StageMark, len(w.procs))}
+	nmarks := 0
+	for _, p := range w.procs {
+		nmarks += len(p.marks)
+	}
+	// Copy the marks, into one backing slice: p.marks is reused by the
+	// next run.
+	marks := make([]StageMark, 0, nmarks)
+	for r, p := range w.procs {
 		res.Ranks[r] = p.elapsed
-		// Copy the marks: p.marks is reused by the next run.
-		res.Marks[r] = append([]StageMark(nil), p.marks...)
+		from := len(marks)
+		marks = append(marks, p.marks...)
+		res.Marks[r] = marks[from:len(marks):len(marks)]
 		res.Messages += p.sent
 		res.Words += p.sentWords
 		res.Ops += p.ops
@@ -644,13 +742,13 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 // watch is the deadlock watchdog: it samples every rank's published
 // blocking state and fires when the run has quiesced without finishing —
 // every unfinished rank stuck in the same send or receive for at least
-// m.Watchdog. (That condition is a true deadlock: a rank can only be
-// unblocked by another rank, and all of them are waiting.) On firing it
-// composes the per-rank blocked-on report and cancels every blocked rank,
-// so Run returns a diagnosis instead of hanging until Timeout or forever.
-func (m *Machine) watch(stop chan struct{}) {
-	defer m.wdWG.Done()
-	tick := m.Watchdog / 8
+// limit. (That condition is a true deadlock: a rank can only be unblocked
+// by another rank, and all of them are waiting.) On firing it composes the
+// per-rank blocked-on report and cancels every blocked rank, so Run
+// returns a diagnosis instead of hanging until Timeout or forever.
+func (w *world) watch(limit time.Duration, stop, done chan struct{}) {
+	defer close(done)
+	tick := limit / 8
 	if tick < time.Millisecond {
 		tick = time.Millisecond
 	}
@@ -664,13 +762,13 @@ func (m *Machine) watch(stop chan struct{}) {
 		}
 		now := time.Now()
 		unfinished, quiesced := 0, true
-		for _, p := range m.procs {
+		for _, p := range w.procs {
 			if p.finished.Load() {
 				continue
 			}
 			unfinished++
-			w := p.wait.Load()
-			if w == nil || now.Sub(w.since) < m.Watchdog {
+			pw := p.wait.Load()
+			if pw == nil || now.Sub(pw.since) < limit {
 				quiesced = false
 				break
 			}
@@ -679,44 +777,31 @@ func (m *Machine) watch(stop chan struct{}) {
 			continue
 		}
 		var b strings.Builder
-		fmt.Fprintf(&b, "backend: deadlock: every unfinished rank blocked for %v with no progress\n", m.Watchdog)
-		for _, p := range m.procs {
+		fmt.Fprintf(&b, "backend: deadlock: every unfinished rank blocked for %v with no progress\n", limit)
+		for _, p := range w.procs {
 			if p.finished.Load() {
 				fmt.Fprintf(&b, "  rank %d: finished\n", p.rank)
 				continue
 			}
-			if w := p.wait.Load(); w != nil {
+			if pw := p.wait.Load(); pw != nil {
 				fmt.Fprintf(&b, "  rank %d: blocked %s rank %d (tag %d) for %v\n",
-					p.rank, w.dir, w.peer, w.tag, now.Sub(w.since).Round(time.Millisecond))
+					p.rank, pw.dir, pw.peer, pw.tag, now.Sub(pw.since).Round(time.Millisecond))
 			} else {
 				fmt.Fprintf(&b, "  rank %d: running\n", p.rank)
 			}
 		}
-		m.wdReport = b.String()
-		close(m.abort)
+		w.cancel(b.String())
 		return
 	}
 }
 
-// reset prepares the cached ranks for a fresh run, building them on the
-// first call. Counters, tag sequences, marks, and arenas restart from
-// zero; mailbox channels persist (a completed run leaves them empty — any
-// stray packet would have tripped the previous run's tag check or been
-// consumed — and an aborted run discards the ranks entirely).
-func (m *Machine) reset() {
-	if len(m.procs) != m.P {
-		m.procs = make([]*Proc, m.P)
-		for r := 0; r < m.P; r++ {
-			m.procs[r] = &Proc{
-				rank:  r,
-				m:     m,
-				in:    make([]atomic.Pointer[chan packet], m.P),
-				arena: algebra.NewArena(),
-			}
-		}
-		return
-	}
-	for _, p := range m.procs {
+// reset prepares the parked ranks for a fresh run. Counters, tag
+// sequences, marks, and arenas restart from zero; mailbox channels persist
+// (a completed run leaves them empty — any stray packet would have tripped
+// the previous run's tag check or been consumed — and a failed run
+// discards the ranks entirely).
+func (w *world) reset() {
+	for _, p := range w.procs {
 		p.sent, p.recvd, p.sentWords = 0, 0, 0
 		p.ops = 0
 		p.tagseq = 0
@@ -724,20 +809,15 @@ func (m *Machine) reset() {
 		p.elapsed = 0
 		p.finished.Store(false)
 		p.wait.Store(nil)
-		// The previous run's completion barrier (done.Wait) ordered every
-		// rank's arena use before this reset.
+		// The previous run's join ordered every rank's arena use before
+		// this reset.
 		p.arena.Reset()
 		// Defensively drain any packet a sloppy program sent but never
 		// received, so it cannot satisfy a later run's matching tag.
 		for s := range p.in {
 			if ch := p.in[s].Load(); ch != nil {
-				for {
-					select {
-					case <-*ch:
-						continue
-					default:
-					}
-					break
+				for len(*ch) > 0 {
+					<-*ch
 				}
 			}
 		}

@@ -86,8 +86,14 @@ func TestSendMovePoisonsSender(t *testing.T) {
 			for i := range ft.Data {
 				ft.Data[i] = float64(i)
 			}
+			// The receiver's adoption clears the poison the sender checks
+			// for, so it waits — on a Go channel, not a message: the
+			// pair's mailbox is FIFO and tag-checked — until the sender
+			// is done looking.
+			checked := make(chan struct{})
 			nm.Run(func(p *backend.Proc) {
 				if p.Rank() == 0 {
+					defer close(checked)
 					p.SendMove(1, ft, 5)
 					if !ft.IsMoved() {
 						t.Error("sender's tuple not marked moved after SendMove")
@@ -103,6 +109,7 @@ func TestSendMovePoisonsSender(t *testing.T) {
 					ft.Comp(0) // must panic: the storage moved to rank 1
 					return
 				}
+				<-checked
 				v, owned := p.RecvOwned(0, 5)
 				if !owned {
 					t.Error("RecvOwned after SendMove reported a borrow")

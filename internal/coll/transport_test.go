@@ -115,11 +115,18 @@ func TestSubMoverForwarding(t *testing.T) {
 	for i := range ft.Data {
 		ft.Data[i] = float64(i + 1)
 	}
+	// The receiver's adoption clears the poison the sender checks for, so
+	// it waits — on a Go channel, not a message: the pair's mailbox is
+	// FIFO and tag-checked — until the sender is done looking.
+	checked := make(chan struct{})
 	nm.Run(func(p *backend.Proc) {
 		if p.Rank() != 1 && p.Rank() != 3 {
 			return
 		}
 		sc := Sub(Comm(p), group)
+		if sc.Rank() == 0 {
+			defer close(checked)
+		}
 		mv, ok := sc.(Mover)
 		if !ok {
 			t.Error("subgroup communicator does not expose Mover")
@@ -132,6 +139,7 @@ func TestSubMoverForwarding(t *testing.T) {
 			}
 			return
 		}
+		<-checked
 		v, owned := mv.RecvOwned(0, 8)
 		if !owned {
 			t.Error("sub RecvOwned reported a borrow after SendMove")

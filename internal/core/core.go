@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/algebra"
 	"repro/internal/coll"
@@ -47,29 +48,84 @@ func (m Machine) virtual() *machine.Machine {
 	return machine.New(m.P, machine.Params{Ts: m.Ts, Tw: m.Tw})
 }
 
-// RunStages executes the stages of t over an arbitrary communicator —
-// the one stage loop of the executor, on every backend. It is called once
-// per group member from inside an SPMD body (Program.Run does so on the
-// virtual machine, RunOn on the native backend, mpbackend's bodies across
-// processes), threading the member's value through every stage. Stage
-// boundaries are marked when the communicator records them.
+// RunStages executes the stages of t over an arbitrary communicator: the
+// raw-term entry to the executor's one stage loop (compiled.run), for
+// callers that hold a term rather than a Program. It is called once per
+// group member from inside an SPMD body (package chaos's runners and
+// mpbackend's bodies do), threading the member's value through every
+// stage, and compiles t on every call; Program's Run methods compile once
+// and share the result across ranks and runs.
 //
 // sels are optional algorithm selections (sel.ForTerm's, addressing
-// stages by the same flattened index this loop counts): an unbalanced
+// stages by the same flattened index the loop counts): an unbalanced
 // reduction stage carrying one runs the chosen portfolio algorithm, with
 // coll.ReduceBy's run-time fallback to the butterfly; every other stage,
 // and every stage without a selection, runs the §4.1 implementation.
 func RunStages(c coll.Comm, t term.Term, v algebra.Value, sels ...sel.Selection) algebra.Value {
+	cp := compiled{}
+	cp.compile(t, sels)
+	return cp.run(c, v)
+}
+
+// compiled is a program as the stage loop wants it: everything a run would
+// otherwise redo on every rank. It is filled at most once and read-only
+// afterwards, so the ranks of a run — and concurrent runs of copies of one
+// Program — share it.
+type compiled struct {
+	once sync.Once
+	// stages is the flattened stage list.
+	stages []term.Term
+	// choices[i] is stage i's algorithm selection; nil when no stage
+	// carries one, and every stage runs the §4.1 implementation.
+	choices []sel.Selection
+	// labels[i] is stages[i].String(), rendered by the first run on a
+	// communicator that records marks.
+	labelOnce sync.Once
+	labels    []string
+}
+
+func (cp *compiled) compile(t term.Term, sels []sel.Selection) {
+	cp.stages = term.Stages(t)
+	if len(sels) == 0 {
+		return
+	}
+	cp.choices = make([]sel.Selection, len(cp.stages))
+	for i := range cp.choices {
+		cp.choices[i].Algo = cost.AlgoButterfly
+	}
+	for _, s := range sels {
+		if s.Stage >= 0 && s.Stage < len(cp.choices) {
+			cp.choices[s.Stage] = s
+		}
+	}
+}
+
+func (cp *compiled) stageLabels() []string {
+	cp.labelOnce.Do(func() {
+		cp.labels = make([]string, len(cp.stages))
+		for i, s := range cp.stages {
+			cp.labels[i] = s.String()
+		}
+	})
+	return cp.labels
+}
+
+// run is the one stage loop of the executor, on every backend: it threads
+// one group member's value through every stage. Stage boundaries are
+// marked when the communicator records them.
+func (cp *compiled) run(c coll.Comm, v algebra.Value) algebra.Value {
 	mk, _ := c.(coll.Marker)
-	for i, s := range term.Stages(t) {
+	var labels []string
+	if mk != nil {
+		labels = cp.stageLabels()
+	}
+	for i, s := range cp.stages {
 		if mk != nil {
-			mk.Mark(s.String())
+			mk.Mark(labels[i])
 		}
 		algo, segments := cost.AlgoButterfly, 0
-		for _, cand := range sels {
-			if cand.Stage == i {
-				algo, segments = cand.Algo, cand.Segments
-			}
+		if cp.choices != nil {
+			algo, segments = cp.choices[i].Algo, cp.choices[i].Segments
 		}
 		v = execStage(s, c, v, algo, segments)
 	}

@@ -1,0 +1,149 @@
+// Tests of the compile-once executor: what a run costs beyond its stages,
+// what concurrent runs of one Program share, and what the stage marks say.
+package core_test
+
+import (
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"repro/internal/algebra"
+	"repro/internal/backend"
+	"repro/internal/core"
+	"repro/internal/exper"
+	"repro/internal/mpbackend"
+	"repro/internal/rules"
+	"repro/internal/term"
+)
+
+// execCorpus returns the benchmark's programs at p ranks — both sides of
+// the 11 Table 1 pairs and of the sparse combining rules — each with an
+// input list of the shape it demands.
+func execCorpus(t *testing.T, p int) (progs []core.Program, inputs [][]algebra.Value) {
+	t.Helper()
+	dense := mpbackend.SeededInputs(7, p, 16)
+	add := func(rule string, lhs term.Seq, in []algebra.Value) {
+		rhs, err := exper.ApplyRule(rule, lhs, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, core.FromTerm(lhs), core.FromTerm(rhs))
+		inputs = append(inputs, in, in)
+	}
+	for _, pat := range exper.Patterns() {
+		add(pat.Rule, term.Compose(pat.LHS.Term()), dense)
+	}
+	ring := term.Halo{H: &term.Hood{Offsets: []int{-1, 1}}}
+	add("HH-Combine", term.Seq{ring, ring}, dense)
+	add("MH-Mobility", term.Seq{term.Map{F: rules.IncTupFn}, ring}, dense)
+	counts := make([]int, p)
+	for r := range counts {
+		counts[r] = r % 3 // ragged, with empty blocks
+	}
+	rsag := term.Seq{term.ReduceScatterV{Op: algebra.Add, Counts: counts}, term.AllGatherV{Counts: counts}}
+	add("RSAG-AllReduce", rsag, rules.SparseInputs(rsag, rand.New(rand.NewSource(7)), p))
+	return progs, inputs
+}
+
+// TestRunOnAllocsIndependentOfStageCount pins the stage walk at zero
+// allocations: on a warm machine a six-stage program allocates what a
+// one-stage program does, so flattening, labels and the selection lookup
+// are paid when the program compiles and never per run, rank or stage.
+func TestRunOnAllocsIndependentOfStageCount(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	id := &term.Fn{Name: "id", F: func(v algebra.Value) algebra.Value { return v }}
+	nm := backend.New(8)
+	in := mpbackend.SeededInputs(7, nm.P, 16)
+	allocs := func(stages int) float64 {
+		prog := core.NewProgram()
+		for i := 0; i < stages; i++ {
+			prog = prog.Map(id)
+		}
+		prog.RunOn(nm, in) // compiles the program, grows the ranks' mark buffers
+		return testing.AllocsPerRun(100, func() { prog.RunOn(nm, in) })
+	}
+	if one, six := allocs(1), allocs(6); one != six {
+		t.Fatalf("RunOn allocates %.0f for 1 map stage and %.0f for 6: the stage walk allocates", one, six)
+	}
+}
+
+// TestStagesOfComposedSeqAllocFree: term.Stages hands back a Seq that is
+// already flat — every Program's — instead of copying it.
+func TestStagesOfComposedSeqAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	var prog term.Term = term.Compose(term.Bcast{}, term.Seq{term.Scan{Op: algebra.Mul}, term.Scan{Op: algebra.Add}})
+	if allocs := testing.AllocsPerRun(100, func() { term.Stages(prog) }); allocs != 0 {
+		t.Fatalf("term.Stages of a composed Seq: %.0f allocs, want 0", allocs)
+	}
+}
+
+// TestConcurrentRunsShareOneCompilation: copies of one Program value run
+// at the same time on two machines — their first runs racing to compile —
+// and every run equals the functional semantics.
+func TestConcurrentRunsShareOneCompilation(t *testing.T) {
+	const p = 8
+	progs, inputs := execCorpus(t, p)
+	auto, err := progs[0].OptimizeOpts(core.Machine{Ts: 1000, Tw: 1, P: p, M: 16}, core.OptimizeOptions{Auto: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs, inputs = append(progs, auto.Program), append(inputs, inputs[0]) // one that carries selections
+	for i, prog := range progs {
+		want := term.Eval(prog.Term(), inputs[i])
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func(prog core.Program) {
+				defer wg.Done()
+				nm := backend.New(p)
+				for run := 0; run < 3; run++ {
+					if got, _ := prog.RunOn(nm, inputs[i]); !algebra.EqualListsModuloUndef(got, want) {
+						t.Errorf("%s, run %d: got %v, want %v", prog, run, got, want)
+					}
+				}
+			}(prog)
+		}
+		wg.Wait()
+	}
+}
+
+// TestNativeMarksAreStageStrings: the pre-rendered labels are what the
+// stage loop used to render on every rank of every run — each rank marks
+// every stage, in order, with stage.String().
+func TestNativeMarksAreStageStrings(t *testing.T) {
+	const p = 8
+	progs, inputs := execCorpus(t, p)
+	nm := backend.New(p)
+	kinds := map[string]bool{}
+	for i, prog := range progs {
+		stages := term.Stages(prog.Term())
+		for _, s := range stages {
+			kinds[fmt.Sprintf("%T", s)] = true
+		}
+		for run := 0; run < 2; run++ { // the compiling run and a warm one
+			_, res := prog.RunOn(nm, inputs[i])
+			for r, marks := range res.Marks {
+				if len(marks) != len(stages) {
+					t.Fatalf("%s: rank %d marked %d stages, want %d", prog, r, len(marks), len(stages))
+				}
+				for k, mk := range marks {
+					if mk.Label != stages[k].String() {
+						t.Errorf("%s: rank %d stage %d marked %q, want %q", prog, r, k, mk.Label, stages[k])
+					}
+				}
+			}
+		}
+	}
+	// The corpus is the point: a stage kind it loses goes unchecked.
+	for _, kind := range []string{"term.Map", "term.Scan", "term.ScanBal", "term.Reduce", "term.Bcast",
+		"term.Comcast", "term.Iter", "term.Halo", "term.AllGatherV", "term.ReduceScatterV"} {
+		if !kinds[kind] {
+			t.Errorf("the corpus has no %s stage", kind)
+		}
+	}
+}

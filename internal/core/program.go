@@ -25,6 +25,10 @@ type Program struct {
 	// a program executes what its estimate priced. They address stages by
 	// index, so every builder method, changing the stage list, drops them.
 	sels []sel.Selection
+	// exec is the program compiled for the stage loop, on its first run.
+	// The cell is allocated with the stage list, so copies of a Program
+	// share one compilation and every builder method starts a fresh one.
+	exec *compiled
 }
 
 // NewProgram returns the empty program.
@@ -32,7 +36,7 @@ func NewProgram() Program { return Program{} }
 
 // FromTerm wraps an existing term as a Program.
 func FromTerm(t term.Term) Program {
-	return Program{stages: term.Compose(t)}
+	return Program{stages: term.Compose(t), exec: new(compiled)}
 }
 
 // Term returns the program's term.
@@ -49,7 +53,7 @@ func (p Program) String() string {
 func (p Program) with(t term.Term) Program {
 	out := make(term.Seq, len(p.stages), len(p.stages)+1)
 	copy(out, p.stages)
-	return Program{stages: append(out, t)}
+	return Program{stages: append(out, t), exec: new(compiled)}
 }
 
 // Map appends a local stage map f.
@@ -104,7 +108,7 @@ func (p Program) Bcast() Program { return p.with(term.Bcast{}) }
 // Then concatenates two programs — the program-composition source of
 // optimization opportunities from §2.1.
 func (p Program) Then(q Program) Program {
-	return Program{stages: term.Compose(p.stages, q.stages)}
+	return FromTerm(term.Compose(p.stages, q.stages))
 }
 
 // Optimization reports what Optimize did.
@@ -209,7 +213,7 @@ func (p Program) OptimizeOpts(m Machine, o OptimizeOptions) (Optimization, error
 	}
 	if o.Auto {
 		res.Selection = sel.ForTerm(opt, m.costParams())
-		res.Program.sels = res.Selection
+		res.Program.sels = res.Selection // before the program's first run compiles them in
 	}
 	return res, nil
 }
@@ -279,6 +283,17 @@ func (p Program) RunTraced(m Machine, input []algebra.Value) ([]algebra.Value, m
 	return out, res, tr.Events()
 }
 
+// compiled returns the program compiled for the stage loop, compiling it
+// on the first call; safe under concurrent runs of copies of p.
+func (p Program) compiled() *compiled {
+	cp := p.exec
+	if cp == nil { // the zero Program: no cell to share, no stages to compile
+		cp = new(compiled)
+	}
+	cp.once.Do(func() { cp.compile(p.stages, p.sels) })
+	return cp
+}
+
 // checkInput panics unless input holds one value per processor.
 func checkInput(input []algebra.Value, procs int) {
 	if len(input) != procs {
@@ -293,9 +308,9 @@ func checkInput(input []algebra.Value, procs int) {
 func (p Program) runVirtual(vm *machine.Machine, input []algebra.Value) ([]algebra.Value, machine.Result) {
 	checkInput(input, vm.P)
 	out := make([]algebra.Value, vm.P)
-	t := p.Term() // boxed once here, not once per rank inside the body
+	cp := p.compiled()
 	res := vm.Run(func(pr *machine.Proc) {
-		out[pr.Rank()] = RunStages(coll.World(pr), t, input[pr.Rank()], p.sels...)
+		out[pr.Rank()] = cp.run(coll.World(pr), input[pr.Rank()])
 	})
 	return out, res
 }
@@ -317,9 +332,9 @@ func (p Program) RunNative(procs int, input []algebra.Value) ([]algebra.Value, b
 func (p Program) RunOn(nm *backend.Machine, input []algebra.Value) ([]algebra.Value, backend.Result) {
 	checkInput(input, nm.P)
 	out := make([]algebra.Value, nm.P)
-	t := p.Term() // boxed once here, not once per rank inside the body
+	cp := p.compiled()
 	res := nm.Run(func(pr *backend.Proc) {
-		out[pr.Rank()] = RunStages(pr, t, input[pr.Rank()], p.sels...)
+		out[pr.Rank()] = cp.run(pr, input[pr.Rank()])
 	})
 	return out, res
 }

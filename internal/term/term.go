@@ -223,16 +223,20 @@ func Compose(ts ...Term) Seq {
 	return out
 }
 
-// Stages returns the flattened stage list of a term.
+// Stages returns the flattened stage list of a term. A Seq that is already
+// flat — what Compose builds — is returned as it is, without allocating,
+// so the result is read-only.
 func Stages(t Term) []Term {
-	if s, ok := t.(Seq); ok {
-		var out []Term
-		for _, sub := range s {
-			out = append(out, Stages(sub)...)
-		}
-		return out
+	s, ok := t.(Seq)
+	if !ok {
+		return []Term{t}
 	}
-	return []Term{t}
+	for _, sub := range s {
+		if _, nested := sub.(Seq); nested {
+			return Compose(s)
+		}
+	}
+	return s
 }
 
 // EqualTerms reports structural equality of two terms, comparing stages
