@@ -216,7 +216,7 @@ func BenchmarkCollectivesWallClock(b *testing.B) {
 		} {
 			b.Run(fmt.Sprintf("p=%d/%s", p, name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					vm.Run(func(pr *machine.Proc) { body(coll.World(pr)) })
+					vm.Run(func(pr *machine.Proc) { body(coll.Comm(pr)) })
 				}
 			})
 		}
@@ -336,7 +336,7 @@ func BenchmarkBcastAlgorithms(b *testing.B) {
 				var makespan float64
 				for i := 0; i < b.N; i++ {
 					res := vm.Run(func(pr *machine.Proc) {
-						c := coll.World(pr)
+						c := coll.Comm(pr)
 						x := algebra.Value(algebra.Undef{})
 						if c.Rank() == 0 {
 							x = make(algebra.Vec, cse.words)
@@ -451,7 +451,7 @@ func BenchmarkAllReduceAlgorithms(b *testing.B) {
 				var makespan float64
 				for i := 0; i < b.N; i++ {
 					res := vm.Run(func(pr *machine.Proc) {
-						c := coll.World(pr)
+						c := coll.Comm(pr)
 						coll.ReduceBy(c, algebra.Add, make(algebra.Vec, cse.words), true, alg, 0)
 					})
 					makespan = res.Makespan

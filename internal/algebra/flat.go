@@ -22,7 +22,7 @@ type FlatTuple struct {
 	// Data[i*m : (i+1)*m] with m = len(Data)/W.
 	Data []float64
 	// moved marks a tuple whose backing storage has been transferred to
-	// another rank through an ownership-moving send (coll.Mover): the
+	// another rank through an ownership-moving send (coll.Comm.SendMove): the
 	// sender must not observe the value again, and the accessors enforce
 	// that by panicking. The receiver clears the flag on adoption — it is
 	// the new owner. See docs/PERF.md, "Zero-copy ownership rules".

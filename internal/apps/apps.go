@@ -70,12 +70,11 @@ func MSS(mach Machine, xs []float64) (float64, machine.Result) {
 	blocks := chunk(xs, mach.P)
 	op := mssOp()
 	results := make([]float64, mach.P)
-	res := mach.virtual().Run(func(proc *machine.Proc) {
-		c := coll.World(proc)
-		v := mssLocal(blocks[proc.Rank()])
-		c.Compute(float64(4 * len(blocks[proc.Rank()])))
+	res := mach.virtual().Run(func(c *machine.Proc) {
+		v := mssLocal(blocks[c.Rank()])
+		c.Compute(float64(4 * len(blocks[c.Rank()])))
 		v = coll.AllReduce(c, op, v)
-		results[proc.Rank()] = float64(v.(algebra.Tuple)[0].(algebra.Scalar))
+		results[c.Rank()] = float64(v.(algebra.Tuple)[0].(algebra.Scalar))
 	})
 	return results[0], res
 }
@@ -173,9 +172,8 @@ func Statistics(mach Machine, xs []float64) (Stats, machine.Result) {
 		},
 	}
 	out := make([]algebra.Tuple, mach.P)
-	res := mach.virtual().Run(func(proc *machine.Proc) {
-		c := coll.World(proc)
-		block := blocks[proc.Rank()]
+	res := mach.virtual().Run(func(c *machine.Proc) {
+		block := blocks[c.Rank()]
 		n, sum, sq := 0.0, 0.0, 0.0
 		mn, mx := math.Inf(1), math.Inf(-1)
 		for _, x := range block {
@@ -190,7 +188,7 @@ func Statistics(mach Machine, xs []float64) (Stats, machine.Result) {
 			algebra.Scalar(n), algebra.Scalar(sum), algebra.Scalar(sq),
 			algebra.Scalar(mn), algebra.Scalar(mx),
 		})
-		out[proc.Rank()] = v.(algebra.Tuple)
+		out[c.Rank()] = v.(algebra.Tuple)
 	})
 	t := out[0]
 	sc := func(i int) float64 { return float64(t[i].(algebra.Scalar)) }
@@ -212,10 +210,9 @@ func Histogram(mach Machine, xs []float64, lo, hi float64, bins int) ([]int, mac
 	}
 	blocks := chunk(xs, mach.P)
 	out := make([]algebra.Value, mach.P)
-	res := mach.virtual().Run(func(proc *machine.Proc) {
-		c := coll.World(proc)
+	res := mach.virtual().Run(func(c *machine.Proc) {
 		counts := make(algebra.Vec, bins)
-		for _, x := range blocks[proc.Rank()] {
+		for _, x := range blocks[c.Rank()] {
 			b := int((x - lo) / (hi - lo) * float64(bins))
 			if b < 0 {
 				b = 0
@@ -225,8 +222,8 @@ func Histogram(mach Machine, xs []float64, lo, hi float64, bins int) ([]int, mac
 			}
 			counts[b]++
 		}
-		c.Compute(float64(len(blocks[proc.Rank()])))
-		out[proc.Rank()] = coll.AllReduce(c, algebra.Add, counts)
+		c.Compute(float64(len(blocks[c.Rank()])))
+		out[c.Rank()] = coll.AllReduce(c, algebra.Add, counts)
 	})
 	vec := out[0].(algebra.Vec)
 	counts := make([]int, bins)

@@ -36,20 +36,19 @@ func MatVec(mach Machine, a algebra.Mat, x algebra.Vec) (algebra.Vec, machine.Re
 		off += rows
 	}
 	var result algebra.Vec
-	res := mach.virtual().Run(func(proc *machine.Proc) {
-		c := coll.World(proc)
+	res := mach.virtual().Run(func(c *machine.Proc) {
 		var xs coll.Value
-		if proc.Rank() == 0 {
+		if c.Rank() == 0 {
 			xs = append(algebra.Vec(nil), x...)
 		} else {
 			xs = algebra.Undef{}
 		}
 		xv := coll.Bcast(c, 0, xs).(algebra.Vec)
-		block := rowBlocks[proc.Rank()]
+		block := rowBlocks[c.Rank()]
 		local := block.MulVec(xv)
 		c.Compute(float64(2 * block.R * block.C))
 		gathered := coll.Gather(c, 0, local)
-		if proc.Rank() == 0 {
+		if c.Rank() == 0 {
 			out := make(algebra.Vec, 0, a.R)
 			for _, g := range gathered {
 				out = append(out, g.(algebra.Vec)...)

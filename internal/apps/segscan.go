@@ -36,9 +36,8 @@ func SegmentedScan(mach Machine, flags []bool, values []float64) ([]float64, mac
 		offsets[i] = off
 		off += len(vblocks[i])
 	}
-	res := mach.virtual().Run(func(proc *machine.Proc) {
-		c := coll.World(proc)
-		fb, vb := fblocks[proc.Rank()], vblocks[proc.Rank()]
+	res := mach.virtual().Run(func(c *machine.Proc) {
+		fb, vb := fblocks[c.Rank()], vblocks[c.Rank()]
 
 		// Local segmented scan, assuming no carry.
 		local := make([]float64, len(vb))
@@ -60,18 +59,18 @@ func SegmentedScan(mach Machine, flags []bool, values []float64) ([]float64, mac
 		// to the right so each processor gets the fold of everything
 		// before its block.
 		incl := coll.Scan(c, seg, summary)
-		tag := proc.NextTag()
-		if proc.Rank()+1 < c.Size() {
-			proc.Send(proc.Rank()+1, incl, incl.Words(), tag)
+		tag := c.NextTag()
+		if c.Rank()+1 < c.Size() {
+			c.Send(c.Rank()+1, incl, tag)
 		}
 		var carry algebra.Value
-		if proc.Rank() > 0 {
-			carry = proc.Recv(proc.Rank()-1, tag).(algebra.Value)
+		if c.Rank() > 0 {
+			carry = c.Recv(c.Rank()-1, tag)
 		}
 
 		// Fix-up: elements before the block's first flag absorb the
 		// carry (if the carry's own segment reaches into this block).
-		if carry != nil && proc.Rank() > 0 {
+		if carry != nil && c.Rank() > 0 {
 			cv := float64(carry.(algebra.Tuple)[1].(algebra.Scalar))
 			for i := range vb {
 				if fb[i] {
@@ -81,7 +80,7 @@ func SegmentedScan(mach Machine, flags []bool, values []float64) ([]float64, mac
 			}
 			c.Compute(float64(len(vb)))
 		}
-		copy(out[offsets[proc.Rank()]:], local)
+		copy(out[offsets[c.Rank()]:], local)
 	})
 	return out, res
 }

@@ -27,9 +27,8 @@ func SampleSort(mach Machine, xs []float64) ([][]float64, machine.Result) {
 	p := mach.P
 	blocks := chunk(xs, p)
 	out := make([][]float64, p)
-	res := mach.virtual().Run(func(proc *machine.Proc) {
-		c := coll.World(proc)
-		rank := proc.Rank()
+	res := mach.virtual().Run(func(c *machine.Proc) {
+		rank := c.Rank()
 
 		// 1. Local sort.
 		local := append([]float64(nil), blocks[rank]...)

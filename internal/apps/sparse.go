@@ -35,9 +35,8 @@ func Stencil2D(mach Machine, grid [][]float64, pr, pc, iters int) ([][]float64, 
 	}
 	tiles := tileGrid(grid, pr, pc)
 	out := make([][][]float64, mach.P)
-	res := mach.virtual().Run(func(proc *machine.Proc) {
-		c := coll.World(proc)
-		out[proc.Rank()] = StencilRank(c, tiles[proc.Rank()], pr, pc, iters)
+	res := mach.virtual().Run(func(c *machine.Proc) {
+		out[c.Rank()] = StencilRank(c, tiles[c.Rank()], pr, pc, iters)
 	})
 	return untileGrid(out, pr, pc, rows, cols), res
 }
@@ -191,16 +190,15 @@ func RaggedSegmentedScan(mach Machine, counts []int, flags []bool, values []floa
 		panic(fmt.Sprintf("apps: counts sum to %d, have %d values", total, len(values)))
 	}
 	out := make([][]float64, mach.P)
-	res := mach.virtual().Run(func(proc *machine.Proc) {
-		c := coll.World(proc)
+	res := mach.virtual().Run(func(c *machine.Proc) {
 		off := 0
-		for r := 0; r < proc.Rank(); r++ {
+		for r := 0; r < c.Rank(); r++ {
 			off += counts[r]
 		}
-		fb := flags[off : off+counts[proc.Rank()]]
-		vb := values[off : off+counts[proc.Rank()]]
+		fb := flags[off : off+counts[c.Rank()]]
+		vb := values[off : off+counts[c.Rank()]]
 		full := RaggedSegScanRank(c, counts, fb, vb)
-		out[proc.Rank()] = append([]float64(nil), full...)
+		out[c.Rank()] = append([]float64(nil), full...)
 	})
 	return out[0], res
 }
@@ -267,14 +265,13 @@ func DegreeHistogram(mach Machine, n int, edges [][2]int, counts []int, bins int
 	}
 	eblocks := chunkEdges(edges, mach.P)
 	out := make([][]int, mach.P)
-	res := mach.virtual().Run(func(proc *machine.Proc) {
-		c := coll.World(proc)
-		hist := DegreeHistRank(c, n, counts, eblocks[proc.Rank()], bins)
+	res := mach.virtual().Run(func(c *machine.Proc) {
+		hist := DegreeHistRank(c, n, counts, eblocks[c.Rank()], bins)
 		bucket := make([]int, bins)
 		for i, v := range hist {
 			bucket[i] = int(v)
 		}
-		out[proc.Rank()] = bucket
+		out[c.Rank()] = bucket
 	})
 	return out[0], res
 }

@@ -1,9 +1,10 @@
-// Package backend is the native execution backend: a second implementation
-// of the coll.Comm communicator in which group members are plain goroutines
-// on the host, point-to-point messages are real channel transfers of
-// algebra values, and time is wall-clock — per-rank time.Now deltas from a
+// Package backend is the native execution backend: the shared rank of
+// package rank over a link in which group members are plain goroutines on
+// the host, point-to-point messages are real channel transfers of algebra
+// values, and time is wall-clock — per-rank time.Now deltas from a
 // barrier-synchronized start — instead of the virtual clocks of package
-// machine.
+// machine. The message discipline is the core's; this package writes only
+// how a packet moves (type link) and how a run starts, joins and fails.
 //
 // The two backends answer different questions. The virtual machine runs
 // the data flow for real but *times* it with the §4.1 cost-model
@@ -12,10 +13,9 @@
 // simulates nothing: the arithmetic inside the operators is the
 // computation, channel rendezvous and goroutine scheduling are the message
 // start-ups, and the measured makespan is the host's actual cost of the
-// program. Because every collective in package coll is written against
-// coll.Comm, the whole collective library — and every optimization-rule
-// rewrite — runs unmodified on either backend, which is what makes the
-// conformance harness in this package possible.
+// program. Because a rank of either is a coll.Comm, the whole collective
+// library — and every optimization-rule rewrite — runs unmodified on both,
+// which is what makes the conformance harness in this package possible.
 //
 // # Timing methodology
 //
@@ -50,6 +50,7 @@ import (
 	"time"
 
 	"repro/internal/algebra"
+	"repro/internal/rank"
 )
 
 // DefaultTimeout bounds how long a rank may block in Recv before the run
@@ -145,18 +146,6 @@ func New(p int) *Machine {
 	return &Machine{P: p, Timeout: DefaultTimeout}
 }
 
-// packet is one in-flight message. Unlike the virtual machine's packet it
-// carries no departure clock — arrival order and wall time are the truth.
-type packet struct {
-	value algebra.Value
-	tag   int
-	// owned marks an ownership-transferring message: the receiver may
-	// write the value in place (it is the new owner); the sender has
-	// relinquished it. Borrowing sends leave it false — the value is a
-	// shared, frozen reference.
-	owned bool
-}
-
 // mailboxCap is the default buffer depth per directed rank pair. As on the
 // virtual machine, the collectives never have more than a couple of
 // outstanding messages per pair.
@@ -183,25 +172,14 @@ type world struct {
 	running atomic.Int32
 	joined  chan struct{}
 
-	// abort is closed, once, by the first rank failure or by the watchdog
-	// and cancels every blocked rank. A world with a closed abort is
-	// discarded, so the channel is never reused.
-	abort   chan struct{}
-	aborted atomic.Bool
-	failure string // what Run raises: the failing rank's panic, or the watchdog's report
+	// abort is the run's cancellation: the first rank failure, or the
+	// watchdog, cancels every blocked rank and is what Run raises. A world
+	// with a triggered abort is discarded, so it is never reused.
+	abort *rank.Abort
 	// lost is set by a rank whose goroutine ended inside body
 	// (runtime.Goexit, as t.FailNow calls): the run is not a failure, but
 	// the world is a rank short and is discarded.
 	lost atomic.Bool
-}
-
-// cancel records the run's first failure and cancels every blocked rank;
-// later failures, and the cancelled ranks' own aborts, are dropped.
-func (w *world) cancel(failure string) {
-	if w.aborted.CompareAndSwap(false, true) {
-		w.failure = failure
-		close(w.abort)
-	}
 }
 
 // parked is a Machine's handle on its rank goroutines. Between runs each
@@ -219,16 +197,15 @@ func (m *Machine) park() *world {
 	w := &world{
 		procs:  make([]*Proc, m.P),
 		joined: make(chan struct{}, 1),
-		abort:  make(chan struct{}),
+		abort:  rank.NewAbort(),
 	}
 	for r := range w.procs {
 		p := &Proc{
-			rank:  r,
-			w:     w,
-			in:    make([]atomic.Pointer[chan packet], m.P),
-			arena: algebra.NewArena(),
-			wake:  make(chan struct{}, 1),
+			w:    w,
+			in:   make([]atomic.Pointer[chan rank.Packet], m.P),
+			wake: make(chan struct{}, 1),
 		}
+		p.Init(r, m.P, (*link)(p), algebra.NewArena(), p.mark)
 		w.procs[r] = p
 		go p.serve()
 	}
@@ -272,8 +249,8 @@ func (p *Proc) run() (returned bool) {
 		p.elapsed = time.Since(w.start)
 		p.finished.Store(true)
 		if e := recover(); e != nil {
-			if e != errAborted {
-				w.cancel(fmt.Sprintf("backend: rank %d failed: %v", p.rank, e))
+			if e != rank.ErrAborted {
+				w.abort.Fail(fmt.Sprintf("backend: rank %d failed: %v", p.Rank(), e))
 			}
 			returned = true
 		} else if !returned {
@@ -310,35 +287,26 @@ type StageMark struct {
 	At time.Duration
 }
 
-// Proc is one native rank. It implements coll.Comm, so every collective of
-// package coll runs on it directly. Its methods must only be called from
-// the goroutine running that rank's SPMD body.
+// Proc is one native rank: the shared rank core — so it is a coll.Comm and
+// every collective of package coll runs on it directly — over the mailbox
+// link below. Its arena is reset at the start of every run, and Compute
+// only counts: the arithmetic it charges has already run for real inside
+// the operator, so its cost is in the wall-clock measurement. Its methods
+// must only be called from the goroutine running that rank's SPMD body.
 type Proc struct {
-	rank int
-	w    *world
+	rank.Core
+	w *world
 	// wake releases the parked rank into the next run's body; closing it
 	// ends the rank's goroutine.
 	wake chan struct{}
 	// in[src] lazily materializes the channel carrying messages from rank
 	// src to this rank, so Run setup is O(messages actually exchanged)
 	// rather than O(P²) channel allocations per run.
-	in []atomic.Pointer[chan packet]
-	// timer is the reusable receive-timeout timer; a per-take time.After
-	// would allocate a fresh timer (and leak it until expiry) on every
-	// receive.
-	timer *time.Timer
-	// arena is the rank's scratch-buffer pool, reset at the start of every
-	// run; package coll's collectives draw their combining buffers from it.
-	arena *algebra.Arena
+	in    []atomic.Pointer[chan rank.Packet]
+	timer rank.Timer
 	// elapsed is the rank's wall time from the run's start to body return.
 	elapsed time.Duration
-	// sent/recvd/sentWords/ops mirror the virtual machine's counters so
-	// both backends report comparable volume figures.
-	sent, recvd int
-	sentWords   int
-	ops         float64
-	tagseq      int
-	marks       []StageMark
+	marks   []StageMark
 	// wait is the rank's published blocking state (nil while running);
 	// finished flips when the rank's body returns. Both are read by the
 	// deadlock watchdog and only written by the rank's own goroutine.
@@ -346,296 +314,126 @@ type Proc struct {
 	finished atomic.Bool
 }
 
-// mailbox returns the channel carrying messages from src to p, creating it
-// on first use. Sender and receiver may race to create the same pair's
-// channel; the compare-and-swap makes the first one win and both see it.
-func (p *Proc) mailbox(src int) chan packet {
-	if ch := p.in[src].Load(); ch != nil {
-		return *ch
-	}
-	ch := make(chan packet, p.w.mailboxCap)
-	if p.in[src].CompareAndSwap(nil, &ch) {
-		return ch
-	}
-	return *p.in[src].Load()
-}
-
-// ScratchArena returns the rank's scratch-buffer arena. The collectives in
-// package coll draw their combining buffers from it, so the log-p rounds of
-// a reduction or scan reuse storage across runs instead of allocating.
-// Values backed by the arena stay valid until the machine's next Run.
-func (p *Proc) ScratchArena() *algebra.Arena { return p.arena }
-
-// Rank is this rank's index, 0 ≤ Rank < P.
-func (p *Proc) Rank() int { return p.rank }
-
-// Size is the machine size.
-func (p *Proc) Size() int { return len(p.w.procs) }
-
-// NextTag returns a fresh message tag. As on the virtual machine, the
-// per-rank counters of an SPMD program stay synchronized, giving each
-// collective a distinct tag without coordination.
-func (p *Proc) NextTag() int {
-	p.tagseq++
-	return p.tagseq
-}
-
-// Compute records n charged units of local computation. The native
-// backend does not advance any clock here: the arithmetic that the charge
-// accounts for has already been executed for real inside the operator, so
-// its cost is in the wall-clock measurement. The counter is kept so the
-// run's Result reports the same work figure as the virtual machine's.
-func (p *Proc) Compute(n float64) {
-	if n < 0 {
-		panic("backend: negative computation charge")
-	}
-	p.ops += n
-}
-
-// Mark records a stage-boundary annotation at the current wall offset.
-func (p *Proc) Mark(label string) {
+// mark is the core's mark hook: a stage-boundary annotation at the current
+// wall offset.
+func (p *Proc) mark(label string) {
 	p.marks = append(p.marks, StageMark{Label: label, At: time.Since(p.w.start)})
 }
 
-// outbound prepares v for the wire: under TransportCopy every payload is
-// deep-copied at the send site (the memory-isolation baseline); under
-// TransportZeroCopy the reference itself crosses.
-func (p *Proc) outbound(v algebra.Value) algebra.Value {
-	if p.w.transport == TransportCopy {
-		return algebra.CloneValue(v)
+// link is how a native packet moves: a buffered channel per directed rank
+// pair, wall-clock time, and a failure policy of cancellation by a failing
+// peer or the watchdog plus the receive timeout.
+type link Proc
+
+// mailbox returns the channel carrying messages from src to l, creating it
+// on first use. Sender and receiver may race to create the same pair's
+// channel; the compare-and-swap makes the first one win and both see it.
+func (l *link) mailbox(src int) chan rank.Packet {
+	if ch := l.in[src].Load(); ch != nil {
+		return *ch
 	}
-	return v
+	ch := make(chan rank.Packet, l.w.mailboxCap)
+	if l.in[src].CompareAndSwap(nil, &ch) {
+		return ch
+	}
+	return *l.in[src].Load()
 }
 
-// Send ships v to rank dst over the channel pair — a real transfer of the
-// (shared, immutable-by-convention) value reference, a borrow: the sender
-// may still read v afterwards, and neither side may write it.
-func (p *Proc) Send(dst int, v algebra.Value, tag int) {
-	if dst == p.rank {
-		panic(fmt.Sprintf("backend: rank %d sending to itself", p.rank))
+// outbound prepares pkt for the mailbox: under TransportCopy the payload is
+// deep-copied at the send site, under TransportZeroCopy the reference
+// itself crosses; either way the sender of an owned packet relinquishes its
+// value before the receiver can see it.
+func (l *link) outbound(pkt rank.Packet) rank.Packet {
+	sent := pkt
+	if l.w.transport == TransportCopy {
+		pkt.Value = algebra.CloneValue(sent.Value)
 	}
-	p.checkRank(dst)
-	p.w.startupWait()
-	p.sent++
-	p.sentWords += v.Words()
-	p.put(dst, packet{value: p.outbound(v), tag: tag})
+	sent.Relinquish()
+	return pkt
 }
 
-// SendMove ships v to rank dst transferring ownership: the receiver (via
-// RecvOwned) becomes the value's owner and may write it in place; the
-// sender relinquishes it and must not observe it again. For a *FlatTuple
-// the relinquishment is enforced — the tuple is poisoned and any later
-// access by the sender panics until its arena reclaims the buffer at the
-// next run's reset. Under TransportZeroCopy this makes a large-m send
-// O(1): only the reference crosses the mailbox. Under TransportCopy the
-// receiver gets an owned deep copy and the sender's value is poisoned all
-// the same, so a program's ownership discipline is checked identically on
-// both transports.
-func (p *Proc) SendMove(dst int, v algebra.Value, tag int) {
-	if dst == p.rank {
-		panic(fmt.Sprintf("backend: rank %d sending to itself", p.rank))
-	}
-	p.checkRank(dst)
-	p.w.startupWait()
-	p.sent++
-	p.sentWords += v.Words()
-	wire := p.outbound(v)
-	if ft, ok := v.(*algebra.FlatTuple); ok {
-		// Poison after outbound: under TransportCopy the clone reads v.
-		ft.MarkMoved()
-	}
-	p.put(dst, packet{value: wire, tag: tag, owned: true})
-}
-
-// put enqueues a packet for dst. The fast path is a plain buffered-channel
+// Put enqueues a packet for dst. The fast path is a plain buffered-channel
 // send; when the mailbox is full the rank stays cancellable — by a failing
 // peer or by the watchdog, to which it publishes its blocked-on state when
 // one is armed, so a send-side deadlock (every mailbox full, nobody
 // receiving) is diagnosed like a receive-side one.
-func (p *Proc) put(dst int, pkt packet) {
-	ch := p.w.procs[dst].mailbox(p.rank)
+func (l *link) Put(dst int, pkt rank.Packet) {
+	l.w.startupWait()
+	pkt = l.outbound(pkt)
+	ch := (*link)(l.w.procs[dst]).mailbox(l.Rank())
 	select {
 	case ch <- pkt:
 		return
 	default:
 	}
-	if p.w.watched {
-		p.wait.Store(&waitInfo{dir: "sending to", peer: dst, tag: pkt.tag, since: time.Now()})
-		defer p.wait.Store(nil)
+	if l.w.watched {
+		l.wait.Store(&waitInfo{dir: "sending to", peer: dst, tag: pkt.Tag, since: time.Now()})
+		defer l.wait.Store(nil)
 	}
 	select {
 	case ch <- pkt:
-	case <-p.w.abort:
-		panic(errAborted)
+	case <-l.w.abort.Done():
+		panic(rank.ErrAborted)
 	}
 }
 
-// TrySend is the non-blocking variant of Send: it enqueues v for dst if the
-// mailbox has room and reports whether it did. Nothing is charged on
-// failure. Fault-injecting decorators build their retry loops on it so a
-// full mailbox never wedges a rank that still has protocol work to do.
-func (p *Proc) TrySend(dst int, v algebra.Value, tag int) bool {
-	if dst == p.rank {
-		panic(fmt.Sprintf("backend: rank %d sending to itself", p.rank))
-	}
-	p.checkRank(dst)
+// TryPut enqueues pkt if the mailbox has room, so a full mailbox never
+// wedges a rank that still has protocol work to do.
+func (l *link) TryPut(dst int, pkt rank.Packet) bool {
 	select {
-	case p.w.procs[dst].mailbox(p.rank) <- packet{value: p.outbound(v), tag: tag}:
+	case (*link)(l.w.procs[dst]).mailbox(l.Rank()) <- l.outbound(pkt):
+		l.w.startupWait()
+		return true
 	default:
 		return false
 	}
-	p.w.startupWait()
-	p.sent++
-	p.sentWords += v.Words()
-	return true
 }
 
-// Recv receives the next message from rank src, blocking until it
-// arrives.
-func (p *Proc) Recv(src, tag int) algebra.Value {
-	p.checkRank(src)
-	pkt := p.take(src, tag, "waiting for a message from")
-	return pkt.value
+// Take dequeues the next packet from src.
+func (l *link) Take(src, want int) rank.Packet {
+	return l.take(src, want, "waiting for a message from", "receiving from")
 }
 
-// Exchange performs the simultaneous bidirectional swap with partner:
-// both sides enqueue, then dequeue, which the buffered channels keep
+// Swap enqueues, then dequeues, which the buffered channels keep
 // deadlock-free.
-func (p *Proc) Exchange(partner int, v algebra.Value, tag int) algebra.Value {
-	if partner == p.rank {
-		panic(fmt.Sprintf("backend: rank %d exchanging with itself", p.rank))
-	}
-	p.checkRank(partner)
-	p.w.startupWait()
-	p.sent++
-	p.sentWords += v.Words()
-	p.put(partner, packet{value: p.outbound(v), tag: tag})
-	pkt := p.take(partner, tag, "deadlocked in exchange with")
-	return pkt.value
+func (l *link) Swap(peer int, pkt rank.Packet) rank.Packet {
+	l.Put(peer, pkt)
+	return l.take(peer, pkt.Tag, "deadlocked in exchange with", "exchanging with")
 }
 
-// RecvOwned receives the next message from rank src like Recv and reports
-// whether the message transferred ownership: when owned is true the caller
-// is the value's new owner and may write it in place (a received
-// *FlatTuple has its move poison cleared — the adoption point of the
-// ownership protocol); when false the value is a borrowed shared reference
-// and must be treated as frozen.
-func (p *Proc) RecvOwned(src, tag int) (v algebra.Value, owned bool) {
-	p.checkRank(src)
-	pkt := p.take(src, tag, "waiting for a message from")
-	if pkt.owned {
-		if ft, ok := pkt.value.(*algebra.FlatTuple); ok {
-			ft.MarkOwned()
-		}
-	}
-	return pkt.value, pkt.owned
-}
-
-// RecvAny dequeues the next message from rank src regardless of its tag,
-// returning the value and the tag it was sent under. It blocks like Recv
-// (same timeout and watchdog discipline) but performs no tag check — it is
-// the raw link layer that fault-injecting decorators, which multiplex
-// their own protocol over one wire tag, read from.
-func (p *Proc) RecvAny(src int) (algebra.Value, int) {
-	p.checkRank(src)
-	pkt := p.take(src, anyTag, "waiting for a message from")
-	return pkt.value, pkt.tag
-}
-
-// TryRecvAny is the non-blocking variant of RecvAny: it dequeues an
-// already-arrived message from src, if there is one.
-func (p *Proc) TryRecvAny(src int) (algebra.Value, int, bool) {
-	p.checkRank(src)
+// TryTake dequeues an already-arrived packet from src.
+func (l *link) TryTake(src int) (rank.Packet, bool) {
 	select {
-	case pkt := <-p.mailbox(src):
-		p.recvd++
-		return pkt.value, pkt.tag, true
+	case pkt := <-l.mailbox(src):
+		return pkt, true
 	default:
-		return nil, 0, false
+		return rank.Packet{}, false
 	}
 }
 
-// anyTag makes take skip the tag check; it is never a valid message tag
-// (NextTag counts up from 1, subgroup tags are offset positive).
-const anyTag = -1 << 62
-
-// errAborted is the sentinel panic value of a rank cancelled because the
-// run is already lost — a peer failed, or the deadlock watchdog fired. Run
-// raises the failure that caused the cancellation, never the sentinel.
-var errAborted = fmt.Errorf("backend: run aborted")
-
-// take dequeues the next packet from src with the timeout and tag
-// discipline of the virtual machine. A message that is already there skips
-// the timer and the wait-state publication entirely; a rank that has to
-// block stays cancellable. The timeout uses the rank's reusable timer:
-// stopped and drained after every successful receive, so a receive-heavy
-// run arms one timer object instead of allocating one per message the way
-// time.After would.
-func (p *Proc) take(src, tag int, verb string) packet {
-	var pkt packet
-	ch := p.mailbox(src)
+// take dequeues the next packet from src. A message that is already there
+// skips the timer and the wait-state publication entirely; a rank that has
+// to block stays cancellable and, with a Timeout, bounded. verb words the
+// timeout diagnosis, dir the watchdog's.
+func (l *link) take(src, want int, verb, dir string) rank.Packet {
+	ch := l.mailbox(src)
 	select {
-	case pkt = <-ch:
-		return p.accept(pkt, src, tag)
+	case pkt := <-ch:
+		return pkt
 	default:
 	}
-	w := p.w
+	w := l.w
 	if w.watched {
-		p.wait.Store(&waitInfo{dir: blockDir(verb), peer: src, tag: tag, since: time.Now()})
-		defer p.wait.Store(nil)
+		l.wait.Store(&waitInfo{dir: dir, peer: src, tag: want, since: time.Now()})
+		defer l.wait.Store(nil)
 	}
-	// A nil timer channel blocks forever, so Timeout == 0 leaves only the
-	// message and the abort to wait for.
-	var timeoutC <-chan time.Time
-	if w.timeout > 0 {
-		if p.timer == nil {
-			p.timer = time.NewTimer(w.timeout)
-		} else {
-			p.timer.Reset(w.timeout)
-		}
-		timeoutC = p.timer.C
-	}
-	select {
-	case pkt = <-ch:
-		if timeoutC != nil && !p.timer.Stop() {
-			// The timer fired concurrently with the receive; drain it
-			// so the next Reset starts from a clean channel.
-			select {
-			case <-p.timer.C:
-			default:
-			}
-		}
-	case <-timeoutC:
+	pkt, ok := rank.Await(ch, w.abort, &l.timer, w.timeout)
+	if !ok {
+		n := l.Counters()
 		panic(fmt.Sprintf("backend: rank %d timed out after %v %s rank %d (tag %d); %d messages received, %d sent so far",
-			p.rank, w.timeout, verb, src, tag, p.recvd, p.sent))
-	case <-w.abort:
-		panic(errAborted)
+			l.Rank(), w.timeout, verb, src, want, n.Received, n.Sent))
 	}
-	return p.accept(pkt, src, tag)
-}
-
-// accept performs the tag check of the virtual machine and counts the
-// receive. A tag of anyTag skips the check (raw-link receives).
-func (p *Proc) accept(pkt packet, src, tag int) packet {
-	if tag != anyTag && pkt.tag != tag {
-		panic(fmt.Sprintf("backend: rank %d expected tag %d from rank %d, got %d", p.rank, tag, src, pkt.tag))
-	}
-	p.recvd++
 	return pkt
-}
-
-// blockDir maps take's panic verb to the watchdog report's direction.
-func blockDir(verb string) string {
-	if verb == "deadlocked in exchange with" {
-		return "exchanging with"
-	}
-	return "receiving from"
-}
-
-func (p *Proc) checkRank(r int) {
-	if r < 0 || r >= len(p.w.procs) {
-		panic(fmt.Sprintf("backend: rank %d out of range [0,%d)", r, len(p.w.procs)))
-	}
 }
 
 // startupWait busy-waits for the injected per-message start-up. A spin
@@ -710,11 +508,12 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 		close(wdStop)
 		<-wdDone
 	}
-	if w.aborted.Load() || w.lost.Load() {
+	failure := w.abort.Reason()
+	if failure != "" || w.lost.Load() {
 		m.discard()
 	}
-	if w.aborted.Load() {
-		panic(w.failure)
+	if failure != "" {
+		panic(failure)
 	}
 	res := Result{Ranks: make([]time.Duration, len(w.procs)), Marks: make([][]StageMark, len(w.procs))}
 	nmarks := 0
@@ -729,9 +528,10 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 		from := len(marks)
 		marks = append(marks, p.marks...)
 		res.Marks[r] = marks[from:len(marks):len(marks)]
-		res.Messages += p.sent
-		res.Words += p.sentWords
-		res.Ops += p.ops
+		n := p.Counters()
+		res.Messages += n.Sent
+		res.Words += n.Words
+		res.Ops += n.Ops
 		if p.elapsed > res.Makespan {
 			res.Makespan = p.elapsed
 		}
@@ -780,17 +580,17 @@ func (w *world) watch(limit time.Duration, stop, done chan struct{}) {
 		fmt.Fprintf(&b, "backend: deadlock: every unfinished rank blocked for %v with no progress\n", limit)
 		for _, p := range w.procs {
 			if p.finished.Load() {
-				fmt.Fprintf(&b, "  rank %d: finished\n", p.rank)
+				fmt.Fprintf(&b, "  rank %d: finished\n", p.Rank())
 				continue
 			}
 			if pw := p.wait.Load(); pw != nil {
 				fmt.Fprintf(&b, "  rank %d: blocked %s rank %d (tag %d) for %v\n",
-					p.rank, pw.dir, pw.peer, pw.tag, now.Sub(pw.since).Round(time.Millisecond))
+					p.Rank(), pw.dir, pw.peer, pw.tag, now.Sub(pw.since).Round(time.Millisecond))
 			} else {
-				fmt.Fprintf(&b, "  rank %d: running\n", p.rank)
+				fmt.Fprintf(&b, "  rank %d: running\n", p.Rank())
 			}
 		}
-		w.cancel(b.String())
+		w.abort.Fail(b.String())
 		return
 	}
 }
@@ -802,16 +602,14 @@ func (w *world) watch(limit time.Duration, stop, done chan struct{}) {
 // discards the ranks entirely).
 func (w *world) reset() {
 	for _, p := range w.procs {
-		p.sent, p.recvd, p.sentWords = 0, 0, 0
-		p.ops = 0
-		p.tagseq = 0
+		p.Reset()
 		p.marks = p.marks[:0]
 		p.elapsed = 0
 		p.finished.Store(false)
 		p.wait.Store(nil)
 		// The previous run's join ordered every rank's arena use before
 		// this reset.
-		p.arena.Reset()
+		p.ScratchArena().Reset()
 		// Defensively drain any packet a sloppy program sent but never
 		// received, so it cannot satisfy a later run's matching tag.
 		for s := range p.in {

@@ -13,7 +13,6 @@ import (
 // The native Proc must satisfy the communicator interface the collective
 // library is written against — that is the whole premise of the backend.
 var _ coll.Comm = (*backend.Proc)(nil)
-var _ coll.Marker = (*backend.Proc)(nil)
 
 func TestRunTimingAndResultShape(t *testing.T) {
 	nm := backend.New(4)

@@ -36,7 +36,7 @@ func onBoth(p int, in []algebra.Value, body func(c coll.Comm, x algebra.Value) a
 	virtual = make([]algebra.Value, p)
 	vm := machine.New(p, machine.Params{Ts: 100, Tw: 1})
 	vm.Run(func(pr *machine.Proc) {
-		c := coll.World(pr)
+		c := coll.Comm(pr)
 		virtual[c.Rank()] = body(c, in[c.Rank()])
 	})
 	native = make([]algebra.Value, p)

@@ -10,10 +10,6 @@ import (
 	"repro/internal/coll"
 )
 
-// The native Proc must expose the ownership-moving transport the
-// collectives' fast path is written against.
-var _ coll.Mover = (*backend.Proc)(nil)
-
 // transportModes are the two payload disciplines every transport test
 // sweeps: the zero-copy default and the deep-copying isolation baseline.
 var transportModes = []backend.TransportMode{backend.TransportZeroCopy, backend.TransportCopy}

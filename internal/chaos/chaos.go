@@ -6,7 +6,7 @@
 // above it rely on.
 //
 // The decorator multiplexes its own wire protocol over the raw link layer
-// (coll.Transport) of either backend: every application message travels
+// (rank.Caps.Raw) of any backend: every application message travels
 // as an envelope carrying the application tag plus two sequence numbers,
 // one per link (the deduplication and acknowledgement key) and one per
 // (link, tag) stream (the delivery-order key). Receivers deduplicate,
@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/coll"
+	"repro/internal/rank"
 )
 
 // wireTag is the single underlying-layer tag all chaos packets travel
@@ -126,7 +127,7 @@ type Comm struct {
 	Timeout time.Duration
 
 	under coll.Comm
-	raw   coll.Transport
+	raw   *rank.Core
 	prof  Profile
 	rng   *rand.Rand
 
@@ -142,12 +143,13 @@ type Comm struct {
 
 // Wrap decorates a backend communicator with fault injection. Each rank
 // derives its own PRNG from seed and its rank, so a (profile, seed)
-// pair replays the same fault schedule. The communicator must expose the
-// raw link layer (coll.Transport); both backends do.
+// pair replays the same fault schedule. The communicator must expose its
+// raw link (Caps().Raw); every backend's rank does, a subgroup or another
+// decorator does not.
 func Wrap(under coll.Comm, prof Profile, seed int64) *Comm {
-	raw, ok := under.(coll.Transport)
-	if !ok {
-		panic(fmt.Sprintf("chaos: %T does not implement coll.Transport; wrap the backend communicator, not a subgroup", under))
+	raw := under.Caps().Raw
+	if raw == nil {
+		panic(fmt.Sprintf("chaos: %T exposes no raw link; wrap the backend's rank, not a subgroup", under))
 	}
 	p := under.Size()
 	c := &Comm{
@@ -189,22 +191,10 @@ func (c *Comm) Compute(n float64) {
 	c.under.Compute(n)
 }
 
-// Mark forwards stage annotations when the wrapped communicator records
-// them.
-func (c *Comm) Mark(label string) {
-	if m, ok := c.under.(coll.Marker); ok {
-		m.Mark(label)
-	}
-}
-
-// ScratchArena exposes the wrapped rank's arena, if any, so the
-// collectives' zero-allocation hot path runs under fault injection too.
-func (c *Comm) ScratchArena() *algebra.Arena {
-	if h, ok := c.under.(coll.ArenaHolder); ok {
-		return h.ScratchArena()
-	}
-	return nil
-}
+// Caps shares the wrapped rank's arena and mark hook, so the collectives'
+// zero-allocation hot path runs under fault injection too; the raw link is
+// taken by the chaos protocol.
+func (c *Comm) Caps() rank.Caps { return c.under.Caps().Shared() }
 
 func (c *Comm) timeout() time.Duration {
 	if c.Timeout > 0 {
@@ -297,6 +287,12 @@ func (c *Comm) Recv(src, tag int) coll.Value {
 		runtime.Gosched()
 	}
 }
+
+// SendMove is Send and RecvOwned a borrowing Recv: an envelope may be
+// retransmitted or duplicated, so the decorator cannot give a payload away.
+func (c *Comm) SendMove(dst int, v coll.Value, tag int) { c.Send(dst, v, tag) }
+
+func (c *Comm) RecvOwned(src, tag int) (coll.Value, bool) { return c.Recv(src, tag), false }
 
 // Exchange is the bidirectional swap, realized as an independent send and
 // receive so both directions pass through the fault machinery.

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/backend"
-	"repro/internal/coll"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/term"
@@ -72,7 +71,7 @@ func RunNativeTransport(t term.Term, p int, prof Profile, seed int64, in []algeb
 func RunVirtual(t term.Term, p int, prof Profile, seed int64, in []algebra.Value) []algebra.Value {
 	out := make([]algebra.Value, p)
 	VirtualMachine(p).Run(func(pr *machine.Proc) {
-		c := Wrap(coll.World(pr), prof, seed)
+		c := Wrap(pr, prof, seed)
 		out[c.Rank()] = core.RunStages(c, t, in[c.Rank()])
 		c.Fence()
 	})
@@ -94,7 +93,7 @@ func OnNative(p int, prof Profile, seed int64, body func(c *Comm)) {
 // OnVirtual is OnNative on the virtual-time machine.
 func OnVirtual(p int, prof Profile, seed int64, body func(c *Comm)) {
 	VirtualMachine(p).Run(func(pr *machine.Proc) {
-		c := Wrap(coll.World(pr), prof, seed)
+		c := Wrap(pr, prof, seed)
 		body(c)
 		c.Fence()
 	})

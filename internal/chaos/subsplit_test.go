@@ -27,7 +27,7 @@ func runEverywhere(p int, prof chaos.Profile, seed int64, body func(c coll.Comm)
 		out[0][pr.Rank()] = body(pr)
 	})
 	machine.New(p, machine.Params{Ts: 100, Tw: 1}).Run(func(pr *machine.Proc) {
-		c := coll.World(pr)
+		c := coll.Comm(pr)
 		out[1][c.Rank()] = body(c)
 	})
 	chaos.OnNative(p, prof, seed, func(c *chaos.Comm) {

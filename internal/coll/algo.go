@@ -69,7 +69,7 @@ func AllReduceRabenseifner(c Comm, op *algebra.Op, x Value) Value {
 		return vec
 	}
 	tag := c.NextTag()
-	ar := arenaOf(c)
+	ar := c.Caps().Arena
 	rank := c.Rank()
 	q := 1 << log2Floor(n)
 	r := n - q
@@ -85,7 +85,7 @@ func AllReduceRabenseifner(c Comm, op *algebra.Op, x Value) Value {
 			c.Send(rank-1, vec, tag)
 			isLeader = false
 		} else {
-			hi := recvValue(c, rank+1, tag)
+			hi := c.Recv(rank+1, tag)
 			work = arenaVec(ar, m)
 			op.ApplyInto(work, vec, hi)
 			c.Compute(op.Charge(work))
@@ -104,7 +104,7 @@ func AllReduceRabenseifner(c Comm, op *algebra.Op, x Value) Value {
 	}
 	if !isLeader {
 		// Wait for the unfold: the pair's leader ships the finished block.
-		return recvValue(c, rank-1, tag)
+		return c.Recv(rank-1, tag)
 	}
 
 	// Recursive halving over chunk indices [lo, hi): each step keeps the
@@ -130,7 +130,7 @@ func AllReduceRabenseifner(c Comm, op *algebra.Op, x Value) Value {
 		}
 		sendSlice := work[chunkOff(m, q, st.sentLo):chunkOff(m, q, st.sentHi)]
 		c.Send(st.partner, sendSlice, tag)
-		recv := recvValue(c, st.partner, tag).(algebra.Vec)
+		recv := c.Recv(st.partner, tag).(algebra.Vec)
 		kept := work[chunkOff(m, q, st.keptLo):chunkOff(m, q, st.keptHi)]
 		if st.partnerLower {
 			op.ApplyInto(kept, recv, kept)
@@ -152,7 +152,7 @@ func AllReduceRabenseifner(c Comm, op *algebra.Op, x Value) Value {
 		st := steps[i]
 		held := out[chunkOff(m, q, st.keptLo):chunkOff(m, q, st.keptHi)]
 		c.Send(st.partner, held, tag)
-		recv := recvValue(c, st.partner, tag).(algebra.Vec)
+		recv := c.Recv(st.partner, tag).(algebra.Vec)
 		copy(out[chunkOff(m, q, st.sentLo):chunkOff(m, q, st.sentHi)], recv)
 	}
 
@@ -202,10 +202,10 @@ func ReducePipelined(c Comm, op *algebra.Op, x Value, segments int) Value {
 	// Combine each arriving segment with the own block's segment (own
 	// rank is lower, so own goes left) into owned scratch; middle ranks
 	// forward the combined segment and never touch it again.
-	work := arenaVec(arenaOf(c), m)
+	work := arenaVec(c.Caps().Arena, m)
 	for s := 0; s < k; s++ {
 		off, sz := chunkBounds(m, k, s)
-		recv := recvValue(c, rank+1, tag)
+		recv := c.Recv(rank+1, tag)
 		seg := work[off : off+sz]
 		op.ApplyInto(seg, vec[off:off+sz], recv)
 		c.Compute(op.Charge(seg))
@@ -236,7 +236,7 @@ type ringHalf struct {
 
 func newRingHalf(c Comm, op *algebra.Op, d int, half algebra.Vec) *ringHalf {
 	n := c.Size()
-	ar := arenaOf(c)
+	ar := c.Caps().Arena
 	acc := make([]algebra.Vec, n)
 	for i := 0; i < n; i++ {
 		off, sz := chunkBounds(len(half), n, i)
@@ -273,7 +273,7 @@ func (h *ringHalf) sendReduce(s int) { h.c.Send(h.peerOut(), h.acc[h.idx(s+1)], 
 // ring order is documented behavior, as in ReduceScatter).
 func (h *ringHalf) recvReduce(s int) {
 	i := h.idx(s + 2)
-	in := recvValue(h.c, h.peerIn(), h.tag)
+	in := h.c.Recv(h.peerIn(), h.tag)
 	h.op.ApplyInto(h.acc[i], in, h.acc[i])
 	h.c.Compute(h.op.Charge(h.acc[i]))
 }
@@ -283,7 +283,7 @@ func (h *ringHalf) sendGather(s int) { h.c.Send(h.peerOut(), h.acc[h.idx(s)], h.
 
 // recvGather completes step s: adopt the finished chunk.
 func (h *ringHalf) recvGather(s int) {
-	h.acc[h.idx(s+1)] = recvValue(h.c, h.peerIn(), h.tag).(algebra.Vec)
+	h.acc[h.idx(s+1)] = h.c.Recv(h.peerIn(), h.tag).(algebra.Vec)
 }
 
 // assemble concatenates the finished chunks into dst.
@@ -330,7 +330,7 @@ func AllReduceRingBi(c Comm, op *algebra.Op, x Value) Value {
 		cw.recvGather(s)
 		acw.recvGather(s)
 	}
-	out := arenaVec(arenaOf(c), len(vec))
+	out := arenaVec(c.Caps().Arena, len(vec))
 	cw.assemble(out[:half])
 	acw.assemble(out[half:])
 	return out

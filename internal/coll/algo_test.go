@@ -150,7 +150,7 @@ func TestAlgoShapePanics(t *testing.T) {
 				}
 			}()
 			vm := machine.New(4, machine.Params{})
-			vm.Run(func(proc *machine.Proc) { tc.body(World(proc)) })
+			vm.Run(func(proc *machine.Proc) { tc.body(Comm(proc)) })
 		})
 	}
 }

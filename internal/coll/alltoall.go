@@ -43,9 +43,9 @@ func AllToAll(c Comm, parts []Value) []Value {
 		// (rank, sendTo) pair sends first.
 		if rank < sendTo {
 			c.Send(sendTo, parts[sendTo], tag)
-			out[recvFrom] = recvValue(c, recvFrom, tag)
+			out[recvFrom] = c.Recv(recvFrom, tag)
 		} else {
-			out[recvFrom] = recvValue(c, recvFrom, tag)
+			out[recvFrom] = c.Recv(recvFrom, tag)
 			c.Send(sendTo, parts[sendTo], tag)
 		}
 	}

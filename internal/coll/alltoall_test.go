@@ -13,7 +13,7 @@ func TestAllToAllAllSizes(t *testing.T) {
 		m := machine.New(n, machine.Params{Ts: 3, Tw: 1})
 		got := make([][]Value, n)
 		m.Run(func(proc *machine.Proc) {
-			c := World(proc)
+			c := Comm(proc)
 			parts := make([]Value, n)
 			for j := 0; j < n; j++ {
 				parts[j] = algebra.Scalar(float64(100*proc.Rank() + j))
@@ -37,7 +37,7 @@ func TestAllToAllVariableSizes(t *testing.T) {
 	m := machine.New(n, machine.Params{Ts: 3, Tw: 1})
 	got := make([][]Value, n)
 	m.Run(func(proc *machine.Proc) {
-		c := World(proc)
+		c := Comm(proc)
 		parts := make([]Value, n)
 		for j := 0; j < n; j++ {
 			v := make(algebra.Vec, (proc.Rank()+j)%3+1)
@@ -67,7 +67,7 @@ func TestAllToAllVariableSizes(t *testing.T) {
 func TestAllToAllSelfSlotUntouched(t *testing.T) {
 	m := machine.New(3, machine.Params{})
 	m.Run(func(proc *machine.Proc) {
-		c := World(proc)
+		c := Comm(proc)
 		parts := []Value{algebra.Scalar(0), algebra.Scalar(1), algebra.Scalar(2)}
 		out := AllToAll(c, parts)
 		if !algebra.Equal(out[proc.Rank()], parts[proc.Rank()]) {
@@ -84,7 +84,7 @@ func TestAllToAllWrongPartsPanics(t *testing.T) {
 	}()
 	m := machine.New(2, machine.Params{})
 	m.Run(func(proc *machine.Proc) {
-		AllToAll(World(proc), []Value{algebra.Scalar(1)})
+		AllToAll(Comm(proc), []Value{algebra.Scalar(1)})
 	})
 }
 
@@ -94,7 +94,7 @@ func TestAllToAllOnSubgroup(t *testing.T) {
 	group := []int{0, 2, 4}
 	got := make([][]Value, 6)
 	m.Run(func(proc *machine.Proc) {
-		c := World(proc)
+		c := Comm(proc)
 		if proc.Rank()%2 != 0 {
 			return
 		}

@@ -2,30 +2,6 @@ package coll
 
 import "repro/internal/algebra"
 
-// ArenaHolder is optionally implemented by communicators whose backend
-// provides a per-rank scratch arena (the native backend does; see
-// backend.Proc.ScratchArena). The collectives draw each combining round's
-// destination buffer from it, so in steady state the log-p rounds
-// allocate nothing. Communicators without one run the same code with a
-// nil arena, which simply allocates fresh buffers — the representation
-// decisions (flatten or not, kernel or reference) never depend on the
-// arena, so both backends compute bitwise-identical values.
-type ArenaHolder interface {
-	// ScratchArena returns the caller's per-rank arena. The backend owns
-	// the Reset discipline: it must only reclaim buffers at a point where
-	// no peer can still read them (run start, after the previous run's
-	// completion barrier).
-	ScratchArena() *algebra.Arena
-}
-
-// arenaOf extracts the communicator's arena, or nil.
-func arenaOf(c Comm) *algebra.Arena {
-	if h, ok := c.(ArenaHolder); ok {
-		return h.ScratchArena()
-	}
-	return nil
-}
-
 // toWork converts a collective's input into the working representation
 // for operator op: a Tuple of equal-length Vec components flattens into
 // one arena-backed buffer (a copy — the caller's input stays read-only)
@@ -75,4 +51,14 @@ func dstFor(ar *algebra.Arena, cur Value, owned bool, proto Value) Value {
 		return cur
 	}
 	return scratchLike(ar, proto)
+}
+
+// dstForOwned extends dstFor with an adoptable right operand: when this
+// rank does not own cur but the link moved the received value's ownership
+// here, combining targets the received value.
+func dstForOwned(ar *algebra.Arena, cur Value, curOwned bool, recv Value, adopted bool) Value {
+	if adopted && !curOwned {
+		return recv
+	}
+	return dstFor(ar, cur, curOwned, recv)
 }

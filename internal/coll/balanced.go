@@ -19,7 +19,7 @@ import (
 func ReduceBalanced(c Comm, op *algebra.Op, x Value) Value {
 	tag := c.NextTag()
 	n := c.Size()
-	ar := arenaOf(c)
+	ar := c.Caps().Arena
 	w, owned := toWork(ar, op, x)
 	v, _ := reduceBalNode(c, ar, op, 0, n, log2Ceil(n), w, owned, tag)
 	if c.Rank() == 0 {
@@ -58,7 +58,7 @@ func reduceBalNode(c Comm, ar *algebra.Arena, op *algebra.Op, lo, hi, h int, v V
 	if c.Rank() < mid {
 		v, owned = reduceBalNode(c, ar, op, lo, mid, h-1, v, owned, tag)
 		if c.Rank() == lo {
-			right := recvValue(c, mid, tag)
+			right := c.Recv(mid, tag)
 			v = op.ApplyInto(dstFor(ar, v, owned, right), v, right)
 			owned = true
 			c.Compute(op.Charge(v))
@@ -87,7 +87,7 @@ func AllReduceBalanced(c Comm, op *algebra.Op, x Value) Value {
 		return Bcast(c, 0, v)
 	}
 	tag := c.NextTag()
-	ar := arenaOf(c)
+	ar := c.Caps().Arena
 	v, _ := toWork(ar, op, x)
 	for k := 0; k < log2Ceil(n); k++ {
 		partner := c.Rank() ^ (1 << k)
@@ -114,7 +114,7 @@ func AllReduceBalanced(c Comm, op *algebra.Op, x Value) Value {
 func ScanBalanced(c Comm, op *algebra.BalancedScanOp, x Value) Value {
 	tag := c.NextTag()
 	n := c.Size()
-	ar := arenaOf(c)
+	ar := c.Caps().Arena
 	// Flatten the working state when the operator has flat kernels: each
 	// phase then ships a fresh flat projection and rewrites the state in
 	// place, allocating nothing in steady state. Phases whose partner is

@@ -378,7 +378,7 @@ func TestGatherAllSizes(t *testing.T) {
 		m := machine.New(n, machine.Params{Ts: 5, Tw: 1})
 		var rootGot []Value
 		m.Run(func(proc *machine.Proc) {
-			pr := World(proc)
+			pr := Comm(proc)
 			got := Gather(pr, 0, xs[pr.Rank()])
 			if pr.Rank() == 0 {
 				rootGot = got
@@ -396,7 +396,7 @@ func TestGatherNonZeroRoot(t *testing.T) {
 	xs := scalars(10, 20, 30, 40, 50)
 	m := machine.New(5, machine.Params{})
 	m.Run(func(proc *machine.Proc) {
-		pr := World(proc)
+		pr := Comm(proc)
 		got := Gather(pr, 2, xs[pr.Rank()])
 		if pr.Rank() == 2 && !algebra.EqualLists(got, xs) {
 			t.Errorf("gather at root 2 = %v, want %v", got, xs)
@@ -428,7 +428,7 @@ func TestAllGatherAllSizes(t *testing.T) {
 		m := machine.New(n, machine.Params{Ts: 5, Tw: 1})
 		outs := make([][]Value, n)
 		m.Run(func(proc *machine.Proc) {
-			pr := World(proc)
+			pr := Comm(proc)
 			outs[pr.Rank()] = AllGather(pr, xs[pr.Rank()])
 		})
 		for r, got := range outs {

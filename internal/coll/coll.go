@@ -1,5 +1,5 @@
-// Package coll implements the collective operations of the paper on the
-// virtual machine of package machine: broadcast, reduction, all-reduction
+// Package coll implements the collective operations of the paper over a
+// communicator — a rank of any backend: broadcast, reduction, all-reduction
 // and scan with the butterfly/binomial implementations whose costs §4.1
 // estimates, plus the paper's new collectives — reduce_balanced and
 // scan_balanced (§3.2, §3.3), which tolerate the non-associative derived
@@ -7,34 +7,23 @@
 // doubling scheme and the faster bcast-plus-repeat scheme).
 //
 // Every collective is an SPMD call over a Comm — the communicator naming
-// the participating group (coll.World for the whole machine, coll.Sub or
-// coll.Split for subgroups). All group members run the same call inside
-// Machine.Run, and each call charges the processor clocks with the
-// transfer and computation costs of the model (ts + m·tw per transfer,
-// one unit per elementary operation), so the Makespan of a run is
-// directly comparable with the paper's estimates.
+// the participating group (a backend's rank for its whole machine, Sub or
+// Split for subgroups); Comm's documentation also states the ownership
+// protocol of the values that cross it. All group members run the same call
+// inside Machine.Run; on the virtual machine each call charges the
+// processor clocks with the transfer and computation costs of the model
+// (ts + m·tw per transfer, one unit per elementary operation), so the
+// Makespan of a run is directly comparable with the paper's estimates.
 //
 // Combining is always performed in rank order (lower-rank operand on the
 // left), so non-commutative associative operators are handled correctly
 // for any group size, not only powers of two.
 package coll
 
-import (
-	"fmt"
-
-	"repro/internal/algebra"
-)
+import "repro/internal/algebra"
 
 // Value is the per-processor datum; an alias re-exported for convenience.
 type Value = algebra.Value
-
-func recvValue(c Comm, src, tag int) Value {
-	v := c.Recv(src, tag)
-	if v == nil {
-		panic(fmt.Sprintf("coll: rank %d received nil from %d", c.Rank(), src))
-	}
-	return v
-}
 
 // log2Ceil returns ceil(log2 n) for n ≥ 1.
 func log2Ceil(n int) int {
@@ -79,7 +68,7 @@ func Bcast(c Comm, root int, x Value) Value {
 			c.Send(dst, v, tag)
 		case !have && vr >= bit && vr < bit<<1:
 			src := (vr - bit + root) % n
-			v = recvValue(c, src, tag)
+			v = c.Recv(src, tag)
 			have = true
 		}
 	}
@@ -98,7 +87,7 @@ func Reduce(c Comm, root int, op *algebra.Op, x Value) Value {
 	if n == 1 {
 		return x
 	}
-	ar := arenaOf(c)
+	ar := c.Caps().Arena
 	vr := (c.Rank() - root + n) % n
 	v, owned := toWork(ar, op, x)
 	done := false
@@ -112,11 +101,15 @@ func Reduce(c Comm, root int, op *algebra.Op, x Value) Value {
 			// send moves ownership outright: the parent may combine into
 			// it in place, and on a zero-copy transport nothing is copied.
 			dst := (vr - bit + root) % n
-			sendOwned(c, dst, v, owned, tag)
+			if owned {
+				c.SendMove(dst, v, tag)
+			} else {
+				c.Send(dst, v, tag)
+			}
 			done = true
 		} else if vr+bit < n {
 			src := (vr + bit + root) % n
-			r, adopted := recvOwned(c, src, tag)
+			r, adopted := c.RecvOwned(src, tag)
 			// Own value covers lower virtual ranks: combine own ⊕ recv —
 			// in place into the accumulator once it is owned scratch, or
 			// into the received buffer when the child moved it here.
@@ -145,7 +138,7 @@ func AllReduce(c Comm, op *algebra.Op, x Value) Value {
 	if n == 1 {
 		return x
 	}
-	ar := arenaOf(c)
+	ar := c.Caps().Arena
 	rank := c.Rank()
 	q := 1 << log2Floor(n)
 	r := n - q
@@ -157,10 +150,14 @@ func AllReduce(c Comm, op *algebra.Op, x Value) Value {
 		if rank%2 == 1 {
 			// The fold send is terminal for this rank's accumulator (it
 			// only receives from here on), so an owned buffer moves.
-			sendOwned(c, rank-1, v, owned, tag)
+			if owned {
+				c.SendMove(rank-1, v, tag)
+			} else {
+				c.Send(rank-1, v, tag)
+			}
 			isLeader = false
 		} else {
-			hi, adopted := recvOwned(c, rank+1, tag)
+			hi, adopted := c.RecvOwned(rank+1, tag)
 			v = op.ApplyInto(dstForOwned(ar, v, owned, hi, adopted), v, hi)
 			c.Compute(op.Charge(v))
 			leaderIdx = rank / 2
@@ -195,7 +192,7 @@ func AllReduce(c Comm, op *algebra.Op, x Value) Value {
 		}
 		return fromWork(v)
 	}
-	return fromWork(recvValue(c, rank-1, tag))
+	return fromWork(c.Recv(rank-1, tag))
 }
 
 // Scan computes the inclusive parallel prefix with the associative
@@ -218,7 +215,7 @@ func Scan(c Comm, op *algebra.Op, x Value) Value {
 	// carries the pair's segment; the leader's own inclusive prefix then
 	// equals the pair's, and the folded partner needs the leader's
 	// exclusive prefix afterwards.
-	ar := arenaOf(c)
+	ar := c.Caps().Arena
 	v, _ := toWork(ar, op, x)
 	isLeader := true
 	leaderIdx := rank
@@ -227,7 +224,7 @@ func Scan(c Comm, op *algebra.Op, x Value) Value {
 			c.Send(rank+1, v, tag)
 			isLeader = false
 		} else {
-			lo := recvValue(c, rank-1, tag)
+			lo := c.Recv(rank-1, tag)
 			v = op.ApplyInto(scratchLike(ar, lo), lo, v)
 			c.Compute(op.Charge(v))
 			leaderIdx = rank / 2
@@ -244,7 +241,7 @@ func Scan(c Comm, op *algebra.Op, x Value) Value {
 	if !isLeader {
 		// Receive the leader's exclusive prefix (Undef if empty) and
 		// append the own element.
-		ex := recvValue(c, rank+1, tag)
+		ex := c.Recv(rank+1, tag)
 		if algebra.IsUndef(ex) {
 			return x
 		}

@@ -15,7 +15,7 @@ func runSPMD(p int, params machine.Params, body func(pr Comm) Value) ([]Value, m
 	m := machine.New(p, params)
 	out := make([]Value, p)
 	res := m.Run(func(pr *machine.Proc) {
-		out[pr.Rank()] = body(World(pr))
+		out[pr.Rank()] = body(Comm(pr))
 	})
 	return out, res
 }

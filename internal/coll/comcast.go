@@ -19,7 +19,7 @@ func BcastRepeat(c Comm, root int, ops *algebra.RepeatOps, b Value) Value {
 	if vec, ok := v.(algebra.Vec); ok && ops.FlatE != nil && ops.FlatO != nil && len(vec) > 0 {
 		// Flat repeat: duplicate the broadcast block into one flat
 		// working tuple and iterate the digit steps in place.
-		w := arenaOf(c).Flat(ops.Arity, len(vec))
+		w := c.Caps().Arena.Flat(ops.Arity, len(vec))
 		for i := 0; i < ops.Arity; i++ {
 			copy(w.Comp(i), vec)
 		}
@@ -43,7 +43,7 @@ func BcastRepeat(c Comm, root int, ops *algebra.RepeatOps, b Value) Value {
 func Comcast(c Comm, root int, ops *algebra.RepeatOps, b Value) Value {
 	tag := c.NextTag()
 	n := c.Size()
-	ar := arenaOf(c)
+	ar := c.Caps().Arena
 	vrank := (c.Rank() - root + n) % n
 	m := b.Words()
 	useFlat := ops.FlatE != nil && ops.FlatO != nil
@@ -99,7 +99,7 @@ func Comcast(c Comm, root int, ops *algebra.RepeatOps, b Value) Value {
 			c.Compute(float64(ops.CostE) * float64(m))
 		case vrank < bit<<1:
 			src := (vrank - bit + root) % n
-			w = recvValue(c, src, tag)
+			w = c.Recv(src, tag)
 			owned = false
 		}
 	}

@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/algebra"
-	"repro/internal/machine"
+	"repro/internal/rank"
 )
 
 // Comm is the communication context a collective operation runs in — the
@@ -13,116 +12,57 @@ import (
 // omits comm; this layer supplies the general case). A Comm names a group
 // of processors, gives the caller its rank within the group, and carries
 // its own tag sequence so that collectives on different groups never
-// cross-talk.
+// cross-talk. A rank of any backend — *machine.Proc, *backend.Proc,
+// *mpbackend.Proc, all one rank.Core over that backend's link — is the
+// communicator spanning its whole machine, the analogue of MPI_COMM_WORLD;
+// Sub and Split derive subgroups, package chaos a fault-injecting
+// decorator.
+//
+// # Ownership
+//
+// A value crosses a link in one of two ways. Send, Exchange and the raw
+// link lend it: the reference (or a copy, on a link that copies or
+// serializes) reaches the receiver, the sender may keep reading it, and
+// neither side may write it — received values are frozen. SendMove gives it
+// away: the sender must not observe the value again (a *algebra.FlatTuple
+// is poisoned, so a stray access panics; see algebra.FlatTuple.MarkMoved)
+// and the matching RecvOwned reports true, making the receiver the new
+// owner, entitled to write the value in place. On a zero-copy link that
+// turns a large-m send into an O(1) reference hand-off; on a copying or
+// serializing link the receiver owns its copy and the sender's value is
+// poisoned all the same, so programs keep one ownership discipline
+// everywhere. A link that cannot transfer ownership (the virtual machine's,
+// the chaos decorator's) delivers a borrow: SendMove is Send, nothing is
+// poisoned, and RecvOwned reports false.
 type Comm interface {
 	// Rank is the caller's rank within this group.
 	Rank() int
 	// Size is the number of group members.
 	Size() int
-	// Send ships v to group rank dst.
+	// Send ships v to group rank dst, as a borrow.
 	Send(dst int, v Value, tag int)
 	// Recv receives the next tagged message from group rank src.
 	Recv(src, tag int) Value
 	// Exchange performs the simultaneous bidirectional swap with the
-	// group rank partner.
+	// group rank partner; both values are borrows.
 	Exchange(partner int, v Value, tag int) Value
+	// SendMove ships v to dst, transferring ownership to the receiver.
+	// Only call with values this rank owns for writing (arena scratch it
+	// has not shipped) — never with a caller's input.
+	SendMove(dst int, v Value, tag int)
+	// RecvOwned receives like Recv and reports whether the message
+	// transferred ownership: true means the caller may write the value in
+	// place, false means it is a borrowed frozen reference.
+	RecvOwned(src, tag int) (Value, bool)
 	// Compute charges local computation time.
 	Compute(n float64)
 	// NextTag returns a fresh tag, synchronized across the group.
 	NextTag() int
+	// Caps is what the communicator offers beyond messages: the rank's
+	// scratch arena, its stage-mark hook and its raw link, each nil when
+	// absent.
+	Caps() rank.Caps
 }
-
-// Transport is optionally implemented by communicators that expose the
-// raw link layer beneath the tag discipline: non-blocking sends and
-// tag-oblivious receives. Decorators that perturb traffic (package chaos)
-// multiplex their own wire protocol — envelopes carrying the application
-// tag, acknowledgements, retransmissions — over these primitives, while
-// the collectives above them keep the ordinary tagged Comm interface.
-// Both backends implement it; a decorator should type-assert and refuse
-// communicators that do not.
-type Transport interface {
-	// TrySend enqueues v for dst if the link has room and reports
-	// whether it did; nothing is charged on failure.
-	TrySend(dst int, v Value, tag int) bool
-	// RecvAny blocks for the next message from src regardless of tag,
-	// returning the value and the tag it was sent under.
-	RecvAny(src int) (Value, int)
-	// TryRecvAny dequeues an already-arrived message from src, if any.
-	TryRecvAny(src int) (Value, int, bool)
-}
-
-// Marker is optionally implemented by communicators that can record
-// stage-boundary annotations — the virtual machine puts them on the event
-// trace, the native backend on its wall-clock timeline. Executors should
-// type-assert for it rather than require it.
-type Marker interface {
-	// Mark records a stage annotation at the current time.
-	Mark(label string)
-}
-
-// world adapts a machine processor to the full-machine communicator.
-type world struct {
-	p      *machine.Proc
-	tagseq int
-}
-
-// World returns the communicator spanning all processors of the machine,
-// the analogue of MPI_COMM_WORLD. Each processor must create its own via
-// this call inside the SPMD body.
-func World(p *machine.Proc) Comm { return &world{p: p} }
-
-func (w *world) Rank() int { return w.p.Rank() }
-func (w *world) Size() int { return w.p.P() }
-
-func (w *world) Send(dst int, v Value, tag int) {
-	w.p.Send(dst, v, v.Words(), tag)
-}
-
-func (w *world) Recv(src, tag int) Value {
-	raw := w.p.Recv(src, tag)
-	if raw == nil {
-		return nil
-	}
-	return raw.(Value)
-}
-
-func (w *world) Exchange(partner int, v Value, tag int) Value {
-	return w.p.SendRecv(partner, v, v.Words(), tag).(Value)
-}
-
-func (w *world) Compute(n float64) { w.p.Compute(n) }
-
-func (w *world) NextTag() int {
-	w.tagseq++
-	return w.tagseq
-}
-
-// TrySend exposes the processor's non-blocking send (Transport).
-func (w *world) TrySend(dst int, v Value, tag int) bool {
-	return w.p.TrySend(dst, v, v.Words(), tag)
-}
-
-// RecvAny exposes the processor's tag-oblivious receive (Transport).
-func (w *world) RecvAny(src int) (Value, int) {
-	raw, tag := w.p.RecvAny(src)
-	if raw == nil {
-		return nil, tag
-	}
-	return raw.(Value), tag
-}
-
-// TryRecvAny exposes the processor's non-blocking tag-oblivious receive
-// (Transport).
-func (w *world) TryRecvAny(src int) (Value, int, bool) {
-	raw, tag, ok := w.p.TryRecvAny(src)
-	if !ok || raw == nil {
-		return nil, tag, ok
-	}
-	return raw.(Value), tag, ok
-}
-
-// Mark records a stage annotation on the processor's event trace.
-func (w *world) Mark(label string) { w.p.Mark(label) }
 
 // sub is a subgroup communicator: group rank i maps to parent rank
 // ranks[i].
@@ -173,23 +113,15 @@ func (s *sub) Exchange(partner int, v Value, tag int) Value {
 	return s.parent.Exchange(s.ranks[partner], v, tag)
 }
 
+func (s *sub) SendMove(dst int, v Value, tag int) { s.parent.SendMove(s.ranks[dst], v, tag) }
+
+func (s *sub) RecvOwned(src, tag int) (Value, bool) { return s.parent.RecvOwned(s.ranks[src], tag) }
+
 func (s *sub) Compute(n float64) { s.parent.Compute(n) }
 
-// Mark forwards a stage annotation to the parent, if it records them.
-func (s *sub) Mark(label string) {
-	if m, ok := s.parent.(Marker); ok {
-		m.Mark(label)
-	}
-}
-
-// ScratchArena exposes the parent's per-rank arena, if it provides one
-// (subgroup collectives share the rank's arena with full-group ones).
-func (s *sub) ScratchArena() *algebra.Arena {
-	if h, ok := s.parent.(ArenaHolder); ok {
-		return h.ScratchArena()
-	}
-	return nil
-}
+// Caps shares the rank's arena and mark hook with the parent (subgroup
+// collectives draw scratch from the same arena as full-group ones).
+func (s *sub) Caps() rank.Caps { return s.parent.Caps().Shared() }
 
 func (s *sub) NextTag() int {
 	s.tagseq++

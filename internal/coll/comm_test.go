@@ -11,7 +11,7 @@ import (
 func TestWorldBasics(t *testing.T) {
 	m := machine.New(4, machine.Params{Ts: 1, Tw: 1})
 	m.Run(func(proc *machine.Proc) {
-		c := World(proc)
+		c := Comm(proc)
 		if c.Rank() != proc.Rank() || c.Size() != 4 {
 			t.Errorf("world rank/size = %d/%d", c.Rank(), c.Size())
 		}
@@ -25,7 +25,7 @@ func TestSubRankTranslation(t *testing.T) {
 	m := machine.New(6, machine.Params{Ts: 5, Tw: 1})
 	out := make([]Value, 6)
 	m.Run(func(proc *machine.Proc) {
-		c := World(proc)
+		c := Comm(proc)
 		var group []int
 		if proc.Rank()%2 == 0 {
 			group = []int{0, 2, 4}
@@ -62,7 +62,7 @@ func TestSubCollectivesFullSuite(t *testing.T) {
 		m := machine.New(total, machine.Params{Ts: 2, Tw: 1})
 		out := make([]Value, total)
 		m.Run(func(proc *machine.Proc) {
-			c := World(proc)
+			c := Comm(proc)
 			in := false
 			for _, g := range group {
 				if g == proc.Rank() {
@@ -94,7 +94,7 @@ func TestSubCollectivesFullSuite(t *testing.T) {
 func TestSubValidation(t *testing.T) {
 	m := machine.New(3, machine.Params{})
 	m.Run(func(proc *machine.Proc) {
-		c := World(proc)
+		c := Comm(proc)
 		mustPanic := func(name string, f func()) {
 			defer func() {
 				if recover() == nil {
@@ -119,7 +119,7 @@ func TestSplitByColor(t *testing.T) {
 	ranks := make([]int, 6)
 	sums := make([]Value, 6)
 	m.Run(func(proc *machine.Proc) {
-		c := World(proc)
+		c := Comm(proc)
 		color := proc.Rank() % 2
 		key := -proc.Rank() // reverse order within the group
 		g := Split(c, color, key)
@@ -151,7 +151,7 @@ func TestSplitByColor(t *testing.T) {
 func TestSplitSingletonGroups(t *testing.T) {
 	m := machine.New(3, machine.Params{})
 	m.Run(func(proc *machine.Proc) {
-		c := World(proc)
+		c := Comm(proc)
 		g := Split(c, proc.Rank(), 0) // every processor its own color
 		if g.Size() != 1 || g.Rank() != 0 {
 			t.Errorf("proc %d: singleton group size=%d rank=%d", proc.Rank(), g.Size(), g.Rank())
@@ -170,7 +170,7 @@ func TestNestedSub(t *testing.T) {
 	m := machine.New(8, machine.Params{Ts: 1, Tw: 1})
 	out := make([]Value, 8)
 	m.Run(func(proc *machine.Proc) {
-		c := World(proc)
+		c := Comm(proc)
 		if proc.Rank()%2 != 0 {
 			return
 		}
@@ -191,7 +191,7 @@ func TestConcurrentGroupsDoNotInterfere(t *testing.T) {
 	m := machine.New(8, machine.Params{Ts: 3, Tw: 1})
 	out := make([]Value, 8)
 	m.Run(func(proc *machine.Proc) {
-		c := World(proc)
+		c := Comm(proc)
 		g := Split(c, proc.Rank()/4, proc.Rank())
 		v := Value(algebra.Scalar(float64(proc.Rank() + 1)))
 		if proc.Rank() < 4 {
@@ -227,7 +227,7 @@ func TestBalancedCollectivesOnSubgroups(t *testing.T) {
 	outR := make([]Value, 12)
 	outS := make([]Value, 12)
 	m.Run(func(proc *machine.Proc) {
-		c := World(proc)
+		c := Comm(proc)
 		in := proc.Rank()%2 == 1
 		if !in {
 			return

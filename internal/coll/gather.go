@@ -48,7 +48,7 @@ func Gather(c Comm, root int, x Value) []Value {
 			done = true
 		} else if vr+bit < n {
 			src := (vr + bit + root) % n
-			recv := recvValue(c, src, tag).(ValueList)
+			recv := c.Recv(src, tag).(ValueList)
 			acc = append(acc, recv...)
 		}
 	}
@@ -96,7 +96,7 @@ func Scatter(c Comm, root int, xs []Value) Value {
 			span = bit
 		case !have && vr%(bit<<1) == bit:
 			src := (vr - bit + root) % n
-			hold = recvValue(c, src, tag).(ValueList)
+			hold = c.Recv(src, tag).(ValueList)
 			have = true
 			span = len(hold)
 		}
@@ -139,7 +139,7 @@ func Iter(c Comm, op *algebra.IterOp, x Value) Value {
 	}
 	if vec, ok := x.(algebra.Vec); ok && op.FlatF != nil && len(vec) > 0 {
 		// Flat path: one working buffer, rewritten in place per step.
-		w := arenaOf(c).Flat(op.Arity, len(vec))
+		w := c.Caps().Arena.Flat(op.Arity, len(vec))
 		for i := 0; i < op.Arity; i++ {
 			copy(w.Comp(i), vec)
 		}

@@ -17,7 +17,7 @@ func forBothBackends(t *testing.T, p int, work func(c Comm, out []Value), check 
 	t.Run("virtual", func(t *testing.T) {
 		out := make([]Value, p)
 		machine.New(p, machine.Params{Ts: 3, Tw: 1}).Run(func(proc *machine.Proc) {
-			work(World(proc), out)
+			work(Comm(proc), out)
 		})
 		check(t, out)
 	})

@@ -67,7 +67,7 @@ func ReduceScatter(c Comm, op *algebra.Op, x Value) Value {
 		// Send before receiving: the machine's sends are buffered, so
 		// the ring cannot deadlock on this order.
 		c.Send(next, sendChunk, tag)
-		incoming := recvValue(c, prev, tag)
+		incoming := c.Recv(prev, tag)
 		// acc[recvIdx] is not sent until the next step, so the combine
 		// may accumulate into it in place.
 		combined := op.ApplyInto(acc[recvIdx], incoming, acc[recvIdx])
@@ -98,7 +98,7 @@ func AllReduceRing(c Comm, op *algebra.Op, x Value) Value {
 		sendIdx := ((rank-s)%n + n) % n
 		recvIdx := ((rank-s-1)%n + n) % n
 		c.Send(next, chunks[sendIdx], tag)
-		chunks[recvIdx] = recvValue(c, prev, tag).(algebra.Vec)
+		chunks[recvIdx] = c.Recv(prev, tag).(algebra.Vec)
 	}
 	out := make(algebra.Vec, 0, len(x.(algebra.Vec)))
 	for i := 0; i < n; i++ {

@@ -40,7 +40,7 @@ func TestReduceScatterAllSizes(t *testing.T) {
 		vm := machine.New(n, machine.Params{Ts: 4, Tw: 1})
 		got := make([]algebra.Vec, n)
 		vm.Run(func(proc *machine.Proc) {
-			c := World(proc)
+			c := Comm(proc)
 			v := ReduceScatter(c, algebra.Add, blocks[proc.Rank()].Clone())
 			got[proc.Rank()] = v.(algebra.Vec)
 		})
@@ -70,7 +70,7 @@ func TestReduceScatterMax(t *testing.T) {
 	vm := machine.New(n, machine.Params{Ts: 4, Tw: 1})
 	var flatMu [16]algebra.Vec
 	vm.Run(func(proc *machine.Proc) {
-		c := World(proc)
+		c := Comm(proc)
 		v := ReduceScatter(c, algebra.Max, blocks[proc.Rank()].Clone())
 		flatMu[proc.Rank()] = v.(algebra.Vec)
 	})
@@ -91,7 +91,7 @@ func TestReduceScatterRejectsSmallBlocks(t *testing.T) {
 	}()
 	vm := machine.New(4, machine.Params{})
 	vm.Run(func(proc *machine.Proc) {
-		ReduceScatter(World(proc), algebra.Add, algebra.Vec{1, 2})
+		ReduceScatter(Comm(proc), algebra.Add, algebra.Vec{1, 2})
 	})
 }
 

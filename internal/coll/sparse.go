@@ -50,7 +50,7 @@ func HaloExchange(c Comm, offsets []int, x Value) Value {
 	}
 	got := map[int]Value{0: x}
 	for _, d := range deltas {
-		got[d] = recvValue(c, (r+d)%n, tag)
+		got[d] = c.Recv((r+d)%n, tag)
 	}
 	out := make(algebra.Tuple, len(offsets))
 	for j, o := range offsets {
@@ -85,7 +85,7 @@ func HaloExchangeLists(c Comm, lists [][]int, x Value) Value {
 	got := map[int]Value{r: x}
 	for _, src := range lists[r] {
 		if _, ok := got[src]; !ok {
-			got[src] = recvValue(c, src, tag)
+			got[src] = c.Recv(src, tag)
 		}
 	}
 	out := make(algebra.Tuple, len(lists[r]))
@@ -117,7 +117,7 @@ func AllGatherV(c Comm, counts []int, x Value) Value {
 	for _, cnt := range counts {
 		total += cnt
 	}
-	ar := arenaOf(c)
+	ar := c.Caps().Arena
 	out := ar.Vec(total).(algebra.Vec)
 	copy(out[displs[r]:displs[r]+counts[r]], v)
 	if n == 1 {
@@ -135,7 +135,7 @@ func AllGatherV(c Comm, counts []int, x Value) Value {
 			c.Send(next, algebra.Vec(out[displs[sendOrig]:displs[sendOrig]+counts[sendOrig]]), tag)
 		}
 		if counts[recvOrig] > 0 {
-			blk, ok := recvValue(c, prev, tag).(algebra.Vec)
+			blk, ok := c.Recv(prev, tag).(algebra.Vec)
 			if !ok || len(blk) != counts[recvOrig] {
 				panic(fmt.Sprintf("coll: allgatherv rank %d expected %d words from %d", r, counts[recvOrig], prev))
 			}
@@ -174,7 +174,7 @@ func ReduceScatterV(c Comm, op *algebra.Op, counts []int, x Value) Value {
 		}
 		c.Send(j, algebra.Vec(v[displs[j]:displs[j]+counts[j]]), tag)
 	}
-	ar := arenaOf(c)
+	ar := c.Caps().Arena
 	if counts[r] == 0 {
 		// Nothing owned here; still drain nothing — peers skip empty
 		// destinations symmetrically.
@@ -187,7 +187,7 @@ func ReduceScatterV(c Comm, op *algebra.Op, counts []int, x Value) Value {
 		if j == r {
 			contrib = algebra.Vec(v[displs[r] : displs[r]+counts[r]])
 		} else {
-			contrib = recvValue(c, j, tag)
+			contrib = c.Recv(j, tag)
 		}
 		if acc == nil {
 			acc = contrib

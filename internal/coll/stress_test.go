@@ -95,7 +95,7 @@ func TestStressRandomCollectiveSequences(t *testing.T) {
 		m := machine.New(n, machine.Params{Ts: 3, Tw: 1})
 		got := make([]float64, n)
 		m.Run(func(proc *machine.Proc) {
-			w := World(proc)
+			w := Comm(proc)
 			v := Value(algebra.Scalar(start[proc.Rank()]))
 			for s, kind := range kinds {
 				c := w

@@ -9,20 +9,20 @@ import (
 )
 
 // These tests cover the raw link layer beneath the tag discipline — the
-// Transport interface the chaos decorator builds its wire protocol on —
-// and the subgroup communicator's forwarding of the ownership-moving
-// transport (Mover), on both backends.
+// raw link (rank.Caps.Raw) the chaos decorator builds its wire protocol on — and the
+// subgroup communicator's forwarding of ownership-moving sends, on both
+// in-process backends.
 
 func TestWorldTransportRoundTrip(t *testing.T) {
-	// The virtual machine's world communicator exposes the Transport
-	// primitives: a TrySend lands as an untagged RecvAny, and TryRecvAny
-	// only reports messages that have already arrived.
+	// The virtual machine's rank exposes the raw link: a TrySend lands as
+	// an untagged RecvAny, and TryRecvAny only reports messages that have
+	// already arrived.
 	m := machine.New(2, machine.Params{Ts: 1, Tw: 1})
 	m.Run(func(proc *machine.Proc) {
-		c := World(proc)
-		tr, ok := c.(Transport)
-		if !ok {
-			t.Error("world communicator does not expose Transport")
+		c := Comm(proc)
+		tr := c.Caps().Raw
+		if tr == nil {
+			t.Error("world communicator does not expose its raw link")
 			return
 		}
 		if proc.Rank() == 0 {
@@ -52,7 +52,7 @@ func TestTrySendBackpressureNative(t *testing.T) {
 	sent := make(chan struct{})
 	v := algebra.Value(algebra.Scalar(1))
 	nm.Run(func(p *backend.Proc) {
-		tr := Comm(p).(Transport)
+		tr := Comm(p).Caps().Raw
 		if p.Rank() == 0 {
 			for i := 0; i < 4; i++ {
 				if !tr.TrySend(1, v, 100+i) {
@@ -93,7 +93,7 @@ func TestSubTagsOffsetFromParent(t *testing.T) {
 	// tag-mismatch panic, never silent cross-talk.
 	m := machine.New(2, machine.Params{Ts: 1, Tw: 1})
 	m.Run(func(proc *machine.Proc) {
-		c := World(proc)
+		c := Comm(proc)
 		sc := Sub(c, []int{0, 1})
 		if pt := c.NextTag(); pt >= 1<<20 {
 			t.Errorf("parent tag %d collides with the subgroup range", pt)
@@ -127,20 +127,15 @@ func TestSubMoverForwarding(t *testing.T) {
 		if sc.Rank() == 0 {
 			defer close(checked)
 		}
-		mv, ok := sc.(Mover)
-		if !ok {
-			t.Error("subgroup communicator does not expose Mover")
-			return
-		}
 		if sc.Rank() == 0 {
-			mv.SendMove(1, ft, 8)
+			sc.SendMove(1, ft, 8)
 			if !ft.IsMoved() {
 				t.Error("sub SendMove did not poison the sender's tuple")
 			}
 			return
 		}
 		<-checked
-		v, owned := mv.RecvOwned(0, 8)
+		v, owned := sc.RecvOwned(0, 8)
 		if !owned {
 			t.Error("sub RecvOwned reported a borrow after SendMove")
 		}
@@ -154,10 +149,10 @@ func TestSubMoverForwarding(t *testing.T) {
 }
 
 func TestSubMoverFallbackOnVirtual(t *testing.T) {
-	// The virtual machine has no Mover transport: a subgroup's SendMove
-	// degrades to a borrowing Send — the value stays readable at the
+	// The virtual machine's link cannot transfer ownership: a subgroup's
+	// SendMove is a borrowing Send — the value stays readable at the
 	// sender and RecvOwned reports a borrow — so collectives written
-	// against sendOwned/recvOwned run unmodified there.
+	// against SendMove/RecvOwned run unmodified there.
 	m := machine.New(3, machine.Params{Ts: 1, Tw: 1})
 	group := []int{0, 2}
 	ft := algebra.NewFlatTuple(1, 4)
@@ -166,10 +161,9 @@ func TestSubMoverFallbackOnVirtual(t *testing.T) {
 		if proc.Rank() == 1 {
 			return
 		}
-		sc := Sub(World(proc), group)
-		mv := sc.(Mover)
+		sc := Sub(Comm(proc), group)
 		if sc.Rank() == 0 {
-			mv.SendMove(1, ft, 3)
+			sc.SendMove(1, ft, 3)
 			if ft.IsMoved() {
 				t.Error("fallback borrow poisoned the sender's tuple")
 			}
@@ -178,7 +172,7 @@ func TestSubMoverFallbackOnVirtual(t *testing.T) {
 			}
 			return
 		}
-		v, owned := mv.RecvOwned(0, 3)
+		v, owned := sc.RecvOwned(0, 3)
 		if owned {
 			t.Error("virtual-machine transport reported an ownership transfer")
 		}

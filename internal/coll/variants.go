@@ -96,7 +96,7 @@ func bcastPipelined(c Comm, root int, x Value) Value {
 	}
 	var parts []algebra.Vec
 	for k := 0; k < pipelineChunks; k++ {
-		chunk := recvValue(c, prev, tag).(algebra.Vec)
+		chunk := c.Recv(prev, tag).(algebra.Vec)
 		if vr != n-1 {
 			c.Send(next, chunk, tag)
 		}
@@ -142,7 +142,7 @@ func bcastLinear(c Comm, root int, x Value) Value {
 		}
 		return x
 	}
-	return recvValue(c, root, tag)
+	return c.Recv(root, tag)
 }
 
 func bcastScatterAllGather(c Comm, root int, x Value) Value {
@@ -208,7 +208,7 @@ func ReduceLinear(c Comm, root int, op *algebra.Op, x Value) Value {
 	// Combine in rank order for non-commutative operators; the
 	// accumulator moves to owned scratch on the first combine and stays
 	// in place from then on.
-	ar := arenaOf(c)
+	ar := c.Caps().Arena
 	var acc Value
 	owned := false
 	for r := 0; r < n; r++ {
@@ -216,7 +216,7 @@ func ReduceLinear(c Comm, root int, op *algebra.Op, x Value) Value {
 		if r == root {
 			v = x
 		} else {
-			v = recvValue(c, r, tag)
+			v = c.Recv(r, tag)
 		}
 		if acc == nil {
 			acc = v
@@ -237,10 +237,10 @@ func ScanLinear(c Comm, op *algebra.Op, x Value) Value {
 	tag := c.NextTag()
 	n := c.Size()
 	rank := c.Rank()
-	ar := arenaOf(c)
+	ar := c.Caps().Arena
 	v, _ := toWork(ar, op, x)
 	if rank > 0 {
-		prev := recvValue(c, rank-1, tag)
+		prev := c.Recv(rank-1, tag)
 		// v is about to be shipped downstream; combine into fresh scratch.
 		v = op.ApplyInto(scratchLike(ar, prev), prev, v)
 		c.Compute(op.Charge(v))

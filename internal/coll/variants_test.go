@@ -60,7 +60,7 @@ func TestBcastScatterAllGatherRejectsSmallBlocks(t *testing.T) {
 	m := machine.New(4, machine.Params{})
 	m.Timeout = 100 * time.Millisecond
 	m.Run(func(proc *machine.Proc) {
-		pr := World(proc)
+		pr := Comm(proc)
 		x := Value(algebra.Undef{})
 		if pr.Rank() == 0 {
 			x = algebra.Vec{1, 2} // fewer elements than members
@@ -260,7 +260,7 @@ func TestBcastPipelinedRejectsTinyBlocks(t *testing.T) {
 	m := machine.New(3, machine.Params{})
 	m.Timeout = 100 * time.Millisecond
 	m.Run(func(proc *machine.Proc) {
-		pr := World(proc)
+		pr := Comm(proc)
 		x := Value(algebra.Undef{})
 		if pr.Rank() == 0 {
 			x = algebra.Vec{1, 2}

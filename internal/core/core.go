@@ -114,14 +114,14 @@ func (cp *compiled) stageLabels() []string {
 // one group member's value through every stage. Stage boundaries are
 // marked when the communicator records them.
 func (cp *compiled) run(c coll.Comm, v algebra.Value) algebra.Value {
-	mk, _ := c.(coll.Marker)
+	mark := c.Caps().Mark
 	var labels []string
-	if mk != nil {
+	if mark != nil {
 		labels = cp.stageLabels()
 	}
 	for i, s := range cp.stages {
-		if mk != nil {
-			mk.Mark(labels[i])
+		if mark != nil {
+			mark(labels[i])
 		}
 		algo, segments := cost.AlgoButterfly, 0
 		if cp.choices != nil {

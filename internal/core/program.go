@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/backend"
-	"repro/internal/coll"
 	"repro/internal/coll/sel"
 	"repro/internal/cost"
 	"repro/internal/machine"
@@ -310,7 +309,7 @@ func (p Program) runVirtual(vm *machine.Machine, input []algebra.Value) ([]algeb
 	out := make([]algebra.Value, vm.P)
 	cp := p.compiled()
 	res := vm.Run(func(pr *machine.Proc) {
-		out[pr.Rank()] = cp.run(coll.World(pr), input[pr.Rank()])
+		out[pr.Rank()] = cp.run(pr, input[pr.Rank()])
 	})
 	return out, res
 }

@@ -17,6 +17,8 @@ var (
 	apiPackages = map[string]string{
 		"core": "../core", "cost": "../cost", "coll": "../coll",
 		"sel": "../coll/sel", "serve": "../serve", "exper": "../exper",
+		"backend": "../backend", "mpbackend": "../mpbackend", "machine": "../machine",
+		"chaos": "../chaos", "rank": "../rank",
 	}
 	apiTypes = map[string]string{"Program": "core", "Optimization": "core", "Planner": "serve"}
 )

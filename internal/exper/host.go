@@ -104,7 +104,7 @@ func VirtualHost(ts, tw float64) Host {
 		launch: inProcess(0, 1, func(p int) spmd {
 			vm := machine.New(p, machine.Params{Ts: ts, Tw: tw})
 			return func(body func(c coll.Comm)) float64 {
-				return vm.Run(func(pr *machine.Proc) { body(coll.World(pr)) }).Makespan
+				return vm.Run(func(pr *machine.Proc) { body(pr) }).Makespan
 			}
 		}),
 	}

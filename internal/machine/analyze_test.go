@@ -29,7 +29,7 @@ func TestAnalyzeFromRealRun(t *testing.T) {
 	defer m.SetTracer(nil)
 	m.Run(func(p *Proc) {
 		p.Compute(5)
-		p.SendRecv(1-p.Rank(), nil, 2, 1)
+		p.Exchange(1-p.Rank(), words(2), 1)
 	})
 	u := Analyze(tr.Events(), 2)
 	for i := range u {

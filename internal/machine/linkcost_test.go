@@ -13,8 +13,8 @@ func TestLinkCostOverridesParams(t *testing.T) {
 	res := m.Run(func(p *Proc) {
 		switch p.Rank() {
 		case 0:
-			p.Send(1, nil, 10, 1) // cheap: 1 + 10 = 11
-			p.Send(2, nil, 10, 2) // expensive: 1000 + 20 = 1020
+			p.Send(1, words(10), 1) // cheap: 1 + 10 = 11
+			p.Send(2, words(10), 2) // expensive: 1000 + 20 = 1020
 		case 1:
 			p.Recv(0, 1)
 		case 2:
@@ -34,7 +34,7 @@ func TestLinkCostAppliesToExchange(t *testing.T) {
 	m := New(2, Params{Ts: 100, Tw: 1})
 	m.LinkCost = func(src, dst int) Params { return Params{Ts: 7, Tw: 3} }
 	res := m.Run(func(p *Proc) {
-		p.SendRecv(1-p.Rank(), nil, 4, 1)
+		p.Exchange(1-p.Rank(), words(4), 1)
 	})
 	// 7 + 4·3 = 19 on both ends.
 	if res.Clocks[0] != 19 || res.Clocks[1] != 19 {
@@ -46,7 +46,7 @@ func TestNilLinkCostUsesParams(t *testing.T) {
 	m := New(2, Params{Ts: 5, Tw: 1})
 	res := m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
-			p.Send(1, nil, 5, 1)
+			p.Send(1, words(5), 1)
 		} else {
 			p.Recv(0, 1)
 		}

@@ -11,12 +11,18 @@
 // deterministic and directly comparable with the paper's estimates, while
 // the data flow is executed for real (values actually travel between
 // goroutines, so correctness is exercised, not assumed).
+//
+// A processor is the shared rank of package rank — the message discipline
+// every backend runs — over this package's link (type link), which holds
+// the model's clock rules and nothing else.
 package machine
 
 import (
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/rank"
 )
 
 // Params are the machine parameters of the cost model: Ts is the start-up
@@ -47,7 +53,7 @@ type Machine struct {
 	// LinkCost, when non-nil, overrides Params per directed link — the
 	// hook for non-uniform machines such as clusters of SMPs, where
 	// intra-node links are much cheaper than inter-node ones. The
-	// function must be symmetric for SendRecv to stay consistent.
+	// function must be symmetric for Exchange to stay consistent.
 	LinkCost func(src, dst int) Params
 	// MailboxCap overrides the buffer depth per directed processor pair.
 	// Zero means the default (4), which is enough for every collective in
@@ -72,44 +78,27 @@ func New(p int, params Params) *Machine {
 // SetTracer installs an event tracer; pass nil to disable tracing.
 func (m *Machine) SetTracer(t *Tracer) { m.tracer = t }
 
-// packet is one in-flight message.
+// packet is one in-flight message on a virtual link.
 type packet struct {
-	value any
+	rank.Packet
 	words int
 	// depart is the sender's clock when the transfer began.
 	depart float64
-	tag    int
 }
 
-// Proc is one virtual processor, handed to the SPMD body by Run. Its
-// methods must only be called from the goroutine running that body.
+// Proc is one virtual processor, handed to the SPMD body by Run: the
+// shared rank core (package rank) — so it is a coll.Comm, the analogue of
+// MPI_COMM_WORLD — over the model-clock link below. Its methods must only
+// be called from the goroutine running that body.
 type Proc struct {
-	rank  int
+	rank.Core
 	m     *Machine
 	clock float64
 	// in[src] carries messages from processor src to this processor.
-	in []chan packet
-	// sent counts messages sent, recvd messages received; sentWords and
-	// ops accumulate communication volume and charged computation.
-	sent, recvd int
-	sentWords   int
-	ops         float64
-	tagseq      int
+	in    []chan packet
+	abort *rank.Abort
+	timer rank.Timer
 }
-
-// NextTag returns a fresh message tag. Because the processors execute the
-// same SPMD program, per-processor counters stay synchronized, giving each
-// collective operation a distinct tag without global coordination.
-func (p *Proc) NextTag() int {
-	p.tagseq++
-	return p.tagseq
-}
-
-// Rank is this processor's rank, 0 ≤ Rank < P.
-func (p *Proc) Rank() int { return p.rank }
-
-// P is the machine size.
-func (p *Proc) P() int { return p.m.P }
 
 // Clock is the processor's current virtual time.
 func (p *Proc) Clock() float64 { return p.clock }
@@ -124,175 +113,119 @@ func (p *Proc) AdvanceTo(t float64) {
 // Compute charges n time units of local computation (one unit per
 // elementary operation, per §4.1).
 func (p *Proc) Compute(n float64) {
-	if n < 0 {
-		panic("machine: negative computation charge")
-	}
+	p.Core.Compute(n)
 	start := p.clock
 	p.clock += n
-	p.ops += n
-	p.m.trace(Event{Kind: EvCompute, Proc: p.rank, Peer: -1, Start: start, End: p.clock})
+	p.m.trace(Event{Kind: EvCompute, Proc: p.Rank(), Peer: -1, Start: start, End: p.clock})
 }
 
-// Send ships value (words machine words) to processor dst. The sender is
-// occupied for ts + words·tw, per the model's bidirectional-link cost.
-func (p *Proc) Send(dst int, value any, words int, tag int) {
-	if dst == p.rank {
-		panic(fmt.Sprintf("machine: proc %d sending to itself", p.rank))
+// link is how a virtual packet moves — the §4.1 clock rules, which are the
+// timing reference for every other backend: a transfer of w words occupies
+// the sender for ts + w·tw from its own clock and the receiver until
+// max(receiver clock, sender clock at departure) + ts + w·tw. Ownership
+// never transfers (every send is a borrow). A processor that fails cancels
+// the ones blocked on it; one blocked longer than Timeout diagnoses a
+// deadlock.
+type link Proc
+
+// cost is the transfer time of w words over the (src, dst) link.
+func (l *link) cost(src, dst, w int) float64 {
+	c := l.m.Params
+	if l.m.LinkCost != nil {
+		c = l.m.LinkCost(src, dst)
 	}
-	p.checkRank(dst)
-	depart := p.clock
-	cost := p.m.linkParams(p.rank, dst)
-	p.clock += cost.Ts + float64(words)*cost.Tw
-	p.sent++
-	p.sentWords += words
-	p.m.trace(Event{Kind: EvSend, Proc: p.rank, Peer: dst, Words: words, Start: depart, End: p.clock, Tag: tag})
-	p.m.procs[dst].in[p.rank] <- packet{value: value, words: words, depart: depart, tag: tag}
+	return c.Ts + float64(w)*c.Tw
 }
 
-// Recv receives the next message from processor src, blocking until it
-// arrives. The receiver's clock advances to
-// max(receiver clock, sender clock at departure) + ts + words·tw.
-func (p *Proc) Recv(src int, tag int) any {
-	p.checkRank(src)
-	var pkt packet
-	if p.m.Timeout > 0 {
-		select {
-		case pkt = <-p.in[src]:
-		case <-time.After(p.m.Timeout):
-			panic(fmt.Sprintf("machine: proc %d deadlocked waiting for a message from proc %d (tag %d)", p.rank, src, tag))
-		}
-	} else {
-		pkt = <-p.in[src]
-	}
-	if pkt.tag != tag {
-		panic(fmt.Sprintf("machine: proc %d expected tag %d from proc %d, got %d", p.rank, tag, src, pkt.tag))
-	}
-	start := p.clock
-	if pkt.depart > start {
-		start = pkt.depart
-	}
-	cost := p.m.linkParams(src, p.rank)
-	p.clock = start + cost.Ts + float64(pkt.words)*cost.Tw
-	p.recvd++
-	p.m.trace(Event{Kind: EvRecv, Proc: p.rank, Peer: src, Words: pkt.words, Start: start, End: p.clock, Tag: tag})
-	return pkt.value
+// stamp is pkt departing now, as a borrow.
+func (l *link) stamp(pkt rank.Packet) packet {
+	pkt.Owned = false
+	return packet{Packet: pkt, words: pkt.Value.Words(), depart: l.clock}
 }
 
-// TrySend is the non-blocking variant of Send: it ships the value if the
-// destination mailbox has room and reports whether it did. Nothing is
-// charged on failure. Fault-injecting decorators build their retry loops
-// on it so a full mailbox never wedges a processor that still has
-// protocol work to do.
-func (p *Proc) TrySend(dst int, value any, words int, tag int) bool {
-	if dst == p.rank {
-		panic(fmt.Sprintf("machine: proc %d sending to itself", p.rank))
-	}
-	p.checkRank(dst)
-	depart := p.clock
+// sent occupies the sender for out's transfer.
+func (l *link) sent(dst int, out packet) {
+	l.clock += l.cost(l.Rank(), dst, out.words)
+	l.m.trace(Event{Kind: EvSend, Proc: l.Rank(), Peer: dst, Words: out.words, Start: out.depart, End: l.clock, Tag: out.Tag})
+}
+
+// enqueue blocks while dst's mailbox is full, cancellably.
+func (l *link) enqueue(dst int, out packet) {
 	select {
-	case p.m.procs[dst].in[p.rank] <- packet{value: value, words: words, depart: depart, tag: tag}:
+	case l.m.procs[dst].in[l.Rank()] <- out:
+	case <-l.abort.Done():
+		panic(rank.ErrAborted)
+	}
+}
+
+// Put ships pkt to dst.
+func (l *link) Put(dst int, pkt rank.Packet) {
+	out := l.stamp(pkt)
+	l.sent(dst, out)
+	l.enqueue(dst, out)
+}
+
+// TryPut ships pkt if dst's mailbox has room; nothing is charged otherwise.
+func (l *link) TryPut(dst int, pkt rank.Packet) bool {
+	out := l.stamp(pkt)
+	select {
+	case l.m.procs[dst].in[l.Rank()] <- out:
+		l.sent(dst, out)
+		return true
 	default:
 		return false
 	}
-	cost := p.m.linkParams(p.rank, dst)
-	p.clock += cost.Ts + float64(words)*cost.Tw
-	p.sent++
-	p.sentWords += words
-	p.m.trace(Event{Kind: EvSend, Proc: p.rank, Peer: dst, Words: words, Start: depart, End: p.clock, Tag: tag})
-	return true
 }
 
-// RecvAny receives the next message from processor src regardless of its
-// tag, returning the value and the tag it was sent under — the raw link
-// layer beneath the tag discipline, for fault-injecting decorators that
-// multiplex their own protocol over one wire tag. Clock accounting is
-// identical to Recv's.
-func (p *Proc) RecvAny(src int) (any, int) {
-	p.checkRank(src)
-	var pkt packet
-	if p.m.Timeout > 0 {
-		select {
-		case pkt = <-p.in[src]:
-		case <-time.After(p.m.Timeout):
-			panic(fmt.Sprintf("machine: proc %d timed out after %v waiting for any message from proc %d", p.rank, p.m.Timeout, src))
-		}
-	} else {
-		pkt = <-p.in[src]
-	}
-	return p.admit(pkt, src), pkt.tag
+// Take receives the next packet from src.
+func (l *link) Take(src, want int) rank.Packet {
+	return l.arrive(src, l.await(src, want, "waiting for a message from"), EvRecv)
 }
 
-// TryRecvAny is the non-blocking variant of RecvAny: it dequeues an
-// already-arrived message from src, if there is one.
-func (p *Proc) TryRecvAny(src int) (any, int, bool) {
-	p.checkRank(src)
+// TryTake receives an already-arrived packet from src, if there is one.
+func (l *link) TryTake(src int) (rank.Packet, bool) {
 	select {
-	case pkt := <-p.in[src]:
-		return p.admit(pkt, src), pkt.tag, true
+	case in := <-l.in[src]:
+		return l.arrive(src, in, EvRecv), true
 	default:
-		return nil, 0, false
+		return rank.Packet{}, false
 	}
 }
 
-// admit applies Recv's clock accounting to a dequeued packet.
-func (p *Proc) admit(pkt packet, src int) any {
-	start := p.clock
-	if pkt.depart > start {
-		start = pkt.depart
-	}
-	cost := p.m.linkParams(src, p.rank)
-	p.clock = start + cost.Ts + float64(pkt.words)*cost.Tw
-	p.recvd++
-	p.m.trace(Event{Kind: EvRecv, Proc: p.rank, Peer: src, Words: pkt.words, Start: start, End: p.clock, Tag: pkt.tag})
-	return pkt.value
+// Swap is the simultaneous bidirectional exchange of §4.1: the two
+// transfers overlap, so both clocks advance to
+// max(clock_a, clock_b) + ts + max(words)·tw — which is what makes a
+// butterfly phase cost ts + m·tw rather than twice that.
+func (l *link) Swap(peer int, pkt rank.Packet) rank.Packet {
+	out := l.stamp(pkt)
+	l.enqueue(peer, out)
+	in := l.await(peer, pkt.Tag, "in exchange with")
+	in.words = max(in.words, out.words)
+	return l.arrive(peer, in, EvExchange)
 }
 
-// SendRecv performs the simultaneous bidirectional exchange of §4.1: this
-// processor and partner swap values over their bidirectional link. Both
-// clocks advance to max(clock_a, clock_b) + ts + max(words)·tw — the two
-// transfers overlap, which is what makes the butterfly phase cost
-// ts + m·tw rather than twice that.
-func (p *Proc) SendRecv(partner int, value any, words int, tag int) any {
-	if partner == p.rank {
-		panic(fmt.Sprintf("machine: proc %d exchanging with itself", p.rank))
+// await blocks for the next packet from src, up to Timeout.
+func (l *link) await(src, want int, doing string) packet {
+	select {
+	case in := <-l.in[src]:
+		return in
+	default:
 	}
-	p.checkRank(partner)
-	depart := p.clock
-	p.sent++
-	p.sentWords += words
-	p.m.procs[partner].in[p.rank] <- packet{value: value, words: words, depart: depart, tag: tag}
-	var pkt packet
-	if p.m.Timeout > 0 {
-		select {
-		case pkt = <-p.in[partner]:
-		case <-time.After(p.m.Timeout):
-			panic(fmt.Sprintf("machine: proc %d deadlocked in exchange with proc %d (tag %d)", p.rank, partner, tag))
-		}
-	} else {
-		pkt = <-p.in[partner]
+	in, ok := rank.Await(l.in[src], l.abort, &l.timer, l.m.Timeout)
+	if !ok {
+		panic(fmt.Sprintf("machine: proc %d deadlocked %s proc %d (tag %d): nothing arrived within %v",
+			l.Rank(), doing, src, want, l.m.Timeout))
 	}
-	if pkt.tag != tag {
-		panic(fmt.Sprintf("machine: proc %d expected tag %d from proc %d, got %d", p.rank, tag, partner, pkt.tag))
-	}
-	p.recvd++
-	start := p.clock
-	if pkt.depart > start {
-		start = pkt.depart
-	}
-	w := words
-	if pkt.words > w {
-		w = pkt.words
-	}
-	cost := p.m.linkParams(p.rank, partner)
-	p.clock = start + cost.Ts + float64(w)*cost.Tw
-	p.m.trace(Event{Kind: EvExchange, Proc: p.rank, Peer: partner, Words: w, Start: start, End: p.clock, Tag: tag})
-	return pkt.value
+	return in
 }
 
-func (p *Proc) checkRank(r int) {
-	if r < 0 || r >= p.m.P {
-		panic(fmt.Sprintf("machine: rank %d out of range [0,%d)", r, p.m.P))
-	}
+// arrive occupies the receiver for in's transfer, from the later of its own
+// clock and the sender's departure.
+func (l *link) arrive(peer int, in packet, kind EventKind) rank.Packet {
+	start := max(l.clock, in.depart)
+	l.clock = start + l.cost(peer, l.Rank(), in.words)
+	l.m.trace(Event{Kind: kind, Proc: l.Rank(), Peer: peer, Words: in.words, Start: start, End: l.clock, Tag: in.Tag})
+	return in.Packet
 }
 
 // Result summarises one run of an SPMD program.
@@ -317,10 +250,12 @@ type Result struct {
 
 // Run executes body as an SPMD program: one goroutine per processor, all
 // starting at clock 0. It returns when every processor's body has
-// finished. A panic in any processor's body aborts the run and is
-// re-raised on the caller's goroutine with the processor identified.
+// finished. The first panic in a processor's body cancels the processors
+// blocked in a send or receive, aborts the run and is re-raised on the
+// caller's goroutine with the processor identified.
 func (m *Machine) Run(body func(p *Proc)) Result {
 	m.procs = make([]*Proc, m.P)
+	abort := rank.NewAbort()
 	for r := 0; r < m.P; r++ {
 		in := make([]chan packet, m.P)
 		cap := m.MailboxCap
@@ -334,18 +269,19 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 				in[s] = make(chan packet, cap)
 			}
 		}
-		m.procs[r] = &Proc{rank: r, m: m, in: in}
+		p := &Proc{m: m, in: in, abort: abort}
+		p.Init(r, m.P, (*link)(p), nil, p.mark)
+		m.procs[r] = p
 	}
 	start := time.Now()
 	var wg sync.WaitGroup
-	panics := make([]any, m.P)
 	for r := 0; r < m.P; r++ {
 		wg.Add(1)
 		go func(p *Proc) {
 			defer wg.Done()
 			defer func() {
-				if e := recover(); e != nil {
-					panics[p.rank] = e
+				if e := recover(); e != nil && e != rank.ErrAborted {
+					abort.Fail(fmt.Sprintf("machine: processor %d failed: %v", p.Rank(), e))
 				}
 			}()
 			body(p)
@@ -353,31 +289,22 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 	}
 	wg.Wait()
 	wall := time.Since(start)
-	for r, e := range panics {
-		if e != nil {
-			panic(fmt.Sprintf("machine: processor %d failed: %v", r, e))
-		}
+	if failure := abort.Reason(); failure != "" {
+		panic(failure)
 	}
 	res := Result{Clocks: make([]float64, m.P), Wall: wall}
 	for r, p := range m.procs {
+		n := p.Counters()
 		res.Clocks[r] = p.clock
-		res.Messages += p.sent
-		res.Words += p.sentWords
-		res.Ops += p.ops
+		res.Messages += n.Sent
+		res.Words += n.Words
+		res.Ops += n.Ops
 		if p.clock > res.Makespan {
 			res.Makespan = p.clock
 		}
 	}
 	m.procs = nil
 	return res
-}
-
-// linkParams resolves the cost parameters of the (src, dst) link.
-func (m *Machine) linkParams(src, dst int) Params {
-	if m.LinkCost != nil {
-		return m.LinkCost(src, dst)
-	}
-	return m.Params
 }
 
 func (m *Machine) trace(e Event) {

@@ -6,7 +6,12 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/algebra"
 )
+
+// words is a payload of n machine words.
+func words(n int) algebra.Vec { return make(algebra.Vec, n) }
 
 func TestNewValidates(t *testing.T) {
 	defer func() {
@@ -35,11 +40,11 @@ func TestSendRecvCost(t *testing.T) {
 	res := m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
 			p.Compute(50)
-			p.Send(1, "x", 10, 1)
+			p.Send(1, words(10), 1)
 		} else {
 			v := p.Recv(0, 1)
-			if v != "x" {
-				t.Errorf("received %v, want x", v)
+			if v.Words() != 10 {
+				t.Errorf("received %v, want 10 words", v)
 			}
 		}
 	})
@@ -54,7 +59,7 @@ func TestRecvWaitsForLateSender(t *testing.T) {
 	res := m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
 			p.Compute(1000) // late sender
-			p.Send(1, nil, 1, 1)
+			p.Send(1, words(1), 1)
 		} else {
 			p.Recv(0, 1)
 		}
@@ -70,7 +75,7 @@ func TestEarlySenderDoesNotWaitForReceiver(t *testing.T) {
 	m := New(2, Params{Ts: 10, Tw: 1})
 	res := m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
-			p.Send(1, nil, 5, 1)
+			p.Send(1, words(5), 1)
 		} else {
 			p.Compute(500)
 			p.Recv(0, 1)
@@ -94,8 +99,10 @@ func TestSendRecvExchangeSymmetricCost(t *testing.T) {
 		} else {
 			p.Compute(70)
 		}
-		got := p.SendRecv(1-p.Rank(), p.Rank(), 8, 3)
-		if got != 1-p.Rank() {
+		mine := words(8)
+		mine[0] = float64(p.Rank())
+		got := p.Exchange(1-p.Rank(), mine, 3).(algebra.Vec)
+		if got[0] != float64(1-p.Rank()) {
 			t.Errorf("proc %d exchanged value %v, want %d", p.Rank(), got, 1-p.Rank())
 		}
 	})
@@ -108,11 +115,11 @@ func TestSendRecvExchangeSymmetricCost(t *testing.T) {
 func TestSendRecvUsesMaxWords(t *testing.T) {
 	m := New(2, Params{Ts: 10, Tw: 1})
 	res := m.Run(func(p *Proc) {
-		words := 3
+		n := 3
 		if p.Rank() == 1 {
-			words = 9
+			n = 9
 		}
-		p.SendRecv(1-p.Rank(), nil, words, 1)
+		p.Exchange(1-p.Rank(), words(n), 1)
 	})
 	if res.Clocks[0] != 19 || res.Clocks[1] != 19 {
 		t.Fatalf("clocks = %v, want [19 19]", res.Clocks)
@@ -136,8 +143,8 @@ func TestMessagesCounted(t *testing.T) {
 	m := New(2, Params{})
 	res := m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
-			p.Send(1, nil, 1, 1)
-			p.Send(1, nil, 1, 1)
+			p.Send(1, words(1), 1)
+			p.Send(1, words(1), 1)
 		} else {
 			p.Recv(0, 1)
 			p.Recv(0, 1)
@@ -158,7 +165,7 @@ func TestTagMismatchPanics(t *testing.T) {
 	}()
 	m.Run(func(p *Proc) {
 		if p.Rank() == 0 {
-			p.Send(1, nil, 1, 7)
+			p.Send(1, words(1), 7)
 		} else {
 			p.Recv(0, 8)
 		}
@@ -202,6 +209,42 @@ func TestBodyPanicIdentifiesProcessor(t *testing.T) {
 	})
 }
 
+// TestFailingProcessorCancelsBlockedPeers: a processor that panics while a
+// peer waits for its message ends the run at once — not after the peer's
+// receive timeout, or never without one — and the run reports the
+// processor that failed, not the peer it cancelled.
+func TestFailingProcessorCancelsBlockedPeers(t *testing.T) {
+	for _, timeout := range []time.Duration{30 * time.Second, 0} {
+		m := New(4, Params{})
+		m.Timeout = timeout
+		start := time.Now()
+		var msg string
+		func() {
+			defer func() { msg, _ = recover().(string) }()
+			m.Run(func(p *Proc) {
+				switch p.Rank() {
+				case 0:
+					p.Recv(3, 1)
+				case 1:
+					// Fill the mailbox to rank 2, which never drains it:
+					// the send side must be cancellable too.
+					for {
+						p.Send(2, words(1), 2)
+					}
+				case 3:
+					panic("kaboom")
+				}
+			})
+		}()
+		if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+			t.Errorf("timeout %v: run took %v to notice processor 3's failure", timeout, elapsed)
+		}
+		if !strings.Contains(msg, "processor 3") || !strings.Contains(msg, "kaboom") {
+			t.Errorf("timeout %v: run reported %q, want processor 3's failure", timeout, msg)
+		}
+	}
+}
+
 func TestSendToSelfPanics(t *testing.T) {
 	m := New(2, Params{})
 	defer func() {
@@ -210,7 +253,7 @@ func TestSendToSelfPanics(t *testing.T) {
 		}
 	}()
 	m.Run(func(p *Proc) {
-		p.Send(p.Rank(), nil, 1, 1)
+		p.Send(p.Rank(), words(1), 1)
 	})
 }
 
@@ -249,10 +292,10 @@ func TestMachineReusable(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		res := m.Run(func(p *Proc) {
 			if p.Rank() == 0 {
-				p.Send(1, i, 1, 1)
+				p.Send(1, algebra.Scalar(i), 1)
 			} else {
 				got := p.Recv(0, 1)
-				if got != i {
+				if got != algebra.Scalar(i) {
 					t.Errorf("run %d: got %v", i, got)
 				}
 			}
@@ -278,7 +321,7 @@ func TestQuickClockMonotonic(t *testing.T) {
 				if s%2 == 0 {
 					p.Compute(float64(s % 7))
 				} else {
-					p.SendRecv(1-p.Rank(), nil, int(s%5), int(s))
+					p.Exchange(1-p.Rank(), words(int(s%5)), int(s))
 				}
 				if p.Clock() < last || math.IsNaN(p.Clock()) {
 					ok = false
@@ -302,7 +345,7 @@ func TestTracerRecordsEvents(t *testing.T) {
 		p.Mark("start")
 		p.Compute(3)
 		if p.Rank() == 0 {
-			p.Send(1, nil, 2, 1)
+			p.Send(1, words(2), 1)
 		} else {
 			p.Recv(0, 1)
 		}

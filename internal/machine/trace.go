@@ -18,7 +18,7 @@ const (
 	EvSend
 	// EvRecv is the receiving half of a one-directional transfer.
 	EvRecv
-	// EvExchange is a simultaneous bidirectional exchange (SendRecv).
+	// EvExchange is a simultaneous bidirectional exchange.
 	EvExchange
 	// EvMark is a user annotation (phase boundaries etc.).
 	EvMark
@@ -91,10 +91,10 @@ func (t *Tracer) Reset() {
 	t.mu.Unlock()
 }
 
-// Mark records a user annotation on a processor's timeline, e.g. the
-// boundary between program stages.
-func (p *Proc) Mark(label string) {
-	p.m.trace(Event{Kind: EvMark, Proc: p.rank, Peer: -1, Start: p.clock, End: p.clock, Label: label})
+// mark is the core's mark hook: a user annotation on the processor's
+// timeline, e.g. the boundary between program stages.
+func (p *Proc) mark(label string) {
+	p.m.trace(Event{Kind: EvMark, Proc: p.Rank(), Peer: -1, Start: p.clock, End: p.clock, Label: label})
 }
 
 // Timeline renders the trace as a per-processor text timeline, a textual

@@ -1,6 +1,6 @@
-// Package mpbackend is the multi-process distributed backend: the third
-// implementation of the coll.Comm communicator, in which group members
-// are separate OS processes connected by Unix domain sockets. Where the
+// Package mpbackend is the multi-process distributed backend: the shared
+// rank of package rank over a link in which group members are separate OS
+// processes connected by Unix domain sockets (type link). Where the
 // native backend's goroutines share one address space — so a message is a
 // reference hand-off and the per-word cost tw calibrates to ~0 — a rank
 // here can only communicate by serializing values through the kernel, so
@@ -58,8 +58,10 @@ type RankResult struct {
 // rank processes and returns the per-rank results. params is marshaled to
 // JSON and handed to every rank. Run fails if the body is not registered
 // in this binary (the workers re-execute it, so registration here implies
-// registration there), if any rank exits unhealthily, or if the job
-// exceeds its timeout — in which case all ranks are killed.
+// registration there), if any rank exits unhealthily or fails — the
+// failure reported is the rank's that failed first, not one of the peers its
+// dead links then took down — or if the job exceeds its timeout, in which
+// case all ranks are killed.
 func Run(body string, p int, params any, opt Options) ([]RankResult, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("mpbackend: need at least 1 rank, got %d", p)
@@ -139,6 +141,7 @@ func Run(body string, p int, params any, opt Options) ([]RankResult, error) {
 		return nil, fmt.Errorf("mpbackend: job %q failed:\n  %s", body, strings.Join(failures, "\n  "))
 	}
 	out := make([]RankResult, p)
+	var secondary error // a rank that only lost its link to a failed peer
 	for r := 0; r < p; r++ {
 		data, err := os.ReadFile(fmt.Sprintf("%s/out.%d.json", dir, r))
 		if err != nil {
@@ -149,9 +152,18 @@ func Run(body string, p int, params any, opt Options) ([]RankResult, error) {
 			return nil, fmt.Errorf("mpbackend: rank %d wrote a bad result: %v", r, err)
 		}
 		if ro.Err != "" {
-			return nil, fmt.Errorf("mpbackend: rank %d: %s", r, ro.Err)
+			err := fmt.Errorf("mpbackend: rank %d: %s", r, ro.Err)
+			if !ro.Secondary {
+				return nil, err
+			}
+			if secondary == nil {
+				secondary = err
+			}
 		}
 		out[r] = RankResult{Result: ro.Result, Msgs: ro.Msgs, Words: ro.Words, Ops: ro.Ops}
+	}
+	if secondary != nil {
+		return nil, secondary
 	}
 	return out, nil
 }

@@ -8,7 +8,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/backend"
@@ -259,6 +261,47 @@ func TestRegisteredBody(t *testing.T) {
 				t.Fatalf("rank %d entry %d = %g, want %d", r, i, v, i*i)
 			}
 		}
+	}
+}
+
+// Two bodies in which rank 3 fails while rank 0 waits for its message: by
+// panicking, and by dying outright.
+func init() {
+	failing := func(fail func()) mpbackend.Body {
+		return func(p *mpbackend.Proc, raw json.RawMessage) (any, error) {
+			switch p.Rank() {
+			case 0:
+				p.Recv(3, 1)
+			case 3:
+				fail()
+			}
+			return nil, nil
+		}
+	}
+	mpbackend.Register("test-rank3-panics", failing(func() { panic("kaboom") }))
+	mpbackend.Register("test-rank3-exits", failing(func() { os.Exit(7) }))
+}
+
+// TestRunBlamesTheRankThatFailedFirst: rank 0's failure is only the dead
+// link rank 3's panic left behind, so the job reports rank 3's own error.
+func TestRunBlamesTheRankThatFailedFirst(t *testing.T) {
+	_, err := mpbackend.Run("test-rank3-panics", 4, nil, mpbackend.Options{})
+	if err == nil || !strings.Contains(err.Error(), "rank 3: panic: kaboom") {
+		t.Fatalf("job reported %v, want rank 3's panic", err)
+	}
+}
+
+// TestKilledRankIsNamed: a rank process that dies while a peer waits on it
+// fails the job promptly with that rank and its exit status — not a hang,
+// not a bare timeout.
+func TestKilledRankIsNamed(t *testing.T) {
+	start := time.Now()
+	_, err := mpbackend.Run("test-rank3-exits", 4, nil, mpbackend.Options{})
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("job took %v to notice the dead rank", elapsed)
+	}
+	if err == nil || !strings.Contains(err.Error(), "rank 3: exit status 7") {
+		t.Fatalf("job reported %v, want rank 3's exit status", err)
 	}
 }
 

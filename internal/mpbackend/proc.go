@@ -7,19 +7,11 @@ import (
 	"io"
 	"net"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/algebra"
+	"repro/internal/rank"
 )
-
-// packet is one decoded in-flight message, queued between a link's reader
-// goroutine and the rank's body.
-type packet struct {
-	value algebra.Value
-	tag   int
-	owned bool
-}
 
 // mailboxCap is the decoded-message queue depth per inbound link. It is
 // deeper than the native backend's default because the socket reader
@@ -28,43 +20,46 @@ type packet struct {
 const mailboxCap = 64
 
 // Proc is one multi-process rank: a separate OS process connected to
-// every peer by a Unix domain socket, with the same communicator surface
-// as the in-process backends — coll.Comm, coll.Transport, coll.Mover and
-// coll.ArenaHolder — so every collective of package coll runs on it
-// unmodified. Unlike the in-process backends a message here is a real
-// serialization: the value is encoded at the send site, shipped through
-// the kernel, and decoded into fresh storage by the receiver, which is
-// exactly the per-word cost the §4.1 model calls tw and the in-process
-// transports calibrate to ~0.
+// every peer by a Unix domain socket. It is the shared rank core — so a
+// coll.Comm, and every collective of package coll runs on it unmodified —
+// over the socket link below. Every message is serialized at the send site,
+// so no peer ever holds a reference into this rank's arena: the body may
+// Reset it at any quiescent point (the measurement bodies do so between
+// repetitions).
 type Proc struct {
-	rank, p int
-	// links[r] is the duplex connection to rank r (nil at rank itself).
-	// Only the rank's body goroutine writes a link.
-	links []*link
-	// mail[src] queues decoded packets from src, filled by that link's
-	// reader goroutine.
-	mail []chan packet
-	// dead is closed (once) by the first reader that fails; failErr is
-	// written before the close, so goroutines observing the closed
-	// channel read it race-free.
-	dead     chan struct{}
-	failOnce sync.Once
-	failErr  error
-	arena    *algebra.Arena
-	tagseq   int
-	ctrlseq  int
-	// sent/recvd/sentWords/ops mirror the other backends' counters.
-	sent, recvd int
-	sentWords   int
-	ops         float64
+	rank.Core
+	// socks[r] is the duplex connection to rank r (nil at rank itself).
+	// Only the rank's body goroutine writes a connection.
+	socks []*sock
+	// mail[src] queues decoded packets from src, filled by that
+	// connection's reader goroutine.
+	mail []chan rank.Packet
+	// dead is triggered by the first connection that fails.
+	dead    *rank.Abort
+	ctrlseq int
 	// encBuf is the reusable frame-encoding buffer; it grows to the
 	// largest message and is not reallocated per send.
 	encBuf []byte
 }
 
-type link struct {
+type sock struct {
 	conn net.Conn
 	w    *bufio.Writer
+}
+
+func newProc(r, p int) *Proc {
+	pr := &Proc{
+		socks: make([]*sock, p),
+		mail:  make([]chan rank.Packet, p),
+		dead:  rank.NewAbort(),
+	}
+	pr.Init(r, p, (*link)(pr), algebra.NewArena(), nil)
+	for src := range pr.mail {
+		if src != r {
+			pr.mail[src] = make(chan rank.Packet, mailboxCap)
+		}
+	}
+	return pr
 }
 
 // sockPath is rank r's listening socket inside the job directory.
@@ -78,19 +73,7 @@ func sockPath(dir string, r int) string {
 // themselves with a 4-byte hello. The linear setup is acceptable because
 // a process group is spawned once per job, not per measurement.
 func connect(dir string, rank, p int, deadline time.Time) (*Proc, error) {
-	pr := &Proc{
-		rank:  rank,
-		p:     p,
-		links: make([]*link, p),
-		mail:  make([]chan packet, p),
-		dead:  make(chan struct{}),
-		arena: algebra.NewArena(),
-	}
-	for r := range pr.mail {
-		if r != rank {
-			pr.mail[r] = make(chan packet, mailboxCap)
-		}
-	}
+	pr := newProc(rank, p)
 	if p == 1 {
 		return pr, nil
 	}
@@ -109,7 +92,7 @@ func connect(dir string, rank, p int, deadline time.Time) (*Proc, error) {
 		if _, err := conn.Write(hello[:]); err != nil {
 			return nil, fmt.Errorf("rank %d hello to rank %d: %w", rank, r, err)
 		}
-		pr.links[r] = &link{conn: conn, w: bufio.NewWriter(conn)}
+		pr.socks[r] = &sock{conn: conn, w: bufio.NewWriter(conn)}
 	}
 	for n := rank + 1; n < p; n++ {
 		if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
@@ -124,14 +107,14 @@ func connect(dir string, rank, p int, deadline time.Time) (*Proc, error) {
 			return nil, fmt.Errorf("rank %d reading hello: %w", rank, err)
 		}
 		src := int(binary.LittleEndian.Uint32(hello[:]))
-		if src <= rank || src >= p || pr.links[src] != nil {
+		if src <= rank || src >= p || pr.socks[src] != nil {
 			return nil, fmt.Errorf("rank %d got hello from unexpected rank %d", rank, src)
 		}
-		pr.links[src] = &link{conn: conn, w: bufio.NewWriter(conn)}
+		pr.socks[src] = &sock{conn: conn, w: bufio.NewWriter(conn)}
 	}
-	for r, l := range pr.links {
-		if l != nil {
-			go pr.read(r, l)
+	for r, s := range pr.socks {
+		if s != nil {
+			go pr.read(r, s)
 		}
 	}
 	return pr, nil
@@ -152,196 +135,105 @@ func dialRetry(path string, deadline time.Time) (net.Conn, error) {
 	}
 }
 
-// read is the per-link reader goroutine: it decodes frames from src into
-// the mailbox until the connection closes. The first failure poisons the
-// Proc so blocked receives surface it instead of hanging.
-func (p *Proc) read(src int, l *link) {
+// read is the per-connection reader goroutine: it decodes frames from src
+// into the mailbox until the connection closes. The first failure poisons
+// the rank, so blocked receives surface it instead of hanging.
+func (p *Proc) read(src int, s *sock) {
 	for {
-		tag, owned, v, err := readFrame(l.conn)
+		tag, owned, v, err := readFrame(s.conn)
 		if err != nil {
-			p.fail(fmt.Errorf("link from rank %d: %w", src, err))
+			p.dead.Fail(fmt.Sprintf("link from rank %d: %v", src, err))
 			return
 		}
-		p.mail[src] <- packet{value: v, tag: tag, owned: owned}
+		p.mail[src] <- rank.Packet{Value: v, Tag: tag, Owned: owned}
 	}
 }
 
-// fail records the first link failure and wakes every blocked receive.
-func (p *Proc) fail(err error) {
-	p.failOnce.Do(func() {
-		p.failErr = err
-		close(p.dead)
-	})
-}
-
-// close shuts down every link; blocked peers observe EOF.
+// close shuts down every connection; blocked peers observe EOF.
 func (p *Proc) close() {
-	for _, l := range p.links {
-		if l != nil {
-			l.w.Flush()
-			l.conn.Close()
+	for _, s := range p.socks {
+		if s != nil {
+			s.w.Flush()
+			s.conn.Close()
 		}
 	}
 }
 
-// Rank is this rank's index, 0 ≤ Rank < P.
-func (p *Proc) Rank() int { return p.rank }
+// link is how a packet moves between processes: a real serialization — the
+// value is encoded at the send site, shipped through the kernel and decoded
+// into fresh storage by the peer's reader goroutine, which is exactly the
+// per-word cost the §4.1 model calls tw and the in-process links calibrate
+// to ~0. Time is wall-clock; the failure policy is the dead link: a peer
+// that exits mid-protocol poisons the rank (the job's own timeout bounds
+// everything else).
+type link Proc
 
-// Size is the process-group size.
-func (p *Proc) Size() int { return p.p }
+// linkDown is the panic value of a rank that fails only because a peer's
+// link died — the peer failed first, so Run reports the peer's own failure
+// in preference.
+type linkDown string
 
-// NextTag returns a fresh message tag; the per-rank counters of an SPMD
-// program stay synchronized, exactly as on the other backends.
-func (p *Proc) NextTag() int {
-	p.tagseq++
-	return p.tagseq
+// down is the rank failing on its first dead link.
+func (l *link) down() linkDown {
+	return linkDown(fmt.Sprintf("mpbackend: rank %d: %s", l.Rank(), l.dead.Reason()))
 }
 
-// Compute records n charged units of local computation (the work itself
-// already ran for real inside the operator).
-func (p *Proc) Compute(n float64) {
-	if n < 0 {
-		panic("mpbackend: negative computation charge")
+// Put encodes and ships one frame to dst. The value is fully serialized
+// before Put returns, so the receiver always gets private storage and a
+// move costs the same as a borrow; an owned value is relinquished all the
+// same, so the ownership discipline is checked identically on every link.
+func (l *link) Put(dst int, pkt rank.Packet) {
+	l.encBuf = appendFrame(l.encBuf[:0], pkt.Tag, pkt.Owned, pkt.Value)
+	s := l.socks[dst]
+	_, err := s.w.Write(l.encBuf)
+	if err == nil {
+		err = s.w.Flush()
 	}
-	p.ops += n
+	if err != nil {
+		l.dead.Fail(fmt.Sprintf("link to rank %d: %v", dst, err))
+		panic(l.down())
+	}
+	pkt.Relinquish()
 }
 
-// ScratchArena returns the rank's scratch-buffer arena. Because every
-// message is serialized at the send site, no peer ever holds a reference
-// into this rank's buffers — the body may Reset the arena at any
-// quiescent point (the probe bodies do so between repetitions).
-func (p *Proc) ScratchArena() *algebra.Arena { return p.arena }
-
-// send encodes and ships one frame to dst.
-func (p *Proc) send(dst, tag int, owned bool, v algebra.Value) {
-	if dst == p.rank {
-		panic(fmt.Sprintf("mpbackend: rank %d sending to itself", p.rank))
-	}
-	p.checkRank(dst)
-	p.sent++
-	p.sentWords += v.Words()
-	p.encBuf = appendFrame(p.encBuf[:0], tag, owned, v)
-	l := p.links[dst]
-	if _, err := l.w.Write(p.encBuf); err != nil {
-		panic(fmt.Sprintf("mpbackend: rank %d sending to rank %d: %v", p.rank, dst, err))
-	}
-	if err := l.w.Flush(); err != nil {
-		panic(fmt.Sprintf("mpbackend: rank %d sending to rank %d: %v", p.rank, dst, err))
-	}
-}
-
-// Send ships v to rank dst. The value is fully serialized before Send
-// returns, so — unlike the in-process transports — the caller's buffer is
-// not frozen afterwards; the borrow contract is still honored by treating
-// it as such, which keeps programs portable across transports.
-func (p *Proc) Send(dst int, v algebra.Value, tag int) {
-	p.send(dst, tag, false, v)
-}
-
-// SendMove ships v transferring ownership (coll.Mover). Across a process
-// boundary the receiver always gets private storage, so the move costs
-// the same as Send; the sender's *FlatTuple is poisoned all the same, so
-// the ownership discipline is checked identically on every transport.
-func (p *Proc) SendMove(dst int, v algebra.Value, tag int) {
-	p.send(dst, tag, true, v)
-	if ft, ok := v.(*algebra.FlatTuple); ok {
-		ft.MarkMoved()
-	}
-}
-
-// TrySend is the non-blocking send of coll.Transport. Socket writes are
-// buffered by the kernel and the peer's reader goroutine always drains,
-// so the link always has room and TrySend never refuses.
-func (p *Proc) TrySend(dst int, v algebra.Value, tag int) bool {
-	p.send(dst, tag, false, v)
+// TryPut never refuses: socket writes are buffered by the kernel and the
+// peer's reader goroutine always drains.
+func (l *link) TryPut(dst int, pkt rank.Packet) bool {
+	l.Put(dst, pkt)
 	return true
 }
 
-// take dequeues the next packet from src, surfacing a dead link as a
-// panic instead of a hang. Delivered messages win over a concurrent link
-// failure: the mailbox is drained before the poison is surfaced, so a
-// peer closing right after its last send never loses that send.
-func (p *Proc) take(src int) packet {
-	p.checkRank(src)
+// Take dequeues the next packet from src, surfacing a dead link as a panic
+// instead of a hang. Delivered messages win over a concurrent link failure:
+// the mailbox is drained before the poison is surfaced, so a peer closing
+// right after its last send never loses that send.
+func (l *link) Take(src, want int) rank.Packet {
 	select {
-	case pkt := <-p.mail[src]:
-		p.recvd++
+	case pkt := <-l.mail[src]:
 		return pkt
-	default:
-	}
-	select {
-	case pkt := <-p.mail[src]:
-		p.recvd++
-		return pkt
-	case <-p.dead:
-		select {
-		case pkt := <-p.mail[src]:
-			p.recvd++
+	case <-l.dead.Done():
+		if pkt, ok := l.TryTake(src); ok {
 			return pkt
-		default:
 		}
-		panic(fmt.Sprintf("mpbackend: rank %d: %v", p.rank, p.failErr))
+		panic(l.down())
 	}
 }
 
-// accept enforces the tag discipline shared with the other backends.
-func (p *Proc) accept(pkt packet, src, tag int) packet {
-	if pkt.tag != tag {
-		panic(fmt.Sprintf("mpbackend: rank %d expected tag %d from rank %d, got %d", p.rank, tag, src, pkt.tag))
-	}
-	return pkt
-}
-
-// Recv receives the next message from rank src, blocking until it
-// arrives.
-func (p *Proc) Recv(src, tag int) algebra.Value {
-	return p.accept(p.take(src), src, tag).value
-}
-
-// RecvOwned receives like Recv and reports whether the message moved
-// ownership here (coll.Mover). Every received value is freshly decoded
-// private storage, but the flag is carried on the wire so borrow/move
-// semantics match the in-process transports exactly.
-func (p *Proc) RecvOwned(src, tag int) (algebra.Value, bool) {
-	pkt := p.accept(p.take(src), src, tag)
-	return pkt.value, pkt.owned
-}
-
-// Exchange performs the simultaneous bidirectional swap with partner.
-// Both sides write first — kernel socket buffers and the always-draining
-// reader goroutines keep that deadlock-free — then read.
-func (p *Proc) Exchange(partner int, v algebra.Value, tag int) algebra.Value {
-	if partner == p.rank {
-		panic(fmt.Sprintf("mpbackend: rank %d exchanging with itself", p.rank))
-	}
-	p.send(partner, tag, false, v)
-	return p.accept(p.take(partner), partner, tag).value
-}
-
-// RecvAny dequeues the next message from src regardless of tag
-// (coll.Transport).
-func (p *Proc) RecvAny(src int) (algebra.Value, int) {
-	pkt := p.take(src)
-	return pkt.value, pkt.tag
-}
-
-// TryRecvAny dequeues an already-arrived message from src, if any
-// (coll.Transport).
-func (p *Proc) TryRecvAny(src int) (algebra.Value, int, bool) {
-	p.checkRank(src)
+// TryTake dequeues an already-arrived packet from src, if any.
+func (l *link) TryTake(src int) (rank.Packet, bool) {
 	select {
-	case pkt := <-p.mail[src]:
-		p.recvd++
-		return pkt.value, pkt.tag, true
+	case pkt := <-l.mail[src]:
+		return pkt, true
 	default:
-		return nil, 0, false
+		return rank.Packet{}, false
 	}
 }
 
-func (p *Proc) checkRank(r int) {
-	if r < 0 || r >= p.p {
-		panic(fmt.Sprintf("mpbackend: rank %d out of range [0,%d)", r, p.p))
-	}
+// Swap writes, then reads: kernel socket buffers and the always-draining
+// reader goroutines keep both sides writing first deadlock-free.
+func (l *link) Swap(peer int, pkt rank.Packet) rank.Packet {
+	l.Put(peer, pkt)
+	return l.Take(peer, pkt.Tag)
 }
 
 // ctrlBase offsets the barrier's control tags far below every application
@@ -355,24 +247,22 @@ const ctrlBase = -(1 << 40)
 // barrier-released runs of the in-process backends. Control traffic does
 // not count toward the message/word counters.
 func (p *Proc) Barrier() {
-	if p.p == 1 {
+	if p.Size() == 1 {
 		return
 	}
 	p.ctrlseq++
 	tag := ctrlBase - p.ctrlseq
-	sent, words := p.sent, p.sentWords
-	if p.rank == 0 {
-		for r := 1; r < p.p; r++ {
-			p.accept(p.take(r), r, tag)
-			p.recvd--
+	p.Uncounted(func() {
+		if p.Rank() != 0 {
+			p.Send(0, algebra.Scalar(0), tag)
+			p.Recv(0, tag)
+			return
 		}
-		for r := 1; r < p.p; r++ {
-			p.send(r, tag, false, algebra.Scalar(0))
+		for r := 1; r < p.Size(); r++ {
+			p.Recv(r, tag)
 		}
-	} else {
-		p.send(0, tag, false, algebra.Scalar(0))
-		p.accept(p.take(0), 0, tag)
-		p.recvd--
-	}
-	p.sent, p.sentWords = sent, words
+		for r := 1; r < p.Size(); r++ {
+			p.Send(r, algebra.Scalar(0), tag)
+		}
+	})
 }

@@ -49,6 +49,9 @@ type jobSpec struct {
 type rankOut struct {
 	Result json.RawMessage `json:"result,omitempty"`
 	Err    string          `json:"error,omitempty"`
+	// Secondary marks an Err that is only a dead link to a peer that
+	// failed first: Run reports the peer's own failure in preference.
+	Secondary bool `json:"secondary,omitempty"`
 	// Msgs, Words and Ops are the rank's traffic and work counters,
 	// comparable with the other backends' Result fields.
 	Msgs  int     `json:"msgs"`
@@ -117,6 +120,7 @@ func runWorker(dir string, rank int) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				bodyErr = fmt.Errorf("panic: %v", r)
+				_, out.Secondary = r.(linkDown)
 			}
 		}()
 		return body(pr, spec.Params)
@@ -128,7 +132,8 @@ func runWorker(dir string, rank int) (err error) {
 			out.Err = fmt.Sprintf("unmarshalable body result: %v", err)
 		}
 	}
-	out.Msgs, out.Words, out.Ops = pr.sent, pr.sentWords, pr.ops
+	n := pr.Counters()
+	out.Msgs, out.Words, out.Ops = n.Sent, n.Words, n.Ops
 	// Orderly shutdown: meet every peer at a final barrier before
 	// closing any link, so no rank observes EOF mid-protocol. A failed
 	// rank skips the barrier — its closed links then unwedge the others.
