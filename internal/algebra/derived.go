@@ -7,6 +7,31 @@ import "fmt"
 // original collective operations and returns the tuple operator of the
 // rewritten program, with the operation counts of §4 recorded in Cost so
 // the virtual machine charges exactly the computation the paper counts.
+//
+// The flat kernels (FlatFn, FlatUnary, FlatLo/FlatHi, FlatE/FlatO, FlatF)
+// are compositions of the base operators' slice kernels (Op.slice), one
+// pass per elementary operation of the reference formula and in its
+// order, taken blockWords at a time so that every pass after the first
+// finds its operands in the cache. dst may be an operand, so a pass
+// writes a component of dst only once the operand component it may be has
+// no read left; a sub-term that would have to be written sooner (r1 ⊗ s2
+// of op_sr2, say) goes to a block on the stack, the others accumulate in
+// dst itself.
+
+// blockWords is how many words of each component a flat kernel takes
+// through all of its passes before moving on: 2 KiB per component, so the
+// widest kernel (op_ss: eleven components) works inside a 32 KiB L1.
+const blockWords = 256
+
+// srBlock is the core op_sr shares with op_ss's lower side, op_comp_bss's
+// e and op_bsr, on one block: (dt, du) = (t1 ⊕ t2 ⊕ u1, uu ⊕ uu) with
+// uu = u1 ⊕ u2. dt may be t1 or t2, du may be u1 or u2.
+func srBlock(oplus *Op, dt, du, t1, u1, t2, u2 []float64) {
+	oplus.slice(dt, t1, t2)
+	oplus.slice(dt, dt, u1)
+	oplus.slice(du, u1, u2) // uu
+	oplus.slice(du, du, du)
+}
 
 func tup2(v Value) (a, b Value) {
 	t, ok := v.(Tuple)
@@ -53,16 +78,19 @@ func OpSR2(otimes, oplus *Op) *Op {
 			}
 		},
 	}
-	if f, g := oplus.Elem, otimes.Elem; f != nil && g != nil {
+	if oplus.Elem != nil && otimes.Elem != nil {
 		op.FlatFn = func(dst, a, b *FlatTuple) {
 			m := a.M()
 			s1, r1 := a.Data[:m], a.Data[m:]
 			s2, r2 := b.Data[:m], b.Data[m:]
 			ds, dr := dst.Data[:m], dst.Data[m:]
-			for j := 0; j < m; j++ {
-				x1, y1, x2, y2 := s1[j], r1[j], s2[j], r2[j]
-				ds[j] = f(x1, g(y1, x2))
-				dr[j] = g(y1, y2)
+			var rs [blockWords]float64
+			for lo := 0; lo < m; lo += blockWords {
+				hi := min(lo+blockWords, m)
+				rs := rs[:hi-lo]
+				otimes.slice(rs, r1[lo:hi], s2[lo:hi])
+				oplus.slice(ds[lo:hi], s1[lo:hi], rs)
+				otimes.slice(dr[lo:hi], r1[lo:hi], r2[lo:hi])
 			}
 		}
 	}
@@ -83,17 +111,11 @@ func OpNew(op1, op2 *Op) *Op {
 			return Tuple{op1.Apply(a1, a2), op2.Apply(b1, b2)}
 		},
 	}
-	if f1, f2 := op1.Elem, op2.Elem; f1 != nil && f2 != nil {
+	if op1.Elem != nil && op2.Elem != nil {
 		op.FlatFn = func(dst, a, b *FlatTuple) {
 			m := a.M()
-			a1, b1 := a.Data[:m], a.Data[m:]
-			a2, b2 := b.Data[:m], b.Data[m:]
-			da, db := dst.Data[:m], dst.Data[m:]
-			for j := 0; j < m; j++ {
-				x1, y1, x2, y2 := a1[j], b1[j], a2[j], b2[j]
-				da[j] = f1(x1, x2)
-				db[j] = f2(y1, y2)
-			}
+			op1.slice(dst.Data[:m], a.Data[:m], b.Data[:m])
+			op2.slice(dst.Data[m:], a.Data[m:], b.Data[m:])
 		}
 	}
 	return op
@@ -126,28 +148,21 @@ func OpSR(oplus *Op) *Op {
 			return Tuple{t2, oplus.Apply(u2, u2)}
 		},
 	}
-	if f := oplus.Elem; f != nil {
+	if oplus.Elem != nil {
 		op.FlatFn = func(dst, a, b *FlatTuple) {
 			m := a.M()
 			t1, u1 := a.Data[:m], a.Data[m:]
 			t2, u2 := b.Data[:m], b.Data[m:]
 			dt, du := dst.Data[:m], dst.Data[m:]
-			for j := 0; j < m; j++ {
-				x1, y1, x2, y2 := t1[j], u1[j], t2[j], u2[j]
-				uu := f(y1, y2)
-				dt[j] = f(f(x1, x2), y1)
-				du[j] = f(uu, uu)
+			for lo := 0; lo < m; lo += blockWords {
+				hi := min(lo+blockWords, m)
+				srBlock(oplus, dt[lo:hi], du[lo:hi], t1[lo:hi], u1[lo:hi], t2[lo:hi], u2[lo:hi])
 			}
 		}
 		op.FlatUnary = func(dst, b *FlatTuple) {
 			m := b.M()
-			t2, u2 := b.Data[:m], b.Data[m:]
-			dt, du := dst.Data[:m], dst.Data[m:]
-			for j := 0; j < m; j++ {
-				x2, y2 := t2[j], u2[j]
-				dt[j] = x2
-				du[j] = f(y2, y2)
-			}
+			copy(dst.Data[:m], b.Data[:m])
+			oplus.slice(dst.Data[m:], b.Data[m:], b.Data[m:])
 		}
 	}
 	return op
@@ -173,16 +188,21 @@ func OpSRNoSharing(oplus *Op) *Op {
 		Unary:     op.Unary,
 		FlatUnary: op.FlatUnary,
 	}
-	if f := oplus.Elem; f != nil {
+	if oplus.Elem != nil {
 		naive.FlatFn = func(dst, a, b *FlatTuple) {
 			m := a.M()
 			t1, u1 := a.Data[:m], a.Data[m:]
 			t2, u2 := b.Data[:m], b.Data[m:]
 			dt, du := dst.Data[:m], dst.Data[m:]
-			for j := 0; j < m; j++ {
-				x1, y1, x2, y2 := t1[j], u1[j], t2[j], u2[j]
-				dt[j] = f(f(x1, x2), y1)
-				du[j] = f(f(y1, y2), f(y1, y2))
+			var uu [blockWords]float64
+			for lo := 0; lo < m; lo += blockWords {
+				hi := min(lo+blockWords, m)
+				dt, du, uu := dt[lo:hi], du[lo:hi], uu[:hi-lo]
+				oplus.slice(dt, t1[lo:hi], t2[lo:hi])
+				oplus.slice(dt, dt, u1[lo:hi])
+				oplus.slice(uu, u1[lo:hi], u2[lo:hi])
+				oplus.slice(du, u1[lo:hi], u2[lo:hi]) // again: the ablation
+				oplus.slice(du, uu, du)
 			}
 		}
 	}
@@ -306,7 +326,7 @@ func OpSS(oplus *Op) *BalancedScanOp {
 			return Tuple{s, Undef{}, Undef{}, Undef{}}
 		},
 	}
-	if f := oplus.Elem; f != nil {
+	if oplus.Elem != nil {
 		op.FlatShip = func(dst, own *FlatTuple) {
 			m := own.M()
 			copy(dst.Data, own.Data[m:]) // (t, u, v)
@@ -316,14 +336,11 @@ func OpSS(oplus *Op) *BalancedScanOp {
 			s1, t1, u1, v1 := own.Data[:m], own.Data[m:2*m], own.Data[2*m:3*m], own.Data[3*m:]
 			t2, u2, v2 := fromHi.Data[:m], fromHi.Data[m:2*m], fromHi.Data[2*m:]
 			ds, dt, du, dv := dst.Data[:m], dst.Data[m:2*m], dst.Data[2*m:3*m], dst.Data[3*m:]
-			for j := 0; j < m; j++ {
-				S1, T1, U1, V1 := s1[j], t1[j], u1[j], v1[j]
-				T2, U2, V2 := t2[j], u2[j], v2[j]
-				uu := f(U1, U2)
-				ds[j] = S1
-				dt[j] = f(f(T1, T2), U1)
-				du[j] = f(uu, uu)
-				dv[j] = f(V1, V2)
+			copy(ds, s1)
+			for lo := 0; lo < m; lo += blockWords {
+				hi := min(lo+blockWords, m)
+				srBlock(oplus, dt[lo:hi], du[lo:hi], t1[lo:hi], u1[lo:hi], t2[lo:hi], u2[lo:hi])
+				oplus.slice(dv[lo:hi], v1[lo:hi], v2[lo:hi])
 			}
 		}
 		op.FlatHi = func(dst, own, fromLo *FlatTuple) {
@@ -331,15 +348,17 @@ func OpSS(oplus *Op) *BalancedScanOp {
 			s2, t2, u2, v2 := own.Data[:m], own.Data[m:2*m], own.Data[2*m:3*m], own.Data[3*m:]
 			t1, u1, v1 := fromLo.Data[:m], fromLo.Data[m:2*m], fromLo.Data[2*m:]
 			ds, dt, du, dv := dst.Data[:m], dst.Data[m:2*m], dst.Data[2*m:3*m], dst.Data[3*m:]
-			for j := 0; j < m; j++ {
-				S2, T2, U2, V2 := s2[j], t2[j], u2[j], v2[j]
-				T1, U1, V1 := t1[j], u1[j], v1[j]
-				uu := f(U1, U2)
-				vv := f(V1, V2)
-				ds[j] = f(f(S2, T1), V1)
-				dt[j] = f(f(T1, T2), U1)
-				du[j] = f(uu, uu)
-				dv[j] = f(uu, vv)
+			for lo := 0; lo < m; lo += blockWords {
+				hi := min(lo+blockWords, m)
+				ds, dt, du, dv := ds[lo:hi], dt[lo:hi], du[lo:hi], dv[lo:hi]
+				oplus.slice(ds, s2[lo:hi], t1[lo:hi])
+				oplus.slice(ds, ds, v1[lo:hi])
+				oplus.slice(dt, t1[lo:hi], t2[lo:hi])
+				oplus.slice(dt, dt, u1[lo:hi])
+				oplus.slice(du, u1[lo:hi], u2[lo:hi]) // uu
+				oplus.slice(dv, v1[lo:hi], v2[lo:hi]) // vv
+				oplus.slice(dv, du, dv)
+				oplus.slice(du, du, du)
 			}
 		}
 	}
@@ -387,25 +406,20 @@ func OpCompBS(oplus *Op) *RepeatOps {
 			return Tuple{oplus.Apply(t, u), oplus.Apply(u, u)}
 		},
 	}
-	if f := oplus.Elem; f != nil {
+	if oplus.Elem != nil {
 		r.FlatE = func(dst, v *FlatTuple) {
 			m := v.M()
-			t, u := v.Data[:m], v.Data[m:]
-			dt, du := dst.Data[:m], dst.Data[m:]
-			for j := 0; j < m; j++ {
-				T, U := t[j], u[j]
-				dt[j] = T
-				du[j] = f(U, U)
-			}
+			copy(dst.Data[:m], v.Data[:m])
+			oplus.slice(dst.Data[m:], v.Data[m:], v.Data[m:])
 		}
 		r.FlatO = func(dst, v *FlatTuple) {
 			m := v.M()
 			t, u := v.Data[:m], v.Data[m:]
 			dt, du := dst.Data[:m], dst.Data[m:]
-			for j := 0; j < m; j++ {
-				T, U := t[j], u[j]
-				dt[j] = f(T, U)
-				du[j] = f(U, U)
+			for lo := 0; lo < m; lo += blockWords {
+				hi := min(lo+blockWords, m)
+				oplus.slice(dt[lo:hi], t[lo:hi], u[lo:hi])
+				oplus.slice(du[lo:hi], u[lo:hi], u[lo:hi])
 			}
 		}
 	}
@@ -437,27 +451,34 @@ func OpCompBSS2(otimes, oplus *Op) *RepeatOps {
 			}
 		},
 	}
-	if f, g := oplus.Elem, otimes.Elem; f != nil && g != nil {
+	if oplus.Elem != nil && otimes.Elem != nil {
 		r.FlatE = func(dst, v *FlatTuple) {
 			m := v.M()
 			s, t, u := v.Data[:m], v.Data[m:2*m], v.Data[2*m:]
 			ds, dt, du := dst.Data[:m], dst.Data[m:2*m], dst.Data[2*m:]
-			for j := 0; j < m; j++ {
-				S, T, U := s[j], t[j], u[j]
-				ds[j] = S
-				dt[j] = f(T, g(T, U))
-				du[j] = g(U, U)
+			copy(ds, s)
+			var tu [blockWords]float64
+			for lo := 0; lo < m; lo += blockWords {
+				hi := min(lo+blockWords, m)
+				tu := tu[:hi-lo]
+				otimes.slice(tu, t[lo:hi], u[lo:hi])
+				oplus.slice(dt[lo:hi], t[lo:hi], tu)
+				otimes.slice(du[lo:hi], u[lo:hi], u[lo:hi])
 			}
 		}
 		r.FlatO = func(dst, v *FlatTuple) {
 			m := v.M()
 			s, t, u := v.Data[:m], v.Data[m:2*m], v.Data[2*m:]
 			ds, dt, du := dst.Data[:m], dst.Data[m:2*m], dst.Data[2*m:]
-			for j := 0; j < m; j++ {
-				S, T, U := s[j], t[j], u[j]
-				ds[j] = f(T, g(S, U))
-				dt[j] = f(T, g(T, U))
-				du[j] = g(U, U)
+			var xu [blockWords]float64
+			for lo := 0; lo < m; lo += blockWords {
+				hi := min(lo+blockWords, m)
+				xu := xu[:hi-lo]
+				otimes.slice(xu, s[lo:hi], u[lo:hi])
+				oplus.slice(ds[lo:hi], t[lo:hi], xu)
+				otimes.slice(xu, t[lo:hi], u[lo:hi])
+				oplus.slice(dt[lo:hi], t[lo:hi], xu)
+				otimes.slice(du[lo:hi], u[lo:hi], u[lo:hi])
 			}
 		}
 	}
@@ -496,31 +517,34 @@ func OpCompBSS(oplus *Op) *RepeatOps {
 			}
 		},
 	}
-	if f := oplus.Elem; f != nil {
+	if oplus.Elem != nil {
 		r.FlatE = func(dst, v *FlatTuple) {
 			m := v.M()
 			s, t, u, w := v.Data[:m], v.Data[m:2*m], v.Data[2*m:3*m], v.Data[3*m:]
 			ds, dt, du, dw := dst.Data[:m], dst.Data[m:2*m], dst.Data[2*m:3*m], dst.Data[3*m:]
-			for j := 0; j < m; j++ {
-				S, T, U, W := s[j], t[j], u[j], w[j]
-				uu := f(U, U)
-				ds[j] = S
-				dt[j] = f(f(T, T), U)
-				du[j] = f(uu, uu)
-				dw[j] = f(W, W)
+			copy(ds, s)
+			for lo := 0; lo < m; lo += blockWords {
+				hi := min(lo+blockWords, m)
+				srBlock(oplus, dt[lo:hi], du[lo:hi], t[lo:hi], u[lo:hi], t[lo:hi], u[lo:hi])
+				oplus.slice(dw[lo:hi], w[lo:hi], w[lo:hi])
 			}
 		}
 		r.FlatO = func(dst, v *FlatTuple) {
 			m := v.M()
 			s, t, u, w := v.Data[:m], v.Data[m:2*m], v.Data[2*m:3*m], v.Data[3*m:]
 			ds, dt, du, dw := dst.Data[:m], dst.Data[m:2*m], dst.Data[2*m:3*m], dst.Data[3*m:]
-			for j := 0; j < m; j++ {
-				S, T, U, W := s[j], t[j], u[j], w[j]
-				uu := f(U, U)
-				ds[j] = f(f(S, T), W)
-				dt[j] = f(f(T, T), U)
-				du[j] = f(uu, uu)
-				dw[j] = f(f(uu, W), W)
+			var uuw [blockWords]float64
+			for lo := 0; lo < m; lo += blockWords {
+				hi := min(lo+blockWords, m)
+				ds, dt, du, uuw := ds[lo:hi], dt[lo:hi], du[lo:hi], uuw[:hi-lo]
+				oplus.slice(ds, s[lo:hi], t[lo:hi])
+				oplus.slice(ds, ds, w[lo:hi])
+				oplus.slice(dt, t[lo:hi], t[lo:hi])
+				oplus.slice(dt, dt, u[lo:hi])
+				oplus.slice(du, u[lo:hi], u[lo:hi]) // uu
+				oplus.slice(uuw, du, w[lo:hi])
+				oplus.slice(dw[lo:hi], uuw, w[lo:hi])
+				oplus.slice(du, du, du)
 			}
 		}
 	}
@@ -618,15 +642,8 @@ func OpBR(oplus *Op) *IterOp {
 		Prepare: func(b Value) Value { return b },
 		F:       func(s Value) Value { return oplus.Apply(s, s) },
 	}
-	if f := oplus.Elem; f != nil {
-		op.FlatF = func(dst, v *FlatTuple) {
-			s := v.Data
-			d := dst.Data
-			for j := range s {
-				S := s[j]
-				d[j] = f(S, S)
-			}
-		}
+	if oplus.Elem != nil {
+		op.FlatF = func(dst, v *FlatTuple) { oplus.slice(dst.Data, v.Data, v.Data) }
 	}
 	return op
 }
@@ -645,15 +662,18 @@ func OpBSR2(otimes, oplus *Op) *IterOp {
 			return Tuple{oplus.Apply(s, otimes.Apply(s, t)), otimes.Apply(t, t)}
 		},
 	}
-	if f, g := oplus.Elem, otimes.Elem; f != nil && g != nil {
+	if oplus.Elem != nil && otimes.Elem != nil {
 		op.FlatF = func(dst, v *FlatTuple) {
 			m := v.M()
 			s, t := v.Data[:m], v.Data[m:]
 			ds, dt := dst.Data[:m], dst.Data[m:]
-			for j := 0; j < m; j++ {
-				S, T := s[j], t[j]
-				ds[j] = f(S, g(S, T))
-				dt[j] = g(T, T)
+			var st [blockWords]float64
+			for lo := 0; lo < m; lo += blockWords {
+				hi := min(lo+blockWords, m)
+				st := st[:hi-lo]
+				otimes.slice(st, s[lo:hi], t[lo:hi])
+				oplus.slice(ds[lo:hi], s[lo:hi], st)
+				otimes.slice(dt[lo:hi], t[lo:hi], t[lo:hi])
 			}
 		}
 	}
@@ -678,16 +698,14 @@ func OpBSR(oplus *Op) *IterOp {
 			}
 		},
 	}
-	if f := oplus.Elem; f != nil {
+	if oplus.Elem != nil {
 		op.FlatF = func(dst, v *FlatTuple) {
 			m := v.M()
 			t, u := v.Data[:m], v.Data[m:]
 			dt, du := dst.Data[:m], dst.Data[m:]
-			for j := 0; j < m; j++ {
-				T, U := t[j], u[j]
-				uu := f(U, U)
-				dt[j] = f(f(T, T), U)
-				du[j] = f(uu, uu)
+			for lo := 0; lo < m; lo += blockWords {
+				hi := min(lo+blockWords, m)
+				srBlock(oplus, dt[lo:hi], du[lo:hi], t[lo:hi], u[lo:hi], t[lo:hi], u[lo:hi])
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package algebra
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -8,14 +10,50 @@ import (
 // The kernels are only correct if they are *exactly* the reference
 // semantics in another representation: same elementary operations, same
 // order, bitwise-equal floats. These tests compare every flat/in-place
-// kernel against the boxed reference on random inputs.
+// kernel against the boxed reference on random inputs — genuine floats,
+// on which a kernel that brackets t1 ⊕ t2 ⊕ u1 the other way round or
+// fuses a multiply into an add rounds differently from the reference.
 
 func randVec(rng *rand.Rand, m int) Vec {
 	v := make(Vec, m)
 	for i := range v {
-		v[i] = float64(rng.Intn(19)) - 9
+		v[i] = rng.NormFloat64()
 	}
 	return v
+}
+
+// sameBits is Equal on bit patterns (Equal is ==, which cannot tell -0
+// from +0 and never finds a NaN equal to anything), across the boxed and
+// flat representations.
+func sameBits(a, b Value) bool {
+	switch x := Boxed(a).(type) {
+	case Scalar:
+		y, ok := b.(Scalar)
+		return ok && math.Float64bits(float64(x)) == math.Float64bits(float64(y))
+	case Vec:
+		y, ok := Boxed(b).(Vec)
+		if !ok || len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	case Tuple:
+		y, ok := Boxed(b).(Tuple)
+		if !ok || len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if !sameBits(x[i], y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 func randTuple(rng *rand.Rand, w, m int) Tuple {
@@ -34,7 +72,9 @@ func flatOf(t Tuple) *FlatTuple {
 	return NewFlatTuple(w, m).FlattenInto(t)
 }
 
-var kernelSizes = []int{1, 2, 3, 8, 33}
+// kernelSizes straddles the block boundary of the derived kernels (255,
+// 256, 257) and includes a multi-block size with a ragged tail (1000).
+var kernelSizes = []int{1, 2, 3, 8, 33, 255, 256, 257, 1000}
 
 func TestApplyIntoMatchesApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -49,7 +89,7 @@ func TestApplyIntoMatchesApply(t *testing.T) {
 			for _, c := range cases {
 				want := op.Apply(c.x, c.y)
 				got := op.ApplyInto(nil, c.x, c.y)
-				if !Equal(got, want) {
+				if !sameBits(got, want) {
 					t.Fatalf("%s.ApplyInto(nil, %s, %s) = %s, want %s", op, c.x, c.y, got, want)
 				}
 				// With a destination of the right shape the result must
@@ -57,7 +97,7 @@ func TestApplyIntoMatchesApply(t *testing.T) {
 				if v, ok := want.(Vec); ok {
 					dst := Value(make(Vec, len(v)))
 					got := op.ApplyInto(dst, c.x, c.y)
-					if !Equal(got, want) {
+					if !sameBits(got, want) {
 						t.Fatalf("%s.ApplyInto(dst, %s, %s) = %s, want %s", op, c.x, c.y, got, want)
 					}
 					if &got.(Vec)[0] != &dst.(Vec)[0] {
@@ -66,11 +106,57 @@ func TestApplyIntoMatchesApply(t *testing.T) {
 				}
 			}
 			// dst aliasing an operand must be safe.
-			aa := a.Clone()
+			aa, bb := a.Clone(), b.Clone()
 			want := op.Apply(a, b)
-			got := op.ApplyInto(aa, aa, b)
-			if !Equal(got, want) {
+			if got := op.ApplyInto(aa, aa, b); !sameBits(got, want) {
 				t.Fatalf("%s.ApplyInto(a, a, b) = %s, want %s", op, got, want)
+			}
+			if got := op.ApplyInto(bb, a, bb); !sameBits(got, want) {
+				t.Fatalf("%s.ApplyInto(b, a, b) = %s, want %s", op, got, want)
+			}
+		}
+	}
+}
+
+// TestSliceKernelIsElemBitwise pins the slice kernel to Elem on the values
+// where a rewritten loop body could differ without == noticing: NaN, the
+// two zeros, infinities, denormals and the largest finite float, every
+// value against every other, into a fresh destination and in place over
+// either operand. There is one NaN payload: which of two payloads x + y
+// keeps is the hardware's operand order, which Go does not fix.
+func TestSliceKernelIsElemBitwise(t *testing.T) {
+	specials := []float64{
+		math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030,
+		math.MaxFloat64, -math.MaxFloat64, 1, -1.5,
+	}
+	var xs, ys []float64
+	for _, x := range specials {
+		for _, y := range specials {
+			xs, ys = append(xs, x), append(ys, y)
+		}
+	}
+	avg := NewBase("avg", func(x, y float64) float64 { return (x + y) / 2 })
+	for _, op := range []*Op{Add, Mul, Max, Min, Left, Sub, avg} {
+		if (op.kern == kernElem) != (op == avg) {
+			t.Fatalf("%s: slice kernel id %d", op, op.kern)
+		}
+		for _, alias := range []string{"fresh", "x", "y"} {
+			x, y := append([]float64(nil), xs...), append([]float64(nil), ys...)
+			dst := make([]float64, len(xs))
+			switch alias {
+			case "x":
+				dst = x
+			case "y":
+				dst = y
+			}
+			op.slice(dst, x, y)
+			for i := range dst {
+				want := op.Elem(xs[i], ys[i])
+				if math.Float64bits(dst[i]) != math.Float64bits(want) {
+					t.Errorf("%s slice kernel, dst %s: %v op %v = %v (%#x), Elem gives %v (%#x)", op, alias,
+						xs[i], ys[i], dst[i], math.Float64bits(dst[i]), want, math.Float64bits(want))
+				}
 			}
 		}
 	}
@@ -92,21 +178,28 @@ func TestFlatKernelsMatchReference(t *testing.T) {
 			a, b := randTuple(rng, op.Arity, m), randTuple(rng, op.Arity, m)
 			want := op.Apply(a, b)
 			got := op.ApplyInto(nil, flatOf(a), flatOf(b))
-			if !Equal(got, want) {
+			if !sameBits(got, want) {
 				t.Fatalf("%s flat kernel: got %s, want %s (m=%d)", op, got, want, m)
 			}
-			// In-place: dst aliasing operand a.
-			fa := flatOf(a)
-			if !Equal(op.ApplyInto(fa, fa, flatOf(b)), want) {
-				t.Fatalf("%s flat kernel in-place mismatch (m=%d)", op, m)
+			// In place: dst aliasing operand a, operand b, and both.
+			fa, fb := flatOf(a), flatOf(b)
+			if !sameBits(op.ApplyInto(fa, fa, flatOf(b)), want) {
+				t.Fatalf("%s flat kernel with dst = a mismatch (m=%d)", op, m)
+			}
+			if !sameBits(op.ApplyInto(fb, flatOf(a), fb), want) {
+				t.Fatalf("%s flat kernel with dst = b mismatch (m=%d)", op, m)
+			}
+			fa = flatOf(a)
+			if !sameBits(op.ApplyInto(fa, fa, fa), op.Apply(a, a)) {
+				t.Fatalf("%s flat kernel with dst = a = b mismatch (m=%d)", op, m)
 			}
 			if op.Unary != nil {
 				want := op.ApplyUnary(b)
-				if !Equal(op.ApplyUnaryInto(nil, flatOf(b)), want) {
+				if !sameBits(op.ApplyUnaryInto(nil, flatOf(b)), want) {
 					t.Fatalf("%s flat unary mismatch (m=%d)", op, m)
 				}
 				fb := flatOf(b)
-				if !Equal(op.ApplyUnaryInto(fb, fb), want) {
+				if !sameBits(op.ApplyUnaryInto(fb, fb), want) {
 					t.Fatalf("%s flat unary in-place mismatch (m=%d)", op, m)
 				}
 			}
@@ -126,7 +219,7 @@ func TestFlatBalancedScanMatchesReference(t *testing.T) {
 
 			shipLo := NewFlatTuple(op.ShipWidth, m)
 			op.FlatShip(shipLo, flo)
-			if !Equal(shipLo, op.Ship(lo)) {
+			if !sameBits(shipLo, op.Ship(lo)) {
 				t.Fatalf("%s FlatShip mismatch (m=%d)", op.Name, m)
 			}
 			shipHi := NewFlatTuple(op.ShipWidth, m)
@@ -136,21 +229,21 @@ func TestFlatBalancedScanMatchesReference(t *testing.T) {
 			wantHi := op.Hi(hi, op.Ship(lo))
 			gotLo := NewFlatTuple(op.Arity, m)
 			op.FlatLo(gotLo, flo, shipHi)
-			if !Equal(gotLo, wantLo) {
+			if !sameBits(gotLo, wantLo) {
 				t.Fatalf("%s FlatLo: got %s, want %s (m=%d)", op.Name, gotLo, wantLo, m)
 			}
 			gotHi := NewFlatTuple(op.Arity, m)
 			op.FlatHi(gotHi, fhi, shipLo)
-			if !Equal(gotHi, wantHi) {
+			if !sameBits(gotHi, wantHi) {
 				t.Fatalf("%s FlatHi: got %s, want %s (m=%d)", op.Name, gotHi, wantHi, m)
 			}
 			// In place, dst aliasing own.
 			op.FlatLo(flo, flo, shipHi)
-			if !Equal(flo, wantLo) {
+			if !sameBits(flo, wantLo) {
 				t.Fatalf("%s FlatLo in-place mismatch (m=%d)", op.Name, m)
 			}
 			op.FlatHi(fhi, fhi, shipLo)
-			if !Equal(fhi, wantHi) {
+			if !sameBits(fhi, wantHi) {
 				t.Fatalf("%s FlatHi in-place mismatch (m=%d)", op.Name, m)
 			}
 		}
@@ -166,6 +259,16 @@ func TestFlatRepeatMatchesReference(t *testing.T) {
 		}
 		for _, m := range kernelSizes {
 			b := randVec(rng, m)
+			// One step of each function into a destination that is not
+			// the operand; RepeatInto below only ever runs them in place.
+			v := randTuple(rng, r.Arity, m)
+			d := NewFlatTuple(r.Arity, m)
+			if r.FlatE(d, flatOf(v)); !sameBits(d, r.E(v)) {
+				t.Fatalf("%s FlatE into a fresh dst: got %s, want %s (m=%d)", r.Name, d, r.E(v), m)
+			}
+			if r.FlatO(d, flatOf(v)); !sameBits(d, r.O(v)) {
+				t.Fatalf("%s FlatO into a fresh dst: got %s, want %s (m=%d)", r.Name, d, r.O(v), m)
+			}
 			for k := 0; k < 20; k++ {
 				want := r.Repeat(k, r.Prepare(b))
 				w := NewFlatTuple(r.Arity, m)
@@ -173,7 +276,7 @@ func TestFlatRepeatMatchesReference(t *testing.T) {
 					copy(w.Comp(i), b)
 				}
 				r.RepeatInto(k, w)
-				if !Equal(w, want) {
+				if !sameBits(w, want) {
 					t.Fatalf("%s RepeatInto(%d): got %s, want %s (m=%d)", r.Name, k, w, want, m)
 				}
 			}
@@ -197,8 +300,12 @@ func TestFlatIterMatchesReference(t *testing.T) {
 			}
 			for step := 0; step < 5; step++ {
 				want = op.F(want)
+				d := NewFlatTuple(op.Arity, m)
+				if op.FlatF(d, w); !sameBits(d, want) {
+					t.Fatalf("%s step %d into a fresh dst: got %s, want %s (m=%d)", op.Name, step, d, want, m)
+				}
 				op.FlatF(w, w)
-				if !Equal(w, Boxed(want)) {
+				if !sameBits(w, want) {
 					t.Fatalf("%s step %d: got %s, want %s (m=%d)", op.Name, step, w, want, m)
 				}
 			}
@@ -280,46 +387,61 @@ func TestKernelAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const m = 256
-	rng := rand.New(rand.NewSource(7))
-	// Pre-boxed: in the collectives the operands already live behind the
-	// Value interface, so the kernels must add no boxing of their own.
-	a, b := Value(randVec(rng, m)), Value(randVec(rng, m))
-	dst := Value(make(Vec, m))
-	check := func(name string, f func()) {
+	check := func(t *testing.T, name string, f func()) {
 		t.Helper()
 		if n := testing.AllocsPerRun(100, f); n != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, n)
 		}
 	}
-	check("Scalar ApplyFloat", func() { Add.ApplyFloat(2, 3) })
-	check("Vec ApplyInto", func() { dst = Add.ApplyInto(dst, a, b) })
+	check(t, "Scalar ApplyFloat", func() { Add.ApplyFloat(2, 3) })
 
-	sr2 := OpSR2(Mul, Add)
-	fa, fb := flatOf(randTuple(rng, 2, m)), flatOf(randTuple(rng, 2, m))
-	fdst := Value(NewFlatTuple(2, m))
-	check("op_sr2 flat ApplyInto", func() { fdst = sr2.ApplyInto(fdst, fa, fb) })
+	// One block, and seventeen with a ragged tail: the per-block
+	// temporaries of the derived kernels must stay on the stack.
+	for _, m := range []int{256, 4099} {
+		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			// Pre-boxed: in the collectives the operands already live
+			// behind the Value interface, so the kernels must add no
+			// boxing of their own.
+			a, b := Value(randVec(rng, m)), Value(randVec(rng, m))
+			dst := Value(make(Vec, m))
+			check(t, "Vec ApplyInto", func() { dst = Add.ApplyInto(dst, a, b) })
 
-	sr := OpSR(Add)
-	check("op_sr flat ApplyUnaryInto", func() { fdst = sr.ApplyUnaryInto(fdst, fa) })
+			sr2 := OpSR2(Mul, Add)
+			fa, fb := flatOf(randTuple(rng, 2, m)), flatOf(randTuple(rng, 2, m))
+			fdst := Value(NewFlatTuple(2, m))
+			check(t, "op_sr2 flat ApplyInto", func() { fdst = sr2.ApplyInto(fdst, fa, fb) })
 
-	ss := OpSS(Add)
-	qa, qb := flatOf(randTuple(rng, 4, m)), flatOf(randTuple(rng, 4, m))
-	ship := NewFlatTuple(3, m)
-	check("op_ss flat Ship+Lo+Hi", func() {
-		ss.FlatShip(ship, qb)
-		ss.FlatLo(qa, qa, ship)
-		ss.FlatHi(qb, qb, ship)
-	})
+			sr := OpSR(Add)
+			check(t, "op_sr flat ApplyUnaryInto", func() { fdst = sr.ApplyUnaryInto(fdst, fa) })
+			nosharing := OpSRNoSharing(Add)
+			check(t, "op_sr_nosharing flat ApplyInto", func() { fdst = nosharing.ApplyInto(fdst, fa, fb) })
 
-	bss := OpCompBSS(Add)
-	check("op_comp_bss flat Repeat", func() { bss.RepeatInto(6, qa) })
+			ss := OpSS(Add)
+			qa, qb := flatOf(randTuple(rng, 4, m)), flatOf(randTuple(rng, 4, m))
+			ship := NewFlatTuple(3, m)
+			check(t, "op_ss flat Ship+Lo+Hi", func() {
+				ss.FlatShip(ship, qb)
+				ss.FlatLo(qa, qa, ship)
+				ss.FlatHi(qb, qb, ship)
+			})
 
-	bsr := OpBSR(Add)
-	check("op_bsr flat iterate", func() { bsr.FlatF(fa, fa) })
+			bss := OpCompBSS(Add)
+			check(t, "op_comp_bss flat Repeat", func() { bss.RepeatInto(6, qa) })
+			bss2 := OpCompBSS2(Mul, Add)
+			ta := flatOf(randTuple(rng, 3, m))
+			check(t, "op_comp_bss2 flat Repeat", func() { bss2.RepeatInto(6, ta) })
+
+			bsr := OpBSR(Add)
+			check(t, "op_bsr flat iterate", func() { bsr.FlatF(fa, fa) })
+			bsr2 := OpBSR2(Mul, Add)
+			check(t, "op_bsr2 flat iterate", func() { bsr2.FlatF(fa, fa) })
+		})
+	}
 
 	// Arena steady state: after one warm cycle, a get/reset cycle of the
 	// same shapes touches only the free lists.
+	const m = 256
 	ar := NewArena()
 	cycle := func() {
 		ar.Vec(m)
@@ -329,5 +451,5 @@ func TestKernelAllocs(t *testing.T) {
 		ar.Reset()
 	}
 	cycle()
-	check("arena steady-state cycle", cycle)
+	check(t, "arena steady-state cycle", cycle)
 }

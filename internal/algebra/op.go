@@ -30,12 +30,16 @@ type Op struct {
 	Unary func(b Value) Value
 	// Elem, if non-nil, is the elementwise scalar function the operator
 	// lifts (base operators only). It is the allocation-free kernel
-	// behind ApplyFloat and the Vec fast paths of ApplyInto.
+	// behind ApplyFloat and the scalar-broadcast paths of ApplyInto, and
+	// what the slice kernel loops over for a NewBase operator.
 	Elem func(x, y float64) float64
+	// kern selects the slice kernel: a plain loop for the standard
+	// operators, the Elem loop (the zero value) for any other.
+	kern kernel
 	// FlatFn, if non-nil, combines two flat tuples of width Arity into
-	// dst without allocating. dst may alias a or b: kernels read both
-	// operands at an index before writing it. Results are bitwise
-	// identical to Fn on the boxed form.
+	// dst without allocating. dst may alias a or b: kernels write a
+	// component only after its last read. Results are bitwise identical
+	// to Fn on the boxed form.
 	FlatFn func(dst, a, b *FlatTuple)
 	// FlatUnary, if non-nil, is the flat form of Unary.
 	FlatUnary func(dst, b *FlatTuple)
@@ -74,10 +78,10 @@ func (o *Op) ApplyFloat(x, y float64) float64 {
 // storage when dst has the right shape, allocating nothing on the fast
 // paths (Vec×Vec, Vec×Scalar, Scalar×Vec with Elem; flat×flat with
 // FlatFn). dst may be nil or of the wrong shape, in which case a fresh
-// result is allocated; dst may alias a or b, because the kernels read
-// both operands at an index before writing it. Operand shapes without a
-// kernel fall back to the reference Apply, so ApplyInto is always exactly
-// Apply up to representation.
+// result is allocated; dst may alias a or b, because the kernels write
+// an index only after its last read. Operand shapes without a kernel fall
+// back to the reference Apply, so ApplyInto is always exactly Apply up to
+// representation.
 //
 // Callers own the aliasing discipline: dst must not be a buffer another
 // rank may still read (see the arena ownership rules in docs/PERF.md).
@@ -88,10 +92,7 @@ func (o *Op) ApplyInto(dst, a, b Value) Value {
 		case Vec:
 			if o.Elem != nil && len(x) == len(y) {
 				d, out := vecDst(dst, len(x))
-				f := o.Elem
-				for i := range x {
-					d[i] = f(x[i], y[i])
-				}
+				o.slice(d, x, y)
 				return out
 			}
 		case Scalar:
@@ -142,6 +143,67 @@ func (o *Op) ApplyUnaryInto(dst, b Value) Value {
 		return d
 	}
 	return o.ApplyUnary(Boxed(b))
+}
+
+// kernel names the loop body of a base operator's slice kernel.
+type kernel uint8
+
+const (
+	kernElem kernel = iota // any NewBase operator: call Elem per element
+	kernAdd
+	kernMul
+	kernMax
+	kernMin
+	kernLeft
+	kernSub
+)
+
+// slice is the slice kernel of a base operator: dst[i] = x[i] op y[i] for
+// every i of dst, with x and y at least as long. It is one call per block
+// of words where the Elem loops it replaces made one indirect call per
+// word, and everything hot in this package is built from it. Three rules
+// keep it exactly Elem in another shape:
+//
+//   - Order: one elementary operation per element, the operator's own
+//     expression on the same operands, so the result is bitwise Elem's. A
+//     derived kernel composes separate passes, never a fused expression
+//     (which arm64 would contract into a multiply-add and round once).
+//   - Aliasing: dst may be x or y themselves (element i is read before
+//     it is written) but must not overlap them at an offset.
+//   - Direct call: the operator is a switch inside this one method, not a
+//     func-valued field, so the compiler sees that the slices do not
+//     escape and a caller's stack block stays on its stack.
+func (o *Op) slice(dst, x, y []float64) {
+	x, y = x[:len(dst)], y[:len(dst)]
+	switch o.kern {
+	case kernAdd:
+		for i := range dst {
+			dst[i] = x[i] + y[i]
+		}
+	case kernMul:
+		for i := range dst {
+			dst[i] = x[i] * y[i]
+		}
+	case kernMax:
+		for i := range dst {
+			dst[i] = math.Max(x[i], y[i])
+		}
+	case kernMin:
+		for i := range dst {
+			dst[i] = math.Min(x[i], y[i])
+		}
+	case kernLeft:
+		copy(dst, x)
+	case kernSub:
+		for i := range dst {
+			dst[i] = x[i] - y[i]
+		}
+	default:
+		f := o.Elem
+		for i := range dst {
+			dst[i] = f(x[i], y[i])
+		}
+	}
 }
 
 // vecDst resolves the destination of a Vec kernel: dst's own storage when
@@ -239,24 +301,32 @@ func NewBase(name string, f func(x, y float64) float64) *Op {
 	return &Op{Name: name, Cost: 1, Arity: 1, Fn: lift(name, f), Elem: f}
 }
 
+// standard is NewBase for an operator whose slice kernel is written out:
+// f must be the expression of k's loop body.
+func standard(name string, k kernel, f func(x, y float64) float64) *Op {
+	op := NewBase(name, f)
+	op.kern = k
+	return op
+}
+
 // The standard base operators of the paper's examples. Add and Mul are the
 // op1/op2 of program Example; Max and Add form the max/+ (tropical) pair
 // used by the maximum-segment-sum example, where + distributes over max.
 var (
 	// Add is elementwise addition (associative, commutative; unit 0).
-	Add = NewBase("+", func(x, y float64) float64 { return x + y })
+	Add = standard("+", kernAdd, func(x, y float64) float64 { return x + y })
 	// Mul is elementwise multiplication (associative, commutative;
 	// unit 1; distributes over Add).
-	Mul = NewBase("*", func(x, y float64) float64 { return x * y })
+	Mul = standard("*", kernMul, func(x, y float64) float64 { return x * y })
 	// Max is elementwise maximum (associative, commutative, idempotent).
-	Max = NewBase("max", func(x, y float64) float64 { return math.Max(x, y) })
+	Max = standard("max", kernMax, func(x, y float64) float64 { return math.Max(x, y) })
 	// Min is elementwise minimum (associative, commutative, idempotent).
-	Min = NewBase("min", func(x, y float64) float64 { return math.Min(x, y) })
+	Min = standard("min", kernMin, func(x, y float64) float64 { return math.Min(x, y) })
 	// Left is left projection: Left(a,b) = a. It is associative but not
 	// commutative, and exists so tests can exercise rule conditions
 	// that must reject non-commutative operators.
-	Left = NewBase("left", func(x, _ float64) float64 { return x })
+	Left = standard("left", kernLeft, func(x, _ float64) float64 { return x })
 	// Sub is elementwise subtraction: non-associative, non-commutative;
 	// it exists so tests can exercise condition rejection.
-	Sub = NewBase("-", func(x, y float64) float64 { return x - y })
+	Sub = standard("-", kernSub, func(x, y float64) float64 { return x - y })
 )

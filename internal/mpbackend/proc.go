@@ -1,7 +1,6 @@
 package mpbackend
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -29,8 +28,9 @@ const mailboxCap = 64
 type Proc struct {
 	rank.Core
 	// socks[r] is the duplex connection to rank r (nil at rank itself).
-	// Only the rank's body goroutine writes a connection.
-	socks []*sock
+	// Only the rank's body goroutine writes a connection, one whole frame
+	// per Write; only the connection's reader goroutine reads it.
+	socks []net.Conn
 	// mail[src] queues decoded packets from src, filled by that
 	// connection's reader goroutine.
 	mail []chan rank.Packet
@@ -42,14 +42,9 @@ type Proc struct {
 	encBuf []byte
 }
 
-type sock struct {
-	conn net.Conn
-	w    *bufio.Writer
-}
-
 func newProc(r, p int) *Proc {
 	pr := &Proc{
-		socks: make([]*sock, p),
+		socks: make([]net.Conn, p),
 		mail:  make([]chan rank.Packet, p),
 		dead:  rank.NewAbort(),
 	}
@@ -92,7 +87,7 @@ func connect(dir string, rank, p int, deadline time.Time) (*Proc, error) {
 		if _, err := conn.Write(hello[:]); err != nil {
 			return nil, fmt.Errorf("rank %d hello to rank %d: %w", rank, r, err)
 		}
-		pr.socks[r] = &sock{conn: conn, w: bufio.NewWriter(conn)}
+		pr.socks[r] = conn
 	}
 	for n := rank + 1; n < p; n++ {
 		if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
@@ -110,11 +105,11 @@ func connect(dir string, rank, p int, deadline time.Time) (*Proc, error) {
 		if src <= rank || src >= p || pr.socks[src] != nil {
 			return nil, fmt.Errorf("rank %d got hello from unexpected rank %d", rank, src)
 		}
-		pr.socks[src] = &sock{conn: conn, w: bufio.NewWriter(conn)}
+		pr.socks[src] = conn
 	}
-	for r, s := range pr.socks {
-		if s != nil {
-			go pr.read(r, s)
+	for r, conn := range pr.socks {
+		if conn != nil {
+			go pr.read(r, conn)
 		}
 	}
 	return pr, nil
@@ -138,9 +133,10 @@ func dialRetry(path string, deadline time.Time) (net.Conn, error) {
 // read is the per-connection reader goroutine: it decodes frames from src
 // into the mailbox until the connection closes. The first failure poisons
 // the rank, so blocked receives surface it instead of hanging.
-func (p *Proc) read(src int, s *sock) {
+func (p *Proc) read(src int, conn net.Conn) {
+	frames := newFrameReader(conn)
 	for {
-		tag, owned, v, err := readFrame(s.conn)
+		tag, owned, v, err := frames.next()
 		if err != nil {
 			p.dead.Fail(fmt.Sprintf("link from rank %d: %v", src, err))
 			return
@@ -151,10 +147,9 @@ func (p *Proc) read(src int, s *sock) {
 
 // close shuts down every connection; blocked peers observe EOF.
 func (p *Proc) close() {
-	for _, s := range p.socks {
-		if s != nil {
-			s.w.Flush()
-			s.conn.Close()
+	for _, conn := range p.socks {
+		if conn != nil {
+			conn.Close()
 		}
 	}
 }
@@ -184,12 +179,7 @@ func (l *link) down() linkDown {
 // same, so the ownership discipline is checked identically on every link.
 func (l *link) Put(dst int, pkt rank.Packet) {
 	l.encBuf = appendFrame(l.encBuf[:0], pkt.Tag, pkt.Owned, pkt.Value)
-	s := l.socks[dst]
-	_, err := s.w.Write(l.encBuf)
-	if err == nil {
-		err = s.w.Flush()
-	}
-	if err != nil {
+	if _, err := l.socks[dst].Write(l.encBuf); err != nil {
 		l.dead.Fail(fmt.Sprintf("link to rank %d: %v", dst, err))
 		panic(l.down())
 	}

@@ -1,10 +1,13 @@
 package mpbackend
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 
 	"repro/internal/algebra"
 	"repro/internal/coll"
@@ -24,13 +27,21 @@ import (
 //	5 Mat:       u32 r | u32 c | r·c × f64
 //	6 ValueList: u32 n | n × value (coll's gather/scatter chunks)
 //
-// All integers and floats are little-endian. The codec covers exactly the
+// Integers are little-endian; floats are in host byte order, because a
+// block of them goes onto the wire and comes off it as one copy of its
+// memory, not word by word — the ranks of a job are one executable on one
+// host, so both ends of every link agree. The codec covers exactly the
 // value algebra of package algebra; an unknown Value type is a programming
 // error and panics at the send site with the offending type named, so a
 // new value kind fails loudly instead of deadlocking a remote rank.
 // Encoding and decoding are where the multi-process transport pays the
 // per-word cost the cost model calls tw — the deep copy the in-process
 // backends can elide is mandatory here.
+//
+// A decoder trusts no size it reads: before it allocates for a claimed
+// count it checks the count against the bytes the frame still holds, net
+// of what the values still to come need at the least, so decoding
+// allocates no more than a small multiple of the bytes it was given.
 
 const (
 	kindUndef byte = iota
@@ -49,7 +60,7 @@ func appendValue(buf []byte, v algebra.Value) []byte {
 		return append(buf, kindUndef)
 	case algebra.Scalar:
 		buf = append(buf, kindScalar)
-		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(float64(x)))
+		return binary.NativeEndian.AppendUint64(buf, math.Float64bits(float64(x)))
 	case algebra.Vec:
 		buf = append(buf, kindVec)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(x)))
@@ -82,15 +93,28 @@ func appendValue(buf []byte, v algebra.Value) []byte {
 	panic(fmt.Sprintf("mpbackend: cannot serialize a %T across process boundaries", v))
 }
 
-func appendFloats(buf []byte, fs []float64) []byte {
-	for _, f := range fs {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-	}
-	return buf
+// floatBytes is the memory of fs, viewed as bytes.
+func floatBytes(fs []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(fs))), 8*len(fs))
 }
+
+func appendFloats(buf []byte, fs []float64) []byte {
+	return append(buf, floatBytes(fs)...)
+}
+
+// maxDepth bounds how deep tuples and lists may nest in a frame, and with
+// it the decoder's recursion; the values of this algebra nest three or
+// four deep.
+const maxDepth = 32
 
 // readValue deserializes one value from buf, returning the remainder.
 func readValue(buf []byte) (algebra.Value, []byte, error) {
+	return readNested(buf, 0, 0)
+}
+
+// readNested is readValue for a value depth levels inside tuples or lists
+// whose remaining elements will need at least reserved of buf's bytes.
+func readNested(buf []byte, reserved, depth int) (algebra.Value, []byte, error) {
 	if len(buf) < 1 {
 		return nil, nil, fmt.Errorf("truncated value")
 	}
@@ -103,16 +127,15 @@ func readValue(buf []byte) (algebra.Value, []byte, error) {
 		if len(buf) < 8 {
 			return nil, nil, fmt.Errorf("truncated scalar")
 		}
-		s := algebra.Scalar(math.Float64frombits(binary.LittleEndian.Uint64(buf)))
+		s := algebra.Scalar(math.Float64frombits(binary.NativeEndian.Uint64(buf)))
 		return s, buf[8:], nil
 	case kindVec:
 		n, rest, err := readLen(buf, "vec")
 		if err != nil {
 			return nil, nil, err
 		}
-		v := make(algebra.Vec, n)
-		rest, err = readFloats(rest, v, "vec")
-		return v, rest, err
+		data, rest, err := readFloats(rest, n, reserved, "vec")
+		return algebra.Vec(data), rest, err
 	case kindFlat:
 		w, rest, err := readLen(buf, "flat tuple")
 		if err != nil {
@@ -125,22 +148,11 @@ func readValue(buf []byte) (algebra.Value, []byte, error) {
 		if w < 1 || n < w || n%w != 0 {
 			return nil, nil, fmt.Errorf("flat tuple of %d words in %d components", n, w)
 		}
-		ft := &algebra.FlatTuple{W: w, Data: make([]float64, n)}
-		rest, err = readFloats(rest, ft.Data, "flat tuple")
-		return ft, rest, err
-	case kindTuple:
-		n, rest, err := readLen(buf, "tuple")
+		data, rest, err := readFloats(rest, n, reserved, "flat tuple")
 		if err != nil {
 			return nil, nil, err
 		}
-		t := make(algebra.Tuple, n)
-		for i := range t {
-			t[i], rest, err = readValue(rest)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		return t, rest, nil
+		return &algebra.FlatTuple{W: w, Data: data}, rest, nil
 	case kindMat:
 		r, rest, err := readLen(buf, "matrix")
 		if err != nil {
@@ -150,22 +162,35 @@ func readValue(buf []byte) (algebra.Value, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		m := algebra.Mat{R: r, C: c, Data: make([]float64, r*c)}
-		rest, err = readFloats(rest, m.Data, "matrix")
-		return m, rest, err
-	case kindList:
-		n, rest, err := readLen(buf, "value list")
+		data, rest, err := readFloats(rest, r*c, reserved, "matrix")
+		return algebra.Mat{R: r, C: c, Data: data}, rest, err
+	case kindTuple, kindList:
+		what := "tuple"
+		if kind == kindList {
+			what = "value list"
+		}
+		n, rest, err := readLen(buf, what)
 		if err != nil {
 			return nil, nil, err
 		}
-		l := make(coll.ValueList, n)
-		for i := range l {
-			l[i], rest, err = readValue(rest)
+		// Every element is at least its kind byte.
+		if n > len(rest)-reserved {
+			return nil, nil, fmt.Errorf("truncated %s: %d elements in %d bytes", what, n, len(rest)-reserved)
+		}
+		if depth == maxDepth {
+			return nil, nil, fmt.Errorf("%s nested deeper than %d", what, maxDepth)
+		}
+		elems := make([]algebra.Value, n)
+		for i := range elems {
+			elems[i], rest, err = readNested(rest, reserved+n-1-i, depth+1)
 			if err != nil {
 				return nil, nil, err
 			}
 		}
-		return l, rest, nil
+		if kind == kindList {
+			return coll.ValueList(elems), rest, nil
+		}
+		return algebra.Tuple(elems), rest, nil
 	}
 	return nil, nil, fmt.Errorf("unknown value kind %d", kind)
 }
@@ -181,14 +206,15 @@ func readLen(buf []byte, what string) (int, []byte, error) {
 	return int(n), buf[4:], nil
 }
 
-func readFloats(buf []byte, dst []float64, what string) ([]byte, error) {
-	if len(buf) < 8*len(dst) {
-		return nil, fmt.Errorf("truncated %s payload", what)
+// readFloats copies n floats off the front of buf into fresh storage,
+// once it has seen that buf holds them besides the reserved bytes.
+func readFloats(buf []byte, n, reserved int, what string) ([]float64, []byte, error) {
+	if n > (len(buf)-reserved)/8 {
+		return nil, nil, fmt.Errorf("truncated %s payload", what)
 	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return buf[8*len(dst):], nil
+	fs := make([]float64, n)
+	copy(floatBytes(fs), buf)
+	return fs, buf[8*n:], nil
 }
 
 // appendFrame serializes a tagged message onto buf, length prefix
@@ -207,19 +233,40 @@ func appendFrame(buf []byte, tag int, owned bool, v algebra.Value) []byte {
 	return buf
 }
 
-// readFrame reads one frame from r, blocking until it is complete.
-func readFrame(r io.Reader) (tag int, owned bool, v algebra.Value, err error) {
+// frameReader decodes the frames arriving on one connection. It owns the
+// connection's read side: a bufio.Reader, so a small frame's header and body
+// come out of one read, and one frame buffer that grows to the largest
+// frame seen and is reused, which is safe because every decoded value is
+// copied out of it.
+type frameReader struct {
+	lim  io.LimitedReader // over the bufio.Reader; N is set per frame
+	body bytes.Buffer
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{lim: io.LimitedReader{R: bufio.NewReader(r)}}
+}
+
+// next reads one frame, blocking until it is complete.
+func (fr *frameReader) next() (tag int, owned bool, v algebra.Value, err error) {
 	var hdr [4]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+	if _, err = io.ReadFull(fr.lim.R, hdr[:]); err != nil {
 		return 0, false, nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
 	if n < 9 || n > 1<<30 {
 		return 0, false, nil, fmt.Errorf("implausible frame length %d", n)
 	}
-	body := make([]byte, n)
-	if _, err = io.ReadFull(r, body); err != nil {
+	// The buffer grows as bytes arrive, not to the length the header
+	// claims.
+	fr.body.Reset()
+	fr.lim.N = int64(n)
+	if _, err = fr.body.ReadFrom(&fr.lim); err != nil {
 		return 0, false, nil, err
+	}
+	body := fr.body.Bytes()
+	if len(body) < int(n) {
+		return 0, false, nil, io.ErrUnexpectedEOF
 	}
 	tag = int(int64(binary.LittleEndian.Uint64(body)))
 	owned = body[8] != 0
