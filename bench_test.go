@@ -1,10 +1,16 @@
 // Package repro's root benchmark harness regenerates the paper's
-// evaluation artifacts as testing.B benchmarks — one benchmark family per
-// table and figure — and adds the ablations called out in DESIGN.md.
+// evaluation artifacts as testing.B benchmarks on the virtual machine —
+// one benchmark family per table and figure — and adds the ablations
+// called out in DESIGN.md.
 //
 // Wall-clock ns/op measures the host cost of simulating each program;
 // the paper's metric is the *virtual* run time under the §4.1 cost model,
 // reported as the custom metric "vtime" (virtual time units per run).
+// Two families are not virtual-time: BenchmarkCollectivesWallClock (the
+// simulator's own host cost) and BenchmarkKernelAllocs (the allocs/op
+// table of docs/PERF.md). Wall-clock performance of the native and
+// multi-process backends, the planner and the daemon is bench/'s job
+// (see bench/README.md), not this file's.
 //
 // Run with:
 //
@@ -13,13 +19,10 @@ package repro
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/algebra"
 	"repro/internal/apps"
-	"repro/internal/backend"
 	"repro/internal/coll"
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -223,97 +226,6 @@ func BenchmarkCollectivesWallClock(b *testing.B) {
 	}
 }
 
-// BenchmarkNativeCollectives measures the raw collectives on the native
-// backend: here ns/op IS the metric — real channel transfers and real
-// arithmetic, no cost model.
-func BenchmarkNativeCollectives(b *testing.B) {
-	for _, p := range []int{8, 64} {
-		nm := backend.New(p)
-		in := inputsFor(p, 64)
-		for name, body := range map[string]func(pr coll.Comm) algebra.Value{
-			"bcast": func(pr coll.Comm) algebra.Value {
-				return coll.Bcast(pr, 0, in[pr.Rank()])
-			},
-			"allreduce": func(pr coll.Comm) algebra.Value {
-				return coll.AllReduce(pr, algebra.Add, in[pr.Rank()])
-			},
-			"scan": func(pr coll.Comm) algebra.Value {
-				return coll.Scan(pr, algebra.Add, in[pr.Rank()])
-			},
-		} {
-			b.Run(fmt.Sprintf("p=%d/%s", p, name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					nm.Run(func(pr *backend.Proc) { body(pr) })
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkNativeFusion measures representative rules' unfused and fused
-// forms on the native backend at a start-up-dominated small block and a
-// compute-dominated large block. Compare before/after ns/op per rule to
-// see the real crossover the cost model only predicts.
-func BenchmarkNativeFusion(b *testing.B) {
-	const p = 8
-	for _, pat := range exper.Patterns() {
-		switch pat.Rule {
-		case "SS2-Scan", "SR-Reduction", "BR-Local", "CR-AllLocal":
-		default:
-			continue
-		}
-		r, ok := rules.ByName(pat.Rule)
-		if !ok {
-			b.Fatalf("no rule %s", pat.Rule)
-		}
-		eng := rules.NewEngine()
-		eng.Rules = []rules.Rule{r}
-		eng.Env.P = p
-		opt, apps := eng.Optimize(pat.LHS.Term())
-		if len(apps) != 1 {
-			b.Fatalf("rule %s did not apply", pat.Rule)
-		}
-		rhs := core.FromTerm(opt)
-		for _, m := range []int{1, 4096} {
-			in := inputsFor(p, m)
-			for name, prog := range map[string]core.Program{"before": pat.LHS, "after": rhs} {
-				b.Run(fmt.Sprintf("%s/m=%d/%s", pat.Rule, m, name), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						prog.RunNative(p, in)
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestEmitBenchNative exercises the BENCH_native.json emitter end to end
-// on a reduced suite. Set BENCH_NATIVE_OUT=<path> to write the full
-// default suite there instead of a temporary file (how the committed
-// BENCH_native.json is regenerated; `go run ./cmd/collbench -benchjson`
-// is the command-line equivalent).
-func TestEmitBenchNative(t *testing.T) {
-	cfg := exper.NativeFusionConfig{P: 4, Ms: []int{1, 256},
-		Rules: []string{"SS2-Scan", "SR-Reduction"}}
-	reps := 2
-	path := filepath.Join(t.TempDir(), "BENCH_native.json")
-	if out := os.Getenv("BENCH_NATIVE_OUT"); out != "" {
-		cfg, reps = exper.DefaultNativeFusionConfig(), 7
-		path = out
-	}
-	recs, err := exper.NativeFusion(exper.NativeHost(backend.TransportZeroCopy, reps), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := exper.WriteJSON(path, recs); err != nil {
-		t.Fatal(err)
-	}
-	info, err := os.Stat(path)
-	if err != nil || info.Size() == 0 {
-		t.Fatalf("emitter wrote nothing: %v", err)
-	}
-}
-
 // BenchmarkBcastAlgorithms is the DESIGN.md ablation of broadcast
 // implementations: the binomial tree the paper's estimates assume, the
 // flat linear tree, and van de Geijn's scatter/allgather ([17]) — at a
@@ -459,39 +371,6 @@ func BenchmarkAllReduceAlgorithms(b *testing.B) {
 				b.ReportMetric(makespan, "vtime")
 			})
 		}
-	}
-}
-
-// BenchmarkRewriteEngine measures optimizer throughput on a program with
-// several fusable windows.
-func BenchmarkRewriteEngine(b *testing.B) {
-	prog := core.NewProgram().
-		Bcast().Scan(algebra.Add).Scan(algebra.Add).
-		Scan(algebra.Mul).Reduce(algebra.Add).
-		Bcast().AllReduce(algebra.Add)
-	mach := core.Machine{Ts: 5000, Tw: 1, P: 64, M: 16}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opt := prog.Optimize(mach)
-		if len(opt.Applications) == 0 {
-			b.Fatal("no applications")
-		}
-	}
-}
-
-// BenchmarkSemanticEval measures the pure functional semantics, the
-// reference the verifier uses.
-func BenchmarkSemanticEval(b *testing.B) {
-	t := term.Seq{
-		term.Bcast{},
-		term.Scan{Op: algebra.Mul},
-		term.Scan{Op: algebra.Add},
-		term.Reduce{Op: algebra.Add, All: true},
-	}
-	in := inputsFor(64, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		term.Eval(t, in)
 	}
 }
 

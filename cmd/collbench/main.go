@@ -18,7 +18,6 @@
 //	collbench -everything             all of the above
 //	collbench -report                 the full Markdown report (EXPERIMENTS.md)
 //	collbench -algos                  algorithm portfolio vs butterfly (native)
-//	collbench -benchjson FILE         wall-clock fusion + algorithm suites → JSON
 //	collbench -calibrate              fit ts/tw/tc from native microbenchmarks
 //
 // -backend, -transport and -reps resolve once to an exper.Host. The
@@ -26,9 +25,9 @@
 // the §4.1 cost model; -backend native re-runs measurements on the
 // goroutine backend in wall-clock nanoseconds (minimum over -reps
 // repetitions), and -backend multiproc runs the calibration and
-// algorithm sweeps (-calibrate, -algos, -benchjson) with the ranks as
-// separate OS processes over Unix sockets — the transport where per-word
-// cost is real. -transport picks the native payload discipline: zerocopy
+// algorithm sweeps (-calibrate, -algos) with the ranks as separate OS
+// processes over Unix sockets — the transport where per-word cost is
+// real. -transport picks the native payload discipline: zerocopy
 // (the default reference hand-off) or copy (payloads deep-copied at the
 // send site; see docs/PERF.md). Machine parameters default to a
 // Parsytec-like start-up-dominated network (ts = 5000, tw = 1) and can be
@@ -43,12 +42,14 @@
 // (see docs/ALGORITHMS.md), and (with -params-file FILE) writes the
 // machine-readable report — see the committed CALIB_native.json.
 //
-// -algos runs the portfolio validation standalone: every algorithm of
-// docs/ALGORITHMS.md head-to-head against the §4.1 butterfly on the
-// native backend, reporting measured speedups and the predicted and
-// measured crossover block sizes. -quick shrinks the sweep to a smoke run.
-// In any other mode, -params-file FILE loads a previous report and uses
-// its calibrated ts/tw in place of the -ts/-tw defaults.
+// -algos runs the portfolio validation standalone, out to 16384-word
+// blocks: every algorithm of docs/ALGORITHMS.md head-to-head against the
+// §4.1 butterfly on the native backend, reporting the predicted and
+// measured crossover block sizes and the model's agreement with the
+// measured winners. -quick shrinks either sweep (-calibrate, -algos) to a
+// smoke run. In any mode but -calibrate, -params-file FILE loads a
+// previous report and uses its calibrated ts/tw in place of the -ts/-tw
+// defaults.
 //
 // -cpuprofile FILE and -memprofile FILE write runtime/pprof profiles of
 // whatever mode runs, for inspection with `go tool pprof`; see
@@ -101,13 +102,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	everything := fs.Bool("everything", false, "run every experiment")
 	csv := fs.Bool("csv", false, "emit figures as CSV instead of ASCII plots")
 	report := fs.Bool("report", false, "emit the full Markdown experiment report (EXPERIMENTS.md body)")
-	backendFlag := fs.String("backend", "virtual", "measurement backend: virtual (cost-model time), native (wall-clock goroutines) or multiproc (wall-clock OS processes; -calibrate, -algos and -benchjson)")
+	backendFlag := fs.String("backend", "virtual", "measurement backend: virtual (cost-model time), native (wall-clock goroutines) or multiproc (wall-clock OS processes; -calibrate and -algos)")
 	transportFlag := fs.String("transport", "zerocopy", "native transport: zerocopy (reference hand-off) or copy (payloads deep-copied at the send site)")
 	reps := fs.Int("reps", 5, "repetitions per native measurement (minimum taken)")
-	benchjson := fs.String("benchjson", "", "run the native wall-clock fusion + algorithm suites and write records to this JSON file")
 	algosFlag := fs.Bool("algos", false, "measure the collective-algorithm portfolio against the butterfly (native wall-clock)")
 	calibrate := fs.Bool("calibrate", false, "fit ts/tw from native microbenchmarks and validate every rule's break-even")
-	quick := fs.Bool("quick", false, "with -calibrate: minimal sweep (smoke run for CI)")
+	quick := fs.Bool("quick", false, "with -calibrate or -algos: minimal sweep (smoke run for CI)")
 	paramsFile := fs.String("params-file", "", "with -calibrate: write the calibration report here; otherwise: load calibrated ts/tw from this report")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile at exit to this file")
@@ -127,22 +127,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := validate(*p, *m, *reps, *table1 && *measured); err != nil {
 		return fail(2, err)
 	}
-	// hostTs/hostTw are the selected Host's calibrated parameters, used
-	// for the predicted side of its algorithm sweeps; they default to the
-	// -ts/-tw values and are overridden by a loaded report's multiproc
-	// section.
-	hostTs, hostTw := *ts, *tw
+	// fit prices the predicted side of the selected Host's algorithm
+	// sweep: -ts/-tw, or a loaded report's fit — its multiproc section's
+	// when that is the Host.
+	fit := calib.Fit{Ts: *ts, Tw: *tw}
 	if *paramsFile != "" && !*calibrate {
 		rep, err := calib.ReadReport(*paramsFile)
 		if err != nil {
 			return fail(1, err)
 		}
-		*ts, *tw = rep.Fit.Ts, rep.Fit.Tw
-		hostTs, hostTw = *ts, *tw
+		fit = rep.Fit
+		*ts, *tw = fit.Ts, fit.Tw
 		fmt.Fprintf(stdout, "using calibrated parameters from %s: ts=%.1f tw=%.4f\n", *paramsFile, *ts, *tw)
 		if mp := rep.MultiProc; mp != nil {
-			hostTs, hostTw = mp.Fit.Ts, mp.Fit.Tw
-			fmt.Fprintf(stdout, "multiproc section: ts=%.1f tw=%.4f\n", hostTs, hostTw)
+			fmt.Fprintf(stdout, "multiproc section: ts=%.1f tw=%.4f\n", mp.Fit.Ts, mp.Fit.Tw)
+			if *backendFlag == "multiproc" {
+				fit = mp.Fit
+			}
 		}
 	}
 	host, native, err := resolveHosts(*backendFlag, *transportFlag, *reps, *ts, *tw)
@@ -162,11 +163,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// plan can cross the wire) takes part in the wall-clock suites only,
 	// with its own section or rows beside the native Host's.
 	wallOnly := host.Run == nil
+	cfg := calib.DefaultConfig()
+	if *quick {
+		cfg = calib.QuickConfig()
+	}
 	if *calibrate {
-		cfg := calib.DefaultConfig()
-		if *quick {
-			cfg = calib.QuickConfig()
-		}
 		rep, err := calib.Run(native, cfg)
 		if err != nil {
 			return fail(1, err)
@@ -187,64 +188,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	acfg := exper.DefaultNativeAlgoConfig()
-	acfg.Ts, acfg.Tw = *ts, *tw
-	hcfg := acfg
-	hcfg.Ts, hcfg.Tw = hostTs, hostTw
-
 	if *algosFlag {
-		wall, cfg := native, acfg
+		wall := native
 		if wallOnly {
-			wall, cfg = host, hcfg
+			wall = host
 		}
-		recs, err := exper.AlgoRecords(wall, cfg)
+		if !*quick {
+			// The portfolio wins in the bandwidth-dominated regime:
+			// sweep past the calibration's 4096 words.
+			cfg.ValidateMs = []int{16, 256, 1024, 4096, 16384}
+		}
+		val, err := calib.ValidateAlgos(wall, fit, cfg)
 		if err != nil {
 			return fail(1, err)
 		}
 		fmt.Fprintf(stdout, "== Collective-algorithm portfolio vs butterfly (%s wall-clock, reps=%d) ==\n", wall.Name, wall.Reps)
-		fmt.Fprint(stdout, exper.FormatNativeFusion(recs))
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, exper.FormatAlgoCrossovers(recs))
-		return 0
-	}
-
-	if *benchjson != "" {
-		cfg := exper.DefaultNativeFusionConfig()
-		cfg.P = *p
-		cfg.Ts, cfg.Tw = *ts, *tw
-		recs, err := exper.NativeFusion(native, cfg)
-		if err != nil {
-			return fail(1, err)
-		}
-		arecs, err := exper.AlgoRecords(native, acfg)
-		if err != nil {
-			return fail(1, err)
-		}
-		recs = append(recs, arecs...)
-		if wallOnly {
-			// Its algorithm rows ride along after the native suites:
-			// same record shape, its own Backend label and real tw,
-			// crossovers predicted from its own calibration.
-			hrecs, err := exper.AlgoRecords(host, hcfg)
-			if err != nil {
-				return fail(1, err)
-			}
-			recs = append(recs, hrecs...)
-		}
-		if err := exper.WriteJSON(*benchjson, recs); err != nil {
-			return fail(1, err)
-		}
-		fmt.Fprintf(stdout, "== Native wall-clock fusion suite (p=%d, reps=%d) ==\n", cfg.P, native.Reps)
-		fmt.Fprint(stdout, exper.FormatNativeFusion(recs))
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, exper.FormatAlgoCrossovers(arecs))
-		fmt.Fprintf(stdout, "wrote %d records to %s\n", len(recs), *benchjson)
+		fmt.Fprint(stdout, calib.FormatAlgoValidation(val))
 		return 0
 	}
 
 	run, unit := host.Run, ""
 	if wallOnly {
-		return fail(2, fmt.Errorf("-backend %s supports -calibrate, -algos and -benchjson; other modes run on the virtual or native backend", host.Name))
+		return fail(2, fmt.Errorf("-backend %s supports -calibrate and -algos; other modes run on the virtual or native backend", host.Name))
 	}
 	if host.Name != "virtual" {
 		unit = fmt.Sprintf(" [%s wall-clock, ns]", host.Name)
@@ -368,8 +333,8 @@ func validate(p, m, reps int, measuredTable bool) error {
 
 // resolveHosts is the one place -backend, -transport and -reps become a
 // Host: host is the selected backend, native the Host of the wall-clock
-// suites (-calibrate, -algos, -benchjson), which have no virtual-time
-// form and run natively whatever -backend says.
+// suites (-calibrate, -algos), which have no virtual-time form and run
+// natively whatever -backend says.
 func resolveHosts(name, transportName string, reps int, ts, tw float64) (host, native exper.Host, err error) {
 	transport, err := backend.ParseTransport(transportName)
 	if err != nil {

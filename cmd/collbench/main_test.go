@@ -3,13 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/calib"
-	"repro/internal/exper"
+	"repro/internal/cost"
 	"repro/internal/mpbackend"
 )
 
@@ -136,7 +138,7 @@ func TestFlagValidation(t *testing.T) {
 		{"copy transport on multiproc", []string{"-algos", "-backend", "multiproc", "-transport", "copy"},
 			"a process boundary always copies"},
 		{"multiproc unsupported mode", []string{"-table1", "-backend", "multiproc"},
-			"-backend multiproc supports -calibrate, -algos and -benchjson"},
+			"-backend multiproc supports -calibrate and -algos"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -199,45 +201,43 @@ func TestVirtualOnlyModeNotice(t *testing.T) {
 	}
 }
 
-func TestBenchJSONMode(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_native.json")
-	out, errb, code := runBench(t, "-benchjson", path, "-p", "4", "-reps", "1")
+// TestAlgosQuick runs the portfolio sweep end to end on the quick grid:
+// one table row per (collective, algorithm, p), each with a block size or
+// "never" in both crossover columns.
+func TestAlgosQuick(t *testing.T) {
+	out, errb, code := runBench(t, "-algos", "-quick", "-reps", "1")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb)
 	}
-	if !strings.Contains(out, "speedup") || !strings.Contains(out, "wrote") {
-		t.Fatalf("output:\n%s", out)
+	if !strings.Contains(out, "portfolio vs butterfly (native wall-clock, reps=1)") {
+		t.Errorf("output lacks the native header:\n%s", out)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	crossover := regexp.MustCompile(`^(never|[0-9]+)$`)
+	rows := map[string]bool{}
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 8 || (f[0] != cost.CollAllReduce && f[0] != cost.CollReduce) {
+			continue
+		}
+		rows[strings.Join(f[:3], " ")] = true
+		if !crossover.MatchString(f[3]) || !crossover.MatchString(f[4]) {
+			t.Errorf("crossover columns %q, %q: want a block size or \"never\":\n%s", f[3], f[4], line)
+		}
 	}
-	var recs []exper.NativeBenchRecord
-	if err := json.Unmarshal(data, &recs); err != nil {
-		t.Fatalf("bad JSON: %v", err)
-	}
-	// All 11 rules × 4 block sizes × 2 sides at p=4 (a power of two, so no
-	// rule is skipped), plus the algorithm-portfolio sweep: 4 algorithms ×
-	// 5 block sizes × 2 sides on each of p=7 and p=8.
-	if len(recs) != 88+80 {
-		t.Fatalf("got %d records, want %d", len(recs), 88+80)
-	}
-	algoRows, crossRows := 0, 0
-	for _, r := range recs {
-		if strings.HasPrefix(r.Rule, "Algo-") && r.Side == "rhs" {
-			algoRows++
-			if r.MeasCross != 0 || r.PredCross != 0 {
-				crossRows++
+	for _, p := range calib.QuickConfig().AlgoPs {
+		for _, collective := range []string{cost.CollAllReduce, cost.CollReduce} {
+			for _, a := range cost.Algos(collective)[1:] {
+				row := fmt.Sprintf("%s %s %d", collective, a, p)
+				if !rows[row] {
+					t.Errorf("no table row for %q:\n%s", row, out)
+				}
+				delete(rows, row)
 			}
 		}
 	}
-	if algoRows != 40 {
-		t.Fatalf("got %d algorithm rhs rows, want 40", algoRows)
+	if len(rows) != 0 {
+		t.Errorf("rows outside the quick grid: %v", rows)
 	}
-	if crossRows == 0 {
-		t.Fatal("no algorithm row carries a crossover")
-	}
-	sameSchema(t, path, "../../BENCH_native.json")
 }
 
 func TestCrossFig(t *testing.T) {

@@ -31,15 +31,6 @@
 //	-emit-mpi render the optimized program as MPI-like pseudocode
 //	-explain  render applications in the paper's rule format
 //
-//	-searchbench FILE  run the search-vs-greedy benchmark (the handcrafted
-//	                   greedy trap plus a seeded random corpus at the
-//	                   -ts/-tw/-p/-m machine), write BENCH_search.json to
-//	                   FILE and exit non-zero unless search was never
-//	                   worse, improved somewhere, and every searched plan
-//	                   verified
-//	-search-cases N    corpus size for -searchbench (default 200)
-//	-search-seed N     corpus seed for -searchbench (default 1)
-//
 //	-cpuprofile FILE / -memprofile FILE  write runtime/pprof profiles of
 //	                   the run (see docs/PERF.md)
 //
@@ -55,7 +46,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -64,7 +54,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/calib"
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/lang"
 	"repro/internal/prof"
 	"repro/internal/rules"
@@ -86,9 +75,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	all := fs.Bool("all", false, "apply every applicable rule, ignoring cost estimates")
 	search := fs.Bool("search", false, "optimize with the global plan search instead of the greedy engine")
 	selectAlgos := fs.Bool("select", false, "auto-select collective algorithms from the calibrated portfolio")
-	searchBench := fs.String("searchbench", "", "run the search-vs-greedy benchmark and write BENCH_search.json to this file")
-	searchCases := fs.Int("search-cases", 200, "corpus size for -searchbench")
-	searchSeed := fs.Int64("search-seed", 1, "corpus seed for -searchbench")
 	verify := fs.Bool("verify", true, "verify the rewriting on random inputs")
 	catalog := fs.Bool("rules", false, "print the rule catalog and exit")
 	mpi := fs.Bool("mpi", false, "parse the program in the paper's MPI notation instead of the compact one")
@@ -124,10 +110,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if *catalog {
 		fmt.Fprint(stdout, rules.Catalog(true))
 		return 0
-	}
-	if *searchBench != "" {
-		return runSearchBench(stdout, stderr, *searchBench, *searchSeed, *searchCases,
-			cost.Params{Ts: *ts, Tw: *tw, P: *p, M: *m})
 	}
 
 	src := ""
@@ -266,36 +248,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprintln(stdout, "verified:  original and optimized programs agree on random inputs")
-	}
-	return 0
-}
-
-// runSearchBench is the -searchbench mode: run the corpus, write the
-// report, print the summary, and fail unless search was never worse,
-// improved somewhere, and every searched plan verified.
-func runSearchBench(stdout, stderr io.Writer, path string, seed int64, cases int, p cost.Params) int {
-	rep, benchErr := rules.RunSearchBench(seed, cases, p, rules.SearchConfig{})
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintf(stderr, "collopt: %v\n", err)
-		return 1
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintf(stderr, "collopt: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "search bench: %d cases at ts=%g tw=%g p=%d m=%d (seed %d)\n",
-		rep.Cases, p.Ts, p.Tw, p.P, p.M, seed)
-	fmt.Fprintf(stdout, "  improved %d/%d  never-worse=%v  all-verified=%v\n",
-		rep.Improved, rep.Cases, rep.NeverWorse, rep.AllVerified)
-	fmt.Fprintf(stdout, "  max gain %.0f  total gain %.0f  mean gain %.2f%% (improved cases)\n",
-		rep.MaxGain, rep.TotalGain, rep.MeanGainPct)
-	fmt.Fprintf(stdout, "  mean plan latency: greedy %.0fµs, search %.0fµs\n",
-		rep.MeanGreedyMicros, rep.MeanSearchMicros)
-	fmt.Fprintf(stdout, "  report written to %s\n", path)
-	if benchErr != nil {
-		fmt.Fprintf(stderr, "collopt: searchbench: %v\n", benchErr)
-		return 1
 	}
 	return 0
 }

@@ -2,14 +2,12 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/calib"
-	"repro/internal/rules"
 )
 
 func runOpt(t *testing.T, args ...string) (string, string, int) {
@@ -249,6 +247,22 @@ func TestParamsFileDrivesOptimizer(t *testing.T) {
 	}
 }
 
+// TestParamsFileRejectsHostileFit: a report whose parameters would rank
+// every rule backwards is refused before any plan is printed.
+func TestParamsFileRejectsHostileFit(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hostile.json")
+	if err := os.WriteFile(path, []byte(`{"fit":{"tc_ns":1,"ts":-5000,"tw":-3}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, errb, code := runOpt(t, "-params-file", path, "scan(+) ; reduce(+)")
+	if code != 1 || out != "" {
+		t.Fatalf("exit %d, stdout %q; want exit 1 and no plan", code, out)
+	}
+	if !strings.Contains(errb, path) || !strings.Contains(errb, "fit.ts") {
+		t.Fatalf("stderr does not name the file and the field: %s", errb)
+	}
+}
+
 func TestSearchFlagBeatsGreedyOnTrap(t *testing.T) {
 	out, _, code := runOpt(t, "-search", "scan(*) ; scan(+) ; reduce(+)")
 	if code != 0 {
@@ -277,32 +291,5 @@ func TestSearchFlagAgreesOnTie(t *testing.T) {
 	}
 	if !strings.Contains(out, "search agrees with the greedy plan") {
 		t.Fatalf("output:\n%s", out)
-	}
-}
-
-func TestSearchBenchFlag(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_search.json")
-	out, errb, code := runOpt(t, "-searchbench", path, "-search-cases", "25")
-	if code != 0 {
-		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out, errb)
-	}
-	for _, want := range []string{"never-worse=true", "all-verified=true", "improved 1/26"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep rules.SearchBenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if rep.Cases != 26 || !rep.NeverWorse || !rep.AllVerified || rep.Improved < 1 {
-		t.Fatalf("report summary off: %+v", rep)
-	}
-	if rep.Corpus[0].SearchDerivation == nil {
-		t.Fatal("the trap's improving derivation must be recorded in the report")
 	}
 }

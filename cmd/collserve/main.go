@@ -31,11 +31,11 @@
 //	-drain-timeout N    seconds to wait for in-flight requests on shutdown
 //
 // Load-generator mode replays randomized requests against a live daemon
-// over real sockets and reports throughput, latency percentiles, cache
-// hit rate and the fusion-batch distribution (BENCH_serve.json):
+// over real sockets and prints throughput, latency percentiles, cache
+// hit rate and the fusion-batch distribution per phase:
 //
 //	collserve -loadgen -target http://127.0.0.1:8080 -requests 1000000 \
-//	          -clients 64 -distinct 500 -fusible 10000 -json BENCH_serve.json
+//	          -clients 64 -distinct 500 -fusible 10000
 //
 // Flags (loadgen mode):
 //
@@ -51,7 +51,6 @@
 //	-select             request collective-algorithm auto-selection with
 //	                    every request (plans carry per-stage algorithm
 //	                    choices under select-qualified cache keys)
-//	-json FILE          write the machine-readable report here
 //	-min-hit-rate F     fail (exit 1) if the repeated phase's cache hit
 //	                    rate is below F
 package main
@@ -107,7 +106,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed       = fs.Int64("seed", 1, "loadgen: workload seed")
 		strategy   = fs.String("strategy", "", `loadgen: optimization strategy per request ("greedy" or "search")`)
 		selectAlgo = fs.Bool("select", false, "loadgen: request collective-algorithm auto-selection with every request")
-		jsonOut    = fs.String("json", "", "loadgen: write the machine-readable report to this file")
 		minHitRate = fs.Float64("min-hit-rate", 0, "loadgen: fail if the repeated phase's hit rate is below this")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -135,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Strategy: *strategy,
 			Select:   *selectAlgo,
 			Out:      stdout,
-		}, *jsonOut, *minHitRate, stdout, stderr)
+		}, *minHitRate, stdout, stderr)
 	}
 
 	// Install the signal handler before taking the goroutine baseline:
@@ -230,20 +228,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 // runLoadgen drives serve.Loadgen and applies the exit-code policy: any
 // transport/HTTP errors or a repeated-phase hit rate below -min-hit-rate
 // fail the run.
-func runLoadgen(cfg serve.LoadConfig, jsonOut string, minHitRate float64, stdout, stderr io.Writer) int {
+func runLoadgen(cfg serve.LoadConfig, minHitRate float64, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "collserve loadgen: %d requests, %d clients, %d distinct programs, %d fusible, seed %d -> %s\n",
 		cfg.Requests, cfg.Clients, cfg.Distinct, cfg.Fusible, cfg.Seed, cfg.Target)
 	rep, err := serve.Loadgen(cfg)
 	if err != nil {
 		fmt.Fprintf(stderr, "collserve: %v\n", err)
 		return 1
-	}
-	if jsonOut != "" {
-		if err := serve.WriteLoadReport(jsonOut, rep); err != nil {
-			fmt.Fprintf(stderr, "collserve: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote load report to %s\n", jsonOut)
 	}
 	code := 0
 	for _, ph := range rep.Phases {
@@ -257,9 +248,9 @@ func runLoadgen(cfg serve.LoadConfig, jsonOut string, minHitRate float64, stdout
 			code = 1
 		}
 	}
-	if len(rep.Fusion.Dist) > 0 {
+	if fusion := rep.Server.Fusion; len(fusion.Dist) > 0 {
 		fmt.Fprintf(stdout, "fusion batches: %d over %d requests, max batch %d, dist %v\n",
-			rep.Fusion.Batches, rep.Fusion.FusedRequests, rep.Fusion.MaxBatch, rep.Fusion.Dist)
+			fusion.Batches, fusion.FusedRequests, fusion.MaxBatch, fusion.Dist)
 	}
 	return code
 }

@@ -2,6 +2,7 @@ package calib
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/cost"
@@ -97,8 +98,17 @@ func FormatAlgoValidation(val []AlgoValidation) string {
 		"Collective", "algorithm", "p", "predicted m", "measured m", "abs err", "rel err", "agree")
 	for _, v := range val {
 		fmt.Fprintf(&b, "%-10s %-13s %4d %12s %12s %8d %7.0f%% %6.0f%%\n",
-			v.Collective, v.Algo, v.P, exper.FormatFirstWin(v.PredCross), exper.FormatFirstWin(v.MeasCross),
+			v.Collective, v.Algo, v.P, firstWin(v.PredCross), firstWin(v.MeasCross),
 			v.AbsErr, 100*v.RelErr, 100*v.Agreement)
 	}
 	return b.String()
+}
+
+// firstWin renders an algorithm's crossover block size, "never" for the 0
+// that means it did not win in range.
+func firstWin(m int) string {
+	if m == 0 {
+		return "never"
+	}
+	return strconv.Itoa(m)
 }

@@ -143,3 +143,51 @@ func TestReadReportRejectsGarbage(t *testing.T) {
 		t.Error("a report without a usable fit must be an error")
 	}
 }
+
+// TestReadReportRejectsUnusableParameters: ts and tw reach the cost
+// calculus unchecked from here on, so a file that no fit could have
+// produced is refused with the file and the field named. The committed
+// report is the accepted case.
+func TestReadReportRejectsUnusableParameters(t *testing.T) {
+	cases := []struct {
+		name, doc, field string
+	}{
+		{"negative ts", `{"fit":{"tc_ns":1,"ts":-5000,"tw":-3}}`, "fit.ts"},
+		{"negative tw", `{"fit":{"tc_ns":1,"ts":100,"tw":-3}}`, "fit.tw"},
+		{"both zero", `{"fit":{"tc_ns":1,"ts":0,"tw":0}}`, "fit.ts and fit.tw"},
+		{"negative multiproc ts", `{"fit":{"tc_ns":1,"ts":100,"tw":1},"multiproc":{"fit":{"tc_ns":1,"ts":-1,"tw":1}}}`, "multiproc.fit.ts"},
+		{"negative multiproc tw", `{"fit":{"tc_ns":1,"ts":100,"tw":1},"multiproc":{"fit":{"tc_ns":1,"ts":1,"tw":-0.5}}}`, "multiproc.fit.tw"},
+		{"multiproc both zero", `{"fit":{"tc_ns":1,"ts":100,"tw":1},"multiproc":{"fit":{"tc_ns":1}}}`, "multiproc.fit.ts and multiproc.fit.tw"},
+		{"out-of-range ts", `{"fit":{"tc_ns":1,"ts":1e999,"tw":1}}`, "not a calibration report"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "calib.json")
+			if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := ReadReport(path)
+			if err == nil {
+				t.Fatalf("%s loaded", tc.doc)
+			}
+			if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("error %q does not name %s and %q", err, path, tc.field)
+			}
+		})
+	}
+	for _, ok := range []string{
+		`{"fit":{"tc_ns":2,"ts":136.7,"tw":0}}`,
+		`{"fit":{"tc_ns":2,"ts":0,"tw":1.5},"multiproc":{"fit":{"tc_ns":3,"ts":150,"tw":1.15}}}`,
+	} {
+		path := filepath.Join(t.TempDir(), "calib.json")
+		if err := os.WriteFile(path, []byte(ok), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadReport(path); err != nil {
+			t.Errorf("%s rejected: %v", ok, err)
+		}
+	}
+	if _, err := ReadReport("../../CALIB_native.json"); err != nil {
+		t.Errorf("committed report rejected: %v", err)
+	}
+}

@@ -80,7 +80,13 @@ func Section(h exper.Host, r Report) *MPSection {
 }
 
 // WriteReport writes the report as indented JSON.
-func WriteReport(path string, r Report) error { return exper.WriteJSON(path, r) }
+func WriteReport(path string, r Report) error {
+	data, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
 
 // ReadReport loads a report written by WriteReport. CLI front-ends use
 // it to feed the calibrated Ts/Tw back into the cost-guided optimizer
@@ -97,7 +103,32 @@ func ReadReport(path string) (Report, error) {
 	if r.Fit.TcNs <= 0 {
 		return Report{}, fmt.Errorf("calib: %s has no usable fit (tc_ns = %g)", path, r.Fit.TcNs)
 	}
+	if err := usable("fit", r.Fit); err != nil {
+		return Report{}, fmt.Errorf("calib: %s: %v", path, err)
+	}
+	if mp := r.MultiProc; mp != nil {
+		if err := usable("multiproc.fit", mp.Fit); err != nil {
+			return Report{}, fmt.Errorf("calib: %s: %v", path, err)
+		}
+	}
 	return r, nil
+}
+
+// usable rejects parameters no fit produces (FitSamples clamps ts and tw
+// at zero) and the cost calculus cannot price with: a negative value
+// ranks every rule backwards, and ts = tw = 0 makes communication free.
+// Non-finite values never get here: encoding/json refuses them.
+func usable(section string, f Fit) error {
+	if f.Ts < 0 {
+		return fmt.Errorf("%s.ts = %g is negative", section, f.Ts)
+	}
+	if f.Tw < 0 {
+		return fmt.Errorf("%s.tw = %g is negative", section, f.Tw)
+	}
+	if f.Ts == 0 && f.Tw == 0 {
+		return fmt.Errorf("%s.ts and %s.tw are both zero", section, section)
+	}
+	return nil
 }
 
 // FormatReport renders the fit and validation as aligned text — the

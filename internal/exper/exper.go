@@ -5,7 +5,7 @@
 // over a Host or its Runner — Table 1 (predicted and measured), the
 // BS-Comcast experiments of Figures 7 and 8, the Figure 2/3 illustrations,
 // the §5 polynomial-evaluation case study, the rule and algorithm sweeps
-// behind BENCH_native.json. Each experiment returns structured rows/series
+// behind the calibration's validations. Each experiment returns structured rows/series
 // and can render itself as text (tables and ASCII plots) or CSV.
 package exper
 

@@ -96,9 +96,9 @@ type RuleSweep struct {
 // blocks, one discarded run first so first-run allocation noise stays
 // out of both sides. The Local rules rewrite to f^(log p) and need a
 // power-of-two machine; on any other they are skipped rather than
-// measured as a rewrite that does not apply. The fusion records
-// (NativeFusion), the calibration's break-even validation
-// (calib.Validate) and CrossoverFigure are views of its groups.
+// measured as a rewrite that does not apply. The calibration's
+// break-even validation (calib.Validate) and CrossoverFigure are views
+// of its groups.
 func SweepRules(run Runner, mach core.Machine, ms []int, only []string) ([]RuleSweep, error) {
 	if run == nil {
 		return nil, fmt.Errorf("exper: this host cannot run whole programs yet")

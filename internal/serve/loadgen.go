@@ -7,7 +7,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -48,38 +47,25 @@ type LoadConfig struct {
 
 // PhaseResult is the measurement of one load phase.
 type PhaseResult struct {
-	Name     string  `json:"name"`
-	Requests int     `json:"requests"`
-	Errors   int     `json:"errors"`
-	Elapsed  float64 `json:"elapsed_s"`
+	Name     string
+	Requests int
+	Errors   int
+	// Elapsed is the phase's wall time in seconds.
+	Elapsed float64
 	// Throughput is requests per second over the phase.
-	Throughput float64 `json:"throughput_rps"`
+	Throughput float64
 	// P50/P95/P99 are client-observed latencies in microseconds.
-	P50 float64 `json:"p50_us"`
-	P95 float64 `json:"p95_us"`
-	P99 float64 `json:"p99_us"`
+	P50, P95, P99 float64
 	// CacheHitRate is the server-side hit rate over the phase (from
 	// /metrics deltas: hits+coalesced over all lookups).
-	CacheHitRate float64 `json:"cache_hit_rate"`
+	CacheHitRate float64
 }
 
-// LoadReport is the BENCH_serve.json artifact.
+// LoadReport is what a load run measured: one result per phase and the
+// daemon's /metrics snapshot when it ended.
 type LoadReport struct {
-	Target   string        `json:"target"`
-	Requests int           `json:"requests"`
-	Clients  int           `json:"clients"`
-	Distinct int           `json:"distinct"`
-	Seed     int64         `json:"seed"`
-	P        int           `json:"p"`
-	M        int           `json:"m"`
-	Strategy string        `json:"strategy,omitempty"`
-	Select   bool          `json:"select,omitempty"`
-	Phases   []PhaseResult `json:"phases"`
-	// Fusion and Cache are the server's final counters.
-	Fusion FusionStats `json:"fusion"`
-	Cache  CacheStats  `json:"cache"`
-	// Server is the final /metrics snapshot.
-	Server Snapshot `json:"server"`
+	Phases []PhaseResult
+	Server Snapshot
 }
 
 // fusiblePrograms are the fusion phase's shapes: single collectives over
@@ -129,18 +115,7 @@ func Loadgen(cfg LoadConfig) (LoadReport, error) {
 	}
 	repeatN := cfg.Requests - churnN
 
-	rep := LoadReport{
-		Target:   cfg.Target,
-		Requests: cfg.Requests,
-		Clients:  cfg.Clients,
-		Distinct: cfg.Distinct,
-		Seed:     cfg.Seed,
-		P:        cfg.P,
-		M:        cfg.M,
-		Strategy: cfg.Strategy,
-		Select:   cfg.Select,
-	}
-
+	var rep LoadReport
 	phases := []struct {
 		name string
 		n    int
@@ -175,13 +150,10 @@ func Loadgen(cfg LoadConfig) (LoadReport, error) {
 		}
 	}
 
-	final, err := fetchMetrics(client, cfg.Target)
-	if err != nil {
+	var err error
+	if rep.Server, err = fetchMetrics(client, cfg.Target); err != nil {
 		return rep, fmt.Errorf("loadgen: final metrics: %w", err)
 	}
-	rep.Server = final
-	rep.Fusion = final.Fusion
-	rep.Cache = final.Cache
 	return rep, nil
 }
 
@@ -312,13 +284,4 @@ func hitRateDelta(before, after CacheStats) float64 {
 		return 0
 	}
 	return float64(hits) / float64(total)
-}
-
-// WriteLoadReport writes the report as indented JSON (BENCH_serve.json).
-func WriteLoadReport(path string, rep LoadReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

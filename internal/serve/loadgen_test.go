@@ -2,14 +2,12 @@ package serve
 
 import (
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
 
 // TestLoadgenAgainstLiveServer runs a small end-to-end load: a real
-// listener, real sockets, all three phases, and a written report.
+// listener, real sockets, all three phases.
 func TestLoadgenAgainstLiveServer(t *testing.T) {
 	s := New(Config{FuseCycle: time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
@@ -47,20 +45,11 @@ func TestLoadgenAgainstLiveServer(t *testing.T) {
 	if repeated.CacheHitRate < 0.9 {
 		t.Errorf("repeated-phase hit rate %.2f, want > 0.9", repeated.CacheHitRate)
 	}
-	if rep.Fusion.FusedRequests == 0 || rep.Fusion.Batches == 0 {
-		t.Errorf("fusible burst produced no fusion: %+v", rep.Fusion)
+	if fusion := rep.Server.Fusion; fusion.FusedRequests == 0 || fusion.Batches == 0 {
+		t.Errorf("fusible burst produced no fusion: %+v", fusion)
 	}
-	if rep.Server.Requests == 0 || rep.Cache.Hits == 0 {
-		t.Errorf("final snapshot empty: server=%+v cache=%+v", rep.Server, rep.Cache)
-	}
-
-	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	if err := WriteLoadReport(path, rep); err != nil {
-		t.Fatalf("WriteLoadReport: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil || len(data) == 0 {
-		t.Fatalf("report not written: %v", err)
+	if rep.Server.Requests == 0 || rep.Server.Cache.Hits == 0 {
+		t.Errorf("final snapshot empty: %+v", rep.Server)
 	}
 }
 
