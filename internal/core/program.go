@@ -157,9 +157,12 @@ type OptimizeOptions struct {
 	// use it, and the result records the per-stage selections picked for
 	// the optimized program (see coll/sel).
 	Auto bool
-	// Verify checks every rule application and the end-to-end equality
-	// under the functional semantics before returning.
-	Verify bool
+	// Verifier, when non-nil, checks the derivation before returning:
+	// every rule application and the end-to-end equality under the
+	// functional semantics (rules.Verifier.CheckDerivation). A caller that
+	// optimizes many programs passes the same Verifier each time, and rule
+	// instances it has seen are not evaluated again.
+	Verifier *rules.Verifier
 	// VerifyConfig configures the verification runs.
 	VerifyConfig rules.VerifyConfig
 	// Registry overrides the algebraic property registry; nil means
@@ -180,24 +183,18 @@ func (p Program) OptimizeOpts(m Machine, o OptimizeOptions) (Optimization, error
 		opt   term.Term
 		apps  []rules.Application
 		stats *rules.SearchStats
-		err   error
 	)
-	switch {
-	case o.Search && o.Verify:
-		var st rules.SearchStats
-		opt, apps, st, err = rules.VerifySearchOptimization(eng, p.stages, o.VerifyConfig, o.SearchConfig)
-		stats = &st
-	case o.Search:
+	if o.Search {
 		var st rules.SearchStats
 		opt, apps, st = eng.SearchOptimize(p.stages, o.SearchConfig)
 		stats = &st
-	case o.Verify:
-		opt, apps, err = rules.VerifyOptimization(eng, p.stages, o.VerifyConfig)
-	default:
+	} else {
 		opt, apps = eng.Optimize(p.stages)
 	}
-	if err != nil {
-		return Optimization{}, err
+	if o.Verifier != nil {
+		if err := o.Verifier.CheckDerivation(p.stages, opt, apps, o.VerifyConfig); err != nil {
+			return Optimization{}, err
+		}
 	}
 	score := cost.OfTerm
 	if o.Auto {

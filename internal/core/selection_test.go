@@ -154,11 +154,11 @@ func TestAutoSearchNeverWorse(t *testing.T) {
 	prog := NewProgram().Scan(algebra.Mul).Reduce(algebra.Add)
 	mach := Machine{Ts: 203.6, Tw: 0.007, P: 8, M: 4096}
 	vcfg := rules.VerifyConfig{Seed: 5, BlockWords: 3}
-	greedy, err := prog.OptimizeOpts(mach, OptimizeOptions{Auto: true, Verify: true, VerifyConfig: vcfg})
+	greedy, err := prog.OptimizeOpts(mach, OptimizeOptions{Auto: true, Verifier: new(rules.Verifier), VerifyConfig: vcfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	searched, err := prog.OptimizeOpts(mach, OptimizeOptions{Auto: true, Search: true, Verify: true, VerifyConfig: vcfg})
+	searched, err := prog.OptimizeOpts(mach, OptimizeOptions{Auto: true, Search: true, Verifier: new(rules.Verifier), VerifyConfig: vcfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,8 +73,8 @@ func TestEngineOptimizeTerminates(t *testing.T) {
 func TestEngineOptimizePreservesSemantics(t *testing.T) {
 	e := NewEngine()
 	prog := examplish()
-	opt, apps, err := VerifyOptimization(e, prog, VerifyConfig{Seed: 3, BlockWords: 3})
-	if err != nil {
+	opt, apps := e.Optimize(prog)
+	if err := new(Verifier).CheckDerivation(prog, opt, apps, VerifyConfig{Seed: 3, BlockWords: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if len(apps) != 1 {

@@ -68,7 +68,7 @@ func exhaustiveAt(lhs, rhs term.Term, domain []float64, n int) error {
 	var walk func(pos int) error
 	walk = func(pos int) error {
 		if pos == n {
-			return compareOn(lhs, rhs, in, n, -1, 0)
+			return compareOn(lhs, rhs, sample{n, -1, in}, 0)
 		}
 		for _, d := range domain {
 			in[pos] = algebra.Scalar(d)

@@ -175,25 +175,3 @@ func (s *searcher) explore(t term.Term, depth int) (term.Term, []Application, fl
 	s.memo[key] = memoEntry{cost: bestCost, t: bestT, apps: bestApps}
 	return bestT, bestApps, bestCost
 }
-
-// VerifySearchOptimization runs the plan search and verifies both every
-// rule application of the winning derivation and the end-to-end equality
-// of the original and optimized program under the functional semantics —
-// the searched counterpart of VerifyOptimization, and the plan-cache
-// entry point for the search strategy (package serve).
-func VerifySearchOptimization(e *Engine, t term.Term, cfg VerifyConfig, scfg SearchConfig) (term.Term, []Application, SearchStats, error) {
-	opt, apps, stats := e.SearchOptimize(t, scfg)
-	for _, app := range apps {
-		if err := VerifyApplication(app, cfg); err != nil {
-			return nil, nil, stats, err
-		}
-		if r, ok := ByName(app.Rule); ok && r.Class == "Local" {
-			cfg.Pow2Only = true
-			cfg.Sizes = nil
-		}
-	}
-	if err := VerifyEquivalence(t, opt, cfg); err != nil {
-		return nil, nil, stats, err
-	}
-	return opt, apps, stats, nil
-}

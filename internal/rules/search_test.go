@@ -158,14 +158,14 @@ func TestSearchNeverWorseProperty(t *testing.T) {
 	}
 }
 
-// TestVerifySearchOptimization: the verified entry point returns the same
-// plan and an error-free verification on a program with a known win.
+// TestVerifySearchOptimization: the searched derivation of a program with
+// a known win passes the derivation check.
 func TestVerifySearchOptimization(t *testing.T) {
 	e := NewCostGuidedEngine(searchParams)
 	prog := greedyTrap()
-	opt, apps, stats, err := VerifySearchOptimization(e, prog, VerifyConfig{Seed: 7, BlockWords: 2}, SearchConfig{})
-	if err != nil {
-		t.Fatalf("VerifySearchOptimization: %v", err)
+	opt, apps, stats := e.SearchOptimize(prog, SearchConfig{})
+	if err := new(Verifier).CheckDerivation(prog, opt, apps, VerifyConfig{Seed: 7, BlockWords: 2}); err != nil {
+		t.Fatalf("CheckDerivation: %v", err)
 	}
 	if !stats.Improved() || len(apps) != 1 {
 		t.Fatalf("expected the searched win, got stats %+v apps %v", stats, apps)

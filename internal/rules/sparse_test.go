@@ -90,17 +90,16 @@ func TestSparsePropertyRandomPrograms(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		p := 2 + rng.Intn(5)
 		prog := RandSparseProgram(rng, p)
-		fails := func(s term.Seq) bool {
+		check := func(s term.Seq) error {
 			e := NewEngine()
 			e.Env.P = p
-			_, _, err := VerifyOptimization(e, s, VerifyConfig{Seed: int64(seed), Trials: 6})
-			return err != nil
+			opt, apps := e.Optimize(s)
+			return new(Verifier).CheckDerivation(s, opt, apps, VerifyConfig{Seed: int64(seed), Trials: 6})
 		}
+		fails := func(s term.Seq) bool { return check(s) != nil }
 		if fails(prog) {
 			shrunk := shrinkProgram(prog, fails)
-			e := NewEngine()
-			e.Env.P = p
-			_, _, err := VerifyOptimization(e, shrunk, VerifyConfig{Seed: int64(seed), Trials: 6})
+			err := check(shrunk)
 			t.Fatalf("seed %d p=%d: optimization of %s fails verification; shrunk to %s: %v",
 				seed, p, prog, shrunk, err)
 		}

@@ -58,31 +58,49 @@ func (c VerifyConfig) trials() int {
 // counterexample found, or nil.
 func VerifyEquivalence(lhs, rhs term.Term, cfg VerifyConfig) error {
 	cfg = shapeFor(lhs, cfg)
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	for _, n := range cfg.sizes() {
-		for trial := 0; trial < cfg.trials(); trial++ {
+	return cfg.eachInput(func(s sample) error {
+		return compareOn(lhs, rhs, s, cfg.RelTol)
+	})
+}
+
+// sample is one drawn input list, with the coordinates a mismatch report
+// quotes.
+type sample struct {
+	n, trial int
+	in       []algebra.Value
+}
+
+// eachInput draws the config's inputs — per size and trial a list of
+// small-integer scalars (or Gen's list), then with BlockWords > 1 a list
+// of vector blocks — and calls f on each until it fails. The generator is
+// seeded from the config alone, so the sequence of a config without a Gen
+// is the same on every call.
+func (c VerifyConfig) eachInput(f func(sample) error) error {
+	rng := rand.New(rand.NewSource(c.Seed + 1))
+	for _, n := range c.sizes() {
+		for trial := 0; trial < c.trials(); trial++ {
 			var in []algebra.Value
-			if cfg.Gen != nil {
-				in = cfg.Gen(rng, n)
+			if c.Gen != nil {
+				in = c.Gen(rng, n)
 			} else {
 				in = make([]algebra.Value, n)
 				for i := range in {
 					in[i] = algebra.Scalar(float64(rng.Intn(13) - 6))
 				}
 			}
-			if err := compareOn(lhs, rhs, in, n, trial, cfg.RelTol); err != nil {
+			if err := f(sample{n, trial, in}); err != nil {
 				return err
 			}
-			if cfg.Gen == nil && cfg.BlockWords > 1 {
+			if c.Gen == nil && c.BlockWords > 1 {
 				vin := make([]algebra.Value, n)
 				for i := range vin {
-					v := make(algebra.Vec, cfg.BlockWords)
+					v := make(algebra.Vec, c.BlockWords)
 					for j := range v {
 						v[j] = float64(rng.Intn(13) - 6)
 					}
 					vin[i] = v
 				}
-				if err := compareOn(lhs, rhs, vin, n, trial, cfg.RelTol); err != nil {
+				if err := f(sample{n, trial, vin}); err != nil {
 					return err
 				}
 			}
@@ -114,9 +132,13 @@ func shapeFor(lhs term.Term, cfg VerifyConfig) VerifyConfig {
 	return cfg
 }
 
-func compareOn(lhs, rhs term.Term, in []algebra.Value, n, trial int, relTol float64) error {
-	l := term.Eval(lhs, in)
-	r := term.Eval(rhs, in)
+func compareOn(lhs, rhs term.Term, s sample, relTol float64) error {
+	return mismatch(lhs, rhs, s, term.Eval(lhs, s.in), term.Eval(rhs, s.in), relTol)
+}
+
+// mismatch compares the two sides' results l and r on input s modulo
+// undetermined positions, and describes the difference if there is one.
+func mismatch(lhs, rhs term.Term, s sample, l, r []algebra.Value, relTol float64) error {
 	equal := len(l) == len(r)
 	if equal {
 		for i := range l {
@@ -132,7 +154,7 @@ func compareOn(lhs, rhs term.Term, in []algebra.Value, n, trial int, relTol floa
 	}
 	if !equal {
 		return fmt.Errorf("rules: semantic mismatch at p=%d trial %d:\n  input: %v\n  lhs %s = %v\n  rhs %s = %v",
-			n, trial, in, lhs, l, rhs, r)
+			s.n, s.trial, s.in, lhs, l, rhs, r)
 	}
 	return nil
 }
@@ -150,7 +172,7 @@ func VerifyExhaustive(lhs, rhs term.Term, domain []float64, maxN int) error {
 		var walk func(pos int) error
 		walk = func(pos int) error {
 			if pos == n {
-				return compareOn(lhs, rhs, in, n, -1, 0)
+				return compareOn(lhs, rhs, sample{n, -1, in}, 0)
 			}
 			for _, d := range domain {
 				in[pos] = algebra.Scalar(d)
@@ -171,33 +193,21 @@ func VerifyExhaustive(lhs, rhs term.Term, domain []float64, maxN int) error {
 // window and its replacement must be semantically equal. Local-class
 // rules are checked on power-of-two sizes only.
 func VerifyApplication(app Application, cfg VerifyConfig) error {
-	if r, ok := ByName(app.Rule); ok && r.Class == "Local" {
-		cfg.Pow2Only = true
-		cfg.Sizes = nil
-	}
+	cfg = cfg.forRule(app.Rule)
 	if err := VerifyEquivalence(term.Seq(app.Before), term.Seq(app.After), cfg); err != nil {
 		return fmt.Errorf("rule %s: %w", app.Rule, err)
 	}
 	return nil
 }
 
-// VerifyOptimization optimizes the term with the engine and verifies both
-// every individual application and the end-to-end equality of the
-// original and optimized program. It returns the optimized term and the
-// applications on success.
-func VerifyOptimization(e *Engine, t term.Term, cfg VerifyConfig) (term.Term, []Application, error) {
-	opt, apps := e.Optimize(t)
-	for _, app := range apps {
-		if err := VerifyApplication(app, cfg); err != nil {
-			return nil, nil, err
-		}
-		if r, ok := ByName(app.Rule); ok && r.Class == "Local" {
-			cfg.Pow2Only = true
-			cfg.Sizes = nil
-		}
+// forRule is the config an application of the named rule is checked
+// under: the Local rules compute f^(log p) by repeated squaring and hold
+// on power-of-two machines only, so they move the check to the default
+// power-of-two sizes.
+func (c VerifyConfig) forRule(name string) VerifyConfig {
+	if r, ok := ByName(name); ok && r.Class == "Local" {
+		c.Pow2Only = true
+		c.Sizes = nil
 	}
-	if err := VerifyEquivalence(t, opt, cfg); err != nil {
-		return nil, nil, err
-	}
-	return opt, apps, nil
+	return c
 }

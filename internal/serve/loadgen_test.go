@@ -15,9 +15,9 @@ func TestLoadgenAgainstLiveServer(t *testing.T) {
 
 	rep, err := Loadgen(LoadConfig{
 		Target:   ts.URL,
-		Requests: 600,
+		Requests: 2000,
 		Clients:  8,
-		Distinct: 5,
+		Distinct: 20,
 		Fusible:  40,
 		Seed:     7,
 		P:        8,
@@ -41,12 +41,17 @@ func TestLoadgenAgainstLiveServer(t *testing.T) {
 	if repeated.Name != "repeated" {
 		t.Fatalf("second phase is %q", repeated.Name)
 	}
-	// 540 requests over a pool of 5 programs: overwhelmingly cache hits.
+	// 1800 requests over a pool of 20 programs: overwhelmingly cache hits.
 	if repeated.CacheHitRate < 0.9 {
 		t.Errorf("repeated-phase hit rate %.2f, want > 0.9", repeated.CacheHitRate)
 	}
 	if fusion := rep.Server.Fusion; fusion.FusedRequests == 0 || fusion.Batches == 0 {
 		t.Errorf("fusible burst produced no fusion: %+v", fusion)
+	}
+	// The churn phase is all misses over one rule set: its derivations
+	// repeat instances, and the verifier evaluates each once.
+	if v := rep.Server.Verify; v.Derivations == 0 || v.InstanceHits == 0 {
+		t.Errorf("verifier counters after the miss phase: %+v", v)
 	}
 	if rep.Server.Requests == 0 || rep.Server.Cache.Hits == 0 {
 		t.Errorf("final snapshot empty: %+v", rep.Server)

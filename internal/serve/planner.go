@@ -55,8 +55,9 @@ type Planner struct {
 	// Symbols resolves operator and map-function names; NewPlanner
 	// pre-loads the standard table plus the generator's inc.
 	Symbols *lang.Symbols
-	// Verify makes every computed plan pass rules.VerifyEquivalence
-	// (per application and end to end) before it is published.
+	// Verify makes every computed plan pass the derivation check (every
+	// application as a rule instance, then source against plan end to end,
+	// see rules.Verifier) before it is published.
 	Verify bool
 	// VerifyCfg configures the verification runs.
 	VerifyCfg rules.VerifyConfig
@@ -67,6 +68,9 @@ type Planner struct {
 	Cache *Cache
 
 	engineRuns atomic.Int64
+	// verifier remembers rule instances across plans: a miss evaluates
+	// only what its derivation has that no earlier one had.
+	verifier rules.Verifier
 }
 
 // NewPlanner returns a verifying planner over a cache of the given
@@ -132,13 +136,16 @@ func (pl *Planner) PlanTermOpts(t term.Seq, m core.Machine, strat Strategy, auto
 func (pl *Planner) compute(t term.Seq, canonical string, m core.Machine, strat Strategy, autoSel bool) (Plan, error) {
 	pl.engineRuns.Add(1)
 	prog := core.FromTerm(t)
-	opt, err := prog.OptimizeOpts(m, core.OptimizeOptions{
+	opts := core.OptimizeOptions{
 		Search:       strat == StrategySearch,
 		SearchConfig: pl.SearchCfg,
 		Auto:         autoSel,
-		Verify:       pl.Verify,
 		VerifyConfig: pl.VerifyCfg,
-	})
+	}
+	if pl.Verify {
+		opts.Verifier = &pl.verifier
+	}
+	opt, err := prog.OptimizeOpts(m, opts)
 	if err != nil {
 		return Plan{}, fmt.Errorf("verification failed: %w", err)
 	}
@@ -163,3 +170,6 @@ func (pl *Planner) compute(t term.Seq, canonical string, m core.Machine, strat S
 // EngineRuns is the number of engine invocations so far — every cache
 // miss costs exactly one; the single-flight tests pin this.
 func (pl *Planner) EngineRuns() int64 { return pl.engineRuns.Load() }
+
+// VerifyStats reports what verifying the computed plans took.
+func (pl *Planner) VerifyStats() rules.VerifyStats { return pl.verifier.Stats() }

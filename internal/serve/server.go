@@ -10,6 +10,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -90,14 +91,16 @@ type Response struct {
 
 // Snapshot is the /metrics document.
 type Snapshot struct {
-	UptimeSeconds float64     `json:"uptime_s"`
-	Requests      uint64      `json:"requests"`
-	Optimized     uint64      `json:"optimized"`
-	Errors        uint64      `json:"errors"`
-	InFlight      int64       `json:"in_flight"`
-	EngineRuns    int64       `json:"engine_runs"`
-	Cache         CacheStats  `json:"cache"`
-	Fusion        FusionStats `json:"fusion"`
+	UptimeSeconds float64 `json:"uptime_s"`
+	Requests      uint64  `json:"requests"`
+	Optimized     uint64  `json:"optimized"`
+	Errors        uint64  `json:"errors"`
+	InFlight      int64   `json:"in_flight"`
+	EngineRuns    int64   `json:"engine_runs"`
+	// Verify counts the work of verifying computed plans.
+	Verify rules.VerifyStats `json:"verify"`
+	Cache  CacheStats        `json:"cache"`
+	Fusion FusionStats       `json:"fusion"`
 }
 
 // Server is the optimizer service: handlers over a planner and a fuser.
@@ -181,6 +184,7 @@ func (s *Server) Metrics() Snapshot {
 		Errors:        s.errors.Load(),
 		InFlight:      s.inFlight.Load(),
 		EngineRuns:    s.planner.EngineRuns(),
+		Verify:        s.planner.VerifyStats(),
 		Cache:         s.planner.Cache.Stats(),
 		Fusion:        s.fuser.Stats(),
 	}
@@ -243,7 +247,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if req.Fuse && Fusible(t) {
 		plan, cached, info, err := s.fuser.Submit(t, rules.Canonical(t), mach, strat, req.Select)
 		if err != nil {
-			s.fail(w, http.StatusInternalServerError, "optimization failed: %v", err)
+			s.failPlan(w, err)
 			return
 		}
 		fusedMach := mach
@@ -252,7 +256,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	} else {
 		plan, cached, err := s.planner.PlanTermOpts(t, mach, strat, req.Select)
 		if err != nil {
-			s.fail(w, http.StatusInternalServerError, "optimization failed: %v", err)
+			s.failPlan(w, err)
 			return
 		}
 		resp = Response{Plan: plan, Cached: cached, Machine: mach}
@@ -271,6 +275,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Metrics())
+}
+
+// failPlan answers for a plan that could not be produced: a program the
+// semantics is undefined on is the client's error, anything else ours.
+func (s *Server) failPlan(w http.ResponseWriter, err error) {
+	var ill *rules.IllTypedError
+	if errors.As(err, &ill) {
+		s.fail(w, http.StatusBadRequest, "%v", ill)
+		return
+	}
+	s.fail(w, http.StatusInternalServerError, "optimization failed: %v", err)
 }
 
 func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...any) {

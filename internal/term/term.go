@@ -254,6 +254,21 @@ func EqualTerms(a, b Term) bool {
 	return true
 }
 
+// CommonEnds returns the length of the longest common prefix of two stage
+// lists and of the longest common suffix of what that prefix leaves, under
+// EqualTerms' stage equality (operator identity). A rewritten program and
+// its source share everything outside the windows the rules touched.
+func CommonEnds(as, bs []Term) (prefix, suffix int) {
+	for prefix < len(as) && prefix < len(bs) && equalStage(as[prefix], bs[prefix]) {
+		prefix++
+	}
+	for suffix < len(as)-prefix && suffix < len(bs)-prefix &&
+		equalStage(as[len(as)-1-suffix], bs[len(bs)-1-suffix]) {
+		suffix++
+	}
+	return prefix, suffix
+}
+
 func equalStage(a, b Term) bool {
 	switch x := a.(type) {
 	case Map:
