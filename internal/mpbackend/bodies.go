@@ -83,7 +83,7 @@ func DecodeResult(s string) (algebra.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	v, rest, err := readValue(data)
+	v, rest, err := readValue(data, nil)
 	if err != nil {
 		return nil, err
 	}

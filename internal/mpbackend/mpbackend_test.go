@@ -156,6 +156,50 @@ func TestCollectiveAlgosConform(t *testing.T) {
 	}
 }
 
+// TestCollectiveAlgosBeyondTheSocketBuffer: a link buffers what the kernel's
+// socket does (≈ 200 kB) and no more, so a portfolio algorithm whose blocks
+// are larger must not count on a send completing before its receiver reads.
+// Five ranks also put the non-power-of-two folds on the wire.
+func TestCollectiveAlgosBeyondTheSocketBuffer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("moves 512 kB blocks between five processes")
+	}
+	const p, m, seed, segments = 5, 1 << 16, 13, 3
+	in := mpbackend.SeededInputs(seed, p, m)
+	for _, c := range []struct {
+		collective string
+		algo       cost.Algo
+	}{
+		{cost.CollAllReduce, cost.AlgoButterfly},
+		{cost.CollAllReduce, cost.AlgoRabenseifner},
+		{cost.CollAllReduce, cost.AlgoRing},
+		{cost.CollAllReduce, cost.AlgoRingBi},
+		{cost.CollReduce, cost.AlgoButterfly},
+		{cost.CollReduce, cost.AlgoPipeline},
+	} {
+		want := make([]algebra.Value, p)
+		backend.New(p).Run(func(pr *backend.Proc) {
+			want[pr.Rank()] = coll.ReduceBy(pr, algebra.Add, in[pr.Rank()], c.collective == cost.CollAllReduce, c.algo, segments)
+		})
+		res, err := mpbackend.Run("collective", p, mpbackend.CollectiveParams{
+			Collective: c.collective, Algo: string(c.algo), Op: "add",
+			M: m, Segments: segments, Reps: 1, Seed: seed,
+		}, mpbackend.Options{Timeout: 30 * time.Second})
+		if err != nil {
+			t.Fatalf("%s@%s: %v", c.collective, c.algo, err)
+		}
+		timings, err := mpbackend.Decode[mpbackend.TimingResult](res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range timings {
+			if got, err := mpbackend.DecodeResult(timings[r].Result); err != nil || !algebra.Equal(want[r], got) {
+				t.Fatalf("%s@%s: rank %d differs from native (error %v)", c.collective, c.algo, r, err)
+			}
+		}
+	}
+}
+
 // TestCountersMatchNative cross-checks the traffic accounting: the same
 // program must move the same messages and words across process boundaries
 // as it does on the in-process backends.
@@ -302,6 +346,30 @@ func TestKilledRankIsNamed(t *testing.T) {
 	}
 	if err == nil || !strings.Contains(err.Error(), "rank 3: exit status 7") {
 		t.Fatalf("job reported %v, want rank 3's exit status", err)
+	}
+}
+
+// A body in which two ranks wait for each other's message and neither sends.
+func init() {
+	mpbackend.Register("test-silent-peers", func(p *mpbackend.Proc, raw json.RawMessage) (any, error) {
+		p.Recv(1-p.Rank(), 1)
+		return nil, nil
+	})
+}
+
+// TestWatchdogEndsARankBlockedInRecv: a waiting rank sits in a blocking
+// system call, not in a select a timer could be a case of, and its own
+// watchdog ends it all the same (the other rank's, or the dead link the
+// first leaves behind, ends the other) — well before the coordinator's
+// kill, which comes five seconds after the timeout and names no rank.
+func TestWatchdogEndsARankBlockedInRecv(t *testing.T) {
+	start := time.Now()
+	_, err := mpbackend.Run("test-silent-peers", 2, nil, mpbackend.Options{Timeout: time.Second})
+	if err == nil || !strings.Contains(err.Error(), "timed out after 1s") {
+		t.Fatalf("job reported %v, want a rank's watchdog", err)
+	}
+	if elapsed := time.Since(start); elapsed > 4*time.Second {
+		t.Errorf("the watchdog of a 1 s job took %v", elapsed)
 	}
 }
 

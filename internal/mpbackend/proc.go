@@ -6,17 +6,12 @@ import (
 	"io"
 	"net"
 	"path/filepath"
+	"syscall"
 	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/rank"
 )
-
-// mailboxCap is the decoded-message queue depth per inbound link. It is
-// deeper than the native backend's default because the socket reader
-// drains ahead of the body: protocol bursts (barriers, unfold sends)
-// should never stall the peer's writer.
-const mailboxCap = 64
 
 // Proc is one multi-process rank: a separate OS process connected to
 // every peer by a Unix domain socket. It is the shared rank core — so a
@@ -24,18 +19,18 @@ const mailboxCap = 64
 // over the socket link below. Every message is serialized at the send site,
 // so no peer ever holds a reference into this rank's arena: the body may
 // Reset it at any quiescent point (the measurement bodies do so between
-// repetitions).
+// repetitions). A received Vec or FlatTuple block is decoded into that
+// arena when the body receives it, so it lives until the body's next
+// ScratchArena().Reset(), like every other scratch buffer.
+//
+// The body's goroutine — the only one rank.Core lets call it — moves the
+// bytes itself: the sockets are plain blocking descriptors the runtime's
+// poller never sees, and nothing reads or writes them behind its back.
 type Proc struct {
 	rank.Core
-	// socks[r] is the duplex connection to rank r (nil at rank itself).
-	// Only the rank's body goroutine writes a connection, one whole frame
-	// per Write; only the connection's reader goroutine reads it.
-	socks []net.Conn
-	// mail[src] queues decoded packets from src, filled by that
-	// connection's reader goroutine.
-	mail []chan rank.Packet
-	// dead is triggered by the first connection that fails.
-	dead    *rank.Abort
+	// in[r] is the receiving end of the link to rank r, socket included
+	// (fd −1 at the rank itself).
+	in      []inbox
 	ctrlseq int
 	// encBuf is the reusable frame-encoding buffer; it grows to the
 	// largest message and is not reallocated per send.
@@ -43,17 +38,11 @@ type Proc struct {
 }
 
 func newProc(r, p int) *Proc {
-	pr := &Proc{
-		socks: make([]net.Conn, p),
-		mail:  make([]chan rank.Packet, p),
-		dead:  rank.NewAbort(),
+	pr := &Proc{in: make([]inbox, p)}
+	for i := range pr.in {
+		pr.in[i].fd = -1
 	}
 	pr.Init(r, p, (*link)(pr), algebra.NewArena(), nil)
-	for src := range pr.mail {
-		if src != r {
-			pr.mail[src] = make(chan rank.Packet, mailboxCap)
-		}
-	}
 	return pr
 }
 
@@ -72,11 +61,12 @@ func connect(dir string, rank, p int, deadline time.Time) (*Proc, error) {
 	if p == 1 {
 		return pr, nil
 	}
-	ln, err := net.Listen("unix", sockPath(dir, rank))
+	ln, err := net.ListenUnix("unix", &net.UnixAddr{Name: sockPath(dir, rank), Net: "unix"})
 	if err != nil {
 		return nil, fmt.Errorf("rank %d listen: %w", rank, err)
 	}
 	defer ln.Close()
+	ln.SetDeadline(deadline)
 	for r := 0; r < rank; r++ {
 		conn, err := dialRetry(sockPath(dir, r), deadline)
 		if err != nil {
@@ -87,12 +77,11 @@ func connect(dir string, rank, p int, deadline time.Time) (*Proc, error) {
 		if _, err := conn.Write(hello[:]); err != nil {
 			return nil, fmt.Errorf("rank %d hello to rank %d: %w", rank, r, err)
 		}
-		pr.socks[r] = conn
+		if pr.in[r].fd, err = adopt(conn); err != nil {
+			return nil, fmt.Errorf("rank %d adopting its link to rank %d: %w", rank, r, err)
+		}
 	}
 	for n := rank + 1; n < p; n++ {
-		if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
-			d.SetDeadline(deadline)
-		}
 		conn, err := ln.Accept()
 		if err != nil {
 			return nil, fmt.Errorf("rank %d accepting peer: %w", rank, err)
@@ -102,14 +91,11 @@ func connect(dir string, rank, p int, deadline time.Time) (*Proc, error) {
 			return nil, fmt.Errorf("rank %d reading hello: %w", rank, err)
 		}
 		src := int(binary.LittleEndian.Uint32(hello[:]))
-		if src <= rank || src >= p || pr.socks[src] != nil {
+		if src <= rank || src >= p || pr.in[src].fd >= 0 {
 			return nil, fmt.Errorf("rank %d got hello from unexpected rank %d", rank, src)
 		}
-		pr.socks[src] = conn
-	}
-	for r, conn := range pr.socks {
-		if conn != nil {
-			go pr.read(r, conn)
+		if pr.in[src].fd, err = adopt(conn); err != nil {
+			return nil, fmt.Errorf("rank %d adopting its link to rank %d: %w", rank, src, err)
 		}
 	}
 	return pr, nil
@@ -130,37 +116,45 @@ func dialRetry(path string, deadline time.Time) (net.Conn, error) {
 	}
 }
 
-// read is the per-connection reader goroutine: it decodes frames from src
-// into the mailbox until the connection closes. The first failure poisons
-// the rank, so blocked receives surface it instead of hanging.
-func (p *Proc) read(src int, conn net.Conn) {
-	frames := newFrameReader(conn)
-	for {
-		tag, owned, v, err := frames.next()
-		if err != nil {
-			p.dead.Fail(fmt.Sprintf("link from rank %d: %v", src, err))
-			return
-		}
-		p.mail[src] <- rank.Packet{Value: v, Tag: tag, Owned: owned}
+// adopt takes conn's socket out of the runtime's hands: a duplicate
+// descriptor, blocking, that the poller never registered; conn is closed.
+func adopt(conn net.Conn) (fd int, err error) {
+	defer conn.Close()
+	raw, err := conn.(syscall.Conn).SyscallConn()
+	if err != nil {
+		return -1, err
 	}
+	if cerr := raw.Control(func(s uintptr) { fd, err = syscall.Dup(int(s)) }); cerr != nil {
+		return -1, cerr
+	}
+	if err != nil {
+		return -1, err
+	}
+	if fd >= fdSetSize {
+		syscall.Close(fd)
+		return -1, fmt.Errorf("descriptor %d is beyond select's reach", fd)
+	}
+	syscall.CloseOnExec(fd)
+	return fd, syscall.SetNonblock(fd, false)
 }
 
 // close shuts down every connection; blocked peers observe EOF.
 func (p *Proc) close() {
-	for _, conn := range p.socks {
-		if conn != nil {
-			conn.Close()
+	for i := range p.in {
+		if in := &p.in[i]; in.fd >= 0 {
+			syscall.Close(in.fd)
+			in.fd = -1
 		}
 	}
 }
 
 // link is how a packet moves between processes: a real serialization — the
 // value is encoded at the send site, shipped through the kernel and decoded
-// into fresh storage by the peer's reader goroutine, which is exactly the
+// out of the peer's inbox when the body takes it, which is exactly the
 // per-word cost the §4.1 model calls tw and the in-process links calibrate
 // to ~0. Time is wall-clock; the failure policy is the dead link: a peer
-// that exits mid-protocol poisons the rank (the job's own timeout bounds
-// everything else).
+// that exits mid-protocol fails the rank that waits for it (the job's own
+// timeout bounds everything else).
 type link Proc
 
 // linkDown is the panic value of a rank that fails only because a peer's
@@ -168,59 +162,113 @@ type link Proc
 // in preference.
 type linkDown string
 
-// down is the rank failing on its first dead link.
-func (l *link) down() linkDown {
-	return linkDown(fmt.Sprintf("mpbackend: rank %d: %s", l.Rank(), l.dead.Reason()))
+// down is the rank failing on its dead link to (or from) peer.
+func (l *link) down(dir string, peer int, err error) linkDown {
+	return linkDown(fmt.Sprintf("mpbackend: rank %d: link %s rank %d: %v", l.Rank(), dir, peer, err))
 }
 
 // Put encodes and ships one frame to dst. The value is fully serialized
 // before Put returns, so the receiver always gets private storage and a
 // move costs the same as a borrow; an owned value is relinquished all the
 // same, so the ownership discipline is checked identically on every link.
+// The send never blocks in the kernel: while dst's socket buffer is full the
+// rank takes in what its peers are sending, which keeps ranks that all write
+// first deadlock-free.
 func (l *link) Put(dst int, pkt rank.Packet) {
 	l.encBuf = appendFrame(l.encBuf[:0], pkt.Tag, pkt.Owned, pkt.Value)
-	if _, err := l.socks[dst].Write(l.encBuf); err != nil {
-		l.dead.Fail(fmt.Sprintf("link to rank %d: %v", dst, err))
-		panic(l.down())
+	for frame := l.encBuf; len(frame) > 0; {
+		n, err := syscall.SendmsgN(l.in[dst].fd, frame, nil, nil, syscall.MSG_DONTWAIT)
+		switch err {
+		case nil:
+			frame = frame[n:]
+		case syscall.EAGAIN:
+			l.drain(dst)
+		case syscall.EINTR:
+		default:
+			panic(l.down("to", dst, err))
+		}
 	}
 	pkt.Relinquish()
 }
 
-// TryPut never refuses: socket writes are buffered by the kernel and the
-// peer's reader goroutine always drains.
+// TryPut never refuses: the kernel buffers the frame, or Put makes room.
 func (l *link) TryPut(dst int, pkt rank.Packet) bool {
 	l.Put(dst, pkt)
 	return true
 }
 
-// Take dequeues the next packet from src, surfacing a dead link as a panic
-// instead of a hang. Delivered messages win over a concurrent link failure:
-// the mailbox is drained before the poison is surfaced, so a peer closing
-// right after its last send never loses that send.
+// drain reads what the peers have sent into their inboxes and reports
+// whether anything came. With dst ≥ 0 it first blocks until something has
+// or dst can be written; otherwise it only asks.
+func (l *link) drain(dst int) (came bool) {
+	var rd, wr fdSet
+	for i := range l.in {
+		if in := &l.in[i]; in.fd >= 0 && in.err == nil {
+			rd.add(in.fd)
+		}
+	}
+	if dst >= 0 {
+		wr.add(l.in[dst].fd)
+	}
+	if err := await(&rd, &wr, dst >= 0); err != nil {
+		panic(fmt.Sprintf("mpbackend: rank %d: select: %v", l.Rank(), err))
+	}
+	for i := range l.in {
+		if in := &l.in[i]; in.fd >= 0 && rd.has(in.fd) {
+			in.fill()
+			came = true
+		}
+	}
+	return came
+}
+
+// fill reads from the socket once, blocking until the peer has sent
+// something or the link is over — io.EOF if it closed in good order.
+func (in *inbox) fill() {
+	n, err := syscall.Read(in.fd, in.space())
+	if n > 0 {
+		in.w += n
+	} else if err == nil {
+		in.err = io.EOF
+	} else if err != syscall.EINTR {
+		in.err = err
+	}
+}
+
+// Take decodes the next frame out of src's inbox, blocking in one recv on
+// that peer while the frame is incomplete. A dead or garbled link surfaces
+// as a panic instead of a hang, but only after the frames delivered before
+// it: a peer closing right after its last send never loses that send.
 func (l *link) Take(src, want int) rank.Packet {
-	select {
-	case pkt := <-l.mail[src]:
-		return pkt
-	case <-l.dead.Done():
-		if pkt, ok := l.TryTake(src); ok {
+	in := &l.in[src]
+	for {
+		pkt, ok, err := in.next(l.ScratchArena())
+		if ok {
 			return pkt
 		}
-		panic(l.down())
+		if err == nil {
+			err = in.err
+		}
+		if err != nil {
+			panic(l.down("from", src, err))
+		}
+		in.fill()
 	}
 }
 
-// TryTake dequeues an already-arrived packet from src, if any.
+// TryTake is Take for a frame that has arrived already: it asks the kernel
+// what has, without waiting, and fails nothing — the Take that follows does.
 func (l *link) TryTake(src int) (rank.Packet, bool) {
-	select {
-	case pkt := <-l.mail[src]:
-		return pkt, true
-	default:
-		return rank.Packet{}, false
+	for {
+		pkt, ok, err := l.in[src].next(l.ScratchArena())
+		if ok || err != nil || !l.drain(-1) {
+			return pkt, ok
+		}
 	}
 }
 
-// Swap writes, then reads: kernel socket buffers and the always-draining
-// reader goroutines keep both sides writing first deadlock-free.
+// Swap writes, then reads: a Put that finds the socket full reads while it
+// waits, which keeps both sides writing first deadlock-free.
 func (l *link) Swap(peer int, pkt rank.Packet) rank.Packet {
 	l.Put(peer, pkt)
 	return l.Take(peer, pkt.Tag)

@@ -1,16 +1,14 @@
 package mpbackend
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"unsafe"
 
 	"repro/internal/algebra"
 	"repro/internal/coll"
+	"repro/internal/rank"
 )
 
 // Wire format. Every message is one length-prefixed frame:
@@ -41,7 +39,9 @@ import (
 // A decoder trusts no size it reads: before it allocates for a claimed
 // count it checks the count against the bytes the frame still holds, net
 // of what the values still to come need at the least, so decoding
-// allocates no more than a small multiple of the bytes it was given.
+// allocates no more than a small multiple of the bytes it was given. Vec
+// and FlatTuple blocks are decoded into buffers of the arena it is handed
+// (fresh storage under a nil one).
 
 const (
 	kindUndef byte = iota
@@ -108,13 +108,13 @@ func appendFloats(buf []byte, fs []float64) []byte {
 const maxDepth = 32
 
 // readValue deserializes one value from buf, returning the remainder.
-func readValue(buf []byte) (algebra.Value, []byte, error) {
-	return readNested(buf, 0, 0)
+func readValue(buf []byte, a *algebra.Arena) (algebra.Value, []byte, error) {
+	return readNested(buf, a, 0, 0)
 }
 
 // readNested is readValue for a value depth levels inside tuples or lists
 // whose remaining elements will need at least reserved of buf's bytes.
-func readNested(buf []byte, reserved, depth int) (algebra.Value, []byte, error) {
+func readNested(buf []byte, a *algebra.Arena, reserved, depth int) (algebra.Value, []byte, error) {
 	if len(buf) < 1 {
 		return nil, nil, fmt.Errorf("truncated value")
 	}
@@ -134,8 +134,13 @@ func readNested(buf []byte, reserved, depth int) (algebra.Value, []byte, error) 
 		if err != nil {
 			return nil, nil, err
 		}
-		data, rest, err := readFloats(rest, n, reserved, "vec")
-		return algebra.Vec(data), rest, err
+		data, rest, err := floatsOf(rest, n, reserved, "vec")
+		if err != nil {
+			return nil, nil, err
+		}
+		v := a.Vec(n)
+		copy(floatBytes(v.(algebra.Vec)), data)
+		return v, rest, nil
 	case kindFlat:
 		w, rest, err := readLen(buf, "flat tuple")
 		if err != nil {
@@ -148,11 +153,13 @@ func readNested(buf []byte, reserved, depth int) (algebra.Value, []byte, error) 
 		if w < 1 || n < w || n%w != 0 {
 			return nil, nil, fmt.Errorf("flat tuple of %d words in %d components", n, w)
 		}
-		data, rest, err := readFloats(rest, n, reserved, "flat tuple")
+		data, rest, err := floatsOf(rest, n, reserved, "flat tuple")
 		if err != nil {
 			return nil, nil, err
 		}
-		return &algebra.FlatTuple{W: w, Data: data}, rest, nil
+		ft := a.Flat(w, n/w)
+		copy(floatBytes(ft.Data), data)
+		return ft, rest, nil
 	case kindMat:
 		r, rest, err := readLen(buf, "matrix")
 		if err != nil {
@@ -162,8 +169,13 @@ func readNested(buf []byte, reserved, depth int) (algebra.Value, []byte, error) 
 		if err != nil {
 			return nil, nil, err
 		}
-		data, rest, err := readFloats(rest, r*c, reserved, "matrix")
-		return algebra.Mat{R: r, C: c, Data: data}, rest, err
+		data, rest, err := floatsOf(rest, r*c, reserved, "matrix")
+		if err != nil {
+			return nil, nil, err
+		}
+		mat := algebra.Mat{R: r, C: c, Data: make([]float64, r*c)}
+		copy(floatBytes(mat.Data), data)
+		return mat, rest, nil
 	case kindTuple, kindList:
 		what := "tuple"
 		if kind == kindList {
@@ -182,7 +194,7 @@ func readNested(buf []byte, reserved, depth int) (algebra.Value, []byte, error) 
 		}
 		elems := make([]algebra.Value, n)
 		for i := range elems {
-			elems[i], rest, err = readNested(rest, reserved+n-1-i, depth+1)
+			elems[i], rest, err = readNested(rest, a, reserved+n-1-i, depth+1)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -206,15 +218,14 @@ func readLen(buf []byte, what string) (int, []byte, error) {
 	return int(n), buf[4:], nil
 }
 
-// readFloats copies n floats off the front of buf into fresh storage,
-// once it has seen that buf holds them besides the reserved bytes.
-func readFloats(buf []byte, n, reserved int, what string) ([]float64, []byte, error) {
+// floatsOf splits the bytes of n floats off the front of buf, once it has
+// seen that buf holds them besides the reserved bytes — so the caller
+// allocates for n only when n words were sent.
+func floatsOf(buf []byte, n, reserved int, what string) (data, rest []byte, err error) {
 	if n > (len(buf)-reserved)/8 {
 		return nil, nil, fmt.Errorf("truncated %s payload", what)
 	}
-	fs := make([]float64, n)
-	copy(floatBytes(fs), buf)
-	return fs, buf[8*n:], nil
+	return buf[:8*n], buf[8*n:], nil
 }
 
 // appendFrame serializes a tagged message onto buf, length prefix
@@ -233,49 +244,57 @@ func appendFrame(buf []byte, tag int, owned bool, v algebra.Value) []byte {
 	return buf
 }
 
-// frameReader decodes the frames arriving on one connection. It owns the
-// connection's read side: a bufio.Reader, so a small frame's header and body
-// come out of one read, and one frame buffer that grows to the largest
-// frame seen and is reused, which is safe because every decoded value is
-// copied out of it.
-type frameReader struct {
-	lim  io.LimitedReader // over the bufio.Reader; N is set per frame
-	body bytes.Buffer
+// inbox is the receiving end of one link: the socket, the bytes the peer
+// has sent and this rank has not decoded yet — buf[r:w], frames back to
+// back, the last possibly incomplete — and why the link stopped delivering,
+// once it has. The buffer grows as bytes arrive, never to the length a
+// header claims, and every decoded value is copied out of it.
+type inbox struct {
+	fd   int
+	buf  []byte
+	r, w int
+	err  error
 }
 
-func newFrameReader(r io.Reader) *frameReader {
-	return &frameReader{lim: io.LimitedReader{R: bufio.NewReader(r)}}
-}
-
-// next reads one frame, blocking until it is complete.
-func (fr *frameReader) next() (tag int, owned bool, v algebra.Value, err error) {
-	var hdr [4]byte
-	if _, err = io.ReadFull(fr.lim.R, hdr[:]); err != nil {
-		return 0, false, nil, err
+// space is the free tail of the buffer, where the next bytes go; in.w += n
+// commits them. A tail under half the buffer is first widened by moving the
+// pending bytes to the front, then by doubling.
+func (in *inbox) space() []byte {
+	if in.r > 0 && len(in.buf)-in.w <= len(in.buf)/2 {
+		in.w = copy(in.buf, in.buf[in.r:in.w])
+		in.r = 0
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	if len(in.buf)-in.w <= len(in.buf)/2 {
+		in.buf = append(in.buf, make([]byte, max(len(in.buf), 4<<10))...)
+	}
+	return in.buf[in.w:]
+}
+
+// next decodes the inbox's first frame, if all of it has arrived; ok is
+// false while more bytes are needed. A frame that cannot be decoded is an
+// error and stays where it is: the stream behind it has no meaning.
+func (in *inbox) next(a *algebra.Arena) (pkt rank.Packet, ok bool, err error) {
+	pending := in.buf[in.r:in.w]
+	if len(pending) < 4 {
+		return pkt, false, nil
+	}
+	n := binary.LittleEndian.Uint32(pending)
 	if n < 9 || n > 1<<30 {
-		return 0, false, nil, fmt.Errorf("implausible frame length %d", n)
+		return pkt, false, fmt.Errorf("implausible frame length %d", n)
 	}
-	// The buffer grows as bytes arrive, not to the length the header
-	// claims.
-	fr.body.Reset()
-	fr.lim.N = int64(n)
-	if _, err = fr.body.ReadFrom(&fr.lim); err != nil {
-		return 0, false, nil, err
+	if len(pending)-4 < int(n) {
+		return pkt, false, nil
 	}
-	body := fr.body.Bytes()
-	if len(body) < int(n) {
-		return 0, false, nil, io.ErrUnexpectedEOF
-	}
-	tag = int(int64(binary.LittleEndian.Uint64(body)))
-	owned = body[8] != 0
-	v, rest, err := readValue(body[9:])
+	body := pending[4 : 4+n]
+	v, rest, err := readValue(body[9:], a)
 	if err != nil {
-		return 0, false, nil, err
+		return pkt, false, err
 	}
 	if len(rest) != 0 {
-		return 0, false, nil, fmt.Errorf("%d trailing bytes after value", len(rest))
+		return pkt, false, fmt.Errorf("%d trailing bytes after value", len(rest))
 	}
-	return tag, owned, v, nil
+	if in.r += 4 + len(body); in.r == in.w {
+		in.r, in.w = 0, 0
+	}
+	return rank.Packet{Value: v, Tag: int(int64(binary.LittleEndian.Uint64(body))), Owned: body[8] != 0}, true, nil
 }

@@ -5,18 +5,76 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
 	"repro/internal/algebra"
 	"repro/internal/coll"
+	"repro/internal/rank"
 )
 
 // decodeBudget is what decoding input bytes may allocate: the largest
 // expansion is a tuple of Undefs (one byte on the wire, one 16-byte
-// interface in memory), the frame buffer doubles as it grows, and the
-// reader's own buffers and one error value are the constant.
+// interface in memory), the inbox doubles as it grows, and the inbox's
+// first buffer and one error value are the constant.
 func decodeBudget(input int) uint64 { return uint64(32*input) + 16<<10 }
+
+// deliver puts data into the inbox the way the link does: into space(), as
+// much as fits at a time. It reports whether pending bytes moved to the
+// front of the buffer and whether the buffer grew around pending bytes.
+func deliver(in *inbox, data []byte) (compacted, grew bool) {
+	for len(data) > 0 {
+		r, size := in.r, len(in.buf)
+		n := copy(in.space(), data)
+		compacted = compacted || r > 0 && in.r == 0 && in.w > 0
+		grew = grew || len(in.buf) > size && in.w > 0
+		in.w += n
+		data = data[n:]
+	}
+	return compacted, grew
+}
+
+// decodeStream is a link's receive side without the socket: data arrives in
+// chunks of the given sizes, taken in turn (all at once if there are none),
+// and every frame is decoded as soon as it is complete. It returns the
+// packets up to the first error; a stream that ends inside a frame ends in
+// io.ErrUnexpectedEOF.
+func decodeStream(in *inbox, data []byte, sizes ...int) (pkts []rank.Packet, err error) {
+	for i := 0; ; i++ {
+		for {
+			pkt, ok, err := in.next(nil)
+			if err != nil {
+				return pkts, err
+			}
+			if !ok {
+				break
+			}
+			pkts = append(pkts, pkt)
+		}
+		if len(data) == 0 {
+			if in.r != in.w {
+				return pkts, io.ErrUnexpectedEOF
+			}
+			return pkts, nil
+		}
+		n := len(data)
+		if len(sizes) > 0 {
+			n = min(n, max(sizes[i%len(sizes)], 1))
+		}
+		deliver(in, data[:n])
+		data = data[n:]
+	}
+}
+
+// encodePackets is the stream that delivers pkts.
+func encodePackets(pkts []rank.Packet) []byte {
+	var out []byte
+	for _, pkt := range pkts {
+		out = appendFrame(out, pkt.Tag, pkt.Owned, pkt.Value)
+	}
+	return out
+}
 
 // allocated is the number of bytes f allocates.
 func allocated(f func()) uint64 {
@@ -72,7 +130,7 @@ func TestReadValueChecksBeforeAllocating(t *testing.T) {
 	}
 	for _, c := range cases {
 		var err error
-		got := allocated(func() { _, _, _, err = newFrameReader(bytes.NewReader(c.frame)).next() })
+		got := allocated(func() { _, err = decodeStream(new(inbox), c.frame) })
 		if err == nil {
 			t.Errorf("%s: decoded without error", c.name)
 		}
@@ -101,23 +159,81 @@ func wireValues() []algebra.Value {
 	}
 }
 
-// FuzzReadFrame feeds the frame reader arbitrary byte streams. It may
+// TestInboxChunking: how a stream is cut into reads is the kernel's
+// business — byte by byte, a header split from its body, several frames in
+// one read, a frame that arrives while the buffer grows or while pending
+// bytes move to its front — and the packets are the same as when it arrives
+// whole.
+func TestInboxChunking(t *testing.T) {
+	var pkts []rank.Packet
+	for i, v := range wireValues() {
+		pkts = append(pkts, rank.Packet{Value: v, Tag: i - 3, Owned: i%2 == 1})
+		if i%3 == 0 { // a frame larger than the inbox starts out
+			pkts = append(pkts, rank.Packet{Value: SeededBlock(rand.New(rand.NewSource(int64(i))), 700*(i+1)), Tag: 1 << 40})
+		}
+	}
+	stream := encodePackets(pkts)
+	first := len(appendFrame(nil, pkts[0].Tag, pkts[0].Owned, pkts[0].Value))
+	for name, sizes := range map[string][]int{
+		"whole":                {},
+		"byte by byte":         {1},
+		"header, then body":    {4, first - 4},
+		"two frames at once":   {first + len(appendFrame(nil, pkts[1].Tag, false, pkts[1].Value))},
+		"odd sizes":            {3, 5000, 1, 9, 2900, 13000},
+		"just under a buffer":  {4<<10 - 1},
+		"three thousand bytes": {3000},
+	} {
+		got, err := decodeStream(new(inbox), stream, sizes...)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if !bytes.Equal(encodePackets(got), stream) {
+			t.Errorf("%s: %d packets that are not the %d sent", name, len(got), len(pkts))
+		}
+	}
+	// The last two cases, on what they claim to cross.
+	var in inbox
+	big := appendFrame(nil, 7, false, SeededBlock(rand.New(rand.NewSource(1)), 700))
+	small := appendFrame(nil, 8, false, algebra.Vec{1, 2, 3})
+	deliver(&in, big[:3000])
+	if compacted, grew := deliver(&in, cat(big[3000:], small, big[:3000])); compacted || !grew {
+		t.Fatalf("the rest of a 5.6 kB frame behind its first 3000 bytes: compacted %v, grew %v", compacted, grew)
+	}
+	for want := 7; want <= 8; want++ {
+		if pkt, ok, err := in.next(nil); !ok || err != nil || pkt.Tag != want {
+			t.Fatalf("frame %d: tag %d, ok %v, error %v", want, pkt.Tag, ok, err)
+		}
+	}
+	size := len(in.buf)
+	if compacted, grew := deliver(&in, big[3000:]); !compacted || grew || len(in.buf) != size {
+		t.Fatalf("the rest of a frame whose start sits at the buffer's end: compacted %v, grew %v", compacted, grew)
+	}
+	if pkt, ok, err := in.next(nil); !ok || err != nil || !algebra.Equal(pkt.Value, SeededBlock(rand.New(rand.NewSource(1)), 700)) {
+		t.Fatalf("the frame that crossed the compaction: ok %v, error %v", ok, err)
+	}
+	if in.r != 0 || in.w != 0 {
+		t.Fatalf("an emptied inbox restarts at its front, not at %d:%d", in.r, in.w)
+	}
+}
+
+// FuzzReadFrame feeds the inbox parser arbitrary byte streams. It may
 // refuse them, but not panic, and not allocate beyond decodeBudget; and
 // whatever it does decode must survive the wire bit for bit: encoded again,
-// decoded again and encoded a third time, the bytes are the same. The
-// seeds are a frame of every value kind, each checked to come back as the
-// value that went in.
+// decoded again and encoded a third time, the bytes are the same — and the
+// same again when the stream arrives byte by byte, or in chunks whose sizes
+// are the stream's own bytes. The seeds are a frame of every value kind,
+// each checked to come back as the value that went in.
 func FuzzReadFrame(f *testing.F) {
 	for i, v := range wireValues() {
 		frame := appendFrame(nil, i-3, i%2 == 1, v)
-		tag, owned, back, err := newFrameReader(bytes.NewReader(frame)).next()
-		if err != nil || tag != i-3 || owned != (i%2 == 1) {
-			f.Fatalf("%T: round trip gave tag %d, owned %v, error %v", v, tag, owned, err)
+		back, err := decodeStream(new(inbox), frame)
+		if err != nil || len(back) != 1 || back[0].Tag != i-3 || back[0].Owned != (i%2 == 1) {
+			f.Fatalf("%T: round trip gave %v, error %v", v, back, err)
 		}
 		// The encoding names the kind and holds every float's bits, so
 		// equal bytes are equal values.
-		if !bytes.Equal(appendValue(nil, back), appendValue(nil, v)) {
-			f.Fatalf("%T: %v came back as %v", v, v, back)
+		if !bytes.Equal(appendValue(nil, back[0].Value), appendValue(nil, v)) {
+			f.Fatalf("%T: %v came back as %v", v, v, back[0].Value)
 		}
 		f.Add(frame)
 		f.Add(frame[:len(frame)-1])
@@ -127,38 +243,27 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(frameOf(cat([]byte{kindTuple}, u32(1<<28))))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		type frame struct {
-			tag   int
-			owned bool
-			v     algebra.Value
-		}
-		var decoded []frame
-		got := allocated(func() {
-			fr := newFrameReader(bytes.NewReader(data))
-			for {
-				tag, owned, v, err := fr.next()
-				if err != nil {
-					return
-				}
-				decoded = append(decoded, frame{tag, owned, v})
-			}
-		})
+		var decoded []rank.Packet
+		var whole error
+		got := allocated(func() { decoded, whole = decodeStream(new(inbox), data) })
 		if budget := decodeBudget(len(data)); got > budget {
 			t.Fatalf("decoding %d bytes allocated %d (budget %d)", len(data), got, budget)
 		}
-		for _, d := range decoded {
-			enc := appendFrame(nil, d.tag, d.owned, d.v)
-			fr := newFrameReader(bytes.NewReader(enc))
-			tag, owned, v, err := fr.next()
-			if err != nil || tag != d.tag || owned != d.owned {
-				t.Fatalf("re-reading a decoded %T: tag %d (want %d), owned %v (want %v), error %v",
-					d.v, tag, d.tag, owned, d.owned, err)
-			}
-			if again := appendFrame(nil, tag, owned, v); !bytes.Equal(again, enc) {
-				t.Fatalf("a decoded %T changed on its second trip over the wire:\n%x\n%x", d.v, enc, again)
-			}
-			if _, _, _, err := fr.next(); err != io.EOF {
-				t.Fatalf("after the only frame: %v, want io.EOF", err)
+		stream := encodePackets(decoded)
+		again, err := decodeStream(new(inbox), stream)
+		if err != nil || !bytes.Equal(encodePackets(again), stream) {
+			t.Fatalf("%d decoded packets changed on their second trip over the wire (error %v):\n%x\n%x",
+				len(decoded), err, stream, encodePackets(again))
+		}
+		sizes := make([]int, len(data))
+		for i, b := range data {
+			sizes[i] = int(b)
+		}
+		for _, sizes := range [][]int{{1}, sizes} {
+			chunked, err := decodeStream(new(inbox), data, sizes...)
+			if (err == nil) != (whole == nil) || !bytes.Equal(encodePackets(chunked), stream) {
+				t.Fatalf("in chunks of %v: %d packets, error %v; whole: %d packets, error %v",
+					sizes, len(chunked), err, len(decoded), whole)
 			}
 		}
 	})
