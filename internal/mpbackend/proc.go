@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"path/filepath"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -209,6 +210,7 @@ func (l *link) drain(dst int) (came bool) {
 	}
 	if dst >= 0 {
 		wr.add(l.in[dst].fd)
+		runtime.Gosched() // about to wait: see Take
 	}
 	if err := await(&rd, &wr, dst >= 0); err != nil {
 		panic(fmt.Sprintf("mpbackend: rank %d: select: %v", l.Rank(), err))
@@ -252,6 +254,15 @@ func (l *link) Take(src, want int) rank.Packet {
 		if err != nil {
 			panic(l.down("from", src, err))
 		}
+		// The body never parks: it waits in system calls. Left at that it
+		// is one goroutine on one scheduler tick for the whole job, which
+		// the runtime's monitor thread answers after 10 ms by taking the P
+		// of a rank it finds in a system call, at every 20 µs tick of its
+		// own from then on — a fifth of the CPU when the ranks share one,
+		// and not the same fifth from one job to the next. A scheduling
+		// point before each wait keeps the monitor asleep, and is where the
+		// watchdog's timer and the collector get their turn.
+		runtime.Gosched()
 		in.fill()
 	}
 }
