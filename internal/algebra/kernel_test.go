@@ -159,6 +159,34 @@ func TestSliceKernelIsElemBitwise(t *testing.T) {
 				}
 			}
 		}
+		// The broadcast arms of ApplyInto: every special as the scalar,
+		// on either side, into a fresh destination and over the vector.
+		for _, s := range specials {
+			for _, left := range []bool{false, true} {
+				for _, alias := range []string{"fresh", "x"} {
+					x := append(Vec(nil), specials...)
+					var dst Value
+					if alias == "x" {
+						dst = x
+					}
+					a, b := Value(x), Value(Scalar(s))
+					if left {
+						a, b = b, a
+					}
+					got := op.ApplyInto(dst, a, b).(Vec)
+					for i := range got {
+						want := op.Elem(specials[i], s)
+						if left {
+							want = op.Elem(s, specials[i])
+						}
+						if math.Float64bits(got[i]) != math.Float64bits(want) {
+							t.Errorf("%s broadcast kernel, scalar %v left=%v, dst %s: element %v gives %v (%#x), Elem gives %v (%#x)", op, s, left, alias,
+								specials[i], got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -406,6 +434,9 @@ func TestKernelAllocs(t *testing.T) {
 			a, b := Value(randVec(rng, m)), Value(randVec(rng, m))
 			dst := Value(make(Vec, m))
 			check(t, "Vec ApplyInto", func() { dst = Add.ApplyInto(dst, a, b) })
+			one := Value(Scalar(1))
+			check(t, "Vec×Scalar ApplyInto", func() { dst = Add.ApplyInto(dst, a, one) })
+			check(t, "Scalar×Vec ApplyInto", func() { dst = Add.ApplyInto(dst, one, a) })
 
 			sr2 := OpSR2(Mul, Add)
 			fa, fb := flatOf(randTuple(rng, 2, m)), flatOf(randTuple(rng, 2, m))

@@ -30,8 +30,8 @@ type Op struct {
 	Unary func(b Value) Value
 	// Elem, if non-nil, is the elementwise scalar function the operator
 	// lifts (base operators only). It is the allocation-free kernel
-	// behind ApplyFloat and the scalar-broadcast paths of ApplyInto, and
-	// what the slice kernel loops over for a NewBase operator.
+	// behind ApplyFloat, and what the slice kernels loop over for a
+	// NewBase operator.
 	Elem func(x, y float64) float64
 	// kern selects the slice kernel: a plain loop for the standard
 	// operators, the Elem loop (the zero value) for any other.
@@ -98,11 +98,7 @@ func (o *Op) ApplyInto(dst, a, b Value) Value {
 		case Scalar:
 			if o.Elem != nil {
 				d, out := vecDst(dst, len(x))
-				f := o.Elem
-				s := float64(y)
-				for i := range x {
-					d[i] = f(x[i], s)
-				}
+				o.sliceScalar(d, x, float64(y), false)
 				return out
 			}
 		}
@@ -115,11 +111,7 @@ func (o *Op) ApplyInto(dst, a, b Value) Value {
 		case Vec:
 			if o.Elem != nil {
 				d, out := vecDst(dst, len(y))
-				f := o.Elem
-				s := float64(x)
-				for i := range y {
-					d[i] = f(s, y[i])
-				}
+				o.sliceScalar(d, y, float64(x), true)
 				return out
 			}
 		}
@@ -202,6 +194,72 @@ func (o *Op) slice(dst, x, y []float64) {
 		f := o.Elem
 		for i := range dst {
 			dst[i] = f(x[i], y[i])
+		}
+	}
+}
+
+// sliceScalar is slice with one operand broadcast: dst[i] = x[i] op s, or
+// s op x[i] when left says the scalar is the left operand. The same three
+// rules hold; the operands keep their sides, so it is bitwise Elem's on a
+// non-commutative operator too.
+func (o *Op) sliceScalar(dst, x []float64, s float64, left bool) {
+	x = x[:len(dst)]
+	switch {
+	case o.kern == kernAdd && left:
+		for i := range dst {
+			dst[i] = s + x[i]
+		}
+	case o.kern == kernAdd:
+		for i := range dst {
+			dst[i] = x[i] + s
+		}
+	case o.kern == kernMul && left:
+		for i := range dst {
+			dst[i] = s * x[i]
+		}
+	case o.kern == kernMul:
+		for i := range dst {
+			dst[i] = x[i] * s
+		}
+	case o.kern == kernMax && left:
+		for i := range dst {
+			dst[i] = math.Max(s, x[i])
+		}
+	case o.kern == kernMax:
+		for i := range dst {
+			dst[i] = math.Max(x[i], s)
+		}
+	case o.kern == kernMin && left:
+		for i := range dst {
+			dst[i] = math.Min(s, x[i])
+		}
+	case o.kern == kernMin:
+		for i := range dst {
+			dst[i] = math.Min(x[i], s)
+		}
+	case o.kern == kernLeft && left:
+		for i := range dst {
+			dst[i] = s
+		}
+	case o.kern == kernLeft:
+		copy(dst, x)
+	case o.kern == kernSub && left:
+		for i := range dst {
+			dst[i] = s - x[i]
+		}
+	case o.kern == kernSub:
+		for i := range dst {
+			dst[i] = x[i] - s
+		}
+	case left:
+		f := o.Elem
+		for i := range dst {
+			dst[i] = f(s, x[i])
+		}
+	default:
+		f := o.Elem
+		for i := range dst {
+			dst[i] = f(x[i], s)
 		}
 	}
 }

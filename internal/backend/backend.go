@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -104,10 +105,13 @@ func ParseTransport(s string) (TransportMode, error) {
 type Machine struct {
 	// P is the number of ranks (goroutines).
 	P int
-	// Timeout bounds how long a rank may block in Recv or Exchange
-	// before the run is aborted with a deadlock diagnosis. Zero means no
-	// bound (and removes a per-receive timer, which matters in tight
-	// benchmarks).
+	// Timeout bounds how long a rank may block in one Recv or Exchange
+	// before the run is aborted with a deadlock diagnosis. The machine's
+	// monitor enforces it by sampling, so the diagnosis comes no earlier
+	// than Timeout and no later than 1.25 × Timeout (plus scheduling
+	// latency) after the receive began. Zero means no bound. A receive
+	// costs the same either way; an armed Timeout is one pending runtime
+	// timer per run.
 	Timeout time.Duration
 	// Startup, when non-zero, makes every sender busy-wait that long
 	// before enqueuing a message — an injected per-message start-up for
@@ -118,19 +122,23 @@ type Machine struct {
 	// MailboxCap overrides the buffer depth per directed rank pair. Zero
 	// means the default (4), which is enough for every collective in
 	// package coll; fault-injecting decorators that put retransmissions
-	// and acknowledgements on the same links want more headroom.
+	// and acknowledgements on the same links want more headroom. A run
+	// whose capacity differs from the previous run's starts from fresh
+	// ranks.
 	MailboxCap int
 	// Transport selects the payload-passing discipline: TransportZeroCopy
 	// (the default) hands references through the mailbox, TransportCopy
 	// deep-copies every payload at the send site. See TransportMode.
 	Transport TransportMode
-	// Watchdog, when non-zero, arms the deadlock watchdog: a monitor
-	// that fires when every unfinished rank has been blocked in the same
-	// send or receive for at least this long — a quiesced-but-unfinished
-	// run. Instead of hanging until Timeout (or forever), the run is
-	// aborted with a per-rank blocked-on report naming each rank's peer,
-	// tag, direction and wait duration. The watchdog costs two atomic
-	// stores per blocking operation, so it is off by default.
+	// Watchdog, when non-zero, arms the deadlock watchdog: the machine's
+	// monitor fires when it has seen every unfinished rank blocked in the
+	// same send or receive for at least this long — a quiesced-but-
+	// unfinished run. Instead of hanging until Timeout (or forever), the
+	// run is aborted with a per-rank blocked-on report naming each rank's
+	// peer, tag, direction and wait duration; the window is Timeout's
+	// (Watchdog … 1.25 × Watchdog). Arming it adds nothing to a send or
+	// receive; it is off by default because Timeout alone already bounds
+	// every receive.
 	Watchdog time.Duration
 
 	// ranks are the parked rank goroutines, spawned by the first Run and
@@ -156,11 +164,15 @@ const mailboxCap = 4
 // its ranks are parked (see parked); Run copies the Machine's settings in
 // before every release.
 type world struct {
-	timeout, startup time.Duration
-	mailboxCap       int
-	transport        TransportMode
-	// watched is Watchdog > 0: blocking ranks publish their wait state.
-	watched bool
+	// timeout and watchdog are the run's armed limits: written by Run
+	// before it arms the monitor, read by the monitor and, for the timeout
+	// diagnosis, by a condemned rank.
+	timeout, watchdog time.Duration
+	startup           time.Duration
+	transport         TransportMode
+	// mailboxCap is the capacity the world's mailboxes are made with; a
+	// run that wants another gets a fresh world.
+	mailboxCap int
 
 	procs []*Proc
 	// body and start are the run's program and clock origin, written
@@ -173,31 +185,42 @@ type world struct {
 	joined  chan struct{}
 
 	// abort is the run's cancellation: the first rank failure, or the
-	// watchdog, cancels every blocked rank and is what Run raises. A world
-	// with a triggered abort is discarded, so it is never reused.
+	// monitor's deadlock report, is what Run raises; whoever fails the run
+	// then kicks the blocked ranks awake. A world with a triggered abort is
+	// discarded, so it is never reused.
 	abort *rank.Abort
 	// lost is set by a rank whose goroutine ended inside body
 	// (runtime.Goexit, as t.FailNow calls): the run is not a failure, but
 	// the world is a rank short and is discarded.
 	lost atomic.Bool
+
+	mon monitor
 }
 
 // parked is a Machine's handle on its rank goroutines. Between runs each
-// rank waits on its wake channel, keeping its grown stack, its timer, its
-// arena and its mailboxes; closing the channels ends the goroutines. The
+// rank waits on its wake channel, keeping its grown stack, its arena and
+// its mailboxes; closing the channels ends the goroutines. The
 // ranks hold the world, not this handle, so when the Machine becomes
 // unreachable the handle does too and its finalizer releases them.
 type parked struct{ *world }
 
+// park returns the machine's parked world, spawning a fresh one when there
+// is none or the one there was built for another P or MailboxCap.
 func (m *Machine) park() *world {
-	if m.ranks != nil && len(m.ranks.procs) == m.P {
+	capacity := mailboxCap
+	if m.MailboxCap > 0 {
+		capacity = m.MailboxCap
+	}
+	if m.ranks != nil && len(m.ranks.procs) == m.P && m.ranks.mailboxCap == capacity {
 		return m.ranks.world
 	}
 	m.discard()
 	w := &world{
-		procs:  make([]*Proc, m.P),
-		joined: make(chan struct{}, 1),
-		abort:  rank.NewAbort(),
+		mailboxCap: capacity,
+		procs:      make([]*Proc, m.P),
+		joined:     make(chan struct{}, 1),
+		abort:      rank.NewAbort(),
+		mon:        monitor{seen: make([]uint64, m.P), since: make([]time.Time, m.P)},
 	}
 	for r := range w.procs {
 		p := &Proc{
@@ -250,7 +273,7 @@ func (p *Proc) run() (returned bool) {
 		p.finished.Store(true)
 		if e := recover(); e != nil {
 			if e != rank.ErrAborted {
-				w.abort.Fail(fmt.Sprintf("backend: rank %d failed: %v", p.Rank(), e))
+				w.fail(fmt.Sprintf("backend: rank %d failed: %v", p.Rank(), e))
 			}
 			returned = true
 		} else if !returned {
@@ -262,19 +285,6 @@ func (p *Proc) run() (returned bool) {
 	}()
 	w.body(p)
 	return true
-}
-
-// waitInfo is one rank's published blocking state, read by the watchdog.
-// A waitInfo is immutable once published; a rank publishes a fresh one on
-// every blocking slow path and clears the pointer when it unblocks.
-type waitInfo struct {
-	// dir is the blocked direction: "receiving from", "sending to" or
-	// "deadlocked in exchange with".
-	dir string
-	// peer and tag identify the transfer being waited on.
-	peer, tag int
-	// since is when the rank started waiting.
-	since time.Time
 }
 
 // StageMark is one stage-boundary annotation on a rank's wall-clock
@@ -302,15 +312,19 @@ type Proc struct {
 	// in[src] lazily materializes the channel carrying messages from rank
 	// src to this rank, so Run setup is O(messages actually exchanged)
 	// rather than O(P²) channel allocations per run.
-	in    []atomic.Pointer[chan rank.Packet]
-	timer rank.Timer
+	in []atomic.Pointer[chan rank.Packet]
 	// elapsed is the rank's wall time from the run's start to body return.
 	elapsed time.Duration
 	marks   []StageMark
-	// wait is the rank's published blocking state (nil while running);
-	// finished flips when the rank's body returns. Both are read by the
-	// deadlock watchdog and only written by the rank's own goroutine.
-	wait     atomic.Pointer[waitInfo]
+	// word is the rank's wait word — what it is blocked in, zero while it
+	// runs (the layout is at publish) — and tag the tag of that transfer;
+	// blocks numbers the rank's blocking operations. finished flips when
+	// the rank's body returns. The rank's own goroutine writes them; the
+	// monitor and a failing peer read word and tag, and the monitor alone
+	// may set word's condemned bit.
+	word     atomic.Uint64
+	tag      atomic.Int64
+	blocks   uint64
 	finished atomic.Bool
 }
 
@@ -322,7 +336,7 @@ func (p *Proc) mark(label string) {
 
 // link is how a native packet moves: a buffered channel per directed rank
 // pair, wall-clock time, and a failure policy of cancellation by a failing
-// peer or the watchdog plus the receive timeout.
+// peer or the monitor, which also enforces the receive timeout.
 type link Proc
 
 // mailbox returns the channel carrying messages from src to l, creating it
@@ -353,23 +367,24 @@ func (l *link) outbound(pkt rank.Packet) rank.Packet {
 }
 
 // Put enqueues a packet for dst. The fast path is a plain buffered-channel
-// send; when the mailbox is full the rank stays cancellable — by a failing
-// peer or by the watchdog, to which it publishes its blocked-on state when
-// one is armed, so a send-side deadlock (every mailbox full, nobody
-// receiving) is diagnosed like a receive-side one.
+// send.
 func (l *link) Put(dst int, pkt rank.Packet) {
 	l.w.startupWait()
 	pkt = l.outbound(pkt)
 	ch := (*link)(l.w.procs[dst]).mailbox(l.Rank())
 	select {
 	case ch <- pkt:
-		return
 	default:
+		l.putFull(ch, dst, pkt)
 	}
-	if l.w.watched {
-		l.wait.Store(&waitInfo{dir: "sending to", peer: dst, tag: pkt.Tag, since: time.Now()})
-		defer l.wait.Store(nil)
-	}
+}
+
+// putFull is Put on a full mailbox: the rank stays cancellable, and
+// publishes what it is blocked in, so a send-side deadlock (every mailbox
+// full, nobody receiving) is diagnosed like a receive-side one.
+func (l *link) putFull(ch chan rank.Packet, dst int, pkt rank.Packet) {
+	l.publish(kindSend, dst, pkt.Tag)
+	defer l.word.Store(0)
 	select {
 	case ch <- pkt:
 	case <-l.w.abort.Done():
@@ -391,49 +406,135 @@ func (l *link) TryPut(dst int, pkt rank.Packet) bool {
 
 // Take dequeues the next packet from src.
 func (l *link) Take(src, want int) rank.Packet {
-	return l.take(src, want, "waiting for a message from", "receiving from")
+	return l.take(kindRecv, src, want)
 }
 
 // Swap enqueues, then dequeues, which the buffered channels keep
 // deadlock-free.
 func (l *link) Swap(peer int, pkt rank.Packet) rank.Packet {
 	l.Put(peer, pkt)
-	return l.take(peer, pkt.Tag, "deadlocked in exchange with", "exchanging with")
+	return l.take(kindExchange, peer, pkt.Tag)
 }
 
 // TryTake dequeues an already-arrived packet from src.
 func (l *link) TryTake(src int) (rank.Packet, bool) {
 	select {
 	case pkt := <-l.mailbox(src):
-		return pkt, true
+		return message(pkt), true
 	default:
 		return rank.Packet{}, false
 	}
 }
 
+// message passes a message on and turns a poison packet into the
+// cancellation it stands for. Every dequeue goes through it: a kick can
+// race with a real message and leave its poison for the rank's next read.
+func message(pkt rank.Packet) rank.Packet {
+	if pkt.Tag == poisonTag {
+		panic(rank.ErrAborted)
+	}
+	return pkt
+}
+
 // take dequeues the next packet from src. A message that is already there
-// skips the timer and the wait-state publication entirely; a rank that has
-// to block stays cancellable and, with a Timeout, bounded. verb words the
-// timeout diagnosis, dir the watchdog's.
-func (l *link) take(src, want int, verb, dir string) rank.Packet {
+// is all it touches. A rank that has to block publishes its wait word and
+// then waits on its mailbox alone: a lost run reaches it there as a poison
+// packet (see fail), and the timeout as the monitor's condemned bit in the
+// word plus the same packet — the rank then raises the diagnosis itself,
+// with its own counters.
+func (l *link) take(kind, src, want int) rank.Packet {
 	ch := l.mailbox(src)
 	select {
 	case pkt := <-ch:
-		return pkt
+		return message(pkt)
 	default:
 	}
 	w := l.w
-	if w.watched {
-		l.wait.Store(&waitInfo{dir: dir, peer: src, tag: want, since: time.Now()})
-		defer l.wait.Store(nil)
+	l.publish(kind, src, want)
+	if w.abort.Reason() != "" {
+		l.word.Store(0)
+		panic(rank.ErrAborted)
 	}
-	pkt, ok := rank.Await(ch, w.abort, &l.timer, w.timeout)
-	if !ok {
+	pkt := <-ch
+	if l.word.Swap(0)&wordCondemned != 0 {
 		n := l.Counters()
 		panic(fmt.Sprintf("backend: rank %d timed out after %v %s rank %d (tag %d); %d messages received, %d sent so far",
-			l.Rank(), w.timeout, verb, src, want, n.Received, n.Sent))
+			l.Rank(), w.timeout, kindText[kind].verb, src, want, n.Received, n.Sent))
 	}
-	return pkt
+	return message(pkt)
+}
+
+// The wait word, most significant bits first: the rank's block sequence
+// number (29 bits — two operations a tick apart never share one), the
+// condemned bit, the kind of operation (never zero, so a published word
+// never is) and the peer.
+const (
+	wordPeerBits  = 32
+	wordKindShift = wordPeerBits
+	wordCondemned = 1 << 34
+	wordSeqShift  = 35
+
+	kindRecv     = 1
+	kindExchange = 2
+	kindSend     = 3
+)
+
+func wordKind(word uint64) int { return int(word >> wordKindShift & 3) }
+func wordPeer(word uint64) int { return int(word & (1<<wordPeerBits - 1)) }
+
+// receiving reports whether word is a rank blocked on its mailbox — the
+// ranks a kick can wake and a Timeout bounds.
+func receiving(word uint64) bool {
+	k := wordKind(word)
+	return k == kindRecv || k == kindExchange
+}
+
+// kindText words a blocked operation: verb in the timeout diagnosis, dir in
+// the watchdog's report.
+var kindText = [...]struct{ verb, dir string }{
+	kindRecv:     {"waiting for a message from", "receiving from"},
+	kindExchange: {"deadlocked in exchange with", "exchanging with"},
+	kindSend:     {"", "sending to"},
+}
+
+// poisonTag marks the packet that wakes a blocked receiver of a lost run.
+// Like rank.AnyTag, its neighbour, it is never a message tag.
+const poisonTag = rank.AnyTag + 1
+
+// publish announces that the rank is about to block in an operation of the
+// given kind with peer: two atomic stores, no clock, no allocation. The
+// tag goes first, so whoever reads a word reads that word's tag after it.
+func (l *link) publish(kind, peer, tag int) {
+	l.blocks++
+	l.tag.Store(int64(tag))
+	l.word.Store(l.blocks<<wordSeqShift | uint64(kind)<<wordKindShift | uint64(peer))
+}
+
+// kick wakes the rank if word says it is blocked in a receive, by putting a
+// poison packet into the mailbox it waits on. A full mailbox takes none and
+// needs none: its reader is not blocked.
+func (p *Proc) kick(word uint64) {
+	if !receiving(word) {
+		return
+	}
+	if ch := p.in[wordPeer(word)].Load(); ch != nil {
+		select {
+		case *ch <- rank.Packet{Tag: poisonTag}:
+		default:
+		}
+	}
+}
+
+// fail loses the run for reason, unless it is lost already, and wakes every
+// rank blocked in a receive (a blocked sender watches the abort itself).
+// This scan after the failure is stored pairs with take's check of the
+// failure after its word is stored: a receiver either sees the failure
+// before it blocks, or is seen blocked and woken.
+func (w *world) fail(reason string) {
+	w.abort.Fail(reason)
+	for _, p := range w.procs {
+		p.kick(p.word.Load())
+	}
 }
 
 // startupWait busy-waits for the injected per-message start-up. A spin
@@ -476,38 +577,27 @@ type Result struct {
 // aborts the run and is re-raised on the caller's goroutine with the rank
 // identified.
 //
-// The parked ranks keep their grown stacks, mailbox channels, timeout
-// timers and scratch arenas, so every run after the first measures the
+// The parked ranks keep their grown stacks, mailbox channels and scratch
+// arenas, and the world its monitor timer, so every run after the first
+// measures the
 // steady state rather than per-run setup. They are released for good when
 // the Machine becomes unreachable, and by a run that fails: it can leave
 // packets in flight, so the next Run starts from fresh ranks.
 func (m *Machine) Run(body func(p *Proc)) Result {
 	w := m.park()
 	w.reset()
-	w.timeout, w.startup, w.transport = m.Timeout, m.Startup, m.Transport
-	w.mailboxCap = mailboxCap
-	if m.MailboxCap > 0 {
-		w.mailboxCap = m.MailboxCap
-	}
-	w.watched = m.Watchdog > 0
-	var wdStop, wdDone chan struct{}
-	if w.watched {
-		wdStop, wdDone = make(chan struct{}), make(chan struct{})
-		go w.watch(m.Watchdog, wdStop, wdDone)
-	}
+	w.timeout, w.watchdog, w.startup, w.transport = m.Timeout, m.Watchdog, m.Startup, m.Transport
 	w.body = body
 	w.running.Store(int32(len(w.procs)))
+	w.arm()
 	w.start = time.Now()
 	for _, p := range w.procs {
 		p.wake <- struct{}{}
 	}
 	<-w.joined
+	w.disarm()
 	// The body may reference the Machine, which the parked ranks must not.
 	w.body = nil
-	if w.watched {
-		close(wdStop)
-		<-wdDone
-	}
 	failure := w.abort.Reason()
 	if failure != "" || w.lost.Load() {
 		m.discard()
@@ -539,60 +629,120 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 	return res
 }
 
-// watch is the deadlock watchdog: it samples every rank's published
-// blocking state and fires when the run has quiesced without finishing —
-// every unfinished rank stuck in the same send or receive for at least
-// limit. (That condition is a true deadlock: a rank can only be unblocked
-// by another rank, and all of them are waiting.) On firing it composes the
-// per-rank blocked-on report and cancels every blocked rank, so Run
-// returns a diagnosis instead of hanging until Timeout or forever.
-func (w *world) watch(limit time.Duration, stop, done chan struct{}) {
-	defer close(done)
-	tick := limit / 8
-	if tick < time.Millisecond {
-		tick = time.Millisecond
+// monitor is a world's one timer: armed when a run with a Timeout or a
+// Watchdog releases the ranks, stopped when they have joined, and in
+// between ticking at an eighth of the smaller limit to sample the ranks'
+// wait words. The ranks never touch it. What it knows of time is its own:
+// a rank publishes no clock reading, so a wait is measured from the tick
+// that first saw it, and a limit fires between limit and 1.25 × limit after
+// the wait began — a tick to be seen, eight to be seen long enough.
+type monitor struct {
+	// mu orders Run's arm and disarm with a tick already running.
+	mu    sync.Mutex
+	timer *time.Timer
+	armed bool
+	tick  time.Duration
+	// seen[r] is rank r's wait word at the last tick, since[r] the tick
+	// that first saw it.
+	seen  []uint64
+	since []time.Time
+}
+
+// arm starts the monitor for a run, if the run has a limit to watch.
+func (w *world) arm() {
+	limit := w.timeout
+	if limit <= 0 || (w.watchdog > 0 && w.watchdog < limit) {
+		limit = w.watchdog
 	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-		}
-		now := time.Now()
-		unfinished, quiesced := 0, true
-		for _, p := range w.procs {
-			if p.finished.Load() {
-				continue
-			}
-			unfinished++
-			pw := p.wait.Load()
-			if pw == nil || now.Sub(pw.since) < limit {
-				quiesced = false
-				break
-			}
-		}
-		if unfinished == 0 || !quiesced {
-			continue
-		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "backend: deadlock: every unfinished rank blocked for %v with no progress\n", limit)
-		for _, p := range w.procs {
-			if p.finished.Load() {
-				fmt.Fprintf(&b, "  rank %d: finished\n", p.Rank())
-				continue
-			}
-			if pw := p.wait.Load(); pw != nil {
-				fmt.Fprintf(&b, "  rank %d: blocked %s rank %d (tag %d) for %v\n",
-					p.Rank(), pw.dir, pw.peer, pw.tag, now.Sub(pw.since).Round(time.Millisecond))
-			} else {
-				fmt.Fprintf(&b, "  rank %d: running\n", p.Rank())
-			}
-		}
-		w.abort.Fail(b.String())
+	if limit <= 0 {
 		return
 	}
+	mon := &w.mon
+	mon.mu.Lock()
+	defer mon.mu.Unlock()
+	mon.armed = true
+	// Rounded up, so that eight ticks are never short of the limit.
+	mon.tick = max((limit+7)/8, time.Millisecond)
+	clear(mon.seen)
+	if mon.timer == nil {
+		mon.timer = time.AfterFunc(mon.tick, w.sample)
+	} else {
+		mon.timer.Reset(mon.tick)
+	}
+}
+
+// disarm stops the monitor once the ranks have joined; a tick that is
+// already running finishes first, or finds the monitor disarmed.
+func (w *world) disarm() {
+	mon := &w.mon
+	mon.mu.Lock()
+	defer mon.mu.Unlock()
+	if mon.armed {
+		mon.armed = false
+		mon.timer.Stop()
+	}
+}
+
+// sample is the monitor's tick. A rank it has seen in the same receive for
+// Timeout is condemned — a bit in its wait word, set only if the rank is
+// still in that receive — and kicked awake to raise the diagnosis itself,
+// so that rank is the failure the run reports. When every unfinished rank
+// has been seen in the same send or receive for Watchdog the run has
+// quiesced without finishing, which is a true deadlock — only a rank can
+// unblock a rank, and all of them wait — and the monitor fails the run with
+// the per-rank blocked-on report, so Run returns a diagnosis instead of
+// hanging until Timeout or forever.
+func (w *world) sample() {
+	mon := &w.mon
+	mon.mu.Lock()
+	defer mon.mu.Unlock()
+	if !mon.armed || w.abort.Reason() != "" {
+		return
+	}
+	now := time.Now()
+	unfinished, quiesced := 0, w.watchdog > 0
+	for r, p := range w.procs {
+		if p.finished.Load() {
+			continue
+		}
+		unfinished++
+		word := p.word.Load()
+		if word != mon.seen[r] {
+			mon.seen[r], mon.since[r] = word, now
+		}
+		switch blocked := now.Sub(mon.since[r]); {
+		case word == 0 || word&wordCondemned != 0:
+			// Running, or on its way out with a timeout.
+			quiesced = false
+		case w.timeout > 0 && blocked >= w.timeout && receiving(word):
+			// Unless the rank has just left that receive.
+			if p.word.CompareAndSwap(word, word|wordCondemned) {
+				mon.seen[r] = word | wordCondemned
+				p.kick(word)
+			}
+			quiesced = false
+		case blocked < w.watchdog:
+			quiesced = false
+		}
+	}
+	if !quiesced || unfinished == 0 {
+		mon.timer.Reset(mon.tick)
+		return
+	}
+	// The durations count from the monitor's first sighting of each wait,
+	// up to a tick after it began.
+	var b strings.Builder
+	fmt.Fprintf(&b, "backend: deadlock: every unfinished rank blocked for %v with no progress\n", w.watchdog)
+	for r, p := range w.procs {
+		if p.finished.Load() {
+			fmt.Fprintf(&b, "  rank %d: finished\n", r)
+			continue
+		}
+		word := mon.seen[r]
+		fmt.Fprintf(&b, "  rank %d: blocked %s rank %d (tag %d) for %v\n",
+			r, kindText[wordKind(word)].dir, wordPeer(word), p.tag.Load(), now.Sub(mon.since[r]).Round(time.Millisecond))
+	}
+	w.fail(b.String())
 }
 
 // reset prepares the parked ranks for a fresh run. Counters, tag
@@ -606,7 +756,7 @@ func (w *world) reset() {
 		p.marks = p.marks[:0]
 		p.elapsed = 0
 		p.finished.Store(false)
-		p.wait.Store(nil)
+		p.word.Store(0)
 		// The previous run's join ordered every rank's arena use before
 		// this reset.
 		p.ScratchArena().Reset()

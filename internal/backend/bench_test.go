@@ -10,11 +10,12 @@ import (
 )
 
 // BenchmarkPingPong measures the per-message cost of the native backend's
-// receive path: two ranks bounce a scalar back and forth, so the numbers
-// are dominated by Send/Recv plus the receive-timeout machinery. Before
-// the reusable per-rank timer, every Recv paid a time.After allocation
-// (timer + channel) per message; with the cached timer the steady-state
-// receive allocates nothing, which b.ReportAllocs makes visible.
+// receive path: two ranks bounce a scalar back and forth, so every Recv
+// blocks and the numbers are Send/Recv plus the goroutine hand-off. A
+// receive does the same work with and without a Timeout — the machine's
+// monitor, not the receive, keeps the time — so the two sub-benchmarks
+// differ by what one pending runtime timer costs the scheduler, which
+// reads the clock on every goroutine switch while any timer is armed.
 func BenchmarkPingPong(b *testing.B) {
 	const msgs = 1024
 	run := func(b *testing.B, m *backend.Machine) {
@@ -35,12 +36,12 @@ func BenchmarkPingPong(b *testing.B) {
 		}
 	}
 	b.Run("timeout", func(b *testing.B) {
-		m := backend.New(2) // DefaultTimeout: every Recv arms the timer
+		m := backend.New(2) // DefaultTimeout: the monitor's timer is pending throughout
 		run(b, m)
 	})
 	b.Run("no-timeout", func(b *testing.B) {
 		m := backend.New(2)
-		m.Timeout = 0 // bare channel receive, the floor
+		m.Timeout = 0 // no timer in the process: the floor
 		run(b, m)
 	})
 }

@@ -1,0 +1,244 @@
+// Tests of what a blocked rank waits on: the monitor's timing contract,
+// the poison packet that carries a cancellation into a mailbox, and the
+// cost of a blocking receive with every limit armed.
+package backend_test
+
+import (
+	"fmt"
+	"regexp"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/algebra"
+	"repro/internal/backend"
+	"repro/internal/rank"
+)
+
+// TestTimeoutFiresWithinBounds pins the monitor's timing contract: a
+// receive timeout and a deadlock report come no earlier than the limit and
+// no later than 1.25 × limit (+ 2 ms of scheduling) after the wait began.
+func TestTimeoutFiresWithinBounds(t *testing.T) {
+	for _, limit := range []time.Duration{40 * time.Millisecond, 400 * time.Millisecond} {
+		for _, c := range []struct {
+			name  string
+			setup func(m *backend.Machine)
+			want  string
+		}{
+			{"timeout", func(m *backend.Machine) { m.Timeout = limit }, "timed out after " + limit.String()},
+			{"watchdog", func(m *backend.Machine) { m.Timeout, m.Watchdog = 0, limit }, "deadlock"},
+		} {
+			t.Run(fmt.Sprint(c.name, "/", limit), func(t *testing.T) {
+				m := backend.New(2)
+				c.setup(m)
+				m.Run(func(*backend.Proc) {}) // spawn the ranks off the clock
+				start := time.Now()
+				msg := mustPanic(t, func() {
+					m.Run(func(p *backend.Proc) { p.Recv(1-p.Rank(), 1) })
+				})
+				elapsed := time.Since(start)
+				if !strings.Contains(msg, c.want) {
+					t.Fatalf("run reported %q, want %q", msg, c.want)
+				}
+				if latest := limit + limit/4 + 2*time.Millisecond; elapsed < limit || elapsed > latest {
+					t.Errorf("fired after %v, want within [%v, %v]", elapsed, limit, latest)
+				}
+			})
+		}
+	}
+}
+
+// TestBlockedReceiveAllocs: with Timeout and Watchdog both armed, a warm
+// run of 1024 round trips — every receive of which blocks — allocates its
+// Result and nothing per receive.
+func TestBlockedReceiveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	m := backend.New(2)
+	m.Watchdog = 5 * time.Second
+	v := algebra.Value(algebra.Scalar(1))
+	pingpong := func(p *backend.Proc) {
+		for k := 0; k < 1024; k++ {
+			if p.Rank() == 0 {
+				p.Send(1, v, k)
+				p.Recv(1, k)
+			} else {
+				p.Recv(0, k)
+				p.Send(0, v, k)
+			}
+		}
+	}
+	m.Run(pingpong)
+	if allocs := testing.AllocsPerRun(20, func() { m.Run(pingpong) }); allocs > 2 {
+		t.Fatalf("warm run of 2048 blocking receives: %.0f allocs, want ≤ 2 (the Result)", allocs)
+	}
+}
+
+// TestPoisonDoesNotOutliveItsRun: however a run is lost — a rank panics, a
+// receive times out, the watchdog fires — with peers blocked in Recv, in
+// Exchange and in a Send on a full mailbox, the poison that woke them goes
+// with the discarded ranks: the next runs on the same Machine see exactly
+// the messages they send.
+func TestPoisonDoesNotOutliveItsRun(t *testing.T) {
+	one := algebra.Scalar(1)
+	for _, c := range []struct {
+		name  string
+		setup func(m *backend.Machine)
+		rank0 func(p *backend.Proc)
+		want  string
+	}{
+		{"rank panic", func(*backend.Machine) {},
+			func(*backend.Proc) {
+				time.Sleep(20 * time.Millisecond) // let the peers block first
+				panic("kaboom")
+			}, "rank 0 failed: kaboom"},
+		{"timeout", func(m *backend.Machine) { m.Timeout = 30 * time.Millisecond },
+			func(p *backend.Proc) { p.Recv(1, 1) }, "timed out"},
+		{"watchdog", func(m *backend.Machine) { m.Timeout, m.Watchdog = 0, 30*time.Millisecond },
+			func(p *backend.Proc) { p.Recv(1, 1) }, "deadlock"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := backend.New(4)
+			c.setup(m)
+			msg := mustPanic(t, func() {
+				m.Run(func(p *backend.Proc) {
+					switch p.Rank() {
+					case 0:
+						c.rank0(p)
+					case 1:
+						p.Recv(0, 1)
+					case 2:
+						p.Exchange(0, one, 2)
+					case 3:
+						for { // rank 1 never drains it
+							p.Send(1, one, 3)
+						}
+					}
+				})
+			})
+			if !strings.Contains(msg, c.want) {
+				t.Fatalf("lost run reported %q, want %q", msg, c.want)
+			}
+			for i := 0; i < 2; i++ {
+				m.Run(func(p *backend.Proc) {
+					r, n := p.Rank(), p.Size()
+					next, prev := (r+1)%n, (r+n-1)%n
+					tag := p.NextTag()
+					if got := p.Exchange(r^1, algebra.Scalar(float64(r)), tag); !algebra.Equal(got, algebra.Scalar(float64(r^1))) {
+						t.Errorf("run %d: rank %d exchanged %v with rank %d", i, r, got, r^1)
+					}
+					if !p.TrySend(next, one, 77) {
+						t.Errorf("run %d: rank %d: TrySend refused on an empty link", i, r)
+					}
+					if _, got := p.RecvAny(prev); got != 77 {
+						t.Errorf("run %d: rank %d: RecvAny returned tag %d, want 77 (the reserved tag is %d)", i, r, got, rank.AnyTag+1)
+					}
+					for src := 0; src < n; src++ {
+						if _, got, ok := p.TryRecvAny(src); ok {
+							t.Errorf("run %d: rank %d: stray packet from rank %d, tag %d", i, r, src, got)
+						}
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestMessageRacingTheTimeout sends the awaited message within a tick of
+// the moment the monitor condemns the receive. Whichever wins, the run
+// either completes with the right value or fails with the timeout
+// diagnosis of that edge — a condemned receive never passes a message on,
+// and the kick that follows it never surfaces as data.
+func TestMessageRacingTheTimeout(t *testing.T) {
+	const timeout = 8 * time.Millisecond // ticks of 1 ms: condemned 8–10 ms in
+	edge := regexp.MustCompile(`rank 0 timed out after 8ms waiting for a message from rank 1 \(tag 9\); 0 messages received, 0 sent so far`)
+	m := backend.New(2)
+	m.Timeout = timeout
+	completed, timedOut := 0, 0
+	for i := 0; i < 200; i++ {
+		delay := timeout + time.Duration(i%5)*500*time.Microsecond
+		var got algebra.Value
+		msg := ""
+		func() {
+			defer func() {
+				if e := recover(); e != nil {
+					msg = fmt.Sprint(e)
+				}
+			}()
+			m.Run(func(p *backend.Proc) {
+				if p.Rank() == 0 {
+					got = p.Recv(1, 9)
+					// A kick left behind would be this read's.
+					if _, tag, ok := p.TryRecvAny(1); ok {
+						panic(fmt.Sprintf("stray packet, tag %d", tag))
+					}
+					return
+				}
+				time.Sleep(delay)
+				p.Send(0, algebra.Scalar(float64(i)), 9)
+			})
+		}()
+		switch {
+		case msg == "" && algebra.Equal(got, algebra.Scalar(float64(i))):
+			completed++
+		case edge.MatchString(msg):
+			timedOut++
+		default:
+			t.Fatalf("iteration %d (delay %v): received %v, run reported %q", i, delay, got, msg)
+		}
+	}
+	t.Logf("%d runs completed, %d timed out", completed, timedOut)
+}
+
+// TestMailboxCapChangeTakesEffect: MailboxCap is a per-run setting like the
+// others — a machine that has already run must not keep the mailboxes of
+// its old capacity.
+func TestMailboxCapChangeTakesEffect(t *testing.T) {
+	one := algebra.Scalar(1)
+	warm := func(p *backend.Proc) {
+		if p.Rank() == 0 {
+			p.Send(1, one, 1)
+		} else {
+			p.Recv(0, 1)
+		}
+	}
+
+	// Three sends into a one-slot mailbox wait for its reader.
+	const nap = 100 * time.Millisecond
+	m := backend.New(2)
+	m.Run(warm)
+	m.MailboxCap = 1
+	res := m.Run(func(p *backend.Proc) {
+		for i := 0; i < 3; i++ {
+			if p.Rank() == 0 {
+				p.Send(1, one, 2)
+			} else {
+				if i == 0 {
+					time.Sleep(nap)
+				}
+				p.Recv(0, 2)
+			}
+		}
+	})
+	if res.Ranks[0] < nap/2 {
+		t.Errorf("rank 0 put 3 messages into a one-slot mailbox in %v while its reader slept %v", res.Ranks[0], nap)
+	}
+
+	// Two ranks that only send wedge on one slot, not on the default four.
+	m = backend.New(2)
+	m.Run(warm)
+	m.Timeout, m.MailboxCap, m.Watchdog = 0, 1, 50*time.Millisecond
+	msg := mustPanic(t, func() {
+		m.Run(func(p *backend.Proc) {
+			for i := 0; i < 3; i++ {
+				p.Send(1-p.Rank(), one, 3)
+			}
+		})
+	})
+	for r := 0; r < 2; r++ {
+		if want := fmt.Sprintf("rank %d: blocked sending to rank %d (tag 3)", r, 1-r); !strings.Contains(msg, want) {
+			t.Errorf("no %q in:\n%s", want, msg)
+		}
+	}
+}

@@ -30,7 +30,7 @@ func TestZeroCopySendAllocFree(t *testing.T) {
 	for _, mode := range transportModes {
 		t.Run(mode.String(), func(t *testing.T) {
 			nm := backend.New(2)
-			nm.Timeout = 0 // bare channel ops: no timer arming in the loop
+			nm.Timeout = 0 // no monitor armed: nothing runs in this process but the loop
 			nm.Transport = mode
 			big := algebra.Value(make(algebra.Vec, m))
 			ack := algebra.Value(algebra.Scalar(1))

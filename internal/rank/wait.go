@@ -12,9 +12,12 @@ import (
 var ErrAborted = errors.New("rank: run aborted")
 
 // Abort is a run's cancellation, shared by its ranks: the first failure
-// closes Done — which every blocked put and take selects on, so the peers
-// of a failed rank stop at once instead of after their timeout — and is the
-// failure the run reports. The healthy path never touches it.
+// closes Done and is the failure the run reports. A blocked rank either
+// selects on Done (Await; the native link's full-mailbox put) or checks
+// Reason before it blocks and is then woken through its mailbox by whoever
+// failed the run (the native link's take) — either way the peers of a
+// failed rank stop at once instead of after their timeout. The healthy
+// path never touches it beyond that check.
 type Abort struct {
 	done   chan struct{}
 	reason atomic.Pointer[string]

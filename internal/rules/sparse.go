@@ -223,7 +223,7 @@ func incTup(v algebra.Value) algebra.Value {
 	if algebra.IsUndef(v) {
 		return algebra.Undef{}
 	}
-	return algebra.Add.Apply(v, algebra.Scalar(1))
+	return algebra.Add.ApplyInto(nil, v, algebra.Scalar(1))
 }
 
 // RandSparseProgram builds a random sparse pipeline for the property
