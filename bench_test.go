@@ -226,43 +226,6 @@ func BenchmarkCollectivesWallClock(b *testing.B) {
 	}
 }
 
-// BenchmarkBcastAlgorithms is the DESIGN.md ablation of broadcast
-// implementations: the binomial tree the paper's estimates assume, the
-// flat linear tree, and van de Geijn's scatter/allgather ([17]) — at a
-// start-up-dominated small block and a bandwidth-dominated large block.
-func BenchmarkBcastAlgorithms(b *testing.B) {
-	cases := []struct {
-		name   string
-		params machine.Params
-		words  int
-	}{
-		{"startup_small", machine.Params{Ts: 1000, Tw: 1}, 64},
-		{"bandwidth_large", machine.Params{Ts: 10, Tw: 4}, 1 << 16},
-	}
-	for _, cse := range cases {
-		for _, alg := range []coll.BcastAlg{
-			coll.BcastBinomial, coll.BcastLinear, coll.BcastScatterAllGather, coll.BcastPipelined,
-		} {
-			vm := machine.New(16, cse.params)
-			b.Run(cse.name+"/"+alg.String(), func(b *testing.B) {
-				var makespan float64
-				for i := 0; i < b.N; i++ {
-					res := vm.Run(func(pr *machine.Proc) {
-						c := coll.Comm(pr)
-						x := algebra.Value(algebra.Undef{})
-						if c.Rank() == 0 {
-							x = make(algebra.Vec, cse.words)
-						}
-						coll.BcastWith(c, 0, x, alg)
-					})
-					makespan = res.Makespan
-				}
-				b.ReportMetric(makespan, "vtime")
-			})
-		}
-	}
-}
-
 // BenchmarkApps measures the collective-only applications of
 // internal/apps end to end.
 func BenchmarkApps(b *testing.B) {

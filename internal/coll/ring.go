@@ -5,9 +5,8 @@ import "repro/internal/algebra"
 // This file adds the bandwidth-optimal reduction algorithms built from
 // reduce-scatter: the ring all-reduce (reduce-scatter + allgather) moves
 // only ~2m words per processor regardless of p, against the butterfly's
-// m·log p — the large-block counterpart to the van de Geijn broadcast in
-// variants.go. They require elementwise operators on Vec blocks of at
-// least one element per group member.
+// m·log p. They require elementwise operators on Vec blocks of at least
+// one element per group member.
 
 // ReduceScatter combines the members' blocks elementwise with op and
 // leaves chunk i of the result on member i (chunks split the block as

@@ -28,7 +28,8 @@ func (a Application) String() string {
 type Engine struct {
 	// Env supplies the property registry and machine size.
 	Env Env
-	// Rules is the rule set in priority order; nil means All().
+	// Rules is the rule set in priority order; nil means All() followed
+	// by Sparse().
 	Rules []Rule
 	// Params, when non-nil, makes the engine cost-guided: a rule is
 	// applied only if the cost estimate of the replacement is strictly
@@ -71,11 +72,7 @@ func (e *Engine) rules() []Rule {
 	if e.Rules != nil {
 		return e.Rules
 	}
-	// The sparse message-combining rules ride along by default: their
-	// patterns only match sparse stages (halo, reduce_scatterv,
-	// allgatherv), so they are inert on dense programs and cannot change
-	// any existing optimization.
-	return append(All(), Sparse()...)
+	return defaultRules
 }
 
 // nextMatch is the one rule-match loop: it scans (position × rule) pairs

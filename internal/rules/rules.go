@@ -422,13 +422,27 @@ func All() []Rule {
 	}
 }
 
+// The catalog an engine and ByName read on every step is built once; both
+// values are read-only.
+var (
+	// defaultRules is what an Engine without Rules applies. The sparse
+	// message-combining rules ride along: their patterns only match sparse
+	// stages (halo, reduce_scatterv, allgatherv), so they are inert on dense
+	// programs and cannot change any existing optimization.
+	defaultRules = append(All(), Sparse()...)
+	// byName indexes the paper rules and the extensions.
+	byName = func() map[string]Rule {
+		m := make(map[string]Rule)
+		for _, r := range AllWithExtensions() {
+			m[r.Name] = r
+		}
+		return m
+	}()
+)
+
 // ByName returns the named rule, searching the paper rules and the
 // extensions.
 func ByName(name string) (Rule, bool) {
-	for _, r := range AllWithExtensions() {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return Rule{}, false
+	r, ok := byName[name]
+	return r, ok
 }

@@ -210,7 +210,7 @@ func Sparse() []Rule {
 // recurses through the neighbor tuples halos deliver (IncFn's + lift
 // broadcasts over vectors but not tuples, so a map between two halos
 // needs the deep form).
-var IncTupFn = &term.Fn{Name: "inc_t", Cost: 1, F: incTup}
+var IncTupFn = &term.Fn{Name: "inc_t", Cost: 1, Elementwise: true, F: incTup}
 
 func incTup(v algebra.Value) algebra.Value {
 	if t, ok := v.(algebra.Tuple); ok {

@@ -21,11 +21,22 @@ type Verifier struct {
 	// instances memoizes instance verdicts, failures included.
 	instances map[instanceKey]error
 	// inputs holds the input lists of the configs seen, drawn once each.
-	inputs map[configKey][]sample
+	inputs map[configKey]*inputLists
 
 	derivations, zeroApplication atomic.Uint64
 	instanceChecks, instanceHits atomic.Uint64
 	tailsOnce, tailsTwice        atomic.Uint64
+	packed, perInput             atomic.Uint64
+}
+
+// inputLists is what a Gen-less config draws, in two forms: drawn holds the
+// lists as eachInput yields them; packed holds, per machine size n, one list
+// of n blocks whose words are the drawn inputs of that size side by side, in
+// drawn's order — a scalar input is one lane of each block, a BlockWords
+// block that many. The numbers are the same, so whatever happens to a drawn
+// input (an overflow into NaN, say) happens in its lanes.
+type inputLists struct {
+	drawn, packed []sample
 }
 
 // Bounds of the two tables. Halo offsets and allgatherv counts are chosen
@@ -52,8 +63,16 @@ type VerifyStats struct {
 	// TailsOnce counts inputs on which source and rewriting agreed bit for
 	// bit after their last differing stage, so the rest of the program was
 	// evaluated once for both; TailsTwice those on which it ran per side.
+	// Both count per input list evaluated: a derivation the packed pass
+	// decides evaluates one list per machine size.
 	TailsOnce  uint64 `json:"tails_once"`
 	TailsTwice uint64 `json:"tails_twice"`
+	// Packed counts derivations accepted on the packed lists alone;
+	// PerInput those sent through the drawn inputs one by one — every
+	// failure, every config with a Gen and every program with a stage not
+	// known to be lane-wise.
+	Packed   uint64 `json:"packed"`
+	PerInput uint64 `json:"per_input"`
 }
 
 // Stats snapshots the counters.
@@ -65,6 +84,8 @@ func (v *Verifier) Stats() VerifyStats {
 		InstanceHits:    v.instanceHits.Load(),
 		TailsOnce:       v.tailsOnce.Load(),
 		TailsTwice:      v.tailsTwice.Load(),
+		Packed:          v.packed.Load(),
+		PerInput:        v.perInput.Load(),
 	}
 }
 
@@ -118,10 +139,13 @@ func (e *IllTypedError) Error() string {
 // The verdict is that of the two public checks run afresh; only work whose
 // result is already known is skipped. An instance's verdict depends on
 // (rule, window, replacement, config), so it is looked up; a Gen-less
-// config draws the same inputs every time, so they are drawn once; and the
+// config draws the same inputs every time, so they are drawn once; the
 // stages t and opt share at either end are the same functions, so the
 // common prefix is evaluated once, and the common suffix once whenever the
-// two sides reach it with bit-identical values.
+// two sides reach it with bit-identical values; and a stage that acts on
+// each word of a block by itself computes on blocks holding many inputs
+// side by side what it computes on each, so a program of such stages is
+// evaluated once per machine size (packedClean).
 func (v *Verifier) CheckDerivation(t, opt term.Term, apps []Application, cfg VerifyConfig) error {
 	v.derivations.Add(1)
 	if len(apps) == 0 {
@@ -152,7 +176,10 @@ func (v *Verifier) instance(app Application, cfg VerifyConfig) error {
 		return err
 	}
 	v.instanceChecks.Add(1)
-	err = VerifyApplication(app, cfg)
+	before := term.Seq(app.Before)
+	if !v.packedClean(cut(before, term.Seq(app.After), cfg.RelTol), shapeFor(before, cfg)) {
+		err = VerifyApplication(app, cfg)
+	}
 	v.mu.Lock()
 	if v.instances == nil {
 		v.instances = make(map[instanceKey]error)
@@ -168,77 +195,187 @@ func (v *Verifier) instance(app Application, cfg VerifyConfig) error {
 	return err
 }
 
-// eachInput is cfg.eachInput with the lists of a Gen-less config drawn
+// lists returns the input lists of a Gen-less config, drawn and packed
 // once and shared: evaluation never writes to its input.
-func (v *Verifier) eachInput(cfg VerifyConfig, f func(sample) error) error {
-	if cfg.Gen != nil {
-		return cfg.eachInput(f)
-	}
+func (v *Verifier) lists(cfg VerifyConfig) *inputLists {
 	key := cfg.key()
 	v.mu.Lock()
 	ins, ok := v.inputs[key]
 	v.mu.Unlock()
-	if !ok {
-		cfg.eachInput(func(s sample) error {
-			ins = append(ins, s)
-			return nil
-		})
-		v.mu.Lock()
-		if v.inputs == nil {
-			v.inputs = make(map[configKey][]sample)
-		}
-		if len(v.inputs) < maxConfigs {
-			v.inputs[key] = ins
-		}
-		v.mu.Unlock()
+	if ok {
+		return ins
 	}
-	for _, s := range ins {
-		if err := f(s); err != nil {
+	ins = new(inputLists)
+	cfg.eachInput(func(s sample) error {
+		ins.drawn = append(ins.drawn, s)
+		return nil
+	})
+	ins.packed = pack(ins.drawn)
+	v.mu.Lock()
+	if v.inputs == nil {
+		v.inputs = make(map[configKey]*inputLists)
+	}
+	if len(v.inputs) < maxConfigs {
+		v.inputs[key] = ins
+	}
+	v.mu.Unlock()
+	return ins
+}
+
+// pack lays the drawn inputs of each machine size side by side: eachInput
+// yields all inputs of a size in a row, and every such run of n-lists
+// becomes one n-list of Vec blocks.
+func pack(drawn []sample) []sample {
+	var packed []sample
+	for lo, hi := 0, 0; lo < len(drawn); lo = hi {
+		n := drawn[lo].n
+		for hi < len(drawn) && drawn[hi].n == n {
+			hi++
+		}
+		in := make([]algebra.Value, n)
+		for i := range in {
+			var block algebra.Vec
+			for _, s := range drawn[lo:hi] {
+				switch x := s.in[i].(type) {
+				case algebra.Scalar:
+					block = append(block, float64(x))
+				case algebra.Vec:
+					block = append(block, x...)
+				}
+			}
+			in[i] = block
+		}
+		packed = append(packed, sample{n: n, in: in})
+	}
+	return packed
+}
+
+// laneWise reports that every stage is known to act on each word of a
+// block by itself, from what the stage carries: a base operator its scalar
+// function, a derived operator the flat kernel it has exactly when it was
+// built from such operators (and which the TestFlat* tests hold bitwise to
+// its boxed form), a local function its declaration. Broadcast, gather,
+// scatter and halo move whole values. Anything else — an index-aware map,
+// the counts stages, whose vectors are the shape — is not.
+func laneWise(stages []term.Term) bool {
+	for _, st := range stages {
+		ok := false
+		switch s := st.(type) {
+		case term.Map:
+			ok = s.F.Elementwise
+		case term.Scan:
+			ok = s.Op.Elem != nil || s.Op.FlatFn != nil
+		case term.Reduce:
+			ok = s.Op.Elem != nil || s.Op.FlatFn != nil
+		case term.ScanBal:
+			ok = s.Op.FlatLo != nil
+		case term.Comcast:
+			ok = s.Ops.FlatE != nil
+		case term.Iter:
+			ok = s.Op.FlatF != nil
+		case term.Bcast, term.Gather, term.Scatter, term.Halo:
+			ok = true
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// packedClean reports that the two sides of d agree on every packed list
+// of cfg — which, every stage being lane-wise, is to say on every input cfg
+// draws. False decides nothing: a mismatch, a program the semantics is
+// undefined on and a stage that is not lane-wise (or fixes the length of a
+// vector and so panics on the wider block) all get their verdict, and its
+// report, from the drawn inputs one by one.
+func (v *Verifier) packedClean(d *derivation, cfg VerifyConfig) bool {
+	// Outside its middle the rewriting has the source's own stages.
+	if cfg.Gen != nil || !laneWise(d.ts) || !laneWise(d.os[d.pre:d.tailO]) {
+		return false
+	}
+	for _, s := range v.lists(cfg).packed {
+		if d.on(s) != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// endToEnd compares t and opt on every input of cfg: on the packed lists
+// when that settles it, else input by input.
+func (v *Verifier) endToEnd(t, opt term.Term, cfg VerifyConfig) error {
+	d := cut(t, opt, cfg.RelTol)
+	defer func() {
+		v.tailsOnce.Add(d.tailsOnce)
+		v.tailsTwice.Add(d.tailsTwice)
+	}()
+	if v.packedClean(d, cfg) {
+		v.packed.Add(1)
+		return nil
+	}
+	v.perInput.Add(1)
+	if cfg.Gen != nil {
+		return cfg.eachInput(d.on)
+	}
+	for _, s := range v.lists(cfg).drawn {
+		if err := d.on(s); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// endToEnd compares t and opt on every input of cfg. The program is cut
-// into the prefix both share, the middle where they differ and the suffix
-// both share; with no application the prefix is the whole program, which
-// is then evaluated once and compared with itself (a NaN result is unequal
-// to itself, as it is when both sides compute it).
-func (v *Verifier) endToEnd(t, opt term.Term, cfg VerifyConfig) error {
+// derivation is a program and its rewriting cut into the prefix both
+// share, the middle where they differ and the suffix both share; with no
+// application the prefix is the whole program, which is then evaluated once
+// and compared with itself (a NaN result is unequal to itself, as it is
+// when both sides compute it).
+type derivation struct {
+	t, opt            term.Term
+	ts, os            []term.Term
+	pre, tailT, tailO int
+	relTol            float64
+	// tailsOnce and tailsTwice count the input lists on which the suffix
+	// was evaluated once for both sides, and once per side.
+	tailsOnce, tailsTwice uint64
+}
+
+func cut(t, opt term.Term, relTol float64) *derivation {
 	ts, os := term.Stages(t), term.Stages(opt)
 	pre, suf := term.CommonEnds(ts, os)
-	tailT, tailO := len(ts)-suf, len(os)-suf
-	differ := tailT > pre || tailO > pre
-	return v.eachInput(cfg, func(s sample) error {
-		x, ill := evalStages(ts[:pre], 0, s.in)
-		if ill != nil {
+	return &derivation{t: t, opt: opt, ts: ts, os: os, pre: pre, tailT: len(ts) - suf, tailO: len(os) - suf, relTol: relTol}
+}
+
+// on compares the two sides on one input list.
+func (d *derivation) on(s sample) error {
+	x, ill := evalStages(d.ts[:d.pre], 0, s.in)
+	if ill != nil {
+		return ill
+	}
+	l, r, same := x, x, true
+	if d.tailT > d.pre || d.tailO > d.pre {
+		if l, ill = evalStages(d.ts[d.pre:d.tailT], d.pre, x); ill != nil {
 			return ill
 		}
-		l, r, same := x, x, true
-		if differ {
-			if l, ill = evalStages(ts[pre:tailT], pre, x); ill != nil {
-				return ill
-			}
-			if r, ill = evalStages(os[pre:tailO], pre, x); ill != nil {
-				return rewritingFails(t, opt, ill)
-			}
-			if same = identical(l, r); same {
-				v.tailsOnce.Add(1)
-			} else {
-				v.tailsTwice.Add(1)
-			}
+		if r, ill = evalStages(d.os[d.pre:d.tailO], d.pre, x); ill != nil {
+			return rewritingFails(d.t, d.opt, ill)
 		}
-		if l, ill = evalStages(ts[tailT:], tailT, l); ill != nil {
-			return ill
+		if same = identical(l, r); same {
+			d.tailsOnce++
+		} else {
+			d.tailsTwice++
 		}
-		if same {
-			r = l
-		} else if r, ill = evalStages(os[tailO:], tailO, r); ill != nil {
-			return rewritingFails(t, opt, ill)
-		}
-		return mismatch(t, opt, s, l, r, cfg.RelTol)
-	})
+	}
+	if l, ill = evalStages(d.ts[d.tailT:], d.tailT, l); ill != nil {
+		return ill
+	}
+	if same {
+		r = l
+	} else if r, ill = evalStages(d.os[d.tailO:], d.tailO, r); ill != nil {
+		return rewritingFails(d.t, d.opt, ill)
+	}
+	return mismatch(d.t, d.opt, s, l, r, d.relTol)
 }
 
 // rewritingFails is the verdict when only the rewritten side panics: the

@@ -282,6 +282,25 @@ func TestVerifierEvaluationCounts(t *testing.T) {
 		}
 	})
 
+	t.Run("declared elementwise: the program once per machine size", func(t *testing.T) {
+		// The twin of the case above: every stage is now known to be
+		// lane-wise, so the inputs of a size are evaluated as one list.
+		calls := 0
+		count := counting(&calls)
+		count.F.Elementwise = true
+		prog := term.Seq{count, scanAdd}
+		v := new(Verifier)
+		if err := v.CheckDerivation(prog, prog, nil, plannerCfg); err != nil {
+			t.Fatal(err)
+		}
+		if sizes := 1 + 2 + 4 + 8; calls != sizes {
+			t.Fatalf("map count ; scan(+) applied count %d times, want Σ sizes = %d", calls, sizes)
+		}
+		if st := v.Stats(); st.Packed != 1 || st.PerInput != 0 {
+			t.Fatalf("stats = %+v, want the packed pass alone", st)
+		}
+	})
+
 	t.Run("the prefix once for both sides", func(t *testing.T) {
 		calls := 0
 		prog := term.Seq{counting(&calls), scanAdd, term.Reduce{Op: algebra.Add}}

@@ -51,6 +51,10 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxRequestBytes bounds the body of POST /optimize: the daemon reads no
+// more of a request than this, and answers 413 to one that is longer.
+const maxRequestBytes = 1 << 20
+
 // Request is the body of POST /optimize.
 type Request struct {
 	// Program is the pipeline in the surface syntax, e.g.
@@ -222,9 +226,26 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
+	// net/http ends a body at its declared length, so a declared length is
+	// checked and only an undeclared (chunked) body is counted while read.
+	tooLarge := func() {
+		s.fail(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxRequestBytes)
+	}
+	if r.ContentLength > maxRequestBytes {
+		tooLarge()
+		return
+	}
+	body := r.Body
+	if r.ContentLength < 0 {
+		body = http.MaxBytesReader(w, body, maxRequestBytes)
+	}
 	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			tooLarge()
+		} else {
+			s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+		}
 		return
 	}
 	mach, err := s.machineFor(req)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -115,6 +116,56 @@ func TestOptimizeErrors(t *testing.T) {
 	}
 	if errs := s.Metrics().Errors; errs != uint64(len(cases)) {
 		t.Errorf("error counter = %d, want %d", errs, len(cases))
+	}
+}
+
+// TestOptimizeBodyIsBounded: the daemon reads at most maxRequestBytes of a
+// request. One byte more is 413 with the usual error object, counted as an
+// error; a body of exactly the limit is read whole and answered; and the
+// requests around them are served as ever.
+func TestOptimizeBodyIsBounded(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	const program = "bcast ; scan(+) ; scan(+)"
+	padded := func(size int) string {
+		head, tail := `{"program":"`+program+`","m":16`, "}"
+		return head + strings.Repeat(" ", size-len(head)-len(tail)) + tail
+	}
+	post := func(body string, declared bool) (int, Response, string) {
+		t.Helper()
+		rd := io.Reader(strings.NewReader(body))
+		if !declared {
+			rd = io.MultiReader(rd) // hides the length: the client sends chunks
+		}
+		r, err := http.Post(ts.URL+"/optimize", "application/json", rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Body.Close()
+		var doc struct {
+			Response
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(r.Body).Decode(&doc); err != nil {
+			t.Fatalf("HTTP %d: body is not a JSON object: %v", r.StatusCode, err)
+		}
+		return r.StatusCode, doc.Response, doc.Error
+	}
+
+	first, _ := postOptimize(t, ts.URL, Request{Program: program, M: 16})
+	for _, declared := range []bool{true, false} {
+		if code, _, msg := post(padded(maxRequestBytes+1), declared); code != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "exceeds 1048576 bytes") {
+			t.Errorf("one byte over the limit (length declared: %t): HTTP %d %q, want 413", declared, code, msg)
+		}
+		code, atLimit, msg := post(padded(maxRequestBytes), declared)
+		if code != http.StatusOK || !atLimit.Cached || atLimit.Optimized != first.Optimized {
+			t.Errorf("exactly the limit (length declared: %t): HTTP %d %q cached=%t, want the first request's plan from the cache", declared, code, msg, atLimit.Cached)
+		}
+		if again, r := postOptimize(t, ts.URL, Request{Program: program, M: 16}); r.StatusCode != http.StatusOK || !again.Cached {
+			t.Errorf("a small request after the oversize one: HTTP %d cached=%t", r.StatusCode, again.Cached)
+		}
+	}
+	if m := s.Metrics(); m.Errors != 2 || m.Optimized != 5 || m.EngineRuns != 1 {
+		t.Errorf("errors = %d, optimized = %d, engine runs = %d, want 2, 5 and 1", m.Errors, m.Optimized, m.EngineRuns)
 	}
 }
 

@@ -95,10 +95,10 @@ func TestPlannerTwoClients(t *testing.T) {
 
 // TestZeroApplicationMissAllocs bounds what a miss costs when no rule
 // applies — 59 % of the programs the benchmark draws. The program is then
-// evaluated once per verification input where it was evaluated twice (and
-// compared with itself): the parent of the change that introduced the
-// Verifier measured 4 789 allocations for this request, so the bound is 60 %
-// of that.
+// evaluated once per machine size, the verification inputs of a size being
+// lanes of one list, where it was evaluated once per input: the parent of
+// the change that packed them measured 2 345 allocations for this request
+// (and the parent of the Verifier 4 789), the change 466.
 func TestZeroApplicationMissAllocs(t *testing.T) {
 	pl := NewPlanner(4096, 64)
 	prog, err := pl.ParseProgram(strings.TrimSuffix(strings.Repeat("scan(+) ; map inc ; ", 6), " ; "))
@@ -113,9 +113,9 @@ func TestZeroApplicationMissAllocs(t *testing.T) {
 			t.Fatalf("cached=%t applications=%v err=%v", cached, plan.Applications, err)
 		}
 	})
-	const parent = 4789
-	if allocs > 0.6*parent {
-		t.Errorf("a zero-application 12-stage miss allocates %.0f times, want ≤ %.0f", allocs, 0.6*parent)
+	const bound = 600
+	if allocs > bound {
+		t.Errorf("a zero-application 12-stage miss allocates %.0f times, want ≤ %d", allocs, bound)
 	}
-	t.Logf("%.0f allocations (parent %d)", allocs, parent)
+	t.Logf("%.0f allocations", allocs)
 }

@@ -23,6 +23,13 @@ type Fn struct {
 	Cost int
 	// F is the function itself.
 	F func(algebra.Value) algebra.Value
+	// Elementwise declares that F acts on each word of a block by itself,
+	// whatever the tuple nesting: applied to blocks that lay several inputs
+	// side by side it computes, word for word, what it computes on each
+	// input alone. Declared, not inferred — like the properties of
+	// algebra.Registry — and false is always safe: package rules then
+	// verifies a program containing the function one input at a time.
+	Elementwise bool
 }
 
 func (f *Fn) String() string { return f.Name }
@@ -33,13 +40,13 @@ func (f *Fn) String() string { return f.Name }
 // constant ... which we ignore" (§4.2).
 var (
 	// PairFn duplicates into a pair.
-	PairFn = &Fn{Name: "pair", F: algebra.Pair}
+	PairFn = &Fn{Name: "pair", F: algebra.Pair, Elementwise: true}
 	// TripleFn duplicates into a triple.
-	TripleFn = &Fn{Name: "triple", F: algebra.Triple}
+	TripleFn = &Fn{Name: "triple", F: algebra.Triple, Elementwise: true}
 	// QuadrupleFn duplicates into a quadruple.
-	QuadrupleFn = &Fn{Name: "quadruple", F: algebra.Quadruple}
+	QuadrupleFn = &Fn{Name: "quadruple", F: algebra.Quadruple, Elementwise: true}
 	// FirstFn is the projection π₁.
-	FirstFn = &Fn{Name: "pi_1", F: algebra.First}
+	FirstFn = &Fn{Name: "pi_1", F: algebra.First, Elementwise: true}
 )
 
 // IdxFn is a named function on per-processor values that additionally
