@@ -113,12 +113,6 @@ type Machine struct {
 	// costs the same either way; an armed Timeout is one pending runtime
 	// timer per run.
 	Timeout time.Duration
-	// Startup, when non-zero, makes every sender busy-wait that long
-	// before enqueuing a message — an injected per-message start-up for
-	// emulating networks where start-up dominates even more than
-	// goroutine scheduling already does. Zero (the default) measures the
-	// host's bare channel cost.
-	Startup time.Duration
 	// MailboxCap overrides the buffer depth per directed rank pair. Zero
 	// means the default (4), which is enough for every collective in
 	// package coll; fault-injecting decorators that put retransmissions
@@ -168,7 +162,6 @@ type world struct {
 	// before it arms the monitor, read by the monitor and, for the timeout
 	// diagnosis, by a condemned rank.
 	timeout, watchdog time.Duration
-	startup           time.Duration
 	transport         TransportMode
 	// mailboxCap is the capacity the world's mailboxes are made with; a
 	// run that wants another gets a fresh world.
@@ -369,7 +362,6 @@ func (l *link) outbound(pkt rank.Packet) rank.Packet {
 // Put enqueues a packet for dst. The fast path is a plain buffered-channel
 // send.
 func (l *link) Put(dst int, pkt rank.Packet) {
-	l.w.startupWait()
 	pkt = l.outbound(pkt)
 	ch := (*link)(l.w.procs[dst]).mailbox(l.Rank())
 	select {
@@ -397,7 +389,6 @@ func (l *link) putFull(ch chan rank.Packet, dst int, pkt rank.Packet) {
 func (l *link) TryPut(dst int, pkt rank.Packet) bool {
 	select {
 	case (*link)(l.w.procs[dst]).mailbox(l.Rank()) <- l.outbound(pkt):
-		l.w.startupWait()
 		return true
 	default:
 		return false
@@ -537,18 +528,6 @@ func (w *world) fail(reason string) {
 	}
 }
 
-// startupWait busy-waits for the injected per-message start-up. A spin
-// rather than a sleep: the emulated start-ups of interest sit well below
-// the scheduler's sleep granularity.
-func (w *world) startupWait() {
-	if w.startup <= 0 {
-		return
-	}
-	t0 := time.Now()
-	for time.Since(t0) < w.startup {
-	}
-}
-
 // Result summarises one native run.
 type Result struct {
 	// Makespan is the wall time from the barrier-synchronized start to
@@ -586,7 +565,7 @@ type Result struct {
 func (m *Machine) Run(body func(p *Proc)) Result {
 	w := m.park()
 	w.reset()
-	w.timeout, w.watchdog, w.startup, w.transport = m.Timeout, m.Watchdog, m.Startup, m.Transport
+	w.timeout, w.watchdog, w.transport = m.Timeout, m.Watchdog, m.Transport
 	w.body = body
 	w.running.Store(int32(len(w.procs)))
 	w.arm()

@@ -120,22 +120,6 @@ func TestSelfSendPanics(t *testing.T) {
 	})
 }
 
-func TestInjectedStartup(t *testing.T) {
-	const delay = 200 * time.Microsecond
-	nm := backend.New(2)
-	nm.Startup = delay
-	res := nm.Run(func(p *backend.Proc) {
-		if p.Rank() == 0 {
-			p.Send(1, algebra.Scalar(1), 1)
-		} else {
-			p.Recv(0, 1)
-		}
-	})
-	if res.Makespan < delay {
-		t.Fatalf("makespan %v shorter than the injected start-up %v", res.Makespan, delay)
-	}
-}
-
 func TestMarksRecorded(t *testing.T) {
 	nm := backend.New(2)
 	res := nm.Run(func(p *backend.Proc) {

@@ -7,15 +7,15 @@
 // CollectiveParams), and everything in this package is a view of those
 // timings that never asks which Host it got.
 //
-// The §4.1 model prices a program as a·ts + b·m·tw + c·m — a message
-// start-ups, b·m words shipped, c·m elementary operations — with ts and
-// tw expressed in multiples of one elementary operation. Calibration
-// runs a small family of microbenchmarks whose model coefficients are
-// known exactly (Coef): a two-rank ping-pong (start-up and transfer, no
-// compute), a pure local compute loop (the unit), and the three
-// butterfly collectives bcast/reduce/scan at several group and block
-// sizes (start-up, transfer and compute mixed in three different
-// ratios, which is what makes the three parameters separable). A
+// The §4.1 model prices a program by what it counts (cost.Line: message
+// start-ups, words shipped, elementary operations), with ts and tw in
+// multiples of one elementary operation. Calibration runs a small family
+// of microbenchmarks whose counts are known exactly (Coef): a two-rank
+// ping-pong (start-up and transfer, no compute), a pure local compute
+// loop (the unit), and the three butterfly collectives bcast/reduce/scan
+// — cost's equations (15)–(17) — at several group and block sizes
+// (start-up, transfer and compute mixed in three different ratios, which
+// is what makes the three parameters separable). A
 // weighted least-squares fit over all samples (FitSamples) recovers
 // TsNs, TwNs and TcNs — the start-up, per-word and per-operation costs
 // in nanoseconds — and reports residuals; dividing by TcNs yields the
@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/cost"
 	"repro/internal/exper"
 	"repro/internal/mpbackend"
 )
@@ -90,30 +91,22 @@ type Sample struct {
 // Coef returns the cost-model coefficients of one probe run of rounds
 // iterations at group size p and block size m: the number of message
 // start-ups, word transfers, and elementary operations that bound the
-// run's wall time. The group-size factor is ceil(log2 p), matching
-// cost.Params.LogP on non-power-of-two groups.
+// run's wall time. The counts of the three collective probes are
+// package cost's — equations (15)–(17) per word, as two cost.Lines:
+// the critical path, whose group-size factor is cost.Params.LogP on
+// non-power-of-two groups too, and the total work of all ranks.
 //
 // workers is the host's available parallelism (exper.Host.Workers; ≤ 0
-// means unlimited). With workers ≥ p the coefficients are
-// exactly the §4.1 critical-path counts — log p phases of one message
-// and 0/1/2 combines for bcast/reduce/scan, equations (15)–(17). With
-// fewer cores than ranks the ranks' concurrent phase work serializes,
-// so each coefficient becomes max(critical path, total work ÷ workers):
-// a binomial bcast/reduce ships p−1 messages in total, a butterfly scan
-// p·log p messages and 1.5·p·log p combines. Charging the serialized
+// means unlimited). With workers ≥ p the coefficients are exactly the
+// critical path. With fewer cores than ranks the ranks' concurrent phase
+// work serializes, so each coefficient becomes
+// max(critical path, total work ÷ workers). Charging the serialized
 // counts keeps the fitted TsNs/TcNs the true single-stream costs on any
 // host instead of silently inflating them.
 func Coef(probe string, p, m, rounds, workers int) (a, b, c float64) {
-	logp := 0.0
-	if p > 1 {
-		logp = math.Ceil(math.Log2(float64(p)))
-	}
-	w := float64(workers)
-	if workers <= 0 {
-		w = math.Inf(1)
-	}
-	r, mf, pf := float64(rounds), float64(m), float64(p)
-	var msgs, ops float64
+	r, mf := float64(rounds), float64(m)
+	perWord := cost.Params{P: p, M: 1}
+	var path, work cost.Line
 	switch probe {
 	case ProbePingPong:
 		// One round trip is two sequential one-way messages.
@@ -121,21 +114,24 @@ func Coef(probe string, p, m, rounds, workers int) (a, b, c float64) {
 	case ProbeCompute:
 		return 0, 0, r * mf
 	case ProbeBcast:
-		msgs, ops = math.Max(logp, (pf-1)/w), 0
+		path, work = cost.BcastLine(perWord)
 	case ProbeReduce:
-		// One combine per received message, p−1 messages on a binomial
-		// tree, log p of them on the critical path.
-		msgs = math.Max(logp, (pf-1)/w)
-		ops = msgs
+		path, work = cost.ReduceLine(perWord)
 	case ProbeScan:
-		// Butterfly: every phase exchanges p messages and combines the
-		// running total everywhere plus the prefix on half the ranks.
-		msgs = math.Max(logp, pf*logp/w)
-		ops = math.Max(2*logp, 1.5*pf*logp/w)
+		path, work = cost.ScanLine(perWord)
 	default:
 		panic(fmt.Sprintf("calib: unknown probe %q", probe))
 	}
-	return r * msgs, r * msgs * mf, r * ops * mf
+	w := float64(workers)
+	if workers <= 0 {
+		w = math.Inf(1)
+	}
+	bound := func(onPath, inAll float64) float64 {
+		return math.Max(path.Rounds*onPath, work.Rounds*inAll/w)
+	}
+	return r * bound(path.Startups, work.Startups),
+		r * bound(path.Words, work.Words) * mf,
+		r * bound(path.Ops, work.Ops) * mf
 }
 
 // Config sizes a calibration run.

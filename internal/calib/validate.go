@@ -67,9 +67,9 @@ func Validate(h exper.Host, fit Fit, cfg Config) ([]RuleValidation, error) {
 	}
 	var out []RuleValidation
 	for _, g := range groups {
-		entry, ok := cost.Lookup(g.Rule)
-		if !ok {
-			return nil, fmt.Errorf("calib: no Table 1 entry for %s", g.Rule)
+		entry, err := exper.Entry(g.Rule)
+		if err != nil {
+			return nil, err
 		}
 		v := RuleValidation{
 			Rule: g.Rule, Class: g.Class,

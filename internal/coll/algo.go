@@ -220,7 +220,8 @@ func ReducePipelined(c Comm, op *algebra.Op, x Value, segments int) Value {
 }
 
 // ringHalf runs a unidirectional ring reduce-scatter + allgather over one
-// half of the block, in direction d (+1: send to next, receive from prev;
+// half of the block (or all of it: ReduceScatter, AllReduceRing), in
+// direction d (+1: send to next, receive from prev;
 // −1: the mirror). acc is this rank's private copy of the half, split
 // into n chunks; after p−1 reduce-scatter steps chunk `rank` is complete,
 // and p−1 allgather steps circulate the finished chunks. deliver is
@@ -270,7 +271,8 @@ func (h *ringHalf) sendReduce(s int) { h.c.Send(h.peerOut(), h.acc[h.idx(s+1)], 
 // accumulator (incoming left: it carries the contributions of the ranks
 // behind us in ring order; for the elementwise commutative operators this
 // algorithm targets the order is immaterial, and for non-commutative ones
-// ring order is documented behavior, as in ReduceScatter).
+// ring order is documented behavior). The chunk is not sent until the
+// next step, so the combine accumulates into it in place.
 func (h *ringHalf) recvReduce(s int) {
 	i := h.idx(s + 2)
 	in := h.c.Recv(h.peerIn(), h.tag)

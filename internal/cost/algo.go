@@ -95,17 +95,18 @@ func PipelineSegments(p Params) int {
 		if k > p.M {
 			k = p.M
 		}
-		if c := pipelineCost(p, k); c < bestCost {
+		if c := pipelineLine(p, k).At(p); c < bestCost {
 			best, bestCost = k, c
 		}
 	}
 	return best
 }
 
-// pipelineCost is the chain-pipeline line at k segments:
-// (p−2+k)·(ts + (m/k)·(tw+1)).
-func pipelineCost(p Params, k int) float64 {
-	return float64(p.P-2+k) * (p.Ts + p.m()/float64(k)*(p.Tw+1))
+// pipelineLine is the chain-pipeline line at k segments: p−2+k slots of
+// one message of m/k words, each combined once.
+func pipelineLine(p Params, k int) Line {
+	seg := p.m() / float64(k)
+	return Line{float64(p.P - 2 + k), 1, seg, seg}
 }
 
 // Applicable reports whether the algorithm can run the collective at the
@@ -141,10 +142,10 @@ func Applicable(collective string, a Algo, p Params) bool {
 	return false
 }
 
-// AlgoCost is the closed-form §4.1-model cost line of running the
-// collective with the algorithm at parameters p. It returns ok = false
-// when the algorithm does not apply (see Applicable). The lines, with
-// q = (p−1)/p the reduce-scatter volume fraction:
+// AlgoLine is the §4.1-model line of running the collective with the
+// algorithm at parameters p. It returns ok = false when the algorithm
+// does not apply (see Applicable). The lines, with q = (p−1)/p the
+// reduce-scatter volume fraction:
 //
 //	butterfly     log p · (ts + m·(tw+1))            (equation (16))
 //	rabenseifner  2·log p·ts + 2q·m·tw + q·m  [+ fold for non-pow2 p]
@@ -156,30 +157,37 @@ func Applicable(collective string, a Algo, p Params) bool {
 // volume of one (the full-duplex assumption); on hosts whose links
 // serialize the two directions the measured crossover shifts — exactly
 // what calib.ValidateAlgos reports.
-func AlgoCost(collective string, a Algo, p Params) (float64, bool) {
+func AlgoLine(collective string, a Algo, p Params) (Line, bool) {
 	if !Applicable(collective, a, p) {
-		return 0, false
+		return Line{}, false
 	}
-	q := float64(p.P-1) / float64(p.P)
+	m, q := p.m(), float64(p.P-1)/float64(p.P)
 	switch a {
 	case AlgoButterfly:
-		return Reduce(p), true
+		l, _ := ReduceLine(p)
+		return l, true
 	case AlgoRabenseifner:
-		c := 2*p.LogP()*p.Ts + 2*q*p.m()*p.Tw + q*p.m()
+		l := Line{1, 2 * p.LogP(), 2 * q * m, q * m}
 		if p.P&(p.P-1) != 0 {
 			// Fold the surplus ranks into leaders first and unfold after:
 			// one full-block exchange each way plus one combine.
-			c += 2*p.Ts + 2*p.m()*p.Tw + p.m()
+			l = l.Add(Line{1, 2, 2 * m, m})
 		}
-		return c, true
+		return l, true
 	case AlgoRing:
-		return 2*float64(p.P-1)*p.Ts + 2*q*p.m()*p.Tw + q*p.m(), true
+		return Line{1, 2 * float64(p.P-1), 2 * q * m, q * m}, true
 	case AlgoRingBi:
-		return 2*float64(p.P-1)*p.Ts + q*p.m()*p.Tw + q*p.m(), true
+		return Line{1, 2 * float64(p.P-1), q * m, q * m}, true
 	case AlgoPipeline:
-		return pipelineCost(p, PipelineSegments(p)), true
+		return pipelineLine(p, PipelineSegments(p)), true
 	}
-	return 0, false
+	return Line{}, false
+}
+
+// AlgoCost is AlgoLine priced at p.
+func AlgoCost(collective string, a Algo, p Params) (float64, bool) {
+	l, ok := AlgoLine(collective, a, p)
+	return l.At(p), ok
 }
 
 // BreakEven finds, by bisection over the block size m within [1, hi],

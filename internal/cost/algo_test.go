@@ -42,9 +42,9 @@ func TestPipelineSegmentsMinimizes(t *testing.T) {
 		if k < 1 || k > p.M {
 			t.Fatalf("%+v: k=%d out of range", p, k)
 		}
-		best := pipelineCost(p, k)
+		best := pipelineLine(p, k).At(p)
 		for kk := 1; kk <= min(p.M, 512); kk++ {
-			if c := pipelineCost(p, kk); c < best-1e-9 {
+			if c := pipelineLine(p, kk).At(p); c < best-1e-9 {
 				t.Fatalf("%+v: k=%d (%.1f) beaten by k=%d (%.1f)", p, k, best, kk, c)
 			}
 		}

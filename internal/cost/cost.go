@@ -1,10 +1,14 @@
 // Package cost implements the performance-estimate calculus of §4 of the
-// paper: the butterfly-implementation cost formulas for the collective
-// operations (equations (15)–(17)), a general estimator for arbitrary
-// terms of the formal framework, and the closed-form Table 1 — for every
-// optimization rule, the time before, the time after, and the
-// machine-parameter condition under which applying the rule improves the
-// target performance.
+// paper. Its one idea is that a price is a count: every program costs
+// a·ts + b·m·tw + c·m, and a Line holds the a, b·m and c·m — message
+// start-ups, words shipped, elementary operations — before any machine
+// parameter is put in. Everything else here is a view of a Line: the
+// butterfly collectives of equations (15)–(17), the stage walk that
+// estimates arbitrary terms (Walk, OfTerm, OfTermAuto, Floor), the
+// algorithm portfolio and the sparse collectives, and Table 1, which is
+// not stored but derived — for every optimization rule, the Lines of its
+// two sides and the machine-parameter condition under which their
+// difference is positive (SymbolicOfTerm, DeriveCondition, EntryOf).
 package cost
 
 import (
@@ -41,19 +45,31 @@ func (p Params) LogP() float64 {
 // m returns the block size as a float.
 func (p Params) m() float64 { return float64(p.M) }
 
-// Bcast is equation (15): log p · (ts + m·tw).
-func Bcast(p Params) float64 {
-	return p.LogP() * (p.Ts + p.m()*p.Tw)
+// BcastLine, ReduceLine and ScanLine are equations (15)–(17) as counts,
+// in two columns. path is the equation: log p rounds of one m-word
+// message, with 0, 1 and 2 elementary operations per word for a base
+// operator. work is what all ranks do together: a binomial tree's p − 1
+// messages (and one combine per message, for the reduction); a butterfly
+// scan's p messages per round, the running total combined everywhere and
+// the prefix on half the ranks — 1.5·p·log p combines.
+func BcastLine(p Params) (path, work Line) { return collective(p, 0, float64(p.P-1), 0) }
+
+// ReduceLine is equation (16): log p · (ts + m·(tw+1)).
+func ReduceLine(p Params) (path, work Line) {
+	return collective(p, 1, float64(p.P-1), float64(p.P-1))
 }
 
-// Reduce is equation (16): log p · (ts + m·(tw+1)) for a base operator.
-func Reduce(p Params) float64 {
-	return p.LogP() * (p.Ts + p.m()*(p.Tw+1))
+// ScanLine is equation (17): log p · (ts + m·(tw+2)).
+func ScanLine(p Params) (path, work Line) {
+	msgs := float64(p.P) * p.LogP()
+	return collective(p, 2, msgs, 1.5*msgs)
 }
 
-// Scan is equation (17): log p · (ts + m·(tw+2)) for a base operator.
-func Scan(p Params) float64 {
-	return p.LogP() * (p.Ts + p.m()*(p.Tw+2))
+// collective is a butterfly collective on m-word blocks in both columns,
+// given its operations per word on the path and its totals per word.
+func collective(p Params, opsPerWord, msgs, combines float64) (path, work Line) {
+	m := p.m()
+	return Line{p.LogP(), 1, m, opsPerWord * m}, Line{1, msgs, msgs * m, combines * m}
 }
 
 // Pricing is the policy the stage walk charges stages under. It is a
@@ -84,7 +100,9 @@ type Step struct {
 	Stage term.Term
 	// In and Out are the per-processor block sizes before and after it.
 	In, Out float64
-	// Cost is the stage's price under the walk's policy.
+	// Line is the stage's butterfly line and Cost its price under the
+	// walk's policy — Line.At, unless the policy overrode it.
+	Line Line
 	Cost float64
 }
 
@@ -102,7 +120,8 @@ type Step struct {
 func Walk(t term.Term, p Params, pr Pricing, visit func(Step)) float64 {
 	total, b, logp := 0.0, p.m(), p.LogP()
 	for i, stage := range term.Stages(t) {
-		c, out := ofStage(stage, p, logp, b)
+		line, out := stageLine(stage, p, logp, b)
+		c := line.At(p)
 		switch pr {
 		case PricePortfolio:
 			if collective, at, ok := Selectable(stage, p, b); ok {
@@ -115,7 +134,7 @@ func Walk(t term.Term, p Params, pr Pricing, visit func(Step)) float64 {
 		}
 		total += c
 		if visit != nil {
-			visit(Step{Index: i, Stage: stage, In: b, Out: out, Cost: c})
+			visit(Step{Index: i, Stage: stage, In: b, Out: out, Line: line, Cost: c})
 		}
 		b = out
 	}
@@ -131,67 +150,67 @@ func Walk(t term.Term, p Params, pr Pricing, visit func(Step)) float64 {
 // Block sizes are tracked through the redistribution stages (see Walk).
 func OfTerm(t term.Term, p Params) float64 { return Walk(t, p, PriceButterfly, nil) }
 
-// ofStage estimates one stage at per-processor block size b (logp is
-// p.LogP(), computed once per walk) and returns its butterfly cost
+// stageLine is the one place a stage is priced: its butterfly Line at
+// per-processor block size b (logp is p.LogP(), computed once per walk)
 // together with the block size downstream stages see.
-func ofStage(t term.Term, p Params, logp, b float64) (float64, float64) {
+func stageLine(t term.Term, p Params, logp, b float64) (Line, float64) {
 	switch s := t.(type) {
 	case term.Map:
-		return float64(s.F.Cost) * b, b
+		return local(float64(s.F.Cost) * b), b
 	case term.MapIdx:
 		// The worst processor (rank p-1, all binary digits one for the
 		// repeat schema) bounds the makespan.
 		if s.F.Charge == nil {
-			return 0, b
+			return Line{}, b
 		}
-		return s.F.Charge(p.P-1, int(b)), b
+		return local(s.F.Charge(p.P-1, int(b))), b
 	case term.Bcast:
-		return logp * (p.Ts + b*p.Tw), b
+		return Line{logp, 1, b, 0}, b
 	case term.Gather:
 		// Binomial tree shipping half the remaining data per phase:
 		// log p start-ups and about p·b words through the root's link;
 		// the root ends up holding all p blocks.
-		return logp*p.Ts + float64(p.P)*b*p.Tw, b * float64(p.P)
+		return Line{1, logp, float64(p.P) * b, 0}, b * float64(p.P)
 	case term.Scatter:
 		// The mirror image: the root's b-word block leaves through its
 		// link and every processor keeps a 1/p share.
-		return logp*p.Ts + b*p.Tw, b / float64(p.P)
+		return Line{1, logp, b, 0}, b / float64(p.P)
 	case term.Scan:
 		a := float64(s.Op.Arity)
 		c := float64(s.Op.Cost)
-		return logp * (p.Ts + a*b*p.Tw + 2*c*b), b
+		return Line{logp, 1, a * b, 2 * c * b}, b
 	case term.ScanBal:
 		ship := float64(s.Op.ShipWidth)
 		c := float64(s.Op.CostHi)
-		return logp * (p.Ts + ship*b*p.Tw + c*b), b
+		return Line{logp, 1, ship * b, c * b}, b
 	case term.Reduce:
 		a := float64(s.Op.Arity)
 		c := float64(s.Op.Cost)
-		return logp * (p.Ts + a*b*p.Tw + c*b), b
+		return Line{logp, 1, a * b, c * b}, b
 	case term.Comcast:
 		if s.CostOptimal {
 			// log p rounds, each shipping the whole working tuple and
 			// computing both e and o on the critical path.
 			a := float64(s.Ops.Arity)
 			eo := float64(s.Ops.CostE + s.Ops.CostO)
-			return logp * (p.Ts + a*b*p.Tw + eo*b), b
+			return Line{logp, 1, a * b, eo * b}, b
 		}
 		// bcast + local repeat; the worst processor applies o each phase.
-		return logp*(p.Ts+b*p.Tw) + logp*float64(s.Ops.CostO)*b, b
+		return Line{logp, 1, b, float64(s.Ops.CostO) * b}, b
 	case term.Iter:
-		return logp * float64(s.Op.Cost) * b, b
+		return local(logp * float64(s.Op.Cost) * b), b
 	case term.Halo:
 		// k point-to-point transfers, output a width-|H| tuple of blocks.
-		return HaloLine(s.H, p, b), b * float64(haloWidth(s.H))
+		return HaloLine(s.H, p.P, b), b * float64(haloWidth(s.H))
 	case term.AllGatherV:
 		// The counts pin p and the total; downstream stages see the flat
 		// T-word concatenation.
-		return AllGatherVLine(s.Counts, p), float64(term.SumCounts(s.Counts))
+		return AllGatherVLine(s.Counts), float64(term.SumCounts(s.Counts))
 	case term.ReduceScatterV:
 		// The widest slice bounds the makespan; downstream stages see it.
-		return ReduceScatterVLine(s.Op.Cost, s.Counts, p), float64(maxCount(s.Counts))
+		return ReduceScatterVLine(s.Op.Cost, s.Counts), float64(maxCount(s.Counts))
 	}
-	return 0, b
+	return Line{}, b
 }
 
 // Floor is an admissible lower bound on the cost of every term reachable
@@ -220,104 +239,6 @@ func survivesRewriting(stage term.Term) bool {
 	return false
 }
 
-// lin is a linear form a·ts + b·m·tw + c·m (all per log p), the shape of
-// every Table 1 entry.
-type lin struct {
-	ts, mtw, m float64
-}
-
-func (l lin) eval(p Params) float64 {
-	return p.LogP() * (l.ts*p.Ts + l.mtw*p.m()*p.Tw + l.m*p.m())
-}
-
-// Entry is one row of Table 1: the rule name, the estimated times before
-// and after the rewrite, and the improvement condition.
-type Entry struct {
-	// Rule is the rule name as in §3.
-	Rule string
-	// Before and After give the estimated run times (including the
-	// log p factor, unlike the table's headings).
-	Before func(Params) float64
-	// After is the estimated run time of the right-hand side.
-	After func(Params) float64
-	// Improves reports whether the rule improves performance at the
-	// given parameters (the table's "Improved if" column).
-	Improves func(Params) bool
-	// Condition is the human-readable improvement condition.
-	Condition string
-}
-
-// entry builds an Entry from the two linear forms and condition.
-func entry(rule string, before, after lin, cond func(Params) bool, condStr string) Entry {
-	return Entry{
-		Rule:      rule,
-		Before:    before.eval,
-		After:     after.eval,
-		Improves:  cond,
-		Condition: condStr,
-	}
-}
-
-func always(Params) bool { return true }
-
-// Table1 returns the closed-form performance estimates of Table 1, one
-// entry per optimization rule, in the paper's order. CR-AllLocal, which
-// the paper defines in §3.5 but leaves out of the table, is appended with
-// the same accounting.
-func Table1() []Entry {
-	return []Entry{
-		entry("SR2-Reduction",
-			lin{2, 2, 3}, lin{1, 2, 3},
-			always, "always"),
-		entry("SR-Reduction",
-			lin{2, 2, 3}, lin{1, 2, 4},
-			func(p Params) bool { return p.Ts > p.m() },
-			"ts > m"),
-		entry("SS2-Scan",
-			lin{2, 2, 4}, lin{1, 2, 6},
-			func(p Params) bool { return p.Ts > 2*p.m() },
-			"ts > 2m"),
-		entry("SS-Scan",
-			lin{2, 2, 4}, lin{1, 3, 8},
-			func(p Params) bool { return p.Ts > p.m()*(p.Tw+4) },
-			"ts > m(tw+4)"),
-		entry("BS-Comcast",
-			lin{2, 2, 2}, lin{1, 1, 2},
-			always, "always"),
-		entry("BSS2-Comcast",
-			lin{3, 3, 4}, lin{1, 1, 5},
-			func(p Params) bool { return p.Tw+p.Ts/p.m() > 0.5 },
-			"tw + ts/m > 1/2"),
-		entry("BSS-Comcast",
-			lin{3, 3, 4}, lin{1, 1, 8},
-			func(p Params) bool { return p.Tw+p.Ts/p.m() > 2 },
-			"tw + ts/m > 2"),
-		entry("BR-Local",
-			lin{2, 2, 1}, lin{0, 0, 1},
-			always, "always"),
-		entry("BSR2-Local",
-			lin{3, 3, 3}, lin{0, 0, 3},
-			always, "always"),
-		entry("BSR-Local",
-			lin{3, 3, 3}, lin{0, 0, 4},
-			func(p Params) bool { return p.Tw+p.Ts/p.m() >= 1.0/3 },
-			"tw + ts/m >= 1/3"),
-		entry("CR-AllLocal",
-			lin{2, 2, 1}, lin{1, 1, 1},
-			always, "always"),
-	}
-}
-
-// Lookup returns the Table 1 entry for the named rule.
-func Lookup(rule string) (Entry, bool) {
-	for _, e := range Table1() {
-		if e.Rule == rule {
-			return e, true
-		}
-	}
-	return Entry{}, false
-}
-
 // Bisect halves the bracket [lo, hi] of a predicate that is monotone in
 // the block size — holds(lo) is true, holds(hi) is false — and returns
 // the narrowed bracket: lo is the largest m found to hold, hi the
@@ -338,7 +259,7 @@ func Bisect(lo, hi, steps int, holds func(m int) bool) (int, int) {
 
 // Crossover finds, by bisection over the block size m at fixed ts, tw and
 // p, the largest m (within [1, hi]) at which the rule still improves
-// performance according to the closed forms. It returns hi if the rule
+// performance according to its derived condition. It returns hi if the rule
 // improves everywhere and 0 if nowhere. Used to locate the predicted
 // crossover points such as SS2-Scan's m = ts/2.
 func Crossover(e Entry, base Params, hi int) int {

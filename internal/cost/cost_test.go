@@ -1,7 +1,6 @@
 package cost
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/algebra"
@@ -11,6 +10,8 @@ import (
 func params(ts, tw float64, m, p int) Params {
 	return Params{Ts: ts, Tw: tw, M: m, P: p}
 }
+
+func pathOf(path, _ Line) Line { return path }
 
 func TestLogP(t *testing.T) {
 	cases := []struct {
@@ -29,34 +30,34 @@ func TestLogP(t *testing.T) {
 func TestCollectiveFormulas(t *testing.T) {
 	p := params(100, 2, 16, 8)
 	// Equations (15)–(17) with log p = 3, m = 16.
-	if got, want := Bcast(p), 3*(100+16*2.0); got != want {
+	if got, want := pathOf(BcastLine(p)).At(p), 3*(100+16*2.0); got != want {
 		t.Errorf("Bcast = %g, want %g", got, want)
 	}
-	if got, want := Reduce(p), 3*(100+16*3.0); got != want {
+	if got, want := pathOf(ReduceLine(p)).At(p), 3*(100+16*3.0); got != want {
 		t.Errorf("Reduce = %g, want %g", got, want)
 	}
-	if got, want := Scan(p), 3*(100+16*4.0); got != want {
+	if got, want := pathOf(ScanLine(p)).At(p), 3*(100+16*4.0); got != want {
 		t.Errorf("Scan = %g, want %g", got, want)
 	}
 }
 
 func TestOfTermMatchesCollectiveFormulas(t *testing.T) {
 	p := params(50, 3, 32, 16)
-	if got := OfTerm(term.Bcast{}, p); got != Bcast(p) {
-		t.Errorf("OfTerm(bcast) = %g, want %g", got, Bcast(p))
+	if got := OfTerm(term.Bcast{}, p); got != pathOf(BcastLine(p)).At(p) {
+		t.Errorf("OfTerm(bcast) = %g, want %g", got, pathOf(BcastLine(p)).At(p))
 	}
-	if got := OfTerm(term.Reduce{Op: algebra.Add}, p); got != Reduce(p) {
-		t.Errorf("OfTerm(reduce) = %g, want %g", got, Reduce(p))
+	if got := OfTerm(term.Reduce{Op: algebra.Add}, p); got != pathOf(ReduceLine(p)).At(p) {
+		t.Errorf("OfTerm(reduce) = %g, want %g", got, pathOf(ReduceLine(p)).At(p))
 	}
-	if got := OfTerm(term.Scan{Op: algebra.Add}, p); got != Scan(p) {
-		t.Errorf("OfTerm(scan) = %g, want %g", got, Scan(p))
+	if got := OfTerm(term.Scan{Op: algebra.Add}, p); got != pathOf(ScanLine(p)).At(p) {
+		t.Errorf("OfTerm(scan) = %g, want %g", got, pathOf(ScanLine(p)).At(p))
 	}
 }
 
 func TestOfTermSumsStages(t *testing.T) {
 	p := params(50, 3, 32, 16)
 	seq := term.Seq{term.Bcast{}, term.Scan{Op: algebra.Add}}
-	if got, want := OfTerm(seq, p), Bcast(p)+Scan(p); got != want {
+	if got, want := OfTerm(seq, p), pathOf(BcastLine(p)).At(p)+pathOf(ScanLine(p)).At(p); got != want {
 		t.Errorf("OfTerm(seq) = %g, want %g", got, want)
 	}
 }
@@ -99,7 +100,7 @@ func TestOfTermDerivedOperators(t *testing.T) {
 	// comcast via bcast+repeat (BS): bcast + log p · 2m.
 	bs := algebra.OpCompBS(algebra.Add)
 	got = OfTerm(term.Comcast{Ops: bs}, p)
-	want = Bcast(p) + logp*2*m
+	want = pathOf(BcastLine(p)).At(p) + logp*2*m
 	if got != want {
 		t.Errorf("comcast(bs) = %g, want %g", got, want)
 	}
@@ -129,153 +130,6 @@ func TestOfTermDerivedOperators(t *testing.T) {
 	// map pair and map π₁ are free (§4.2).
 	if got := OfTerm(term.Map{F: term.PairFn}, p); got != 0 {
 		t.Errorf("map pair = %g, want 0", got)
-	}
-}
-
-func TestTable1EntriesComplete(t *testing.T) {
-	want := []string{
-		"SR2-Reduction", "SR-Reduction", "SS2-Scan", "SS-Scan",
-		"BS-Comcast", "BSS2-Comcast", "BSS-Comcast",
-		"BR-Local", "BSR2-Local", "BSR-Local", "CR-AllLocal",
-	}
-	got := Table1()
-	if len(got) != len(want) {
-		t.Fatalf("Table1 has %d entries, want %d", len(got), len(want))
-	}
-	for i, e := range got {
-		if e.Rule != want[i] {
-			t.Errorf("entry %d = %s, want %s", i, e.Rule, want[i])
-		}
-	}
-}
-
-func TestTable1ClosedForms(t *testing.T) {
-	// Spot-check the linear forms against the printed table at
-	// ts = 100, tw = 2, m = 10, p = 8 (log p = 3).
-	p := params(100, 2, 10, 8)
-	logp := 3.0
-	cases := []struct {
-		rule          string
-		before, after float64
-	}{
-		{"SR2-Reduction", logp * (2*100 + 10*(2*2+3)), logp * (100 + 10*(2*2+3))},
-		{"SR-Reduction", logp * (2*100 + 10*(2*2+3)), logp * (100 + 10*(2*2+4))},
-		{"SS2-Scan", logp * (2*100 + 10*(2*2+4)), logp * (100 + 10*(2*2+6))},
-		{"SS-Scan", logp * (2*100 + 10*(2*2+4)), logp * (100 + 10*(3*2+8))},
-		{"BS-Comcast", logp * (2*100 + 10*(2*2+2)), logp * (100 + 10*(2+2))},
-		{"BSS2-Comcast", logp * (3*100 + 10*(3*2+4)), logp * (100 + 10*(2+5))},
-		{"BSS-Comcast", logp * (3*100 + 10*(3*2+4)), logp * (100 + 10*(2+8))},
-		{"BR-Local", logp * (2*100 + 10*(2*2+1)), logp * 10},
-		{"BSR2-Local", logp * (3*100 + 10*(3*2+3)), logp * 3 * 10},
-		{"BSR-Local", logp * (3*100 + 10*(3*2+3)), logp * 4 * 10},
-	}
-	for _, c := range cases {
-		e, ok := Lookup(c.rule)
-		if !ok {
-			t.Fatalf("no entry %s", c.rule)
-		}
-		if got := e.Before(p); got != c.before {
-			t.Errorf("%s before = %g, want %g", c.rule, got, c.before)
-		}
-		if got := e.After(p); got != c.after {
-			t.Errorf("%s after = %g, want %g", c.rule, got, c.after)
-		}
-	}
-}
-
-func TestTable1Conditions(t *testing.T) {
-	cases := []struct {
-		rule string
-		p    Params
-		want bool
-	}{
-		// SR-Reduction: ts > m.
-		{"SR-Reduction", params(100, 1, 50, 8), true},
-		{"SR-Reduction", params(100, 1, 200, 8), false},
-		// SS2-Scan: ts > 2m (§4.2).
-		{"SS2-Scan", params(100, 1, 49, 8), true},
-		{"SS2-Scan", params(100, 1, 50, 8), false},
-		{"SS2-Scan", params(100, 1, 51, 8), false},
-		// SS-Scan: ts > m(tw+4).
-		{"SS-Scan", params(100, 1, 19, 8), true},
-		{"SS-Scan", params(100, 1, 21, 8), false},
-		// BSS2-Comcast: tw + ts/m > 1/2.
-		{"BSS2-Comcast", params(1, 1, 1000, 8), true}, // tw alone exceeds 1/2
-		{"BSS2-Comcast", params(1, 0.1, 1000, 8), false},
-		// BSS-Comcast: tw + ts/m > 2.
-		{"BSS-Comcast", params(1, 3, 1000, 8), true},
-		{"BSS-Comcast", params(1, 1, 1000, 8), false},
-		// BSR-Local: tw + ts/m >= 1/3.
-		{"BSR-Local", params(1, 1, 1000, 8), true},
-		{"BSR-Local", params(1, 0.1, 1000, 8), false},
-		// Always-on rules.
-		{"SR2-Reduction", params(0.001, 0.001, 100000, 8), true},
-		{"BS-Comcast", params(0.001, 0.001, 100000, 8), true},
-		{"BR-Local", params(0.001, 0.001, 100000, 8), true},
-		{"BSR2-Local", params(0.001, 0.001, 100000, 8), true},
-		{"CR-AllLocal", params(0.001, 0.001, 100000, 8), true},
-	}
-	for _, c := range cases {
-		e, ok := Lookup(c.rule)
-		if !ok {
-			t.Fatalf("no entry %s", c.rule)
-		}
-		if got := e.Improves(c.p); got != c.want {
-			t.Errorf("%s.Improves(%+v) = %v, want %v", c.rule, c.p, got, c.want)
-		}
-	}
-}
-
-// TestTable1ConditionsConsistent checks, for every rule and a wide
-// parameter sweep, that the printed improvement condition agrees with
-// Before > After — i.e., the table is internally consistent.
-func TestTable1ConditionsConsistent(t *testing.T) {
-	for _, e := range Table1() {
-		for _, ts := range []float64{0.5, 1, 10, 100, 1000, 10000} {
-			for _, tw := range []float64{0.1, 1, 2, 8} {
-				for _, m := range []int{1, 10, 100, 1000, 30000} {
-					p := params(ts, tw, m, 64)
-					improves := e.Before(p) > e.After(p)
-					cond := e.Improves(p)
-					// The BSR-Local condition is ≥, so allow equality
-					// to disagree by a hair at the exact boundary.
-					if improves != cond && math.Abs(e.Before(p)-e.After(p)) > 1e-9 {
-						t.Errorf("%s at %+v: before=%g after=%g improves=%v cond(%s)=%v",
-							e.Rule, p, e.Before(p), e.After(p), improves, e.Condition, cond)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestSS2CrossoverAtTsOver2(t *testing.T) {
-	// §4.2: SS2-Scan pays off iff ts > 2m, so the crossover block size
-	// at ts = 1000 is m = 499 (the largest m with 1000 > 2m... m = 499
-	// since m = 500 gives equality).
-	e, _ := Lookup("SS2-Scan")
-	base := params(1000, 1, 0, 64)
-	got := Crossover(e, base, 1<<20)
-	if got != 499 {
-		t.Fatalf("SS2 crossover = %d, want 499", got)
-	}
-}
-
-func TestCrossoverEdges(t *testing.T) {
-	always, _ := Lookup("SR2-Reduction")
-	if got := Crossover(always, params(1, 1, 0, 8), 1024); got != 1024 {
-		t.Fatalf("always-improving crossover = %d, want 1024", got)
-	}
-	ss, _ := Lookup("SS-Scan")
-	// ts = 1: improves only if 1 > m(tw+4) — false even at m = 1 with tw = 1.
-	if got := Crossover(ss, params(1, 1, 0, 8), 1024); got != 0 {
-		t.Fatalf("never-improving crossover = %d, want 0", got)
-	}
-}
-
-func TestLookupMissing(t *testing.T) {
-	if _, ok := Lookup("nope"); ok {
-		t.Fatal("Lookup found a nonexistent rule")
 	}
 }
 
@@ -319,5 +173,29 @@ func TestOfTermTracksBlockSize(t *testing.T) {
 	want = (logp*p.Ts + pp*m*p.Tw) + 3*pp*m + (logp*p.Ts + pp*m*p.Tw)
 	if got := OfTerm(seq, p); got != want {
 		t.Errorf("OfTerm(gather;map;scatter) = %g, want %g", got, want)
+	}
+}
+
+// TestWalksAllocFree pins the three estimators at zero allocations on a
+// dense and on a halo program: a Line is returned by value, and the plan
+// search makes thousands of these calls per miss.
+func TestWalksAllocFree(t *testing.T) {
+	p := params(100, 2, 64, 8)
+	halo := term.Halo{H: &term.Hood{Offsets: []int{-1, 1}}}
+	progs := map[string]term.Term{
+		"dense": term.Seq{
+			term.Bcast{}, term.Scan{Op: algebra.Mul}, term.Scan{Op: algebra.Add},
+			term.Map{F: &term.Fn{Name: "f", Cost: 2}}, term.Gather{}, term.Scatter{},
+			term.Reduce{Op: algebra.Add}, term.Reduce{Op: algebra.Add, All: true},
+			term.Comcast{Ops: algebra.OpCompBS(algebra.Add)}, term.Iter{Op: algebra.OpBR(algebra.Add)},
+		},
+		"halo": term.Seq{halo, term.Map{F: &term.Fn{Name: "f", Cost: 1}}, halo, term.Reduce{Op: algebra.Add}},
+	}
+	for name, prog := range progs {
+		for walk, f := range map[string]func(term.Term, Params) float64{"OfTerm": OfTerm, "OfTermAuto": OfTermAuto, "Floor": Floor} {
+			if allocs := testing.AllocsPerRun(100, func() { f(prog, p) }); allocs != 0 {
+				t.Errorf("%s(%s) allocates %.0f times", walk, name, allocs)
+			}
+		}
 	}
 }

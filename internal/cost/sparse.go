@@ -64,38 +64,31 @@ func haloWidth(h *term.Hood) int {
 	return worst
 }
 
-// HaloLine is the halo-exchange estimate at block size b:
+// HaloLine is the halo exchange on p ranks at block size b:
 // k·(ts + b·tw) for k = HaloDegree — one start-up and one b-word
 // transfer per distinct neighbor.
-func HaloLine(h *term.Hood, p Params, b float64) float64 {
-	return float64(HaloDegree(h, p.P)) * (p.Ts + b*p.Tw)
+func HaloLine(h *term.Hood, p int, b float64) Line {
+	return Line{float64(HaloDegree(h, p)), 1, b, 0}
 }
 
-// AllGatherVLine is the ring allgatherv estimate for a counts vector
-// with total T = Σcounts: p−1 rounds of one start-up each, shipping
-// all but the rank's own block through each link —
-// (p−1)·ts + ((p−1)/p)·T·tw.
-func AllGatherVLine(counts []int, p Params) float64 {
-	n := len(counts)
-	if n <= 1 {
-		return 0
-	}
-	T := float64(term.SumCounts(counts))
-	return float64(n-1)*p.Ts + float64(n-1)/float64(n)*T*p.Tw
-}
+// AllGatherVLine is the ring allgatherv for a counts vector with total
+// T = Σcounts: p−1 rounds of one start-up each, shipping all but the
+// rank's own block through each link — (p−1)·ts + ((p−1)/p)·T·tw: the
+// reduce-scatter's traffic with nothing to combine.
+func AllGatherVLine(counts []int) Line { return ReduceScatterVLine(0, counts) }
 
-// ReduceScatterVLine is the direct pairwise reduce-scatter estimate:
-// p−1 start-ups, all but the rank's own slice of T words through each
-// link, and p−1 combines of the widest slice at c ops per element —
+// ReduceScatterVLine is the direct pairwise reduce-scatter: p−1
+// start-ups, all but the rank's own slice of T words through each link,
+// and p−1 combines of the widest slice at c ops per element —
 // (p−1)·ts + ((p−1)/p)·T·tw + (p−1)·c·max(counts).
-func ReduceScatterVLine(opCost int, counts []int, p Params) float64 {
+func ReduceScatterVLine(opCost int, counts []int) Line {
 	n := len(counts)
 	if n <= 1 {
-		return 0
+		return Line{}
 	}
 	T := float64(term.SumCounts(counts))
-	return float64(n-1)*p.Ts + float64(n-1)/float64(n)*T*p.Tw +
-		float64(n-1)*float64(opCost)*float64(maxCount(counts))
+	return Line{1, float64(n - 1), float64(n-1) / float64(n) * T,
+		float64(n-1) * float64(opCost) * float64(maxCount(counts))}
 }
 
 func maxCount(counts []int) int {

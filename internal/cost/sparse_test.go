@@ -36,19 +36,19 @@ func TestHaloDegreeDedup(t *testing.T) {
 func TestSparseCostLines(t *testing.T) {
 	p := Params{Ts: 4, Tw: 1, P: 4}
 	h := &term.Hood{Offsets: []int{-1, 1}}
-	if got := HaloLine(h, p, 3); got != 2*(4+3) {
+	if got := HaloLine(h, p.P, 3).At(p); got != 2*(4+3) {
 		t.Errorf("HaloLine = %v, want 14", got)
 	}
 	counts := []int{1, 2, 3}
 	// (p−1)·ts + ((p−1)/p)·T·tw with p = 3, T = 6.
-	if got := AllGatherVLine(counts, p); got != 2*4+2.0/3.0*6 {
+	if got := AllGatherVLine(counts).At(p); got != 2*4+2.0/3.0*6 {
 		t.Errorf("AllGatherVLine = %v, want 12", got)
 	}
-	if got := AllGatherVLine([]int{5}, p); got != 0 {
+	if got := AllGatherVLine([]int{5}).At(p); got != 0 {
 		t.Errorf("single-rank AllGatherVLine = %v, want 0", got)
 	}
 	// + (p−1)·c·max(counts) combine time.
-	if got := ReduceScatterVLine(1, counts, p); got != 12+2*3 {
+	if got := ReduceScatterVLine(1, counts).At(p); got != 12+2*3 {
 		t.Errorf("ReduceScatterVLine = %v, want 18", got)
 	}
 }

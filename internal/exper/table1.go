@@ -56,6 +56,18 @@ func RulePair(rule string, p int) (lhs, rhs core.Program, err error) {
 	return lhs, rhs, fmt.Errorf("exper: no pattern for %s", rule)
 }
 
+// Entry derives the named rule's row of Table 1 from its two sides as the
+// rule engine produces them (on two ranks: the per-log-p coefficients do
+// not depend on the machine size, and the Local rules need a power of
+// two). Nothing stores the table; this is the one place it is assembled.
+func Entry(rule string) (cost.Entry, error) {
+	lhs, rhs, err := RulePair(rule, 2)
+	if err != nil {
+		return cost.Entry{}, err
+	}
+	return cost.EntryOf(rule, lhs.Term(), rhs.Term()), nil
+}
+
 // ApplyRule rewrites lhs on p ranks with an engine holding only the named
 // rule, and expects exactly one application — the right-hand side of one
 // rule, not whatever the full rule set would make of it. RulePair feeds
@@ -161,8 +173,8 @@ func (g RuleSweep) LastWin(steps int) int {
 	return lo
 }
 
-// Table1Row is one row of the reproduced Table 1: the closed-form
-// estimates plus, when measured, the virtual-machine makespans of the
+// Table1Row is one row of the reproduced Table 1: the derived estimates
+// (Entry) plus, when measured, the virtual-machine makespans of the
 // rule's left- and right-hand sides.
 type Table1Row struct {
 	// Rule is the rule name.
@@ -194,9 +206,9 @@ func Table1(mach core.Machine, measured bool, run Runner) []Table1Row {
 	params := cost.Params{Ts: mach.Ts, Tw: mach.Tw, M: mach.M, P: mach.P}
 	var out []Table1Row
 	for _, pat := range Patterns() {
-		entry, ok := cost.Lookup(pat.Rule)
-		if !ok {
-			panic(fmt.Sprintf("exper: no Table 1 entry for %s", pat.Rule))
+		entry, err := Entry(pat.Rule)
+		if err != nil {
+			panic(err.Error())
 		}
 		row := Table1Row{
 			Rule:         pat.Rule,
@@ -267,7 +279,7 @@ func MeasureCrossover(ruleName string, mach core.Machine, maxM int, run Runner) 
 	if err != nil || len(groups) != 1 {
 		panic(fmt.Sprintf("exper: cannot measure %s on %d ranks: %v", ruleName, mach.P, err))
 	}
-	entry, _ := cost.Lookup(ruleName) // every pattern has an entry: Table1 panics otherwise
+	entry, _ := Entry(ruleName) // SweepRules just applied the rule
 	return CrossoverResult{
 		Rule:      ruleName,
 		Predicted: cost.Crossover(entry, cost.Params{Ts: mach.Ts, Tw: mach.Tw, P: mach.P}, maxM),

@@ -50,11 +50,6 @@ type Machine struct {
 	// Timeout bounds how long a processor may block in Recv before the
 	// run is aborted with a deadlock diagnosis. Zero means no bound.
 	Timeout time.Duration
-	// LinkCost, when non-nil, overrides Params per directed link — the
-	// hook for non-uniform machines such as clusters of SMPs, where
-	// intra-node links are much cheaper than inter-node ones. The
-	// function must be symmetric for Exchange to stay consistent.
-	LinkCost func(src, dst int) Params
 	// MailboxCap overrides the buffer depth per directed processor pair.
 	// Zero means the default (4), which is enough for every collective in
 	// package coll; fault-injecting decorators that put retransmissions
@@ -128,14 +123,8 @@ func (p *Proc) Compute(n float64) {
 // deadlock.
 type link Proc
 
-// cost is the transfer time of w words over the (src, dst) link.
-func (l *link) cost(src, dst, w int) float64 {
-	c := l.m.Params
-	if l.m.LinkCost != nil {
-		c = l.m.LinkCost(src, dst)
-	}
-	return c.Ts + float64(w)*c.Tw
-}
+// cost is the transfer time of w words over any link.
+func (l *link) cost(w int) float64 { return l.m.Params.Ts + float64(w)*l.m.Params.Tw }
 
 // stamp is pkt departing now, as a borrow.
 func (l *link) stamp(pkt rank.Packet) packet {
@@ -145,7 +134,7 @@ func (l *link) stamp(pkt rank.Packet) packet {
 
 // sent occupies the sender for out's transfer.
 func (l *link) sent(dst int, out packet) {
-	l.clock += l.cost(l.Rank(), dst, out.words)
+	l.clock += l.cost(out.words)
 	l.m.trace(Event{Kind: EvSend, Proc: l.Rank(), Peer: dst, Words: out.words, Start: out.depart, End: l.clock, Tag: out.Tag})
 }
 
@@ -223,7 +212,7 @@ func (l *link) await(src, want int, doing string) packet {
 // clock and the sender's departure.
 func (l *link) arrive(peer int, in packet, kind EventKind) rank.Packet {
 	start := max(l.clock, in.depart)
-	l.clock = start + l.cost(peer, l.Rank(), in.words)
+	l.clock = start + l.cost(in.words)
 	l.m.trace(Event{Kind: kind, Proc: l.Rank(), Peer: peer, Words: in.words, Start: start, End: l.clock, Tag: in.Tag})
 	return in.Packet
 }

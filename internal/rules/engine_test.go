@@ -159,54 +159,6 @@ func TestCostGuidedRefusesWhenUnprofitable(t *testing.T) {
 	}
 }
 
-func TestCostGuidedMatchesTable1Predicate(t *testing.T) {
-	// For every rule with a Table 1 entry, the engine's accept/refuse
-	// decision from the general term estimator must agree with the
-	// closed-form improvement condition, across a parameter sweep.
-	patterns := map[string]term.Seq{
-		"SR2-Reduction": {term.Scan{Op: algebra.Mul}, term.Reduce{Op: algebra.Add}},
-		"SR-Reduction":  {term.Scan{Op: algebra.Add}, term.Reduce{Op: algebra.Add}},
-		"SS2-Scan":      {term.Scan{Op: algebra.Mul}, term.Scan{Op: algebra.Add}},
-		"SS-Scan":       {term.Scan{Op: algebra.Add}, term.Scan{Op: algebra.Add}},
-		"BS-Comcast":    {term.Bcast{}, term.Scan{Op: algebra.Add}},
-		"BSS2-Comcast":  {term.Bcast{}, term.Scan{Op: algebra.Mul}, term.Scan{Op: algebra.Add}},
-		"BSS-Comcast":   {term.Bcast{}, term.Scan{Op: algebra.Add}, term.Scan{Op: algebra.Add}},
-		"BR-Local":      {term.Bcast{}, term.Reduce{Op: algebra.Add}},
-		"BSR2-Local":    {term.Bcast{}, term.Scan{Op: algebra.Mul}, term.Reduce{Op: algebra.Add}},
-		"BSR-Local":     {term.Bcast{}, term.Scan{Op: algebra.Add}, term.Reduce{Op: algebra.Add}},
-		"CR-AllLocal":   {term.Bcast{}, term.Reduce{Op: algebra.Add, All: true}},
-	}
-	sweep := []cost.Params{}
-	for _, ts := range []float64{1, 10, 100, 1000, 10000} {
-		for _, tw := range []float64{1, 4} {
-			for _, m := range []int{1, 16, 256, 4096} {
-				sweep = append(sweep, cost.Params{Ts: ts, Tw: tw, M: m, P: 64})
-			}
-		}
-	}
-	for name, prog := range patterns {
-		entry, ok := cost.Lookup(name)
-		if !ok {
-			t.Fatalf("no Table 1 entry for %s", name)
-		}
-		r, ok := ByName(name)
-		if !ok {
-			t.Fatalf("no rule named %s", name)
-		}
-		for _, p := range sweep {
-			e := NewCostGuidedEngine(p)
-			e.Rules = []Rule{r} // isolate the rule under test
-			_, apps := e.Optimize(prog)
-			applied := len(apps) == 1
-			want := entry.Improves(p)
-			if applied != want {
-				t.Errorf("%s at %+v: engine applied=%v, Table 1 improves=%v",
-					name, p, applied, want)
-			}
-		}
-	}
-}
-
 func TestApplicableListsWithoutRewriting(t *testing.T) {
 	e := NewEngine()
 	prog := term.Seq{term.Bcast{}, term.Scan{Op: algebra.Add}, term.Scan{Op: algebra.Add}}
