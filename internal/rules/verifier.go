@@ -3,6 +3,7 @@ package rules
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -101,7 +102,18 @@ type configKey struct {
 }
 
 func (c VerifyConfig) key() configKey {
-	return configKey{fmt.Sprint(c.Sizes), c.Pow2Only, c.trials(), c.Seed, c.BlockWords, c.RelTol}
+	// Sizes as fmt.Sprint prints them, "[1 2 4 8]", without fmt: this runs
+	// once per derivation and once per application.
+	var buf [64]byte
+	sizes := append(buf[:0], '[')
+	for i, n := range c.Sizes {
+		if i > 0 {
+			sizes = append(sizes, ' ')
+		}
+		sizes = strconv.AppendInt(sizes, int64(n), 10)
+	}
+	sizes = append(sizes, ']')
+	return configKey{string(sizes), c.Pow2Only, c.trials(), c.Seed, c.BlockWords, c.RelTol}
 }
 
 // instanceKey identifies a rule instance under a config. Window and

@@ -3,7 +3,6 @@ package serve
 import (
 	"container/list"
 	"fmt"
-	"hash/fnv"
 	"sync"
 )
 
@@ -20,7 +19,26 @@ type Cache struct {
 	// perShard is the LRU bound of each shard; the total capacity is
 	// perShard · len(shards).
 	perShard int
+	bodies   bodyIndex
 }
+
+// bodyIndex is the cache's second door: request body → cache key, for
+// bodies the planner has answered from a ready entry before. It only ever
+// leads to an entry — a key that is pending, failed or gone answers
+// nothing, and the caller goes the long way round, through GetOrCompute —
+// so what it holds, and what it has dropped, cannot change an answer.
+type bodyIndex struct {
+	mu   sync.RWMutex
+	keys map[string]string
+	max  int // bound of len(keys): the capacity the cache was asked for
+}
+
+// maxIndexedBody is the longest body the index keeps. A client renders a
+// program the same way every time, so one spelling per plan is the common
+// case; capacity bodies of this size (16 MiB at the default geometry) is
+// what the index may cost. The benchmark's and the load generator's bodies
+// are under 200 bytes; a longer body is still answered, the long way round.
+const maxIndexedBody = 4 << 10
 
 type cacheShard struct {
 	mu      sync.Mutex
@@ -29,6 +47,8 @@ type cacheShard struct {
 	// computing are never evicted.
 	lru                                list.List
 	hits, misses, coalesced, evictions uint64
+	// byBody counts the hits among hits that came in through the body index.
+	byBody uint64
 }
 
 // cacheEntry is one slot: done is closed when plan/err are set.
@@ -54,6 +74,10 @@ type CacheStats struct {
 	Size     int `json:"size"`
 	Capacity int `json:"capacity"`
 	Shards   int `json:"shards"`
+	// ByBody counts the hits (they are in Hits too) answered through the
+	// body index, Bodies the request bodies it holds.
+	ByBody uint64 `json:"by_body"`
+	Bodies int    `json:"bodies"`
 }
 
 // HitRate is hits+coalesced over all lookups (0 when none yet).
@@ -86,13 +110,73 @@ func NewCache(capacity, shards int) *Cache {
 	for i := range c.shards {
 		c.shards[i].entries = make(map[string]*list.Element)
 	}
+	c.bodies = bodyIndex{keys: make(map[string]string), max: max(capacity, 1)}
 	return c
 }
 
+// shard hashes key with FNV-1a (hash/fnv's New32a, without the hash.Hash32
+// and the []byte copy of the key it costs per lookup).
 func (c *Cache) shard(key string) *cacheShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &c.shards[h.Sum32()&c.mask]
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return &c.shards[h&c.mask]
+}
+
+// byBody answers a request body the index knows from the ready entry its
+// key leads to, counting the hit and refreshing the entry's recency exactly
+// as GetOrCompute does. A body it does not know, and a key whose entry is
+// pending, failed, gone or holds a plan without a rendering cell, count
+// nothing and report false: GetOrCompute then counts that request, once.
+func (c *Cache) byBody(body []byte) (plan Plan, ok bool) {
+	if len(body) > maxIndexedBody {
+		return plan, false
+	}
+	c.bodies.mu.RLock()
+	key, ok := c.bodies.keys[string(body)]
+	c.bodies.mu.RUnlock()
+	if !ok {
+		return plan, false
+	}
+	sh := c.shard(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	el, ok := sh.entries[key]
+	if !ok {
+		return plan, false
+	}
+	e := el.Value.(*cacheEntry)
+	select {
+	case <-e.done:
+	default:
+		return plan, false
+	}
+	if e.err != nil || e.plan.hit == nil {
+		return plan, false
+	}
+	sh.hits++
+	sh.byBody++
+	sh.lru.MoveToFront(el)
+	return e.plan, true
+}
+
+// remember records that body asks for key; the caller has just answered
+// body from key's ready entry. A full index drops an arbitrary body.
+func (c *Cache) remember(body []byte, key string) {
+	if len(body) > maxIndexedBody {
+		return
+	}
+	ix := &c.bodies
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if len(ix.keys) >= ix.max {
+		for b := range ix.keys {
+			delete(ix.keys, b)
+			break
+		}
+	}
+	ix.keys[string(body)] = key
 }
 
 // GetOrCompute returns the plan for key, computing it with compute on a
@@ -214,8 +298,12 @@ func (c *Cache) Stats() CacheStats {
 		s.Misses += sh.misses
 		s.Coalesced += sh.coalesced
 		s.Evictions += sh.evictions
+		s.ByBody += sh.byBody
 		s.Size += len(sh.entries)
 		sh.mu.Unlock()
 	}
+	c.bodies.mu.RLock()
+	s.Bodies = len(c.bodies.keys)
+	c.bodies.mu.RUnlock()
 	return s
 }

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/coll/sel"
@@ -47,6 +50,34 @@ type Plan struct {
 	// Term is the optimized program term, for executing the plan; not
 	// serialized.
 	Term term.Seq `json:"-"`
+
+	// hit is the plan's answer as a cache hit, rendered by the first one.
+	// The cell is allocated with the plan, so every copy the cache hands
+	// out shares one rendering; nil on a plan the planner did not compute.
+	hit *hitBody
+}
+
+// hitBody is Response{Plan, Cached: true, Machine} as writeJSON renders it.
+// The machine is the one the plan was computed at; it is part of the cache
+// key, so every unfused hit of the plan's entry asked for exactly it.
+type hitBody struct {
+	mach core.Machine
+	once sync.Once
+	body []byte
+	// length is body's Content-Length header, shared by every answer.
+	length []string
+}
+
+// render returns the cell filled; safe for concurrent hits of one plan.
+func (p Plan) render() *hitBody {
+	h := p.hit
+	h.once.Do(func() {
+		var buf bytes.Buffer
+		encodeJSON(&buf, Response{Plan: p, Cached: true, Machine: h.mach})
+		h.body = bytes.Clone(buf.Bytes())
+		h.length = []string{strconv.Itoa(len(h.body))}
+	})
+	return h
 }
 
 // Planner turns program sources into verified optimized plans, memoizing
@@ -160,6 +191,7 @@ func (pl *Planner) compute(t term.Seq, canonical string, m core.Machine, strat S
 		Search:     opt.Search,
 		Selection:  opt.Selection,
 		Term:       optTerm,
+		hit:        &hitBody{mach: m},
 	}
 	for _, a := range opt.Applications {
 		plan.Applications = append(plan.Applications, a.String())

@@ -9,10 +9,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,6 +57,19 @@ func DefaultConfig() Config {
 // maxRequestBytes bounds the body of POST /optimize: the daemon reads no
 // more of a request than this, and answers 413 to one that is longer.
 const maxRequestBytes = 1 << 20
+
+// maxPooledBody is the largest body buffer that goes back to the pool: a
+// buffer grown for one body near the 1 MiB bound is dropped, not kept
+// behind every later 100-byte request.
+const maxPooledBody = 64 << 10
+
+// bodyScratch is what reading and decoding one request body takes; pooled.
+type bodyScratch struct {
+	buf bytes.Buffer
+	rd  bytes.Reader
+}
+
+var bodyPool = sync.Pool{New: func() any { return new(bodyScratch) }}
 
 // Request is the body of POST /optimize.
 type Request struct {
@@ -235,17 +251,42 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		tooLarge()
 		return
 	}
-	body := r.Body
+	src := r.Body
 	if r.ContentLength < 0 {
-		body = http.MaxBytesReader(w, body, maxRequestBytes)
+		src = http.MaxBytesReader(w, src, maxRequestBytes)
 	}
-	var req Request
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	sc := bodyPool.Get().(*bodyScratch)
+	defer func() {
+		if sc.buf.Cap() <= maxPooledBody {
+			bodyPool.Put(sc)
+		}
+	}()
+	sc.buf.Reset()
+	if _, err := sc.buf.ReadFrom(src); err != nil {
 		if errors.As(err, new(*http.MaxBytesError)) {
 			tooLarge()
 		} else {
 			s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
 		}
+		return
+	}
+	body := sc.buf.Bytes()
+	// A body answered from the cache before leads straight to its entry.
+	if plan, ok := s.planner.Cache.byBody(body); ok {
+		s.optimized.Add(1)
+		plan.render().write(w)
+		return
+	}
+
+	var req Request
+	sc.rd.Reset(body)
+	dec := json.NewDecoder(&sc.rd)
+	if err := dec.Decode(&req); err != nil {
+		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+		return
+	}
+	if rest := bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		s.fail(w, http.StatusBadRequest, "bad request body: %q after the JSON value", rest[0])
 		return
 	}
 	mach, err := s.machineFor(req)
@@ -278,6 +319,14 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		plan, cached, err := s.planner.PlanTermOpts(t, mach, strat, req.Select)
 		if err != nil {
 			s.failPlan(w, err)
+			return
+		}
+		if cached && plan.hit != nil {
+			// A plain hit: the plan's one rendering, and the next request
+			// with these bytes finds the entry without being decoded.
+			s.optimized.Add(1)
+			plan.render().write(w)
+			s.planner.Cache.remember(body, KeyOpts(plan.Canonical, mach, strat, req.Select))
 			return
 		}
 		resp = Response{Plan: plan, Cached: cached, Machine: mach}
@@ -314,10 +363,26 @@ func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...an
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
+	encodeJSON(w, v)
+}
+
+// encodeJSON is the one rendering of every response body.
+func encodeJSON(w io.Writer, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+}
+
+// write answers 200 with the rendered hit.
+func (h *hitBody) write(w http.ResponseWriter) {
+	hdr := w.Header()
+	hdr["Content-Type"] = jsonContentType
+	hdr["Content-Length"] = h.length
+	w.WriteHeader(http.StatusOK)
+	w.Write(h.body)
 }

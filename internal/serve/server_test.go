@@ -99,6 +99,13 @@ func TestOptimizeErrors(t *testing.T) {
 			}
 			return r
 		}, http.StatusBadRequest},
+		{"two values in one body", func() *http.Response {
+			r, err := http.Post(ts.URL+"/optimize", "application/json", strings.NewReader(`{"program":"bcast"}{"program":"scan(+)"}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}, http.StatusBadRequest},
 		{"bad method", func() *http.Response {
 			r, err := http.Get(ts.URL + "/optimize")
 			if err != nil {
