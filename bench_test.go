@@ -1,16 +1,15 @@
-// Package repro's root benchmark harness regenerates the paper's
-// evaluation artifacts as testing.B benchmarks on the virtual machine —
-// one benchmark family per table and figure — and adds the ablations
-// called out in DESIGN.md.
+// Package repro's root benchmark harness holds the ablations called out in
+// DESIGN.md, the simulator's own host cost and the operator kernels'
+// allocation table. The paper's tables and figures are not here:
+// cmd/collbench prints them and internal/exper's tests pin them.
 //
-// Wall-clock ns/op measures the host cost of simulating each program;
-// the paper's metric is the *virtual* run time under the §4.1 cost model,
-// reported as the custom metric "vtime" (virtual time units per run).
-// Two families are not virtual-time: BenchmarkCollectivesWallClock (the
-// simulator's own host cost) and BenchmarkKernelAllocs (the allocs/op
-// table of docs/PERF.md). Wall-clock performance of the native and
-// multi-process backends, the planner and the daemon is bench/'s job
-// (see bench/README.md), not this file's.
+// The ablations report the *virtual* run time under the §4.1 cost model as
+// the custom metric "vtime" (virtual time units per run). Two families are
+// not virtual-time: BenchmarkCollectivesWallClock (the simulator's own host
+// cost) and BenchmarkKernelAllocs (the allocs/op table of docs/PERF.md).
+// Wall-clock performance of the native and multi-process backends, the
+// planner and the daemon is bench/'s job (see bench/README.md), not this
+// file's.
 //
 // Run with:
 //
@@ -22,13 +21,10 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
-	"repro/internal/apps"
 	"repro/internal/coll"
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/exper"
 	"repro/internal/machine"
-	"repro/internal/rules"
 	"repro/internal/term"
 )
 
@@ -56,126 +52,6 @@ func benchProgram(b *testing.B, prog core.Program, mach core.Machine) {
 		makespan = res.Makespan
 	}
 	b.ReportMetric(makespan, "vtime")
-}
-
-// BenchmarkTable1 regenerates Table 1: for every optimization rule, the
-// left-hand side and the rewritten right-hand side run on the virtual
-// machine; compare the two vtime metrics per rule to read the table.
-func BenchmarkTable1(b *testing.B) {
-	mach := parsytec
-	mach.P = 32
-	mach.M = 16
-	for _, pat := range exper.Patterns() {
-		r, ok := rules.ByName(pat.Rule)
-		if !ok {
-			b.Fatalf("no rule %s", pat.Rule)
-		}
-		eng := rules.NewEngine()
-		eng.Rules = []rules.Rule{r}
-		eng.Env.P = mach.P
-		opt, apps := eng.Optimize(pat.LHS.Term())
-		if len(apps) != 1 {
-			b.Fatalf("rule %s did not apply", pat.Rule)
-		}
-		b.Run(pat.Rule+"/before", func(b *testing.B) {
-			benchProgram(b, pat.LHS, mach)
-		})
-		b.Run(pat.Rule+"/after", func(b *testing.B) {
-			benchProgram(b, core.FromTerm(opt), mach)
-		})
-	}
-}
-
-// comcastProgs are the three variants of Figures 7 and 8.
-func comcastProgs() map[string]core.Program {
-	ops := algebra.OpCompBS(algebra.Add)
-	return map[string]core.Program{
-		"bcast_scan":   core.NewProgram().Bcast().Scan(algebra.Add),
-		"comcast":      core.FromTerm(term.Comcast{Ops: ops, CostOptimal: true}),
-		"bcast_repeat": core.FromTerm(term.Comcast{Ops: ops}),
-	}
-}
-
-// figureMachine is the machine for the Figure 7/8 benches. The paper's
-// curves (bcast;repeat < comcast < bcast;scan) hold in the start-up-
-// dominated regime m·tw < ts the Parsytec experiments ran in, so the
-// start-up is scaled up to keep that relation at the paper's 32·10³-word
-// blocks.
-var figureMachine = core.Machine{Ts: 50000, Tw: 1}
-
-// BenchmarkFigure7 regenerates Figure 7: the three comcast variants as
-// the machine grows, at fixed block size 32·10³ words (as in the paper).
-func BenchmarkFigure7(b *testing.B) {
-	const blockWords = 32000
-	for p := 4; p <= 64; p *= 2 {
-		for name, prog := range comcastProgs() {
-			mach := figureMachine
-			mach.P = p
-			mach.M = blockWords
-			b.Run(fmt.Sprintf("p=%d/%s", p, name), func(b *testing.B) {
-				benchProgram(b, prog, mach)
-			})
-		}
-	}
-}
-
-// BenchmarkFigure8 regenerates Figure 8: the same three variants on 64
-// processors as the block size grows.
-func BenchmarkFigure8(b *testing.B) {
-	for _, m := range []int{5000, 15000, 25000, 35000} {
-		for name, prog := range comcastProgs() {
-			mach := figureMachine
-			mach.P = 64
-			mach.M = m
-			b.Run(fmt.Sprintf("m=%d/%s", m, name), func(b *testing.B) {
-				benchProgram(b, prog, mach)
-			})
-		}
-	}
-}
-
-// BenchmarkFigure2 exercises the P1/P2 warm-up of Figure 2 as programs on
-// the machine: the fused pair reduction against the plain reduction.
-func BenchmarkFigure2(b *testing.B) {
-	mach := parsytec
-	mach.P = 16
-	mach.M = 64
-	opNew := algebra.OpNew(algebra.Add, algebra.Mul)
-	b.Run("P1", func(b *testing.B) {
-		benchProgram(b, core.NewProgram().AllReduce(algebra.Add), mach)
-	})
-	b.Run("P2", func(b *testing.B) {
-		p2 := core.NewProgram().Map(term.PairFn).AllReduce(opNew).Map(term.FirstFn)
-		benchProgram(b, p2, mach)
-	})
-}
-
-// BenchmarkPolyEval regenerates the §5 case study timings.
-func BenchmarkPolyEval(b *testing.B) {
-	pe := exper.NewPolyEval(1, 32, 512)
-	mach := parsytec
-	mach.P = 32
-	mach.M = 512
-	in := make([]algebra.Value, 32)
-	for i := range in {
-		in[i] = pe.Points.Clone()
-	}
-	variants := map[string]core.Program{
-		"PolyEval_1":      pe.Program1(),
-		"PolyEval_2":      pe.Program2(),
-		"PolyEval_3":      pe.Program3(),
-		"comcast_optimal": pe.ProgramComcastOptimal(),
-	}
-	for name, prog := range variants {
-		b.Run(name, func(b *testing.B) {
-			var makespan float64
-			for i := 0; i < b.N; i++ {
-				_, res := prog.Run(mach, in)
-				makespan = res.Makespan
-			}
-			b.ReportMetric(makespan, "vtime")
-		})
-	}
 }
 
 // BenchmarkOpSRSharing is the DESIGN.md ablation of op_sr's shared uu:
@@ -224,87 +100,6 @@ func BenchmarkCollectivesWallClock(b *testing.B) {
 			})
 		}
 	}
-}
-
-// BenchmarkApps measures the collective-only applications of
-// internal/apps end to end.
-func BenchmarkApps(b *testing.B) {
-	mach := apps.Machine{P: 16, Ts: 1000, Tw: 1}
-	xs := make([]float64, 4096)
-	for i := range xs {
-		xs[i] = float64((i*2654435761)%101) - 50
-	}
-	b.Run("mss", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			apps.MSS(mach, xs)
-		}
-	})
-	b.Run("statistics", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			apps.Statistics(mach, xs)
-		}
-	})
-	b.Run("samplesort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			apps.SampleSort(mach, xs)
-		}
-	})
-	// The sparse workloads: a 2D torus stencil over halo exchanges, a
-	// segmented scan over ragged blocks delivered by allgatherv, and a
-	// graph-degree histogram over reduce_scatterv.
-	grid := make([][]float64, 64)
-	for i := range grid {
-		grid[i] = xs[i*64 : (i+1)*64]
-	}
-	b.Run("stencil", func(b *testing.B) {
-		var vtime float64
-		for i := 0; i < b.N; i++ {
-			_, res := apps.Stencil2D(mach, grid, 16, 1, 4)
-			vtime = res.Makespan
-		}
-		b.ReportMetric(vtime, "vtime")
-	})
-	counts := make([]int, mach.P)
-	left := len(xs)
-	for i := 0; i < mach.P-1; i++ {
-		share := len(xs) / mach.P * ((i * 3) % 4) / 2
-		counts[i] = share
-		left -= share
-	}
-	counts[mach.P-1] = left
-	flags := make([]bool, len(xs))
-	for i := range flags {
-		flags[i] = i%7 == 0
-	}
-	b.Run("raggedscan", func(b *testing.B) {
-		var vtime float64
-		for i := 0; i < b.N; i++ {
-			_, res := apps.RaggedSegmentedScan(mach, counts, flags, xs)
-			vtime = res.Makespan
-		}
-		b.ReportMetric(vtime, "vtime")
-	})
-	const nv = 512
-	edges := make([][2]int, len(xs))
-	for i := range edges {
-		edges[i] = [2]int{(i * 2654435761) % nv, (i*40503 + 7) % nv}
-	}
-	vcounts := make([]int, mach.P)
-	vleft := nv
-	for i := 0; i < mach.P-1; i++ {
-		share := nv / mach.P * ((i * 3) % 4) / 2
-		vcounts[i] = share
-		vleft -= share
-	}
-	vcounts[mach.P-1] = vleft
-	b.Run("degreehist", func(b *testing.B) {
-		var vtime float64
-		for i := 0; i < b.N; i++ {
-			_, res := apps.DegreeHistogram(mach, nv, edges, vcounts, 8)
-			vtime = res.Makespan
-		}
-		b.ReportMetric(vtime, "vtime")
-	})
 }
 
 // BenchmarkAllReduceAlgorithms compares the butterfly all-reduce (the

@@ -3,9 +3,7 @@
 // syntax, runs the cost-guided rewrite engine over them, and returns the
 // optimized program, predicted cost and derivation summary. Plans are
 // memoized in a sharded single-flight LRU cache keyed on the canonical
-// program + machine parameters, and small compatible requests arriving
-// within the fusion window are batched into one optimization over their
-// combined block (see docs/SERVING.md).
+// program + machine parameters (see docs/SERVING.md).
 //
 // Serve mode:
 //
@@ -13,9 +11,9 @@
 //
 // Endpoints: POST /optimize, GET /healthz, GET /metrics. On SIGINT or
 // SIGTERM the daemon drains gracefully: the listener stops accepting,
-// in-flight requests and open fusion windows finish, final statistics
-// are printed, and a watchdog-style goroutine check verifies nothing
-// leaked before exit (exit 0 on a clean drain, 1 on a leak).
+// in-flight requests finish, final statistics are printed, and a
+// watchdog-style goroutine check verifies nothing leaked before exit
+// (exit 0 on a clean drain, 1 on a leak).
 //
 // Flags (serve mode):
 //
@@ -24,18 +22,14 @@
 //	-params-file FILE   calibrated ts/tw from collbench -calibrate
 //	-cache-size N       plan-cache capacity (entries)
 //	-cache-shards N     plan-cache shards (rounded up to a power of two)
-//	-fuse-cycle-ms N    fusion window length
-//	-fuse-max-count N   flush a fusion batch at N requests
-//	-fuse-max-bytes N   flush a fusion batch at N fused bytes
-//	-verify             semantically verify newly computed plans (default true)
 //	-drain-timeout N    seconds to wait for in-flight requests on shutdown
 //
 // Load-generator mode replays randomized requests against a live daemon
-// over real sockets and prints throughput, latency percentiles, cache
-// hit rate and the fusion-batch distribution per phase:
+// over real sockets and prints throughput, latency percentiles and cache
+// hit rate per phase:
 //
 //	collserve -loadgen -target http://127.0.0.1:8080 -requests 1000000 \
-//	          -clients 64 -distinct 500 -fusible 10000
+//	          -clients 64 -distinct 500
 //
 // Flags (loadgen mode):
 //
@@ -43,7 +37,6 @@
 //	-requests N         total requests across the churn + repeated phases
 //	-clients N          concurrent client connections
 //	-distinct N         program-pool size of the repeated phase
-//	-fusible N          extra fuse-enabled requests (0 skips the phase)
 //	-seed N             workload seed
 //	-strategy S         optimization strategy sent with every request:
 //	                    "greedy" (default) or "search" for the global
@@ -91,10 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		paramsFile = fs.String("params-file", "", "load calibrated ts/tw from a collbench -calibrate report")
 		cacheSize  = fs.Int("cache-size", 4096, "plan-cache capacity in entries")
 		shards     = fs.Int("cache-shards", 64, "plan-cache shard count (rounded up to a power of two)")
-		cycleMs    = fs.Float64("fuse-cycle-ms", 2, "fusion window length in milliseconds")
-		fuseCount  = fs.Int("fuse-max-count", 16, "flush a fusion batch at this many requests")
-		fuseBytes  = fs.Int("fuse-max-bytes", 64<<10, "flush a fusion batch at this many fused bytes")
-		verify     = fs.Bool("verify", true, "semantically verify newly computed plans")
 		drainSecs  = fs.Float64("drain-timeout", 10, "seconds to wait for in-flight requests on shutdown")
 
 		loadgen    = fs.Bool("loadgen", false, "run as load generator against -target instead of serving")
@@ -102,7 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		requests   = fs.Int("requests", 100000, "loadgen: total requests across churn + repeated phases")
 		clients    = fs.Int("clients", 32, "loadgen: concurrent client connections")
 		distinct   = fs.Int("distinct", 500, "loadgen: program-pool size of the repeated phase")
-		fusible    = fs.Int("fusible", 0, "loadgen: extra fuse-enabled requests (0 skips the fusion phase)")
 		seed       = fs.Int64("seed", 1, "loadgen: workload seed")
 		strategy   = fs.String("strategy", "", `loadgen: optimization strategy per request ("greedy" or "search")`)
 		selectAlgo = fs.Bool("select", false, "loadgen: request collective-algorithm auto-selection with every request")
@@ -126,7 +114,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Requests: *requests,
 			Clients:  *clients,
 			Distinct: *distinct,
-			Fusible:  *fusible,
 			Seed:     *seed,
 			P:        *p,
 			M:        *m,
@@ -153,16 +140,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		*ts, *tw = rep.Fit.Ts, rep.Fit.Tw
 		calibrated = fmt.Sprintf(" (calibrated from %s)", *paramsFile)
 	}
-	cfg := serve.Config{
-		Machine:      core.Machine{Ts: *ts, Tw: *tw, P: *p, M: *m},
-		CacheSize:    *cacheSize,
-		CacheShards:  *shards,
-		FuseCycle:    time.Duration(*cycleMs * float64(time.Millisecond)),
-		FuseMaxCount: *fuseCount,
-		FuseMaxBytes: *fuseBytes,
-		NoVerify:     !*verify,
-	}
-	s := serve.New(cfg)
+	s := serve.New(serve.Config{
+		Machine:     core.Machine{Ts: *ts, Tw: *tw, P: *p, M: *m},
+		CacheSize:   *cacheSize,
+		CacheShards: *shards,
+	})
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -170,8 +152,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	fmt.Fprintf(stdout, "collserve: listening on http://%s%s\n", ln.Addr(), calibrated)
-	fmt.Fprintf(stdout, "collserve: machine ts=%g tw=%g p=%d m=%d, cache %d entries, fusion window %gms/%d reqs/%d bytes\n",
-		*ts, *tw, *p, *m, *cacheSize, *cycleMs, *fuseCount, *fuseBytes)
+	fmt.Fprintf(stdout, "collserve: machine ts=%g tw=%g p=%d m=%d, cache %d entries\n",
+		*ts, *tw, *p, *m, *cacheSize)
 
 	srv := &http.Server{Handler: s.Handler()}
 	serveErr := make(chan error, 1)
@@ -185,8 +167,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	stop()
 
-	// Graceful drain: stop accepting, let in-flight requests and open
-	// fusion windows finish, then account for every goroutine.
+	// Graceful drain: stop accepting, let in-flight requests finish, then
+	// account for every goroutine.
 	fmt.Fprintln(stdout, "collserve: signal received, draining")
 	shutCtx, cancel := context.WithTimeout(context.Background(), time.Duration(*drainSecs*float64(time.Second)))
 	defer cancel()
@@ -195,7 +177,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	<-serveErr // Serve has returned http.ErrServerClosed
-	s.Drain()
 
 	snap := s.Metrics()
 	fmt.Fprintf(stdout, "collserve: served %d requests (%d optimized, %d errors), engine runs %d\n",
@@ -203,8 +184,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "collserve: cache %d/%d entries, %d hits, %d misses, %d coalesced, %d evictions (hit rate %.1f%%)\n",
 		snap.Cache.Size, snap.Cache.Capacity, snap.Cache.Hits, snap.Cache.Misses,
 		snap.Cache.Coalesced, snap.Cache.Evictions, 100*snap.Cache.HitRate())
-	fmt.Fprintf(stdout, "collserve: fusion %d batches over %d requests (max batch %d)\n",
-		snap.Fusion.Batches, snap.Fusion.FusedRequests, snap.Fusion.MaxBatch)
 
 	// Watchdog-style goroutine accounting, as the backend leak tests do:
 	// settle, then compare against the pre-listen baseline.
@@ -229,8 +208,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 // transport/HTTP errors or a repeated-phase hit rate below -min-hit-rate
 // fail the run.
 func runLoadgen(cfg serve.LoadConfig, minHitRate float64, stdout, stderr io.Writer) int {
-	fmt.Fprintf(stdout, "collserve loadgen: %d requests, %d clients, %d distinct programs, %d fusible, seed %d -> %s\n",
-		cfg.Requests, cfg.Clients, cfg.Distinct, cfg.Fusible, cfg.Seed, cfg.Target)
+	fmt.Fprintf(stdout, "collserve loadgen: %d requests, %d clients, %d distinct programs, seed %d -> %s\n",
+		cfg.Requests, cfg.Clients, cfg.Distinct, cfg.Seed, cfg.Target)
 	rep, err := serve.Loadgen(cfg)
 	if err != nil {
 		fmt.Fprintf(stderr, "collserve: %v\n", err)
@@ -247,10 +226,6 @@ func runLoadgen(cfg serve.LoadConfig, minHitRate float64, stdout, stderr io.Writ
 				100*ph.CacheHitRate, 100*minHitRate)
 			code = 1
 		}
-	}
-	if fusion := rep.Server.Fusion; len(fusion.Dist) > 0 {
-		fmt.Fprintf(stdout, "fusion batches: %d over %d requests, max batch %d, dist %v\n",
-			fusion.Batches, fusion.FusedRequests, fusion.MaxBatch, fusion.Dist)
 	}
 	return code
 }

@@ -41,7 +41,7 @@ var listenRE = regexp.MustCompile(`listening on (http://[^\s]+)`)
 func startDaemon(t *testing.T, stdout *syncBuffer, extra ...string) (string, chan int) {
 	t.Helper()
 	exit := make(chan int, 1)
-	args := append([]string{"-addr", "127.0.0.1:0", "-fuse-cycle-ms", "1"}, extra...)
+	args := append([]string{"-addr", "127.0.0.1:0"}, extra...)
 	go func() { exit <- run(args, stdout, stdout) }()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -91,10 +91,6 @@ func TestServeDrainOnSIGTERM(t *testing.T) {
 	if !again.Cached {
 		t.Errorf("repeat request not served from cache")
 	}
-	fused := post(t, base, serve.Request{Program: "allreduce(+)", M: 2, Fuse: true})
-	if fused.Fusion == nil {
-		t.Errorf("fuse-enabled request has no fusion info")
-	}
 
 	// The client lives in the same process: park its keep-alive
 	// goroutines so the daemon's leak watchdog only sees its own.
@@ -112,7 +108,7 @@ func TestServeDrainOnSIGTERM(t *testing.T) {
 		t.Fatalf("daemon did not drain:\n%s", out.String())
 	}
 	got := out.String()
-	for _, want := range []string{"signal received, draining", "served 3 requests", "drained cleanly"} {
+	for _, want := range []string{"signal received, draining", "served 2 requests", "drained cleanly"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("drain output missing %q:\n%s", want, got)
 		}
@@ -132,13 +128,13 @@ func TestLoadgenModeEndToEnd(t *testing.T) {
 	var lg syncBuffer
 	code := run([]string{
 		"-loadgen", "-target", base, "-requests", "400", "-clients", "4",
-		"-distinct", "4", "-fusible", "20", "-seed", "3",
+		"-distinct", "4", "-seed", "3",
 		"-min-hit-rate", "0.9",
 	}, &lg, &lg)
 	if code != 0 {
 		t.Fatalf("loadgen exit %d:\n%s", code, lg.String())
 	}
-	for _, want := range []string{"churn", "repeated", "fusible-burst", "fusion batches:"} {
+	for _, want := range []string{"churn", "repeated"} {
 		if !strings.Contains(lg.String(), want) {
 			t.Errorf("loadgen output missing %q:\n%s", want, lg.String())
 		}

@@ -2,9 +2,7 @@ package serve
 
 import (
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/core"
@@ -12,6 +10,11 @@ import (
 	"repro/internal/rules"
 	"repro/internal/term"
 )
+
+// Clients may fuse their requests themselves: concatenate their blocks,
+// ask for one plan at m = Σ mᵢ, run it once and slice the result at the
+// prefix sums of the mᵢ. The tests below hold the daemon to what makes
+// that sound.
 
 func parseProg(t *testing.T, src string) term.Seq {
 	t.Helper()
@@ -22,6 +25,28 @@ func parseProg(t *testing.T, src string) term.Seq {
 		t.Fatalf("parse %q: %v", src, err)
 	}
 	return term.Compose(parsed)
+}
+
+// fusible reports whether a program may run once over concatenated
+// blocks. That is sound exactly when every stage acts elementwise on
+// vector blocks: the standard collectives (bcast, scan, reduce,
+// allreduce) apply their operator component-wise and move whole blocks,
+// so collective(concat xs) = concat(collective xs) with the same
+// combining order — bitwise, not just approximately. Local map stages,
+// gather/scatter and the auxiliary tuple constructions reshape values
+// and are excluded.
+func fusible(t term.Seq) bool {
+	if len(term.Stages(t)) == 0 {
+		return false
+	}
+	for _, st := range term.Stages(t) {
+		switch st.(type) {
+		case term.Bcast, term.Scan, term.Reduce:
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 func TestFusible(t *testing.T) {
@@ -37,148 +62,46 @@ func TestFusible(t *testing.T) {
 		{"map pair ; map pi_1", false}, // tuple construction
 	}
 	for _, c := range cases {
-		if got := Fusible(parseProg(t, c.src)); got != c.want {
-			t.Errorf("Fusible(%q) = %v, want %v", c.src, got, c.want)
+		if got := fusible(parseProg(t, c.src)); got != c.want {
+			t.Errorf("fusible(%q) = %v, want %v", c.src, got, c.want)
 		}
 	}
-	if Fusible(nil) {
+	if fusible(nil) {
 		t.Error("empty program must not be fusible")
 	}
 }
 
-// submitN pushes n compatible requests into the fuser concurrently and
-// returns each member's plan + info in submission-goroutine order.
-func submitN(t *testing.T, f *Fuser, src string, mach core.Machine, ms []int) ([]Plan, []FusionInfo) {
-	t.Helper()
-	prog := parseProg(t, src)
-	canon := rules.Canonical(prog)
-	plans := make([]Plan, len(ms))
-	infos := make([]FusionInfo, len(ms))
-	var wg sync.WaitGroup
-	for i, m := range ms {
-		wg.Add(1)
-		go func(i, m int) {
-			defer wg.Done()
-			mm := mach
-			mm.M = m
-			plan, _, info, err := f.Submit(prog, canon, mm, StrategyGreedy, false)
-			if err != nil {
-				t.Errorf("Submit[%d]: %v", i, err)
-				return
-			}
-			plans[i] = plan
-			infos[i] = info
-		}(i, m)
+// concatBlocks builds the fused input: rank r's fused block is the
+// concatenation, in member order, of every member's rank-r block.
+func concatBlocks(members [][]algebra.Value) []algebra.Value {
+	p := len(members[0])
+	fused := make([]algebra.Value, p)
+	for r := 0; r < p; r++ {
+		var block algebra.Vec
+		for _, blocks := range members {
+			block = append(block, blocks[r].(algebra.Vec)...)
+		}
+		fused[r] = block
 	}
-	wg.Wait()
-	return plans, infos
+	return fused
 }
 
-// TestFusionBatchByCount: MaxCount compatible requests flush as one
-// batch — one plan, one engine run, contiguous offsets.
-func TestFusionBatchByCount(t *testing.T) {
-	pl := NewPlanner(64, 4)
-	f := NewFuser(pl, time.Hour, 4, 1<<30) // only the count threshold can flush
-	mach := core.Machine{Ts: 1000, Tw: 1, P: 8}
-	ms := []int{2, 3, 1, 4}
-	plans, infos := submitN(t, f, "scan(+) ; reduce(+)", mach, ms)
-
-	total := 2 + 3 + 1 + 4
-	seen := make(map[int]bool)
-	for i, info := range infos {
-		if info.Batch != 4 {
-			t.Errorf("member %d: batch = %d, want 4", i, info.Batch)
-		}
-		if info.FusedM != total {
-			t.Errorf("member %d: fused m = %d, want %d", i, info.FusedM, total)
-		}
-		if seen[info.OffsetWords] {
-			t.Errorf("duplicate offset %d", info.OffsetWords)
-		}
-		seen[info.OffsetWords] = true
-		if plans[i].Optimized != plans[0].Optimized {
-			t.Errorf("member %d got a different plan", i)
+// splitBlocks undoes concatBlocks on a fused output: each rank's fused
+// vector is sliced at the prefix sums of ms into per-member blocks
+// (fresh copies, not aliases).
+func splitBlocks(fused []algebra.Value, ms []int) [][]algebra.Value {
+	out := make([][]algebra.Value, len(ms))
+	for i := range ms {
+		out[i] = make([]algebra.Value, len(fused))
+	}
+	for r, v := range fused {
+		off := 0
+		for i, m := range ms {
+			out[i][r] = append(algebra.Vec(nil), v.(algebra.Vec)[off:off+m]...)
+			off += m
 		}
 	}
-	if runs := pl.EngineRuns(); runs != 1 {
-		t.Errorf("fused batch cost %d engine runs, want 1", runs)
-	}
-	st := f.Stats()
-	if st.Batches != 1 || st.FusedRequests != 4 || st.MaxBatch != 4 || st.Dist[4] != 1 {
-		t.Errorf("stats = %+v, want one batch of 4", st)
-	}
-}
-
-// TestFusionBatchByBytes: the bytes threshold flushes before the count
-// threshold is reached.
-func TestFusionBatchByBytes(t *testing.T) {
-	pl := NewPlanner(64, 4)
-	// 3 words * 8 bytes = 24 >= 20 flushes on the second member.
-	f := NewFuser(pl, time.Hour, 100, 20)
-	mach := core.Machine{Ts: 1000, Tw: 1, P: 8}
-	_, infos := submitN(t, f, "allreduce(+)", mach, []int{2, 2, 2, 2})
-	st := f.Stats()
-	if st.Batches < 2 {
-		t.Errorf("bytes threshold never flushed: stats %+v", st)
-	}
-	for i, info := range infos {
-		if info.Batch > 2 {
-			t.Errorf("member %d: batch %d exceeds the bytes bound", i, info.Batch)
-		}
-	}
-}
-
-// TestFusionCycleExpiry: a lone request is flushed by the cycle timer,
-// as a batch of one.
-func TestFusionCycleExpiry(t *testing.T) {
-	pl := NewPlanner(64, 4)
-	f := NewFuser(pl, 5*time.Millisecond, 100, 1<<30)
-	mach := core.Machine{Ts: 1000, Tw: 1, P: 8, M: 4}
-	prog := parseProg(t, "scan(+)")
-	start := time.Now()
-	_, _, info, err := f.Submit(prog, rules.Canonical(prog), mach, StrategyGreedy, false)
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	if info.Batch != 1 || info.FusedM != 4 || info.OffsetWords != 0 {
-		t.Errorf("info = %+v, want lone batch", info)
-	}
-	if waited := time.Since(start); waited < 4*time.Millisecond {
-		t.Errorf("flushed after %v, before the cycle expired", waited)
-	}
-}
-
-// TestFusionDrain: Drain flushes open windows immediately so shutdown
-// never waits on a cycle timer.
-func TestFusionDrain(t *testing.T) {
-	pl := NewPlanner(64, 4)
-	f := NewFuser(pl, time.Hour, 100, 1<<30)
-	mach := core.Machine{Ts: 1000, Tw: 1, P: 8, M: 2}
-	prog := parseProg(t, "reduce(max)")
-	done := make(chan FusionInfo, 1)
-	go func() {
-		_, _, info, err := f.Submit(prog, rules.Canonical(prog), mach, StrategyGreedy, false)
-		if err != nil {
-			t.Errorf("Submit: %v", err)
-		}
-		done <- info
-	}()
-	// Wait until the request is enrolled, then drain.
-	for i := 0; i < 1000; i++ {
-		if f.Stats().Pending > 0 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	f.Drain()
-	select {
-	case info := <-done:
-		if info.Batch != 1 {
-			t.Errorf("drained batch = %+v", info)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Drain left the request waiting")
-	}
+	return out
 }
 
 // intBlocks builds one m-word small-integer block per rank (exact under
@@ -197,24 +120,28 @@ func intBlocks(p, m, salt int) []algebra.Value {
 }
 
 // TestFusedPlanExecutesBitwiseEqual is the end-to-end fusion soundness
-// check: a fused batch's plan, executed once on the native backend over
-// the concatenated blocks, must de-batch into results bitwise equal to
-// executing the same plan per request — and equal (exactly, on integer
-// inputs) to the per-request run of the *original* unoptimized program.
-// The plan itself must pass rules.VerifyEquivalence against the original.
+// check: the plan for m = Σ mᵢ, executed once on the native backend over
+// the concatenated blocks and sliced at the prefix-sum offsets, must be
+// bitwise equal to executing the same plan per member — and equal
+// (exactly, on integer inputs) to the per-member run of the *original*
+// unoptimized program. The plan itself must pass rules.VerifyEquivalence
+// against the original.
 func TestFusedPlanExecutesBitwiseEqual(t *testing.T) {
 	for _, p := range []int{4, 6, 8} {
 		for _, src := range []string{"scan(+) ; reduce(+)", "bcast ; scan(+)", "allreduce(max) ; reduce(+)"} {
 			t.Run(fmt.Sprintf("p%d/%s", p, src), func(t *testing.T) {
-				pl := NewPlanner(64, 4)
-				f := NewFuser(pl, time.Hour, 3, 1<<30)
+				orig := parseProg(t, src)
+				if !fusible(orig) {
+					t.Fatalf("%s is not fusible", src)
+				}
+				ms := []int{2, 3, 1}
 				// Small blocks and a start-up-dominated machine, so the
 				// fused plan actually rewrites.
-				mach := core.Machine{Ts: 5000, Tw: 1, P: p}
-				ms := []int{2, 3, 1}
-				plans, infos := submitN(t, f, src, mach, ms)
-				plan := plans[0]
-				orig := parseProg(t, src)
+				mach := core.Machine{Ts: 5000, Tw: 1, P: p, M: 2 + 3 + 1}
+				plan, _, err := NewPlanner(64, 4).PlanTermOpts(orig, mach, StrategyGreedy, false)
+				if err != nil {
+					t.Fatal(err)
+				}
 
 				// The fused plan is semantically equivalent to the
 				// original program.
@@ -225,34 +152,14 @@ func TestFusedPlanExecutesBitwiseEqual(t *testing.T) {
 					t.Fatal("plan not marked verified")
 				}
 
-				// One fused native execution over the concatenated
-				// blocks, each member's words at its reported offset
-				// (offsets follow enrollment order, which under
-				// concurrent submission need not be index order).
 				blocks := make([][]algebra.Value, len(ms))
 				for i, m := range ms {
 					blocks[i] = intBlocks(p, m, i)
 				}
-				fusedIn := make([]algebra.Value, p)
-				for r := 0; r < p; r++ {
-					v := make(algebra.Vec, infos[0].FusedM)
-					for i := range ms {
-						copy(v[infos[i].OffsetWords:infos[i].OffsetWords+ms[i]], blocks[i][r].(algebra.Vec))
-					}
-					fusedIn[r] = v
-				}
-				fusedOut, _ := core.FromTerm(plan.Term).RunNative(p, fusedIn)
+				fusedOut, _ := core.FromTerm(plan.Term).RunNative(p, concatBlocks(blocks))
+				members := splitBlocks(fusedOut, ms)
 
-				for i := range ms {
-					// De-batch member i's slice via its offset.
-					info := infos[i]
-					member := make([]algebra.Value, p)
-					for r := 0; r < p; r++ {
-						vec := fusedOut[r].(algebra.Vec)
-						slice := make(algebra.Vec, ms[i])
-						copy(slice, vec[info.OffsetWords:info.OffsetWords+ms[i]])
-						member[r] = slice
-					}
+				for i, member := range members {
 					// Bitwise equal to the unfused run of the same plan...
 					unfused, _ := core.FromTerm(plan.Term).RunNative(p, blocks[i])
 					for r := 0; r < p; r++ {
@@ -281,12 +188,12 @@ func TestFusedPlanExecutesBitwiseEqual(t *testing.T) {
 	}
 }
 
-// TestConcatSplitRoundTrip: SplitBlocks undoes ConcatBlocks and copies
+// TestConcatSplitRoundTrip: splitBlocks undoes concatBlocks and copies
 // (no aliasing into the fused buffer).
 func TestConcatSplitRoundTrip(t *testing.T) {
 	blocks := [][]algebra.Value{intBlocks(4, 2, 0), intBlocks(4, 3, 1)}
-	fused := ConcatBlocks(blocks)
-	back := SplitBlocks(fused, []int{2, 3})
+	fused := concatBlocks(blocks)
+	back := splitBlocks(fused, []int{2, 3})
 	for i := range blocks {
 		for r := range blocks[i] {
 			if !algebra.Equal(blocks[i][r], back[i][r]) {
@@ -297,6 +204,6 @@ func TestConcatSplitRoundTrip(t *testing.T) {
 	// Mutating the split output must not touch the fused buffer.
 	back[0][0].(algebra.Vec)[0] = -99
 	if fused[0].(algebra.Vec)[0] == -99 {
-		t.Fatal("SplitBlocks aliased the fused buffer")
+		t.Fatal("splitBlocks aliased the fused buffer")
 	}
 }

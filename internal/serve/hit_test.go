@@ -176,8 +176,9 @@ func TestHitIsTheSameBytes(t *testing.T) {
 
 // TestBodyIndexDecidesNothing: the index leads to cache entries and to
 // nothing else. Spellings share their program's one entry; an evicted
-// entry is recomputed through the planner; and a body whose answer is not
-// a plain hit is never answered through it.
+// entry is recomputed through the planner; a field the daemon does not know
+// changes neither the answer nor the way in; and a body whose answer is not
+// a hit is never answered through it.
 func TestBodyIndexDecidesNothing(t *testing.T) {
 	t.Run("two spellings, one entry", func(t *testing.T) {
 		s, ts := newTestServer(t, Config{})
@@ -230,15 +231,34 @@ func TestBodyIndexDecidesNothing(t *testing.T) {
 		}
 	})
 
+	t.Run("an unknown field is ignored", func(t *testing.T) {
+		s, ts := newTestServer(t, Config{})
+		plain := `{"program":"allreduce(+)","m":4}`
+		fuse := `{"program":"allreduce(+)","m":4,"fuse":true}`
+		miss, hit := postBody(t, ts.URL, plain), postBody(t, ts.URL, plain)
+		for i := 0; i < 3; i++ {
+			if ans := postBody(t, ts.URL, fuse); ans != hit {
+				t.Errorf("request %d with \"fuse\" answers\n%+v\nwant the plain hit\n%+v", i, ans, hit)
+			}
+		}
+		if m := s.Metrics(); m.EngineRuns != 1 || m.Cache.Bodies != 2 || m.Cache.ByBody != 2 {
+			t.Errorf("engine runs = %d, bodies = %d, by_body = %d, want 1, 2 and 2", m.EngineRuns, m.Cache.Bodies, m.Cache.ByBody)
+		}
+		_, fresh := newTestServer(t, Config{})
+		if ans := postBody(t, fresh.URL, fuse); ans != miss {
+			t.Errorf("a first request with \"fuse\" answers\n%+v\nwant the plain miss\n%+v", ans, miss)
+		}
+	})
+
 	t.Run("never through the index", func(t *testing.T) {
-		s, ts := newTestServer(t, Config{FuseMaxCount: 1})
+		s, ts := newTestServer(t, Config{})
 		cases := []struct {
 			name, body string
 			code       int
 		}{
-			{"fuse", `{"program":"allreduce(+)","m":4,"fuse":true}`, http.StatusOK},
 			{"scatter", requestBody("scatter", ""), http.StatusBadRequest},
 			{"bad strategy", requestBody("scan(+)", `,"strategy":"best"`), http.StatusBadRequest},
+			{"estimate overflows", requestBody("scan(+)", `,"ts":1e308`), http.StatusBadRequest},
 			{"two values", `{"program":"bcast"}{"program":"scan(+)"}`, http.StatusBadRequest},
 			{"oversize", `{"program":"bcast"` + strings.Repeat(" ", maxRequestBytes) + `}`, http.StatusRequestEntityTooLarge},
 			{"over 4 KiB", `{"program":"bcast ; scan(+)"` + strings.Repeat(" ", maxIndexedBody) + `}`, http.StatusOK},
@@ -258,9 +278,6 @@ func TestBodyIndexDecidesNothing(t *testing.T) {
 		}
 		if st := s.Metrics().Cache; st.ByBody != 0 || st.Bodies != 0 {
 			t.Errorf("by_body = %d, bodies = %d, want 0 and 0", st.ByBody, st.Bodies)
-		}
-		if fs := s.Fuser().Stats(); fs.FusedRequests != 4 {
-			t.Errorf("fused requests = %d, want all 4", fs.FusedRequests)
 		}
 	})
 }

@@ -28,9 +28,6 @@ type LoadConfig struct {
 	Clients int
 	// Distinct is the program-pool size of the repeated phase.
 	Distinct int
-	// Fusible is the request count of the fusion phase (same-shape
-	// small collectives with fuse: true); 0 skips it.
-	Fusible int
 	// Seed makes the workload reproducible.
 	Seed int64
 	// P and M are the machine parameters sent with each request.
@@ -66,14 +63,6 @@ type PhaseResult struct {
 type LoadReport struct {
 	Phases []PhaseResult
 	Server Snapshot
-}
-
-// fusiblePrograms are the fusion phase's shapes: single collectives over
-// the base operators, the small-compatible-collective workload the
-// fusion window exists for.
-var fusiblePrograms = []string{
-	"allreduce(+)", "allreduce(max)", "reduce(+)", "reduce(*)",
-	"scan(+)", "scan(max)", "bcast ; reduce(+)",
 }
 
 // Loadgen runs the workload and assembles the report. Request errors are
@@ -120,11 +109,9 @@ func Loadgen(cfg LoadConfig) (LoadReport, error) {
 		name string
 		n    int
 		pool []string
-		fuse bool
 	}{
-		{"churn", churnN, churnPool, false},
-		{"repeated", repeatN, repeatPool, false},
-		{"fusible-burst", cfg.Fusible, fusiblePrograms, true},
+		{"churn", churnN, churnPool},
+		{"repeated", repeatN, repeatPool},
 	}
 	for _, ph := range phases {
 		if ph.n < 1 {
@@ -134,7 +121,7 @@ func Loadgen(cfg LoadConfig) (LoadReport, error) {
 		if err != nil {
 			return rep, fmt.Errorf("loadgen: metrics before %s: %w", ph.name, err)
 		}
-		res, err := runPhase(client, cfg, ph.name, ph.n, ph.pool, ph.fuse)
+		res, err := runPhase(client, cfg, ph.name, ph.n, ph.pool)
 		if err != nil {
 			return rep, err
 		}
@@ -168,7 +155,7 @@ func randPool(rng *rand.Rand, n int) []string {
 
 // runPhase fires n requests from the pool with cfg.Clients workers and
 // aggregates client-side latencies.
-func runPhase(client *http.Client, cfg LoadConfig, name string, n int, pool []string, fuse bool) (PhaseResult, error) {
+func runPhase(client *http.Client, cfg LoadConfig, name string, n int, pool []string) (PhaseResult, error) {
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -195,12 +182,7 @@ func runPhase(client *http.Client, cfg LoadConfig, name string, n int, pool []st
 			var myFirst error
 			for i := 0; i < share; i++ {
 				prog := pool[rng.Intn(len(pool))]
-				req := Request{Program: prog, P: cfg.P, M: cfg.M, Fuse: fuse, Strategy: cfg.Strategy, Select: cfg.Select}
-				if fuse {
-					// Small compatible blocks, the fusion window's prey.
-					req.M = 1 + rng.Intn(8)
-				}
-				body, _ := json.Marshal(req)
+				body, _ := json.Marshal(Request{Program: prog, P: cfg.P, M: cfg.M, Strategy: cfg.Strategy, Select: cfg.Select})
 				t0 := time.Now()
 				resp, err := client.Post(url, "application/json", bytes.NewReader(body))
 				if err != nil {

@@ -3,13 +3,12 @@ package serve
 import (
 	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 // TestLoadgenAgainstLiveServer runs a small end-to-end load: a real
-// listener, real sockets, all three phases.
+// listener, real sockets, both phases.
 func TestLoadgenAgainstLiveServer(t *testing.T) {
-	s := New(Config{FuseCycle: time.Millisecond})
+	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -18,7 +17,6 @@ func TestLoadgenAgainstLiveServer(t *testing.T) {
 		Requests: 2000,
 		Clients:  8,
 		Distinct: 20,
-		Fusible:  40,
 		Seed:     7,
 		P:        8,
 		M:        16,
@@ -26,8 +24,8 @@ func TestLoadgenAgainstLiveServer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Loadgen: %v", err)
 	}
-	if len(rep.Phases) != 3 {
-		t.Fatalf("phases = %d, want churn + repeated + fusible-burst", len(rep.Phases))
+	if len(rep.Phases) != 2 {
+		t.Fatalf("phases = %d, want churn + repeated", len(rep.Phases))
 	}
 	for _, ph := range rep.Phases {
 		if ph.Errors != 0 {
@@ -44,9 +42,6 @@ func TestLoadgenAgainstLiveServer(t *testing.T) {
 	// 1800 requests over a pool of 20 programs: overwhelmingly cache hits.
 	if repeated.CacheHitRate < 0.9 {
 		t.Errorf("repeated-phase hit rate %.2f, want > 0.9", repeated.CacheHitRate)
-	}
-	if fusion := rep.Server.Fusion; fusion.FusedRequests == 0 || fusion.Batches == 0 {
-		t.Errorf("fusible burst produced no fusion: %+v", fusion)
 	}
 	// The churn phase is all misses over one rule set: its derivations
 	// repeat instances, and the verifier evaluates each once.

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,9 +18,8 @@ import (
 
 // Plan is a finished optimization: the canonical program, its optimized
 // form, the derivation summary and the cost estimates — everything a
-// response needs, plus the optimized term itself for execution (fused or
-// not). Plans are immutable once published and shared by every cache
-// hit.
+// response needs, plus the optimized term itself for execution. Plans are
+// immutable once published and shared by every cache hit.
 type Plan struct {
 	// Canonical is the canonicalized input program (the cache-key half).
 	Canonical string `json:"canonical"`
@@ -59,7 +59,7 @@ type Plan struct {
 
 // hitBody is Response{Plan, Cached: true, Machine} as writeJSON renders it.
 // The machine is the one the plan was computed at; it is part of the cache
-// key, so every unfused hit of the plan's entry asked for exactly it.
+// key, so every hit of the plan's entry asked for exactly it.
 type hitBody struct {
 	mach core.Machine
 	once sync.Once
@@ -131,13 +131,13 @@ func (pl *Planner) ParseProgram(src string) (term.Seq, error) {
 }
 
 // KeyOpts builds the cache key for a canonical program at machine
-// parameters: the fused and unfused paths, and every client spelling of
-// one program, converge on the same key. The strategy and auto-selection
-// qualify it: greedy unselected keys carry no suffix (cached plans from
-// before either field keep working), searched plans get a distinct suffix
-// so the two strategies never serve each other's plans, and selected
-// plans — different estimates, a selection stanza — never share an entry
-// with unselected plans of the same program.
+// parameters: every client spelling of one program converges on the same
+// key. The strategy and auto-selection qualify it: greedy unselected keys
+// carry no suffix (cached plans from before either field keep working),
+// searched plans get a distinct suffix so the two strategies never serve
+// each other's plans, and selected plans — different estimates, a
+// selection stanza — never share an entry with unselected plans of the
+// same program.
 func KeyOpts(canonical string, m core.Machine, strat Strategy, autoSel bool) string {
 	k := fmt.Sprintf("%s|ts=%g|tw=%g|p=%d|m=%d", canonical, m.Ts, m.Tw, m.P, m.M)
 	if strat == StrategySearch {
@@ -193,10 +193,41 @@ func (pl *Planner) compute(t term.Seq, canonical string, m core.Machine, strat S
 		Term:       optTerm,
 		hit:        &hitBody{mach: m},
 	}
+	if !plan.estimatesFinite() {
+		return Plan{}, &EstimateOverflowError{Machine: m}
+	}
 	for _, a := range opt.Applications {
 		plan.Applications = append(plan.Applications, a.String())
 	}
 	return plan, nil
+}
+
+// estimatesFinite reports whether every estimate the plan carries is a
+// number JSON can hold. CostBefore does not bound the others: at tw = 1e308
+// and p = 1 it is 0 and a searched plan's greedy cost is NaN.
+func (p Plan) estimatesFinite() bool {
+	finite := func(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
+	ok := finite(p.CostBefore) && finite(p.CostAfter)
+	if p.Search != nil {
+		ok = ok && finite(p.Search.GreedyCost) && finite(p.Search.BestCost)
+	}
+	for _, s := range p.Selection {
+		ok = ok && finite(s.Predicted) && finite(s.Butterfly)
+	}
+	return ok
+}
+
+// EstimateOverflowError refuses a plan with an estimate that is not a
+// finite number at the machine parameters asked for: JSON has no infinity
+// and no NaN, so the plan has no answer to send. It is the client's error,
+// and never cached.
+type EstimateOverflowError struct {
+	Machine core.Machine
+}
+
+func (e *EstimateOverflowError) Error() string {
+	m := e.Machine
+	return fmt.Sprintf("the cost estimate overflows at ts=%g tw=%g p=%d m=%d", m.Ts, m.Tw, m.P, m.M)
 }
 
 // EngineRuns is the number of engine invocations so far — every cache

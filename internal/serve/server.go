@@ -1,11 +1,8 @@
 // Package serve turns the rule engine into a long-running optimization
-// service: an HTTP/JSON front-end over the cost-guided engine, a
+// service: an HTTP/JSON front-end over the cost-guided engine and a
 // concurrent sharded plan cache (canonicalized program + machine
 // parameters → verified optimized plan, single-flight per key, LRU
-// bounded), and a cross-request fusion window that batches compatible
-// collectives arriving close in time into one optimization over their
-// combined block — the oneCCL-style bytes/count/cycle thresholds applied
-// to the paper's rewrite engine. cmd/collserve is the daemon around it.
+// bounded). cmd/collserve is the daemon around it.
 package serve
 
 import (
@@ -30,27 +27,16 @@ type Config struct {
 	Machine core.Machine
 	// CacheSize and CacheShards shape the plan cache.
 	CacheSize, CacheShards int
-	// FuseCycle, FuseMaxCount and FuseMaxBytes are the fusion-window
-	// thresholds.
-	FuseCycle    time.Duration
-	FuseMaxCount int
-	FuseMaxBytes int
-	// NoVerify disables semantic verification of newly computed plans
-	// (verification is on by default).
-	NoVerify bool
 }
 
 // DefaultConfig is the daemon's default geometry: a 4096-plan cache over
-// 64 shards, a 2 ms fusion cycle flushing at 16 requests or 64 KiB, and
-// verification on (each plan is verified once, then served from cache).
+// 64 shards. Every plan is verified once, when computed, then served from
+// the cache.
 func DefaultConfig() Config {
 	return Config{
-		Machine:      core.Machine{Ts: 1000, Tw: 1, P: 64, M: 64},
-		CacheSize:    4096,
-		CacheShards:  64,
-		FuseCycle:    2 * time.Millisecond,
-		FuseMaxCount: 16,
-		FuseMaxBytes: 64 << 10,
+		Machine:     core.Machine{Ts: 1000, Tw: 1, P: 64, M: 64},
+		CacheSize:   4096,
+		CacheShards: 64,
 	}
 }
 
@@ -82,10 +68,6 @@ type Request struct {
 	// P and M override the processor count and block size when positive.
 	P int `json:"p,omitempty"`
 	M int `json:"m,omitempty"`
-	// Fuse opts the request into the fusion window (only programs whose
-	// every stage is a standard collective are fusible; others fall back
-	// to the direct path).
-	Fuse bool `json:"fuse,omitempty"`
 	// Strategy selects the optimizer: "greedy" (the default) or "search"
 	// for the global plan search.
 	Strategy string `json:"strategy,omitempty"`
@@ -102,11 +84,8 @@ type Response struct {
 	// Cached reports that the plan came from the cache (including
 	// waiting on a computation already in flight).
 	Cached bool `json:"cached"`
-	// Machine echoes the parameters the plan was computed at; under
-	// fusion M is the fused block size.
+	// Machine echoes the parameters the plan was computed at.
 	Machine core.Machine `json:"machine"`
-	// Fusion is set when the request went through the fusion window.
-	Fusion *FusionInfo `json:"fusion,omitempty"`
 }
 
 // Snapshot is the /metrics document.
@@ -120,14 +99,12 @@ type Snapshot struct {
 	// Verify counts the work of verifying computed plans.
 	Verify rules.VerifyStats `json:"verify"`
 	Cache  CacheStats        `json:"cache"`
-	Fusion FusionStats       `json:"fusion"`
 }
 
-// Server is the optimizer service: handlers over a planner and a fuser.
+// Server is the optimizer service: handlers over a planner.
 type Server struct {
 	cfg     Config
 	planner *Planner
-	fuser   *Fuser
 	mux     *http.ServeMux
 
 	start     time.Time
@@ -150,21 +127,9 @@ func New(cfg Config) *Server {
 	if cfg.CacheShards <= 0 {
 		cfg.CacheShards = def.CacheShards
 	}
-	if cfg.FuseCycle <= 0 {
-		cfg.FuseCycle = def.FuseCycle
-	}
-	if cfg.FuseMaxCount <= 0 {
-		cfg.FuseMaxCount = def.FuseMaxCount
-	}
-	if cfg.FuseMaxBytes <= 0 {
-		cfg.FuseMaxBytes = def.FuseMaxBytes
-	}
-	pl := NewPlanner(cfg.CacheSize, cfg.CacheShards)
-	pl.Verify = !cfg.NoVerify
 	s := &Server{
 		cfg:     cfg,
-		planner: pl,
-		fuser:   NewFuser(pl, cfg.FuseCycle, cfg.FuseMaxCount, cfg.FuseMaxBytes),
+		planner: NewPlanner(cfg.CacheSize, cfg.CacheShards),
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
 	}
@@ -178,9 +143,6 @@ func New(cfg Config) *Server {
 // counters).
 func (s *Server) Planner() *Planner { return s.planner }
 
-// Fuser exposes the fusion layer.
-func (s *Server) Fuser() *Fuser { return s.fuser }
-
 // Handler is the service's HTTP handler.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -191,9 +153,9 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// Drain flushes open fusion windows; call after the HTTP listener has
-// stopped accepting.
-func (s *Server) Drain() { s.fuser.Drain() }
+// Drain does nothing: no request outlives its handler. It stays because
+// bench/plan.go calls it; the facade of ROADMAP item 1(c) can delete it.
+func (s *Server) Drain() {}
 
 // Metrics snapshots every counter.
 func (s *Server) Metrics() Snapshot {
@@ -206,7 +168,6 @@ func (s *Server) Metrics() Snapshot {
 		EngineRuns:    s.planner.EngineRuns(),
 		Verify:        s.planner.VerifyStats(),
 		Cache:         s.planner.Cache.Stats(),
-		Fusion:        s.fuser.Stats(),
 	}
 }
 
@@ -305,34 +266,20 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var resp Response
-	if req.Fuse && Fusible(t) {
-		plan, cached, info, err := s.fuser.Submit(t, rules.Canonical(t), mach, strat, req.Select)
-		if err != nil {
-			s.failPlan(w, err)
-			return
-		}
-		fusedMach := mach
-		fusedMach.M = info.FusedM
-		resp = Response{Plan: plan, Cached: cached, Machine: fusedMach, Fusion: &info}
-	} else {
-		plan, cached, err := s.planner.PlanTermOpts(t, mach, strat, req.Select)
-		if err != nil {
-			s.failPlan(w, err)
-			return
-		}
-		if cached && plan.hit != nil {
-			// A plain hit: the plan's one rendering, and the next request
-			// with these bytes finds the entry without being decoded.
-			s.optimized.Add(1)
-			plan.render().write(w)
-			s.planner.Cache.remember(body, KeyOpts(plan.Canonical, mach, strat, req.Select))
-			return
-		}
-		resp = Response{Plan: plan, Cached: cached, Machine: mach}
+	plan, cached, err := s.planner.PlanTermOpts(t, mach, strat, req.Select)
+	if err != nil {
+		s.failPlan(w, err)
+		return
 	}
 	s.optimized.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	if cached && plan.hit != nil {
+		// A hit: the plan's one rendering, and the next request with these
+		// bytes finds the entry without being decoded.
+		plan.render().write(w)
+		s.planner.Cache.remember(body, KeyOpts(plan.Canonical, mach, strat, req.Select))
+		return
+	}
+	writeJSON(w, http.StatusOK, Response{Plan: plan, Cached: cached, Machine: mach})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -348,11 +295,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // failPlan answers for a plan that could not be produced: a program the
-// semantics is undefined on is the client's error, anything else ours.
+// semantics is undefined on, or machine parameters its estimate overflows
+// at, is the client's error, anything else ours.
 func (s *Server) failPlan(w http.ResponseWriter, err error) {
 	var ill *rules.IllTypedError
 	if errors.As(err, &ill) {
 		s.fail(w, http.StatusBadRequest, "%v", ill)
+		return
+	}
+	var inf *EstimateOverflowError
+	if errors.As(err, &inf) {
+		s.fail(w, http.StatusBadRequest, "%v", inf)
 		return
 	}
 	s.fail(w, http.StatusInternalServerError, "optimization failed: %v", err)

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -75,6 +74,7 @@ func TestOptimizeEndpoint(t *testing.T) {
 
 func TestOptimizeErrors(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
+	huge := 1e308
 	cases := []struct {
 		name string
 		do   func() *http.Response
@@ -90,6 +90,18 @@ func TestOptimizeErrors(t *testing.T) {
 		}, http.StatusBadRequest},
 		{"bad machine", func() *http.Response {
 			_, r := postOptimize(t, ts.URL, Request{Program: "scan(+)", P: -3})
+			return r
+		}, http.StatusBadRequest},
+		{"estimate overflows", func() *http.Response {
+			_, r := postOptimize(t, ts.URL, Request{Program: "scan(+)", Ts: &huge})
+			return r
+		}, http.StatusBadRequest},
+		{"estimate overflows again", func() *http.Response {
+			_, r := postOptimize(t, ts.URL, Request{Program: "scan(+)", Ts: &huge})
+			return r
+		}, http.StatusBadRequest},
+		{"estimate overflows, searched and selected", func() *http.Response {
+			_, r := postOptimize(t, ts.URL, Request{Program: "bcast ; scan(+) ; reduce(+)", Tw: &huge, M: 1 << 62, Strategy: "search", Select: true})
 			return r
 		}, http.StatusBadRequest},
 		{"bad body", func() *http.Response {
@@ -123,6 +135,60 @@ func TestOptimizeErrors(t *testing.T) {
 	}
 	if errs := s.Metrics().Errors; errs != uint64(len(cases)) {
 		t.Errorf("error counter = %d, want %d", errs, len(cases))
+	}
+	if size := s.Metrics().Cache.Size; size != 0 {
+		t.Errorf("%d plans cached, want none", size)
+	}
+}
+
+// TestEveryAnswerRenders: at machine parameters up to the edge of float64
+// and int64, every answer is a 200 whose body decodes into a Response or a
+// 4xx with an error object — never a 200 with nothing in it — and asking
+// again gets the same status.
+func TestEveryAnswerRenders(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var overflows int
+	for _, tsv := range []string{"0", "1", "1e300", "1e308"} {
+		for _, tw := range []string{"0", "1", "1e300", "1e308"} {
+			for _, p := range []int{1, 1 << 31, 1 << 62} {
+				for _, m := range []int{1, 1 << 31, 1 << 62} {
+					for _, opts := range []string{"", `,"select":true`, `,"strategy":"search"`, `,"strategy":"search","select":true`} {
+						body := fmt.Sprintf(`{"program":"bcast ; scan(+) ; reduce(+)","ts":%s,"tw":%s,"p":%d,"m":%d%s}`, tsv, tw, p, m, opts)
+						var codes []int
+						for range 2 {
+							ans := postBody(t, ts.URL, body)
+							codes = append(codes, ans.code)
+							var doc struct {
+								Response
+								Error string `json:"error"`
+							}
+							err := json.Unmarshal([]byte(ans.body), &doc)
+							switch {
+							case ans.code == http.StatusOK:
+								if err != nil || doc.Canonical == "" || doc.Error != "" {
+									t.Fatalf("%s: HTTP 200 with body %q (%v)", body, ans.body, err)
+								}
+							case ans.code/100 == 4:
+								if err != nil || !strings.HasPrefix(doc.Error, "the cost estimate overflows at ts=") {
+									t.Fatalf("%s: HTTP %d with body %q (%v)", body, ans.code, ans.body, err)
+								}
+							default:
+								t.Fatalf("%s: HTTP %d: %s", body, ans.code, ans.body)
+							}
+						}
+						if codes[0] != codes[1] {
+							t.Fatalf("%s: HTTP %d, then %d", body, codes[0], codes[1])
+						}
+						if codes[0] != http.StatusOK {
+							overflows++
+						}
+					}
+				}
+			}
+		}
+	}
+	if overflows == 0 {
+		t.Error("no parameters overflowed: the grid does not reach the edge")
 	}
 }
 
@@ -253,58 +319,5 @@ func TestServerSingleFlightUnderLoad(t *testing.T) {
 	st := s.Planner().Cache.Stats()
 	if st.Hits+st.Coalesced != clients-uint64(len(programs)) {
 		t.Errorf("hits+coalesced = %d, want %d", st.Hits+st.Coalesced, clients-len(programs))
-	}
-}
-
-// TestServerFusionOverHTTP: a burst of compatible fuse-enabled requests
-// is batched; each response carries its batch size and offset, and the
-// fused block size is the members' sum.
-func TestServerFusionOverHTTP(t *testing.T) {
-	const burst = 6
-	s, ts := newTestServer(t, Config{
-		FuseCycle:    200 * time.Millisecond,
-		FuseMaxCount: burst,
-		FuseMaxBytes: 1 << 30,
-	})
-	var wg sync.WaitGroup
-	resps := make([]Response, burst)
-	for i := 0; i < burst; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, httpResp := postOptimize(t, ts.URL, Request{Program: "allreduce(+)", M: i + 1, Fuse: true})
-			if httpResp.StatusCode != http.StatusOK {
-				t.Errorf("client %d: HTTP %d", i, httpResp.StatusCode)
-				return
-			}
-			resps[i] = resp
-		}(i)
-	}
-	wg.Wait()
-	total := burst * (burst + 1) / 2
-	offsets := make(map[int]bool)
-	for i, resp := range resps {
-		if resp.Fusion == nil {
-			t.Fatalf("client %d: no fusion info", i)
-		}
-		if resp.Fusion.Batch != burst || resp.Fusion.FusedM != total {
-			t.Errorf("client %d: fusion = %+v, want batch %d fused_m %d", i, resp.Fusion, burst, total)
-		}
-		if offsets[resp.Fusion.OffsetWords] {
-			t.Errorf("duplicate offset %d", resp.Fusion.OffsetWords)
-		}
-		offsets[resp.Fusion.OffsetWords] = true
-		if resp.Machine.M != total {
-			t.Errorf("client %d: machine.m = %d, want fused %d", i, resp.Machine.M, total)
-		}
-	}
-	fs := s.Fuser().Stats()
-	if fs.Batches != 1 || fs.FusedRequests != burst {
-		t.Errorf("fusion stats = %+v", fs)
-	}
-	// A non-fusible program with fuse: true falls back to the direct path.
-	resp, _ := postOptimize(t, ts.URL, Request{Program: "map inc ; scan(+)", M: 4, Fuse: true})
-	if resp.Fusion != nil {
-		t.Errorf("non-fusible request got fusion info %+v", resp.Fusion)
 	}
 }

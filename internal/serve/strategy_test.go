@@ -86,19 +86,3 @@ func TestOptimizeStrategyErrors(t *testing.T) {
 		t.Fatalf("bad strategy: HTTP %d, want 400", httpResp.StatusCode)
 	}
 }
-
-// TestFusionStrategySearch: fusible searched requests batch among
-// themselves and the shared plan records the search strategy.
-func TestFusionStrategySearch(t *testing.T) {
-	_, ts := newTestServer(t, Config{FuseMaxCount: 1})
-	resp, httpResp := postOptimize(t, ts.URL, Request{Program: "scan(+)", M: 4, Fuse: true, Strategy: "search"})
-	if httpResp.StatusCode != http.StatusOK {
-		t.Fatalf("HTTP %d", httpResp.StatusCode)
-	}
-	if resp.Fusion == nil {
-		t.Fatal("fusible searched request did not go through the fusion window")
-	}
-	if resp.Strategy != StrategySearch {
-		t.Errorf("fused plan strategy = %q, want %q", resp.Strategy, StrategySearch)
-	}
-}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -18,10 +17,9 @@ import (
 // client's mistake — 400, naming the stage — not a server fault.
 func TestIllTypedProgramIsTheClientsError(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	post := func(req Request) (int, string) {
+	post := func(body string) (int, string) {
 		t.Helper()
-		body, _ := json.Marshal(req)
-		r, err := http.Post(ts.URL+"/optimize", "application/json", bytes.NewReader(body))
+		r, err := http.Post(ts.URL+"/optimize", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,14 +35,16 @@ func TestIllTypedProgramIsTheClientsError(t *testing.T) {
 		{"scatter", "stage 0 (scatter)"},
 		{"bcast ; scatter", "stage 1 (scatter)"},
 	} {
-		for _, req := range []Request{{Program: c.prog}, {Program: c.prog, Strategy: "search", Select: true}, {Program: c.prog, Fuse: true}} {
-			code, msg := post(req)
+		// An unknown field ("fuse") is ignored.
+		for _, options := range []string{"", `,"strategy":"search","select":true`, `,"fuse":true`} {
+			body := requestBody(c.prog, options)
+			code, msg := post(body)
 			if code != http.StatusBadRequest || !strings.HasPrefix(msg, "ill-typed program: "+c.stage) {
-				t.Errorf("%+v: HTTP %d %q, want 400 ill-typed program: %s …", req, code, msg, c.stage)
+				t.Errorf("%s: HTTP %d %q, want 400 ill-typed program: %s …", body, code, msg, c.stage)
 			}
 		}
 	}
-	if code, msg := post(Request{Program: "gather ; scatter"}); code != http.StatusOK {
+	if code, msg := post(requestBody("gather ; scatter", "")); code != http.StatusOK {
 		t.Errorf("gather ; scatter: HTTP %d %q, want 200", code, msg)
 	}
 	if m := s.Metrics(); m.Errors != 6 || m.Optimized != 1 {
