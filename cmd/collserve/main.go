@@ -5,8 +5,6 @@
 // memoized in a sharded single-flight LRU cache keyed on the canonical
 // program + machine parameters (see docs/SERVING.md).
 //
-// Serve mode:
-//
 //	collserve -addr 127.0.0.1:8080 [-params-file CALIB_native.json]
 //
 // Endpoints: POST /optimize, GET /healthz, GET /metrics. On SIGINT or
@@ -15,7 +13,7 @@
 // watchdog-style goroutine check verifies nothing leaked before exit
 // (exit 0 on a clean drain, 1 on a leak).
 //
-// Flags (serve mode):
+// Flags:
 //
 //	-addr HOST:PORT     listen address (port 0 picks a free port)
 //	-ts, -tw, -p, -m    default machine parameters for requests
@@ -24,28 +22,8 @@
 //	-cache-shards N     plan-cache shards (rounded up to a power of two)
 //	-drain-timeout N    seconds to wait for in-flight requests on shutdown
 //
-// Load-generator mode replays randomized requests against a live daemon
-// over real sockets and prints throughput, latency percentiles and cache
-// hit rate per phase:
-//
-//	collserve -loadgen -target http://127.0.0.1:8080 -requests 1000000 \
-//	          -clients 64 -distinct 500
-//
-// Flags (loadgen mode):
-//
-//	-target URL         daemon base URL
-//	-requests N         total requests across the churn + repeated phases
-//	-clients N          concurrent client connections
-//	-distinct N         program-pool size of the repeated phase
-//	-seed N             workload seed
-//	-strategy S         optimization strategy sent with every request:
-//	                    "greedy" (default) or "search" for the global
-//	                    plan search
-//	-select             request collective-algorithm auto-selection with
-//	                    every request (plans carry per-stage algorithm
-//	                    choices under select-qualified cache keys)
-//	-min-hit-rate F     fail (exit 1) if the repeated phase's cache hit
-//	                    rate is below F
+// The daemon only serves. Drive a live one with curl; what a request
+// costs is measured by bash bench/run.sh --workload plan-hit|plan-miss.
 package main
 
 import (
@@ -85,16 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cacheSize  = fs.Int("cache-size", 4096, "plan-cache capacity in entries")
 		shards     = fs.Int("cache-shards", 64, "plan-cache shard count (rounded up to a power of two)")
 		drainSecs  = fs.Float64("drain-timeout", 10, "seconds to wait for in-flight requests on shutdown")
-
-		loadgen    = fs.Bool("loadgen", false, "run as load generator against -target instead of serving")
-		target     = fs.String("target", "http://127.0.0.1:8080", "loadgen: daemon base URL")
-		requests   = fs.Int("requests", 100000, "loadgen: total requests across churn + repeated phases")
-		clients    = fs.Int("clients", 32, "loadgen: concurrent client connections")
-		distinct   = fs.Int("distinct", 500, "loadgen: program-pool size of the repeated phase")
-		seed       = fs.Int64("seed", 1, "loadgen: workload seed")
-		strategy   = fs.String("strategy", "", `loadgen: optimization strategy per request ("greedy" or "search")`)
-		selectAlgo = fs.Bool("select", false, "loadgen: request collective-algorithm auto-selection with every request")
-		minHitRate = fs.Float64("min-hit-rate", 0, "loadgen: fail if the repeated phase's hit rate is below this")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -102,25 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "collserve: unexpected arguments %v\n", fs.Args())
 		return 2
-	}
-
-	if *loadgen {
-		if _, err := serve.ParseStrategy(*strategy); err != nil {
-			fmt.Fprintf(stderr, "collserve: %v\n", err)
-			return 2
-		}
-		return runLoadgen(serve.LoadConfig{
-			Target:   *target,
-			Requests: *requests,
-			Clients:  *clients,
-			Distinct: *distinct,
-			Seed:     *seed,
-			P:        *p,
-			M:        *m,
-			Strategy: *strategy,
-			Select:   *selectAlgo,
-			Out:      stdout,
-		}, *minHitRate, stdout, stderr)
 	}
 
 	// Install the signal handler before taking the goroutine baseline:
@@ -202,30 +151,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "collserve: drained cleanly (%d goroutines, baseline %d)\n", runtime.NumGoroutine(), baseline)
 	return 0
-}
-
-// runLoadgen drives serve.Loadgen and applies the exit-code policy: any
-// transport/HTTP errors or a repeated-phase hit rate below -min-hit-rate
-// fail the run.
-func runLoadgen(cfg serve.LoadConfig, minHitRate float64, stdout, stderr io.Writer) int {
-	fmt.Fprintf(stdout, "collserve loadgen: %d requests, %d clients, %d distinct programs, seed %d -> %s\n",
-		cfg.Requests, cfg.Clients, cfg.Distinct, cfg.Seed, cfg.Target)
-	rep, err := serve.Loadgen(cfg)
-	if err != nil {
-		fmt.Fprintf(stderr, "collserve: %v\n", err)
-		return 1
-	}
-	code := 0
-	for _, ph := range rep.Phases {
-		if ph.Errors > 0 {
-			fmt.Fprintf(stderr, "collserve: phase %s had %d errors\n", ph.Name, ph.Errors)
-			code = 1
-		}
-		if ph.Name == "repeated" && ph.CacheHitRate < minHitRate {
-			fmt.Fprintf(stderr, "collserve: repeated-phase hit rate %.1f%% below required %.1f%%\n",
-				100*ph.CacheHitRate, 100*minHitRate)
-			code = 1
-		}
-	}
-	return code
 }

@@ -115,58 +115,14 @@ func TestServeDrainOnSIGTERM(t *testing.T) {
 	}
 }
 
-// TestLoadgenModeEndToEnd runs the daemon and the load generator in the
-// same process, over real sockets, and checks every phase reports.
-func TestLoadgenModeEndToEnd(t *testing.T) {
-	var out syncBuffer
-	base, exit := startDaemon(t, &out)
-	defer func() {
-		syscall.Kill(syscall.Getpid(), syscall.SIGTERM)
-		<-exit
-	}()
-
-	var lg syncBuffer
-	code := run([]string{
-		"-loadgen", "-target", base, "-requests", "400", "-clients", "4",
-		"-distinct", "4", "-seed", "3",
-		"-min-hit-rate", "0.9",
-	}, &lg, &lg)
-	if code != 0 {
-		t.Fatalf("loadgen exit %d:\n%s", code, lg.String())
-	}
-	for _, want := range []string{"churn", "repeated"} {
-		if !strings.Contains(lg.String(), want) {
-			t.Errorf("loadgen output missing %q:\n%s", want, lg.String())
-		}
-	}
-}
-
-// TestLoadgenMinHitRateFails: an impossible hit-rate floor makes the
-// load generator fail, so CI can assert cache efficacy.
-func TestLoadgenMinHitRateFails(t *testing.T) {
-	var out syncBuffer
-	base, exit := startDaemon(t, &out)
-	defer func() {
-		syscall.Kill(syscall.Getpid(), syscall.SIGTERM)
-		<-exit
-	}()
-	var lg syncBuffer
-	code := run([]string{
-		"-loadgen", "-target", base, "-requests", "50", "-clients", "2",
-		"-distinct", "40", "-seed", "5", "-min-hit-rate", "1.01",
-	}, &lg, &lg)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1 for unattainable -min-hit-rate:\n%s", code, lg.String())
-	}
-	if !strings.Contains(lg.String(), "below required") {
-		t.Errorf("missing hit-rate failure message:\n%s", lg.String())
-	}
-}
-
 func TestBadFlagsExitTwo(t *testing.T) {
 	var out bytes.Buffer
 	if code := run([]string{"-no-such-flag"}, &out, &out); code != 2 {
 		t.Errorf("unknown flag: exit %d, want 2", code)
+	}
+	out.Reset()
+	if code := run([]string{"-loadgen"}, &out, &out); code != 2 || !strings.Contains(out.String(), "flag provided but not defined: -loadgen") {
+		t.Errorf("-loadgen: exit %d, want 2 for an unknown flag:\n%s", code, out.String())
 	}
 	out.Reset()
 	if code := run([]string{"-h"}, &out, &out); code != 2 {

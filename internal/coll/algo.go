@@ -344,17 +344,18 @@ func AllReduceRingBi(c Comm, op *algebra.Op, x Value) Value {
 // with algorithm a, and every layer that executes a selection (the stage
 // executor, the native and multi-process measurements) goes through it.
 // segments is the pipeline's segment count, ignored by the others. An
-// algorithm that cannot run this collective at the run-time shape — x is
-// not a Vec, or cost.Applicable rejects (group size, block length) — falls
-// back to the §4.1 butterfly, as does an unknown or empty name. The check
-// is on the member's local value, so SPMD callers must feed uniformly
-// shaped blocks: the same contract the collectives themselves have.
+// algorithm that cannot compute this reduction — cost.Admits rejects the
+// operator, x is not a Vec, or cost.Applicable rejects (group size, block
+// length) — falls back to the §4.1 butterfly, as does an unknown or empty
+// name. The shape check is on the member's local value, so SPMD callers
+// must feed uniformly shaped blocks: the same contract the collectives
+// themselves have.
 func ReduceBy(c Comm, op *algebra.Op, x Value, all bool, a cost.Algo, segments int) Value {
 	collective := cost.CollReduce
 	if all {
 		collective = cost.CollAllReduce
 	}
-	if a != cost.AlgoButterfly {
+	if a != cost.AlgoButterfly && cost.Admits(a, op) {
 		vec, ok := x.(algebra.Vec)
 		if ok && cost.Applicable(collective, a, cost.Params{P: c.Size(), M: len(vec)}) {
 			switch a {

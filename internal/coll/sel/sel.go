@@ -7,16 +7,19 @@
 // (coll.ReduceBy), the serving layer records them in plans and cache
 // keys, and collbench sweeps them against measurements.
 //
-// Only unbalanced reductions over elementwise base operators are eligible
+// Only unbalanced reductions over base operators are eligible
 // (cost.SelectableReduce): every portfolio alternative splits or segments
 // the block, which is unsound for the derived tuple operators the rules
-// introduce. The butterfly is always in the candidate set, so a selection
-// is never predicted worse than the butterfly baseline.
+// introduce. Among the alternatives, only those cost.Admits for the
+// stage's operator are candidates: the rings reorder the combine and need
+// a commutative one. The butterfly is always in the candidate set, so a
+// selection is never predicted worse than the butterfly baseline.
 package sel
 
 import (
 	"fmt"
 
+	"repro/internal/algebra"
 	"repro/internal/cost"
 	"repro/internal/term"
 )
@@ -56,10 +59,14 @@ func (s Selection) String() string {
 }
 
 // Choose picks the cheapest applicable algorithm for one collective at
-// parameters p, assuming an elementwise operator. The butterfly is always
-// a candidate, so Predicted ≤ Butterfly.
-func Choose(collective string, p cost.Params) Selection {
-	a, c := cost.BestAlgo(collective, p, true)
+// parameters p over a commutative base operator such as +, which every
+// algorithm admits. The butterfly is always a candidate, so Predicted ≤
+// Butterfly.
+func Choose(collective string, p cost.Params) Selection { return choose(collective, algebra.Add, p) }
+
+// choose is Choose over the candidates cost.Admits for op.
+func choose(collective string, op *algebra.Op, p cost.Params) Selection {
+	a, c := cost.BestAlgo(collective, p, op)
 	bf, _ := cost.AlgoCost(collective, cost.AlgoButterfly, p)
 	s := Selection{Collective: collective, Algo: a, M: p.M, Predicted: c, Butterfly: bf}
 	if a == cost.AlgoPipeline {
@@ -80,8 +87,8 @@ func Choose(collective string, p cost.Params) Selection {
 func ForTerm(t term.Term, p cost.Params) []Selection {
 	var out []Selection
 	cost.Walk(t, p, cost.PriceButterfly, func(st cost.Step) {
-		if collective, at, ok := cost.Selectable(st.Stage, p, st.In); ok {
-			s := Choose(collective, at)
+		if collective, op, at, ok := cost.Selectable(st.Stage, p, st.In); ok {
+			s := choose(collective, op, at)
 			s.Stage = st.Index
 			out = append(out, s)
 		}

@@ -148,10 +148,8 @@ func (o Optimization) Summary() string {
 // zero value is the plain greedy engine.
 type OptimizeOptions struct {
 	// Search runs the global plan search (rules.SearchOptimize) instead
-	// of the greedy engine.
+	// of the greedy engine, under rules.SearchConfig's default budgets.
 	Search bool
-	// SearchConfig bounds the search; the zero value selects defaults.
-	SearchConfig rules.SearchConfig
 	// Auto enables collective-algorithm auto-selection: rewrites are
 	// scored with the portfolio model (cost.OfTermAuto), the estimates
 	// use it, and the result records the per-stage selections picked for
@@ -186,7 +184,7 @@ func (p Program) OptimizeOpts(m Machine, o OptimizeOptions) (Optimization, error
 	)
 	if o.Search {
 		var st rules.SearchStats
-		opt, apps, st = eng.SearchOptimize(p.stages, o.SearchConfig)
+		opt, apps, st = eng.SearchOptimize(p.stages, rules.SearchConfig{})
 		stats = &st
 	} else {
 		opt, apps = eng.Optimize(p.stages)

@@ -92,6 +92,44 @@ func TestRunSelectedBitwise(t *testing.T) {
 	}
 }
 
+// TestSelectionKeepsTheCombiningOrder: left is associative and not
+// commutative, so its reductions must run an algorithm that combines in
+// rank order. At cheap start-ups the selected allreduce(left) equals the
+// semantics on both backends and never runs a ring, and reduce(left)
+// still leaves the butterfly for the pipeline.
+func TestSelectionKeepsTheCombiningOrder(t *testing.T) {
+	pipelined := 0
+	for _, p := range []int{7, 8} {
+		for _, m := range []int{64, 1024, 4096} {
+			mach := Machine{Ts: 1, Tw: 1, P: p, M: m}
+			in := vecInput(p, m)
+			for _, prog := range []Program{NewProgram().AllReduce(algebra.Left), NewProgram().Reduce(algebra.Left)} {
+				opt, err := prog.OptimizeOpts(mach, OptimizeOptions{Auto: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range opt.Selection {
+					if s.Algo == cost.AlgoRing || s.Algo == cost.AlgoRingBi {
+						t.Errorf("p=%d m=%d %s: selected %s", p, m, prog.Canonical(), s)
+					}
+					if s.Algo == cost.AlgoPipeline {
+						pipelined++
+					}
+				}
+				want := term.Eval(prog.stages, in)
+				virt, _ := opt.Program.Run(mach, in)
+				nat, _ := opt.Program.RunNative(p, in)
+				if !algebra.EqualListsModuloUndef(virt, want) || !algebra.EqualListsModuloUndef(nat, want) {
+					t.Fatalf("p=%d m=%d %s with %v: virtual or native result differs from the semantics", p, m, prog.Canonical(), opt.Selection)
+				}
+			}
+		}
+	}
+	if pipelined == 0 {
+		t.Error("reduce(left) never selected the pipeline")
+	}
+}
+
 // TestRunSelectedFallback: a selection whose shape requirement the
 // run-time value cannot satisfy falls back to the butterfly rather than
 // panicking — and still computes the right answer.
@@ -171,14 +209,11 @@ func TestAutoSearchNeverWorse(t *testing.T) {
 	}
 }
 
-// exactCommutative reports whether prog keeps "bitwise equal" a fair
-// demand when a selection re-brackets and reorders a reduction: at most
-// one stage over * (small-integer inputs then stay exactly representable
-// through every chain) and no reduction over the non-commutative left —
-// the ring and Rabenseifner algorithms combine in ring/distance order and
-// assume commutativity, which selection eligibility does not check yet
-// (recorded under ROADMAP's numeric-contract item).
-func exactCommutative(prog term.Seq) bool {
+// exact reports whether prog keeps "bitwise equal" a fair demand when a
+// selection re-brackets and reorders a reduction: at most one stage over *
+// (small-integer inputs then stay exactly representable through every
+// chain).
+func exact(prog term.Seq) bool {
 	muls := 0
 	for _, st := range prog {
 		var op *algebra.Op
@@ -187,9 +222,6 @@ func exactCommutative(prog term.Seq) bool {
 			op = s.Op
 		case term.Reduce:
 			op = s.Op
-			if op == algebra.Left {
-				return false
-			}
 		case term.ReduceScatterV:
 			op = s.Op
 		}
@@ -231,7 +263,7 @@ func TestSelectionsIndexWhatTheExecutorRuns(t *testing.T) {
 					prog = rules.RandProgram(rng, 5)
 					in = vecInput(p, m)
 				}
-				if !exactCommutative(prog) {
+				if !exact(prog) {
 					continue
 				}
 				want := term.Eval(prog, in)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/algebra"
 	"repro/internal/term"
 )
 
@@ -112,10 +113,8 @@ func pipelineLine(p Params, k int) Line {
 // Applicable reports whether the algorithm can run the collective at the
 // given group and block size, independent of the operator. The chunked
 // algorithms (rabenseifner, ring, ring-bi) split the block across the
-// group and need at least one word per member; they additionally require
-// an elementwise base operator, which is the caller's side condition
-// (see coll/sel) — a derived tuple operator combines whole tuples and
-// cannot be applied chunkwise.
+// group and need at least one word per member; what they need of the
+// operator is Admits.
 func Applicable(collective string, a Algo, p Params) bool {
 	if a == AlgoButterfly {
 		return true
@@ -140,6 +139,30 @@ func Applicable(collective string, a Algo, p Params) bool {
 		return p.M >= 1
 	}
 	return false
+}
+
+// laws are the operator properties Admits reads.
+var laws = algebra.Default()
+
+// Admits reports whether the algorithm computes a reduction over op. Every
+// alternative to the butterfly splits or segments the block, so it needs a
+// splittable operator. Ring and ring-bi also start each block's combine at
+// a different member, which reorders the members' contributions: they
+// need an operator algebra.Default() declares commutative. Rabenseifner's
+// recursive halving and the pipeline combine in rank order, as the
+// butterfly does (Träff, arXiv 2410.14234). The portfolio pricing
+// (BestAlgo), the selection layer (coll/sel) and the dispatch
+// (coll.ReduceBy) all decide through it.
+func Admits(a Algo, op *algebra.Op) bool {
+	switch {
+	case a == AlgoButterfly:
+		return true
+	case !splittable(op):
+		return false
+	case a == AlgoRing || a == AlgoRingBi:
+		return laws.Commutative(op)
+	}
+	return true
 }
 
 // AlgoLine is the §4.1-model line of running the collective with the
@@ -218,20 +241,15 @@ func BreakEven(collective string, a Algo, base Params, hi int) int {
 	return first
 }
 
-// BestAlgo returns the cheapest applicable algorithm for the collective
-// at parameters p under the calibrated model, and its predicted cost.
-// The butterfly is always a candidate, so the result never costs more
-// than the butterfly line; with elementwise = false only the butterfly
-// qualifies (the alternatives all split or segment the block, which is
-// only sound for elementwise base operators).
-func BestAlgo(collective string, p Params, elementwise bool) (Algo, float64) {
+// BestAlgo returns the cheapest algorithm for a reduction over op that is
+// applicable at parameters p and that Admits, under the calibrated model,
+// and its predicted cost. The butterfly is always a candidate, so the
+// result never costs more than the butterfly line.
+func BestAlgo(collective string, p Params, op *algebra.Op) (Algo, float64) {
 	best := AlgoButterfly
 	bestCost, _ := AlgoCost(collective, AlgoButterfly, p)
-	if !elementwise {
-		return best, bestCost
-	}
 	for _, a := range Algos(collective)[1:] {
-		if c, ok := AlgoCost(collective, a, p); ok && c < bestCost {
+		if c, ok := AlgoCost(collective, a, p); ok && c < bestCost && Admits(a, op) {
 			best, bestCost = a, c
 		}
 	}
@@ -239,7 +257,7 @@ func BestAlgo(collective string, p Params, elementwise bool) (Algo, float64) {
 }
 
 // OfTermAuto estimates t like OfTerm, but prices every unbalanced
-// reduction stage over an elementwise base operator at its best-known
+// reduction stage over a base operator at its best-known admitted
 // algorithm's cost line instead of the butterfly's — the scoring function
 // of the auto-selecting engine (rules.Engine.Auto). Every other stage is
 // priced exactly as OfTerm, so OfTermAuto(t) ≤ OfTerm(t) always, and the
@@ -248,27 +266,35 @@ func OfTermAuto(t term.Term, p Params) float64 { return Walk(t, p, PricePortfoli
 
 // Selectable reports whether a stage seeing per-processor block size b is
 // a reduction eligible for algorithm selection (SelectableReduce) and, if
-// so, the collective it is and the parameters the portfolio prices it at:
-// p at the block size rounded to whole words. The walk's portfolio
-// pricing and the selection layer (coll/sel) both decide through it, so
-// the estimate and the recorded selections cannot drift apart.
-func Selectable(stage term.Term, p Params, b float64) (collective string, at Params, ok bool) {
+// so, the collective it is, its operator and the parameters the portfolio
+// prices it at: p at the block size rounded to whole words. The walk's
+// portfolio pricing and the selection layer (coll/sel) both decide
+// through it and BestAlgo, so the estimate and the recorded selections
+// cannot drift apart.
+func Selectable(stage term.Term, p Params, b float64) (collective string, op *algebra.Op, at Params, ok bool) {
 	r, isReduce := stage.(term.Reduce)
 	if !isReduce || !SelectableReduce(r) {
-		return "", p, false
+		return "", nil, p, false
 	}
 	collective = CollReduce
 	if r.All {
 		collective = CollAllReduce
 	}
 	p.M = int(math.Round(b))
-	return collective, p, true
+	return collective, r.Op, p, true
 }
 
 // SelectableReduce reports whether a reduction stage is eligible for
 // algorithm selection: unbalanced (the balanced variants exist precisely
-// to host the rules' non-associative derived operators) and over an
-// elementwise base operator, so the block may be split or segmented.
+// to host the rules' non-associative derived operators) and over a
+// splittable operator.
 func SelectableReduce(r term.Reduce) bool {
-	return !r.Balanced && r.Op != nil && r.Op.Elem != nil && r.Op.Arity == 1
+	return !r.Balanced && splittable(r.Op)
+}
+
+// splittable reports whether op combines word by word, so that a block
+// may be split or segmented: a base operator. A derived tuple operator
+// combines whole tuples.
+func splittable(op *algebra.Op) bool {
+	return op != nil && op.Elem != nil && op.Arity == 1
 }

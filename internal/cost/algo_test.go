@@ -93,11 +93,11 @@ func TestApplicable(t *testing.T) {
 // bandwidth-dominated one.
 func TestAlgoCostRegimes(t *testing.T) {
 	startup := Params{Ts: 10000, Tw: 1, P: 16, M: 64}
-	if a, _ := BestAlgo(CollAllReduce, startup, true); a != AlgoButterfly {
+	if a, _ := BestAlgo(CollAllReduce, startup, algebra.Add); a != AlgoButterfly {
 		t.Errorf("start-up regime picked %s, want butterfly", a)
 	}
 	bandwidth := Params{Ts: 10, Tw: 4, P: 16, M: 1 << 16}
-	a, c := BestAlgo(CollAllReduce, bandwidth, true)
+	a, c := BestAlgo(CollAllReduce, bandwidth, algebra.Add)
 	bf, _ := AlgoCost(CollAllReduce, AlgoButterfly, bandwidth)
 	if a == AlgoButterfly || c >= bf {
 		t.Errorf("bandwidth regime picked %s (%.0f vs butterfly %.0f)", a, c, bf)
@@ -116,9 +116,11 @@ func TestRabenseifnerNonPow2FoldSurcharge(t *testing.T) {
 
 // TestBestAlgoNeverWorseThanButterfly is the selection-soundness
 // property: across random parameters the chosen algorithm's predicted
-// cost never exceeds the butterfly line.
+// cost never exceeds the butterfly line, and the algorithm is one the
+// operator admits.
 func TestBestAlgoNeverWorseThanButterfly(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	derived := &algebra.Op{Name: "op_x", Arity: 2}
 	for i := 0; i < 2000; i++ {
 		p := Params{
 			Ts: math.Exp(rng.Float64() * 10),
@@ -127,14 +129,14 @@ func TestBestAlgoNeverWorseThanButterfly(t *testing.T) {
 			M:  1 + rng.Intn(1<<14),
 		}
 		for _, coll := range []string{CollAllReduce, CollReduce} {
-			for _, ew := range []bool{true, false} {
-				a, c := BestAlgo(coll, p, ew)
+			for _, op := range []*algebra.Op{algebra.Add, algebra.Left, derived} {
+				a, c := BestAlgo(coll, p, op)
 				bf, _ := AlgoCost(coll, AlgoButterfly, p)
 				if c > bf {
-					t.Fatalf("%s elementwise=%v %+v: %s costs %.1f > butterfly %.1f", coll, ew, p, a, c, bf)
+					t.Fatalf("%s(%s) %+v: %s costs %.1f > butterfly %.1f", coll, op.Name, p, a, c, bf)
 				}
-				if !ew && a != AlgoButterfly {
-					t.Fatalf("non-elementwise selection must stay on the butterfly, got %s", a)
+				if !Admits(a, op) || op == derived && a != AlgoButterfly {
+					t.Fatalf("%s(%s) %+v: picked %s, which the operator does not admit", coll, op.Name, p, a)
 				}
 				if !Applicable(coll, a, p) {
 					t.Fatalf("BestAlgo picked inapplicable %s at %+v", a, p)
@@ -178,5 +180,13 @@ func TestSelectableReduce(t *testing.T) {
 	derived := &algebra.Op{Name: "op_x", Arity: 2}
 	if SelectableReduce(term.Reduce{Op: derived}) {
 		t.Error("derived tuple operators are not selectable")
+	}
+	// The rings reorder the combine: left, associative only, keeps the
+	// algorithms that combine in rank order.
+	for _, a := range []Algo{AlgoButterfly, AlgoRabenseifner, AlgoRing, AlgoRingBi, AlgoPipeline} {
+		ordered := a != AlgoRing && a != AlgoRingBi
+		if !Admits(a, algebra.Add) || Admits(a, algebra.Left) != ordered || Admits(a, derived) != (a == AlgoButterfly) {
+			t.Errorf("Admits(%s): + %t, left %t, derived %t", a, Admits(a, algebra.Add), Admits(a, algebra.Left), Admits(a, derived))
+		}
 	}
 }

@@ -83,8 +83,9 @@ const (
 	// policy of OfTerm.
 	PriceButterfly Pricing = iota
 	// PricePortfolio charges a reduction eligible for algorithm
-	// selection (Selectable) the cheapest applicable portfolio line and
-	// every other stage its butterfly line — the policy of OfTermAuto.
+	// selection (Selectable) the cheapest portfolio line its operator
+	// admits (BestAlgo) and every other stage its butterfly line — the
+	// policy of OfTermAuto.
 	PricePortfolio
 	// PriceFloor charges only the stages no rule can remove — the policy
 	// of Floor.
@@ -124,8 +125,8 @@ func Walk(t term.Term, p Params, pr Pricing, visit func(Step)) float64 {
 		c := line.At(p)
 		switch pr {
 		case PricePortfolio:
-			if collective, at, ok := Selectable(stage, p, b); ok {
-				_, c = BestAlgo(collective, at, true)
+			if collective, op, at, ok := Selectable(stage, p, b); ok {
+				_, c = BestAlgo(collective, at, op)
 			}
 		case PriceFloor:
 			if !survivesRewriting(stage) {

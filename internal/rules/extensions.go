@@ -52,6 +52,8 @@ var BMMobility = Rule{
 // PolyEval_3 step of §5.1 as a rule:
 //
 //	map f ; map g  →  map (f; g)
+//
+// The fused function is elementwise exactly when both parts are.
 var MMLocal = Rule{
 	Name:        "MM-Local",
 	Class:       "Local",
@@ -71,8 +73,9 @@ var MMLocal = Rule{
 		}
 		ff, gg := f.F, g.F
 		fused := &term.Fn{
-			Name: fmt.Sprintf("(%s; %s)", ff.Name, gg.Name),
-			Cost: ff.Cost + gg.Cost,
+			Name:        fmt.Sprintf("(%s; %s)", ff.Name, gg.Name),
+			Cost:        ff.Cost + gg.Cost,
+			Elementwise: ff.Elementwise && gg.Elementwise,
 			F: func(v algebra.Value) algebra.Value {
 				return gg.F(ff.F(v))
 			},

@@ -178,10 +178,9 @@ func TestVerifierLanesBitwise(t *testing.T) {
 			t.Errorf("no window for rule %s", r.Name)
 		}
 	}
-	// Not lane-wise by what the code can see: the replacements of MM-Local,
-	// HH-Combine and MH-Mobility (functions built by the rule, undeclared)
-	// and the counts window of RSAG-AllReduce.
-	if want := 2*len(ruleWindows) - 4; gated != want {
+	// Not lane-wise by what the code can see: the counts window of
+	// RSAG-AllReduce.
+	if want := 2*len(ruleWindows) - 1; gated != want {
 		t.Errorf("%d rule sides pass the gate, want %d", gated, want)
 	}
 }
@@ -261,10 +260,33 @@ func probe(f *term.Fn, lists *inputLists) (err error) {
 // so it is probed like the registry's operator properties are — every
 // function that carries it acts lane by lane, a function of the whole block
 // does not — and a program with a stage outside the gate is verified one
-// input at a time.
+// input at a time. The functions MM-Local, HH-Combine and MH-Mobility
+// build declare it from their parts, so their derivations are verified on
+// the packed lists.
 func TestVerifierElementwiseDeclarationsProbe(t *testing.T) {
 	lists := new(Verifier).lists(plannerCfg)
 	declared := []*term.Fn{term.PairFn, term.TripleFn, term.QuadrupleFn, term.FirstFn, IncFn, IncTupFn, wordFn("negate", func(x float64) float64 { return -x })}
+	for _, c := range ruleWindows {
+		if c.rule != "MM-Local" && c.rule != "HH-Combine" && c.rule != "MH-Mobility" {
+			continue
+		}
+		opt, apps := singleRule(t, c.rule, c.p).Optimize(c.window)
+		v := new(Verifier)
+		if err := v.CheckDerivation(c.window, opt, apps, plannerCfg); err != nil {
+			t.Fatalf("%s: %v", c.rule, err)
+		}
+		if st := v.Stats(); st.Packed != 1 || st.PerInput != 0 {
+			t.Errorf("%s: %s => %s: %+v, want the packed pass alone", c.rule, c.window, opt, st)
+		}
+		for _, st := range term.Stages(opt) {
+			if m, ok := st.(term.Map); ok {
+				declared = append(declared, m.F)
+			}
+		}
+	}
+	if len(declared) != 10 {
+		t.Fatalf("the three rules built %d functions, want 3", len(declared)-7)
+	}
 	for _, f := range declared {
 		if !f.Elementwise {
 			t.Errorf("%s is not declared elementwise", f.Name)

@@ -23,11 +23,12 @@ import (
 // EachFn lifts f to the neighbor tuples a halo delivers: each(f)
 // applies f to every component. Moving a map across a halo turns map f
 // into map each(f) — same per-element cost, but charged on the |H|-fold
-// wider post-halo block.
+// wider post-halo block. It is elementwise exactly when f is.
 func EachFn(f *term.Fn) *term.Fn {
 	return &term.Fn{
-		Name: fmt.Sprintf("each(%s)", f.Name),
-		Cost: f.Cost,
+		Name:        fmt.Sprintf("each(%s)", f.Name),
+		Cost:        f.Cost,
+		Elementwise: f.Elementwise,
 		F: func(v algebra.Value) algebra.Value {
 			t, ok := v.(algebra.Tuple)
 			if !ok {
@@ -48,10 +49,12 @@ func EachFn(f *term.Fn) *term.Fn {
 // the n2-tuple of n1-tuples the uncombined halos would have delivered:
 // component j·n1+k of the input becomes component k of output component
 // j. Pure bookkeeping — no element is touched, so the cost is zero
-// (§4.2's "small additive constant ... which we ignore").
+// (§4.2's "small additive constant ... which we ignore") and the function
+// is elementwise.
 func RegroupFn(n1, n2 int) *term.Fn {
 	return &term.Fn{
-		Name: fmt.Sprintf("regroup_%dx%d", n1, n2),
+		Name:        fmt.Sprintf("regroup_%dx%d", n1, n2),
+		Elementwise: true,
 		F: func(v algebra.Value) algebra.Value {
 			t, ok := v.(algebra.Tuple)
 			if !ok || len(t) != n1*n2 {

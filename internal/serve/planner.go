@@ -33,7 +33,8 @@ type Plan struct {
 	CostBefore float64 `json:"cost_before"`
 	CostAfter  float64 `json:"cost_after"`
 	// Verified reports that every rule application and the end-to-end
-	// rewriting were checked under the functional semantics.
+	// rewriting were checked under the functional semantics: always true,
+	// since the planner publishes no plan it has not verified.
 	Verified bool `json:"verified"`
 	// Strategy is the optimizer that produced the plan ("greedy" or
 	// "search").
@@ -81,20 +82,17 @@ func (p Plan) render() *hitBody {
 }
 
 // Planner turns program sources into verified optimized plans, memoizing
-// them in the sharded cache. It is safe for concurrent use.
+// them in the sharded cache. Every computed plan passes the derivation
+// check (every application as a rule instance, then source against plan
+// end to end, see rules.Verifier) before it is published; the search
+// strategy runs under rules.SearchConfig's default budgets. It is safe
+// for concurrent use.
 type Planner struct {
 	// Symbols resolves operator and map-function names; NewPlanner
 	// pre-loads the standard table plus the generator's inc.
 	Symbols *lang.Symbols
-	// Verify makes every computed plan pass the derivation check (every
-	// application as a rule instance, then source against plan end to end,
-	// see rules.Verifier) before it is published.
-	Verify bool
 	// VerifyCfg configures the verification runs.
 	VerifyCfg rules.VerifyConfig
-	// SearchCfg bounds the plan search for the search strategy; the zero
-	// value selects the default budgets.
-	SearchCfg rules.SearchConfig
 	// Cache memoizes key → plan.
 	Cache *Cache
 
@@ -112,7 +110,6 @@ func NewPlanner(cacheSize, cacheShards int) *Planner {
 	syms.DefineFn(rules.IncTupFn)
 	return &Planner{
 		Symbols:   syms,
-		Verify:    true,
 		VerifyCfg: rules.VerifyConfig{Seed: 11, Trials: 4, Sizes: []int{1, 2, 4, 8}, BlockWords: 3, RelTol: 1e-9},
 		Cache:     NewCache(cacheSize, cacheShards),
 	}
@@ -162,21 +159,17 @@ func (pl *Planner) PlanTermOpts(t term.Seq, m core.Machine, strat Strategy, auto
 	})
 }
 
-// compute runs the selected optimizer (and, when Verify is set, the
-// semantic verifier) — the single-flight body behind every cache miss.
+// compute runs the selected optimizer and the semantic verifier — the
+// single-flight body behind every cache miss.
 func (pl *Planner) compute(t term.Seq, canonical string, m core.Machine, strat Strategy, autoSel bool) (Plan, error) {
 	pl.engineRuns.Add(1)
 	prog := core.FromTerm(t)
-	opts := core.OptimizeOptions{
+	opt, err := prog.OptimizeOpts(m, core.OptimizeOptions{
 		Search:       strat == StrategySearch,
-		SearchConfig: pl.SearchCfg,
 		Auto:         autoSel,
+		Verifier:     &pl.verifier,
 		VerifyConfig: pl.VerifyCfg,
-	}
-	if pl.Verify {
-		opts.Verifier = &pl.verifier
-	}
-	opt, err := prog.OptimizeOpts(m, opts)
+	})
 	if err != nil {
 		return Plan{}, fmt.Errorf("verification failed: %w", err)
 	}
@@ -186,7 +179,7 @@ func (pl *Planner) compute(t term.Seq, canonical string, m core.Machine, strat S
 		Optimized:  rules.Canonical(optTerm),
 		CostBefore: opt.EstimateBefore,
 		CostAfter:  opt.EstimateAfter,
-		Verified:   pl.Verify,
+		Verified:   true,
 		Strategy:   strat,
 		Search:     opt.Search,
 		Selection:  opt.Selection,

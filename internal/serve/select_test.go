@@ -13,7 +13,6 @@ import (
 // unselected plans), and repeat requests hit the cache.
 func TestPlanSelection(t *testing.T) {
 	pl := NewPlanner(64, 4)
-	pl.Verify = false
 	m := core.Machine{Ts: 203.6, Tw: 0.007, P: 8, M: 4096}
 	prog, err := pl.ParseProgram("allreduce(+)")
 	if err != nil {

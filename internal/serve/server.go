@@ -139,8 +139,8 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Planner exposes the planner (tests and the load generator use its
-// counters).
+// Planner exposes the planner: tests read its counters, and the benchmark
+// plans through it without going over HTTP.
 func (s *Server) Planner() *Planner { return s.planner }
 
 // Handler is the service's HTTP handler.

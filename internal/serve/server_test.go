@@ -281,9 +281,11 @@ func TestHealthzAndMetrics(t *testing.T) {
 }
 
 // TestServerSingleFlightUnderLoad drives 128 concurrent HTTP clients
-// over a small program set and asserts the engine ran exactly once per
-// distinct (program, machine) key — the single-flight guarantee holding
-// end to end through the HTTP layer.
+// over a small program set at two block sizes and asserts the engine ran
+// exactly once per distinct (program, machine) key — the single-flight
+// guarantee holding end to end through the HTTP layer. Each program's
+// second block size is a miss of its own over the rule instances of its
+// first, and /metrics reports the verifier answering those from its memo.
 func TestServerSingleFlightUnderLoad(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	const clients = 128
@@ -292,13 +294,14 @@ func TestServerSingleFlightUnderLoad(t *testing.T) {
 		"reduce(max)", "allreduce(+) ; reduce(+)", "map inc ; scan(+)",
 		"bcast ; reduce(min)", "gather ; scatter ; scan(+)",
 	}
+	keys := 2 * len(programs)
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, httpResp := postOptimize(t, ts.URL, Request{Program: programs[i%len(programs)], M: 16})
+			resp, httpResp := postOptimize(t, ts.URL, Request{Program: programs[i%len(programs)], M: 16 + i/len(programs)%2})
 			if httpResp.StatusCode != http.StatusOK {
 				errs <- fmt.Errorf("client %d: HTTP %d", i, httpResp.StatusCode)
 				return
@@ -313,11 +316,22 @@ func TestServerSingleFlightUnderLoad(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if runs := s.Planner().EngineRuns(); runs != int64(len(programs)) {
-		t.Errorf("engine ran %d times for %d distinct programs under %d clients", runs, len(programs), clients)
+	if runs := s.Planner().EngineRuns(); runs != int64(keys) {
+		t.Errorf("engine ran %d times for %d distinct keys under %d clients", runs, keys, clients)
 	}
-	st := s.Planner().Cache.Stats()
-	if st.Hits+st.Coalesced != clients-uint64(len(programs)) {
-		t.Errorf("hits+coalesced = %d, want %d", st.Hits+st.Coalesced, clients-len(programs))
+	mr, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mr.Body.Close()
+	var snap Snapshot
+	if err := json.NewDecoder(mr.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if st := snap.Cache; st.Hits+st.Coalesced != uint64(clients-keys) {
+		t.Errorf("hits+coalesced = %d, want %d", st.Hits+st.Coalesced, clients-keys)
+	}
+	if v := snap.Verify; v.Derivations != uint64(keys) || v.InstanceHits == 0 {
+		t.Errorf("verifier counters %+v, want %d derivations and instance hits", v, keys)
 	}
 }
