@@ -70,9 +70,9 @@ func lanesAgree(t *testing.T, v *Verifier, stages []term.Term, cfg VerifyConfig,
 	eachLane(v.lists(cfg), func(packed, drawn sample, lo, w int, scalar bool) {
 		if lo == 0 {
 			of = packed
-			out, ill = evalStages(stages, 0, packed.in)
+			out, ill = evalStages(nil, stages, 0, packed.in)
 		}
-		want, wantIll := evalStages(stages, 0, drawn.in)
+		want, wantIll := evalStages(nil, stages, 0, drawn.in)
 		if (ill == nil) != (wantIll == nil) {
 			t.Fatalf("%s: %s at p=%d trial %d: packed evaluation: %v, per input: %v", what, term.Seq(stages), drawn.n, drawn.trial, ill, wantIll)
 		}

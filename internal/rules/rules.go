@@ -31,8 +31,12 @@ type Env struct {
 	P int
 }
 
-// DefaultEnv uses the default registry and an unknown machine size.
-func DefaultEnv() Env { return Env{Reg: algebra.Default()} }
+// DefaultEnv uses the default registry and an unknown machine size. The
+// registry is built once and shared, so it is read-only: an engine that
+// needs other properties replaces Env.Reg, never declares into it.
+func DefaultEnv() Env { return Env{Reg: defaultReg} }
+
+var defaultReg = algebra.Default()
 
 func (e Env) pow2OK() bool {
 	return e.P == 0 || e.P&(e.P-1) == 0

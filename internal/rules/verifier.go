@@ -163,18 +163,29 @@ func (v *Verifier) CheckDerivation(t, opt term.Term, apps []Application, cfg Ver
 	if len(apps) == 0 {
 		v.zeroApplication.Add(1)
 	}
+	sc := scratches.Get().(*term.Scratch)
+	defer func() {
+		if sc.Bytes() <= 64<<10 {
+			scratches.Put(sc)
+		}
+	}()
 	for _, app := range apps {
 		cfg = cfg.forRule(app.Rule)
-		if err := v.instance(app, cfg); err != nil {
+		if err := v.instance(app, cfg, sc); err != nil {
 			return err
 		}
 	}
-	return v.endToEnd(t, opt, shapeFor(t, cfg))
+	return v.endToEnd(t, opt, shapeFor(t, cfg), sc)
 }
+
+// scratches holds the evaluation storage of derivation checks. Nothing drawn
+// from one outlives its input list: a report is rendered with its verdict.
+// One that grew past 64 KiB is dropped, not kept behind every later check.
+var scratches = sync.Pool{New: func() any { return new(term.Scratch) }}
 
 // instance is VerifyApplication through the memo. A config with a Gen has
 // no key and is checked afresh.
-func (v *Verifier) instance(app Application, cfg VerifyConfig) error {
+func (v *Verifier) instance(app Application, cfg VerifyConfig, sc *term.Scratch) error {
 	if cfg.Gen != nil {
 		v.instanceChecks.Add(1)
 		return VerifyApplication(app, cfg)
@@ -189,7 +200,7 @@ func (v *Verifier) instance(app Application, cfg VerifyConfig) error {
 	}
 	v.instanceChecks.Add(1)
 	before := term.Seq(app.Before)
-	if !v.packedClean(cut(before, term.Seq(app.After), cfg.RelTol), shapeFor(before, cfg)) {
+	if !v.packedClean(cut(before, term.Seq(app.After), cfg.RelTol, sc), shapeFor(before, cfg)) {
 		err = VerifyApplication(app, cfg)
 	}
 	v.mu.Lock()
@@ -316,8 +327,8 @@ func (v *Verifier) packedClean(d *derivation, cfg VerifyConfig) bool {
 
 // endToEnd compares t and opt on every input of cfg: on the packed lists
 // when that settles it, else input by input.
-func (v *Verifier) endToEnd(t, opt term.Term, cfg VerifyConfig) error {
-	d := cut(t, opt, cfg.RelTol)
+func (v *Verifier) endToEnd(t, opt term.Term, cfg VerifyConfig, sc *term.Scratch) error {
+	d := cut(t, opt, cfg.RelTol, sc)
 	defer func() {
 		v.tailsOnce.Add(d.tailsOnce)
 		v.tailsTwice.Add(d.tailsTwice)
@@ -348,29 +359,31 @@ type derivation struct {
 	ts, os            []term.Term
 	pre, tailT, tailO int
 	relTol            float64
+	sc                *term.Scratch // reset after each input list
 	// tailsOnce and tailsTwice count the input lists on which the suffix
 	// was evaluated once for both sides, and once per side.
 	tailsOnce, tailsTwice uint64
 }
 
-func cut(t, opt term.Term, relTol float64) *derivation {
+func cut(t, opt term.Term, relTol float64, sc *term.Scratch) *derivation {
 	ts, os := term.Stages(t), term.Stages(opt)
 	pre, suf := term.CommonEnds(ts, os)
-	return &derivation{t: t, opt: opt, ts: ts, os: os, pre: pre, tailT: len(ts) - suf, tailO: len(os) - suf, relTol: relTol}
+	return &derivation{t: t, opt: opt, ts: ts, os: os, pre: pre, tailT: len(ts) - suf, tailO: len(os) - suf, relTol: relTol, sc: sc}
 }
 
 // on compares the two sides on one input list.
 func (d *derivation) on(s sample) error {
-	x, ill := evalStages(d.ts[:d.pre], 0, s.in)
+	defer d.sc.Reset()
+	x, ill := evalStages(d.sc, d.ts[:d.pre], 0, s.in)
 	if ill != nil {
 		return ill
 	}
 	l, r, same := x, x, true
 	if d.tailT > d.pre || d.tailO > d.pre {
-		if l, ill = evalStages(d.ts[d.pre:d.tailT], d.pre, x); ill != nil {
+		if l, ill = evalStages(d.sc, d.ts[d.pre:d.tailT], d.pre, x); ill != nil {
 			return ill
 		}
-		if r, ill = evalStages(d.os[d.pre:d.tailO], d.pre, x); ill != nil {
+		if r, ill = evalStages(d.sc, d.os[d.pre:d.tailO], d.pre, x); ill != nil {
 			return rewritingFails(d.t, d.opt, ill)
 		}
 		if same = identical(l, r); same {
@@ -379,12 +392,12 @@ func (d *derivation) on(s sample) error {
 			d.tailsTwice++
 		}
 	}
-	if l, ill = evalStages(d.ts[d.tailT:], d.tailT, l); ill != nil {
+	if l, ill = evalStages(d.sc, d.ts[d.tailT:], d.tailT, l); ill != nil {
 		return ill
 	}
 	if same {
 		r = l
-	} else if r, ill = evalStages(d.os[d.tailO:], d.tailO, r); ill != nil {
+	} else if r, ill = evalStages(d.sc, d.os[d.tailO:], d.tailO, r); ill != nil {
 		return rewritingFails(d.t, d.opt, ill)
 	}
 	return mismatch(d.t, d.opt, s, l, r, d.relTol)
@@ -396,10 +409,10 @@ func rewritingFails(t, opt term.Term, ill *IllTypedError) error {
 	return fmt.Errorf("rules: %s rewritten to %s cannot be evaluated: stage %d (%s): %v", t, opt, ill.Stage, ill.Term, ill.Cause)
 }
 
-// evalStages is term.Eval of the stage list on xs, with a panic of the
+// evalStages is sc.Eval of the stage list on xs, with a panic of the
 // evaluation returned as the error naming the stage; at is the index of
 // stages[0] in its program.
-func evalStages(stages []term.Term, at int, xs []algebra.Value) (out []algebra.Value, ill *IllTypedError) {
+func evalStages(sc *term.Scratch, stages []term.Term, at int, xs []algebra.Value) (out []algebra.Value, ill *IllTypedError) {
 	i := 0
 	defer func() {
 		if cause := recover(); cause != nil {
@@ -407,7 +420,7 @@ func evalStages(stages []term.Term, at int, xs []algebra.Value) (out []algebra.V
 		}
 	}()
 	for ; i < len(stages); i++ {
-		xs = term.Eval(stages[i], xs)
+		xs = sc.Eval(stages[i], xs)
 	}
 	return xs, nil
 }

@@ -36,8 +36,8 @@ type bodyIndex struct {
 // maxIndexedBody is the longest body the index keeps. A client renders a
 // program the same way every time, so one spelling per plan is the common
 // case; capacity bodies of this size (16 MiB at the default geometry) is
-// what the index may cost. The benchmark's and the load generator's bodies
-// are under 200 bytes; a longer body is still answered, the long way round.
+// what the index may cost. The benchmark's bodies are under 200 bytes; a
+// longer body is still answered, the long way round.
 const maxIndexedBody = 4 << 10
 
 type cacheShard struct {

@@ -98,7 +98,9 @@ func TestPlannerTwoClients(t *testing.T) {
 // evaluated once per machine size, the verification inputs of a size being
 // lanes of one list, where it was evaluated once per input: the parent of
 // the change that packed them measured 2 345 allocations for this request
-// (and the parent of the Verifier 4 789), the change 466.
+// (and the parent of the Verifier 4 789), the change 466. Evaluating in a
+// pooled term.Scratch took it from 462 to 270 (under -race, whose
+// sync.Pool drops items at random, 287–302).
 func TestZeroApplicationMissAllocs(t *testing.T) {
 	pl := NewPlanner(4096, 64)
 	prog, err := pl.ParseProgram(strings.TrimSuffix(strings.Repeat("scan(+) ; map inc ; ", 6), " ; "))
@@ -113,7 +115,7 @@ func TestZeroApplicationMissAllocs(t *testing.T) {
 			t.Fatalf("cached=%t applications=%v err=%v", cached, plan.Applications, err)
 		}
 	})
-	const bound = 600
+	const bound = 335
 	if allocs > bound {
 		t.Errorf("a zero-application 12-stage miss allocates %.0f times, want ≤ %d", allocs, bound)
 	}

@@ -11,7 +11,19 @@ import (
 // machine-independent reference the optimization rules are equalities
 // over; the machine executor in package core must agree with it on the
 // determined positions (package rules verifies that they do).
+//
+// Eval is Scratch.Eval with a nil scratch, which allocates every list,
+// block and tuple afresh: what it returns is the caller's to keep.
 func Eval(t Term, xs []algebra.Value) []algebra.Value {
+	return (*Scratch)(nil).Eval(t, xs)
+}
+
+// Eval is the package-level Eval with per-stage lists, base-operator
+// results on Vec and Scalar blocks, and the tuples of pair, triple,
+// quadruple and gather drawn from sc; the rest allocates. A combine writes
+// to a buffer of its own, not to an input or a shared value: the results
+// are Eval's, bit for bit, valid until the next Reset.
+func (sc *Scratch) Eval(t Term, xs []algebra.Value) []algebra.Value {
 	if len(xs) == 0 {
 		return nil
 	}
@@ -19,41 +31,41 @@ func Eval(t Term, xs []algebra.Value) []algebra.Value {
 	case Seq:
 		cur := xs
 		for _, sub := range s {
-			cur = Eval(sub, cur)
+			cur = sc.Eval(sub, cur)
 		}
 		return cur
 	case Map:
-		out := make([]algebra.Value, len(xs))
+		out := sc.list(len(xs))
 		for i, x := range xs {
-			out[i] = s.F.F(x)
+			out[i] = sc.apply(s.F, x)
 		}
 		return out
 	case MapIdx:
-		out := make([]algebra.Value, len(xs))
+		out := sc.list(len(xs))
 		for i, x := range xs {
 			out[i] = s.F.F(i, x)
 		}
 		return out
 	case Scan:
-		out := make([]algebra.Value, len(xs))
+		out := sc.list(len(xs))
 		out[0] = xs[0]
 		for i := 1; i < len(xs); i++ {
-			out[i] = s.Op.Apply(out[i-1], xs[i])
+			out[i] = sc.combine(s.Op, out[i-1], xs[i])
 		}
 		return out
 	case ScanBal:
-		return evalScanBalanced(s.Op, xs)
+		return sc.scanBalanced(s.Op, xs)
 	case Reduce:
 		var y algebra.Value
 		if s.Balanced {
-			y = evalReduceBalanced(s.Op, xs)
+			y = sc.reduceBalanced(s.Op, xs)
 		} else {
 			y = xs[0]
 			for _, x := range xs[1:] {
-				y = s.Op.Apply(y, x)
+				y = sc.combine(s.Op, y, x)
 			}
 		}
-		out := make([]algebra.Value, len(xs))
+		out := sc.list(len(xs))
 		if s.All {
 			for i := range out {
 				out[i] = y
@@ -72,16 +84,16 @@ func Eval(t Term, xs []algebra.Value) []algebra.Value {
 		}
 		return out
 	case Bcast:
-		out := make([]algebra.Value, len(xs))
+		out := sc.list(len(xs))
 		for i := range out {
 			out[i] = xs[0]
 		}
 		return out
 	case Gather:
-		out := make([]algebra.Value, len(xs))
-		list := make(algebra.Tuple, len(xs))
+		out := sc.list(len(xs))
+		list, boxed := sc.tuple(len(xs))
 		copy(list, xs)
-		out[0] = list
+		out[0] = boxed
 		for i := 1; i < len(out); i++ {
 			out[i] = algebra.Undef{}
 		}
@@ -91,11 +103,11 @@ func Eval(t Term, xs []algebra.Value) []algebra.Value {
 		if !ok || len(list) != len(xs) {
 			panic(fmt.Sprintf("term: scatter needs a %d-component list on the first processor, got %v", len(xs), xs[0]))
 		}
-		out := make([]algebra.Value, len(xs))
+		out := sc.list(len(xs))
 		copy(out, list)
 		return out
 	case Comcast:
-		out := make([]algebra.Value, len(xs))
+		out := sc.list(len(xs))
 		for i := range out {
 			out[i] = algebra.First(s.Ops.Repeat(i, s.Ops.Prepare(xs[0])))
 		}
@@ -107,7 +119,7 @@ func Eval(t Term, xs []algebra.Value) []algebra.Value {
 	case ReduceScatterV:
 		return evalReduceScatterV(s.Op, s.Counts, xs)
 	case Iter:
-		out := make([]algebra.Value, len(xs))
+		out := sc.list(len(xs))
 		w := s.Op.Prepare(xs[0])
 		for k := 1; k < len(xs); k <<= 1 {
 			w = s.Op.F(w)
@@ -121,10 +133,10 @@ func Eval(t Term, xs []algebra.Value) []algebra.Value {
 	panic(fmt.Sprintf("term: Eval of unknown term %T", t))
 }
 
-// evalReduceBalanced folds xs over the balanced binary tree of §3.2:
-// leaves all at depth ceil(log2 n), right subtrees complete. This is the
+// reduceBalanced folds xs over the balanced binary tree of §3.2: leaves
+// all at depth ceil(log2 n), right subtrees complete. This is the
 // bracketing under which the non-associative op_sr is correct.
-func evalReduceBalanced(op *algebra.Op, xs []algebra.Value) algebra.Value {
+func (sc *Scratch) reduceBalanced(op *algebra.Op, xs []algebra.Value) algebra.Value {
 	n := len(xs)
 	h := 0
 	for 1<<h < n {
@@ -140,21 +152,21 @@ func evalReduceBalanced(op *algebra.Op, xs []algebra.Value) algebra.Value {
 			return op.ApplyUnary(node(lo, hi, h-1))
 		}
 		mid := hi - half
-		return op.Apply(node(lo, mid, h-1), node(mid, hi, h-1))
+		return sc.combine(op, node(lo, mid, h-1), node(mid, hi, h-1))
 	}
 	return node(0, n, h)
 }
 
-// evalScanBalanced runs the butterfly of §3.3 on the list: ceil(log2 n)
+// scanBalanced runs the butterfly of §3.3 on the list: ceil(log2 n)
 // phases, in phase k index i pairs with i xor 2^k; indices without a
 // partner apply the Solo case (keep the first component, poison the
 // rest).
-func evalScanBalanced(op *algebra.BalancedScanOp, xs []algebra.Value) []algebra.Value {
+func (sc *Scratch) scanBalanced(op *algebra.BalancedScanOp, xs []algebra.Value) []algebra.Value {
 	n := len(xs)
-	cur := make([]algebra.Value, n)
+	cur := sc.list(n)
 	copy(cur, xs)
 	for k := 0; 1<<k < n; k++ {
-		next := make([]algebra.Value, n)
+		next := sc.list(n)
 		for i := 0; i < n; i++ {
 			partner := i ^ (1 << k)
 			switch {
