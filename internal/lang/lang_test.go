@@ -149,6 +149,9 @@ func TestParseErrors(t *testing.T) {
 		{"bcast scan(+)", "expected end of input"},
 		{"bcast ;; scan(+)", "expected identifier"},
 		{"map", "expected identifier"},
+		// The whole source is lexed before parsing: a bad character late
+		// outranks a parse error early.
+		{"scan(+ ; bcast @", "1:16: unexpected character '@'"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src, nil)

@@ -105,16 +105,23 @@ func isIdentRune(r rune) bool {
 // the MPI notation's Program headers (x: input).
 const opChars = "+*-/<>=&|^%:"
 
+// punct maps the one-byte tokens to their kinds; TokEOF marks the rest.
+var punct = [256]TokenKind{';': TokSemi, '(': TokLParen, ')': TokRParen, ',': TokComma}
+
+// maxInitialTokens caps the token slice Lex sizes from the source at 6 KiB,
+// however long a source of blanks and comments is; a source with more
+// tokens grows the slice by appending.
+const maxInitialTokens = 128
+
 // Lex tokenizes src. It returns the token stream ending in TokEOF, or a
 // positioned error on an unexpected character.
 func Lex(src string) ([]Token, error) {
-	var toks []Token
+	n := len(src)
+	// A dense program in canonical form has at most one token per two bytes
+	// of source, plus TokEOF; a denser source grows the slice as it goes.
+	toks := make([]Token, 0, min(n/2+2, maxInitialTokens))
 	line, col := 1, 1
 	i := 0
-	n := len(src)
-	emit := func(kind TokenKind, text string) {
-		toks = append(toks, Token{Kind: kind, Text: text, Pos: i, Line: line, Col: col})
-	}
 	for i < n {
 		c := rune(src[i])
 		switch {
@@ -129,20 +136,8 @@ func Lex(src string) ([]Token, error) {
 			for i < n && src[i] != '\n' {
 				i++
 			}
-		case c == ';':
-			emit(TokSemi, ";")
-			i++
-			col++
-		case c == '(':
-			emit(TokLParen, "(")
-			i++
-			col++
-		case c == ')':
-			emit(TokRParen, ")")
-			i++
-			col++
-		case c == ',':
-			emit(TokComma, ",")
+		case punct[src[i]] != TokEOF:
+			toks = append(toks, Token{Kind: punct[src[i]], Text: src[i : i+1], Pos: i, Line: line, Col: col})
 			i++
 			col++
 		case strings.ContainsRune(opChars, c):

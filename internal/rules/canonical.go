@@ -20,48 +20,66 @@ import (
 // (map#, the balanced forms, comcast, iter — the rule right-hand sides)
 // fall back to their String form, which is deterministic and keyed on the
 // operator name, still a sound cache key.
+//
+// The rendering is written into one strings.Builder sized from the
+// stages' pieces, so a program of grammar stages costs one allocation.
 func Canonical(s term.Seq) string {
-	stages := term.Stages(s)
+	stages := s.Flat()
 	if len(stages) == 0 {
 		return "id"
 	}
-	parts := make([]string, len(stages))
-	for i, st := range stages {
-		parts[i] = canonicalStage(st)
+	n := len(" ; ") * (len(stages) - 1)
+	for _, st := range stages {
+		head, name, tail, _ := canonicalStage(st)
+		n += len(head) + len(name) + len(tail)
 	}
-	return strings.Join(parts, " ; ")
+	var b strings.Builder
+	b.Grow(n)
+	for i, st := range stages {
+		if i > 0 {
+			b.WriteString(" ; ")
+		}
+		head, name, tail, ok := canonicalStage(st)
+		if !ok {
+			b.WriteString(st.String())
+			continue
+		}
+		b.WriteString(head)
+		b.WriteString(name)
+		b.WriteString(tail)
+	}
+	return b.String()
 }
 
-func canonicalStage(st term.Term) string {
+// reduceHeads are the reductions' renderings up to the operator, indexed
+// by 2·All + Balanced.
+var reduceHeads = [4]string{"reduce(", "reduce_balanced(", "allreduce(", "allreduce_balanced("}
+
+// canonicalStage returns a stage's rendering as three pieces written back
+// to back, or ok = false for a stage rendered by its String: the rule
+// right-hand sides outside the grammar, and the sparse collectives, whose
+// String is their parseable form.
+func canonicalStage(st term.Term) (head, name, tail string, ok bool) {
 	switch x := st.(type) {
 	case term.Map:
-		return "map " + x.F.Name
+		return "map ", x.F.Name, "", true
 	case term.Scan:
-		return "scan(" + x.Op.Name + ")"
+		return "scan(", x.Op.Name, ")", true
 	case term.Reduce:
-		name := "reduce"
+		i := 0
 		if x.All {
-			name = "allreduce"
+			i = 2
 		}
 		if x.Balanced {
-			name += "_balanced"
+			i++
 		}
-		return name + "(" + x.Op.Name + ")"
+		return reduceHeads[i], x.Op.Name, ")", true
 	case term.Bcast:
-		return "bcast"
+		return "bcast", "", "", true
 	case term.Gather:
-		return "gather"
+		return "gather", "", "", true
 	case term.Scatter:
-		return "scatter"
-	case term.Halo:
-		// The offset form matches the parseable surface syntax; the
-		// per-rank-list form falls back to its deterministic String like
-		// the other out-of-grammar stages.
-		return x.String()
-	case term.AllGatherV:
-		return x.String()
-	case term.ReduceScatterV:
-		return x.String()
+		return "scatter", "", "", true
 	}
-	return st.String()
+	return "", "", "", false
 }

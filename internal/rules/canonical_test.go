@@ -2,8 +2,10 @@ package rules_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/lang"
 	"repro/internal/rules"
 	"repro/internal/term"
@@ -65,6 +67,91 @@ func TestCanonicalNormalizesSource(t *testing.T) {
 		if got := rules.Canonical(term.Compose(parsed)); got != c.want {
 			t.Errorf("Canonical(parse(%q)) = %q, want %q", c.src, got, c.want)
 		}
+	}
+}
+
+// canonicalOracle is Canonical as it was written before it rendered into
+// one builder: a string per stage, joined. It is the reference Canonical is
+// held to.
+func canonicalOracle(s term.Seq) string {
+	stages := term.Stages(s)
+	if len(stages) == 0 {
+		return "id"
+	}
+	parts := make([]string, len(stages))
+	for i, st := range stages {
+		switch x := st.(type) {
+		case term.Map:
+			parts[i] = "map " + x.F.Name
+		case term.Scan:
+			parts[i] = "scan(" + x.Op.Name + ")"
+		case term.Reduce:
+			name := "reduce"
+			if x.All {
+				name = "allreduce"
+			}
+			if x.Balanced {
+				name += "_balanced"
+			}
+			parts[i] = name + "(" + x.Op.Name + ")"
+		case term.Bcast:
+			parts[i] = "bcast"
+		case term.Gather:
+			parts[i] = "gather"
+		case term.Scatter:
+			parts[i] = "scatter"
+		default:
+			parts[i] = st.String()
+		}
+	}
+	return strings.Join(parts, " ; ")
+}
+
+// TestCanonicalMatchesOracle: on the generators' programs and on what the
+// exhaustive engine rewrites them to — which brings in the balanced
+// reductions, the balanced scan, comcast, iter and map# — Canonical renders
+// what the joined rendering did.
+func TestCanonicalMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	eng := rules.NewEngine()
+	outside := 0
+	for trial := 0; trial < 1500; trial++ {
+		var prog term.Seq
+		if trial%3 == 2 {
+			prog = rules.RandSparseProgram(rng, 1+rng.Intn(6))
+		} else {
+			prog = rules.RandProgram(rng, 12)
+		}
+		opt, _ := eng.Optimize(prog)
+		for _, s := range []term.Seq{prog, term.Compose(opt), {prog, term.Seq{}, opt}} {
+			if got, want := rules.Canonical(s), canonicalOracle(s); got != want {
+				t.Fatalf("Canonical(%v) = %q, want %q", s, got, want)
+			}
+		}
+		for _, form := range []string{"scan_balanced(", "map# ", "iter(", "comcast("} {
+			if strings.Contains(rules.Canonical(term.Compose(opt)), form) {
+				outside++
+				break
+			}
+		}
+	}
+	t.Logf("%d rewritten programs with a stage outside the grammar", outside)
+	if outside == 0 {
+		t.Fatal("no rewritten program has a stage outside the grammar: the corpus misses the String fallback")
+	}
+}
+
+// TestCanonicalAllocs pins the rendering of a program of grammar stages to
+// the one allocation of its string.
+func TestCanonicalAllocs(t *testing.T) {
+	prog := term.Seq{
+		term.Bcast{}, term.Scan{Op: algebra.Add}, term.Reduce{Op: algebra.Max}, term.Reduce{Op: algebra.Left, All: true},
+		term.Reduce{Op: algebra.Mul, All: true, Balanced: true}, term.Map{F: rules.IncFn}, term.Map{F: term.PairFn},
+		term.Map{F: term.FirstFn}, term.Gather{}, term.Scatter{}, term.Scan{Op: algebra.Min},
+	}
+	var sink string
+	if a := testing.AllocsPerRun(100, func() { sink = rules.Canonical(prog) }); a != 1 {
+		t.Errorf("Canonical(%s) allocates %.0f times, want 1", sink, a)
 	}
 }
 

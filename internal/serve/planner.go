@@ -136,14 +136,28 @@ func (pl *Planner) ParseProgram(src string) (term.Seq, error) {
 // selection stanza — never share an entry with unselected plans of the
 // same program.
 func KeyOpts(canonical string, m core.Machine, strat Strategy, autoSel bool) string {
-	k := fmt.Sprintf("%s|ts=%g|tw=%g|p=%d|m=%d", canonical, m.Ts, m.Tw, m.P, m.M)
+	// The qualifiers are rendered on the stack, so that the key itself is
+	// the one allocation; AppendFloat's 'g', -1 prints what %g printed.
+	var buf [128]byte
+	q := append(buf[:0], "|ts="...)
+	q = strconv.AppendFloat(q, m.Ts, 'g', -1, 64)
+	q = append(q, "|tw="...)
+	q = strconv.AppendFloat(q, m.Tw, 'g', -1, 64)
+	q = append(q, "|p="...)
+	q = strconv.AppendInt(q, int64(m.P), 10)
+	q = append(q, "|m="...)
+	q = strconv.AppendInt(q, int64(m.M), 10)
 	if strat == StrategySearch {
-		k += "|strategy=search"
+		q = append(q, "|strategy=search"...)
 	}
 	if autoSel {
-		k += "|select"
+		q = append(q, "|select"...)
 	}
-	return k
+	var k strings.Builder
+	k.Grow(len(canonical) + len(q))
+	k.WriteString(canonical)
+	k.Write(q)
+	return k.String()
 }
 
 // PlanTermOpts returns the optimized plan of an already-parsed term
@@ -173,10 +187,16 @@ func (pl *Planner) compute(t term.Seq, canonical string, m core.Machine, strat S
 	if err != nil {
 		return Plan{}, fmt.Errorf("verification failed: %w", err)
 	}
-	optTerm := term.Compose(opt.Program.Term())
+	// FromTerm has flattened the optimized program already, and a
+	// derivation without applications returned the program it was given.
+	optTerm := opt.Program.Term().(term.Seq)
+	optimized := canonical
+	if len(opt.Applications) > 0 {
+		optimized = rules.Canonical(optTerm)
+	}
 	plan := Plan{
 		Canonical:  canonical,
-		Optimized:  rules.Canonical(optTerm),
+		Optimized:  optimized,
 		CostBefore: opt.EstimateBefore,
 		CostAfter:  opt.EstimateAfter,
 		Verified:   true,

@@ -195,6 +195,14 @@ func (s *Server) machineFor(req Request) (core.Machine, error) {
 	if m.Ts < 0 || m.Tw < 0 {
 		return m, fmt.Errorf("ts and tw must be non-negative, got ts=%g tw=%g", m.Ts, m.Tw)
 	}
+	// −0 passes the check above but prints as -0, in the cache key and in
+	// the answer: it is the machine +0 is, so it becomes +0.
+	if m.Ts == 0 {
+		m.Ts = 0
+	}
+	if m.Tw == 0 {
+		m.Tw = 0
+	}
 	return m, nil
 }
 
@@ -324,11 +332,76 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	encodeJSON(w, v)
 }
 
-// encodeJSON is the one rendering of every response body.
+// indentPool holds the buffers encodeJSON indents into.
+var indentPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodeJSON is the one rendering of every response body: v as a
+// json.Encoder with SetIndent("", "  ") writes it, byte for byte, in one
+// Write. A value Marshal refuses writes nothing, as the Encoder did.
 func encodeJSON(w io.Writer, v any) {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	compact, err := json.Marshal(v)
+	if err != nil {
+		return
+	}
+	bp := indentPool.Get().(*[]byte)
+	b := appendIndented((*bp)[:0], compact)
+	w.Write(b)
+	if cap(b) <= maxPooledBody {
+		*bp = b
+		indentPool.Put(bp)
+	}
+}
+
+// appendIndented appends compact JSON — Marshal's output, which has no
+// space outside its strings — indented by two spaces a level as
+// json.Indent would, and the newline an Encoder ends a value with. It is
+// one pass: a string literal is copied whole, and an empty object or
+// array stays {} or [].
+func appendIndented(dst, src []byte) []byte {
+	depth := 0
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; c {
+		case '"':
+			j := i + 1
+			for src[j] != '"' {
+				if src[j] == '\\' {
+					j++
+				}
+				j++
+			}
+			dst = append(dst, src[i:j+1]...)
+			i = j
+		case '{', '[':
+			if next := src[i+1]; next == '}' || next == ']' {
+				dst = append(dst, c, next)
+				i++
+				continue
+			}
+			depth++
+			dst = append(dst, c)
+			dst = appendNewline(dst, depth)
+		case '}', ']':
+			depth--
+			dst = appendNewline(dst, depth)
+			dst = append(dst, c)
+		case ',':
+			dst = append(dst, ',')
+			dst = appendNewline(dst, depth)
+		case ':':
+			dst = append(dst, ':', ' ')
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return append(dst, '\n')
+}
+
+func appendNewline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for ; depth > 0; depth-- {
+		dst = append(dst, ' ', ' ')
+	}
+	return dst
 }
 
 // write answers 200 with the rendered hit.

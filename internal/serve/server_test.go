@@ -141,6 +141,30 @@ func TestOptimizeErrors(t *testing.T) {
 	}
 }
 
+// TestNegativeZeroIsTheZeroMachine: −0 passes the non-negative check but is
+// the machine +0 is. Every spelling of it shares the +0 request's one cache
+// entry and engine run, and answers what +0's hit answers.
+func TestNegativeZeroIsTheZeroMachine(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	const program = "bcast ; scan(+) ; scan(+)"
+	plus := requestBody(program, `,"ts":0,"tw":0,"m":16`)
+	if miss := postBody(t, ts.URL, plus); miss.code != http.StatusOK || !strings.Contains(miss.body, `"Tw": 0,`) {
+		t.Fatalf("+0: HTTP %d: %s", miss.code, miss.body)
+	}
+	hit := postBody(t, ts.URL, plus)
+	for _, opts := range []string{`,"ts":-0,"tw":-0,"m":16`, `,"ts":0,"tw":-0,"m":16`, `,"ts":-0.0,"tw":-0e5,"m":16`} {
+		body := requestBody(program, opts)
+		for i := 0; i < 2; i++ {
+			if ans := postBody(t, ts.URL, body); ans != hit {
+				t.Errorf("%s: answer %d\n%+v\nwant the +0 hit\n%+v", body, i, ans, hit)
+			}
+		}
+	}
+	if m := s.Metrics(); m.EngineRuns != 1 || m.Cache.Size != 1 {
+		t.Errorf("engine runs = %d, cache entries = %d, want 1 and 1", m.EngineRuns, m.Cache.Size)
+	}
+}
+
 // TestEveryAnswerRenders: at machine parameters up to the edge of float64
 // and int64, every answer is a 200 whose body decodes into a Response or a
 // 4xx with an error object — never a 200 with nothing in it — and asking

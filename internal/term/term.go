@@ -217,12 +217,33 @@ func (s Seq) String() string {
 	return strings.Join(parts, " ; ")
 }
 
-// Compose flattens terms into a single Seq, splicing nested Seqs.
+// Compose flattens terms into a single Seq, splicing nested Seqs. It
+// counts the stages first, so the result is one allocation, and nil when
+// there are none.
 func Compose(ts ...Term) Seq {
-	var out Seq
+	n := countStages(ts)
+	if n == 0 {
+		return nil
+	}
+	return appendStages(make(Seq, 0, n), ts)
+}
+
+func countStages(ts []Term) int {
+	n := 0
 	for _, t := range ts {
 		if s, ok := t.(Seq); ok {
-			out = append(out, Compose(s...)...)
+			n += countStages(s)
+		} else {
+			n++
+		}
+	}
+	return n
+}
+
+func appendStages(out Seq, ts []Term) Seq {
+	for _, t := range ts {
+		if s, ok := t.(Seq); ok {
+			out = appendStages(out, s)
 		} else {
 			out = append(out, t)
 		}
@@ -238,9 +259,15 @@ func Stages(t Term) []Term {
 	if !ok {
 		return []Term{t}
 	}
+	return s.Flat()
+}
+
+// Flat is Stages of a Seq, which a caller holding one can ask without
+// boxing it into a Term (an allocation).
+func (s Seq) Flat() Seq {
 	for _, sub := range s {
 		if _, nested := sub.(Seq); nested {
-			return Compose(s)
+			return Compose(s...)
 		}
 	}
 	return s

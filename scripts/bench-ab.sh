@@ -11,11 +11,15 @@
 # untraced (--trace 0), the ref first when i is odd and the working tree
 # first when it is even. Defaults: every workload, 10 pairs, 15 seconds.
 #
-# Per workload and metric it prints each side's median [q1, q3] and the
-# pairs the working tree won, then the result files' raw_p50_us and
-# calib_us. It exits 1 when a median of the working tree is worse than the
-# ref's by more than the metric's bound, or when a run of the working tree
-# failed an operation. Every run's result line is appended to
+# Per workload and metric — the end-to-end ones, then the result files'
+# raw_p50_us and calib_us — it prints each side's median [q1, q3], the
+# paired difference (change − base) / |base| of each pair as median [q1,
+# q3], the pairs the working tree won, and whether a gain may be claimed:
+# won in at least 9 of 10 pairs, with medians further apart than the ref's
+# q3 − q1. The host drifts between runs by more than a bound, so the gate is
+# on the pairs: it exits 1 when the median paired difference of a metric is
+# worse than the metric's BENCHMARK.json bound, or when a run of the working
+# tree failed an operation. Every run's result line is appended to
 # .bench_build/ab/runs.jsonl.
 set -euo pipefail
 
@@ -105,12 +109,21 @@ def fmt(xs):
     q1, q2, q3 = cut(xs)
     return f"{q2:.4g} [{q1:.4g}, {q3:.4g}]"
 
+def pct(xs):
+    q1, q2, q3 = cut(xs)
+    return f"{100 * q2:+.1f} [{100 * q1:+.1f}, {100 * q3:+.1f}] %"
+
+def paired(bv, cv):
+    if bv == cv:
+        return 0.0
+    return (cv - bv) / abs(bv) if bv else float("inf") if cv > bv else float("-inf")
+
 bad = False
 for w in dict.fromkeys(r["workload"] for r in rows):
     by = {side: {r["seed"]: r for r in rows if r["workload"] == w and r["side"] == side} for side in ("base", "change")}
     seeds = sorted(set(by["base"]) & set(by["change"]))
     print(f"\n{w}: {ref} (base) against the working tree (change), {len(seeds)} pairs")
-    print(f"  {'metric':<16} {'base':<34} {'change':<34} wins  verdict")
+    print(f"  {'metric':<14} {'base':<34} {'change':<34} {'paired difference':<28} wins   claim  verdict")
     metrics = [(m["name"], m["better"], m["bound"]) for m in bench["end_to_end"]]
     metrics += [("raw_p50_us", "lower", None), ("calib_us", "lower", None)]
     for name, better, bound in metrics:
@@ -120,15 +133,19 @@ for w in dict.fromkeys(r["workload"] for r in rows):
         c = [value(by["change"][s]) for s in seeds]
         sign = 1 if better == "lower" else -1
         wins = sum(sign * (cv - bv) < 0 for bv, cv in zip(b, c))
-        mb, mc = statistics.median(b), statistics.median(c)
-        delta = (mc - mb) / abs(mb) if mb else 0.0
-        verdict = f"{100 * delta:+.1f} %"
+        diffs = [paired(bv, cv) for bv, cv in zip(b, c)]
+        q1, mb, q3 = cut(b)
+        mc = statistics.median(c)
+        claim = "yes" if 10 * wins >= 9 * len(seeds) and sign * (mc - mb) < 0 and abs(mc - mb) > q3 - q1 else "no"
+        median_diff = statistics.median(diffs)
         if bound is None:
-            verdict += ", not gated"
-        elif sign * delta > bound:
-            verdict += f", WORSE than the {100 * bound:.0f} % bound"
+            verdict = "not gated"
+        elif sign * median_diff > bound:
+            verdict = f"WORSE than the {100 * bound:.0f} % bound"
             bad = True
-        print(f"  {name:<16} {fmt(b):<34} {fmt(c):<34} {wins}/{len(seeds)}  {verdict}")
+        else:
+            verdict = f"within the {100 * bound:.0f} % bound"
+        print(f"  {name:<14} {fmt(b):<34} {fmt(c):<34} {pct(diffs):<28} {wins:>2}/{len(seeds):<2}  {claim:<5}  {verdict}")
     for side in ("base", "change"):
         res = [by[side][s]["result"] for s in seeds]
         failed = sum(r["failed"] for r in res)
