@@ -86,9 +86,10 @@ func lexOracle(src string) ([]lang.Token, error) {
 
 // respell changes a program's spelling without changing its meaning, or
 // with a random byte that may break it: blanks, newlines and comments
-// between the tokens, and now and then a stray character.
+// between the tokens, and now and then a stray ASCII character (the
+// oracle reads a byte as a rune; TestLexUTF8 covers the others).
 func respell(rng *rand.Rand, src string) string {
-	const stray = "@!\xc3\xe2\x80\xa8${}7_"
+	const stray = "@!${}7_"
 	var b strings.Builder
 	for i := 0; i < len(src); i++ {
 		switch rng.Intn(12) {
@@ -138,5 +139,74 @@ func TestLexMatchesOracle(t *testing.T) {
 	}
 	if errs == 0 {
 		t.Fatal("no source failed to lex: the corpus misses the error path")
+	}
+}
+
+// TestLexUTF8: a source is UTF-8. A letter of any script starts or
+// continues an identifier, any other character is refused by name, a byte
+// that is not UTF-8 is refused as a byte, and columns count characters.
+func TestLexUTF8(t *testing.T) {
+	for _, c := range []struct {
+		src string
+		// toks lists kind, text and column of each token before TokEOF;
+		// err is the error, if any.
+		toks []lang.Token
+		err  string
+	}{
+		{src: "ñ", toks: []lang.Token{{Kind: lang.TokIdent, Text: "ñ", Col: 1}}},
+		{src: "scan(+) ; mäp inc", toks: []lang.Token{
+			{Kind: lang.TokIdent, Text: "scan", Col: 1}, {Kind: lang.TokLParen, Text: "(", Col: 5},
+			{Kind: lang.TokOp, Text: "+", Col: 6}, {Kind: lang.TokRParen, Text: ")", Col: 7},
+			{Kind: lang.TokSemi, Text: ";", Col: 9}, {Kind: lang.TokIdent, Text: "mäp", Col: 11},
+			{Kind: lang.TokIdent, Text: "inc", Col: 15},
+		}},
+		{src: "scan(+) ; π", toks: []lang.Token{
+			{Kind: lang.TokIdent, Text: "scan", Col: 1}, {Kind: lang.TokLParen, Text: "(", Col: 5},
+			{Kind: lang.TokOp, Text: "+", Col: 6}, {Kind: lang.TokRParen, Text: ")", Col: 7},
+			{Kind: lang.TokSemi, Text: ";", Col: 9}, {Kind: lang.TokIdent, Text: "π", Col: 11},
+		}},
+		{src: "map x٣", toks: []lang.Token{{Kind: lang.TokIdent, Text: "map", Col: 1}, {Kind: lang.TokIdent, Text: "x٣", Col: 5}}},
+		{src: "allgatherv(٣)", err: "1:12: unexpected character '٣'"}, // a number is ASCII digits
+		{src: "π₁", err: "1:2: unexpected character '₁'"},             // a subscript is no letter or digit
+		{src: "bcast ;\u00a0scan(+)", err: "1:8: unexpected character '\\u00a0'"},
+		{src: "scan(+) ;\u2028bcast", err: "1:10: unexpected character '\\u2028'"},
+		{src: "sc\xc3an(+)", err: "1:3: unexpected byte 0xc3 (not UTF-8)"},
+		{src: "ñ ; \xe2\x80", err: "1:5: unexpected byte 0xe2 (not UTF-8)"},
+		{src: "map π"[:len("map π")-1], err: "1:5: unexpected byte 0xcf (not UTF-8)"},
+		{src: "map ñ # ñ \xff\n;", toks: []lang.Token{
+			{Kind: lang.TokIdent, Text: "map", Col: 1}, {Kind: lang.TokIdent, Text: "ñ", Col: 5},
+			{Kind: lang.TokSemi, Text: ";", Line: 2, Col: 1},
+		}},
+	} {
+		toks, err := lang.Lex(c.src)
+		if c.err != "" {
+			if err == nil || err.Error() != c.err {
+				t.Errorf("Lex(%q): error %v, want %s", c.src, err, c.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("Lex(%q): %v", c.src, err)
+			continue
+		}
+		if len(toks) != len(c.toks)+1 || toks[len(toks)-1].Kind != lang.TokEOF || toks[len(toks)-1].Pos != len(c.src) {
+			t.Errorf("Lex(%q) = %v, want %d tokens and end of input at byte %d", c.src, toks, len(c.toks), len(c.src))
+			continue
+		}
+		for i, want := range c.toks {
+			if want.Line == 0 {
+				want.Line = 1
+			}
+			got := toks[i]
+			if got.Kind != want.Kind || got.Text != want.Text || got.Line != want.Line || got.Col != want.Col || c.src[got.Pos:got.Pos+len(got.Text)] != got.Text {
+				t.Errorf("Lex(%q) token %d = %+v, want %+v", c.src, i, got, want)
+			}
+		}
+	}
+	// An identifier in another script is a name the parser does not know,
+	// not a character the lexer refuses.
+	_, err := lang.Parse("scan(+) ; mäp inc", lang.NewSymbols())
+	if want := `1:11: unknown stage "mäp"`; err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("Parse: %v, want %s…", err, want)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokenKind classifies lexer tokens.
@@ -113,8 +114,9 @@ var punct = [256]TokenKind{';': TokSemi, '(': TokLParen, ')': TokRParen, ',': To
 // tokens grows the slice by appending.
 const maxInitialTokens = 128
 
-// Lex tokenizes src. It returns the token stream ending in TokEOF, or a
-// positioned error on an unexpected character.
+// Lex tokenizes src, which is UTF-8: columns count runes, Pos bytes. It
+// returns the token stream ending in TokEOF, or a positioned error on an
+// unexpected character or a byte that is not UTF-8.
 func Lex(src string) ([]Token, error) {
 	n := len(src)
 	// A dense program in canonical form has at most one token per two bytes
@@ -123,8 +125,10 @@ func Lex(src string) ([]Token, error) {
 	line, col := 1, 1
 	i := 0
 	for i < n {
-		c := rune(src[i])
+		c, size := decode(src, i)
 		switch {
+		case c == utf8.RuneError && size == 1:
+			return nil, errorf(line, col, "unexpected byte %#x (not UTF-8)", src[i])
 		case c == '\n':
 			line++
 			col = 1
@@ -136,22 +140,22 @@ func Lex(src string) ([]Token, error) {
 			for i < n && src[i] != '\n' {
 				i++
 			}
-		case punct[src[i]] != TokEOF:
-			toks = append(toks, Token{Kind: punct[src[i]], Text: src[i : i+1], Pos: i, Line: line, Col: col})
+		case c < utf8.RuneSelf && punct[c] != TokEOF:
+			toks = append(toks, Token{Kind: punct[c], Text: src[i : i+1], Pos: i, Line: line, Col: col})
 			i++
 			col++
 		case strings.ContainsRune(opChars, c):
 			start := i
 			startCol := col
-			for i < n && strings.ContainsRune(opChars, rune(src[i])) {
+			for i < n && strings.IndexByte(opChars, src[i]) >= 0 {
 				i++
 				col++
 			}
 			toks = append(toks, Token{Kind: TokOp, Text: src[start:i], Pos: start, Line: line, Col: startCol})
-		case unicode.IsDigit(c):
+		case '0' <= c && c <= '9':
 			start := i
 			startCol := col
-			for i < n && unicode.IsDigit(rune(src[i])) {
+			for i < n && '0' <= src[i] && src[i] <= '9' {
 				i++
 				col++
 			}
@@ -159,8 +163,12 @@ func Lex(src string) ([]Token, error) {
 		case isIdentStart(c):
 			start := i
 			startCol := col
-			for i < n && isIdentRune(rune(src[i])) {
-				i++
+			for i < n {
+				r, size := decode(src, i)
+				if !isIdentRune(r) {
+					break
+				}
+				i += size
 				col++
 			}
 			toks = append(toks, Token{Kind: TokIdent, Text: src[start:i], Pos: start, Line: line, Col: startCol})
@@ -170,4 +178,13 @@ func Lex(src string) ([]Token, error) {
 	}
 	toks = append(toks, Token{Kind: TokEOF, Pos: n, Line: line, Col: col})
 	return toks, nil
+}
+
+// decode is the rune at byte i of src and its length in bytes; a byte that
+// does not begin a UTF-8 sequence is utf8.RuneError of length 1.
+func decode(src string, i int) (rune, int) {
+	if c := src[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(src[i:])
 }

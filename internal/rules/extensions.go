@@ -53,7 +53,8 @@ var BMMobility = Rule{
 //
 //	map f ; map g  →  map (f; g)
 //
-// The fused function is elementwise exactly when both parts are.
+// The fused function is elementwise exactly when both parts are, and has a
+// destination-passing form when both parts have one.
 var MMLocal = Rule{
 	Name:        "MM-Local",
 	Class:       "Local",
@@ -79,6 +80,11 @@ var MMLocal = Rule{
 			F: func(v algebra.Value) algebra.Value {
 				return gg.F(ff.F(v))
 			},
+		}
+		if ff.Into != nil && gg.Into != nil {
+			fused.Into = func(dst, v algebra.Value) algebra.Value {
+				return gg.Into(dst, ff.Into(dst, v))
+			}
 		}
 		return []term.Term{term.Map{F: fused}}, true
 	},

@@ -14,9 +14,14 @@ import (
 // IncFn is the generator's generic local stage: elementwise +1. It is not
 // one of the parser's built-in functions; consumers that parse reproducer
 // strings must register it with Symbols.DefineFn.
-var IncFn = &term.Fn{Name: "inc", Cost: 1, Elementwise: true, F: func(v algebra.Value) algebra.Value {
-	return algebra.Add.Apply(v, algebra.Scalar(1))
-}}
+var IncFn = &term.Fn{Name: "inc", Cost: 1, Elementwise: true,
+	F: func(v algebra.Value) algebra.Value {
+		return algebra.Add.Apply(v, algebra.Scalar(1))
+	},
+	Into: func(dst, v algebra.Value) algebra.Value {
+		return algebra.Add.ApplyInto(dst, v, algebra.Scalar(1))
+	},
+}
 
 // genOps are the operators the generator draws from: everything the
 // default registry knows properties for, including the non-commutative

@@ -213,20 +213,24 @@ func Sparse() []Rule {
 // recurses through the neighbor tuples halos deliver (IncFn's + lift
 // broadcasts over vectors but not tuples, so a map between two halos
 // needs the deep form).
-var IncTupFn = &term.Fn{Name: "inc_t", Cost: 1, Elementwise: true, F: incTup}
+var IncTupFn = &term.Fn{Name: "inc_t", Cost: 1, Elementwise: true,
+	F:    func(v algebra.Value) algebra.Value { return incTup(nil, v) },
+	Into: incTup,
+}
 
-func incTup(v algebra.Value) algebra.Value {
+// incTup is inc_t, a block's result written into dst when dst fits it.
+func incTup(dst, v algebra.Value) algebra.Value {
 	if t, ok := v.(algebra.Tuple); ok {
 		out := make(algebra.Tuple, len(t))
 		for i, c := range t {
-			out[i] = incTup(c)
+			out[i] = incTup(nil, c)
 		}
 		return out
 	}
 	if algebra.IsUndef(v) {
 		return algebra.Undef{}
 	}
-	return algebra.Add.ApplyInto(nil, v, algebra.Scalar(1))
+	return algebra.Add.ApplyInto(dst, v, algebra.Scalar(1))
 }
 
 // RandSparseProgram builds a random sparse pipeline for the property

@@ -159,16 +159,21 @@ func (e *IllTypedError) Error() string {
 // side by side what it computes on each, so a program of such stages is
 // evaluated once per machine size (packedClean).
 func (v *Verifier) CheckDerivation(t, opt term.Term, apps []Application, cfg VerifyConfig) error {
+	sc := scratches.Get().(*term.Scratch)
+	defer func() {
+		if sc.Bytes() <= maxScratchBytes {
+			scratches.Put(sc)
+		}
+	}()
+	return v.check(t, opt, apps, cfg, sc)
+}
+
+// check is CheckDerivation evaluating in sc.
+func (v *Verifier) check(t, opt term.Term, apps []Application, cfg VerifyConfig, sc *term.Scratch) error {
 	v.derivations.Add(1)
 	if len(apps) == 0 {
 		v.zeroApplication.Add(1)
 	}
-	sc := scratches.Get().(*term.Scratch)
-	defer func() {
-		if sc.Bytes() <= 64<<10 {
-			scratches.Put(sc)
-		}
-	}()
 	for _, app := range apps {
 		cfg = cfg.forRule(app.Rule)
 		if err := v.instance(app, cfg, sc); err != nil {
@@ -180,8 +185,11 @@ func (v *Verifier) CheckDerivation(t, opt term.Term, apps []Application, cfg Ver
 
 // scratches holds the evaluation storage of derivation checks. Nothing drawn
 // from one outlives its input list: a report is rendered with its verdict.
-// One that grew past 64 KiB is dropped, not kept behind every later check.
+// One that grew past maxScratchBytes is dropped, not kept behind every later
+// check.
 var scratches = sync.Pool{New: func() any { return new(term.Scratch) }}
+
+const maxScratchBytes = 64 << 10
 
 // instance is VerifyApplication through the memo. A config with a Gen has
 // no key and is checked afresh.
@@ -428,8 +436,9 @@ func evalStages(sc *term.Scratch, stages []term.Term, at int, xs []algebra.Value
 // identical reports that two result lists are the same bit for bit: from
 // identical lists the rest of a program computes identical results. It is
 // stricter than ==: -0 and +0 differ (1/x tells them apart) while a NaN is
-// identical to itself. Undef is identical to Undef only, and a
-// representation not listed here to nothing.
+// identical to itself. Undef is identical to Undef only, a flat tuple to the
+// tuple it represents in either form, and a representation not listed here
+// to nothing.
 func identical(a, b []algebra.Value) bool {
 	if len(a) != len(b) {
 		return false
@@ -443,21 +452,21 @@ func identical(a, b []algebra.Value) bool {
 }
 
 func identicalValue(a, b algebra.Value) bool {
+	x, xf := a.(*algebra.FlatTuple)
+	y, yf := b.(*algebra.FlatTuple)
+	if xf && yf {
+		return x.W == y.W && identicalWords(x.Data, y.Data)
+	}
+	if xf || yf {
+		a, b = algebra.Boxed(a), algebra.Boxed(b)
+	}
 	switch x := a.(type) {
 	case algebra.Scalar:
 		y, ok := b.(algebra.Scalar)
 		return ok && math.Float64bits(float64(x)) == math.Float64bits(float64(y))
 	case algebra.Vec:
 		y, ok := b.(algebra.Vec)
-		if !ok || len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
-				return false
-			}
-		}
-		return true
+		return ok && identicalWords(x, y)
 	case algebra.Tuple:
 		y, ok := b.(algebra.Tuple)
 		return ok && identical(x, y)
@@ -466,4 +475,16 @@ func identicalValue(a, b algebra.Value) bool {
 		return ok
 	}
 	return false
+}
+
+func identicalWords(x, y []float64) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -103,7 +103,9 @@ func TestPlannerTwoClients(t *testing.T) {
 // sync.Pool drops items at random, 287–302). Building each text of the miss
 // once — canonical form, key and token slice one allocation each, the
 // optimized program not composed again and, with no application, not
-// rendered again — took it to 200 (under -race 220–237).
+// rendered again — took it to 200 (under -race 220–237). Writing map inc
+// into the scratch's blocks (term.Fn.Into) took it to 20. Under -race,
+// whose sync.Pool drops the scratch at random, the count is not asserted.
 func TestZeroApplicationMissAllocs(t *testing.T) {
 	pl := NewPlanner(4096, 64)
 	prog, err := pl.ParseProgram(strings.TrimSuffix(strings.Repeat("scan(+) ; map inc ; ", 6), " ; "))
@@ -118,8 +120,8 @@ func TestZeroApplicationMissAllocs(t *testing.T) {
 			t.Fatalf("cached=%t applications=%v err=%v", cached, plan.Applications, err)
 		}
 	})
-	const bound = 250
-	if allocs > bound {
+	const bound = 40
+	if allocs > bound && !raceEnabled {
 		t.Errorf("a zero-application 12-stage miss allocates %.0f times, want ≤ %d", allocs, bound)
 	}
 	t.Logf("%.0f allocations", allocs)

@@ -18,11 +18,16 @@ func Eval(t Term, xs []algebra.Value) []algebra.Value {
 	return (*Scratch)(nil).Eval(t, xs)
 }
 
-// Eval is the package-level Eval with per-stage lists, base-operator
-// results on Vec and Scalar blocks, and the tuples of pair, triple,
-// quadruple and gather drawn from sc; the rest allocates. A combine writes
-// to a buffer of its own, not to an input or a shared value: the results
-// are Eval's, bit for bit, valid until the next Reset.
+// Eval is the package-level Eval with its storage drawn from sc: per-stage
+// lists; the blocks that base operators, and functions with Into, write on
+// Vec and Scalar blocks; the tuples of pair, triple, quadruple and gather;
+// and the flat tuples derived operators, comcast, iter and the balanced
+// scan compute in (the flat lanes, scratch.go). The rest allocates. A
+// buffer is written by the stage that drew it only, before another stage
+// or list position can see it, and a map whose argument repeats the
+// previous position's (after bcast, say) repeats its result: the results
+// are Eval's, bit for bit, a flat tuple standing for the boxed tuple it
+// represents, and valid until the next Reset.
 func (sc *Scratch) Eval(t Term, xs []algebra.Value) []algebra.Value {
 	if len(xs) == 0 {
 		return nil
@@ -37,20 +42,24 @@ func (sc *Scratch) Eval(t Term, xs []algebra.Value) []algebra.Value {
 	case Map:
 		out := sc.list(len(xs))
 		for i, x := range xs {
+			if i > 0 && sc.repeats(s.F, x, xs[i-1]) {
+				out[i] = out[i-1]
+				continue
+			}
 			out[i] = sc.apply(s.F, x)
 		}
 		return out
 	case MapIdx:
 		out := sc.list(len(xs))
 		for i, x := range xs {
-			out[i] = s.F.F(i, x)
+			out[i] = s.F.F(i, sc.box(x))
 		}
 		return out
 	case Scan:
 		out := sc.list(len(xs))
 		out[0] = xs[0]
 		for i := 1; i < len(xs); i++ {
-			out[i] = sc.combine(s.Op, out[i-1], xs[i])
+			out[i], _ = sc.combine(s.Op, out[i-1], xs[i], false)
 		}
 		return out
 	case ScanBal:
@@ -58,11 +67,18 @@ func (sc *Scratch) Eval(t Term, xs []algebra.Value) []algebra.Value {
 	case Reduce:
 		var y algebra.Value
 		if s.Balanced {
-			y = sc.reduceBalanced(s.Op, xs)
+			h := 0
+			for 1<<h < len(xs) {
+				h++
+			}
+			y, _ = sc.reduceBalanced(s.Op, xs, 0, len(xs), h)
 		} else {
+			// Only the last partial result is kept, so every combine after
+			// the first writes over the one before.
 			y = xs[0]
+			drawn := false
 			for _, x := range xs[1:] {
-				y = sc.combine(s.Op, y, x)
+				y, drawn = sc.combine(s.Op, y, x, drawn)
 			}
 		}
 		out := sc.list(len(xs))
@@ -92,39 +108,36 @@ func (sc *Scratch) Eval(t Term, xs []algebra.Value) []algebra.Value {
 	case Gather:
 		out := sc.list(len(xs))
 		list, boxed := sc.tuple(len(xs))
-		copy(list, xs)
+		for i, x := range xs {
+			list[i] = sc.box(x)
+		}
 		out[0] = boxed
 		for i := 1; i < len(out); i++ {
 			out[i] = algebra.Undef{}
 		}
 		return out
 	case Scatter:
-		list, ok := xs[0].(algebra.Tuple)
+		first := sc.box(xs[0])
+		list, ok := first.(algebra.Tuple)
 		if !ok || len(list) != len(xs) {
-			panic(fmt.Sprintf("term: scatter needs a %d-component list on the first processor, got %v", len(xs), xs[0]))
+			panic(fmt.Sprintf("term: scatter needs a %d-component list on the first processor, got %v", len(xs), first))
 		}
 		out := sc.list(len(xs))
 		copy(out, list)
 		return out
 	case Comcast:
 		out := sc.list(len(xs))
-		for i := range out {
-			out[i] = algebra.First(s.Ops.Repeat(i, s.Ops.Prepare(xs[0])))
-		}
+		sc.comcast(s.Ops, xs[0], out)
 		return out
 	case Halo:
-		return evalHalo(s.H, xs)
+		return evalHalo(s.H, sc.boxAll(xs))
 	case AllGatherV:
-		return evalAllGatherV(s.Counts, xs)
+		return evalAllGatherV(s.Counts, sc.boxAll(xs))
 	case ReduceScatterV:
-		return evalReduceScatterV(s.Op, s.Counts, xs)
+		return evalReduceScatterV(s.Op, s.Counts, sc.boxAll(xs))
 	case Iter:
 		out := sc.list(len(xs))
-		w := s.Op.Prepare(xs[0])
-		for k := 1; k < len(xs); k <<= 1 {
-			w = s.Op.F(w)
-		}
-		out[0] = algebra.First(w)
+		out[0] = sc.iter(s.Op, xs[0], len(xs))
 		for i := 1; i < len(xs); i++ {
 			out[i] = algebra.Undef{}
 		}
@@ -133,49 +146,75 @@ func (sc *Scratch) Eval(t Term, xs []algebra.Value) []algebra.Value {
 	panic(fmt.Sprintf("term: Eval of unknown term %T", t))
 }
 
-// reduceBalanced folds xs over the balanced binary tree of §3.2: leaves
-// all at depth ceil(log2 n), right subtrees complete. This is the
-// bracketing under which the non-associative op_sr is correct.
-func (sc *Scratch) reduceBalanced(op *algebra.Op, xs []algebra.Value) algebra.Value {
-	n := len(xs)
-	h := 0
-	for 1<<h < n {
-		h++
+// reduceBalanced folds xs[lo:hi] over the balanced binary tree of §3.2 of
+// height h: leaves all at depth h, right subtrees complete. This is the
+// bracketing under which the non-associative op_sr is correct. A node's
+// value is written over its left child's when that is a buffer the fold
+// drew, which drawn reports.
+func (sc *Scratch) reduceBalanced(op *algebra.Op, xs []algebra.Value, lo, hi, h int) (y algebra.Value, drawn bool) {
+	if h == 0 {
+		return xs[lo], false
 	}
-	var node func(lo, hi, h int) algebra.Value
-	node = func(lo, hi, h int) algebra.Value {
-		if h == 0 {
-			return xs[lo]
-		}
-		half := 1 << (h - 1)
-		if hi-lo <= half {
-			return op.ApplyUnary(node(lo, hi, h-1))
-		}
-		mid := hi - half
-		return sc.combine(op, node(lo, mid, h-1), node(mid, hi, h-1))
+	half := 1 << (h - 1)
+	if hi-lo <= half {
+		y, drawn = sc.reduceBalanced(op, xs, lo, hi, h-1)
+		return sc.unary(op, y, drawn)
 	}
-	return node(0, n, h)
+	mid := hi - half
+	y, drawn = sc.reduceBalanced(op, xs, lo, mid, h-1)
+	right, _ := sc.reduceBalanced(op, xs, mid, hi, h-1)
+	return sc.combine(op, y, right, drawn)
 }
 
 // scanBalanced runs the butterfly of §3.3 on the list: ceil(log2 n)
 // phases, in phase k index i pairs with i xor 2^k; indices without a
 // partner apply the Solo case (keep the first component, poison the
-// rest).
+// rest). With a scratch and the operator's flat kernels, every state that
+// is a tuple of the operator's arity (flatShape) is first copied into a
+// drawn flat tuple, which the phases rewrite in place while both partners
+// are flat, as coll.ScanBalanced does.
 func (sc *Scratch) scanBalanced(op *algebra.BalancedScanOp, xs []algebra.Value) []algebra.Value {
 	n := len(xs)
 	cur := sc.list(n)
 	copy(cur, xs)
+	kernels := sc != nil && n > 1 && op.FlatShip != nil && op.FlatLo != nil && op.FlatHi != nil
+	if kernels {
+		for i, x := range cur {
+			if m, ok := flatShape(op.Arity, x); ok {
+				cur[i] = flatten(sc.flat(op.Arity, m), x)
+			}
+		}
+	}
+	// ours reports that two partners are states drawn above.
+	ours := func(a, b algebra.Value) (x, y *algebra.FlatTuple, ok bool) {
+		x, xf := a.(*algebra.FlatTuple)
+		y, yf := b.(*algebra.FlatTuple)
+		return x, y, kernels && xf && yf && x.W == op.Arity && y.W == x.W && len(y.Data) == len(x.Data)
+	}
 	for k := 0; 1<<k < n; k++ {
 		next := sc.list(n)
 		for i := 0; i < n; i++ {
 			partner := i ^ (1 << k)
 			switch {
 			case partner >= n:
-				next[i] = op.Solo(cur[i])
+				next[i] = op.Solo(sc.box(cur[i]))
 			case partner > i:
-				next[i] = op.Lo(cur[i], op.Ship(cur[partner]))
+				lo, hi, ok := ours(cur[i], cur[partner])
+				if !ok {
+					next[i] = op.Lo(sc.box(cur[i]), op.Ship(sc.box(cur[partner])))
+					continue
+				}
+				fromHi, fromLo := sc.flat(op.ShipWidth, lo.M()), sc.flat(op.ShipWidth, lo.M())
+				op.FlatShip(fromHi, hi)
+				op.FlatShip(fromLo, lo)
+				op.FlatLo(lo, lo, fromHi)
+				op.FlatHi(hi, hi, fromLo)
+				sc.giveBack(2)
+				next[i], next[partner] = lo, hi
 			default:
-				next[i] = op.Hi(cur[i], op.Ship(cur[partner]))
+				if _, _, ok := ours(cur[partner], cur[i]); !ok {
+					next[i] = op.Hi(sc.box(cur[i]), op.Ship(sc.box(cur[partner])))
+				}
 			}
 		}
 		cur = next

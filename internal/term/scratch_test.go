@@ -7,11 +7,17 @@ import (
 )
 
 // TestScratchBytesIsWhatItKeeps: Bytes counts the storage a Scratch keeps
-// across Resets — what decides whether a pooled scratch goes back to its
-// pool — and a second evaluation of the same shapes keeps nothing more.
+// across Resets — blocks, boxed tuples, flat tuples and the slab, which
+// decide whether a pooled scratch goes back to its pool — and a second
+// evaluation of the same shapes keeps nothing more.
 func TestScratchBytesIsWhatItKeeps(t *testing.T) {
 	const n, m = 8, 100
-	prog := Seq{Scan{Op: algebra.Add}, Map{F: PairFn}, Map{F: FirstFn}, Gather{}, Scatter{}}
+	inc := &Fn{Name: "inc",
+		F:    func(v algebra.Value) algebra.Value { return algebra.Add.Apply(v, algebra.Scalar(1)) },
+		Into: func(dst, v algebra.Value) algebra.Value { return algebra.Add.ApplyInto(dst, v, algebra.Scalar(1)) },
+	}
+	sr2 := algebra.OpSR2(algebra.Mul, algebra.Add)
+	prog := Seq{Scan{Op: algebra.Add}, Map{F: PairFn}, Scan{Op: sr2}, Map{F: FirstFn}, Map{F: inc}, Gather{}, Scatter{}}
 	in := make([]algebra.Value, n)
 	for i := range in {
 		in[i] = make(algebra.Vec, m)
@@ -20,12 +26,21 @@ func TestScratchBytesIsWhatItKeeps(t *testing.T) {
 	if sc.Bytes() != 0 {
 		t.Fatalf("a new scratch keeps %d bytes", sc.Bytes())
 	}
-	sc.Eval(prog, in)
+	if _, ok := new(Scratch).Eval(Seq{Map{F: PairFn}, Scan{Op: sr2}}, in)[1].(*algebra.FlatTuple); !ok {
+		t.Fatal("scan(op_sr2) of pairs of blocks is not a flat tuple in a scratch")
+	}
+	out := sc.Eval(prog, in)
+	if want := Eval(prog, in); !algebra.EqualLists(out, want) {
+		t.Fatalf("scratch %v, Eval %v", out, want)
+	}
 	sc.Reset()
 	kept := sc.Bytes()
-	// The scan's n-1 blocks of m words, n pairs and one n-tuple, and a slab
-	// for the five lists.
-	if want := (n-1)*(headerBytes+m*wordBytes) + n*(headerBytes+2*valueBytes) + headerBytes + n*valueBytes + minSlab*valueBytes; kept != want {
+	block, pair, flatPair := headerBytes+m*wordBytes, headerBytes+2*valueBytes, flatBytes+2*m*wordBytes
+	// Blocks: the scan's n-1, π₁'s n-1 copies out of flat pairs, map inc's
+	// n. Boxed: the n pairs and one n-tuple. Flat: the n-1 results of
+	// scan(op_sr2) and the operand its last combine flattened. A slab for the
+	// seven lists.
+	if want := (3*n-2)*block + n*pair + (headerBytes + n*valueBytes) + n*flatPair + minSlab*valueBytes; kept != want {
 		t.Errorf("after one evaluation the scratch keeps %d bytes, want %d", kept, want)
 	}
 	for i := 0; i < 3; i++ {

@@ -30,6 +30,12 @@ type Fn struct {
 	// algebra.Registry — and false is always safe: package rules then
 	// verifies a program containing the function one input at a time.
 	Elementwise bool
+	// Into, if non-nil, is F in destination-passing form, as
+	// algebra.Op.ApplyInto is Apply's: it returns F(x), bit for bit,
+	// written into dst's storage when dst is a block of the result's length
+	// and into fresh storage otherwise. dst may be x itself. Scratch.Eval
+	// calls it with a drawn block for a Vec x.
+	Into func(dst, x algebra.Value) algebra.Value
 }
 
 func (f *Fn) String() string { return f.Name }

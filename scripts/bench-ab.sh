@@ -2,7 +2,7 @@
 # A/B of the benchmark: the working tree against a git ref, in alternating
 # pairs of runs, judged by BENCHMARK.json's end-to-end metrics and bounds.
 #
-#   scripts/bench-ab.sh <ref> [-w workload]... [-n pairs] [-s seconds]
+#   scripts/bench-ab.sh <ref> [-w workload]... [-n pairs] [-s seconds] [-t]
 #
 # <ref> is checked out detached under .bench_build/ab/base (a git worktree,
 # removed on exit) and the working tree's bench/ is copied over it, so both
@@ -21,10 +21,16 @@
 # worse than the metric's BENCHMARK.json bound, or when a run of the working
 # tree failed an operation. Every run's result line is appended to
 # .bench_build/ab/runs.jsonl.
+#
+# -t adds a traced pair (--trace 1, same seed and order) after each untraced
+# one, and prints for every per_layer metric of BENCHMARK.json that either
+# side reported each side's median [q1, q3], the median paired difference
+# and the wins. These rows are not gated; the gate stays on the untraced
+# pairs.
 set -euo pipefail
 
 usage() {
-  echo "usage: $0 <ref> [-w workload]... [-n pairs] [-s seconds]" >&2
+  echo "usage: $0 <ref> [-w workload]... [-n pairs] [-s seconds] [-t]" >&2
   exit 2
 }
 [ $# -ge 1 ] || usage
@@ -33,11 +39,13 @@ shift
 workloads=()
 pairs=10
 seconds=15
-while getopts "w:n:s:" opt; do
+traces=(0)
+while getopts "w:n:s:t" opt; do
   case $opt in
     w) workloads+=("$OPTARG") ;;
     n) pairs=$OPTARG ;;
     s) seconds=$OPTARG ;;
+    t) traces=(0 1) ;;
     *) usage ;;
   esac
 done
@@ -76,19 +84,21 @@ for w in "${workloads[@]}"; do
   for ((i = 1; i <= pairs; i++)); do
     order="base change"
     if ((i % 2 == 0)); then order="change base"; fi
-    for side in $order; do
-      dir=$root
-      if [ "$side" = base ]; then dir=$base; fi
-      line=$(cd "$dir" && .bench_build/bench --workload "$w" --seed "$i" --seconds "$seconds" --trace 0 | tail -n 1)
-      python3 - "$session" "$side" "$sha" "$w" "$i" "$line" "$dir/bench/out/$w-seed$i-trace0.json" >>"$runs" <<'EOF'
+    for trace in "${traces[@]}"; do
+      for side in $order; do
+        dir=$root
+        if [ "$side" = base ]; then dir=$base; fi
+        line=$(cd "$dir" && .bench_build/bench --workload "$w" --seed "$i" --seconds "$seconds" --trace "$trace" | tail -n 1)
+        python3 - "$session" "$side" "$sha" "$w" "$i" "$trace" "$line" "$dir/bench/out/$w-seed$i-trace$trace.json" >>"$runs" <<'EOF'
 import json, sys
-session, side, sha, workload, seed, line, path = sys.argv[1:]
+session, side, sha, workload, seed, trace, line, path = sys.argv[1:]
 extra = json.load(open(path))
 print(json.dumps({"session": session, "side": side, "base": sha, "workload": workload, "seed": int(seed),
-                  "raw_p50_us": extra.get("raw_p50_us"), "calib_us": extra.get("calib_us"),
+                  "trace": int(trace), "raw_p50_us": extra.get("raw_p50_us"), "calib_us": extra.get("calib_us"),
                   "result": json.loads(line)}))
 EOF
-      echo "$w pair $i: $side done" >&2
+        echo "$w pair $i: $side done (trace $trace)" >&2
+      done
     done
   done
 done
@@ -97,6 +107,8 @@ python3 - "$session" "$runs" "$ref" <<'EOF'
 import json, statistics, sys
 session, path, ref = sys.argv[1:]
 rows = [r for r in map(json.loads, open(path)) if r["session"] == session]
+traced = [r for r in rows if r.get("trace")]
+rows = [r for r in rows if not r.get("trace")]
 bench = json.load(open("BENCHMARK.json"))
 
 def cut(xs):
@@ -152,5 +164,20 @@ for w in dict.fromkeys(r["workload"] for r in rows):
         print(f"  {side}: correct in {sum(r['correct'] for r in res)} of {len(res)} runs, {failed} failed operations")
         if side == "change" and (failed or not all(r["correct"] for r in res)):
             bad = True
+    by = {side: {r["seed"]: r for r in traced if r["workload"] == w and r["side"] == side} for side in ("base", "change")}
+    seeds = sorted(set(by["base"]) & set(by["change"]))
+    if not seeds:
+        continue
+    print(f"\n{w}, traced (--trace 1), {len(seeds)} pairs, not gated; metrics both sides report as 0 are left out")
+    print(f"  {'metric':<36} {'base':<34} {'change':<34} {'paired difference':<28} wins")
+    for m in bench["per_layer"]:
+        name, sign = m["name"], 1 if m["better"] == "lower" else -1
+        b = [by["base"][s]["result"]["metrics"].get(name, {}).get("value", 0) for s in seeds]
+        c = [by["change"][s]["result"]["metrics"].get(name, {}).get("value", 0) for s in seeds]
+        if not any(b) and not any(c):
+            continue
+        wins = sum(sign * (cv - bv) < 0 for bv, cv in zip(b, c))
+        diffs = [paired(bv, cv) for bv, cv in zip(b, c)]
+        print(f"  {name:<36} {fmt(b):<34} {fmt(c):<34} {pct(diffs):<28} {wins:>2}/{len(seeds)}")
 sys.exit(1 if bad else 0)
 EOF
