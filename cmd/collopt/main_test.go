@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/calib"
+	"repro/internal/serve"
 )
 
 func runOpt(t *testing.T, args ...string) (string, string, int) {
@@ -291,5 +292,18 @@ func TestSearchFlagAgreesOnTie(t *testing.T) {
 	}
 	if !strings.Contains(out, "search agrees with the greedy plan") {
 		t.Fatalf("output:\n%s", out)
+	}
+}
+
+// TestLongProgramIsNotBounded: the daemon refuses a program of more than
+// serve.MaxStages stages; the command line optimizes it.
+func TestLongProgramIsNotBounded(t *testing.T) {
+	prog := strings.TrimSuffix(strings.Repeat("bcast ; scan(+) ; ", serve.MaxStages), " ; ")
+	out, errb, code := runOpt(t, "-ts", "1000", "-m", "16", prog)
+	if code != 0 {
+		t.Fatalf("a program of %d stages: exit %d\n%s", 2*serve.MaxStages, code, errb)
+	}
+	if !strings.Contains(out, "applied BS-Comcast") {
+		t.Fatalf("output:\n%.2000s", out)
 	}
 }

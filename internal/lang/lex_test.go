@@ -1,6 +1,7 @@
 package lang_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/lang"
 	"repro/internal/rules"
+	"repro/internal/term"
 )
 
 // lexOracle is Lex as it was written before it sized its token slice and
@@ -208,5 +210,50 @@ func TestLexUTF8(t *testing.T) {
 	_, err := lang.Parse("scan(+) ; mäp inc", lang.NewSymbols())
 	if want := `1:11: unknown stage "mäp"`; err == nil || !strings.HasPrefix(err.Error(), want) {
 		t.Errorf("Parse: %v, want %s…", err, want)
+	}
+}
+
+// TestParseStagesBound: ParseStages counts a program's stages as its
+// semicolons outside comments plus one — the TokSemi tokens Lex finds — and
+// refuses one over the bound with that count, before lexing it: a program
+// exactly at the bound parses as Parse parses it, one stage more is refused
+// even where it would not lex.
+func TestParseStagesBound(t *testing.T) {
+	syms := lang.NewSymbols()
+	syms.DefineFn(rules.IncFn)
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 2000; trial++ {
+		src := rules.Canonical(rules.RandProgram(rng, 12))
+		if trial%2 == 1 {
+			src = respell(rng, src)
+		}
+		toks, err := lang.Lex(src)
+		if err != nil {
+			continue
+		}
+		n := 1
+		for _, tok := range toks {
+			if tok.Kind == lang.TokSemi {
+				n++
+			}
+		}
+		want, wantErr := lang.Parse(src, syms)
+		got, gotErr := lang.ParseStages(src, syms, n)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || wantErr == nil && !term.EqualTerms(got, want) {
+			t.Fatalf("ParseStages(%q, %d) = %v, %v; Parse = %v, %v", src, n, got, gotErr, want, wantErr)
+		}
+		var long *lang.StagesError
+		if n == 1 {
+			continue // a bound of 0 is none
+		}
+		if _, err := lang.ParseStages(src+" @", syms, n-1); !errors.As(err, &long) || long.Stages != n || long.Max != n-1 {
+			t.Fatalf("ParseStages(%q, %d): %v, want a refusal of %d stages", src, n-1, err, n)
+		}
+	}
+	if _, err := lang.ParseStages("bcast # ; ; ;\n; scan(+)", syms, 2); err != nil {
+		t.Errorf("a semicolon in a comment counted as a stage: %v", err)
+	}
+	if _, err := lang.Parse(strings.Repeat("scan(+) ; ", 4000)+"bcast", syms); err != nil {
+		t.Errorf("Parse is unbounded, yet refused 4 001 stages: %v", err)
 	}
 }

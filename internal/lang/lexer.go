@@ -118,17 +118,25 @@ const maxInitialTokens = 128
 // returns the token stream ending in TokEOF, or a positioned error on an
 // unexpected character or a byte that is not UTF-8.
 func Lex(src string) ([]Token, error) {
-	n := len(src)
 	// A dense program in canonical form has at most one token per two bytes
 	// of source, plus TokEOF; a denser source grows the slice as it goes.
-	toks := make([]Token, 0, min(n/2+2, maxInitialTokens))
+	toks, err := lex(make([]Token, 0, min(len(src)/2+2, maxInitialTokens)), src)
+	if err != nil {
+		return nil, err
+	}
+	return toks, nil
+}
+
+// lex is Lex appending to toks, which it returns grown on an error too.
+func lex(toks []Token, src string) ([]Token, error) {
+	n := len(src)
 	line, col := 1, 1
 	i := 0
 	for i < n {
 		c, size := decode(src, i)
 		switch {
 		case c == utf8.RuneError && size == 1:
-			return nil, errorf(line, col, "unexpected byte %#x (not UTF-8)", src[i])
+			return toks, errorf(line, col, "unexpected byte %#x (not UTF-8)", src[i])
 		case c == '\n':
 			line++
 			col = 1
@@ -173,11 +181,10 @@ func Lex(src string) ([]Token, error) {
 			}
 			toks = append(toks, Token{Kind: TokIdent, Text: src[start:i], Pos: start, Line: line, Col: startCol})
 		default:
-			return nil, errorf(line, col, "unexpected character %q", c)
+			return toks, errorf(line, col, "unexpected character %q", c)
 		}
 	}
-	toks = append(toks, Token{Kind: TokEOF, Pos: n, Line: line, Col: col})
-	return toks, nil
+	return append(toks, Token{Kind: TokEOF, Pos: n, Line: line, Col: col}), nil
 }
 
 // decode is the rune at byte i of src and its length in bytes; a byte that

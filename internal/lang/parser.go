@@ -1,7 +1,9 @@
 package lang
 
 import (
+	"fmt"
 	"strconv"
+	"sync"
 
 	"repro/internal/algebra"
 	"repro/internal/term"
@@ -88,17 +90,82 @@ func (p *parser) expect(kind TokenKind) (Token, error) {
 //	         | 'reduce_scatterv' '(' opname ',' uint (',' uint)* ')'
 //
 // resolving names against syms (nil means NewSymbols()). Halo offsets
-// may be negative; counts vectors may not.
+// may be negative; counts vectors may not. The whole source is lexed before
+// any of it is parsed, so a lexical error anywhere outranks a parse error.
 func Parse(src string, syms *Symbols) (term.Term, error) {
-	if syms == nil {
-		syms = NewSymbols()
-	}
-	toks, err := Lex(src)
+	stages, err := ParseStages(src, syms, 0)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, syms: syms}
+	return stages, nil
+}
+
+// StagesError refuses a program of more stages than the parse allows.
+type StagesError struct {
+	// Stages is the program's stage count, Max the bound it exceeds.
+	Stages, Max int
+}
+
+func (e *StagesError) Error() string {
+	return fmt.Sprintf("program has %d stages, at most %d", e.Stages, e.Max)
+}
+
+// tokenPool holds the token storage ParseStages lexes into; a slice grown
+// past maxPooledTokens goes back to the allocator instead.
+var tokenPool = sync.Pool{New: func() any { return new([]Token) }}
+
+const maxPooledTokens = 1024
+
+// ParseStages is Parse returning the program's stage list itself, flat. With
+// maxStages > 0 it refuses a program of more stages than that with a
+// *StagesError before lexing it: the count is the source's semicolons
+// outside comments, plus one. The tokens are lexed into pooled storage and
+// the stage list is sized once, so a parse allocates the list and the stages
+// that do not fit in an interface word.
+func ParseStages(src string, syms *Symbols, maxStages int) (term.Seq, error) {
+	n := stageCount(src)
+	if maxStages > 0 && n > maxStages {
+		return nil, &StagesError{Stages: n, Max: maxStages}
+	}
+	if syms == nil {
+		syms = NewSymbols()
+	}
+	buf := tokenPool.Get().(*[]Token)
+	toks, err := lex((*buf)[:0], src)
 	var stages term.Seq
+	if err == nil {
+		stages, err = parse(toks, syms, n)
+	}
+	if cap(toks) <= maxPooledTokens {
+		clear(toks) // the texts point into src
+		*buf = toks[:0]
+		tokenPool.Put(buf)
+	}
+	return stages, err
+}
+
+// stageCount is the number of stages src separates: its semicolons outside
+// comments, plus one. A semicolon or '#' byte is never part of a longer
+// token, or of a UTF-8 sequence.
+func stageCount(src string) int {
+	n := 1
+	for i := 0; i < len(src); i++ {
+		switch src[i] {
+		case ';':
+			n++
+		case '#':
+			for i < len(src) && src[i] != '\n' {
+				i++
+			}
+		}
+	}
+	return n
+}
+
+// parse parses the token stream of a program of n stages.
+func parse(toks []Token, syms *Symbols, n int) (term.Seq, error) {
+	p := &parser{toks: toks, syms: syms}
+	stages := make(term.Seq, 0, n)
 	for {
 		st, err := p.stage()
 		if err != nil {

@@ -17,12 +17,12 @@ import (
 // concrete syntax the parser accepts, so parse → Canonical is a fixed
 // point: Canonical(parse(Canonical(parse(src)))) == Canonical(parse(src))
 // (property-tested in canonical_test.go). Stages outside the grammar
-// (map#, the balanced forms, comcast, iter — the rule right-hand sides)
-// fall back to their String form, which is deterministic and keyed on the
-// operator name, still a sound cache key.
+// (map#, the balanced forms, comcast, iter — the rule right-hand sides —
+// and the sparse collectives) render as their String, which is
+// deterministic and keyed on the operator name, still a sound cache key.
 //
-// The rendering is written into one strings.Builder sized from the
-// stages' pieces, so a program of grammar stages costs one allocation.
+// Every stage but a sparse one is written as pieces into one
+// strings.Builder sized from them, so such a program costs one allocation.
 func Canonical(s term.Seq) string {
 	stages := s.Flat()
 	if len(stages) == 0 {
@@ -55,10 +55,9 @@ func Canonical(s term.Seq) string {
 // by 2·All + Balanced.
 var reduceHeads = [4]string{"reduce(", "reduce_balanced(", "allreduce(", "allreduce_balanced("}
 
-// canonicalStage returns a stage's rendering as three pieces written back
-// to back, or ok = false for a stage rendered by its String: the rule
-// right-hand sides outside the grammar, and the sparse collectives, whose
-// String is their parseable form.
+// canonicalStage returns a stage's rendering, byte for byte its String, as
+// three pieces written back to back, or ok = false for a stage rendered by
+// its String: the sparse collectives, whose String is their parseable form.
 func canonicalStage(st term.Term) (head, name, tail string, ok bool) {
 	switch x := st.(type) {
 	case term.Map:
@@ -80,6 +79,57 @@ func canonicalStage(st term.Term) (head, name, tail string, ok bool) {
 		return "gather", "", "", true
 	case term.Scatter:
 		return "scatter", "", "", true
+	case term.MapIdx:
+		return "map# ", x.F.Name, "", true
+	case term.ScanBal:
+		return "scan_balanced(", x.Op.Name, ")", true
+	case term.Iter:
+		return "iter(", x.Op.Name, ")", true
+	case term.Comcast:
+		if x.CostOptimal {
+			return "comcast(", x.Ops.Name, ")", true
+		}
+		return "bcast; map# repeat(", x.Ops.Name, ")", true
 	}
 	return "", "", "", false
+}
+
+// appendStage appends a stage's canonical rendering.
+func appendStage(b []byte, st term.Term) []byte {
+	head, name, tail, ok := canonicalStage(st)
+	if !ok {
+		return append(b, st.String()...)
+	}
+	return append(append(append(b, head...), name...), tail...)
+}
+
+// appendJoined appends the stages as term.Seq prints them: each stage's
+// rendering, separated by " ; ".
+func appendJoined(b []byte, stages []term.Term) []byte {
+	for i, st := range stages {
+		if i > 0 {
+			b = append(b, " ; "...)
+		}
+		b = appendStage(b, st)
+	}
+	return b
+}
+
+// appendRewritten appends Canonical of the program the match rewrites
+// stages to, without building the program.
+func appendRewritten(b []byte, stages []term.Term, mt match) []byte {
+	first := true
+	for _, seg := range [...][]term.Term{stages[:mt.pos], mt.after, stages[mt.pos+len(mt.before):]} {
+		for _, st := range seg {
+			if !first {
+				b = append(b, " ; "...)
+			}
+			first = false
+			b = appendStage(b, st)
+		}
+	}
+	if first {
+		b = append(b, "id"...)
+	}
+	return b
 }

@@ -139,6 +139,24 @@ func TestCanonicalMatchesOracle(t *testing.T) {
 	if outside == 0 {
 		t.Fatal("no rewritten program has a stage outside the grammar: the corpus misses the String fallback")
 	}
+	// The right-hand sides' stages are written in pieces, which must be their
+	// String: iter, comcast in both forms, the balanced scan and map#.
+	for _, st := range []term.Term{
+		term.Iter{Op: algebra.OpBR(algebra.Add)},
+		term.Iter{Op: algebra.OpBSR2(algebra.Mul, algebra.Add)},
+		term.Comcast{Ops: algebra.OpCompBS(algebra.Add)},
+		term.Comcast{Ops: algebra.OpCompBSS2(algebra.Mul, algebra.Max), CostOptimal: true},
+		term.ScanBal{Op: algebra.OpSS(algebra.Min)},
+		term.MapIdx{F: term.RepeatFn(algebra.OpCompBSS(algebra.Add))},
+	} {
+		if got, want := rules.Canonical(term.Seq{st}), st.String(); got != want {
+			t.Errorf("Canonical of %T renders %q, its String is %q", st, got, want)
+		}
+		s := term.Seq{term.Bcast{}, st, st}
+		if got, want := rules.Canonical(s), canonicalOracle(s); got != want {
+			t.Errorf("Canonical(%v) = %q, want %q", s, got, want)
+		}
+	}
 }
 
 // TestCanonicalAllocs pins the rendering of a program of grammar stages to

@@ -1,7 +1,7 @@
 package rules
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/cost"
 	"repro/internal/term"
@@ -20,8 +20,18 @@ type Application struct {
 	CostBefore, CostAfter float64
 }
 
+// String renders "RULE @pos: window  =>  replacement", each side as
+// term.Seq prints it.
 func (a Application) String() string {
-	return fmt.Sprintf("%s @%d: %s  =>  %s", a.Rule, a.Pos, term.Seq(a.Before), term.Seq(a.After))
+	var buf [128]byte
+	b := append(buf[:0], a.Rule...)
+	b = append(b, " @"...)
+	b = strconv.AppendInt(b, int64(a.Pos), 10)
+	b = append(b, ": "...)
+	b = appendJoined(b, a.Before)
+	b = append(b, "  =>  "...)
+	b = appendJoined(b, a.After)
+	return string(b)
 }
 
 // Engine applies optimization rules over a term.
@@ -68,55 +78,234 @@ func NewCostGuidedEngine(p cost.Params) *Engine {
 	return e
 }
 
-func (e *Engine) rules() []Rule {
-	if e.Rules != nil {
-		return e.Rules
-	}
-	return defaultRules
+// A match is a (position, rule) pair whose pattern and conditions hold: rule
+// indexes the matcher's rule list, before is the window — a view of the
+// stage list it was found in, which nothing writes to — and after is what
+// Try returned. A match is unpriced; whoever needs its prices asks for them.
+type match struct {
+	rule, pos     int
+	before, after []term.Term
 }
 
-// nextMatch is the one rule-match loop: it scans (position × rule) pairs
-// from cursor from onward — stages left to right, rs in priority order at
-// each position, pair k being position k/len(rs) and rule k%len(rs) — and
-// returns the first whose pattern and conditions match, as an Application
-// priced by e.score when the engine is cost-guided, with the pair's
-// cursor; resume at cursor+1. Step, Applicable, the plan search and
-// (through Applicable) core.Derivation all enumerate with it, so a match
-// is recorded and priced the same way whoever asks.
-func (e *Engine) nextMatch(stages []term.Term, rs []Rule, from int) (Application, int, bool) {
-	for k := from; k < len(stages)*len(rs); k++ {
-		i, r := k/len(rs), &rs[k%len(rs)]
-		if i+r.Window > len(stages) {
-			continue
+// matcher enumerates an engine's matches in the one order every caller sees
+// them: stages left to right, rules in priority order at each position. A
+// position is tried only against the rules that can head a window there.
+type matcher struct {
+	env   Env
+	rs    []Rule
+	heads *heads
+}
+
+// heads lists, per stage kind (kindOf), the indices of the rules a stage of
+// that kind can head, in priority order: the rules whose Head is of the kind
+// and the rules that declare none. maxWindow is the widest window.
+type heads struct {
+	byKind    [numKinds][]int
+	maxWindow int
+}
+
+func newHeads(rs []Rule) *heads {
+	h := &heads{}
+	for k := range h.byKind {
+		for i, r := range rs {
+			if r.Head == nil || kindOf(r.Head) == k {
+				h.byKind[k] = append(h.byKind[k], i)
+			}
 		}
-		window := stages[i : i+r.Window]
-		repl, ok := r.Try(window, e.Env)
-		if !ok {
-			continue
-		}
-		app := Application{
-			Rule:   r.Name,
-			Pos:    i,
-			Before: append([]term.Term(nil), window...),
-			After:  repl,
-		}
-		if e.Params != nil {
-			app.CostBefore = e.score(term.Seq(window), *e.Params)
-			app.CostAfter = e.score(term.Seq(repl), *e.Params)
-		}
-		return app, k, true
 	}
-	return Application{}, 0, false
+	for _, r := range rs {
+		h.maxWindow = max(h.maxWindow, r.Window)
+	}
+	return h
+}
+
+// defaultHeads is the head table of defaultRules, built once.
+var defaultHeads = newHeads(defaultRules)
+
+// numKinds bounds kindOf.
+const numKinds = 14
+
+// kindOf numbers the stage types, 0 for a value of none of them.
+func kindOf(t term.Term) int {
+	switch t.(type) {
+	case term.Map:
+		return 1
+	case term.MapIdx:
+		return 2
+	case term.Scan:
+		return 3
+	case term.ScanBal:
+		return 4
+	case term.Reduce:
+		return 5
+	case term.Bcast:
+		return 6
+	case term.Comcast:
+		return 7
+	case term.Gather:
+		return 8
+	case term.Scatter:
+		return 9
+	case term.Iter:
+		return 10
+	case term.Halo:
+		return 11
+	case term.AllGatherV:
+		return 12
+	case term.ReduceScatterV:
+		return 13
+	}
+	return 0
+}
+
+// matcher is the engine's rule list with its head table: the catalog's,
+// built once, or one built for this call from the caller's Rules.
+func (e *Engine) matcher() matcher {
+	if e.Rules == nil {
+		return matcher{e.Env, defaultRules, defaultHeads}
+	}
+	return matcher{e.Env, e.Rules, newHeads(e.Rules)}
+}
+
+// try matches rule ri at position i of stages.
+func (m matcher) try(stages []term.Term, i, ri int) (match, bool) {
+	end := i + m.rs[ri].Window
+	if end > len(stages) {
+		return match{}, false
+	}
+	w := stages[i:end:end]
+	after, ok := m.rs[ri].Try(w, m.env)
+	return match{ri, i, w, after}, ok
+}
+
+// all lists every match in stages.
+func (m matcher) all(stages []term.Term) []match {
+	var ms []match
+	for i, st := range stages {
+		for _, ri := range m.heads.byKind[kindOf(st)] {
+			if mt, ok := m.try(stages, i, ri); ok {
+				ms = append(ms, mt)
+			}
+		}
+	}
+	return ms
+}
+
+// derive returns the matches of child, the program the k-th of the parent's
+// matches ms rewrites the parent to. A rule reads only its window (and Env),
+// so a window that lies wholly left of the rewritten one is the parent's,
+// with the parent's verdict, and one that lies wholly right of it is the
+// parent's shifted by the change in length: only the positions whose window
+// meets the replacement — or, for an empty one, spans the seam — are tried.
+// The order is the parent's by construction.
+func (m matcher) derive(ms []match, k int, child []term.Term) []match {
+	a := ms[k]
+	pos, end := a.pos, a.pos+len(a.after)
+	shift := len(a.after) - len(a.before)
+	out := make([]match, 0, len(ms)+len(a.after))
+	lo := max(0, pos-m.heads.maxWindow+1)
+	i := 0
+	for ; ms[i].pos < lo; i++ {
+		out = append(out, ms[i])
+	}
+	for j := lo; j < end; j++ {
+		for _, ri := range m.heads.byKind[kindOf(child[j])] {
+			inParent := i < len(ms) && ms[i].pos == j && ms[i].rule == ri && j < pos
+			if inParent {
+				i++
+			}
+			if j+m.rs[ri].Window <= pos {
+				if inParent {
+					out = append(out, ms[i-1])
+				}
+				continue
+			}
+			if mt, ok := m.try(child, j, ri); ok {
+				out = append(out, mt)
+			}
+		}
+	}
+	for ; i < len(ms); i++ {
+		if mt := ms[i]; mt.pos >= pos+len(a.before) {
+			mt.pos += shift
+			out = append(out, mt)
+		}
+	}
+	return out
+}
+
+// application is the match as an Application, unpriced.
+func (m matcher) application(mt match) Application {
+	return Application{Rule: m.rs[mt.rule].Name, Pos: mt.pos, Before: mt.before, After: mt.after}
+}
+
+// price fills in the application's window prices under the engine's model.
+func (e *Engine) price(a *Application) {
+	a.CostBefore = e.score(term.Seq(a.Before), *e.Params)
+	a.CostAfter = e.score(term.Seq(a.After), *e.Params)
+}
+
+// takes returns the match as the greedy engine's next application and
+// whether the engine takes it: a cost-guided engine prices it and takes it
+// only if the replacement prices strictly lower than the window, or, for a
+// CostNeutral rule, not higher; any other engine takes every match.
+func (e *Engine) takes(m matcher, mt match) (Application, bool) {
+	app := m.application(mt)
+	if e.Params == nil {
+		return app, true
+	}
+	e.price(&app)
+	refused := app.CostAfter >= app.CostBefore && !(m.rs[mt.rule].CostNeutral && app.CostAfter == app.CostBefore)
+	return app, !refused
+}
+
+// first returns the first match at a position in [lo, hi) of stages that
+// the greedy engine takes, trying each; windows that end at or before skip
+// are known to be refused and are not tried again.
+func (e *Engine) first(m matcher, stages []term.Term, lo, hi, skip int) (Application, bool) {
+	for j := lo; j < hi; j++ {
+		for _, ri := range m.heads.byKind[kindOf(stages[j])] {
+			if j+m.rs[ri].Window <= skip {
+				continue
+			}
+			if mt, ok := m.try(stages, j, ri); ok {
+				if app, ok := e.takes(m, mt); ok {
+					return app, true
+				}
+			}
+		}
+	}
+	return Application{}, false
 }
 
 // Rewrite returns the flattened stage list (term.Stages) with the
 // application's matched window replaced by its replacement.
 func (a Application) Rewrite(stages []term.Term) term.Term {
-	out := make([]term.Term, 0, len(stages)-len(a.Before)+len(a.After))
-	out = append(out, stages[:a.Pos]...)
-	out = append(out, a.After...)
-	out = append(out, stages[a.Pos+len(a.Before):]...)
-	return term.Seq(out)
+	return term.Seq(rewritten(stages, a.Pos, len(a.Before), a.After))
+}
+
+// rewritten is stages with the w stages at pos replaced by after, in fresh
+// storage.
+func rewritten(stages []term.Term, pos, w int, after []term.Term) []term.Term {
+	out := make([]term.Term, 0, len(stages)-w+len(after))
+	out = append(out, stages[:pos]...)
+	out = append(out, after...)
+	return append(out, stages[pos+w:]...)
+}
+
+// splice replaces the w stages at pos of stages by after in place, growing
+// the slice when after is longer.
+func splice(stages []term.Term, pos, w int, after []term.Term) []term.Term {
+	n, d := len(stages), len(after)-w
+	if d > 0 {
+		stages = append(stages, after[:d]...)
+	}
+	copy(stages[pos+len(after):], stages[pos+w:n])
+	copy(stages[pos:], after)
+	if d < 0 {
+		clear(stages[n+d : n])
+	}
+	return stages[:n+d]
 }
 
 // Step performs the first applicable rule application, scanning stages
@@ -126,30 +315,77 @@ func (a Application) Rewrite(stages []term.Term) term.Term {
 // higher). It returns the rewritten term and the application, or ok =
 // false if no rule applies.
 func (e *Engine) Step(t term.Term) (term.Term, Application, bool) {
-	stages, rs := term.Stages(t), e.rules()
-	for app, k, ok := e.nextMatch(stages, rs, 0); ok; app, k, ok = e.nextMatch(stages, rs, k+1) {
-		if e.Params != nil && app.CostAfter >= app.CostBefore &&
-			!(rs[k%len(rs)].CostNeutral && app.CostAfter == app.CostBefore) {
-			continue
-		}
-		return app.Rewrite(stages), app, true
+	stages := term.Stages(t)
+	app, ok := e.first(e.matcher(), stages, 0, len(stages), 0)
+	if !ok {
+		return t, Application{}, false
 	}
-	return t, Application{}, false
+	return app.Rewrite(stages), app, true
 }
 
 // Optimize applies Step until no rule applies, returning the final term
 // and the applications performed in order. Termination is guaranteed:
 // every rule strictly decreases the number of collective operations.
 func (e *Engine) Optimize(t term.Term) (term.Term, []Application) {
-	var apps []Application
-	for {
-		next, app, ok := e.Step(t)
-		if !ok {
-			return t, apps
-		}
-		t = next
-		apps = append(apps, app)
+	return e.greedy(e.matcher(), t, term.Stages(t), nil)
+}
+
+// greedy is Optimize of t, whose stage list is stages. Each step resumes
+// where the last one rewrote, less a window: a window that ends at or before
+// the rewritten position is what the steps before refused, unchanged. A
+// non-nil root lists every match in stages, and windows that no rewrite has
+// reached — from frontier on, the root's stages shifted by shift — are read
+// from it rather than tried again.
+func (e *Engine) greedy(m matcher, t term.Term, stages []term.Term, root []match) (term.Term, []Application) {
+	rooted := root != nil
+	var (
+		apps     []Application
+		owned    bool // stages is greedy's own copy, rewritten in place
+		lo, skip int
+		frontier = len(stages)
+		shift    int
+		next     int // root[next:] are the matches not yet passed
+	)
+	if rooted {
+		frontier = 0
 	}
+	for {
+		app, ok := e.first(m, stages, lo, min(frontier, len(stages)), skip)
+		if !ok && rooted {
+			for ; next < len(root); next++ {
+				if mt := root[next]; mt.pos+shift >= frontier {
+					mt.pos += shift
+					if app, ok = e.takes(m, mt); ok {
+						break
+					}
+				}
+			}
+		}
+		if !ok {
+			break
+		}
+		w, l := len(app.Before), len(app.After)
+		if !owned {
+			stages = append(make([]term.Term, 0, len(stages)+l), stages...)
+			owned = true
+		} else if app.Pos < frontier {
+			// The window is a view of the stages about to be rewritten.
+			app.Before = append([]term.Term(nil), app.Before...)
+		}
+		stages = splice(stages, app.Pos, w, app.After)
+		apps = append(apps, app)
+		lo, skip = max(0, app.Pos-m.heads.maxWindow+1), app.Pos
+		if rooted {
+			frontier = max(frontier+l-w, app.Pos+l)
+			shift += l - w
+		} else {
+			frontier = len(stages)
+		}
+	}
+	if apps == nil {
+		return t, nil
+	}
+	return term.Seq(stages[:len(stages):len(stages)]), apps
 }
 
 // Applicable lists, without rewriting, every (position, rule) pair whose
@@ -158,13 +394,13 @@ func (e *Engine) Optimize(t term.Term) (term.Term, []Application) {
 // search's branching (unlike the greedy Step, no match is filtered by its
 // window delta).
 func (e *Engine) Applicable(t term.Term) []Application {
-	return e.applicable(term.Stages(t))
-}
-
-func (e *Engine) applicable(stages []term.Term) []Application {
-	rs := e.rules()
+	m := e.matcher()
 	var out []Application
-	for app, k, ok := e.nextMatch(stages, rs, 0); ok; app, k, ok = e.nextMatch(stages, rs, k+1) {
+	for _, mt := range m.all(term.Stages(t)) {
+		app := m.application(mt)
+		if e.Params != nil {
+			e.price(&app)
+		}
 		out = append(out, app)
 	}
 	return out

@@ -36,6 +36,7 @@ var BMMobility = Rule{
 	Cond:        "—",
 	Result:      "map f ; bcast",
 	CostNeutral: true,
+	Head:        term.Bcast{},
 	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
 		if !isBcast(w[0]) {
 			return nil, false
@@ -63,6 +64,7 @@ var MMLocal = Rule{
 	Cond:        "—",
 	Result:      "map (f; g)",
 	CostNeutral: true,
+	Head:        term.Map{},
 	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
 		f, ok := w[0].(term.Map)
 		if !ok {
@@ -105,6 +107,7 @@ var RBAllReduce = Rule{
 	Pattern: "reduce(⊕) ; bcast",
 	Cond:    "⊕ is associative",
 	Result:  "allreduce(⊕)",
+	Head:    term.Reduce{},
 	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
 		op, all, ok := matchReduce(w[0])
 		if !ok || all || !assoc(env, op) {
@@ -128,6 +131,7 @@ var BBBcast = Rule{
 	Pattern: "bcast ; bcast",
 	Cond:    "—",
 	Result:  "bcast",
+	Head:    term.Bcast{},
 	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
 		if !isBcast(w[0]) || !isBcast(w[1]) {
 			return nil, false
@@ -147,6 +151,7 @@ var ABAllReduce = Rule{
 	Pattern: "allreduce(⊕) ; bcast",
 	Cond:    "—",
 	Result:  "allreduce(⊕)",
+	Head:    term.Reduce{},
 	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
 		op, all, ok := matchReduce(w[0])
 		if !ok || !all {
@@ -171,6 +176,7 @@ var GSId = Rule{
 	Pattern: "gather ; scatter",
 	Cond:    "—",
 	Result:  "(identity)",
+	Head:    term.Gather{},
 	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
 		if _, ok := w[0].(term.Gather); !ok {
 			return nil, false
@@ -195,6 +201,7 @@ var SGId = Rule{
 	Pattern: "scatter ; gather",
 	Cond:    "—",
 	Result:  "(identity)",
+	Head:    term.Scatter{},
 	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
 		if _, ok := w[0].(term.Scatter); !ok {
 			return nil, false

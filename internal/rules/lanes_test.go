@@ -67,7 +67,7 @@ func lanesAgree(t *testing.T, v *Verifier, stages []term.Term, cfg VerifyConfig,
 	var of sample
 	var out []algebra.Value
 	var ill *IllTypedError
-	eachLane(v.lists(cfg), func(packed, drawn sample, lo, w int, scalar bool) {
+	eachLane(v.lists(cfg, cfg.key()), func(packed, drawn sample, lo, w int, scalar bool) {
 		if lo == 0 {
 			of = packed
 			out, ill = evalStages(nil, stages, 0, packed.in)
@@ -264,7 +264,7 @@ func probe(f *term.Fn, lists *inputLists) (err error) {
 // build declare it from their parts, so their derivations are verified on
 // the packed lists.
 func TestVerifierElementwiseDeclarationsProbe(t *testing.T) {
-	lists := new(Verifier).lists(plannerCfg)
+	lists := new(Verifier).lists(plannerCfg, plannerCfg.key())
 	declared := []*term.Fn{term.PairFn, term.TripleFn, term.QuadrupleFn, term.FirstFn, IncFn, IncTupFn, wordFn("negate", func(x float64) float64 { return -x })}
 	for _, c := range ruleWindows {
 		if c.rule != "MM-Local" && c.rule != "HH-Combine" && c.rule != "MH-Mobility" {
@@ -349,7 +349,7 @@ func TestVerifierPackedVerdictIsPerInputVerdict(t *testing.T) {
 			seen int
 		}
 		places := map[float64]*place{}
-		for _, s := range new(Verifier).lists(plannerCfg).drawn {
+		for _, s := range new(Verifier).lists(plannerCfg, plannerCfg.key()).drawn {
 			for _, x := range term.Eval(scanAdd, s.in) {
 				vec, ok := x.(algebra.Vec)
 				if !ok {

@@ -60,8 +60,14 @@ type Rule struct {
 	// them when the estimate does not get worse, instead of requiring a
 	// strict improvement.
 	CostNeutral bool
+	// Head, when non-nil, declares the kind of stage every window the rule
+	// matches starts with, as a stage of that type whose fields are unused
+	// (term.Scan{}, say): the engine tries the rule only at positions that
+	// hold a stage of the same type. A rule without one is tried everywhere.
+	Head term.Term
 	// Try matches the window and, if the pattern and conditions hold,
-	// returns the replacement stages.
+	// returns the replacement stages, a flat list the rule does not write to
+	// again: the engine shares it between every program it rewrites.
 	Try func(w []term.Term, env Env) ([]term.Term, bool)
 }
 
@@ -115,6 +121,7 @@ var SR2Reduction = Rule{
 	Pattern: "scan(⊗) ; [all]reduce(⊕)",
 	Cond:    "⊗ distributes over ⊕",
 	Result:  "map pair ; [all]reduce(op_sr2) ; map π₁",
+	Head:    term.Scan{},
 	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
 		otimes, ok := matchScan(w[0])
 		if !ok {
@@ -146,6 +153,7 @@ var SRReduction = Rule{
 	Pattern: "scan(⊕) ; [all]reduce(⊕)",
 	Cond:    "⊕ is commutative",
 	Result:  "map pair ; [all]reduce_balanced(op_sr) ; map π₁",
+	Head:    term.Scan{},
 	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
 		op1, ok := matchScan(w[0])
 		if !ok {
@@ -174,6 +182,7 @@ var SS2Scan = Rule{
 	Pattern: "scan(⊗) ; scan(⊕)",
 	Cond:    "⊗ distributes over ⊕",
 	Result:  "map pair ; scan(op_sr2) ; map π₁",
+	Head:    term.Scan{},
 	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
 		otimes, ok := matchScan(w[0])
 		if !ok {
@@ -202,6 +211,7 @@ var SSScan = Rule{
 	Pattern: "scan(⊕) ; scan(⊕)",
 	Cond:    "⊕ is commutative",
 	Result:  "map quadruple ; scan_balanced(op_ss) ; map π₁",
+	Head:    term.Scan{},
 	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
 		op1, ok := matchScan(w[0])
 		if !ok {
@@ -231,6 +241,7 @@ var BSComcast = Rule{
 	Pattern: "bcast ; scan(⊕)",
 	Cond:    "⊕ is associative",
 	Result:  "bcast ; map# op_comp",
+	Head:    term.Bcast{},
 	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
 		if !isBcast(w[0]) {
 			return nil, false
@@ -257,6 +268,7 @@ var BSS2Comcast = Rule{
 	Pattern: "bcast ; scan(⊗) ; scan(⊕)",
 	Cond:    "⊗ distributes over ⊕",
 	Result:  "bcast ; map# op_comp",
+	Head:    term.Bcast{},
 	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
 		if !isBcast(w[0]) {
 			return nil, false
@@ -287,6 +299,7 @@ var BSSComcast = Rule{
 	Pattern: "bcast ; scan(⊕) ; scan(⊕)",
 	Cond:    "⊕ is commutative",
 	Result:  "bcast ; map# op_comp",
+	Head:    term.Bcast{},
 	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
 		if !isBcast(w[0]) {
 			return nil, false
@@ -320,6 +333,7 @@ var BRLocal = Rule{
 	Pattern: "bcast ; reduce(⊕)",
 	Cond:    "⊕ is associative; p = 2^k",
 	Result:  "iter(op_br)",
+	Head:    term.Bcast{},
 	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
 		if !isBcast(w[0]) || !env.pow2OK() {
 			return nil, false
@@ -346,6 +360,7 @@ var BSR2Local = Rule{
 	Pattern: "bcast ; scan(⊗) ; reduce(⊕)",
 	Cond:    "⊗ distributes over ⊕; p = 2^k",
 	Result:  "map pair ; iter(op_bsr2) ; map π₁",
+	Head:    term.Bcast{},
 	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
 		if !isBcast(w[0]) || !env.pow2OK() {
 			return nil, false
@@ -374,6 +389,7 @@ var BSRLocal = Rule{
 	Pattern: "bcast ; scan(⊕) ; reduce(⊕)",
 	Cond:    "⊕ is commutative; p = 2^k",
 	Result:  "map pair ; iter(op_bsr) ; map π₁",
+	Head:    term.Bcast{},
 	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
 		if !isBcast(w[0]) || !env.pow2OK() {
 			return nil, false
@@ -402,6 +418,7 @@ var CRAllLocal = Rule{
 	Pattern: "bcast ; allreduce(⊕)",
 	Cond:    "⊕ is associative; p = 2^k",
 	Result:  "iter(op_br) ; bcast",
+	Head:    term.Bcast{},
 	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
 		if !isBcast(w[0]) || !env.pow2OK() {
 			return nil, false

@@ -1,6 +1,8 @@
 package rules
 
 import (
+	"sync"
+
 	"repro/internal/cost"
 	"repro/internal/term"
 )
@@ -87,22 +89,41 @@ func (s SearchStats) Improved() bool { return s.BestCost < s.GreedyCost }
 // The greedy derivation seeds the incumbent, so the returned plan costs
 // at most the greedy plan's; on ties the greedy derivation is returned
 // unchanged. The engine must be cost-guided (Params set).
+//
+// The matches of t are enumerated once, for the greedy derivation and the
+// search both, and each program the search reaches derives its matches
+// from its parent's (matcher.derive). The search never branches on a
+// window's price, so only the applications it returns are priced.
 func (e *Engine) SearchOptimize(t term.Term, cfg SearchConfig) (term.Term, []Application, SearchStats) {
 	if e.Params == nil {
 		panic("rules: SearchOptimize requires a cost-guided engine (Params set)")
 	}
-	greedyT, greedyApps := e.Optimize(t)
+	m := e.matcher()
+	stages := term.Stages(t)
+	root := m.all(stages)
+	greedyT, greedyApps := t, []Application(nil)
+	if root != nil {
+		greedyT, greedyApps = e.greedy(m, t, stages, root)
+	}
 	gCost := e.score(greedyT, *e.Params)
 
 	s := &searcher{
 		e:    e,
+		m:    m,
 		cfg:  cfg,
 		p:    *e.Params,
-		memo: make(map[string]memoEntry),
 		best: gCost,
 	}
 	s.stats.Exhausted = true
-	bt, bapps, bcost := s.explore(t, 0)
+	if root != nil {
+		s.searchState = searchStates.Get().(*searchState)
+		defer s.searchState.release()
+	}
+	self := gCost // t is the greedy plan when greedy applied nothing
+	if greedyApps != nil {
+		self = e.score(t, s.p)
+	}
+	bt, bms, bcost := s.explore(node{t: t, stages: stages, ms: root}, self, 0)
 
 	s.stats.GreedyCost = gCost
 	if bcost >= gCost {
@@ -112,66 +133,131 @@ func (e *Engine) SearchOptimize(t term.Term, cfg SearchConfig) (term.Term, []App
 		return greedyT, greedyApps, s.stats
 	}
 	s.stats.BestCost = bcost
-	return bt, bapps, s.stats
+	apps := make([]Application, len(bms))
+	for i, mt := range bms {
+		apps[i] = m.application(mt)
+		e.price(&apps[i])
+	}
+	return bt, apps, s.stats
+}
+
+// searchState is what a search keeps between its nodes: the memo, and the
+// buffer a program's key is rendered into to be looked up. It is pooled, a
+// search's own for the length of the call; one that grew past
+// maxPooledMemo programs or maxPooledKey bytes is dropped rather than kept
+// behind every later search.
+type searchState struct {
+	memo map[string]memoEntry
+	key  []byte
+}
+
+var searchStates = sync.Pool{New: func() any {
+	return &searchState{memo: make(map[string]memoEntry), key: make([]byte, 0, 256)}
+}}
+
+const (
+	maxPooledMemo = 64
+	maxPooledKey  = 4 << 10
+)
+
+func (st *searchState) release() {
+	if len(st.memo) <= maxPooledMemo && cap(st.key) <= maxPooledKey {
+		clear(st.memo)
+		searchStates.Put(st)
+	}
 }
 
 type memoEntry struct {
 	cost float64
 	t    term.Term
-	apps []Application
+	ms   []match
 }
 
+// searcher is the state of one search; nothing of it outlives the call.
 type searcher struct {
-	e     *Engine
-	cfg   SearchConfig
-	p     cost.Params
-	memo  map[string]memoEntry
+	e   *Engine
+	m   matcher
+	cfg SearchConfig
+	p   cost.Params
+	*searchState
 	best  float64 // cheapest end-to-end cost seen anywhere (incumbent)
 	stats SearchStats
 }
 
-// explore returns the cheapest program derivable from t (within the
-// remaining budgets), its derivation, and its end-to-end cost.
-func (s *searcher) explore(t term.Term, depth int) (term.Term, []Application, float64) {
-	key := Canonical(term.Compose(t))
-	if m, ok := s.memo[key]; ok {
-		s.stats.MemoHits++
-		return m.t, m.apps, m.cost
-	}
+// A node is a program the search reaches: its term and stage list, and its
+// matches — the root's own, or derived from the parent's matches ms and the
+// one applied, k, when they are first needed (a program answered from the
+// memo, cut by the depth bound or pruned needs none).
+type node struct {
+	t      term.Term
+	stages []term.Term
+	ms     []match
+	parent []match
+	k      int
+}
 
-	self := s.e.score(t, s.p)
+func (n node) matches(m matcher) []match {
+	if n.parent == nil {
+		return n.ms
+	}
+	return m.derive(n.parent, n.k, n.stages)
+}
+
+// explore returns the cheapest program derivable from n (within the
+// remaining budgets), its derivation, and its end-to-end cost; self is n's
+// own cost.
+func (s *searcher) explore(n node, self float64, depth int) (term.Term, []match, float64) {
 	if self < s.best {
 		s.best = self
 	}
-	bestT, bestCost := t, self
-	var bestApps []Application
+	bestT, bestCost := n.t, self
+	var bestMs []match
 
 	switch {
 	case depth >= s.cfg.maxDepth():
 		s.stats.Exhausted = false
-	case cost.Floor(t, s.p) >= s.best:
+	case cost.Floor(n.t, s.p) >= s.best:
 		// No derivation from here can beat the incumbent: every rewrite
 		// keeps at least the floor's local work.
 		s.stats.Pruned++
 	default:
-		stages := term.Stages(t)
-		for _, app := range s.e.applicable(stages) {
+		ms := n.matches(s.m)
+		for k := range ms {
 			if s.stats.Nodes >= s.cfg.maxNodes() {
 				s.stats.Exhausted = false
 				break
 			}
 			s.stats.Nodes++
-			ct, capps, ccost := s.explore(app.Rewrite(stages), depth+1)
+			ct, cms, ccost := s.child(n.stages, ms, k, depth+1)
 			if ccost < bestCost {
 				bestT, bestCost = ct, ccost
-				bestApps = append([]Application{app}, capps...)
+				bestMs = append([]match{ms[k]}, cms...)
 				if ccost < s.best {
 					s.best = ccost
 				}
 			}
 		}
 	}
+	return bestT, bestMs, bestCost
+}
 
-	s.memo[key] = memoEntry{cost: bestCost, t: bestT, apps: bestApps}
-	return bestT, bestApps, bestCost
+// child explores the program the k-th of the matches ms rewrites stages
+// to, answered from the memo when a derivation reached it before: the key
+// is rendered from the parent's stages into a reused buffer, and the
+// program is built only when it is explored. A program's entry is written
+// once its subtree is explored, so the root's, which nothing would read, is
+// never written.
+func (s *searcher) child(stages []term.Term, ms []match, k, depth int) (term.Term, []match, float64) {
+	s.key = appendRewritten(s.key[:0], stages, ms[k])
+	if m, ok := s.memo[string(s.key)]; ok {
+		s.stats.MemoHits++
+		return m.t, m.ms, m.cost
+	}
+	key := string(s.key)
+	a := ms[k]
+	cs := rewritten(stages, a.pos, len(a.before), a.after)
+	n := node{t: term.Seq(cs), stages: cs, parent: ms, k: k}
+	bt, bms, bcost := s.explore(n, s.e.score(n.t, s.p), depth)
+	s.memo[key] = memoEntry{cost: bcost, t: bt, ms: bms}
+	return bt, bms, bcost
 }

@@ -97,6 +97,7 @@ var HHCombine = Rule{
 	// only in degenerate all-local cases — so let the cost-guided engine
 	// fire it on equality too.
 	CostNeutral: true,
+	Head:        term.Halo{},
 	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
 		h1, ok := w[0].(term.Halo)
 		if !ok || !h1.H.Isomorphic() {
@@ -137,6 +138,7 @@ var MHMobility = Rule{
 	Pattern: "map f ; halo(H)",
 	Cond:    "—",
 	Result:  "halo(H) ; map each(f)",
+	Head:    term.Map{},
 	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
 		m, ok := w[0].(term.Map)
 		if !ok {
@@ -168,6 +170,7 @@ var RSAGAllReduce = Rule{
 	Pattern: "reduce_scatterv(⊕,c) ; allgatherv(c)",
 	Cond:    "counts equal; ⊕ associative and elementwise; p = len(c)",
 	Result:  "allreduce(⊕)",
+	Head:    term.ReduceScatterV{},
 	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
 		rs, ok := w[0].(term.ReduceScatterV)
 		if !ok {

@@ -102,18 +102,48 @@ type configKey struct {
 }
 
 func (c VerifyConfig) key() configKey {
-	// Sizes as fmt.Sprint prints them, "[1 2 4 8]", without fmt: this runs
-	// once per derivation and once per application.
 	var buf [64]byte
-	sizes := append(buf[:0], '[')
+	k := c.keyWithout()
+	k.sizes = string(c.appendSizes(buf[:0]))
+	return k
+}
+
+// keyWithout is c's key but for its sizes.
+func (c VerifyConfig) keyWithout() configKey {
+	return configKey{"", c.Pow2Only, c.trials(), c.Seed, c.BlockWords, c.RelTol}
+}
+
+// appendSizes appends Sizes as fmt.Sprint prints them, "[1 2 4 8]".
+func (c VerifyConfig) appendSizes(b []byte) []byte {
+	b = append(b, '[')
 	for i, n := range c.Sizes {
 		if i > 0 {
-			sizes = append(sizes, ' ')
+			b = append(b, ' ')
 		}
-		sizes = strconv.AppendInt(sizes, int64(n), 10)
+		b = strconv.AppendInt(b, int64(n), 10)
 	}
-	sizes = append(sizes, ']')
-	return configKey{string(sizes), c.Pow2Only, c.trials(), c.Seed, c.BlockWords, c.RelTol}
+	return append(b, ']')
+}
+
+// key is cfg.key(), and the very key the Verifier holds cfg's inputs under
+// when it holds them: a check asks once per config it runs, and renders a
+// string only for a config it has not seen.
+func (v *Verifier) key(cfg VerifyConfig) configKey {
+	var buf [64]byte
+	sizes := cfg.appendSizes(buf[:0])
+	k := cfg.keyWithout()
+	v.mu.Lock()
+	for held := range v.inputs {
+		if held.sizes == string(sizes) {
+			if k.sizes = held.sizes; k == held {
+				v.mu.Unlock()
+				return held
+			}
+		}
+	}
+	v.mu.Unlock()
+	k.sizes = string(sizes)
+	return k
 }
 
 // instanceKey identifies a rule instance under a config. Window and
@@ -174,13 +204,25 @@ func (v *Verifier) check(t, opt term.Term, apps []Application, cfg VerifyConfig,
 	if len(apps) == 0 {
 		v.zeroApplication.Add(1)
 	}
+	// The key of the config each check runs under, looked up once: the
+	// config moves to the power-of-two sizes at the first Local application.
+	var key configKey
+	keyed := false
 	for _, app := range apps {
-		cfg = cfg.forRule(app.Rule)
-		if err := v.instance(app, cfg, sc); err != nil {
+		if c, moved := cfg.forRule(app.Rule); moved {
+			cfg, keyed = c, false
+		}
+		if !keyed {
+			key, keyed = v.key(cfg), true
+		}
+		if err := v.instance(app, cfg, key, sc); err != nil {
 			return err
 		}
 	}
-	return v.endToEnd(t, opt, shapeFor(t, cfg), sc)
+	if !keyed {
+		key = v.key(cfg)
+	}
+	return v.endToEnd(t, opt, shapeFor(t, cfg), key, sc)
 }
 
 // scratches holds the evaluation storage of derivation checks. Nothing drawn
@@ -191,16 +233,16 @@ var scratches = sync.Pool{New: func() any { return new(term.Scratch) }}
 
 const maxScratchBytes = 64 << 10
 
-// instance is VerifyApplication through the memo. A config with a Gen has
-// no key and is checked afresh.
-func (v *Verifier) instance(app Application, cfg VerifyConfig, sc *term.Scratch) error {
+// instance is VerifyApplication through the memo; key is cfg's. A config
+// with a Gen has no key and is checked afresh.
+func (v *Verifier) instance(app Application, cfg VerifyConfig, key configKey, sc *term.Scratch) error {
 	if cfg.Gen != nil {
 		v.instanceChecks.Add(1)
 		return VerifyApplication(app, cfg)
 	}
-	key := instanceKey{app.Rule, Canonical(app.Before), Canonical(app.After), cfg.key()}
+	ik := instanceKey{app.Rule, Canonical(app.Before), Canonical(app.After), key}
 	v.mu.Lock()
-	err, ok := v.instances[key]
+	err, ok := v.instances[ik]
 	v.mu.Unlock()
 	if ok {
 		v.instanceHits.Add(1)
@@ -208,7 +250,7 @@ func (v *Verifier) instance(app Application, cfg VerifyConfig, sc *term.Scratch)
 	}
 	v.instanceChecks.Add(1)
 	before := term.Seq(app.Before)
-	if !v.packedClean(cut(before, term.Seq(app.After), cfg.RelTol, sc), shapeFor(before, cfg)) {
+	if !v.packedClean(cut(before, term.Seq(app.After), cfg.RelTol, sc), shapeFor(before, cfg), key) {
 		err = VerifyApplication(app, cfg)
 	}
 	v.mu.Lock()
@@ -221,15 +263,14 @@ func (v *Verifier) instance(app Application, cfg VerifyConfig, sc *term.Scratch)
 			break
 		}
 	}
-	v.instances[key] = err
+	v.instances[ik] = err
 	v.mu.Unlock()
 	return err
 }
 
-// lists returns the input lists of a Gen-less config, drawn and packed
-// once and shared: evaluation never writes to its input.
-func (v *Verifier) lists(cfg VerifyConfig) *inputLists {
-	key := cfg.key()
+// lists returns the input lists of a Gen-less config, whose key is key,
+// drawn and packed once and shared: evaluation never writes to its input.
+func (v *Verifier) lists(cfg VerifyConfig, key configKey) *inputLists {
 	v.mu.Lock()
 	ins, ok := v.inputs[key]
 	v.mu.Unlock()
@@ -320,12 +361,12 @@ func laneWise(stages []term.Term) bool {
 // undefined on and a stage that is not lane-wise (or fixes the length of a
 // vector and so panics on the wider block) all get their verdict, and its
 // report, from the drawn inputs one by one.
-func (v *Verifier) packedClean(d *derivation, cfg VerifyConfig) bool {
+func (v *Verifier) packedClean(d *derivation, cfg VerifyConfig, key configKey) bool {
 	// Outside its middle the rewriting has the source's own stages.
 	if cfg.Gen != nil || !laneWise(d.ts) || !laneWise(d.os[d.pre:d.tailO]) {
 		return false
 	}
-	for _, s := range v.lists(cfg).packed {
+	for _, s := range v.lists(cfg, key).packed {
 		if d.on(s) != nil {
 			return false
 		}
@@ -333,15 +374,15 @@ func (v *Verifier) packedClean(d *derivation, cfg VerifyConfig) bool {
 	return true
 }
 
-// endToEnd compares t and opt on every input of cfg: on the packed lists
-// when that settles it, else input by input.
-func (v *Verifier) endToEnd(t, opt term.Term, cfg VerifyConfig, sc *term.Scratch) error {
+// endToEnd compares t and opt on every input of cfg, whose key is key: on
+// the packed lists when that settles it, else input by input.
+func (v *Verifier) endToEnd(t, opt term.Term, cfg VerifyConfig, key configKey, sc *term.Scratch) error {
 	d := cut(t, opt, cfg.RelTol, sc)
 	defer func() {
 		v.tailsOnce.Add(d.tailsOnce)
 		v.tailsTwice.Add(d.tailsTwice)
 	}()
-	if v.packedClean(d, cfg) {
+	if v.packedClean(d, cfg, key) {
 		v.packed.Add(1)
 		return nil
 	}
@@ -349,7 +390,7 @@ func (v *Verifier) endToEnd(t, opt term.Term, cfg VerifyConfig, sc *term.Scratch
 	if cfg.Gen != nil {
 		return cfg.eachInput(d.on)
 	}
-	for _, s := range v.lists(cfg).drawn {
+	for _, s := range v.lists(cfg, key).drawn {
 		if err := d.on(s); err != nil {
 			return err
 		}

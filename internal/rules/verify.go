@@ -193,7 +193,7 @@ func VerifyExhaustive(lhs, rhs term.Term, domain []float64, maxN int) error {
 // window and its replacement must be semantically equal. Local-class
 // rules are checked on power-of-two sizes only.
 func VerifyApplication(app Application, cfg VerifyConfig) error {
-	cfg = cfg.forRule(app.Rule)
+	cfg, _ = cfg.forRule(app.Rule)
 	if err := VerifyEquivalence(term.Seq(app.Before), term.Seq(app.After), cfg); err != nil {
 		return fmt.Errorf("rule %s: %w", app.Rule, err)
 	}
@@ -201,13 +201,14 @@ func VerifyApplication(app Application, cfg VerifyConfig) error {
 }
 
 // forRule is the config an application of the named rule is checked
-// under: the Local rules compute f^(log p) by repeated squaring and hold
-// on power-of-two machines only, so they move the check to the default
-// power-of-two sizes.
-func (c VerifyConfig) forRule(name string) VerifyConfig {
-	if r, ok := ByName(name); ok && r.Class == "Local" {
+// under, and whether it differs from c: the Local rules compute f^(log p)
+// by repeated squaring and hold on power-of-two machines only, so they move
+// the check to the default power-of-two sizes.
+func (c VerifyConfig) forRule(name string) (VerifyConfig, bool) {
+	if r, ok := ByName(name); ok && r.Class == "Local" && (!c.Pow2Only || c.Sizes != nil) {
 		c.Pow2Only = true
 		c.Sizes = nil
+		return c, true
 	}
-	return c
+	return c, false
 }

@@ -115,16 +115,22 @@ func NewPlanner(cacheSize, cacheShards int) *Planner {
 	}
 }
 
-// ParseProgram parses a surface-syntax program into a flattened term.
+// MaxStages bounds the stages of a program the planner parses. A plan
+// search prices, keys and rewrites the whole program at each of its up to
+// rules.DefaultSearchNodes nodes, so a request's time grows with its stage
+// count: at 256 stages a searched, selected miss of the costliest shape
+// measured took at most 71 ms (docs/SERVING.md "How long a program may
+// be").
+const MaxStages = 256
+
+// ParseProgram parses a surface-syntax program into its flat stage list. A
+// program of more than MaxStages stages is refused, with a
+// *lang.StagesError, before it is lexed.
 func (pl *Planner) ParseProgram(src string) (term.Seq, error) {
 	if strings.TrimSpace(src) == "" {
 		return nil, fmt.Errorf("empty program")
 	}
-	t, err := lang.Parse(src, pl.Symbols)
-	if err != nil {
-		return nil, err
-	}
-	return term.Compose(t), nil
+	return lang.ParseStages(src, pl.Symbols, MaxStages)
 }
 
 // KeyOpts builds the cache key for a canonical program at machine

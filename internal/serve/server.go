@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lang"
 	"repro/internal/rules"
 )
 
@@ -270,6 +271,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	t, err := s.planner.ParseProgram(req.Program)
 	if err != nil {
+		if long := (*lang.StagesError)(nil); errors.As(err, &long) {
+			s.fail(w, http.StatusBadRequest, "%v", long)
+			return
+		}
 		s.fail(w, http.StatusBadRequest, "parse error: %v", err)
 		return
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -357,5 +358,43 @@ func TestServerSingleFlightUnderLoad(t *testing.T) {
 	}
 	if v := snap.Verify; v.Derivations != uint64(keys) || v.InstanceHits == 0 {
 		t.Errorf("verifier counters %+v, want %d derivations and instance hits", v, keys)
+	}
+}
+
+// TestProgramStagesBounded: a program of more than MaxStages stages is
+// refused with 400, naming its stage count, before it is lexed or planned —
+// a 1 MiB body of scan(+) quickly — while one of exactly MaxStages stages is
+// searched, selected and answered.
+func TestProgramStagesBounded(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	const unit = "scan(+) ; "
+	prog := strings.Repeat(unit, (maxRequestBytes-32)/len(unit)) + "scan(+)"
+	body := requestBody(prog, "")
+	if len(body) > maxRequestBytes {
+		t.Fatalf("the body is %d bytes, over the %d-byte bound", len(body), maxRequestBytes)
+	}
+	start := time.Now()
+	ans := postBody(t, ts.URL, body)
+	took := time.Since(start)
+	want := fmt.Sprintf("program has %d stages, at most %d", strings.Count(prog, ";")+1, MaxStages)
+	if ans.code != http.StatusBadRequest || !strings.Contains(ans.body, want) {
+		t.Fatalf("a %d-byte program answered %d %s, want 400 %q", len(prog), ans.code, ans.body, want)
+	}
+	if took > 2*time.Second {
+		t.Errorf("refusing a 1 MiB program took %v", took)
+	}
+	if runs := s.Planner().EngineRuns(); runs != 0 {
+		t.Errorf("a refused program ran the engine %d times", runs)
+	}
+
+	at := strings.TrimSuffix(strings.Repeat("bcast ; scan(+) ; ", MaxStages/2), " ; ")
+	searched := `,"strategy":"search","select":true`
+	if ans := postBody(t, ts.URL, requestBody(at, searched)); ans.code != http.StatusOK {
+		t.Fatalf("a program of %d stages answered %d %s", MaxStages, ans.code, ans.body)
+	}
+	ans = postBody(t, ts.URL, requestBody(at+" ; bcast", searched))
+	want = fmt.Sprintf("program has %d stages, at most %d", MaxStages+1, MaxStages)
+	if ans.code != http.StatusBadRequest || !strings.Contains(ans.body, want) {
+		t.Fatalf("a program of %d stages answered %d %s, want 400 %q", MaxStages+1, ans.code, ans.body, want)
 	}
 }

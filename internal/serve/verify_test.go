@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/rules"
+	"repro/internal/term"
 )
 
 // TestIllTypedProgramIsTheClientsError: a program the functional semantics
@@ -123,6 +124,82 @@ func TestZeroApplicationMissAllocs(t *testing.T) {
 	const bound = 40
 	if allocs > bound && !raceEnabled {
 		t.Errorf("a zero-application 12-stage miss allocates %.0f times, want ≤ %d", allocs, bound)
+	}
+	t.Logf("%.0f allocations", allocs)
+}
+
+// missPool draws the first n programs of the benchmark's plan-miss pool for
+// a seed as bench/plan.go draws it: RandProgram at 12 stages in canonical
+// form, distinct, with at most one multiplying collective.
+func missPool(seed int64, n int) []string {
+	rng := rand.New(rand.NewSource(seed))
+	seen := make(map[string]bool, n)
+	var pool []string
+	for len(pool) < n {
+		src := rules.Canonical(rules.RandProgram(rng, 12))
+		if !seen[src] && strings.Count(src, "(*)") <= 1 {
+			seen[src] = true
+			pool = append(pool, src)
+		}
+	}
+	return pool
+}
+
+// TestParseProgramAllocs: parsing a program of the plan-miss pool allocates
+// its stage list and the stages too wide for an interface word, nothing per
+// token: the parent of the pooled tokens measured 9 allocations a program,
+// the change 2.
+func TestParseProgramAllocs(t *testing.T) {
+	pool := missPool(3, 2000)
+	pl := NewPlanner(16, 1)
+	i := 0
+	allocs := testing.AllocsPerRun(len(pool), func() {
+		if _, err := pl.ParseProgram(pool[i%len(pool)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 3 && !raceEnabled {
+		t.Errorf("parsing a pool program allocates %.0f times, want ≤ 3", allocs)
+	}
+	t.Logf("%.0f allocations", allocs)
+}
+
+// TestPlannerMissAllocs bounds a warm planner miss — search and selection
+// at the daemon's machine, the derivation check, the cache insert and its
+// eviction — over the seed-3 plan-miss pool after 4 000 warm-up misses.
+// Over the next 56 000 the parent of the incremental plan search measured 63
+// allocations a miss, the change 38.
+func TestPlannerMissAllocs(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("the race runtime allocates; -short skips the warm-up")
+	}
+	const warm, measured = 4000, 2000
+	pl := NewPlanner(4096, 64)
+	var progs []term.Seq
+	for _, src := range missPool(3, warm+measured+1) {
+		prog, err := pl.ParseProgram(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, prog)
+	}
+	m := DefaultConfig().Machine
+	plan := func(prog term.Seq) {
+		if _, cached, err := pl.PlanTermOpts(prog, m, StrategySearch, true); err != nil || cached {
+			t.Fatalf("%s: cached=%t err=%v", prog, cached, err)
+		}
+	}
+	for _, prog := range progs[:warm] {
+		plan(prog)
+	}
+	i := warm
+	allocs := testing.AllocsPerRun(measured, func() {
+		plan(progs[i])
+		i++
+	})
+	if allocs > 50 {
+		t.Errorf("a warm planner miss allocates %.0f times, want ≤ 50", allocs)
 	}
 	t.Logf("%.0f allocations", allocs)
 }
