@@ -1,6 +1,9 @@
 package algebra
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestEqualApproxModuloUndef(t *testing.T) {
 	cases := []struct {
@@ -22,6 +25,15 @@ func TestEqualApproxModuloUndef(t *testing.T) {
 		{Scalar(0), Scalar(0), 1e-9, true},
 		{Scalar(-5), Scalar(-5.0000000001), 1e-9, true},
 		{Scalar(1), Vec{1}, 1e-9, false},
+		// An infinity equals only itself: |x − y| and the scale are both
+		// infinite, which no tolerance may read as close.
+		{Scalar(math.Inf(1)), Scalar(5), 1e-9, false},
+		{Scalar(math.Inf(1)), Scalar(math.Inf(-1)), 1e-9, false},
+		{Scalar(math.Inf(1)), Scalar(math.MaxFloat64), 1e-9, false},
+		{Scalar(math.Inf(-1)), Scalar(0), 1e-9, false},
+		{Vec{1, math.Inf(-1)}, Vec{1, 0}, 1e-9, false},
+		{Scalar(math.Inf(1)), Scalar(math.Inf(1)), 1e-9, true},
+		{Vec{math.Inf(-1)}, Vec{math.Inf(-1)}, 1e-9, true},
 	}
 	for _, c := range cases {
 		if got := EqualApproxModuloUndef(c.a, c.b, c.tol); got != c.want {

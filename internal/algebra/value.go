@@ -9,6 +9,7 @@ package algebra
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -177,37 +178,18 @@ func Equal(a, b Value) bool {
 }
 
 // EqualModuloUndef reports equality of two values ignoring positions where
-// either side is undetermined. The optimization rules only guarantee the
-// determined parts of their results, so rule verification compares with
-// this relaxed equality.
-func EqualModuloUndef(a, b Value) bool {
-	a, b = Boxed(a), Boxed(b)
-	if IsUndef(a) || IsUndef(b) {
-		if ta, ok := a.(Tuple); ok {
-			if tb, ok := b.(Tuple); ok && len(ta) == len(tb) {
-				for i := range ta {
-					if !EqualModuloUndef(ta[i], tb[i]) {
-						return false
-					}
-				}
-				return true
-			}
-		}
-		if _, ok := a.(Undef); ok {
-			return true
-		}
-		if _, ok := b.(Undef); ok {
-			return true
-		}
-	}
-	return Equal(a, b)
-}
+// either side is undetermined: EqualApproxModuloUndef without a tolerance.
+func EqualModuloUndef(a, b Value) bool { return EqualApproxModuloUndef(a, b, 0) }
 
-// EqualApproxModuloUndef is EqualModuloUndef with a relative tolerance on
-// numeric components: reassociating floating-point reductions (as the
-// balanced collectives do) can flip low-order bits even though the
-// algebraic equality is exact, and verification over random inputs must
-// not report such rounding as a semantic difference.
+// EqualApproxModuloUndef reports equality of two values ignoring positions
+// where either side is undetermined, with a relative tolerance on numeric
+// components. The optimization rules only guarantee the determined parts of
+// their results, so rule verification compares with this relaxed equality;
+// and reassociating floating-point reductions (as the balanced collectives
+// do) can flip low-order bits even though the algebraic equality is exact,
+// which verification over random inputs must not report as a semantic
+// difference. With a tolerance of 0 numbers compare as ==, and an infinity
+// equals only itself at any tolerance.
 func EqualApproxModuloUndef(a, b Value, relTol float64) bool {
 	a, b = Boxed(a), Boxed(b)
 	if IsUndef(a) || IsUndef(b) {
@@ -258,26 +240,15 @@ func EqualApproxModuloUndef(a, b Value, relTol float64) bool {
 	return Equal(a, b)
 }
 
+// approxEq reports x == y, or |x − y| ≤ relTol·max(|x|, |y|) with that
+// scale finite: an infinity, where both sides of the bound are infinite,
+// equals only itself.
 func approxEq(x, y, relTol float64) bool {
 	if x == y {
 		return true
 	}
-	d := x - y
-	if d < 0 {
-		d = -d
-	}
-	ax, ay := x, y
-	if ax < 0 {
-		ax = -ax
-	}
-	if ay < 0 {
-		ay = -ay
-	}
-	scale := ax
-	if ay > scale {
-		scale = ay
-	}
-	return d <= relTol*scale
+	scale := max(math.Abs(x), math.Abs(y))
+	return math.Abs(x-y) <= relTol*scale && scale <= math.MaxFloat64
 }
 
 // EqualLists applies Equal pointwise to two value lists of the same length.

@@ -223,12 +223,6 @@ func (p Program) Optimize(m Machine) Optimization {
 	return o
 }
 
-// Canonical renders the program in the stable canonical surface syntax
-// used as a plan-cache key (see rules.Canonical).
-func (p Program) Canonical() string {
-	return rules.Canonical(p.stages)
-}
-
 // OptimizeExhaustively rewrites with every applicable rule regardless of
 // the cost estimates (the purely algebraic view of §3). The machine
 // supplies the processor count the Local rules need and the parameters
@@ -356,17 +350,8 @@ func (p Program) CrossCheckTol(m Machine, input []algebra.Value, relTol float64)
 	got, _ := p.Run(m, input)
 	want := term.Eval(p.stages, input)
 	equal := len(got) == len(want)
-	if equal {
-		for i := range got {
-			if relTol > 0 {
-				equal = algebra.EqualApproxModuloUndef(got[i], want[i], relTol)
-			} else {
-				equal = algebra.EqualModuloUndef(got[i], want[i])
-			}
-			if !equal {
-				break
-			}
-		}
+	for i := 0; equal && i < len(got); i++ {
+		equal = algebra.EqualApproxModuloUndef(got[i], want[i], relTol)
 	}
 	if !equal {
 		return fmt.Errorf("core: machine execution disagrees with semantics:\n  machine: %v\n  semantics: %v", got, want)

@@ -110,7 +110,7 @@ func TestSelectionKeepsTheCombiningOrder(t *testing.T) {
 				}
 				for _, s := range opt.Selection {
 					if s.Algo == cost.AlgoRing || s.Algo == cost.AlgoRingBi {
-						t.Errorf("p=%d m=%d %s: selected %s", p, m, prog.Canonical(), s)
+						t.Errorf("p=%d m=%d %s: selected %s", p, m, prog.String(), s)
 					}
 					if s.Algo == cost.AlgoPipeline {
 						pipelined++
@@ -120,7 +120,7 @@ func TestSelectionKeepsTheCombiningOrder(t *testing.T) {
 				virt, _ := opt.Program.Run(mach, in)
 				nat, _ := opt.Program.RunNative(p, in)
 				if !algebra.EqualListsModuloUndef(virt, want) || !algebra.EqualListsModuloUndef(nat, want) {
-					t.Fatalf("p=%d m=%d %s with %v: virtual or native result differs from the semantics", p, m, prog.Canonical(), opt.Selection)
+					t.Fatalf("p=%d m=%d %s with %v: virtual or native result differs from the semantics", p, m, prog.String(), opt.Selection)
 				}
 			}
 		}

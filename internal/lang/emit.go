@@ -87,8 +87,8 @@ func FormatMPI(t term.Term) string {
 		case term.Halo:
 			in := cur()
 			out := nextVar()
-			fmt.Fprintf(&b, "MPI_Neighbor_allgather (%s, count, type, %s, count, type, comm_graph);  /* neighborhood (%s) */\n",
-				in, out, s.H)
+			fmt.Fprintf(&b, "MPI_Neighbor_allgather (%s, count, type, %s, count, type, comm_graph);  /* neighborhood %s */\n",
+				in, out, strings.TrimPrefix(s.String(), "halo"))
 		case term.AllGatherV:
 			in := cur()
 			out := nextVar()

@@ -12,23 +12,27 @@ import (
 )
 
 // parserSymbols is the symbol table the service and the chaos harness
-// use: the standard built-ins plus the generator's inc.
+// use: the standard built-ins plus the generators' inc and inc_t.
 func parserSymbols() *lang.Symbols {
 	syms := lang.NewSymbols()
 	syms.DefineFn(rules.IncFn)
+	syms.DefineFn(rules.IncTupFn)
 	return syms
 }
 
 // TestCanonicalParseFixedPoint is the property the plan cache relies on:
-// for every program over the generator grammar (all of which are
-// expressible in the surface syntax), parsing and canonicalizing is a
-// fixed point, and the reparsed term is structurally equal to the
-// original.
+// for every program over the generators' grammar (all of which are
+// expressible in the surface syntax), dense and sparse, parsing and
+// canonicalizing is a fixed point, and the reparsed term is structurally
+// equal to the original.
 func TestCanonicalParseFixedPoint(t *testing.T) {
 	syms := parserSymbols()
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 500; trial++ {
+	for trial := 0; trial < 2500; trial++ {
 		prog := rules.RandProgram(rng, 8)
+		if trial >= 500 {
+			prog = rules.RandSparseProgram(rng, 1+rng.Intn(6))
+		}
 		c1 := rules.Canonical(prog)
 		reparsed, err := lang.Parse(c1, syms)
 		if err != nil {
@@ -159,17 +163,37 @@ func TestCanonicalMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestCanonicalAllocs pins the rendering of a program of grammar stages to
-// the one allocation of its string.
+// TestCanonicalAllocs pins the rendering of a program to the one allocation
+// of its string: a program of grammar stages, and one of 256 stages that
+// holds every kind of stage the rules' right-hand sides and the sparse
+// collectives bring in.
 func TestCanonicalAllocs(t *testing.T) {
-	prog := term.Seq{
+	grammar := term.Seq{
 		term.Bcast{}, term.Scan{Op: algebra.Add}, term.Reduce{Op: algebra.Max}, term.Reduce{Op: algebra.Left, All: true},
 		term.Reduce{Op: algebra.Mul, All: true, Balanced: true}, term.Map{F: rules.IncFn}, term.Map{F: term.PairFn},
 		term.Map{F: term.FirstFn}, term.Gather{}, term.Scatter{}, term.Scan{Op: algebra.Min},
 	}
-	var sink string
-	if a := testing.AllocsPerRun(100, func() { sink = rules.Canonical(prog) }); a != 1 {
-		t.Errorf("Canonical(%s) allocates %.0f times, want 1", sink, a)
+	sr := algebra.OpSR(algebra.Add)
+	kinds := append(grammar[:len(grammar):len(grammar)],
+		term.Reduce{Op: sr, Balanced: true}, term.Reduce{Op: sr, All: true, Balanced: true},
+		term.ScanBal{Op: algebra.OpSS(algebra.Add)},
+		term.Comcast{Ops: algebra.OpCompBS(algebra.Add)},
+		term.Comcast{Ops: algebra.OpCompBSS2(algebra.Mul, algebra.Max), CostOptimal: true},
+		term.Iter{Op: algebra.OpBSR2(algebra.Mul, algebra.Add)},
+		term.MapIdx{F: term.RepeatFn(algebra.OpCompBSS(algebra.Add))},
+		term.Halo{H: &term.Hood{Offsets: []int{-1, 1, -12}}}, term.Map{F: rules.RegroupFn(2, 1)},
+		term.Map{F: rules.EachFn(rules.IncFn)},
+		term.AllGatherV{Counts: []int{2, 0, 31}}, term.ReduceScatterV{Op: algebra.Add, Counts: []int{2, 0, 31}},
+	)
+	long := make(term.Seq, 256)
+	for i := range long {
+		long[i] = kinds[i%len(kinds)]
+	}
+	for _, prog := range []term.Seq{grammar, long} {
+		var sink string
+		if a := testing.AllocsPerRun(100, func() { sink = rules.Canonical(prog) }); a != 1 {
+			t.Errorf("Canonical(%s) allocates %.0f times, want 1", sink, a)
+		}
 	}
 }
 

@@ -61,18 +61,19 @@ func eachLane(lists *inputLists, f func(packed, drawn sample, lo, w int, scalar 
 
 // lanesAgree fails the test unless evaluating the stages on the packed
 // lists of cfg gives, in every lane, the bits that evaluating them on the
-// lane's drawn input gives — or both evaluations panic.
+// lane's drawn input gives — or both evaluations panic. Each evaluation has
+// a scratch of its own, so the packed results outlive the lanes' ones.
 func lanesAgree(t *testing.T, v *Verifier, stages []term.Term, cfg VerifyConfig, what string) {
 	t.Helper()
 	var of sample
 	var out []algebra.Value
 	var ill *IllTypedError
-	eachLane(v.lists(cfg, cfg.key()), func(packed, drawn sample, lo, w int, scalar bool) {
+	eachLane(v.lists(cfg, v.key(cfg)), func(packed, drawn sample, lo, w int, scalar bool) {
 		if lo == 0 {
 			of = packed
-			out, ill = evalStages(nil, stages, 0, packed.in)
+			out, ill = evalStages(new(term.Scratch), stages, 0, packed.in)
 		}
-		want, wantIll := evalStages(nil, stages, 0, drawn.in)
+		want, wantIll := evalStages(new(term.Scratch), stages, 0, drawn.in)
 		if (ill == nil) != (wantIll == nil) {
 			t.Fatalf("%s: %s at p=%d trial %d: packed evaluation: %v, per input: %v", what, term.Seq(stages), drawn.n, drawn.trial, ill, wantIll)
 		}
@@ -83,7 +84,7 @@ func lanesAgree(t *testing.T, v *Verifier, stages []term.Term, cfg VerifyConfig,
 			t.Fatalf("%s: %s at p=%d: %d packed results, %d per input", what, term.Seq(stages), of.n, len(out), len(want))
 		}
 		for i := range want {
-			if got := lane(out[i], lo, w, scalar); !identicalValue(got, want[i]) {
+			if got := lane(algebra.Boxed(out[i]), lo, w, scalar); !identicalValue(got, want[i]) {
 				t.Fatalf("%s: %s at p=%d trial %d, processor %d, words [%d,%d):\n  packed input:  %v\n  packed result: %v\n  lane:          %v\n  per input:     %v",
 					what, term.Seq(stages), drawn.n, drawn.trial, i, lo, lo+w, of.in, out[i], got, want[i])
 			}
@@ -264,7 +265,8 @@ func probe(f *term.Fn, lists *inputLists) (err error) {
 // build declare it from their parts, so their derivations are verified on
 // the packed lists.
 func TestVerifierElementwiseDeclarationsProbe(t *testing.T) {
-	lists := new(Verifier).lists(plannerCfg, plannerCfg.key())
+	v := new(Verifier)
+	lists := v.lists(plannerCfg, v.key(plannerCfg))
 	declared := []*term.Fn{term.PairFn, term.TripleFn, term.QuadrupleFn, term.FirstFn, IncFn, IncTupFn, wordFn("negate", func(x float64) float64 { return -x })}
 	for _, c := range ruleWindows {
 		if c.rule != "MM-Local" && c.rule != "HH-Combine" && c.rule != "MH-Mobility" {
@@ -349,7 +351,8 @@ func TestVerifierPackedVerdictIsPerInputVerdict(t *testing.T) {
 			seen int
 		}
 		places := map[float64]*place{}
-		for _, s := range new(Verifier).lists(plannerCfg, plannerCfg.key()).drawn {
+		inputs := new(Verifier)
+		for _, s := range inputs.lists(plannerCfg, inputs.key(plannerCfg)).drawn {
 			for _, x := range term.Eval(scanAdd, s.in) {
 				vec, ok := x.(algebra.Vec)
 				if !ok {

@@ -1,13 +1,18 @@
 package rules
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"hash"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -17,59 +22,163 @@ import (
 	"repro/internal/term"
 )
 
-// evalOrPanic is sc.Eval of prog on in, or the message it panicked with.
+// evalOrPanic is sc.Eval of prog on in, term.Eval's when sc is nil, or the
+// message it panicked with.
 func evalOrPanic(sc *term.Scratch, prog term.Term, in []algebra.Value) (out []algebra.Value, panicked string) {
 	defer func() {
 		if r := recover(); r != nil {
 			out, panicked = nil, fmt.Sprint(r)
 		}
 	}()
+	if sc == nil {
+		return term.Eval(prog, in), ""
+	}
 	return sc.Eval(prog, in), ""
+}
+
+var updateEval = flag.Bool("update", false, "rewrite testdata/eval.golden from this tree")
+
+// evalGolden holds the evaluations of one test to testdata/eval.golden, one
+// line per program: "<test>/<label> <sha256>", the hash over the program's
+// cases in order, each the panic message or the results bit for bit (a flat
+// tuple as the tuple it stands for). The file was recorded from the
+// evaluator that allocated every list, block and tuple afresh, before
+// term.Eval became Scratch.Eval in a scratch of its own; each test's lines
+// are a section of it that -update rewrites.
+type evalGolden struct {
+	t     *testing.T
+	test  string
+	sc    *term.Scratch
+	h     hash.Hash
+	buf   []byte
+	lines []string
+}
+
+func newEvalGolden(t *testing.T, test string) *evalGolden {
+	return &evalGolden{t: t, test: test, sc: new(term.Scratch), h: sha256.New()}
+}
+
+// eval adds prog on in, evaluated in the one scratch and reset after, to the
+// current program's hash.
+func (g *evalGolden) eval(prog term.Term, in []algebra.Value) {
+	out, panicked := evalOrPanic(g.sc, prog, in)
+	g.buf = append(g.buf[:0], panicked...)
+	for _, v := range out {
+		g.buf = appendBits(g.buf, v)
+	}
+	g.h.Write(append(g.buf, '\n'))
+	g.sc.Reset()
+}
+
+// appendBits appends v's shape and words.
+func appendBits(b []byte, v algebra.Value) []byte {
+	switch x := algebra.Boxed(v).(type) {
+	case algebra.Undef:
+		return append(b, '_')
+	case algebra.Scalar:
+		return binary.LittleEndian.AppendUint64(append(b, 's'), math.Float64bits(float64(x)))
+	case algebra.Vec:
+		b = binary.AppendUvarint(append(b, 'v'), uint64(len(x)))
+		for _, w := range x {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(w))
+		}
+		return b
+	case algebra.Tuple:
+		b = binary.AppendUvarint(append(b, 't'), uint64(len(x)))
+		for _, c := range x {
+			b = appendBits(b, c)
+		}
+		return b
+	}
+	return fmt.Appendf(b, "%T %v", v, v)
+}
+
+// done closes the current program's hash under label.
+func (g *evalGolden) done(label string) {
+	g.lines = append(g.lines, fmt.Sprintf("%s/%s %x", g.test, label, g.h.Sum(nil)))
+	g.h.Reset()
+}
+
+// check compares the test's lines with its section of the file: every line
+// must be recorded, and unless the run is short, every recorded one met.
+func (g *evalGolden) check() {
+	const path = "testdata/eval.golden"
+	raw, err := os.ReadFile(path)
+	if err != nil && !(*updateEval && os.IsNotExist(err)) {
+		g.t.Fatal(err)
+	}
+	prefix := g.test + "/"
+	var others []string
+	recorded := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		if label, sum, ok := strings.Cut(line, " "); ok && strings.HasPrefix(label, prefix) {
+			recorded[label] = sum
+		} else if line != "" {
+			others = append(others, line)
+		}
+	}
+	if *updateEval {
+		lines := append(others, g.lines...)
+		sort.SliceStable(lines, func(i, j int) bool {
+			a, _, _ := strings.Cut(lines[i], "/")
+			b, _, _ := strings.Cut(lines[j], "/")
+			return a < b
+		})
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			g.t.Fatal(err)
+		}
+		return
+	}
+	if !testing.Short() && len(recorded) != len(g.lines) {
+		g.t.Errorf("%d programs, %d recorded", len(g.lines), len(recorded))
+	}
+	bad := 0
+	for _, line := range g.lines {
+		label, sum, _ := strings.Cut(line, " ")
+		if recorded[label] != sum {
+			if bad++; bad <= 10 {
+				g.t.Errorf("%s: results hash to %s, recorded %q", label, sum, recorded[label])
+			}
+		}
+	}
+	if bad > 10 {
+		g.t.Errorf("… and %d more", bad-10)
+	}
 }
 
 // TestScratchEvalIsEval: evaluated in a term.Scratch, every program the
 // planner's verification meets returns on every input it draws the lists
-// term.Eval returns, bit for bit, or panics as term.Eval does. One scratch
-// serves every case and is reset after each, so a buffer that outlived its
-// evaluation, or one handed out twice within one, would show.
+// recorded in testdata/eval.golden, bit for bit, or panics as recorded. One
+// scratch serves every case and is reset after each, so a buffer that
+// outlived its evaluation, or one handed out twice within one, would show.
 func TestScratchEvalIsEval(t *testing.T) {
-	sc := new(term.Scratch)
 	v := new(Verifier)
+	g := newEvalGolden(t, "scratch")
 	dense := VerifyConfig{Seed: 7, Trials: 1, BlockWords: 3} // sizes 1–8 and 16
-	check := func(prog term.Term, in []algebra.Value, what string) {
-		t.Helper()
-		want, wantPanic := evalOrPanic(nil, prog, in)
-		got, gotPanic := evalOrPanic(sc, prog, in)
-		if gotPanic != wantPanic || gotPanic == "" && !identical(got, want) {
-			t.Fatalf("%s: %s on %v:\n  scratch:   %v %s\n  term.Eval: %v %s", what, prog, in, got, gotPanic, want, wantPanic)
-		}
-		sc.Reset()
-	}
-	// onInputs checks prog on the inputs verification draws for src:
+	// onInputs evaluates prog on the inputs verification draws for src:
 	// scalar, block and packed lists, or the shapes src's counts demand.
-	onInputs := func(src term.Seq, prog term.Term, what string) {
-		t.Helper()
+	onInputs := func(src term.Seq, prog term.Term) {
 		cfg := shapeFor(src, dense)
 		if cfg.Gen != nil {
 			cfg.eachInput(func(s sample) error {
-				check(prog, s.in, what)
+				g.eval(prog, s.in)
 				return nil
 			})
 			return
 		}
-		ins := v.lists(cfg, cfg.key())
+		ins := v.lists(cfg, v.key(cfg))
 		for _, list := range [][]sample{ins.drawn, ins.packed} {
 			for _, s := range list {
-				check(prog, s.in, what)
+				g.eval(prog, s.in)
 			}
 		}
 	}
-	withRewritings := func(prog term.Seq, params cost.Params) {
-		t.Helper()
-		onInputs(prog, prog, "source")
-		derivations(prog, params, func(what string, opt term.Term, _ []Application) {
-			onInputs(prog, opt, what)
+	withRewritings := func(label string, prog term.Seq, params cost.Params) {
+		onInputs(prog, prog)
+		derivations(prog, params, func(_ string, opt term.Term, _ []Application) {
+			onInputs(prog, opt)
 		})
+		g.done(label)
 	}
 
 	programs, sparse := 2000, 500
@@ -79,21 +188,22 @@ func TestScratchEvalIsEval(t *testing.T) {
 	params := cost.Params{Ts: 1000, Tw: 1, M: 64, P: 64}
 	rng := rand.New(rand.NewSource(27))
 	for i := 0; i < programs; i++ {
-		withRewritings(RandProgram(rng, 12), params)
+		withRewritings(fmt.Sprint("dense/", i), RandProgram(rng, 12), params)
 	}
+	rng = rand.New(rand.NewSource(28))
 	for i := 0; i < sparse; i++ {
 		p := 2 + rng.Intn(5)
-		withRewritings(RandSparseProgram(rng, p), cost.Params{Ts: 4, Tw: 1, M: 1, P: p})
+		withRewritings(fmt.Sprint("sparse/", i), RandSparseProgram(rng, p), cost.Params{Ts: 4, Tw: 1, M: 1, P: p})
 	}
 
 	syms := lang.NewSymbols()
 	syms.DefineFn(IncFn)
-	for _, src := range overflowPrograms {
+	for i, src := range overflowPrograms {
 		prog, err := lang.Parse(src, syms)
 		if err != nil {
 			t.Fatal(err)
 		}
-		withRewritings(term.Compose(prog), params)
+		withRewritings(fmt.Sprint("overflow/", i), term.Compose(prog), params)
 	}
 
 	data, err := os.ReadFile(filepath.Join("testdata", "sparse_counterexamples.json"))
@@ -107,11 +217,13 @@ func TestScratchEvalIsEval(t *testing.T) {
 	for _, tc := range forcedWrongSparse() {
 		for _, c := range cexes {
 			if c.Name == tc.name {
-				check(tc.lhs, cexInputs(c.Shape, c.Values), c.Name+" lhs")
-				check(tc.rhs, cexInputs(c.Shape, c.Values), c.Name+" rhs")
+				g.eval(tc.lhs, cexInputs(c.Shape, c.Values))
+				g.eval(tc.rhs, cexInputs(c.Shape, c.Values))
+				g.done("cex/" + c.Name)
 			}
 		}
 	}
+	g.check()
 }
 
 // TestCheckDerivationAllocs pins what a warm derivation check allocates
@@ -177,8 +289,8 @@ func sameAsEval(t testing.TB, sc *term.Scratch, prog term.Term, in []algebra.Val
 // TestScratchEvalAtTheFlatBoundary: a scratch keeps the results of a
 // derived operator flat, so flat tuples reach every kind of stage — the
 // ones with a flat kernel and the ones that see the boxed form — and every
-// stage returns what term.Eval returns, or panics as it does, on scalar,
-// block and packed inputs at every machine size from 1 to 16.
+// stage returns what testdata/eval.golden records, or panics as recorded,
+// on scalar, block and packed inputs at every machine size from 1 to 16.
 func TestScratchEvalAtTheFlatBoundary(t *testing.T) {
 	sr2 := algebra.OpSR2(algebra.Mul, algebra.Add)
 	// Two ways into the flat lanes: scan(op_sr2) leaves every position but
@@ -235,23 +347,27 @@ func TestScratchEvalAtTheFlatBoundary(t *testing.T) {
 	)
 
 	cfg := VerifyConfig{Seed: 13, Trials: 2, Sizes: []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, BlockWords: 3}
-	ins := new(Verifier).lists(cfg, cfg.key())
-	sc := new(term.Scratch)
-	for _, list := range [][]sample{ins.drawn, ins.packed} {
-		for _, s := range list {
-			// The boundary is reached: a block input leaves allreduce(op_sr2)
-			// a flat pair.
-			if _, block := s.in[0].(algebra.Vec); block && s.n > 1 {
-				if _, ok := sc.Eval(into[1], s.in)[0].(*algebra.FlatTuple); !ok {
-					t.Fatalf("%s on %v is not a flat tuple in a scratch", into[1], s.in)
-				}
-				sc.Reset()
+	v := new(Verifier)
+	ins := v.lists(cfg, v.key(cfg))
+	samples := append(ins.drawn[:len(ins.drawn):len(ins.drawn)], ins.packed...)
+	g := newEvalGolden(t, "boundary")
+	for _, s := range samples {
+		// The boundary is reached: a block input leaves allreduce(op_sr2) a
+		// flat pair.
+		if _, block := s.in[0].(algebra.Vec); block && s.n > 1 {
+			if _, ok := g.sc.Eval(into[1], s.in)[0].(*algebra.FlatTuple); !ok {
+				t.Fatalf("%s on %v is not a flat tuple in a scratch", into[1], s.in)
 			}
-			for _, prog := range programs {
-				sameAsEval(t, sc, prog, s.in, "boundary")
-			}
+			g.sc.Reset()
 		}
 	}
+	for i, prog := range programs {
+		for _, s := range samples {
+			g.eval(prog, s.in)
+		}
+		g.done(strconv.Itoa(i))
+	}
+	g.check()
 }
 
 // fuzzInputs decodes an n-list from fuzz bytes: blocks of m words (scalars
@@ -283,8 +399,9 @@ func fuzzInputs(n, m int, data []byte) []algebra.Value {
 }
 
 // FuzzScratchEval: a random program and each of its rewritings, evaluated
-// in a scratch on inputs decoded from the fuzzer's bytes, return what
-// term.Eval returns, bit for bit, or panic as it does.
+// in one scratch reused across inputs decoded from the fuzzer's bytes,
+// return what term.Eval returns in a fresh one, bit for bit, or panic as it
+// does: a buffer handed out twice or kept past its Reset shows.
 func FuzzScratchEval(f *testing.F) {
 	bits := func(xs ...float64) []byte {
 		var b []byte
@@ -342,4 +459,31 @@ func TestScratchStaysUnderThePoolCap(t *testing.T) {
 		}
 		t.Logf("seed %d: the scratch keeps %d bytes", seed, sc.Bytes())
 	}
+}
+
+// TestVerifyEquivalenceAllocs pins what a warm VerifyEquivalence of an
+// SR2-Reduction application allocates at the planner's config: the inputs
+// it draws, and both sides evaluated on each in a pooled scratch. Evaluated
+// by term.Eval, in storage of its own, it allocated 1 434 times; in the
+// pool, 506.
+func TestVerifyEquivalenceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates")
+	}
+	prog := term.Seq{term.Scan{Op: algebra.Mul}, term.Reduce{Op: algebra.Add}}
+	opt, apps := singleRule(t, "SR2-Reduction", 0).Optimize(prog)
+	if len(apps) != 1 {
+		t.Fatalf("applications = %v", apps)
+	}
+	check := func() {
+		if err := VerifyEquivalence(prog, opt, plannerCfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check()
+	allocs := testing.AllocsPerRun(100, check)
+	if allocs > 530 {
+		t.Errorf("a warm VerifyEquivalence allocates %.0f times, want ≤ 530", allocs)
+	}
+	t.Logf("%.0f allocations", allocs)
 }

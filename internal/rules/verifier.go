@@ -101,37 +101,21 @@ type configKey struct {
 	relTol     float64
 }
 
-func (c VerifyConfig) key() configKey {
-	var buf [64]byte
-	k := c.keyWithout()
-	k.sizes = string(c.appendSizes(buf[:0]))
-	return k
-}
-
-// keyWithout is c's key but for its sizes.
-func (c VerifyConfig) keyWithout() configKey {
-	return configKey{"", c.Pow2Only, c.trials(), c.Seed, c.BlockWords, c.RelTol}
-}
-
-// appendSizes appends Sizes as fmt.Sprint prints them, "[1 2 4 8]".
-func (c VerifyConfig) appendSizes(b []byte) []byte {
-	b = append(b, '[')
-	for i, n := range c.Sizes {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = strconv.AppendInt(b, int64(n), 10)
-	}
-	return append(b, ']')
-}
-
-// key is cfg.key(), and the very key the Verifier holds cfg's inputs under
-// when it holds them: a check asks once per config it runs, and renders a
-// string only for a config it has not seen.
+// key is cfg's configKey, its Sizes named as fmt.Sprint prints them,
+// "[1 2 4 8]"; when the Verifier holds cfg's inputs, the very key it holds
+// them under: a check asks once per config it runs, and renders a string
+// only for a config it has not seen.
 func (v *Verifier) key(cfg VerifyConfig) configKey {
 	var buf [64]byte
-	sizes := cfg.appendSizes(buf[:0])
-	k := cfg.keyWithout()
+	sizes := append(buf[:0], '[')
+	for i, n := range cfg.Sizes {
+		if i > 0 {
+			sizes = append(sizes, ' ')
+		}
+		sizes = strconv.AppendInt(sizes, int64(n), 10)
+	}
+	sizes = append(sizes, ']')
+	k := configKey{"", cfg.Pow2Only, cfg.trials(), cfg.Seed, cfg.BlockWords, cfg.RelTol}
 	v.mu.Lock()
 	for held := range v.inputs {
 		if held.sizes == string(sizes) {
@@ -190,11 +174,7 @@ func (e *IllTypedError) Error() string {
 // evaluated once per machine size (packedClean).
 func (v *Verifier) CheckDerivation(t, opt term.Term, apps []Application, cfg VerifyConfig) error {
 	sc := scratches.Get().(*term.Scratch)
-	defer func() {
-		if sc.Bytes() <= maxScratchBytes {
-			scratches.Put(sc)
-		}
-	}()
+	defer release(sc)
 	return v.check(t, opt, apps, cfg, sc)
 }
 
@@ -225,13 +205,20 @@ func (v *Verifier) check(t, opt term.Term, apps []Application, cfg VerifyConfig,
 	return v.endToEnd(t, opt, shapeFor(t, cfg), key, sc)
 }
 
-// scratches holds the evaluation storage of derivation checks. Nothing drawn
-// from one outlives its input list: a report is rendered with its verdict.
-// One that grew past maxScratchBytes is dropped, not kept behind every later
-// check.
+// scratches holds the evaluation storage of the checks. Nothing drawn from
+// one outlives its input list: a report is rendered with its verdict.
 var scratches = sync.Pool{New: func() any { return new(term.Scratch) }}
 
 const maxScratchBytes = 64 << 10
+
+// release resets sc and returns it to scratches, unless it grew past
+// maxScratchBytes: such a one is dropped, not kept behind every later check.
+func release(sc *term.Scratch) {
+	sc.Reset()
+	if sc.Bytes() <= maxScratchBytes {
+		scratches.Put(sc)
+	}
+}
 
 // instance is VerifyApplication through the memo; key is cfg's. A config
 // with a Gen has no key and is checked afresh.

@@ -385,12 +385,13 @@ func TestVerifierMemoIsBounded(t *testing.T) {
 // share drawn inputs and instance verdicts exactly when they did — and
 // costs one allocation, the string.
 func TestConfigKeySizes(t *testing.T) {
+	v := new(Verifier)
 	for _, sizes := range [][]int{nil, {}, {4}, {1, 2, 4, 8}, {3, 5, 6, 7, 12, 1000000, 0, -2}, make([]int, 40)} {
-		if got, want := (VerifyConfig{Sizes: sizes}).key().sizes, fmt.Sprint(sizes); got != want {
+		if got, want := v.key(VerifyConfig{Sizes: sizes}).sizes, fmt.Sprint(sizes); got != want {
 			t.Errorf("key of sizes %v names them %q, want %q", sizes, got, want)
 		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { _ = plannerCfg.key() }); allocs > 1 {
-		t.Errorf("VerifyConfig.key allocates %.0f times, want ≤ 1", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { _ = v.key(plannerCfg) }); allocs > 1 {
+		t.Errorf("Verifier.key allocates %.0f times, want ≤ 1", allocs)
 	}
 }

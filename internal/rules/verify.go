@@ -132,25 +132,20 @@ func shapeFor(lhs term.Term, cfg VerifyConfig) VerifyConfig {
 	return cfg
 }
 
+// compareOn evaluates both sides on s in a pooled scratch and compares them;
+// a mismatch is reported before the scratch is reset.
 func compareOn(lhs, rhs term.Term, s sample, relTol float64) error {
-	return mismatch(lhs, rhs, s, term.Eval(lhs, s.in), term.Eval(rhs, s.in), relTol)
+	sc := scratches.Get().(*term.Scratch)
+	defer release(sc)
+	return mismatch(lhs, rhs, s, sc.Eval(lhs, s.in), sc.Eval(rhs, s.in), relTol)
 }
 
 // mismatch compares the two sides' results l and r on input s modulo
 // undetermined positions, and describes the difference if there is one.
 func mismatch(lhs, rhs term.Term, s sample, l, r []algebra.Value, relTol float64) error {
 	equal := len(l) == len(r)
-	if equal {
-		for i := range l {
-			if relTol > 0 {
-				equal = algebra.EqualApproxModuloUndef(l[i], r[i], relTol)
-			} else {
-				equal = algebra.EqualModuloUndef(l[i], r[i])
-			}
-			if !equal {
-				break
-			}
-		}
+	for i := 0; equal && i < len(l); i++ {
+		equal = algebra.EqualApproxModuloUndef(l[i], r[i], relTol)
 	}
 	if !equal {
 		return fmt.Errorf("rules: semantic mismatch at p=%d trial %d:\n  input: %v\n  lhs %s = %v\n  rhs %s = %v",

@@ -12,10 +12,17 @@ import (
 // over; the machine executor in package core must agree with it on the
 // determined positions (package rules verifies that they do).
 //
-// Eval is Scratch.Eval with a nil scratch, which allocates every list,
-// block and tuple afresh: what it returns is the caller's to keep.
+// Eval is Scratch.Eval in a scratch of its own, which is never reset, with
+// every flat tuple of the result boxed: what it returns is the caller's to
+// keep.
 func Eval(t Term, xs []algebra.Value) []algebra.Value {
-	return (*Scratch)(nil).Eval(t, xs)
+	out := new(Scratch).Eval(t, xs)
+	for i, x := range out { // out is xs itself when t has no stage
+		if _, ok := x.(*algebra.FlatTuple); ok {
+			out[i] = algebra.Boxed(x)
+		}
+	}
+	return out
 }
 
 // Eval is the package-level Eval with its storage drawn from sc: per-stage
@@ -25,9 +32,9 @@ func Eval(t Term, xs []algebra.Value) []algebra.Value {
 // scan compute in (the flat lanes, scratch.go). The rest allocates. A
 // buffer is written by the stage that drew it only, before another stage
 // or list position can see it, and a map whose argument repeats the
-// previous position's (after bcast, say) repeats its result: the results
-// are Eval's, bit for bit, a flat tuple standing for the boxed tuple it
-// represents, and valid until the next Reset.
+// previous position's (after bcast, say) repeats its result. A flat tuple
+// stands for the boxed tuple it represents, and the results are valid
+// until the next Reset.
 func (sc *Scratch) Eval(t Term, xs []algebra.Value) []algebra.Value {
 	if len(xs) == 0 {
 		return nil
@@ -52,7 +59,7 @@ func (sc *Scratch) Eval(t Term, xs []algebra.Value) []algebra.Value {
 	case MapIdx:
 		out := sc.list(len(xs))
 		for i, x := range xs {
-			out[i] = s.F.F(i, sc.box(x))
+			out[i] = s.F.F(i, algebra.Boxed(x))
 		}
 		return out
 	case Scan:
@@ -109,7 +116,7 @@ func (sc *Scratch) Eval(t Term, xs []algebra.Value) []algebra.Value {
 		out := sc.list(len(xs))
 		list, boxed := sc.tuple(len(xs))
 		for i, x := range xs {
-			list[i] = sc.box(x)
+			list[i] = algebra.Boxed(x)
 		}
 		out[0] = boxed
 		for i := 1; i < len(out); i++ {
@@ -117,7 +124,7 @@ func (sc *Scratch) Eval(t Term, xs []algebra.Value) []algebra.Value {
 		}
 		return out
 	case Scatter:
-		first := sc.box(xs[0])
+		first := algebra.Boxed(xs[0])
 		list, ok := first.(algebra.Tuple)
 		if !ok || len(list) != len(xs) {
 			panic(fmt.Sprintf("term: scatter needs a %d-component list on the first processor, got %v", len(xs), first))
@@ -169,15 +176,15 @@ func (sc *Scratch) reduceBalanced(op *algebra.Op, xs []algebra.Value, lo, hi, h 
 // scanBalanced runs the butterfly of §3.3 on the list: ceil(log2 n)
 // phases, in phase k index i pairs with i xor 2^k; indices without a
 // partner apply the Solo case (keep the first component, poison the
-// rest). With a scratch and the operator's flat kernels, every state that
-// is a tuple of the operator's arity (flatShape) is first copied into a
-// drawn flat tuple, which the phases rewrite in place while both partners
-// are flat, as coll.ScanBalanced does.
+// rest). With the operator's flat kernels, every state that is a tuple of
+// the operator's arity (flatShape) is first copied into a drawn flat tuple,
+// which the phases rewrite in place while both partners are flat, as
+// coll.ScanBalanced does.
 func (sc *Scratch) scanBalanced(op *algebra.BalancedScanOp, xs []algebra.Value) []algebra.Value {
 	n := len(xs)
 	cur := sc.list(n)
 	copy(cur, xs)
-	kernels := sc != nil && n > 1 && op.FlatShip != nil && op.FlatLo != nil && op.FlatHi != nil
+	kernels := n > 1 && op.FlatShip != nil && op.FlatLo != nil && op.FlatHi != nil
 	if kernels {
 		for i, x := range cur {
 			if m, ok := flatShape(op.Arity, x); ok {
@@ -197,11 +204,11 @@ func (sc *Scratch) scanBalanced(op *algebra.BalancedScanOp, xs []algebra.Value) 
 			partner := i ^ (1 << k)
 			switch {
 			case partner >= n:
-				next[i] = op.Solo(sc.box(cur[i]))
+				next[i] = op.Solo(algebra.Boxed(cur[i]))
 			case partner > i:
 				lo, hi, ok := ours(cur[i], cur[partner])
 				if !ok {
-					next[i] = op.Lo(sc.box(cur[i]), op.Ship(sc.box(cur[partner])))
+					next[i] = op.Lo(algebra.Boxed(cur[i]), op.Ship(algebra.Boxed(cur[partner])))
 					continue
 				}
 				fromHi, fromLo := sc.flat(op.ShipWidth, lo.M()), sc.flat(op.ShipWidth, lo.M())
@@ -213,7 +220,7 @@ func (sc *Scratch) scanBalanced(op *algebra.BalancedScanOp, xs []algebra.Value) 
 				next[i], next[partner] = lo, hi
 			default:
 				if _, _, ok := ours(cur[partner], cur[i]); !ok {
-					next[i] = op.Hi(sc.box(cur[i]), op.Ship(sc.box(cur[partner])))
+					next[i] = op.Hi(algebra.Boxed(cur[i]), op.Ship(algebra.Boxed(cur[partner])))
 				}
 			}
 		}

@@ -65,9 +65,6 @@ func (sc *Scratch) Reset() {
 
 // list returns a list of n values for one stage's result.
 func (sc *Scratch) list(n int) []algebra.Value {
-	if sc == nil {
-		return make([]algebra.Value, n)
-	}
 	lo := len(sc.slab)
 	if lo+n > cap(sc.slab) {
 		sc.slab, lo = make([]algebra.Value, 0, max(cap(sc.slab)*3/2, n, minSlab)), 0
@@ -115,10 +112,6 @@ func (sc *Scratch) flat(w, m int) *algebra.FlatTuple { return sc.draw(w, m).(*al
 
 // tuple returns a tuple of width w, and the same tuple as a Value.
 func (sc *Scratch) tuple(w int) (algebra.Tuple, algebra.Value) {
-	if sc == nil {
-		t := make(algebra.Tuple, w)
-		return t, t
-	}
 	boxed := sc.draw(w, 0)
 	return boxed.(algebra.Tuple), boxed
 }
@@ -131,33 +124,21 @@ func (sc *Scratch) giveBack(k int) {
 	}
 }
 
-// The flat lanes. With a scratch, an operator with a flat kernel combines
-// tuples of equal-length Vec blocks as flat tuples, as package coll's
-// collectives do: a boxed operand is copied into a flat tuple drawn for the
-// call and given back after it, and the result is a drawn flat tuple. A
-// duplication stays a boxed tuple sharing its block, 56 bytes where a flat
-// pair of 16-word blocks is 296, which keeps what a scratch holds under the
-// verifier's pool cap. comcast and iter step a Vec block in one drawn flat
-// tuple, and π₁ copies a flat tuple's first block out. Every other consumer
-// sees algebra.Boxed of a flat tuple, so one is never a component of a
-// boxed tuple, and no function written for the boxed form (the lift of a
-// base operator, which refuses one) meets it. Each flat kernel is bitwise
-// its boxed form (algebra.Op.FlatFn's contract), so the results are Eval's.
-
-// box is algebra.Boxed(v) under a scratch; without one there are no flat
-// tuples to box, and v is returned as it is.
-func (sc *Scratch) box(v algebra.Value) algebra.Value {
-	if sc == nil {
-		return v
-	}
-	return algebra.Boxed(v)
-}
+// The flat lanes. An operator with a flat kernel combines tuples of
+// equal-length Vec blocks as flat tuples, as package coll's collectives do:
+// a boxed operand is copied into a flat tuple drawn for the call and given
+// back after it, and the result is a drawn flat tuple. A duplication stays a
+// boxed tuple sharing its block, 56 bytes where a flat pair of 16-word
+// blocks is 296, which keeps what a scratch holds under the verifier's pool
+// cap. comcast and iter step a Vec block in one drawn flat tuple, and π₁
+// copies a flat tuple's first block out. Every other consumer sees
+// algebra.Boxed of a flat tuple, so one is never a component of a boxed
+// tuple, and no function written for the boxed form (the lift of a base
+// operator, which refuses one) meets it. Each flat kernel is bitwise its
+// boxed form (algebra.Op.FlatFn's contract).
 
 // boxAll is xs with every flat tuple boxed: xs itself when there is none.
 func (sc *Scratch) boxAll(xs []algebra.Value) []algebra.Value {
-	if sc == nil {
-		return xs
-	}
 	for i, x := range xs {
 		if _, ok := x.(*algebra.FlatTuple); ok {
 			out := sc.list(len(xs))
@@ -234,13 +215,10 @@ func duplicates(f *Fn) int {
 	return 0
 }
 
-// apply is f.F(x). With a scratch, a duplication fills a pooled boxed
-// tuple, π₁ of a flat tuple is its first block, and a function with Into
-// writes the result on a Vec block into a drawn block.
+// apply is f.F(x): a duplication fills a pooled boxed tuple, π₁ of a flat
+// tuple is its first block, and a function with Into writes the result on a
+// Vec block into a drawn block.
 func (sc *Scratch) apply(f *Fn, x algebra.Value) algebra.Value {
-	if sc == nil {
-		return f.F(x)
-	}
 	if w := duplicates(f); w > 0 {
 		t, boxed := sc.tuple(w)
 		x = algebra.Boxed(x)
@@ -263,12 +241,11 @@ func (sc *Scratch) apply(f *Fn, x algebra.Value) algebra.Value {
 	return f.F(x)
 }
 
-// repeats reports that f applied to x may reuse what it made of prev: under
-// a scratch, for a function the scratch stores the results of (apply),
-// when x is prev — one flat tuple, one block or tuple, or both
+// repeats reports that f applied to x may reuse what it made of prev: for a
+// function the scratch stores the results of (apply), when x is prev — one flat tuple, one block or tuple, or both
 // undetermined, as after bcast, allreduce and reduce.
 func (sc *Scratch) repeats(f *Fn, x, prev algebra.Value) bool {
-	if sc == nil || f.Into == nil && f != FirstFn && duplicates(f) == 0 {
+	if f.Into == nil && f != FirstFn && duplicates(f) == 0 {
 		return false
 	}
 	switch a := x.(type) {
@@ -288,17 +265,14 @@ func (sc *Scratch) repeats(f *Fn, x, prev algebra.Value) bool {
 	return false
 }
 
-// combine is op.Apply(a, b). With a scratch, an operator with a flat kernel
-// on two tuples of its arity (flatShape) and a base operator on Vec and
-// Scalar blocks, one of them a Vec, write their result into a buffer: a
-// itself when intoA says a is one this evaluation drew, nothing else holds
-// and the result fits, else one drawn for it. drawn reports that the result
-// is such a buffer. A flat tuple meeting anything else is boxed, as
-// Op.ApplyInto's own fallback boxes it.
+// combine is op.Apply(a, b). An operator with a flat kernel on two tuples
+// of its arity (flatShape) and a base operator on Vec and Scalar blocks, one
+// of them a Vec, write their result into a buffer: a itself when intoA says
+// a is one this evaluation drew, nothing else holds and the result fits,
+// else one drawn for it. drawn reports that the result is such a buffer. A
+// flat tuple meeting anything else is boxed, as Op.ApplyInto's own fallback
+// boxes it.
 func (sc *Scratch) combine(op *algebra.Op, a, b algebra.Value, intoA bool) (out algebra.Value, drawn bool) {
-	if sc == nil {
-		return op.Apply(a, b), false
-	}
 	m, ok := flatShape(op.Arity, a)
 	if n, bok := flatShape(op.Arity, b); ok && bok && n == m && op.FlatFn != nil {
 		dst, into := a.(*algebra.FlatTuple)
@@ -330,11 +304,11 @@ func (sc *Scratch) combine(op *algebra.Op, a, b algebra.Value, intoA bool) (out 
 	return op.ApplyInto(dst, a, b), true
 }
 
-// unary is op.ApplyUnary(b); with a scratch, on a tuple of the operator's
-// arity (flatShape) with its flat kernel, into b itself when intoB says b
-// is this evaluation's own, else into a drawn flat tuple.
+// unary is op.ApplyUnary(b); on a tuple of the operator's arity (flatShape)
+// with its flat kernel, into b itself when intoB says b is this
+// evaluation's own, else into a drawn flat tuple.
 func (sc *Scratch) unary(op *algebra.Op, b algebra.Value, intoB bool) (out algebra.Value, drawn bool) {
-	if m, ok := flatShape(op.Arity, b); ok && sc != nil && op.FlatUnary != nil {
+	if m, ok := flatShape(op.Arity, b); ok && op.FlatUnary != nil {
 		dst, into := b.(*algebra.FlatTuple)
 		if !intoB || !into {
 			dst = sc.flat(op.Arity, m)
@@ -344,7 +318,7 @@ func (sc *Scratch) unary(op *algebra.Op, b algebra.Value, intoB bool) (out algeb
 		sc.giveBack(temps)
 		return dst, true
 	}
-	return op.ApplyUnary(sc.box(b)), false
+	return op.ApplyUnary(algebra.Boxed(b)), false
 }
 
 // comcast fills out, position i with π₁(repeat(i, prepare b)). A Vec block
@@ -352,7 +326,7 @@ func (sc *Scratch) unary(op *algebra.Op, b algebra.Value, intoB bool) (out algeb
 // stepped in place and its first block copied out, as coll.BcastRepeat
 // steps it.
 func (sc *Scratch) comcast(ops *algebra.RepeatOps, b algebra.Value, out []algebra.Value) {
-	if v, ok := b.(algebra.Vec); ok && sc != nil && len(v) > 0 && ops.FlatE != nil && ops.FlatO != nil {
+	if v, ok := b.(algebra.Vec); ok && len(v) > 0 && ops.FlatE != nil && ops.FlatO != nil {
 		w := sc.flat(ops.Arity, len(v))
 		for i := range out {
 			fill(w, v)
@@ -361,7 +335,7 @@ func (sc *Scratch) comcast(ops *algebra.RepeatOps, b algebra.Value, out []algebr
 		}
 		return
 	}
-	b = sc.box(b)
+	b = algebra.Boxed(b)
 	for i := range out {
 		out[i] = algebra.First(ops.Repeat(i, ops.Prepare(b)))
 	}
@@ -370,7 +344,7 @@ func (sc *Scratch) comcast(ops *algebra.RepeatOps, b algebra.Value, out []algebr
 // iter is π₁(f^(log₂ n)(prepare x)) for an n-list; a Vec block is stepped in
 // place in one drawn flat tuple, as coll.Iter steps it.
 func (sc *Scratch) iter(op *algebra.IterOp, x algebra.Value, n int) algebra.Value {
-	if v, ok := x.(algebra.Vec); ok && sc != nil && len(v) > 0 && op.FlatF != nil {
+	if v, ok := x.(algebra.Vec); ok && len(v) > 0 && op.FlatF != nil {
 		w := sc.flat(op.Arity, len(v))
 		fill(w, v)
 		for k := 1; k < n; k <<= 1 {
@@ -378,7 +352,7 @@ func (sc *Scratch) iter(op *algebra.IterOp, x algebra.Value, n int) algebra.Valu
 		}
 		return sc.first(w)
 	}
-	w := op.Prepare(sc.box(x))
+	w := op.Prepare(algebra.Boxed(x))
 	for k := 1; k < n; k <<= 1 {
 		w = op.F(w)
 	}

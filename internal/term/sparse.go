@@ -2,7 +2,7 @@ package term
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/algebra"
 )
@@ -67,23 +67,23 @@ func (h *Hood) Degree(i int) int {
 	return len(h.Lists[i])
 }
 
-func (h *Hood) String() string {
-	if h.Isomorphic() {
-		parts := make([]string, len(h.Offsets))
-		for i, o := range h.Offsets {
-			parts[i] = fmt.Sprintf("%d", o)
+// listsString renders per-rank source lists, "lists:[1 2],[0]".
+func listsString(lists [][]int) string {
+	b := []byte("lists:")
+	for i, l := range lists {
+		if i > 0 {
+			b = append(b, ',')
 		}
-		return strings.Join(parts, ",")
-	}
-	parts := make([]string, len(h.Lists))
-	for i, l := range h.Lists {
-		inner := make([]string, len(l))
+		b = append(b, '[')
 		for j, s := range l {
-			inner[j] = fmt.Sprintf("%d", s)
+			if j > 0 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendInt(b, int64(s), 10)
 		}
-		parts[i] = "[" + strings.Join(inner, " ") + "]"
+		b = append(b, ']')
 	}
-	return "lists:" + strings.Join(parts, ",")
+	return string(b)
 }
 
 // EqualHoods reports structural equality of two neighborhoods.
@@ -128,10 +128,8 @@ type Halo struct {
 	H *Hood
 }
 
-func (h Halo) isTerm() {}
-func (h Halo) String() string {
-	return fmt.Sprintf("halo(%s)", h.H)
-}
+func (h Halo) isTerm()        {}
+func (h Halo) String() string { return Seq{h}.String() }
 
 // AllGatherV is the irregular-block allgather: processor i holds a
 // block of Counts[i] words and every processor receives the flat
@@ -141,10 +139,8 @@ type AllGatherV struct {
 	Counts []int
 }
 
-func (a AllGatherV) isTerm() {}
-func (a AllGatherV) String() string {
-	return fmt.Sprintf("allgatherv(%s)", countsString(a.Counts))
-}
+func (a AllGatherV) isTerm()        {}
+func (a AllGatherV) String() string { return Seq{a}.String() }
 
 // ReduceScatterV is the irregular-block reduce-scatter: every processor
 // holds a ΣCounts-word vector, the vectors are combined with ⊕ in rank
@@ -155,18 +151,8 @@ type ReduceScatterV struct {
 	Counts []int
 }
 
-func (r ReduceScatterV) isTerm() {}
-func (r ReduceScatterV) String() string {
-	return fmt.Sprintf("reduce_scatterv(%s,%s)", r.Op.Name, countsString(r.Counts))
-}
-
-func countsString(counts []int) string {
-	parts := make([]string, len(counts))
-	for i, c := range counts {
-		parts[i] = fmt.Sprintf("%d", c)
-	}
-	return strings.Join(parts, ",")
-}
+func (r ReduceScatterV) isTerm()        {}
+func (r ReduceScatterV) String() string { return Seq{r}.String() }
 
 // CountsStage returns the counts vector of a stage that carries one
 // (AllGatherV or ReduceScatterV) and whether it did. Such stages pin

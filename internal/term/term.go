@@ -8,6 +8,7 @@ package term
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/algebra"
@@ -92,20 +93,16 @@ type Map struct {
 	F *Fn
 }
 
-func (m Map) isTerm() {}
-func (m Map) String() string {
-	return "map " + m.F.Name
-}
+func (m Map) isTerm()        {}
+func (m Map) String() string { return Seq{m}.String() }
 
 // MapIdx is an index-aware local stage: map# f (equation (13)).
 type MapIdx struct {
 	F *IdxFn
 }
 
-func (m MapIdx) isTerm() {}
-func (m MapIdx) String() string {
-	return "map# " + m.F.Name
-}
+func (m MapIdx) isTerm()        {}
+func (m MapIdx) String() string { return Seq{m}.String() }
 
 // Scan is the collective scan(⊕) (equation (7)); the operator must be
 // associative.
@@ -113,10 +110,8 @@ type Scan struct {
 	Op *algebra.Op
 }
 
-func (s Scan) isTerm() {}
-func (s Scan) String() string {
-	return fmt.Sprintf("scan(%s)", s.Op.Name)
-}
+func (s Scan) isTerm()        {}
+func (s Scan) String() string { return Seq{s}.String() }
 
 // ScanBal is the balanced scan of §3.3, parameterized by a
 // BalancedScanOp; it appears only on the right-hand side of rule SS-Scan.
@@ -124,10 +119,8 @@ type ScanBal struct {
 	Op *algebra.BalancedScanOp
 }
 
-func (s ScanBal) isTerm() {}
-func (s ScanBal) String() string {
-	return fmt.Sprintf("scan_balanced(%s)", s.Op.Name)
-}
+func (s ScanBal) isTerm()        {}
+func (s ScanBal) String() string { return Seq{s}.String() }
 
 // Reduce covers the four reduction collectives: reduce/allreduce
 // (equations (5), (6)) and their balanced variants of §3.2 (which appear
@@ -141,26 +134,15 @@ type Reduce struct {
 	Balanced bool
 }
 
-func (r Reduce) isTerm() {}
-func (r Reduce) String() string {
-	name := "reduce"
-	if r.All {
-		name = "allreduce"
-	}
-	if r.Balanced {
-		name += "_balanced"
-	}
-	return fmt.Sprintf("%s(%s)", name, r.Op.Name)
-}
+func (r Reduce) isTerm()        {}
+func (r Reduce) String() string { return Seq{r}.String() }
 
 // Bcast is the broadcast collective (equation (8)); the root is the first
 // processor, per §2.2.
 type Bcast struct{}
 
-func (b Bcast) isTerm() {}
-func (b Bcast) String() string {
-	return "bcast"
-}
+func (b Bcast) isTerm()        {}
+func (b Bcast) String() string { return Seq{b}.String() }
 
 // Comcast is the compute-after-broadcast pattern of §3.4 as a single
 // collective: processor i receives g^i(b). It records the repeat ops so
@@ -173,32 +155,23 @@ type Comcast struct {
 	CostOptimal bool
 }
 
-func (c Comcast) isTerm() {}
-func (c Comcast) String() string {
-	if c.CostOptimal {
-		return fmt.Sprintf("comcast(%s)", c.Ops.Name)
-	}
-	return fmt.Sprintf("bcast; map# repeat(%s)", c.Ops.Name)
-}
+func (c Comcast) isTerm()        {}
+func (c Comcast) String() string { return Seq{c}.String() }
 
 // Gather collects the per-processor values into a single list value on
 // the first processor: [x₁, …, xn] → [⟨x₁…xn⟩, _, …, _]. The list is an
 // algebra.Tuple, so a subsequent Scatter can redistribute it.
 type Gather struct{}
 
-func (g Gather) isTerm() {}
-func (g Gather) String() string {
-	return "gather"
-}
+func (g Gather) isTerm()        {}
+func (g Gather) String() string { return Seq{g}.String() }
 
 // Scatter distributes the first processor's list value, one component per
 // processor: [⟨x₁…xn⟩, _, …, _] → [x₁, …, xn]. The inverse of Gather.
 type Scatter struct{}
 
-func (s Scatter) isTerm() {}
-func (s Scatter) String() string {
-	return "scatter"
-}
+func (s Scatter) isTerm()        {}
+func (s Scatter) String() string { return Seq{s}.String() }
 
 // Iter is the local iteration schema of the Local rules (§3.5):
 // iter f [x, _, …, _] = [f^(log p) x, _, …, _].
@@ -206,21 +179,116 @@ type Iter struct {
 	Op *algebra.IterOp
 }
 
-func (i Iter) isTerm() {}
-func (i Iter) String() string {
-	return fmt.Sprintf("iter(%s)", i.Op.Name)
-}
+func (i Iter) isTerm()        {}
+func (i Iter) String() string { return Seq{i}.String() }
 
 // Seq is forward composition: (f ; g) x = g (f x) (equation (3)).
 type Seq []Term
 
 func (s Seq) isTerm() {}
+
+// String renders the stages joined by " ; ", each as pieces prints it. It
+// sizes the text before writing it, so a flat Seq costs one allocation.
 func (s Seq) String() string {
-	parts := make([]string, len(s))
-	for i, t := range s {
-		parts[i] = t.String()
+	var digits [24]byte
+	n := len(" ; ") * max(len(s)-1, 0)
+	for _, st := range s {
+		head, name, sep, ints, tail := pieces(st)
+		n += len(head) + len(name) + len(sep) + len(tail)
+		for i, x := range ints {
+			n += len(appendInt(digits[:0], i, x))
+		}
 	}
-	return strings.Join(parts, " ; ")
+	var b strings.Builder
+	b.Grow(n)
+	for i, st := range s {
+		if i > 0 {
+			b.WriteString(" ; ")
+		}
+		head, name, sep, ints, tail := pieces(st)
+		b.WriteString(head)
+		b.WriteString(name)
+		b.WriteString(sep)
+		for i, x := range ints {
+			b.Write(appendInt(digits[:0], i, x))
+		}
+		b.WriteString(tail)
+	}
+	return b.String()
+}
+
+// AppendStage appends the rendering of a stage, as its String prints it.
+func AppendStage(b []byte, st Term) []byte {
+	head, name, sep, ints, tail := pieces(st)
+	b = append(append(append(b, head...), name...), sep...)
+	for i, x := range ints {
+		b = appendInt(b, i, x)
+	}
+	return append(b, tail...)
+}
+
+// appendInt appends x, the i-th of a list of integers, after a comma unless
+// it is the first.
+func appendInt(b []byte, i, x int) []byte {
+	if i > 0 {
+		b = append(b, ',')
+	}
+	return strconv.AppendInt(b, int64(x), 10)
+}
+
+// reduceHeads are the reductions' renderings up to the operator, indexed
+// by 2·All + Balanced.
+var reduceHeads = [4]string{"reduce(", "reduce_balanced(", "allreduce(", "allreduce_balanced("}
+
+// pieces is the one rendering of a stage: the pieces head, name, sep, the
+// integers ints joined by commas (a halo's offsets, the counts) and tail,
+// written back to back. For every stage the lang grammar has it is the
+// syntax the parser accepts. A nested Seq, and a stage defined outside this
+// package, renders as its String, in head; a halo over per-rank source
+// lists, a form no grammar spells, renders them in name.
+func pieces(st Term) (head, name, sep string, ints []int, tail string) {
+	switch x := st.(type) {
+	case Map:
+		return "map ", x.F.Name, "", nil, ""
+	case MapIdx:
+		return "map# ", x.F.Name, "", nil, ""
+	case Scan:
+		return "scan(", x.Op.Name, "", nil, ")"
+	case ScanBal:
+		return "scan_balanced(", x.Op.Name, "", nil, ")"
+	case Reduce:
+		i := 0
+		if x.All {
+			i = 2
+		}
+		if x.Balanced {
+			i++
+		}
+		return reduceHeads[i], x.Op.Name, "", nil, ")"
+	case Bcast:
+		return "bcast", "", "", nil, ""
+	case Gather:
+		return "gather", "", "", nil, ""
+	case Scatter:
+		return "scatter", "", "", nil, ""
+	case Comcast:
+		if x.CostOptimal {
+			return "comcast(", x.Ops.Name, "", nil, ")"
+		}
+		return "bcast; map# repeat(", x.Ops.Name, "", nil, ")"
+	case Iter:
+		return "iter(", x.Op.Name, "", nil, ")"
+	case Halo:
+		if x.H.Isomorphic() {
+			return "halo(", "", "", x.H.Offsets, ")"
+		}
+		return "halo(", listsString(x.H.Lists), "", nil, ")"
+	case AllGatherV:
+		return "allgatherv(", "", "", x.Counts, ")"
+	case ReduceScatterV:
+		return "reduce_scatterv(", x.Op.Name, ",", x.Counts, ")"
+	}
+	return st.String(), "", "", nil, ""
 }
 
 // Compose flattens terms into a single Seq, splicing nested Seqs. It
