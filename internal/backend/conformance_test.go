@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/exper"
+	"repro/internal/lang"
 	"repro/internal/machine"
 	"repro/internal/mpbackend"
 	"repro/internal/rules"
@@ -227,18 +228,49 @@ func TestRulesConform(t *testing.T) {
 // TestNativeCountersMatchVirtual cross-checks the two backends' volume
 // accounting: an identical program must move the same number of messages
 // and words on either machine (time differs, traffic must not).
+//
+// The sparse collectives' edge shapes take part — halo offsets that repeat,
+// vanish mod p or exceed it, source lists with self-edges and repeats, and
+// V-collectives with every block but one empty or an empty own block — and
+// move one message per distinct directed pair and non-empty block.
 func TestNativeCountersMatchVirtual(t *testing.T) {
+	type run struct {
+		p, msgs int // msgs < 0: not pinned
+		prog    core.Program
+	}
+	var runs []run
 	for _, p := range []int{2, 5, 8} {
-		in := blocks(p, 8)
-		prog := core.NewProgram().Bcast().Scan(algebra.Add).AllReduce(algebra.Add)
-		_, vres := prog.Run(core.Machine{Ts: 100, Tw: 1, P: p}, in)
-		_, nres := prog.RunNative(p, in)
+		runs = append(runs, run{p, -1, core.NewProgram().Bcast().Scan(algebra.Add).AllReduce(algebra.Add)})
+	}
+	for _, c := range []struct {
+		src     string
+		p, msgs int
+	}{
+		{"halo(0,-1,-1,1,1,0)", 1, 0}, {"halo(0,-1,-1,1,1,0)", 8, 8 * 2}, {"halo(2,-3,5,-8,12)", 5, 5 * 1},
+		{"halo(-9,4,0,17,-1)", 8, 8 * 3}, {"allgatherv(0,0,4,0)", 4, 3}, {"reduce_scatterv(max,0,0,4,0)", 4, 3},
+		{"reduce_scatterv(+,0,2,1) ; allgatherv(0,2,1)", 3, 4 + 4},
+	} {
+		prog, err := lang.Parse(c.src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, run{c.p, c.msgs, core.FromTerm(prog)})
+	}
+	lists := [][]int{{1, 0, 1, 3, 0}, {2, 1, 2, 0, 0}, {3, 2, 3, 1, 0}, {0, 3, 0, 2, 0}}
+	runs = append(runs, run{4, 2 + 2 + 3 + 2, core.FromTerm(term.Halo{H: &term.Hood{Lists: lists}})})
+	for _, c := range runs {
+		in := mpbackend.ConformanceInputs(term.Compose(c.prog.Term()), c.p, 8)
+		_, vres := c.prog.Run(core.Machine{Ts: 100, Tw: 1, P: c.p}, in)
+		_, nres := c.prog.RunNative(c.p, in)
 		if vres.Messages != nres.Messages || vres.Words != nres.Words {
-			t.Fatalf("p=%d: virtual %d msgs/%d words, native %d msgs/%d words",
-				p, vres.Messages, vres.Words, nres.Messages, nres.Words)
+			t.Fatalf("%s at p=%d: virtual %d msgs/%d words, native %d msgs/%d words",
+				c.prog, c.p, vres.Messages, vres.Words, nres.Messages, nres.Words)
 		}
 		if vres.Ops != nres.Ops {
-			t.Fatalf("p=%d: virtual charged %g ops, native %g", p, vres.Ops, nres.Ops)
+			t.Fatalf("%s at p=%d: virtual charged %g ops, native %g", c.prog, c.p, vres.Ops, nres.Ops)
+		}
+		if c.msgs >= 0 && vres.Messages != c.msgs {
+			t.Fatalf("%s at p=%d: %d messages, want %d", c.prog, c.p, vres.Messages, c.msgs)
 		}
 	}
 }

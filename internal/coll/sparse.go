@@ -20,9 +20,46 @@ import (
 //     elementwise operators.
 //
 // All three follow the ownership discipline of docs/PERF.md: caller
-// inputs and slices of them are only ever borrowed (plain Send),
-// received borrows are never written, and combining targets arena
-// scratch this rank owns.
+// inputs are only ever borrowed (plain Send), received borrows are never
+// written but may be forwarded unchanged (AllGatherV's ring does), and
+// combining targets arena scratch this rank owns. Their bookkeeping —
+// distinct peers, displacements — needs no heap up to stackPeers entries,
+// so a warm call allocates nothing but the halo's result tuple.
+
+// stackPeers bounds the bookkeeping a sparse collective does without the
+// heap; past it the bookkeeping moves to the heap, at the same linear work.
+const stackPeers = 16
+
+// firstOf finds the first of n positions with position j's key: by a scan
+// up to stackPeers positions, through a map past that. A halo keeps what
+// it received in its result tuple, at each peer's first position.
+type firstOf struct {
+	key   func(j int) int
+	index map[int]int // key → first position; nil up to stackPeers positions
+}
+
+func newFirstOf(n int, key func(j int) int) firstOf {
+	f := firstOf{key: key}
+	if n > stackPeers {
+		f.index = make(map[int]int, n)
+		for j := n - 1; j >= 0; j-- {
+			f.index[key(j)] = j
+		}
+	}
+	return f
+}
+
+func (f firstOf) at(j int) int {
+	k := f.key(j)
+	if f.index != nil {
+		return f.index[k]
+	}
+	i := 0
+	for f.key(i) != k {
+		i++
+	}
+	return i
+}
 
 // HaloExchange performs the isomorphic neighborhood exchange on c:
 // the caller receives ⟨x from rank (r+o) mod p : o ∈ offsets⟩ as a
@@ -34,27 +71,25 @@ func HaloExchange(c Comm, offsets []int, x Value) Value {
 	n := c.Size()
 	r := c.Rank()
 	tag := c.NextTag()
-	// Distinct nonzero deltas in first-occurrence order: the rank pulls
-	// from (r+d) mod n and symmetrically pushes to (r−d) mod n.
-	seen := make(map[int]bool, len(offsets))
-	var deltas []int
-	for _, o := range offsets {
-		d := ((o % n) + n) % n
-		if d != 0 && !seen[d] {
-			seen[d] = true
-			deltas = append(deltas, d)
+	// Once per distinct nonzero delta d, in first-occurrence order, the
+	// rank pushes to (r−d) mod n and pulls from (r+d) mod n.
+	delta := func(j int) int { return ((offsets[j] % n) + n) % n }
+	first := newFirstOf(len(offsets), delta)
+	for j := range offsets {
+		if d := delta(j); d != 0 && first.at(j) == j {
+			c.Send((r-d+n)%n, x, tag)
 		}
 	}
-	for _, d := range deltas {
-		c.Send((r-d+n)%n, x, tag)
-	}
-	got := map[int]Value{0: x}
-	for _, d := range deltas {
-		got[d] = c.Recv((r+d)%n, tag)
-	}
 	out := make(algebra.Tuple, len(offsets))
-	for j, o := range offsets {
-		out[j] = got[((o%n)+n)%n]
+	for j := range offsets {
+		switch d := delta(j); {
+		case d == 0:
+			out[j] = x
+		case first.at(j) == j:
+			out[j] = c.Recv((r+d)%n, tag)
+		default:
+			out[j] = out[first.at(j)]
+		}
 	}
 	return out
 }
@@ -82,15 +117,18 @@ func HaloExchangeLists(c Comm, lists [][]int, x Value) Value {
 			}
 		}
 	}
-	got := map[int]Value{r: x}
-	for _, src := range lists[r] {
-		if _, ok := got[src]; !ok {
-			got[src] = c.Recv(src, tag)
+	srcs := lists[r]
+	first := newFirstOf(len(srcs), func(j int) int { return srcs[j] })
+	out := make(algebra.Tuple, len(srcs))
+	for j, src := range srcs {
+		switch {
+		case src == r:
+			out[j] = x
+		case first.at(j) == j:
+			out[j] = c.Recv(src, tag)
+		default:
+			out[j] = out[first.at(j)]
 		}
-	}
-	out := make(algebra.Tuple, len(lists[r]))
-	for j, src := range lists[r] {
-		out[j] = got[src]
 	}
 	return out
 }
@@ -112,37 +150,35 @@ func AllGatherV(c Comm, counts []int, x Value) Value {
 	if !ok || len(v) != counts[r] {
 		panic(fmt.Sprintf("coll: allgatherv rank %d needs a %d-word vector, got %v", r, counts[r], x))
 	}
-	displs := displsOf(counts)
-	total := 0
-	for _, cnt := range counts {
-		total += cnt
-	}
-	ar := c.Caps().Arena
-	out := ar.Vec(total).(algebra.Vec)
+	var buf [stackPeers]int
+	displs, total := displsOf(buf[:0], counts)
+	res := c.Caps().Arena.Vec(total)
+	out := res.(algebra.Vec)
 	copy(out[displs[r]:displs[r]+counts[r]], v)
 	if n == 1 {
-		return out
+		return res
 	}
 	tag := c.NextTag()
 	next, prev := (r+1)%n, (r-1+n)%n
+	// Round 0 sends x itself; round k > 0 forwards the block received in
+	// round k−1, which is the one the ring sends next, boxed and frozen.
+	fwd := x
 	for k := 0; k < n-1; k++ {
 		sendOrig := (r - k + n) % n
 		recvOrig := (prev - k + n) % n
-		// Segments already written into out are frozen from the moment
-		// they are shipped; later rounds only write other (disjoint)
-		// segments, so borrowing sub-slices of out is safe.
 		if counts[sendOrig] > 0 {
-			c.Send(next, algebra.Vec(out[displs[sendOrig]:displs[sendOrig]+counts[sendOrig]]), tag)
+			c.Send(next, fwd, tag)
 		}
 		if counts[recvOrig] > 0 {
-			blk, ok := c.Recv(prev, tag).(algebra.Vec)
+			fwd = c.Recv(prev, tag)
+			blk, ok := fwd.(algebra.Vec)
 			if !ok || len(blk) != counts[recvOrig] {
 				panic(fmt.Sprintf("coll: allgatherv rank %d expected %d words from %d", r, counts[recvOrig], prev))
 			}
 			copy(out[displs[recvOrig]:], blk)
 		}
 	}
-	return out
+	return res
 }
 
 // ReduceScatterV combines the ranks' T-word vectors (T = Σcounts) with
@@ -158,26 +194,24 @@ func ReduceScatterV(c Comm, op *algebra.Op, counts []int, x Value) Value {
 	if len(counts) != n {
 		panic(fmt.Sprintf("coll: reduce_scatterv with %d counts ran at p=%d", len(counts), n))
 	}
-	displs := displsOf(counts)
-	total := 0
-	for _, cnt := range counts {
-		total += cnt
-	}
+	var buf [stackPeers]int
+	displs, total := displsOf(buf[:0], counts)
 	v, ok := x.(algebra.Vec)
 	if !ok || len(v) != total {
 		panic(fmt.Sprintf("coll: reduce_scatterv rank %d needs a %d-word vector, got %v", r, total, x))
 	}
 	tag := c.NextTag()
+	ar := c.Caps().Arena
+	// Every slice of x travels, and is combined, as an arena copy: a view
+	// of x would box a slice header per send.
 	for j := 0; j < n; j++ {
 		if j == r || counts[j] == 0 {
 			continue
 		}
-		c.Send(j, algebra.Vec(v[displs[j]:displs[j]+counts[j]]), tag)
+		c.Send(j, arenaCopy(ar, v[displs[j]:displs[j]+counts[j]]), tag)
 	}
-	ar := c.Caps().Arena
 	if counts[r] == 0 {
-		// Nothing owned here; still drain nothing — peers skip empty
-		// destinations symmetrically.
+		// Nothing owned here; peers skip empty destinations symmetrically.
 		return ar.Vec(0)
 	}
 	var acc Value
@@ -185,12 +219,12 @@ func ReduceScatterV(c Comm, op *algebra.Op, counts []int, x Value) Value {
 	for j := 0; j < n; j++ {
 		var contrib Value
 		if j == r {
-			contrib = algebra.Vec(v[displs[r] : displs[r]+counts[r]])
+			contrib = arenaCopy(ar, v[displs[r]:displs[r]+counts[r]])
 		} else {
 			contrib = c.Recv(j, tag)
 		}
 		if acc == nil {
-			acc = contrib
+			acc, owned = contrib, j == r // the own copy is scratch never shipped
 			continue
 		}
 		acc = op.ApplyInto(dstFor(ar, acc, owned, contrib), acc, contrib)
@@ -200,14 +234,21 @@ func ReduceScatterV(c Comm, op *algebra.Op, counts []int, x Value) Value {
 	return acc
 }
 
-// displsOf returns the exclusive prefix sums of counts (the rank
-// displacements into the flat concatenation).
-func displsOf(counts []int) []int {
-	d := make([]int, len(counts))
+// arenaCopy returns an arena copy of v, pre-boxed.
+func arenaCopy(ar *algebra.Arena, v algebra.Vec) Value {
+	cp := ar.Vec(len(v))
+	copy(cp.(algebra.Vec), v)
+	return cp
+}
+
+// displsOf appends to d the exclusive prefix sums of counts (the rank
+// displacements into the flat concatenation) and returns them with the
+// total.
+func displsOf(d, counts []int) ([]int, int) {
 	sum := 0
-	for i, cnt := range counts {
-		d[i] = sum
+	for _, cnt := range counts {
+		d = append(d, sum)
 		sum += cnt
 	}
-	return d
+	return d, sum
 }

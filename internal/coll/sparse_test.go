@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/backend"
 	"repro/internal/machine"
 	"repro/internal/term"
 )
@@ -182,4 +183,100 @@ func TestSparseCollectivesPanicOnShapeMismatch(t *testing.T) {
 	runSPMD(2, machine.Params{}, func(pr Comm) Value {
 		return AllGatherV(pr, []int{1, 1}, make(algebra.Vec, 3))
 	})
+}
+
+// TestHaloPastTheStackBookkeeping: a neighborhood naming more distinct
+// peers than stackPeers moves its bookkeeping to the heap and still
+// delivers term.Eval's tuple, duplicates and self-edges included.
+func TestHaloPastTheStackBookkeeping(t *testing.T) {
+	const n = stackPeers + 3
+	var offsets []int
+	for o := n + 1; o >= -2; o-- { // every delta mod n, most of them twice
+		offsets = append(offsets, o, -o)
+	}
+	lists := make([][]int, n)
+	for i := range lists {
+		for src := n - 1; src >= 0; src-- {
+			lists[i] = append(lists[i], src, (src*7+i)%n)
+		}
+	}
+	blocks := randBlocks(rand.New(rand.NewSource(408)), n, 2)
+	in := make([]algebra.Value, n)
+	for i := range in {
+		in[i] = blocks[i]
+	}
+	for _, c := range []struct {
+		name string
+		hood *term.Hood
+		run  func(Comm) Value
+	}{
+		{"offsets", &term.Hood{Offsets: offsets}, func(c Comm) Value { return HaloExchange(c, offsets, in[c.Rank()]) }},
+		{"lists", &term.Hood{Lists: lists}, func(c Comm) Value { return HaloExchangeLists(c, lists, in[c.Rank()]) }},
+	} {
+		want := term.Eval(term.Halo{H: c.hood}, in)
+		out, _ := runSPMD(n, machine.Params{Ts: 4, Tw: 1}, c.run)
+		for r, v := range out {
+			if !algebra.Equal(v, want[r]) {
+				t.Fatalf("%s at p=%d: proc %d = %v, want %v", c.name, n, r, v, want[r])
+			}
+		}
+	}
+}
+
+// TestWarmSparseCollectivesAllocs pins what a sparse collective costs a
+// warm rank beyond the run itself: a halo allocates its result tuple and
+// that tuple's boxing, and allgatherv and reduce_scatterv nothing — their
+// bookkeeping is on the stack, and every block they send or return is
+// arena scratch or a value they were handed.
+func TestWarmSparseCollectivesAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const p = 8
+	nm := backend.New(p)
+	blocks := randBlocks(rand.New(rand.NewSource(409)), p, 4)
+	counts := []int{2, 0, 3, 1, 0, 0, 5, 1} // ragged; ranks 1, 4 and 5 own an empty block
+	total := term.SumCounts(counts)
+	full := randBlocks(rand.New(rand.NewSource(410)), p, total)
+	own := make([]algebra.Value, p)
+	for r := range own {
+		own[r] = full[r][:counts[r]]
+	}
+	ring, mixed := []int{-1, 1}, []int{0, 1, 1 + p, -1}
+	lists := make([][]int, p)
+	for r := range lists {
+		lists[r] = []int{(r + 1) % p, r, (r + 1) % p, (r + 3) % p}
+	}
+	inputs := func(vs []algebra.Vec) []algebra.Value {
+		out := make([]algebra.Value, len(vs))
+		for r, v := range vs {
+			out[r] = v
+		}
+		return out
+	}
+	in, fullIn := inputs(blocks), inputs(full)
+	perRun := func(body func(*backend.Proc)) float64 {
+		nm.Run(body) // grows the arena and the mailboxes
+		return testing.AllocsPerRun(100, func() { nm.Run(body) })
+	}
+	base := perRun(func(*backend.Proc) {})
+	for _, c := range []struct {
+		name    string
+		perRank float64
+		body    func(*backend.Proc)
+	}{
+		{"halo(-1,1)", 2, func(pr *backend.Proc) { HaloExchange(pr, ring, in[pr.Rank()]) }},
+		{"halo(0,1,1+p,-1)", 2, func(pr *backend.Proc) { HaloExchange(pr, mixed, in[pr.Rank()]) }},
+		{"halo lists", 2, func(pr *backend.Proc) { HaloExchangeLists(pr, lists, in[pr.Rank()]) }},
+		{"allgatherv", 0, func(pr *backend.Proc) { AllGatherV(pr, counts, own[pr.Rank()]) }},
+		{"reduce_scatterv", 0, func(pr *backend.Proc) { ReduceScatterV(pr, algebra.Add, counts, fullIn[pr.Rank()]) }},
+		{"reduce_scatterv ; allgatherv", 0, func(pr *backend.Proc) {
+			AllGatherV(pr, counts, ReduceScatterV(pr, algebra.Add, counts, fullIn[pr.Rank()]))
+		}},
+	} {
+		if got := perRun(c.body) - base; got != c.perRank*p {
+			t.Errorf("%s at p=%d: %.0f allocs per run beyond an empty one, want %.0f per rank (%.0f)",
+				c.name, p, got, c.perRank, c.perRank*p)
+		}
+	}
 }

@@ -49,12 +49,12 @@ func (m Machine) virtual() *machine.Machine {
 }
 
 // RunStages executes the stages of t over an arbitrary communicator: the
-// raw-term entry to the executor's one stage loop (compiled.run), for
-// callers that hold a term rather than a Program. It is called once per
-// group member from inside an SPMD body (package chaos's runners and
-// mpbackend's bodies do), threading the member's value through every
-// stage, and compiles t on every call; Program's Run methods compile once
-// and share the result across ranks and runs.
+// raw-term entry to the executor's one stage loop, for callers that hold a
+// term rather than a Program. It is called once per group member from
+// inside an SPMD body (package chaos's runners and mpbackend's bodies do).
+// For a flat Seq it allocates nothing of its own: sels are laid out per
+// stage only when some are given, and labels rendered only on a rank that
+// records marks. Program's Run methods compile once and share the result.
 //
 // sels are optional algorithm selections (sel.ForTerm's, addressing
 // stages by the same flattened index the loop counts): an unbalanced
@@ -62,9 +62,8 @@ func (m Machine) virtual() *machine.Machine {
 // coll.ReduceBy's run-time fallback to the butterfly; every other stage,
 // and every stage without a selection, runs the §4.1 implementation.
 func RunStages(c coll.Comm, t term.Term, v algebra.Value, sels ...sel.Selection) algebra.Value {
-	cp := compiled{}
-	cp.compile(t, sels)
-	return cp.run(c, v)
+	stages := term.Stages(t)
+	return stageLoop(c, stages, choicesOf(len(stages), sels), nil, v)
 }
 
 // compiled is a program as the stage loop wants it: everything a run would
@@ -78,54 +77,47 @@ type compiled struct {
 	// choices[i] is stage i's algorithm selection; nil when no stage
 	// carries one, and every stage runs the §4.1 implementation.
 	choices []sel.Selection
-	// labels[i] is stages[i].String(), rendered by the first run on a
-	// communicator that records marks.
-	labelOnce sync.Once
-	labels    []string
+	// labels[i] is stages[i].String(), stage i's mark.
+	labels []string
 }
 
-func (cp *compiled) compile(t term.Term, sels []sel.Selection) {
-	cp.stages = term.Stages(t)
+// choicesOf lays sels out per stage of an n-stage program; nil without sels.
+func choicesOf(n int, sels []sel.Selection) []sel.Selection {
 	if len(sels) == 0 {
-		return
+		return nil
 	}
-	cp.choices = make([]sel.Selection, len(cp.stages))
-	for i := range cp.choices {
-		cp.choices[i].Algo = cost.AlgoButterfly
+	choices := make([]sel.Selection, n)
+	for i := range choices {
+		choices[i].Algo = cost.AlgoButterfly
 	}
 	for _, s := range sels {
-		if s.Stage >= 0 && s.Stage < len(cp.choices) {
-			cp.choices[s.Stage] = s
+		if s.Stage >= 0 && s.Stage < n {
+			choices[s.Stage] = s
 		}
 	}
+	return choices
 }
 
-func (cp *compiled) stageLabels() []string {
-	cp.labelOnce.Do(func() {
-		cp.labels = make([]string, len(cp.stages))
-		for i, s := range cp.stages {
-			cp.labels[i] = s.String()
-		}
-	})
-	return cp.labels
-}
-
-// run is the one stage loop of the executor, on every backend: it threads
-// one group member's value through every stage. Stage boundaries are
-// marked when the communicator records them.
 func (cp *compiled) run(c coll.Comm, v algebra.Value) algebra.Value {
+	return stageLoop(c, cp.stages, cp.choices, cp.labels, v)
+}
+
+// stageLoop is the executor's one stage loop, on every backend: it threads
+// one group member's value through every stage, marking stage boundaries
+// (labels[i], or the stage's String without labels) when the rank records them.
+func stageLoop(c coll.Comm, stages []term.Term, choices []sel.Selection, labels []string, v algebra.Value) algebra.Value {
 	mark := c.Caps().Mark
-	var labels []string
-	if mark != nil {
-		labels = cp.stageLabels()
-	}
-	for i, s := range cp.stages {
+	for i, s := range stages {
 		if mark != nil {
-			mark(labels[i])
+			if labels != nil {
+				mark(labels[i])
+			} else {
+				mark(s.String())
+			}
 		}
 		algo, segments := cost.AlgoButterfly, 0
-		if cp.choices != nil {
-			algo, segments = cp.choices[i].Algo, cp.choices[i].Segments
+		if choices != nil {
+			algo, segments = choices[i].Algo, choices[i].Segments
 		}
 		v = execStage(s, c, v, algo, segments)
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exper"
 	"repro/internal/mpbackend"
+	"repro/internal/rank"
 	"repro/internal/rules"
 	"repro/internal/term"
 )
@@ -67,6 +68,46 @@ func TestRunOnAllocsIndependentOfStageCount(t *testing.T) {
 	}
 	if one, six := allocs(1), allocs(6); one != six {
 		t.Fatalf("RunOn allocates %.0f for 1 map stage and %.0f for 6: the stage walk allocates", one, six)
+	}
+}
+
+// unmarked is a native rank whose stage marks nobody records: the view a
+// multi-process rank, RunStages' hot path, has of itself.
+type unmarked struct{ *backend.Proc }
+
+func (u unmarked) Caps() rank.Caps {
+	c := u.Proc.Caps()
+	c.Mark = nil
+	return c
+}
+
+// TestRunStagesAllocsIndependentOfStageCount is the raw-term entry's
+// counterpart: RunStages keeps no compilation, so on a warm rank that
+// records no marks a flat six-stage term allocates what a one-stage term
+// does, and both what an empty body does — nothing per call, rank or stage.
+func TestRunStagesAllocsIndependentOfStageCount(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	id := &term.Fn{Name: "id", F: func(v algebra.Value) algebra.Value { return v }}
+	nm := backend.New(8)
+	in := mpbackend.SeededInputs(7, nm.P, 16)
+	allocs := func(body func(*backend.Proc)) float64 {
+		nm.Run(body)
+		return testing.AllocsPerRun(100, func() { nm.Run(body) })
+	}
+	stages := func(n int) func(*backend.Proc) {
+		seq := make(term.Seq, n)
+		for i := range seq {
+			seq[i] = term.Map{F: id}
+		}
+		var prog term.Term = seq
+		return func(pr *backend.Proc) { core.RunStages(unmarked{pr}, prog, in[pr.Rank()]) }
+	}
+	empty, one, six := allocs(func(*backend.Proc) {}), allocs(stages(1)), allocs(stages(6))
+	if one != six || one != empty {
+		t.Fatalf("RunStages allocates %.0f for 1 map stage and %.0f for 6, an empty body %.0f: the raw-term entry allocates",
+			one, six, empty)
 	}
 }
 

@@ -278,7 +278,14 @@ func (p Program) compiled() *compiled {
 	if cp == nil { // the zero Program: no cell to share, no stages to compile
 		cp = new(compiled)
 	}
-	cp.once.Do(func() { cp.compile(p.stages, p.sels) })
+	cp.once.Do(func() {
+		cp.stages = p.stages.Flat()
+		cp.choices = choicesOf(len(cp.stages), p.sels)
+		cp.labels = make([]string, len(cp.stages))
+		for i, s := range cp.stages {
+			cp.labels[i] = s.String()
+		}
+	})
 	return cp
 }
 

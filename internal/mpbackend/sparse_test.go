@@ -7,6 +7,7 @@
 package mpbackend_test
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -48,7 +49,7 @@ func TestSparseProgramsConform(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, p := range c.sizes {
-			t.Run(fmt.Sprintf("p=%d/%s", p, c.src), func(t *testing.T) {
+			t.Run(fmt.Sprintf("p=%d/%s", p, cmp.Or(c.src, "halo(lists)")), func(t *testing.T) {
 				syms := lang.NewSymbols()
 				syms.DefineFn(rules.IncFn)
 				syms.DefineFn(rules.IncTupFn)
@@ -73,6 +74,108 @@ func TestSparseProgramsConform(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestSparseEdgeCasesConform holds the sparse collectives' bookkeeping to
+// the semantics at its edges: halo offsets that repeat, are 0, negative,
+// congruent mod p or larger than p; source lists with self-edges and
+// repeats; one rank; every V-collective block empty but one; and an empty
+// own block. The virtual machine, the native backend on both transports
+// and rank processes must all return term.Eval's lists bit for bit.
+func TestSparseEdgeCasesConform(t *testing.T) {
+	const m = 3
+	cases := []struct {
+		src   string // surface syntax; "" is the halo over edgeLists
+		sizes []int
+	}{
+		{"halo(0,-1,-1,1,1,0)", []int{1, 2, 3, 8}},
+		{"halo(2,-3,5,-8,12)", []int{1, 5, 7}},
+		{"halo(-9,4,0,17,-1)", []int{3, 4, 8}},
+		{"", []int{1, 4, 8}},
+		{"allgatherv(3)", []int{1}},
+		{"reduce_scatterv(+,3)", []int{1}},
+		{"allgatherv(0,0,4,0)", []int{4}},
+		{"reduce_scatterv(max,0,0,4,0)", []int{4}},
+		{"allgatherv(0,2,1)", []int{3}},
+		{"reduce_scatterv(+,0,2,1) ; allgatherv(0,2,1)", []int{3}},
+	}
+	for _, c := range cases {
+		for _, p := range c.sizes {
+			t.Run(fmt.Sprintf("p=%d/%s", p, cmp.Or(c.src, "halo(lists)")), func(t *testing.T) {
+				prog := haloListsProg(edgeLists(p))
+				if c.src != "" {
+					parsed, err := lang.Parse(c.src, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					prog = term.Compose(parsed)
+				}
+				in := mpbackend.ConformanceInputs(prog, p, m)
+				want := term.Eval(prog, in)
+				virt, _ := core.FromTerm(prog).Run(core.Machine{Ts: 4, Tw: 1, P: p}, in)
+				sides := map[string][]algebra.Value{"virtual": virt}
+				for _, mode := range []backend.TransportMode{backend.TransportZeroCopy, backend.TransportCopy} {
+					nm := backend.New(p)
+					nm.Transport = mode
+					sides[fmt.Sprintf("native %v", mode)], _ = core.FromTerm(prog).RunOn(nm, in)
+				}
+				if c.src != "" {
+					sides["multiproc"] = mpResults(t, c.src, p, m)
+				} else {
+					sides["multiproc"] = mpHaloLists(t, p, m)
+				}
+				for side, got := range sides {
+					for r := 0; r < p; r++ {
+						if !algebra.Equal(got[r], want[r]) {
+							t.Fatalf("%s rank %d: %v, term.Eval %v", side, r, got[r], want[r])
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// edgeLists are p ranks' halo source lists with a self-edge, repeats and
+// rank 0 in each.
+func edgeLists(p int) [][]int {
+	lists := make([][]int, p)
+	for i := range lists {
+		lists[i] = []int{(i + 1) % p, i, (i + 1) % p, (i + p - 1) % p, 0}
+	}
+	return lists
+}
+
+func haloListsProg(lists [][]int) term.Seq {
+	return term.Seq{term.Halo{H: &term.Hood{Lists: lists}}}
+}
+
+// haloListsParams parameterizes the "test-halo-lists" body: the halo over
+// edgeLists, which no surface syntax spells, on the conformance blocks.
+type haloListsParams struct {
+	M int `json:"m"`
+}
+
+// mpHaloLists runs the halo over edgeLists(p) in p rank processes.
+func mpHaloLists(t *testing.T, p, m int) []algebra.Value {
+	t.Helper()
+	res, err := mpbackend.Run("test-halo-lists", p, haloListsParams{M: m}, mpbackend.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists, err := mpbackend.Decode[[][]float64](res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]algebra.Value, p)
+	for r, comps := range lists {
+		tup := make(algebra.Tuple, len(comps))
+		for i, c := range comps {
+			tup[i] = algebra.Vec(c)
+		}
+		out[r] = tup
+	}
+	return out
 }
 
 // sparseAppParams parameterizes the registered sparse-application body:
@@ -191,6 +294,20 @@ func tileForMP(grid [][]float64, pr, pc int) [][][]float64 {
 }
 
 func init() {
+	mpbackend.Register("test-halo-lists", func(p *mpbackend.Proc, raw json.RawMessage) (any, error) {
+		var ps haloListsParams
+		if err := json.Unmarshal(raw, &ps); err != nil {
+			return nil, err
+		}
+		prog := haloListsProg(edgeLists(p.Size()))
+		in := mpbackend.ConformanceInputs(prog, p.Size(), ps.M)
+		out := core.RunStages(p, prog, in[p.Rank()]).(algebra.Tuple)
+		comps := make([][]float64, len(out))
+		for i, c := range out {
+			comps[i] = c.(algebra.Vec)
+		}
+		return comps, nil
+	})
 	mpbackend.Register("test-sparse-app", func(p *mpbackend.Proc, raw json.RawMessage) (any, error) {
 		var ps sparseAppParams
 		if err := json.Unmarshal(raw, &ps); err != nil {
