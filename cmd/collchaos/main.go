@@ -1,7 +1,7 @@
 // Command collchaos drives the fault-injection conformance harness from
 // the shell: programs over the rule grammar run on the chaos-wrapped
-// native backend — per-link delays, bounded reorder, duplicates,
-// one-shot drops with retry — and their results are compared bitwise
+// native backend — per-link delays, bounded reorder, duplicates, one-shot
+// drops with retransmission — and their results are compared bitwise
 // against a fault-free run and, modulo undetermined positions, against
 // the functional semantics.
 //
@@ -13,12 +13,10 @@
 //
 // Common flags: -p ranks, -m words per block, -profile NAME|all, -seed
 // BASE, -seeds COUNT (seeds BASE..BASE+COUNT-1), -trials N random
-// programs, -transport zerocopy|copy|both to pick the native payload
-// discipline the faults run over, -v to report every run instead of just
-// failures. A failing
-// randomized or explicit run is shrunk to a minimal case and reported
-// as a replayable -prog command line, so a CI failure pastes straight
-// back into a terminal.
+// programs, -v to report every run instead of just failures. A failing
+// randomized or explicit run is shrunk to a minimal case and reported as
+// a replayable -prog command line, so a CI failure pastes straight back
+// into a terminal.
 //
 // Exit status: 0 all runs conformed, 1 a divergence or hang was found,
 // 2 usage error.
@@ -32,7 +30,6 @@ import (
 	"os"
 
 	"repro/internal/algebra"
-	"repro/internal/backend"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/exper"
@@ -60,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		trials   = fs.Int("trials", 20, "random programs in the default sweep")
 		rulesRun = fs.Bool("rules", false, "sweep every optimization rule's LHS and RHS")
 		progSrc  = fs.String("prog", "", "explicit program to run (surface syntax)")
-		trName   = fs.String("transport", "zerocopy", "native transport under test: zerocopy, copy, or \"both\"")
 		verbose  = fs.Bool("v", false, "report every run, not just failures")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -75,14 +71,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "collchaos: %v\n", err)
 		return 2
 	}
-	transports, err := resolveTransports(*trName)
-	if err != nil {
-		fmt.Fprintf(stderr, "collchaos: %v\n", err)
-		return 2
-	}
 	h := &harness{
 		out: stdout, verbose: *verbose,
-		p: *p, m: *m, profiles: profiles, transports: transports,
+		p: *p, m: *m, profiles: profiles,
 		seed: *seed, seeds: *seeds,
 	}
 	switch {
@@ -106,34 +97,19 @@ func resolveProfiles(name string) ([]chaos.Profile, error) {
 	return []chaos.Profile{prof}, nil
 }
 
-// resolveTransports maps the -transport flag to the native transport
-// modes each case runs under. "both" sweeps zero-copy and copy — the two
-// aliasing regimes a duplicate-and-retransmit fault schedule can exercise.
-func resolveTransports(name string) ([]backend.TransportMode, error) {
-	if name == "both" {
-		return []backend.TransportMode{backend.TransportZeroCopy, backend.TransportCopy}, nil
-	}
-	tr, err := backend.ParseTransport(name)
-	if err != nil {
-		return nil, fmt.Errorf("%v, or \"both\"", err)
-	}
-	return []backend.TransportMode{tr}, nil
-}
-
 type harness struct {
-	out        io.Writer
-	verbose    bool
-	p, m       int
-	profiles   []chaos.Profile
-	transports []backend.TransportMode
-	seed       int64
-	seeds      int
-	runs       int
+	out      io.Writer
+	verbose  bool
+	p, m     int
+	profiles []chaos.Profile
+	seed     int64
+	seeds    int
+	runs     int
 }
 
-// check runs one case under one transport and returns the first
-// divergence (or hang, surfaced as a panic) as an error.
-func (h *harness) check(c chaos.Case, tr backend.TransportMode) (err error) {
+// check runs one case and returns the first divergence (or hang, surfaced
+// as a panic) as an error.
+func (h *harness) check(c chaos.Case) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
@@ -142,7 +118,7 @@ func (h *harness) check(c chaos.Case, tr backend.TransportMode) (err error) {
 	h.runs++
 	in := mpbackend.ConformanceInputs(c.Prog, c.P, c.M)
 	want, _ := core.FromTerm(c.Prog).RunNative(c.P, in)
-	got := chaos.RunNativeTransport(c.Prog, c.P, c.Profile, c.Seed, in, tr)
+	got := chaos.RunNative(c.Prog, c.P, c.Profile, c.Seed, in)
 	sem := term.Eval(c.Prog, in)
 	for r := 0; r < c.P; r++ {
 		if !algebra.Equal(want[r], got[r]) {
@@ -158,26 +134,20 @@ func (h *harness) check(c chaos.Case, tr backend.TransportMode) (err error) {
 // sweep checks one program across the profile and seed ranges; on
 // failure it shrinks and reports the minimal reproducer.
 func (h *harness) sweep(label string, prog term.Seq, p int) bool {
-	for _, tr := range h.transports {
-		for _, prof := range h.profiles {
-			for s := h.seed; s < h.seed+int64(h.seeds); s++ {
-				c := chaos.Case{Prog: prog, P: p, M: h.m, Profile: prof, Seed: s}
-				err := h.check(c, tr)
-				if err == nil {
-					if h.verbose {
-						fmt.Fprintf(h.out, "ok   %-18s %s/%s/seed=%d p=%d m=%d\n", label, prof.Name, tr, s, p, h.m)
-					}
-					continue
+	for _, prof := range h.profiles {
+		for s := h.seed; s < h.seed+int64(h.seeds); s++ {
+			c := chaos.Case{Prog: prog, P: p, M: h.m, Profile: prof, Seed: s}
+			err := h.check(c)
+			if err == nil {
+				if h.verbose {
+					fmt.Fprintf(h.out, "ok   %-18s %s/seed=%d p=%d m=%d\n", label, prof.Name, s, p, h.m)
 				}
-				fmt.Fprintf(h.out, "FAIL %s under %s/%s/seed=%d: %v\n", label, prof.Name, tr, s, err)
-				min := chaos.Shrink(c, func(cand chaos.Case) bool { return h.check(cand, tr) != nil })
-				replay := min.Repro()
-				if tr != backend.TransportZeroCopy {
-					replay += fmt.Sprintf(" -transport %s", tr)
-				}
-				fmt.Fprintf(h.out, "  minimal: %s\n  replay:  %s\n", min, replay)
-				return false
+				continue
 			}
+			fmt.Fprintf(h.out, "FAIL %s under %s/seed=%d: %v\n", label, prof.Name, s, err)
+			min := chaos.Shrink(c, func(cand chaos.Case) bool { return h.check(cand) != nil })
+			fmt.Fprintf(h.out, "  minimal: %s\n  replay:  %s\n", min, min.Repro())
+			return false
 		}
 	}
 	return true
@@ -312,7 +282,7 @@ func (h *harness) summary(failures int) int {
 		fmt.Fprintf(h.out, "collchaos: %d failure(s) in %d runs\n", failures, h.runs)
 		return 1
 	}
-	fmt.Fprintf(h.out, "collchaos: all %d runs conformed (%d profiles, %d transports, %d seeds)\n",
-		h.runs, len(h.profiles), len(h.transports), h.seeds)
+	fmt.Fprintf(h.out, "collchaos: all %d runs conformed (%d profiles, %d seeds)\n",
+		h.runs, len(h.profiles), h.seeds)
 	return 0
 }

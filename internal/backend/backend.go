@@ -384,17 +384,6 @@ func (l *link) putFull(ch chan rank.Packet, dst int, pkt rank.Packet) {
 	}
 }
 
-// TryPut enqueues pkt if the mailbox has room, so a full mailbox never
-// wedges a rank that still has protocol work to do.
-func (l *link) TryPut(dst int, pkt rank.Packet) bool {
-	select {
-	case (*link)(l.w.procs[dst]).mailbox(l.Rank()) <- l.outbound(pkt):
-		return true
-	default:
-		return false
-	}
-}
-
 // Take dequeues the next packet from src.
 func (l *link) Take(src, want int) rank.Packet {
 	return l.take(kindRecv, src, want)
@@ -405,16 +394,6 @@ func (l *link) Take(src, want int) rank.Packet {
 func (l *link) Swap(peer int, pkt rank.Packet) rank.Packet {
 	l.Put(peer, pkt)
 	return l.take(kindExchange, peer, pkt.Tag)
-}
-
-// TryTake dequeues an already-arrived packet from src.
-func (l *link) TryTake(src int) (rank.Packet, bool) {
-	select {
-	case pkt := <-l.mailbox(src):
-		return message(pkt), true
-	default:
-		return rank.Packet{}, false
-	}
 }
 
 // message passes a message on and turns a poison packet into the
@@ -489,8 +468,9 @@ var kindText = [...]struct{ verb, dir string }{
 }
 
 // poisonTag marks the packet that wakes a blocked receiver of a lost run.
-// Like rank.AnyTag, its neighbour, it is never a message tag.
-const poisonTag = rank.AnyTag + 1
+// It is never a message tag: NextTag counts up from 1, subgroup tags are
+// offset positive.
+const poisonTag = -1 << 62
 
 // publish announces that the rank is about to block in an operation of the
 // given kind with peer: two atomic stores, no clock, no allocation. The

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/backend"
-	"repro/internal/rank"
 )
 
 // TestTimeoutFiresWithinBounds pins the monitor's timing contract: a
@@ -121,25 +120,36 @@ func TestPoisonDoesNotOutliveItsRun(t *testing.T) {
 				t.Fatalf("lost run reported %q, want %q", msg, c.want)
 			}
 			for i := 0; i < 2; i++ {
+				// A packet left over — a poison, or a message of the lost run —
+				// is the first this run reads on its link: it fails the tag
+				// check or, a poison, ends the rank's body early.
+				var done [4]bool
 				m.Run(func(p *backend.Proc) {
 					r, n := p.Rank(), p.Size()
-					next, prev := (r+1)%n, (r+n-1)%n
 					tag := p.NextTag()
 					if got := p.Exchange(r^1, algebra.Scalar(float64(r)), tag); !algebra.Equal(got, algebra.Scalar(float64(r^1))) {
 						t.Errorf("run %d: rank %d exchanged %v with rank %d", i, r, got, r^1)
 					}
-					if !p.TrySend(next, one, 77) {
-						t.Errorf("run %d: rank %d: TrySend refused on an empty link", i, r)
-					}
-					if _, got := p.RecvAny(prev); got != 77 {
-						t.Errorf("run %d: rank %d: RecvAny returned tag %d, want 77 (the reserved tag is %d)", i, r, got, rank.AnyTag+1)
-					}
-					for src := 0; src < n; src++ {
-						if _, got, ok := p.TryRecvAny(src); ok {
-							t.Errorf("run %d: rank %d: stray packet from rank %d, tag %d", i, r, src, got)
+					for peer := 0; peer < n; peer++ {
+						if peer != r {
+							p.Send(peer, algebra.Scalar(float64(r)), 77)
 						}
 					}
+					for peer := 0; peer < n; peer++ {
+						if peer == r {
+							continue
+						}
+						if got := p.Recv(peer, 77); !algebra.Equal(got, algebra.Scalar(float64(peer))) {
+							t.Errorf("run %d: rank %d received %v from rank %d", i, r, got, peer)
+						}
+					}
+					done[r] = true
 				})
+				for r, ok := range done {
+					if !ok {
+						t.Errorf("run %d: rank %d did not finish its body", i, r)
+					}
+				}
 			}
 		})
 	}
@@ -159,7 +169,7 @@ func TestMessageRacingTheTimeout(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		delay := timeout + time.Duration(i%5)*500*time.Microsecond
 		var got algebra.Value
-		msg := ""
+		msg, clean := "", false
 		func() {
 			defer func() {
 				if e := recover(); e != nil {
@@ -169,18 +179,19 @@ func TestMessageRacingTheTimeout(t *testing.T) {
 			m.Run(func(p *backend.Proc) {
 				if p.Rank() == 0 {
 					got = p.Recv(1, 9)
-					// A kick left behind would be this read's.
-					if _, tag, ok := p.TryRecvAny(1); ok {
-						panic(fmt.Sprintf("stray packet, tag %d", tag))
-					}
+					// A kick left behind would be this read's, and end the
+					// body here.
+					p.Recv(1, 10)
+					clean = true
 					return
 				}
 				time.Sleep(delay)
 				p.Send(0, algebra.Scalar(float64(i)), 9)
+				p.Send(0, algebra.Scalar(0), 10)
 			})
 		}()
 		switch {
-		case msg == "" && algebra.Equal(got, algebra.Scalar(float64(i))):
+		case msg == "" && clean && algebra.Equal(got, algebra.Scalar(float64(i))):
 			completed++
 		case edge.MatchString(msg):
 			timedOut++

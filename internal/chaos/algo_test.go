@@ -74,7 +74,7 @@ func TestPortfolioConformsUnderChaos(t *testing.T) {
 				for _, prof := range sweepProfiles() {
 					for seed := int64(0); seed < sweepSeeds(); seed++ {
 						got := make([]algebra.Value, p)
-						chaos.OnNative(p, prof, seed, func(c *chaos.Comm) {
+						chaos.OnNative(p, prof, seed, func(c coll.Comm) {
 							got[c.Rank()] = tc.run(c, in[c.Rank()])
 						})
 						for r := 0; r < p; r++ {
@@ -85,7 +85,7 @@ func TestPortfolioConformsUnderChaos(t *testing.T) {
 						}
 					}
 					gotV := make([]algebra.Value, p)
-					chaos.OnVirtual(p, prof, 0, func(c *chaos.Comm) {
+					chaos.OnVirtual(p, prof, 0, func(c coll.Comm) {
 						gotV[c.Rank()] = tc.run(c, in[c.Rank()])
 					})
 					for r := 0; r < p; r++ {
@@ -132,7 +132,7 @@ func TestSelectedProgramConformsUnderChaos(t *testing.T) {
 			}
 			for seed := int64(0); seed < seeds; seed++ {
 				got := make([]algebra.Value, p)
-				chaos.OnNative(p, prof, seed, func(c *chaos.Comm) {
+				chaos.OnNative(p, prof, seed, func(c coll.Comm) {
 					got[c.Rank()] = core.RunStages(c, prog, in[c.Rank()], sels...)
 				})
 				for r := 0; r < p; r++ {

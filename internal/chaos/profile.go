@@ -7,52 +7,44 @@ import (
 )
 
 // Profile describes one fault regime: which perturbations the wrapped
-// communicator injects and how hard. All probabilities are per message,
-// drawn from the rank's seeded PRNG, so a (profile, seed, program) triple
-// replays the same fault decisions on every run — only the host's thread
-// interleaving varies.
+// link injects and how hard. All probabilities are per message, drawn from
+// the rank's seeded PRNG in program order, so a (profile, seed, program)
+// triple replays the same fault decisions on every run — only the host's
+// thread interleaving varies.
 type Profile struct {
 	// Name identifies the profile in reports and reproducer commands.
 	Name string
 
 	// DelayProb is the fraction of messages given an in-flight latency,
-	// sampled uniformly from [0, MaxDelay). The receiver's chaos layer
-	// holds the message until its delivery time, so a delayed message
-	// can be overtaken by later traffic on other links.
+	// sampled uniformly from [0, MaxDelay]. The receiver holds the message
+	// until its delivery time, so a delayed message can be overtaken by
+	// later traffic on other links.
 	DelayProb float64
 	// MaxDelay bounds the sampled in-flight latency.
 	MaxDelay time.Duration
 
-	// ReorderProb is the fraction of messages held back at the sender so
-	// that the next message on the same link overtakes them on the wire
-	// — bounded reorder. A held message is released by the following
-	// send to the same destination, or after HoldFor at the latest.
+	// ReorderProb is the fraction of messages held back at the sender
+	// until the rank's next link operation, which overtakes them on the
+	// wire if it is a send to the same destination — bounded reorder, one
+	// message deep. A receive releases the held message first.
 	ReorderProb float64
-	// HoldFor bounds how long a held-back message may wait for an
-	// overtaker before it is released anyway.
-	HoldFor time.Duration
 
 	// DupProb is the fraction of messages delivered twice (same
 	// sequence number; the receiver deduplicates).
 	DupProb float64
 
 	// DropProb is the fraction of messages lost on their first
-	// transmission attempt (one-shot drops): the wire copy arrives
-	// poisoned and is discarded by the receiver without acknowledgement,
-	// and the sender's retry machinery delivers a fresh copy after
-	// RetryAfter. Retransmissions are never dropped.
+	// transmission (one-shot drops): the wire carries a doomed copy, which
+	// the receiver discards, then the good copy — the retransmission —
+	// RetryAfter later. Retransmissions are never dropped.
 	DropProb float64
-	// RetryAfter is the base retransmission backoff: an unacknowledged
-	// message is resent after RetryAfter, then 2·RetryAfter, doubling up
-	// to MaxAttempts transmissions. Zero means 200µs.
+	// RetryAfter is how much later the retransmission of a dropped
+	// message arrives. Zero means 200µs.
 	RetryAfter time.Duration
-	// MaxAttempts caps transmissions per message (first send included).
-	// Zero means 4.
-	MaxAttempts int
 
 	// SlowEvery, when positive, slows every SlowEvery-th rank (rank %
-	// SlowEvery == 0) by SlowBy per communicator operation — the
-	// straggler injection.
+	// SlowEvery == 0) by SlowBy per link operation — the straggler
+	// injection.
 	SlowEvery int
 	// SlowBy is the per-operation slowdown of the slowed ranks.
 	SlowBy time.Duration
@@ -63,15 +55,6 @@ func (p Profile) retryAfter() time.Duration {
 		return 200 * time.Microsecond
 	}
 	return p.RetryAfter
-}
-
-func (p Profile) maxAttempts() int {
-	if p.MaxAttempts < 2 {
-		// At least one retransmission must be possible, or a one-shot
-		// drop could never be repaired.
-		return 4
-	}
-	return p.MaxAttempts
 }
 
 // Builtin profiles. The delays sit in the tens-of-microseconds range:
@@ -86,27 +69,28 @@ var builtin = []Profile{
 	},
 	{
 		Name:        "reorder",
-		ReorderProb: 0.3, HoldFor: 100 * time.Microsecond,
-		DelayProb: 0.25, MaxDelay: 50 * time.Microsecond,
+		ReorderProb: 0.3,
+		DelayProb:   0.25, MaxDelay: 50 * time.Microsecond,
 	},
 	{
 		Name:     "loss",
 		DropProb: 0.25, DupProb: 0.2,
-		RetryAfter: 150 * time.Microsecond, MaxAttempts: 5,
+		RetryAfter: 150 * time.Microsecond,
 	},
 	{
 		Name:      "storm",
 		DelayProb: 0.3, MaxDelay: 60 * time.Microsecond,
-		ReorderProb: 0.2, HoldFor: 80 * time.Microsecond,
-		DropProb: 0.15, DupProb: 0.15,
-		RetryAfter: 150 * time.Microsecond, MaxAttempts: 5,
-		SlowEvery: 4, SlowBy: 15 * time.Microsecond,
+		ReorderProb: 0.2,
+		DropProb:    0.15, DupProb: 0.15,
+		RetryAfter: 150 * time.Microsecond,
+		SlowEvery:  4, SlowBy: 15 * time.Microsecond,
 	},
 }
 
 // Profiles returns the built-in fault profiles: "delay" (latency plus a
-// straggler rank), "reorder" (bounded message reorder), "loss" (one-shot
-// drops with retry, plus duplicates) and "storm" (all of the above).
+// straggler rank), "reorder" (bounded message reorder plus latency),
+// "loss" (one-shot drops with retransmission, plus duplicates) and
+// "storm" (all of the above).
 func Profiles() []Profile {
 	out := make([]Profile, len(builtin))
 	copy(out, builtin)

@@ -108,7 +108,7 @@ func TestSparseRawSPMDUnderChaos(t *testing.T) {
 	for _, prof := range sweepProfiles() {
 		for seed := int64(0); seed < 3; seed++ {
 			out := make([]algebra.Value, p)
-			chaos.OnNative(p, prof, seed, func(c *chaos.Comm) {
+			chaos.OnNative(p, prof, seed, func(c coll.Comm) {
 				mid := coll.ReduceScatterV(c, algebra.Add, counts, append(algebra.Vec(nil), in[c.Rank()]...))
 				out[c.Rank()] = coll.AllGatherV(c, counts, mid)
 			})

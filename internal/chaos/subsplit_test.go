@@ -30,10 +30,10 @@ func runEverywhere(p int, prof chaos.Profile, seed int64, body func(c coll.Comm)
 		c := coll.Comm(pr)
 		out[1][c.Rank()] = body(c)
 	})
-	chaos.OnNative(p, prof, seed, func(c *chaos.Comm) {
+	chaos.OnNative(p, prof, seed, func(c coll.Comm) {
 		out[2][c.Rank()] = body(c)
 	})
-	chaos.OnVirtual(p, prof, seed, func(c *chaos.Comm) {
+	chaos.OnVirtual(p, prof, seed, func(c coll.Comm) {
 		out[3][c.Rank()] = body(c)
 	})
 	return out
@@ -123,7 +123,7 @@ func TestSplitUnderChaos(t *testing.T) {
 func TestSubExpectedValues(t *testing.T) {
 	const p = 4
 	out := make([]algebra.Value, p)
-	chaos.OnNative(p, chaos.MustByName("storm"), 11, func(c *chaos.Comm) {
+	chaos.OnNative(p, chaos.MustByName("storm"), 11, func(c coll.Comm) {
 		x := algebra.Scalar(float64(c.Rank() + 1)) // 1, 2, 3, 4
 		if c.Rank() == 0 {
 			out[0] = x

@@ -15,24 +15,25 @@ import (
 // cross-talk. A rank of any backend — *machine.Proc, *backend.Proc,
 // *mpbackend.Proc, all one rank.Core over that backend's link — is the
 // communicator spanning its whole machine, the analogue of MPI_COMM_WORLD;
-// Sub and Split derive subgroups, package chaos a fault-injecting
-// decorator.
+// Sub and Split derive subgroups. Package chaos injects faults beneath a
+// rank's message discipline (rank.Core.Decorate), so a chaos-wrapped rank
+// is still just a rank.
 //
 // # Ownership
 //
-// A value crosses a link in one of two ways. Send, Exchange and the raw
-// link lend it: the reference (or a copy, on a link that copies or
-// serializes) reaches the receiver, the sender may keep reading it, and
-// neither side may write it — received values are frozen. SendMove gives it
-// away: the sender must not observe the value again (a *algebra.FlatTuple
-// is poisoned, so a stray access panics; see algebra.FlatTuple.MarkMoved)
-// and the matching RecvOwned reports true, making the receiver the new
-// owner, entitled to write the value in place. On a zero-copy link that
+// A value crosses a link in one of two ways. Send and Exchange lend it:
+// the reference (or a copy, on a link that copies or serializes) reaches
+// the receiver, the sender may keep reading it, and neither side may write
+// it — received values are frozen. SendMove gives it away: the sender must
+// not observe the value again (a *algebra.FlatTuple is poisoned, so a stray
+// access panics; see algebra.FlatTuple.MarkMoved) and the matching
+// RecvOwned reports true, making the receiver the new owner, entitled to
+// write the value in place. On a zero-copy link that
 // turns a large-m send into an O(1) reference hand-off; on a copying or
 // serializing link the receiver owns its copy and the sender's value is
 // poisoned all the same, so programs keep one ownership discipline
 // everywhere. A link that cannot transfer ownership (the virtual machine's,
-// the chaos decorator's) delivers a borrow: SendMove is Send, nothing is
+// a chaos-wrapped one) delivers a borrow: SendMove is Send, nothing is
 // poisoned, and RecvOwned reports false.
 type Comm interface {
 	// Rank is the caller's rank within this group.
@@ -59,8 +60,7 @@ type Comm interface {
 	// NextTag returns a fresh tag, synchronized across the group.
 	NextTag() int
 	// Caps is what the communicator offers beyond messages: the rank's
-	// scratch arena, its stage-mark hook and its raw link, each nil when
-	// absent.
+	// scratch arena and its stage-mark hook, each nil when absent.
 	Caps() rank.Caps
 }
 
@@ -121,7 +121,7 @@ func (s *sub) Compute(n float64) { s.parent.Compute(n) }
 
 // Caps shares the rank's arena and mark hook with the parent (subgroup
 // collectives draw scratch from the same arena as full-group ones).
-func (s *sub) Caps() rank.Caps { return s.parent.Caps().Shared() }
+func (s *sub) Caps() rank.Caps { return s.parent.Caps() }
 
 func (s *sub) NextTag() int {
 	s.tagseq++

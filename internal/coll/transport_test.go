@@ -8,84 +8,8 @@ import (
 	"repro/internal/machine"
 )
 
-// These tests cover the raw link layer beneath the tag discipline — the
-// raw link (rank.Caps.Raw) the chaos decorator builds its wire protocol on — and the
-// subgroup communicator's forwarding of ownership-moving sends, on both
-// in-process backends.
-
-func TestWorldTransportRoundTrip(t *testing.T) {
-	// The virtual machine's rank exposes the raw link: a TrySend lands as
-	// an untagged RecvAny, and TryRecvAny only reports messages that have
-	// already arrived.
-	m := machine.New(2, machine.Params{Ts: 1, Tw: 1})
-	m.Run(func(proc *machine.Proc) {
-		c := Comm(proc)
-		tr := c.Caps().Raw
-		if tr == nil {
-			t.Error("world communicator does not expose its raw link")
-			return
-		}
-		if proc.Rank() == 0 {
-			if !tr.TrySend(1, algebra.Scalar(7), 42) {
-				t.Error("TrySend failed on an empty link")
-			}
-			return
-		}
-		v, tag := tr.RecvAny(0)
-		if !algebra.Equal(v, algebra.Scalar(7)) || tag != 42 {
-			t.Errorf("RecvAny = %v tag %d, want 7 tag 42", v, tag)
-		}
-		if _, _, ok := tr.TryRecvAny(0); ok {
-			t.Error("TryRecvAny reported a message on a drained link")
-		}
-	})
-}
-
-func TestTrySendBackpressureNative(t *testing.T) {
-	// The native backend's mailboxes hold 4 messages per directed pair:
-	// the 5th TrySend must refuse rather than block, and room must
-	// reopen once the receiver drains — the invariant the fault-injecting
-	// decorators' retry loops depend on.
-	nm := backend.New(2)
-	full := make(chan struct{})
-	drained := make(chan struct{})
-	sent := make(chan struct{})
-	v := algebra.Value(algebra.Scalar(1))
-	nm.Run(func(p *backend.Proc) {
-		tr := Comm(p).Caps().Raw
-		if p.Rank() == 0 {
-			for i := 0; i < 4; i++ {
-				if !tr.TrySend(1, v, 100+i) {
-					t.Errorf("TrySend %d failed below the mailbox cap", i)
-				}
-			}
-			if tr.TrySend(1, v, 104) {
-				t.Error("5th TrySend succeeded on a full mailbox")
-			}
-			close(full)
-			<-drained
-			if !tr.TrySend(1, v, 105) {
-				t.Error("TrySend failed after the receiver drained the mailbox")
-			}
-			close(sent)
-			return
-		}
-		<-full
-		for i := 0; i < 4; i++ {
-			if _, tag := tr.RecvAny(0); tag != 100+i {
-				t.Errorf("drained tag %d, want %d (FIFO per link)", tag, 100+i)
-			}
-		}
-		if _, _, ok := tr.TryRecvAny(0); ok {
-			t.Error("TryRecvAny reported a message on a drained mailbox")
-		}
-		close(drained)
-		<-sent
-		if _, tag, ok := tr.TryRecvAny(0); !ok || tag != 105 {
-			t.Errorf("TryRecvAny after refill = tag %d ok %v, want 105 true", tag, ok)
-		}
-	})
-}
+// These tests cover the subgroup communicator's tag range and its
+// forwarding of ownership-moving sends, on both in-process backends.
 
 func TestSubTagsOffsetFromParent(t *testing.T) {
 	// Subgroup tag sequences live in a disjoint range from the parent's:

@@ -154,31 +154,9 @@ func (l *link) Put(dst int, pkt rank.Packet) {
 	l.enqueue(dst, out)
 }
 
-// TryPut ships pkt if dst's mailbox has room; nothing is charged otherwise.
-func (l *link) TryPut(dst int, pkt rank.Packet) bool {
-	out := l.stamp(pkt)
-	select {
-	case l.m.procs[dst].in[l.Rank()] <- out:
-		l.sent(dst, out)
-		return true
-	default:
-		return false
-	}
-}
-
 // Take receives the next packet from src.
 func (l *link) Take(src, want int) rank.Packet {
 	return l.arrive(src, l.await(src, want, "waiting for a message from"), EvRecv)
-}
-
-// TryTake receives an already-arrived packet from src, if there is one.
-func (l *link) TryTake(src int) (rank.Packet, bool) {
-	select {
-	case in := <-l.in[src]:
-		return l.arrive(src, in, EvRecv), true
-	default:
-		return rank.Packet{}, false
-	}
 }
 
 // Swap is the simultaneous bidirectional exchange of §4.1: the two

@@ -105,7 +105,7 @@ func TestWritersFirstDoNotDeadlock(t *testing.T) {
 			return isBigBlock(p.Recv(left, 1), left)
 		})
 	})
-	t.Run("a thousand TrySends", func(t *testing.T) {
+	t.Run("a thousand Sends", func(t *testing.T) {
 		// 1000 frames of 64 words are more than twice a socket buffer, and
 		// neither side receives before it has sent them all.
 		const frames, words = 1000, 64
@@ -114,18 +114,12 @@ func TestWritersFirstDoNotDeadlock(t *testing.T) {
 			v := make(algebra.Vec, words)
 			for i := 0; i < frames; i++ {
 				v[0] = float64(i)
-				if !p.TrySend(other, v, 100+i) {
-					return fmt.Sprintf("TrySend %d refused", i)
-				}
+				p.Send(other, v, 100+i)
 			}
 			for i := 0; i < frames; i++ {
-				got, tag := p.RecvAny(other)
-				if b, ok := got.(algebra.Vec); !ok || tag != 100+i || len(b) != words || b[0] != float64(i) {
-					return fmt.Sprintf("frame %d arrived as %v under tag %d", i, got, tag)
+				if b, ok := p.Recv(other, 100+i).(algebra.Vec); !ok || len(b) != words || b[0] != float64(i) {
+					return fmt.Sprintf("frame %d arrived as %v", i, b)
 				}
-			}
-			if _, _, ok := p.TryRecvAny(other); ok {
-				return "a frame nobody sent"
 			}
 			return ""
 		})
@@ -145,19 +139,14 @@ func TestDeadLinkFailsTheRankThatWaitsOnIt(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.close()
-	if _, _, ok := a.TryRecvAny(2); ok {
-		t.Error("TryRecvAny on a silent link reported a message")
-	}
 	if got := a.Recv(1, 1); !algebra.Equal(got, algebra.Vec{1, 2}) {
 		t.Errorf("first frame before the close: %v", got)
 	}
-	if got, tag, ok := a.TryRecvAny(1); !ok || tag != 2 || !algebra.Equal(got, algebra.Scalar(3)) {
-		t.Errorf("second frame before the close: %v, tag %d, ok %v", got, tag, ok)
-	}
-	if _, _, ok := a.TryRecvAny(1); ok {
-		t.Error("TryRecvAny delivered a frame cut off by the close")
+	if got := a.Recv(1, 2); !algebra.Equal(got, algebra.Scalar(3)) {
+		t.Errorf("second frame before the close: %v", got)
 	}
 	for doing, f := range map[string]func(){
+		// The frame cut off by the close is not delivered.
 		"link from rank 1": func() { a.Recv(1, 3) },
 		"link to rank 1":   func() { a.Send(1, algebra.Scalar(0), 4) },
 	} {

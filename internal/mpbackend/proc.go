@@ -192,36 +192,25 @@ func (l *link) Put(dst int, pkt rank.Packet) {
 	pkt.Relinquish()
 }
 
-// TryPut never refuses: the kernel buffers the frame, or Put makes room.
-func (l *link) TryPut(dst int, pkt rank.Packet) bool {
-	l.Put(dst, pkt)
-	return true
-}
-
-// drain reads what the peers have sent into their inboxes and reports
-// whether anything came. With dst ≥ 0 it first blocks until something has
-// or dst can be written; otherwise it only asks.
-func (l *link) drain(dst int) (came bool) {
+// drain blocks until a peer has sent something or dst can be written, and
+// reads what the peers have sent into their inboxes.
+func (l *link) drain(dst int) {
 	var rd, wr fdSet
 	for i := range l.in {
 		if in := &l.in[i]; in.fd >= 0 && in.err == nil {
 			rd.add(in.fd)
 		}
 	}
-	if dst >= 0 {
-		wr.add(l.in[dst].fd)
-		runtime.Gosched() // about to wait: see Take
-	}
-	if err := await(&rd, &wr, dst >= 0); err != nil {
+	wr.add(l.in[dst].fd)
+	runtime.Gosched() // about to wait: see Take
+	if err := await(&rd, &wr); err != nil {
 		panic(fmt.Sprintf("mpbackend: rank %d: select: %v", l.Rank(), err))
 	}
 	for i := range l.in {
 		if in := &l.in[i]; in.fd >= 0 && rd.has(in.fd) {
 			in.fill()
-			came = true
 		}
 	}
-	return came
 }
 
 // fill reads from the socket once, blocking until the peer has sent
@@ -264,17 +253,6 @@ func (l *link) Take(src, want int) rank.Packet {
 		// watchdog's timer and the collector get their turn.
 		runtime.Gosched()
 		in.fill()
-	}
-}
-
-// TryTake is Take for a frame that has arrived already: it asks the kernel
-// what has, without waiting, and fails nothing — the Take that follows does.
-func (l *link) TryTake(src int) (rank.Packet, bool) {
-	for {
-		pkt, ok, err := l.in[src].next(l.ScratchArena())
-		if ok || err != nil || !l.drain(-1) {
-			return pkt, ok
-		}
 	}
 }
 

@@ -25,14 +25,10 @@ func (s *fdSet) add(fd int) {
 
 func (s *fdSet) has(fd int) bool { return s.bits.Bits[fd/fdWord]&(1<<(fd%fdWord)) != 0 }
 
-// await blocks until a descriptor in rd can be read or one in wr written —
-// or, with block false, only asks — and leaves in the sets those that can.
-func await(rd, wr *fdSet, block bool) error {
-	var timeout *syscall.Timeval
-	if !block {
-		timeout = new(syscall.Timeval)
-	}
-	err := selectFds(max(rd.n, wr.n), &rd.bits, &wr.bits, timeout)
+// await blocks until a descriptor in rd can be read or one in wr written,
+// and leaves in the sets those that can.
+func await(rd, wr *fdSet) error {
+	err := selectFds(max(rd.n, wr.n), &rd.bits, &wr.bits)
 	if err == syscall.EINTR {
 		*rd, *wr, err = fdSet{}, fdSet{}, nil
 	}

@@ -3,7 +3,7 @@ package mpbackend
 import "syscall"
 
 // selectFds is select(2), whose wrapper's results differ by OS.
-func selectFds(nfd int, rd, wr *syscall.FdSet, timeout *syscall.Timeval) error {
-	_, err := syscall.Select(nfd, rd, wr, nil, timeout)
+func selectFds(nfd int, rd, wr *syscall.FdSet) error {
+	_, err := syscall.Select(nfd, rd, wr, nil, nil)
 	return err
 }

@@ -1,9 +1,10 @@
 // The link contract: one table-driven suite run over every way a program
 // can hold a communicator — a rank of each backend, a subgroup of each
-// in-process one, a chaos-wrapped native rank — asserting that all of them
-// run the same message discipline. The multi-process carrier spawns real OS
-// processes: the test binary re-executes itself (TestMain calls
-// MaybeWorker) and resolves the scenario by name.
+// in-process one, an in-process rank whose link is wrapped in faults
+// (package chaos) — asserting that all of them run the same message
+// discipline. The multi-process carrier spawns real OS processes: the test
+// binary re-executes itself (TestMain calls MaybeWorker) and resolves the
+// scenario by name.
 package rank_test
 
 import (
@@ -20,6 +21,7 @@ import (
 	"repro/internal/coll"
 	"repro/internal/machine"
 	"repro/internal/mpbackend"
+	"repro/internal/rank"
 )
 
 func TestMain(m *testing.M) {
@@ -31,14 +33,6 @@ func TestMain(m *testing.M) {
 type traits struct {
 	// Moves: SendMove transfers ownership (otherwise it is a borrow).
 	Moves bool
-	// Raw: the raw link is exposed.
-	Raw bool
-	// Bound is the number of TrySends a link takes before it refuses; 0
-	// means it never refuses.
-	Bound int
-	// Tagged: a receive checks the tag of the next message (the chaos
-	// decorator instead delivers per-tag streams).
-	Tagged bool
 }
 
 // scenarios are SPMD bodies over a 3-rank communicator. Each returns what
@@ -95,19 +89,15 @@ func tags(c coll.Comm, k traits) string {
 	v := algebra.Vec{1, 2, 3}
 	switch c.Rank() {
 	case 0:
-		if k.Tagged {
-			c.Send(1, v, 7)
-		}
+		c.Send(1, v, 7)
 		c.Send(1, v, 9)
 		if !algebra.Equal(v, algebra.Vec{1, 2, 3}) {
 			return "a borrowing Send changed the sender's value"
 		}
 	case 1:
-		if k.Tagged {
-			msg := panicText(func() { c.Recv(0, 8) })
-			if !strings.Contains(msg, "expected tag 8") || !strings.Contains(msg, "got 7") {
-				return fmt.Sprintf("tag mismatch panic %q does not name both tags", msg)
-			}
+		msg := panicText(func() { c.Recv(0, 8) })
+		if !strings.Contains(msg, "expected tag 8") || !strings.Contains(msg, "got 7") {
+			return fmt.Sprintf("tag mismatch panic %q does not name both tags", msg)
 		}
 		if got := c.Recv(0, 9); !algebra.Equal(got, v) {
 			return fmt.Sprintf("after the mismatch: received %v, want %v", got, v)
@@ -116,48 +106,33 @@ func tags(c coll.Comm, k traits) string {
 	return ""
 }
 
-// raw: TrySend → RecvAny → TryRecvAny round-trip in FIFO order, and
-// back-pressure where the link has a bound.
+// raw: beneath the tag check a link delivers in the order it was sent,
+// whatever the tags — faults or not. A receive that asks for the later of
+// two messages first fails naming both tags, and a run of messages under
+// distinct tags arrives as it was sent. The run is long enough for the
+// chaos carriers' seed to hold one of its messages back for the next to
+// overtake.
 func raw(c coll.Comm, k traits) string {
-	l := c.Caps().Raw
-	if (l != nil) != k.Raw {
-		return fmt.Sprintf("raw link exposed: %v, want %v", l != nil, k.Raw)
-	}
-	if l == nil {
-		return ""
-	}
-	one := algebra.Scalar(1)
-	n := max(k.Bound, 2)
+	const run = 32
 	switch c.Rank() {
 	case 0:
-		for i := 0; i < n; i++ {
-			if !l.TrySend(1, one, 100+i) {
-				return fmt.Sprintf("TrySend %d refused below the bound", i)
-			}
+		c.Send(1, algebra.Scalar(7), 7)
+		c.Send(1, algebra.Scalar(9), 9)
+		for i := 0; i < run; i++ {
+			c.Send(1, algebra.Scalar(float64(i)), 100+i)
 		}
-		if k.Bound > 0 && l.TrySend(1, one, 0) {
-			return "TrySend succeeded on a full link"
-		}
-		c.Send(2, one, 1) // full: rank 1 may drain
-		c.Recv(1, 2)
-		if !l.TrySend(1, one, 200) {
-			return "TrySend refused after the receiver drained the link"
-		}
-	case 2:
-		c.Send(1, c.Recv(0, 1), 1)
 	case 1:
-		c.Recv(2, 1)
-		for i := 0; i < n; i++ {
-			if v, tag := l.RecvAny(0); tag != 100+i || !algebra.Equal(v, one) {
-				return fmt.Sprintf("RecvAny %d = %v tag %d, want 1 tag %d (FIFO per link)", i, v, tag, 100+i)
+		msg := panicText(func() { c.Recv(0, 9) })
+		if !strings.Contains(msg, "expected tag 9") || !strings.Contains(msg, "got 7") {
+			return fmt.Sprintf("receiving tag 9 before tag 7: panic %q does not name both tags", msg)
+		}
+		if got := c.Recv(0, 9); !algebra.Equal(got, algebra.Scalar(9)) {
+			return fmt.Sprintf("after the mismatch: received %v, want 9", got)
+		}
+		for i := 0; i < run; i++ {
+			if got := c.Recv(0, 100+i); !algebra.Equal(got, algebra.Scalar(float64(i))) {
+				return fmt.Sprintf("message %d of the run: received %v, want %d", i, got, i)
 			}
-		}
-		if _, _, ok := l.TryRecvAny(0); ok {
-			return "TryRecvAny reported a message on a drained link"
-		}
-		c.Send(0, one, 2)
-		if _, tag := l.RecvAny(0); tag != 200 {
-			return fmt.Sprintf("RecvAny after refill: tag %d, want 200", tag)
 		}
 	}
 	return ""
@@ -225,14 +200,6 @@ func traffic(c coll.Comm, k traits) string {
 	} else if r == 2 {
 		c.RecvOwned(0, tag)
 	}
-	if l := c.Caps().Raw; l != nil {
-		if r == 1 {
-			for !l.TrySend(0, v, 77) {
-			}
-		} else if r == 0 {
-			l.RecvAny(1)
-		}
-	}
 	c.Compute(12.5)
 	sum := coll.AllReduce(c, algebra.Add, algebra.Scalar(float64(r+1)))
 	if !algebra.Equal(sum, algebra.Scalar(float64(n*(n+1)/2))) {
@@ -261,40 +228,47 @@ var group = []int{3, 0, 2}
 
 func inGroup(r int) bool { return r != 1 }
 
-func virtual(wrap func(c coll.Comm) coll.Comm, p int) func(*testing.T, string, traits) ([]string, totals) {
+// A wrap runs body on what a carrier makes of a backend's rank c, whose
+// Core is r: the rank itself, a subgroup, or the rank with its link
+// wrapped in faults.
+type wrap func(c coll.Comm, r *rank.Core, body func(c coll.Comm))
+
+func virtual(on wrap, p int) func(*testing.T, string, traits) ([]string, totals) {
 	return func(t *testing.T, scenario string, k traits) ([]string, totals) {
 		out := make([]string, p)
 		res := machine.New(p, machine.Params{Ts: 1, Tw: 1}).Run(func(pr *machine.Proc) {
-			if c := wrap(pr); c != nil {
-				out[pr.Rank()] = scenarios[scenario](c, k)
-			}
+			on(pr, &pr.Core, func(c coll.Comm) { out[pr.Rank()] = scenarios[scenario](c, k) })
 		})
 		return out, totals{res.Messages, res.Words, res.Ops}
 	}
 }
 
-func native(mode backend.TransportMode, wrap func(c coll.Comm) coll.Comm, p int) func(*testing.T, string, traits) ([]string, totals) {
+func native(mode backend.TransportMode, on wrap, p int) func(*testing.T, string, traits) ([]string, totals) {
 	return func(t *testing.T, scenario string, k traits) ([]string, totals) {
 		out := make([]string, p)
 		nm := backend.New(p)
 		nm.Transport = mode
 		nm.Timeout = 10 * time.Second
 		res := nm.Run(func(pr *backend.Proc) {
-			if c := wrap(pr); c != nil {
-				out[pr.Rank()] = scenarios[scenario](c, k)
-			}
+			on(pr, &pr.Core, func(c coll.Comm) { out[pr.Rank()] = scenarios[scenario](c, k) })
 		})
 		return out, totals{res.Messages, res.Words, res.Ops}
 	}
 }
 
-func bare(c coll.Comm) coll.Comm { return c }
+func bare(c coll.Comm, _ *rank.Core, body func(coll.Comm)) { body(c) }
 
-func sub(c coll.Comm) coll.Comm {
-	if !inGroup(c.Rank()) {
-		return nil
+func sub(c coll.Comm, _ *rank.Core, body func(coll.Comm)) {
+	if inGroup(c.Rank()) {
+		body(coll.Sub(c, group))
 	}
-	return coll.Sub(c, group)
+}
+
+// faulty runs body with the rank's link wrapped in the storm profile.
+func faulty(c coll.Comm, r *rank.Core, body func(coll.Comm)) {
+	l := chaos.Install(r, chaos.MustByName("storm"), 1)
+	body(c)
+	l.Fence()
 }
 
 // contractParams names a scenario for the multi-process body.
@@ -330,37 +304,26 @@ func multiproc(t *testing.T, scenario string, k traits) ([]string, totals) {
 }
 
 func carriers() []carrier {
-	inProcess := traits{Raw: true, Bound: 4, Tagged: true}
-	moving := inProcess
-	moving.Moves = true
-	subOf := func(k traits) traits {
-		k.Raw = false
-		return k
-	}
+	borrows, moves := traits{}, traits{Moves: true}
 	return []carrier{
-		{"virtual", inProcess, virtual(bare, 3)},
-		{"native-zerocopy", moving, native(backend.TransportZeroCopy, bare, 3)},
-		{"native-copy", moving, native(backend.TransportCopy, bare, 3)},
-		{"multiproc", traits{Moves: true, Raw: true, Tagged: true}, multiproc},
-		{"sub/virtual", subOf(inProcess), virtual(sub, 4)},
-		{"sub/native-zerocopy", subOf(moving), native(backend.TransportZeroCopy, sub, 4)},
-		{"sub/native-copy", subOf(moving), native(backend.TransportCopy, sub, 4)},
-		{"chaos/native", traits{}, func(t *testing.T, scenario string, k traits) ([]string, totals) {
-			out := make([]string, 3)
-			chaos.OnNative(3, chaos.MustByName("storm"), 1, func(c *chaos.Comm) {
-				out[c.Rank()] = scenarios[scenario](c, k)
-			})
-			return out, totals{}
-		}},
+		{"virtual", borrows, virtual(bare, 3)},
+		{"native-zerocopy", moves, native(backend.TransportZeroCopy, bare, 3)},
+		{"native-copy", moves, native(backend.TransportCopy, bare, 3)},
+		{"multiproc", moves, multiproc},
+		{"sub/virtual", borrows, virtual(sub, 4)},
+		{"sub/native-zerocopy", moves, native(backend.TransportZeroCopy, sub, 4)},
+		{"sub/native-copy", moves, native(backend.TransportCopy, sub, 4)},
+		{"chaos/native", borrows, native(backend.TransportZeroCopy, faulty, 3)},
+		{"chaos/virtual", borrows, virtual(faulty, 3)},
 	}
 }
 
 // TestLinkContract runs every scenario on every carrier, and requires the
-// traffic scenario's totals to be the virtual machine's on every carrier
-// that adds no protocol traffic of its own (a subgroup skips the scenario's
-// raw-link message, so subgroups are compared with the virtual one).
+// traffic scenario's totals to be the virtual machine's on every carrier:
+// a subgroup renumbers the ranks and a chaos-wrapped link repeats and
+// loses packets, but both sit above or below the counters of rank.Core.
 func TestLinkContract(t *testing.T) {
-	want := map[bool]totals{}
+	var want totals
 	for _, cr := range carriers() {
 		for name := range scenarios {
 			t.Run(cr.name+"/"+name, func(t *testing.T) {
@@ -370,15 +333,14 @@ func TestLinkContract(t *testing.T) {
 						t.Errorf("rank %d: %s", r, f)
 					}
 				}
-				if name != "traffic" || strings.HasPrefix(cr.name, "chaos/") {
+				if name != "traffic" {
 					return
 				}
-				ref, seen := want[cr.traits.Raw]
-				if !seen {
-					want[cr.traits.Raw], ref = got, got
+				if want == (totals{}) {
+					want = got
 				}
-				if got != ref || got.Msgs == 0 {
-					t.Errorf("traffic totals %+v, virtual machine %+v", got, ref)
+				if got != want || got.Msgs == 0 {
+					t.Errorf("traffic totals %+v, virtual machine %+v", got, want)
 				}
 			})
 		}

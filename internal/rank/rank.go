@@ -1,13 +1,15 @@
 // Package rank is the one rank every backend runs: the message discipline
 // of the §4.1 machine — tag check, rank-range and self-send checks, the
-// SPMD tag sequence, the message/word/op counters, the move/borrow
-// ownership protocol and the raw untagged link — written once, over a Link.
-// A Link is the only thing a backend writes: how a packet moves, with that
-// backend's own clock and failure policy (machine: the model's ts + m·tw;
-// backend: goroutine mailboxes; mpbackend: socket frames between OS
-// processes). All three embed a Core, so a program sees the same checks,
-// tags and counts wherever it runs. The package imports only algebra, so
-// every backend and package coll can sit above it.
+// SPMD tag sequence, the message/word/op counters and the move/borrow
+// ownership protocol — written once, over a Link. A Link is the only thing
+// a backend writes: how a packet moves, with that backend's own clock and
+// failure policy (machine: the model's ts + m·tw; backend: goroutine
+// mailboxes; mpbackend: socket frames between OS processes). All three
+// embed a Core, so a program sees the same checks, tags and counts wherever
+// it runs; a decorator that perturbs how packets move (package chaos) goes
+// beneath the Core too (Decorate), so it does not change them either. The
+// package imports only algebra, so every backend and package coll can sit
+// above it.
 package rank
 
 import (
@@ -25,10 +27,6 @@ type Packet struct {
 	Owned bool
 }
 
-// AnyTag is the wanted tag of a raw, tag-oblivious take. It is never a
-// message tag: NextTag counts up from 1, subgroup tags are offset positive.
-const AnyTag = -1 << 62
-
 // Link moves packets between this rank and its peers. Peers are already
 // range- and self-checked, the traffic already counted and the tag checked
 // on return: a link only moves the packet, advances its backend's clock and
@@ -42,13 +40,9 @@ type Link interface {
 	// sender's storage and before the receiver can see the packet; a link
 	// that cannot clears Owned and delivers a borrow.
 	Put(dst int, pkt Packet)
-	// TryPut ships pkt if the link has room and reports whether it did.
-	TryPut(dst int, pkt Packet) bool
-	// Take blocks for the next packet from src. want is the tag the caller
-	// waits for (AnyTag for a raw receive) and only feeds diagnostics.
+	// Take blocks for the next packet from src, in the order src put them.
+	// want is the tag the caller waits for and only feeds diagnostics.
 	Take(src, want int) Packet
-	// TryTake dequeues an already-arrived packet from src, if there is one.
-	TryTake(src int) (Packet, bool)
 	// Swap is Put then Take with one peer — the simultaneous bidirectional
 	// exchange of §4.1, which a model clock prices as one overlapped
 	// transfer.
@@ -75,18 +69,6 @@ type Caps struct {
 	// Mark records a stage-boundary annotation at the current time; nil
 	// when nobody records them, so callers skip rendering the label.
 	Mark func(label string)
-	// Raw is the rank itself, for the link layer beneath the tag discipline
-	// (TrySend, RecvAny, TryRecvAny) that decorators perturbing traffic
-	// (package chaos) multiplex their own wire protocol over; nil on a
-	// communicator that renumbers ranks or runs such a protocol.
-	Raw *Core
-}
-
-// Shared is what a communicator layered on another re-exports: all but the
-// raw link, which addresses the underlying ranks.
-func (c Caps) Shared() Caps {
-	c.Raw = nil
-	return c
 }
 
 // Counters are a rank's traffic and work since its last Reset, comparable
@@ -99,7 +81,7 @@ type Counters struct {
 }
 
 // Core is one rank of an SPMD program: it implements every method of
-// coll.Comm, and the raw link, over its backend's Link. Backends embed it; its
+// coll.Comm over its backend's Link. Backends embed it; its
 // methods must only be called from the goroutine running the rank's body.
 type Core struct {
 	rank, size int
@@ -112,11 +94,21 @@ type Core struct {
 // Init makes c rank r of size ranks over link. arena and mark may be nil
 // (see Caps).
 func (c *Core) Init(r, size int, link Link, arena *algebra.Arena, mark func(label string)) {
-	*c = Core{rank: r, size: size, link: link, caps: Caps{Arena: arena, Mark: mark, Raw: c}}
+	*c = Core{rank: r, size: size, link: link, caps: Caps{Arena: arena, Mark: mark}}
 }
 
 // Reset restarts the tag sequence and the counters for a new run.
 func (c *Core) Reset() { c.tagseq, c.n = 0, Counters{} }
+
+// Decorate puts wrap(link) in place of the rank's link — beneath the checks,
+// the tag check and the counters, which stay the rank's own — and returns
+// the function that puts the backend's link back. A backend parks its ranks
+// across runs, so whoever decorates restores before the body returns.
+func (c *Core) Decorate(wrap func(Link) Link) (restore func()) {
+	under := c.link
+	c.link = wrap(under)
+	return func() { c.link = under }
+}
 
 // Rank is this rank's index, 0 ≤ Rank < Size.
 func (c *Core) Rank() int { return c.rank }
@@ -180,18 +172,6 @@ func (c *Core) put(dst int, pkt Packet) {
 	c.link.Put(dst, pkt)
 }
 
-// TrySend is the raw link's non-blocking Send: it ships v if the link has
-// room and reports whether it did; nothing is charged on failure.
-func (c *Core) TrySend(dst int, v algebra.Value, tag int) bool {
-	c.checkPeer(dst, "sending to")
-	if !c.link.TryPut(dst, Packet{Value: v, Tag: tag}) {
-		return false
-	}
-	c.n.Sent++
-	c.n.Words += v.Words()
-	return true
-}
-
 // Recv receives the next message from rank src, blocking until it arrives;
 // its tag must be tag.
 func (c *Core) Recv(src, tag int) algebra.Value {
@@ -217,26 +197,6 @@ func (c *Core) Exchange(partner int, v algebra.Value, tag int) algebra.Value {
 	c.n.Sent++
 	c.n.Words += v.Words()
 	return c.accept(c.link.Swap(partner, Packet{Value: v, Tag: tag}), partner, tag).Value
-}
-
-// RecvAny is the raw link's receive: it blocks for the next message from
-// src regardless of tag and returns the tag it was sent under.
-func (c *Core) RecvAny(src int) (algebra.Value, int) {
-	c.checkRank(src)
-	pkt := c.link.Take(src, AnyTag)
-	c.n.Received++
-	return pkt.Value, pkt.Tag
-}
-
-// TryRecvAny is the non-blocking RecvAny.
-func (c *Core) TryRecvAny(src int) (algebra.Value, int, bool) {
-	c.checkRank(src)
-	pkt, ok := c.link.TryTake(src)
-	if !ok {
-		return nil, 0, false
-	}
-	c.n.Received++
-	return pkt.Value, pkt.Tag, true
 }
 
 // accept is the tag discipline: collective n's messages never satisfy
