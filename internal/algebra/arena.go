@@ -16,17 +16,19 @@ package algebra
 // the start of a run: the previous run's completion barrier orders every
 // peer's last read before it.
 //
-// Vec buffers are pooled as pre-boxed Values: converting a slice header
-// to an interface allocates, so the pool stores the interface value and
-// the kernels thread it through unchanged.
+// Vec buffers and Tuple headers are pooled as pre-boxed Values: converting
+// a slice header to an interface allocates, so the pool stores the
+// interface value and the kernels thread it through unchanged.
 //
 // A nil *Arena is valid and simply allocates fresh buffers — collectives
 // run unchanged (only slower) on communicators that provide no arena.
 type Arena struct {
-	freeVecs  map[int][]Value
-	freeFlats map[flatKey][]*FlatTuple
-	usedVecs  []Value
-	usedFlats []*FlatTuple
+	freeVecs   map[int][]Value
+	freeFlats  map[flatKey][]*FlatTuple
+	freeTuples map[int][]Value
+	usedVecs   []Value
+	usedFlats  []*FlatTuple
+	usedTuples []Value
 }
 
 type flatKey struct{ w, words int }
@@ -34,8 +36,9 @@ type flatKey struct{ w, words int }
 // NewArena returns an empty arena.
 func NewArena() *Arena {
 	return &Arena{
-		freeVecs:  map[int][]Value{},
-		freeFlats: map[flatKey][]*FlatTuple{},
+		freeVecs:   map[int][]Value{},
+		freeFlats:  map[flatKey][]*FlatTuple{},
+		freeTuples: map[int][]Value{},
 	}
 }
 
@@ -54,6 +57,24 @@ func (a *Arena) Vec(n int) Value {
 	v := Value(make(Vec, n))
 	a.usedVecs = append(a.usedVecs, v)
 	return v
+}
+
+// Tuple returns a width-w tuple header and the same tuple pre-boxed as a
+// Value. Its components are unspecified — callers set every one.
+func (a *Arena) Tuple(w int) (Tuple, Value) {
+	if a == nil {
+		t := make(Tuple, w)
+		return t, t
+	}
+	var v Value
+	if free := a.freeTuples[w]; len(free) > 0 {
+		v = free[len(free)-1]
+		a.freeTuples[w] = free[:len(free)-1]
+	} else {
+		v = make(Tuple, w)
+	}
+	a.usedTuples = append(a.usedTuples, v)
+	return v.(Tuple), v
 }
 
 // Flat returns a scratch flat tuple of w components of m words each.
@@ -97,4 +118,11 @@ func (a *Arena) Reset() {
 		a.usedFlats[i] = nil
 	}
 	a.usedFlats = a.usedFlats[:0]
+	for i, v := range a.usedTuples {
+		t := v.(Tuple)
+		clear(t) // a free header pins nothing
+		a.freeTuples[len(t)] = append(a.freeTuples[len(t)], v)
+		a.usedTuples[i] = nil
+	}
+	a.usedTuples = a.usedTuples[:0]
 }

@@ -385,7 +385,18 @@ func TestArenaReusesBuffers(t *testing.T) {
 	a := NewArena()
 	v1 := a.Vec(8)
 	f1 := a.Flat(2, 8)
+	t1, b1 := a.Tuple(3)
+	t1[0], t1[1], t1[2] = v1, v1, v1
+	if b1.(Tuple)[0] == nil {
+		t.Fatal("arena Tuple's boxed value is not its header")
+	}
 	a.Reset()
+	if t1[0] != nil {
+		t.Fatal("Reset left a freed tuple header pinning its components")
+	}
+	if t2, b2 := a.Tuple(3); &t2[0] != &t1[0] || &b2.(Tuple)[0] != &t1[0] {
+		t.Fatal("arena did not reuse the tuple header after Reset")
+	}
 	if v2 := a.Vec(8); &v2.(Vec)[0] != &v1.(Vec)[0] {
 		t.Fatal("arena did not reuse the vec buffer after Reset")
 	}
@@ -403,6 +414,9 @@ func TestArenaReusesBuffers(t *testing.T) {
 	}
 	if f := nilA.Flat(2, 3); f.W != 2 || f.M() != 3 {
 		t.Fatal("nil arena Flat broken")
+	}
+	if tu, b := nilA.Tuple(2); len(tu) != 2 || len(b.(Tuple)) != 2 {
+		t.Fatal("nil arena Tuple broken")
 	}
 	nilA.Reset()
 }

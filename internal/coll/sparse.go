@@ -66,7 +66,8 @@ func (f firstOf) at(j int) int {
 // Tuple in offset order. Offsets congruent mod p (including 0 and
 // duplicates) are served locally or by a single message, so the
 // message count per rank is the number of distinct nonzero offsets
-// mod p.
+// mod p. The result tuple is drawn from the rank's arena: it is valid
+// until the machine's next run.
 func HaloExchange(c Comm, offsets []int, x Value) Value {
 	n := c.Size()
 	r := c.Rank()
@@ -80,7 +81,7 @@ func HaloExchange(c Comm, offsets []int, x Value) Value {
 			c.Send((r-d+n)%n, x, tag)
 		}
 	}
-	out := make(algebra.Tuple, len(offsets))
+	out, res := c.Caps().Arena.Tuple(len(offsets))
 	for j := range offsets {
 		switch d := delta(j); {
 		case d == 0:
@@ -91,14 +92,15 @@ func HaloExchange(c Comm, offsets []int, x Value) Value {
 			out[j] = out[first.at(j)]
 		}
 	}
-	return out
+	return res
 }
 
 // HaloExchangeLists performs the non-isomorphic neighborhood exchange:
 // lists[i] names the absolute source ranks of rank i, and the caller
 // receives its sources' blocks as a Tuple in list order. len(lists)
 // must equal the group size. Duplicate sources and self-edges are
-// served by at most one message per directed pair.
+// served by at most one message per directed pair. The result tuple is
+// drawn from the rank's arena, as HaloExchange's is.
 func HaloExchangeLists(c Comm, lists [][]int, x Value) Value {
 	n := c.Size()
 	r := c.Rank()
@@ -119,7 +121,7 @@ func HaloExchangeLists(c Comm, lists [][]int, x Value) Value {
 	}
 	srcs := lists[r]
 	first := newFirstOf(len(srcs), func(j int) int { return srcs[j] })
-	out := make(algebra.Tuple, len(srcs))
+	out, res := c.Caps().Arena.Tuple(len(srcs))
 	for j, src := range srcs {
 		switch {
 		case src == r:
@@ -130,7 +132,7 @@ func HaloExchangeLists(c Comm, lists [][]int, x Value) Value {
 			out[j] = out[first.at(j)]
 		}
 	}
-	return out
+	return res
 }
 
 // AllGatherV gathers ragged blocks — counts[i] words on rank i — into

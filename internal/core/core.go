@@ -56,6 +56,9 @@ func (m Machine) virtual() *machine.Machine {
 // stage only when some are given, and labels rendered only on a rank that
 // records marks. Program's Run methods compile once and share the result.
 //
+// What it returns, like a local stage's result, may be drawn from c's
+// arena: it is valid until this machine's next run.
+//
 // sels are optional algorithm selections (sel.ForTerm's, addressing
 // stages by the same flattened index the loop counts): an unbalanced
 // reduction stage carrying one runs the chosen portfolio algorithm, with
@@ -127,7 +130,7 @@ func stageLoop(c coll.Comm, stages []term.Term, choices []sel.Selection, labels 
 func execStage(s term.Term, c coll.Comm, v algebra.Value, algo cost.Algo, segments int) algebra.Value {
 	switch st := s.(type) {
 	case term.Map:
-		next := st.F.F(v)
+		next := term.Apply(c.Caps().Arena, st.F, v)
 		if st.F.Cost > 0 {
 			c.Compute(float64(st.F.Cost) * float64(v.Words()))
 		}

@@ -69,7 +69,7 @@ func (d *Derivation) Apply(ruleName string, pos int) (rules.Application, error) 
 		if err := rules.VerifyApplication(app, rules.VerifyConfig{Seed: 17, BlockWords: 3}); err != nil {
 			return rules.Application{}, fmt.Errorf("core: rule %s failed verification: %w", ruleName, err)
 		}
-		d.history = append(d.history, FromTerm(app.Rewrite(d.Current().stages)))
+		d.history = append(d.history, FromTerm(app.Rewrite(d.Current().stages())))
 		d.steps = append(d.steps, app)
 		return app, nil
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/backend"
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/exper"
 	"repro/internal/mpbackend"
 	"repro/internal/rank"
@@ -71,6 +72,60 @@ func TestRunOnAllocsIndependentOfStageCount(t *testing.T) {
 	}
 }
 
+// TestWarmLocalStageAllocs pins what a warm native run of the benchmark's
+// local-stage and halo programs allocates at p = 8, RunOn's fixed 5
+// included: a local function draws its blocks and tuple headers from the
+// rank's arena (term.Apply), and a halo its result tuple, so a program
+// with local stages allocates what its collectives do. What is left on
+// the scan sides is coll's boxing of a flat collective's result.
+func TestWarmLocalStageAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const p, m = 8, 16
+	ring := term.Halo{H: &term.Hood{Offsets: []int{-1, 1}}}
+	hh := term.Seq{ring, ring}
+	combined, err := exper.ApplyRule("HH-Combine", hh, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trap := term.Seq{ring, term.Map{F: rules.IncTupFn}, ring}
+	plan, apps, _ := rules.NewCostGuidedEngine(cost.Params{Ts: 1000, Tw: 1, P: p, M: m}).SearchOptimize(trap, rules.SearchConfig{})
+	if len(apps) == 0 {
+		t.Fatal("the plan search left the MH-Mobility trap unchanged")
+	}
+	rhs := func(rule string) term.Term {
+		_, r, err := exper.RulePair(rule, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Term()
+	}
+	cases := []struct {
+		name string
+		prog term.Term
+		want float64
+	}{
+		{"HH-Combine left", hh, 5},
+		{"HH-Combine right", combined, 5},
+		{"MH-Mobility left", trap, 5},
+		{"MH-Mobility right", plan, 5},
+		{"SR2-Reduction right", rhs("SR2-Reduction"), 9},
+		{"SR-Reduction right", rhs("SR-Reduction"), 9},
+		{"SS2-Scan right", rhs("SS2-Scan"), 37},
+		{"SS-Scan right", rhs("SS-Scan"), 53},
+	}
+	nm := backend.New(p)
+	in := mpbackend.SeededInputs(1, p, m)
+	for _, c := range cases {
+		prog := core.FromTerm(c.prog)
+		prog.RunOn(nm, in) // compiles the program, grows the arenas
+		if got := testing.AllocsPerRun(200, func() { prog.RunOn(nm, in) }); got != c.want {
+			t.Errorf("%s, %s: %.0f allocs per warm run, want %.0f", c.name, prog, got, c.want)
+		}
+	}
+}
+
 // unmarked is a native rank whose stage marks nobody records: the view a
 // multi-process rank, RunStages' hot path, has of itself.
 type unmarked struct{ *backend.Proc }
@@ -120,6 +175,28 @@ func TestStagesOfComposedSeqAllocFree(t *testing.T) {
 	var prog term.Term = term.Compose(term.Bcast{}, term.Seq{term.Scan{Op: algebra.Mul}, term.Scan{Op: algebra.Add}})
 	if allocs := testing.AllocsPerRun(100, func() { term.Stages(prog) }); allocs != 0 {
 		t.Fatalf("term.Stages of a composed Seq: %.0f allocs, want 0", allocs)
+	}
+}
+
+// TestProgramTermAllocFree: a Program keeps the term.Term it was built
+// with, so Term — which a multi-process rank body calls once per rank and
+// program — boxes nothing, the empty program's included.
+func TestProgramTermAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	var sink term.Term
+	for _, prog := range []core.Program{
+		core.NewProgram(),
+		core.NewProgram().Scan(algebra.Mul).Reduce(algebra.Add),
+		core.FromTerm(term.Seq{term.Bcast{}, term.Seq{term.Scan{Op: algebra.Add}}}),
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { sink = prog.Term() }); allocs != 0 {
+			t.Errorf("%s: Term allocates %.0f, want 0", prog, allocs)
+		}
+		if _, ok := sink.(term.Seq); !ok {
+			t.Errorf("%s: Term returned %T, want a term.Seq", prog, sink)
+		}
 	}
 }
 

@@ -18,7 +18,9 @@ import (
 // program; stages are appended with the builder methods, each of which
 // returns a new Program (programs are immutable values).
 type Program struct {
-	stages term.Seq
+	// t is the flat stage list, a term.Seq boxed once when the program is
+	// built, so Term allocates nothing; nil for the zero Program.
+	t term.Term
 	// sels are the algorithm selections of the optimization that produced
 	// this program (OptimizeOptions.Auto), honored by every Run method so
 	// a program executes what its estimate priced. They address stages by
@@ -34,25 +36,38 @@ type Program struct {
 func NewProgram() Program { return Program{} }
 
 // FromTerm wraps an existing term as a Program.
-func FromTerm(t term.Term) Program {
-	return Program{stages: term.Compose(t), exec: new(compiled)}
+func FromTerm(t term.Term) Program { return built(term.Compose(t)) }
+
+// built is the program of stages, with a fresh compilation cell.
+func built(stages term.Seq) Program { return Program{t: stages, exec: new(compiled)} }
+
+// Term returns the program's term; it allocates nothing.
+func (p Program) Term() term.Term {
+	if p.t == nil {
+		return term.Seq(nil) // boxing a nil slice allocates nothing
+	}
+	return p.t
 }
 
-// Term returns the program's term.
-func (p Program) Term() term.Term { return p.stages }
+// stages is the program's flat stage list.
+func (p Program) stages() term.Seq {
+	s, _ := p.t.(term.Seq)
+	return s
+}
 
 // String renders the program in the paper's notation.
 func (p Program) String() string {
-	if len(p.stages) == 0 {
+	if len(p.stages()) == 0 {
 		return "id"
 	}
-	return p.stages.String()
+	return p.stages().String()
 }
 
 func (p Program) with(t term.Term) Program {
-	out := make(term.Seq, len(p.stages), len(p.stages)+1)
-	copy(out, p.stages)
-	return Program{stages: append(out, t), exec: new(compiled)}
+	s := p.stages()
+	out := make(term.Seq, len(s), len(s)+1)
+	copy(out, s)
+	return built(append(out, t))
 }
 
 // Map appends a local stage map f.
@@ -107,7 +122,7 @@ func (p Program) Bcast() Program { return p.with(term.Bcast{}) }
 // Then concatenates two programs — the program-composition source of
 // optimization opportunities from §2.1.
 func (p Program) Then(q Program) Program {
-	return FromTerm(term.Compose(p.stages, q.stages))
+	return FromTerm(term.Compose(p.Term(), q.Term()))
 }
 
 // Optimization reports what Optimize did.
@@ -184,13 +199,13 @@ func (p Program) OptimizeOpts(m Machine, o OptimizeOptions) (Optimization, error
 	)
 	if o.Search {
 		var st rules.SearchStats
-		opt, apps, st = eng.SearchOptimize(p.stages, rules.SearchConfig{})
+		opt, apps, st = eng.SearchOptimize(p.Term(), rules.SearchConfig{})
 		stats = &st
 	} else {
-		opt, apps = eng.Optimize(p.stages)
+		opt, apps = eng.Optimize(p.Term())
 	}
 	if o.Verifier != nil {
-		if err := o.Verifier.CheckDerivation(p.stages, opt, apps, o.VerifyConfig); err != nil {
+		if err := o.Verifier.CheckDerivation(p.Term(), opt, apps, o.VerifyConfig); err != nil {
 			return Optimization{}, err
 		}
 	}
@@ -201,7 +216,7 @@ func (p Program) OptimizeOpts(m Machine, o OptimizeOptions) (Optimization, error
 	res := Optimization{
 		Program:        FromTerm(opt),
 		Applications:   apps,
-		EstimateBefore: score(p.stages, m.costParams()),
+		EstimateBefore: score(p.Term(), m.costParams()),
 		EstimateAfter:  score(opt, m.costParams()),
 		Search:         stats,
 	}
@@ -231,11 +246,11 @@ func (p Program) OptimizeExhaustively(reg *algebra.Registry, m Machine) Optimiza
 	eng := rules.NewEngine()
 	eng.Env.Reg = reg
 	eng.Env.P = m.P
-	opt, apps := eng.Optimize(p.stages)
+	opt, apps := eng.Optimize(p.Term())
 	return Optimization{
 		Program:        FromTerm(opt),
 		Applications:   apps,
-		EstimateBefore: cost.OfTerm(p.stages, m.costParams()),
+		EstimateBefore: cost.OfTerm(p.Term(), m.costParams()),
 		EstimateAfter:  cost.OfTerm(opt, m.costParams()),
 	}
 }
@@ -244,13 +259,13 @@ func (p Program) OptimizeExhaustively(reg *algebra.Registry, m Machine) Optimiza
 // rewriting, with cost estimates for machine m.
 func (p Program) Applicable(m Machine) []rules.Application {
 	eng := rules.NewCostGuidedEngine(m.costParams())
-	return eng.Applicable(p.stages)
+	return eng.Applicable(p.Term())
 }
 
 // Estimate predicts the program's run time on machine m under the
 // butterfly cost model of §4.
 func (p Program) Estimate(m Machine) float64 {
-	return cost.OfTerm(p.stages, m.costParams())
+	return cost.OfTerm(p.Term(), m.costParams())
 }
 
 // Run executes the program on a virtual machine with m.P processors and
@@ -279,7 +294,7 @@ func (p Program) compiled() *compiled {
 		cp = new(compiled)
 	}
 	cp.once.Do(func() {
-		cp.stages = p.stages.Flat()
+		cp.stages = p.stages().Flat()
 		cp.choices = choicesOf(len(cp.stages), p.sels)
 		cp.labels = make([]string, len(cp.stages))
 		for i, s := range cp.stages {
@@ -323,7 +338,9 @@ func (p Program) RunNative(procs int, input []algebra.Value) ([]algebra.Value, b
 // start-up latency, transport): one real goroutine per rank, every stage
 // realized by the same collectives as on the virtual machine but with
 // wall-clock timing — Result.Makespan is the host's measured run time from
-// the barrier-synchronized start to the last rank's finish.
+// the barrier-synchronized start to the last rank's finish. The outputs
+// may be views of the ranks' arenas: they are valid until this machine's
+// next run, and a caller that keeps one longer copies it.
 func (p Program) RunOn(nm *backend.Machine, input []algebra.Value) ([]algebra.Value, backend.Result) {
 	checkInput(input, nm.P)
 	out := make([]algebra.Value, nm.P)
@@ -339,7 +356,7 @@ func (p Program) RunOn(nm *backend.Machine, input []algebra.Value) ([]algebra.Va
 // (comparing modulo undetermined positions). Use it to validate an
 // optimization end to end.
 func (p Program) Verify(q Program, cfg rules.VerifyConfig) error {
-	return rules.VerifyEquivalence(p.stages, q.stages, cfg)
+	return rules.VerifyEquivalence(p.Term(), q.Term(), cfg)
 }
 
 // CrossCheck runs the program on the virtual machine and compares the
@@ -355,7 +372,7 @@ func (p Program) CrossCheck(m Machine, input []algebra.Value) error {
 // sequential fold may then differ in the last bits by reassociation).
 func (p Program) CrossCheckTol(m Machine, input []algebra.Value, relTol float64) error {
 	got, _ := p.Run(m, input)
-	want := term.Eval(p.stages, input)
+	want := term.Eval(p.Term(), input)
 	equal := len(got) == len(want)
 	for i := 0; equal && i < len(got); i++ {
 		equal = algebra.EqualApproxModuloUndef(got[i], want[i], relTol)

@@ -116,7 +116,7 @@ func TestSelectionKeepsTheCombiningOrder(t *testing.T) {
 						pipelined++
 					}
 				}
-				want := term.Eval(prog.stages, in)
+				want := term.Eval(prog.Term(), in)
 				virt, _ := opt.Program.Run(mach, in)
 				nat, _ := opt.Program.RunNative(p, in)
 				if !algebra.EqualListsModuloUndef(virt, want) || !algebra.EqualListsModuloUndef(nat, want) {
@@ -287,7 +287,7 @@ func TestSelectionsIndexWhatTheExecutorRuns(t *testing.T) {
 							ran++
 						}
 					}
-					selected := Program{stages: prog, sels: sels}
+					selected := Program{t: prog, sels: sels}
 					virt, _ := selected.Run(mach, in)
 					nat, _ := selected.RunNative(p, in)
 					if !algebra.EqualLists(virt, plain) {

@@ -75,19 +75,10 @@ var MMLocal = Rule{
 			return nil, false
 		}
 		ff, gg := f.F, g.F
-		fused := &term.Fn{
-			Name:        fmt.Sprintf("(%s; %s)", ff.Name, gg.Name),
-			Cost:        ff.Cost + gg.Cost,
-			Elementwise: ff.Elementwise && gg.Elementwise,
-			F: func(v algebra.Value) algebra.Value {
-				return gg.F(ff.F(v))
-			},
-		}
-		if ff.Into != nil && gg.Into != nil {
-			fused.Into = func(dst, v algebra.Value) algebra.Value {
-				return gg.Into(dst, ff.Into(dst, v))
-			}
-		}
+		fused := local(fmt.Sprintf("(%s; %s)", ff.Name, gg.Name), ff.Cost+gg.Cost, ff.Elementwise && gg.Elementwise,
+			func(st term.Store, v algebra.Value) algebra.Value {
+				return term.Apply(st, gg, term.Apply(st, ff, v))
+			})
 		return []term.Term{term.Map{F: fused}}, true
 	},
 }

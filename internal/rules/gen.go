@@ -14,13 +14,23 @@ import (
 // IncFn is the generator's generic local stage: elementwise +1. It is not
 // one of the parser's built-in functions; consumers that parse reproducer
 // strings must register it with Symbols.DefineFn.
-var IncFn = &term.Fn{Name: "inc", Cost: 1, Elementwise: true,
-	F: func(v algebra.Value) algebra.Value {
-		return algebra.Add.Apply(v, algebra.Scalar(1))
-	},
-	Into: func(dst, v algebra.Value) algebra.Value {
-		return algebra.Add.ApplyInto(dst, v, algebra.Scalar(1))
-	},
+var IncFn = local("inc", 1, true, inc)
+
+// inc is inc's body: a block's result is written into a block of st's.
+func inc(st term.Store, v algebra.Value) algebra.Value {
+	var dst algebra.Value
+	if x, ok := v.(algebra.Vec); ok && len(x) > 0 {
+		dst = st.Vec(len(x))
+	}
+	return algebra.Add.ApplyInto(dst, v, algebra.Scalar(1))
+}
+
+// local is the local function whose Into is into and whose F is into on a
+// nil arena, which allocates what it draws: each body is written once.
+func local(name string, cost int, elementwise bool, into func(term.Store, algebra.Value) algebra.Value) *term.Fn {
+	return &term.Fn{Name: name, Cost: cost, Elementwise: elementwise, Into: into,
+		F: func(v algebra.Value) algebra.Value { return into((*algebra.Arena)(nil), v) },
+	}
 }
 
 // genOps are the operators the generator draws from: everything the

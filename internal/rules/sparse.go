@@ -25,24 +25,19 @@ import (
 // into map each(f) — same per-element cost, but charged on the |H|-fold
 // wider post-halo block. It is elementwise exactly when f is.
 func EachFn(f *term.Fn) *term.Fn {
-	return &term.Fn{
-		Name:        fmt.Sprintf("each(%s)", f.Name),
-		Cost:        f.Cost,
-		Elementwise: f.Elementwise,
-		F: func(v algebra.Value) algebra.Value {
-			t, ok := v.(algebra.Tuple)
-			if !ok {
-				// Off-domain input (the verifier samples windows out of
-				// context): undetermined, per the §3.5 discipline.
-				return algebra.Undef{}
-			}
-			out := make(algebra.Tuple, len(t))
-			for i, c := range t {
-				out[i] = f.F(c)
-			}
-			return out
-		},
-	}
+	return local(fmt.Sprintf("each(%s)", f.Name), f.Cost, f.Elementwise, func(st term.Store, v algebra.Value) algebra.Value {
+		t, ok := v.(algebra.Tuple)
+		if !ok {
+			// Off-domain input (the verifier samples windows out of
+			// context): undetermined, per the §3.5 discipline.
+			return algebra.Undef{}
+		}
+		out, boxed := st.Tuple(len(t))
+		for i, c := range t {
+			out[i] = term.Apply(st, f, c)
+		}
+		return boxed
+	})
 }
 
 // RegroupFn renests a flat combined-halo tuple of n1·n2 components into
@@ -52,25 +47,21 @@ func EachFn(f *term.Fn) *term.Fn {
 // (§4.2's "small additive constant ... which we ignore") and the function
 // is elementwise.
 func RegroupFn(n1, n2 int) *term.Fn {
-	return &term.Fn{
-		Name:        fmt.Sprintf("regroup_%dx%d", n1, n2),
-		Elementwise: true,
-		F: func(v algebra.Value) algebra.Value {
-			t, ok := v.(algebra.Tuple)
-			if !ok || len(t) != n1*n2 {
-				// Off-domain input (the verifier samples windows out of
-				// context): undetermined, per the §3.5 discipline.
-				return algebra.Undef{}
-			}
-			out := make(algebra.Tuple, n2)
-			for j := 0; j < n2; j++ {
-				inner := make(algebra.Tuple, n1)
-				copy(inner, t[j*n1:(j+1)*n1])
-				out[j] = inner
-			}
-			return out
-		},
-	}
+	return local(fmt.Sprintf("regroup_%dx%d", n1, n2), 0, true, func(st term.Store, v algebra.Value) algebra.Value {
+		t, ok := v.(algebra.Tuple)
+		if !ok || len(t) != n1*n2 {
+			// Off-domain input (the verifier samples windows out of
+			// context): undetermined, per the §3.5 discipline.
+			return algebra.Undef{}
+		}
+		out, boxed := st.Tuple(n2)
+		for j := range out {
+			inner, b := st.Tuple(n1)
+			copy(inner, t[j*n1:(j+1)*n1])
+			out[j] = b
+		}
+		return boxed
+	})
 }
 
 // HHCombine is the message-combining rule for consecutive halos:
@@ -216,24 +207,19 @@ func Sparse() []Rule {
 // recurses through the neighbor tuples halos deliver (IncFn's + lift
 // broadcasts over vectors but not tuples, so a map between two halos
 // needs the deep form).
-var IncTupFn = &term.Fn{Name: "inc_t", Cost: 1, Elementwise: true,
-	F:    func(v algebra.Value) algebra.Value { return incTup(nil, v) },
-	Into: incTup,
-}
+var IncTupFn = local("inc_t", 1, true, incTup)
 
-// incTup is inc_t, a block's result written into dst when dst fits it.
-func incTup(dst, v algebra.Value) algebra.Value {
-	if t, ok := v.(algebra.Tuple); ok {
-		out := make(algebra.Tuple, len(t))
-		for i, c := range t {
-			out[i] = incTup(nil, c)
-		}
-		return out
+// incTup is inc_t's body: inc on every block, in tuples of st's.
+func incTup(st term.Store, v algebra.Value) algebra.Value {
+	t, ok := v.(algebra.Tuple)
+	if !ok {
+		return inc(st, v)
 	}
-	if algebra.IsUndef(v) {
-		return algebra.Undef{}
+	out, boxed := st.Tuple(len(t))
+	for i, c := range t {
+		out[i] = incTup(st, c)
 	}
-	return algebra.Add.ApplyInto(dst, v, algebra.Scalar(1))
+	return boxed
 }
 
 // RandSparseProgram builds a random sparse pipeline for the property

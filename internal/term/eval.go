@@ -53,7 +53,7 @@ func (sc *Scratch) Eval(t Term, xs []algebra.Value) []algebra.Value {
 				out[i] = out[i-1]
 				continue
 			}
-			out[i] = sc.apply(s.F, x)
+			out[i] = Apply(sc, s.F, x)
 		}
 		return out
 	case MapIdx:
@@ -114,7 +114,7 @@ func (sc *Scratch) Eval(t Term, xs []algebra.Value) []algebra.Value {
 		return out
 	case Gather:
 		out := sc.list(len(xs))
-		list, boxed := sc.tuple(len(xs))
+		list, boxed := sc.Tuple(len(xs))
 		for i, x := range xs {
 			list[i] = algebra.Boxed(x)
 		}

@@ -104,14 +104,20 @@ func (sc *Scratch) draw(w, m int) algebra.Value {
 	return s.bufs[s.next-1]
 }
 
-// vec returns a block of m words.
-func (sc *Scratch) vec(m int) algebra.Value { return sc.draw(0, m) }
+// Vec returns a block of m words, contents unspecified.
+func (sc *Scratch) Vec(m int) algebra.Value { return sc.draw(0, m) }
 
 // flat returns a flat tuple of w components of m words each.
 func (sc *Scratch) flat(w, m int) *algebra.FlatTuple { return sc.draw(w, m).(*algebra.FlatTuple) }
 
-// tuple returns a tuple of width w, and the same tuple as a Value.
-func (sc *Scratch) tuple(w int) (algebra.Tuple, algebra.Value) {
+// Tuple returns a tuple of width w, and the same tuple as a Value; its
+// components are unspecified. The empty tuple is not drawn: shelf (0, 0)
+// holds empty blocks.
+func (sc *Scratch) Tuple(w int) (algebra.Tuple, algebra.Value) {
+	if w == 0 {
+		t := algebra.Tuple{}
+		return t, t
+	}
 	boxed := sc.draw(w, 0)
 	return boxed.(algebra.Tuple), boxed
 }
@@ -193,57 +199,18 @@ func fill(d *algebra.FlatTuple, v algebra.Vec) {
 	}
 }
 
-// first is π₁ of a flat tuple: its first block, copied into a drawn one (a
-// view would box a slice header).
-func (sc *Scratch) first(t *algebra.FlatTuple) algebra.Value {
-	d := sc.vec(t.M())
+// first is π₁ of a flat tuple: its first block, copied into a block of
+// st's (a view would box a slice header).
+func first(st Store, t *algebra.FlatTuple) algebra.Value {
+	d := st.Vec(t.M())
 	copy(d.(algebra.Vec), t.Data)
 	return d
 }
 
-// duplicates is the width of the tuple f builds when f is one of the
-// duplications of §2.3, else 0.
-func duplicates(f *Fn) int {
-	switch f {
-	case PairFn:
-		return 2
-	case TripleFn:
-		return 3
-	case QuadrupleFn:
-		return 4
-	}
-	return 0
-}
-
-// apply is f.F(x): a duplication fills a pooled boxed tuple, π₁ of a flat
-// tuple is its first block, and a function with Into writes the result on a
-// Vec block into a drawn block.
-func (sc *Scratch) apply(f *Fn, x algebra.Value) algebra.Value {
-	if w := duplicates(f); w > 0 {
-		t, boxed := sc.tuple(w)
-		x = algebra.Boxed(x)
-		for i := range t {
-			t[i] = x
-		}
-		return boxed
-	}
-	switch v := x.(type) {
-	case *algebra.FlatTuple:
-		if f == FirstFn {
-			return sc.first(v)
-		}
-		return f.F(algebra.Boxed(v))
-	case algebra.Vec:
-		if f.Into != nil && len(v) > 0 {
-			return f.Into(sc.vec(len(v)), x)
-		}
-	}
-	return f.F(x)
-}
-
 // repeats reports that f applied to x may reuse what it made of prev: for a
-// function the scratch stores the results of (apply), when x is prev — one flat tuple, one block or tuple, or both
-// undetermined, as after bcast, allreduce and reduce.
+// function whose results Apply draws from the store, when x is prev — one
+// flat tuple, one block or tuple, or both undetermined, as after bcast,
+// allreduce and reduce.
 func (sc *Scratch) repeats(f *Fn, x, prev algebra.Value) bool {
 	if f.Into == nil && f != FirstFn && duplicates(f) == 0 {
 		return false
@@ -299,7 +266,7 @@ func (sc *Scratch) combine(op *algebra.Op, a, b algebra.Value, intoA bool) (out 
 	}
 	dst := a
 	if !intoA || len(u) != n {
-		dst = sc.vec(n)
+		dst = sc.Vec(n)
 	}
 	return op.ApplyInto(dst, a, b), true
 }
@@ -331,7 +298,7 @@ func (sc *Scratch) comcast(ops *algebra.RepeatOps, b algebra.Value, out []algebr
 		for i := range out {
 			fill(w, v)
 			ops.RepeatInto(i, w)
-			out[i] = sc.first(w)
+			out[i] = first(sc, w)
 		}
 		return
 	}
@@ -350,7 +317,7 @@ func (sc *Scratch) iter(op *algebra.IterOp, x algebra.Value, n int) algebra.Valu
 		for k := 1; k < n; k <<= 1 {
 			op.FlatF(w, w)
 		}
-		return sc.first(w)
+		return first(sc, w)
 	}
 	w := op.Prepare(algebra.Boxed(x))
 	for k := 1; k < n; k <<= 1 {

@@ -13,8 +13,10 @@ import (
 func TestScratchBytesIsWhatItKeeps(t *testing.T) {
 	const n, m = 8, 100
 	inc := &Fn{Name: "inc",
-		F:    func(v algebra.Value) algebra.Value { return algebra.Add.Apply(v, algebra.Scalar(1)) },
-		Into: func(dst, v algebra.Value) algebra.Value { return algebra.Add.ApplyInto(dst, v, algebra.Scalar(1)) },
+		F: func(v algebra.Value) algebra.Value { return algebra.Add.Apply(v, algebra.Scalar(1)) },
+		Into: func(st Store, v algebra.Value) algebra.Value {
+			return algebra.Add.ApplyInto(st.Vec(len(v.(algebra.Vec))), v, algebra.Scalar(1))
+		},
 	}
 	sr2 := algebra.OpSR2(algebra.Mul, algebra.Add)
 	prog := Seq{Scan{Op: algebra.Add}, Map{F: PairFn}, Scan{Op: sr2}, Map{F: FirstFn}, Map{F: inc}, Gather{}, Scatter{}}

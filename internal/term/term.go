@@ -31,15 +31,66 @@ type Fn struct {
 	// algebra.Registry — and false is always safe: package rules then
 	// verifies a program containing the function one input at a time.
 	Elementwise bool
-	// Into, if non-nil, is F in destination-passing form, as
-	// algebra.Op.ApplyInto is Apply's: it returns F(x), bit for bit,
-	// written into dst's storage when dst is a block of the result's length
-	// and into fresh storage otherwise. dst may be x itself. Scratch.Eval
-	// calls it with a drawn block for a Vec x.
-	Into func(dst, x algebra.Value) algebra.Value
+	// Into, if non-nil, is F in store-passing form: it returns F(x), bit
+	// for bit, draws every block and tuple header it builds from st, and
+	// never writes into x. What it returns is valid as long as st's
+	// buffers are: until a Scratch's next Reset, until a rank's next run
+	// for a rank's arena, for good on a nil arena. Apply calls it.
+	Into func(st Store, x algebra.Value) algebra.Value
 }
 
 func (f *Fn) String() string { return f.Name }
+
+// Store is where Apply and Fn.Into draw the blocks and tuples they build:
+// a *Scratch in the evaluator, a rank's *algebra.Arena in the executor (a
+// nil arena allocates). Both hand out pre-boxed values with unspecified
+// contents.
+type Store interface {
+	// Vec returns a block of m words.
+	Vec(m int) algebra.Value
+	// Tuple returns a tuple of width w and the same tuple as a Value.
+	Tuple(w int) (algebra.Tuple, algebra.Value)
+}
+
+// Apply is f.F(x) with its blocks and tuple headers drawn from st, the one
+// way the evaluator and every rank apply a local function: a duplication
+// fills a tuple of st's, π₁ of a flat tuple copies its first block into a
+// block of st's, and a function with Into runs it. A flat tuple stands for
+// the boxed tuple it represents. x is never written.
+func Apply(st Store, f *Fn, x algebra.Value) algebra.Value {
+	if w := duplicates(f); w > 0 {
+		t, boxed := st.Tuple(w)
+		x = algebra.Boxed(x)
+		for i := range t {
+			t[i] = x
+		}
+		return boxed
+	}
+	if v, ok := x.(*algebra.FlatTuple); ok {
+		if f == FirstFn {
+			return first(st, v)
+		}
+		x = algebra.Boxed(v)
+	}
+	if f.Into != nil {
+		return f.Into(st, x)
+	}
+	return f.F(x)
+}
+
+// duplicates is the width of the tuple f builds when f is one of the
+// duplications of §2.3, else 0.
+func duplicates(f *Fn) int {
+	switch f {
+	case PairFn:
+		return 2
+	case TripleFn:
+		return 3
+	case QuadrupleFn:
+		return 4
+	}
+	return 0
+}
 
 // Predefined local functions: the auxiliary-variable constructions of
 // §2.3. Duplication and projection touch no element values, so their cost
