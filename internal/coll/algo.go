@@ -8,17 +8,14 @@ import (
 // This file implements the algorithm portfolio behind the selection layer
 // (package coll/sel): the reduce-scatter + allgather all-reduction via
 // recursive halving/doubling (Rabenseifner's algorithm; Träff 2024), the
-// chain-pipelined segmented reduction with a caller-chosen segment count
-// (Lowery & Langou's greedy pipelining), and the bidirectional ring
+// ring reduce-scatter and all-reduction, the bidirectional ring
 // all-reduction that drives both ring directions concurrently (as in the
-// poplibs ring program). All of them split or segment the block, so they
-// require an elementwise base operator on Vec blocks; the cost lines that
-// rank them against the butterfly live in cost/algo.go.
-//
-// Ownership follows the PR-4 owned-scratch discipline: working buffers
-// come from the rank's arena (or fresh allocations without one), a region
-// of a buffer is never written after it has been shipped, and combining
-// happens in place only inside regions this rank still owns.
+// poplibs ring program), and the chain-pipelined segmented reduction with
+// a caller-chosen segment count (Lowery & Langou's greedy pipelining). All
+// of them split or segment the block, so they require an elementwise base
+// operator on Vec blocks; the cost lines that rank them against the
+// butterfly live in cost/algo.go. Each is a generator of one rank's
+// schedule, which the one interpreter runs (schedule.go).
 
 // chunkBounds returns the offset and size of chunk i when a block of
 // mlen words is split into parts chunks, as evenly as possible with the
@@ -36,18 +33,6 @@ func chunkBounds(mlen, parts, i int) (off, sz int) {
 	return off, sz
 }
 
-// chunkOff returns the word offset of chunk i (chunkBounds' offset only).
-func chunkOff(mlen, parts, i int) int {
-	off, _ := chunkBounds(mlen, parts, i)
-	return off
-}
-
-// arenaVec draws an n-word scratch Vec from the arena (nil arenas
-// allocate fresh).
-func arenaVec(ar *algebra.Arena, n int) algebra.Vec {
-	return ar.Vec(n).(algebra.Vec)
-}
-
 // AllReduceRabenseifner computes the all-reduction of Vec blocks with
 // recursive-halving reduce-scatter followed by recursive-doubling
 // allgather: 2·log p start-ups but only ~2m·(p−1)/p words and ~m·(p−1)/p
@@ -57,110 +42,60 @@ func arenaVec(ar *algebra.Arena, n int) algebra.Vec {
 // elementwise (chunks are combined independently) and the block must hold
 // at least one word per member; as in the MPI implementations of this
 // algorithm, the halving phase combines partners in distance order, not
-// rank order, so exactness under reassociation assumes a commutative
-// base operator (true of every builtin elementwise operator here).
+// rank order, so the result is the reduction only for a commutative base
+// operator (cost.Admits).
 func AllReduceRabenseifner(c Comm, op *algebra.Op, x Value) Value {
-	n := c.Size()
-	vec, ok := x.(algebra.Vec)
-	if !ok || len(vec) < n {
-		panic("coll: AllReduceRabenseifner needs a Vec block with at least one element per member")
-	}
-	if n == 1 {
-		return vec
-	}
-	tag := c.NextTag()
-	ar := c.Caps().Arena
-	rank := c.Rank()
-	q := 1 << log2Floor(n)
-	r := n - q
-	m := len(vec)
+	return exec(c, op, x, "AllReduceRabenseifner", c.Size(), rabenseifner, 0)
+}
 
-	// Fold: pairs (2i, 2i+1) for i < r combine into leader 2i, keeping
-	// rank order (lower operand left). work is owned scratch from here on.
-	isLeader := true
-	leaderIdx := rank
-	var work algebra.Vec
+// rabenseifner is AllReduceRabenseifner's schedule. Of each folded pair
+// (2i, 2i+1), i < r = p − q, the odd member ships its block to the even
+// one, which combines it in rank order and leads; the q = 2^⌊log p⌋
+// leaders run the halving over chunk indices [0, q) of work, each step
+// keeping the half that holds the leader's own chunk and combining the
+// partner's copy of it in place; the allgather is the halving read
+// backwards, into out; and leaders of folded pairs ship the result back.
+func rabenseifner(p, rank, m, _ int) schedule {
+	q := 1 << log2Floor(p)
+	r := p - q
+	s := result(outBuf, 0, m, 4*log2Floor(q)+3)
+	if rank < 2*r && rank%2 == 1 {
+		s.add(doSend, rank-1, inBuf, 0, m)
+		s.add(doCopy, rank-1, outBuf, 0, m)
+		return s
+	}
+	idx := rank - r
 	if rank < 2*r {
-		if rank%2 == 1 {
-			c.Send(rank-1, vec, tag)
-			isLeader = false
-		} else {
-			hi := c.Recv(rank+1, tag)
-			work = arenaVec(ar, m)
-			op.ApplyInto(work, vec, hi)
-			c.Compute(op.Charge(work))
-			leaderIdx = rank / 2
-		}
-	} else {
-		leaderIdx = rank - r
-		work = arenaVec(ar, m)
-		copy(work, vec)
+		s.add(doRight, rank+1, workBuf, 0, m)
+		idx = rank / 2
 	}
-	leaderRank := func(idx int) int {
-		if idx < r {
-			return 2 * idx
-		}
-		return idx + r
-	}
-	if !isLeader {
-		// Wait for the unfold: the pair's leader ships the finished block.
-		return c.Recv(rank-1, tag)
-	}
-
-	// Recursive halving over chunk indices [lo, hi): each step keeps the
-	// half containing this leader's chunk, ships the other half to the
-	// partner, and folds the received words into the kept region in
-	// place — the kept region has never been shipped, so in-place
-	// combining is safe; shipped regions are frozen from then on.
-	type step struct {
-		partner        int  // partner's machine rank
-		keptLo, keptHi int  // chunk range kept after the step
-		sentLo, sentHi int  // chunk range shipped to the partner
-		partnerLower   bool // partner's chunks precede ours in rank order
-	}
-	var steps []step
+	leader := func(i int) int { return i + min(i, r) } // leader i's rank
+	off := func(i int) int { return i*(m/q) + min(i, m%q) }
+	first := len(s.steps)
 	lo, hi := 0, q
 	for hi-lo > 1 {
 		half := (hi - lo) / 2
-		var st step
-		if leaderIdx < lo+half {
-			st = step{partner: leaderRank(leaderIdx + half), keptLo: lo, keptHi: lo + half, sentLo: lo + half, sentHi: hi, partnerLower: false}
+		if idx < lo+half {
+			s.add(doSend, leader(idx+half), workBuf, off(lo+half), off(hi))
+			s.add(doRight, leader(idx+half), workBuf, off(lo), off(lo+half))
+			hi = lo + half
 		} else {
-			st = step{partner: leaderRank(leaderIdx - half), keptLo: lo + half, keptHi: hi, sentLo: lo, sentHi: lo + half, partnerLower: true}
+			s.add(doSend, leader(idx-half), workBuf, off(lo), off(lo+half))
+			s.add(doLeft, leader(idx-half), workBuf, off(lo+half), off(hi))
+			lo += half
 		}
-		sendSlice := work[chunkOff(m, q, st.sentLo):chunkOff(m, q, st.sentHi)]
-		c.Send(st.partner, sendSlice, tag)
-		recv := c.Recv(st.partner, tag).(algebra.Vec)
-		kept := work[chunkOff(m, q, st.keptLo):chunkOff(m, q, st.keptHi)]
-		if st.partnerLower {
-			op.ApplyInto(kept, recv, kept)
-		} else {
-			op.ApplyInto(kept, kept, recv)
-		}
-		c.Compute(op.Charge(kept))
-		steps = append(steps, st)
-		lo, hi = st.keptLo, st.keptHi
 	}
-
-	// Recursive-doubling allgather, replaying the halving steps in
-	// reverse. The result is assembled in a fresh buffer: the regions the
-	// halving phase shipped are frozen (a partner may still read them),
-	// so finished words are never written back into work.
-	out := arenaVec(ar, m)
-	copy(out[chunkOff(m, q, lo):chunkOff(m, q, hi)], work[chunkOff(m, q, lo):chunkOff(m, q, hi)])
-	for i := len(steps) - 1; i >= 0; i-- {
-		st := steps[i]
-		held := out[chunkOff(m, q, st.keptLo):chunkOff(m, q, st.keptHi)]
-		c.Send(st.partner, held, tag)
-		recv := c.Recv(st.partner, tag).(algebra.Vec)
-		copy(out[chunkOff(m, q, st.sentLo):chunkOff(m, q, st.sentHi)], recv)
+	halving := len(s.steps)
+	s.add(doKeep, -1, outBuf, off(lo), off(hi))
+	for i := halving - 2; i >= first; i -= 2 {
+		shipped, kept := s.steps[i], s.steps[i+1]
+		s.add(doSend, kept.peer, outBuf, kept.lo, kept.hi)
+		s.add(doCopy, shipped.peer, outBuf, shipped.lo, shipped.hi)
 	}
-
-	// Unfold: leaders of folded pairs ship the finished block back.
 	if rank < 2*r {
-		c.Send(rank+1, out, tag)
+		s.add(doSend, rank+1, outBuf, 0, m)
 	}
-	return out
+	return s
 }
 
 // ReducePipelined computes the rooted reduction (result on the first
@@ -173,127 +108,52 @@ func AllReduceRabenseifner(c Comm, op *algebra.Op, x Value) Value {
 // gives the Lowery–Langou optimum. The operator must be elementwise and
 // the value a Vec; combining keeps rank order (lower ranks left).
 func ReducePipelined(c Comm, op *algebra.Op, x Value, segments int) Value {
-	n := c.Size()
-	vec, ok := x.(algebra.Vec)
-	if !ok || len(vec) == 0 {
-		panic("coll: ReducePipelined needs a non-empty Vec block")
-	}
-	if n == 1 {
-		return vec
-	}
-	tag := c.NextTag()
-	rank := c.Rank()
-	k := segments
-	if k < 1 {
-		k = 1
-	}
-	if k > len(vec) {
-		k = len(vec)
-	}
-	m := len(vec)
-	if rank == n-1 {
-		// Tail of the chain: feed the pipeline, value unchanged.
-		for s := 0; s < k; s++ {
-			off, sz := chunkBounds(m, k, s)
-			c.Send(rank-1, vec[off:off+sz], tag)
-		}
-		return x
-	}
-	// Combine each arriving segment with the own block's segment (own
-	// rank is lower, so own goes left) into owned scratch; middle ranks
-	// forward the combined segment and never touch it again.
-	work := arenaVec(c.Caps().Arena, m)
-	for s := 0; s < k; s++ {
-		off, sz := chunkBounds(m, k, s)
-		recv := c.Recv(rank+1, tag)
-		seg := work[off : off+sz]
-		op.ApplyInto(seg, vec[off:off+sz], recv)
-		c.Compute(op.Charge(seg))
-		if rank > 0 {
-			c.Send(rank-1, seg, tag)
-		}
-	}
+	return exec(c, op, x, "ReducePipelined", 1, pipeline, segments)
+}
+
+// pipeline is ReducePipelined's schedule, with parts clamped to [1, m]
+// segments: every rank but the chain's tail combines each arriving
+// segment into its own (own block left: it is the lower rank), and every
+// rank but the root forwards it.
+func pipeline(p, rank, m, parts int) schedule {
+	k := min(max(parts, 1), m)
+	s, from := result(inBuf, 0, m, 2*k), workBuf
 	if rank == 0 {
-		return work
+		s.res = workBuf
 	}
-	return x
-}
-
-// ringHalf runs a unidirectional ring reduce-scatter + allgather over one
-// half of the block (or all of it: ReduceScatter, AllReduceRing), in
-// direction d (+1: send to next, receive from prev;
-// −1: the mirror). acc is this rank's private copy of the half, split
-// into n chunks; after p−1 reduce-scatter steps chunk `rank` is complete,
-// and p−1 allgather steps circulate the finished chunks. deliver is
-// called as each transfer of the step is posted, letting the caller
-// interleave two directions so their messages overlap in flight.
-type ringHalf struct {
-	c   Comm
-	op  *algebra.Op
-	tag int
-	d   int // +1 clockwise (send next), −1 anticlockwise (send prev)
-	acc []algebra.Vec
-}
-
-func newRingHalf(c Comm, op *algebra.Op, d int, half algebra.Vec) *ringHalf {
-	n := c.Size()
-	ar := c.Caps().Arena
-	acc := make([]algebra.Vec, n)
-	for i := 0; i < n; i++ {
-		off, sz := chunkBounds(len(half), n, i)
-		ch := arenaVec(ar, sz)
-		copy(ch, half[off:off+sz])
-		acc[i] = ch
+	if rank == p-1 {
+		from = inBuf
 	}
-	return &ringHalf{c: c, op: op, tag: c.NextTag(), d: d, acc: acc}
-}
-
-func (h *ringHalf) peerOut() int {
-	n := h.c.Size()
-	return (h.c.Rank() + h.d + n) % n
-}
-
-func (h *ringHalf) peerIn() int {
-	n := h.c.Size()
-	return (h.c.Rank() - h.d + n) % n
-}
-
-// idx maps a step offset to a chunk index in this direction.
-func (h *ringHalf) idx(offset int) int {
-	n := h.c.Size()
-	return ((h.c.Rank()-h.d*offset)%n + n) % n
-}
-
-// sendReduce posts step s's reduce-scatter transfer.
-func (h *ringHalf) sendReduce(s int) { h.c.Send(h.peerOut(), h.acc[h.idx(s+1)], h.tag) }
-
-// recvReduce completes step s: fold the incoming partial chunk into the
-// accumulator (incoming left: it carries the contributions of the ranks
-// behind us in ring order; for the elementwise commutative operators this
-// algorithm targets the order is immaterial, and for non-commutative ones
-// ring order is documented behavior). The chunk is not sent until the
-// next step, so the combine accumulates into it in place.
-func (h *ringHalf) recvReduce(s int) {
-	i := h.idx(s + 2)
-	in := h.c.Recv(h.peerIn(), h.tag)
-	h.op.ApplyInto(h.acc[i], in, h.acc[i])
-	h.c.Compute(h.op.Charge(h.acc[i]))
-}
-
-// sendGather posts step s's allgather transfer.
-func (h *ringHalf) sendGather(s int) { h.c.Send(h.peerOut(), h.acc[h.idx(s)], h.tag) }
-
-// recvGather completes step s: adopt the finished chunk.
-func (h *ringHalf) recvGather(s int) {
-	h.acc[h.idx(s+1)] = h.c.Recv(h.peerIn(), h.tag).(algebra.Vec)
-}
-
-// assemble concatenates the finished chunks into dst.
-func (h *ringHalf) assemble(dst algebra.Vec) {
-	off := 0
-	for i := 0; i < h.c.Size(); i++ {
-		off += copy(dst[off:], h.acc[i])
+	for i := 0; i < k; i++ {
+		off, sz := chunkBounds(m, k, i)
+		if rank < p-1 {
+			s.add(doRight, rank+1, workBuf, off, off+sz)
+		}
+		if rank > 0 {
+			s.add(doSend, rank-1, from, off, off+sz)
+		}
 	}
+	return s
+}
+
+// ReduceScatter combines the members' blocks elementwise with op and
+// leaves chunk i of the result on member i (chunks split the block as
+// evenly as possible, remainder to the lower ranks: chunkBounds). The ring
+// algorithm runs p−1 steps; in step s, member r sends the partial chunk it
+// has been accumulating onward to r+1, so every chunk travels the whole
+// ring once: (p−1)·(ts + (m/p)·(tw+1)) — bandwidth ~m, not m·log p.
+//
+// It returns this member's fully reduced chunk.
+func ReduceScatter(c Comm, op *algebra.Op, x Value) Value {
+	return exec(c, op, x, "ReduceScatter", c.Size(), reduceScatter, 0)
+}
+
+// AllReduceRing computes the all-reduction of Vec blocks with the ring
+// algorithm: reduce-scatter followed by an allgather of the chunks —
+// 2(p−1) steps of m/p words each, total bandwidth ~2m per member. The
+// classic large-block all-reduce.
+func AllReduceRing(c Comm, op *algebra.Op, x Value) Value {
+	return exec(c, op, x, "AllReduceRing", c.Size(), ring, 0)
 }
 
 // AllReduceRingBi computes the all-reduction of Vec blocks on the
@@ -306,36 +166,89 @@ func (h *ringHalf) assemble(dst algebra.Vec) {
 // The operator must be elementwise and the block must hold at least two
 // words per member (one per direction).
 func AllReduceRingBi(c Comm, op *algebra.Op, x Value) Value {
-	n := c.Size()
-	vec, ok := x.(algebra.Vec)
-	if !ok || len(vec) < 2*n {
-		panic("coll: AllReduceRingBi needs a Vec block with at least two elements per member")
+	return exec(c, op, x, "AllReduceRingBi", 2*c.Size(), ringBi, 0)
+}
+
+func reduceScatter(p, rank, m, _ int) schedule {
+	return rings(p, m, false, ringDir{p, rank, +1, 0, m})
+}
+
+func ring(p, rank, m, _ int) schedule { return rings(p, m, true, ringDir{p, rank, +1, 0, m}) }
+
+func ringBi(p, rank, m, _ int) schedule {
+	return rings(p, m, true, ringDir{p, rank, +1, 0, m / 2}, ringDir{p, rank, -1, m / 2, m - m/2})
+}
+
+// ringDir is one direction of a ring over the block range [base,
+// base+size), split into p chunks as chunkBounds splits it: d = +1 sends
+// to the next rank and receives from the previous one, d = −1 the mirror.
+type ringDir struct{ p, rank, d, base, size int }
+
+// chunk is the word range of the chunk o places behind the rank's own in
+// the direction's order.
+func (g ringDir) chunk(o int) (lo, hi int) {
+	off, sz := chunkBounds(g.size, g.p, ((g.rank-g.d*o)%g.p+g.p)%g.p)
+	return g.base + off, g.base + off + sz
+}
+
+// round appends step i: in the reduce-scatter, chunk i+1 of work goes out
+// and chunk i+2 comes in, combined incoming left (it carries the ranks
+// behind this one in ring order); in the allgather, chunk i of out goes
+// out and chunk i+1 comes in. After p−1 reduce steps the rank's own chunk,
+// chunk 0, is complete.
+func (g ringDir) round(s *schedule, i int, gather bool) {
+	buf, act, o := workBuf, doLeft, i+1
+	if gather {
+		buf, act, o = outBuf, doCopy, i
 	}
-	if n == 1 {
-		return vec
+	lo, hi := g.chunk(o)
+	s.add(doSend, (g.rank+g.d+g.p)%g.p, buf, lo, hi)
+	lo, hi = g.chunk(o + 1)
+	s.add(act, (g.rank-g.d+g.p)%g.p, buf, lo, hi)
+}
+
+// rings is the schedule of one ring direction or two run side by side:
+// p−1 reduce-scatter rounds, then, when gather is set, each direction's
+// own chunk kept into out and p−1 allgather rounds. With two directions a
+// round posts both sends before either receive, so their transfers are in
+// flight together — except in a group of two, where both share the one
+// link and take a round each. Without gather the result is the rank's own
+// chunk, in work.
+func rings(p, m int, gather bool, dirs ...ringDir) schedule {
+	s := result(outBuf, 0, m, 4*len(dirs)*(p-1)+len(dirs))
+	if !gather {
+		s.res = workBuf
+		s.lo, s.hi = dirs[0].chunk(0)
 	}
-	half := len(vec) / 2
-	cw := newRingHalf(c, op, +1, vec[:half])
-	acw := newRingHalf(c, op, -1, vec[half:])
-	for s := 0; s < n-1; s++ {
-		// Post both directions' sends before receiving either: the sends
-		// are buffered, so the step's four transfers are all in flight
-		// together and full-duplex links overlap them.
-		cw.sendReduce(s)
-		acw.sendReduce(s)
-		cw.recvReduce(s)
-		acw.recvReduce(s)
+	phase := func(gather bool) {
+		for i := 0; i < p-1; i++ {
+			n := len(s.steps)
+			for _, g := range dirs {
+				g.round(&s, i, gather)
+			}
+			if len(dirs) == 2 && p > 2 {
+				s.steps[n+1], s.steps[n+2] = s.steps[n+2], s.steps[n+1]
+			}
+		}
 	}
-	for s := 0; s < n-1; s++ {
-		cw.sendGather(s)
-		acw.sendGather(s)
-		cw.recvGather(s)
-		acw.recvGather(s)
+	phase(false)
+	if gather {
+		for _, g := range dirs {
+			lo, hi := g.chunk(0)
+			s.add(doKeep, -1, outBuf, lo, hi)
+		}
+		phase(true)
 	}
-	out := arenaVec(c.Caps().Arena, len(vec))
-	cw.assemble(out[:half])
-	acw.assemble(out[half:])
-	return out
+	return s
+}
+
+// portfolio maps each algorithm ReduceBy can run besides the butterfly to
+// its generator.
+var portfolio = map[cost.Algo]generator{
+	cost.AlgoRabenseifner: rabenseifner,
+	cost.AlgoRing:         ring,
+	cost.AlgoRingBi:       ringBi,
+	cost.AlgoPipeline:     pipeline,
 }
 
 // ReduceBy is the one place a portfolio algorithm name becomes a
@@ -355,19 +268,10 @@ func ReduceBy(c Comm, op *algebra.Op, x Value, all bool, a cost.Algo, segments i
 	if all {
 		collective = cost.CollAllReduce
 	}
-	if a != cost.AlgoButterfly && cost.Admits(a, op) {
+	if gen := portfolio[a]; gen != nil && cost.Admits(a, op) {
 		vec, ok := x.(algebra.Vec)
 		if ok && cost.Applicable(collective, a, cost.Params{P: c.Size(), M: len(vec)}) {
-			switch a {
-			case cost.AlgoRabenseifner:
-				return AllReduceRabenseifner(c, op, x)
-			case cost.AlgoRing:
-				return AllReduceRing(c, op, x)
-			case cost.AlgoRingBi:
-				return AllReduceRingBi(c, op, x)
-			case cost.AlgoPipeline:
-				return ReducePipelined(c, op, x, segments)
-			}
+			return exec(c, op, x, string(a), 0, gen, segments)
 		}
 	}
 	if all {

@@ -147,22 +147,24 @@ var laws = algebra.Default()
 // Admits reports whether the algorithm computes a reduction over op. Every
 // alternative to the butterfly splits or segments the block, so it needs a
 // splittable operator. Ring and ring-bi also start each block's combine at
-// a different member, which reorders the members' contributions: they
-// need an operator algebra.Default() declares commutative. Rabenseifner's
-// recursive halving and the pipeline combine in rank order, as the
-// butterfly does (Träff, arXiv 2410.14234). The portfolio pricing
-// (BestAlgo), the selection layer (coll/sel) and the dispatch
-// (coll.ReduceBy) all decide through it.
+// a different member, and Rabenseifner's recursive halving combines
+// partners in distance order: all three reorder the members'
+// contributions, so they need an operator algebra.Default() declares
+// commutative. Only the pipeline combines in rank order, as the butterfly
+// does. The portfolio pricing (BestAlgo), the selection layer (coll/sel)
+// and the dispatch (coll.ReduceBy) all decide through it; the coll
+// package's schedule checks derive each algorithm's combining order and
+// hold this rule to it.
 func Admits(a Algo, op *algebra.Op) bool {
 	switch {
 	case a == AlgoButterfly:
 		return true
 	case !splittable(op):
 		return false
-	case a == AlgoRing || a == AlgoRingBi:
-		return laws.Commutative(op)
+	case a == AlgoPipeline:
+		return true
 	}
-	return true
+	return laws.Commutative(op)
 }
 
 // AlgoLine is the §4.1-model line of running the collective with the

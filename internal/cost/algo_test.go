@@ -181,10 +181,10 @@ func TestSelectableReduce(t *testing.T) {
 	if SelectableReduce(term.Reduce{Op: derived}) {
 		t.Error("derived tuple operators are not selectable")
 	}
-	// The rings reorder the combine: left, associative only, keeps the
-	// algorithms that combine in rank order.
+	// The rings and Rabenseifner reorder the combine: left, associative
+	// only, keeps the algorithms that combine in rank order.
 	for _, a := range []Algo{AlgoButterfly, AlgoRabenseifner, AlgoRing, AlgoRingBi, AlgoPipeline} {
-		ordered := a != AlgoRing && a != AlgoRingBi
+		ordered := a == AlgoButterfly || a == AlgoPipeline
 		if !Admits(a, algebra.Add) || Admits(a, algebra.Left) != ordered || Admits(a, derived) != (a == AlgoButterfly) {
 			t.Errorf("Admits(%s): + %t, left %t, derived %t", a, Admits(a, algebra.Add), Admits(a, algebra.Left), Admits(a, derived))
 		}

@@ -19,9 +19,10 @@ import (
 // update rewrites testdata/estimates.golden from the tree under test. The
 // committed file was recorded at the commit before cost.Line existed, so
 // the test holds every estimate to the numbers the hand-written
-// expressions produced. The exceptions are 49 OfTermAuto rows at ts = tw
-// = 1, re-recorded when the rings stopped being priced for reductions
-// over the non-commutative left (cost.Admits).
+// expressions produced. The exceptions are OfTermAuto rows at ts = tw =
+// 1, re-recorded twice: 49 when the rings stopped being priced for
+// reductions over the non-commutative left (cost.Admits), and 49 when
+// Rabenseifner, which combines in distance order, stopped too.
 var update = flag.Bool("update", false, "rewrite testdata/estimates.golden from this tree")
 
 // goldenPoints are the three parameter points of the symbolic tests.
