@@ -58,7 +58,7 @@ type Plan struct {
 	hit *hitBody
 }
 
-// hitBody is Response{Plan, Cached: true, Machine} as writeJSON renders it.
+// hitBody is Response{Plan, Cached: true, Machine} as a miss renders it.
 // The machine is the one the plan was computed at; it is part of the cache
 // key, so every hit of the plan's entry asked for exactly it.
 type hitBody struct {
@@ -73,10 +73,11 @@ type hitBody struct {
 func (p Plan) render() *hitBody {
 	h := p.hit
 	h.once.Do(func() {
-		var buf bytes.Buffer
-		encodeJSON(&buf, Response{Plan: p, Cached: true, Machine: h.mach})
-		h.body = bytes.Clone(buf.Bytes())
+		jw := getWriter()
+		jw.response(&Response{Plan: p, Cached: true, Machine: h.mach})
+		h.body = bytes.Clone(jw.bytes())
 		h.length = []string{strconv.Itoa(len(h.body))}
+		jw.free()
 	})
 	return h
 }

@@ -8,14 +8,16 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/coll/sel"
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/rules"
 	"repro/internal/term"
 )
 
-// encoderOracle is the rendering every body had before encodeJSON indented
-// Marshal's bytes itself: a json.Encoder with two-space indentation. It is
-// the reference encodeJSON is held to.
+// encoderOracle is the rendering every body had before the daemon wrote
+// its JSON itself: a json.Encoder with two-space indentation. It is the
+// reference the jsonWriter is held to.
 func encoderOracle(v any) []byte {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -24,10 +26,26 @@ func encoderOracle(v any) []byte {
 	return buf.Bytes()
 }
 
-func encoded(v any) []byte {
-	var buf bytes.Buffer
-	encodeJSON(&buf, v)
-	return buf.Bytes()
+// rendered is v as the writer renders the daemon's body of v's shape: a
+// Response, a Snapshot, an error (map[string]string{"error": …}) or
+// /healthz (map[string]any{"in_flight": int64, "status": "ok",
+// "uptime_s": float64}).
+func rendered(v any) []byte {
+	jw := getWriter()
+	defer jw.free()
+	switch v := v.(type) {
+	case Response:
+		jw.response(&v)
+	case Snapshot:
+		jw.snapshot(&v)
+	case map[string]string:
+		jw.errorBody(v["error"])
+	case map[string]any:
+		jw.health(v["in_flight"].(int64), v["uptime_s"].(float64))
+	default:
+		panic(fmt.Sprintf("no body has the shape %T", v))
+	}
+	return bytes.Clone(jw.bytes())
 }
 
 // TestEncodeJSONMatchesEncoder: the answers of the generators' programs —
@@ -61,100 +79,133 @@ func TestEncodeJSONMatchesEncoder(t *testing.T) {
 		}
 	}
 	values = append(values, s.Metrics(), map[string]any{"status": "ok", "in_flight": int64(0), "uptime_s": 12.5},
-		map[string]string{"error": `bad request body: '<' after the JSON value & "more" ` + " \xff"})
+		map[string]any{"status": "ok", "in_flight": int64(-3), "uptime_s": 1e-7},
+		map[string]string{"error": `bad request body: '<' after the JSON value & "more" ` + " \xff\u2028\x00\x7f"})
 	for _, v := range values {
-		if got, want := encoded(v), encoderOracle(v); !bytes.Equal(got, want) {
-			t.Fatalf("encodeJSON(%+v):\n%s\nwant\n%s", v, got, want)
+		if got, want := rendered(v), encoderOracle(v); !bytes.Equal(got, want) {
+			t.Fatalf("rendered(%+v):\n%s\nwant\n%s", v, got, want)
 		}
 	}
 }
 
-// fuzzValue builds a JSON value from data: a byte picks the kind of the
-// next value — array, object, string, number, bool or null — and an array
-// or object of n members takes the values that follow, an object's keys
-// being strings taken from data too. An object is a json.RawMessage of its
-// members in order, not a map: Marshal sorts a map's keys, and the sort's
-// path through a randomly ordered map would make the fuzzer's coverage
-// differ between two runs of one input.
-func fuzzValue(data []byte, depth int) (any, []byte) {
-	if len(data) == 0 {
-		return nil, nil
+// renderShapes are the daemon's bodies filled with s, x and n: every field
+// of every shape, each omitempty field both present and absent, and the
+// floats in both of the Encoder's notations (and ±Inf, NaN: no body).
+func renderShapes(s string, x float64, n int64) []any {
+	u := uint64(n)
+	full := Plan{
+		Canonical: s, Optimized: s + s, Applications: []string{s, ""},
+		CostBefore: x, CostAfter: -x, Verified: n%2 == 0, Strategy: Strategy(s),
+		Search: &rules.SearchStats{Nodes: int(n), MemoHits: -int(n), Pruned: 7, Exhausted: n%3 == 0, GreedyCost: x / 3, BestCost: x * x},
+		Selection: []sel.Selection{
+			{Stage: int(n), Collective: s, Algo: cost.Algo(s), Segments: int(n % 5), M: -int(n), Predicted: x, Butterfly: x * 1e21},
+			{Algo: cost.AlgoButterfly, Predicted: x * 1e-6, Butterfly: math.Nextafter(x, 0)},
+		},
 	}
-	c, data := data[0], data[1:]
-	n := int(c>>3) % 4
-	str := func() string {
-		k := min(n*3, len(data))
-		s := string(data[:k])
-		data = data[k:]
-		return s
+	return []any{
+		Response{Plan: full, Cached: n%2 == 1, Machine: core.Machine{Ts: x, Tw: x / 7, P: int(n), M: -int(n)}},
+		Response{Plan: Plan{Canonical: s, Strategy: StrategyGreedy, Applications: []string{}}, Machine: core.Machine{Tw: 1 / x}},
+		Snapshot{
+			UptimeSeconds: x, Requests: u, Optimized: u / 2, Errors: u / 3, InFlight: n, EngineRuns: -n,
+			Verify: rules.VerifyStats{Derivations: u, ZeroApplication: 1, InstanceChecks: 2, InstanceHits: 3, TailsOnce: 4, TailsTwice: 5, Packed: 6, PerInput: u >> 1},
+			Cache:  CacheStats{Hits: u, Misses: 1, Coalesced: 2, Evictions: 3, Size: int(n), Capacity: 4096, Shards: 64, ByBody: 5, Bodies: -int(n)},
+		},
+		map[string]string{"error": s},
+		map[string]any{"in_flight": n, "status": "ok", "uptime_s": x},
 	}
-	switch c % 6 {
-	case 0:
-		arr := []any{}
-		for i := 0; i < n && depth < 8; i++ {
-			var v any
-			v, data = fuzzValue(data, depth+1)
-			arr = append(arr, v)
-		}
-		return arr, data
-	case 1:
-		obj := []byte{'{'}
-		for i := 0; i < n && depth < 8; i++ {
-			if i > 0 {
-				obj = append(obj, ',')
-			}
-			key, _ := json.Marshal(str())
-			var v any
-			v, data = fuzzValue(data, depth+1)
-			val, _ := json.Marshal(v)
-			obj = append(append(append(obj, key...), ':'), val...)
-		}
-		return json.RawMessage(append(obj, '}')), data
-	case 2:
-		return str(), data
-	case 3:
-		return float64(int8(c)) / 3, data
-	case 4:
-		return c&8 != 0, data
-	}
-	return nil, data
 }
 
-// FuzzIndent: whatever the strings and the nesting, encodeJSON renders
-// what the Encoder rendered — for values built from the fuzzer's bytes and
-// for the daemon's own shapes carrying its string.
+// FuzzIndent: whatever the strings and the floats, the writer renders the
+// daemon's bodies as the Encoder rendered them.
 func FuzzIndent(f *testing.F) {
 	for _, seed := range []struct {
-		s     string
-		shape []byte
+		s string
+		x float64
+		n int64
 	}{
-		{`plain`, []byte{0, 1, 2}},
-		{`"quoted" \back\slash\\ \"`, []byte{8, 0, 8, 0, 9, 1}},
-		{`<script>&amp;</script>`, []byte{24, 2, 1, 9, 0}},
-		{"line sep para\n\t\r", []byte{16, 16, 0, 1, 0}},
-		{"invalid \xff\xfe utf-8 \xc3", []byte{2, 255, 254, 3}},
-		{"", []byte{24, 0, 0, 0, 9, 1, 1}},
-		{"[] {} [{}] {\"a\":[]}", []byte{8, 8, 8, 0}},
+		{`plain`, 1000, 64},
+		{`"quoted" \back\slash\\ \"`, 1e-6, -1},
+		{`<script>&amp;</script>`, math.Nextafter(1e-6, 0), 0},
+		{"line\u2028sep\u2029para\n\t\r\b\f\x00\x1f\x7f", 1e21, math.MaxInt64},
+		{"invalid \xff\xfe utf-8 \xc3", math.Nextafter(1e21, 0), math.MinInt64},
+		{"", 5e-324, 3},
+		{"[] {} [{}] {\"a\":[]}", math.MaxFloat64, 7},
+		{"\u00e9\U0001f600 \ufffd\xed\xa0\x80", math.Copysign(0, -1), 2},
+		{"1e-07", 1.5e-7, -2},
+		{"nan", math.NaN(), 1},
+		{"inf", math.Inf(-1), 1},
+		{"big", 123456789012345678901234567890.0, 9},
 	} {
-		f.Add(seed.s, seed.shape)
+		f.Add(seed.s, seed.x, seed.n)
 	}
-	f.Fuzz(func(t *testing.T, s string, shape []byte) {
-		built, _ := fuzzValue(shape, 0)
-		values := []any{
-			built,
-			s,
-			map[string]string{"error": s},
-			map[string]any{s: []any{s, []any{}, map[string]any{}, [][]int{{}, {}}, built}},
-			Response{
-				Plan:    Plan{Canonical: s, Optimized: s, Applications: []string{s, ""}, Search: &rules.SearchStats{}},
-				Machine: core.Machine{Ts: float64(len(s)) / 7, P: len(shape)},
-			},
-			Snapshot{UptimeSeconds: math.Pi * float64(len(shape))},
-		}
-		for _, v := range values {
-			if got, want := encoded(v), encoderOracle(v); !bytes.Equal(got, want) {
-				t.Fatalf("encodeJSON(%#v):\n%q\nwant\n%q", v, got, want)
+	f.Fuzz(func(t *testing.T, s string, x float64, n int64) {
+		for _, v := range renderShapes(s, x, n) {
+			if got, want := rendered(v), encoderOracle(v); !bytes.Equal(got, want) {
+				t.Fatalf("rendered(%#v):\n%q\nwant\n%q", v, got, want)
 			}
+		}
+	})
+}
+
+// TestRenderAllocs pins rendering a miss's answer — search and selection —
+// into a warm pooled writer to no allocation: the parent of the writer,
+// json.Marshal and an indent pass, measured 2.
+func TestRenderAllocs(t *testing.T) {
+	pl := NewPlanner(16, 1)
+	prog, err := pl.ParseProgram(missPool(1, 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := DefaultConfig().Machine
+	plan, _, err := pl.PlanTermOpts(prog, m, StrategySearch, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := Response{Plan: plan, Machine: m}
+	var n int
+	allocs := testing.AllocsPerRun(200, func() {
+		jw := getWriter()
+		jw.response(&resp)
+		n = len(jw.bytes())
+		jw.free()
+	})
+	if want := len(encoderOracle(resp)); n != want {
+		t.Fatalf("rendered %d bytes, the Encoder %d", n, want)
+	}
+	if allocs > 0 && !raceEnabled {
+		t.Errorf("rendering a miss allocates %.0f times, want 0", allocs)
+	}
+}
+
+// BenchmarkRender renders the answers of plan-miss pool programs, as the
+// writer and as the Encoder.
+func BenchmarkRender(b *testing.B) {
+	pl := NewPlanner(4096, 64)
+	m := DefaultConfig().Machine
+	var resps []Response
+	for _, src := range missPool(1, 400) {
+		prog, err := pl.ParseProgram(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan, _, err := pl.PlanTermOpts(prog, m, StrategySearch, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		resps = append(resps, Response{Plan: plan, Machine: m})
+	}
+	b.Run("writer", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			jw := getWriter()
+			jw.response(&resps[i%len(resps)])
+			jw.free()
+		}
+	})
+	b.Run("encoder", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			encoderOracle(resps[i%len(resps)])
 		}
 	})
 }

@@ -7,10 +7,8 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -50,13 +48,8 @@ const maxRequestBytes = 1 << 20
 // behind every later 100-byte request.
 const maxPooledBody = 64 << 10
 
-// bodyScratch is what reading and decoding one request body takes; pooled.
-type bodyScratch struct {
-	buf bytes.Buffer
-	rd  bytes.Reader
-}
-
-var bodyPool = sync.Pool{New: func() any { return new(bodyScratch) }}
+// bodyPool holds the buffers request bodies are read into.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // Request is the body of POST /optimize.
 type Request struct {
@@ -66,7 +59,8 @@ type Request struct {
 	// Ts and Tw override the server's machine parameters when non-nil.
 	Ts *float64 `json:"ts,omitempty"`
 	Tw *float64 `json:"tw,omitempty"`
-	// P and M override the processor count and block size when positive.
+	// P and M override the processor count and block size when non-zero;
+	// a negative one is refused.
 	P int `json:"p,omitempty"`
 	M int `json:"m,omitempty"`
 	// Strategy selects the optimizer: "greedy" (the default) or "search"
@@ -225,14 +219,14 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if r.ContentLength < 0 {
 		src = http.MaxBytesReader(w, src, maxRequestBytes)
 	}
-	sc := bodyPool.Get().(*bodyScratch)
+	buf := bodyPool.Get().(*bytes.Buffer)
 	defer func() {
-		if sc.buf.Cap() <= maxPooledBody {
-			bodyPool.Put(sc)
+		if buf.Cap() <= maxPooledBody {
+			bodyPool.Put(buf)
 		}
 	}()
-	sc.buf.Reset()
-	if _, err := sc.buf.ReadFrom(src); err != nil {
+	buf.Reset()
+	if _, err := buf.ReadFrom(src); err != nil {
 		if errors.As(err, new(*http.MaxBytesError)) {
 			tooLarge()
 		} else {
@@ -240,7 +234,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	body := sc.buf.Bytes()
+	body := buf.Bytes()
 	// A body answered from the cache before leads straight to its entry.
 	if plan, ok := s.planner.Cache.byBody(body); ok {
 		s.optimized.Add(1)
@@ -249,13 +243,12 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req Request
-	sc.rd.Reset(body)
-	dec := json.NewDecoder(&sc.rd)
-	if err := dec.Decode(&req); err != nil {
+	end, err := decodeRequest(body, &req)
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if rest := bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+	if rest := bytes.TrimLeft(body[end:], " \t\r\n"); len(rest) > 0 {
 		s.fail(w, http.StatusBadRequest, "bad request body: %q after the JSON value", rest[0])
 		return
 	}
@@ -292,19 +285,22 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.planner.Cache.remember(body, KeyOpts(plan.Canonical, mach, strat, req.Select))
 		return
 	}
-	writeJSON(w, http.StatusOK, Response{Plan: plan, Cached: cached, Machine: mach})
+	jw := getWriter()
+	jw.response(&Response{Plan: plan, Cached: cached, Machine: mach})
+	jw.send(w, http.StatusOK)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":    "ok",
-		"in_flight": s.inFlight.Load(),
-		"uptime_s":  time.Since(s.start).Seconds(),
-	})
+	jw := getWriter()
+	jw.health(s.inFlight.Load(), time.Since(s.start).Seconds())
+	jw.send(w, http.StatusOK)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Metrics())
+	snap := s.Metrics()
+	jw := getWriter()
+	jw.snapshot(&snap)
+	jw.send(w, http.StatusOK)
 }
 
 // failPlan answers for a plan that could not be produced: a program the
@@ -326,88 +322,12 @@ func (s *Server) failPlan(w http.ResponseWriter, err error) {
 
 func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...any) {
 	s.errors.Add(1)
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+	jw := getWriter()
+	jw.errorBody(fmt.Sprintf(format, args...))
+	jw.send(w, code)
 }
 
 var jsonContentType = []string{"application/json"}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header()["Content-Type"] = jsonContentType
-	w.WriteHeader(code)
-	encodeJSON(w, v)
-}
-
-// indentPool holds the buffers encodeJSON indents into.
-var indentPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// encodeJSON is the one rendering of every response body: v as a
-// json.Encoder with SetIndent("", "  ") writes it, byte for byte, in one
-// Write. A value Marshal refuses writes nothing, as the Encoder did.
-func encodeJSON(w io.Writer, v any) {
-	compact, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	bp := indentPool.Get().(*[]byte)
-	b := appendIndented((*bp)[:0], compact)
-	w.Write(b)
-	if cap(b) <= maxPooledBody {
-		*bp = b
-		indentPool.Put(bp)
-	}
-}
-
-// appendIndented appends compact JSON — Marshal's output, which has no
-// space outside its strings — indented by two spaces a level as
-// json.Indent would, and the newline an Encoder ends a value with. It is
-// one pass: a string literal is copied whole, and an empty object or
-// array stays {} or [].
-func appendIndented(dst, src []byte) []byte {
-	depth := 0
-	for i := 0; i < len(src); i++ {
-		switch c := src[i]; c {
-		case '"':
-			j := i + 1
-			for src[j] != '"' {
-				if src[j] == '\\' {
-					j++
-				}
-				j++
-			}
-			dst = append(dst, src[i:j+1]...)
-			i = j
-		case '{', '[':
-			if next := src[i+1]; next == '}' || next == ']' {
-				dst = append(dst, c, next)
-				i++
-				continue
-			}
-			depth++
-			dst = append(dst, c)
-			dst = appendNewline(dst, depth)
-		case '}', ']':
-			depth--
-			dst = appendNewline(dst, depth)
-			dst = append(dst, c)
-		case ',':
-			dst = append(dst, ',')
-			dst = appendNewline(dst, depth)
-		case ':':
-			dst = append(dst, ':', ' ')
-		default:
-			dst = append(dst, c)
-		}
-	}
-	return append(dst, '\n')
-}
-
-func appendNewline(dst []byte, depth int) []byte {
-	dst = append(dst, '\n')
-	for ; depth > 0; depth-- {
-		dst = append(dst, ' ', ' ')
-	}
-	return dst
-}
 
 // write answers 200 with the rendered hit.
 func (h *hitBody) write(w http.ResponseWriter) {
