@@ -198,10 +198,16 @@ func AllReduce(c Comm, op *algebra.Op, x Value) Value {
 // Scan computes the inclusive parallel prefix with the associative
 // operator op: scan (⊕) [x1,…,xn] = [x1, x1⊕x2, …, x1⊕…⊕xn]. The
 // power-of-two case is the classic butterfly maintaining (prefix, total):
-// log p phases of one exchange and at most two combines, time
+// log p phases of one exchange, each charged two combines, time
 // log p · (ts + m·(tw+2)) — equation (17). Other group sizes use the same
 // fold/unfold scheme as AllReduce, with leaders additionally tracking the
 // exclusive prefix they must hand back to their folded partner.
+//
+// A rank performs only the combines it reads. The last phase's total is
+// charged but not computed, and in phase 0 a rank whose partner is lower
+// computes recvTotal ⊕ x once, as prefix and total. At p = 2^L ≥ 4 that
+// is 1.5·p·(L − 1) combines per word of the 1.5·p·L charged, and the
+// same result bits.
 func Scan(c Comm, op *algebra.Op, x Value) Value {
 	tag := c.NextTag()
 	n := c.Size()
@@ -253,18 +259,20 @@ func Scan(c Comm, op *algebra.Op, x Value) Value {
 	// this rank does not own for writing: total is shipped every round
 	// and prefix/excl initially share its storage or hold a partner's
 	// buffer. Each accumulator therefore combines into a fresh arena
-	// destination the first time and in place from then on — prefix and
-	// excl are never shipped mid-run, so once they own private scratch
-	// the in-place combine is safe.
+	// destination the first time and in place from then on — excl is
+	// never shipped, and prefix only once, as phase 1's total, after
+	// which it is disowned again — so the in-place combine is safe.
 	prefix := v // inclusive prefix over the leader's segment block
 	prefOwned := false
 	total := v
 	var excl Value // exclusive prefix; nil means empty
 	exclOwned := false
-	for k := 0; k < log2Floor(q); k++ {
+	phases := log2Floor(q)
+	for k := 0; k < phases; k++ {
 		partnerIdx := leaderIdx ^ (1 << k)
 		partner := leaderRank(partnerIdx)
 		recvTotal := c.Exchange(partner, total, tag)
+		last := k == phases-1
 		if partnerIdx < leaderIdx {
 			// The partner's block precedes ours in index order.
 			prefix = op.ApplyInto(dstFor(ar, prefix, prefOwned, recvTotal), recvTotal, prefix)
@@ -282,11 +290,23 @@ func Scan(c Comm, op *algebra.Op, x Value) Value {
 					c.Compute(op.Charge(excl))
 				}
 			}
-			total = op.ApplyInto(scratchLike(ar, recvTotal), recvTotal, total)
-		} else {
+			if k == 0 {
+				// total was x, the prefix's operand, so it is the prefix;
+				// once it ships, the prefix is not written in place.
+				total, prefOwned = prefix, false
+			} else if !last {
+				total = op.ApplyInto(scratchLike(ar, recvTotal), recvTotal, total)
+			}
+		} else if !last {
 			total = op.ApplyInto(scratchLike(ar, recvTotal), total, recvTotal)
 		}
-		c.Compute(op.Charge(total))
+		if last {
+			// Nothing reads the last total: it is charged, not computed.
+			// An undetermined operand (a non-root's gather) makes it wordless.
+			c.Compute(min(op.Charge(total), op.Charge(recvTotal)))
+		} else {
+			c.Compute(op.Charge(total))
+		}
 	}
 	if rank < 2*r {
 		if excl == nil {

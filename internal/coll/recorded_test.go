@@ -16,11 +16,12 @@ import (
 	"repro/internal/machine"
 )
 
-// update rewrites testdata/portfolio.golden from the tree under test. The
-// committed file was recorded from the hand-written loops, before the
-// portfolio became schedules, so the test holds the interpreter to them
-// bit for bit.
-var update = flag.Bool("update", false, "rewrite testdata/portfolio.golden from this tree")
+// update rewrites the recorded goldens the run selects from the tree
+// under test. testdata/portfolio.golden was recorded from the
+// hand-written loops, before the portfolio became schedules, and
+// testdata/scan.golden from the scan that performed every combine it
+// charged, so the tests hold the code that replaced them bit for bit.
+var update = flag.Bool("update", false, "rewrite testdata/portfolio.golden and testdata/scan.golden from this tree")
 
 // recordedCase is one row of the portfolio grid.
 type recordedCase struct {
@@ -134,8 +135,13 @@ func TestRecordedPortfolio(t *testing.T) {
 	if raceEnabled && !*update {
 		t.Skip("a value check over 3 380 virtual runs; the race detector adds only time to it")
 	}
-	const path = "testdata/portfolio.golden"
-	got := recordedLines(t)
+	checkRecorded(t, "testdata/portfolio.golden", recordedLines(t))
+}
+
+// checkRecorded compares got with the rows recorded at path, or, under
+// -update, records them there.
+func checkRecorded(t *testing.T, path string, got []string) {
+	t.Helper()
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
