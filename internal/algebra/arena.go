@@ -1,12 +1,11 @@
 package algebra
 
-// Arena is a per-rank region of scratch buffers for the collective hot
-// path. Vec and Flat hand out buffers from size-keyed free lists (or the
-// allocator when a list is empty); Reset returns every handed-out buffer
-// to its free list in one step. The collectives draw each combining
-// round's destination from the arena, so in steady state — after the
-// first run has populated the free lists — the log-p rounds of a
-// reduction or scan allocate nothing.
+// Arena is the one pool of scratch buffers: a rank's on the collective hot
+// path, and the evaluator's (term.Scratch embeds one). Vec, Tuple and Flat
+// draw from a shelf per shape, making a buffer when the shelf is used up;
+// Reset rewinds every shelf in one step, so in steady state — after the
+// first cycle has filled the shelves — a cycle of the same shapes allocates
+// nothing. The zero value is ready. Not safe for concurrent use.
 //
 // Ownership discipline (see docs/PERF.md): a buffer obtained from the
 // arena is private to the rank until it is passed to Send or Exchange,
@@ -16,113 +15,146 @@ package algebra
 // the start of a run: the previous run's completion barrier orders every
 // peer's last read before it.
 //
-// Vec buffers and Tuple headers are pooled as pre-boxed Values: converting
-// a slice header to an interface allocates, so the pool stores the
-// interface value and the kernels thread it through unchanged.
+// Every buffer is boxed once, when it is made: converting a slice header to
+// an interface allocates, so a shelf keeps the interface value and the
+// kernels thread it through unchanged.
 //
 // A nil *Arena is valid and simply allocates fresh buffers — collectives
 // run unchanged (only slower) on communicators that provide no arena.
 type Arena struct {
-	freeVecs   map[int][]Value
-	freeFlats  map[flatKey][]*FlatTuple
-	freeTuples map[int][]Value
-	usedVecs   []Value
-	usedFlats  []*FlatTuple
-	usedTuples []Value
+	// last indexes the shelf drawn from most recently, which a loop over a
+	// list draws from again.
+	shelves []shelf
+	last    int
 }
 
-type flatKey struct{ w, words int }
+// kind is what a shelf holds. It is part of the key: a Vec of 0 words and
+// a Tuple of width 0 are both drawn, and only a Tuple is cleared at Reset.
+type kind uint8
 
-// NewArena returns an empty arena.
-func NewArena() *Arena {
-	return &Arena{
-		freeVecs:   map[int][]Value{},
-		freeFlats:  map[flatKey][]*FlatTuple{},
-		freeTuples: map[int][]Value{},
-	}
+const (
+	vecKind kind = iota
+	tupleKind
+	flatKind
+)
+
+// shelf holds every buffer of one shape the arena made: a Vec of m words,
+// a Tuple of width w or a flat tuple of w components of m words. The first
+// next of them are drawn since Reset; a cycle that needs more makes more,
+// so a shelf keeps the most one cycle drew.
+type shelf struct {
+	kind kind
+	w, m int
+	bufs []Value
+	next int
 }
 
-// Vec returns a length-n scratch vector, pre-boxed as a Value. Contents
-// are unspecified — callers overwrite every element.
-func (a *Arena) Vec(n int) Value {
-	if a == nil {
-		return make(Vec, n)
+// Bytes of an interface value, of the slice header a boxed Vec or Tuple
+// points to, of a FlatTuple's own fields and of a word, on a 64-bit
+// machine.
+const valueBytes, headerBytes, flatBytes, wordBytes = 16, 24, 40, 8
+
+func (s *shelf) bytes() int {
+	switch s.kind {
+	case vecKind:
+		return headerBytes + s.m*wordBytes
+	case tupleKind:
+		return headerBytes + s.w*valueBytes
 	}
-	if free := a.freeVecs[n]; len(free) > 0 {
-		v := free[len(free)-1]
-		a.freeVecs[n] = free[:len(free)-1]
-		a.usedVecs = append(a.usedVecs, v)
-		return v
-	}
-	v := Value(make(Vec, n))
-	a.usedVecs = append(a.usedVecs, v)
-	return v
+	return flatBytes + s.w*s.m*wordBytes
 }
 
-// Tuple returns a width-w tuple header and the same tuple pre-boxed as a
-// Value. Its components are unspecified — callers set every one.
-func (a *Arena) Tuple(w int) (Tuple, Value) {
-	if a == nil {
-		t := make(Tuple, w)
-		return t, t
+// Bytes is the storage a keeps from one Reset to the next.
+func (a *Arena) Bytes() int {
+	n := 0
+	for i := range a.shelves {
+		n += len(a.shelves[i].bufs) * a.shelves[i].bytes()
 	}
-	var v Value
-	if free := a.freeTuples[w]; len(free) > 0 {
-		v = free[len(free)-1]
-		a.freeTuples[w] = free[:len(free)-1]
-	} else {
-		v = make(Tuple, w)
-	}
-	a.usedTuples = append(a.usedTuples, v)
-	return v.(Tuple), v
+	return n
 }
 
-// Flat returns a scratch flat tuple of w components of m words each.
-// Contents are unspecified — callers overwrite every element.
-func (a *Arena) Flat(w, m int) *FlatTuple {
-	if a == nil {
-		return NewFlatTuple(w, m)
-	}
-	k := flatKey{w: w, words: w * m}
-	if free := a.freeFlats[k]; len(free) > 0 {
-		t := free[len(free)-1]
-		a.freeFlats[k] = free[:len(free)-1]
-		a.usedFlats = append(a.usedFlats, t)
-		// A buffer moved away last run is reclaimable now — the previous
-		// run's completion barrier ordered the receiver's last access
-		// before this hand-out — but its move poison must not survive.
-		t.MarkOwned()
-		return t
-	}
-	t := NewFlatTuple(w, m)
-	a.usedFlats = append(a.usedFlats, t)
-	return t
-}
-
-// Reset reclaims every buffer handed out since the last Reset. Only call
-// at a point where no other rank can still hold a reference (the backends
-// reset at run start, after the previous run's completion barrier).
+// Reset reclaims every buffer drawn since the last Reset; a tuple header is
+// cleared, so a free one pins nothing. Only call at a point where no other
+// rank can still hold a reference (the backends reset at run start, after
+// the previous run's completion barrier).
 func (a *Arena) Reset() {
 	if a == nil {
 		return
 	}
-	for i, v := range a.usedVecs {
-		n := len(v.(Vec))
-		a.freeVecs[n] = append(a.freeVecs[n], v)
-		a.usedVecs[i] = nil
+	for i := range a.shelves {
+		s := &a.shelves[i]
+		if s.kind == tupleKind {
+			for _, t := range s.bufs[:s.next] {
+				clear(t.(Tuple))
+			}
+		}
+		s.next = 0
 	}
-	a.usedVecs = a.usedVecs[:0]
-	for i, t := range a.usedFlats {
-		k := flatKey{w: t.W, words: len(t.Data)}
-		a.freeFlats[k] = append(a.freeFlats[k], t)
-		a.usedFlats[i] = nil
+}
+
+// draw returns a buffer of the shelf (k, w, m), contents unspecified; a
+// nil arena makes one.
+func (a *Arena) draw(k kind, w, m int) Value {
+	if a == nil {
+		return fresh(k, w, m)
 	}
-	a.usedFlats = a.usedFlats[:0]
-	for i, v := range a.usedTuples {
-		t := v.(Tuple)
-		clear(t) // a free header pins nothing
-		a.freeTuples[len(t)] = append(a.freeTuples[len(t)], v)
-		a.usedTuples[i] = nil
+	if l := a.last; l >= len(a.shelves) || a.shelves[l].kind != k || a.shelves[l].w != w || a.shelves[l].m != m {
+		a.last = len(a.shelves)
+		for i := range a.shelves {
+			if s := &a.shelves[i]; s.kind == k && s.w == w && s.m == m {
+				a.last = i
+				break
+			}
+		}
+		if a.last == len(a.shelves) {
+			a.shelves = append(a.shelves, shelf{kind: k, w: w, m: m})
+		}
 	}
-	a.usedTuples = a.usedTuples[:0]
+	s := &a.shelves[a.last]
+	if s.next == len(s.bufs) {
+		s.bufs = append(s.bufs, fresh(k, w, m))
+	}
+	s.next++
+	return s.bufs[s.next-1]
+}
+
+// fresh is a fresh buffer of the shape (k, w, m).
+func fresh(k kind, w, m int) Value {
+	switch k {
+	case vecKind:
+		return make(Vec, m)
+	case tupleKind:
+		return make(Tuple, w)
+	}
+	return NewFlatTuple(w, m)
+}
+
+// Vec returns a block of m words, pre-boxed as a Value. Contents are
+// unspecified — callers overwrite every element.
+func (a *Arena) Vec(m int) Value { return a.draw(vecKind, 0, m) }
+
+// Tuple returns a width-w tuple header and the same tuple pre-boxed as a
+// Value. Its components are unspecified — callers set every one.
+func (a *Arena) Tuple(w int) (Tuple, Value) {
+	v := a.draw(tupleKind, w, 0)
+	return v.(Tuple), v
+}
+
+// Flat returns a flat tuple of w components of m words each. Contents are
+// unspecified — callers overwrite every element.
+func (a *Arena) Flat(w, m int) *FlatTuple {
+	t := a.draw(flatKind, w, m).(*FlatTuple)
+	// A buffer moved away last run is reclaimable now — the previous run's
+	// completion barrier ordered the receiver's last access before this
+	// hand-out — but its move poison must not survive.
+	t.MarkOwned()
+	return t
+}
+
+// GiveBack returns the last k buffers drawn, all from one shelf: the
+// temporaries of a kernel call, dead once it returns.
+func (a *Arena) GiveBack(k int) {
+	if k > 0 {
+		a.shelves[a.last].next -= k
+	}
 }

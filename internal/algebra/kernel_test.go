@@ -382,7 +382,7 @@ func TestFlatTupleValueSemantics(t *testing.T) {
 }
 
 func TestArenaReusesBuffers(t *testing.T) {
-	a := NewArena()
+	a := new(Arena)
 	v1 := a.Vec(8)
 	f1 := a.Flat(2, 8)
 	t1, b1 := a.Tuple(3)
@@ -487,7 +487,7 @@ func TestKernelAllocs(t *testing.T) {
 	// Arena steady state: after one warm cycle, a get/reset cycle of the
 	// same shapes touches only the free lists.
 	const m = 256
-	ar := NewArena()
+	ar := new(Arena)
 	cycle := func() {
 		ar.Vec(m)
 		ar.Vec(m)

@@ -115,10 +115,10 @@ type Machine struct {
 	Timeout time.Duration
 	// MailboxCap overrides the buffer depth per directed rank pair. Zero
 	// means the default (4), which is enough for every collective in
-	// package coll; fault-injecting decorators that put retransmissions
-	// and acknowledgements on the same links want more headroom. A run
-	// whose capacity differs from the previous run's starts from fresh
-	// ranks.
+	// package coll. A fault-injecting link wants more headroom: one of its
+	// messages can take two slots, as a duplicate or as a doomed copy and
+	// its good copy. A run whose capacity differs from the previous run's
+	// starts from fresh ranks.
 	MailboxCap int
 	// Transport selects the payload-passing discipline: TransportZeroCopy
 	// (the default) hands references through the mailbox, TransportCopy
@@ -221,7 +221,7 @@ func (m *Machine) park() *world {
 			in:   make([]atomic.Pointer[chan rank.Packet], m.P),
 			wake: make(chan struct{}, 1),
 		}
-		p.Init(r, m.P, (*link)(p), algebra.NewArena(), p.mark)
+		p.Init(r, m.P, (*link)(p), new(algebra.Arena), p.mark)
 		w.procs[r] = p
 		go p.serve()
 	}

@@ -74,34 +74,17 @@ func reduceBalNode(c Comm, ar *algebra.Arena, op *algebra.Op, lo, hi, h int, v V
 }
 
 // AllReduceBalanced extends the balanced reduction to all members. On a
-// power-of-two group it is the butterfly the paper sketches at the end of
-// §3.2: in phase k the 2^k-segment partners exchange values and both
-// combine in rank order, which is sound for op_sr because every butterfly
-// segment is complete. On other group sizes it falls back to the balanced
-// tree followed by a broadcast (the generalized butterfly the paper
-// leaves open).
+// power-of-two group it is AllReduce, the butterfly the paper sketches at
+// the end of §3.2: in phase k the 2^k-segment partners exchange values and
+// both combine in rank order, which is sound for op_sr because every
+// butterfly segment is complete. On other group sizes it falls back to the
+// balanced tree followed by a broadcast (the generalized butterfly the
+// paper leaves open).
 func AllReduceBalanced(c Comm, op *algebra.Op, x Value) Value {
-	n := c.Size()
-	if !IsPow2(n) {
-		v := ReduceBalanced(c, op, x)
-		return Bcast(c, 0, v)
+	if !IsPow2(c.Size()) {
+		return Bcast(c, 0, ReduceBalanced(c, op, x))
 	}
-	tag := c.NextTag()
-	ar := c.Caps().Arena
-	v, _ := toWork(ar, op, x)
-	for k := 0; k < log2Ceil(n); k++ {
-		partner := c.Rank() ^ (1 << k)
-		recv := c.Exchange(partner, v, tag)
-		// v was just shipped and is frozen; combine into fresh scratch.
-		d := scratchLike(ar, recv)
-		if partner < c.Rank() {
-			v = op.ApplyInto(d, recv, v)
-		} else {
-			v = op.ApplyInto(d, v, recv)
-		}
-		c.Compute(op.Charge(v))
-	}
-	return fromWork(v)
+	return AllReduce(c, op, x)
 }
 
 // ScanBalanced runs the balanced scan of §3.3 (Figure 5) with a

@@ -1,12 +1,15 @@
 package coll
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/backend"
 	"repro/internal/machine"
+	"repro/internal/rank"
 )
 
 // scanReduceRef computes scan(⊕); reduce(⊕) sequentially: the reduction
@@ -118,6 +121,50 @@ func TestAllReduceBalancedPow2Butterfly(t *testing.T) {
 		wantT := logp * (50 + 2*1 + 4*1)
 		if res.Makespan != wantT {
 			t.Fatalf("p=%d: allreduce_balanced makespan = %g, want %g", n, res.Makespan, wantT)
+		}
+	}
+}
+
+// TestAllReduceBalancedPow2IsAllReduce: on a power-of-two group the
+// balanced all-reduction is AllReduce's butterfly — the same partner,
+// combine side and charge in every phase — so the two return the same
+// bits, leave every rank the same counters and, on the virtual machine,
+// take the same time; for op_sr(+) on pairs and for + on blocks.
+func TestAllReduceBalancedPow2IsAllReduce(t *testing.T) {
+	machines := []struct {
+		name string
+		run  func(p int, body func(Comm)) (makespan float64)
+	}{
+		{"virtual", func(p int, body func(Comm)) float64 {
+			return machine.New(p, machine.Params{Ts: 100, Tw: 1}).Run(func(pr *machine.Proc) { body(pr) }).Makespan
+		}},
+		{"native", func(p int, body func(Comm)) float64 {
+			backend.New(p).Run(func(pr *backend.Proc) { body(pr) })
+			return 0
+		}},
+	}
+	entries := []func(Comm, *algebra.Op, Value) Value{AllReduce, AllReduceBalanced}
+	for _, mc := range machines {
+		for p := 1; p <= 64; p *= 2 {
+			for _, op := range []*algebra.Op{algebra.OpSR(algebra.Add), algebra.Add} {
+				for _, m := range []int{1, 16} {
+					in := scanInputs(op, p, m)
+					var runs [2]string
+					for i, entry := range entries {
+						bits := make([][]byte, p)
+						counters := make([]rank.Counters, p)
+						makespan := mc.run(p, func(c Comm) {
+							r := c.Rank()
+							bits[r] = appendBits(nil, algebra.Boxed(entry(c, op, in[r])))
+							counters[r] = c.(interface{ Counters() rank.Counters }).Counters()
+						})
+						runs[i] = fmt.Sprintf("makespan=%g counters=%v results=%x", makespan, counters, bits)
+					}
+					if runs[0] != runs[1] {
+						t.Errorf("%s p=%d %s m=%d:\nAllReduce         %s\nAllReduceBalanced %s", mc.name, p, op.Name, m, runs[0], runs[1])
+					}
+				}
+			}
 		}
 	}
 }

@@ -52,8 +52,9 @@ type Machine struct {
 	Timeout time.Duration
 	// MailboxCap overrides the buffer depth per directed processor pair.
 	// Zero means the default (4), which is enough for every collective in
-	// package coll; fault-injecting decorators that put retransmissions
-	// and acknowledgements on the same links want more headroom.
+	// package coll. A fault-injecting link wants more headroom: one of its
+	// messages can take two slots, as a duplicate or as a doomed copy and
+	// its good copy.
 	MailboxCap int
 
 	tracer *Tracer
@@ -97,13 +98,6 @@ type Proc struct {
 
 // Clock is the processor's current virtual time.
 func (p *Proc) Clock() float64 { return p.clock }
-
-// AdvanceTo moves the clock forward to t; it never moves backwards.
-func (p *Proc) AdvanceTo(t float64) {
-	if t > p.clock {
-		p.clock = t
-	}
-}
 
 // Compute charges n time units of local computation (one unit per
 // elementary operation, per §4.1).

@@ -272,21 +272,6 @@ func TestNextTagSynchronized(t *testing.T) {
 	}
 }
 
-func TestAdvanceToNeverMovesBackwards(t *testing.T) {
-	m := New(1, Params{})
-	m.Run(func(p *Proc) {
-		p.Compute(10)
-		p.AdvanceTo(5)
-		if p.Clock() != 10 {
-			t.Errorf("clock = %g, want 10", p.Clock())
-		}
-		p.AdvanceTo(20)
-		if p.Clock() != 20 {
-			t.Errorf("clock = %g, want 20", p.Clock())
-		}
-	})
-}
-
 func TestMachineReusable(t *testing.T) {
 	m := New(2, Params{Ts: 1, Tw: 1})
 	for i := 0; i < 3; i++ {

@@ -43,7 +43,7 @@ func newProc(r, p int) *Proc {
 	for i := range pr.in {
 		pr.in[i].fd = -1
 	}
-	pr.Init(r, p, (*link)(pr), algebra.NewArena(), nil)
+	pr.Init(r, p, (*link)(pr), new(algebra.Arena), nil)
 	return pr
 }
 

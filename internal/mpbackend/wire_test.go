@@ -37,13 +37,13 @@ func deliver(in *inbox, data []byte) (compacted, grew bool) {
 
 // decodeStream is a link's receive side without the socket: data arrives in
 // chunks of the given sizes, taken in turn (all at once if there are none),
-// and every frame is decoded as soon as it is complete. It returns the
-// packets up to the first error; a stream that ends inside a frame ends in
-// io.ErrUnexpectedEOF.
-func decodeStream(in *inbox, data []byte, sizes ...int) (pkts []rank.Packet, err error) {
+// and every frame is decoded into a as soon as it is complete. It returns
+// the packets up to the first error; a stream that ends inside a frame ends
+// in io.ErrUnexpectedEOF.
+func decodeStream(in *inbox, a *algebra.Arena, data []byte, sizes ...int) (pkts []rank.Packet, err error) {
 	for i := 0; ; i++ {
 		for {
-			pkt, ok, err := in.next(nil)
+			pkt, ok, err := in.next(a)
 			if err != nil {
 				return pkts, err
 			}
@@ -130,7 +130,7 @@ func TestReadValueChecksBeforeAllocating(t *testing.T) {
 	}
 	for _, c := range cases {
 		var err error
-		got := allocated(func() { _, err = decodeStream(new(inbox), c.frame) })
+		got := allocated(func() { _, err = decodeStream(new(inbox), nil, c.frame) })
 		if err == nil {
 			t.Errorf("%s: decoded without error", c.name)
 		}
@@ -183,7 +183,7 @@ func TestInboxChunking(t *testing.T) {
 		"just under a buffer":  {4<<10 - 1},
 		"three thousand bytes": {3000},
 	} {
-		got, err := decodeStream(new(inbox), stream, sizes...)
+		got, err := decodeStream(new(inbox), nil, stream, sizes...)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
@@ -226,7 +226,7 @@ func TestInboxChunking(t *testing.T) {
 func FuzzReadFrame(f *testing.F) {
 	for i, v := range wireValues() {
 		frame := appendFrame(nil, i-3, i%2 == 1, v)
-		back, err := decodeStream(new(inbox), frame)
+		back, err := decodeStream(new(inbox), nil, frame)
 		if err != nil || len(back) != 1 || back[0].Tag != i-3 || back[0].Owned != (i%2 == 1) {
 			f.Fatalf("%T: round trip gave %v, error %v", v, back, err)
 		}
@@ -242,15 +242,24 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(cat(u32(1<<30), make([]byte, 10)))
 	f.Add(frameOf(cat([]byte{kindTuple}, u32(1<<28))))
 
+	// warm is one arena every input is decoded into a second time, as a
+	// rank's Take decodes into its arena, with a Reset between inputs.
+	warm := new(algebra.Arena)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var decoded []rank.Packet
 		var whole error
-		got := allocated(func() { decoded, whole = decodeStream(new(inbox), data) })
+		got := allocated(func() { decoded, whole = decodeStream(new(inbox), nil, data) })
 		if budget := decodeBudget(len(data)); got > budget {
 			t.Fatalf("decoding %d bytes allocated %d (budget %d)", len(data), got, budget)
 		}
 		stream := encodePackets(decoded)
-		again, err := decodeStream(new(inbox), stream)
+		warm.Reset()
+		pooled, err := decodeStream(new(inbox), warm, data)
+		if (err == nil) != (whole == nil) || !bytes.Equal(encodePackets(pooled), stream) {
+			t.Fatalf("into a warm arena: %d packets, error %v; without one: %d packets, error %v",
+				len(pooled), err, len(decoded), whole)
+		}
+		again, err := decodeStream(new(inbox), nil, stream)
 		if err != nil || !bytes.Equal(encodePackets(again), stream) {
 			t.Fatalf("%d decoded packets changed on their second trip over the wire (error %v):\n%x\n%x",
 				len(decoded), err, stream, encodePackets(again))
@@ -260,7 +269,7 @@ func FuzzReadFrame(f *testing.F) {
 			sizes[i] = int(b)
 		}
 		for _, sizes := range [][]int{{1}, sizes} {
-			chunked, err := decodeStream(new(inbox), data, sizes...)
+			chunked, err := decodeStream(new(inbox), nil, data, sizes...)
 			if (err == nil) != (whole == nil) || !bytes.Equal(encodePackets(chunked), stream) {
 				t.Fatalf("in chunks of %v: %d packets, error %v; whole: %d packets, error %v",
 					sizes, len(chunked), err, len(decoded), whole)

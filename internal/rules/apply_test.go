@@ -44,7 +44,7 @@ func TestApplyIsF(t *testing.T) {
 		}
 	}
 
-	warm := func(st term.Store, reset func()) term.Store {
+	warm := func(st *algebra.Arena, reset func()) *algebra.Arena {
 		for _, f := range fns {
 			for _, x := range inputs(-7) {
 				func() {
@@ -56,15 +56,15 @@ func TestApplyIsF(t *testing.T) {
 		reset()
 		return st
 	}
-	warmArena, scratch := algebra.NewArena(), new(term.Scratch)
+	warmArena, scratch := new(algebra.Arena), new(term.Scratch)
 	stores := []struct {
 		name string
-		st   term.Store
+		st   *algebra.Arena
 	}{
-		{"nil arena", (*algebra.Arena)(nil)},
-		{"fresh arena", algebra.NewArena()},
+		{"nil arena", nil},
+		{"fresh arena", new(algebra.Arena)},
 		{"warm arena", warm(warmArena, warmArena.Reset)},
-		{"scratch", warm(scratch, scratch.Reset)},
+		{"scratch", warm(&scratch.Arena, scratch.Reset)},
 	}
 	for _, s := range stores {
 		xs := inputs(1)

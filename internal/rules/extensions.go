@@ -76,8 +76,8 @@ var MMLocal = Rule{
 		}
 		ff, gg := f.F, g.F
 		fused := local(fmt.Sprintf("(%s; %s)", ff.Name, gg.Name), ff.Cost+gg.Cost, ff.Elementwise && gg.Elementwise,
-			func(st term.Store, v algebra.Value) algebra.Value {
-				return term.Apply(st, gg, term.Apply(st, ff, v))
+			func(ar *algebra.Arena, v algebra.Value) algebra.Value {
+				return term.Apply(ar, gg, term.Apply(ar, ff, v))
 			})
 		return []term.Term{term.Map{F: fused}}, true
 	},

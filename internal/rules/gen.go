@@ -16,18 +16,18 @@ import (
 // strings must register it with Symbols.DefineFn.
 var IncFn = local("inc", 1, true, inc)
 
-// inc is inc's body: a block's result is written into a block of st's.
-func inc(st term.Store, v algebra.Value) algebra.Value {
+// inc is inc's body: a block's result is written into a block of ar's.
+func inc(ar *algebra.Arena, v algebra.Value) algebra.Value {
 	var dst algebra.Value
 	if x, ok := v.(algebra.Vec); ok && len(x) > 0 {
-		dst = st.Vec(len(x))
+		dst = ar.Vec(len(x))
 	}
 	return algebra.Add.ApplyInto(dst, v, algebra.Scalar(1))
 }
 
 // local is the local function whose Into is into and whose F is into on a
 // nil arena, which allocates what it draws: each body is written once.
-func local(name string, cost int, elementwise bool, into func(term.Store, algebra.Value) algebra.Value) *term.Fn {
+func local(name string, cost int, elementwise bool, into func(*algebra.Arena, algebra.Value) algebra.Value) *term.Fn {
 	return &term.Fn{Name: name, Cost: cost, Elementwise: elementwise, Into: into,
 		F: func(v algebra.Value) algebra.Value { return into((*algebra.Arena)(nil), v) },
 	}

@@ -25,16 +25,16 @@ import (
 // into map each(f) — same per-element cost, but charged on the |H|-fold
 // wider post-halo block. It is elementwise exactly when f is.
 func EachFn(f *term.Fn) *term.Fn {
-	return local(fmt.Sprintf("each(%s)", f.Name), f.Cost, f.Elementwise, func(st term.Store, v algebra.Value) algebra.Value {
+	return local(fmt.Sprintf("each(%s)", f.Name), f.Cost, f.Elementwise, func(ar *algebra.Arena, v algebra.Value) algebra.Value {
 		t, ok := v.(algebra.Tuple)
 		if !ok {
 			// Off-domain input (the verifier samples windows out of
 			// context): undetermined, per the §3.5 discipline.
 			return algebra.Undef{}
 		}
-		out, boxed := st.Tuple(len(t))
+		out, boxed := ar.Tuple(len(t))
 		for i, c := range t {
-			out[i] = term.Apply(st, f, c)
+			out[i] = term.Apply(ar, f, c)
 		}
 		return boxed
 	})
@@ -47,16 +47,16 @@ func EachFn(f *term.Fn) *term.Fn {
 // (§4.2's "small additive constant ... which we ignore") and the function
 // is elementwise.
 func RegroupFn(n1, n2 int) *term.Fn {
-	return local(fmt.Sprintf("regroup_%dx%d", n1, n2), 0, true, func(st term.Store, v algebra.Value) algebra.Value {
+	return local(fmt.Sprintf("regroup_%dx%d", n1, n2), 0, true, func(ar *algebra.Arena, v algebra.Value) algebra.Value {
 		t, ok := v.(algebra.Tuple)
 		if !ok || len(t) != n1*n2 {
 			// Off-domain input (the verifier samples windows out of
 			// context): undetermined, per the §3.5 discipline.
 			return algebra.Undef{}
 		}
-		out, boxed := st.Tuple(n2)
+		out, boxed := ar.Tuple(n2)
 		for j := range out {
-			inner, b := st.Tuple(n1)
+			inner, b := ar.Tuple(n1)
 			copy(inner, t[j*n1:(j+1)*n1])
 			out[j] = b
 		}
@@ -209,15 +209,15 @@ func Sparse() []Rule {
 // needs the deep form).
 var IncTupFn = local("inc_t", 1, true, incTup)
 
-// incTup is inc_t's body: inc on every block, in tuples of st's.
-func incTup(st term.Store, v algebra.Value) algebra.Value {
+// incTup is inc_t's body: inc on every block, in tuples of ar's.
+func incTup(ar *algebra.Arena, v algebra.Value) algebra.Value {
 	t, ok := v.(algebra.Tuple)
 	if !ok {
-		return inc(st, v)
+		return inc(ar, v)
 	}
-	out, boxed := st.Tuple(len(t))
+	out, boxed := ar.Tuple(len(t))
 	for i, c := range t {
-		out[i] = incTup(st, c)
+		out[i] = incTup(ar, c)
 	}
 	return boxed
 }

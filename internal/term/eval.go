@@ -53,7 +53,7 @@ func (sc *Scratch) Eval(t Term, xs []algebra.Value) []algebra.Value {
 				out[i] = out[i-1]
 				continue
 			}
-			out[i] = Apply(sc, s.F, x)
+			out[i] = Apply(&sc.Arena, s.F, x)
 		}
 		return out
 	case MapIdx:
@@ -188,7 +188,7 @@ func (sc *Scratch) scanBalanced(op *algebra.BalancedScanOp, xs []algebra.Value) 
 	if kernels {
 		for i, x := range cur {
 			if m, ok := flatShape(op.Arity, x); ok {
-				cur[i] = flatten(sc.flat(op.Arity, m), x)
+				cur[i] = flatten(sc.Flat(op.Arity, m), x)
 			}
 		}
 	}
@@ -211,12 +211,12 @@ func (sc *Scratch) scanBalanced(op *algebra.BalancedScanOp, xs []algebra.Value) 
 					next[i] = op.Lo(algebra.Boxed(cur[i]), op.Ship(algebra.Boxed(cur[partner])))
 					continue
 				}
-				fromHi, fromLo := sc.flat(op.ShipWidth, lo.M()), sc.flat(op.ShipWidth, lo.M())
+				fromHi, fromLo := sc.Flat(op.ShipWidth, lo.M()), sc.Flat(op.ShipWidth, lo.M())
 				op.FlatShip(fromHi, hi)
 				op.FlatShip(fromLo, lo)
 				op.FlatLo(lo, lo, fromHi)
 				op.FlatHi(hi, hi, fromLo)
-				sc.giveBack(2)
+				sc.GiveBack(2)
 				next[i], next[partner] = lo, hi
 			default:
 				if _, _, ok := ours(cur[partner], cur[i]); !ok {

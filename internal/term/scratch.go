@@ -2,65 +2,28 @@ package term
 
 import "repro/internal/algebra"
 
-// Scratch is reusable storage for Scratch.Eval; the zero value is ready. A
-// Reset reclaims everything drawn since the previous one, so nothing an
-// evaluation returned may be used after it. Not safe for concurrent use.
+// Scratch is reusable storage for Scratch.Eval; the zero value is ready. It
+// draws its buffers from the arena it embeds and cuts per-stage lists from
+// a slab. A Reset reclaims everything drawn since the previous one, so
+// nothing an evaluation returned may be used after it. Not safe for
+// concurrent use.
 type Scratch struct {
-	slab []algebra.Value // per-stage lists; Reset keeps the last slab only
-	// shelves hold the buffers drawn, one shelf per shape; last indexes the
-	// shelf drawn from most recently, which a loop over a list draws from
-	// again.
-	shelves []shelf
-	last    int
+	algebra.Arena
+	slab []algebra.Value // Reset keeps the last slab only
 }
 
-// shelf holds every buffer of one shape the scratch made: a Vec of m words
-// (w = 0), a boxed Tuple of width w (m = 0) or a flat tuple of w components
-// of m words. The first next of them are drawn since Reset; a cycle that
-// needs more makes more, so a shelf keeps the most one cycle drew.
-type shelf struct {
-	w, m int
-	bufs []algebra.Value // each boxed once, when it was made
-	next int
-}
-
-// Bytes of an interface value, of the slice header a boxed Vec or Tuple
-// points to, of a FlatTuple's own fields and of a word, on a 64-bit
-// machine; and the first slab's length.
-const valueBytes, headerBytes, flatBytes, wordBytes, minSlab = 16, 24, 40, 8, 64
-
-func (s *shelf) bytes() int {
-	switch {
-	case s.w == 0:
-		return headerBytes + s.m*wordBytes
-	case s.m == 0:
-		return headerBytes + s.w*valueBytes
-	}
-	return flatBytes + s.w*s.m*wordBytes
-}
+// Bytes of an interface value on a 64-bit machine, and the first slab's
+// length.
+const valueBytes, minSlab = 16, 64
 
 // Bytes is the storage sc keeps from one Reset to the next.
-func (sc *Scratch) Bytes() int {
-	n := cap(sc.slab) * valueBytes
-	for i := range sc.shelves {
-		n += len(sc.shelves[i].bufs) * sc.shelves[i].bytes()
-	}
-	return n
-}
+func (sc *Scratch) Bytes() int { return sc.Arena.Bytes() + cap(sc.slab)*valueBytes }
 
 // Reset reclaims everything drawn from sc since the previous Reset.
 func (sc *Scratch) Reset() {
 	clear(sc.slab)
 	sc.slab = sc.slab[:0]
-	for i := range sc.shelves {
-		s := &sc.shelves[i]
-		if s.m == 0 {
-			for _, t := range s.bufs[:s.next] {
-				clear(t.(algebra.Tuple))
-			}
-		}
-		s.next = 0
-	}
+	sc.Arena.Reset()
 }
 
 // list returns a list of n values for one stage's result.
@@ -71,63 +34,6 @@ func (sc *Scratch) list(n int) []algebra.Value {
 	}
 	sc.slab = sc.slab[:lo+n]
 	return sc.slab[lo : lo+n : lo+n]
-}
-
-// draw returns a buffer of the shelf (w, m), contents unspecified.
-func (sc *Scratch) draw(w, m int) algebra.Value {
-	if l := sc.last; l >= len(sc.shelves) || sc.shelves[l].w != w || sc.shelves[l].m != m {
-		sc.last = len(sc.shelves)
-		for i := range sc.shelves {
-			if sc.shelves[i].w == w && sc.shelves[i].m == m {
-				sc.last = i
-				break
-			}
-		}
-		if sc.last == len(sc.shelves) {
-			sc.shelves = append(sc.shelves, shelf{w: w, m: m})
-		}
-	}
-	s := &sc.shelves[sc.last]
-	if s.next == len(s.bufs) {
-		var b algebra.Value
-		switch {
-		case w == 0:
-			b = make(algebra.Vec, m)
-		case m == 0:
-			b = make(algebra.Tuple, w)
-		default:
-			b = algebra.NewFlatTuple(w, m)
-		}
-		s.bufs = append(s.bufs, b)
-	}
-	s.next++
-	return s.bufs[s.next-1]
-}
-
-// Vec returns a block of m words, contents unspecified.
-func (sc *Scratch) Vec(m int) algebra.Value { return sc.draw(0, m) }
-
-// flat returns a flat tuple of w components of m words each.
-func (sc *Scratch) flat(w, m int) *algebra.FlatTuple { return sc.draw(w, m).(*algebra.FlatTuple) }
-
-// Tuple returns a tuple of width w, and the same tuple as a Value; its
-// components are unspecified. The empty tuple is not drawn: shelf (0, 0)
-// holds empty blocks.
-func (sc *Scratch) Tuple(w int) (algebra.Tuple, algebra.Value) {
-	if w == 0 {
-		t := algebra.Tuple{}
-		return t, t
-	}
-	boxed := sc.draw(w, 0)
-	return boxed.(algebra.Tuple), boxed
-}
-
-// giveBack returns the last k buffers drawn, all from one shelf: the
-// flattened operands of a kernel call, dead once it returns.
-func (sc *Scratch) giveBack(k int) {
-	if k > 0 {
-		sc.shelves[sc.last].next -= k
-	}
 }
 
 // The flat lanes. An operator with a flat kernel combines tuples of
@@ -189,7 +95,7 @@ func (sc *Scratch) asFlat(v algebra.Value, w, m int, drawn *int) *algebra.FlatTu
 		return t
 	}
 	*drawn++
-	return flatten(sc.flat(w, m), v)
+	return flatten(sc.Flat(w, m), v)
 }
 
 // fill copies v into every component of d, whose blocks are len(v) long.
@@ -200,15 +106,15 @@ func fill(d *algebra.FlatTuple, v algebra.Vec) {
 }
 
 // first is π₁ of a flat tuple: its first block, copied into a block of
-// st's (a view would box a slice header).
-func first(st Store, t *algebra.FlatTuple) algebra.Value {
-	d := st.Vec(t.M())
+// a's (a view would box a slice header).
+func first(a *algebra.Arena, t *algebra.FlatTuple) algebra.Value {
+	d := a.Vec(t.M())
 	copy(d.(algebra.Vec), t.Data)
 	return d
 }
 
 // repeats reports that f applied to x may reuse what it made of prev: for a
-// function whose results Apply draws from the store, when x is prev — one
+// function whose results Apply draws from the arena, when x is prev — one
 // flat tuple, one block or tuple, or both undetermined, as after bcast,
 // allreduce and reduce.
 func (sc *Scratch) repeats(f *Fn, x, prev algebra.Value) bool {
@@ -244,11 +150,11 @@ func (sc *Scratch) combine(op *algebra.Op, a, b algebra.Value, intoA bool) (out 
 	if n, bok := flatShape(op.Arity, b); ok && bok && n == m && op.FlatFn != nil {
 		dst, into := a.(*algebra.FlatTuple)
 		if !intoA || !into {
-			dst = sc.flat(op.Arity, m)
+			dst = sc.Flat(op.Arity, m)
 		}
 		temps := 0
 		op.FlatFn(dst, sc.asFlat(a, op.Arity, m, &temps), sc.asFlat(b, op.Arity, m, &temps))
-		sc.giveBack(temps)
+		sc.GiveBack(temps)
 		return dst, true
 	}
 	_, af := a.(*algebra.FlatTuple)
@@ -278,11 +184,11 @@ func (sc *Scratch) unary(op *algebra.Op, b algebra.Value, intoB bool) (out algeb
 	if m, ok := flatShape(op.Arity, b); ok && op.FlatUnary != nil {
 		dst, into := b.(*algebra.FlatTuple)
 		if !intoB || !into {
-			dst = sc.flat(op.Arity, m)
+			dst = sc.Flat(op.Arity, m)
 		}
 		temps := 0
 		op.FlatUnary(dst, sc.asFlat(b, op.Arity, m, &temps))
-		sc.giveBack(temps)
+		sc.GiveBack(temps)
 		return dst, true
 	}
 	return op.ApplyUnary(algebra.Boxed(b)), false
@@ -294,11 +200,11 @@ func (sc *Scratch) unary(op *algebra.Op, b algebra.Value, intoB bool) (out algeb
 // steps it.
 func (sc *Scratch) comcast(ops *algebra.RepeatOps, b algebra.Value, out []algebra.Value) {
 	if v, ok := b.(algebra.Vec); ok && len(v) > 0 && ops.FlatE != nil && ops.FlatO != nil {
-		w := sc.flat(ops.Arity, len(v))
+		w := sc.Flat(ops.Arity, len(v))
 		for i := range out {
 			fill(w, v)
 			ops.RepeatInto(i, w)
-			out[i] = first(sc, w)
+			out[i] = first(&sc.Arena, w)
 		}
 		return
 	}
@@ -312,12 +218,12 @@ func (sc *Scratch) comcast(ops *algebra.RepeatOps, b algebra.Value, out []algebr
 // place in one drawn flat tuple, as coll.Iter steps it.
 func (sc *Scratch) iter(op *algebra.IterOp, x algebra.Value, n int) algebra.Value {
 	if v, ok := x.(algebra.Vec); ok && len(v) > 0 && op.FlatF != nil {
-		w := sc.flat(op.Arity, len(v))
+		w := sc.Flat(op.Arity, len(v))
 		fill(w, v)
 		for k := 1; k < n; k <<= 1 {
 			op.FlatF(w, w)
 		}
-		return first(sc, w)
+		return first(&sc.Arena, w)
 	}
 	w := op.Prepare(algebra.Boxed(x))
 	for k := 1; k < n; k <<= 1 {

@@ -14,8 +14,8 @@ func TestScratchBytesIsWhatItKeeps(t *testing.T) {
 	const n, m = 8, 100
 	inc := &Fn{Name: "inc",
 		F: func(v algebra.Value) algebra.Value { return algebra.Add.Apply(v, algebra.Scalar(1)) },
-		Into: func(st Store, v algebra.Value) algebra.Value {
-			return algebra.Add.ApplyInto(st.Vec(len(v.(algebra.Vec))), v, algebra.Scalar(1))
+		Into: func(ar *algebra.Arena, v algebra.Value) algebra.Value {
+			return algebra.Add.ApplyInto(ar.Vec(len(v.(algebra.Vec))), v, algebra.Scalar(1))
 		},
 	}
 	sr2 := algebra.OpSR2(algebra.Mul, algebra.Add)
@@ -37,6 +37,10 @@ func TestScratchBytesIsWhatItKeeps(t *testing.T) {
 	}
 	sc.Reset()
 	kept := sc.Bytes()
+	// Bytes of the slice header a boxed Vec or Tuple points to, of a
+	// FlatTuple's own fields and of a word, on a 64-bit machine, as
+	// algebra.Arena counts them.
+	const headerBytes, flatBytes, wordBytes = 24, 40, 8
 	block, pair, flatPair := headerBytes+m*wordBytes, headerBytes+2*valueBytes, flatBytes+2*m*wordBytes
 	// Blocks: the scan's n-1, π₁'s n-1 copies out of flat pairs, map inc's
 	// n. Boxed: the n pairs and one n-tuple. Flat: the n-1 results of

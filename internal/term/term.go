@@ -31,35 +31,25 @@ type Fn struct {
 	// algebra.Registry — and false is always safe: package rules then
 	// verifies a program containing the function one input at a time.
 	Elementwise bool
-	// Into, if non-nil, is F in store-passing form: it returns F(x), bit
-	// for bit, draws every block and tuple header it builds from st, and
-	// never writes into x. What it returns is valid as long as st's
-	// buffers are: until a Scratch's next Reset, until a rank's next run
-	// for a rank's arena, for good on a nil arena. Apply calls it.
-	Into func(st Store, x algebra.Value) algebra.Value
+	// Into, if non-nil, is F drawing from an arena: it returns F(x), bit
+	// for bit, draws every block and tuple header it builds from a, and
+	// never writes into x. What it returns is valid as long as a's buffers
+	// are: until a Scratch's next Reset, until a rank's next run for a
+	// rank's arena, for good on a nil arena. Apply calls it.
+	Into func(a *algebra.Arena, x algebra.Value) algebra.Value
 }
 
 func (f *Fn) String() string { return f.Name }
 
-// Store is where Apply and Fn.Into draw the blocks and tuples they build:
-// a *Scratch in the evaluator, a rank's *algebra.Arena in the executor (a
-// nil arena allocates). Both hand out pre-boxed values with unspecified
-// contents.
-type Store interface {
-	// Vec returns a block of m words.
-	Vec(m int) algebra.Value
-	// Tuple returns a tuple of width w and the same tuple as a Value.
-	Tuple(w int) (algebra.Tuple, algebra.Value)
-}
-
-// Apply is f.F(x) with its blocks and tuple headers drawn from st, the one
-// way the evaluator and every rank apply a local function: a duplication
-// fills a tuple of st's, π₁ of a flat tuple copies its first block into a
-// block of st's, and a function with Into runs it. A flat tuple stands for
-// the boxed tuple it represents. x is never written.
-func Apply(st Store, f *Fn, x algebra.Value) algebra.Value {
+// Apply is f.F(x) with its blocks and tuple headers drawn from a — a
+// Scratch's arena in the evaluator, a rank's in the executor, nil to
+// allocate — the one way the evaluator and every rank apply a local
+// function: a duplication fills a tuple of a's, π₁ of a flat tuple copies
+// its first block into a block of a's, and a function with Into runs it. A
+// flat tuple stands for the boxed tuple it represents. x is never written.
+func Apply(a *algebra.Arena, f *Fn, x algebra.Value) algebra.Value {
 	if w := duplicates(f); w > 0 {
-		t, boxed := st.Tuple(w)
+		t, boxed := a.Tuple(w)
 		x = algebra.Boxed(x)
 		for i := range t {
 			t[i] = x
@@ -68,12 +58,12 @@ func Apply(st Store, f *Fn, x algebra.Value) algebra.Value {
 	}
 	if v, ok := x.(*algebra.FlatTuple); ok {
 		if f == FirstFn {
-			return first(st, v)
+			return first(a, v)
 		}
 		x = algebra.Boxed(v)
 	}
 	if f.Into != nil {
-		return f.Into(st, x)
+		return f.Into(a, x)
 	}
 	return f.F(x)
 }
