@@ -45,7 +45,7 @@ func chunkBounds(mlen, parts, i int) (off, sz int) {
 // rank order, so the result is the reduction only for a commutative base
 // operator (cost.Admits).
 func AllReduceRabenseifner(c Comm, op *algebra.Op, x Value) Value {
-	return exec(c, op, x, "AllReduceRabenseifner", c.Size(), rabenseifner, 0)
+	return exec(c, op, x, "AllReduceRabenseifner", c.Size(), genRabenseifner, 0)
 }
 
 // rabenseifner is AllReduceRabenseifner's schedule. Of each folded pair
@@ -55,14 +55,14 @@ func AllReduceRabenseifner(c Comm, op *algebra.Op, x Value) Value {
 // keeping the half that holds the leader's own chunk and combining the
 // partner's copy of it in place; the allgather is the halving read
 // backwards, into out; and leaders of folded pairs ship the result back.
-func rabenseifner(p, rank, m, _ int) schedule {
+func rabenseifner(s *schedule, p, rank, m int) {
 	q := 1 << log2Floor(p)
 	r := p - q
-	s := result(outBuf, 0, m, 4*log2Floor(q)+3)
+	s.start(outBuf, 0, m, 4*log2Floor(q)+3)
 	if rank < 2*r && rank%2 == 1 {
 		s.add(doSend, rank-1, inBuf, 0, m)
 		s.add(doCopy, rank-1, outBuf, 0, m)
-		return s
+		return
 	}
 	idx := rank - r
 	if rank < 2*r {
@@ -86,7 +86,7 @@ func rabenseifner(p, rank, m, _ int) schedule {
 		}
 	}
 	halving := len(s.steps)
-	s.add(doKeep, -1, outBuf, off(lo), off(hi))
+	s.push(step{act: doKeep, peer: -1, buf: outBuf, src: workBuf, lo: off(lo), hi: off(hi)})
 	for i := halving - 2; i >= first; i -= 2 {
 		shipped, kept := s.steps[i], s.steps[i+1]
 		s.add(doSend, kept.peer, outBuf, kept.lo, kept.hi)
@@ -95,7 +95,6 @@ func rabenseifner(p, rank, m, _ int) schedule {
 	if rank < 2*r {
 		s.add(doSend, rank+1, outBuf, 0, m)
 	}
-	return s
 }
 
 // ReducePipelined computes the rooted reduction (result on the first
@@ -108,16 +107,17 @@ func rabenseifner(p, rank, m, _ int) schedule {
 // gives the Lowery–Langou optimum. The operator must be elementwise and
 // the value a Vec; combining keeps rank order (lower ranks left).
 func ReducePipelined(c Comm, op *algebra.Op, x Value, segments int) Value {
-	return exec(c, op, x, "ReducePipelined", 1, pipeline, segments)
+	return exec(c, op, x, "ReducePipelined", 1, genPipeline, segments)
 }
 
 // pipeline is ReducePipelined's schedule, with parts clamped to [1, m]
 // segments: every rank but the chain's tail combines each arriving
 // segment into its own (own block left: it is the lower rank), and every
 // rank but the root forwards it.
-func pipeline(p, rank, m, parts int) schedule {
+func pipeline(s *schedule, p, rank, m, parts int) {
 	k := min(max(parts, 1), m)
-	s, from := result(inBuf, 0, m, 2*k), workBuf
+	s.start(inBuf, 0, m, 2*k)
+	from := workBuf
 	if rank == 0 {
 		s.res = workBuf
 	}
@@ -133,7 +133,6 @@ func pipeline(p, rank, m, parts int) schedule {
 			s.add(doSend, rank-1, from, off, off+sz)
 		}
 	}
-	return s
 }
 
 // ReduceScatter combines the members' blocks elementwise with op and
@@ -145,7 +144,7 @@ func pipeline(p, rank, m, parts int) schedule {
 //
 // It returns this member's fully reduced chunk.
 func ReduceScatter(c Comm, op *algebra.Op, x Value) Value {
-	return exec(c, op, x, "ReduceScatter", c.Size(), reduceScatter, 0)
+	return exec(c, op, x, "ReduceScatter", c.Size(), genReduceScatter, 0)
 }
 
 // AllReduceRing computes the all-reduction of Vec blocks with the ring
@@ -153,7 +152,7 @@ func ReduceScatter(c Comm, op *algebra.Op, x Value) Value {
 // 2(p−1) steps of m/p words each, total bandwidth ~2m per member. The
 // classic large-block all-reduce.
 func AllReduceRing(c Comm, op *algebra.Op, x Value) Value {
-	return exec(c, op, x, "AllReduceRing", c.Size(), ring, 0)
+	return exec(c, op, x, "AllReduceRing", c.Size(), genRing, 0)
 }
 
 // AllReduceRingBi computes the all-reduction of Vec blocks on the
@@ -166,17 +165,7 @@ func AllReduceRing(c Comm, op *algebra.Op, x Value) Value {
 // The operator must be elementwise and the block must hold at least two
 // words per member (one per direction).
 func AllReduceRingBi(c Comm, op *algebra.Op, x Value) Value {
-	return exec(c, op, x, "AllReduceRingBi", 2*c.Size(), ringBi, 0)
-}
-
-func reduceScatter(p, rank, m, _ int) schedule {
-	return rings(p, m, false, ringDir{p, rank, +1, 0, m})
-}
-
-func ring(p, rank, m, _ int) schedule { return rings(p, m, true, ringDir{p, rank, +1, 0, m}) }
-
-func ringBi(p, rank, m, _ int) schedule {
-	return rings(p, m, true, ringDir{p, rank, +1, 0, m / 2}, ringDir{p, rank, -1, m / 2, m - m/2})
+	return exec(c, op, x, "AllReduceRingBi", 2*c.Size(), genRingBi, 0)
 }
 
 // ringDir is one direction of a ring over the block range [base,
@@ -214,8 +203,8 @@ func (g ringDir) round(s *schedule, i int, gather bool) {
 // flight together — except in a group of two, where both share the one
 // link and take a round each. Without gather the result is the rank's own
 // chunk, in work.
-func rings(p, m int, gather bool, dirs ...ringDir) schedule {
-	s := result(outBuf, 0, m, 4*len(dirs)*(p-1)+len(dirs))
+func rings(s *schedule, p, m int, gather bool, dirs ...ringDir) {
+	s.start(outBuf, 0, m, 4*len(dirs)*(p-1)+len(dirs))
 	if !gather {
 		s.res = workBuf
 		s.lo, s.hi = dirs[0].chunk(0)
@@ -224,7 +213,7 @@ func rings(p, m int, gather bool, dirs ...ringDir) schedule {
 		for i := 0; i < p-1; i++ {
 			n := len(s.steps)
 			for _, g := range dirs {
-				g.round(&s, i, gather)
+				g.round(s, i, gather)
 			}
 			if len(dirs) == 2 && p > 2 {
 				s.steps[n+1], s.steps[n+2] = s.steps[n+2], s.steps[n+1]
@@ -235,20 +224,20 @@ func rings(p, m int, gather bool, dirs ...ringDir) schedule {
 	if gather {
 		for _, g := range dirs {
 			lo, hi := g.chunk(0)
-			s.add(doKeep, -1, outBuf, lo, hi)
+			s.push(step{act: doKeep, peer: -1, buf: outBuf, src: workBuf, lo: lo, hi: hi})
 		}
 		phase(true)
 	}
-	return s
 }
 
-// portfolio maps each algorithm ReduceBy can run besides the butterfly to
-// its generator.
-var portfolio = map[cost.Algo]generator{
-	cost.AlgoRabenseifner: rabenseifner,
-	cost.AlgoRing:         ring,
-	cost.AlgoRingBi:       ringBi,
-	cost.AlgoPipeline:     pipeline,
+// portfolio maps each algorithm ReduceBy can run to its generators of
+// the rooted reduction and of the all-reduction, genNone where it has none.
+var portfolio = map[cost.Algo][2]generator{
+	cost.AlgoButterfly:    {genReduce, genAllReduce},
+	cost.AlgoRabenseifner: {genNone, genRabenseifner},
+	cost.AlgoRing:         {genNone, genRing},
+	cost.AlgoRingBi:       {genNone, genRingBi},
+	cost.AlgoPipeline:     {genPipeline, genNone},
 }
 
 // ReduceBy is the one place a portfolio algorithm name becomes a
@@ -264,18 +253,15 @@ var portfolio = map[cost.Algo]generator{
 // must feed uniformly shaped blocks: the same contract the collectives
 // themselves have.
 func ReduceBy(c Comm, op *algebra.Op, x Value, all bool, a cost.Algo, segments int) Value {
-	collective := cost.CollReduce
+	collective, i := cost.CollReduce, 0
 	if all {
-		collective = cost.CollAllReduce
+		collective, i = cost.CollAllReduce, 1
 	}
-	if gen := portfolio[a]; gen != nil && cost.Admits(a, op) {
-		vec, ok := x.(algebra.Vec)
-		if ok && cost.Applicable(collective, a, cost.Params{P: c.Size(), M: len(vec)}) {
-			return exec(c, op, x, string(a), 0, gen, segments)
-		}
+	gen := portfolio[a][i]
+	vec, isVec := x.(algebra.Vec)
+	if a == cost.AlgoButterfly || gen == genNone || !cost.Admits(a, op) || !isVec ||
+		!cost.Applicable(collective, a, cost.Params{P: c.Size(), M: len(vec)}) {
+		gen, segments = portfolio[cost.AlgoButterfly][i], 0 // the butterfly reduction's root
 	}
-	if all {
-		return AllReduce(c, op, x)
-	}
-	return Reduce(c, 0, op, x)
+	return exec(c, op, x, string(a), 0, gen, segments)
 }

@@ -158,9 +158,7 @@ func TestAlgoShapePanics(t *testing.T) {
 // TestReduceAlgString: the rooted dispatch is keyed by name too —
 // "pipeline" streams the chain (same virtual makespan as ReducePipelined
 // at that segment count), "butterfly" and names of the other collective's
-// algorithms run the binomial tree, and every portfolio name parses back
-// to itself (cost.ParseAlgo), so a name read off a plan selects what it
-// says.
+// algorithms run the binomial tree, as does an unknown name.
 func TestReduceAlgString(t *testing.T) {
 	params := machine.Params{Ts: 10, Tw: 4}
 	p, m, k := 8, 256, 4
@@ -182,13 +180,6 @@ func TestReduceAlgString(t *testing.T) {
 	for _, name := range []cost.Algo{"butterfly", "rabenseifner", "ring-bi", "9"} {
 		if got := by(name); got != tree {
 			t.Fatalf("%q on a rooted reduction ran in %g, want the binomial tree's %g", name, got, tree)
-		}
-	}
-	for _, coll := range []string{cost.CollAllReduce, cost.CollReduce} {
-		for _, a := range cost.Algos(coll) {
-			if back, err := cost.ParseAlgo(string(a)); err != nil || back != a {
-				t.Fatalf("ParseAlgo(%q) = %q, %v", a, back, err)
-			}
 		}
 	}
 }

@@ -17,60 +17,40 @@ import (
 // other members return their input unchanged, mirroring reduce's list
 // semantics.
 func ReduceBalanced(c Comm, op *algebra.Op, x Value) Value {
-	tag := c.NextTag()
-	n := c.Size()
-	ar := c.Caps().Arena
-	w, owned := toWork(ar, op, x)
-	v, _ := reduceBalNode(c, ar, op, 0, n, log2Ceil(n), w, owned, tag)
-	if c.Rank() == 0 {
-		return fromWork(v)
-	}
-	return x
+	return exec(c, op, x, "ReduceBalanced", 0, genReduceBalanced, 0)
 }
 
-// reduceBalNode executes the subtree over ranks [lo,hi) at height h.
-// Every rank in the span participates; the subtree's value is returned on
-// the representative (the lowest rank, lo) and is unspecified on the
-// others. The owned flag tracks whether v is scratch this rank may
-// combine into in place: a representative combines in place once its
-// accumulator is owned, and a rank that ships its value marks it frozen
-// (a rank sends at most once and never combines afterwards, so this is
-// belt and braces).
-func reduceBalNode(c Comm, ar *algebra.Arena, op *algebra.Op, lo, hi, h int, v Value, owned bool, tag int) (Value, bool) {
+// reduceBalanced is ReduceBalanced's schedule.
+func reduceBalanced(s *schedule, p, rank int) {
+	s.startWhole(inBuf, log2Ceil(p))
+	if rank == 0 {
+		s.res = workBuf
+	}
+	s.balanced(rank, 0, p, log2Ceil(p))
+}
+
+// balanced appends rank's steps of the subtree over ranks [lo, hi) at
+// height h, whose value lands on lo: the right subtree covers the last
+// 2^(h−1) ranks, from mid, and the left one the rest, which may be empty.
+// A rank ships its value once and never combines afterwards.
+func (s *schedule) balanced(rank, lo, hi, h int) {
 	if h == 0 {
-		return v, owned
+		return
 	}
-	n := hi - lo
-	half := 1 << (h - 1)
-	if n <= half {
-		// Empty left subtree: the node passes the (complete or
-		// recursively built) right subtree's value through the
-		// one-sided case.
-		v, owned = reduceBalNode(c, ar, op, lo, hi, h-1, v, owned, tag)
-		if c.Rank() == lo {
-			v = op.ApplyUnaryInto(dstFor(ar, v, owned, v), v)
-			owned = true
-			c.Compute(op.Charge(v))
-		}
-		return v, owned
-	}
-	mid := hi - half // right subtree covers [mid, hi) and is complete
-	if c.Rank() < mid {
-		v, owned = reduceBalNode(c, ar, op, lo, mid, h-1, v, owned, tag)
-		if c.Rank() == lo {
-			right := c.Recv(mid, tag)
-			v = op.ApplyInto(dstFor(ar, v, owned, right), v, right)
-			owned = true
-			c.Compute(op.Charge(v))
-		}
+	mid := max(hi-1<<(h-1), lo)
+	if rank < mid {
+		s.balanced(rank, lo, mid, h-1)
 	} else {
-		v, owned = reduceBalNode(c, ar, op, mid, hi, h-1, v, owned, tag)
-		if c.Rank() == mid {
-			c.Send(lo, v, tag)
-			owned = false
-		}
+		s.balanced(rank, mid, hi, h-1)
 	}
-	return v, owned
+	switch {
+	case rank == lo && mid == lo:
+		s.with(doUnary, -1, workBuf)
+	case rank == lo:
+		s.with(doRight, mid, workBuf)
+	case rank == mid:
+		s.with(doSend, lo, workBuf)
+	}
 }
 
 // AllReduceBalanced extends the balanced reduction to all members. On a
@@ -156,5 +136,5 @@ func ScanBalanced(c Comm, op *algebra.BalancedScanOp, x Value) Value {
 			c.Compute(float64(op.CostHi) * m)
 		}
 	}
-	return fromWork(v)
+	return algebra.Boxed(v)
 }

@@ -20,28 +20,20 @@
 // for any group size, not only powers of two.
 package coll
 
-import "repro/internal/algebra"
+import (
+	"math/bits"
+
+	"repro/internal/algebra"
+)
 
 // Value is the per-processor datum; an alias re-exported for convenience.
 type Value = algebra.Value
 
 // log2Ceil returns ceil(log2 n) for n ≥ 1.
-func log2Ceil(n int) int {
-	k := 0
-	for 1<<k < n {
-		k++
-	}
-	return k
-}
+func log2Ceil(n int) int { return bits.Len(uint(n - 1)) }
 
 // log2Floor returns floor(log2 n) for n ≥ 1.
-func log2Floor(n int) int {
-	k := 0
-	for 1<<(k+1) <= n {
-		k++
-	}
-	return k
-}
+func log2Floor(n int) int { return bits.Len(uint(n)) - 1 }
 
 // IsPow2 reports whether n is a power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
@@ -50,29 +42,24 @@ func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 // binomial doubling tree: log p phases of one transfer each, time
 // log p · (ts + m·tw) — equation (15). Non-root input values are ignored,
 // mirroring bcast [x1, _, …, _] = [x1, x1, …, x1].
-func Bcast(c Comm, root int, x Value) Value {
-	tag := c.NextTag()
-	n := c.Size()
-	if n == 1 {
-		return x
+func Bcast(c Comm, root int, x Value) Value { return exec(c, nil, x, "Bcast", 0, genBcast, root) }
+
+// bcast is Bcast's schedule: in phase k the virtual ranks (the root is 0)
+// below 2^k, which hold the value, send it 2^k up.
+func bcast(s *schedule, p, rank, root int) {
+	vr := (rank - root + p) % p
+	s.startWhole(msgBuf, log2Ceil(p))
+	if vr == 0 {
+		s.res = inBuf
 	}
-	// Rotate ranks so the root is virtual rank 0.
-	vr := (c.Rank() - root + n) % n
-	v := x
-	have := vr == 0
-	for k := 0; k < log2Ceil(n); k++ {
-		bit := 1 << k
+	for bit := 1; bit < p; bit <<= 1 {
 		switch {
-		case have && vr+bit < n:
-			dst := (vr + bit + root) % n
-			c.Send(dst, v, tag)
-		case !have && vr >= bit && vr < bit<<1:
-			src := (vr - bit + root) % n
-			v = c.Recv(src, tag)
-			have = true
+		case vr < bit && vr+bit < p:
+			s.with(doSend, (vr+bit+root)%p, s.res)
+		case vr >= bit && vr < bit<<1:
+			s.with(doCopy, (vr-bit+root)%p, msgBuf)
 		}
 	}
-	return v
 }
 
 // Reduce combines the group's values with the associative operator op,
@@ -82,46 +69,27 @@ func Bcast(c Comm, root int, x Value) Value {
 // log p phases of one transfer and one combine, time
 // log p · (ts + m·(tw+1)) — equation (16).
 func Reduce(c Comm, root int, op *algebra.Op, x Value) Value {
-	tag := c.NextTag()
-	n := c.Size()
-	if n == 1 {
-		return x
+	return exec(c, op, x, "Reduce", 0, genReduce, root)
+}
+
+// reduce is Reduce's schedule, the broadcast tree run backwards: in phase
+// k a virtual rank with bit k set moves its accumulator, which covers
+// virtual ranks [vr, vr+2^k), to its parent and drops out.
+func reduce(s *schedule, p, rank, root int) {
+	vr := (rank - root + p) % p
+	s.startWhole(inBuf, log2Ceil(p))
+	if vr == 0 && p > 1 {
+		s.res = workBuf
 	}
-	ar := c.Caps().Arena
-	vr := (c.Rank() - root + n) % n
-	v, owned := toWork(ar, op, x)
-	done := false
-	for k := 0; k < log2Ceil(n) && !done; k++ {
-		bit := 1 << k
+	for bit := 1; bit < p; bit <<= 1 {
 		if vr&bit != 0 {
-			// Send the accumulated value (covering [vr, vr+bit) in
-			// virtual-rank order) to the parent and drop out. The rank
-			// never combines after sending, so shipping its scratch
-			// buffer is safe — and when the buffer is owned scratch the
-			// send moves ownership outright: the parent may combine into
-			// it in place, and on a zero-copy transport nothing is copied.
-			dst := (vr - bit + root) % n
-			if owned {
-				c.SendMove(dst, v, tag)
-			} else {
-				c.Send(dst, v, tag)
-			}
-			done = true
-		} else if vr+bit < n {
-			src := (vr + bit + root) % n
-			r, adopted := c.RecvOwned(src, tag)
-			// Own value covers lower virtual ranks: combine own ⊕ recv —
-			// in place into the accumulator once it is owned scratch, or
-			// into the received buffer when the child moved it here.
-			v = op.ApplyInto(dstForOwned(ar, v, owned, r, adopted), v, r)
-			owned = true
-			c.Compute(op.Charge(v))
+			s.with(doMove, (vr-bit+root)%p, workBuf)
+			break
+		}
+		if vr+bit < p {
+			s.with(doRight, (vr+bit+root)%p, workBuf)
 		}
 	}
-	if vr == 0 {
-		return fromWork(v)
-	}
-	return x
 }
 
 // AllReduce combines the group's values with the associative operator op
@@ -133,66 +101,45 @@ func Reduce(c Comm, root int, op *algebra.Op, x Value) Value {
 // unfolds, preserving rank-ordered combining for non-commutative
 // operators.
 func AllReduce(c Comm, op *algebra.Op, x Value) Value {
-	tag := c.NextTag()
-	n := c.Size()
-	if n == 1 {
-		return x
+	return exec(c, op, x, "AllReduce", 0, genAllReduce, 0)
+}
+
+// allReduce is AllReduce's schedule. Of each folded pair (2i, 2i+1),
+// i < r = p − q, the odd member moves its block to the even one, which
+// combines it on the right and leads (leader i is rank i + min(i, r)),
+// and receives the result at the end; the q = 2^⌊log p⌋ leaders exchange
+// and combine in leader order.
+func allReduce(s *schedule, p, rank int) {
+	if p == 1 {
+		s.startWhole(inBuf, 0)
+		return
 	}
-	ar := c.Caps().Arena
-	rank := c.Rank()
-	q := 1 << log2Floor(n)
-	r := n - q
-	v, owned := toWork(ar, op, x)
-	// Fold: pairs (2i, 2i+1) for i < r combine into leader 2i.
-	isLeader := true
-	leaderIdx := rank // index within the q leaders
+	q := 1 << log2Floor(p)
+	r := p - q
+	s.startWhole(workBuf, 2*log2Floor(q)+2)
+	idx := rank - r
 	if rank < 2*r {
 		if rank%2 == 1 {
-			// The fold send is terminal for this rank's accumulator (it
-			// only receives from here on), so an owned buffer moves.
-			if owned {
-				c.SendMove(rank-1, v, tag)
-			} else {
-				c.Send(rank-1, v, tag)
-			}
-			isLeader = false
+			s.with(doMove, rank-1, workBuf)
+			s.with(doCopy, rank-1, outBuf)
+			s.res = outBuf
+			return
+		}
+		s.with(doRight, rank+1, workBuf)
+		idx = rank / 2
+	}
+	for bit := 1; bit < q; bit <<= 1 {
+		partner := idx ^ bit
+		s.with(doSwap, partner+min(partner, r), workBuf)
+		if partner < idx {
+			s.with(doLeft, -1, workBuf)
 		} else {
-			hi, adopted := c.RecvOwned(rank+1, tag)
-			v = op.ApplyInto(dstForOwned(ar, v, owned, hi, adopted), v, hi)
-			c.Compute(op.Charge(v))
-			leaderIdx = rank / 2
+			s.with(doRight, -1, workBuf)
 		}
-	} else {
-		leaderIdx = rank - r
 	}
-	leaderRank := func(idx int) int {
-		if idx < r {
-			return 2 * idx
-		}
-		return idx + r
+	if rank < 2*r {
+		s.with(doSend, rank+1, workBuf)
 	}
-	if isLeader {
-		for k := 0; k < log2Floor(q); k++ {
-			partnerIdx := leaderIdx ^ (1 << k)
-			partner := leaderRank(partnerIdx)
-			recv := c.Exchange(partner, v, tag)
-			// v was just shipped — the partner may still be reading it —
-			// so every butterfly round combines into a fresh arena
-			// buffer rather than in place.
-			d := scratchLike(ar, recv)
-			if partnerIdx < leaderIdx {
-				v = op.ApplyInto(d, recv, v)
-			} else {
-				v = op.ApplyInto(d, v, recv)
-			}
-			c.Compute(op.Charge(v))
-		}
-		if rank < 2*r {
-			c.Send(rank+1, v, tag)
-		}
-		return fromWork(v)
-	}
-	return fromWork(c.Recv(rank-1, tag))
 }
 
 // Scan computes the inclusive parallel prefix with the associative
@@ -208,112 +155,68 @@ func AllReduce(c Comm, op *algebra.Op, x Value) Value {
 // computes recvTotal ⊕ x once, as prefix and total. At p = 2^L ≥ 4 that
 // is 1.5·p·(L − 1) combines per word of the 1.5·p·L charged, and the
 // same result bits.
-func Scan(c Comm, op *algebra.Op, x Value) Value {
-	tag := c.NextTag()
-	n := c.Size()
-	if n == 1 {
-		return x
+func Scan(c Comm, op *algebra.Op, x Value) Value { return exec(c, op, x, "Scan", 0, genScan, 0) }
+
+// scan is Scan's schedule. Of each folded pair (2i, 2i+1), i < r = p − 2^L,
+// the even member sends its block to the odd one, which combines it on
+// the left and leads (leader i is rank i + min(i+1, r)), carrying the
+// pair's segment; the leader's inclusive prefix is then the pair's, and it
+// hands its exclusive prefix back (the empty one, Undef, when it has
+// none). A leader keeps its prefix in work, the total it ships in out and
+// the exclusive prefix in excl. In phase 0 a leader whose partner is lower
+// computes the prefix once and shares it as the total; the last phase's
+// total is charged, not computed.
+func scan(s *schedule, p, rank int) {
+	if p == 1 {
+		s.startWhole(inBuf, 0)
+		return
 	}
-	rank := c.Rank()
-	q := 1 << log2Floor(n)
-	r := n - q
-	// Fold: pairs (2i, 2i+1) for i < r combine into leader 2i+1, which
-	// carries the pair's segment; the leader's own inclusive prefix then
-	// equals the pair's, and the folded partner needs the leader's
-	// exclusive prefix afterwards.
-	ar := c.Caps().Arena
-	v, _ := toWork(ar, op, x)
-	isLeader := true
-	leaderIdx := rank
+	L := log2Floor(p)
+	r := p - 1<<L
+	s.startWhole(workBuf, 4*L+4)
+	idx := rank - r
 	if rank < 2*r {
 		if rank%2 == 0 {
-			c.Send(rank+1, v, tag)
-			isLeader = false
-		} else {
-			lo := c.Recv(rank-1, tag)
-			v = op.ApplyInto(scratchLike(ar, lo), lo, v)
-			c.Compute(op.Charge(v))
-			leaderIdx = rank / 2
+			s.with(doSend, rank+1, workBuf)
+			s.with(doPrefix, rank+1, workBuf)
+			return
 		}
-	} else {
-		leaderIdx = rank - r
+		s.with(doLeft, rank-1, workBuf)
+		idx = rank / 2
 	}
-	leaderRank := func(idx int) int {
-		if idx < r {
-			return 2*idx + 1
-		}
-		return idx + r
-	}
-	if !isLeader {
-		// Receive the leader's exclusive prefix (Undef if empty) and
-		// append the own element.
-		ex := c.Recv(rank+1, tag)
-		if algebra.IsUndef(ex) {
-			return x
-		}
-		res := op.ApplyInto(scratchLike(ar, ex), ex, v)
-		c.Compute(op.Charge(res))
-		return fromWork(res)
-	}
-	// prefix, total and excl all start out aliasing (or holding) buffers
-	// this rank does not own for writing: total is shipped every round
-	// and prefix/excl initially share its storage or hold a partner's
-	// buffer. Each accumulator therefore combines into a fresh arena
-	// destination the first time and in place from then on — excl is
-	// never shipped, and prefix only once, as phase 1's total, after
-	// which it is disowned again — so the in-place combine is safe.
-	prefix := v // inclusive prefix over the leader's segment block
-	prefOwned := false
-	total := v
-	var excl Value // exclusive prefix; nil means empty
-	exclOwned := false
-	phases := log2Floor(q)
-	for k := 0; k < phases; k++ {
-		partnerIdx := leaderIdx ^ (1 << k)
-		partner := leaderRank(partnerIdx)
-		recvTotal := c.Exchange(partner, total, tag)
-		last := k == phases-1
-		if partnerIdx < leaderIdx {
-			// The partner's block precedes ours in index order.
-			prefix = op.ApplyInto(dstFor(ar, prefix, prefOwned, recvTotal), recvTotal, prefix)
-			prefOwned = true
-			c.Compute(op.Charge(prefix))
-			// Exclusive-prefix upkeep is only needed by leaders of
-			// folded pairs; it is an extra combine beyond the paper's
-			// two per phase, performed and charged only in that case.
+	s.push(step{act: doKeep, peer: -1, buf: outBuf, src: workBuf})
+	for k := 0; k < L; k++ {
+		partner := idx ^ 1<<k
+		last := k == L-1
+		s.with(doSwap, partner+min(partner+1, r), outBuf)
+		switch {
+		case partner < idx:
+			s.with(doLeft, -1, workBuf)
 			if rank < 2*r {
-				if excl == nil {
-					excl = recvTotal
+				// An extra combine beyond the paper's two per phase.
+				if idx&(1<<k-1) == 0 {
+					s.push(step{act: doKeep, peer: -1, buf: exclBuf, src: msgBuf})
 				} else {
-					excl = op.ApplyInto(dstFor(ar, excl, exclOwned, recvTotal), recvTotal, excl)
-					exclOwned = true
-					c.Compute(op.Charge(excl))
+					s.with(doLeft, -1, exclBuf)
 				}
 			}
 			if k == 0 {
-				// total was x, the prefix's operand, so it is the prefix;
-				// once it ships, the prefix is not written in place.
-				total, prefOwned = prefix, false
+				s.push(step{act: doKeep, peer: -1, buf: outBuf, src: workBuf})
+				if !last {
+					s.push(step{act: doCharge, peer: -1, buf: outBuf, src: outBuf})
+				}
 			} else if !last {
-				total = op.ApplyInto(scratchLike(ar, recvTotal), recvTotal, total)
+				s.with(doLeft, -1, outBuf)
 			}
-		} else if !last {
-			total = op.ApplyInto(scratchLike(ar, recvTotal), total, recvTotal)
+		case !last:
+			s.with(doRight, -1, outBuf)
 		}
 		if last {
-			// Nothing reads the last total: it is charged, not computed.
-			// An undetermined operand (a non-root's gather) makes it wordless.
-			c.Compute(min(op.Charge(total), op.Charge(recvTotal)))
-		} else {
-			c.Compute(op.Charge(total))
+			// An undetermined operand (a non-root's gather) makes it free.
+			s.push(step{act: doCharge, peer: -1, buf: outBuf, src: msgBuf})
 		}
 	}
 	if rank < 2*r {
-		if excl == nil {
-			c.Send(rank-1, algebra.Undef{}, tag)
-		} else {
-			c.Send(rank-1, excl, tag)
-		}
+		s.with(doSend, rank-1, exclBuf)
 	}
-	return fromWork(prefix)
 }

@@ -2,6 +2,7 @@ package coll
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/algebra"
@@ -31,36 +32,28 @@ func (l ValueList) String() string {
 	return "list[" + strings.Join(parts, " ") + "]"
 }
 
-// Gather collects every member's value on the root, in rank order, using
-// the mirrored binomial tree: rank r contributes x_r and the root returns
-// [x_0, …, x_{p-1}]; every other member returns nil.
+// Gather collects every member's value on the root, in rank order: rank
+// r contributes x_r and the root returns [x_0, …, x_{p-1}]; every other
+// member returns nil. It is Reduce over list concatenation, whose
+// mirrored binomial tree leaves the list in virtual-rank order on the
+// root.
 func Gather(c Comm, root int, x Value) []Value {
-	tag := c.NextTag()
-	n := c.Size()
-	vr := (c.Rank() - root + n) % n
-	acc := ValueList{x}
-	done := false
-	for k := 0; k < log2Ceil(n) && !done; k++ {
-		bit := 1 << k
-		if vr&bit != 0 {
-			dst := (vr - bit + root) % n
-			c.Send(dst, acc, tag)
-			done = true
-		} else if vr+bit < n {
-			src := (vr + bit + root) % n
-			recv := c.Recv(src, tag).(ValueList)
-			acc = append(acc, recv...)
-		}
+	acc := Reduce(c, root, concat, ValueList{x})
+	if c.Rank() != root {
+		return nil
 	}
-	if vr == 0 {
-		// acc is in virtual-rank order; rotate back to real ranks.
-		real := make([]Value, n)
-		for v, x := range acc {
-			real[(v+root)%n] = x
-		}
-		return real
-	}
-	return nil
+	l, v0 := acc.(ValueList), c.Size()-root // rank r's value is l[(r + v0) mod p]
+	return append(slices.Clone(l[v0:]), l[:v0]...)
+}
+
+// concat concatenates two lists into a new one, at no charge.
+var concat = &algebra.Op{
+	Name:  "++",
+	Arity: 1,
+	Fn: func(a, b Value) Value {
+		l := a.(ValueList)
+		return append(l[:len(l):len(l)], b.(ValueList)...)
+	},
 }
 
 // Scatter distributes the root's per-member slices: the root supplies xs
@@ -107,22 +100,7 @@ func Scatter(c Comm, root int, xs []Value) Value {
 // AllGather delivers every member's value to every member, in rank order,
 // using the fold/butterfly scheme of AllReduce with concatenation as the
 // combine.
-func AllGather(c Comm, x Value) []Value {
-	concat := &algebra.Op{
-		Name:  "++",
-		Cost:  0,
-		Arity: 1,
-		Fn: func(a, b Value) Value {
-			ta := a.(algebra.Tuple)
-			tb := b.(algebra.Tuple)
-			out := make(algebra.Tuple, 0, len(ta)+len(tb))
-			out = append(out, ta...)
-			return append(out, tb...)
-		},
-	}
-	v := AllReduce(c, concat, algebra.Tuple{x})
-	return []Value(v.(algebra.Tuple))
-}
+func AllGather(c Comm, x Value) []Value { return AllReduce(c, concat, ValueList{x}).(ValueList) }
 
 // Iter applies the Local-rule schema of §3.5 on rank 0: op.F iterated
 // ceil(log2 p) times on the first member's working state, all other

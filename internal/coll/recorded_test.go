@@ -17,11 +17,12 @@ import (
 )
 
 // update rewrites the recorded goldens the run selects from the tree
-// under test. testdata/portfolio.golden was recorded from the
-// hand-written loops, before the portfolio became schedules, and
-// testdata/scan.golden from the scan that performed every combine it
-// charged, so the tests hold the code that replaced them bit for bit.
-var update = flag.Bool("update", false, "rewrite testdata/portfolio.golden and testdata/scan.golden from this tree")
+// under test. testdata/portfolio.golden, butterfly.golden and
+// balanced.golden were recorded from the hand-written loops, before those
+// collectives became schedules, and testdata/scan.golden from the scan that
+// performed every combine it charged, so the tests hold the code that
+// replaced them bit for bit.
+var update = flag.Bool("update", false, "rewrite the testdata goldens the run selects from this tree")
 
 // recordedCase is one row of the portfolio grid.
 type recordedCase struct {

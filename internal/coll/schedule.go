@@ -6,130 +6,339 @@ import (
 	"repro/internal/algebra"
 )
 
-// This file is the one interpreter of the algorithm portfolio (algo.go).
-// Each algorithm is a pure generator of one rank's schedule: per-round
-// peers, block ranges and combining sides (Träff, arXiv 2410.14234). The
-// arena and the rule that a shipped range is never written again are
-// exec's, once for all of them; TestPortfolioSchedules checks every
-// generator statically.
+// This file is the one interpreter of every broadcast, reduction and scan:
+// the butterfly family (coll.go), the balanced reduction (balanced.go) and
+// the algorithm portfolio (algo.go). Each is a pure generator of one rank's
+// schedule: per-round peers, block ranges and combining sides (Träff,
+// arXiv 2410.14234). The arena and the ownership of every buffer are
+// exec's, once for all; TestPortfolioSchedules checks every generator.
 
-// buffer names one of the three m-word blocks a schedule addresses.
+// buffer names one of the blocks a schedule addresses.
 type buffer uint8
 
 const (
-	inBuf   buffer = iota // the caller's block, never written
-	workBuf               // arena scratch that starts as a copy of inBuf
-	outBuf                // arena scratch the result is assembled in
+	inBuf   buffer = iota // the caller's value, never written
+	workBuf               // starts as inBuf: an arena copy of a Vec block, or whole, frame.value's form of it
+	outBuf                // arena scratch the result is assembled in; whole, a second accumulator
+	exclBuf               // whole: a scan leader's exclusive prefix, empty (Undef) until set
+	msgBuf                // whole: the last value received
+	nbuf
 )
 
 // action is what a step does with its range of its buffer.
 type action uint8
 
 const (
-	doSend  action = iota // ship buf[lo:hi] to the peer, frozen from then on
-	doCopy                // write the incoming words into buf[lo:hi]
-	doLeft                // buf[lo:hi] = incoming ⊕ buf[lo:hi]
-	doRight               // buf[lo:hi] = buf[lo:hi] ⊕ incoming
-	doKeep                // copy workBuf[lo:hi] into outBuf[lo:hi]; no peer
+	doSend   action = iota // ship buf[lo:hi] to the peer as a borrow, frozen from then on
+	doCopy                 // write the incoming words (whole: the incoming value) into buf[lo:hi]
+	doLeft                 // buf[lo:hi] = incoming ⊕ buf[lo:hi]; with no peer the incoming is msgBuf
+	doRight                // buf[lo:hi] = buf[lo:hi] ⊕ incoming
+	doKeep                 // copy src[lo:hi] into buf[lo:hi]; whole, buf and src share the value
+	doMove                 // whole: ship buf to the peer, giving it away when the rank owns it
+	doSwap                 // whole: exchange buf for the peer's value, which lands in msgBuf
+	doPrefix               // whole: doLeft, but an undetermined incoming is the empty prefix: buf becomes inBuf
+	doCharge               // whole: charge min(Charge(buf), Charge(src)) and combine nothing
+	doUnary                // whole: buf = op((), buf), the operator's one-sided case
 )
 
-// step is one action of one rank.
+// stackSteps is the longest range schedule exec keeps on its stack, which
+// it zeroes on every call: a ring's at p ≤ 8.
+const stackSteps = 32
+
+// step is one action of one rank; peer is −1 when it has none.
 type step struct {
-	act    action
-	peer   int
-	buf    buffer
-	lo, hi int
+	act      action
+	buf, src buffer
+	peer     int
+	lo, hi   int
 }
 
-// schedule is one rank's part of a portfolio algorithm: its steps in
-// program order — a round is a run of sends followed by the run of
-// receives that completes it — and the range of the buffer that holds the
-// rank's result.
+// schedule is one rank's part of a collective: its steps in program
+// order and the range of the buffer that holds its result. A whole
+// schedule addresses values of any shape and ignores the ranges; the
+// others address word ranges of Vec blocks. With run set, a whole
+// schedule is not kept: each step runs as the generator makes it.
 type schedule struct {
 	steps  []step
 	res    buffer
 	lo, hi int
+	whole  bool
+	run    *frame
 }
 
-// generator builds rank's schedule for a group of p members reducing
-// m-word blocks; parts is the pipeline's segment count, ignored by the
-// others.
-type generator func(p, rank, m, parts int) schedule
+// generator names a schedule generator, the whole ones first. Exec calls
+// each directly, not through a function value, so the step list it passes
+// stays on its stack.
+type generator uint8
 
-// result makes the schedule that returns buf[lo:hi] and takes n steps.
-func result(buf buffer, lo, hi, n int) schedule {
-	return schedule{steps: make([]step, 0, n), res: buf, lo: lo, hi: hi}
+const (
+	genNone generator = iota
+	genBcast
+	genReduce
+	genAllReduce
+	genScan
+	genReduceBalanced
+	genRabenseifner
+	genRing
+	genRingBi
+	genPipeline
+	genReduceScatter
+)
+
+// build makes s g's schedule for rank of p members on m-word blocks; arg
+// is a rooted collective's root or the pipeline's segment count.
+func (g generator) build(s *schedule, p, rank, m, arg int) {
+	switch g {
+	case genBcast:
+		bcast(s, p, rank, arg)
+	case genReduce:
+		reduce(s, p, rank, arg)
+	case genAllReduce:
+		allReduce(s, p, rank)
+	case genScan:
+		scan(s, p, rank)
+	case genRabenseifner:
+		rabenseifner(s, p, rank, m)
+	case genRing:
+		rings(s, p, m, true, ringDir{p, rank, +1, 0, m})
+	case genRingBi:
+		rings(s, p, m, true, ringDir{p, rank, +1, 0, m / 2}, ringDir{p, rank, -1, m / 2, m - m/2})
+	case genPipeline:
+		pipeline(s, p, rank, m, arg)
+	case genReduceScatter:
+		rings(s, p, m, false, ringDir{p, rank, +1, 0, m})
+	case genReduceBalanced:
+		reduceBalanced(s, p, rank)
+	default:
+		panic(fmt.Sprintf("coll: no generator %d", g))
+	}
 }
 
-// add appends a step.
+// start makes s the schedule that returns buf[lo:hi] and takes at most n
+// steps, in the steps s holds when they have room.
+func (s *schedule) start(buf buffer, lo, hi, n int) {
+	if s.run == nil && cap(s.steps) < n {
+		s.steps = make([]step, 0, n)
+	}
+	s.steps, s.res, s.lo, s.hi = s.steps[:0], buf, lo, hi
+}
+
+// startWhole makes s the whole schedule that returns buf.
+func (s *schedule) startWhole(buf buffer, n int) {
+	s.start(buf, 0, 0, n)
+	s.whole = true
+}
+
+// push runs st or appends it within the capacity start reserved: slicing
+// in place, where append would not, keeps the caller's step array off the
+// heap.
+func (s *schedule) push(st step) {
+	if s.run != nil {
+		s.run.wholeStep(&st)
+		return
+	}
+	n := len(s.steps)
+	s.steps = s.steps[:n+1]
+	s.steps[n] = st
+}
+
+// add appends the step that acts on buf[lo:hi] with peer.
 func (s *schedule) add(act action, peer int, buf buffer, lo, hi int) {
-	s.steps = append(s.steps, step{act: act, peer: peer, buf: buf, lo: lo, hi: hi})
+	s.push(step{act: act, peer: peer, buf: buf, lo: lo, hi: hi})
 }
 
-// frame is a running schedule's buffers: the whole block of each, boxed
-// once, and its words. workBuf and outBuf come from the arena on first
-// use.
+// with appends the whole step that acts on buf with peer.
+func (s *schedule) with(act action, peer int, buf buffer) {
+	s.push(step{act: act, peer: peer, buf: buf})
+}
+
+// owners says, per whole buffer, whether the rank may write its value in
+// place: scratch it made or adopted and has not shipped or shared since.
+type owners [nbuf]bool
+
+// next is the one ownership rule: it updates the permissions for step st —
+// adopted says whether its receive moved the value here — and says where
+// a combine writes: in place into the buffer's value, into the incoming
+// value a move made this rank's, or else into fresh scratch. Shipping a
+// value or sharing it between two buffers freezes it; a combine owns what
+// it writes; an adopted value is used up by the combine that writes it.
+func (o *owners) next(st *step, adopted bool) (inPlace, adopt bool) {
+	switch st.act {
+	case doSend, doMove:
+		o[st.buf] = false
+	case doSwap:
+		o[st.buf], o[msgBuf] = false, false
+	case doCopy:
+		o[st.buf] = adopted
+	case doKeep:
+		o[st.buf], o[st.src] = false, false
+	case doLeft, doRight, doPrefix, doUnary:
+		inPlace = o[st.buf]
+		adopt = !inPlace && st.act != doUnary && (adopted || st.peer < 0 && o[msgBuf])
+		o[st.buf], o[msgBuf] = true, false
+	}
+	return inPlace, adopt
+}
+
+// frame is a running schedule's communicator, tag and buffers.
 type frame struct {
-	ar    *algebra.Arena
-	boxed [3]Value
-	vec   [3]algebra.Vec
+	c   Comm
+	tag int
+	ar  *algebra.Arena
+	op  *algebra.Op
+	val [nbuf]Value
+	own owners
 }
 
 // get returns buf's words, drawing workBuf (a copy of inBuf) or outBuf
 // from the arena the first time.
 func (f *frame) get(buf buffer) algebra.Vec {
-	if f.vec[buf] == nil {
-		f.boxed[buf] = f.ar.Vec(len(f.vec[inBuf]))
-		f.vec[buf] = f.boxed[buf].(algebra.Vec)
+	if f.val[buf] == nil {
+		in := f.val[inBuf].(algebra.Vec)
+		f.val[buf] = f.ar.Vec(len(in))
 		if buf == workBuf {
-			copy(f.vec[workBuf], f.vec[inBuf])
+			copy(f.val[buf].(algebra.Vec), in)
 		}
 	}
-	return f.vec[buf]
+	return f.val[buf].(algebra.Vec)
 }
 
 // view is buf[lo:hi] as a Value: the buffer's own box when the range is
 // all of it, a boxed slice otherwise.
 func (f *frame) view(buf buffer, lo, hi int) Value {
-	v := f.get(buf)
-	if lo == 0 && hi == len(v) {
-		return f.boxed[buf]
+	if v := f.get(buf); lo > 0 || hi < len(v) {
+		return v[lo:hi]
 	}
-	return v[lo:hi]
+	return f.val[buf]
 }
 
-// exec checks that x is a Vec of at least max(need, 1) words — name is
-// the algorithm's entry point, for the panic — and runs gen's schedule for
-// the caller on c, combining with op. Sends ship views of the buffers, so
-// a range is never written after its send (the generators guarantee it,
-// TestPortfolioSchedules checks it), and in-place combining only touches
-// ranges the rank has not shipped.
-func exec(c Comm, op *algebra.Op, x Value, name string, need int, gen generator, parts int) Value {
+// value is whole buffer buf's value. workBuf starts as the input, or as a
+// flat copy the rank owns when the input is a tuple of equal-length Vecs
+// the operator's flat kernel combines without boxing; exclBuf starts as
+// the empty prefix.
+func (f *frame) value(buf buffer) Value {
+	if f.val[buf] == nil && buf == workBuf {
+		f.val[buf] = f.val[inBuf]
+		if t, ok := f.val[inBuf].(algebra.Tuple); ok && f.op.FlatFn != nil && len(t) == f.op.Arity {
+			if w, m, ok := algebra.CanFlatten(t); ok {
+				f.val[buf], f.own[buf] = f.ar.Flat(w, m).FlattenInto(t), true
+			}
+		}
+	} else if f.val[buf] == nil && buf == exclBuf {
+		f.val[buf] = algebra.Undef{}
+	}
+	return f.val[buf]
+}
+
+// scratchLike returns an arena buffer shaped like proto, or nil for shapes
+// the kernels do not handle (ApplyInto then allocates its result).
+func scratchLike(ar *algebra.Arena, proto Value) Value {
+	switch v := proto.(type) {
+	case algebra.Vec:
+		return ar.Vec(len(v))
+	case *algebra.FlatTuple:
+		return ar.Flat(v.W, v.M())
+	}
+	return nil
+}
+
+// exec runs gen's schedule for the caller on c, combining with op. On word
+// ranges x must be a Vec of at least max(need, 1) words (name is the entry
+// point, for the panic). A whole result the rank computed is boxed: views
+// into its arena, valid until the machine's next run. Nothing is written
+// after its send: the generators guarantee it for ranges, the ownership
+// rule for whole values, and TestPortfolioSchedules checks both.
+func exec(c Comm, op *algebra.Op, x Value, name string, need int, gen generator, arg int) Value {
+	f := frame{c: c, ar: c.Caps().Arena, op: op, val: [nbuf]Value{x}}
+	if gen <= genReduceBalanced {
+		f.tag = c.NextTag()
+		s := schedule{run: &f}
+		gen.build(&s, c.Size(), c.Rank(), 0, arg)
+		if s.res == inBuf || s.res == msgBuf {
+			return f.val[s.res]
+		}
+		return algebra.Boxed(f.value(s.res))
+	}
 	vec, ok := x.(algebra.Vec)
 	if !ok || len(vec) < max(need, 1) {
 		panic(fmt.Sprintf("coll: %s needs a Vec block of at least %d words", name, max(need, 1)))
 	}
-	s := gen(c.Size(), c.Rank(), len(vec), parts)
-	f := frame{ar: c.Caps().Arena, boxed: [3]Value{x}, vec: [3]algebra.Vec{vec}}
-	tag := c.NextTag()
+	var steps [stackSteps]step
+	s := schedule{steps: steps[:0]}
+	gen.build(&s, c.Size(), c.Rank(), len(vec), arg)
+	f.tag = c.NextTag()
 	for _, st := range s.steps {
-		switch st.act {
-		case doSend:
-			c.Send(st.peer, f.view(st.buf, st.lo, st.hi), tag)
-		case doKeep:
-			copy(f.get(outBuf)[st.lo:st.hi], f.get(workBuf)[st.lo:st.hi])
-		case doCopy:
-			copy(f.get(st.buf)[st.lo:st.hi], c.Recv(st.peer, tag).(algebra.Vec))
-		default:
-			in := c.Recv(st.peer, tag)
-			dst := f.view(st.buf, st.lo, st.hi)
-			if st.act == doLeft {
-				op.ApplyInto(dst, in, dst)
-			} else {
-				op.ApplyInto(dst, dst, in)
-			}
-			c.Compute(op.Charge(dst))
-		}
+		f.rangeStep(st)
 	}
 	return f.view(s.res, s.lo, s.hi)
+}
+
+// rangeStep runs st on word ranges.
+func (f *frame) rangeStep(st step) {
+	switch st.act {
+	case doSend:
+		f.c.Send(st.peer, f.view(st.buf, st.lo, st.hi), f.tag)
+	case doKeep:
+		copy(f.get(st.buf)[st.lo:st.hi], f.get(st.src)[st.lo:st.hi])
+	case doCopy:
+		copy(f.get(st.buf)[st.lo:st.hi], f.c.Recv(st.peer, f.tag).(algebra.Vec))
+	default:
+		in, dst := f.c.Recv(st.peer, f.tag), f.view(st.buf, st.lo, st.hi)
+		if st.act == doLeft {
+			f.op.ApplyInto(dst, in, dst)
+		} else {
+			f.op.ApplyInto(dst, dst, in)
+		}
+		f.c.Compute(f.op.Charge(dst))
+	}
+}
+
+// wholeStep runs st on whole values.
+func (f *frame) wholeStep(st *step) {
+	c, tag, adopted := f.c, f.tag, false
+	switch st.act {
+	case doSend:
+		c.Send(st.peer, f.value(st.buf), tag)
+	case doMove:
+		if v := f.value(st.buf); f.own[st.buf] {
+			c.SendMove(st.peer, v, tag)
+		} else {
+			c.Send(st.peer, v, tag)
+		}
+		f.val[st.buf] = nil
+	case doSwap:
+		f.val[msgBuf] = c.Exchange(st.peer, f.value(st.buf), tag)
+	case doCopy:
+		f.val[st.buf], adopted = c.RecvOwned(st.peer, tag)
+	case doKeep:
+		f.val[st.buf] = f.value(st.src)
+	case doCharge:
+		c.Compute(min(f.op.Charge(f.value(st.buf)), f.op.Charge(f.value(st.src))))
+	default:
+		if st.peer >= 0 {
+			f.val[msgBuf], adopted = c.RecvOwned(st.peer, tag)
+		}
+		in, cur := f.val[msgBuf], f.value(st.buf)
+		if st.act == doPrefix && algebra.IsUndef(in) {
+			f.val[st.buf], f.own[st.buf] = f.val[inBuf], false
+			return
+		}
+		dst := cur
+		if inPlace, adopt := f.own.next(st, adopted); adopt {
+			dst, f.val[msgBuf] = in, nil
+		} else if !inPlace {
+			dst = scratchLike(f.ar, cur)
+		}
+		switch st.act {
+		case doUnary:
+			f.val[st.buf] = f.op.ApplyUnaryInto(dst, cur)
+		case doRight:
+			f.val[st.buf] = f.op.ApplyInto(dst, cur, in)
+		default:
+			f.val[st.buf] = f.op.ApplyInto(dst, in, cur)
+		}
+		c.Compute(f.op.Charge(f.val[st.buf]))
+		return
+	}
+	f.own.next(st, adopted)
 }

@@ -229,7 +229,11 @@ func ReduceScatterV(c Comm, op *algebra.Op, counts []int, x Value) Value {
 			acc, owned = contrib, j == r // the own copy is scratch never shipped
 			continue
 		}
-		acc = op.ApplyInto(dstFor(ar, acc, owned, contrib), acc, contrib)
+		dst := acc
+		if !owned {
+			dst = scratchLike(ar, contrib)
+		}
+		acc = op.ApplyInto(dst, acc, contrib)
 		owned = true
 		c.Compute(op.Charge(acc))
 	}

@@ -1,7 +1,6 @@
 package cost
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/algebra"
@@ -49,17 +48,6 @@ const (
 	CollAllReduce = "allreduce"
 	CollReduce    = "reduce"
 )
-
-// ParseAlgo resolves an algorithm name; the empty string means butterfly.
-func ParseAlgo(s string) (Algo, error) {
-	switch Algo(s) {
-	case "", AlgoButterfly:
-		return AlgoButterfly, nil
-	case AlgoRabenseifner, AlgoRing, AlgoRingBi, AlgoPipeline:
-		return Algo(s), nil
-	}
-	return "", fmt.Errorf("unknown algorithm %q", s)
-}
 
 // Algos lists the candidate algorithms for a collective, baseline first.
 // Unknown collectives have only the butterfly.

@@ -9,17 +9,6 @@ import (
 	"repro/internal/term"
 )
 
-func TestParseAlgo(t *testing.T) {
-	for _, s := range []string{"", "butterfly", "rabenseifner", "ring", "ring-bi", "pipeline"} {
-		if _, err := ParseAlgo(s); err != nil {
-			t.Errorf("ParseAlgo(%q): %v", s, err)
-		}
-	}
-	if _, err := ParseAlgo("bogus"); err == nil {
-		t.Error("ParseAlgo accepted an unknown algorithm")
-	}
-}
-
 func TestAlgosBaselineFirst(t *testing.T) {
 	for _, coll := range []string{CollAllReduce, CollReduce, "bcast"} {
 		algos := Algos(coll)
