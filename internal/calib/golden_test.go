@@ -11,12 +11,14 @@ import (
 
 // update rewrites testdata/coef.golden from the tree under test. The
 // committed file was recorded at the commit before Coef read its counts
-// from package cost.
+// from package cost; its 26 scan rows with fewer workers than ranks were
+// re-recorded when a scan's last phase became one-way, which moved their
+// start-ups and words.
 var update = flag.Bool("update", false, "rewrite testdata/coef.golden from this tree")
 
 // TestCoefMatchesRecorded: every probe kind × p ∈ 1…9 × workers ∈
-// {0, 1, 4, 16} × m ∈ {1, 64} charges exactly the coefficients it charged
-// when Coef held the critical-path and total-work counts itself.
+// {0, 1, 4, 16} × m ∈ {1, 64} charges exactly the coefficients
+// testdata/coef.golden holds.
 func TestCoefMatchesRecorded(t *testing.T) {
 	const path = "testdata/coef.golden"
 	g := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }

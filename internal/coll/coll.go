@@ -154,7 +154,10 @@ func allReduce(s *schedule, p, rank int) {
 // charged but not computed, and in phase 0 a rank whose partner is lower
 // computes recvTotal ⊕ x once, as prefix and total. At p = 2^L ≥ 4 that
 // is 1.5·p·(L − 1) combines per word of the 1.5·p·L charged, and the
-// same result bits.
+// same result bits. It ships only what is read too: in the last phase
+// only the higher partner reads a total, so the lower one sends and does
+// not receive — p·(L − ½) messages where equation (17) counts p·L start-ups
+// on the critical path, which this leaves as it was.
 func Scan(c Comm, op *algebra.Op, x Value) Value { return exec(c, op, x, "Scan", 0, genScan, 0) }
 
 // scan is Scan's schedule. Of each folded pair (2i, 2i+1), i < r = p − 2^L,
@@ -165,7 +168,9 @@ func Scan(c Comm, op *algebra.Op, x Value) Value { return exec(c, op, x, "Scan",
 // none). A leader keeps its prefix in work, the total it ships in out and
 // the exclusive prefix in excl. In phase 0 a leader whose partner is lower
 // computes the prefix once and shares it as the total; the last phase's
-// total is charged, not computed.
+// total is charged, not computed. The last phase is one-way: the lower
+// partner sends its total as a borrow, which the higher one receives and
+// no combine adopts, so its exclusive prefix can still read it.
 func scan(s *schedule, p, rank int) {
 	if p == 1 {
 		s.startWhole(inBuf, 0)
@@ -188,7 +193,16 @@ func scan(s *schedule, p, rank int) {
 	for k := 0; k < L; k++ {
 		partner := idx ^ 1<<k
 		last := k == L-1
-		s.with(doSwap, partner+min(partner+1, r), outBuf)
+		peer, charged := partner+min(partner+1, r), msgBuf
+		switch {
+		case !last:
+			s.with(doSwap, peer, outBuf)
+		case partner > idx:
+			s.with(doSend, peer, outBuf)
+			charged = outBuf
+		default:
+			s.with(doCopy, peer, msgBuf)
+		}
 		switch {
 		case partner < idx:
 			s.with(doLeft, -1, workBuf)
@@ -212,8 +226,9 @@ func scan(s *schedule, p, rank int) {
 			s.with(doRight, -1, outBuf)
 		}
 		if last {
-			// An undetermined operand (a non-root's gather) makes it free.
-			s.push(step{act: doCharge, peer: -1, buf: outBuf, src: msgBuf})
+			// An undetermined operand (a non-root's gather) makes it free;
+			// the lower partner sees only its own.
+			s.push(step{act: doCharge, peer: -1, buf: outBuf, src: charged})
 		}
 	}
 	if rank < 2*r {

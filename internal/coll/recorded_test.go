@@ -21,7 +21,8 @@ import (
 // balanced.golden were recorded from the hand-written loops, before those
 // collectives became schedules, and testdata/scan.golden from the scan that
 // performed every combine it charged, so the tests hold the code that
-// replaced them bit for bit.
+// replaced them bit for bit. scan.golden's counters were re-recorded when
+// the scan's last phase became one-way; its result bits were not.
 var update = flag.Bool("update", false, "rewrite the testdata goldens the run selects from this tree")
 
 // recordedCase is one row of the portfolio grid.

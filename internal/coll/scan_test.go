@@ -137,8 +137,10 @@ func scanLines() []string {
 
 // TestRecordedScan: on the virtual and the native machine, a scan takes
 // the virtual time, sends the messages and words, charges the operations
-// and returns the bits it did when it performed every combine it charged
-// (testdata/scan.golden, recorded from that code).
+// and returns the bits of testdata/scan.golden. It was recorded from the
+// scan that performed every combine it charged and re-recorded when the
+// last phase became one-way, which moved the messages and words and, in
+// rows with an undetermined block, a makespan or a charge; no result bit.
 func TestRecordedScan(t *testing.T) {
 	checkRecorded(t, "testdata/scan.golden", scanLines())
 }

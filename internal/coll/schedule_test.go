@@ -280,7 +280,7 @@ func (sr *simRun) step(r int) (bool, error) {
 		if st.act == doCopy {
 			rk.buf[st.buf], rk.id[st.buf] = msg.words, msg.id
 			rk.own.next(&st, adopted)
-			break
+			return true, nil
 		}
 		return true, sr.combineWhole(r, st, adopted)
 	}

@@ -50,8 +50,9 @@ func (p Params) m() float64 { return float64(p.M) }
 // message, with 0, 1 and 2 elementary operations per word for a base
 // operator. work is what all ranks do together: a binomial tree's p − 1
 // messages (and one combine per message, for the reduction); a butterfly
-// scan's p messages per round, the running total combined everywhere and
-// the prefix on half the ranks — 1.5·p·log p combines.
+// scan's p messages per round but p/2 in the last, where only the higher
+// partner reads, and 1.5·p·log p combines charged: the running total
+// everywhere and the prefix on half the ranks.
 func BcastLine(p Params) (path, work Line) { return collective(p, 0, float64(p.P-1), 0) }
 
 // ReduceLine is equation (16): log p · (ts + m·(tw+1)).
@@ -61,8 +62,8 @@ func ReduceLine(p Params) (path, work Line) {
 
 // ScanLine is equation (17): log p · (ts + m·(tw+2)).
 func ScanLine(p Params) (path, work Line) {
-	msgs := float64(p.P) * p.LogP()
-	return collective(p, 2, msgs, 1.5*msgs)
+	n, logp := float64(p.P), p.LogP()
+	return collective(p, 2, n*max(logp-0.5, 0), 1.5*n*logp)
 }
 
 // collective is a butterfly collective on m-word blocks in both columns,

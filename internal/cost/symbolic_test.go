@@ -28,9 +28,9 @@ func TestLinFormArithmetic(t *testing.T) {
 	if s := rounds(3, 1, 8, 8).Add(local(5)); s != rounds(1, 3, 24, 29) {
 		t.Fatalf("3 rounds + local = %+v", s)
 	}
-	// A butterfly scan on four ranks, two words: 2 rounds of 4 messages,
-	// 1.5 combines per message and word.
-	if path, work := ScanLine(Params{P: 4, M: 2}); path != rounds(2, 1, 2, 4) || work != rounds(1, 8, 16, 24) {
+	// A butterfly scan on four ranks, two words: 4 messages, then 2 in
+	// the one-way last round; 1.5 combines per rank, round and word.
+	if path, work := ScanLine(Params{P: 4, M: 2}); path != rounds(2, 1, 2, 4) || work != rounds(1, 6, 12, 24) {
 		t.Fatalf("ScanLine = %+v | %+v", path, work)
 	}
 }

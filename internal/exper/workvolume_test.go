@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/algebra"
@@ -66,6 +67,42 @@ func TestBcastVolume(t *testing.T) {
 	}
 	if res.Messages != mach.P-1 {
 		t.Fatalf("bcast messages = %d, want %d", res.Messages, mach.P-1)
+	}
+}
+
+// TestScanVolume pins the communication volume of the butterfly scan on
+// the virtual and the native machine. With q = 2^L = 2^⌊log p⌋ leaders
+// and r = p − q folded pairs, the fold and the unfold ship one message
+// per pair each and the leaders' L phases q messages each, but the last
+// phase only q/2: there only the higher partner reads the other's total.
+// Every message is a block but one: with r > 0, the first pair's leader
+// has no exclusive prefix and hands back the empty one, Undef, of no words.
+func TestScanVolume(t *testing.T) {
+	const m = 8
+	prog := core.NewProgram().Scan(algebra.Add)
+	for p := 1; p <= 64; p++ {
+		L := bits.Len(uint(p)) - 1
+		q := 1 << L
+		want := 0
+		if p > 1 {
+			want = 2*(p-q) + q*L - q/2
+		}
+		words := want * m
+		if p > q {
+			words -= m
+		}
+		in := mpbackend.SeededInputs(5, p, m)
+		_, vres := prog.Run(core.Machine{Ts: 10, Tw: 1, P: p, M: m}, in)
+		_, nres := prog.RunNative(p, in)
+		for _, got := range []struct {
+			name            string
+			messages, words int
+		}{{"virtual", vres.Messages, vres.Words}, {"native", nres.Messages, nres.Words}} {
+			if got.messages != want || got.words != words {
+				t.Errorf("%s scan at p=%d: %d messages and %d words, want %d and %d",
+					got.name, p, got.messages, got.words, want, words)
+			}
+		}
 	}
 }
 
