@@ -210,9 +210,9 @@ func BenchmarkKernelAllocs(b *testing.B) {
 	b.Run("flat/op_comp_bss_repeat", func(b *testing.B) {
 		b.ReportAllocs()
 		ops := algebra.OpCompBSS(algebra.Add)
-		w := flatOf(ops.Arity)
+		v, w := algebra.Value(mkVec(1)), algebra.Value(flatOf(ops.Arity))
 		for i := 0; i < b.N; i++ {
-			ops.RepeatInto(6, w)
+			w = ops.RepeatIn(nil, w, 6, v)
 		}
 	})
 }

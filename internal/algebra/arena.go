@@ -154,7 +154,7 @@ func (a *Arena) Flat(w, m int) *FlatTuple {
 // GiveBack returns the last k buffers drawn, all from one shelf: the
 // temporaries of a kernel call, dead once it returns.
 func (a *Arena) GiveBack(k int) {
-	if k > 0 {
+	if a != nil && k > 0 {
 		a.shelves[a.last].next -= k
 	}
 }

@@ -9,14 +9,15 @@ import "fmt"
 // the virtual machine charges exactly the computation the paper counts.
 //
 // The flat kernels (FlatFn, FlatUnary, FlatLo/FlatHi, FlatE/FlatO, FlatF)
-// are compositions of the base operators' slice kernels (Op.slice), one
-// pass per elementary operation of the reference formula and in its
-// order, taken blockWords at a time so that every pass after the first
-// finds its operands in the cache. dst may be an operand, so a pass
-// writes a component of dst only once the operand component it may be has
-// no read left; a sub-term that would have to be written sooner (r1 ⊗ s2
-// of op_sr2, say) goes to a block on the stack, the others accumulate in
-// dst itself.
+// are what the arena-taking entries run when the shapes allow (flat.go,
+// "The representation"): compositions of the base operators' slice
+// kernels (Op.slice), one pass per elementary operation of the reference
+// formula and in its order, taken blockWords at a time so that every pass
+// after the first finds its operands in the cache. dst may be an operand,
+// so a pass writes a component of dst only once the operand component it
+// may be has no read left; a sub-term that would have to be written sooner
+// (r1 ⊗ s2 of op_sr2, say) goes to a block on the stack, the others
+// accumulate in dst itself.
 
 // blockWords is how many words of each component a flat kernel takes
 // through all of its passes before moving on: 2 KiB per component, so the
@@ -365,6 +366,50 @@ func OpSS(oplus *Op) *BalancedScanOp {
 	return op
 }
 
+// Working is Op.Working for the balanced scan's node operator.
+func (o *BalancedScanOp) Working(ar *Arena, x Value) Value {
+	return ar.working(o.FlatLo != nil, o.Arity, x)
+}
+
+// ShipIn is Ship(own) in the representation algebra picks: a flat state's
+// projection goes through FlatShip into dst when it fits, else into a flat
+// tuple drawn from ar; a boxed one is the reference Ship.
+func (o *BalancedScanOp) ShipIn(ar *Arena, dst, own Value) Value {
+	if t, ok := own.(*FlatTuple); ok && o.FlatShip != nil && t.W == o.Arity {
+		d := ar.flatDst(dst, o.ShipWidth, t.M())
+		o.FlatShip(d, t)
+		return d
+	}
+	return o.Ship(Boxed(own))
+}
+
+// NodeIn is the node operation of one butterfly phase, Hi(own, from) for
+// the higher partner and Lo(own, from) for the lower, with Op.ApplyIn's
+// contract: a flat state and a flat projection of the partner's go
+// through FlatHi or FlatLo into dst (which may be own) or a flat tuple
+// drawn from ar; anything else — a state Solo poisoned, say — through the
+// boxed reference.
+func (o *BalancedScanOp) NodeIn(ar *Arena, dst, own, from Value, higher bool) Value {
+	x, xf := own.(*FlatTuple)
+	y, yf := from.(*FlatTuple)
+	if xf && yf && o.FlatLo != nil && x.W == o.Arity && y.W == o.ShipWidth && y.M() == x.M() {
+		d := ar.flatDst(dst, o.Arity, x.M())
+		if higher {
+			o.FlatHi(d, x, y)
+		} else {
+			o.FlatLo(d, x, y)
+		}
+		return d
+	}
+	if higher {
+		return o.Hi(Boxed(own), Boxed(from))
+	}
+	return o.Lo(Boxed(own), Boxed(from))
+}
+
+// LaneWise is Op.LaneWise for the balanced scan's node operator.
+func (o *BalancedScanOp) LaneWise() bool { return o.FlatLo != nil }
+
 // RepeatOps is the (e, o) function pair of the comcast rules (§3.4): the
 // repeat schema traverses the binary digits of the processor number,
 // applying e for a 0 digit and o for a 1 digit. CostE and CostO record the
@@ -570,23 +615,43 @@ func (r *RepeatOps) Repeat(k int, b Value) Value {
 	return v
 }
 
-// RepeatInto is the flat in-place form of Repeat: it rewrites w through
-// the digit sequence of k using FlatE/FlatO, allocating nothing. Callers
-// must check FlatE/FlatO are available (they are whenever the base
-// operators carry elementwise kernels).
-func (r *RepeatOps) RepeatInto(k int, w *FlatTuple) {
+// RepeatIn is Repeat(k, Prepare(b)) in the representation algebra picks,
+// with Op.ApplyIn's contract: a Vec block is duplicated into dst, when it
+// is a flat tuple of the working shape, or into one drawn from ar, and
+// stepped there in place (StepIn); any other value runs the reference.
+func (r *RepeatOps) RepeatIn(ar *Arena, dst Value, k int, b Value) Value {
 	if k < 0 {
 		panic("algebra: Repeat with negative processor number")
 	}
-	for k != 0 {
-		if k%2 == 0 {
-			r.FlatE(w, w)
-		} else {
-			r.FlatO(w, w)
-		}
-		k /= 2
+	w := ar.prepare(dst, r.FlatE != nil, r.Arity, r.Prepare, b)
+	for ; k != 0; k /= 2 {
+		w = r.StepIn(ar, w, w, k%2 == 1)
 	}
+	return w
 }
+
+// StepIn is O(v) when odd, else E(v), with Op.ApplyIn's contract: a flat
+// state goes through FlatO or FlatE into dst (which may be v) or a flat
+// tuple drawn from ar, any other through the boxed reference.
+func (r *RepeatOps) StepIn(ar *Arena, dst, v Value, odd bool) Value {
+	t, ok := v.(*FlatTuple)
+	if !ok || r.FlatE == nil || t.W != r.Arity {
+		if odd {
+			return r.O(Boxed(v))
+		}
+		return r.E(Boxed(v))
+	}
+	d := ar.flatDst(dst, t.W, t.M())
+	if odd {
+		r.FlatO(d, t)
+	} else {
+		r.FlatE(d, t)
+	}
+	return d
+}
+
+// LaneWise is Op.LaneWise for the comcast step pair.
+func (r *RepeatOps) LaneWise() bool { return r.FlatE != nil }
 
 // RepeatCharge is the computation time charged for Repeat(k, b) on a
 // working tuple whose components hold m words each: the digit-by-digit
@@ -631,6 +696,26 @@ func (o *IterOp) Charge(a Value) float64 {
 	}
 	return float64(o.Cost) * float64(w)
 }
+
+// IterateIn is n applications of F to Prepare(x) in the representation
+// algebra picks, with Op.ApplyIn's contract: a Vec block is duplicated
+// into dst, when it is a flat tuple of the working shape, or into one
+// drawn from ar, and stepped there in place through FlatF; any other value
+// runs the reference.
+func (o *IterOp) IterateIn(ar *Arena, dst Value, n int, x Value) Value {
+	w := ar.prepare(dst, o.FlatF != nil, o.Arity, o.Prepare, x)
+	for range n {
+		if t, ok := w.(*FlatTuple); ok {
+			o.FlatF(t, t)
+		} else {
+			w = o.F(w)
+		}
+	}
+	return w
+}
+
+// LaneWise is Op.LaneWise for the Local rules' iterated operator.
+func (o *IterOp) LaneWise() bool { return o.FlatF != nil }
 
 // OpBR builds op_br of rule BR-Local: op_br s = s ⊕ s. Iterated log p
 // times it computes the p-fold reduction of the broadcast value.

@@ -2,6 +2,21 @@ package algebra
 
 import "fmt"
 
+// The representation. A tuple of equal-length Vec blocks has a boxed form
+// and a flat one, and algebra alone picks: every entry taking an arena (Op
+// ApplyIn, ApplyUnaryIn, Working; BalancedScanOp Working, ShipIn, NodeIn;
+// RepeatOps RepeatIn, StepIn; IterOp IterateIn) runs the operator's flat
+// kernel when the shapes allow and its boxed reference otherwise, boxing
+// any flat operand. A boxed operand a kernel takes is copied into a flat
+// tuple drawn for the call and given back after it, and a Vec block a
+// repeat or iteration starts from is duplicated into a drawn working
+// state; a kernel writes into dst when it fits, else into a drawn flat
+// tuple. The caller owns the buffers: it says which one may be rewritten
+// by passing it as dst. Each kernel is bitwise its boxed form (the TestFlat*
+// tests), so the choice never shows in a result. A flat tuple never holds
+// Undef, and no function written for the boxed form (the lift of a base
+// operator, which refuses one) meets it: callers box one first.
+
 // FlatTuple is the unboxed representation of a width-W tuple whose
 // components are equal-length blocks: one backing []float64 holding the W
 // components contiguously. It is the working form the derived operators
@@ -105,30 +120,8 @@ func Boxed(v Value) Value {
 	return v
 }
 
-// CanFlatten reports whether t has the shape FlatTuple represents — every
-// component a Vec of the same non-zero length — returning the width and
-// block length.
-func CanFlatten(t Tuple) (w, m int, ok bool) {
-	if len(t) == 0 {
-		return 0, 0, false
-	}
-	for i, c := range t {
-		v, isVec := c.(Vec)
-		if !isVec || len(v) == 0 {
-			return 0, 0, false
-		}
-		if i == 0 {
-			m = len(v)
-		} else if len(v) != m {
-			return 0, 0, false
-		}
-	}
-	return len(t), m, true
-}
-
-// FlattenInto copies the components of t into dst, which must have been
-// sized by CanFlatten (dst.W == len(t), dst.M() == the common component
-// length). It returns dst.
+// FlattenInto copies the components of t into dst, which must have one
+// component of dst.M() words for each of t's, all Vecs. It returns dst.
 func (dst *FlatTuple) FlattenInto(t Tuple) *FlatTuple {
 	dst.mustOwn()
 	m := dst.M()
@@ -143,4 +136,79 @@ func (dst *FlatTuple) FlattenInto(t Tuple) *FlatTuple {
 		copy(dst.Data[i*m:(i+1)*m], v)
 	}
 	return dst
+}
+
+// flatShape reports that v has the shape a FlatTuple represents, w Vec
+// components of one non-zero length, flat or boxed, and returns that
+// length.
+func flatShape(w int, v Value) (m int, ok bool) {
+	switch x := v.(type) {
+	case *FlatTuple:
+		return x.M(), x.W == w
+	case Tuple:
+		for i, c := range x {
+			b, isVec := c.(Vec)
+			if !isVec || len(b) == 0 || i > 0 && len(b) != m {
+				return 0, false
+			}
+			m = len(b)
+		}
+		return m, len(x) == w && w > 0
+	}
+	return 0, false
+}
+
+// asFlat is v, a tuple flatShape accepted, as a flat tuple: v itself, or
+// its boxed form copied into one drawn from a, which drew counts.
+func (a *Arena) asFlat(v Value, w, m int) (t *FlatTuple, drew int) {
+	if t, ok := v.(*FlatTuple); ok {
+		return t, 0
+	}
+	return a.Flat(w, m).FlattenInto(v.(Tuple)), 1
+}
+
+// working is x copied into a flat tuple drawn from a when kernels says the
+// operator has flat kernels and x is a tuple of w equal-length Vec blocks,
+// else x boxed.
+func (a *Arena) working(kernels bool, w int, x Value) Value {
+	x = Boxed(x)
+	if m, ok := flatShape(w, x); ok && kernels {
+		return a.Flat(w, m).FlattenInto(x.(Tuple))
+	}
+	return x
+}
+
+// flatDst is dst when it is a flat tuple of w components of m words, else
+// one drawn from a.
+func (a *Arena) flatDst(dst Value, w, m int) *FlatTuple {
+	if d, ok := dst.(*FlatTuple); ok && d.W == w && len(d.Data) == w*m {
+		return d
+	}
+	return a.Flat(w, m)
+}
+
+// vecDst is dst when it is a Vec of n words, else a block drawn from a,
+// with its pre-boxed interface value, so the fast path boxes nothing.
+func (a *Arena) vecDst(dst Value, n int) (Vec, Value) {
+	if d, ok := dst.(Vec); ok && len(d) == n {
+		return d, dst
+	}
+	v := a.Vec(n)
+	return v.(Vec), v
+}
+
+// prepare is prep(x) as a working state: a Vec block duplicated into a
+// flat tuple of w blocks, dst when it has that shape or one drawn from a,
+// when kernels says the operator has flat kernels; the boxed prep(x)
+// otherwise.
+func (a *Arena) prepare(dst Value, kernels bool, w int, prep func(Value) Value, x Value) Value {
+	v, ok := x.(Vec)
+	if !ok || len(v) == 0 || !kernels {
+		return prep(Boxed(x))
+	}
+	d := a.flatDst(dst, w, len(v))
+	for i := 0; i < w; i++ {
+		copy(d.Data[i*len(v):], v)
+	}
+	return d
 }

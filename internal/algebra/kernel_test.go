@@ -24,9 +24,12 @@ func randVec(rng *rand.Rand, m int) Vec {
 
 // sameBits is Equal on bit patterns (Equal is ==, which cannot tell -0
 // from +0 and never finds a NaN equal to anything), across the boxed and
-// flat representations.
+// flat representations; Undef is the same as Undef only.
 func sameBits(a, b Value) bool {
 	switch x := Boxed(a).(type) {
+	case Undef:
+		_, ok := b.(Undef)
+		return ok
 	case Scalar:
 		y, ok := b.(Scalar)
 		return ok && math.Float64bits(float64(x)) == math.Float64bits(float64(y))
@@ -65,65 +68,88 @@ func randTuple(rng *rand.Rand, w, m int) Tuple {
 }
 
 func flatOf(t Tuple) *FlatTuple {
-	w, m, ok := CanFlatten(t)
+	m, ok := flatShape(len(t), t)
 	if !ok {
 		panic("flatOf: not flattenable")
 	}
-	return NewFlatTuple(w, m).FlattenInto(t)
+	return NewFlatTuple(len(t), m).FlattenInto(t)
 }
+
+// forms are t's representations: boxed, and flat when it can be.
+func forms(t Tuple) []Value {
+	if _, ok := flatShape(len(t), t); ok {
+		return []Value{t, flatOf(t)}
+	}
+	return []Value{t}
+}
+
+// poisoned is t with every component but the first undetermined, as Solo
+// leaves a balanced scan's state.
+func poisoned(t Tuple) Tuple {
+	p := Tuple{t[0]}
+	for range t[1:] {
+		p = append(p, Undef{})
+	}
+	return p
+}
+
+// entrySizes are kernelSizes and a zero-length block, which no kernel
+// takes.
+var entrySizes = append([]int{0}, kernelSizes...)
 
 // kernelSizes straddles the block boundary of the derived kernels (255,
 // 256, 257) and includes a multi-block size with a ragged tail (1000).
 var kernelSizes = []int{1, 2, 3, 8, 33, 255, 256, 257, 1000}
 
+// TestApplyIntoMatchesApply: ApplyIn, drawing from no arena (ApplyInto)
+// or from one, is Apply bit for bit on Vec and Scalar blocks, a zero-length
+// one too, on tuples no kernel takes, into a destination of the right
+// shape and into one that is an operand.
 func TestApplyIntoMatchesApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, op := range []*Op{Add, Mul, Max, Min, Left, Sub} {
-		for _, m := range kernelSizes {
-			a, b := randVec(rng, m), randVec(rng, m)
-			s := Scalar(float64(rng.Intn(9)) - 4)
-			cases := []struct{ x, y Value }{
-				{a, b}, {a, s}, {s, b}, {s, Scalar(3)},
-				{Tuple{a, b}, Tuple{b, a}}, // no kernel: reference fallback
-			}
-			for _, c := range cases {
-				want := op.Apply(c.x, c.y)
-				got := op.ApplyInto(nil, c.x, c.y)
-				if !sameBits(got, want) {
-					t.Fatalf("%s.ApplyInto(nil, %s, %s) = %s, want %s", op, c.x, c.y, got, want)
+	for _, ar := range []*Arena{nil, new(Arena)} {
+		for _, op := range []*Op{Add, Mul, Max, Min, Left, Sub} {
+			for _, m := range append([]int{0}, kernelSizes...) {
+				a, b := randVec(rng, m), randVec(rng, m)
+				s := Scalar(float64(rng.Intn(9)) - 4)
+				cases := []struct{ x, y Value }{
+					{a, b}, {a, s}, {s, b}, {s, Scalar(3)},
+					{Tuple{a, b}, Tuple{b, a}}, // no kernel: reference fallback
 				}
-				// With a destination of the right shape the result must
-				// land in the destination's storage.
-				if v, ok := want.(Vec); ok {
-					dst := Value(make(Vec, len(v)))
-					got := op.ApplyInto(dst, c.x, c.y)
+				for _, c := range cases {
+					want := op.Apply(c.x, c.y)
+					got := op.ApplyIn(ar, nil, c.x, c.y)
 					if !sameBits(got, want) {
-						t.Fatalf("%s.ApplyInto(dst, %s, %s) = %s, want %s", op, c.x, c.y, got, want)
+						t.Fatalf("%s.ApplyIn(nil, %s, %s) = %s, want %s", op, c.x, c.y, got, want)
 					}
-					if &got.(Vec)[0] != &dst.(Vec)[0] {
-						t.Fatalf("%s.ApplyInto did not reuse dst storage", op)
+					// With a destination of the right shape the result must
+					// land in the destination's storage.
+					if v, ok := want.(Vec); ok && m > 0 {
+						dst := Value(make(Vec, len(v)))
+						got := op.ApplyIn(ar, dst, c.x, c.y)
+						if !sameBits(got, want) {
+							t.Fatalf("%s.ApplyIn(dst, %s, %s) = %s, want %s", op, c.x, c.y, got, want)
+						}
+						if &got.(Vec)[0] != &dst.(Vec)[0] {
+							t.Fatalf("%s.ApplyIn did not reuse dst storage", op)
+						}
 					}
 				}
-			}
-			// dst aliasing an operand must be safe.
-			aa, bb := a.Clone(), b.Clone()
-			want := op.Apply(a, b)
-			if got := op.ApplyInto(aa, aa, b); !sameBits(got, want) {
-				t.Fatalf("%s.ApplyInto(a, a, b) = %s, want %s", op, got, want)
-			}
-			if got := op.ApplyInto(bb, a, bb); !sameBits(got, want) {
-				t.Fatalf("%s.ApplyInto(b, a, b) = %s, want %s", op, got, want)
+				// dst aliasing an operand must be safe.
+				aa, bb := a.Clone(), b.Clone()
+				want := op.Apply(a, b)
+				if got := op.ApplyIn(ar, aa, aa, b); !sameBits(got, want) {
+					t.Fatalf("%s.ApplyIn(a, a, b) = %s, want %s", op, got, want)
+				}
+				if got := op.ApplyIn(ar, bb, a, bb); !sameBits(got, want) {
+					t.Fatalf("%s.ApplyIn(b, a, b) = %s, want %s", op, got, want)
+				}
 			}
 		}
+		ar.Reset()
 	}
 }
 
-// TestSliceKernelIsElemBitwise pins the slice kernel to Elem on the values
-// where a rewritten loop body could differ without == noticing: NaN, the
-// two zeros, infinities, denormals and the largest finite float, every
-// value against every other, into a fresh destination and in place over
-// either operand. There is one NaN payload: which of two payloads x + y
-// keeps is the hardware's operand order, which Go does not fix.
 func TestSliceKernelIsElemBitwise(t *testing.T) {
 	specials := []float64{
 		math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
@@ -223,15 +249,77 @@ func TestFlatKernelsMatchReference(t *testing.T) {
 			}
 			if op.Unary != nil {
 				want := op.ApplyUnary(b)
-				if !sameBits(op.ApplyUnaryInto(nil, flatOf(b)), want) {
+				if !sameBits(op.ApplyUnaryIn(nil, nil, flatOf(b)), want) {
 					t.Fatalf("%s flat unary mismatch (m=%d)", op, m)
 				}
 				fb := flatOf(b)
-				if !sameBits(op.ApplyUnaryInto(fb, fb), want) {
+				if !sameBits(op.ApplyUnaryIn(nil, fb, fb), want) {
 					t.Fatalf("%s flat unary in-place mismatch (m=%d)", op, m)
 				}
 			}
 		}
+	}
+}
+
+// TestFlatApplyInMatchesReference: ApplyIn, ApplyUnaryIn and Working of
+// every derived operator return the reference's bits on flat, boxed and
+// mixed operands, on operands Solo poisoned and on zero-length blocks, into
+// a fresh destination and into one that is an operand, with and without an
+// arena.
+func TestFlatApplyInMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ops := []*Op{OpSR2(Mul, Add), OpNew(Add, Mul), OpSR(Add), OpSRNoSharing(Max)}
+	for _, ar := range []*Arena{nil, new(Arena)} {
+		for _, op := range ops {
+			for _, m := range entrySizes {
+				a, b := randTuple(rng, op.Arity, m), randTuple(rng, op.Arity, m)
+				for _, c := range [][2]Tuple{{a, b}, {poisoned(a), b}, {a, poisoned(b)}} {
+					want := op.Apply(c[0], c[1])
+					for _, x := range forms(c[0]) {
+						for _, y := range forms(c[1]) {
+							if got := op.ApplyIn(ar, nil, x, y); !sameBits(got, want) {
+								t.Fatalf("%s.ApplyIn(%T, %T): got %s, want %s (m=%d)", op, x, y, got, want, m)
+							}
+							if fx, ok := x.(*FlatTuple); ok {
+								if got := op.ApplyIn(ar, fx.Clone(), fx, y); !sameBits(got, want) {
+									t.Fatalf("%s.ApplyIn into an unrelated dst: got %s, want %s (m=%d)", op, got, want, m)
+								}
+								if fx := fx.Clone(); !sameBits(op.ApplyIn(ar, fx, fx, y), want) {
+									t.Fatalf("%s.ApplyIn(a, a, %T) is not %s (m=%d)", op, y, want, m)
+								}
+							}
+						}
+					}
+				}
+				if op.Unary != nil {
+					for _, in := range []Tuple{b, poisoned(b)} {
+						want := op.ApplyUnary(in)
+						for _, x := range forms(in) {
+							if got := op.ApplyUnaryIn(ar, nil, x); !sameBits(got, want) {
+								t.Fatalf("%s.ApplyUnaryIn(%T): got %s, want %s (m=%d)", op, x, got, want, m)
+							}
+							if fx, ok := x.(*FlatTuple); ok {
+								if got := op.ApplyUnaryIn(ar, fx, fx); !sameBits(got, want) {
+									t.Fatalf("%s.ApplyUnaryIn(b, b): got %s, want %s (m=%d)", op, got, want, m)
+								}
+							}
+						}
+					}
+				}
+				for _, in := range []Tuple{a, poisoned(a)} {
+					for _, x := range forms(in) {
+						w := op.Working(ar, x)
+						if !sameBits(w, in) {
+							t.Fatalf("%s.Working(%T) = %s, want %s (m=%d)", op, x, w, in, m)
+						}
+						if f, flat := w.(*FlatTuple); flat && (f == x || m == 0 || in[1] == (Undef{})) {
+							t.Fatalf("%s.Working(%T) is flat but not a copy it may rewrite (m=%d)", op, x, m)
+						}
+					}
+				}
+			}
+		}
+		ar.Reset()
 	}
 }
 
@@ -278,6 +366,48 @@ func TestFlatBalancedScanMatchesReference(t *testing.T) {
 	}
 }
 
+// TestFlatBalancedScanEntriesMatchReference: Working, ShipIn and NodeIn
+// return the reference's bits on flat, boxed and mixed states and
+// projections, on states Solo poisoned and on zero-length blocks, into a
+// fresh destination and into the state itself, with and without an arena.
+func TestFlatBalancedScanEntriesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, ar := range []*Arena{nil, new(Arena)} {
+		for _, op := range []*BalancedScanOp{OpSS(Add), OpSS(Max)} {
+			for _, m := range entrySizes {
+				lo, hi := randTuple(rng, op.Arity, m), randTuple(rng, op.Arity, m)
+				for _, c := range [][2]Tuple{{lo, hi}, {poisoned(lo), hi}, {lo, poisoned(hi)}} {
+					wantLo := op.Lo(c[0], op.Ship(c[1]))
+					wantHi := op.Hi(c[1], op.Ship(c[0]))
+					for _, x := range forms(c[0]) {
+						for _, y := range forms(c[1]) {
+							w := op.Working(ar, x)
+							if !sameBits(w, c[0]) {
+								t.Fatalf("%s Working(%T) = %s, want %s (m=%d)", op.Name, x, w, c[0], m)
+							}
+							shipLo, shipHi := op.ShipIn(ar, nil, w), op.ShipIn(ar, nil, y)
+							if !sameBits(shipLo, op.Ship(c[0])) {
+								t.Fatalf("%s ShipIn(%T) = %s, want %s (m=%d)", op.Name, w, shipLo, op.Ship(c[0]), m)
+							}
+							if got := op.NodeIn(ar, nil, x, shipHi, false); !sameBits(got, wantLo) {
+								t.Fatalf("%s NodeIn lo (%T, %T): got %s, want %s (m=%d)", op.Name, x, shipHi, got, wantLo, m)
+							}
+							if got := op.NodeIn(ar, nil, y, shipLo, true); !sameBits(got, wantHi) {
+								t.Fatalf("%s NodeIn hi (%T, %T): got %s, want %s (m=%d)", op.Name, y, shipLo, got, wantHi, m)
+							}
+							// In place, into the working copy.
+							if got := op.NodeIn(ar, w, w, shipHi, false); !sameBits(got, wantLo) {
+								t.Fatalf("%s NodeIn lo in place: got %s, want %s (m=%d)", op.Name, got, wantLo, m)
+							}
+						}
+					}
+				}
+			}
+		}
+		ar.Reset()
+	}
+}
+
 func TestFlatRepeatMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	ops := []*RepeatOps{OpCompBS(Add), OpCompBSS2(Mul, Add), OpCompBSS(Add), OpCompBSS(Max)}
@@ -288,7 +418,7 @@ func TestFlatRepeatMatchesReference(t *testing.T) {
 		for _, m := range kernelSizes {
 			b := randVec(rng, m)
 			// One step of each function into a destination that is not
-			// the operand; RepeatInto below only ever runs them in place.
+			// the operand; RepeatIn below only ever runs them in place.
 			v := randTuple(rng, r.Arity, m)
 			d := NewFlatTuple(r.Arity, m)
 			if r.FlatE(d, flatOf(v)); !sameBits(d, r.E(v)) {
@@ -297,18 +427,63 @@ func TestFlatRepeatMatchesReference(t *testing.T) {
 			if r.FlatO(d, flatOf(v)); !sameBits(d, r.O(v)) {
 				t.Fatalf("%s FlatO into a fresh dst: got %s, want %s (m=%d)", r.Name, d, r.O(v), m)
 			}
+			var w Value
 			for k := 0; k < 20; k++ {
 				want := r.Repeat(k, r.Prepare(b))
-				w := NewFlatTuple(r.Arity, m)
-				for i := 0; i < r.Arity; i++ {
-					copy(w.Comp(i), b)
-				}
-				r.RepeatInto(k, w)
-				if !sameBits(w, want) {
-					t.Fatalf("%s RepeatInto(%d): got %s, want %s (m=%d)", r.Name, k, w, want, m)
+				// The working state of the previous k is the destination.
+				if w = r.RepeatIn(nil, w, k, b); !sameBits(w, want) {
+					t.Fatalf("%s RepeatIn(%d): got %s, want %s (m=%d)", r.Name, k, w, want, m)
 				}
 			}
 		}
+	}
+}
+
+// TestFlatRepeatInMatchesReference: RepeatIn and StepIn return the
+// reference's bits on a Vec block, a zero-length one, a block a kernel
+// does not take and an undetermined one, and on flat, boxed and poisoned
+// states, into a fresh destination and into the state itself, with and
+// without an arena.
+func TestFlatRepeatInMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	ops := []*RepeatOps{OpCompBS(Add), OpCompBSS2(Mul, Add), OpCompBSS(Max)}
+	for _, ar := range []*Arena{nil, new(Arena)} {
+		for _, r := range ops {
+			for _, m := range entrySizes {
+				v := randVec(rng, m)
+				for _, b := range []Value{v, Tuple{v, v}, Undef{}} {
+					for _, k := range []int{0, 1, 2, 5, 6, 13} {
+						want := r.Repeat(k, r.Prepare(b))
+						if got := r.RepeatIn(ar, nil, k, b); !sameBits(got, want) {
+							t.Fatalf("%s RepeatIn(%d, %s): got %s, want %s", r.Name, k, b, got, want)
+						}
+					}
+				}
+				state := randTuple(rng, r.Arity, m)
+				for _, in := range []Tuple{state, poisoned(state)} {
+					for _, odd := range []bool{false, true} {
+						want := r.E(in)
+						if odd {
+							want = r.O(in)
+						}
+						for _, x := range forms(in) {
+							if got := r.StepIn(ar, nil, x, odd); !sameBits(got, want) {
+								t.Fatalf("%s StepIn(%T, odd=%v): got %s, want %s (m=%d)", r.Name, x, odd, got, want, m)
+							}
+							if fx, ok := x.(*FlatTuple); ok {
+								if got := r.StepIn(ar, fx.Clone(), fx, odd); !sameBits(got, want) {
+									t.Fatalf("%s StepIn into an unrelated dst (m=%d)", r.Name, m)
+								}
+								if fx := fx.Clone(); !sameBits(r.StepIn(ar, fx, fx, odd), want) {
+									t.Fatalf("%s StepIn in place, odd=%v, is not %s (m=%d)", r.Name, odd, want, m)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		ar.Reset()
 	}
 }
 
@@ -341,6 +516,37 @@ func TestFlatIterMatchesReference(t *testing.T) {
 	}
 }
 
+// TestFlatIterateInMatchesReference: IterateIn returns the reference's
+// bits on a Vec block, a zero-length one, a block a kernel does not take
+// and an undetermined one, into a fresh destination and into the state of
+// the previous call, with and without an arena.
+func TestFlatIterateInMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, ar := range []*Arena{nil, new(Arena)} {
+		for _, op := range []*IterOp{OpBR(Add), OpBSR2(Mul, Add), OpBSR(Max)} {
+			for _, m := range entrySizes {
+				v := randVec(rng, m)
+				for _, x := range []Value{v, Tuple{v, v}, Undef{}} {
+					var w Value
+					for n := 0; n < 5; n++ {
+						want := op.Prepare(x)
+						for range n {
+							want = op.F(want)
+						}
+						if got := op.IterateIn(ar, nil, n, x); !sameBits(got, want) {
+							t.Fatalf("%s IterateIn(%d, %s): got %s, want %s", op.Name, n, x, got, want)
+						}
+						if w = op.IterateIn(ar, w, n, x); !sameBits(w, want) {
+							t.Fatalf("%s IterateIn(%d) into the last state: got %s, want %s", op.Name, n, w, want)
+						}
+					}
+				}
+			}
+		}
+		ar.Reset()
+	}
+}
+
 func TestFlatTupleValueSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	tp := randTuple(rng, 2, 4)
@@ -370,13 +576,13 @@ func TestFlatTupleValueSemantics(t *testing.T) {
 	if ft.Data[0] == cl.Data[0] {
 		t.Fatal("Clone shares the backing array")
 	}
-	if _, _, ok := CanFlatten(Tuple{Scalar(1), Scalar(2)}); ok {
+	if _, ok := flatShape(2, Tuple{Scalar(1), Scalar(2)}); ok {
 		t.Fatal("scalar tuple reported flattenable")
 	}
-	if _, _, ok := CanFlatten(Tuple{make(Vec, 2), make(Vec, 3)}); ok {
+	if _, ok := flatShape(2, Tuple{make(Vec, 2), make(Vec, 3)}); ok {
 		t.Fatal("ragged tuple reported flattenable")
 	}
-	if _, _, ok := CanFlatten(Tuple{make(Vec, 2), Undef{}}); ok {
+	if _, ok := flatShape(2, Tuple{make(Vec, 2), Undef{}}); ok {
 		t.Fatal("tuple with Undef reported flattenable")
 	}
 }
@@ -458,7 +664,7 @@ func TestKernelAllocs(t *testing.T) {
 			check(t, "op_sr2 flat ApplyInto", func() { fdst = sr2.ApplyInto(fdst, fa, fb) })
 
 			sr := OpSR(Add)
-			check(t, "op_sr flat ApplyUnaryInto", func() { fdst = sr.ApplyUnaryInto(fdst, fa) })
+			check(t, "op_sr flat ApplyUnaryIn", func() { fdst = sr.ApplyUnaryIn(nil, fdst, fa) })
 			nosharing := OpSRNoSharing(Add)
 			check(t, "op_sr_nosharing flat ApplyInto", func() { fdst = nosharing.ApplyInto(fdst, fa, fb) })
 
@@ -471,11 +677,18 @@ func TestKernelAllocs(t *testing.T) {
 				ss.FlatHi(qb, qb, ship)
 			})
 
+			// Boxed operands are flattened into arena buffers given back
+			// after the call.
+			ar := new(Arena)
+			ba, bb := Value(randTuple(rng, 2, m)), Value(randTuple(rng, 2, m))
+			check(t, "op_sr2 boxed ApplyIn", func() { fdst = sr2.ApplyIn(ar, fdst, ba, bb) })
+
+			block := Value(randVec(rng, m))
+			var qw, tw Value = qa, flatOf(randTuple(rng, 3, m))
 			bss := OpCompBSS(Add)
-			check(t, "op_comp_bss flat Repeat", func() { bss.RepeatInto(6, qa) })
+			check(t, "op_comp_bss flat Repeat", func() { qw = bss.RepeatIn(nil, qw, 6, block) })
 			bss2 := OpCompBSS2(Mul, Add)
-			ta := flatOf(randTuple(rng, 3, m))
-			check(t, "op_comp_bss2 flat Repeat", func() { bss2.RepeatInto(6, ta) })
+			check(t, "op_comp_bss2 flat Repeat", func() { tw = bss2.RepeatIn(nil, tw, 6, block) })
 
 			bsr := OpBSR(Add)
 			check(t, "op_bsr flat iterate", func() { bsr.FlatF(fa, fa) })

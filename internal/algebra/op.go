@@ -74,30 +74,48 @@ func (o *Op) ApplyFloat(x, y float64) float64 {
 	return o.Elem(x, y)
 }
 
-// ApplyInto combines a and b like Apply, but writes the result into dst's
-// storage when dst has the right shape, allocating nothing on the fast
-// paths (Vec×Vec, Vec×Scalar, Scalar×Vec with Elem; flat×flat with
-// FlatFn). dst may be nil or of the wrong shape, in which case a fresh
-// result is allocated; dst may alias a or b, because the kernels write
-// an index only after its last read. Operand shapes without a kernel fall
-// back to the reference Apply, so ApplyInto is always exactly Apply up to
-// representation.
+// ApplyInto is ApplyIn with a nil arena: a destination that does not fit
+// is allocated.
+func (o *Op) ApplyInto(dst, a, b Value) Value { return o.ApplyIn(nil, dst, a, b) }
+
+// ApplyIn combines a and b like Apply, in the representation algebra picks
+// (see "The representation" in flat.go): two tuples of the operator's arity
+// whose components are equal-length Vec blocks, flat or boxed, go through
+// FlatFn; Vec and Scalar blocks, one of them a Vec, through the slice
+// kernels; anything else through the reference Apply. A kernel writes into
+// dst when it has the result's shape and into a buffer drawn from ar
+// otherwise, so the fast paths allocate nothing. dst may alias a or b,
+// because the kernels write an index only after its last read. ApplyIn is
+// always exactly Apply up to representation.
 //
-// Callers own the aliasing discipline: dst must not be a buffer another
-// rank may still read (see the arena ownership rules in docs/PERF.md).
-func (o *Op) ApplyInto(dst, a, b Value) Value {
+// Which buffer may be rewritten is the caller's to say, through dst: it
+// must not be one another rank may still read (see the arena ownership
+// rules in docs/PERF.md).
+func (o *Op) ApplyIn(ar *Arena, dst, a, b Value) Value {
+	if o.FlatFn != nil {
+		if m, ok := flatShape(o.Arity, a); ok {
+			if n, ok := flatShape(o.Arity, b); ok && n == m {
+				d := ar.flatDst(dst, o.Arity, m)
+				x, i := ar.asFlat(a, o.Arity, m)
+				y, j := ar.asFlat(b, o.Arity, m)
+				o.FlatFn(d, x, y)
+				ar.GiveBack(i + j)
+				return d
+			}
+		}
+	}
 	switch x := a.(type) {
 	case Vec:
 		switch y := b.(type) {
 		case Vec:
 			if o.Elem != nil && len(x) == len(y) {
-				d, out := vecDst(dst, len(x))
+				d, out := ar.vecDst(dst, len(x))
 				o.slice(d, x, y)
 				return out
 			}
 		case Scalar:
 			if o.Elem != nil {
-				d, out := vecDst(dst, len(x))
+				d, out := ar.vecDst(dst, len(x))
 				o.sliceScalar(d, x, float64(y), false)
 				return out
 			}
@@ -110,32 +128,41 @@ func (o *Op) ApplyInto(dst, a, b Value) Value {
 			}
 		case Vec:
 			if o.Elem != nil {
-				d, out := vecDst(dst, len(y))
+				d, out := ar.vecDst(dst, len(y))
 				o.sliceScalar(d, y, float64(x), true)
 				return out
 			}
-		}
-	case *FlatTuple:
-		if y, ok := b.(*FlatTuple); ok && o.FlatFn != nil &&
-			x.W == o.Arity && y.W == x.W && len(y.Data) == len(x.Data) {
-			d := flatDst(dst, x.W, x.M())
-			o.FlatFn(d, x, y)
-			return d
 		}
 	}
 	return o.Apply(Boxed(a), Boxed(b))
 }
 
-// ApplyUnaryInto is the destination-passing form of ApplyUnary, with the
-// same fast-path and fallback contract as ApplyInto.
-func (o *Op) ApplyUnaryInto(dst, b Value) Value {
-	if x, ok := b.(*FlatTuple); ok && o.FlatUnary != nil && x.W == o.Arity {
-		d := flatDst(dst, x.W, x.M())
+// ApplyUnaryIn is ApplyUnary in the representation algebra picks, with
+// ApplyIn's contract: a tuple of the operator's arity goes through
+// FlatUnary.
+func (o *Op) ApplyUnaryIn(ar *Arena, dst, b Value) Value {
+	if m, ok := flatShape(o.Arity, b); ok && o.FlatUnary != nil {
+		d := ar.flatDst(dst, o.Arity, m)
+		x, i := ar.asFlat(b, o.Arity, m)
 		o.FlatUnary(d, x)
+		ar.GiveBack(i)
 		return d
 	}
 	return o.ApplyUnary(Boxed(b))
 }
+
+// Working is x as a state the operator's kernels may rewrite in place: a
+// copy drawn from ar when FlatFn takes x, else x boxed. The result is a
+// flat tuple exactly when it is such a copy, which the caller owns.
+func (o *Op) Working(ar *Arena, x Value) Value {
+	return ar.working(o.FlatFn != nil, o.Arity, x)
+}
+
+// LaneWise reports that o acts on each word of a block by itself: a base
+// operator through its scalar function, a derived one through the flat
+// kernel it has exactly when it was built from such operators (and which
+// the TestFlat* tests hold bitwise to its boxed form).
+func (o *Op) LaneWise() bool { return o.Elem != nil || o.FlatFn != nil }
 
 // kernel names the loop body of a base operator's slice kernel.
 type kernel uint8
@@ -262,25 +289,6 @@ func (o *Op) sliceScalar(dst, x []float64, s float64, left bool) {
 			dst[i] = f(x[i], s)
 		}
 	}
-}
-
-// vecDst resolves the destination of a Vec kernel: dst's own storage when
-// it is a Vec of the right length (returning dst's existing interface
-// value, so the fast path boxes nothing), a fresh Vec otherwise.
-func vecDst(dst Value, n int) (Vec, Value) {
-	if d, ok := dst.(Vec); ok && len(d) == n {
-		return d, dst
-	}
-	d := make(Vec, n)
-	return d, d
-}
-
-// flatDst resolves the destination of a flat kernel analogously.
-func flatDst(dst Value, w, m int) *FlatTuple {
-	if d, ok := dst.(*FlatTuple); ok && d.W == w && len(d.Data) == w*m {
-		return d
-	}
-	return NewFlatTuple(w, m)
 }
 
 // Charge is the computation time, in the paper's unit-cost model, of one

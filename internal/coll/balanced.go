@@ -78,20 +78,10 @@ func ScanBalanced(c Comm, op *algebra.BalancedScanOp, x Value) Value {
 	tag := c.NextTag()
 	n := c.Size()
 	ar := c.Caps().Arena
-	// Flatten the working state when the operator has flat kernels: each
-	// phase then ships a fresh flat projection and rewrites the state in
-	// place, allocating nothing in steady state. Phases whose partner is
-	// missing (Solo) poison components with Undef, which only the boxed
-	// form can hold — the state switches back to boxed there and the
-	// remaining phases run the reference path.
-	v := x
-	if op.FlatShip != nil && op.FlatLo != nil && op.FlatHi != nil {
-		if t, ok := x.(algebra.Tuple); ok && len(t) == op.Arity {
-			if w, bm, can := algebra.CanFlatten(t); can {
-				v = ar.Flat(w, bm).FlattenInto(t)
-			}
-		}
-	}
+	// Only the state's projection is ever shipped, so each phase may
+	// rewrite the state in place: the working copy is the rank's own, and
+	// an input the kernels do not take is only read.
+	v := op.Working(ar, x)
 	m := float64(x.Words()) / float64(op.Arity)
 	for k := 0; k < log2Ceil(n); k++ {
 		partner := c.Rank() ^ (1 << k)
@@ -99,41 +89,13 @@ func ScanBalanced(c Comm, op *algebra.BalancedScanOp, x Value) Value {
 			v = op.Solo(algebra.Boxed(v))
 			continue
 		}
-		if ft, ok := v.(*algebra.FlatTuple); ok {
-			ship := ar.Flat(op.ShipWidth, ft.M())
-			op.FlatShip(ship, ft)
-			recv := c.Exchange(partner, ship, tag)
-			if rf, flat := recv.(*algebra.FlatTuple); flat && rf.W == op.ShipWidth && rf.M() == ft.M() {
-				// The state was never shipped (only its projection was),
-				// so the node operation may rewrite it in place.
-				if partner > c.Rank() {
-					op.FlatLo(ft, ft, rf)
-					c.Compute(float64(op.CostLo) * m)
-				} else {
-					op.FlatHi(ft, ft, rf)
-					c.Compute(float64(op.CostHi) * m)
-				}
-				continue
-			}
-			// The partner shipped a boxed projection (it was poisoned by
-			// an earlier Solo phase): fall back to the reference path.
-			if partner > c.Rank() {
-				v = op.Lo(algebra.Boxed(ft), algebra.Boxed(recv))
-				c.Compute(float64(op.CostLo) * m)
-			} else {
-				v = op.Hi(algebra.Boxed(ft), algebra.Boxed(recv))
-				c.Compute(float64(op.CostHi) * m)
-			}
-			continue
-		}
-		ship := op.Ship(v)
-		recv := c.Exchange(partner, ship, tag)
-		if partner > c.Rank() {
-			v = op.Lo(v, algebra.Boxed(recv))
-			c.Compute(float64(op.CostLo) * m)
-		} else {
-			v = op.Hi(v, algebra.Boxed(recv))
+		recv := c.Exchange(partner, op.ShipIn(ar, nil, v), tag)
+		higher := partner < c.Rank()
+		v = op.NodeIn(ar, v, v, recv, higher)
+		if higher {
 			c.Compute(float64(op.CostHi) * m)
+		} else {
+			c.Compute(float64(op.CostLo) * m)
 		}
 	}
 	return algebra.Boxed(v)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/backend"
+	"repro/internal/golden"
 	"repro/internal/machine"
 	"repro/internal/rank"
 )
@@ -155,7 +156,7 @@ func TestAllReduceBalancedPow2IsAllReduce(t *testing.T) {
 						counters := make([]rank.Counters, p)
 						makespan := mc.run(p, func(c Comm) {
 							r := c.Rank()
-							bits[r] = appendBits(nil, algebra.Boxed(entry(c, op, in[r])))
+							bits[r] = golden.AppendBits(nil, algebra.Boxed(entry(c, op, in[r])))
 							counters[r] = c.(interface{ Counters() rank.Counters }).Counters()
 						})
 						runs[i] = fmt.Sprintf("makespan=%g counters=%v results=%x", makespan, counters, bits)

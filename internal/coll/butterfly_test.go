@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/backend"
+	"repro/internal/golden"
 	"repro/internal/machine"
 	"repro/internal/rank"
 )
@@ -50,7 +51,7 @@ func listBits(vs []Value) []byte {
 	}
 	b := []byte{'l', byte(len(vs))}
 	for _, v := range vs {
-		b = appendBits(b, v)
+		b = golden.AppendBits(b, v)
 	}
 	return b
 }
@@ -73,17 +74,17 @@ func butterflyLines() []string {
 		collectives := func(op *algebra.Op, inName string, in []Value, m int) {
 			for _, root := range roots {
 				row(fmt.Sprintf("bcast in=%s root=%d", inName, root), m, func(c Comm) []byte {
-					return appendBits(nil, Bcast(c, root, in[c.Rank()]))
+					return golden.AppendBits(nil, Bcast(c, root, in[c.Rank()]))
 				})
 				row(fmt.Sprintf("reduce %s in=%s root=%d", op.Name, inName, root), m, func(c Comm) []byte {
-					return appendBits(nil, Reduce(c, root, op, in[c.Rank()]))
+					return golden.AppendBits(nil, Reduce(c, root, op, in[c.Rank()]))
 				})
 				row(fmt.Sprintf("gather in=%s root=%d", inName, root), m, func(c Comm) []byte {
 					return listBits(Gather(c, root, in[c.Rank()]))
 				})
 			}
 			row(fmt.Sprintf("allreduce %s in=%s", op.Name, inName), m, func(c Comm) []byte {
-				return appendBits(nil, AllReduce(c, op, in[c.Rank()]))
+				return golden.AppendBits(nil, AllReduce(c, op, in[c.Rank()]))
 			})
 			row(fmt.Sprintf("allgather in=%s", inName), m, func(c Comm) []byte {
 				return listBits(AllGather(c, in[c.Rank()]))
@@ -109,7 +110,7 @@ func butterflyLines() []string {
 // as hand-written loops (testdata/butterfly.golden, recorded from that
 // code).
 func TestRecordedButterfly(t *testing.T) {
-	checkRecorded(t, "testdata/butterfly.golden", butterflyLines())
+	golden.Check(t, "testdata/butterfly.golden", butterflyLines(), nil)
 }
 
 // balancedLines runs ReduceBalanced and AllReduceBalanced over the same
@@ -128,10 +129,10 @@ func balancedLines() []string {
 				op := algebra.OpSR(base)
 				in := scanInputs(op, p, m)
 				row("reduce-balanced "+op.Name, m, func(c Comm) []byte {
-					return appendBits(nil, ReduceBalanced(c, op, in[c.Rank()]))
+					return golden.AppendBits(nil, ReduceBalanced(c, op, in[c.Rank()]))
 				})
 				row("allreduce-balanced "+op.Name, m, func(c Comm) []byte {
-					return appendBits(nil, AllReduceBalanced(c, op, in[c.Rank()]))
+					return golden.AppendBits(nil, AllReduceBalanced(c, op, in[c.Rank()]))
 				})
 			}
 		}
@@ -144,7 +145,7 @@ func balancedLines() []string {
 // return the bits they did as a hand-written recursion
 // (testdata/balanced.golden, recorded from that code).
 func TestRecordedBalanced(t *testing.T) {
-	checkRecorded(t, "testdata/balanced.golden", balancedLines())
+	golden.Check(t, "testdata/balanced.golden", balancedLines(), nil)
 }
 
 // TestWarmButterflyAllocs pins what a warm native Bcast, Reduce and

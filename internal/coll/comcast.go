@@ -14,21 +14,9 @@ import (
 // log p · costO · m local work, with no extra start-ups.
 func BcastRepeat(c Comm, root int, ops *algebra.RepeatOps, b Value) Value {
 	v := Bcast(c, root, b)
-	m := v.Words()
 	k := (c.Rank() - root + c.Size()) % c.Size()
-	if vec, ok := v.(algebra.Vec); ok && ops.FlatE != nil && ops.FlatO != nil && len(vec) > 0 {
-		// Flat repeat: duplicate the broadcast block into one flat
-		// working tuple and iterate the digit steps in place.
-		w := c.Caps().Arena.Flat(ops.Arity, len(vec))
-		for i := 0; i < ops.Arity; i++ {
-			copy(w.Comp(i), vec)
-		}
-		ops.RepeatInto(k, w)
-		c.Compute(ops.RepeatCharge(k, m))
-		return algebra.First(w)
-	}
-	w := ops.Repeat(k, ops.Prepare(v))
-	c.Compute(ops.RepeatCharge(k, m))
+	w := ops.RepeatIn(c.Caps().Arena, nil, k, v)
+	c.Compute(ops.RepeatCharge(k, v.Words()))
 	return algebra.First(w)
 }
 
@@ -45,62 +33,31 @@ func Comcast(c Comm, root int, ops *algebra.RepeatOps, b Value) Value {
 	n := c.Size()
 	ar := c.Caps().Arena
 	vrank := (c.Rank() - root + n) % n
-	m := b.Words()
-	useFlat := ops.FlatE != nil && ops.FlatO != nil
-	var w Value
-	owned := false
+	var w, own Value // own is w when this member may rewrite it
 	if vrank == 0 {
-		if vec, ok := b.(algebra.Vec); ok && useFlat && len(vec) > 0 {
-			f := ar.Flat(ops.Arity, len(vec))
-			for i := 0; i < ops.Arity; i++ {
-				copy(f.Comp(i), vec)
-			}
-			w = f
-			owned = true
-		} else {
-			w = ops.Prepare(b)
-		}
+		w = ops.RepeatIn(ar, nil, 0, b)
+		own = w
 	}
 	for k := 0; k < log2Ceil(n); k++ {
 		bit := 1 << k
 		switch {
 		case vrank < bit:
 			// This member holds g^vrank; spawn g^(vrank+2^k) at the
-			// doubled partner, then advance the own state with e.
+			// doubled partner, in a buffer of its own that the send
+			// freezes, then advance the own state with e: in place,
+			// unless it is the frozen state the doubling source sent. Each
+			// step is charged by the block length of the state it steps:
+			// a non-root's input is not read.
+			m := float64(w.Words()) / float64(ops.Arity)
 			if vrank+bit < n {
-				var spawned Value
-				if ft, ok := w.(*algebra.FlatTuple); ok {
-					// The spawned state escapes into a message: it gets
-					// its own buffer, frozen once sent.
-					d := ar.Flat(ft.W, ft.M())
-					ops.FlatO(d, ft)
-					spawned = d
-				} else {
-					spawned = ops.O(w)
-				}
-				c.Compute(float64(ops.CostO) * float64(m))
-				dst := (vrank + bit + root) % n
-				c.Send(dst, spawned, tag)
+				c.Send((vrank+bit+root)%n, ops.StepIn(ar, nil, w, true), tag)
+				c.Compute(float64(ops.CostO) * m)
 			}
-			if ft, ok := w.(*algebra.FlatTuple); ok {
-				// A state received from the doubling source is frozen;
-				// the first e-step after a receive moves to fresh
-				// scratch, later steps rewrite it in place.
-				d := ft
-				if !owned {
-					d = ar.Flat(ft.W, ft.M())
-				}
-				ops.FlatE(d, ft)
-				w = d
-				owned = true
-			} else {
-				w = ops.E(w)
-			}
-			c.Compute(float64(ops.CostE) * float64(m))
+			w = ops.StepIn(ar, own, w, false)
+			own = w
+			c.Compute(float64(ops.CostE) * m)
 		case vrank < bit<<1:
-			src := (vrank - bit + root) % n
-			w = c.Recv(src, tag)
-			owned = false
+			w, own = c.Recv((vrank-bit+root)%n, tag), nil
 		}
 	}
 	return algebra.First(w)

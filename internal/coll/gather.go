@@ -115,21 +115,9 @@ func Iter(c Comm, op *algebra.IterOp, x Value) Value {
 	if c.Rank() != 0 {
 		return algebra.Undef{}
 	}
-	if vec, ok := x.(algebra.Vec); ok && op.FlatF != nil && len(vec) > 0 {
-		// Flat path: one working buffer, rewritten in place per step.
-		w := c.Caps().Arena.Flat(op.Arity, len(vec))
-		for i := 0; i < op.Arity; i++ {
-			copy(w.Comp(i), vec)
-		}
-		for k := 0; k < log2Ceil(c.Size()); k++ {
-			op.FlatF(w, w)
-			c.Compute(op.Charge(w))
-		}
-		return algebra.First(w)
-	}
-	w := op.Prepare(x)
-	for k := 0; k < log2Ceil(c.Size()); k++ {
-		w = op.F(w)
+	n := log2Ceil(c.Size())
+	w := op.IterateIn(c.Caps().Arena, nil, n, x)
+	for range n {
 		c.Compute(op.Charge(w))
 	}
 	return algebra.First(w)

@@ -3,27 +3,17 @@ package coll
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"flag"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/algebra"
 	"repro/internal/cost"
+	"repro/internal/golden"
 	"repro/internal/machine"
 )
-
-// update rewrites the recorded goldens the run selects from the tree
-// under test. testdata/portfolio.golden, butterfly.golden and
-// balanced.golden were recorded from the hand-written loops, before those
-// collectives became schedules, and testdata/scan.golden from the scan that
-// performed every combine it charged, so the tests hold the code that
-// replaced them bit for bit. scan.golden's counters were re-recorded when
-// the scan's last phase became one-way; its result bits were not.
-var update = flag.Bool("update", false, "rewrite the testdata goldens the run selects from this tree")
 
 // recordedCase is one row of the portfolio grid.
 type recordedCase struct {
@@ -134,42 +124,8 @@ func recordedLine(cs recordedCase, op *algebra.Op, p, m int) string {
 // sends the messages and words, charges the operations and returns the
 // bits it did when each was a hand-written loop.
 func TestRecordedPortfolio(t *testing.T) {
-	if raceEnabled && !*update {
+	if raceEnabled && !*golden.Update {
 		t.Skip("a value check over 3 380 virtual runs; the race detector adds only time to it")
 	}
-	checkRecorded(t, "testdata/portfolio.golden", recordedLines(t))
-}
-
-// checkRecorded compares got with the rows recorded at path, or, under
-// -update, records them there.
-func checkRecorded(t *testing.T, path string, got []string) {
-	t.Helper()
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if len(got) != len(want) {
-		t.Fatalf("%d rows, recorded %d", len(got), len(want))
-	}
-	bad := 0
-	for i := range got {
-		if got[i] != want[i] {
-			if bad++; bad <= 10 {
-				t.Errorf("line %d:\n got  %s\n want %s", i+1, got[i], want[i])
-			}
-		}
-	}
-	if bad > 10 {
-		t.Errorf("… and %d more", bad-10)
-	}
+	golden.Check(t, "testdata/portfolio.golden", recordedLines(t), nil)
 }

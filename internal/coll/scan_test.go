@@ -2,7 +2,6 @@ package coll
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -12,6 +11,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/backend"
+	"repro/internal/golden"
 	"repro/internal/machine"
 	"repro/internal/rank"
 )
@@ -50,37 +50,6 @@ func scanInputs(op *algebra.Op, p, m int) []Value {
 	return in
 }
 
-// appendBits appends v's shape and the bits of its entries to b.
-func appendBits(b []byte, v Value) []byte {
-	word := func(x uint64) { b = binary.LittleEndian.AppendUint64(b, x) }
-	floats := func(xs []float64) {
-		word(uint64(len(xs)))
-		for _, x := range xs {
-			word(math.Float64bits(x))
-		}
-	}
-	switch x := v.(type) {
-	case algebra.Vec:
-		b = append(b, 'v')
-		floats(x)
-	case algebra.Mat:
-		b = append(b, 'M')
-		word(uint64(x.R))
-		floats(x.Data)
-	case algebra.Undef:
-		b = append(b, '_')
-	case algebra.Tuple:
-		b = append(b, 't')
-		word(uint64(len(x)))
-		for _, c := range x {
-			b = appendBits(b, c)
-		}
-	default:
-		panic(fmt.Sprintf("appendBits: %T", v))
-	}
-	return b
-}
-
 // scanLine runs one scan of in and renders its row. run executes the
 // body on a backend and returns its counters; the makespan is rendered
 // only when it is virtual time.
@@ -90,7 +59,7 @@ func scanLine(name, inName string, op *algebra.Op, in []Value, m int, run func(b
 	rankOps := make([]float64, p)
 	makespan, msgs, words, ops := run(func(c Comm) {
 		r := c.Rank()
-		bits[r] = appendBits(nil, Scan(c, op, in[r]))
+		bits[r] = golden.AppendBits(nil, Scan(c, op, in[r]))
 		rankOps[r] = c.(interface{ Counters() rank.Counters }).Counters().Ops
 	})
 	h := sha256.New()
@@ -142,7 +111,7 @@ func scanLines() []string {
 // last phase became one-way, which moved the messages and words and, in
 // rows with an undetermined block, a makespan or a charge; no result bit.
 func TestRecordedScan(t *testing.T) {
-	checkRecorded(t, "testdata/scan.golden", scanLines())
+	golden.Check(t, "testdata/scan.golden", scanLines(), nil)
 }
 
 // scanCombines returns, per word of the block, the combines a scan over

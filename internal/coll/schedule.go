@@ -212,34 +212,17 @@ func (f *frame) view(buf buffer, lo, hi int) Value {
 	return f.val[buf]
 }
 
-// value is whole buffer buf's value. workBuf starts as the input, or as a
-// flat copy the rank owns when the input is a tuple of equal-length Vecs
-// the operator's flat kernel combines without boxing; exclBuf starts as
-// the empty prefix.
+// value is whole buffer buf's value. workBuf starts as the input in the
+// form the operator works on (algebra.Op.Working): a flat copy the rank
+// owns, or the input itself; exclBuf starts as the empty prefix.
 func (f *frame) value(buf buffer) Value {
 	if f.val[buf] == nil && buf == workBuf {
-		f.val[buf] = f.val[inBuf]
-		if t, ok := f.val[inBuf].(algebra.Tuple); ok && f.op.FlatFn != nil && len(t) == f.op.Arity {
-			if w, m, ok := algebra.CanFlatten(t); ok {
-				f.val[buf], f.own[buf] = f.ar.Flat(w, m).FlattenInto(t), true
-			}
-		}
+		f.val[buf] = f.op.Working(f.ar, f.val[inBuf])
+		_, f.own[buf] = f.val[buf].(*algebra.FlatTuple)
 	} else if f.val[buf] == nil && buf == exclBuf {
 		f.val[buf] = algebra.Undef{}
 	}
 	return f.val[buf]
-}
-
-// scratchLike returns an arena buffer shaped like proto, or nil for shapes
-// the kernels do not handle (ApplyInto then allocates its result).
-func scratchLike(ar *algebra.Arena, proto Value) Value {
-	switch v := proto.(type) {
-	case algebra.Vec:
-		return ar.Vec(len(v))
-	case *algebra.FlatTuple:
-		return ar.Flat(v.W, v.M())
-	}
-	return nil
 }
 
 // exec runs gen's schedule for the caller on c, combining with op. On word
@@ -327,15 +310,15 @@ func (f *frame) wholeStep(st *step) {
 		if inPlace, adopt := f.own.next(st, adopted); adopt {
 			dst, f.val[msgBuf] = in, nil
 		} else if !inPlace {
-			dst = scratchLike(f.ar, cur)
+			dst = nil // the combine draws its result
 		}
 		switch st.act {
 		case doUnary:
-			f.val[st.buf] = f.op.ApplyUnaryInto(dst, cur)
+			f.val[st.buf] = f.op.ApplyUnaryIn(f.ar, dst, cur)
 		case doRight:
-			f.val[st.buf] = f.op.ApplyInto(dst, cur, in)
+			f.val[st.buf] = f.op.ApplyIn(f.ar, dst, cur, in)
 		default:
-			f.val[st.buf] = f.op.ApplyInto(dst, in, cur)
+			f.val[st.buf] = f.op.ApplyIn(f.ar, dst, in, cur)
 		}
 		c.Compute(f.op.Charge(f.val[st.buf]))
 		return

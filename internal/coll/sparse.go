@@ -231,9 +231,9 @@ func ReduceScatterV(c Comm, op *algebra.Op, counts []int, x Value) Value {
 		}
 		dst := acc
 		if !owned {
-			dst = scratchLike(ar, contrib)
+			dst = nil // the combine draws its result
 		}
-		acc = op.ApplyInto(dst, acc, contrib)
+		acc = op.ApplyIn(ar, dst, acc, contrib)
 		owned = true
 		c.Compute(op.Charge(acc))
 	}

@@ -1,29 +1,19 @@
 package cost_test
 
 import (
-	"flag"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/cost"
 	"repro/internal/exper"
+	"repro/internal/golden"
 	"repro/internal/rules"
 	"repro/internal/term"
 )
-
-// update rewrites testdata/estimates.golden from the tree under test. The
-// committed file was recorded at the commit before cost.Line existed, so
-// the test holds every estimate to the numbers the hand-written
-// expressions produced. The exceptions are OfTermAuto rows at ts = tw =
-// 1, re-recorded twice: 49 when the rings stopped being priced for
-// reductions over the non-commutative left (cost.Admits), and 49 when
-// Rabenseifner, which combines in distance order, stopped too.
-var update = flag.Bool("update", false, "rewrite testdata/estimates.golden from this tree")
 
 // goldenPoints are the three parameter points of the symbolic tests.
 var goldenPoints = []cost.Params{
@@ -138,34 +128,7 @@ func sameRow(got, want string, ulps float64) bool {
 // BreakEven and PipelineSegments return — to the bit — what they returned
 // before every one of them became a view of cost.Line.
 func TestEstimatesMatchRecorded(t *testing.T) {
-	const path = "testdata/estimates.golden"
-	got := goldenLines(t)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if len(got) != len(want) {
-		t.Fatalf("%d estimates, recorded %d", len(got), len(want))
-	}
-	bad := 0
-	for i := range got {
-		if got[i] != want[i] && !(reassociated(want[i]) && sameRow(got[i], want[i], 4)) {
-			if bad++; bad <= 10 {
-				t.Errorf("line %d:\n got  %s\n want %s", i+1, got[i], want[i])
-			}
-		}
-	}
-	if bad > 10 {
-		t.Errorf("… and %d more", bad-10)
-	}
+	golden.Check(t, "testdata/estimates.golden", goldenLines(t), func(_ int, got, want string) bool {
+		return reassociated(want) && sameRow(got, want, 4)
+	})
 }

@@ -2,47 +2,13 @@ package exper
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
-	"flag"
 	"fmt"
-	"math"
-	"os"
-	"strings"
 	"testing"
 
-	"repro/internal/algebra"
 	"repro/internal/core"
+	"repro/internal/golden"
 	"repro/internal/mpbackend"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/table1_virtual.golden from this tree")
-
-// appendBits appends v's shape and the bits of its entries to b.
-func appendBits(b []byte, v algebra.Value) []byte {
-	word := func(x uint64) { b = binary.LittleEndian.AppendUint64(b, x) }
-	switch x := v.(type) {
-	case algebra.Scalar:
-		b = append(b, 's')
-		word(math.Float64bits(float64(x)))
-	case algebra.Vec:
-		b = append(b, 'v')
-		word(uint64(len(x)))
-		for _, f := range x {
-			word(math.Float64bits(f))
-		}
-	case algebra.Undef:
-		b = append(b, '_')
-	case algebra.Tuple:
-		b = append(b, 't')
-		word(uint64(len(x)))
-		for _, c := range x {
-			b = appendBits(b, c)
-		}
-	default:
-		panic(fmt.Sprintf("appendBits: %T", v))
-	}
-	return b
-}
 
 // table1VirtualLines runs both sides of every Table 1 rule on the virtual
 // machine at tw = 1: p ∈ 2..16 × m ∈ {1, 16, 256, 4096} × ts ∈ {1, 100,
@@ -66,7 +32,7 @@ func table1VirtualLines() []string {
 						out, res := side.prog.Run(core.Machine{Ts: ts, Tw: 1, P: p, M: m}, in)
 						h := sha256.New()
 						for _, v := range out {
-							h.Write(appendBits(nil, v))
+							h.Write(golden.AppendBits(nil, v))
 						}
 						lines = append(lines, fmt.Sprintf("%s %s p=%d m=%d ts=%g makespan=%g results=%x",
 							pat.Rule, side.name, p, m, ts, res.Makespan, h.Sum(nil)))
@@ -83,34 +49,5 @@ func table1VirtualLines() []string {
 // exchange (testdata/table1_virtual.golden, recorded from that code), so
 // a change to a schedule that the price does not see shows here.
 func TestTable1VirtualRecorded(t *testing.T) {
-	const path = "testdata/table1_virtual.golden"
-	got := table1VirtualLines()
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if len(got) != len(want) {
-		t.Fatalf("%d rows, recorded %d", len(got), len(want))
-	}
-	bad := 0
-	for i := range got {
-		if got[i] != want[i] {
-			if bad++; bad <= 10 {
-				t.Errorf("line %d:\n got  %s\n want %s", i+1, got[i], want[i])
-			}
-		}
-	}
-	if bad > 10 {
-		t.Errorf("… and %d more", bad-10)
-	}
+	golden.Check(t, "testdata/table1_virtual.golden", table1VirtualLines(), nil)
 }

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"hash"
 	"math"
@@ -18,6 +17,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/cost"
+	"repro/internal/golden"
 	"repro/internal/lang"
 	"repro/internal/term"
 )
@@ -35,8 +35,6 @@ func evalOrPanic(sc *term.Scratch, prog term.Term, in []algebra.Value) (out []al
 	}
 	return sc.Eval(prog, in), ""
 }
-
-var updateEval = flag.Bool("update", false, "rewrite testdata/eval.golden from this tree")
 
 // evalGolden holds the evaluations of one test to testdata/eval.golden, one
 // line per program: "<test>/<label> <sha256>", the hash over the program's
@@ -64,33 +62,10 @@ func (g *evalGolden) eval(prog term.Term, in []algebra.Value) {
 	out, panicked := evalOrPanic(g.sc, prog, in)
 	g.buf = append(g.buf[:0], panicked...)
 	for _, v := range out {
-		g.buf = appendBits(g.buf, v)
+		g.buf = golden.AppendBitsVarint(g.buf, v)
 	}
 	g.h.Write(append(g.buf, '\n'))
 	g.sc.Reset()
-}
-
-// appendBits appends v's shape and words.
-func appendBits(b []byte, v algebra.Value) []byte {
-	switch x := algebra.Boxed(v).(type) {
-	case algebra.Undef:
-		return append(b, '_')
-	case algebra.Scalar:
-		return binary.LittleEndian.AppendUint64(append(b, 's'), math.Float64bits(float64(x)))
-	case algebra.Vec:
-		b = binary.AppendUvarint(append(b, 'v'), uint64(len(x)))
-		for _, w := range x {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(w))
-		}
-		return b
-	case algebra.Tuple:
-		b = binary.AppendUvarint(append(b, 't'), uint64(len(x)))
-		for _, c := range x {
-			b = appendBits(b, c)
-		}
-		return b
-	}
-	return fmt.Appendf(b, "%T %v", v, v)
 }
 
 // done closes the current program's hash under label.
@@ -104,7 +79,7 @@ func (g *evalGolden) done(label string) {
 func (g *evalGolden) check() {
 	const path = "testdata/eval.golden"
 	raw, err := os.ReadFile(path)
-	if err != nil && !(*updateEval && os.IsNotExist(err)) {
+	if err != nil && !(*golden.Update && os.IsNotExist(err)) {
 		g.t.Fatal(err)
 	}
 	prefix := g.test + "/"
@@ -117,7 +92,7 @@ func (g *evalGolden) check() {
 			others = append(others, line)
 		}
 	}
-	if *updateEval {
+	if *golden.Update {
 		lines := append(others, g.lines...)
 		sort.SliceStable(lines, func(i, j int) bool {
 			a, _, _ := strings.Cut(lines[i], "/")

@@ -310,10 +310,8 @@ func pack(drawn []sample) []sample {
 }
 
 // laneWise reports that every stage is known to act on each word of a
-// block by itself, from what the stage carries: a base operator its scalar
-// function, a derived operator the flat kernel it has exactly when it was
-// built from such operators (and which the TestFlat* tests hold bitwise to
-// its boxed form), a local function its declaration. Broadcast, gather,
+// block by itself, from what the stage carries: an operator as algebra
+// says (Op.LaneWise), a local function its declaration. Broadcast, gather,
 // scatter and halo move whole values. Anything else — an index-aware map,
 // the counts stages, whose vectors are the shape — is not.
 func laneWise(stages []term.Term) bool {
@@ -323,15 +321,15 @@ func laneWise(stages []term.Term) bool {
 		case term.Map:
 			ok = s.F.Elementwise
 		case term.Scan:
-			ok = s.Op.Elem != nil || s.Op.FlatFn != nil
+			ok = s.Op.LaneWise()
 		case term.Reduce:
-			ok = s.Op.Elem != nil || s.Op.FlatFn != nil
+			ok = s.Op.LaneWise()
 		case term.ScanBal:
-			ok = s.Op.FlatLo != nil
+			ok = s.Op.LaneWise()
 		case term.Comcast:
-			ok = s.Ops.FlatE != nil
+			ok = s.Ops.LaneWise()
 		case term.Iter:
-			ok = s.Op.FlatF != nil
+			ok = s.Op.LaneWise()
 		case term.Bcast, term.Gather, term.Scatter, term.Halo:
 			ok = true
 		}

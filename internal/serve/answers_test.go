@@ -2,17 +2,14 @@ package serve
 
 import (
 	"crypto/sha256"
-	"flag"
 	"fmt"
 	"math/rand"
-	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/rules"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/answers.golden from this tree")
 
 // goldenRequests is the corpus of the recorded /optimize answers, each body
 // listed twice so that its second answer is a hit:
@@ -78,40 +75,15 @@ func goldenRequests() []string {
 // keyed or rendered that moves a byte of any answer fails here; one that
 // means to move them re-records the file with -update.
 func TestAnswersMatchRecorded(t *testing.T) {
-	const path = "testdata/answers.golden"
 	_, ts := newTestServer(t, Config{})
 	var got []string
 	for _, body := range goldenRequests() {
 		ans := postBody(t, ts.URL, body)
 		got = append(got, fmt.Sprintf("%d %s %d %x", ans.code, ans.ctype, ans.length, sha256.Sum256([]byte(ans.body))))
 	}
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if len(got) != len(want) {
-		t.Fatalf("%d answers, recorded %d", len(got), len(want))
-	}
 	bodies := goldenRequests()
-	bad := 0
-	for i := range got {
-		if got[i] != want[i] {
-			if bad++; bad <= 10 {
-				t.Errorf("line %d, %s:\n got  %s\n want %s", i+1, bodies[i], got[i], want[i])
-			}
-		}
-	}
-	if bad > 10 {
-		t.Errorf("… and %d more", bad-10)
-	}
+	golden.Check(t, "testdata/answers.golden", got, func(i int, _, _ string) bool {
+		t.Logf("line %d answers %s", i+1, bodies[i])
+		return false
+	})
 }

@@ -2,6 +2,7 @@ package term
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/algebra"
 )
@@ -28,8 +29,8 @@ func Eval(t Term, xs []algebra.Value) []algebra.Value {
 // Eval is the package-level Eval with its storage drawn from sc: per-stage
 // lists; the blocks that base operators, and functions with Into, write on
 // Vec and Scalar blocks; the tuples of pair, triple, quadruple and gather;
-// and the flat tuples derived operators, comcast, iter and the balanced
-// scan compute in (the flat lanes, scratch.go). The rest allocates. A
+// and the flat tuples the derived operators, comcast, iter and the
+// balanced scan pick to compute in (scratch.go). The rest allocates. A
 // buffer is written by the stage that drew it only, before another stage
 // or list position can see it, and a map whose argument repeats the
 // previous position's (after bcast, say) repeats its result. A flat tuple
@@ -66,7 +67,7 @@ func (sc *Scratch) Eval(t Term, xs []algebra.Value) []algebra.Value {
 		out := sc.list(len(xs))
 		out[0] = xs[0]
 		for i := 1; i < len(xs); i++ {
-			out[i], _ = sc.combine(s.Op, out[i-1], xs[i], false)
+			out[i] = s.Op.ApplyIn(&sc.Arena, nil, out[i-1], xs[i])
 		}
 		return out
 	case ScanBal:
@@ -74,18 +75,15 @@ func (sc *Scratch) Eval(t Term, xs []algebra.Value) []algebra.Value {
 	case Reduce:
 		var y algebra.Value
 		if s.Balanced {
-			h := 0
-			for 1<<h < len(xs) {
-				h++
-			}
-			y, _ = sc.reduceBalanced(s.Op, xs, 0, len(xs), h)
+			y = sc.reduceBalanced(s.Op, xs, 0, len(xs), bits.Len(uint(len(xs)-1)))
 		} else {
 			// Only the last partial result is kept, so every combine after
 			// the first writes over the one before.
 			y = xs[0]
-			drawn := false
+			var dst algebra.Value
 			for _, x := range xs[1:] {
-				y, drawn = sc.combine(s.Op, y, x, drawn)
+				y = s.Op.ApplyIn(&sc.Arena, dst, y, x)
+				dst = y
 			}
 		}
 		out := sc.list(len(xs))
@@ -133,8 +131,14 @@ func (sc *Scratch) Eval(t Term, xs []algebra.Value) []algebra.Value {
 		copy(out, list)
 		return out
 	case Comcast:
+		// Position i steps the one working state the previous position
+		// stepped, once its first block is copied out.
 		out := sc.list(len(xs))
-		sc.comcast(s.Ops, xs[0], out)
+		var w algebra.Value
+		for i := range out {
+			w = s.Ops.RepeatIn(&sc.Arena, w, i, xs[0])
+			out[i] = Apply(&sc.Arena, FirstFn, w)
+		}
 		return out
 	case Halo:
 		return evalHalo(s.H, sc.boxAll(xs))
@@ -144,7 +148,8 @@ func (sc *Scratch) Eval(t Term, xs []algebra.Value) []algebra.Value {
 		return evalReduceScatterV(s.Op, s.Counts, sc.boxAll(xs))
 	case Iter:
 		out := sc.list(len(xs))
-		out[0] = sc.iter(s.Op, xs[0], len(xs))
+		steps := bits.Len(uint(len(xs) - 1)) // ⌈log₂ n⌉
+		out[0] = Apply(&sc.Arena, FirstFn, s.Op.IterateIn(&sc.Arena, nil, steps, xs[0]))
 		for i := 1; i < len(xs); i++ {
 			out[i] = algebra.Undef{}
 		}
@@ -156,72 +161,54 @@ func (sc *Scratch) Eval(t Term, xs []algebra.Value) []algebra.Value {
 // reduceBalanced folds xs[lo:hi] over the balanced binary tree of §3.2 of
 // height h: leaves all at depth h, right subtrees complete. This is the
 // bracketing under which the non-associative op_sr is correct. A node's
-// value is written over its left child's when that is a buffer the fold
-// drew, which drawn reports.
-func (sc *Scratch) reduceBalanced(op *algebra.Op, xs []algebra.Value, lo, hi, h int) (y algebra.Value, drawn bool) {
+// value is written over its left child's when a combine below drew that.
+func (sc *Scratch) reduceBalanced(op *algebra.Op, xs []algebra.Value, lo, hi, h int) algebra.Value {
 	if h == 0 {
-		return xs[lo], false
+		return xs[lo]
 	}
-	half := 1 << (h - 1)
-	if hi-lo <= half {
-		y, drawn = sc.reduceBalanced(op, xs, lo, hi, h-1)
-		return sc.unary(op, y, drawn)
+	// into is a child's value as the destination: a buffer a combine
+	// below drew, or nothing for a leaf.
+	into := func(y algebra.Value) algebra.Value {
+		if h > 1 {
+			return y
+		}
+		return nil
 	}
-	mid := hi - half
-	y, drawn = sc.reduceBalanced(op, xs, lo, mid, h-1)
-	right, _ := sc.reduceBalanced(op, xs, mid, hi, h-1)
-	return sc.combine(op, y, right, drawn)
+	mid := hi - 1<<(h-1) // the right subtree covers [mid, hi), the left one the rest
+	if mid <= lo {
+		y := sc.reduceBalanced(op, xs, lo, hi, h-1)
+		return op.ApplyUnaryIn(&sc.Arena, into(y), y)
+	}
+	y := sc.reduceBalanced(op, xs, lo, mid, h-1)
+	return op.ApplyIn(&sc.Arena, into(y), y, sc.reduceBalanced(op, xs, mid, hi, h-1))
 }
 
 // scanBalanced runs the butterfly of §3.3 on the list: ceil(log2 n)
 // phases, in phase k index i pairs with i xor 2^k; indices without a
 // partner apply the Solo case (keep the first component, poison the
-// rest). With the operator's flat kernels, every state that is a tuple of
-// the operator's arity (flatShape) is first copied into a drawn flat tuple,
-// which the phases rewrite in place while both partners are flat, as
-// coll.ScanBalanced does.
+// rest). Each state starts as the operator's working copy, which the
+// phases rewrite in place, as coll.ScanBalanced does; two projections
+// serve every pair.
 func (sc *Scratch) scanBalanced(op *algebra.BalancedScanOp, xs []algebra.Value) []algebra.Value {
 	n := len(xs)
 	cur := sc.list(n)
 	copy(cur, xs)
-	kernels := n > 1 && op.FlatShip != nil && op.FlatLo != nil && op.FlatHi != nil
-	if kernels {
-		for i, x := range cur {
-			if m, ok := flatShape(op.Arity, x); ok {
-				cur[i] = flatten(sc.Flat(op.Arity, m), x)
-			}
+	if n > 1 {
+		for i, x := range xs {
+			cur[i] = op.Working(&sc.Arena, x)
 		}
 	}
-	// ours reports that two partners are states drawn above.
-	ours := func(a, b algebra.Value) (x, y *algebra.FlatTuple, ok bool) {
-		x, xf := a.(*algebra.FlatTuple)
-		y, yf := b.(*algebra.FlatTuple)
-		return x, y, kernels && xf && yf && x.W == op.Arity && y.W == x.W && len(y.Data) == len(x.Data)
-	}
+	var fromHi, fromLo algebra.Value
 	for k := 0; 1<<k < n; k++ {
 		next := sc.list(n)
 		for i := 0; i < n; i++ {
-			partner := i ^ (1 << k)
-			switch {
+			switch partner := i ^ (1 << k); {
 			case partner >= n:
 				next[i] = op.Solo(algebra.Boxed(cur[i]))
 			case partner > i:
-				lo, hi, ok := ours(cur[i], cur[partner])
-				if !ok {
-					next[i] = op.Lo(algebra.Boxed(cur[i]), op.Ship(algebra.Boxed(cur[partner])))
-					continue
-				}
-				fromHi, fromLo := sc.Flat(op.ShipWidth, lo.M()), sc.Flat(op.ShipWidth, lo.M())
-				op.FlatShip(fromHi, hi)
-				op.FlatShip(fromLo, lo)
-				op.FlatLo(lo, lo, fromHi)
-				op.FlatHi(hi, hi, fromLo)
-				sc.GiveBack(2)
-				next[i], next[partner] = lo, hi
-			default:
-				if _, _, ok := ours(cur[partner], cur[i]); !ok {
-					next[i] = op.Hi(algebra.Boxed(cur[i]), op.Ship(algebra.Boxed(cur[partner])))
-				}
+				fromHi, fromLo = op.ShipIn(&sc.Arena, fromHi, cur[partner]), op.ShipIn(&sc.Arena, fromLo, cur[i])
+				next[i] = op.NodeIn(&sc.Arena, cur[i], cur[i], fromHi, false)
+				next[partner] = op.NodeIn(&sc.Arena, cur[partner], cur[partner], fromLo, true)
 			}
 		}
 		cur = next
