@@ -1,9 +1,10 @@
-// Command collchaos drives the fault-injection conformance harness from
-// the shell: programs over the rule grammar run on the chaos-wrapped
-// native backend — per-link delays, bounded reorder, duplicates, one-shot
-// drops with retransmission — and their results are compared bitwise
-// against a fault-free run and, modulo undetermined positions, against
-// the functional semantics.
+// Command collchaos drives the conformance oracle (chaos.Sweep) from the
+// shell: programs over the rule grammar run on the virtual, native and
+// multi-process machines and on the chaos-wrapped native and virtual ones
+// — per-link delays, bounded reorder, duplicates, one-shot drops with
+// retransmission — and every leg must return the fault-free native
+// backend's results bit for bit, and those the functional semantics'
+// wherever it determines a value.
 //
 // Usage:
 //
@@ -13,10 +14,10 @@
 //
 // Common flags: -p ranks, -m words per block, -profile NAME|all, -seed
 // BASE, -seeds COUNT (seeds BASE..BASE+COUNT-1), -trials N random
-// programs, -v to report every run instead of just failures. A failing
-// randomized or explicit run is shrunk to a minimal case and reported as
-// a replayable -prog command line, so a CI failure pastes straight back
-// into a terminal.
+// programs, -v to report every swept program instead of just failures.
+// A failing randomized or explicit run is shrunk to a minimal case and
+// reported as a replayable -prog command line, so a CI failure pastes
+// straight back into a terminal.
 //
 // Exit status: 0 all runs conformed, 1 a divergence or hang was found,
 // 2 usage error.
@@ -29,9 +30,7 @@ import (
 	"math/rand"
 	"os"
 
-	"repro/internal/algebra"
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/exper"
 	"repro/internal/lang"
 	"repro/internal/mpbackend"
@@ -40,6 +39,7 @@ import (
 )
 
 func main() {
+	mpbackend.MaybeWorker()
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
@@ -57,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		trials   = fs.Int("trials", 20, "random programs in the default sweep")
 		rulesRun = fs.Bool("rules", false, "sweep every optimization rule's LHS and RHS")
 		progSrc  = fs.String("prog", "", "explicit program to run (surface syntax)")
-		verbose  = fs.Bool("v", false, "report every run, not just failures")
+		verbose  = fs.Bool("v", false, "report every swept program, not just failures")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -107,129 +107,39 @@ type harness struct {
 	runs     int
 }
 
-// check runs one case and returns the first divergence (or hang, surfaced
-// as a panic) as an error.
-func (h *harness) check(c chaos.Case) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	h.runs++
-	in := mpbackend.ConformanceInputs(c.Prog, c.P, c.M)
-	want, _ := core.FromTerm(c.Prog).RunNative(c.P, in)
-	got := chaos.RunNative(c.Prog, c.P, c.Profile, c.Seed, in)
-	sem := term.Eval(c.Prog, in)
-	for r := 0; r < c.P; r++ {
-		if !algebra.Equal(want[r], got[r]) {
-			return fmt.Errorf("rank %d: chaos %v, fault-free %v", r, got[r], want[r])
-		}
-		if !algebra.EqualApproxModuloUndef(sem[r], got[r], 1e-9) {
-			return fmt.Errorf("rank %d: chaos %v, semantics %v", r, got[r], sem[r])
-		}
-	}
-	return nil
-}
-
-// sweep checks one program across the profile and seed ranges; on
-// failure it shrinks and reports the minimal reproducer.
+// sweep checks one program across the profile and seed ranges with the
+// conformance oracle; a failure comes back shrunk, with its replay line.
 func (h *harness) sweep(label string, prog term.Seq, p int) bool {
-	for _, prof := range h.profiles {
-		for s := h.seed; s < h.seed+int64(h.seeds); s++ {
-			c := chaos.Case{Prog: prog, P: p, M: h.m, Profile: prof, Seed: s}
-			err := h.check(c)
-			if err == nil {
-				if h.verbose {
-					fmt.Fprintf(h.out, "ok   %-18s %s/seed=%d p=%d m=%d\n", label, prof.Name, s, p, h.m)
-				}
-				continue
-			}
-			fmt.Fprintf(h.out, "FAIL %s under %s/seed=%d: %v\n", label, prof.Name, s, err)
-			min := chaos.Shrink(c, func(cand chaos.Case) bool { return h.check(cand) != nil })
-			fmt.Fprintf(h.out, "  minimal: %s\n  replay:  %s\n", min, min.Repro())
-			return false
-		}
+	h.runs += len(h.profiles) * h.seeds
+	err := chaos.Sweep(chaos.Case{Prog: prog, P: p, M: h.m, Seed: h.seed, Tol: 1e-9}, h.profiles, h.seeds)
+	if err != nil {
+		fmt.Fprintf(h.out, "FAIL %s %v\n", label, err)
+		return false
+	}
+	if h.verbose {
+		fmt.Fprintf(h.out, "ok   %-18s %d profiles × %d seeds from %d p=%d m=%d\n", label, len(h.profiles), h.seeds, h.seed, p, h.m)
 	}
 	return true
 }
 
-// ruleLHS is one rule's left-hand side for the -rules sweep. Sizes, when
-// set, pins the machine sizes the program runs at (counts vectors only
-// run at their own length); nil means the class-default sweep.
-type ruleLHS struct {
-	Rule  string
-	LHS   term.Seq
-	Sizes []int
-}
-
-// extensionLHS are the extension and sparse rules' left-hand sides (the
-// Table 1 patterns cover the paper rules).
-func extensionLHS() []ruleLHS {
-	counts4 := []int{2, 0, 1, 1}
-	counts6 := []int{0, 3, 0, 1, 2, 0}
-	return []ruleLHS{
-		{Rule: "RB-AllReduce", LHS: term.Seq{term.Reduce{Op: algebra.Add}, term.Bcast{}}},
-		{Rule: "AB-AllReduce", LHS: term.Seq{term.Reduce{Op: algebra.Add, All: true}, term.Bcast{}}},
-		{Rule: "BB-Bcast", LHS: term.Seq{term.Bcast{}, term.Bcast{}}},
-		{Rule: "BM-Mobility", LHS: term.Seq{term.Bcast{}, term.Map{F: rules.IncFn}}},
-		{Rule: "MM-Local", LHS: term.Seq{term.Map{F: rules.IncFn}, term.Map{F: rules.IncFn}}},
-		{Rule: "GS-Id", LHS: term.Seq{term.Gather{}, term.Scatter{}}},
-		{Rule: "SG-Id", LHS: term.Seq{term.Scatter{}, term.Gather{}}},
-		{Rule: "HH-Combine", LHS: term.Seq{
-			term.Halo{H: &term.Hood{Offsets: []int{1, 2}}},
-			term.Halo{H: &term.Hood{Offsets: []int{0, 3}}},
-		}},
-		{Rule: "MH-Mobility", LHS: term.Seq{
-			term.Map{F: rules.IncFn},
-			term.Halo{H: &term.Hood{Offsets: []int{-1, 1}}},
-		}},
-		{Rule: "RSAG-AllReduce", Sizes: []int{4}, LHS: term.Seq{
-			term.ReduceScatterV{Op: algebra.Add, Counts: counts4},
-			term.AllGatherV{Counts: counts4},
-		}},
-		{Rule: "RSAG-AllReduce", Sizes: []int{6}, LHS: term.Seq{
-			term.ReduceScatterV{Op: algebra.Max, Counts: counts6},
-			term.AllGatherV{Counts: counts6},
-		}},
-	}
-}
-
 // runRules sweeps every rule's LHS and rewritten RHS, Table 1 and
-// extensions alike, on power-of-two and (where the rule allows)
-// non-power-of-two sizes.
+// extensions alike, at the sizes the pattern's Sizes gives.
 func (h *harness) runRules() int {
-	var jobs []ruleLHS
-	for _, pat := range exper.Patterns() {
-		jobs = append(jobs, ruleLHS{Rule: pat.Rule, LHS: term.Compose(pat.LHS.Term())})
-	}
-	jobs = append(jobs, extensionLHS()...)
 	failures := 0
-	for _, j := range jobs {
-		r, ok := rules.ByName(j.Rule)
-		if !ok {
-			fmt.Fprintf(h.out, "FAIL no rule named %s\n", j.Rule)
-			failures++
-			continue
-		}
-		sizes := j.Sizes
-		if sizes == nil {
-			sizes = []int{4, 8}
-			if r.Class != "Local" {
-				sizes = []int{4, 6}
-			}
-		}
-		for _, p := range sizes {
-			opt, err := exper.ApplyRule(j.Rule, j.LHS, p)
+	for _, pat := range append(exper.Patterns(), exper.Extensions()...) {
+		lhs := term.Compose(pat.LHS.Term())
+		for _, p := range pat.Sizes() {
+			opt, err := exper.ApplyRule(pat.Rule, lhs, p)
 			if err != nil {
 				fmt.Fprintf(h.out, "FAIL %v\n", err)
 				failures++
 				continue
 			}
-			if !h.sweep(j.Rule+"/lhs", j.LHS, p) {
+			if !h.sweep(pat.Rule+"/lhs", lhs, p) {
 				failures++
 			}
 			if rhs := term.Compose(opt); len(rhs) > 0 {
-				if !h.sweep(j.Rule+"/rhs", rhs, p) {
+				if !h.sweep(pat.Rule+"/rhs", rhs, p) {
 					failures++
 				}
 			}

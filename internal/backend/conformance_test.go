@@ -1,6 +1,7 @@
 // Conformance harness: every collective of package coll and every
 // optimization rule of package rules must produce identical results on the
-// virtual-time machine and on the native goroutine backend. Both backends
+// virtual-time machine and on the native goroutine backend (the rules
+// through the conformance oracle, chaos.Check). Both backends
 // execute the same algorithms in the same combining order, so the
 // comparison is exact equality, not approximate — any divergence is a
 // backend bug, not floating-point noise.
@@ -8,10 +9,12 @@ package backend_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/algebra"
 	"repro/internal/backend"
+	"repro/internal/chaos"
 	"repro/internal/coll"
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -19,7 +22,6 @@ import (
 	"repro/internal/lang"
 	"repro/internal/machine"
 	"repro/internal/mpbackend"
-	"repro/internal/rules"
 	"repro/internal/term"
 )
 
@@ -167,56 +169,30 @@ func TestCollectivesConform(t *testing.T) {
 }
 
 // TestRulesConform runs the left-hand side and the rewritten right-hand
-// side of all eleven optimization rules on both backends and asserts that
-// (a) each side's results agree exactly across backends and (b) both
-// sides, executed natively, agree with the functional semantics modulo
-// undetermined positions — the paper's semantic equality, now established
-// on real goroutines too. (Non-root reduce positions are don't-cares in
-// the semantics, so the two machine executions are compared through it
-// rather than against each other.) The Local rules require a power-of-two
-// machine, so non-powers of two are exercised only for the other classes.
+// side of all eleven optimization rules through the conformance oracle's
+// fault-free legs (chaos.Check): each side's results agree bit for bit
+// across the virtual machine and both native transports, and hold the
+// functional semantics wherever it determines a value — the paper's
+// semantic equality, established on real goroutines too. The fault-free
+// legs are cheap, so beside the chaos sweeps' sizes (RulePattern.Sizes)
+// it adds p = 3 and 8 wherever a rule runs at non-powers of two.
 func TestRulesConform(t *testing.T) {
 	for _, pat := range exper.Patterns() {
-		r, ok := rules.ByName(pat.Rule)
-		if !ok {
-			t.Fatalf("no rule named %s", pat.Rule)
-		}
-		sizes := []int{4, 8}
-		if r.Class != "Local" {
-			sizes = append(sizes, 3, 6)
+		lhs := term.Compose(pat.LHS.Term())
+		sizes := pat.Sizes()
+		if !slices.Contains(sizes, 8) {
+			sizes = append(sizes, 3, 8)
 		}
 		for _, p := range sizes {
-			eng := rules.NewEngine()
-			eng.Rules = []rules.Rule{r}
-			eng.Env.P = p
-			opt, apps := eng.Optimize(pat.LHS.Term())
-			if len(apps) != 1 {
-				t.Fatalf("rule %s did not apply at p=%d", pat.Rule, p)
+			rhs, err := exper.ApplyRule(pat.Rule, lhs, p)
+			if err != nil {
+				t.Fatal(err)
 			}
-			rhs := core.FromTerm(opt)
 			for _, m := range []int{1, 8} {
 				t.Run(fmt.Sprintf("%s/p=%d/m=%d", pat.Rule, p, m), func(t *testing.T) {
-					in := blocks(p, m)
-					mach := core.Machine{Ts: 100, Tw: 1, P: p, M: m}
-					lhsV, _ := pat.LHS.Run(mach, in)
-					lhsN, _ := pat.LHS.RunNative(p, in)
-					rhsV, _ := rhs.Run(mach, in)
-					rhsN, _ := rhs.RunNative(p, in)
-					want := term.Eval(pat.LHS.Term(), in)
-					for rank := 0; rank < p; rank++ {
-						if !algebra.Equal(lhsV[rank], lhsN[rank]) {
-							t.Fatalf("LHS rank %d: virtual %v, native %v", rank, lhsV[rank], lhsN[rank])
-						}
-						if !algebra.Equal(rhsV[rank], rhsN[rank]) {
-							t.Fatalf("RHS rank %d: virtual %v, native %v", rank, rhsV[rank], rhsN[rank])
-						}
-						if !algebra.EqualModuloUndef(lhsN[rank], want[rank]) {
-							t.Fatalf("native LHS disagrees with semantics at rank %d: got %v, want %v",
-								rank, lhsN[rank], want[rank])
-						}
-						if !algebra.EqualModuloUndef(rhsN[rank], want[rank]) {
-							t.Fatalf("rule %s not semantics-preserving natively at rank %d: got %v, want %v",
-								pat.Rule, rank, rhsN[rank], want[rank])
+					for _, side := range []term.Term{lhs, rhs} {
+						if err := chaos.Check(chaos.Case{Prog: term.Compose(side), P: p, M: m}); err != nil {
+							t.Fatalf("%s: %v", side, err)
 						}
 					}
 				})

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
-	"repro/internal/backend"
 	"repro/internal/chaos"
 	"repro/internal/coll"
 	"repro/internal/coll/sel"
@@ -50,16 +49,6 @@ func portfolioCases() []portfolioCase {
 	}
 }
 
-// faultFreeOn runs one collective body on the bare native backend — the
-// bitwise baseline of the portfolio sweeps.
-func faultFreeOn(p int, in []algebra.Value, run func(c coll.Comm, v algebra.Value) algebra.Value) []algebra.Value {
-	out := make([]algebra.Value, p)
-	backend.New(p).Run(func(pr *backend.Proc) {
-		out[pr.Rank()] = run(pr, in[pr.Rank()])
-	})
-	return out
-}
-
 // TestPortfolioConformsUnderChaos sweeps every portfolio algorithm on a
 // power-of-two and a non-power-of-two group (the rabenseifner fold path)
 // across the full profile × seed sweep, on both backends, demanding
@@ -69,32 +58,10 @@ func TestPortfolioConformsUnderChaos(t *testing.T) {
 		for _, p := range []int{4, 7} {
 			m := tc.minM(p) + 3 // uneven chunks: m does not divide by p
 			in := blocks(p, m)
-			want := faultFreeOn(p, in, tc.run)
 			t.Run(fmt.Sprintf("%s/p=%d/m=%d", tc.name, p, m), func(t *testing.T) {
-				for _, prof := range sweepProfiles() {
-					for seed := int64(0); seed < sweepSeeds(); seed++ {
-						got := make([]algebra.Value, p)
-						chaos.OnNative(p, prof, seed, func(c coll.Comm) {
-							got[c.Rank()] = tc.run(c, in[c.Rank()])
-						})
-						for r := 0; r < p; r++ {
-							if !algebra.Equal(want[r], got[r]) {
-								t.Fatalf("%s/seed=%d rank %d: chaos %v, fault-free %v",
-									prof.Name, seed, r, got[r], want[r])
-							}
-						}
-					}
-					gotV := make([]algebra.Value, p)
-					chaos.OnVirtual(p, prof, 0, func(c coll.Comm) {
-						gotV[c.Rank()] = tc.run(c, in[c.Rank()])
-					})
-					for r := 0; r < p; r++ {
-						if !algebra.Equal(want[r], gotV[r]) {
-							t.Fatalf("%s virtual rank %d: chaos %v, fault-free %v",
-								prof.Name, r, gotV[r], want[r])
-						}
-					}
-				}
+				everywhere(t, p, chaos.Profiles(), sweepSeeds(), func(c coll.Comm) algebra.Value {
+					return tc.run(c, in[c.Rank()])
+				})
 			})
 		}
 	}
@@ -103,7 +70,7 @@ func TestPortfolioConformsUnderChaos(t *testing.T) {
 // TestSelectedProgramConformsUnderChaos runs a whole auto-selected
 // program — the execution path serving actually takes — under chaos:
 // RunStages with non-butterfly selections must match the plain butterfly
-// executor's fault-free result bitwise.
+// executor's fault-free result bitwise, on every run.
 func TestSelectedProgramConformsUnderChaos(t *testing.T) {
 	prog := term.Seq{
 		term.Reduce{Op: algebra.Add, All: true},
@@ -124,24 +91,11 @@ func TestSelectedProgramConformsUnderChaos(t *testing.T) {
 		if nonBF == 0 {
 			t.Fatalf("p=%d m=%d: expected non-butterfly selections, got %v", p, m, sels)
 		}
-		want := faultFree(prog, p, in)
-		for _, prof := range sweepProfiles() {
-			seeds := sweepSeeds() / 2
-			if seeds < 2 {
-				seeds = 2
-			}
-			for seed := int64(0); seed < seeds; seed++ {
-				got := make([]algebra.Value, p)
-				chaos.OnNative(p, prof, seed, func(c coll.Comm) {
-					got[c.Rank()] = core.RunStages(c, prog, in[c.Rank()], sels...)
-				})
-				for r := 0; r < p; r++ {
-					if !algebra.Equal(want[r], got[r]) {
-						t.Fatalf("p=%d %s/seed=%d rank %d: selected-under-chaos %v, fault-free butterfly %v\n  selections: %v",
-							p, prof.Name, seed, r, got[r], want[r], sels)
-					}
-				}
-			}
+		got := everywhere(t, p, chaos.Profiles(), max(sweepSeeds()/2, 2), func(c coll.Comm) algebra.Value {
+			return core.RunStages(c, prog, in[c.Rank()], sels...)
+		})
+		if want, _ := core.FromTerm(prog).RunNative(p, in); !algebra.EqualLists(got, want) {
+			t.Fatalf("p=%d: selected %v, fault-free butterfly %v\n  selections: %v", p, got, want, sels)
 		}
 	}
 }

@@ -13,12 +13,15 @@ import (
 // fails, and Repro renders it as a collchaos command line.
 
 // Case is one chaos execution: a stage program on P ranks with M-word
-// blocks, under a fault profile and seed.
+// blocks, under a fault profile and seed. Tol is the relative tolerance of
+// the comparison with the semantics: 0, exact, except where random
+// programs leave the exactly representable range (2^53).
 type Case struct {
 	Prog    term.Seq
 	P, M    int
 	Profile Profile
 	Seed    int64
+	Tol     float64
 }
 
 func (c Case) String() string {

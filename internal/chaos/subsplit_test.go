@@ -6,6 +6,7 @@
 package chaos_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/algebra"
@@ -15,50 +16,47 @@ import (
 	"repro/internal/machine"
 )
 
-// runEverywhere executes the same SPMD body bare and chaos-wrapped on
-// both backends and returns the four per-rank output lists in that
-// order: bare native, bare virtual, chaos native, chaos virtual.
-func runEverywhere(p int, prof chaos.Profile, seed int64, body func(c coll.Comm) algebra.Value) [4][]algebra.Value {
-	var out [4][]algebra.Value
-	for i := range out {
-		out[i] = make([]algebra.Value, p)
-	}
-	backend.New(p).Run(func(pr *backend.Proc) {
-		out[0][pr.Rank()] = body(pr)
-	})
-	machine.New(p, machine.Params{Ts: 100, Tw: 1}).Run(func(pr *machine.Proc) {
-		c := coll.Comm(pr)
-		out[1][c.Rank()] = body(c)
-	})
-	chaos.OnNative(p, prof, seed, func(c coll.Comm) {
-		out[2][c.Rank()] = body(c)
-	})
-	chaos.OnVirtual(p, prof, seed, func(c coll.Comm) {
-		out[3][c.Rank()] = body(c)
-	})
-	return out
-}
-
-func checkEverywhere(t *testing.T, p int, body func(c coll.Comm) algebra.Value) {
+// everywhere runs an SPMD body bare on both backends and chaos-wrapped on
+// both under every profile and seed — the oracle's legs, for bodies that
+// are not stage programs — and demands the bare native results, which it
+// returns, bit for bit from every other run.
+func everywhere(t *testing.T, p int, profiles []chaos.Profile, seeds int, body func(c coll.Comm) algebra.Value) []algebra.Value {
 	t.Helper()
-	seeds := int64(6)
-	if testing.Short() {
-		seeds = 2
+	run := func(on func(func(c coll.Comm))) []algebra.Value {
+		out := make([]algebra.Value, p)
+		on(func(c coll.Comm) { out[c.Rank()] = body(c) })
+		return out
 	}
-	for _, prof := range []chaos.Profile{chaos.MustByName("delay"), chaos.MustByName("reorder"), chaos.MustByName("storm")} {
-		for seed := int64(0); seed < seeds; seed++ {
-			out := runEverywhere(p, prof, seed, body)
-			names := []string{"bare native", "bare virtual", "chaos native", "chaos virtual"}
-			for i := 1; i < len(out); i++ {
-				for r := 0; r < p; r++ {
-					if !algebra.Equal(out[0][r], out[i][r]) {
-						t.Fatalf("%s/seed=%d: %s rank %d: got %v, bare native %v",
-							prof.Name, seed, names[i], r, out[i][r], out[0][r])
-					}
-				}
+	want := run(func(b func(coll.Comm)) { backend.New(p).Run(func(pr *backend.Proc) { b(pr) }) })
+	same := func(leg string, got []algebra.Value) {
+		t.Helper()
+		for r := range want {
+			if !algebra.Equal(got[r], want[r]) {
+				t.Fatalf("%s rank %d: %v, bare native %v", leg, r, got[r], want[r])
 			}
 		}
 	}
+	same("bare virtual", run(func(b func(coll.Comm)) {
+		machine.New(p, machine.Params{Ts: 100, Tw: 1}).Run(func(pr *machine.Proc) { b(pr) })
+	}))
+	for _, prof := range profiles {
+		for seed := int64(0); seed < int64(seeds); seed++ {
+			same(fmt.Sprintf("%s/seed=%d chaos native", prof.Name, seed), run(func(b func(coll.Comm)) { chaos.OnNative(p, prof, seed, b) }))
+			same(fmt.Sprintf("%s/seed=%d chaos virtual", prof.Name, seed), run(func(b func(coll.Comm)) { chaos.OnVirtual(p, prof, seed, b) }))
+		}
+	}
+	return want
+}
+
+// checkEverywhere is everywhere under delay, reorder and storm.
+func checkEverywhere(t *testing.T, p int, body func(c coll.Comm) algebra.Value) {
+	t.Helper()
+	seeds := 6
+	if testing.Short() {
+		seeds = 2
+	}
+	profiles := []chaos.Profile{chaos.MustByName("delay"), chaos.MustByName("reorder"), chaos.MustByName("storm")}
+	everywhere(t, p, profiles, seeds, body)
 }
 
 // contains reports whether rank is in ranks.

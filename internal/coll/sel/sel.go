@@ -95,13 +95,3 @@ func ForTerm(t term.Term, p cost.Params) []Selection {
 	})
 	return out
 }
-
-// Total sums the predicted costs of the selections — the portfolio's
-// contribution to an auto-scored estimate.
-func Total(sels []Selection) (predicted, butterfly float64) {
-	for _, s := range sels {
-		predicted += s.Predicted
-		butterfly += s.Butterfly
-	}
-	return predicted, butterfly
-}

@@ -189,13 +189,6 @@ func TestSelectionString(t *testing.T) {
 	}
 }
 
-func TestTotal(t *testing.T) {
-	pred, bf := Total([]Selection{{Predicted: 10, Butterfly: 30}, {Predicted: 5, Butterfly: 5}})
-	if pred != 15 || bf != 35 {
-		t.Fatalf("Total = %g, %g, want 15, 35", pred, bf)
-	}
-}
-
 // TestForTermSharesTheEstimateWalk is the cost half of the single-walk
 // property: over random dense and sparse programs, power-of-two and other
 // machine sizes, and block sizes on both sides of every cost.Applicable

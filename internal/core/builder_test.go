@@ -131,27 +131,3 @@ func TestEqualTermsMoreStages(t *testing.T) {
 		}
 	}
 }
-
-func TestGatherScatterStagesOnMachine(t *testing.T) {
-	// gather ; scatter is the identity; executor must agree with the
-	// semantics (modulo undefined positions mid-pipeline).
-	prog := FromTerm(term.Seq{term.Gather{}, term.Scatter{}})
-	in := scalars(4, 5, 6, 7, 8)
-	if err := prog.CrossCheck(testMachine(5), in); err != nil {
-		t.Fatal(err)
-	}
-	out, _ := prog.Run(testMachine(5), in)
-	if !algebra.EqualLists(out, in) {
-		t.Fatalf("gather;scatter = %v, want %v", out, in)
-	}
-	// gather alone: the root ends with the full list.
-	gOnly := FromTerm(term.Seq{term.Gather{}})
-	outG, _ := gOnly.Run(testMachine(5), in)
-	list, ok := outG[0].(algebra.Tuple)
-	if !ok || len(list) != 5 {
-		t.Fatalf("gather root = %v", outG[0])
-	}
-	if err := gOnly.CrossCheck(testMachine(5), in); err != nil {
-		t.Fatal(err)
-	}
-}

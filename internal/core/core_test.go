@@ -85,80 +85,6 @@ func TestRunPanicsOnWrongInputLength(t *testing.T) {
 	NewProgram().Bcast().Run(testMachine(4), scalars(1, 2))
 }
 
-// TestExecutorAgreesWithSemantics cross-checks the machine executor
-// against the functional semantics for every stage type, over a range of
-// machine sizes.
-func TestExecutorAgreesWithSemantics(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	progs := map[string]Program{
-		"scan":           NewProgram().Scan(algebra.Add),
-		"reduce":         NewProgram().Reduce(algebra.Add),
-		"allreduce":      NewProgram().AllReduce(algebra.Mul),
-		"bcast":          NewProgram().Bcast(),
-		"bcast;scan":     NewProgram().Bcast().Scan(algebra.Add),
-		"scan;scan":      NewProgram().Scan(algebra.Mul).Scan(algebra.Add),
-		"scan;reduce":    NewProgram().Scan(algebra.Add).Reduce(algebra.Add),
-		"maps":           NewProgram().Map(term.PairFn).Map(term.FirstFn),
-		"bcast;scan2":    NewProgram().Bcast().Scan(algebra.Mul).Scan(algebra.Add),
-		"bcast;all":      NewProgram().Bcast().AllReduce(algebra.Add),
-		"scan;bcast":     NewProgram().Scan(algebra.Add).Bcast(),
-		"reduce;bcast":   NewProgram().Reduce(algebra.Max).Bcast(),
-		"longpipeline":   NewProgram().Scan(algebra.Add).AllReduce(algebra.Max).Scan(algebra.Min),
-		"noncommutative": NewProgram().Scan(algebra.Left).Reduce(algebra.Left),
-	}
-	for name, prog := range progs {
-		for _, p := range []int{1, 2, 3, 5, 6, 8, 16} {
-			in := randScalars(rng, p)
-			if err := prog.CrossCheck(testMachine(p), in); err != nil {
-				t.Fatalf("%s at p=%d: %v", name, p, err)
-			}
-		}
-	}
-}
-
-// TestOptimizedProgramsAgreeOnMachine runs every rule's LHS and its
-// rewritten RHS on the virtual machine and compares the outputs — the
-// full-stack version of the semantic verification in package rules.
-func TestOptimizedProgramsAgreeOnMachine(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	progs := []Program{
-		NewProgram().Scan(algebra.Mul).Reduce(algebra.Add),         // SR2
-		NewProgram().Scan(algebra.Mul).AllReduce(algebra.Add),      // SR2 all
-		NewProgram().Scan(algebra.Add).Reduce(algebra.Add),         // SR
-		NewProgram().Scan(algebra.Add).AllReduce(algebra.Add),      // SR all
-		NewProgram().Scan(algebra.Mul).Scan(algebra.Add),           // SS2
-		NewProgram().Scan(algebra.Add).Scan(algebra.Add),           // SS
-		NewProgram().Bcast().Scan(algebra.Add),                     // BS
-		NewProgram().Bcast().Scan(algebra.Mul).Scan(algebra.Add),   // BSS2
-		NewProgram().Bcast().Scan(algebra.Add).Scan(algebra.Add),   // BSS
-		NewProgram().Bcast().Reduce(algebra.Add),                   // BR
-		NewProgram().Bcast().Scan(algebra.Mul).Reduce(algebra.Add), // BSR2
-		NewProgram().Bcast().Scan(algebra.Add).Reduce(algebra.Add), // BSR
-		NewProgram().Bcast().AllReduce(algebra.Add),                // CR
-	}
-	for _, prog := range progs {
-		opt := prog.OptimizeExhaustively(algebra.Default(), testMachine(8))
-		if len(opt.Applications) == 0 {
-			t.Fatalf("no rule applied to %s", prog)
-		}
-		for trial := 0; trial < 5; trial++ {
-			in := randScalars(rng, 8)
-			before, _ := prog.Run(testMachine(8), in)
-			after, _ := opt.Program.Run(testMachine(8), in)
-			// Machine reduce leaves non-root values in place while the
-			// semantics marks them undetermined; compare the semantics
-			// way: every determined position must agree.
-			want := term.Eval(prog.Term(), in)
-			if !algebra.EqualListsModuloUndef(before, want) {
-				t.Fatalf("%s: machine LHS %v vs semantics %v", prog, before, want)
-			}
-			if !algebra.EqualListsModuloUndef(after, want) {
-				t.Fatalf("%s -> %s: machine RHS %v vs semantics %v", prog, opt.Program, after, want)
-			}
-		}
-	}
-}
-
 func TestOptimizeIsCostGuided(t *testing.T) {
 	prog := NewProgram().Scan(algebra.Mul).Scan(algebra.Add)
 	// Start-up dominated machine: SS2 should fire.

@@ -358,27 +358,3 @@ func (p Program) RunOn(nm *backend.Machine, input []algebra.Value) ([]algebra.Va
 func (p Program) Verify(q Program, cfg rules.VerifyConfig) error {
 	return rules.VerifyEquivalence(p.Term(), q.Term(), cfg)
 }
-
-// CrossCheck runs the program on the virtual machine and compares the
-// result with the functional semantics on the same input, modulo
-// undetermined positions — the executor must implement the semantics.
-func (p Program) CrossCheck(m Machine, input []algebra.Value) error {
-	return p.CrossCheckTol(m, input, 0)
-}
-
-// CrossCheckTol is CrossCheck with a relative tolerance on numeric
-// results, for programs whose operator chains leave the exactly
-// representable float range (the machine's butterfly and the semantics'
-// sequential fold may then differ in the last bits by reassociation).
-func (p Program) CrossCheckTol(m Machine, input []algebra.Value, relTol float64) error {
-	got, _ := p.Run(m, input)
-	want := term.Eval(p.Term(), input)
-	equal := len(got) == len(want)
-	for i := 0; equal && i < len(got); i++ {
-		equal = algebra.EqualApproxModuloUndef(got[i], want[i], relTol)
-	}
-	if !equal {
-		return fmt.Errorf("core: machine execution disagrees with semantics:\n  machine: %v\n  semantics: %v", got, want)
-	}
-	return nil
-}

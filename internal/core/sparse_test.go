@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -7,16 +7,19 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/chaos"
 	"repro/internal/lang"
+	"repro/internal/mpbackend"
 	"repro/internal/rules"
 	"repro/internal/term"
 )
 
 // sparseProgram builds a surface-syntax sparse program for machine size
-// p, together with matching inputs. The programs go through lang.Parse so
-// the conformance run covers exactly the path the multi-process backend
-// takes.
-func sparseProgram(kind string, p int, rng *rand.Rand) (string, []algebra.Value) {
+// p, and the block size its conformance inputs take. The programs go
+// through lang.Parse so the conformance run covers exactly the path the
+// multi-process backend takes.
+func sparseProgram(t *testing.T, kind string, p int, rng *rand.Rand) (term.Seq, int) {
+	t.Helper()
 	counts := make([]int, p)
 	for i := range counts {
 		counts[i] = rng.Intn(3) // zero-length blocks included
@@ -29,106 +32,60 @@ func sparseProgram(kind string, p int, rng *rand.Rand) (string, []algebra.Value)
 		cs[i] = fmt.Sprintf("%d", c)
 	}
 	list := strings.Join(cs, ",")
-	total := term.SumCounts(counts)
-	vec := func(n int) algebra.Vec {
-		v := make(algebra.Vec, n)
-		for j := range v {
-			v[j] = float64(rng.Intn(19) - 9)
-		}
-		return v
+	src, m := map[string]string{
+		"halo":       "halo(-1,1)",
+		"halo-chain": "halo(1,2) ; halo(0,3)",
+		"agv":        fmt.Sprintf("allgatherv(%s)", list),
+		"rsv":        fmt.Sprintf("reduce_scatterv(+,%s)", list),
+		"rsv-agv":    fmt.Sprintf("reduce_scatterv(max,%s) ; allgatherv(%s)", list, list),
+	}[kind], 1
+	if kind == "halo" {
+		m = 2
 	}
-	switch kind {
-	case "halo":
-		in := make([]algebra.Value, p)
-		for i := range in {
-			in[i] = vec(2)
-		}
-		return "halo(-1,1)", in
-	case "halo-chain":
-		in := make([]algebra.Value, p)
-		for i := range in {
-			in[i] = vec(1)
-		}
-		return "halo(1,2) ; halo(0,3)", in
-	case "agv":
-		in := make([]algebra.Value, p)
-		for i := range in {
-			in[i] = vec(counts[i])
-		}
-		return fmt.Sprintf("allgatherv(%s)", list), in
-	case "rsv":
-		in := make([]algebra.Value, p)
-		for i := range in {
-			in[i] = vec(total)
-		}
-		return fmt.Sprintf("reduce_scatterv(+,%s)", list), in
-	case "rsv-agv":
-		in := make([]algebra.Value, p)
-		for i := range in {
-			in[i] = vec(total)
-		}
-		return fmt.Sprintf("reduce_scatterv(max,%s) ; allgatherv(%s)", list, list), in
+	prog, err := lang.Parse(src, nil)
+	if err != nil {
+		t.Fatalf("p=%d %s: parse: %v", p, kind, err)
 	}
-	panic("unknown kind " + kind)
+	return term.Compose(prog), m
 }
 
-// TestSparseConformance checks bitwise agreement of the machine-
-// independent semantics (term.Eval), the virtual machine, and the native
-// backend on every sparse program shape, at power-of-two and awkward
-// machine sizes alike.
+// TestSparseConformance puts every sparse program shape through the
+// conformance oracle's fault-free legs, at power-of-two and awkward
+// machine sizes alike: the virtual machine and the native backend must
+// return term.Eval's values bit for bit.
 func TestSparseConformance(t *testing.T) {
 	rng := rand.New(rand.NewSource(406))
 	kinds := []string{"halo", "halo-chain", "agv", "rsv", "rsv-agv"}
 	for _, p := range []int{1, 2, 3, 4, 5, 7, 8} {
 		for _, kind := range kinds {
-			src, in := sparseProgram(kind, p, rng)
-			prog, err := lang.Parse(src, nil)
-			if err != nil {
-				t.Fatalf("p=%d %s: parse: %v", p, kind, err)
-			}
-			want := term.Eval(prog, in)
-			virt, _ := FromTerm(prog).Run(Machine{Ts: 4, Tw: 1, P: p}, in)
-			nat, _ := FromTerm(prog).RunNative(p, in)
-			for r := 0; r < p; r++ {
-				if !algebra.Equal(virt[r], want[r]) {
-					t.Fatalf("p=%d %s rank %d: virtual %v, eval %v", p, kind, r, virt[r], want[r])
-				}
-				if !algebra.Equal(nat[r], want[r]) {
-					t.Fatalf("p=%d %s rank %d: native %v, eval %v", p, kind, r, nat[r], want[r])
-				}
+			prog, m := sparseProgram(t, kind, p, rng)
+			if err := chaos.Check(chaos.Case{Prog: prog, P: p, M: m}); err != nil {
+				t.Fatalf("p=%d %s: %v", p, kind, err)
 			}
 		}
 	}
 }
 
 // TestSparseOptimizedConformance rewrites each sparse program with the
-// full rule set (greedy engine, machine-size pinned) and checks the
-// optimized form still conforms on both backends.
+// full rule set (greedy engine, machine-size pinned): the optimized form
+// goes through the oracle, and its semantics is the original's.
 func TestSparseOptimizedConformance(t *testing.T) {
 	rng := rand.New(rand.NewSource(407))
 	for _, p := range []int{2, 3, 4, 6} {
 		for _, kind := range []string{"halo-chain", "rsv-agv"} {
-			src, in := sparseProgram(kind, p, rng)
-			prog, err := lang.Parse(src, nil)
-			if err != nil {
-				t.Fatalf("parse: %v", err)
-			}
+			prog, m := sparseProgram(t, kind, p, rng)
 			eng := rules.NewEngine()
 			eng.Env.P = p
 			opt, apps := eng.Optimize(prog)
 			if len(apps) == 0 {
-				t.Fatalf("p=%d %s: no rewrite fired on %s", p, kind, src)
+				t.Fatalf("p=%d %s: no rewrite fired on %s", p, kind, prog)
 			}
-			want := term.Eval(prog, in)
-			virt, _ := FromTerm(opt).Run(Machine{Ts: 4, Tw: 1, P: p}, in)
-			nat, _ := FromTerm(opt).RunNative(p, in)
-			for r := 0; r < p; r++ {
-				if !algebra.Equal(virt[r], want[r]) {
-					t.Fatalf("p=%d %s rank %d: optimized virtual %v, eval %v", p, kind, r, virt[r], want[r])
-				}
-				if !algebra.Equal(nat[r], want[r]) {
-					t.Fatalf("p=%d %s rank %d: optimized native %v, eval %v", p, kind, r, nat[r], want[r])
-				}
+			if err := chaos.Check(chaos.Case{Prog: term.Compose(opt), P: p, M: m}); err != nil {
+				t.Fatalf("p=%d %s optimized to %s: %v", p, kind, opt, err)
+			}
+			in := mpbackend.ConformanceInputs(prog, p, m)
+			if want, got := term.Eval(prog, in), term.Eval(opt, in); !algebra.EqualLists(got, want) {
+				t.Fatalf("p=%d %s: optimized semantics %v, original %v", p, kind, got, want)
 			}
 		}
 	}

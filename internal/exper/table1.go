@@ -42,6 +42,42 @@ func Patterns() []RulePattern {
 	}
 }
 
+// Extensions returns one left-hand-side program per extension and sparse
+// rule, as Patterns does the paper's — RSAG-AllReduce twice, its counts
+// vectors pinning p = 4 and p = 6.
+func Extensions() []RulePattern {
+	counts4, counts6 := []int{2, 0, 1, 1}, []int{0, 3, 0, 1, 2, 0}
+	seq := func(stages ...term.Term) core.Program { return core.FromTerm(term.Seq(stages)) }
+	return []RulePattern{
+		{"RB-AllReduce", core.NewProgram().Reduce(algebra.Add).Bcast()},
+		{"AB-AllReduce", core.NewProgram().AllReduce(algebra.Add).Bcast()},
+		{"BB-Bcast", core.NewProgram().Bcast().Bcast()},
+		{"BM-Mobility", core.NewProgram().Bcast().Map(rules.IncFn)},
+		{"MM-Local", core.NewProgram().Map(rules.IncFn).Map(rules.IncFn)},
+		{"GS-Id", seq(term.Gather{}, term.Scatter{})},
+		{"SG-Id", seq(term.Scatter{}, term.Gather{})},
+		{"HH-Combine", seq(term.Halo{H: &term.Hood{Offsets: []int{1, 2}}}, term.Halo{H: &term.Hood{Offsets: []int{0, 3}}})},
+		{"MH-Mobility", seq(term.Map{F: rules.IncFn}, term.Halo{H: &term.Hood{Offsets: []int{-1, 1}}})},
+		{"RSAG-AllReduce", seq(term.ReduceScatterV{Op: algebra.Add, Counts: counts4}, term.AllGatherV{Counts: counts4})},
+		{"RSAG-AllReduce", seq(term.ReduceScatterV{Op: algebra.Max, Counts: counts6}, term.AllGatherV{Counts: counts6})},
+	}
+}
+
+// Sizes is the machine sizes the conformance sweeps run the pattern at:
+// the one its counts vectors pin, else {4, 8} for a Local rule, whose
+// right-hand side needs a power of two, and {4, 6} for the rest.
+func (pat RulePattern) Sizes() []int {
+	for _, s := range term.Stages(pat.LHS.Term()) {
+		if c, ok := term.CountsStage(s); ok {
+			return []int{len(c)}
+		}
+	}
+	if r, _ := rules.ByName(pat.Rule); r.Class == "Local" {
+		return []int{4, 8}
+	}
+	return []int{4, 6}
+}
+
 // RulePair returns the named Table 1 rule's left-hand side (its entry in
 // Patterns) and the right-hand side the rule rewrites it to on p ranks —
 // the two programs every table, figure, sweep and validation measures
@@ -71,7 +107,7 @@ func Entry(rule string) (cost.Entry, error) {
 // ApplyRule rewrites lhs on p ranks with an engine holding only the named
 // rule, and expects exactly one application — the right-hand side of one
 // rule, not whatever the full rule set would make of it. RulePair feeds
-// it the Table 1 patterns; collchaos its extension left-hand sides.
+// it the Table 1 patterns; the conformance sweeps Extensions too.
 func ApplyRule(rule string, lhs term.Term, p int) (term.Term, error) {
 	r, ok := rules.ByName(rule)
 	if !ok {

@@ -14,12 +14,12 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/backend"
+	"repro/internal/chaos"
 	"repro/internal/coll"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/lang"
 	"repro/internal/mpbackend"
-	"repro/internal/rules"
 	"repro/internal/term"
 )
 
@@ -28,29 +28,22 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// mpResults runs the "program" body and decodes the per-rank values.
-func mpResults(t *testing.T, src string, p, m int) []algebra.Value {
+// conform puts prog through the conformance oracle (chaos.Check), whose
+// multi-process leg runs it in p rank processes of this test binary. The
+// program must read back from its own source, or that leg would not run.
+func conform(t *testing.T, prog term.Seq, p, m int) {
 	t.Helper()
-	res, err := mpbackend.Run("program", p, mpbackend.ProgramParams{Src: src, M: m, Reps: 1}, mpbackend.Options{})
-	if err != nil {
-		t.Fatalf("mp run of %q: %v", src, err)
+	if _, err := (mpbackend.ProgramParams{Src: prog.String(), M: m}).Prepare(p); err != nil {
+		t.Fatalf("%s does not read back from its source: %v", prog, err)
 	}
-	timings, err := mpbackend.Decode[mpbackend.TimingResult](res)
-	if err != nil {
+	if err := chaos.Check(chaos.Case{Prog: prog, P: p, M: m}); err != nil {
 		t.Fatal(err)
 	}
-	out := make([]algebra.Value, p)
-	for r, tr := range timings {
-		if out[r], err = mpbackend.DecodeResult(tr.Result); err != nil {
-			t.Fatalf("rank %d result: %v", r, err)
-		}
-	}
-	return out
 }
 
 // TestProgramsConform runs rule-grammar programs across process
-// boundaries and asserts bitwise equality with the native backend and,
-// modulo undetermined positions, with the functional semantics. The
+// boundaries through the oracle: bitwise equality with the in-process
+// backends and the semantics' value wherever it determines one. The
 // native reference runs the identical program through the same stage
 // executor, so any divergence is a transport bug — serialization must be
 // value-exact.
@@ -73,26 +66,11 @@ func TestProgramsConform(t *testing.T) {
 	for _, p := range sizes {
 		for _, src := range progs {
 			t.Run(fmt.Sprintf("p=%d/%s", p, src), func(t *testing.T) {
-				syms := lang.NewSymbols()
-				syms.DefineFn(rules.IncFn)
-				parsed, err := lang.Parse(src, syms)
+				parsed, err := lang.Parse(src, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				prog := term.Compose(parsed)
-				const m = 16
-				in := mpbackend.ConformanceInputs(prog, p, m)
-				want, _ := core.FromTerm(prog).RunNative(p, in)
-				sem := term.Eval(prog, in)
-				got := mpResults(t, src, p, m)
-				for r := 0; r < p; r++ {
-					if !algebra.Equal(want[r], got[r]) {
-						t.Fatalf("rank %d: multiproc %v, native %v", r, got[r], want[r])
-					}
-					if !algebra.EqualModuloUndef(got[r], sem[r]) {
-						t.Fatalf("rank %d: multiproc %v, semantics %v", r, got[r], sem[r])
-					}
-				}
+				conform(t, term.Compose(parsed), p, 16)
 			})
 		}
 	}

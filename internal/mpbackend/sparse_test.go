@@ -1,9 +1,8 @@
 // Sparse-collective conformance across real process boundaries: halo
-// exchanges and the irregular V-collectives run through the "program"
-// body (re-executed worker processes, JSON wire) and must agree bitwise
-// with the native backend and, modulo undetermined positions, with the
-// functional semantics — including zero-length and maximally-skewed
-// counts.
+// exchanges and the irregular V-collectives go through the conformance
+// oracle, whose multi-process leg runs the "program" body (re-executed
+// worker processes, JSON wire) — including zero-length and
+// maximally-skewed counts.
 package mpbackend_test
 
 import (
@@ -16,6 +15,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/apps"
 	"repro/internal/backend"
+	"repro/internal/chaos"
 	"repro/internal/coll"
 	"repro/internal/core"
 	"repro/internal/lang"
@@ -25,9 +25,9 @@ import (
 )
 
 // TestSparseProgramsConform drives the sparse surface syntax through the
-// multi-process backend on power-of-two and non-power-of-two machines.
-// Counts vectors pin the machine size, so each program carries its own
-// size list.
+// oracle's multi-process leg on power-of-two and non-power-of-two
+// machines. Counts vectors pin the machine size, so each program carries
+// its own size list.
 func TestSparseProgramsConform(t *testing.T) {
 	type tc struct {
 		src   string
@@ -47,30 +47,16 @@ func TestSparseProgramsConform(t *testing.T) {
 	if testing.Short() {
 		cases = cases[:6]
 	}
+	syms := lang.NewSymbols()
+	syms.DefineFn(rules.IncTupFn)
 	for _, c := range cases {
 		for _, p := range c.sizes {
-			t.Run(fmt.Sprintf("p=%d/%s", p, cmp.Or(c.src, "halo(lists)")), func(t *testing.T) {
-				syms := lang.NewSymbols()
-				syms.DefineFn(rules.IncFn)
-				syms.DefineFn(rules.IncTupFn)
+			t.Run(fmt.Sprintf("p=%d/%s", p, c.src), func(t *testing.T) {
 				parsed, err := lang.Parse(c.src, syms)
 				if err != nil {
 					t.Fatal(err)
 				}
-				prog := term.Compose(parsed)
-				const m = 4
-				in := mpbackend.ConformanceInputs(prog, p, m)
-				want, _ := core.FromTerm(prog).RunNative(p, in)
-				sem := term.Eval(prog, in)
-				got := mpResults(t, c.src, p, m)
-				for r := 0; r < p; r++ {
-					if !algebra.Equal(want[r], got[r]) {
-						t.Fatalf("rank %d: multiproc %v, native %v", r, got[r], want[r])
-					}
-					if !algebra.EqualModuloUndef(got[r], sem[r]) {
-						t.Fatalf("rank %d: multiproc %v, semantics %v", r, got[r], sem[r])
-					}
-				}
+				conform(t, term.Compose(parsed), p, 4)
 			})
 		}
 	}
@@ -80,8 +66,11 @@ func TestSparseProgramsConform(t *testing.T) {
 // the semantics at its edges: halo offsets that repeat, are 0, negative,
 // congruent mod p or larger than p; source lists with self-edges and
 // repeats; one rank; every V-collective block empty but one; and an empty
-// own block. The virtual machine, the native backend on both transports
-// and rank processes must all return term.Eval's lists bit for bit.
+// own block. Every leg of the oracle — the virtual machine, the native
+// backend on both transports and rank processes — must return term.Eval's
+// lists bit for bit. No surface syntax spells the halo over edgeLists, so
+// its rank processes run the "test-halo-lists" body instead, held to the
+// native backend.
 func TestSparseEdgeCasesConform(t *testing.T) {
 	const m = 3
 	cases := []struct {
@@ -102,34 +91,21 @@ func TestSparseEdgeCasesConform(t *testing.T) {
 	for _, c := range cases {
 		for _, p := range c.sizes {
 			t.Run(fmt.Sprintf("p=%d/%s", p, cmp.Or(c.src, "halo(lists)")), func(t *testing.T) {
-				prog := haloListsProg(edgeLists(p))
 				if c.src != "" {
 					parsed, err := lang.Parse(c.src, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					prog = term.Compose(parsed)
+					conform(t, term.Compose(parsed), p, m)
+					return
 				}
-				in := mpbackend.ConformanceInputs(prog, p, m)
-				want := term.Eval(prog, in)
-				virt, _ := core.FromTerm(prog).Run(core.Machine{Ts: 4, Tw: 1, P: p}, in)
-				sides := map[string][]algebra.Value{"virtual": virt}
-				for _, mode := range []backend.TransportMode{backend.TransportZeroCopy, backend.TransportCopy} {
-					nm := backend.New(p)
-					nm.Transport = mode
-					sides[fmt.Sprintf("native %v", mode)], _ = core.FromTerm(prog).RunOn(nm, in)
+				prog := haloListsProg(edgeLists(p))
+				if err := chaos.Check(chaos.Case{Prog: prog, P: p, M: m}); err != nil {
+					t.Fatal(err)
 				}
-				if c.src != "" {
-					sides["multiproc"] = mpResults(t, c.src, p, m)
-				} else {
-					sides["multiproc"] = mpHaloLists(t, p, m)
-				}
-				for side, got := range sides {
-					for r := 0; r < p; r++ {
-						if !algebra.Equal(got[r], want[r]) {
-							t.Fatalf("%s rank %d: %v, term.Eval %v", side, r, got[r], want[r])
-						}
-					}
+				want, _ := core.FromTerm(prog).RunNative(p, mpbackend.ConformanceInputs(prog, p, m))
+				if got := mpHaloLists(t, p, m); !algebra.EqualLists(got, want) {
+					t.Fatalf("multiproc %v, native %v", got, want)
 				}
 			})
 		}

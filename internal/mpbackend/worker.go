@@ -69,6 +69,7 @@ type rankOut struct {
 func MaybeWorker() {
 	dir := os.Getenv(envDir)
 	if dir == "" {
+		canSpawn = true
 		return
 	}
 	rank, err := strconv.Atoi(os.Getenv(envRank))
@@ -82,6 +83,12 @@ func MaybeWorker() {
 	}
 	os.Exit(0)
 }
+
+var canSpawn bool // set when MaybeWorker returns
+
+// CanSpawn reports whether this process has called MaybeWorker, so that
+// Run can re-execute it as ranks.
+func CanSpawn() bool { return canSpawn }
 
 // runWorker executes one rank of the job described in dir.
 func runWorker(dir string, rank int) (err error) {
