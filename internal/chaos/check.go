@@ -56,6 +56,9 @@ func baseline(c Case) (in, want []algebra.Value, err error) {
 	want, _ = prog.RunNative(c.P, in)
 	sem := term.Eval(c.Prog, in)
 	for r := range sem {
+		if flat(want[r]) {
+			return nil, nil, fmt.Errorf("rank %d: native %v holds a flat tuple, not its boxed value", r, want[r])
+		}
 		if !determined(sem[r], want[r], c.Tol) {
 			return nil, nil, fmt.Errorf("rank %d: native %v, semantics %v", r, want[r], sem[r])
 		}
@@ -114,14 +117,33 @@ func multiProc(c Case, want []algebra.Value) error {
 }
 
 // same returns the first rank where a leg's outputs differ from the native
-// backend's.
+// backend's, or hold a flat tuple, which algebra.Equal would let through.
 func same(leg string, got, want []algebra.Value) error {
 	for r := range want {
+		if flat(got[r]) {
+			return fmt.Errorf("rank %d: %s %v holds a flat tuple, not its boxed value", r, leg, got[r])
+		}
 		if !algebra.Equal(got[r], want[r]) {
 			return fmt.Errorf("rank %d: %s %v, native %v", r, leg, got[r], want[r])
 		}
 	}
 	return nil
+}
+
+// flat reports whether v is or nests a flat tuple: a run's outputs are
+// boxed, at every depth.
+func flat(v algebra.Value) bool {
+	switch x := v.(type) {
+	case *algebra.FlatTuple:
+		return true
+	case algebra.Tuple:
+		for _, c := range x {
+			if flat(c) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // determined reports whether got holds want's value, to a relative

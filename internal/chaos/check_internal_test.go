@@ -73,3 +73,21 @@ func TestRuleSidesDetermineAlike(t *testing.T) {
 		}
 	}
 }
+
+// TestSameRejectsFlatTuples: a leg whose output is, or nests, a flat tuple
+// fails, though algebra.Equal holds it equal to the boxed value.
+func TestSameRejectsFlatTuples(t *testing.T) {
+	ft := algebra.NewFlatTuple(2, 1)
+	want := []algebra.Value{ft.Tuple(), algebra.Tuple{ft.Tuple(), algebra.Vec{0}}}
+	if err := same("leg", want, want); err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range [][]algebra.Value{
+		{ft, want[1]},
+		{want[0], algebra.Tuple{ft, algebra.Vec{0}}},
+	} {
+		if same("leg", got, want) == nil {
+			t.Errorf("%v passed as %v", got, want)
+		}
+	}
+}

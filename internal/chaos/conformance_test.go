@@ -76,6 +76,34 @@ func sweepRule(t *testing.T, rule string, lhs term.Seq, p, m int) {
 	}
 }
 
+// TestTupleResultsCrossStages runs programs in which a derived operator's
+// tuple-valued result crosses a stage boundary — into another operator
+// collective, into a stage that nests it in a list, and out of the
+// program — through the oracle, whose legs must return it boxed at every
+// depth. No program generator draws derived operators, so the sweeps
+// above never put such a result inside a halo or gather list.
+func TestTupleResultsCrossStages(t *testing.T) {
+	sr2 := algebra.OpSR2(algebra.Mul, algebra.Add)
+	pair, pi := term.Map{F: term.PairFn}, term.Map{F: term.FirstFn}
+	ring := term.Halo{H: &term.Hood{Offsets: []int{-1, 1}}}
+	for _, prog := range []term.Seq{
+		{pair, term.Scan{Op: sr2}, term.Scan{Op: sr2}, pi},
+		{pair, term.Reduce{Op: sr2}, term.Bcast{}, pi},
+		{pair, term.Scan{Op: sr2}, ring},
+		{pair, term.Scan{Op: sr2}, term.Gather{}},
+		{pair, term.Reduce{Op: sr2, All: true}},
+	} {
+		for p := 1; p <= 9; p++ {
+			for _, m := range []int{1, 16} {
+				// Products of up to 45 blocks leave the exact range.
+				if err := chaos.Check(chaos.Case{Prog: prog, P: p, M: m, Tol: 1e-9}); err != nil {
+					t.Errorf("%s p=%d m=%d: %v", prog, p, m, err)
+				}
+			}
+		}
+	}
+}
+
 // TestRandomProgramsUnderChaos is the randomized harness: programs drawn
 // from the rule grammar go through the oracle — as generated and as
 // optimized by the full rule set — one profile and seed each. A failure
