@@ -9,15 +9,19 @@
 // Usage:
 //
 //	collchaos -rules                        sweep every rule's LHS and RHS
+//	collchaos -rules -p 2                   … at p = 2 only (reproducers)
 //	collchaos -prog "bcast ; scan(+)"       run one program (reproducers)
 //	collchaos                               randomized program sweep
 //
 // Common flags: -p ranks, -m words per block, -profile NAME|all, -seed
 // BASE, -seeds COUNT (seeds BASE..BASE+COUNT-1), -trials N random
 // programs, -v to report every swept program instead of just failures.
-// A failing randomized or explicit run is shrunk to a minimal case and
-// reported as a replayable -prog command line, so a CI failure pastes
-// straight back into a terminal.
+// -rules sweeps each rule at the sizes its pattern gives, or, with -p
+// given, at that size alone, skipping a rule that does not apply there.
+// A failing run is shrunk to a minimal case and reported as a replayable
+// -prog command line — or, for a program over a derived operator, which
+// -prog cannot parse, as the -rules line at the case's size — so a CI
+// failure pastes straight back into a terminal.
 //
 // Exit status: 0 all runs conformed, 1 a divergence or hang was found,
 // 2 usage error.
@@ -76,6 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		p: *p, m: *m, profiles: profiles,
 		seed: *seed, seeds: *seeds,
 	}
+	fs.Visit(func(f *flag.Flag) { h.atP = h.atP || f.Name == "p" })
 	switch {
 	case *progSrc != "":
 		return h.runProg(stderr, *progSrc)
@@ -101,6 +106,7 @@ type harness struct {
 	out      io.Writer
 	verbose  bool
 	p, m     int
+	atP      bool // -p was given: -rules sweeps at p only
 	profiles []chaos.Profile
 	seed     int64
 	seeds    int
@@ -123,13 +129,21 @@ func (h *harness) sweep(label string, prog term.Seq, p int) bool {
 }
 
 // runRules sweeps every rule's LHS and rewritten RHS, Table 1 and
-// extensions alike, at the sizes the pattern's Sizes gives.
+// extensions alike, at the sizes the pattern's Sizes gives, or at -p when
+// it was given and the rule applies there.
 func (h *harness) runRules() int {
 	failures := 0
 	for _, pat := range append(exper.Patterns(), exper.Extensions()...) {
 		lhs := term.Compose(pat.LHS.Term())
-		for _, p := range pat.Sizes() {
+		sizes := pat.Sizes()
+		if h.atP {
+			sizes = h.pinnable(lhs)
+		}
+		for _, p := range sizes {
 			opt, err := exper.ApplyRule(pat.Rule, lhs, p)
+			if err != nil && h.atP {
+				continue // the rule's side conditions rule out p
+			}
 			if err != nil {
 				fmt.Fprintf(h.out, "FAIL %v\n", err)
 				failures++
@@ -146,6 +160,17 @@ func (h *harness) runRules() int {
 		}
 	}
 	return h.summary(failures)
+}
+
+// pinnable is [-p], or nothing when a counts vector of lhs pins another
+// machine size.
+func (h *harness) pinnable(lhs term.Seq) []int {
+	for _, s := range lhs {
+		if c, ok := term.CountsStage(s); ok && len(c) != h.p {
+			return nil
+		}
+	}
+	return []int{h.p}
 }
 
 // runProg parses and sweeps one explicit program — the replay mode the

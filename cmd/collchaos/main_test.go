@@ -35,6 +35,26 @@ func TestRunRandomConforms(t *testing.T) {
 	}
 }
 
+// TestRulesAtOneSize: with -p given, -rules sweeps every rule that applies
+// at that size, there only — the replay line of a rule side lang cannot
+// read. At p = 3 the Local rules and the counts-pinned pair do not apply.
+func TestRulesAtOneSize(t *testing.T) {
+	var out, errOut bytes.Buffer
+	code := run([]string{"-rules", "-p", "3", "-profile", "delay", "-seeds", "1", "-v"}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s\nstdout:\n%s", code, errOut.String(), out.String())
+	}
+	swept := strings.Count(out.String(), "ok   ")
+	if swept == 0 || swept != strings.Count(out.String(), " p=3 m=1") {
+		t.Fatalf("want every swept rule side at p=3 only:\n%s", out.String())
+	}
+	for _, skipped := range []string{"BR-Local", "RSAG-AllReduce"} {
+		if strings.Contains(out.String(), skipped) {
+			t.Errorf("%s swept at p=3:\n%s", skipped, out.String())
+		}
+	}
+}
+
 // TestVerboseReportsEveryRun checks -v prints per-run ok lines.
 func TestVerboseReportsEveryRun(t *testing.T) {
 	var out, errOut bytes.Buffer

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/algebra"
@@ -19,7 +20,9 @@ import (
 // native backend's outputs bit for bit, and those must hold term.Eval's
 // value wherever it determines one. Check returns the first disagreement,
 // or a panic (a deadlock diagnosis, a timeout) as an error, so Shrink can
-// minimize hangs too.
+// minimize hangs too. The semantics is evaluated first: a program it
+// cannot evaluate (a stage fed a value it does not take) is reported as
+// ErrIllTyped, before any machine runs it.
 func Check(c Case) error {
 	in, want, err := baseline(c)
 	if err == nil && c.Profile.Name != "" {
@@ -43,18 +46,40 @@ func Sweep(c Case, profiles []Profile, seeds int) error {
 	if err == nil {
 		return nil
 	}
-	min := Shrink(c, func(cand Case) bool { return Check(cand) != nil })
+	min := Shrink(c, func(cand Case) bool {
+		err := Check(cand)
+		return err != nil && !errors.Is(err, ErrIllTyped)
+	})
 	return fmt.Errorf("%s: %v\n  minimal: %s\n  replay:  %s", c, err, min, min.Repro())
+}
+
+// ErrIllTyped is Check's error for a program the semantics cannot
+// evaluate on its conformance inputs: no machine is wrong about it. Sweep
+// never shrinks a failure to such a case.
+var ErrIllTyped = errors.New("chaos: the semantics cannot evaluate the program")
+
+// semantics evaluates c's program on its conformance inputs, with a panic
+// of the evaluator returned as ErrIllTyped.
+func semantics(c Case) (in, sem []algebra.Value, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w: %v", ErrIllTyped, r)
+		}
+	}()
+	in = mpbackend.ConformanceInputs(c.Prog, c.P, c.M)
+	return in, term.Eval(c.Prog, in), nil
 }
 
 // baseline runs the fault-free legs and returns the inputs and the native
 // outputs the chaos legs are held to.
 func baseline(c Case) (in, want []algebra.Value, err error) {
+	in, sem, err := semantics(c)
+	if err != nil {
+		return nil, nil, err
+	}
 	defer catch(&err)
-	in = mpbackend.ConformanceInputs(c.Prog, c.P, c.M)
 	prog := core.FromTerm(c.Prog)
 	want, _ = prog.RunNative(c.P, in)
-	sem := term.Eval(c.Prog, in)
 	for r := range sem {
 		if flat(want[r]) {
 			return nil, nil, fmt.Errorf("rank %d: native %v holds a flat tuple, not its boxed value", r, want[r])
@@ -94,11 +119,20 @@ func runOn(on func(int, Profile, int64, func(coll.Comm)), c Case, in []algebra.V
 	return out
 }
 
+// params is c as the parameters of the multi-process "program" body, and
+// whether the body can run it: whether the program prints to source that
+// lang reads back (it knows no derived operator).
+func (c Case) params() (mpbackend.ProgramParams, bool) {
+	ps := mpbackend.ProgramParams{Src: c.Prog.String(), M: c.M, Reps: 1}
+	_, err := ps.Prepare(c.P)
+	return ps, err == nil
+}
+
 // multiProc runs the program in c.P rank processes of this binary, through
-// the "program" body, when it prints to source the body reads back.
+// the "program" body, when the body can run it.
 func multiProc(c Case, want []algebra.Value) error {
-	params := mpbackend.ProgramParams{Src: c.Prog.String(), M: c.M, Reps: 1}
-	if _, err := params.Prepare(c.P); err != nil {
+	params, ok := c.params()
+	if !ok {
 		return nil
 	}
 	res, err := mpbackend.Run("program", c.P, params, mpbackend.Options{})

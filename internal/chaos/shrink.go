@@ -28,8 +28,15 @@ func (c Case) String() string {
 	return fmt.Sprintf("%s on p=%d m=%d under %s/seed=%d", c.Prog, c.P, c.M, c.Profile.Name, c.Seed)
 }
 
-// Repro renders the case as a collchaos invocation that replays it.
+// Repro renders the case as a collchaos invocation that replays it: the
+// -prog line when the program reads back through lang, else the rule sweep
+// at the case's size, block length, profile and seed, since a program lang
+// cannot read (one over a derived operator) comes from a rule's side.
 func (c Case) Repro() string {
+	if _, ok := c.params(); !ok {
+		return fmt.Sprintf("go run ./cmd/collchaos -rules -p %d -m %d -profile %s -seed %d",
+			c.P, c.M, c.Profile.Name, c.Seed)
+	}
 	return fmt.Sprintf("go run ./cmd/collchaos -prog %q -p %d -m %d -profile %s -seed %d",
 		c.Prog.String(), c.P, c.M, c.Profile.Name, c.Seed)
 }

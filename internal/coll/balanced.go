@@ -98,5 +98,5 @@ func ScanBalanced(c Comm, op *algebra.BalancedScanOp, x Value) Value {
 			c.Compute(float64(op.CostLo) * m)
 		}
 	}
-	return algebra.Boxed(v)
+	return v
 }

@@ -148,11 +148,11 @@ func TestRecordedDerived(t *testing.T) {
 	golden.Check(t, "testdata/derived.golden", derivedLines(), nil)
 }
 
-// TestWarmDerivedCollectivesAllocs pins what a warm native BcastRepeat,
-// Comcast, Iter and ScanBalanced cost beyond the run itself at p = 8,
-// m = 64 on Vec blocks (quadruples of them for the balanced scan), the
-// inputs their operators' flat kernels take, at the counts they made when
-// each collective chose its representation itself.
+// TestWarmDerivedCollectivesAllocs pins a warm native BcastRepeat,
+// Comcast, Iter and ScanBalanced at no allocation beyond the run itself at
+// p = 8, m = 64 on Vec blocks (quadruples of them for the balanced scan),
+// the inputs their operators' flat kernels take: π₁ of a flat state is an
+// arena block, and the balanced scan returns its flat state.
 func TestWarmDerivedCollectivesAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -172,21 +172,62 @@ func TestWarmDerivedCollectivesAllocs(t *testing.T) {
 	bss, bsr, ss := algebra.OpCompBSS(algebra.Add), algebra.OpBSR(algebra.Add), algebra.OpSS(algebra.Add)
 	for _, c := range []struct {
 		name string
-		max  float64
 		run  func(c Comm)
 	}{
-		// Each rank boxes π₁, a view into its working state.
-		{"bcast-repeat", 8, func(c Comm) { BcastRepeat(c, 0, bss, in[c.Rank()]) }},
-		{"comcast", 8, func(c Comm) { Comcast(c, 0, bss, in[c.Rank()]) }},
-		{"iter", 1, func(c Comm) { Iter(c, bsr, in[c.Rank()]) }},
-		// Each rank boxes the flat quadruple it returns.
-		{"scan-balanced", 48, func(c Comm) { ScanBalanced(c, ss, quad[c.Rank()]) }},
+		{"bcast-repeat", func(c Comm) { BcastRepeat(c, 0, bss, in[c.Rank()]) }},
+		{"comcast", func(c Comm) { Comcast(c, 0, bss, in[c.Rank()]) }},
+		{"iter", func(c Comm) { Iter(c, bsr, in[c.Rank()]) }},
+		{"scan-balanced", func(c Comm) { ScanBalanced(c, ss, quad[c.Rank()]) }},
 	} {
-		got := perRun(func(pr *backend.Proc) { c.run(pr) }) - base
-		t.Logf("%-13s %3.0f allocs per run", c.name, got)
-		if got > c.max {
-			t.Errorf("%s at p=%d, m=%d: %.0f allocs per run beyond an empty one, want at most %.0f", c.name, p, m, got, c.max)
+		if got := perRun(func(pr *backend.Proc) { c.run(pr) }) - base; got != 0 {
+			t.Errorf("%s at p=%d, m=%d: %.0f allocs per run beyond an empty one, want 0", c.name, p, m, got)
 		}
+	}
+}
+
+// TestFirstCopiesOnlyShortBlocks: First copies a first block of at most
+// viewWords words out of its flat tuple and views a longer one, with the
+// same value either way.
+func TestFirstCopiesOnlyShortBlocks(t *testing.T) {
+	ar := new(algebra.Arena)
+	for _, m := range []int{1, viewWords, viewWords + 1} {
+		ft := algebra.NewFlatTuple(3, m)
+		for i := range ft.Data {
+			ft.Data[i] = float64(i)
+		}
+		got := First(ar, ft).(algebra.Vec)
+		if !algebra.Equal(got, ft.Comp(0)) {
+			t.Fatalf("m=%d: First = %v, want %v", m, got, ft.Comp(0))
+		}
+		if viewed := &got[0] == &ft.Data[0]; viewed != (m > viewWords) {
+			t.Errorf("m=%d: First views the tuple's storage: %v, want %v", m, viewed, m > viewWords)
+		}
+	}
+}
+
+var sinkValue Value
+
+// BenchmarkFirst times First's two ways of projecting a flat pair's first
+// block at each block length, copying it into an arena block and boxing a
+// view; viewWords sits near where they cross.
+func BenchmarkFirst(b *testing.B) {
+	for _, m := range []int{16, 128, 256, 512, 4096} {
+		ft, ar := algebra.NewFlatTuple(2, m), new(algebra.Arena)
+		b.Run(fmt.Sprintf("copy/m=%d", m), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				d := ar.Vec(m)
+				copy(d.(algebra.Vec), ft.Data)
+				sinkValue = d
+				if i%64 == 63 {
+					ar.Reset()
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("view/m=%d", m), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkValue = algebra.First(ft)
+			}
+		})
 	}
 }
 

@@ -36,9 +36,9 @@ func (l ValueList) String() string {
 // r contributes x_r and the root returns [x_0, …, x_{p-1}]; every other
 // member returns nil. It is Reduce over list concatenation, whose
 // mirrored binomial tree leaves the list in virtual-rank order on the
-// root.
+// root. A flat tuple x is gathered boxed, since the list nests it.
 func Gather(c Comm, root int, x Value) []Value {
-	acc := Reduce(c, root, concat, ValueList{x})
+	acc := Reduce(c, root, concat, ValueList{algebra.Boxed(x)})
 	if c.Rank() != root {
 		return nil
 	}
@@ -120,7 +120,7 @@ func Iter(c Comm, op *algebra.IterOp, x Value) Value {
 	for range n {
 		c.Compute(op.Charge(w))
 	}
-	return algebra.First(w)
+	return First(c.Caps().Arena, w)
 }
 
 // pairValue packs two small integers into a pair of scalars (used by

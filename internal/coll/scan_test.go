@@ -212,10 +212,9 @@ func TestScanCombinesOnlyWhatIsRead(t *testing.T) {
 	}
 }
 
-// TestWarmScanAllocs holds a warm native scan at p = 8, m = 64 to the
-// heap allocations it made when it performed every combine it charged:
-// the combines it no longer performs drew from the rank's arena, so
-// dropping them frees no heap allocation and must add none.
+// TestWarmScanAllocs holds a warm native scan at p = 8, m = 64 to no heap
+// allocation beyond the run's: every combine draws from the rank's arena,
+// and a derived operator's result is returned flat, not boxed.
 func TestWarmScanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -227,18 +226,10 @@ func TestWarmScanAllocs(t *testing.T) {
 		return testing.AllocsPerRun(100, func() { nm.Run(body) })
 	}
 	base := perRun(func(*backend.Proc) {})
-	for _, c := range []struct {
-		op  *algebra.Op
-		max float64 // four per rank box the flat pair it returns
-	}{
-		{algebra.Add, 0},
-		{algebra.OpSR2(algebra.Mul, algebra.Add), 32},
-	} {
-		in := scanInputs(c.op, p, m)
-		got := perRun(func(pr *backend.Proc) { Scan(pr, c.op, in[pr.Rank()]) }) - base
-		t.Logf("%-14s %3.0f allocs per run", c.op.Name, got)
-		if got > c.max {
-			t.Errorf("scan(%s) at p=%d, m=%d: %.0f allocs per run beyond an empty one, want at most %.0f", c.op.Name, p, m, got, c.max)
+	for _, op := range []*algebra.Op{algebra.Add, algebra.OpSR2(algebra.Mul, algebra.Add)} {
+		in := scanInputs(op, p, m)
+		if got := perRun(func(pr *backend.Proc) { Scan(pr, op, in[pr.Rank()]) }) - base; got != 0 {
+			t.Errorf("scan(%s) at p=%d, m=%d: %.0f allocs per run beyond an empty one, want 0", op.Name, p, m, got)
 		}
 	}
 }

@@ -227,20 +227,19 @@ func (f *frame) value(buf buffer) Value {
 
 // exec runs gen's schedule for the caller on c, combining with op. On word
 // ranges x must be a Vec of at least max(need, 1) words (name is the entry
-// point, for the panic). A whole result the rank computed is boxed: views
-// into its arena, valid until the machine's next run. Nothing is written
-// after its send: the generators guarantee it for ranges, the ownership
-// rule for whole values, and TestPortfolioSchedules checks both.
+// point, for the panic). A whole result the rank computed is returned in
+// the form the operator works in, a flat tuple for a derived operator's
+// (the package doc's "Results"), drawn from the rank's arena and valid
+// until the machine's next run. Nothing is written after its send: the
+// generators guarantee it for ranges, the ownership rule for whole values,
+// and TestPortfolioSchedules checks both.
 func exec(c Comm, op *algebra.Op, x Value, name string, need int, gen generator, arg int) Value {
 	f := frame{c: c, ar: c.Caps().Arena, op: op, val: [nbuf]Value{x}}
 	if gen <= genReduceBalanced {
 		f.tag = c.NextTag()
 		s := schedule{run: &f}
 		gen.build(&s, c.Size(), c.Rank(), 0, arg)
-		if s.res == inBuf || s.res == msgBuf {
-			return f.val[s.res]
-		}
-		return algebra.Boxed(f.value(s.res))
+		return f.value(s.res)
 	}
 	vec, ok := x.(algebra.Vec)
 	if !ok || len(vec) < max(need, 1) {

@@ -67,8 +67,10 @@ func (f firstOf) at(j int) int {
 // duplicates) are served locally or by a single message, so the
 // message count per rank is the number of distinct nonzero offsets
 // mod p. The result tuple is drawn from the rank's arena: it is valid
-// until the machine's next run.
+// until the machine's next run. A flat tuple x is boxed first, since the
+// result nests it.
 func HaloExchange(c Comm, offsets []int, x Value) Value {
+	x = algebra.Boxed(x)
 	n := c.Size()
 	r := c.Rank()
 	tag := c.NextTag()
@@ -100,8 +102,9 @@ func HaloExchange(c Comm, offsets []int, x Value) Value {
 // receives its sources' blocks as a Tuple in list order. len(lists)
 // must equal the group size. Duplicate sources and self-edges are
 // served by at most one message per directed pair. The result tuple is
-// drawn from the rank's arena, as HaloExchange's is.
+// drawn from the rank's arena, and x boxed first, as in HaloExchange.
 func HaloExchangeLists(c Comm, lists [][]int, x Value) Value {
+	x = algebra.Boxed(x)
 	n := c.Size()
 	r := c.Rank()
 	if len(lists) != n {

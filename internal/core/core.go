@@ -56,8 +56,12 @@ func (m Machine) virtual() *machine.Machine {
 // stage only when some are given, and labels rendered only on a rank that
 // records marks. Program's Run methods compile once and share the result.
 //
-// What it returns, like a local stage's result, may be drawn from c's
-// arena: it is valid until this machine's next run.
+// Stages hand each other values in the form their operators work in (a
+// derived operator's flat tuple, package coll's "Results"); what RunStages
+// returns is boxed, as term.Eval's result is: a flat tuple that ends the
+// program is boxed on its way out. Its blocks and tuple headers, like a
+// local stage's result, may be drawn from c's arena: it is valid until
+// this machine's next run.
 //
 // sels are optional algorithm selections (sel.ForTerm's, addressing
 // stages by the same flattened index the loop counts): an unbalanced
@@ -107,7 +111,10 @@ func (cp *compiled) run(c coll.Comm, v algebra.Value) algebra.Value {
 
 // stageLoop is the executor's one stage loop, on every backend: it threads
 // one group member's value through every stage, marking stage boundaries
-// (labels[i], or the stage's String without labels) when the rank records them.
+// (labels[i], or the stage's String without labels) when the rank records
+// them. A value passes from stage to stage in the form its operator works
+// in — a derived operator's flat tuple as the collective returned it — and
+// is boxed once, where it leaves the run.
 func stageLoop(c coll.Comm, stages []term.Term, choices []sel.Selection, labels []string, v algebra.Value) algebra.Value {
 	mark := c.Caps().Mark
 	for i, s := range stages {
@@ -124,19 +131,22 @@ func stageLoop(c coll.Comm, stages []term.Term, choices []sel.Selection, labels 
 		}
 		v = execStage(s, c, v, algo, segments)
 	}
-	return v
+	return algebra.Boxed(v)
 }
 
 func execStage(s term.Term, c coll.Comm, v algebra.Value, algo cost.Algo, segments int) algebra.Value {
 	switch st := s.(type) {
 	case term.Map:
+		if st.F == term.FirstFn { // π₁ is free; coll.First copies or views a flat block
+			return coll.First(c.Caps().Arena, v)
+		}
 		next := term.Apply(c.Caps().Arena, st.F, v)
 		if st.F.Cost > 0 {
 			c.Compute(float64(st.F.Cost) * float64(v.Words()))
 		}
 		return next
 	case term.MapIdx:
-		next := st.F.F(c.Rank(), v)
+		next := st.F.F(c.Rank(), algebra.Boxed(v))
 		if st.F.Charge != nil {
 			c.Compute(st.F.Charge(c.Rank(), v.Words()))
 		}
@@ -165,7 +175,7 @@ func execStage(s term.Term, c coll.Comm, v algebra.Value, algo cost.Algo, segmen
 	case term.Scatter:
 		var parts []algebra.Value
 		if c.Rank() == 0 {
-			list, ok := v.(algebra.Tuple)
+			list, ok := algebra.Boxed(v).(algebra.Tuple)
 			if !ok {
 				panic(fmt.Sprintf("core: scatter needs a list on the first processor, got %v", v))
 			}

@@ -72,56 +72,37 @@ func TestRunOnAllocsIndependentOfStageCount(t *testing.T) {
 	}
 }
 
-// TestWarmLocalStageAllocs pins what a warm native run of the benchmark's
-// local-stage and halo programs allocates at p = 8, RunOn's fixed 5
-// included: a local function draws its blocks and tuple headers from the
-// rank's arena (term.Apply), and a halo its result tuple, so a program
-// with local stages allocates what its collectives do. What is left on
-// the scan sides is coll's boxing of a flat collective's result.
+// runOnFixed is what a warm RunOn allocates whatever the program: the
+// output list, and the Result backend.Machine.Run builds.
+const runOnFixed = 4
+
+// TestWarmLocalStageAllocs pins what a warm native run at p = 8, m = 16
+// allocates for both sides of every benchmark pair, and for the
+// MH-Mobility trap and the plan the search makes of it: RunOn's fixed
+// count and nothing more. A local function draws its blocks and tuple
+// headers from the rank's arena (term.Apply), a halo its result tuple, and
+// a derived operator's flat result passes to the next stage unboxed, so
+// the one boxing left is the stage loop's, of a flat tuple that leaves the
+// run — and every corpus program ends in a block.
 func TestWarmLocalStageAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	const p, m = 8, 16
 	ring := term.Halo{H: &term.Hood{Offsets: []int{-1, 1}}}
-	hh := term.Seq{ring, ring}
-	combined, err := exper.ApplyRule("HH-Combine", hh, p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	trap := term.Seq{ring, term.Map{F: rules.IncTupFn}, ring}
 	plan, apps, _ := rules.NewCostGuidedEngine(cost.Params{Ts: 1000, Tw: 1, P: p, M: m}).SearchOptimize(trap, rules.SearchConfig{})
 	if len(apps) == 0 {
 		t.Fatal("the plan search left the MH-Mobility trap unchanged")
 	}
-	rhs := func(rule string) term.Term {
-		_, r, err := exper.RulePair(rule, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Term()
-	}
-	cases := []struct {
-		name string
-		prog term.Term
-		want float64
-	}{
-		{"HH-Combine left", hh, 5},
-		{"HH-Combine right", combined, 5},
-		{"MH-Mobility left", trap, 5},
-		{"MH-Mobility right", plan, 5},
-		{"SR2-Reduction right", rhs("SR2-Reduction"), 9},
-		{"SR-Reduction right", rhs("SR-Reduction"), 9},
-		{"SS2-Scan right", rhs("SS2-Scan"), 37},
-		{"SS-Scan right", rhs("SS-Scan"), 53},
-	}
+	progs, inputs := execCorpus(t, p)
+	dense := mpbackend.SeededInputs(1, p, m)
+	progs, inputs = append(progs, core.FromTerm(trap), core.FromTerm(plan)), append(inputs, dense, dense)
 	nm := backend.New(p)
-	in := mpbackend.SeededInputs(1, p, m)
-	for _, c := range cases {
-		prog := core.FromTerm(c.prog)
-		prog.RunOn(nm, in) // compiles the program, grows the arenas
-		if got := testing.AllocsPerRun(200, func() { prog.RunOn(nm, in) }); got != c.want {
-			t.Errorf("%s, %s: %.0f allocs per warm run, want %.0f", c.name, prog, got, c.want)
+	for i, prog := range progs {
+		prog.RunOn(nm, inputs[i]) // compiles the program, grows the arenas
+		if got := testing.AllocsPerRun(200, func() { prog.RunOn(nm, inputs[i]) }); got != runOnFixed {
+			t.Errorf("%s: %.0f allocs per warm run, want %d", prog, got, runOnFixed)
 		}
 	}
 }

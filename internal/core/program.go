@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/algebra"
 	"repro/internal/backend"
@@ -339,17 +340,42 @@ func (p Program) RunNative(procs int, input []algebra.Value) ([]algebra.Value, b
 // realized by the same collectives as on the virtual machine but with
 // wall-clock timing — Result.Makespan is the host's measured run time from
 // the barrier-synchronized start to the last rank's finish. The outputs
-// may be views of the ranks' arenas: they are valid until this machine's
-// next run, and a caller that keeps one longer copies it.
+// are boxed (RunStages) and may be views of the ranks' arenas: they are
+// valid until this machine's next run, and a caller that keeps one longer
+// copies it.
+//
+// A warm run of a benchmark program allocates its output list and the 3 of
+// backend.Machine.Run's Result, and nothing more (TestWarmLocalStageAllocs):
+// the rank body comes from a pool with its closure bound and the stages
+// draw from the ranks' arenas. What else a run can allocate is a boxing:
+// of a flat tuple that ends the program, and of π₁ of a flat tuple whose
+// blocks are too long to copy (coll.First).
 func (p Program) RunOn(nm *backend.Machine, input []algebra.Value) ([]algebra.Value, backend.Result) {
 	checkInput(input, nm.P)
-	out := make([]algebra.Value, nm.P)
-	cp := p.compiled()
-	res := nm.Run(func(pr *backend.Proc) {
-		out[pr.Rank()] = cp.run(pr, input[pr.Rank()])
-	})
+	r := runners.Get().(*runner)
+	r.cp, r.in, r.out = p.compiled(), input, make([]algebra.Value, nm.P)
+	res := nm.Run(r.body)
+	out := r.out
+	r.cp, r.in, r.out = nil, nil, nil
+	runners.Put(r)
 	return out, res
 }
+
+// runner is RunOn's rank body for one run, pooled with its closure bound
+// once, so a run allocates none.
+type runner struct {
+	cp      *compiled
+	in, out []algebra.Value
+	body    func(*backend.Proc)
+}
+
+var runners = sync.Pool{New: func() any {
+	r := new(runner)
+	r.body = r.run
+	return r
+}}
+
+func (r *runner) run(pr *backend.Proc) { r.out[pr.Rank()] = r.cp.run(pr, r.in[pr.Rank()]) }
 
 // Verify checks that this program and q are semantically equivalent by
 // evaluating both under the functional semantics on randomized inputs
