@@ -80,8 +80,10 @@ func sweepRule(t *testing.T, rule string, lhs term.Seq, p, m int) {
 // tuple-valued result crosses a stage boundary — into another operator
 // collective, into a stage that nests it in a list, and out of the
 // program — through the oracle, whose legs must return it boxed at every
-// depth. No program generator draws derived operators, so the sweeps
-// above never put such a result inside a halo or gather list.
+// depth, and in which π₁ of such a result is consumed by a local function
+// and by a base-operator collective. No program generator draws derived
+// operators, so the sweeps above never put such a result inside a halo or
+// gather list.
 func TestTupleResultsCrossStages(t *testing.T) {
 	sr2 := algebra.OpSR2(algebra.Mul, algebra.Add)
 	pair, pi := term.Map{F: term.PairFn}, term.Map{F: term.FirstFn}
@@ -92,6 +94,8 @@ func TestTupleResultsCrossStages(t *testing.T) {
 		{pair, term.Scan{Op: sr2}, ring},
 		{pair, term.Scan{Op: sr2}, term.Gather{}},
 		{pair, term.Reduce{Op: sr2, All: true}},
+		{pair, term.Scan{Op: sr2}, pi, term.Map{F: rules.IncFn}, term.Scan{Op: algebra.Add}},
+		{pair, term.Reduce{Op: sr2}, term.Bcast{}, pi, term.Reduce{Op: algebra.Add, All: true}},
 	} {
 		for p := 1; p <= 9; p++ {
 			for _, m := range []int{1, 16, 257} { // π₁ copies a 16-word block out, views a 257-word one
