@@ -21,7 +21,8 @@
 // A failing run is shrunk to a minimal case and reported as a replayable
 // -prog command line — or, for a program over a derived operator, which
 // -prog cannot parse, as the -rules line at the case's size — so a CI
-// failure pastes straight back into a terminal.
+// failure pastes straight back into a terminal. The summary counts the
+// multi-process legs run and skipped (chaos.MultiProcLegs).
 //
 // Exit status: 0 all runs conformed, 1 a divergence or hang was found,
 // 2 usage error.
@@ -213,6 +214,7 @@ func (h *harness) runRandom(trials int) int {
 }
 
 func (h *harness) summary(failures int) int {
+	fmt.Fprintln(h.out, chaos.MultiProcLegs())
 	if failures > 0 {
 		fmt.Fprintf(h.out, "collchaos: %d failure(s) in %d runs\n", failures, h.runs)
 		return 1

@@ -7,7 +7,8 @@ import (
 )
 
 // TestRunProgConforms drives the replay mode end to end: a small program
-// swept under one profile must conform and exit 0.
+// swept under one profile must conform and exit 0, and the summary counts
+// the multi-process legs.
 func TestRunProgConforms(t *testing.T) {
 	var out, errOut bytes.Buffer
 	code := run([]string{
@@ -16,8 +17,10 @@ func TestRunProgConforms(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s\nstdout:\n%s", code, errOut.String(), out.String())
 	}
-	if !strings.Contains(out.String(), "conformed") {
-		t.Fatalf("summary missing from output:\n%s", out.String())
+	for _, line := range []string{"conformed", "multi-process: "} {
+		if !strings.Contains(out.String(), line) {
+			t.Fatalf("summary missing %q from output:\n%s", line, out.String())
+		}
 	}
 }
 

@@ -25,8 +25,9 @@ func TestArenaKeepsEachKindApart(t *testing.T) {
 		{"Tuple(0)", func(a *Arena) Value { _, v := a.Tuple(0); return v }, "Tuple(0)", 24},
 		{"Vec(w)", func(a *Arena) Value { return a.Vec(w) }, "Vec(3)", 24 + 8*w},
 		{"Tuple(w)", func(a *Arena) Value { _, v := a.Tuple(w); return v }, "Tuple(3)", 24 + 16*w},
-		{"Flat(w, m)", func(a *Arena) Value { return a.Flat(w, m) }, "Flat(3, 5)", 40 + 8*w*m},
-		{"Flat(m, w)", func(a *Arena) Value { return a.Flat(m, w) }, "Flat(5, 3)", 40 + 8*w*m},
+		// A flat tuple's fields are 56 bytes, its first block's box 24.
+		{"Flat(w, m)", func(a *Arena) Value { return a.Flat(w, m) }, "Flat(3, 5)", 80 + 8*w*m},
+		{"Flat(m, w)", func(a *Arena) Value { return a.Flat(m, w) }, "Flat(5, 3)", 80 + 8*w*m},
 	}
 	// shapeOf names the shape v has, and id is its storage: nil for the
 	// empty Vec and Tuple, which have none to tell them apart.
@@ -186,5 +187,26 @@ func TestArenaKeepsEachKindApart(t *testing.T) {
 	cycle()
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Errorf("a warm cycle allocates %v times, want 0", n)
+	}
+}
+
+// TestArenaTupleFirstAllocs pins π₁ of a warm arena-drawn flat tuple at no
+// allocation at m = 4096: First hands out the box the arena made with the
+// tuple, a view of its first block, at every block length.
+func TestArenaTupleFirstAllocs(t *testing.T) {
+	const m = 4096
+	ar := new(Arena)
+	ft := ar.Flat(2, m)
+	if v, ok := First(ft).(Vec); !ok || len(v) != m || &v[0] != &ft.Data[0] {
+		t.Fatalf("First of a flat pair of %d-word blocks is not a view of its first block", m)
+	}
+	if raceEnabled {
+		return
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		ar.Reset()
+		_ = First(ar.Flat(2, m))
+	}); got != 0 {
+		t.Errorf("First of a warm arena-drawn flat pair at m=%d: %.0f allocs, want 0", m, got)
 	}
 }

@@ -266,7 +266,8 @@ type BalancedScanOp struct {
 	Hi func(own, fromLo Value) Value
 	// Solo is applied by processors without a partner in this phase
 	// (number of processors not a power of two): they keep their first
-	// component, the rest becomes undetermined.
+	// component, the rest becomes undetermined. It takes a flat state as
+	// the boxed tuple it represents.
 	Solo func(own Value) Value
 	// FlatShip/FlatLo/FlatHi, if non-nil, are the allocation-free flat
 	// forms of Ship/Lo/Hi: FlatShip fills a width-ShipWidth dst from a
@@ -323,8 +324,7 @@ func OpSS(oplus *Op) *BalancedScanOp {
 			}
 		},
 		Solo: func(own Value) Value {
-			s, _, _, _ := tup4(own)
-			return Tuple{s, Undef{}, Undef{}, Undef{}}
+			return Tuple{First(own), Undef{}, Undef{}, Undef{}}
 		},
 	}
 	if oplus.Elem != nil {
@@ -367,7 +367,7 @@ func OpSS(oplus *Op) *BalancedScanOp {
 }
 
 // Working is Op.Working for the balanced scan's node operator.
-func (o *BalancedScanOp) Working(ar *Arena, x Value) Value {
+func (o *BalancedScanOp) Working(ar *Arena, x Value) (state, dst Value) {
 	return ar.working(o.FlatLo != nil, o.Arity, x)
 }
 

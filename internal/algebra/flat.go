@@ -42,6 +42,9 @@ type FlatTuple struct {
 	// that by panicking. The receiver clears the flag on adoption — it is
 	// the new owner. See docs/PERF.md, "Zero-copy ownership rules".
 	moved bool
+	// first is component 0 boxed, made with the tuple by an arena and never
+	// written after, so ranks that share the tuple may read it (First).
+	first Value
 }
 
 // MarkMoved poisons the tuple after an ownership-transferring send: any
@@ -113,7 +116,7 @@ func (t *FlatTuple) Clone() *FlatTuple {
 func Boxed(v Value) Value {
 	if ft, ok := v.(*FlatTuple); ok {
 		if ft.W == 1 {
-			return ft.Comp(0)
+			return First(ft)
 		}
 		return ft.Tuple()
 	}
@@ -167,15 +170,21 @@ func (a *Arena) asFlat(v Value, w, m int) (t *FlatTuple, drew int) {
 	return a.Flat(w, m).FlattenInto(v.(Tuple)), 1
 }
 
-// working is x copied into a flat tuple drawn from a when kernels says the
-// operator has flat kernels and x is a tuple of w equal-length Vec blocks,
-// else x boxed.
-func (a *Arena) working(kernels bool, w int, x Value) Value {
+// working is Working for an operator of arity w with flat kernels when
+// kernels says so: a flat tuple of w components as it is, with no dst (a
+// stage before, or a rank it was sent to, may still read it); a tuple of w
+// equal-length Vec blocks copied into a flat tuple drawn from a, its own
+// dst; else x boxed, with none.
+func (a *Arena) working(kernels bool, w int, x Value) (state, dst Value) {
+	if t, ok := x.(*FlatTuple); ok && kernels && t.W == w {
+		return t, nil
+	}
 	x = Boxed(x)
 	if m, ok := flatShape(w, x); ok && kernels {
-		return a.Flat(w, m).FlattenInto(x.(Tuple))
+		t := a.Flat(w, m).FlattenInto(x.(Tuple))
+		return t, t
 	}
-	return x
+	return x, nil
 }
 
 // flatDst is dst when it is a flat tuple of w components of m words, else

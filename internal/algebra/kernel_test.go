@@ -308,12 +308,18 @@ func TestFlatApplyInMatchesReference(t *testing.T) {
 				}
 				for _, in := range []Tuple{a, poisoned(a)} {
 					for _, x := range forms(in) {
-						w := op.Working(ar, x)
+						w, dst := op.Working(ar, x)
 						if !sameBits(w, in) {
 							t.Fatalf("%s.Working(%T) = %s, want %s (m=%d)", op, x, w, in, m)
 						}
-						if f, flat := w.(*FlatTuple); flat && (f == x || m == 0 || in[1] == (Undef{})) {
-							t.Fatalf("%s.Working(%T) is flat but not a copy it may rewrite (m=%d)", op, x, m)
+						// A flat operand passes through, with no dst: it is
+						// not the caller's to rewrite; a boxed one the kernels
+						// take is copied into a flat tuple that is its dst.
+						f, flat := w.(*FlatTuple)
+						fx, xflat := x.(*FlatTuple)
+						d, _ := dst.(*FlatTuple)
+						if xflat && f != fx || (dst != nil) != (flat && !xflat) || dst != nil && d != f || flat && (m == 0 || in[1] == (Undef{})) {
+							t.Fatalf("%s.Working(%T) = %T, dst %T (m=%d)", op, x, w, dst, m)
 						}
 					}
 				}
@@ -381,7 +387,7 @@ func TestFlatBalancedScanEntriesMatchReference(t *testing.T) {
 					wantHi := op.Hi(c[1], op.Ship(c[0]))
 					for _, x := range forms(c[0]) {
 						for _, y := range forms(c[1]) {
-							w := op.Working(ar, x)
+							w, dst := op.Working(ar, x)
 							if !sameBits(w, c[0]) {
 								t.Fatalf("%s Working(%T) = %s, want %s (m=%d)", op.Name, x, w, c[0], m)
 							}
@@ -395,8 +401,9 @@ func TestFlatBalancedScanEntriesMatchReference(t *testing.T) {
 							if got := op.NodeIn(ar, nil, y, shipLo, true); !sameBits(got, wantHi) {
 								t.Fatalf("%s NodeIn hi (%T, %T): got %s, want %s (m=%d)", op.Name, y, shipLo, got, wantHi, m)
 							}
-							// In place, into the working copy.
-							if got := op.NodeIn(ar, w, w, shipHi, false); !sameBits(got, wantLo) {
+							// In place, into the working copy; a flat operand is
+							// not the caller's, so its node writes a drawn tuple.
+							if got := op.NodeIn(ar, dst, w, shipHi, false); !sameBits(got, wantLo) {
 								t.Fatalf("%s NodeIn lo in place: got %s, want %s (m=%d)", op.Name, got, wantLo, m)
 							}
 						}

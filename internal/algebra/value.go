@@ -125,13 +125,22 @@ func Quadruple(a Value) Value { return Tuple{a, a, a, a} }
 
 // First extracts the first component of a tuple (the paper's projection
 // π₁, equation (12)). Applied to a non-tuple it is the identity, mirroring
-// the paper's overloading of π₁ over tuples of any width.
+// the paper's overloading of π₁ over tuples of any width. Of a flat tuple
+// it is a view of the first block: the box the arena that made the tuple
+// made with it, while that still views Data's first block, else a new one.
+// Nothing may write the tuple while the view is live.
 func First(a Value) Value {
-	if ft, ok := a.(*FlatTuple); ok {
-		return ft.Comp(0)
-	}
-	if t, ok := a.(Tuple); ok && len(t) > 0 {
-		return t[0]
+	switch t := a.(type) {
+	case *FlatTuple:
+		t.mustOwn()
+		if v, ok := t.first.(Vec); ok && len(v) == t.M() && &v[0] == &t.Data[0] {
+			return t.first
+		}
+		return t.Comp(0)
+	case Tuple:
+		if len(t) > 0 {
+			return t[0]
+		}
 	}
 	return a
 }

@@ -3,6 +3,7 @@ package chaos
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/algebra"
 	"repro/internal/backend"
@@ -34,7 +35,8 @@ func Check(c Case) error {
 // Sweep checks c's program under every profile and the seeds c.Seed …
 // c.Seed+seeds−1, running the fault-free legs once and the chaos virtual
 // leg on each profile's first seed. The first failure is shrunk, with
-// Check as the predicate, and returned with its collchaos replay line.
+// Check as the predicate, and returned with its collchaos replay line and
+// the process's MultiProcLegs.
 func Sweep(c Case, profiles []Profile, seeds int) error {
 	base := c.Seed
 	c.Profile = profiles[0]
@@ -50,7 +52,16 @@ func Sweep(c Case, profiles []Profile, seeds int) error {
 		err := Check(cand)
 		return err != nil && !errors.Is(err, ErrIllTyped)
 	})
-	return fmt.Errorf("%s: %v\n  minimal: %s\n  replay:  %s", c, err, min, min.Repro())
+	return fmt.Errorf("%s: %v\n  minimal: %s\n  replay:  %s\n  %s", c, err, min, min.Repro(), MultiProcLegs())
+}
+
+var mpRun, mpSkipped atomic.Int64
+
+// MultiProcLegs counts the multi-process legs of this process's checks:
+// run, and skipped because lang cannot read the program back (it knows no
+// derived operator). It is 0 and 0 in a process that cannot spawn ranks.
+func MultiProcLegs() string {
+	return fmt.Sprintf("multi-process: %d run, %d skipped (lang cannot read)", mpRun.Load(), mpSkipped.Load())
 }
 
 // ErrIllTyped is Check's error for a program the semantics cannot
@@ -133,8 +144,10 @@ func (c Case) params() (mpbackend.ProgramParams, bool) {
 func multiProc(c Case, want []algebra.Value) error {
 	params, ok := c.params()
 	if !ok {
+		mpSkipped.Add(1)
 		return nil
 	}
+	mpRun.Add(1)
 	res, err := mpbackend.Run("program", c.P, params, mpbackend.Options{})
 	if err != nil {
 		return err
@@ -182,9 +195,10 @@ func flat(v algebra.Value) bool {
 
 // determined reports whether got holds want's value, to a relative
 // tolerance, wherever want is determined: a position the semantics leaves
-// Undef is a don't-care, an Undef where it has a value is wrong.
+// Undef is a don't-care, an Undef where it has a value is wrong. Both are
+// boxed at every depth: want is term.Eval's, and got a leg's output that
+// flat has passed.
 func determined(want, got algebra.Value, tol float64) bool {
-	want, got = algebra.Boxed(want), algebra.Boxed(got)
 	switch w := want.(type) {
 	case algebra.Undef:
 		return true

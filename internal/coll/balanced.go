@@ -78,20 +78,21 @@ func ScanBalanced(c Comm, op *algebra.BalancedScanOp, x Value) Value {
 	tag := c.NextTag()
 	n := c.Size()
 	ar := c.Caps().Arena
-	// Only the state's projection is ever shipped, so each phase may
-	// rewrite the state in place: the working copy is the rank's own, and
-	// an input the kernels do not take is only read.
-	v := op.Working(ar, x)
+	// Only the state's projection is ever shipped, so a phase may rewrite
+	// the state in place once it is the rank's own (mine): a working copy
+	// or a phase's result, not a flat input, which other ranks may share.
+	v, mine := op.Working(ar, x)
 	m := float64(x.Words()) / float64(op.Arity)
 	for k := 0; k < log2Ceil(n); k++ {
 		partner := c.Rank() ^ (1 << k)
 		if partner >= n {
-			v = op.Solo(algebra.Boxed(v))
+			v = op.Solo(v)
 			continue
 		}
 		recv := c.Exchange(partner, op.ShipIn(ar, nil, v), tag)
 		higher := partner < c.Rank()
-		v = op.NodeIn(ar, v, v, recv, higher)
+		v = op.NodeIn(ar, mine, v, recv, higher)
+		mine = v
 		if higher {
 			c.Compute(float64(op.CostHi) * m)
 		} else {

@@ -23,15 +23,12 @@
 //
 // A collective returns its result in the form its operator works in,
 // drawn from the rank's arena and valid until the machine's next run: a
-// derived operator's (op_sr2, op_ss, …) is an algebra.FlatTuple, which the
-// next stage's operator, local function or π₁ takes as it is. BcastRepeat,
-// Comcast and Iter return π₁ of their flat working state as First does: a
-// short block copied into an arena block whose interface value is
-// pre-boxed, a long one boxed as a view. Nothing else here boxes a result,
-// except where a value is nested in a list: Gather and the halo exchanges
-// box a flat tuple before they nest it. A run boxes once, where its values
-// leave it (package core's stage loop), so a program's outputs are boxed
-// as the semantics' (term.Eval) are.
+// derived operator's (op_sr2, op_ss, …) is an algebra.FlatTuple, which no
+// collective rewrites once it has returned it, and which the next stage
+// takes as it is. BcastRepeat, Comcast and Iter return π₁ of their flat
+// state, a view at every block length (algebra.First). Only Gather and the
+// halo exchanges box a flat tuple, before they nest it; package core's doc
+// lists every place a run boxes.
 package coll
 
 import (

@@ -17,7 +17,7 @@ func BcastRepeat(c Comm, root int, ops *algebra.RepeatOps, b Value) Value {
 	k := (c.Rank() - root + c.Size()) % c.Size()
 	w := ops.RepeatIn(c.Caps().Arena, nil, k, v)
 	c.Compute(ops.RepeatCharge(k, v.Words()))
-	return First(c.Caps().Arena, w)
+	return algebra.First(w)
 }
 
 // Comcast implements the same pattern with the cost-optimal doubling
@@ -60,26 +60,5 @@ func Comcast(c Comm, root int, ops *algebra.RepeatOps, b Value) Value {
 			w, own = c.Recv((vrank-bit+root)%n, tag), nil
 		}
 	}
-	return First(ar, w)
-}
-
-// viewWords is the longest first block First copies. Boxing a view of a
-// block is one heap allocation, which costs what copying about 200 words
-// does (BenchmarkFirst on a 2-CPU x86-64 host: 37 ns to copy 128 words, 57
-// to box a view; 64 and 49 at 256 words).
-const viewWords = 192
-
-// First is π₁ of a collective's result, in the form a stage hands the
-// next: a flat tuple's first block copied into a block drawn from ar,
-// whose interface value is pre-boxed, when it is at most viewWords long,
-// else boxed as a view of the tuple's storage, which no collective
-// rewrites once it has returned it; algebra.First of any other value.
-func First(ar *algebra.Arena, v Value) Value {
-	t, ok := v.(*algebra.FlatTuple)
-	if !ok || t.M() > viewWords {
-		return algebra.First(v)
-	}
-	d := ar.Vec(t.M())
-	copy(d.(algebra.Vec), t.Data)
-	return d
+	return algebra.First(w)
 }

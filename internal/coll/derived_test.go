@@ -150,84 +150,41 @@ func TestRecordedDerived(t *testing.T) {
 
 // TestWarmDerivedCollectivesAllocs pins a warm native BcastRepeat,
 // Comcast, Iter and ScanBalanced at no allocation beyond the run itself at
-// p = 8, m = 64 on Vec blocks (quadruples of them for the balanced scan),
-// the inputs their operators' flat kernels take: π₁ of a flat state is an
-// arena block, and the balanced scan returns its flat state.
+// p = 8, m = 64 and m = 4096 on Vec blocks (quadruples of them for the
+// balanced scan), the inputs their operators' flat kernels take: π₁ of a
+// flat state is a view boxed when the arena made the state, and the
+// balanced scan returns its flat state.
 func TestWarmDerivedCollectivesAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	const p, m = 8, 64
+	const p = 8
 	nm := backend.New(p)
 	perRun := func(body func(*backend.Proc)) float64 {
 		nm.Run(body) // grows the arena and the mailboxes
 		return testing.AllocsPerRun(100, func() { nm.Run(body) })
 	}
 	base := perRun(func(*backend.Proc) {})
-	in := derivedInputs(p, m, 0)["vec"]
-	quad := make([]Value, p)
-	for r, v := range in {
-		quad[r] = algebra.Tuple{v, in[(r+1)%p], v, in[(r+2)%p]}
-	}
 	bss, bsr, ss := algebra.OpCompBSS(algebra.Add), algebra.OpBSR(algebra.Add), algebra.OpSS(algebra.Add)
-	for _, c := range []struct {
-		name string
-		run  func(c Comm)
-	}{
-		{"bcast-repeat", func(c Comm) { BcastRepeat(c, 0, bss, in[c.Rank()]) }},
-		{"comcast", func(c Comm) { Comcast(c, 0, bss, in[c.Rank()]) }},
-		{"iter", func(c Comm) { Iter(c, bsr, in[c.Rank()]) }},
-		{"scan-balanced", func(c Comm) { ScanBalanced(c, ss, quad[c.Rank()]) }},
-	} {
-		if got := perRun(func(pr *backend.Proc) { c.run(pr) }) - base; got != 0 {
-			t.Errorf("%s at p=%d, m=%d: %.0f allocs per run beyond an empty one, want 0", c.name, p, m, got)
+	for _, m := range []int{64, 4096} {
+		in := derivedInputs(p, m, 0)["vec"]
+		quad := make([]Value, p)
+		for r, v := range in {
+			quad[r] = algebra.Tuple{v, in[(r+1)%p], v, in[(r+2)%p]}
 		}
-	}
-}
-
-// TestFirstCopiesOnlyShortBlocks: First copies a first block of at most
-// viewWords words out of its flat tuple and views a longer one, with the
-// same value either way.
-func TestFirstCopiesOnlyShortBlocks(t *testing.T) {
-	ar := new(algebra.Arena)
-	for _, m := range []int{1, viewWords, viewWords + 1} {
-		ft := algebra.NewFlatTuple(3, m)
-		for i := range ft.Data {
-			ft.Data[i] = float64(i)
-		}
-		got := First(ar, ft).(algebra.Vec)
-		if !algebra.Equal(got, ft.Comp(0)) {
-			t.Fatalf("m=%d: First = %v, want %v", m, got, ft.Comp(0))
-		}
-		if viewed := &got[0] == &ft.Data[0]; viewed != (m > viewWords) {
-			t.Errorf("m=%d: First views the tuple's storage: %v, want %v", m, viewed, m > viewWords)
-		}
-	}
-}
-
-var sinkValue Value
-
-// BenchmarkFirst times First's two ways of projecting a flat pair's first
-// block at each block length, copying it into an arena block and boxing a
-// view; viewWords sits near where they cross.
-func BenchmarkFirst(b *testing.B) {
-	for _, m := range []int{16, 128, 256, 512, 4096} {
-		ft, ar := algebra.NewFlatTuple(2, m), new(algebra.Arena)
-		b.Run(fmt.Sprintf("copy/m=%d", m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				d := ar.Vec(m)
-				copy(d.(algebra.Vec), ft.Data)
-				sinkValue = d
-				if i%64 == 63 {
-					ar.Reset()
-				}
+		for _, c := range []struct {
+			name string
+			run  func(c Comm)
+		}{
+			{"bcast-repeat", func(c Comm) { BcastRepeat(c, 0, bss, in[c.Rank()]) }},
+			{"comcast", func(c Comm) { Comcast(c, 0, bss, in[c.Rank()]) }},
+			{"iter", func(c Comm) { Iter(c, bsr, in[c.Rank()]) }},
+			{"scan-balanced", func(c Comm) { ScanBalanced(c, ss, quad[c.Rank()]) }},
+		} {
+			if got := perRun(func(pr *backend.Proc) { c.run(pr) }) - base; got != 0 {
+				t.Errorf("%s at p=%d, m=%d: %.0f allocs per run beyond an empty one, want 0", c.name, p, m, got)
 			}
-		})
-		b.Run(fmt.Sprintf("view/m=%d", m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkValue = algebra.First(ft)
-			}
-		})
+		}
 	}
 }
 

@@ -120,7 +120,7 @@ func Iter(c Comm, op *algebra.IterOp, x Value) Value {
 	for range n {
 		c.Compute(op.Charge(w))
 	}
-	return First(c.Caps().Arena, w)
+	return algebra.First(w)
 }
 
 // pairValue packs two small integers into a pair of scalars (used by

@@ -214,11 +214,13 @@ func (f *frame) view(buf buffer, lo, hi int) Value {
 
 // value is whole buffer buf's value. workBuf starts as the input in the
 // form the operator works on (algebra.Op.Working): a flat copy the rank
-// owns, or the input itself; exclBuf starts as the empty prefix.
+// owns, or the input itself, a flat one included, which it does not;
+// exclBuf starts as the empty prefix.
 func (f *frame) value(buf buffer) Value {
 	if f.val[buf] == nil && buf == workBuf {
-		f.val[buf] = f.op.Working(f.ar, f.val[inBuf])
-		_, f.own[buf] = f.val[buf].(*algebra.FlatTuple)
+		var dst Value
+		f.val[buf], dst = f.op.Working(f.ar, f.val[inBuf])
+		f.own[buf] = dst != nil
 	} else if f.val[buf] == nil && buf == exclBuf {
 		f.val[buf] = algebra.Undef{}
 	}

@@ -11,6 +11,17 @@
 //	prog := core.NewProgram().Scan(algebra.Mul).Reduce(algebra.Add)
 //	opt := prog.Optimize(core.Machine{Ts: 1000, Tw: 1, P: 64, M: 128})
 //	out, res := opt.Program.Run(core.Machine{Ts: 1000, Tw: 1, P: 64}, input)
+//
+// # Where a value is boxed
+//
+// A derived operator's flat result (package coll's "Results") goes to the
+// next stage as it is: its operator works on it, π₁ views it. The run and
+// the semantics (term.Scratch) box it (algebra.Boxed) only where it leaves
+// the run (the stage loop, term.Eval), is nested (gather, halo, a
+// duplication in term.Apply), is taken apart (scatter), or meets a
+// function written for the boxed form (a local function in term.Apply, a
+// map# function); outside a run, package rules' bitwise comparison and
+// package golden's encoding box one to compare or record it.
 package core
 
 import (
@@ -137,9 +148,6 @@ func stageLoop(c coll.Comm, stages []term.Term, choices []sel.Selection, labels 
 func execStage(s term.Term, c coll.Comm, v algebra.Value, algo cost.Algo, segments int) algebra.Value {
 	switch st := s.(type) {
 	case term.Map:
-		if st.F == term.FirstFn { // π₁ is free; coll.First copies or views a flat block
-			return coll.First(c.Caps().Arena, v)
-		}
 		next := term.Apply(c.Caps().Arena, st.F, v)
 		if st.F.Cost > 0 {
 			c.Compute(float64(st.F.Cost) * float64(v.Words()))

@@ -21,10 +21,10 @@ import (
 
 // execCorpus returns the benchmark's programs at p ranks — both sides of
 // the 11 Table 1 pairs and of the sparse combining rules — each with an
-// input list of the shape it demands.
-func execCorpus(t *testing.T, p int) (progs []core.Program, inputs [][]algebra.Value) {
+// input list of the shape it demands, dense blocks of m words.
+func execCorpus(t *testing.T, p, m int) (progs []core.Program, inputs [][]algebra.Value) {
 	t.Helper()
-	dense := mpbackend.SeededInputs(7, p, 16)
+	dense := mpbackend.SeededInputs(7, p, m)
 	add := func(rule string, lhs term.Seq, in []algebra.Value) {
 		rhs, err := exper.ApplyRule(rule, lhs, p)
 		if err != nil {
@@ -76,33 +76,40 @@ func TestRunOnAllocsIndependentOfStageCount(t *testing.T) {
 // output list, and the Result backend.Machine.Run builds.
 const runOnFixed = 4
 
-// TestWarmLocalStageAllocs pins what a warm native run at p = 8, m = 16
-// allocates for both sides of every benchmark pair, and for the
-// MH-Mobility trap and the plan the search makes of it: RunOn's fixed
-// count and nothing more. A local function draws its blocks and tuple
-// headers from the rank's arena (term.Apply), a halo its result tuple, and
-// a derived operator's flat result passes to the next stage unboxed, so
-// the one boxing left is the stage loop's, of a flat tuple that leaves the
-// run — and every corpus program ends in a block.
+// TestWarmLocalStageAllocs pins what a warm native run at p = 8 allocates
+// at m = 16 and m = 4096 for both sides of every benchmark pair, for the
+// MH-Mobility trap and the plan the search makes of it, and for a flat
+// result fed to a second tuple-valued scan: RunOn's fixed count and
+// nothing more. A local function draws its blocks and tuple headers from
+// the rank's arena (term.Apply), a halo its result tuple, a derived
+// operator's flat result passes to the next stage, and to its operator,
+// unboxed, and π₁ of it is a view the arena boxed once; so the one boxing
+// left is the stage loop's, of a flat tuple that leaves the run — and
+// every program here ends in a block.
 func TestWarmLocalStageAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	const p, m = 8, 16
+	const p = 8
 	ring := term.Halo{H: &term.Hood{Offsets: []int{-1, 1}}}
 	trap := term.Seq{ring, term.Map{F: rules.IncTupFn}, ring}
-	plan, apps, _ := rules.NewCostGuidedEngine(cost.Params{Ts: 1000, Tw: 1, P: p, M: m}).SearchOptimize(trap, rules.SearchConfig{})
-	if len(apps) == 0 {
-		t.Fatal("the plan search left the MH-Mobility trap unchanged")
-	}
-	progs, inputs := execCorpus(t, p)
-	dense := mpbackend.SeededInputs(1, p, m)
-	progs, inputs = append(progs, core.FromTerm(trap), core.FromTerm(plan)), append(inputs, dense, dense)
+	sr2 := algebra.OpSR2(algebra.Mul, algebra.Add)
+	chained := term.Seq{term.Map{F: term.PairFn}, term.Scan{Op: sr2}, term.Scan{Op: sr2}, term.Map{F: term.FirstFn}}
 	nm := backend.New(p)
-	for i, prog := range progs {
-		prog.RunOn(nm, inputs[i]) // compiles the program, grows the arenas
-		if got := testing.AllocsPerRun(200, func() { prog.RunOn(nm, inputs[i]) }); got != runOnFixed {
-			t.Errorf("%s: %.0f allocs per warm run, want %d", prog, got, runOnFixed)
+	for _, m := range []int{16, 4096} {
+		plan, apps, _ := rules.NewCostGuidedEngine(cost.Params{Ts: 1000, Tw: 1, P: p, M: m}).SearchOptimize(trap, rules.SearchConfig{})
+		if len(apps) == 0 {
+			t.Fatalf("m=%d: the plan search left the MH-Mobility trap unchanged", m)
+		}
+		progs, inputs := execCorpus(t, p, m)
+		dense := mpbackend.SeededInputs(1, p, m)
+		progs = append(progs, core.FromTerm(trap), core.FromTerm(plan), core.FromTerm(chained))
+		inputs = append(inputs, dense, dense, dense)
+		for i, prog := range progs {
+			prog.RunOn(nm, inputs[i]) // compiles the program, grows the arenas
+			if got := testing.AllocsPerRun(200, func() { prog.RunOn(nm, inputs[i]) }); got != runOnFixed {
+				t.Errorf("m=%d: %s: %.0f allocs per warm run, want %d", m, prog, got, runOnFixed)
+			}
 		}
 	}
 }
@@ -186,7 +193,7 @@ func TestProgramTermAllocFree(t *testing.T) {
 // and every run equals, bit for bit, a run of its own on a third.
 func TestConcurrentRunsShareOneCompilation(t *testing.T) {
 	const p = 8
-	progs, inputs := execCorpus(t, p)
+	progs, inputs := execCorpus(t, p, 16)
 	auto, err := progs[0].OptimizeOpts(core.Machine{Ts: 1000, Tw: 1, P: p, M: 16}, core.OptimizeOptions{Auto: true})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +223,7 @@ func TestConcurrentRunsShareOneCompilation(t *testing.T) {
 // every stage, in order, with stage.String().
 func TestNativeMarksAreStageStrings(t *testing.T) {
 	const p = 8
-	progs, inputs := execCorpus(t, p)
+	progs, inputs := execCorpus(t, p, 16)
 	nm := backend.New(p)
 	kinds := map[string]bool{}
 	for i, prog := range progs {

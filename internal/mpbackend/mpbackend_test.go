@@ -41,6 +41,31 @@ func conform(t *testing.T, prog term.Seq, p, m int) {
 	}
 }
 
+// TestMultiProcLegsCountSkips: the oracle counts its multi-process leg as
+// run for a program lang reads back and as skipped for one over a derived
+// operator, which the rank processes cannot read.
+func TestMultiProcLegsCountSkips(t *testing.T) {
+	legs := func() (run, skipped int) {
+		if _, err := fmt.Sscanf(chaos.MultiProcLegs(), "multi-process: %d run, %d skipped (lang cannot read)", &run, &skipped); err != nil {
+			t.Fatal(err)
+		}
+		return run, skipped
+	}
+	sr2 := algebra.OpSR2(algebra.Mul, algebra.Add)
+	run0, skipped0 := legs()
+	for _, prog := range []term.Seq{
+		{term.Bcast{}, term.Scan{Op: algebra.Add}},
+		{term.Map{F: term.PairFn}, term.Scan{Op: sr2}, term.Map{F: term.FirstFn}},
+	} {
+		if err := chaos.Check(chaos.Case{Prog: prog, P: 2, M: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if run, skipped := legs(); run-run0 != 1 || skipped-skipped0 != 1 {
+		t.Errorf("two checks, one lang cannot read: %d run, %d skipped, want 1 and 1", run-run0, skipped-skipped0)
+	}
+}
+
 // TestProgramsConform runs rule-grammar programs across process
 // boundaries through the oracle: bitwise equality with the in-process
 // backends and the semantics' value wherever it determines one. The

@@ -131,21 +131,18 @@ func (sc *Scratch) Eval(t Term, xs []algebra.Value) []algebra.Value {
 		copy(out, list)
 		return out
 	case Comcast:
-		// Position i steps the one working state the previous position
-		// stepped, once its first block is copied out.
+		// Position i steps a working state of its own, which π₁ views.
 		out := sc.list(len(xs))
-		var w algebra.Value
 		for i := range out {
-			w = s.Ops.RepeatIn(&sc.Arena, w, i, xs[0])
-			out[i] = Apply(&sc.Arena, FirstFn, w)
+			out[i] = algebra.First(s.Ops.RepeatIn(&sc.Arena, nil, i, xs[0]))
 		}
 		return out
 	case Halo:
-		return evalHalo(s.H, sc.boxAll(xs))
+		return evalHalo(s.H, xs)
 	case AllGatherV:
-		return evalAllGatherV(s.Counts, sc.boxAll(xs))
+		return evalAllGatherV(s.Counts, xs)
 	case ReduceScatterV:
-		return evalReduceScatterV(s.Op, s.Counts, sc.boxAll(xs))
+		return evalReduceScatterV(s.Op, s.Counts, xs)
 	case Iter:
 		out := sc.list(len(xs))
 		steps := bits.Len(uint(len(xs) - 1)) // ⌈log₂ n⌉
@@ -186,16 +183,17 @@ func (sc *Scratch) reduceBalanced(op *algebra.Op, xs []algebra.Value, lo, hi, h 
 // scanBalanced runs the butterfly of §3.3 on the list: ceil(log2 n)
 // phases, in phase k index i pairs with i xor 2^k; indices without a
 // partner apply the Solo case (keep the first component, poison the
-// rest). Each state starts as the operator's working copy, which the
-// phases rewrite in place, as coll.ScanBalanced does; two projections
-// serve every pair.
+// rest). As in coll.ScanBalanced, a phase rewrites a state in place once
+// it is the evaluator's own (mine): a working copy or a phase's result,
+// not a flat input, which positions may share; two projections serve
+// every pair.
 func (sc *Scratch) scanBalanced(op *algebra.BalancedScanOp, xs []algebra.Value) []algebra.Value {
 	n := len(xs)
-	cur := sc.list(n)
+	cur, mine := sc.list(n), sc.list(n)
 	copy(cur, xs)
 	if n > 1 {
 		for i, x := range xs {
-			cur[i] = op.Working(&sc.Arena, x)
+			cur[i], mine[i] = op.Working(&sc.Arena, x)
 		}
 	}
 	var fromHi, fromLo algebra.Value
@@ -204,14 +202,14 @@ func (sc *Scratch) scanBalanced(op *algebra.BalancedScanOp, xs []algebra.Value) 
 		for i := 0; i < n; i++ {
 			switch partner := i ^ (1 << k); {
 			case partner >= n:
-				next[i] = op.Solo(algebra.Boxed(cur[i]))
+				next[i] = op.Solo(cur[i])
 			case partner > i:
 				fromHi, fromLo = op.ShipIn(&sc.Arena, fromHi, cur[partner]), op.ShipIn(&sc.Arena, fromLo, cur[i])
-				next[i] = op.NodeIn(&sc.Arena, cur[i], cur[i], fromHi, false)
-				next[partner] = op.NodeIn(&sc.Arena, cur[partner], cur[partner], fromLo, true)
+				next[i] = op.NodeIn(&sc.Arena, mine[i], cur[i], fromHi, false)
+				next[partner] = op.NodeIn(&sc.Arena, mine[partner], cur[partner], fromLo, true)
 			}
 		}
-		cur = next
+		cur, mine = next, next
 	}
 	return cur
 }

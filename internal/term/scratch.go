@@ -39,31 +39,8 @@ func (sc *Scratch) list(n int) []algebra.Value {
 // Flat tuples. The operators pick their representation (package algebra,
 // "The representation"); the evaluator lends them its arena. A duplication
 // stays a boxed tuple sharing its block, 56 bytes where a flat pair of
-// 16-word blocks is 296, which keeps a scratch under the verifier's pool
+// 16-word blocks is 336, which keeps a scratch under the verifier's pool
 // cap.
-
-// boxAll is xs with every flat tuple boxed: xs itself when there is none.
-func (sc *Scratch) boxAll(xs []algebra.Value) []algebra.Value {
-	for i, x := range xs {
-		if _, ok := x.(*algebra.FlatTuple); ok {
-			out := sc.list(len(xs))
-			copy(out, xs[:i])
-			for j := i; j < len(xs); j++ {
-				out[j] = algebra.Boxed(xs[j])
-			}
-			return out
-		}
-	}
-	return xs
-}
-
-// first is π₁ of a flat tuple: its first block, copied into a block of
-// a's (a view would box a slice header).
-func first(a *algebra.Arena, t *algebra.FlatTuple) algebra.Value {
-	d := a.Vec(t.M())
-	copy(d.(algebra.Vec), t.Data)
-	return d
-}
 
 // repeats reports that f applied to x may reuse what it made of prev: for a
 // function whose results Apply draws from the arena, when x is prev — one

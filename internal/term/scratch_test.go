@@ -38,15 +38,15 @@ func TestScratchBytesIsWhatItKeeps(t *testing.T) {
 	sc.Reset()
 	kept := sc.Bytes()
 	// Bytes of the slice header a boxed Vec or Tuple points to, of a
-	// FlatTuple's own fields and of a word, on a 64-bit machine, as
-	// algebra.Arena counts them.
-	const headerBytes, flatBytes, wordBytes = 24, 40, 8
+	// FlatTuple's own fields with its first block's box and of a word, on a
+	// 64-bit machine, as algebra.Arena counts them.
+	const headerBytes, flatBytes, wordBytes = 24, 56 + 24, 8
 	block, pair, flatPair := headerBytes+m*wordBytes, headerBytes+2*valueBytes, flatBytes+2*m*wordBytes
-	// Blocks: the scan's n-1, π₁'s n-1 copies out of flat pairs, map inc's
-	// n. Boxed: the n pairs and one n-tuple. Flat: the n-1 results of
+	// Blocks: the scan's n-1 and map inc's n; π₁ views the flat pairs.
+	// Boxed: the n pairs and one n-tuple. Flat: the n-1 results of
 	// scan(op_sr2) and the operand its last combine flattened. A slab for the
 	// seven lists.
-	if want := (3*n-2)*block + n*pair + (headerBytes + n*valueBytes) + n*flatPair + minSlab*valueBytes; kept != want {
+	if want := (2*n-1)*block + n*pair + (headerBytes + n*valueBytes) + n*flatPair + minSlab*valueBytes; kept != want {
 		t.Errorf("after one evaluation the scratch keeps %d bytes, want %d", kept, want)
 	}
 	for i := 0; i < 3; i++ {

@@ -189,7 +189,7 @@ func Displs(counts []int) []int {
 }
 
 // evalHalo gives the functional semantics of the neighborhood exchange:
-// out[i] = ⟨xs[s] : s ∈ sources(i)⟩.
+// out[i] = ⟨xs[s] : s ∈ sources(i)⟩, a flat tuple boxed.
 func evalHalo(h *Hood, xs []algebra.Value) []algebra.Value {
 	n := len(xs)
 	out := make([]algebra.Value, n)
@@ -197,7 +197,7 @@ func evalHalo(h *Hood, xs []algebra.Value) []algebra.Value {
 		src := h.Sources(i, n)
 		nb := make(algebra.Tuple, len(src))
 		for j, s := range src {
-			nb[j] = xs[s]
+			nb[j] = algebra.Boxed(xs[s])
 		}
 		out[i] = nb
 	}
@@ -239,7 +239,7 @@ func evalReduceScatterV(op *algebra.Op, counts []int, xs []algebra.Value) []alge
 	}
 	y := xs[0]
 	for _, x := range xs[1:] {
-		y = op.Apply(y, x)
+		y = op.ApplyInto(nil, y, x) // a flat tuple as the tuple it stands for
 	}
 	v, ok := y.(algebra.Vec)
 	if !ok {

@@ -44,23 +44,20 @@ func (f *Fn) String() string { return f.Name }
 // Apply is f.F(x) with its blocks and tuple headers drawn from a — a
 // Scratch's arena in the evaluator, a rank's in the executor, nil to
 // allocate — the one way the evaluator and every rank apply a local
-// function: a duplication fills a tuple of a's, π₁ of a flat tuple copies
-// its first block into a block of a's, and a function with Into runs it. A
-// flat tuple stands for the boxed tuple it represents. x is never written.
+// function: π₁ is algebra.First, a view, a duplication fills a tuple of
+// a's, and a function with Into runs it. A flat tuple stands for the boxed
+// tuple it represents. x is never written.
 func Apply(a *algebra.Arena, f *Fn, x algebra.Value) algebra.Value {
+	if f == FirstFn {
+		return algebra.First(x)
+	}
+	x = algebra.Boxed(x)
 	if w := duplicates(f); w > 0 {
 		t, boxed := a.Tuple(w)
-		x = algebra.Boxed(x)
 		for i := range t {
 			t[i] = x
 		}
 		return boxed
-	}
-	if v, ok := x.(*algebra.FlatTuple); ok {
-		if f == FirstFn {
-			return first(a, v)
-		}
-		x = algebra.Boxed(v)
 	}
 	if f.Into != nil {
 		return f.Into(a, x)
