@@ -170,21 +170,17 @@ func (a *Arena) asFlat(v Value, w, m int) (t *FlatTuple, drew int) {
 	return a.Flat(w, m).FlattenInto(v.(Tuple)), 1
 }
 
-// working is Working for an operator of arity w with flat kernels when
-// kernels says so: a flat tuple of w components as it is, with no dst (a
-// stage before, or a rank it was sent to, may still read it); a tuple of w
-// equal-length Vec blocks copied into a flat tuple drawn from a, its own
-// dst; else x boxed, with none.
+// working is Working for an operator of arity w, with flat kernels when
+// kernels says so. A flat operand has no dst: a stage before, or a rank it
+// was sent to, may still read it.
 func (a *Arena) working(kernels bool, w int, x Value) (state, dst Value) {
-	if t, ok := x.(*FlatTuple); ok && kernels && t.W == w {
-		return t, nil
-	}
-	x = Boxed(x)
 	if m, ok := flatShape(w, x); ok && kernels {
-		t := a.Flat(w, m).FlattenInto(x.(Tuple))
-		return t, t
+		if t, drew := a.asFlat(x, w, m); drew > 0 {
+			return t, t
+		}
+		return x, nil
 	}
-	return x, nil
+	return Boxed(x), nil
 }
 
 // flatDst is dst when it is a flat tuple of w components of m words, else

@@ -151,11 +151,10 @@ func (o *Op) ApplyUnaryIn(ar *Arena, dst, b Value) Value {
 	return o.ApplyUnary(Boxed(b))
 }
 
-// Working is x as a state the operator's kernels take, and the dst that
-// may rewrite it in place: a flat tuple FlatFn takes as it is, and nil, as
-// the caller does not own it; a boxed one copied into a flat tuple drawn
-// from ar, twice; anything else boxed, and nil. Passed a nil dst, an entry
-// draws its result (docs/PERF.md, "Arenas and ownership").
+// Working is x as a state the kernels take, and the dst that may rewrite
+// it: a flat tuple FlatFn takes as it is, with nil, as the caller does not
+// own it; a boxed one copied into a flat tuple drawn from ar, twice; else x
+// boxed, with nil (docs/PERF.md, "Arenas and ownership").
 func (o *Op) Working(ar *Arena, x Value) (state, dst Value) {
 	return ar.working(o.FlatFn != nil, o.Arity, x)
 }

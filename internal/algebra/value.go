@@ -126,9 +126,8 @@ func Quadruple(a Value) Value { return Tuple{a, a, a, a} }
 // First extracts the first component of a tuple (the paper's projection
 // π₁, equation (12)). Applied to a non-tuple it is the identity, mirroring
 // the paper's overloading of π₁ over tuples of any width. Of a flat tuple
-// it is a view of the first block: the box the arena that made the tuple
-// made with it, while that still views Data's first block, else a new one.
-// Nothing may write the tuple while the view is live.
+// it is a view, which nothing may write while it is live: the box an arena
+// made with the tuple while that still views Data's first block.
 func First(a Value) Value {
 	switch t := a.(type) {
 	case *FlatTuple:

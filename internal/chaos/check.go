@@ -196,8 +196,7 @@ func flat(v algebra.Value) bool {
 // determined reports whether got holds want's value, to a relative
 // tolerance, wherever want is determined: a position the semantics leaves
 // Undef is a don't-care, an Undef where it has a value is wrong. Both are
-// boxed at every depth: want is term.Eval's, and got a leg's output that
-// flat has passed.
+// boxed at every depth (term.Eval's, and an output flat has passed).
 func determined(want, got algebra.Value, tol float64) bool {
 	switch w := want.(type) {
 	case algebra.Undef:

@@ -131,10 +131,17 @@ func (sc *Scratch) Eval(t Term, xs []algebra.Value) []algebra.Value {
 		copy(out, list)
 		return out
 	case Comcast:
-		// Position i steps a working state of its own, which π₁ views.
+		// Position i steps the one working state the previous position
+		// stepped, once its first block is copied out: a view would change.
 		out := sc.list(len(xs))
+		var w algebra.Value
 		for i := range out {
-			out[i] = algebra.First(s.Ops.RepeatIn(&sc.Arena, nil, i, xs[0]))
+			w = s.Ops.RepeatIn(&sc.Arena, w, i, xs[0])
+			out[i] = algebra.First(w)
+			if t, ok := w.(*algebra.FlatTuple); ok {
+				out[i] = sc.Vec(t.M())
+				copy(out[i].(algebra.Vec), t.Data)
+			}
 		}
 		return out
 	case Halo:

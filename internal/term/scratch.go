@@ -47,7 +47,7 @@ func (sc *Scratch) list(n int) []algebra.Value {
 // flat tuple, one block or tuple, or both undetermined, as after bcast,
 // allreduce and reduce.
 func (sc *Scratch) repeats(f *Fn, x, prev algebra.Value) bool {
-	if f.Into == nil && f != FirstFn && duplicates(f) == 0 {
+	if f.Into == nil && duplicates(f) == 0 {
 		return false
 	}
 	switch a := x.(type) {
