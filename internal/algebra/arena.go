@@ -18,7 +18,7 @@ package algebra
 // Every buffer is boxed once, when it is made: converting a slice header to
 // an interface allocates, so a shelf keeps the interface value and the
 // kernels thread it through unchanged, and a flat tuple keeps its first
-// block's, which First hands out.
+// block's once First has made it.
 //
 // A nil *Arena is valid and simply allocates fresh buffers — collectives
 // run unchanged (only slower) on communicators that provide no arena.
@@ -51,8 +51,8 @@ type shelf struct {
 }
 
 // Bytes of an interface value, of the slice header a boxed Vec or Tuple
-// points to, of a FlatTuple's own fields with its first block's boxed
-// header, and of a word, on a 64-bit machine.
+// points to, of a FlatTuple's own fields with room for its first block's
+// boxed header, and of a word, on a 64-bit machine.
 const valueBytes, headerBytes, flatBytes, wordBytes = 16, 24, 56 + 24, 8
 
 func (s *shelf) bytes() int {
@@ -114,9 +114,6 @@ func (a *Arena) draw(k kind, w, m int) Value {
 	s := &a.shelves[a.last]
 	if s.next == len(s.bufs) {
 		s.bufs = append(s.bufs, fresh(k, w, m))
-		if t, ok := s.bufs[s.next].(*FlatTuple); ok {
-			t.first = t.Comp(0)
-		}
 	}
 	s.next++
 	return s.bufs[s.next-1]

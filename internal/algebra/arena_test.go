@@ -191,8 +191,8 @@ func TestArenaKeepsEachKindApart(t *testing.T) {
 }
 
 // TestArenaTupleFirstAllocs pins π₁ of a warm arena-drawn flat tuple at no
-// allocation at m = 4096: First hands out the box the arena made with the
-// tuple, a view of its first block, at every block length.
+// allocation at m = 4096: First hands out the box it made of the tuple's
+// first block once, a view, at every block length.
 func TestArenaTupleFirstAllocs(t *testing.T) {
 	const m = 4096
 	ar := new(Arena)

@@ -1,6 +1,9 @@
 package algebra
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // The representation. A tuple of equal-length Vec blocks has a boxed form
 // and a flat one, and algebra alone picks: every entry taking an arena (Op
@@ -42,9 +45,9 @@ type FlatTuple struct {
 	// that by panicking. The receiver clears the flag on adoption — it is
 	// the new owner. See docs/PERF.md, "Zero-copy ownership rules".
 	moved bool
-	// first is component 0 boxed, made with the tuple by an arena and never
-	// written after, so ranks that share the tuple may read it (First).
-	first Value
+	// first holds component 0 as a boxed Vec, made by the first First and
+	// reused: atomic, since ranks that share the tuple may project it at once.
+	first atomic.Value
 }
 
 // MarkMoved poisons the tuple after an ownership-transferring send: any

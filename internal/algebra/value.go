@@ -126,16 +126,16 @@ func Quadruple(a Value) Value { return Tuple{a, a, a, a} }
 // First extracts the first component of a tuple (the paper's projection
 // π₁, equation (12)). Applied to a non-tuple it is the identity, mirroring
 // the paper's overloading of π₁ over tuples of any width. Of a flat tuple
-// it is a view, which nothing may write while it is live: the box an arena
-// made with the tuple while that still views Data's first block.
+// it is a view, which nothing may write while it is live, boxed once and
+// kept with the tuple while that still views Data's first block.
 func First(a Value) Value {
 	switch t := a.(type) {
 	case *FlatTuple:
 		t.mustOwn()
-		if v, ok := t.first.(Vec); ok && len(v) == t.M() && &v[0] == &t.Data[0] {
-			return t.first
+		if v, _ := t.first.Load().(Vec); len(v) != t.M() || &v[0] != &t.Data[0] {
+			t.first.Store(t.Comp(0))
 		}
-		return t.Comp(0)
+		return t.first.Load().(Value)
 	case Tuple:
 		if len(t) > 0 {
 			return t[0]

@@ -98,7 +98,7 @@ func TestTupleResultsCrossStages(t *testing.T) {
 		{pair, term.Reduce{Op: sr2}, term.Bcast{}, pi, term.Reduce{Op: algebra.Add, All: true}},
 	} {
 		for p := 1; p <= 9; p++ {
-			for _, m := range []int{1, 16, 257} { // π₁ copies a 16-word block out, views a 257-word one
+			for _, m := range []int{1, 16, 257} { // 257 words straddle a kernel's 256-word block
 				// Products of up to 45 blocks leave the exact range.
 				if err := chaos.Check(chaos.Case{Prog: prog, P: p, M: m, Tol: 1e-9}); err != nil {
 					t.Errorf("%s p=%d m=%d: %v", prog, p, m, err)

@@ -152,7 +152,7 @@ func TestRecordedDerived(t *testing.T) {
 // Comcast, Iter and ScanBalanced at no allocation beyond the run itself at
 // p = 8, m = 64 and m = 4096 on Vec blocks (quadruples of them for the
 // balanced scan), the inputs their operators' flat kernels take: π₁ of a
-// flat state is a view boxed when the arena made the state, and the
+// flat state is a view boxed once and kept with the state, and the
 // balanced scan returns its flat state.
 func TestWarmDerivedCollectivesAllocs(t *testing.T) {
 	if raceEnabled {

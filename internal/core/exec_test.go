@@ -83,7 +83,7 @@ const runOnFixed = 4
 // nothing more. A local function draws its blocks and tuple headers from
 // the rank's arena (term.Apply), a halo its result tuple, a derived
 // operator's flat result passes to the next stage, and to its operator,
-// unboxed, and π₁ of it is a view the arena boxed once; so the one boxing
+// unboxed, and π₁ of it is a view boxed once; so the one boxing
 // left is the stage loop's, of a flat tuple that leaves the run — and
 // every program here ends in a block.
 func TestWarmLocalStageAllocs(t *testing.T) {
