@@ -85,7 +85,7 @@ func sweepRule(t *testing.T, rule string, lhs term.Seq, p, m int) {
 // operators, so the sweeps above never put such a result inside a halo or
 // gather list.
 func TestTupleResultsCrossStages(t *testing.T) {
-	sr2 := algebra.OpSR2(algebra.Mul, algebra.Add)
+	sr2, ss := algebra.OpSR2(algebra.Mul, algebra.Add), algebra.OpSS(algebra.Add)
 	pair, pi := term.Map{F: term.PairFn}, term.Map{F: term.FirstFn}
 	ring := term.Halo{H: &term.Hood{Offsets: []int{-1, 1}}}
 	for _, prog := range []term.Seq{
@@ -96,6 +96,10 @@ func TestTupleResultsCrossStages(t *testing.T) {
 		{pair, term.Reduce{Op: sr2, All: true}},
 		{pair, term.Scan{Op: sr2}, pi, term.Map{F: rules.IncFn}, term.Scan{Op: algebra.Add}},
 		{pair, term.Reduce{Op: sr2}, term.Bcast{}, pi, term.Reduce{Op: algebra.Add, All: true}},
+		// Broadcast, a flat result is one tuple every rank shares, which
+		// the next operator collective must not rewrite.
+		{pair, term.Reduce{Op: sr2}, term.Bcast{}, term.Scan{Op: sr2}, pi},
+		{term.Map{F: term.QuadrupleFn}, term.ScanBal{Op: ss}, term.Bcast{}, term.ScanBal{Op: ss}, pi},
 	} {
 		for p := 1; p <= 9; p++ {
 			for _, m := range []int{1, 16, 257} { // 257 words straddle a kernel's 256-word block

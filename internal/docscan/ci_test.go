@@ -14,9 +14,9 @@ import (
 // runFlagRE matches a go test -run pattern, quoted or bare.
 var runFlagRE = regexp.MustCompile(`-run[ =]'?([^' ]+)'?`)
 
-// testFuncs returns the Test, Fuzz and Example functions of the package
-// in dir.
-func testFuncs(t *testing.T, dir string) []string {
+// testDecls returns the functions (not methods) of the test files of the
+// package in dir.
+func testDecls(t *testing.T, dir string) []*ast.FuncDecl {
 	t.Helper()
 	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
 		return strings.HasSuffix(fi.Name(), "_test.go")
@@ -24,15 +24,24 @@ func testFuncs(t *testing.T, dir string) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
+	var fns []*ast.FuncDecl
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
-					names = append(names, fn.Name.Name)
+					fns = append(fns, fn)
 				}
 			}
 		}
+	}
+	return fns
+}
+
+// testFuncs returns the names of testDecls.
+func testFuncs(t *testing.T, dir string) []string {
+	var names []string
+	for _, fn := range testDecls(t, dir) {
+		names = append(names, fn.Name.Name)
 	}
 	return names
 }
@@ -92,12 +101,6 @@ func TestCIRunPatternsSelectTests(t *testing.T) {
 // returns.
 func raceSkipped(t *testing.T, dir string) []string {
 	t.Helper()
-	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
-		return strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var onRace func(ast.Expr) bool
 	onRace = func(e ast.Expr) bool {
 		switch x := e.(type) {
@@ -109,32 +112,27 @@ func raceSkipped(t *testing.T, dir string) []string {
 		return false
 	}
 	var names []string
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "Test") {
-					continue
-				}
-				skips := false
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					if st, ok := n.(*ast.IfStmt); ok && onRace(st.Cond) {
-						ast.Inspect(st.Body, func(n ast.Node) bool {
-							switch x := n.(type) {
-							case *ast.ReturnStmt:
-								skips = true
-							case *ast.SelectorExpr:
-								skips = skips || strings.HasPrefix(x.Sel.Name, "Skip")
-							}
-							return true
-						})
+	for _, fn := range testDecls(t, dir) {
+		if !strings.HasPrefix(fn.Name.Name, "Test") {
+			continue
+		}
+		skips := false
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if st, ok := n.(*ast.IfStmt); ok && onRace(st.Cond) {
+				ast.Inspect(st.Body, func(n ast.Node) bool {
+					switch x := n.(type) {
+					case *ast.ReturnStmt:
+						skips = true
+					case *ast.SelectorExpr:
+						skips = skips || strings.HasPrefix(x.Sel.Name, "Skip")
 					}
-					return !skips
+					return true
 				})
-				if skips {
-					names = append(names, fn.Name.Name)
-				}
 			}
+			return !skips
+		})
+		if skips {
+			names = append(names, fn.Name.Name)
 		}
 	}
 	return names
