@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -207,21 +208,24 @@ func TestScratchEvalIsEval(t *testing.T) {
 // applications. The parent of the pooled term.Scratch measured 196 for
 // SR2-Reduction and 96 without applications; the parent of the flat lanes
 // 93, 163 for BS-Comcast, 27 for BR-Local and 2; the parent of the reused
-// config key 5, 5, 5 and 2, where a check now allocates 3, 3, 3 and 1.
+// config key 5, 5, 5 and 2, the change 3, 3, 3 and 1; the parent of the
+// Verifier's own free list of scratches (with the instance key rendered on
+// the stack, and the cut derivation a value) 3, 3, 3 and 1, the change 0
+// each.
 func TestCheckDerivationAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates")
 	}
 	zero := term.Seq{term.Bcast{}, term.Scan{Op: algebra.Add}, term.Map{F: term.PairFn}, term.Map{F: term.FirstFn}, term.Reduce{Op: algebra.Max, All: true}}
 	for _, c := range []struct {
-		rule  string
-		prog  term.Term
-		bound float64
+		rule string
+		prog term.Term
+		want float64
 	}{
-		{"SR2-Reduction", term.Seq{term.Scan{Op: algebra.Mul}, term.Reduce{Op: algebra.Add}}, 4},
-		{"BS-Comcast", term.Seq{term.Bcast{}, term.Scan{Op: algebra.Add}}, 4},
-		{"BR-Local", term.Seq{term.Bcast{}, term.Reduce{Op: algebra.Add}}, 4},
-		{"", zero, 1},
+		{"SR2-Reduction", term.Seq{term.Scan{Op: algebra.Mul}, term.Reduce{Op: algebra.Add}}, 0},
+		{"BS-Comcast", term.Seq{term.Bcast{}, term.Scan{Op: algebra.Add}}, 0},
+		{"BR-Local", term.Seq{term.Bcast{}, term.Reduce{Op: algebra.Add}}, 0},
+		{"", zero, 0},
 	} {
 		name, opt, apps := "zero-application", c.prog, []Application(nil)
 		if c.rule != "" {
@@ -241,10 +245,41 @@ func TestCheckDerivationAllocs(t *testing.T) {
 		if st := v.Stats(); st.Packed != st.Derivations || st.PerInput != 0 {
 			t.Fatalf("%s: %+v, want the packed pass alone", name, st)
 		}
-		if allocs > c.bound {
-			t.Errorf("%s: a warm derivation check allocates %.0f times, want ≤ %.0f", name, allocs, c.bound)
+		if allocs != c.want {
+			t.Errorf("%s: a warm derivation check allocates %.0f times, want %.0f", name, allocs, c.want)
 		}
 		t.Logf("%s: %.0f allocations", name, allocs)
+	}
+}
+
+// TestCheckDerivationWarmAfterGC: the Verifier's scratches are its own, not
+// a sync.Pool's, so two collections between two checks leave the second at
+// the warm count (0, TestCheckDerivationAllocs). At the parent, whose
+// package-level sync.Pool the two collections emptied, the second check
+// allocated 60 times against a warm 3: a fresh scratch and its arena's
+// first blocks.
+func TestCheckDerivationWarmAfterGC(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var prog term.Term = term.Seq{term.Scan{Op: algebra.Mul}, term.Reduce{Op: algebra.Add}}
+	opt, apps := singleRule(t, "SR2-Reduction", 0).Optimize(prog)
+	v := new(Verifier)
+	check := func() {
+		if err := v.CheckDerivation(prog, opt, apps, plannerCfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	check()
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("a check after two collections allocates %d times, want 0", n)
 	}
 }
 
@@ -405,7 +440,7 @@ func FuzzScratchEval(f *testing.F) {
 // drawn as the plan-miss workload draws them (bench/plan.go: distinct
 // RandProgram(rng, 12) programs with at most one multiplying stage, plan
 // search with selection on the daemon's default machine) never keeps more
-// than maxScratchBytes, so the pool of CheckDerivation, which drops a
+// than maxScratchBytes, so the free list of CheckDerivation, which drops a
 // larger one, keeps it.
 func TestScratchStaysUnderThePoolCap(t *testing.T) {
 	params := cost.Params{Ts: 1000, Tw: 1, M: 64, P: 64} // serve.DefaultConfig's machine

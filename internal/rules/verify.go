@@ -135,8 +135,8 @@ func shapeFor(lhs term.Term, cfg VerifyConfig) VerifyConfig {
 // compareOn evaluates both sides on s in a pooled scratch and compares them;
 // a mismatch is reported before the scratch is reset.
 func compareOn(lhs, rhs term.Term, s sample, relTol float64) error {
-	sc := scratches.Get().(*term.Scratch)
-	defer release(sc)
+	sc := oneOff.scratch()
+	defer oneOff.release(sc)
 	return mismatch(lhs, rhs, s, sc.Eval(lhs, s.in), sc.Eval(rhs, s.in), relTol)
 }
 
