@@ -168,7 +168,7 @@ func TestStagesOfComposedSeqAllocFree(t *testing.T) {
 
 // TestProgramTermAllocFree: a Program keeps the term.Term it was built
 // with, so Term — which a multi-process rank body calls once per rank and
-// program — boxes nothing, the empty program's included.
+// program — boxes nothing, the empty program's included, however nested.
 func TestProgramTermAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -178,6 +178,8 @@ func TestProgramTermAllocFree(t *testing.T) {
 		core.NewProgram(),
 		core.NewProgram().Scan(algebra.Mul).Reduce(algebra.Add),
 		core.FromTerm(term.Seq{term.Bcast{}, term.Seq{term.Scan{Op: algebra.Add}}}),
+		core.FromTerm(term.Seq{term.Seq{}}),
+		core.FromTerm(term.Seq{core.NewProgram().Term()}),
 	} {
 		if allocs := testing.AllocsPerRun(100, func() { sink = prog.Term() }); allocs != 0 {
 			t.Errorf("%s: Term allocates %.0f, want 0", prog, allocs)
