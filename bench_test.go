@@ -6,7 +6,8 @@
 // The ablations report the *virtual* run time under the §4.1 cost model as
 // the custom metric "vtime" (virtual time units per run). Two families are
 // not virtual-time: BenchmarkCollectivesWallClock (the simulator's own host
-// cost) and BenchmarkKernelAllocs (the allocs/op table of docs/PERF.md).
+// cost), BenchmarkKernelAllocs (the allocs/op table of docs/PERF.md) and
+// BenchmarkDerivedKernels (the derived operators' flat forms, ns/op).
 // Wall-clock performance of the native and multi-process backends, the
 // planner and the daemon is bench/'s job (see bench/README.md), not this
 // file's.
@@ -215,4 +216,64 @@ func BenchmarkKernelAllocs(b *testing.B) {
 			w = ops.RepeatIn(nil, w, 6, v)
 		}
 	})
+}
+
+// BenchmarkDerivedKernels times the flat form of every derived operator —
+// the kernel the collectives run — at m = 16 words per component, the
+// start-up regime of bench's exec-latency workload, and at m = 4096, near
+// exec-bandwidth's, into a destination that is not an operand, so that
+// every iteration computes the same words.
+func BenchmarkDerivedKernels(b *testing.B) {
+	add, mul := algebra.Add, algebra.Mul
+	sr, ss := algebra.OpSR(add), algebra.OpSS(add)
+	bs, bss2, bss := algebra.OpCompBS(add), algebra.OpCompBSS2(mul, add), algebra.OpCompBSS(add)
+	unary := func(f func(dst, x *algebra.FlatTuple)) func(dst, x, _ *algebra.FlatTuple) {
+		return func(dst, x, _ *algebra.FlatTuple) { f(dst, x) }
+	}
+	kernels := []struct {
+		name string
+		// w holds the widths of the result and of the operands, 0 for none.
+		w [3]int
+		f func(dst, x, y *algebra.FlatTuple)
+	}{
+		{"op_sr2", [3]int{2, 2, 2}, algebra.OpSR2(mul, add).FlatFn},
+		{"op_new", [3]int{2, 2, 2}, algebra.OpNew(add, mul).FlatFn},
+		{"op_sr", [3]int{2, 2, 2}, sr.FlatFn},
+		{"op_sr_unary", [3]int{2, 2, 0}, unary(sr.FlatUnary)},
+		{"op_sr_nosharing", [3]int{2, 2, 2}, algebra.OpSRNoSharing(add).FlatFn},
+		{"op_ss_ship", [3]int{3, 4, 0}, unary(ss.FlatShip)},
+		{"op_ss_lo", [3]int{4, 4, 3}, ss.FlatLo},
+		{"op_ss_hi", [3]int{4, 4, 3}, ss.FlatHi},
+		{"op_comp_bs_e", [3]int{2, 2, 0}, unary(bs.FlatE)},
+		{"op_comp_bs_o", [3]int{2, 2, 0}, unary(bs.FlatO)},
+		{"op_comp_bss2_e", [3]int{3, 3, 0}, unary(bss2.FlatE)},
+		{"op_comp_bss2_o", [3]int{3, 3, 0}, unary(bss2.FlatO)},
+		{"op_comp_bss_e", [3]int{4, 4, 0}, unary(bss.FlatE)},
+		{"op_comp_bss_o", [3]int{4, 4, 0}, unary(bss.FlatO)},
+		{"op_br", [3]int{1, 1, 0}, unary(algebra.OpBR(add).FlatF)},
+		{"op_bsr2", [3]int{2, 2, 0}, unary(algebra.OpBSR2(mul, add).FlatF)},
+		{"op_bsr", [3]int{2, 2, 0}, unary(algebra.OpBSR(add).FlatF)},
+	}
+	for _, m := range []int{16, 4096} {
+		flat := func(w int) *algebra.FlatTuple {
+			if w == 0 {
+				return nil
+			}
+			ft := algebra.NewFlatTuple(w, m)
+			for i := range ft.Data {
+				ft.Data[i] = 1 + float64(i%7)/8
+			}
+			return ft
+		}
+		for _, k := range kernels {
+			b.Run(fmt.Sprintf("%s/m=%d", k.name, m), func(b *testing.B) {
+				dst, x, y := flat(k.w[0]), flat(k.w[1]), flat(k.w[2])
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k.f(dst, x, y)
+				}
+			})
+		}
+	}
 }

@@ -4,58 +4,190 @@ import "fmt"
 
 // This file constructs the derived operators that the optimization rules
 // of §3 introduce. Each constructor takes the base operator(s) of the
-// original collective operations and returns the tuple operator of the
-// rewritten program, with the operation counts of §4 recorded in Cost so
-// the virtual machine charges exactly the computation the paper counts.
+// original collective operations and writes the rewritten program's
+// operator once, as its formula: a straight-line list of passes, each one
+// elementary operation dst ← x ⊕ y or a copy dst ← x, over named
+// components of the operands, of the result and of at most one stack
+// block. Every form the rest of the program uses is read off that list:
 //
-// The flat kernels (FlatFn, FlatUnary, FlatLo/FlatHi, FlatE/FlatO, FlatF)
-// are what the arena-taking entries run when the shapes allow (flat.go,
-// "The representation"): compositions of the base operators' slice
-// kernels (Op.slice), one pass per elementary operation of the reference
-// formula and in its order, taken blockWords at a time so that every pass
-// after the first finds its operands in the cache. dst may be an operand,
-// so a pass writes a component of dst only once the operand component it
-// may be has no read left; a sub-term that would have to be written sooner
-// (r1 ⊗ s2 of op_sr2, say) goes to a block on the stack, the others
-// accumulate in dst itself.
+//   - the boxed reference (Fn, Unary, Ship, Lo, Hi, E, O, F) runs the
+//     passes on the components through the operators' Apply and returns
+//     the tuple of the result components;
+//   - the flat kernel (FlatFn, FlatUnary, FlatShip/FlatLo/FlatHi,
+//     FlatE/FlatO, FlatF), which exists when every pass has a slice kernel
+//     (Op.slice), runs the same passes on blockWords words of every
+//     component at a time, so that every pass after the first finds its
+//     operands in the cache, and is what the arena-taking entries run
+//     when the shapes allow (flat.go, "The representation");
+//   - the operation counts of §4 (Cost, CostLo/CostHi, CostE/CostO) are
+//     the passes' operator costs summed, so the virtual machine charges
+//     exactly the computation the paper counts, and the widths (Arity,
+//     ShipWidth) are the components the passes name.
+//
+// The two forms perform the same elementary operations in the same order,
+// so they agree bit for bit (the TestFlat* tests). dst may be an operand,
+// so a formula writes a component of the result only once the operand
+// component it may be has no read left; a sub-term that would have to be
+// written sooner (r1 ⊗ s2 of op_sr2, say) goes to the stack block, the
+// others accumulate in the result itself.
 
 // blockWords is how many words of each component a flat kernel takes
 // through all of its passes before moving on: 2 KiB per component, so the
-// widest kernel (op_ss: eleven components) works inside a 32 KiB L1.
+// widest formula (op_ss: eleven components) works inside a 32 KiB L1.
 const blockWords = 256
 
-// srBlock is the core op_sr shares with op_ss's lower side, op_comp_bss's
-// e and op_bsr, on one block: (dt, du) = (t1 ⊕ t2 ⊕ u1, uu ⊕ uu) with
-// uu = u1 ⊕ u2. dt may be t1 or t2, du may be u1 or u2.
-func srBlock(oplus *Op, dt, du, t1, u1, t2, u2 []float64) {
-	oplus.slice(dt, t1, t2)
-	oplus.slice(dt, dt, u1)
-	oplus.slice(du, u1, u2) // uu
-	oplus.slice(du, du, du)
+// slot names one component a pass reads or writes: component i of the
+// result (d0…d3), of the first operand (x0…x3) or of the second (y0…y2),
+// or the stack block (tmp). slot>>2 says which, slot&3 the component.
+// Components are numbered as the formula lists them: in op_sr2's, x0 is
+// s1, x1 r1, y0 s2 and y1 r2.
+type slot uint8
+
+const (
+	d0, d1, d2, d3 slot = 0, 1, 2, 3
+	x0, x1, x2, x3 slot = 4, 5, 6, 7
+	y0, y1, y2     slot = 8, 9, 10
+	tmp            slot = 12
+)
+
+// pass is one step of a formula: dst ← x op y, or dst ← x when op is nil.
+type pass struct {
+	dst, x slot
+	op     *Op
+	y      slot
 }
 
-func tup2(v Value) (a, b Value) {
-	t, ok := v.(Tuple)
-	if !ok || len(t) != 2 {
-		panic(fmt.Sprintf("algebra: expected pair, got %s", v))
-	}
-	return t[0], t[1]
+// cp is the pass dst ← x. It names x twice, so every pass names three
+// slots.
+func cp(dst, x slot) pass { return pass{dst: dst, x: x, y: x} }
+
+// formula is one derived function, its passes and what construction reads
+// off them.
+type formula struct {
+	passes []pass
+	// w holds the widths of the result, of the two operands and of the
+	// stack block: one more than the highest component a pass names, 0 for
+	// one no pass names.
+	w [4]int
+	// cost is the elementary operations per element; kernels says that
+	// every pass has a slice kernel, so that the flat form exists.
+	cost    int
+	kernels bool
 }
 
-func tup3(v Value) (a, b, c Value) {
-	t, ok := v.(Tuple)
-	if !ok || len(t) != 3 {
-		panic(fmt.Sprintf("algebra: expected triple, got %s", v))
+func newFormula(passes ...pass) *formula {
+	f := &formula{passes: passes, kernels: true}
+	for _, p := range passes {
+		if p.op != nil {
+			f.cost += p.op.Cost
+			f.kernels = f.kernels && p.op.Elem != nil
+		}
+		for _, s := range [...]slot{p.dst, p.x, p.y} {
+			f.w[s>>2] = max(f.w[s>>2], int(s&3)+1)
+		}
 	}
-	return t[0], t[1], t[2]
+	return f
 }
 
-func tup4(v Value) (a, b, c, d Value) {
-	t, ok := v.(Tuple)
-	if !ok || len(t) != 4 {
-		panic(fmt.Sprintf("algebra: expected quadruple, got %s", v))
+// apply is the boxed form on operands x and y (y unread by a formula on
+// one operand): the result tuple, or its one component when it has one.
+func (f *formula) apply(x, y Value) Value {
+	var c [tmp + 1]Value
+	unpack(c[x0:x0+slot(f.w[1])], x)
+	unpack(c[y0:y0+slot(f.w[2])], y)
+	for _, p := range f.passes {
+		if p.op == nil {
+			c[p.dst] = c[p.x]
+		} else {
+			c[p.dst] = p.op.Apply(c[p.x], c[p.y])
+		}
 	}
-	return t[0], t[1], t[2], t[3]
+	if f.w[0] == 1 {
+		return c[d0]
+	}
+	out := make(Tuple, f.w[0])
+	copy(out, c[:])
+	return out
+}
+
+// unpack sets c to v's components: v itself when there is one, else the
+// elements of the len(c)-tuple v must be.
+func unpack(c []Value, v Value) {
+	switch len(c) {
+	case 0:
+	case 1:
+		c[0] = v
+	default:
+		t, ok := v.(Tuple)
+		if !ok || len(t) != len(c) {
+			panic(fmt.Sprintf("algebra: expected a %d-tuple, got %s", len(c), v))
+		}
+		copy(c, t)
+	}
+}
+
+// run is the flat form, into dst, which may be x or y (nil for a formula
+// on one operand). Go zeroes the stack block where it is declared, so only
+// a formula that names one declares it.
+func (f *formula) run(dst, x, y *FlatTuple) {
+	var c [tmp + 1][]float64
+	m := dst.M()
+	split(c[d0:d0+slot(f.w[0])], dst, m)
+	split(c[x0:x0+slot(f.w[1])], x, m)
+	split(c[y0:y0+slot(f.w[2])], y, m)
+	if f.w[3] > 0 {
+		var b [blockWords]float64
+		c[tmp] = b[:]
+	}
+	for left := m; left > 0; left -= blockWords {
+		n := min(left, blockWords)
+		for _, p := range f.passes {
+			if p.op == nil {
+				copy(c[p.dst][:n], c[p.x][:n])
+			} else {
+				p.op.slice(c[p.dst][:n], c[p.x][:n], c[p.y][:n])
+			}
+		}
+		if left > blockWords {
+			for i := range c[:tmp] {
+				if c[i] != nil {
+					c[i] = c[i][n:]
+				}
+			}
+		}
+	}
+}
+
+// split sets c to the first len(c) components of t, of m words each.
+func split(c [][]float64, t *FlatTuple, m int) {
+	for i := range c {
+		c[i] = t.Data[i*m : (i+1)*m]
+	}
+}
+
+// forms2 is the boxed and flat forms of a formula on two operands, the
+// flat one nil when a pass has no slice kernel.
+func (f *formula) forms2() (func(x, y Value) Value, func(dst, x, y *FlatTuple)) {
+	if !f.kernels {
+		return f.apply, nil
+	}
+	return f.apply, f.run
+}
+
+// forms1 is forms2 for a formula on one operand.
+func (f *formula) forms1() (func(x Value) Value, func(dst, x *FlatTuple)) {
+	boxed := func(x Value) Value { return f.apply(x, nil) }
+	if !f.kernels {
+		return boxed, nil
+	}
+	return boxed, func(dst, x *FlatTuple) { f.run(dst, x, nil) }
+}
+
+// derivedOp is the binary operator the formula fn defines.
+func derivedOp(name string, fn *formula) *Op {
+	op := &Op{Name: name, Cost: fn.cost, Arity: fn.w[0]}
+	op.Fn, op.FlatFn = fn.forms2()
+	return op
 }
 
 // OpSR2 builds op_sr2 of rules SR2-Reduction and SS2-Scan:
@@ -66,60 +198,21 @@ func tup4(v Value) (a, b, c, d Value) {
 // over ⊕, so it can drive the ordinary reduce and scan collectives.
 // Three elementary operations per element (Table 1: m·(2tw+3)).
 func OpSR2(otimes, oplus *Op) *Op {
-	op := &Op{
-		Name:  fmt.Sprintf("op_sr2(%s,%s)", otimes.Name, oplus.Name),
-		Cost:  3,
-		Arity: 2,
-		Fn: func(a, b Value) Value {
-			s1, r1 := tup2(a)
-			s2, r2 := tup2(b)
-			return Tuple{
-				oplus.Apply(s1, otimes.Apply(r1, s2)),
-				otimes.Apply(r1, r2),
-			}
-		},
-	}
-	if oplus.Elem != nil && otimes.Elem != nil {
-		op.FlatFn = func(dst, a, b *FlatTuple) {
-			m := a.M()
-			s1, r1 := a.Data[:m], a.Data[m:]
-			s2, r2 := b.Data[:m], b.Data[m:]
-			ds, dr := dst.Data[:m], dst.Data[m:]
-			var rs [blockWords]float64
-			for lo := 0; lo < m; lo += blockWords {
-				hi := min(lo+blockWords, m)
-				rs := rs[:hi-lo]
-				otimes.slice(rs, r1[lo:hi], s2[lo:hi])
-				oplus.slice(ds[lo:hi], s1[lo:hi], rs)
-				otimes.slice(dr[lo:hi], r1[lo:hi], r2[lo:hi])
-			}
-		}
-	}
-	return op
+	return derivedOp(fmt.Sprintf("op_sr2(%s,%s)", otimes.Name, oplus.Name), newFormula(
+		pass{tmp, x1, otimes, y0},
+		pass{d0, x0, oplus, tmp},
+		pass{d1, x1, otimes, y1},
+	))
 }
 
 // OpNew builds the pointwise pair operator of the Figure 2 warm-up:
 //
 //	op_new((a1,b1),(a2,b2)) = (a1 op1 a2, b1 op2 b2)
 func OpNew(op1, op2 *Op) *Op {
-	op := &Op{
-		Name:  fmt.Sprintf("op_new(%s,%s)", op1.Name, op2.Name),
-		Cost:  op1.Cost + op2.Cost,
-		Arity: 2,
-		Fn: func(a, b Value) Value {
-			a1, b1 := tup2(a)
-			a2, b2 := tup2(b)
-			return Tuple{op1.Apply(a1, a2), op2.Apply(b1, b2)}
-		},
-	}
-	if op1.Elem != nil && op2.Elem != nil {
-		op.FlatFn = func(dst, a, b *FlatTuple) {
-			m := a.M()
-			op1.slice(dst.Data[:m], a.Data[:m], b.Data[:m])
-			op2.slice(dst.Data[m:], a.Data[m:], b.Data[m:])
-		}
-	}
-	return op
+	return derivedOp(fmt.Sprintf("op_new(%s,%s)", op1.Name, op2.Name), newFormula(
+		pass{d0, x0, op1, y0},
+		pass{d1, x1, op2, y1},
+	))
 }
 
 // OpSR builds op_sr of rule SR-Reduction, for commutative ⊕:
@@ -131,41 +224,13 @@ func OpNew(op1, op2 *Op) *Op {
 // five (Table 1: m·(2tw+4)). op_sr is not associative in general, so only
 // the balanced collectives of §3.2 may use it.
 func OpSR(oplus *Op) *Op {
-	op := &Op{
-		Name:  fmt.Sprintf("op_sr(%s)", oplus.Name),
-		Cost:  4,
-		Arity: 2,
-		Fn: func(a, b Value) Value {
-			t1, u1 := tup2(a)
-			t2, u2 := tup2(b)
-			uu := oplus.Apply(u1, u2)
-			return Tuple{
-				oplus.Apply(oplus.Apply(t1, t2), u1),
-				oplus.Apply(uu, uu),
-			}
-		},
-		Unary: func(b Value) Value {
-			t2, u2 := tup2(b)
-			return Tuple{t2, oplus.Apply(u2, u2)}
-		},
-	}
-	if oplus.Elem != nil {
-		op.FlatFn = func(dst, a, b *FlatTuple) {
-			m := a.M()
-			t1, u1 := a.Data[:m], a.Data[m:]
-			t2, u2 := b.Data[:m], b.Data[m:]
-			dt, du := dst.Data[:m], dst.Data[m:]
-			for lo := 0; lo < m; lo += blockWords {
-				hi := min(lo+blockWords, m)
-				srBlock(oplus, dt[lo:hi], du[lo:hi], t1[lo:hi], u1[lo:hi], t2[lo:hi], u2[lo:hi])
-			}
-		}
-		op.FlatUnary = func(dst, b *FlatTuple) {
-			m := b.M()
-			copy(dst.Data[:m], b.Data[:m])
-			oplus.slice(dst.Data[m:], b.Data[m:], b.Data[m:])
-		}
-	}
+	op := derivedOp(fmt.Sprintf("op_sr(%s)", oplus.Name), newFormula(
+		pass{d0, x0, oplus, y0},
+		pass{d0, d0, oplus, x1},
+		pass{d1, x1, oplus, y1}, // uu
+		pass{d1, d1, oplus, d1},
+	))
+	op.Unary, op.FlatUnary = newFormula(cp(d0, x0), pass{d1, x1, oplus, x1}).forms1()
 	return op
 }
 
@@ -173,41 +238,16 @@ func OpSR(oplus *Op) *Op {
 // on both sides instead of sharing uu: five elementary operations. The
 // result is identical; only the charged computation differs.
 func OpSRNoSharing(oplus *Op) *Op {
-	op := OpSR(oplus)
-	naive := &Op{
-		Name:  fmt.Sprintf("op_sr_nosharing(%s)", oplus.Name),
-		Cost:  5,
-		Arity: 2,
-		Fn: func(a, b Value) Value {
-			t1, u1 := tup2(a)
-			t2, u2 := tup2(b)
-			return Tuple{
-				oplus.Apply(oplus.Apply(t1, t2), u1),
-				oplus.Apply(oplus.Apply(u1, u2), oplus.Apply(u1, u2)),
-			}
-		},
-		Unary:     op.Unary,
-		FlatUnary: op.FlatUnary,
-	}
-	if oplus.Elem != nil {
-		naive.FlatFn = func(dst, a, b *FlatTuple) {
-			m := a.M()
-			t1, u1 := a.Data[:m], a.Data[m:]
-			t2, u2 := b.Data[:m], b.Data[m:]
-			dt, du := dst.Data[:m], dst.Data[m:]
-			var uu [blockWords]float64
-			for lo := 0; lo < m; lo += blockWords {
-				hi := min(lo+blockWords, m)
-				dt, du, uu := dt[lo:hi], du[lo:hi], uu[:hi-lo]
-				oplus.slice(dt, t1[lo:hi], t2[lo:hi])
-				oplus.slice(dt, dt, u1[lo:hi])
-				oplus.slice(uu, u1[lo:hi], u2[lo:hi])
-				oplus.slice(du, u1[lo:hi], u2[lo:hi]) // again: the ablation
-				oplus.slice(du, uu, du)
-			}
-		}
-	}
-	return naive
+	op := derivedOp(fmt.Sprintf("op_sr_nosharing(%s)", oplus.Name), newFormula(
+		pass{d0, x0, oplus, y0},
+		pass{d0, d0, oplus, x1},
+		pass{tmp, x1, oplus, y1},
+		pass{d1, x1, oplus, y1}, // again: the ablation
+		pass{d1, tmp, oplus, d1},
+	))
+	sr := OpSR(oplus)
+	op.Unary, op.FlatUnary = sr.Unary, sr.FlatUnary
+	return op
 }
 
 // OpSegmented builds the segmented-scan operator over (flag, value)
@@ -228,13 +268,14 @@ func OpSegmented(oplus *Op) *Op {
 		Cost:  2,
 		Arity: 2,
 		Fn: func(a, b Value) Value {
-			f1, x1 := tup2(a)
-			f2, x2 := tup2(b)
-			flag := Max.Apply(f1, f2)
-			if s, ok := f2.(Scalar); ok && s != 0 {
-				return Tuple{flag, x2}
+			var c [4]Value // f1, x1, f2, x2
+			unpack(c[:2], a)
+			unpack(c[2:], b)
+			flag := Max.Apply(c[0], c[2])
+			if s, ok := c[2].(Scalar); ok && s != 0 {
+				return Tuple{flag, c[3]}
 			}
-			return Tuple{flag, oplus.Apply(x1, x2)}
+			return Tuple{flag, oplus.Apply(c[1], c[3])}
 		},
 	}
 }
@@ -288,81 +329,41 @@ type BalancedScanOp struct {
 //
 // Sharing ttu, uu, uuuu and vv brings the operator from twelve to eight
 // elementary operations (Table 1: m·(3tw+8); the higher-ranked side does
-// the eight, the lower-ranked side five).
+// the eight, the lower-ranked side five). Each side holds its own state
+// in x and the (t, u, v) its partner shipped in y.
 func OpSS(oplus *Op) *BalancedScanOp {
+	ship := newFormula(cp(d0, x1), cp(d1, x2), cp(d2, x3))
+	lo := newFormula(
+		cp(d0, x0),
+		pass{d1, x1, oplus, y0}, // ttu
+		pass{d1, d1, oplus, x2},
+		pass{d2, x2, oplus, y1}, // uu
+		pass{d2, d2, oplus, d2}, // uuuu
+		pass{d3, x3, oplus, y2}, // vv
+	)
+	hi := newFormula(
+		pass{d0, x0, oplus, y0},
+		pass{d0, d0, oplus, y2},
+		pass{d1, y0, oplus, x1}, // ttu
+		pass{d1, d1, oplus, y1},
+		pass{d2, y1, oplus, x2}, // uu
+		pass{d3, y2, oplus, x3}, // vv
+		pass{d3, d2, oplus, d3},
+		pass{d2, d2, oplus, d2}, // uuuu
+	)
 	op := &BalancedScanOp{
 		Name:      fmt.Sprintf("op_ss(%s)", oplus.Name),
-		CostLo:    5,
-		CostHi:    8,
-		Arity:     4,
-		ShipWidth: 3,
-		Ship: func(own Value) Value {
-			_, t, u, v := tup4(own)
-			return Tuple{t, u, v}
-		},
-		Lo: func(own, fromHi Value) Value {
-			s1, t1, u1, v1 := tup4(own)
-			t2, u2, v2 := tup3(fromHi)
-			uu := oplus.Apply(u1, u2)
-			return Tuple{
-				s1,
-				oplus.Apply(oplus.Apply(t1, t2), u1),
-				oplus.Apply(uu, uu),
-				oplus.Apply(v1, v2),
-			}
-		},
-		Hi: func(own, fromLo Value) Value {
-			s2, t2, u2, v2 := tup4(own)
-			t1, u1, v1 := tup3(fromLo)
-			uu := oplus.Apply(u1, u2)
-			vv := oplus.Apply(v1, v2)
-			return Tuple{
-				oplus.Apply(oplus.Apply(s2, t1), v1),
-				oplus.Apply(oplus.Apply(t1, t2), u1),
-				oplus.Apply(uu, uu),
-				oplus.Apply(uu, vv),
-			}
-		},
+		CostLo:    lo.cost,
+		CostHi:    hi.cost,
+		Arity:     hi.w[0],
+		ShipWidth: ship.w[0],
 		Solo: func(own Value) Value {
 			return Tuple{First(own), Undef{}, Undef{}, Undef{}}
 		},
 	}
-	if oplus.Elem != nil {
-		op.FlatShip = func(dst, own *FlatTuple) {
-			m := own.M()
-			copy(dst.Data, own.Data[m:]) // (t, u, v)
-		}
-		op.FlatLo = func(dst, own, fromHi *FlatTuple) {
-			m := own.M()
-			s1, t1, u1, v1 := own.Data[:m], own.Data[m:2*m], own.Data[2*m:3*m], own.Data[3*m:]
-			t2, u2, v2 := fromHi.Data[:m], fromHi.Data[m:2*m], fromHi.Data[2*m:]
-			ds, dt, du, dv := dst.Data[:m], dst.Data[m:2*m], dst.Data[2*m:3*m], dst.Data[3*m:]
-			copy(ds, s1)
-			for lo := 0; lo < m; lo += blockWords {
-				hi := min(lo+blockWords, m)
-				srBlock(oplus, dt[lo:hi], du[lo:hi], t1[lo:hi], u1[lo:hi], t2[lo:hi], u2[lo:hi])
-				oplus.slice(dv[lo:hi], v1[lo:hi], v2[lo:hi])
-			}
-		}
-		op.FlatHi = func(dst, own, fromLo *FlatTuple) {
-			m := own.M()
-			s2, t2, u2, v2 := own.Data[:m], own.Data[m:2*m], own.Data[2*m:3*m], own.Data[3*m:]
-			t1, u1, v1 := fromLo.Data[:m], fromLo.Data[m:2*m], fromLo.Data[2*m:]
-			ds, dt, du, dv := dst.Data[:m], dst.Data[m:2*m], dst.Data[2*m:3*m], dst.Data[3*m:]
-			for lo := 0; lo < m; lo += blockWords {
-				hi := min(lo+blockWords, m)
-				ds, dt, du, dv := ds[lo:hi], dt[lo:hi], du[lo:hi], dv[lo:hi]
-				oplus.slice(ds, s2[lo:hi], t1[lo:hi])
-				oplus.slice(ds, ds, v1[lo:hi])
-				oplus.slice(dt, t1[lo:hi], t2[lo:hi])
-				oplus.slice(dt, dt, u1[lo:hi])
-				oplus.slice(du, u1[lo:hi], u2[lo:hi]) // uu
-				oplus.slice(dv, v1[lo:hi], v2[lo:hi]) // vv
-				oplus.slice(dv, du, dv)
-				oplus.slice(du, du, du)
-			}
-		}
-	}
+	op.Ship, op.FlatShip = ship.forms1()
+	op.Lo, op.FlatLo = lo.forms2()
+	op.Hi, op.FlatHi = hi.forms2()
 	return op
 }
 
@@ -390,21 +391,18 @@ func (o *BalancedScanOp) ShipIn(ar *Arena, dst, own Value) Value {
 // drawn from ar; anything else — a state Solo poisoned, say — through the
 // boxed reference.
 func (o *BalancedScanOp) NodeIn(ar *Arena, dst, own, from Value, higher bool) Value {
+	boxed, flat := o.Lo, o.FlatLo
+	if higher {
+		boxed, flat = o.Hi, o.FlatHi
+	}
 	x, xf := own.(*FlatTuple)
 	y, yf := from.(*FlatTuple)
-	if xf && yf && o.FlatLo != nil && x.W == o.Arity && y.W == o.ShipWidth && y.M() == x.M() {
+	if xf && yf && flat != nil && x.W == o.Arity && y.W == o.ShipWidth && y.M() == x.M() {
 		d := ar.flatDst(dst, o.Arity, x.M())
-		if higher {
-			o.FlatHi(d, x, y)
-		} else {
-			o.FlatLo(d, x, y)
-		}
+		flat(d, x, y)
 		return d
 	}
-	if higher {
-		return o.Hi(Boxed(own), Boxed(from))
-	}
-	return o.Lo(Boxed(own), Boxed(from))
+	return boxed(Boxed(own), Boxed(from))
 }
 
 // LaneWise is Op.LaneWise for the balanced scan's node operator.
@@ -432,43 +430,21 @@ type RepeatOps struct {
 	FlatE, FlatO func(dst, v *FlatTuple)
 }
 
+// repeatOps is the e/o pair the formulas e and o define.
+func repeatOps(name string, prepare func(Value) Value, e, o *formula) *RepeatOps {
+	r := &RepeatOps{Name: name, CostE: e.cost, CostO: o.cost, Arity: o.w[0], Prepare: prepare}
+	r.E, r.FlatE = e.forms1()
+	r.O, r.FlatO = o.forms1()
+	return r
+}
+
 // OpCompBS builds the e/o pair of rule BS-Comcast:
 //
 //	e(t,u) = (t, u ⊕ u)        o(t,u) = (t ⊕ u, u ⊕ u)
 func OpCompBS(oplus *Op) *RepeatOps {
-	r := &RepeatOps{
-		Name:    fmt.Sprintf("op_comp_bs(%s)", oplus.Name),
-		CostE:   1,
-		CostO:   2,
-		Arity:   2,
-		Prepare: Pair,
-		E: func(v Value) Value {
-			t, u := tup2(v)
-			return Tuple{t, oplus.Apply(u, u)}
-		},
-		O: func(v Value) Value {
-			t, u := tup2(v)
-			return Tuple{oplus.Apply(t, u), oplus.Apply(u, u)}
-		},
-	}
-	if oplus.Elem != nil {
-		r.FlatE = func(dst, v *FlatTuple) {
-			m := v.M()
-			copy(dst.Data[:m], v.Data[:m])
-			oplus.slice(dst.Data[m:], v.Data[m:], v.Data[m:])
-		}
-		r.FlatO = func(dst, v *FlatTuple) {
-			m := v.M()
-			t, u := v.Data[:m], v.Data[m:]
-			dt, du := dst.Data[:m], dst.Data[m:]
-			for lo := 0; lo < m; lo += blockWords {
-				hi := min(lo+blockWords, m)
-				oplus.slice(dt[lo:hi], t[lo:hi], u[lo:hi])
-				oplus.slice(du[lo:hi], u[lo:hi], u[lo:hi])
-			}
-		}
-	}
-	return r
+	return repeatOps(fmt.Sprintf("op_comp_bs(%s)", oplus.Name), Pair,
+		newFormula(cp(d0, x0), pass{d1, x1, oplus, x1}),
+		newFormula(pass{d0, x0, oplus, x1}, pass{d1, x1, oplus, x1}))
 }
 
 // OpCompBSS2 builds the e/o pair of rule BSS2-Comcast (⊗ distributes
@@ -477,57 +453,20 @@ func OpCompBS(oplus *Op) *RepeatOps {
 //	e(s,t,u) = (s, t ⊕ (t ⊗ u), u ⊗ u)
 //	o(s,t,u) = (t ⊕ (s ⊗ u), t ⊕ (t ⊗ u), u ⊗ u)
 func OpCompBSS2(otimes, oplus *Op) *RepeatOps {
-	r := &RepeatOps{
-		Name:    fmt.Sprintf("op_comp_bss2(%s,%s)", otimes.Name, oplus.Name),
-		CostE:   3,
-		CostO:   5,
-		Arity:   3,
-		Prepare: Triple,
-		E: func(v Value) Value {
-			s, t, u := tup3(v)
-			return Tuple{s, oplus.Apply(t, otimes.Apply(t, u)), otimes.Apply(u, u)}
-		},
-		O: func(v Value) Value {
-			s, t, u := tup3(v)
-			return Tuple{
-				oplus.Apply(t, otimes.Apply(s, u)),
-				oplus.Apply(t, otimes.Apply(t, u)),
-				otimes.Apply(u, u),
-			}
-		},
-	}
-	if oplus.Elem != nil && otimes.Elem != nil {
-		r.FlatE = func(dst, v *FlatTuple) {
-			m := v.M()
-			s, t, u := v.Data[:m], v.Data[m:2*m], v.Data[2*m:]
-			ds, dt, du := dst.Data[:m], dst.Data[m:2*m], dst.Data[2*m:]
-			copy(ds, s)
-			var tu [blockWords]float64
-			for lo := 0; lo < m; lo += blockWords {
-				hi := min(lo+blockWords, m)
-				tu := tu[:hi-lo]
-				otimes.slice(tu, t[lo:hi], u[lo:hi])
-				oplus.slice(dt[lo:hi], t[lo:hi], tu)
-				otimes.slice(du[lo:hi], u[lo:hi], u[lo:hi])
-			}
-		}
-		r.FlatO = func(dst, v *FlatTuple) {
-			m := v.M()
-			s, t, u := v.Data[:m], v.Data[m:2*m], v.Data[2*m:]
-			ds, dt, du := dst.Data[:m], dst.Data[m:2*m], dst.Data[2*m:]
-			var xu [blockWords]float64
-			for lo := 0; lo < m; lo += blockWords {
-				hi := min(lo+blockWords, m)
-				xu := xu[:hi-lo]
-				otimes.slice(xu, s[lo:hi], u[lo:hi])
-				oplus.slice(ds[lo:hi], t[lo:hi], xu)
-				otimes.slice(xu, t[lo:hi], u[lo:hi])
-				oplus.slice(dt[lo:hi], t[lo:hi], xu)
-				otimes.slice(du[lo:hi], u[lo:hi], u[lo:hi])
-			}
-		}
-	}
-	return r
+	return repeatOps(fmt.Sprintf("op_comp_bss2(%s,%s)", otimes.Name, oplus.Name), Triple,
+		newFormula(
+			cp(d0, x0),
+			pass{tmp, x1, otimes, x2},
+			pass{d1, x1, oplus, tmp},
+			pass{d2, x2, otimes, x2},
+		),
+		newFormula(
+			pass{tmp, x0, otimes, x2},
+			pass{d0, x1, oplus, tmp},
+			pass{tmp, x1, otimes, x2},
+			pass{d1, x1, oplus, tmp},
+			pass{d2, x2, otimes, x2},
+		))
 }
 
 // OpCompBSS builds the e/o pair of rule BSS-Comcast (commutative ⊕):
@@ -535,65 +474,25 @@ func OpCompBSS2(otimes, oplus *Op) *RepeatOps {
 //	e(s,t,u,v) = (s, t ⊕ t ⊕ u, uu ⊕ uu, v ⊕ v)            uu = u ⊕ u
 //	o(s,t,u,v) = (s ⊕ t ⊕ v, t ⊕ t ⊕ u, uu ⊕ uu, uu ⊕ v ⊕ v)
 func OpCompBSS(oplus *Op) *RepeatOps {
-	r := &RepeatOps{
-		Name:    fmt.Sprintf("op_comp_bss(%s)", oplus.Name),
-		CostE:   5,
-		CostO:   8,
-		Arity:   4,
-		Prepare: Quadruple,
-		E: func(v Value) Value {
-			s, t, u, vv := tup4(v)
-			uu := oplus.Apply(u, u)
-			return Tuple{
-				s,
-				oplus.Apply(oplus.Apply(t, t), u),
-				oplus.Apply(uu, uu),
-				oplus.Apply(vv, vv),
-			}
-		},
-		O: func(v Value) Value {
-			s, t, u, vv := tup4(v)
-			uu := oplus.Apply(u, u)
-			return Tuple{
-				oplus.Apply(oplus.Apply(s, t), vv),
-				oplus.Apply(oplus.Apply(t, t), u),
-				oplus.Apply(uu, uu),
-				oplus.Apply(oplus.Apply(uu, vv), vv),
-			}
-		},
-	}
-	if oplus.Elem != nil {
-		r.FlatE = func(dst, v *FlatTuple) {
-			m := v.M()
-			s, t, u, w := v.Data[:m], v.Data[m:2*m], v.Data[2*m:3*m], v.Data[3*m:]
-			ds, dt, du, dw := dst.Data[:m], dst.Data[m:2*m], dst.Data[2*m:3*m], dst.Data[3*m:]
-			copy(ds, s)
-			for lo := 0; lo < m; lo += blockWords {
-				hi := min(lo+blockWords, m)
-				srBlock(oplus, dt[lo:hi], du[lo:hi], t[lo:hi], u[lo:hi], t[lo:hi], u[lo:hi])
-				oplus.slice(dw[lo:hi], w[lo:hi], w[lo:hi])
-			}
-		}
-		r.FlatO = func(dst, v *FlatTuple) {
-			m := v.M()
-			s, t, u, w := v.Data[:m], v.Data[m:2*m], v.Data[2*m:3*m], v.Data[3*m:]
-			ds, dt, du, dw := dst.Data[:m], dst.Data[m:2*m], dst.Data[2*m:3*m], dst.Data[3*m:]
-			var uuw [blockWords]float64
-			for lo := 0; lo < m; lo += blockWords {
-				hi := min(lo+blockWords, m)
-				ds, dt, du, uuw := ds[lo:hi], dt[lo:hi], du[lo:hi], uuw[:hi-lo]
-				oplus.slice(ds, s[lo:hi], t[lo:hi])
-				oplus.slice(ds, ds, w[lo:hi])
-				oplus.slice(dt, t[lo:hi], t[lo:hi])
-				oplus.slice(dt, dt, u[lo:hi])
-				oplus.slice(du, u[lo:hi], u[lo:hi]) // uu
-				oplus.slice(uuw, du, w[lo:hi])
-				oplus.slice(dw[lo:hi], uuw, w[lo:hi])
-				oplus.slice(du, du, du)
-			}
-		}
-	}
-	return r
+	return repeatOps(fmt.Sprintf("op_comp_bss(%s)", oplus.Name), Quadruple,
+		newFormula(
+			cp(d0, x0),
+			pass{d1, x1, oplus, x1},
+			pass{d1, d1, oplus, x2},
+			pass{d2, x2, oplus, x2}, // uu
+			pass{d2, d2, oplus, d2},
+			pass{d3, x3, oplus, x3},
+		),
+		newFormula(
+			pass{d0, x0, oplus, x1},
+			pass{d0, d0, oplus, x3},
+			pass{d1, x1, oplus, x1},
+			pass{d1, d1, oplus, x2},
+			pass{d2, x2, oplus, x2}, // uu
+			pass{tmp, d2, oplus, x3},
+			pass{d3, tmp, oplus, x3},
+			pass{d2, d2, oplus, d2},
+		))
 }
 
 // Repeat applies the logarithmic-time schema of §3.4 (equation (14)) to
@@ -634,19 +533,16 @@ func (r *RepeatOps) RepeatIn(ar *Arena, dst Value, k int, b Value) Value {
 // state goes through FlatO or FlatE into dst (which may be v) or a flat
 // tuple drawn from ar, any other through the boxed reference.
 func (r *RepeatOps) StepIn(ar *Arena, dst, v Value, odd bool) Value {
+	boxed, flat := r.E, r.FlatE
+	if odd {
+		boxed, flat = r.O, r.FlatO
+	}
 	t, ok := v.(*FlatTuple)
-	if !ok || r.FlatE == nil || t.W != r.Arity {
-		if odd {
-			return r.O(Boxed(v))
-		}
-		return r.E(Boxed(v))
+	if !ok || flat == nil || t.W != r.Arity {
+		return boxed(Boxed(v))
 	}
 	d := ar.flatDst(dst, t.W, t.M())
-	if odd {
-		r.FlatO(d, t)
-	} else {
-		r.FlatE(d, t)
-	}
+	flat(d, t)
 	return d
 }
 
@@ -690,11 +586,7 @@ type IterOp struct {
 // Charge is the computation time of one application of the operator to
 // value a, analogous to Op.Charge.
 func (o *IterOp) Charge(a Value) float64 {
-	w := a.Words()
-	if o.Arity > 1 {
-		w /= o.Arity
-	}
-	return float64(o.Cost) * float64(w)
+	return float64(o.Cost) * float64(a.Words()/max(o.Arity, 1))
 }
 
 // IterateIn is n applications of F to Prepare(x) in the representation
@@ -717,82 +609,39 @@ func (o *IterOp) IterateIn(ar *Arena, dst Value, n int, x Value) Value {
 // LaneWise is Op.LaneWise for the Local rules' iterated operator.
 func (o *IterOp) LaneWise() bool { return o.FlatF != nil }
 
+// iterOp is the iterated operator the formula f defines.
+func iterOp(name string, prepare func(Value) Value, f *formula) *IterOp {
+	op := &IterOp{Name: name, Cost: f.cost, Arity: f.w[0], Prepare: prepare}
+	op.F, op.FlatF = f.forms1()
+	return op
+}
+
 // OpBR builds op_br of rule BR-Local: op_br s = s ⊕ s. Iterated log p
 // times it computes the p-fold reduction of the broadcast value.
 func OpBR(oplus *Op) *IterOp {
-	op := &IterOp{
-		Name:    fmt.Sprintf("op_br(%s)", oplus.Name),
-		Cost:    1,
-		Arity:   1,
-		Prepare: func(b Value) Value { return b },
-		F:       func(s Value) Value { return oplus.Apply(s, s) },
-	}
-	if oplus.Elem != nil {
-		op.FlatF = func(dst, v *FlatTuple) { oplus.slice(dst.Data, v.Data, v.Data) }
-	}
-	return op
+	return iterOp(fmt.Sprintf("op_br(%s)", oplus.Name), func(b Value) Value { return b },
+		newFormula(pass{d0, x0, oplus, x0}))
 }
 
 // OpBSR2 builds op_bsr2 of rule BSR2-Local (⊗ distributes over ⊕):
 //
 //	op_bsr2(s,t) = (s ⊕ (s ⊗ t), t ⊗ t)
 func OpBSR2(otimes, oplus *Op) *IterOp {
-	op := &IterOp{
-		Name:    fmt.Sprintf("op_bsr2(%s,%s)", otimes.Name, oplus.Name),
-		Cost:    3,
-		Arity:   2,
-		Prepare: Pair,
-		F: func(v Value) Value {
-			s, t := tup2(v)
-			return Tuple{oplus.Apply(s, otimes.Apply(s, t)), otimes.Apply(t, t)}
-		},
-	}
-	if oplus.Elem != nil && otimes.Elem != nil {
-		op.FlatF = func(dst, v *FlatTuple) {
-			m := v.M()
-			s, t := v.Data[:m], v.Data[m:]
-			ds, dt := dst.Data[:m], dst.Data[m:]
-			var st [blockWords]float64
-			for lo := 0; lo < m; lo += blockWords {
-				hi := min(lo+blockWords, m)
-				st := st[:hi-lo]
-				otimes.slice(st, s[lo:hi], t[lo:hi])
-				oplus.slice(ds[lo:hi], s[lo:hi], st)
-				otimes.slice(dt[lo:hi], t[lo:hi], t[lo:hi])
-			}
-		}
-	}
-	return op
+	return iterOp(fmt.Sprintf("op_bsr2(%s,%s)", otimes.Name, oplus.Name), Pair, newFormula(
+		pass{tmp, x0, otimes, x1},
+		pass{d0, x0, oplus, tmp},
+		pass{d1, x1, otimes, x1},
+	))
 }
 
 // OpBSR builds op_bsr of rule BSR-Local (commutative ⊕):
 //
 //	op_bsr(t,u) = (t ⊕ t ⊕ u, uu ⊕ uu)    uu = u ⊕ u
 func OpBSR(oplus *Op) *IterOp {
-	op := &IterOp{
-		Name:    fmt.Sprintf("op_bsr(%s)", oplus.Name),
-		Cost:    4,
-		Arity:   2,
-		Prepare: Pair,
-		F: func(v Value) Value {
-			t, u := tup2(v)
-			uu := oplus.Apply(u, u)
-			return Tuple{
-				oplus.Apply(oplus.Apply(t, t), u),
-				oplus.Apply(uu, uu),
-			}
-		},
-	}
-	if oplus.Elem != nil {
-		op.FlatF = func(dst, v *FlatTuple) {
-			m := v.M()
-			t, u := v.Data[:m], v.Data[m:]
-			dt, du := dst.Data[:m], dst.Data[m:]
-			for lo := 0; lo < m; lo += blockWords {
-				hi := min(lo+blockWords, m)
-				srBlock(oplus, dt[lo:hi], du[lo:hi], t[lo:hi], u[lo:hi], t[lo:hi], u[lo:hi])
-			}
-		}
-	}
-	return op
+	return iterOp(fmt.Sprintf("op_bsr(%s)", oplus.Name), Pair, newFormula(
+		pass{d0, x0, oplus, x0},
+		pass{d0, d0, oplus, x1},
+		pass{d1, x1, oplus, x1}, // uu
+		pass{d1, d1, oplus, d1},
+	))
 }

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -20,43 +21,6 @@ func randVec(rng *rand.Rand, m int) Vec {
 		v[i] = rng.NormFloat64()
 	}
 	return v
-}
-
-// sameBits is Equal on bit patterns (Equal is ==, which cannot tell -0
-// from +0 and never finds a NaN equal to anything), across the boxed and
-// flat representations; Undef is the same as Undef only.
-func sameBits(a, b Value) bool {
-	switch x := Boxed(a).(type) {
-	case Undef:
-		_, ok := b.(Undef)
-		return ok
-	case Scalar:
-		y, ok := b.(Scalar)
-		return ok && math.Float64bits(float64(x)) == math.Float64bits(float64(y))
-	case Vec:
-		y, ok := Boxed(b).(Vec)
-		if !ok || len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
-				return false
-			}
-		}
-		return true
-	case Tuple:
-		y, ok := Boxed(b).(Tuple)
-		if !ok || len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if !sameBits(x[i], y[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
 }
 
 func randTuple(rng *rand.Rand, w, m int) Tuple {
@@ -119,7 +83,7 @@ func TestApplyIntoMatchesApply(t *testing.T) {
 				for _, c := range cases {
 					want := op.Apply(c.x, c.y)
 					got := op.ApplyIn(ar, nil, c.x, c.y)
-					if !sameBits(got, want) {
+					if !Identical(got, want) {
 						t.Fatalf("%s.ApplyIn(nil, %s, %s) = %s, want %s", op, c.x, c.y, got, want)
 					}
 					// With a destination of the right shape the result must
@@ -127,7 +91,7 @@ func TestApplyIntoMatchesApply(t *testing.T) {
 					if v, ok := want.(Vec); ok && m > 0 {
 						dst := Value(make(Vec, len(v)))
 						got := op.ApplyIn(ar, dst, c.x, c.y)
-						if !sameBits(got, want) {
+						if !Identical(got, want) {
 							t.Fatalf("%s.ApplyIn(dst, %s, %s) = %s, want %s", op, c.x, c.y, got, want)
 						}
 						if &got.(Vec)[0] != &dst.(Vec)[0] {
@@ -138,10 +102,10 @@ func TestApplyIntoMatchesApply(t *testing.T) {
 				// dst aliasing an operand must be safe.
 				aa, bb := a.Clone(), b.Clone()
 				want := op.Apply(a, b)
-				if got := op.ApplyIn(ar, aa, aa, b); !sameBits(got, want) {
+				if got := op.ApplyIn(ar, aa, aa, b); !Identical(got, want) {
 					t.Fatalf("%s.ApplyIn(a, a, b) = %s, want %s", op, got, want)
 				}
-				if got := op.ApplyIn(ar, bb, a, bb); !sameBits(got, want) {
+				if got := op.ApplyIn(ar, bb, a, bb); !Identical(got, want) {
 					t.Fatalf("%s.ApplyIn(b, a, b) = %s, want %s", op, got, want)
 				}
 			}
@@ -232,28 +196,28 @@ func TestFlatKernelsMatchReference(t *testing.T) {
 			a, b := randTuple(rng, op.Arity, m), randTuple(rng, op.Arity, m)
 			want := op.Apply(a, b)
 			got := op.ApplyInto(nil, flatOf(a), flatOf(b))
-			if !sameBits(got, want) {
+			if !Identical(got, want) {
 				t.Fatalf("%s flat kernel: got %s, want %s (m=%d)", op, got, want, m)
 			}
 			// In place: dst aliasing operand a, operand b, and both.
 			fa, fb := flatOf(a), flatOf(b)
-			if !sameBits(op.ApplyInto(fa, fa, flatOf(b)), want) {
+			if !Identical(op.ApplyInto(fa, fa, flatOf(b)), want) {
 				t.Fatalf("%s flat kernel with dst = a mismatch (m=%d)", op, m)
 			}
-			if !sameBits(op.ApplyInto(fb, flatOf(a), fb), want) {
+			if !Identical(op.ApplyInto(fb, flatOf(a), fb), want) {
 				t.Fatalf("%s flat kernel with dst = b mismatch (m=%d)", op, m)
 			}
 			fa = flatOf(a)
-			if !sameBits(op.ApplyInto(fa, fa, fa), op.Apply(a, a)) {
+			if !Identical(op.ApplyInto(fa, fa, fa), op.Apply(a, a)) {
 				t.Fatalf("%s flat kernel with dst = a = b mismatch (m=%d)", op, m)
 			}
 			if op.Unary != nil {
 				want := op.ApplyUnary(b)
-				if !sameBits(op.ApplyUnaryIn(nil, nil, flatOf(b)), want) {
+				if !Identical(op.ApplyUnaryIn(nil, nil, flatOf(b)), want) {
 					t.Fatalf("%s flat unary mismatch (m=%d)", op, m)
 				}
 				fb := flatOf(b)
-				if !sameBits(op.ApplyUnaryIn(nil, fb, fb), want) {
+				if !Identical(op.ApplyUnaryIn(nil, fb, fb), want) {
 					t.Fatalf("%s flat unary in-place mismatch (m=%d)", op, m)
 				}
 			}
@@ -277,14 +241,14 @@ func TestFlatApplyInMatchesReference(t *testing.T) {
 					want := op.Apply(c[0], c[1])
 					for _, x := range forms(c[0]) {
 						for _, y := range forms(c[1]) {
-							if got := op.ApplyIn(ar, nil, x, y); !sameBits(got, want) {
+							if got := op.ApplyIn(ar, nil, x, y); !Identical(got, want) {
 								t.Fatalf("%s.ApplyIn(%T, %T): got %s, want %s (m=%d)", op, x, y, got, want, m)
 							}
 							if fx, ok := x.(*FlatTuple); ok {
-								if got := op.ApplyIn(ar, fx.Clone(), fx, y); !sameBits(got, want) {
+								if got := op.ApplyIn(ar, fx.Clone(), fx, y); !Identical(got, want) {
 									t.Fatalf("%s.ApplyIn into an unrelated dst: got %s, want %s (m=%d)", op, got, want, m)
 								}
-								if fx := fx.Clone(); !sameBits(op.ApplyIn(ar, fx, fx, y), want) {
+								if fx := fx.Clone(); !Identical(op.ApplyIn(ar, fx, fx, y), want) {
 									t.Fatalf("%s.ApplyIn(a, a, %T) is not %s (m=%d)", op, y, want, m)
 								}
 							}
@@ -295,11 +259,11 @@ func TestFlatApplyInMatchesReference(t *testing.T) {
 					for _, in := range []Tuple{b, poisoned(b)} {
 						want := op.ApplyUnary(in)
 						for _, x := range forms(in) {
-							if got := op.ApplyUnaryIn(ar, nil, x); !sameBits(got, want) {
+							if got := op.ApplyUnaryIn(ar, nil, x); !Identical(got, want) {
 								t.Fatalf("%s.ApplyUnaryIn(%T): got %s, want %s (m=%d)", op, x, got, want, m)
 							}
 							if fx, ok := x.(*FlatTuple); ok {
-								if got := op.ApplyUnaryIn(ar, fx, fx); !sameBits(got, want) {
+								if got := op.ApplyUnaryIn(ar, fx, fx); !Identical(got, want) {
 									t.Fatalf("%s.ApplyUnaryIn(b, b): got %s, want %s (m=%d)", op, got, want, m)
 								}
 							}
@@ -309,7 +273,7 @@ func TestFlatApplyInMatchesReference(t *testing.T) {
 				for _, in := range []Tuple{a, poisoned(a)} {
 					for _, x := range forms(in) {
 						w, dst := op.Working(ar, x)
-						if !sameBits(w, in) {
+						if !Identical(w, in) {
 							t.Fatalf("%s.Working(%T) = %s, want %s (m=%d)", op, x, w, in, m)
 						}
 						// A flat operand passes through, with no dst: it is
@@ -341,7 +305,7 @@ func TestFlatBalancedScanMatchesReference(t *testing.T) {
 
 			shipLo := NewFlatTuple(op.ShipWidth, m)
 			op.FlatShip(shipLo, flo)
-			if !sameBits(shipLo, op.Ship(lo)) {
+			if !Identical(shipLo, op.Ship(lo)) {
 				t.Fatalf("%s FlatShip mismatch (m=%d)", op.Name, m)
 			}
 			shipHi := NewFlatTuple(op.ShipWidth, m)
@@ -351,21 +315,21 @@ func TestFlatBalancedScanMatchesReference(t *testing.T) {
 			wantHi := op.Hi(hi, op.Ship(lo))
 			gotLo := NewFlatTuple(op.Arity, m)
 			op.FlatLo(gotLo, flo, shipHi)
-			if !sameBits(gotLo, wantLo) {
+			if !Identical(gotLo, wantLo) {
 				t.Fatalf("%s FlatLo: got %s, want %s (m=%d)", op.Name, gotLo, wantLo, m)
 			}
 			gotHi := NewFlatTuple(op.Arity, m)
 			op.FlatHi(gotHi, fhi, shipLo)
-			if !sameBits(gotHi, wantHi) {
+			if !Identical(gotHi, wantHi) {
 				t.Fatalf("%s FlatHi: got %s, want %s (m=%d)", op.Name, gotHi, wantHi, m)
 			}
 			// In place, dst aliasing own.
 			op.FlatLo(flo, flo, shipHi)
-			if !sameBits(flo, wantLo) {
+			if !Identical(flo, wantLo) {
 				t.Fatalf("%s FlatLo in-place mismatch (m=%d)", op.Name, m)
 			}
 			op.FlatHi(fhi, fhi, shipLo)
-			if !sameBits(fhi, wantHi) {
+			if !Identical(fhi, wantHi) {
 				t.Fatalf("%s FlatHi in-place mismatch (m=%d)", op.Name, m)
 			}
 		}
@@ -388,22 +352,22 @@ func TestFlatBalancedScanEntriesMatchReference(t *testing.T) {
 					for _, x := range forms(c[0]) {
 						for _, y := range forms(c[1]) {
 							w, dst := op.Working(ar, x)
-							if !sameBits(w, c[0]) {
+							if !Identical(w, c[0]) {
 								t.Fatalf("%s Working(%T) = %s, want %s (m=%d)", op.Name, x, w, c[0], m)
 							}
 							shipLo, shipHi := op.ShipIn(ar, nil, w), op.ShipIn(ar, nil, y)
-							if !sameBits(shipLo, op.Ship(c[0])) {
+							if !Identical(shipLo, op.Ship(c[0])) {
 								t.Fatalf("%s ShipIn(%T) = %s, want %s (m=%d)", op.Name, w, shipLo, op.Ship(c[0]), m)
 							}
-							if got := op.NodeIn(ar, nil, x, shipHi, false); !sameBits(got, wantLo) {
+							if got := op.NodeIn(ar, nil, x, shipHi, false); !Identical(got, wantLo) {
 								t.Fatalf("%s NodeIn lo (%T, %T): got %s, want %s (m=%d)", op.Name, x, shipHi, got, wantLo, m)
 							}
-							if got := op.NodeIn(ar, nil, y, shipLo, true); !sameBits(got, wantHi) {
+							if got := op.NodeIn(ar, nil, y, shipLo, true); !Identical(got, wantHi) {
 								t.Fatalf("%s NodeIn hi (%T, %T): got %s, want %s (m=%d)", op.Name, y, shipLo, got, wantHi, m)
 							}
 							// In place, into the working copy; a flat operand is
 							// not the caller's, so its node writes a drawn tuple.
-							if got := op.NodeIn(ar, dst, w, shipHi, false); !sameBits(got, wantLo) {
+							if got := op.NodeIn(ar, dst, w, shipHi, false); !Identical(got, wantLo) {
 								t.Fatalf("%s NodeIn lo in place: got %s, want %s (m=%d)", op.Name, got, wantLo, m)
 							}
 						}
@@ -428,17 +392,17 @@ func TestFlatRepeatMatchesReference(t *testing.T) {
 			// the operand; RepeatIn below only ever runs them in place.
 			v := randTuple(rng, r.Arity, m)
 			d := NewFlatTuple(r.Arity, m)
-			if r.FlatE(d, flatOf(v)); !sameBits(d, r.E(v)) {
+			if r.FlatE(d, flatOf(v)); !Identical(d, r.E(v)) {
 				t.Fatalf("%s FlatE into a fresh dst: got %s, want %s (m=%d)", r.Name, d, r.E(v), m)
 			}
-			if r.FlatO(d, flatOf(v)); !sameBits(d, r.O(v)) {
+			if r.FlatO(d, flatOf(v)); !Identical(d, r.O(v)) {
 				t.Fatalf("%s FlatO into a fresh dst: got %s, want %s (m=%d)", r.Name, d, r.O(v), m)
 			}
 			var w Value
 			for k := 0; k < 20; k++ {
 				want := r.Repeat(k, r.Prepare(b))
 				// The working state of the previous k is the destination.
-				if w = r.RepeatIn(nil, w, k, b); !sameBits(w, want) {
+				if w = r.RepeatIn(nil, w, k, b); !Identical(w, want) {
 					t.Fatalf("%s RepeatIn(%d): got %s, want %s (m=%d)", r.Name, k, w, want, m)
 				}
 			}
@@ -461,7 +425,7 @@ func TestFlatRepeatInMatchesReference(t *testing.T) {
 				for _, b := range []Value{v, Tuple{v, v}, Undef{}} {
 					for _, k := range []int{0, 1, 2, 5, 6, 13} {
 						want := r.Repeat(k, r.Prepare(b))
-						if got := r.RepeatIn(ar, nil, k, b); !sameBits(got, want) {
+						if got := r.RepeatIn(ar, nil, k, b); !Identical(got, want) {
 							t.Fatalf("%s RepeatIn(%d, %s): got %s, want %s", r.Name, k, b, got, want)
 						}
 					}
@@ -474,14 +438,14 @@ func TestFlatRepeatInMatchesReference(t *testing.T) {
 							want = r.O(in)
 						}
 						for _, x := range forms(in) {
-							if got := r.StepIn(ar, nil, x, odd); !sameBits(got, want) {
+							if got := r.StepIn(ar, nil, x, odd); !Identical(got, want) {
 								t.Fatalf("%s StepIn(%T, odd=%v): got %s, want %s (m=%d)", r.Name, x, odd, got, want, m)
 							}
 							if fx, ok := x.(*FlatTuple); ok {
-								if got := r.StepIn(ar, fx.Clone(), fx, odd); !sameBits(got, want) {
+								if got := r.StepIn(ar, fx.Clone(), fx, odd); !Identical(got, want) {
 									t.Fatalf("%s StepIn into an unrelated dst (m=%d)", r.Name, m)
 								}
-								if fx := fx.Clone(); !sameBits(r.StepIn(ar, fx, fx, odd), want) {
+								if fx := fx.Clone(); !Identical(r.StepIn(ar, fx, fx, odd), want) {
 									t.Fatalf("%s StepIn in place, odd=%v, is not %s (m=%d)", r.Name, odd, want, m)
 								}
 							}
@@ -511,11 +475,11 @@ func TestFlatIterMatchesReference(t *testing.T) {
 			for step := 0; step < 5; step++ {
 				want = op.F(want)
 				d := NewFlatTuple(op.Arity, m)
-				if op.FlatF(d, w); !sameBits(d, want) {
+				if op.FlatF(d, w); !Identical(d, want) {
 					t.Fatalf("%s step %d into a fresh dst: got %s, want %s (m=%d)", op.Name, step, d, want, m)
 				}
 				op.FlatF(w, w)
-				if !sameBits(w, want) {
+				if !Identical(w, want) {
 					t.Fatalf("%s step %d: got %s, want %s (m=%d)", op.Name, step, w, want, m)
 				}
 			}
@@ -540,10 +504,10 @@ func TestFlatIterateInMatchesReference(t *testing.T) {
 						for range n {
 							want = op.F(want)
 						}
-						if got := op.IterateIn(ar, nil, n, x); !sameBits(got, want) {
+						if got := op.IterateIn(ar, nil, n, x); !Identical(got, want) {
 							t.Fatalf("%s IterateIn(%d, %s): got %s, want %s", op.Name, n, x, got, want)
 						}
-						if w = op.IterateIn(ar, w, n, x); !sameBits(w, want) {
+						if w = op.IterateIn(ar, w, n, x); !Identical(w, want) {
 							t.Fatalf("%s IterateIn(%d) into the last state: got %s, want %s", op.Name, n, w, want)
 						}
 					}
@@ -717,4 +681,149 @@ func TestKernelAllocs(t *testing.T) {
 	}
 	cycle()
 	check(t, "arena steady-state cycle", cycle)
+}
+
+// form is one function of a derived operator in its boxed and flat forms;
+// w holds the widths of its result and of its operands, 0 for a second
+// operand it does not have.
+type form struct {
+	name  string
+	w     [3]int
+	boxed func(x, y Value) Value
+	flat  func(dst, x, y *FlatTuple)
+}
+
+// derivedForms is every function of every derived operator built over ops,
+// ⊗ and ⊕ ranging over every pair of them.
+func derivedForms(ops ...*Op) []form {
+	var fs []form
+	binary := func(o *Op) {
+		fs = append(fs, form{o.Name, [3]int{o.Arity, o.Arity, o.Arity}, o.Fn, o.FlatFn})
+	}
+	unary := func(name string, w, in int, boxed func(Value) Value, flat func(dst, x *FlatTuple)) {
+		fs = append(fs, form{name, [3]int{w, in, 0},
+			func(x, _ Value) Value { return boxed(x) },
+			func(dst, x, _ *FlatTuple) { flat(dst, x) }})
+	}
+	repeat := func(r *RepeatOps) {
+		unary(r.Name+" e", r.Arity, r.Arity, r.E, r.FlatE)
+		unary(r.Name+" o", r.Arity, r.Arity, r.O, r.FlatO)
+	}
+	iter := func(o *IterOp) { unary(o.Name, o.Arity, o.Arity, o.F, o.FlatF) }
+	for _, a := range ops {
+		for _, b := range ops {
+			binary(OpSR2(a, b))
+			binary(OpNew(a, b))
+			repeat(OpCompBSS2(a, b))
+			iter(OpBSR2(a, b))
+		}
+		sr := OpSR(a)
+		binary(sr)
+		unary(sr.Name+" unary", sr.Arity, sr.Arity, sr.Unary, sr.FlatUnary)
+		binary(OpSRNoSharing(a))
+		ss := OpSS(a)
+		unary(ss.Name+" ship", ss.ShipWidth, ss.Arity, ss.Ship, ss.FlatShip)
+		fs = append(fs,
+			form{ss.Name + " lo", [3]int{ss.Arity, ss.Arity, ss.ShipWidth}, ss.Lo, ss.FlatLo},
+			form{ss.Name + " hi", [3]int{ss.Arity, ss.Arity, ss.ShipWidth}, ss.Hi, ss.FlatHi})
+		repeat(OpCompBS(a))
+		repeat(OpCompBSS(a))
+		iter(OpBR(a))
+		iter(OpBSR(a))
+	}
+	return fs
+}
+
+// checkForms fails t unless f's flat form on x and y (nil for none) gives
+// the bits of its boxed form, into a fresh destination and into a copy of
+// each operand as wide as the result.
+func checkForms(t *testing.T, f form, x, y *FlatTuple) {
+	t.Helper()
+	var by Value
+	if y != nil {
+		by = Boxed(y)
+	}
+	want := f.boxed(Boxed(x), by)
+	dst := NewFlatTuple(f.w[0], x.M())
+	if f.flat(dst, x, y); !Identical(dst, want) {
+		t.Fatalf("%s(%s, %v) = %s, boxed %s", f.name, x, y, dst, want)
+	}
+	if x.W == f.w[0] {
+		in := x.Clone()
+		if f.flat(in, in, y); !Identical(in, want) {
+			t.Fatalf("%s in place of x (%s, %v) = %s, boxed %s", f.name, x, y, in, want)
+		}
+	}
+	if y != nil && y.W == f.w[0] {
+		in := y.Clone()
+		if f.flat(in, x, in); !Identical(in, want) {
+			t.Fatalf("%s in place of y (%s, %s) = %s, boxed %s", f.name, x, y, in, want)
+		}
+	}
+}
+
+// edgeValues are the floats on which a form that brackets, rounds or
+// propagates differently from its reference shows: signed zeros and
+// infinities, NaN, subnormals and the largest finite values, with two
+// ordinary ones.
+var edgeValues = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030,
+	math.MaxFloat64, -math.MaxFloat64, 1, -1.5,
+}
+
+// TestFlatFormsMatchReferenceOnEdgeValues: every function of every derived
+// operator over +, *, max and min gives its boxed form's bits on words
+// drawn from edgeValues, at one word and across a block boundary, in place
+// and out of place.
+func TestFlatFormsMatchReferenceOnEdgeValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	edges := func(w, m int) *FlatTuple {
+		if w == 0 {
+			return nil
+		}
+		ft := NewFlatTuple(w, m)
+		for i := range ft.Data {
+			ft.Data[i] = edgeValues[rng.Intn(len(edgeValues))]
+		}
+		return ft
+	}
+	for _, f := range derivedForms(Add, Mul, Max, Min) {
+		for _, m := range []int{1, 300} {
+			checkForms(t, f, edges(f.w[1], m), edges(f.w[2], m))
+		}
+	}
+}
+
+// FuzzDerivedForms: on fuzzed words, every function of every derived
+// operator over +, *, max and min gives its boxed form's bits, in place and
+// out of place. which picks the function; data holds the operands' words,
+// eight bytes each, as many lanes as fill every component.
+func FuzzDerivedForms(f *testing.F) {
+	forms := derivedForms(Add, Mul, Max, Min)
+	var edges []byte
+	for _, v := range edgeValues {
+		edges = binary.LittleEndian.AppendUint64(edges, math.Float64bits(v))
+	}
+	for which := range forms {
+		f.Add(uint16(which), edges)
+	}
+	f.Fuzz(func(t *testing.T, which uint16, data []byte) {
+		fm := forms[int(which)%len(forms)]
+		k := fm.w[1] + fm.w[2]
+		m := len(data) / 8 / k
+		if m == 0 {
+			return
+		}
+		words := make([]float64, k*m)
+		for i := range words {
+			words[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		x := &FlatTuple{W: fm.w[1], Data: words[:fm.w[1]*m]}
+		var y *FlatTuple
+		if fm.w[2] > 0 {
+			y = &FlatTuple{W: fm.w[2], Data: words[fm.w[1]*m:]}
+		}
+		checkForms(t, fm, x, y)
+	})
 }

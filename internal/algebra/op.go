@@ -297,11 +297,7 @@ func (o *Op) sliceScalar(dst, x []float64, s float64, left bool) {
 // element of the underlying block of m words. For a tuple of width Arity
 // holding components of m words each, that is Cost·m.
 func (o *Op) Charge(a Value) float64 {
-	w := a.Words()
-	if o.Arity > 1 {
-		w /= o.Arity
-	}
-	return float64(o.Cost) * float64(w)
+	return float64(o.Cost) * float64(a.Words()/max(o.Arity, 1))
 }
 
 func (o *Op) String() string { return o.Name }

@@ -185,6 +185,66 @@ func Equal(a, b Value) bool {
 	return false
 }
 
+// Identical reports that a and b are the same bit for bit, which Equal's
+// == is not: -0 and +0 differ (1/x tells them apart) while a NaN is
+// identical to a NaN of the same bits. It is representation-blind as Equal
+// is: a flat tuple is identical to the tuple it represents in either form.
+// Undef is identical to Undef only.
+func Identical(a, b Value) bool {
+	x, xf := a.(*FlatTuple)
+	y, yf := b.(*FlatTuple)
+	if xf && yf {
+		return x.W == y.W && identicalWords(x.Data, y.Data)
+	}
+	if xf || yf {
+		a, b = Boxed(a), Boxed(b)
+	}
+	switch x := a.(type) {
+	case Undef:
+		_, ok := b.(Undef)
+		return ok
+	case Scalar:
+		y, ok := b.(Scalar)
+		return ok && math.Float64bits(float64(x)) == math.Float64bits(float64(y))
+	case Vec:
+		y, ok := b.(Vec)
+		return ok && identicalWords(x, y)
+	case Tuple:
+		y, ok := b.(Tuple)
+		return ok && IdenticalLists(x, y)
+	case Mat:
+		y, ok := b.(Mat)
+		return ok && x.R == y.R && x.C == y.C && identicalWords(x.Data, y.Data)
+	}
+	return false
+}
+
+// IdenticalLists applies Identical pointwise to two value lists of the same
+// length.
+func IdenticalLists(a, b []Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !Identical(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func identicalWords(x, y []float64) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // EqualModuloUndef reports equality of two values ignoring positions where
 // either side is undetermined: EqualApproxModuloUndef without a tolerance.
 func EqualModuloUndef(a, b Value) bool { return EqualApproxModuloUndef(a, b, 0) }

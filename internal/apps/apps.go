@@ -34,8 +34,8 @@ func (m Machine) virtual() *machine.Machine {
 }
 
 // chunk splits xs into p nearly equal contiguous blocks.
-func chunk(xs []float64, p int) [][]float64 {
-	out := make([][]float64, p)
+func chunk[T any](xs []T, p int) [][]T {
+	out := make([][]T, p)
 	per := len(xs) / p
 	rem := len(xs) % p
 	off := 0

@@ -26,9 +26,8 @@ func SegmentedScan(mach Machine, flags []bool, values []float64) ([]float64, mac
 	if len(values) == 0 {
 		return nil, machine.Result{}
 	}
-	fblocks := chunkBools(flags, mach.P)
+	fblocks := chunk(flags, mach.P)
 	vblocks := chunk(values, mach.P)
-	seg := algebra.OpSegmented(algebra.Add)
 	out := make([]float64, len(values))
 	offsets := make([]int, mach.P)
 	off := 0
@@ -37,52 +36,49 @@ func SegmentedScan(mach Machine, flags []bool, values []float64) ([]float64, mac
 		off += len(vblocks[i])
 	}
 	res := mach.virtual().Run(func(c *machine.Proc) {
-		fb, vb := fblocks[c.Rank()], vblocks[c.Rank()]
-
-		// Local segmented scan, assuming no carry.
-		local := make([]float64, len(vb))
-		summary := algebra.Value(algebra.Tuple{algebra.Scalar(0), algebra.Scalar(0)})
-		for i := range vb {
-			elem := algebra.Tuple{algebra.Scalar(b2f(fb[i])), algebra.Scalar(vb[i])}
-			if i == 0 {
-				summary = elem
-			} else {
-				summary = seg.Apply(summary, elem)
-			}
-			local[i] = float64(summary.(algebra.Tuple)[1].(algebra.Scalar))
-		}
-		c.Compute(float64(2 * len(vb)))
-		// An empty block keeps the initial (no flag, zero value)
-		// summary, which is a unit of op_seg.
-
-		// Global carries: inclusive scan of summaries, shifted one rank
-		// to the right so each processor gets the fold of everything
-		// before its block.
-		incl := coll.Scan(c, seg, summary)
-		tag := c.NextTag()
-		if c.Rank()+1 < c.Size() {
-			c.Send(c.Rank()+1, incl, tag)
-		}
-		var carry algebra.Value
-		if c.Rank() > 0 {
-			carry = c.Recv(c.Rank()-1, tag)
-		}
-
-		// Fix-up: elements before the block's first flag absorb the
-		// carry (if the carry's own segment reaches into this block).
-		if carry != nil && c.Rank() > 0 {
-			cv := float64(carry.(algebra.Tuple)[1].(algebra.Scalar))
-			for i := range vb {
-				if fb[i] {
-					break
-				}
-				local[i] += cv
-			}
-			c.Compute(float64(len(vb)))
-		}
-		copy(out[offsets[c.Rank()]:], local)
+		copy(out[offsets[c.Rank()]:], segScanRank(c, fblocks[c.Rank()], vblocks[c.Rank()]))
 	})
 	return out, res
+}
+
+// segScanRank is one rank's part of a segmented scan of its block: the
+// local segmented scan, and one scan of the (flag, value) block summaries
+// whose result, shifted one rank to the right, is the carry each rank's
+// elements before its block's first flag absorb.
+func segScanRank(c coll.Comm, fb []bool, vb []float64) algebra.Vec {
+	seg := algebra.OpSegmented(algebra.Add)
+	local := make(algebra.Vec, len(vb))
+	// An empty block keeps the initial (no flag, zero value) summary,
+	// which is a unit of op_seg.
+	summary := algebra.Value(algebra.Tuple{algebra.Scalar(0), algebra.Scalar(0)})
+	for i := range vb {
+		elem := algebra.Tuple{algebra.Scalar(b2f(fb[i])), algebra.Scalar(vb[i])}
+		if i == 0 {
+			summary = elem
+		} else {
+			summary = seg.Apply(summary, elem)
+		}
+		local[i] = float64(summary.(algebra.Tuple)[1].(algebra.Scalar))
+	}
+	c.Compute(float64(2 * len(vb)))
+
+	incl := coll.Scan(c, seg, summary)
+	tag := c.NextTag()
+	if c.Rank()+1 < c.Size() {
+		c.Send(c.Rank()+1, incl, tag)
+	}
+	if c.Rank() > 0 {
+		carry := c.Recv(c.Rank()-1, tag)
+		cv := float64(carry.(algebra.Tuple)[1].(algebra.Scalar))
+		for i := range vb {
+			if fb[i] {
+				break
+			}
+			local[i] += cv
+		}
+		c.Compute(float64(len(vb)))
+	}
+	return local
 }
 
 func b2f(b bool) float64 {
@@ -90,23 +86,6 @@ func b2f(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-// chunkBools splits flags like chunk splits values.
-func chunkBools(xs []bool, p int) [][]bool {
-	out := make([][]bool, p)
-	per := len(xs) / p
-	rem := len(xs) % p
-	off := 0
-	for i := 0; i < p; i++ {
-		sz := per
-		if i < rem {
-			sz++
-		}
-		out[i] = xs[off : off+sz]
-		off += sz
-	}
-	return out
 }
 
 // SeqSegmentedScan is the sequential reference.

@@ -208,39 +208,7 @@ func RaggedSegmentedScan(mach Machine, counts []int, flags []bool, values []floa
 // allgatherv of the ragged local results. Every rank returns the full
 // result vector.
 func RaggedSegScanRank(c coll.Comm, counts []int, fb []bool, vb []float64) algebra.Vec {
-	seg := algebra.OpSegmented(algebra.Add)
-	local := make(algebra.Vec, len(vb))
-	summary := algebra.Value(algebra.Tuple{algebra.Scalar(0), algebra.Scalar(0)})
-	for i := range vb {
-		elem := algebra.Tuple{algebra.Scalar(b2f(fb[i])), algebra.Scalar(vb[i])}
-		if i == 0 {
-			summary = elem
-		} else {
-			summary = seg.Apply(summary, elem)
-		}
-		local[i] = float64(summary.(algebra.Tuple)[1].(algebra.Scalar))
-	}
-	c.Compute(float64(2 * len(vb)))
-
-	// Carries: inclusive scan of the summaries, shifted one rank right.
-	// Zero-length blocks contribute the (no flag, zero) unit.
-	incl := coll.Scan(c, seg, summary)
-	tag := c.NextTag()
-	if c.Rank()+1 < c.Size() {
-		c.Send(c.Rank()+1, incl, tag)
-	}
-	if c.Rank() > 0 {
-		carry := c.Recv(c.Rank()-1, tag)
-		cv := float64(carry.(algebra.Tuple)[1].(algebra.Scalar))
-		for i := range vb {
-			if fb[i] {
-				break
-			}
-			local[i] += cv
-		}
-		c.Compute(float64(len(vb)))
-	}
-	return coll.AllGatherV(c, counts, local).(algebra.Vec)
+	return coll.AllGatherV(c, counts, segScanRank(c, fb, vb)).(algebra.Vec)
 }
 
 // DegreeHistogram computes the degree histogram of an n-vertex graph
@@ -263,7 +231,7 @@ func DegreeHistogram(mach Machine, n int, edges [][2]int, counts []int, bins int
 	if bins < 1 {
 		panic("apps: degree histogram needs at least one bin")
 	}
-	eblocks := chunkEdges(edges, mach.P)
+	eblocks := chunk(edges, mach.P)
 	out := make([][]int, mach.P)
 	res := mach.virtual().Run(func(c *machine.Proc) {
 		hist := DegreeHistRank(c, n, counts, eblocks[c.Rank()], bins)
@@ -313,21 +281,4 @@ func SeqDegreeHistogram(n int, edges [][2]int, bins int) []int {
 		hist[d]++
 	}
 	return hist
-}
-
-// chunkEdges splits the edge list into p nearly equal blocks.
-func chunkEdges(edges [][2]int, p int) [][][2]int {
-	out := make([][][2]int, p)
-	per := len(edges) / p
-	rem := len(edges) % p
-	off := 0
-	for i := 0; i < p; i++ {
-		sz := per
-		if i < rem {
-			sz++
-		}
-		out[i] = edges[off : off+sz]
-		off += sz
-	}
-	return out
 }

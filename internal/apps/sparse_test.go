@@ -209,7 +209,7 @@ func TestDegreeHistRankOnNative(t *testing.T) {
 		counts := raggedPartition(rng, n, p)
 		const bins = 5
 		want := SeqDegreeHistogram(n, edges, bins)
-		eblocks := chunkEdges(edges, p)
+		eblocks := chunk(edges, p)
 		out := make([]algebra.Vec, p)
 		nativeRanks(p, func(c coll.Comm) {
 			hist := DegreeHistRank(c, n, counts, eblocks[c.Rank()], bins)

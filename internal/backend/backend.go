@@ -108,10 +108,10 @@ type Machine struct {
 	// Timeout bounds how long a rank may block in one Recv or Exchange
 	// before the run is aborted with a deadlock diagnosis. The machine's
 	// monitor enforces it by sampling, so the diagnosis comes no earlier
-	// than Timeout and no later than 1.25 × Timeout (plus scheduling
-	// latency) after the receive began. Zero means no bound. A receive
-	// costs the same either way; an armed Timeout is one pending runtime
-	// timer per run.
+	// than Timeout and no later than 1.25 × Timeout after the receive
+	// began, plus however late the runtime runs the monitor's timer. Zero
+	// means no bound. A receive costs the same either way; an armed
+	// Timeout is one pending runtime timer per run.
 	Timeout time.Duration
 	// MailboxCap overrides the buffer depth per directed rank pair. Zero
 	// means the default (4), which is enough for every collective in
@@ -594,13 +594,18 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 // wait words. The ranks never touch it. What it knows of time is its own:
 // a rank publishes no clock reading, so a wait is measured from the tick
 // that first saw it, and a limit fires between limit and 1.25 × limit after
-// the wait began — a tick to be seen, eight to be seen long enough.
+// the wait began — a tick to be seen, eight to be seen long enough, and one
+// more when the runtime ran the tick that saw it late — plus however late
+// the runtime runs the tick that fires. Ticks are due on the schedule arm
+// sets, not a tick after the last one ran, so lateness does not add up.
 type monitor struct {
 	// mu orders Run's arm and disarm with a tick already running.
 	mu    sync.Mutex
 	timer *time.Timer
 	armed bool
 	tick  time.Duration
+	// due is when the next tick is.
+	due time.Time
 	// seen[r] is rank r's wait word at the last tick, since[r] the tick
 	// that first saw it.
 	seen  []uint64
@@ -622,6 +627,7 @@ func (w *world) arm() {
 	mon.armed = true
 	// Rounded up, so that eight ticks are never short of the limit.
 	mon.tick = max((limit+7)/8, time.Millisecond)
+	mon.due = time.Now().Add(mon.tick)
 	clear(mon.seen)
 	if mon.timer == nil {
 		mon.timer = time.AfterFunc(mon.tick, w.sample)
@@ -685,7 +691,8 @@ func (w *world) sample() {
 		}
 	}
 	if !quiesced || unfinished == 0 {
-		mon.timer.Reset(mon.tick)
+		mon.due = mon.due.Add(mon.tick)
+		mon.timer.Reset(time.Until(mon.due))
 		return
 	}
 	// The durations count from the monitor's first sighting of each wait,

@@ -14,33 +14,54 @@ import (
 	"repro/internal/backend"
 )
 
-// TestTimeoutFiresWithinBounds pins the monitor's timing contract: a
-// receive timeout and a deadlock report come no earlier than the limit and
-// no later than 1.25 × limit (+ 2 ms of scheduling) after the wait began.
+// TestTimeoutFiresWithinBounds pins the monitor's timing contract: a rank
+// raises a receive timeout no earlier than the limit and no later than
+// 1.25 × limit after the first wait began, a deadlock report likewise after
+// the last, plus however late the runtime runs the tick that first sees
+// the wait and the tick that fires, plus 2 ms. Two control timers armed
+// before the run measure those: one due at the first tick, one at
+// 1.25 × limit.
 func TestTimeoutFiresWithinBounds(t *testing.T) {
 	for _, limit := range []time.Duration{40 * time.Millisecond, 400 * time.Millisecond} {
 		for _, c := range []struct {
 			name  string
 			setup func(m *backend.Machine)
 			want  string
+			// all says that the limit runs from the last wait: a deadlock
+			// is every rank waiting.
+			all bool
 		}{
-			{"timeout", func(m *backend.Machine) { m.Timeout = limit }, "timed out after " + limit.String()},
-			{"watchdog", func(m *backend.Machine) { m.Timeout, m.Watchdog = 0, limit }, "deadlock"},
+			{"timeout", func(m *backend.Machine) { m.Timeout = limit }, "timed out after " + limit.String(), false},
+			{"watchdog", func(m *backend.Machine) { m.Timeout, m.Watchdog = 0, limit }, "deadlock", true},
 		} {
 			t.Run(fmt.Sprint(c.name, "/", limit), func(t *testing.T) {
 				m := backend.New(2)
 				c.setup(m)
 				m.Run(func(*backend.Proc) {}) // spawn the ranks off the clock
+				latest, late := limit+limit/4, make(chan time.Duration, 2)
 				start := time.Now()
+				for _, due := range []time.Duration{limit / 8, latest} {
+					time.AfterFunc(due, func() { late <- time.Since(start) - due })
+				}
+				var began, raised [2]time.Time
 				msg := mustPanic(t, func() {
-					m.Run(func(p *backend.Proc) { p.Recv(1-p.Rank(), 1) })
+					m.Run(func(p *backend.Proc) {
+						r := p.Rank()
+						defer func() { raised[r] = time.Now() }()
+						began[r] = time.Now()
+						p.Recv(1-r, 1)
+					})
 				})
-				elapsed := time.Since(start)
 				if !strings.Contains(msg, c.want) {
 					t.Fatalf("run reported %q, want %q", msg, c.want)
 				}
-				if latest := limit + limit/4 + 2*time.Millisecond; elapsed < limit || elapsed > latest {
-					t.Errorf("fired after %v, want within [%v, %v]", elapsed, limit, latest)
+				from := began[0]
+				if began[1].After(from) == c.all {
+					from = began[1]
+				}
+				elapsed := min(raised[0].Sub(from), raised[1].Sub(from))
+				if control := <-late + <-late; elapsed < limit || elapsed > latest+control+2*time.Millisecond {
+					t.Errorf("raised %v after the wait began, want within [%v, %v + %v, the control timers' lateness, + 2ms]", elapsed, limit, latest, control)
 				}
 			})
 		}

@@ -182,10 +182,10 @@ func TestTransportsBitwiseConform(t *testing.T) {
 	}
 	zcRed, zcScn := run(backend.TransportZeroCopy)
 	cpRed, cpScn := run(backend.TransportCopy)
-	if !algebra.EqualLists(zcRed, cpRed) {
+	if !algebra.IdenticalLists(zcRed, cpRed) {
 		t.Errorf("allreduce differs across transports:\nzerocopy %v\ncopy     %v", zcRed, cpRed)
 	}
-	if !algebra.EqualLists(zcScn, cpScn) {
+	if !algebra.IdenticalLists(zcScn, cpScn) {
 		t.Errorf("scan differs across transports:\nzerocopy %v\ncopy     %v", zcScn, cpScn)
 	}
 }

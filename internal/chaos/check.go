@@ -164,13 +164,14 @@ func multiProc(c Case, want []algebra.Value) error {
 }
 
 // same returns the first rank where a leg's outputs differ from the native
-// backend's, or hold a flat tuple, which algebra.Equal would let through.
+// backend's in a bit, or hold a flat tuple, which algebra.Identical would
+// let through.
 func same(leg string, got, want []algebra.Value) error {
 	for r := range want {
 		if flat(got[r]) {
 			return fmt.Errorf("rank %d: %s %v holds a flat tuple, not its boxed value", r, leg, got[r])
 		}
-		if !algebra.Equal(got[r], want[r]) {
+		if !algebra.Identical(got[r], want[r]) {
 			return fmt.Errorf("rank %d: %s %v, native %v", r, leg, got[r], want[r])
 		}
 	}

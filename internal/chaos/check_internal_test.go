@@ -36,7 +36,9 @@ func TestDeterminedIsOneSided(t *testing.T) {
 	}
 }
 
-// TestSameIsBitwise: one flipped bit of one word on one leg fails.
+// TestSameIsBitwise: one flipped bit of one word on one leg fails, and so
+// does a −0 where the native leg has +0, which == holds equal; a NaN both
+// legs compute passes, which == holds unequal to itself.
 func TestSameIsBitwise(t *testing.T) {
 	want := []algebra.Value{algebra.Vec{1, 2}, algebra.Tuple{algebra.Scalar(3), algebra.Vec{4}}}
 	if err := same("leg", []algebra.Value{algebra.Vec{1, 2}, algebra.Tuple{algebra.Scalar(3), algebra.Vec{4}}}, want); err != nil {
@@ -45,6 +47,14 @@ func TestSameIsBitwise(t *testing.T) {
 	flipped := algebra.Vec{math.Float64frombits(math.Float64bits(4) ^ 1)}
 	if same("leg", []algebra.Value{algebra.Vec{1, 2}, algebra.Tuple{algebra.Scalar(3), flipped}}, want) == nil {
 		t.Fatal("a flipped bit passed")
+	}
+	negZero := algebra.Scalar(math.Copysign(0, -1))
+	if same("leg", []algebra.Value{negZero}, []algebra.Value{algebra.Scalar(0)}) == nil {
+		t.Fatal("-0 against +0 passed")
+	}
+	nan := algebra.Vec{1, math.NaN()}
+	if err := same("leg", []algebra.Value{nan}, []algebra.Value{algebra.Vec{1, math.NaN()}}); err != nil {
+		t.Fatalf("a NaN both legs compute failed: %v", err)
 	}
 }
 

@@ -82,10 +82,10 @@ func TestRunSelectedBitwise(t *testing.T) {
 				p, plainRes.Makespan, opt.Selection)
 		}
 		for r := 0; r < p; r++ {
-			if !algebra.Equal(plain[r], selV[r]) {
+			if !algebra.Identical(plain[r], selV[r]) {
 				t.Fatalf("p=%d rank %d: selected virtual differs from butterfly", p, r)
 			}
-			if !algebra.Equal(selV[r], selN[r]) {
+			if !algebra.Identical(selV[r], selN[r]) {
 				t.Fatalf("p=%d rank %d: selected native differs from selected virtual", p, r)
 			}
 		}

@@ -97,7 +97,7 @@ func TestHostCollectivesConformBitwise(t *testing.T) {
 						want = got
 						continue
 					}
-					if !algebra.EqualLists(got, want) {
+					if !algebra.IdenticalLists(got, want) {
 						t.Errorf("%s %s@%s p=%d: results differ from %s:\n got %v\nwant %v",
 							h.Name, collective, a, p, hs[0].Name, got, want)
 					}

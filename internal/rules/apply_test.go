@@ -95,10 +95,10 @@ func TestApplyIsF(t *testing.T) {
 				t.Errorf("%s: %s(%v): Apply panics, F returned %v", s.name, r.f, r.copyOfX, r.want)
 				continue
 			}
-			if !identicalValue(r.got, r.want) {
+			if !algebra.Identical(r.got, r.want) {
 				t.Errorf("%s: %s(%v) = %v, F gives %v", s.name, r.f, r.copyOfX, r.got, r.want)
 			}
-			if !identicalValue(r.x, r.copyOfX) {
+			if !algebra.Identical(r.x, r.copyOfX) {
 				t.Errorf("%s: %s wrote into its argument: %v, was %v", s.name, r.f, r.x, r.copyOfX)
 			}
 		}

@@ -84,7 +84,7 @@ func lanesAgree(t *testing.T, v *Verifier, stages []term.Term, cfg VerifyConfig,
 			t.Fatalf("%s: %s at p=%d: %d packed results, %d per input", what, term.Seq(stages), of.n, len(out), len(want))
 		}
 		for i := range want {
-			if got := lane(algebra.Boxed(out[i]), lo, w, scalar); !identicalValue(got, want[i]) {
+			if got := lane(algebra.Boxed(out[i]), lo, w, scalar); !algebra.Identical(got, want[i]) {
 				t.Fatalf("%s: %s at p=%d trial %d, processor %d, words [%d,%d):\n  packed input:  %v\n  packed result: %v\n  lane:          %v\n  per input:     %v",
 					what, term.Seq(stages), drawn.n, drawn.trial, i, lo, lo+w, of.in, out[i], got, want[i])
 			}
@@ -248,7 +248,7 @@ func probe(f *term.Fn, lists *inputLists) (err error) {
 			for i := range drawn.in {
 				got, gotPanic := apply(shape(packed.in[i]))
 				want, wantPanic := apply(shape(drawn.in[i]))
-				if err == nil && (gotPanic != wantPanic || !gotPanic && !identicalValue(lane(got, lo, w, scalar), want)) {
+				if err == nil && (gotPanic != wantPanic || !gotPanic && !algebra.Identical(lane(got, lo, w, scalar), want)) {
 					err = fmt.Errorf("%s on shape %d of %v: lane [%d,%d) of %v is not %v", f.Name, k, packed.in[i], lo, lo+w, got, want)
 				}
 			}

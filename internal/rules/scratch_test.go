@@ -290,7 +290,7 @@ func sameAsEval(t testing.TB, sc *term.Scratch, prog term.Term, in []algebra.Val
 	t.Helper()
 	want, wantPanic := evalOrPanic(nil, prog, in)
 	got, gotPanic := evalOrPanic(sc, prog, in)
-	if gotPanic != wantPanic || gotPanic == "" && !identical(got, want) {
+	if gotPanic != wantPanic || gotPanic == "" && !algebra.IdenticalLists(got, want) {
 		t.Fatalf("%s: %s on %v:\n  scratch:   %v %s\n  term.Eval: %v %s", what, prog, in, got, gotPanic, want, wantPanic)
 	}
 	sc.Reset()

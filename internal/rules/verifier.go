@@ -2,7 +2,6 @@ package rules
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -438,7 +437,7 @@ func (d *derivation) on(s sample) error {
 		if r, ill = evalStages(d.sc, d.os[d.pre:d.tailO], d.pre, x); ill != nil {
 			return rewritingFails(d.t, d.opt, ill)
 		}
-		if same = identical(l, r); same {
+		if same = algebra.IdenticalLists(l, r); same {
 			d.tailsOnce++
 		} else {
 			d.tailsTwice++
@@ -475,60 +474,4 @@ func evalStages(sc *term.Scratch, stages []term.Term, at int, xs []algebra.Value
 		xs = sc.Eval(stages[i], xs)
 	}
 	return xs, nil
-}
-
-// identical reports that two result lists are the same bit for bit: from
-// identical lists the rest of a program computes identical results. It is
-// stricter than ==: -0 and +0 differ (1/x tells them apart) while a NaN is
-// identical to itself. Undef is identical to Undef only, a flat tuple to the
-// tuple it represents in either form, and a representation not listed here
-// to nothing.
-func identical(a, b []algebra.Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !identicalValue(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func identicalValue(a, b algebra.Value) bool {
-	x, xf := a.(*algebra.FlatTuple)
-	y, yf := b.(*algebra.FlatTuple)
-	if xf && yf {
-		return x.W == y.W && identicalWords(x.Data, y.Data)
-	}
-	if xf || yf {
-		a, b = algebra.Boxed(a), algebra.Boxed(b)
-	}
-	switch x := a.(type) {
-	case algebra.Scalar:
-		y, ok := b.(algebra.Scalar)
-		return ok && math.Float64bits(float64(x)) == math.Float64bits(float64(y))
-	case algebra.Vec:
-		y, ok := b.(algebra.Vec)
-		return ok && identicalWords(x, y)
-	case algebra.Tuple:
-		y, ok := b.(algebra.Tuple)
-		return ok && identical(x, y)
-	case algebra.Undef:
-		_, ok := b.(algebra.Undef)
-		return ok
-	}
-	return false
-}
-
-func identicalWords(x, y []float64) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for i := range x {
-		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
-			return false
-		}
-	}
-	return true
 }
