@@ -18,6 +18,7 @@ package sel
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/algebra"
 	"repro/internal/cost"
@@ -83,14 +84,15 @@ func choose(collective string, op *algebra.Op, p cost.Params) Selection {
 // the portfolio pricing does — so each Selection's Predicted is exactly
 // what cost.OfTermAuto charges for its stage (the walk's own prices are
 // not needed here, hence the cheapest policy). A nil result means no
-// stage was eligible.
+// stage was eligible; the list is allocated once, at the first that is.
 func ForTerm(t term.Term, p cost.Params) []Selection {
 	var out []Selection
-	cost.Walk(t, p, cost.PriceButterfly, func(st cost.Step) {
+	stages := term.Stages(t)
+	cost.Walk(stages, p, cost.PriceButterfly, func(st cost.Step) {
 		if collective, op, at, ok := cost.Selectable(st.Stage, p, st.In); ok {
 			s := choose(collective, op, at)
 			s.Stage = st.Index
-			out = append(out, s)
+			out = append(slices.Grow(out, len(stages)-st.Index), s)
 		}
 	})
 	return out

@@ -253,3 +253,26 @@ func TestForTermSharesTheEstimateWalk(t *testing.T) {
 		}
 	}
 }
+
+// TestForTermAllocs: the selection list is allocated once, at the first
+// eligible stage and for every stage left — none for a program without an
+// eligible stage, where presizing the list cost the zero-application plan
+// miss an allocation, and one however many stages are eligible.
+func TestForTermAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime moves the walk's visitor to the heap")
+	}
+	params := cost.Params{Ts: 1000, Tw: 1, M: 64, P: 64} // the daemon's machine
+	rng := rand.New(rand.NewSource(3))
+	counts := map[int]int{} // programs by their number of selections, capped at 2
+	for len(counts) < 3 || counts[0] < 50 || counts[1] < 50 || counts[2] < 50 {
+		var prog term.Term = rules.RandProgram(rng, 12)
+		n := len(ForTerm(prog, params))
+		want := float64(min(n, 1))
+		if got := testing.AllocsPerRun(5, func() { ForTerm(prog, params) }); got != want {
+			t.Fatalf("ForTerm(%s) with %d selections allocates %.0f times, want %.0f", prog, n, got, want)
+		}
+		counts[min(n, 2)]++
+	}
+	t.Logf("programs by selections (0, 1, 2 or more): %d, %d, %d", counts[0], counts[1], counts[2])
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"sync"
@@ -191,39 +192,55 @@ type OptimizeOptions struct {
 // call). The error is non-nil only when verification is requested and
 // fails.
 func (p Program) OptimizeOpts(m Machine, o OptimizeOptions) (Optimization, error) {
-	eng := rules.NewCostGuidedEngine(m.costParams())
-	if o.Registry != nil {
-		eng.Env.Reg = o.Registry
-	}
-	eng.Auto = o.Auto
-	var (
-		opt term.Term
-		res Optimization
-	)
+	res, err := OptimizeTerm(p.Term(), m, o, nil)
+	res.Program.exec = new(compiled)
+	return res, err
+}
+
+// OptimizeTerm is OptimizeOpts of a flat program for a caller that does not
+// run the result: its Program has no compilation cell to share, and a
+// search writes its statistics to st when st is not nil.
+func OptimizeTerm(t term.Term, m Machine, o OptimizeOptions, st *rules.SearchStats) (Optimization, error) {
+	eng := engines.Get().(*engine)
+	defer engines.Put(eng)
+	eng.params = m.costParams()
+	eng.Engine = rules.Engine{Env: rules.Env{Reg: cmp.Or(o.Registry, rules.DefaultEnv().Reg), P: m.P}, Params: &eng.params, Auto: o.Auto}
+	var opt term.Term
+	var res Optimization
 	if o.Search {
 		// The search priced both with the estimates' scorer.
-		var st rules.SearchStats
-		opt, res.Applications, st = eng.SearchOptimize(p.Term(), rules.SearchConfig{})
-		res.Search, res.EstimateBefore, res.EstimateAfter = &st, st.SourceCost, st.BestCost
+		if st == nil {
+			st = new(rules.SearchStats)
+		}
+		opt, res.Applications, *st = eng.SearchOptimize(t, rules.SearchConfig{})
+		res.Search, res.EstimateBefore, res.EstimateAfter = st, st.SourceCost, st.BestCost
 	} else {
-		opt, res.Applications = eng.Optimize(p.Term())
+		opt, res.Applications = eng.Optimize(t)
 		score := cost.OfTerm
 		if o.Auto {
 			score = cost.OfTermAuto
 		}
-		res.EstimateBefore, res.EstimateAfter = score(p.Term(), m.costParams()), score(opt, m.costParams())
+		res.EstimateBefore, res.EstimateAfter = score(t, eng.params), score(opt, eng.params)
 	}
 	if o.Verifier != nil {
-		if err := o.Verifier.CheckDerivation(p.Term(), opt, res.Applications, o.VerifyConfig); err != nil {
+		if err := o.Verifier.CheckDerivation(t, opt, res.Applications, o.VerifyConfig); err != nil {
 			return Optimization{}, err
 		}
 	}
-	res.Program = FromTerm(opt)
+	res.Program.t = opt
 	if o.Auto {
-		res.Selection = sel.ForTerm(opt, m.costParams())
+		res.Selection = sel.ForTerm(opt, eng.params)
 		res.Program.sels = res.Selection // before the program's first run compiles them in
 	}
 	return res, nil
+}
+
+// engines pools engines with their parameters, which escape the stack via Try.
+var engines = sync.Pool{New: func() any { return new(engine) }}
+
+type engine struct {
+	rules.Engine
+	params cost.Params
 }
 
 // Optimize rewrites the program with the cost-guided engine: a rule is
@@ -289,7 +306,7 @@ func (p Program) RunTraced(m Machine, input []algebra.Value) ([]algebra.Value, m
 // on the first call; safe under concurrent runs of copies of p.
 func (p Program) compiled() *compiled {
 	cp := p.exec
-	if cp == nil { // the zero Program: no cell to share, no stages to compile
+	if cp == nil { // the zero Program or OptimizeTerm's: no cell to share
 		cp = new(compiled)
 	}
 	cp.once.Do(func() {

@@ -252,7 +252,7 @@ func BestAlgo(collective string, p Params, op *algebra.Op) (Algo, float64) {
 // of the auto-selecting engine (rules.Engine.Auto). Every other stage is
 // priced exactly as OfTerm, so OfTermAuto(t) ≤ OfTerm(t) always, and the
 // two agree on programs without eligible reductions.
-func OfTermAuto(t term.Term, p Params) float64 { return Walk(t, p, PricePortfolio, nil) }
+func OfTermAuto(t term.Term, p Params) float64 { return Walk(term.Stages(t), p, PricePortfolio, nil) }
 
 // Selectable reports whether a stage seeing per-processor block size b is
 // a reduction eligible for algorithm selection (SelectableReduce) and, if

@@ -109,9 +109,9 @@ type Step struct {
 }
 
 // Walk is the one block-size-tracking traversal behind every estimate:
-// it prices the flattened stages of t in order under the given policy,
+// it prices the flattened stages of s in order under the given policy,
 // calls visit (when non-nil) with each stage's Step, and returns the
-// total.
+// total. A stage list is priced without being boxed into a term.
 //
 // The per-processor block size is tracked through the redistribution
 // stages: a gather leaves the root with a p·m-word block and a scatter
@@ -119,9 +119,9 @@ type Step struct {
 // between are charged at the block size they actually see rather than at
 // the global Params.M. For programs without redistribution (all of the
 // paper's rules) the estimate is unchanged.
-func Walk(t term.Term, p Params, pr Pricing, visit func(Step)) float64 {
+func Walk(s term.Seq, p Params, pr Pricing, visit func(Step)) float64 {
 	total, b, logp := 0.0, p.m(), p.LogP()
-	for i, stage := range term.Stages(t) {
+	for i, stage := range s.Flat() {
 		line, out := stageLine(stage, p, logp, b)
 		c := line.At(p)
 		switch pr {
@@ -150,7 +150,7 @@ func Walk(t term.Term, p Params, pr Pricing, visit func(Step)) float64 {
 // ts + a·m·tw + 2·c·m. Local stages cost their per-element count times m,
 // without the log p factor; duplication and projection are free (§4.2).
 // Block sizes are tracked through the redistribution stages (see Walk).
-func OfTerm(t term.Term, p Params) float64 { return Walk(t, p, PriceButterfly, nil) }
+func OfTerm(t term.Term, p Params) float64 { return Walk(term.Stages(t), p, PriceButterfly, nil) }
 
 // stageLine is the one place a stage is priced: its butterfly Line at
 // per-processor block size b (logp is p.LogP(), computed once per walk)
@@ -219,7 +219,7 @@ func stageLine(t term.Term, p Params, logp, b float64) (Line, float64) {
 // from t by the optimization rules, used to prune the plan search
 // (rules.SearchOptimize): the cost of the stages that survive every
 // derivation (survivesRewriting), charged at their tracked block sizes.
-func Floor(t term.Term, p Params) float64 { return Walk(t, p, PriceFloor, nil) }
+func Floor(t term.Term, p Params) float64 { return Walk(term.Stages(t), p, PriceFloor, nil) }
 
 // survivesRewriting reports whether a stage contributes to Floor. The
 // rules rewrite only scans, unbalanced reductions, broadcasts, maps and

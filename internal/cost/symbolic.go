@@ -20,7 +20,7 @@ import (
 // SymbolicOfTerm panics on a term that fails it.
 func SymbolicOfTerm(t term.Term) Line {
 	at := func(p Params) (sum Line) {
-		Walk(t, p, PriceButterfly, func(st Step) { sum = sum.Add(st.Line) })
+		Walk(term.Stages(t), p, PriceButterfly, func(st Step) { sum = sum.Add(st.Line) })
 		return sum
 	}
 	unit, wide := Params{P: 2, M: 1}, Params{P: 8, M: 2}

@@ -13,6 +13,8 @@ import (
 type Symbols struct {
 	ops map[string]*algebra.Op
 	fns map[string]*term.Fn
+	// reduces holds each operator's reduce and allreduce, boxed once.
+	reduces map[*algebra.Op][2]term.Term
 }
 
 // NewSymbols returns a table pre-loaded with the standard base operators
@@ -20,8 +22,9 @@ type Symbols struct {
 // quadruple, pi_1).
 func NewSymbols() *Symbols {
 	s := &Symbols{
-		ops: make(map[string]*algebra.Op),
-		fns: make(map[string]*term.Fn),
+		ops:     make(map[string]*algebra.Op),
+		fns:     make(map[string]*term.Fn),
+		reduces: make(map[*algebra.Op][2]term.Term),
 	}
 	for _, op := range []*algebra.Op{
 		algebra.Add, algebra.Mul, algebra.Max, algebra.Min, algebra.Left, algebra.Sub,
@@ -37,7 +40,10 @@ func NewSymbols() *Symbols {
 }
 
 // DefineOp registers an operator under its name.
-func (s *Symbols) DefineOp(op *algebra.Op) { s.ops[op.Name] = op }
+func (s *Symbols) DefineOp(op *algebra.Op) {
+	s.ops[op.Name] = op
+	s.reduces[op] = [2]term.Term{term.Reduce{Op: op}, term.Reduce{Op: op, All: true}}
+}
 
 // DefineFn registers a map function under its name.
 func (s *Symbols) DefineFn(fn *term.Fn) { s.fns[fn.Name] = fn }
@@ -201,18 +207,15 @@ func (p *parser) stage() (term.Term, error) {
 			return nil, err
 		}
 		return term.Scan{Op: op}, nil
-	case "reduce":
+	case "reduce", "allreduce":
 		op, err := p.opArg(t)
 		if err != nil {
 			return nil, err
 		}
-		return term.Reduce{Op: op}, nil
-	case "allreduce":
-		op, err := p.opArg(t)
-		if err != nil {
-			return nil, err
+		if t.Text == "reduce" {
+			return p.syms.reduces[op][0], nil
 		}
-		return term.Reduce{Op: op, All: true}, nil
+		return p.syms.reduces[op][1], nil
 	case "halo":
 		offs, err := p.intList(t, true)
 		if err != nil {

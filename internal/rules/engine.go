@@ -56,11 +56,14 @@ type Engine struct {
 
 // score prices a term under the engine's model: the portfolio-aware
 // estimate when Auto is set, the butterfly estimate otherwise.
-func (e *Engine) score(t term.Term, p cost.Params) float64 {
+func (e *Engine) score(t term.Term, p cost.Params) float64 { return e.scoreSeq(term.Stages(t), p) }
+
+// scoreSeq is score of a stage list, unboxed.
+func (e *Engine) scoreSeq(s term.Seq, p cost.Params) float64 {
 	if e.Auto {
-		return cost.OfTermAuto(t, p)
+		return cost.Walk(s, p, cost.PricePortfolio, nil)
 	}
-	return cost.OfTerm(t, p)
+	return cost.Walk(s, p, cost.PriceButterfly, nil)
 }
 
 // NewEngine returns an exhaustive engine over all rules with the default
@@ -178,9 +181,8 @@ func (m matcher) try(stages []term.Term, i, ri int) (match, bool) {
 	return match{ri, i, w, after}, ok
 }
 
-// all lists every match in stages.
-func (m matcher) all(stages []term.Term) []match {
-	var ms []match
+// all appends every match in stages to ms.
+func (m matcher) all(ms []match, stages []term.Term) []match {
 	for i, st := range stages {
 		for _, ri := range m.heads.byKind[kindOf(st)] {
 			if mt, ok := m.try(stages, i, ri); ok {
@@ -197,12 +199,11 @@ func (m matcher) all(stages []term.Term) []match {
 // with the parent's verdict, and one that lies wholly right of it is the
 // parent's shifted by the change in length: only the positions whose window
 // meets the replacement — or, for an empty one, spans the seam — are tried.
-// The order is the parent's by construction.
-func (m matcher) derive(ms []match, k int, child []term.Term) []match {
+// The order is the parent's by construction. The matches are appended to out.
+func (m matcher) derive(out, ms []match, k int, child []term.Term) []match {
 	a := ms[k]
 	pos, end := a.pos, a.pos+len(a.after)
 	shift := len(a.after) - len(a.before)
-	out := make([]match, 0, len(ms)+len(a.after))
 	lo := max(0, pos-m.heads.maxWindow+1)
 	i := 0
 	for ; ms[i].pos < lo; i++ {
@@ -241,8 +242,8 @@ func (m matcher) application(mt match) Application {
 
 // price fills in the application's window prices under the engine's model.
 func (e *Engine) price(a *Application) {
-	a.CostBefore = e.score(term.Seq(a.Before), *e.Params)
-	a.CostAfter = e.score(term.Seq(a.After), *e.Params)
+	a.CostBefore = e.scoreSeq(a.Before, *e.Params)
+	a.CostAfter = e.scoreSeq(a.After, *e.Params)
 }
 
 // takes returns the match as the greedy engine's next application and
@@ -281,16 +282,9 @@ func (e *Engine) first(m matcher, stages []term.Term, lo, hi, skip int) (Applica
 // Rewrite returns the flattened stage list (term.Stages) with the
 // application's matched window replaced by its replacement.
 func (a Application) Rewrite(stages []term.Term) term.Term {
-	return term.Seq(rewritten(stages, a.Pos, len(a.Before), a.After))
-}
-
-// rewritten is stages with the w stages at pos replaced by after, in fresh
-// storage.
-func rewritten(stages []term.Term, pos, w int, after []term.Term) []term.Term {
-	out := make([]term.Term, 0, len(stages)-w+len(after))
-	out = append(out, stages[:pos]...)
-	out = append(out, after...)
-	return append(out, stages[pos+w:]...)
+	out := make([]term.Term, 0, len(stages)-len(a.Before)+len(a.After))
+	out = append(append(out, stages[:a.Pos]...), a.After...)
+	return term.Seq(append(out, stages[a.Pos+len(a.Before):]...))
 }
 
 // splice replaces the w stages at pos of stages by after in place, growing
@@ -396,7 +390,7 @@ func (e *Engine) greedy(m matcher, t term.Term, stages []term.Term, root []match
 func (e *Engine) Applicable(t term.Term) []Application {
 	m := e.matcher()
 	var out []Application
-	for _, mt := range m.all(term.Stages(t)) {
+	for _, mt := range m.all(nil, term.Stages(t)) {
 		app := m.application(mt)
 		if e.Params != nil {
 			e.price(&app)

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/algebra"
@@ -281,6 +282,49 @@ func TestCheckDerivationWarmAfterGC(t *testing.T) {
 	if n := after.Mallocs - before.Mallocs; n != 0 {
 		t.Errorf("a check after two collections allocates %d times, want 0", n)
 	}
+}
+
+// TestVerifierFreeListUnderConcurrency: 16 goroutines checking 100
+// derivations each of the seed-3 plan-miss pool through one Verifier leave
+// its free list holding at most one scratch per check that ran at once — so
+// at most 16 — and none over maxScratchBytes, which release drops.
+func TestVerifierFreeListUnderConcurrency(t *testing.T) {
+	const goroutines = 16
+	e := NewCostGuidedEngine(daemonParams)
+	e.Auto = true
+	type derived struct {
+		prog, opt term.Term
+		apps      []Application
+	}
+	var ds []derived
+	for _, prog := range missPool(3, 100) {
+		opt, apps, _ := e.SearchOptimize(prog, SearchConfig{})
+		ds = append(ds, derived{prog, opt, apps})
+	}
+	v := new(Verifier)
+	var wg sync.WaitGroup
+	for range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, d := range ds {
+				if err := v.CheckDerivation(d.prog, d.opt, d.apps, plannerCfg); err != nil {
+					t.Errorf("%s: %v", d.prog, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	largest := 0
+	for _, sc := range v.free {
+		largest = max(largest, sc.Bytes())
+	}
+	if len(v.free) > goroutines || largest > maxScratchBytes {
+		t.Errorf("the free list holds %d scratches, the largest %d bytes; want at most %d, none over %d",
+			len(v.free), largest, goroutines, maxScratchBytes)
+	}
+	t.Logf("%d goroutines × %d checks: %d scratches on the free list, the largest %d bytes", goroutines, len(ds), len(v.free), largest)
 }
 
 // sameAsEval fails the test unless prog, evaluated in sc on in, returns

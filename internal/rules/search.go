@@ -1,7 +1,9 @@
 package rules
 
 import (
+	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/cost"
 	"repro/internal/term"
@@ -101,31 +103,24 @@ func (e *Engine) SearchOptimize(t term.Term, cfg SearchConfig) (term.Term, []App
 		panic("rules: SearchOptimize requires a cost-guided engine (Params set)")
 	}
 	m := e.matcher()
+	s := &searcher{e: *e, m: m, cfg: cfg, p: *e.Params, searchState: searchStates.Get().(*searchState)}
+	defer s.release()
 	stages := term.Stages(t)
-	root := m.all(stages)
+	s.matches = m.all(s.matches, stages)
+	root := since(s.matches, 0)
 	greedyT, greedyApps := t, []Application(nil)
-	if root != nil {
+	if len(root) > 0 {
 		greedyT, greedyApps = e.greedy(m, t, stages, root)
 	}
-	gCost := e.score(greedyT, *e.Params)
+	gCost := e.score(greedyT, s.p)
 
-	s := &searcher{
-		e:    *e,
-		m:    m,
-		cfg:  cfg,
-		p:    *e.Params,
-		best: gCost,
-	}
+	s.best = gCost
 	s.stats.Exhausted = true
-	if root != nil {
-		s.searchState = searchStates.Get().(*searchState)
-		defer s.searchState.release()
-	}
 	self := gCost // t is the greedy plan when greedy applied nothing
 	if greedyApps != nil {
 		self = e.score(t, s.p)
 	}
-	bt, bms, bcost := s.explore(node{t: t, stages: stages, ms: root}, self, 0)
+	bt, bms, bcost := s.explore(node{stages: stages, ms: root}, self, 0)
 
 	s.stats.GreedyCost, s.stats.SourceCost = gCost, self
 	if bcost >= gCost {
@@ -135,44 +130,54 @@ func (e *Engine) SearchOptimize(t term.Term, cfg SearchConfig) (term.Term, []App
 		return greedyT, greedyApps, s.stats
 	}
 	s.stats.BestCost = bcost
+	// The plan and its windows are views of the search's slabs: copy them.
 	apps := make([]Application, len(bms))
 	for i, mt := range bms {
+		mt.before, mt.after = slices.Clone(mt.before), slices.Clone(mt.after)
 		apps[i] = m.application(mt)
 		e.price(&apps[i])
 	}
-	return bt, apps, s.stats
+	if len(bms) > 0 {
+		t = term.Seq(slices.Clone(bt))
+	}
+	return t, apps, s.stats
 }
 
 // searchState is what a search keeps between its nodes: the memo, and the
-// buffer a program's key is rendered into to be looked up. It is pooled, a
-// search's own for the length of the call; one that grew past
-// maxPooledMemo programs or maxPooledKey bytes is dropped rather than kept
-// behind every later search.
+// slabs its keys, programs and match lists are appended to, which only
+// grow until the call returns: a list cut from one (since) stays put. It is
+// pooled; one grown past maxPooledMemo programs or maxPooledBytes a slab is
+// dropped rather than kept behind every later search.
 type searchState struct {
-	memo map[string]memoEntry
-	key  []byte
+	memo    map[string]memoEntry
+	keys    []byte
+	stages  []term.Term
+	matches []match
 }
 
-var searchStates = sync.Pool{New: func() any {
-	return &searchState{memo: make(map[string]memoEntry), key: make([]byte, 0, 256)}
-}}
+var searchStates = sync.Pool{New: func() any { return &searchState{memo: make(map[string]memoEntry)} }}
 
 const (
-	maxPooledMemo = 64
-	maxPooledKey  = 4 << 10
+	maxPooledMemo  = 64
+	maxPooledBytes = 64 << 10
 )
 
 func (st *searchState) release() {
-	if len(st.memo) <= maxPooledMemo && cap(st.key) <= maxPooledKey {
+	stages, matches := cap(st.stages)*int(unsafe.Sizeof(st.stages[0])), cap(st.matches)*int(unsafe.Sizeof(st.matches[0]))
+	if len(st.memo) <= maxPooledMemo && max(cap(st.keys), stages, matches) <= maxPooledBytes {
 		clear(st.memo)
+		st.keys, st.stages, st.matches = st.keys[:0], st.stages[:0], st.matches[:0]
 		searchStates.Put(st)
 	}
 }
 
+// since is what was appended to a slab from start on, capped against writes.
+func since[T any](slab []T, start int) []T { return slab[start:len(slab):len(slab)] }
+
 type memoEntry struct {
-	cost float64
-	t    term.Term
-	ms   []match
+	cost   float64
+	stages []term.Term
+	ms     []match
 }
 
 // searcher is the state of one search; nothing of it outlives the call. It
@@ -187,44 +192,45 @@ type searcher struct {
 	stats SearchStats
 }
 
-// A node is a program the search reaches: its term and stage list, and its
-// matches — the root's own, or derived from the parent's matches ms and the
-// one applied, k, when they are first needed (a program answered from the
-// memo, cut by the depth bound or pruned needs none).
+// A node is a program the search reaches: its stage list, and its matches
+// — the root's own, or derived from the parent's matches ms and the one
+// applied, k, when they are first needed (a program answered from the memo,
+// cut by the depth bound or pruned needs none).
 type node struct {
-	t      term.Term
 	stages []term.Term
 	ms     []match
 	parent []match
 	k      int
 }
 
-func (n node) matches(m matcher) []match {
+func (n node) matches(s *searcher) []match {
 	if n.parent == nil {
 		return n.ms
 	}
-	return m.derive(n.parent, n.k, n.stages)
+	start := len(s.matches)
+	s.matches = s.m.derive(s.matches, n.parent, n.k, n.stages)
+	return since(s.matches, start)
 }
 
 // explore returns the cheapest program derivable from n (within the
 // remaining budgets), its derivation, and its end-to-end cost; self is n's
 // own cost.
-func (s *searcher) explore(n node, self float64, depth int) (term.Term, []match, float64) {
+func (s *searcher) explore(n node, self float64, depth int) ([]term.Term, []match, float64) {
 	if self < s.best {
 		s.best = self
 	}
-	bestT, bestCost := n.t, self
+	bestT, bestCost := n.stages, self
 	var bestMs []match
 
 	switch {
 	case depth >= s.cfg.maxDepth():
 		s.stats.Exhausted = false
-	case cost.Floor(n.t, s.p) >= s.best:
+	case cost.Walk(n.stages, s.p, cost.PriceFloor, nil) >= s.best:
 		// No derivation from here can beat the incumbent: every rewrite
-		// keeps at least the floor's local work.
+		// keeps at least the floor's (cost.Floor) local work.
 		s.stats.Pruned++
 	default:
-		ms := n.matches(s.m)
+		ms := n.matches(s)
 		for k := range ms {
 			if s.stats.Nodes >= s.cfg.maxNodes() {
 				s.stats.Exhausted = false
@@ -234,7 +240,9 @@ func (s *searcher) explore(n node, self float64, depth int) (term.Term, []match,
 			ct, cms, ccost := s.child(n.stages, ms, k, depth+1)
 			if ccost < bestCost {
 				bestT, bestCost = ct, ccost
-				bestMs = append([]match{ms[k]}, cms...)
+				start := len(s.matches)
+				s.matches = append(append(s.matches, ms[k]), cms...)
+				bestMs = since(s.matches, start)
 				if ccost < s.best {
 					s.best = ccost
 				}
@@ -246,21 +254,24 @@ func (s *searcher) explore(n node, self float64, depth int) (term.Term, []match,
 
 // child explores the program the k-th of the matches ms rewrites stages
 // to, answered from the memo when a derivation reached it before: the key
-// is rendered from the parent's stages into a reused buffer, and the
-// program is built only when it is explored. A program's entry is written
+// is rendered from the parent's stages, and the program is built only when
+// it is explored. A program's entry is written
 // once its subtree is explored, so the root's, which nothing would read, is
 // never written.
-func (s *searcher) child(stages []term.Term, ms []match, k, depth int) (term.Term, []match, float64) {
-	s.key = appendRewritten(s.key[:0], stages, ms[k])
-	if m, ok := s.memo[string(s.key)]; ok {
+func (s *searcher) child(stages []term.Term, ms []match, k, depth int) ([]term.Term, []match, float64) {
+	start, a := len(s.keys), ms[k]
+	s.keys = appendRewritten(s.keys, stages, a)
+	key := since(s.keys, start)
+	if m, ok := s.memo[string(key)]; ok {
+		s.keys = s.keys[:start]
 		s.stats.MemoHits++
-		return m.t, m.ms, m.cost
+		return m.stages, m.ms, m.cost
 	}
-	key := string(s.key)
-	a := ms[k]
-	cs := rewritten(stages, a.pos, len(a.before), a.after)
-	n := node{t: term.Seq(cs), stages: cs, parent: ms, k: k}
-	bt, bms, bcost := s.explore(n, s.e.score(n.t, s.p), depth)
-	s.memo[key] = memoEntry{cost: bcost, t: bt, ms: bms}
+	start = len(s.stages)
+	s.stages = append(append(append(s.stages, stages[:a.pos]...), a.after...), stages[a.pos+len(a.before):]...)
+	cs := since(s.stages, start)
+	bt, bms, bcost := s.explore(node{stages: cs, parent: ms, k: k}, s.e.scoreSeq(cs, s.p), depth)
+	// The key's bytes are not written again while the memo holds them.
+	s.memo[unsafe.String(&key[0], len(key))] = memoEntry{cost: bcost, stages: bt, ms: bms}
 	return bt, bms, bcost
 }

@@ -3,16 +3,18 @@ package serve
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/rules"
 )
 
 // Cache is the concurrent sharded plan cache: canonicalized program +
-// machine parameters → optimized plan. Keys are hashed onto a
-// power-of-two number of shards, each an independently locked LRU-bounded
-// map, so concurrent requests for different programs rarely contend on
-// one mutex. A computation in flight is published as a pending entry,
-// and every concurrent request for the same key waits on it instead of
-// running the engine again (single-flight). An entry is one allocation,
-// its recency links, its wait and its plan's hit rendering included.
+// machine parameters → optimized plan. Keys are hashed onto a power-of-two
+// number of shards, each an independently locked LRU-bounded map, so
+// concurrent requests for different programs rarely contend on one mutex.
+// A computation in flight is published as a pending entry, and every
+// concurrent request for the same key waits on it instead of running the
+// engine again (single-flight). An entry is one allocation: its recency
+// links, its wait, its plan, search statistics and hit rendering.
 type Cache struct {
 	shards []cacheShard
 	mask   uint32
@@ -60,6 +62,7 @@ type cacheEntry struct {
 	done       sync.WaitGroup
 	ready      bool
 	plan       Plan
+	stats      rules.SearchStats // what plan.Search points to, for a searched plan
 	err        error
 	once       sync.Once
 	body       []byte
@@ -197,6 +200,14 @@ func (c *Cache) remember(body []byte, key string) {
 // is not cached: its waiters receive the error with cached = false, the
 // entry is removed, and the next lookup retries.
 func (c *Cache) GetOrCompute(key string, compute func() (Plan, error)) (plan Plan, cached bool, err error) {
+	return c.getOrCompute(key, func(e *cacheEntry) (err error) {
+		e.plan, err = compute()
+		return err
+	})
+}
+
+// getOrCompute is GetOrCompute with a compute that writes into the entry.
+func (c *Cache) getOrCompute(key string, compute func(*cacheEntry) error) (plan Plan, cached bool, err error) {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	if e, ok := sh.entries[key]; ok {
@@ -229,7 +240,7 @@ func (c *Cache) GetOrCompute(key string, compute func() (Plan, error)) (plan Pla
 	sh.evictLocked(c.perShard)
 	sh.mu.Unlock()
 
-	e.plan, e.err = runCompute(compute)
+	e.err = runCompute(e, compute)
 	sh.mu.Lock()
 	if e.ready = true; e.err == nil {
 		e.plan.hit = e
@@ -246,13 +257,13 @@ func (c *Cache) GetOrCompute(key string, compute func() (Plan, error)) (plan Pla
 // result. Without this, a panicking compute would unwind past the
 // close(done) and leave every coalesced waiter for the key blocked
 // forever on a pending entry the LRU can never evict.
-func runCompute(compute func() (Plan, error)) (plan Plan, err error) {
+func runCompute(e *cacheEntry, compute func(*cacheEntry) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			plan, err = Plan{}, fmt.Errorf("plan computation panicked: %v", r)
+			e.plan, err = Plan{}, fmt.Errorf("plan computation panicked: %v", r)
 		}
 	}()
-	return compute()
+	return compute(e)
 }
 
 // evictLocked drops least-recently-used ready entries until the shard is

@@ -124,18 +124,21 @@ func (pl *Planner) ParseProgram(src string) (term.Seq, error) {
 }
 
 // KeyOpts builds the cache key for a canonical program at machine
-// parameters: every client spelling of one program converges on the same
-// key. The strategy and auto-selection qualify it: greedy unselected keys
-// carry no suffix (cached plans from before either field keep working),
-// searched plans get a distinct suffix so the two strategies never serve
-// each other's plans, and selected plans — different estimates, a
-// selection stanza — never share an entry with unselected plans of the
-// same program.
+// parameters, as PlanTermOpts does: every client spelling of one program
+// converges on the same key. The strategy and auto-selection qualify it:
+// greedy unselected keys carry no suffix (cached plans from before either
+// field keep working), searched plans get a distinct suffix so the two
+// strategies never serve each other's plans, and selected plans (other
+// estimates, a selection stanza) never share an entry with unselected ones.
 func KeyOpts(canonical string, m core.Machine, strat Strategy, autoSel bool) string {
-	// The qualifiers are rendered on the stack, so that the key itself is
-	// the one allocation; AppendFloat's 'g', -1 prints what %g printed.
-	var buf [128]byte
-	q := append(buf[:0], "|ts="...)
+	var buf [512]byte
+	return string(appendQualifiers(append(buf[:0], canonical...), m, strat, autoSel))
+}
+
+// appendQualifiers appends KeyOpts' qualifiers to a canonical program;
+// AppendFloat's 'g', -1 prints what %g printed.
+func appendQualifiers(q []byte, m core.Machine, strat Strategy, autoSel bool) []byte {
+	q = append(q, "|ts="...)
 	q = strconv.AppendFloat(q, m.Ts, 'g', -1, 64)
 	q = append(q, "|tw="...)
 	q = strconv.AppendFloat(q, m.Tw, 'g', -1, 64)
@@ -149,11 +152,7 @@ func KeyOpts(canonical string, m core.Machine, strat Strategy, autoSel bool) str
 	if autoSel {
 		q = append(q, "|select"...)
 	}
-	var k strings.Builder
-	k.Grow(len(canonical) + len(q))
-	k.WriteString(canonical)
-	k.Write(q)
-	return k.String()
+	return q
 }
 
 // PlanTermOpts returns the optimized plan of an already-parsed term
@@ -163,51 +162,51 @@ func KeyOpts(canonical string, m core.Machine, strat Strategy, autoSel bool) str
 // plan records the per-stage algorithm selections. Strategies and
 // selected plans share the cache under qualified keys (see KeyOpts).
 func (pl *Planner) PlanTermOpts(t term.Seq, m core.Machine, strat Strategy, autoSel bool) (Plan, bool, error) {
-	canonical := rules.Canonical(t)
-	return pl.Cache.GetOrCompute(KeyOpts(canonical, m, strat, autoSel), func() (Plan, error) {
-		return pl.compute(t, canonical, m, strat, autoSel)
+	// The key, rendered on the stack, is one allocation; Canonical its head.
+	var buf [512]byte
+	head := rules.AppendCanonical(buf[:0], t)
+	key := string(appendQualifiers(head, m, strat, autoSel))
+	return pl.Cache.getOrCompute(key, func(e *cacheEntry) error {
+		// The single-flight body behind every miss: the optimizer and the
+		// verifier, writing the plan, and its search statistics, into e.
+		pl.engineRuns.Add(1)
+		opt, err := core.OptimizeTerm(t, m, core.OptimizeOptions{
+			Search:       strat == StrategySearch,
+			Auto:         autoSel,
+			Verifier:     &pl.verifier,
+			VerifyConfig: pl.VerifyCfg,
+		}, &e.stats)
+		if err != nil {
+			return fmt.Errorf("verification failed: %w", err)
+		}
+		// The optimized program is the engine's flat stage list, and a
+		// derivation without applications returned the program it was given.
+		optTerm := opt.Program.Term().(term.Seq)
+		plan := Plan{
+			Canonical:    key[:len(head)],
+			Optimized:    key[:len(head)],
+			Applications: make([]string, 0, len(opt.Applications)),
+			CostBefore:   opt.EstimateBefore,
+			CostAfter:    opt.EstimateAfter,
+			Verified:     true,
+			Strategy:     strat,
+			Search:       opt.Search,
+			Selection:    opt.Selection,
+			Term:         optTerm,
+			mach:         m,
+		}
+		if len(opt.Applications) > 0 {
+			plan.Optimized = rules.Canonical(optTerm)
+		}
+		if !plan.estimatesFinite() {
+			return &EstimateOverflowError{Machine: m}
+		}
+		for _, a := range opt.Applications {
+			plan.Applications = append(plan.Applications, a.String())
+		}
+		e.plan = plan
+		return nil
 	})
-}
-
-// compute runs the selected optimizer and the semantic verifier — the
-// single-flight body behind every cache miss.
-func (pl *Planner) compute(t term.Seq, canonical string, m core.Machine, strat Strategy, autoSel bool) (Plan, error) {
-	pl.engineRuns.Add(1)
-	opt, err := core.FromTerm(t).OptimizeOpts(m, core.OptimizeOptions{
-		Search:       strat == StrategySearch,
-		Auto:         autoSel,
-		Verifier:     &pl.verifier,
-		VerifyConfig: pl.VerifyCfg,
-	})
-	if err != nil {
-		return Plan{}, fmt.Errorf("verification failed: %w", err)
-	}
-	// The optimized program is the engine's flat stage list, and a
-	// derivation without applications returned the program it was given.
-	optTerm := opt.Program.Term().(term.Seq)
-	optimized := canonical
-	if len(opt.Applications) > 0 {
-		optimized = rules.Canonical(optTerm)
-	}
-	plan := Plan{
-		Canonical:  canonical,
-		Optimized:  optimized,
-		CostBefore: opt.EstimateBefore,
-		CostAfter:  opt.EstimateAfter,
-		Verified:   true,
-		Strategy:   strat,
-		Search:     opt.Search,
-		Selection:  opt.Selection,
-		Term:       optTerm,
-		mach:       m,
-	}
-	if !plan.estimatesFinite() {
-		return Plan{}, &EstimateOverflowError{Machine: m}
-	}
-	for _, a := range opt.Applications {
-		plan.Applications = append(plan.Applications, a.String())
-	}
-	return plan, nil
 }
 
 // estimatesFinite reports whether every estimate the plan carries is a
