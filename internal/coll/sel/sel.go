@@ -76,18 +76,19 @@ func choose(collective string, op *algebra.Op, p cost.Params) Selection {
 	return s
 }
 
-// ForTerm returns a Selection for every eligible reduction stage of t —
-// including stages where the butterfly itself wins, so callers can see
-// the whole decision. It reads the stages, their flattened indices and
-// their block sizes (gather/scatter reshape them) off cost.Walk, the walk
-// every estimate sums, and decides eligibility with cost.Selectable as
-// the portfolio pricing does — so each Selection's Predicted is exactly
-// what cost.OfTermAuto charges for its stage (the walk's own prices are
-// not needed here, hence the cheapest policy). A nil result means no
-// stage was eligible; the list is allocated once, at the first that is.
-func ForTerm(t term.Term, p cost.Params) []Selection {
+// ForTerm returns a Selection for every eligible reduction stage of the
+// stage list t — including stages where the butterfly itself wins, so
+// callers can see the whole decision. It reads the stages, their flattened
+// indices and their block sizes (gather/scatter reshape them) off
+// cost.Walk, the walk every estimate sums, and decides eligibility with
+// cost.Selectable as the portfolio pricing does — so each Selection's
+// Predicted is exactly what cost.OfTermAuto charges for its stage (the
+// walk's own prices are not needed here, hence the cheapest policy). A nil
+// result means no stage was eligible; the list is allocated once, at the
+// first that is.
+func ForTerm(t term.Seq, p cost.Params) []Selection {
 	var out []Selection
-	stages := term.Stages(t)
+	stages := t.Flat()
 	cost.Walk(stages, p, cost.PriceButterfly, func(st cost.Step) {
 		if collective, op, at, ok := cost.Selectable(st.Stage, p, st.In); ok {
 			s := choose(collective, op, at)

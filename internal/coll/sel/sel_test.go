@@ -266,7 +266,7 @@ func TestForTermAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	counts := map[int]int{} // programs by their number of selections, capped at 2
 	for len(counts) < 3 || counts[0] < 50 || counts[1] < 50 || counts[2] < 50 {
-		var prog term.Term = rules.RandProgram(rng, 12)
+		prog := rules.RandProgram(rng, 12)
 		n := len(ForTerm(prog, params))
 		want := float64(min(n, 1))
 		if got := testing.AllocsPerRun(5, func() { ForTerm(prog, params) }); got != want {

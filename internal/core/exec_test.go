@@ -168,13 +168,17 @@ func TestStagesOfComposedSeqAllocFree(t *testing.T) {
 
 // TestProgramTermAllocFree: a Program keeps the term.Term it was built
 // with, so Term — which a multi-process rank body calls once per rank and
-// program — boxes nothing, the empty program's included, however nested.
+// program — boxes nothing, the empty program's included, however nested,
+// and an optimized program's whether or not a rule applied.
 func TestProgramTermAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	var sink term.Term
+	mach := core.Machine{Ts: 1000, Tw: 1, P: 8, M: 16}
 	for _, prog := range []core.Program{
+		core.NewProgram().Scan(algebra.Mul).Reduce(algebra.Add).Optimize(mach).Program,
+		core.NewProgram().Bcast().Optimize(mach).Program,
 		core.NewProgram(),
 		core.NewProgram().Scan(algebra.Mul).Reduce(algebra.Add),
 		core.FromTerm(term.Seq{term.Bcast{}, term.Seq{term.Scan{Op: algebra.Add}}}),

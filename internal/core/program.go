@@ -20,8 +20,10 @@ import (
 // program; stages are appended with the builder methods, each of which
 // returns a new Program (programs are immutable values).
 type Program struct {
-	// t is the flat stage list, a term.Seq boxed once when the program is
-	// built, so Term allocates nothing; nil for the zero Program.
+	// s is the flat stage list, and t the same list boxed once when the
+	// program is built to run, so Term allocates nothing; both are nil for
+	// the zero Program, and t for OptimizeTerm's, which nobody runs.
+	s term.Seq
 	t term.Term
 	// sels are the algorithm selections of the optimization that produced
 	// this program (OptimizeOptions.Auto), honored by every Run method so
@@ -41,38 +43,37 @@ func NewProgram() Program { return Program{} }
 func FromTerm(t term.Term) Program {
 	s, ok := t.(term.Seq)
 	if f := s.Flat(); !ok || len(f) != len(s) || len(f) > 0 && &f[0] != &s[0] {
-		t = term.Compose(t)
+		s = term.Compose(t)
+		t = s
 	}
-	return Program{t: t, exec: new(compiled)}
+	return Program{s: s, t: t, exec: new(compiled)}
 }
 
-// Term returns the program's term; it allocates nothing.
+// Term returns the program's term; it allocates nothing, but on
+// OptimizeTerm's program, whose stage list it boxes.
 func (p Program) Term() term.Term {
 	if p.t == nil {
-		return term.Seq(nil) // boxing a nil slice allocates nothing
+		return p.s // boxing a nil slice allocates nothing
 	}
 	return p.t
 }
 
-// stages is the program's flat stage list.
-func (p Program) stages() term.Seq {
-	s, _ := p.t.(term.Seq)
-	return s
-}
+// Stages returns the program's flat stage list; it allocates nothing.
+func (p Program) Stages() term.Seq { return p.s }
 
 // String renders the program in the paper's notation.
 func (p Program) String() string {
-	if len(p.stages()) == 0 {
+	if len(p.s) == 0 {
 		return "id"
 	}
-	return p.stages().String()
+	return p.s.String()
 }
 
 func (p Program) with(t term.Term) Program {
-	s := p.stages()
-	out := make(term.Seq, len(s), len(s)+1)
-	copy(out, s)
-	return Program{t: append(out, t), exec: new(compiled)}
+	out := make(term.Seq, len(p.s), len(p.s)+1)
+	copy(out, p.s)
+	out = append(out, t)
+	return Program{s: out, t: out, exec: new(compiled)}
 }
 
 // Map appends a local stage map f.
@@ -192,20 +193,21 @@ type OptimizeOptions struct {
 // call). The error is non-nil only when verification is requested and
 // fails.
 func (p Program) OptimizeOpts(m Machine, o OptimizeOptions) (Optimization, error) {
-	res, err := OptimizeTerm(p.Term(), m, o, nil)
-	res.Program.exec = new(compiled)
+	res, err := OptimizeTerm(p.s, m, o, nil)
+	res.Program.t, res.Program.exec = res.Program.s, new(compiled)
 	return res, err
 }
 
-// OptimizeTerm is OptimizeOpts of a flat program for a caller that does not
-// run the result: its Program has no compilation cell to share, and a
-// search writes its statistics to st when st is not nil.
-func OptimizeTerm(t term.Term, m Machine, o OptimizeOptions, st *rules.SearchStats) (Optimization, error) {
+// OptimizeTerm is OptimizeOpts of a flat stage list for a caller that does
+// not run the result: its Program is not boxed (Stages reads it) and has no
+// compilation cell to share, and a search writes its statistics to st when
+// st is not nil.
+func OptimizeTerm(t term.Seq, m Machine, o OptimizeOptions, st *rules.SearchStats) (Optimization, error) {
 	eng := engines.Get().(*engine)
 	defer engines.Put(eng)
 	eng.params = m.costParams()
 	eng.Engine = rules.Engine{Env: rules.Env{Reg: cmp.Or(o.Registry, rules.DefaultEnv().Reg), P: m.P}, Params: &eng.params, Auto: o.Auto}
-	var opt term.Term
+	var opt term.Seq
 	var res Optimization
 	if o.Search {
 		// The search priced both with the estimates' scorer.
@@ -215,19 +217,19 @@ func OptimizeTerm(t term.Term, m Machine, o OptimizeOptions, st *rules.SearchSta
 		opt, res.Applications, *st = eng.SearchOptimize(t, rules.SearchConfig{})
 		res.Search, res.EstimateBefore, res.EstimateAfter = st, st.SourceCost, st.BestCost
 	} else {
-		opt, res.Applications = eng.Optimize(t)
-		score := cost.OfTerm
+		opt, res.Applications = eng.OptimizeSeq(t)
+		price := cost.PriceButterfly
 		if o.Auto {
-			score = cost.OfTermAuto
+			price = cost.PricePortfolio
 		}
-		res.EstimateBefore, res.EstimateAfter = score(t, eng.params), score(opt, eng.params)
+		res.EstimateBefore, res.EstimateAfter = cost.Walk(t, eng.params, price, nil), cost.Walk(opt, eng.params, price, nil)
 	}
 	if o.Verifier != nil {
 		if err := o.Verifier.CheckDerivation(t, opt, res.Applications, o.VerifyConfig); err != nil {
 			return Optimization{}, err
 		}
 	}
-	res.Program.t = opt
+	res.Program.s = opt
 	if o.Auto {
 		res.Selection = sel.ForTerm(opt, eng.params)
 		res.Program.sels = res.Selection // before the program's first run compiles them in
@@ -310,7 +312,7 @@ func (p Program) compiled() *compiled {
 		cp = new(compiled)
 	}
 	cp.once.Do(func() {
-		cp.stages = p.stages().Flat()
+		cp.stages = p.s.Flat()
 		cp.choices = choicesOf(len(cp.stages), p.sels)
 		cp.labels = make([]string, len(cp.stages))
 		for i, s := range cp.stages {

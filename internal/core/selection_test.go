@@ -287,7 +287,7 @@ func TestSelectionsIndexWhatTheExecutorRuns(t *testing.T) {
 							ran++
 						}
 					}
-					selected := Program{t: prog, sels: sels}
+					selected := Program{s: prog, t: prog, sels: sels}
 					virt, _ := selected.Run(mach, in)
 					nat, _ := selected.RunNative(p, in)
 					if !algebra.EqualLists(virt, plain) {

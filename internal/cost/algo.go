@@ -92,10 +92,11 @@ func PipelineSegments(p Params) int {
 }
 
 // pipelineLine is the chain-pipeline line at k segments: p−2+k slots of
-// one message of m/k words, each combined once.
+// one message of m/k words, each combined once. The slots are counted in
+// float64, where p−2+k cannot wrap.
 func pipelineLine(p Params, k int) Line {
 	seg := p.m() / float64(k)
-	return Line{float64(p.P - 2 + k), 1, seg, seg}
+	return Line{float64(p.P-2) + float64(k), 1, seg, seg}
 }
 
 // Applicable reports whether the algorithm can run the collective at the
@@ -122,7 +123,7 @@ func Applicable(collective string, a Algo, p Params) bool {
 	case AlgoRingBi:
 		// Each direction carries half the block: one word per member and
 		// direction.
-		return p.M >= 2*p.P
+		return p.M/2 >= p.P // p.M >= 2·p.P, which cannot wrap
 	case AlgoPipeline:
 		return p.M >= 1
 	}

@@ -179,3 +179,34 @@ func TestSelectableReduce(t *testing.T) {
 		}
 	}
 }
+
+// TestAlgoLinesAtHugeP: near the edge of int64 every algorithm's line is a
+// finite, non-negative price, and ring-bi applies only with two words per
+// member. The pipeline counted its p−2+k slots in int, which wrapped at
+// p + k > MaxInt64 + 2 and priced the reduction below zero, so selection
+// picked it over the butterfly; ring-bi's 2·p wrapped too.
+func TestAlgoLinesAtHugeP(t *testing.T) {
+	ok := func(x float64) bool { return x >= 0 && !math.IsInf(x, 0) && !math.IsNaN(x) }
+	for _, bigP := range []int{1<<62 + 1, math.MaxInt64 - 1, math.MaxInt64} {
+		for _, m := range []int{1, 64, bigP, math.MaxInt64} {
+			p := Params{Ts: 1000, Tw: 1, P: bigP, M: m}
+			for _, coll := range []string{CollReduce, CollAllReduce} {
+				for _, a := range Algos(coll) {
+					l, applies := AlgoLine(coll, a, p)
+					if !applies {
+						if a == AlgoButterfly || a == AlgoPipeline || a == AlgoRingBi && m/2 >= bigP {
+							t.Errorf("%s %s at p=%d m=%d does not apply", coll, a, bigP, m)
+						}
+						continue
+					}
+					if a == AlgoRingBi && m/2 < bigP {
+						t.Errorf("ring-bi applies at p=%d m=%d, fewer than two words per member", bigP, m)
+					}
+					if !ok(l.Rounds) || !ok(l.Startups) || !ok(l.Words) || !ok(l.Ops) || !ok(l.At(p)) {
+						t.Errorf("%s %s at p=%d m=%d: line %+v prices %g", coll, a, bigP, m, l, l.At(p))
+					}
+				}
+			}
+		}
+	}
+}

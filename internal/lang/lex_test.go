@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"unicode"
+	"unsafe"
 
 	"repro/internal/lang"
 	"repro/internal/rules"
@@ -255,5 +256,36 @@ func TestParseStagesBound(t *testing.T) {
 	}
 	if _, err := lang.Parse(strings.Repeat("scan(+) ; ", 4000)+"bcast", syms); err != nil {
 		t.Errorf("Parse is unbounded, yet refused 4 001 stages: %v", err)
+	}
+}
+
+// TestParseStagesKeepsNoSource: the daemon parses a program where its pooled
+// request body holds it, so the stage list may keep no byte of its source.
+// Each program of the plan-miss pool is parsed from a byte slice that is
+// overwritten afterwards, and its canonical form does not change.
+func TestParseStagesKeepsNoSource(t *testing.T) {
+	syms := lang.NewSymbols()
+	syms.DefineFn(rules.IncFn)
+	syms.DefineFn(rules.IncTupFn)
+	rng := rand.New(rand.NewSource(1))
+	seen := make(map[string]bool)
+	for len(seen) < 2000 {
+		src := rules.Canonical(rules.RandProgram(rng, 12))
+		if seen[src] || strings.Count(src, "(*)") > 1 {
+			continue
+		}
+		seen[src] = true
+		body := []byte(src)
+		got, err := lang.ParseStages(unsafe.String(&body[0], len(body)), syms, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		want := rules.Canonical(got)
+		for i := range body {
+			body[i] = '#'
+		}
+		if after := rules.Canonical(got); after != want || want != src {
+			t.Fatalf("%s parsed to %s, which reads %s once the source is overwritten", src, want, after)
+		}
 	}
 }

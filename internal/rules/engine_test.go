@@ -74,7 +74,7 @@ func TestEngineOptimizePreservesSemantics(t *testing.T) {
 	e := NewEngine()
 	prog := examplish()
 	opt, apps := e.Optimize(prog)
-	if err := new(Verifier).CheckDerivation(prog, opt, apps, VerifyConfig{Seed: 3, BlockWords: 3}); err != nil {
+	if err := new(Verifier).CheckDerivation(term.Stages(prog), term.Stages(opt), apps, VerifyConfig{Seed: 3, BlockWords: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if len(apps) != 1 {

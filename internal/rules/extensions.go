@@ -37,15 +37,15 @@ var BMMobility = Rule{
 	Result:      "map f ; bcast",
 	CostNeutral: true,
 	Head:        term.Bcast{},
-	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
+	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
 		if !isBcast(w[0]) {
-			return nil, false
+			return dst, false
 		}
 		m, ok := w[1].(term.Map)
 		if !ok {
-			return nil, false
+			return dst, false
 		}
-		return []term.Term{m, term.Bcast{}}, true
+		return append(dst, m, term.Bcast{}), true
 	},
 }
 
@@ -65,21 +65,21 @@ var MMLocal = Rule{
 	Result:      "map (f; g)",
 	CostNeutral: true,
 	Head:        term.Map{},
-	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
+	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
 		f, ok := w[0].(term.Map)
 		if !ok {
-			return nil, false
+			return dst, false
 		}
 		g, ok := w[1].(term.Map)
 		if !ok {
-			return nil, false
+			return dst, false
 		}
 		ff, gg := f.F, g.F
 		fused := local(fmt.Sprintf("(%s; %s)", ff.Name, gg.Name), ff.Cost+gg.Cost, ff.Elementwise && gg.Elementwise,
 			func(ar *algebra.Arena, v algebra.Value) algebra.Value {
 				return term.Apply(ar, gg, term.Apply(ar, ff, v))
 			})
-		return []term.Term{term.Map{F: fused}}, true
+		return append(dst, term.Map{F: fused}), true
 	},
 }
 
@@ -99,15 +99,15 @@ var RBAllReduce = Rule{
 	Cond:    "⊕ is associative",
 	Result:  "allreduce(⊕)",
 	Head:    term.Reduce{},
-	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
+	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
 		op, all, ok := matchReduce(w[0])
 		if !ok || all || !assoc(env, op) {
-			return nil, false
+			return dst, false
 		}
 		if !isBcast(w[1]) {
-			return nil, false
+			return dst, false
 		}
-		return []term.Term{term.Reduce{Op: op, All: true}}, true
+		return append(dst, term.Reduce{Op: op, All: true}), true
 	},
 }
 
@@ -123,11 +123,11 @@ var BBBcast = Rule{
 	Cond:    "—",
 	Result:  "bcast",
 	Head:    term.Bcast{},
-	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
+	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
 		if !isBcast(w[0]) || !isBcast(w[1]) {
-			return nil, false
+			return dst, false
 		}
-		return []term.Term{term.Bcast{}}, true
+		return append(dst, term.Bcast{}), true
 	},
 }
 
@@ -143,15 +143,15 @@ var ABAllReduce = Rule{
 	Cond:    "—",
 	Result:  "allreduce(⊕)",
 	Head:    term.Reduce{},
-	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
+	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
 		op, all, ok := matchReduce(w[0])
 		if !ok || !all {
-			return nil, false
+			return dst, false
 		}
 		if !isBcast(w[1]) {
-			return nil, false
+			return dst, false
 		}
-		return []term.Term{term.Reduce{Op: op, All: true}}, true
+		return append(dst, term.Reduce{Op: op, All: true}), true
 	},
 }
 
@@ -168,14 +168,14 @@ var GSId = Rule{
 	Cond:    "—",
 	Result:  "(identity)",
 	Head:    term.Gather{},
-	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
+	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
 		if _, ok := w[0].(term.Gather); !ok {
-			return nil, false
+			return dst, false
 		}
 		if _, ok := w[1].(term.Scatter); !ok {
-			return nil, false
+			return dst, false
 		}
-		return []term.Term{}, true
+		return dst, true
 	},
 }
 
@@ -193,14 +193,14 @@ var SGId = Rule{
 	Cond:    "—",
 	Result:  "(identity)",
 	Head:    term.Scatter{},
-	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
+	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
 		if _, ok := w[0].(term.Scatter); !ok {
-			return nil, false
+			return dst, false
 		}
 		if _, ok := w[1].(term.Gather); !ok {
-			return nil, false
+			return dst, false
 		}
-		return []term.Term{}, true
+		return dst, true
 	},
 }
 

@@ -274,7 +274,7 @@ func TestVerifierElementwiseDeclarationsProbe(t *testing.T) {
 		}
 		opt, apps := singleRule(t, c.rule, c.p).Optimize(c.window)
 		v := new(Verifier)
-		if err := v.CheckDerivation(c.window, opt, apps, plannerCfg); err != nil {
+		if err := v.CheckDerivation(term.Stages(c.window), term.Stages(opt), apps, plannerCfg); err != nil {
 			t.Fatalf("%s: %v", c.rule, err)
 		}
 		if st := v.Stats(); st.Packed != 1 || st.PerInput != 0 {
@@ -388,7 +388,7 @@ func TestVerifierPackedVerdictIsPerInputVerdict(t *testing.T) {
 		opt := app.Rewrite(prog)
 		v := new(Verifier)
 		bothRefuse(t, v, prog, opt, []Application{app}, plannerCfg, "one lane")
-		err := v.CheckDerivation(prog, opt, []Application{app}, plannerCfg)
+		err := v.CheckDerivation(term.Stages(prog), term.Stages(opt), []Application{app}, plannerCfg)
 		if want := fmt.Sprintf("rules: semantic mismatch at p=%d trial %d:\n  input: %v\n", at.s.n, at.s.trial, at.s.in); err == nil || err.Error()[:len(want)] != want {
 			t.Fatalf("report:\n%v\nwant it to begin:\n%s", err, want)
 		}

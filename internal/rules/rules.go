@@ -68,9 +68,11 @@ type Rule struct {
 	// hold a stage of the same type. A rule without one is tried everywhere.
 	Head term.Term
 	// Try matches the window and, if the pattern and conditions hold,
-	// returns the replacement stages, a flat list the rule does not write to
-	// again: the engine shares it between every program it rewrites.
-	Try func(w []term.Term, env Env) ([]term.Term, bool)
+	// appends the replacement stages to dst and returns the extended list;
+	// otherwise it returns dst as it was. The rule does not write to the
+	// replacement again: the engine shares it between every program it
+	// rewrites.
+	Try func(dst, w []term.Term, env Env) ([]term.Term, bool)
 }
 
 // assoc reports whether the registry declares op associative — the
@@ -113,18 +115,35 @@ func isBcast(t term.Term) bool {
 }
 
 // The derived operators the right-hand sides name, memoized: a window seen
-// before names the operator built then, shared by every program and goroutine.
+// before names the operator built then, shared by every program and
+// goroutine. A stage wider than an interface word is memoized boxed — a
+// reduction as its [reduce, allreduce] pair — so a replacement list copies
+// the box instead of allocating one.
 var (
 	opSR2      = memoized(algebra.OpSR2)
-	opSR       = memoized(func(a, _ *algebra.Op) *algebra.Op { return algebra.OpSR(a) })
 	opSS       = memoized(func(a, _ *algebra.Op) *algebra.BalancedScanOp { return algebra.OpSS(a) })
-	opCompBS   = memoized(func(a, _ *algebra.Op) *algebra.RepeatOps { return algebra.OpCompBS(a) })
-	opCompBSS2 = memoized(algebra.OpCompBSS2)
-	opCompBSS  = memoized(func(a, _ *algebra.Op) *algebra.RepeatOps { return algebra.OpCompBSS(a) })
 	opBR       = memoized(func(a, _ *algebra.Op) *algebra.IterOp { return algebra.OpBR(a) })
 	opBSR2     = memoized(algebra.OpBSR2)
 	opBSR      = memoized(func(a, _ *algebra.Op) *algebra.IterOp { return algebra.OpBSR(a) })
+	sr2Reduces = memoized(func(a, b *algebra.Op) [2]term.Term { return reduces(opSR2(a, b), false) })
+	srReduces  = memoized(func(a, _ *algebra.Op) [2]term.Term { return reduces(algebra.OpSR(a), true) })
+	compBS     = memoized(func(a, _ *algebra.Op) term.Term { return term.Comcast{Ops: algebra.OpCompBS(a)} })
+	compBSS2   = memoized(func(a, b *algebra.Op) term.Term { return term.Comcast{Ops: algebra.OpCompBSS2(a, b)} })
+	compBSS    = memoized(func(a, _ *algebra.Op) term.Term { return term.Comcast{Ops: algebra.OpCompBSS(a)} })
 )
+
+// reduces is op's reduce and allreduce stages.
+func reduces(op *algebra.Op, balanced bool) [2]term.Term {
+	return [2]term.Term{term.Reduce{Op: op, Balanced: balanced}, term.Reduce{Op: op, All: true, Balanced: balanced}}
+}
+
+// b2i is 1 for true.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 // memoized is build remembered by the identity of its ingredients (derived
 // operators are immutable), for the first 256 it builds: base operators may
@@ -159,20 +178,20 @@ var SR2Reduction = Rule{
 	Cond:    "⊗ distributes over ⊕",
 	Result:  "map pair ; [all]reduce(op_sr2) ; map π₁",
 	Head:    term.Scan{},
-	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
+	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
 		otimes, ok := matchScan(w[0])
 		if !ok {
-			return nil, false
+			return dst, false
 		}
 		oplus, all, ok := matchReduce(w[1])
 		if !ok || !distributes(env, otimes, oplus) {
-			return nil, false
+			return dst, false
 		}
-		return []term.Term{
+		return append(dst,
 			term.Map{F: term.PairFn},
-			term.Reduce{Op: opSR2(otimes, oplus), All: all},
+			sr2Reduces(otimes, oplus)[b2i(all)],
 			term.Map{F: term.FirstFn},
-		}, true
+		), true
 	},
 }
 
@@ -191,20 +210,20 @@ var SRReduction = Rule{
 	Cond:    "⊕ is commutative",
 	Result:  "map pair ; [all]reduce_balanced(op_sr) ; map π₁",
 	Head:    term.Scan{},
-	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
+	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
 		op1, ok := matchScan(w[0])
 		if !ok {
-			return nil, false
+			return dst, false
 		}
 		op2, all, ok := matchReduce(w[1])
 		if !ok || op1 != op2 || !commutative(env, op1) {
-			return nil, false
+			return dst, false
 		}
-		return []term.Term{
+		return append(dst,
 			term.Map{F: term.PairFn},
-			term.Reduce{Op: opSR(op1, nil), All: all, Balanced: true},
+			srReduces(op1, nil)[b2i(all)],
 			term.Map{F: term.FirstFn},
-		}, true
+		), true
 	},
 }
 
@@ -220,20 +239,20 @@ var SS2Scan = Rule{
 	Cond:    "⊗ distributes over ⊕",
 	Result:  "map pair ; scan(op_sr2) ; map π₁",
 	Head:    term.Scan{},
-	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
+	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
 		otimes, ok := matchScan(w[0])
 		if !ok {
-			return nil, false
+			return dst, false
 		}
 		oplus, ok := matchScan(w[1])
 		if !ok || !distributes(env, otimes, oplus) {
-			return nil, false
+			return dst, false
 		}
-		return []term.Term{
+		return append(dst,
 			term.Map{F: term.PairFn},
 			term.Scan{Op: opSR2(otimes, oplus)},
 			term.Map{F: term.FirstFn},
-		}, true
+		), true
 	},
 }
 
@@ -249,20 +268,20 @@ var SSScan = Rule{
 	Cond:    "⊕ is commutative",
 	Result:  "map quadruple ; scan_balanced(op_ss) ; map π₁",
 	Head:    term.Scan{},
-	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
+	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
 		op1, ok := matchScan(w[0])
 		if !ok {
-			return nil, false
+			return dst, false
 		}
 		op2, ok := matchScan(w[1])
 		if !ok || op1 != op2 || !commutative(env, op1) {
-			return nil, false
+			return dst, false
 		}
-		return []term.Term{
+		return append(dst,
 			term.Map{F: term.QuadrupleFn},
 			term.ScanBal{Op: opSS(op1, nil)},
 			term.Map{F: term.FirstFn},
-		}, true
+		), true
 	},
 }
 
@@ -279,17 +298,15 @@ var BSComcast = Rule{
 	Cond:    "⊕ is associative",
 	Result:  "bcast ; map# op_comp",
 	Head:    term.Bcast{},
-	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
+	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
 		if !isBcast(w[0]) {
-			return nil, false
+			return dst, false
 		}
 		op, ok := matchScan(w[1])
 		if !ok || !assoc(env, op) {
-			return nil, false
+			return dst, false
 		}
-		return []term.Term{
-			term.Comcast{Ops: opCompBS(op, nil)},
-		}, true
+		return append(dst, compBS(op, nil)), true
 	},
 }
 
@@ -306,21 +323,19 @@ var BSS2Comcast = Rule{
 	Cond:    "⊗ distributes over ⊕",
 	Result:  "bcast ; map# op_comp",
 	Head:    term.Bcast{},
-	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
+	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
 		if !isBcast(w[0]) {
-			return nil, false
+			return dst, false
 		}
 		otimes, ok := matchScan(w[1])
 		if !ok {
-			return nil, false
+			return dst, false
 		}
 		oplus, ok := matchScan(w[2])
 		if !ok || !distributes(env, otimes, oplus) {
-			return nil, false
+			return dst, false
 		}
-		return []term.Term{
-			term.Comcast{Ops: opCompBSS2(otimes, oplus)},
-		}, true
+		return append(dst, compBSS2(otimes, oplus)), true
 	},
 }
 
@@ -337,21 +352,19 @@ var BSSComcast = Rule{
 	Cond:    "⊕ is commutative",
 	Result:  "bcast ; map# op_comp",
 	Head:    term.Bcast{},
-	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
+	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
 		if !isBcast(w[0]) {
-			return nil, false
+			return dst, false
 		}
 		op1, ok := matchScan(w[1])
 		if !ok {
-			return nil, false
+			return dst, false
 		}
 		op2, ok := matchScan(w[2])
 		if !ok || op1 != op2 || !commutative(env, op1) {
-			return nil, false
+			return dst, false
 		}
-		return []term.Term{
-			term.Comcast{Ops: opCompBSS(op1, nil)},
-		}, true
+		return append(dst, compBSS(op1, nil)), true
 	},
 }
 
@@ -371,15 +384,15 @@ var BRLocal = Rule{
 	Cond:    "⊕ is associative; p = 2^k",
 	Result:  "iter(op_br)",
 	Head:    term.Bcast{},
-	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
+	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
 		if !isBcast(w[0]) || !env.pow2OK() {
-			return nil, false
+			return dst, false
 		}
 		op, all, ok := matchReduce(w[1])
 		if !ok || all || !assoc(env, op) {
-			return nil, false
+			return dst, false
 		}
-		return []term.Term{term.Iter{Op: opBR(op, nil)}}, true
+		return append(dst, term.Iter{Op: opBR(op, nil)}), true
 	},
 }
 
@@ -398,19 +411,19 @@ var BSR2Local = Rule{
 	Cond:    "⊗ distributes over ⊕; p = 2^k",
 	Result:  "map pair ; iter(op_bsr2) ; map π₁",
 	Head:    term.Bcast{},
-	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
+	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
 		if !isBcast(w[0]) || !env.pow2OK() {
-			return nil, false
+			return dst, false
 		}
 		otimes, ok := matchScan(w[1])
 		if !ok {
-			return nil, false
+			return dst, false
 		}
 		oplus, all, ok := matchReduce(w[2])
 		if !ok || all || !distributes(env, otimes, oplus) {
-			return nil, false
+			return dst, false
 		}
-		return []term.Term{term.Iter{Op: opBSR2(otimes, oplus)}}, true
+		return append(dst, term.Iter{Op: opBSR2(otimes, oplus)}), true
 	},
 }
 
@@ -427,19 +440,19 @@ var BSRLocal = Rule{
 	Cond:    "⊕ is commutative; p = 2^k",
 	Result:  "map pair ; iter(op_bsr) ; map π₁",
 	Head:    term.Bcast{},
-	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
+	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
 		if !isBcast(w[0]) || !env.pow2OK() {
-			return nil, false
+			return dst, false
 		}
 		op1, ok := matchScan(w[1])
 		if !ok {
-			return nil, false
+			return dst, false
 		}
 		op2, all, ok := matchReduce(w[2])
 		if !ok || all || op1 != op2 || !commutative(env, op1) {
-			return nil, false
+			return dst, false
 		}
-		return []term.Term{term.Iter{Op: opBSR(op1, nil)}}, true
+		return append(dst, term.Iter{Op: opBSR(op1, nil)}), true
 	},
 }
 
@@ -456,15 +469,15 @@ var CRAllLocal = Rule{
 	Cond:    "⊕ is associative; p = 2^k",
 	Result:  "iter(op_br) ; bcast",
 	Head:    term.Bcast{},
-	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
+	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
 		if !isBcast(w[0]) || !env.pow2OK() {
-			return nil, false
+			return dst, false
 		}
 		op, all, ok := matchReduce(w[1])
 		if !ok || !all || !assoc(env, op) {
-			return nil, false
+			return dst, false
 		}
-		return []term.Term{term.Iter{Op: opBR(op, nil)}, term.Bcast{}}, true
+		return append(dst, term.Iter{Op: opBR(op, nil)}, term.Bcast{}), true
 	},
 }
 

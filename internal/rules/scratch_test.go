@@ -237,7 +237,7 @@ func TestCheckDerivationAllocs(t *testing.T) {
 		}
 		v := new(Verifier)
 		check := func() {
-			if err := v.CheckDerivation(c.prog, opt, apps, plannerCfg); err != nil {
+			if err := v.CheckDerivation(term.Stages(c.prog), term.Stages(opt), apps, plannerCfg); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
@@ -268,7 +268,7 @@ func TestCheckDerivationWarmAfterGC(t *testing.T) {
 	opt, apps := singleRule(t, "SR2-Reduction", 0).Optimize(prog)
 	v := new(Verifier)
 	check := func() {
-		if err := v.CheckDerivation(prog, opt, apps, plannerCfg); err != nil {
+		if err := v.CheckDerivation(term.Stages(prog), term.Stages(opt), apps, plannerCfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,7 +308,7 @@ func TestVerifierFreeListUnderConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, d := range ds {
-				if err := v.CheckDerivation(d.prog, d.opt, d.apps, plannerCfg); err != nil {
+				if err := v.CheckDerivation(term.Stages(d.prog), term.Stages(d.opt), d.apps, plannerCfg); err != nil {
 					t.Errorf("%s: %v", d.prog, err)
 					return
 				}

@@ -1,7 +1,6 @@
 package rules
 
 import (
-	"slices"
 	"sync"
 	"unsafe"
 
@@ -82,77 +81,86 @@ type SearchStats struct {
 // the greedy engine.
 func (s SearchStats) Improved() bool { return s.BestCost < s.GreedyCost }
 
-// SearchOptimize finds the cheapest program derivable from t by the
-// engine's rule set, scored by the end-to-end cost.OfTerm at the engine's
-// parameters — a bounded exhaustive search with branch-and-bound pruning,
-// memoized on rules.Canonical of intermediate programs. Unlike the greedy
-// Optimize, it may pass through rewrites whose window cost does not
+// SearchOptimize finds the cheapest program derivable from the stage list
+// t by the engine's rule set, scored by the end-to-end cost.OfTerm at the
+// engine's parameters — a bounded exhaustive search with branch-and-bound
+// pruning, memoized on rules.Canonical of intermediate programs. Unlike the
+// greedy Optimize, it may pass through rewrites whose window cost does not
 // improve when they enable a cheaper program overall, and it never takes
 // a locally profitable rewrite that forfeits a better one downstream.
 //
 // The greedy derivation seeds the incumbent, so the returned plan costs
 // at most the greedy plan's; on ties the greedy derivation is returned
-// unchanged. The engine must be cost-guided (Params set).
+// unchanged, and t itself when nothing applies. The engine must be
+// cost-guided (Params set).
 //
 // The matches of t are enumerated once, for the greedy derivation and the
 // search both, and each program the search reaches derives its matches
 // from its parent's (matcher.derive). The search never branches on a
-// window's price, so only the applications it returns are priced.
-func (e *Engine) SearchOptimize(t term.Term, cfg SearchConfig) (term.Term, []Application, SearchStats) {
+// window's price, so only the applications it returns are priced. Every
+// list it makes lives in its pooled state; only the returned plan and
+// applications are copied out.
+func (e *Engine) SearchOptimize(t term.Seq, cfg SearchConfig) (term.Seq, []Application, SearchStats) {
 	if e.Params == nil {
 		panic("rules: SearchOptimize requires a cost-guided engine (Params set)")
 	}
-	m := e.matcher()
-	s := &searcher{e: *e, m: m, cfg: cfg, p: *e.Params, searchState: searchStates.Get().(*searchState)}
-	defer s.release()
-	stages := term.Stages(t)
+	st := searchStates.Get().(*searchState)
+	defer st.release()
+	m := e.matcher(&st.stages)
+	s := &searcher{e: *e, m: m, cfg: cfg, p: *e.Params, searchState: st}
+	stages := t.Flat()
 	s.matches = m.all(s.matches, stages)
 	root := since(s.matches, 0)
-	greedyT, greedyApps := t, []Application(nil)
+	greedyS, greedyApps := stages, []Application(nil)
 	if len(root) > 0 {
-		greedyT, greedyApps = e.greedy(m, t, stages, root)
+		greedyS, greedyApps = e.greedy(m, stages, root, st)
 	}
-	gCost := e.score(greedyT, s.p)
+	gCost := e.scoreSeq(greedyS, s.p)
 
 	s.best = gCost
 	s.stats.Exhausted = true
 	self := gCost // t is the greedy plan when greedy applied nothing
 	if greedyApps != nil {
-		self = e.score(t, s.p)
+		self = e.scoreSeq(stages, s.p)
 	}
 	bt, bms, bcost := s.explore(node{stages: stages, ms: root}, self, 0)
 
 	s.stats.GreedyCost, s.stats.SourceCost = gCost, self
+	apps := greedyApps
 	if bcost >= gCost {
 		// The search found nothing better (a budget cut can even hide
 		// the greedy path): keep the greedy derivation.
-		s.stats.BestCost = gCost
-		return greedyT, greedyApps, s.stats
+		s.stats.BestCost, bt = gCost, greedyS
+	} else {
+		s.stats.BestCost, apps = bcost, s.apps[:0]
+		for _, mt := range bms {
+			a := m.application(mt)
+			e.price(&a)
+			apps = append(apps, a)
+		}
+		s.apps = apps
 	}
-	s.stats.BestCost = bcost
-	// The plan and its windows are views of the search's slabs: copy them.
-	apps := make([]Application, len(bms))
-	for i, mt := range bms {
-		mt.before, mt.after = slices.Clone(mt.before), slices.Clone(mt.after)
-		apps[i] = m.application(mt)
-		e.price(&apps[i])
+	if len(apps) == 0 {
+		return t, nil, s.stats
 	}
-	if len(bms) > 0 {
-		t = term.Seq(slices.Clone(bt))
-	}
-	return t, apps, s.stats
+	opt, apps := keep(bt, apps)
+	return opt, apps, s.stats
 }
 
 // searchState is what a search keeps between its nodes: the memo, and the
-// slabs its keys, programs and match lists are appended to, which only
-// grow until the call returns: a list cut from one (since) stays put. It is
-// pooled; one grown past maxPooledMemo programs or maxPooledBytes a slab is
-// dropped rather than kept behind every later search.
+// slabs its keys, programs, replacements and match lists are appended to,
+// which only grow until the call returns: a list cut from one (since) stays
+// put. Greedy rewrites in it too. It is pooled; one grown past
+// maxPooledMemo programs or maxPooledBytes a slab is dropped rather than
+// kept behind every later search.
 type searchState struct {
 	memo    map[string]memoEntry
 	keys    []byte
 	stages  []term.Term
 	matches []match
+	// work and apps are greedy's rewritten list and its applications.
+	work []term.Term
+	apps []Application
 }
 
 var searchStates = sync.Pool{New: func() any { return &searchState{memo: make(map[string]memoEntry)} }}
@@ -163,13 +171,15 @@ const (
 )
 
 func (st *searchState) release() {
-	stages, matches := cap(st.stages)*int(unsafe.Sizeof(st.stages[0])), cap(st.matches)*int(unsafe.Sizeof(st.matches[0]))
-	if len(st.memo) <= maxPooledMemo && max(cap(st.keys), stages, matches) <= maxPooledBytes {
+	if len(st.memo) <= maxPooledMemo && max(size(st.keys), size(st.stages), size(st.matches), size(st.work), size(st.apps)) <= maxPooledBytes {
 		clear(st.memo)
-		st.keys, st.stages, st.matches = st.keys[:0], st.stages[:0], st.matches[:0]
+		st.keys, st.stages, st.matches, st.work, st.apps = st.keys[:0], st.stages[:0], st.matches[:0], st.work[:0], st.apps[:0]
 		searchStates.Put(st)
 	}
 }
+
+// size is the bytes a slab holds.
+func size[T any](slab []T) int { return cap(slab) * int(unsafe.Sizeof(*new(T))) }
 
 // since is what was appended to a slab from start on, capped against writes.
 func since[T any](slab []T, start int) []T { return slab[start:len(slab):len(slab)] }

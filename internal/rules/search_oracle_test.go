@@ -35,7 +35,7 @@ func (e oracle) nextMatch(stages []term.Term, rs []Rule, from int) (Application,
 			continue
 		}
 		window := stages[i : i+r.Window]
-		repl, ok := r.Try(window, e.Env)
+		repl, ok := r.Try(nil, window, e.Env)
 		if !ok {
 			continue
 		}
@@ -208,16 +208,19 @@ func diffStats(got, want SearchStats) string {
 	return ""
 }
 
+// score prices a term under the engine's model, as the oracle's code did.
+func (e *Engine) score(t term.Term, p cost.Params) float64 { return e.scoreSeq(term.Stages(t), p) }
+
 // checkAgainstOracle holds e's search and greedy derivation of prog to the
 // oracle's.
 func checkAgainstOracle(t testing.TB, e *Engine, prog term.Term, cfg SearchConfig) {
 	t.Helper()
-	gotT, got, gotStats := e.SearchOptimize(prog, cfg)
+	gotS, got, gotStats := e.SearchOptimize(term.Stages(prog), cfg)
 	wantT, want, wantStats := oracle{e}.SearchOptimize(prog, cfg)
-	if d := diffDerivation(gotT, wantT, got, want) + diffStats(gotStats, wantStats); d != "" {
+	if d := diffDerivation(gotS, wantT, got, want) + diffStats(gotStats, wantStats); d != "" {
 		t.Fatalf("search of %s at %+v (auto %t, %+v): %s", prog, *e.Params, e.Auto, cfg, d)
 	}
-	gotT, got = e.Optimize(prog)
+	gotT, got := e.Optimize(prog)
 	wantT, want = oracle{e}.Optimize(prog)
 	if d := diffDerivation(gotT, wantT, got, want); d != "" {
 		t.Fatalf("greedy derivation of %s at %+v (auto %t): %s", prog, *e.Params, e.Auto, d)
@@ -408,7 +411,7 @@ func TestRulesDeclareTheirHeads(t *testing.T) {
 					if i+r.Window > len(stages) || kindOf(stages[i]) == kindOf(r.Head) {
 						continue
 					}
-					if _, ok := r.Try(stages[i:i+r.Window], e.Env); ok {
+					if _, ok := r.Try(nil, stages[i:i+r.Window], e.Env); ok {
 						t.Fatalf("%s matched %s, which does not start with its head %T", r.Name, term.Seq(stages[i:i+r.Window]), r.Head)
 					}
 				}
@@ -452,16 +455,17 @@ func FuzzSearch(f *testing.F) {
 // daemon's machine: one with an application (on these programs the parent of
 // the incremental matches measured 61.0, the change 26.0; the parent of the
 // memoized derived operators 26.0, the change 18.0; the parent of the pooled
-// slabs and the stage-list prices 18.0, the change 5.0: greedy's derivation
-// and the rules' replacements) and one without (2.0 and 0: one pass over the
-// stages, one score, one Floor).
+// slabs and the stage-list prices 18.0, the change 5.0; the parent of greedy
+// and the rules appending to the pooled storage 5.0, the change 2.0: the
+// plan's stage list with its windows, and its applications) and one without
+// (2.0 and 0: one pass over the stages, one score, one Floor).
 func TestSearchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates")
 	}
 	e := NewCostGuidedEngine(daemonParams)
 	e.Auto = true
-	var with, without []term.Term
+	var with, without []term.Seq
 	for _, prog := range missPool(3, 1000) {
 		if _, apps, _ := e.SearchOptimize(prog, SearchConfig{}); len(apps) > 0 {
 			with = append(with, prog)
@@ -471,9 +475,9 @@ func TestSearchAllocs(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name  string
-		progs []term.Term
+		progs []term.Seq
 		want  float64
-	}{{"with an application", with, 5}, {"without", without, 0}} {
+	}{{"with an application", with, 2}, {"without", without, 0}} {
 		i := 0
 		allocs := testing.AllocsPerRun(len(c.progs), func() {
 			e.SearchOptimize(c.progs[i%len(c.progs)], SearchConfig{})
@@ -491,9 +495,9 @@ func countingRules(n *int) []Rule {
 	rs := append([]Rule(nil), defaultRules...)
 	for i := range rs {
 		try := rs[i].Try
-		rs[i].Try = func(w []term.Term, env Env) ([]term.Term, bool) {
+		rs[i].Try = func(dst, w []term.Term, env Env) ([]term.Term, bool) {
 			*n++
-			return try(w, env)
+			return try(dst, w, env)
 		}
 	}
 	return rs

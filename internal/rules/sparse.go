@@ -89,14 +89,14 @@ var HHCombine = Rule{
 	// fire it on equality too.
 	CostNeutral: true,
 	Head:        term.Halo{},
-	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
+	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
 		h1, ok := w[0].(term.Halo)
 		if !ok || !h1.H.Isomorphic() {
-			return nil, false
+			return dst, false
 		}
 		h2, ok := w[1].(term.Halo)
 		if !ok || !h2.H.Isomorphic() {
-			return nil, false
+			return dst, false
 		}
 		o1, o2 := h1.H.Offsets, h2.H.Offsets
 		combined := make([]int, 0, len(o1)*len(o2))
@@ -105,10 +105,10 @@ var HHCombine = Rule{
 				combined = append(combined, q+o)
 			}
 		}
-		return []term.Term{
+		return append(dst,
 			term.Halo{H: &term.Hood{Offsets: combined}},
 			term.Map{F: RegroupFn(len(o1), len(o2))},
-		}, true
+		), true
 	},
 }
 
@@ -130,16 +130,16 @@ var MHMobility = Rule{
 	Cond:    "—",
 	Result:  "halo(H) ; map each(f)",
 	Head:    term.Map{},
-	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
+	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
 		m, ok := w[0].(term.Map)
 		if !ok {
-			return nil, false
+			return dst, false
 		}
 		h, ok := w[1].(term.Halo)
 		if !ok {
-			return nil, false
+			return dst, false
 		}
-		return []term.Term{h, term.Map{F: EachFn(m.F)}}, true
+		return append(dst, h, term.Map{F: EachFn(m.F)}), true
 	},
 }
 
@@ -162,25 +162,25 @@ var RSAGAllReduce = Rule{
 	Cond:    "counts equal; ⊕ associative and elementwise; p = len(c)",
 	Result:  "allreduce(⊕)",
 	Head:    term.ReduceScatterV{},
-	Try: func(w []term.Term, env Env) ([]term.Term, bool) {
+	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
 		rs, ok := w[0].(term.ReduceScatterV)
 		if !ok {
-			return nil, false
+			return dst, false
 		}
 		ag, ok := w[1].(term.AllGatherV)
 		if !ok {
-			return nil, false
+			return dst, false
 		}
 		if !equalCounts(rs.Counts, ag.Counts) {
-			return nil, false
+			return dst, false
 		}
 		if !assoc(env, rs.Op) || !env.Reg.Elementwise(rs.Op) {
-			return nil, false
+			return dst, false
 		}
 		if env.P != 0 && env.P != len(rs.Counts) {
-			return nil, false
+			return dst, false
 		}
-		return []term.Term{term.Reduce{Op: rs.Op, All: true}}, true
+		return append(dst, term.Reduce{Op: rs.Op, All: true}), true
 	},
 }
 
@@ -330,10 +330,10 @@ func SparseInputs(prog term.Seq, rng *rand.Rand, n int) []algebra.Value {
 }
 
 // progCounts returns the counts vector of the first counts-carrying
-// stage of t, if any. Such programs only run at p = len(counts), which
+// of the stages, if any. Such programs only run at p = len(counts), which
 // the shaped verification pins.
-func progCounts(t term.Term) ([]int, bool) {
-	for _, st := range term.Stages(t) {
+func progCounts(stages []term.Term) ([]int, bool) {
+	for _, st := range stages {
 		if c, ok := term.CountsStage(st); ok {
 			return c, true
 		}

@@ -94,7 +94,7 @@ func TestSparsePropertyRandomPrograms(t *testing.T) {
 			e := NewEngine()
 			e.Env.P = p
 			opt, apps := e.Optimize(s)
-			return new(Verifier).CheckDerivation(s, opt, apps, VerifyConfig{Seed: int64(seed), Trials: 6})
+			return new(Verifier).CheckDerivation(term.Stages(s), term.Stages(opt), apps, VerifyConfig{Seed: int64(seed), Trials: 6})
 		}
 		fails := func(s term.Seq) bool { return check(s) != nil }
 		if fails(prog) {

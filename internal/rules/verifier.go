@@ -155,11 +155,11 @@ func (e *IllTypedError) Error() string {
 	return fmt.Sprintf("ill-typed program: stage %d (%s): %v", e.Stage, e.Term, e.Cause)
 }
 
-// CheckDerivation verifies that opt, derived from t by the applications
-// apps in order, denotes the same list function: every application is
-// checked as an instance (window against replacement, VerifyApplication's
-// verdict), then t against opt end to end on cfg's inputs
-// (VerifyEquivalence's verdict). From the first Local application on, both
+// CheckDerivation verifies that the stage list opt, derived from t by the
+// applications apps in order, denotes the same list function: every
+// application is checked as an instance (window against replacement,
+// VerifyApplication's verdict), then t against opt end to end on cfg's
+// inputs (VerifyEquivalence's verdict). From the first Local application on, both
 // checks run on power-of-two sizes. The error is an *IllTypedError when t
 // itself cannot be evaluated.
 //
@@ -173,14 +173,14 @@ func (e *IllTypedError) Error() string {
 // each word of a block by itself computes on blocks holding many inputs
 // side by side what it computes on each, so a program of such stages is
 // evaluated once per machine size (packedClean).
-func (v *Verifier) CheckDerivation(t, opt term.Term, apps []Application, cfg VerifyConfig) error {
+func (v *Verifier) CheckDerivation(t, opt term.Seq, apps []Application, cfg VerifyConfig) error {
 	sc := v.scratch()
 	defer v.release(sc)
 	return v.check(t, opt, apps, cfg, sc)
 }
 
 // check is CheckDerivation evaluating in sc.
-func (v *Verifier) check(t, opt term.Term, apps []Application, cfg VerifyConfig, sc *term.Scratch) error {
+func (v *Verifier) check(t, opt term.Seq, apps []Application, cfg VerifyConfig, sc *term.Scratch) error {
 	v.derivations.Add(1)
 	if len(apps) == 0 {
 		v.zeroApplication.Add(1)
@@ -203,7 +203,8 @@ func (v *Verifier) check(t, opt term.Term, apps []Application, cfg VerifyConfig,
 	if !keyed {
 		key = v.key(cfg)
 	}
-	return v.endToEnd(t, opt, shapeFor(t, cfg), key, sc)
+	ts := t.Flat()
+	return v.endToEnd(ts, opt.Flat(), shapeFor(ts, cfg), key, sc)
 }
 
 // maxScratchBytes bounds a scratch a free list keeps (nothing drawn from one
@@ -252,9 +253,8 @@ func (v *Verifier) instance(app Application, cfg VerifyConfig, key configKey, sc
 		return err
 	}
 	v.instanceChecks.Add(1)
-	before := term.Seq(app.Before)
-	d := cut(before, term.Seq(app.After), cfg.RelTol, sc)
-	if !v.packedClean(&d, shapeFor(before, cfg), key) {
+	d := cut(app.Before, app.After, cfg.RelTol, sc)
+	if !v.packedClean(&d, shapeFor(app.Before, cfg), key) {
 		err = VerifyApplication(app, cfg)
 	}
 	v.mu.Lock()
@@ -376,9 +376,9 @@ func (v *Verifier) packedClean(d *derivation, cfg VerifyConfig, key configKey) b
 	return true
 }
 
-// endToEnd compares t and opt on every input of cfg, whose key is key: on
-// the packed lists when that settles it, else input by input.
-func (v *Verifier) endToEnd(t, opt term.Term, cfg VerifyConfig, key configKey, sc *term.Scratch) error {
+// endToEnd compares the stage lists t and opt on every input of cfg, whose
+// key is key: on the packed lists when that settles it, else input by input.
+func (v *Verifier) endToEnd(t, opt []term.Term, cfg VerifyConfig, key configKey, sc *term.Scratch) error {
 	d := cut(t, opt, cfg.RelTol, sc)
 	defer func() {
 		v.tailsOnce.Add(d.tailsOnce)
@@ -406,8 +406,7 @@ func (v *Verifier) endToEnd(t, opt term.Term, cfg VerifyConfig, key configKey, s
 // and compared with itself (a NaN result is unequal to itself, as it is
 // when both sides compute it).
 type derivation struct {
-	t, opt            term.Term
-	ts, os            []term.Term
+	ts, os            term.Seq
 	pre, tailT, tailO int
 	relTol            float64
 	sc                *term.Scratch // reset after each input list
@@ -416,10 +415,10 @@ type derivation struct {
 	tailsOnce, tailsTwice uint64
 }
 
-func cut(t, opt term.Term, relTol float64, sc *term.Scratch) derivation {
-	ts, os := term.Stages(t), term.Stages(opt)
+// cut cuts two flat stage lists.
+func cut(ts, os []term.Term, relTol float64, sc *term.Scratch) derivation {
 	pre, suf := term.CommonEnds(ts, os)
-	return derivation{t: t, opt: opt, ts: ts, os: os, pre: pre, tailT: len(ts) - suf, tailO: len(os) - suf, relTol: relTol, sc: sc}
+	return derivation{ts: ts, os: os, pre: pre, tailT: len(ts) - suf, tailO: len(os) - suf, relTol: relTol, sc: sc}
 }
 
 // on compares the two sides on one input list.
@@ -435,7 +434,7 @@ func (d *derivation) on(s sample) error {
 			return ill
 		}
 		if r, ill = evalStages(d.sc, d.os[d.pre:d.tailO], d.pre, x); ill != nil {
-			return rewritingFails(d.t, d.opt, ill)
+			return rewritingFails(d.ts, d.os, ill)
 		}
 		if same = algebra.IdenticalLists(l, r); same {
 			d.tailsOnce++
@@ -449,14 +448,17 @@ func (d *derivation) on(s sample) error {
 	if same {
 		r = l
 	} else if r, ill = evalStages(d.sc, d.os[d.tailO:], d.tailO, r); ill != nil {
-		return rewritingFails(d.t, d.opt, ill)
+		return rewritingFails(d.ts, d.os, ill)
 	}
-	return mismatch(d.t, d.opt, s, l, r, d.relTol)
+	if !agree(l, r, d.relTol) {
+		return mismatch(d.ts, d.os, s, l, r)
+	}
+	return nil
 }
 
 // rewritingFails is the verdict when only the rewritten side panics: the
 // derivation is wrong, not the program.
-func rewritingFails(t, opt term.Term, ill *IllTypedError) error {
+func rewritingFails(t, opt term.Seq, ill *IllTypedError) error {
 	return fmt.Errorf("rules: %s rewritten to %s cannot be evaluated: stage %d (%s): %v", t, opt, ill.Stage, ill.Term, ill.Cause)
 }
 

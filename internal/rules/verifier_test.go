@@ -48,7 +48,7 @@ func referenceVerdict(t, opt term.Term, apps []Application, cfg VerifyConfig) (e
 func sameVerdict(t *testing.T, v *Verifier, prog, opt term.Term, apps []Application, cfg VerifyConfig, what string) (refused bool) {
 	t.Helper()
 	want := referenceVerdict(prog, opt, apps, cfg)
-	got := v.CheckDerivation(prog, opt, apps, cfg)
+	got := v.CheckDerivation(term.Stages(prog), term.Stages(opt), apps, cfg)
 	if (got == nil) != (want == nil) {
 		t.Fatalf("%s: %s => %s\n  verifier:  %v\n  reference: %v", what, prog, opt, got, want)
 	}
@@ -308,7 +308,7 @@ func TestVerifierEvaluationCounts(t *testing.T) {
 		if len(apps) != 1 || apps[0].Pos != 1 {
 			t.Fatalf("applications = %v, want one at stage 1", apps)
 		}
-		if err := new(Verifier).CheckDerivation(prog, opt, apps, plannerCfg); err != nil {
+		if err := new(Verifier).CheckDerivation(term.Stages(prog), term.Stages(opt), apps, plannerCfg); err != nil {
 			t.Fatal(err)
 		}
 		if calls != sigmaN {
@@ -330,7 +330,7 @@ func TestVerifierEvaluationCounts(t *testing.T) {
 			if i == 1 {
 				prog = term.Seq{count, term.Bcast{}}
 			}
-			if err := v.CheckDerivation(prog, app.Rewrite(prog), []Application{app}, plannerCfg); err != nil {
+			if err := v.CheckDerivation(term.Stages(prog), term.Stages(app.Rewrite(prog)), []Application{app}, plannerCfg); err != nil {
 				t.Fatal(err)
 			}
 			if calls != want {
@@ -360,7 +360,7 @@ func TestVerifierMemoIsBounded(t *testing.T) {
 		if len(apps) != 1 {
 			t.Fatalf("%s: applications = %v", prog, apps)
 		}
-		if err := v.CheckDerivation(prog, opt, apps, cfg); err != nil {
+		if err := v.CheckDerivation(term.Stages(prog), term.Stages(opt), apps, cfg); err != nil {
 			t.Fatalf("%s: %v", prog, err)
 		}
 		if len(v.instances) > maxInstances {
@@ -373,7 +373,7 @@ func TestVerifierMemoIsBounded(t *testing.T) {
 	// A wrong instance is refused by a full memo too.
 	prog := term.Seq{haloOf(1, 2), haloOf(0, 3)}
 	app := handApp(0, prog, term.Seq{haloOf(1, 2)})
-	if err := v.CheckDerivation(prog, app.Rewrite(prog), []Application{app}, cfg); err == nil {
+	if err := v.CheckDerivation(term.Stages(prog), term.Stages(app.Rewrite(prog)), []Application{app}, cfg); err == nil {
 		t.Fatal("a full memo accepted a wrong instance")
 	}
 	if len(v.instances) != maxInstances {

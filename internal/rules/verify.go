@@ -57,7 +57,7 @@ func (c VerifyConfig) trials() int {
 // parts of their results, §3.5). It returns an error describing the first
 // counterexample found, or nil.
 func VerifyEquivalence(lhs, rhs term.Term, cfg VerifyConfig) error {
-	cfg = shapeFor(lhs, cfg)
+	cfg = shapeFor(term.Stages(lhs), cfg)
 	return cfg.eachInput(func(s sample) error {
 		return compareOn(lhs, rhs, s, cfg.RelTol)
 	})
@@ -116,7 +116,7 @@ func (c VerifyConfig) eachInput(f func(sample) error) error {
 // to that single size with a shape-matching generator. Explicit Gens
 // are respected; programs without counts stages (halos run on any
 // value at any size) pass through unchanged.
-func shapeFor(lhs term.Term, cfg VerifyConfig) VerifyConfig {
+func shapeFor(lhs term.Seq, cfg VerifyConfig) VerifyConfig {
 	if cfg.Gen != nil {
 		return cfg
 	}
@@ -124,10 +124,9 @@ func shapeFor(lhs term.Term, cfg VerifyConfig) VerifyConfig {
 	if !ok {
 		return cfg
 	}
-	prog := term.Compose(lhs)
 	cfg.Sizes = []int{len(counts)}
 	cfg.Gen = func(rng *rand.Rand, n int) []algebra.Value {
-		return SparseInputs(prog, rng, n)
+		return SparseInputs(lhs, rng, n)
 	}
 	return cfg
 }
@@ -137,21 +136,27 @@ func shapeFor(lhs term.Term, cfg VerifyConfig) VerifyConfig {
 func compareOn(lhs, rhs term.Term, s sample, relTol float64) error {
 	sc := oneOff.scratch()
 	defer oneOff.release(sc)
-	return mismatch(lhs, rhs, s, sc.Eval(lhs, s.in), sc.Eval(rhs, s.in), relTol)
+	if l, r := sc.Eval(lhs, s.in), sc.Eval(rhs, s.in); !agree(l, r, relTol) {
+		return mismatch(lhs, rhs, s, l, r)
+	}
+	return nil
 }
 
-// mismatch compares the two sides' results l and r on input s modulo
-// undetermined positions, and describes the difference if there is one.
-func mismatch(lhs, rhs term.Term, s sample, l, r []algebra.Value, relTol float64) error {
+// agree reports whether the two sides' results l and r are equal modulo
+// undetermined positions.
+func agree(l, r []algebra.Value, relTol float64) bool {
 	equal := len(l) == len(r)
 	for i := 0; equal && i < len(l); i++ {
 		equal = algebra.EqualApproxModuloUndef(l[i], r[i], relTol)
 	}
-	if !equal {
-		return fmt.Errorf("rules: semantic mismatch at p=%d trial %d:\n  input: %v\n  lhs %s = %v\n  rhs %s = %v",
-			s.n, s.trial, s.in, lhs, l, rhs, r)
-	}
-	return nil
+	return equal
+}
+
+// mismatch describes the difference between the two sides' results l and r
+// on input s.
+func mismatch(lhs, rhs term.Term, s sample, l, r []algebra.Value) error {
+	return fmt.Errorf("rules: semantic mismatch at p=%d trial %d:\n  input: %v\n  lhs %s = %v\n  rhs %s = %v",
+		s.n, s.trial, s.in, lhs, l, rhs, r)
 }
 
 // VerifyExhaustive checks the semantic equality of lhs and rhs on *every*

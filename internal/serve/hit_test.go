@@ -468,3 +468,42 @@ func fnvShard(key string) uint32 {
 	h.Write([]byte(key))
 	return h.Sum32()
 }
+
+// TestHitOutlivesTheBody: a miss parses its program where the pooled body
+// buffer holds it, and nothing of the plan may keep a byte of that buffer.
+// The buffer that carried a program's first request is taken out of the
+// pool and overwritten; the hits that follow, through the long way round
+// and through the body index, answer byte for byte what the miss did but
+// for the cached line.
+func TestHitOutlivesTheBody(t *testing.T) {
+	var made []*bytes.Buffer
+	defer func(newBuf func() any) { bodyPool.New = newBuf }(bodyPool.New)
+	bodyPool.New = func() any {
+		b := new(bytes.Buffer)
+		made = append(made, b)
+		return b
+	}
+	drain := func() { // take every buffer out of the pool
+		for n := len(made); len(made) == n; {
+			bodyPool.Get()
+		}
+	}
+	s := New(Config{})
+	for _, src := range missPool(5, 20) {
+		body := requestBody(src, `,"p":64,"m":64,"strategy":"search","select":true`)
+		drain()
+		miss := httptest.NewRecorder()
+		s.handleOptimize(miss, httptest.NewRequest(http.MethodPost, "/optimize", strings.NewReader(body)))
+		carrier := made[len(made)-1].Bytes()
+		copy(carrier[:cap(carrier)], bytes.Repeat([]byte("#"), cap(carrier)))
+		drain()
+		want := strings.Replace(miss.Body.String(), `"cached": false`, `"cached": true`, 1)
+		for i := 0; i < 2; i++ {
+			hit := httptest.NewRecorder()
+			s.handleOptimize(hit, httptest.NewRequest(http.MethodPost, "/optimize", strings.NewReader(body)))
+			if miss.Code != http.StatusOK || hit.Body.String() != want {
+				t.Fatalf("%s: HTTP %d, hit %d:\n%s\nwant\n%s", src, miss.Code, i, hit.Body.String(), want)
+			}
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
+	"unsafe"
 
 	"repro/internal/rules"
 )
@@ -59,7 +60,9 @@ type reqDecoder struct {
 // last of duplicate keys wins, null leaves a field as it was (ts and tw
 // it unsets), an unknown field's value is only validated, p and m must
 // be integers that fit an int, ts and tw numbers in a float64's range.
-// The program string is the one allocation, and ts and tw one each.
+// A program literal without escapes is a view of body, valid while body
+// is (lang.ParseStages keeps no byte of its source); one with escapes is a
+// copy. Only ts and tw allocate, one each.
 func decodeRequest(body []byte, req *Request) (end int, err error) {
 	d := reqDecoder{b: body}
 	switch c, err := d.next(); {
@@ -197,10 +200,13 @@ func (d *reqDecoder) field(req *Request, f int, c byte) error {
 		if err != nil {
 			return err
 		}
-		if f == fieldProgram {
-			req.Program = unquote(s, esc)
-		} else {
+		switch {
+		case f == fieldStrategy:
 			req.Strategy = strategyOf(s, esc)
+		case !esc && len(s) > 0:
+			req.Program = unsafe.String(&s[0], len(s)) // a view of the body
+		default:
+			req.Program = unquote(s, esc)
 		}
 	case fieldSelect:
 		if c != 't' && c != 'f' {

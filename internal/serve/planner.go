@@ -181,7 +181,7 @@ func (pl *Planner) PlanTermOpts(t term.Seq, m core.Machine, strat Strategy, auto
 		}
 		// The optimized program is the engine's flat stage list, and a
 		// derivation without applications returned the program it was given.
-		optTerm := opt.Program.Term().(term.Seq)
+		optTerm := opt.Program.Stages()
 		plan := Plan{
 			Canonical:    key[:len(head)],
 			Optimized:    key[:len(head)],

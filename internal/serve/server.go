@@ -262,6 +262,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "bad strategy: %v", err)
 		return
 	}
+	// req.Program may be a view of the pooled body, which is the handler's
+	// until it returns; the stage list keeps none of it.
 	t, err := s.planner.ParseProgram(req.Program)
 	if err != nil {
 		if long := (*lang.StagesError)(nil); errors.As(err, &long) {

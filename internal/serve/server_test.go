@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/cost"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -214,6 +216,25 @@ func TestEveryAnswerRenders(t *testing.T) {
 	}
 	if overflows == 0 {
 		t.Error("no parameters overflowed: the grid does not reach the edge")
+	}
+}
+
+// TestHugeMachineIsPricedAboveZero: at p = MaxInt64 the pipeline's p−2+k
+// slots wrapped in int, so a selected reduction was answered with a
+// negative cost and a pipeline selection predicted below zero. Every
+// estimate of the answer is a non-negative number, and the butterfly wins.
+func TestHugeMachineIsPricedAboveZero(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	ans := postBody(t, ts.URL, `{"program":"reduce(+)","p":9223372036854775807,"select":true}`)
+	var resp Response
+	if err := json.Unmarshal([]byte(ans.body), &resp); ans.code != http.StatusOK || err != nil {
+		t.Fatalf("HTTP %d (%v): %s", ans.code, err, ans.body)
+	}
+	if resp.CostBefore < 0 || resp.CostAfter < 0 || len(resp.Selection) != 1 {
+		t.Fatalf("estimates %g → %g, selections %+v", resp.CostBefore, resp.CostAfter, resp.Selection)
+	}
+	if s := resp.Selection[0]; s.Algo != cost.AlgoButterfly || s.Predicted != s.Butterfly || s.Predicted < 0 {
+		t.Errorf("selection %+v, want the butterfly at a non-negative price", s)
 	}
 }
 
