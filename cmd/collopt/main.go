@@ -235,11 +235,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 	if *verify {
 		cfg := rules.VerifyConfig{Seed: 1, BlockWords: 4}
-		// The Local rules compute f^(log p) by repeated squaring and
-		// hold only on power-of-two machines; verify them on their
-		// domain.
+		// A rule that needs p = 2^k is verified on its domain.
 		for _, a := range opt.Applications {
-			if r, ok := rules.ByName(a.Rule); ok && r.Class == "Local" {
+			if r, ok := rules.ByName(a.Rule); ok && r.NeedsPow2() {
 				cfg.Pow2Only = true
 			}
 		}

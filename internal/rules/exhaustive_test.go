@@ -44,11 +44,11 @@ func TestExhaustiveVerificationOfEveryRule(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s did not match %s", c.rule.Name, term.Seq(c.stages))
 		}
-		// Local rules are only valid on powers of two; the enumeration
-		// covers n = 1, 2, 4 for them and 1..4 for the rest.
+		// Rules that need p = 2^k are only valid on powers of two; the
+		// enumeration covers n = 1, 2, 4 for them and 1..4 for the rest.
 		maxN := 4
 		lhs, rhs := term.Seq(c.stages), term.Seq(repl)
-		if c.rule.Class == "Local" {
+		if c.rule.NeedsPow2() {
 			for _, n := range []int{1, 2, 4} {
 				if err := exhaustiveAt(lhs, rhs, domain, n); err != nil {
 					t.Fatalf("%s: %v", c.rule.Name, err)

@@ -46,30 +46,23 @@ func Catalog(includeExtensions bool) string {
 	var b strings.Builder
 	b.WriteString("Optimization rules (Gorlatch/Wedler/Lengauer, IPPS'99):\n\n")
 	class := ""
-	paperOrder := []Rule{
-		SR2Reduction, SRReduction, SS2Scan, SSScan,
-		BSComcast, BSS2Comcast, BSSComcast,
-		BRLocal, BSR2Local, BSRLocal, CRAllLocal,
-	}
-	for _, r := range paperOrder {
+	for _, r := range []Rule{SR2Reduction, SRReduction, SS2Scan, SSScan, BSComcast, BSS2Comcast, BSSComcast,
+		BRLocal, BSR2Local, BSRLocal, CRAllLocal} {
 		if r.Class != class {
 			class = r.Class
 			fmt.Fprintf(&b, "-- class %s --\n\n", class)
 		}
-		b.WriteString(FormatRule(r))
-		b.WriteString("\n")
+		b.WriteString(FormatRule(r) + "\n")
 	}
 	if includeExtensions {
 		b.WriteString("-- extensions (beyond the paper) --\n\n")
 		for _, r := range Extensions() {
-			b.WriteString(FormatRule(r))
-			b.WriteString("\n")
+			b.WriteString(FormatRule(r) + "\n")
 		}
 	}
 	b.WriteString("-- sparse collectives (message combining) --\n\n")
 	for _, r := range Sparse() {
-		b.WriteString(FormatRule(r))
-		b.WriteString("\n")
+		b.WriteString(FormatRule(r) + "\n")
 	}
 	return b.String()
 }

@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -67,6 +68,22 @@ func TestEveryRuleIsDocumented(t *testing.T) {
 	for _, r := range AllWithExtensions() {
 		if r.Pattern == "" || r.Cond == "" || r.Result == "" {
 			t.Errorf("rule %s lacks schematic documentation", r.Name)
+		}
+	}
+}
+
+// TestRulesDocReadsAsCatalog checks that docs/RULES.md states every dense
+// rule's pattern, right-hand side and condition as Catalog prints them.
+func TestRulesDocReadsAsCatalog(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/RULES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range append(All(), Extensions()...) {
+		for _, want := range []string{"`" + r.Pattern + "` ⇒ `" + r.Result + "`", "| " + r.Cond + " "} {
+			if !strings.Contains(string(doc), want) {
+				t.Errorf("docs/RULES.md does not state %s's %q", r.Name, want)
+			}
 		}
 	}
 }

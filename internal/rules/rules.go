@@ -4,9 +4,12 @@
 // and Comcast) or into a purely local computation (class Local), trading
 // communication start-ups for extra computation via auxiliary variables.
 //
-// Each rule is a syntactic pattern over a window of program stages plus an
-// algebraic condition checked against a property registry (distributivity
-// for the *2 rules, commutativity for the single-operator rules). The
+// A rule is one statement (statement.go): a window of program stages in
+// the paper's notation, an algebraic condition checked against a property
+// registry (distributivity for the *2 rules, commutativity for the
+// single-operator rules), and the right-hand side. Its matcher, Head,
+// Pattern and Cond are read off that statement. Only the three sparse rules,
+// which match on halo offsets and counts vectors, are written by hand. The
 // Engine applies rules over a term, either exhaustively or guided by the
 // cost calculus of package cost; the Verify functions check every rule's
 // claimed semantic equality by evaluating both sides of a rewrite under
@@ -21,10 +24,9 @@ import (
 )
 
 // Env is the context a rule match consults: the algebraic-property
-// registry, and optionally the machine size (the Local rules compute
-// f^(log p) by repeated squaring and therefore require a power-of-two
-// machine; with P unknown, they fire and the requirement is the caller's
-// to uphold).
+// registry, and optionally the machine size (the rules that need p = 2^k,
+// Rule.NeedsPow2, compute f^(log p) by repeated squaring; with P unknown,
+// they fire and the requirement is the caller's to uphold).
 type Env struct {
 	// Reg declares the algebraic properties of the base operators.
 	Reg *algebra.Registry
@@ -39,10 +41,6 @@ type Env struct {
 func DefaultEnv() Env { return Env{Reg: defaultReg} }
 
 var defaultReg = algebra.Default()
-
-func (e Env) pow2OK() bool {
-	return e.P == 0 || e.P&(e.P-1) == 0
-}
 
 // Rule is one optimization rule: a named pattern over a fixed-size window
 // of stages together with its rewrite.
@@ -73,46 +71,13 @@ type Rule struct {
 	// replacement again: the engine shares it between every program it
 	// rewrites.
 	Try func(dst, w []term.Term, env Env) ([]term.Term, bool)
+	// pow2 is the statement's p = 2^k condition, which NeedsPow2 reports.
+	pow2 bool
 }
 
-// assoc reports whether the registry declares op associative — the
-// standing requirement on every collective's base operator.
-func assoc(env Env, op *algebra.Op) bool { return env.Reg.Associative(op) }
-
-// distributes checks the *2-rule condition: ⊗ distributes over ⊕, with
-// both associative.
-func distributes(env Env, otimes, oplus *algebra.Op) bool {
-	return assoc(env, otimes) && assoc(env, oplus) && env.Reg.Distributes(otimes, oplus)
-}
-
-// commutative checks the single-operator condition: ⊕ associative and
-// commutative.
-func commutative(env Env, op *algebra.Op) bool {
-	return assoc(env, op) && env.Reg.Commutative(op)
-}
-
-// matchScan extracts a scan stage.
-func matchScan(t term.Term) (*algebra.Op, bool) {
-	s, ok := t.(term.Scan)
-	if !ok {
-		return nil, false
-	}
-	return s.Op, true
-}
-
-// matchReduce extracts a reduce/allreduce stage (not a balanced one).
-func matchReduce(t term.Term) (op *algebra.Op, all, ok bool) {
-	r, k := t.(term.Reduce)
-	if !k || r.Balanced {
-		return nil, false, false
-	}
-	return r.Op, r.All, true
-}
-
-func isBcast(t term.Term) bool {
-	_, ok := t.(term.Bcast)
-	return ok
-}
+// NeedsPow2 reports whether the rule holds on power-of-two machines only:
+// its right-hand side computes f^(log p) by repeated squaring.
+func (r Rule) NeedsPow2() bool { return r.pow2 }
 
 // The derived operators the right-hand sides name, memoized: a window seen
 // before names the operator built then, shared by every program and
@@ -137,14 +102,6 @@ func reduces(op *algebra.Op, balanced bool) [2]term.Term {
 	return [2]term.Term{term.Reduce{Op: op, Balanced: balanced}, term.Reduce{Op: op, All: true, Balanced: balanced}}
 }
 
-// b2i is 1 for true.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // memoized is build remembered by the identity of its ingredients (derived
 // operators are immutable), for the first 256 it builds: base operators may
 // be defined without end. It is safe for concurrent use.
@@ -166,320 +123,100 @@ func memoized[T any](build func(a, b *algebra.Op) T) func(a, b *algebra.Op) T {
 	}
 }
 
-// SR2Reduction is rule SR2-Reduction (and its allreduce variant):
-//
-//	scan(⊗) ; [all]reduce(⊕)  →  map pair ; [all]reduce(op_sr2) ; map π₁
-//	provided ⊗ distributes over ⊕.
-var SR2Reduction = Rule{
-	Name:    "SR2-Reduction",
-	Class:   "Reduction",
-	Window:  2,
-	Pattern: "scan(⊗) ; [all]reduce(⊕)",
-	Cond:    "⊗ distributes over ⊕",
-	Result:  "map pair ; [all]reduce(op_sr2) ; map π₁",
-	Head:    term.Scan{},
-	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
-		otimes, ok := matchScan(w[0])
-		if !ok {
-			return dst, false
-		}
-		oplus, all, ok := matchReduce(w[1])
-		if !ok || !distributes(env, otimes, oplus) {
-			return dst, false
-		}
-		return append(dst,
-			term.Map{F: term.PairFn},
-			sr2Reduces(otimes, oplus)[b2i(all)],
-			term.Map{F: term.FirstFn},
-		), true
+// SR2Reduction is rule SR2-Reduction and its allreduce variant.
+var SR2Reduction = statement{name: "SR2-Reduction", class: "Reduction", cond: distributes,
+	window: "scan(⊗) ; [all]reduce(⊕)", result: "map pair ; [all]reduce(op_sr2) ; map π₁",
+	build: func(dst []term.Term, b binding) []term.Term {
+		return append(dst, term.Map{F: term.PairFn}, sr2Reduces(b.ops[otimes], b.ops[oplus])[b.all], term.Map{F: term.FirstFn})
 	},
-}
+}.rule()
 
-// SRReduction is rule SR-Reduction:
-//
-//	scan(⊕) ; [all]reduce(⊕)  →  map pair ; [all]reduce_balanced(op_sr) ; map π₁
-//	provided ⊕ is commutative.
-//
-// op_sr is not associative, so the right-hand side uses the balanced
-// reduction of §3.2.
-var SRReduction = Rule{
-	Name:    "SR-Reduction",
-	Class:   "Reduction",
-	Window:  2,
-	Pattern: "scan(⊕) ; [all]reduce(⊕)",
-	Cond:    "⊕ is commutative",
-	Result:  "map pair ; [all]reduce_balanced(op_sr) ; map π₁",
-	Head:    term.Scan{},
-	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
-		op1, ok := matchScan(w[0])
-		if !ok {
-			return dst, false
-		}
-		op2, all, ok := matchReduce(w[1])
-		if !ok || op1 != op2 || !commutative(env, op1) {
-			return dst, false
-		}
-		return append(dst,
-			term.Map{F: term.PairFn},
-			srReduces(op1, nil)[b2i(all)],
-			term.Map{F: term.FirstFn},
-		), true
+// SRReduction is rule SR-Reduction. op_sr is not associative, so the
+// right-hand side uses the balanced reduction of §3.2.
+var SRReduction = statement{name: "SR-Reduction", class: "Reduction", cond: commutative,
+	window: "scan(⊕) ; [all]reduce(⊕)", result: "map pair ; [all]reduce_balanced(op_sr) ; map π₁",
+	build: func(dst []term.Term, b binding) []term.Term {
+		return append(dst, term.Map{F: term.PairFn}, srReduces(b.ops[oplus], nil)[b.all], term.Map{F: term.FirstFn})
 	},
-}
+}.rule()
 
-// SS2Scan is rule SS2-Scan:
-//
-//	scan(⊗) ; scan(⊕)  →  map pair ; scan(op_sr2) ; map π₁
-//	provided ⊗ distributes over ⊕.
-var SS2Scan = Rule{
-	Name:    "SS2-Scan",
-	Class:   "Scan",
-	Window:  2,
-	Pattern: "scan(⊗) ; scan(⊕)",
-	Cond:    "⊗ distributes over ⊕",
-	Result:  "map pair ; scan(op_sr2) ; map π₁",
-	Head:    term.Scan{},
-	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
-		otimes, ok := matchScan(w[0])
-		if !ok {
-			return dst, false
-		}
-		oplus, ok := matchScan(w[1])
-		if !ok || !distributes(env, otimes, oplus) {
-			return dst, false
-		}
-		return append(dst,
-			term.Map{F: term.PairFn},
-			term.Scan{Op: opSR2(otimes, oplus)},
-			term.Map{F: term.FirstFn},
-		), true
+// SS2Scan is rule SS2-Scan.
+var SS2Scan = statement{name: "SS2-Scan", class: "Scan", cond: distributes,
+	window: "scan(⊗) ; scan(⊕)", result: "map pair ; scan(op_sr2) ; map π₁",
+	build: func(dst []term.Term, b binding) []term.Term {
+		return append(dst, term.Map{F: term.PairFn}, term.Scan{Op: opSR2(b.ops[otimes], b.ops[oplus])}, term.Map{F: term.FirstFn})
 	},
-}
+}.rule()
 
-// SSScan is rule SS-Scan:
-//
-//	scan(⊕) ; scan(⊕)  →  map quadruple ; scan_balanced(op_ss) ; map π₁
-//	provided ⊕ is commutative.
-var SSScan = Rule{
-	Name:    "SS-Scan",
-	Class:   "Scan",
-	Window:  2,
-	Pattern: "scan(⊕) ; scan(⊕)",
-	Cond:    "⊕ is commutative",
-	Result:  "map quadruple ; scan_balanced(op_ss) ; map π₁",
-	Head:    term.Scan{},
-	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
-		op1, ok := matchScan(w[0])
-		if !ok {
-			return dst, false
-		}
-		op2, ok := matchScan(w[1])
-		if !ok || op1 != op2 || !commutative(env, op1) {
-			return dst, false
-		}
-		return append(dst,
-			term.Map{F: term.QuadrupleFn},
-			term.ScanBal{Op: opSS(op1, nil)},
-			term.Map{F: term.FirstFn},
-		), true
+// SSScan is rule SS-Scan.
+var SSScan = statement{name: "SS-Scan", class: "Scan", cond: commutative,
+	window: "scan(⊕) ; scan(⊕)", result: "map quadruple ; scan_balanced(op_ss) ; map π₁",
+	build: func(dst []term.Term, b binding) []term.Term {
+		return append(dst, term.Map{F: term.QuadrupleFn}, term.ScanBal{Op: opSS(b.ops[oplus], nil)}, term.Map{F: term.FirstFn})
 	},
-}
+}.rule()
 
-// BSComcast is rule BS-Comcast:
-//
-//	bcast ; scan(⊕)  →  bcast ; map# op_comp
-//
-// realized as the comcast collective with the (e,o) pair of §3.4.
-var BSComcast = Rule{
-	Name:    "BS-Comcast",
-	Class:   "Comcast",
-	Window:  2,
-	Pattern: "bcast ; scan(⊕)",
-	Cond:    "⊕ is associative",
-	Result:  "bcast ; map# op_comp",
-	Head:    term.Bcast{},
-	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
-		if !isBcast(w[0]) {
-			return dst, false
-		}
-		op, ok := matchScan(w[1])
-		if !ok || !assoc(env, op) {
-			return dst, false
-		}
-		return append(dst, compBS(op, nil)), true
-	},
-}
+// BSComcast is rule BS-Comcast, realized as the comcast collective with the
+// (e,o) pair of §3.4.
+var BSComcast = statement{name: "BS-Comcast", class: "Comcast", cond: associative,
+	window: "bcast ; scan(⊕)", result: "bcast ; map# op_comp",
+	build: func(dst []term.Term, b binding) []term.Term { return append(dst, compBS(b.ops[oplus], nil)) },
+}.rule()
 
 // BSS2Comcast is rule BSS2-Comcast, the corollary of SS2-Scan and
-// BS-Comcast:
-//
-//	bcast ; scan(⊗) ; scan(⊕)  →  bcast ; map# op_comp
-//	provided ⊗ distributes over ⊕.
-var BSS2Comcast = Rule{
-	Name:    "BSS2-Comcast",
-	Class:   "Comcast",
-	Window:  3,
-	Pattern: "bcast ; scan(⊗) ; scan(⊕)",
-	Cond:    "⊗ distributes over ⊕",
-	Result:  "bcast ; map# op_comp",
-	Head:    term.Bcast{},
-	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
-		if !isBcast(w[0]) {
-			return dst, false
-		}
-		otimes, ok := matchScan(w[1])
-		if !ok {
-			return dst, false
-		}
-		oplus, ok := matchScan(w[2])
-		if !ok || !distributes(env, otimes, oplus) {
-			return dst, false
-		}
-		return append(dst, compBSS2(otimes, oplus)), true
+// BS-Comcast.
+var BSS2Comcast = statement{name: "BSS2-Comcast", class: "Comcast", cond: distributes,
+	window: "bcast ; scan(⊗) ; scan(⊕)", result: "bcast ; map# op_comp",
+	build: func(dst []term.Term, b binding) []term.Term {
+		return append(dst, compBSS2(b.ops[otimes], b.ops[oplus]))
 	},
-}
+}.rule()
 
 // BSSComcast is rule BSS-Comcast. It cannot be derived from SS-Scan plus
-// BS-Comcast (op_ss is not associative), so it is a rule of its own:
-//
-//	bcast ; scan(⊕) ; scan(⊕)  →  bcast ; map# op_comp
-//	provided ⊕ is commutative.
-var BSSComcast = Rule{
-	Name:    "BSS-Comcast",
-	Class:   "Comcast",
-	Window:  3,
-	Pattern: "bcast ; scan(⊕) ; scan(⊕)",
-	Cond:    "⊕ is commutative",
-	Result:  "bcast ; map# op_comp",
-	Head:    term.Bcast{},
-	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
-		if !isBcast(w[0]) {
-			return dst, false
-		}
-		op1, ok := matchScan(w[1])
-		if !ok {
-			return dst, false
-		}
-		op2, ok := matchScan(w[2])
-		if !ok || op1 != op2 || !commutative(env, op1) {
-			return dst, false
-		}
-		return append(dst, compBSS(op1, nil)), true
-	},
-}
+// BS-Comcast (op_ss is not associative), so it is a rule of its own.
+var BSSComcast = statement{name: "BSS-Comcast", class: "Comcast", cond: commutative,
+	window: "bcast ; scan(⊕) ; scan(⊕)", result: "bcast ; map# op_comp",
+	build: func(dst []term.Term, b binding) []term.Term { return append(dst, compBSS(b.ops[oplus], nil)) },
+}.rule()
 
-// BRLocal is rule BR-Local:
-//
-//	bcast ; reduce(⊕)  →  iter(op_br)
-//
-// Repeated squaring computes the p-fold reduction of the broadcast value,
-// so the rule requires a power-of-two machine. Note the right-hand side
-// no longer broadcasts: positions other than the first become
-// undetermined (§3.5).
-var BRLocal = Rule{
-	Name:    "BR-Local",
-	Class:   "Local",
-	Window:  2,
-	Pattern: "bcast ; reduce(⊕)",
-	Cond:    "⊕ is associative; p = 2^k",
-	Result:  "iter(op_br)",
-	Head:    term.Bcast{},
-	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
-		if !isBcast(w[0]) || !env.pow2OK() {
-			return dst, false
-		}
-		op, all, ok := matchReduce(w[1])
-		if !ok || all || !assoc(env, op) {
-			return dst, false
-		}
-		return append(dst, term.Iter{Op: opBR(op, nil)}), true
+// BRLocal is rule BR-Local. Repeated squaring computes the p-fold reduction
+// of the broadcast value, so the rule requires a power-of-two machine. The
+// right-hand side no longer broadcasts: positions other than the first
+// become undetermined (§3.5).
+var BRLocal = statement{name: "BR-Local", class: "Local", cond: associative, pow2: true,
+	window: "bcast ; reduce(⊕)", result: "iter(op_br)",
+	build: func(dst []term.Term, b binding) []term.Term {
+		return append(dst, term.Iter{Op: opBR(b.ops[oplus], nil)})
 	},
-}
+}.rule()
 
 // BSR2Local is rule BSR2-Local, the corollary of SR2-Reduction and
-// BR-Local:
-//
-//	bcast ; scan(⊗) ; reduce(⊕)  →  map pair ; iter(op_bsr2) ; map π₁
-//	provided ⊗ distributes over ⊕ (power-of-two machine).
-//
-// The pair/π₁ adjustments are folded into the Iter stage.
-var BSR2Local = Rule{
-	Name:    "BSR2-Local",
-	Class:   "Local",
-	Window:  3,
-	Pattern: "bcast ; scan(⊗) ; reduce(⊕)",
-	Cond:    "⊗ distributes over ⊕; p = 2^k",
-	Result:  "map pair ; iter(op_bsr2) ; map π₁",
-	Head:    term.Bcast{},
-	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
-		if !isBcast(w[0]) || !env.pow2OK() {
-			return dst, false
-		}
-		otimes, ok := matchScan(w[1])
-		if !ok {
-			return dst, false
-		}
-		oplus, all, ok := matchReduce(w[2])
-		if !ok || all || !distributes(env, otimes, oplus) {
-			return dst, false
-		}
-		return append(dst, term.Iter{Op: opBSR2(otimes, oplus)}), true
+// BR-Local. The pair/π₁ adjustments are folded into the Iter stage.
+var BSR2Local = statement{name: "BSR2-Local", class: "Local", cond: distributes, pow2: true,
+	window: "bcast ; scan(⊗) ; reduce(⊕)", result: "map pair ; iter(op_bsr2) ; map π₁",
+	build: func(dst []term.Term, b binding) []term.Term {
+		return append(dst, term.Iter{Op: opBSR2(b.ops[otimes], b.ops[oplus])})
 	},
-}
+}.rule()
 
 // BSRLocal is rule BSR-Local. Like BSS-Comcast it cannot be derived as a
-// corollary (the result of SR-Reduction is not associative):
-//
-//	bcast ; scan(⊕) ; reduce(⊕)  →  map pair ; iter(op_bsr) ; map π₁
-//	provided ⊕ is commutative (power-of-two machine).
-var BSRLocal = Rule{
-	Name:    "BSR-Local",
-	Class:   "Local",
-	Window:  3,
-	Pattern: "bcast ; scan(⊕) ; reduce(⊕)",
-	Cond:    "⊕ is commutative; p = 2^k",
-	Result:  "map pair ; iter(op_bsr) ; map π₁",
-	Head:    term.Bcast{},
-	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
-		if !isBcast(w[0]) || !env.pow2OK() {
-			return dst, false
-		}
-		op1, ok := matchScan(w[1])
-		if !ok {
-			return dst, false
-		}
-		op2, all, ok := matchReduce(w[2])
-		if !ok || all || op1 != op2 || !commutative(env, op1) {
-			return dst, false
-		}
-		return append(dst, term.Iter{Op: opBSR(op1, nil)}), true
+// corollary (the result of SR-Reduction is not associative).
+var BSRLocal = statement{name: "BSR-Local", class: "Local", cond: commutative, pow2: true,
+	window: "bcast ; scan(⊕) ; reduce(⊕)", result: "map pair ; iter(op_bsr) ; map π₁",
+	build: func(dst []term.Term, b binding) []term.Term {
+		return append(dst, term.Iter{Op: opBSR(b.ops[oplus], nil)})
 	},
-}
+}.rule()
 
 // CRAllLocal is rule CR-AllLocal, the allreduce variant of BR-Local: the
 // locally computed reduction is re-broadcast, because allreduce's result
-// is needed everywhere:
-//
-//	bcast ; allreduce(⊕)  →  iter(op_br) ; bcast
-var CRAllLocal = Rule{
-	Name:    "CR-AllLocal",
-	Class:   "Local",
-	Window:  2,
-	Pattern: "bcast ; allreduce(⊕)",
-	Cond:    "⊕ is associative; p = 2^k",
-	Result:  "iter(op_br) ; bcast",
-	Head:    term.Bcast{},
-	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
-		if !isBcast(w[0]) || !env.pow2OK() {
-			return dst, false
-		}
-		op, all, ok := matchReduce(w[1])
-		if !ok || !all || !assoc(env, op) {
-			return dst, false
-		}
-		return append(dst, term.Iter{Op: opBR(op, nil)}, term.Bcast{}), true
+// is needed everywhere.
+var CRAllLocal = statement{name: "CR-AllLocal", class: "Local", cond: associative, pow2: true,
+	window: "bcast ; allreduce(⊕)", result: "iter(op_br) ; bcast",
+	build: func(dst []term.Term, b binding) []term.Term {
+		return append(dst, term.Iter{Op: opBR(b.ops[oplus], nil)}, term.Bcast{})
 	},
-}
+}.rule()
 
 // All returns every rule, ordered for the engine: wider windows first so
 // the triple rules (BSS2, BSS, BSR2, BSR) win over their two-stage

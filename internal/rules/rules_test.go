@@ -35,7 +35,7 @@ func refuseRule(t *testing.T, r Rule, env Env, stages ...term.Term) {
 func verifyRule(t *testing.T, r Rule, env Env, stages ...term.Term) []term.Term {
 	t.Helper()
 	repl := applyRule(t, r, env, stages...)
-	cfg := VerifyConfig{Seed: 7, BlockWords: 4, Pow2Only: r.Class == "Local"}
+	cfg := VerifyConfig{Seed: 7, BlockWords: 4, Pow2Only: r.NeedsPow2()}
 	if err := VerifyEquivalence(term.Seq(stages), term.Seq(repl), cfg); err != nil {
 		t.Fatalf("%s: %v", r.Name, err)
 	}
@@ -302,5 +302,27 @@ func TestApplicationString(t *testing.T) {
 	s := app.String()
 	if !strings.Contains(s, "BS-Comcast") || !strings.Contains(s, "=>") {
 		t.Fatalf("Application.String() = %q", s)
+	}
+}
+
+// TestForRuleMovesOnlyPow2Rules checks that only the rules that need
+// p = 2^k move a check to power-of-two sizes: MM-Local, GS-Id and SG-Id are
+// of class Local but hold at every p, so their checks keep the sizes given.
+func TestForRuleMovesOnlyPow2Rules(t *testing.T) {
+	cfg := VerifyConfig{Seed: 3, Sizes: []int{1, 3, 6}}
+	pow2 := map[string]bool{"BR-Local": true, "BSR2-Local": true, "BSR-Local": true, "CR-AllLocal": true}
+	for _, r := range AllWithExtensions() {
+		got, moved := cfg.forRule(r.Name)
+		if moved != pow2[r.Name] || r.NeedsPow2() != pow2[r.Name] {
+			t.Errorf("%s: forRule moved the config %t, NeedsPow2 %t", r.Name, moved, r.NeedsPow2())
+		}
+		if !moved && (got.Pow2Only || len(got.Sizes) != 3) {
+			t.Errorf("%s: forRule changed the config to %+v", r.Name, got)
+		}
+	}
+	for _, name := range []string{"MM-Local", "GS-Id", "SG-Id"} {
+		if r, _ := ByName(name); r.Class != "Local" || r.NeedsPow2() {
+			t.Errorf("%s: class %s, NeedsPow2 %t; want class Local at every p", name, r.Class, r.NeedsPow2())
+		}
 	}
 }

@@ -144,7 +144,7 @@ func TestSearchNeverWorseProperty(t *testing.T) {
 
 			cfg := VerifyConfig{Seed: int64(i), Trials: 2, Sizes: []int{1, 2, 4, 8}}
 			for _, a := range apps {
-				if r, ok := ByName(a.Rule); ok && r.Class == "Local" {
+				if r, ok := ByName(a.Rule); ok && r.NeedsPow2() {
 					cfg.Pow2Only = true
 				}
 			}

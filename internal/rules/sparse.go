@@ -174,7 +174,7 @@ var RSAGAllReduce = Rule{
 		if !equalCounts(rs.Counts, ag.Counts) {
 			return dst, false
 		}
-		if !assoc(env, rs.Op) || !env.Reg.Elementwise(rs.Op) {
+		if !env.Reg.Associative(rs.Op) || !env.Reg.Elementwise(rs.Op) {
 			return dst, false
 		}
 		if env.P != 0 && env.P != len(rs.Counts) {

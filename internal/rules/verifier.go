@@ -159,8 +159,8 @@ func (e *IllTypedError) Error() string {
 // applications apps in order, denotes the same list function: every
 // application is checked as an instance (window against replacement,
 // VerifyApplication's verdict), then t against opt end to end on cfg's
-// inputs (VerifyEquivalence's verdict). From the first Local application on, both
-// checks run on power-of-two sizes. The error is an *IllTypedError when t
+// inputs (VerifyEquivalence's verdict). From the first application of a rule
+// that needs p = 2^k on, both checks run on power-of-two sizes. The error is an *IllTypedError when t
 // itself cannot be evaluated.
 //
 // The verdict is that of the two public checks run afresh; only work whose
@@ -186,7 +186,8 @@ func (v *Verifier) check(t, opt term.Seq, apps []Application, cfg VerifyConfig, 
 		v.zeroApplication.Add(1)
 	}
 	// The key of the config each check runs under, looked up once: the
-	// config moves to the power-of-two sizes at the first Local application.
+	// config moves to the power-of-two sizes at the first application of a
+	// rule that needs p = 2^k.
 	var key configKey
 	keyed := false
 	for _, app := range apps {

@@ -34,7 +34,7 @@ func referenceVerdict(t, opt term.Term, apps []Application, cfg VerifyConfig) (e
 		if err := VerifyApplication(app, cfg); err != nil {
 			return err
 		}
-		if r, ok := ByName(app.Rule); ok && r.Class == "Local" {
+		if r, ok := ByName(app.Rule); ok && r.NeedsPow2() {
 			cfg.Pow2Only = true
 			cfg.Sizes = nil
 		}

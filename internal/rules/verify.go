@@ -20,7 +20,7 @@ type VerifyConfig struct {
 	// BlockWords > 1 additionally checks vector blocks of that size.
 	BlockWords int
 	// Pow2Only restricts the default sizes to powers of two (required
-	// for the Local rules).
+	// for the rules that need p = 2^k, Rule.NeedsPow2).
 	Pow2Only bool
 	// RelTol, when positive, compares numeric results with a relative
 	// tolerance instead of exactly — needed when deep operator chains
@@ -190,8 +190,8 @@ func VerifyExhaustive(lhs, rhs term.Term, domain []float64, maxN int) error {
 }
 
 // VerifyApplication checks one recorded rule application: the matched
-// window and its replacement must be semantically equal. Local-class
-// rules are checked on power-of-two sizes only.
+// window and its replacement must be semantically equal. A rule that needs
+// p = 2^k is checked on power-of-two sizes only.
 func VerifyApplication(app Application, cfg VerifyConfig) error {
 	cfg, _ = cfg.forRule(app.Rule)
 	if err := VerifyEquivalence(term.Seq(app.Before), term.Seq(app.After), cfg); err != nil {
@@ -201,11 +201,10 @@ func VerifyApplication(app Application, cfg VerifyConfig) error {
 }
 
 // forRule is the config an application of the named rule is checked
-// under, and whether it differs from c: the Local rules compute f^(log p)
-// by repeated squaring and hold on power-of-two machines only, so they move
-// the check to the default power-of-two sizes.
+// under, and whether it differs from c: a rule that needs p = 2^k moves the
+// check to the default power-of-two sizes.
 func (c VerifyConfig) forRule(name string) (VerifyConfig, bool) {
-	if r, ok := ByName(name); ok && r.Class == "Local" && (!c.Pow2Only || c.Sizes != nil) {
+	if r, ok := ByName(name); ok && r.NeedsPow2() && (!c.Pow2Only || c.Sizes != nil) {
 		c.Pow2Only = true
 		c.Sizes = nil
 		return c, true
