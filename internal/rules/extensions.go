@@ -1,11 +1,6 @@
 package rules
 
-import (
-	"fmt"
-
-	"repro/internal/algebra"
-	"repro/internal/term"
-)
+import "repro/internal/term"
 
 // This file contains extension rules beyond the paper's Table 1 set.
 // §2.1 observes that compositions of collective operations "can also
@@ -37,12 +32,7 @@ var BMMobility = statement{name: "BM-Mobility", class: "Mobility", neutral: true
 var MMLocal = statement{name: "MM-Local", class: "Local", neutral: true,
 	window: "map f ; map g", result: "map (f; g)",
 	build: func(dst []term.Term, b binding) []term.Term {
-		f, g := b.fns[0], b.fns[1]
-		fused := local(fmt.Sprintf("(%s; %s)", f.Name, g.Name), f.Cost+g.Cost, f.Elementwise && g.Elementwise,
-			func(ar *algebra.Arena, v algebra.Value) algebra.Value {
-				return term.Apply(ar, g, term.Apply(ar, f, v))
-			})
-		return append(dst, term.Map{F: fused})
+		return append(dst, term.Map{F: fused(b.fns[0], b.fns[1])})
 	},
 }.rule()
 
@@ -53,9 +43,7 @@ var MMLocal = statement{name: "MM-Local", class: "Local", neutral: true,
 // improvement.
 var RBAllReduce = statement{name: "RB-AllReduce", class: "Reduction", cond: associative,
 	window: "reduce(⊕) ; bcast", result: "allreduce(⊕)",
-	build: func(dst []term.Term, b binding) []term.Term {
-		return append(dst, term.Reduce{Op: b.ops[oplus], All: true})
-	},
+	build: func(dst []term.Term, b binding) []term.Term { return append(dst, allreduce(b.ops[oplus], nil)) },
 }.rule()
 
 // BBBcast collapses consecutive broadcasts — the second re-broadcasts the
@@ -69,9 +57,7 @@ var BBBcast = statement{name: "BB-Bcast", class: "Comcast",
 // already holds the result.
 var ABAllReduce = statement{name: "AB-AllReduce", class: "Reduction",
 	window: "allreduce(⊕) ; bcast", result: "allreduce(⊕)",
-	build: func(dst []term.Term, b binding) []term.Term {
-		return append(dst, term.Reduce{Op: b.ops[oplus], All: true})
-	},
+	build: func(dst []term.Term, b binding) []term.Term { return append(dst, allreduce(b.ops[oplus], nil)) },
 }.rule()
 
 // GSId eliminates a gather immediately undone by a scatter — the

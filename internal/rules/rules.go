@@ -7,16 +7,17 @@
 // A rule is one statement (statement.go): a window of program stages in
 // the paper's notation, an algebraic condition checked against a property
 // registry (distributivity for the *2 rules, commutativity for the
-// single-operator rules), and the right-hand side. Its matcher, Head,
-// Pattern and Cond are read off that statement. Only the three sparse rules,
-// which match on halo offsets and counts vectors, are written by hand. The
-// Engine applies rules over a term, either exhaustively or guided by the
+// single-operator rules, offset form for the halo combination, equal counts
+// for the irregular ones), and the right-hand side. Its Head, Pattern and
+// Cond are read off that statement, and every rule's Try is the one matcher.
+// The Engine applies rules over a term, either exhaustively or guided by the
 // cost calculus of package cost; the Verify functions check every rule's
 // claimed semantic equality by evaluating both sides of a rewrite under
 // the functional semantics.
 package rules
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/algebra"
@@ -43,7 +44,8 @@ func DefaultEnv() Env { return Env{Reg: defaultReg} }
 var defaultReg = algebra.Default()
 
 // Rule is one optimization rule: a named pattern over a fixed-size window
-// of stages together with its rewrite.
+// of stages together with its rewrite. Every rule of the package is a
+// statement's (statement.go).
 type Rule struct {
 	// Name is the paper's rule name, e.g. "SR2-Reduction".
 	Name string
@@ -79,9 +81,9 @@ type Rule struct {
 // its right-hand side computes f^(log p) by repeated squaring.
 func (r Rule) NeedsPow2() bool { return r.pow2 }
 
-// The derived operators the right-hand sides name, memoized: a window seen
-// before names the operator built then, shared by every program and
-// goroutine. A stage wider than an interface word is memoized boxed — a
+// The derived operators and functions the right-hand sides name, memoized:
+// a window seen before names the one built then, shared by every program
+// and goroutine. A stage wider than an interface word is memoized boxed — a
 // reduction as its [reduce, allreduce] pair — so a replacement list copies
 // the box instead of allocating one.
 var (
@@ -95,6 +97,12 @@ var (
 	compBS     = memoized(func(a, _ *algebra.Op) term.Term { return term.Comcast{Ops: algebra.OpCompBS(a)} })
 	compBSS2   = memoized(func(a, b *algebra.Op) term.Term { return term.Comcast{Ops: algebra.OpCompBSS2(a, b)} })
 	compBSS    = memoized(func(a, _ *algebra.Op) term.Term { return term.Comcast{Ops: algebra.OpCompBSS(a)} })
+	allreduce  = memoized(func(a, _ *algebra.Op) term.Term { return term.Reduce{Op: a, All: true} })
+	eachFn     = memoized(func(f, _ *term.Fn) *term.Fn { return EachFn(f) })
+	fused      = memoized(func(f, g *term.Fn) *term.Fn {
+		return local(fmt.Sprintf("(%s; %s)", f.Name, g.Name), f.Cost+g.Cost, f.Elementwise && g.Elementwise,
+			func(ar *algebra.Arena, v algebra.Value) algebra.Value { return term.Apply(ar, g, term.Apply(ar, f, v)) })
+	})
 )
 
 // reduces is op's reduce and allreduce stages.
@@ -102,24 +110,26 @@ func reduces(op *algebra.Op, balanced bool) [2]term.Term {
 	return [2]term.Term{term.Reduce{Op: op, Balanced: balanced}, term.Reduce{Op: op, All: true, Balanced: balanced}}
 }
 
-// memoized is build remembered by the identity of its ingredients (derived
-// operators are immutable), for the first 256 it builds: base operators may
-// be defined without end. It is safe for concurrent use.
-func memoized[T any](build func(a, b *algebra.Op) T) func(a, b *algebra.Op) T {
+// memoized is build remembered by the identity of its two ingredients,
+// operators or functions (derived ones are immutable), for the last 256 it
+// built: base operators and functions may be defined without end. It is
+// safe for concurrent use.
+func memoized[K comparable, T any](build func(a, b K) T) func(a, b K) T {
 	var mu sync.Mutex
-	ops := make(map[[2]*algebra.Op]T)
-	return func(a, b *algebra.Op) T {
-		k := [2]*algebra.Op{a, b}
+	built := make(map[[2]K]T)
+	return func(a, b K) T {
+		k := [2]K{a, b}
 		mu.Lock()
 		defer mu.Unlock()
-		if op, ok := ops[k]; ok {
-			return op
+		if v, ok := built[k]; ok {
+			return v
 		}
-		op := build(a, b)
-		if len(ops) < 256 {
-			ops[k] = op
+		v := build(a, b)
+		if len(built) == 256 {
+			clear(built)
 		}
-		return op
+		built[k] = v
+		return v
 	}
 }
 

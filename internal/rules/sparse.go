@@ -76,41 +76,22 @@ func RegroupFn(n1, n2 int) *term.Fn {
 // ±1 ring halo squared has 4 offset pairs but only 2 distinct
 // neighbors). The offset arithmetic is what a per-rank neighbor-list
 // neighborhood does not support — the side condition the negative
-// tests pin.
-var HHCombine = Rule{
-	Name:    "HH-Combine",
-	Class:   "Sparse",
-	Window:  2,
-	Pattern: "halo(O1) ; halo(O2)",
-	Cond:    "both neighborhoods isomorphic",
-	Result:  "halo(O2+O1) ; map regroup",
-	// The combined window is never estimated dearer than the pair — equal
-	// only in degenerate all-local cases — so let the cost-guided engine
-	// fire it on equality too.
-	CostNeutral: true,
-	Head:        term.Halo{},
-	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
-		h1, ok := w[0].(term.Halo)
-		if !ok || !h1.H.Isomorphic() {
-			return dst, false
-		}
-		h2, ok := w[1].(term.Halo)
-		if !ok || !h2.H.Isomorphic() {
-			return dst, false
-		}
-		o1, o2 := h1.H.Offsets, h2.H.Offsets
+// tests pin. The combined window is never estimated dearer than the pair —
+// equal only in degenerate all-local cases — so the cost-guided engine
+// fires it on equality too.
+var HHCombine = statement{name: "HH-Combine", class: "Sparse", cond: isomorphic, neutral: true,
+	window: "halo(O1) ; halo(O2)", result: "halo(O2+O1) ; map regroup",
+	build: func(dst []term.Term, b binding) []term.Term {
+		o1, o2 := b.hoods[0].Offsets, b.hoods[1].Offsets
 		combined := make([]int, 0, len(o1)*len(o2))
 		for _, q := range o2 {
 			for _, o := range o1 {
 				combined = append(combined, q+o)
 			}
 		}
-		return append(dst,
-			term.Halo{H: &term.Hood{Offsets: combined}},
-			term.Map{F: RegroupFn(len(o1), len(o2))},
-		), true
+		return append(dst, term.Halo{H: &term.Hood{Offsets: combined}}, term.Map{F: RegroupFn(len(o1), len(o2))})
 	},
-}
+}.rule()
 
 // MHMobility moves a local stage rightward across a halo:
 //
@@ -122,26 +103,12 @@ var HHCombine = Rule{
 // HH-Combine windows in halo ; map f ; halo pipelines, which only the
 // plan search discovers (the sparse analogue of the greedy trap in
 // docs/RULES.md).
-var MHMobility = Rule{
-	Name:    "MH-Mobility",
-	Class:   "Mobility",
-	Window:  2,
-	Pattern: "map f ; halo(H)",
-	Cond:    "—",
-	Result:  "halo(H) ; map each(f)",
-	Head:    term.Map{},
-	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
-		m, ok := w[0].(term.Map)
-		if !ok {
-			return dst, false
-		}
-		h, ok := w[1].(term.Halo)
-		if !ok {
-			return dst, false
-		}
-		return append(dst, h, term.Map{F: EachFn(m.F)}), true
+var MHMobility = statement{name: "MH-Mobility", class: "Mobility",
+	window: "map f ; halo(H)", result: "halo(H) ; map each(f)",
+	build: func(dst []term.Term, b binding) []term.Term {
+		return append(dst, term.Halo{H: b.hoods[0]}, term.Map{F: eachFn(b.fns[0], nil)})
 	},
-}
+}.rule()
 
 // RSAGAllReduce fuses the irregular reduce-scatter with the allgather
 // that undoes its scatter:
@@ -154,47 +121,10 @@ var MHMobility = Rule{
 // fold itself exactly when ⊕ combines position by position — MatMul is
 // associative but not elementwise, and for it the left side computes
 // block-row products the right side never forms.
-var RSAGAllReduce = Rule{
-	Name:    "RSAG-AllReduce",
-	Class:   "Sparse",
-	Window:  2,
-	Pattern: "reduce_scatterv(⊕,c) ; allgatherv(c)",
-	Cond:    "counts equal; ⊕ associative and elementwise; p = len(c)",
-	Result:  "allreduce(⊕)",
-	Head:    term.ReduceScatterV{},
-	Try: func(dst, w []term.Term, env Env) ([]term.Term, bool) {
-		rs, ok := w[0].(term.ReduceScatterV)
-		if !ok {
-			return dst, false
-		}
-		ag, ok := w[1].(term.AllGatherV)
-		if !ok {
-			return dst, false
-		}
-		if !equalCounts(rs.Counts, ag.Counts) {
-			return dst, false
-		}
-		if !env.Reg.Associative(rs.Op) || !env.Reg.Elementwise(rs.Op) {
-			return dst, false
-		}
-		if env.P != 0 && env.P != len(rs.Counts) {
-			return dst, false
-		}
-		return append(dst, term.Reduce{Op: rs.Op, All: true}), true
-	},
-}
-
-func equalCounts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+var RSAGAllReduce = statement{name: "RSAG-AllReduce", class: "Sparse", cond: elementwise,
+	window: "reduce_scatterv(⊕,c) ; allgatherv(c)", result: "allreduce(⊕)",
+	build: func(dst []term.Term, b binding) []term.Term { return append(dst, allreduce(b.ops[oplus], nil)) },
+}.rule()
 
 // Sparse returns the message-combining rules for the sparse and
 // irregular collectives, ordered like All(): genuine fusions first,
@@ -293,50 +223,34 @@ func RandCounts(rng *rand.Rand, p int) []int {
 // value). It is the Gen the shaped verification installs for programs
 // with counts-carrying stages.
 func SparseInputs(prog term.Seq, rng *rand.Rand, n int) []algebra.Value {
+	vec := func(words int) algebra.Value {
+		v := make(algebra.Vec, words)
+		for j := range v {
+			v[j] = float64(rng.Intn(13) - 6)
+		}
+		return v
+	}
+	in := make([]algebra.Value, n)
 	for _, st := range term.Stages(prog) {
 		switch s := st.(type) {
 		case term.ReduceScatterV:
-			total := term.SumCounts(s.Counts)
-			in := make([]algebra.Value, n)
 			for i := range in {
-				v := make(algebra.Vec, total)
-				for j := range v {
-					v[j] = float64(rng.Intn(13) - 6)
-				}
-				in[i] = v
+				in[i] = vec(term.SumCounts(s.Counts))
 			}
 			return in
 		case term.AllGatherV:
-			in := make([]algebra.Value, n)
 			for i := range in {
-				cnt := 0
+				words := 0
 				if i < len(s.Counts) {
-					cnt = s.Counts[i]
+					words = s.Counts[i]
 				}
-				v := make(algebra.Vec, cnt)
-				for j := range v {
-					v[j] = float64(rng.Intn(13) - 6)
-				}
-				in[i] = v
+				in[i] = vec(words)
 			}
 			return in
 		}
 	}
-	in := make([]algebra.Value, n)
 	for i := range in {
 		in[i] = algebra.Scalar(float64(rng.Intn(13) - 6))
 	}
 	return in
-}
-
-// progCounts returns the counts vector of the first counts-carrying
-// of the stages, if any. Such programs only run at p = len(counts), which
-// the shaped verification pins.
-func progCounts(stages []term.Term) ([]int, bool) {
-	for _, st := range stages {
-		if c, ok := term.CountsStage(st); ok {
-			return c, true
-		}
-	}
-	return nil, false
 }

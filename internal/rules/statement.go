@@ -9,15 +9,18 @@ import (
 )
 
 // A statement is a rule as §3 states it: a window of stages written as the
-// paper writes it, a side condition on the operators the window names, and
-// the right-hand side. The rule's Window, Head, Pattern, Cond and Try are
+// paper writes it, a side condition on what the window names, and the
+// right-hand side. The rule's Window, Head, Pattern, Cond and Try are
 // all read off it.
 type statement struct {
 	name, class string
 	// window is the left-hand side: stages separated by " ; ", each bcast,
-	// gather, scatter, map f, or scan, reduce, allreduce or [all]reduce of
-	// an operator. ⊗ and ⊕ name operators, f and g functions; a name used
-	// twice must be bound to the same one both times.
+	// gather, scatter, map f, scan, reduce, allreduce or [all]reduce of an
+	// operator, halo of a neighbourhood, reduce_scatterv(⊕,c) of an operator
+	// and a counts vector, or allgatherv(c), which must carry the counts its
+	// reduce_scatterv bound. ⊗ and ⊕ name operators, f and g functions, O1,
+	// O2 and H neighbourhoods; a name used twice must be bound to the same
+	// one both times.
 	window string
 	cond   condition
 	// pow2 restricts the rule to power-of-two machines (Rule.NeedsPow2).
@@ -42,13 +45,16 @@ const (
 	associative
 	commutative
 	distributes
+	isomorphic
+	elementwise
 )
 
-var condText = [...]string{"—", "⊕ is associative", "⊕ is commutative", "⊗ distributes over ⊕"}
+var condText = [...]string{"—", "⊕ is associative", "⊕ is commutative", "⊗ distributes over ⊕",
+	"both neighborhoods isomorphic", "counts equal; ⊕ associative and elementwise; p = len(c)"}
 
-// holds reports whether reg declares the condition of what b bound.
-func (c condition) holds(reg *algebra.Registry, b *binding) bool {
-	x, y := b.ops[otimes], b.ops[oplus]
+// holds reports whether env declares the condition of what b bound.
+func (c condition) holds(env Env, b *binding) bool {
+	reg, x, y := env.Reg, b.ops[otimes], b.ops[oplus]
 	switch c {
 	case associative:
 		return reg.Associative(y)
@@ -56,26 +62,34 @@ func (c condition) holds(reg *algebra.Registry, b *binding) bool {
 		return reg.Associative(y) && reg.Commutative(y)
 	case distributes:
 		return reg.Associative(x) && reg.Associative(y) && reg.Distributes(x, y)
+	case isomorphic:
+		return b.hoods[0].Isomorphic() && b.hoods[1].Isomorphic()
+	case elementwise:
+		return reg.Associative(y) && reg.Elementwise(y) && (env.P == 0 || env.P == len(b.counts))
 	}
 	return true
 }
 
-// binding is what a window bound: ⊗ and ⊕, f and g (in the slots the
-// names select), and all = 1 when its reduction is an allreduce — the
-// index of a memoized [reduce, allreduce] pair.
+// binding is what a window bound: ⊗ and ⊕, f and g, and two neighbourhoods
+// (in the slots the names select), the counts vector, and all = 1 when its
+// reduction is an allreduce — the index of a memoized [reduce, allreduce]
+// pair.
 type binding struct {
-	ops [2]*algebra.Op
-	fns [2]*term.Fn
-	all int
+	ops    [2]*algebra.Op
+	fns    [2]*term.Fn
+	hoods  [2]*term.Hood
+	counts []int
+	all    int
 }
 
-// Each name binds a slot: ⊗ and f slot 0, ⊕ and g slot 1.
+// Each name binds a slot: ⊗, f, O1 and H slot 0, ⊕, g and O2 slot 1. A
+// stage binds its first name; c names the counts vector, a field of its own.
 const (
 	otimes = 0
 	oplus  = 1
 )
 
-var slots = map[string]uint8{"⊗": otimes, "⊕": oplus, "f": 0, "g": 1}
+var slots = map[string]uint8{"⊗": otimes, "⊕": oplus, "f": 0, "g": 1, "O1": 0, "O2": 1, "H": 0, "c": 0}
 
 // stage is one position of a window: what it matches, the slot of the name
 // it binds, and whether it is that name's first use, which binds it.
@@ -96,21 +110,26 @@ const (
 	kindAllReduce
 	kindAnyReduce
 	kindMap
+	kindHalo
+	kindReduceScatterV
+	kindAllGatherV
 )
 
 // kindNames are the kinds as a window writes them; kindHeads are the stages
 // a window of each kind starts with, as Rule.Head declares them.
 var (
-	kindNames = [...]string{"bcast", "gather", "scatter", "scan", "reduce", "allreduce", "[all]reduce", "map"}
-	kindHeads = [...]term.Term{term.Bcast{}, term.Gather{}, term.Scatter{}, term.Scan{}, term.Reduce{}, term.Reduce{}, term.Reduce{}, term.Map{}}
+	kindNames = [...]string{"bcast", "gather", "scatter", "scan", "reduce", "allreduce", "[all]reduce", "map",
+		"halo", "reduce_scatterv", "allgatherv"}
+	kindHeads = [...]term.Term{term.Bcast{}, term.Gather{}, term.Scatter{}, term.Scan{}, term.Reduce{}, term.Reduce{}, term.Reduce{}, term.Map{},
+		term.Halo{}, term.ReduceScatterV{}, term.AllGatherV{}}
 )
 
 // rule reads the statement's window and returns it as a Rule.
 func (s statement) rule() Rule {
 	bound := map[string]bool{}
 	for _, tok := range strings.Split(s.window, " ; ") {
-		f := strings.FieldsFunc(tok, func(r rune) bool { return r == '(' || r == ')' || r == ' ' })
-		k, name := slices.Index(kindNames[:], f[0]), f[len(f)-1]
+		f := strings.FieldsFunc(tok, func(r rune) bool { return strings.ContainsRune("(), ", r) })
+		k, name := slices.Index(kindNames[:], f[0]), f[min(1, len(f)-1)]
 		slot, named := slots[name]
 		if k < 0 || len(f) > 1 && !named {
 			panic("rules: " + s.name + ": unknown stage " + tok)
@@ -139,14 +158,14 @@ func (s *statement) try(dst, w []term.Term, env Env) ([]term.Term, bool) {
 			return dst, false
 		}
 	}
-	if !s.cond.holds(env.Reg, &b) {
+	if !s.cond.holds(env, &b) {
 		return dst, false
 	}
 	return s.build(dst, b), true
 }
 
 // bind reports whether t is a stage of st's kind, and binds st's name to
-// its operator or function.
+// its operator, function or neighbourhood, and a reduce_scatterv's counts.
 func (b *binding) bind(st stage, t term.Term) bool {
 	switch st.kind {
 	case kindBcast:
@@ -164,13 +183,23 @@ func (b *binding) bind(st stage, t term.Term) bool {
 	case kindMap:
 		x, ok := t.(term.Map)
 		return ok && bindTo(&b.fns[st.slot], st.binds, x.F)
+	case kindReduce, kindAllReduce, kindAnyReduce:
+		x, ok := t.(term.Reduce)
+		if x.All {
+			b.all = 1
+		}
+		form := st.kind == kindAnyReduce || x.All == (st.kind == kindAllReduce)
+		return ok && form && !x.Balanced && bindTo(&b.ops[st.slot], st.binds, x.Op)
+	case kindHalo:
+		x, ok := t.(term.Halo)
+		return ok && bindTo(&b.hoods[st.slot], st.binds, x.H)
+	case kindReduceScatterV:
+		x, ok := t.(term.ReduceScatterV)
+		b.counts = x.Counts
+		return ok && bindTo(&b.ops[st.slot], st.binds, x.Op)
 	}
-	x, ok := t.(term.Reduce)
-	if x.All {
-		b.all = 1
-	}
-	form := st.kind == kindAnyReduce || x.All == (st.kind == kindAllReduce)
-	return ok && form && !x.Balanced && bindTo(&b.ops[st.slot], st.binds, x.Op)
+	x, ok := t.(term.AllGatherV)
+	return ok && slices.Equal(b.counts, x.Counts)
 }
 
 // bindTo sets *slot to v on a name's first use and reports whether *slot is v.

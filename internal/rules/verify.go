@@ -120,13 +120,14 @@ func shapeFor(lhs term.Seq, cfg VerifyConfig) VerifyConfig {
 	if cfg.Gen != nil {
 		return cfg
 	}
-	counts, ok := progCounts(lhs)
-	if !ok {
-		return cfg
-	}
-	cfg.Sizes = []int{len(counts)}
-	cfg.Gen = func(rng *rand.Rand, n int) []algebra.Value {
-		return SparseInputs(lhs, rng, n)
+	for _, st := range lhs {
+		if counts, ok := term.CountsStage(st); ok {
+			cfg.Sizes = []int{len(counts)}
+			cfg.Gen = func(rng *rand.Rand, n int) []algebra.Value {
+				return SparseInputs(lhs, rng, n)
+			}
+			return cfg
+		}
 	}
 	return cfg
 }

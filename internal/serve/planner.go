@@ -113,14 +113,59 @@ func NewPlanner(cacheSize, cacheShards int) *Planner {
 // be").
 const MaxStages = 256
 
+// MaxWidth bounds the width of a program the planner parses: the number of
+// blocks in the tuple its halos leave at a rank, the product of their
+// neighbourhoods' sizes (a neighbour list's longest list). The search and
+// the derivation check carry that tuple through every stage after the
+// halos, so a request's time grows with the width: at 1024 a searched,
+// selected miss of the costliest halo chain measured took at most 48 ms
+// (docs/SERVING.md "How wide a program may be").
+const MaxWidth = 1024
+
+// WidthError refuses a program wider than MaxWidth.
+type WidthError struct {
+	// Width is the program's width, Max the bound it exceeds.
+	Width, Max int
+}
+
+func (e *WidthError) Error() string {
+	return fmt.Sprintf("program is %d blocks wide, at most %d", e.Width, e.Max)
+}
+
 // ParseProgram parses a surface-syntax program into its flat stage list. A
 // program of more than MaxStages stages is refused, with a
-// *lang.StagesError, before it is lexed.
+// *lang.StagesError, before it is lexed, and one wider than MaxWidth, with a
+// *WidthError, before it is planned.
 func (pl *Planner) ParseProgram(src string) (term.Seq, error) {
 	if strings.TrimSpace(src) == "" {
 		return nil, fmt.Errorf("empty program")
 	}
-	return lang.ParseStages(src, pl.Symbols, MaxStages)
+	t, err := lang.ParseStages(src, pl.Symbols, MaxStages)
+	if w := width(t); w > MaxWidth {
+		return nil, &WidthError{Width: w, Max: MaxWidth}
+	}
+	return t, err
+}
+
+// width is the product of the sizes of the stages' halos, saturating at
+// math.MaxInt.
+func width(stages term.Seq) int {
+	w := 1
+	for _, st := range stages {
+		h, ok := st.(term.Halo)
+		if !ok {
+			continue
+		}
+		n := len(h.H.Offsets)
+		for _, l := range h.H.Lists {
+			n = max(n, len(l))
+		}
+		if n > 0 && w > math.MaxInt/n {
+			return math.MaxInt
+		}
+		w *= n
+	}
+	return w
 }
 
 // KeyOpts builds the cache key for a canonical program at machine

@@ -266,8 +266,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// until it returns; the stage list keeps none of it.
 	t, err := s.planner.ParseProgram(req.Program)
 	if err != nil {
-		if long := (*lang.StagesError)(nil); errors.As(err, &long) {
-			s.fail(w, http.StatusBadRequest, "%v", long)
+		long, wide := (*lang.StagesError)(nil), (*WidthError)(nil)
+		if errors.As(err, &long) || errors.As(err, &wide) {
+			s.fail(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		s.fail(w, http.StatusBadRequest, "parse error: %v", err)

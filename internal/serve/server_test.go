@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +14,9 @@ import (
 	"time"
 
 	"repro/internal/cost"
+	"repro/internal/exper"
+	"repro/internal/rules"
+	"repro/internal/term"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -417,5 +421,61 @@ func TestProgramStagesBounded(t *testing.T) {
 	want = fmt.Sprintf("program has %d stages, at most %d", MaxStages+1, MaxStages)
 	if ans.code != http.StatusBadRequest || !strings.Contains(ans.body, want) {
 		t.Fatalf("a program of %d stages answered %d %s, want 400 %q", MaxStages+1, ans.code, ans.body, want)
+	}
+}
+
+// TestProgramWidthBounded: a program whose halos nest more than MaxWidth
+// blocks is refused with 400, naming its width, before it is planned, while
+// one of exactly MaxWidth blocks is searched, selected and answered. No
+// program of exper's rule patterns or of a RandSparseProgram corpus is
+// refused.
+func TestProgramWidthBounded(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	wide := strings.TrimSuffix(strings.Repeat("halo(1,2,3,5) ; ", 9), " ; ")
+	start := time.Now()
+	ans := postBody(t, ts.URL, requestBody(wide, ""))
+	took := time.Since(start)
+	want := fmt.Sprintf("program is %d blocks wide, at most %d", 1<<18, MaxWidth)
+	if ans.code != http.StatusBadRequest || !strings.Contains(ans.body, want) {
+		t.Fatalf("nine halo(1,2,3,5) answered %d %s, want 400 %q", ans.code, ans.body, want)
+	}
+	if took > time.Second {
+		t.Errorf("refusing nine halo(1,2,3,5) took %v", took)
+	}
+	if runs := s.Planner().EngineRuns(); runs != 0 {
+		t.Errorf("a refused program ran the engine %d times", runs)
+	}
+
+	offsets := make([]string, 32)
+	for i := range offsets {
+		offsets[i] = fmt.Sprint(i + 1)
+	}
+	halo32 := "halo(" + strings.Join(offsets, ",") + ")"
+	searched := `,"strategy":"search","select":true`
+	if ans := postBody(t, ts.URL, requestBody(halo32+" ; "+halo32, searched)); ans.code != http.StatusOK {
+		t.Fatalf("a program %d blocks wide answered %d %s", MaxWidth, ans.code, ans.body)
+	}
+	ans = postBody(t, ts.URL, requestBody(halo32+" ; "+halo32+" ; halo(0,1)", searched))
+	want = fmt.Sprintf("program is %d blocks wide, at most %d", 2*MaxWidth, MaxWidth)
+	if ans.code != http.StatusBadRequest || !strings.Contains(ans.body, want) {
+		t.Fatalf("a program %d blocks wide answered %d %s, want 400 %q", 2*MaxWidth, ans.code, ans.body, want)
+	}
+
+	var progs []term.Seq
+	for _, pat := range append(exper.Patterns(), exper.Extensions()...) {
+		progs = append(progs, pat.LHS.Stages())
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		progs = append(progs, rules.RandSparseProgram(rng, 2+i%7))
+	}
+	for _, prog := range progs {
+		if w := width(prog); w > MaxWidth {
+			t.Errorf("%v is %d blocks wide, over MaxWidth", prog, w)
+		}
+	}
+	lists := term.Seq{term.Halo{H: &term.Hood{Lists: [][]int{{1}, {0, 1, 1}}}}, term.Halo{H: &term.Hood{Offsets: []int{-1, 1}}}}
+	if w := width(lists); w != 6 {
+		t.Errorf("a neighbour list of longest list 3 then two offsets is %d blocks wide, want 6", w)
 	}
 }
