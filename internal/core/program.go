@@ -203,10 +203,8 @@ func (p Program) OptimizeOpts(m Machine, o OptimizeOptions) (Optimization, error
 // compilation cell to share, and a search writes its statistics to st when
 // st is not nil.
 func OptimizeTerm(t term.Seq, m Machine, o OptimizeOptions, st *rules.SearchStats) (Optimization, error) {
-	eng := engines.Get().(*engine)
-	defer engines.Put(eng)
-	eng.params = m.costParams()
-	eng.Engine = rules.Engine{Env: rules.Env{Reg: cmp.Or(o.Registry, rules.DefaultEnv().Reg), P: m.P}, Params: &eng.params, Auto: o.Auto}
+	params := m.costParams()
+	eng := rules.Engine{Env: rules.Env{Reg: cmp.Or(o.Registry, rules.DefaultEnv().Reg), P: m.P}, Params: &params, Auto: o.Auto}
 	var opt term.Seq
 	var res Optimization
 	if o.Search {
@@ -222,7 +220,7 @@ func OptimizeTerm(t term.Seq, m Machine, o OptimizeOptions, st *rules.SearchStat
 		if o.Auto {
 			price = cost.PricePortfolio
 		}
-		res.EstimateBefore, res.EstimateAfter = cost.Walk(t, eng.params, price, nil), cost.Walk(opt, eng.params, price, nil)
+		res.EstimateBefore, res.EstimateAfter = cost.Walk(t, params, price, nil), cost.Walk(opt, params, price, nil)
 	}
 	if o.Verifier != nil {
 		if err := o.Verifier.CheckDerivation(t, opt, res.Applications, o.VerifyConfig); err != nil {
@@ -231,18 +229,10 @@ func OptimizeTerm(t term.Seq, m Machine, o OptimizeOptions, st *rules.SearchStat
 	}
 	res.Program.s = opt
 	if o.Auto {
-		res.Selection = sel.ForTerm(opt, eng.params)
+		res.Selection = sel.ForTerm(opt, params)
 		res.Program.sels = res.Selection // before the program's first run compiles them in
 	}
 	return res, nil
-}
-
-// engines pools engines with their parameters, which escape the stack via Try.
-var engines = sync.Pool{New: func() any { return new(engine) }}
-
-type engine struct {
-	rules.Engine
-	params cost.Params
 }
 
 // Optimize rewrites the program with the cost-guided engine: a rule is

@@ -203,7 +203,7 @@ func stageLine(t term.Term, p Params, logp, b float64) (Line, float64) {
 		return local(logp * float64(s.Op.Cost) * b), b
 	case term.Halo:
 		// k point-to-point transfers, output a width-|H| tuple of blocks.
-		return HaloLine(s.H, p.P, b), b * float64(haloWidth(s.H))
+		return HaloLine(s.H, p.P, b), b * float64(s.H.Width())
 	case term.AllGatherV:
 		// The counts pin p and the total; downstream stages see the flat
 		// T-word concatenation.

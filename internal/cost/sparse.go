@@ -48,22 +48,6 @@ func HaloDegree(h *term.Hood, p int) int {
 	return worst
 }
 
-// haloWidth is the fan-in of the halo's output tuple — the factor by
-// which the per-processor block grows (the worst rank's, for the
-// per-rank form).
-func haloWidth(h *term.Hood) int {
-	if h.Isomorphic() {
-		return len(h.Offsets)
-	}
-	worst := 0
-	for _, l := range h.Lists {
-		if len(l) > worst {
-			worst = len(l)
-		}
-	}
-	return worst
-}
-
 // HaloLine is the halo exchange on p ranks at block size b:
 // k·(ts + b·tw) for k = HaloDegree — one start-up and one b-word
 // transfer per distinct neighbor.

@@ -13,7 +13,10 @@ import (
 type Symbols struct {
 	ops map[string]*algebra.Op
 	fns map[string]*term.Fn
-	// reduces holds each operator's reduce and allreduce, boxed once.
+	// reduces holds each operator's reduce and allreduce, boxed once: 2.0
+	// allocations less a plan-miss request and no time, kept for the
+	// planner's allocation budget (docs/PERF.md "What each planner
+	// mechanism buys").
 	reduces map[*algebra.Op][2]term.Term
 }
 

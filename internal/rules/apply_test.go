@@ -15,7 +15,7 @@ import (
 // results are drawn before any is compared, so a buffer handed out twice,
 // or one of a warm store that Into leaves partly unwritten, shows.
 func TestApplyIsF(t *testing.T) {
-	fused, ok := MMLocal.Try(nil, []term.Term{term.Map{F: IncTupFn}, term.Map{F: term.PairFn}}, Env{})
+	fused, ok := MMLocal.Try([]term.Term{term.Map{F: IncTupFn}, term.Map{F: term.PairFn}}, Env{})
 	if !ok {
 		t.Fatal("MM-Local did not fuse map inc_t ; map pair")
 	}

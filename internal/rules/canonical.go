@@ -25,9 +25,6 @@ func Canonical(s term.Seq) string {
 	return stages.String()
 }
 
-// AppendCanonical appends Canonical(s) to b.
-func AppendCanonical(b []byte, s term.Seq) []byte { return appendRewritten(b, s.Flat(), match{}) }
-
 // appendJoined appends the stages as term.Seq prints them: each stage's
 // rendering, separated by " ; ".
 func appendJoined(b []byte, stages []term.Term) []byte {

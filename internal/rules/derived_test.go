@@ -25,19 +25,19 @@ func TestDerivedOperatorsAreShared(t *testing.T) {
 			func(a, b *algebra.Op) built { o := opSR2(a, b); return built{o, o.Name} },
 			func(a, b *algebra.Op) built { return built{nil, algebra.OpSR2(a, b).Name} }},
 		{"op_sr",
-			func(a, _ *algebra.Op) built { o := srReduces(a, nil)[0].(term.Reduce).Op; return built{o, o.Name} },
+			func(a, _ *algebra.Op) built { o := opSR(a, nil); return built{o, o.Name} },
 			func(a, _ *algebra.Op) built { return built{nil, algebra.OpSR(a).Name} }},
 		{"op_ss",
 			func(a, _ *algebra.Op) built { o := opSS(a, nil); return built{o, o.Name} },
 			func(a, _ *algebra.Op) built { return built{nil, algebra.OpSS(a).Name} }},
 		{"op_comp_bs",
-			func(a, _ *algebra.Op) built { o := compBS(a, nil).(term.Comcast).Ops; return built{o, o.Name} },
+			func(a, _ *algebra.Op) built { o := opCompBS(a, nil); return built{o, o.Name} },
 			func(a, _ *algebra.Op) built { return built{nil, algebra.OpCompBS(a).Name} }},
 		{"op_comp_bss2",
-			func(a, b *algebra.Op) built { o := compBSS2(a, b).(term.Comcast).Ops; return built{o, o.Name} },
+			func(a, b *algebra.Op) built { o := opCompBSS2(a, b); return built{o, o.Name} },
 			func(a, b *algebra.Op) built { return built{nil, algebra.OpCompBSS2(a, b).Name} }},
 		{"op_comp_bss",
-			func(a, _ *algebra.Op) built { o := compBSS(a, nil).(term.Comcast).Ops; return built{o, o.Name} },
+			func(a, _ *algebra.Op) built { o := opCompBSS(a, nil); return built{o, o.Name} },
 			func(a, _ *algebra.Op) built { return built{nil, algebra.OpCompBSS(a).Name} }},
 		{"op_br",
 			func(a, _ *algebra.Op) built { o := opBR(a, nil); return built{o, o.Name} },
@@ -136,4 +136,29 @@ func derivedIn(t term.Term) []any {
 		}
 	}
 	return ops
+}
+
+// TestMemoizedHoldsAtMost256: after 1 000 distinct ingredient pairs, asking
+// for them again newest first finds at most 256 built before: a memo holds
+// no more, however many operators are defined.
+func TestMemoizedHoldsAtMost256(t *testing.T) {
+	builds := 0
+	memo := memoized(func(a, b *algebra.Op) int { builds++; return builds })
+	ops := make([]*algebra.Op, 1000)
+	for i := range ops {
+		ops[i] = new(algebra.Op)
+		memo(ops[i], algebra.Add)
+	}
+	held := 0
+	for i := len(ops) - 1; i >= 0; i-- {
+		before := builds
+		if memo(ops[i], algebra.Add); builds != before {
+			break
+		}
+		held++
+	}
+	if held == 0 || held > 256 {
+		t.Errorf("the memo held %d of 1 000 ingredient pairs, want 1 to 256", held)
+	}
+	t.Logf("%d held", held)
 }

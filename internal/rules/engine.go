@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"slices"
 	"strconv"
 
 	"repro/internal/cost"
@@ -82,8 +83,7 @@ func NewCostGuidedEngine(p cost.Params) *Engine {
 // A match is a (position, rule) pair whose pattern and conditions hold: rule
 // indexes the matcher's rule list, before is the window — a view of the
 // stage list it was found in, which nothing writes to — and after is what
-// Try appended to the matcher's slab. A match is unpriced; whoever needs its
-// prices asks for them.
+// Try returned. A match is unpriced; whoever needs its prices asks for them.
 type match struct {
 	rule, pos     int
 	before, after []term.Term
@@ -92,13 +92,10 @@ type match struct {
 // matcher enumerates an engine's matches in the one order every caller sees
 // them: stages left to right, rules in priority order at each position. A
 // position is tried only against the rules that can head a window there.
-// Every replacement is appended to slab, which only grows while the matches
-// are read, so a replacement cut from it stays put.
 type matcher struct {
 	env   Env
 	rs    []Rule
 	heads *heads
-	slab  *[]term.Term
 }
 
 // heads lists, per stage kind (kindOf), the indices of the rules a stage of
@@ -164,13 +161,12 @@ func kindOf(t term.Term) int {
 }
 
 // matcher is the engine's rule list with its head table — the catalog's,
-// built once, or one built for this call from the caller's Rules — over the
-// replacement slab.
-func (e *Engine) matcher(slab *[]term.Term) matcher {
+// built once, or one built for this call from the caller's Rules.
+func (e *Engine) matcher() matcher {
 	if e.Rules == nil {
-		return matcher{e.Env, defaultRules, defaultHeads, slab}
+		return matcher{e.Env, defaultRules, defaultHeads}
 	}
-	return matcher{e.Env, e.Rules, newHeads(e.Rules), slab}
+	return matcher{e.Env, e.Rules, newHeads(e.Rules)}
 }
 
 // try matches rule ri at position i of stages.
@@ -180,10 +176,8 @@ func (m matcher) try(stages []term.Term, i, ri int) (match, bool) {
 		return match{}, false
 	}
 	w := stages[i:end:end]
-	start := len(*m.slab)
-	slab, ok := m.rs[ri].Try(*m.slab, w, m.env)
-	*m.slab = slab
-	return match{ri, i, w, since(slab, start)}, ok
+	after, ok := m.rs[ri].Try(w, m.env)
+	return match{ri, i, w, after}, ok
 }
 
 // all appends every match in stages to ms.
@@ -315,8 +309,7 @@ func splice(stages []term.Term, pos, w int, after []term.Term) []term.Term {
 // false if no rule applies.
 func (e *Engine) Step(t term.Term) (term.Term, Application, bool) {
 	stages := term.Stages(t)
-	var slab []term.Term
-	app, ok := e.first(e.matcher(&slab), stages, 0, len(stages), 0)
+	app, ok := e.first(e.matcher(), stages, 0, len(stages), 0)
 	if !ok {
 		return t, Application{}, false
 	}
@@ -337,28 +330,24 @@ func (e *Engine) Optimize(t term.Term) (term.Term, []Application) {
 // OptimizeSeq is Optimize of a stage list, which it returns as it was when
 // nothing applies; it boxes nothing.
 func (e *Engine) OptimizeSeq(s term.Seq) (term.Seq, []Application) {
-	st := searchStates.Get().(*searchState)
-	defer st.release()
-	opt, apps := e.greedy(e.matcher(&st.stages), s.Flat(), nil, st)
+	opt, apps := e.greedy(e.matcher(), s.Flat(), nil)
 	if apps == nil {
 		return s, nil
 	}
-	return keep(opt, apps)
+	return opt, apps
 }
 
-// greedy is Optimize of the stage list stages, in st's storage: the
-// rewritten list is st.work, the applications st.apps, and the windows and
-// replacements are cut from the matcher's slab; keep copies them out. Each
-// step resumes where the last one rewrote, less a window: a window that
-// ends at or before the rewritten position is what the steps before
-// refused, unchanged. A non-nil root lists every match in stages, and
-// windows that no rewrite has reached — from frontier on, the root's stages
-// shifted by shift — are read from it rather than tried again. With no
-// application it returns stages.
-func (e *Engine) greedy(m matcher, stages []term.Term, root []match, st *searchState) ([]term.Term, []Application) {
+// greedy is Optimize of the stage list stages, which it copies before the
+// first rewrite. Each step resumes where the last one rewrote, less a
+// window: a window that ends at or before the rewritten position is what the
+// steps before refused, unchanged. A non-nil root lists every match in
+// stages, and windows that no rewrite has reached — from frontier on, the
+// root's stages shifted by shift — are read from it rather than tried again.
+// With no application it returns stages.
+func (e *Engine) greedy(m matcher, stages []term.Term, root []match) ([]term.Term, []Application) {
 	rooted := root != nil
 	var (
-		owned    bool // stages is st.work, rewritten in place
+		owned    bool // stages is greedy's copy, rewritten in place
 		lo, skip int
 		frontier = len(stages)
 		shift    int
@@ -367,7 +356,7 @@ func (e *Engine) greedy(m matcher, stages []term.Term, root []match, st *searchS
 	if rooted {
 		frontier = 0
 	}
-	apps := st.apps[:0]
+	var apps []Application
 	for {
 		app, ok := e.first(m, stages, lo, min(frontier, len(stages)), skip)
 		if !ok && rooted {
@@ -385,13 +374,11 @@ func (e *Engine) greedy(m matcher, stages []term.Term, root []match, st *searchS
 		}
 		w, l := len(app.Before), len(app.After)
 		if !owned {
-			stages = append(st.work[:0], stages...)
+			stages = slices.Clone(stages)
 			owned = true
 		} else if app.Pos < frontier {
 			// The window is a view of the stages about to be rewritten.
-			start := len(*m.slab)
-			*m.slab = append(*m.slab, app.Before...)
-			app.Before = since(*m.slab, start)
+			app.Before = slices.Clone(app.Before)
 		}
 		stages = splice(stages, app.Pos, w, app.After)
 		apps = append(apps, app)
@@ -403,33 +390,7 @@ func (e *Engine) greedy(m matcher, stages []term.Term, root []match, st *searchS
 			frontier = len(stages)
 		}
 	}
-	if !owned {
-		return stages, nil
-	}
-	st.work, st.apps = stages, apps
 	return stages, apps
-}
-
-// keep copies a derivation out of the storage it was made in: the stage
-// list and every window and replacement share one new list, and the
-// applications another.
-func keep(stages []term.Term, apps []Application) (term.Seq, []Application) {
-	n := len(stages)
-	for _, a := range apps {
-		n += len(a.Before) + len(a.After)
-	}
-	all := make([]term.Term, 0, n)
-	cut := func(s []term.Term) []term.Term {
-		start := len(all)
-		all = append(all, s...)
-		return since(all, start)
-	}
-	out := make([]Application, len(apps))
-	for i, a := range apps {
-		a.Before, a.After = cut(a.Before), cut(a.After)
-		out[i] = a
-	}
-	return cut(stages), out
 }
 
 // Applicable lists, without rewriting, every (position, rule) pair whose
@@ -438,8 +399,7 @@ func keep(stages []term.Term, apps []Application) (term.Seq, []Application) {
 // search's branching (unlike the greedy Step, no match is filtered by its
 // window delta).
 func (e *Engine) Applicable(t term.Term) []Application {
-	var slab []term.Term
-	m := e.matcher(&slab)
+	m := e.matcher()
 	var out []Application
 	for _, mt := range m.all(nil, term.Stages(t)) {
 		app := m.application(mt)

@@ -40,7 +40,7 @@ func TestExhaustiveVerificationOfEveryRule(t *testing.T) {
 	}
 	env := DefaultEnv()
 	for _, c := range cases {
-		repl, ok := c.rule.Try(nil, c.stages, env)
+		repl, ok := c.rule.Try(c.stages, env)
 		if !ok {
 			t.Fatalf("%s did not match %s", c.rule.Name, term.Seq(c.stages))
 		}

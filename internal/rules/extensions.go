@@ -22,7 +22,7 @@ import "repro/internal/term"
 // uncovers bcast ; scan(⊕) for BS-Comcast.
 var BMMobility = statement{name: "BM-Mobility", class: "Mobility", neutral: true,
 	window: "bcast ; map f", result: "map f ; bcast",
-	build: func(dst []term.Term, b binding) []term.Term { return append(dst, term.Map{F: b.fns[0]}, term.Bcast{}) },
+	build: func(b binding) []term.Term { return []term.Term{term.Map{F: b.fns[0]}, term.Bcast{}} },
 }.rule()
 
 // MMLocal fuses two adjacent local stages into one — the PolyEval_2 →
@@ -31,8 +31,8 @@ var BMMobility = statement{name: "BM-Mobility", class: "Mobility", neutral: true
 // parts have one.
 var MMLocal = statement{name: "MM-Local", class: "Local", neutral: true,
 	window: "map f ; map g", result: "map (f; g)",
-	build: func(dst []term.Term, b binding) []term.Term {
-		return append(dst, term.Map{F: fused(b.fns[0], b.fns[1])})
+	build: func(b binding) []term.Term {
+		return []term.Term{term.Map{F: fused(b.fns[0], b.fns[1])}}
 	},
 }.rule()
 
@@ -43,21 +43,21 @@ var MMLocal = statement{name: "MM-Local", class: "Local", neutral: true,
 // improvement.
 var RBAllReduce = statement{name: "RB-AllReduce", class: "Reduction", cond: associative,
 	window: "reduce(⊕) ; bcast", result: "allreduce(⊕)",
-	build: func(dst []term.Term, b binding) []term.Term { return append(dst, allreduce(b.ops[oplus], nil)) },
+	build: func(b binding) []term.Term { return []term.Term{term.Reduce{Op: b.ops[oplus], All: true}} },
 }.rule()
 
 // BBBcast collapses consecutive broadcasts — the second re-broadcasts the
 // value the first already delivered everywhere.
 var BBBcast = statement{name: "BB-Bcast", class: "Comcast",
 	window: "bcast ; bcast", result: "bcast",
-	build: func(dst []term.Term, b binding) []term.Term { return append(dst, term.Bcast{}) },
+	build: func(b binding) []term.Term { return []term.Term{term.Bcast{}} },
 }.rule()
 
 // ABAllReduce drops a broadcast after an all-reduction: every processor
 // already holds the result.
 var ABAllReduce = statement{name: "AB-AllReduce", class: "Reduction",
 	window: "allreduce(⊕) ; bcast", result: "allreduce(⊕)",
-	build: func(dst []term.Term, b binding) []term.Term { return append(dst, allreduce(b.ops[oplus], nil)) },
+	build: func(b binding) []term.Term { return []term.Term{term.Reduce{Op: b.ops[oplus], All: true}} },
 }.rule()
 
 // GSId eliminates a gather immediately undone by a scatter — the
@@ -65,7 +65,7 @@ var ABAllReduce = statement{name: "AB-AllReduce", class: "Reduction",
 // computes nothing.
 var GSId = statement{name: "GS-Id", class: "Local",
 	window: "gather ; scatter", result: "(identity)",
-	build: func(dst []term.Term, b binding) []term.Term { return dst },
+	build: func(b binding) []term.Term { return []term.Term{} },
 }.rule()
 
 // SGId eliminates a scatter immediately undone by a gather. The root's list
@@ -74,7 +74,7 @@ var GSId = statement{name: "GS-Id", class: "Local",
 // and after (they hold scatter chunks that the gather re-collects).
 var SGId = statement{name: "SG-Id", class: "Local",
 	window: "scatter ; gather", result: "(identity)",
-	build: func(dst []term.Term, b binding) []term.Term { return dst },
+	build: func(b binding) []term.Term { return []term.Term{} },
 }.rule()
 
 // Extensions returns the extension rules, ordered so that genuine

@@ -68,11 +68,10 @@ type Rule struct {
 	// hold a stage of the same type. A rule without one is tried everywhere.
 	Head term.Term
 	// Try matches the window and, if the pattern and conditions hold,
-	// appends the replacement stages to dst and returns the extended list;
-	// otherwise it returns dst as it was. The rule does not write to the
+	// returns the replacement stages. The rule does not write to the
 	// replacement again: the engine shares it between every program it
 	// rewrites.
-	Try func(dst, w []term.Term, env Env) ([]term.Term, bool)
+	Try func(w []term.Term, env Env) ([]term.Term, bool)
 	// pow2 is the statement's p = 2^k condition, which NeedsPow2 reports.
 	pow2 bool
 }
@@ -81,44 +80,37 @@ type Rule struct {
 // its right-hand side computes f^(log p) by repeated squaring.
 func (r Rule) NeedsPow2() bool { return r.pow2 }
 
-// The derived operators and functions the right-hand sides name, memoized:
-// a window seen before names the one built then, shared by every program
-// and goroutine. A stage wider than an interface word is memoized boxed — a
-// reduction as its [reduce, allreduce] pair — so a replacement list copies
-// the box instead of allocating one.
+// The derived operators the right-hand sides name, memoized: a window seen
+// before names the one built then, shared by every program and goroutine.
+// Without the memo no timed row lost, but a plan-miss request allocated 6.1
+// more, beyond the planner's allocation budget (docs/PERF.md "What each
+// planner mechanism buys").
 var (
 	opSR2      = memoized(algebra.OpSR2)
 	opSS       = memoized(func(a, _ *algebra.Op) *algebra.BalancedScanOp { return algebra.OpSS(a) })
 	opBR       = memoized(func(a, _ *algebra.Op) *algebra.IterOp { return algebra.OpBR(a) })
 	opBSR2     = memoized(algebra.OpBSR2)
 	opBSR      = memoized(func(a, _ *algebra.Op) *algebra.IterOp { return algebra.OpBSR(a) })
-	sr2Reduces = memoized(func(a, b *algebra.Op) [2]term.Term { return reduces(opSR2(a, b), false) })
-	srReduces  = memoized(func(a, _ *algebra.Op) [2]term.Term { return reduces(algebra.OpSR(a), true) })
-	compBS     = memoized(func(a, _ *algebra.Op) term.Term { return term.Comcast{Ops: algebra.OpCompBS(a)} })
-	compBSS2   = memoized(func(a, b *algebra.Op) term.Term { return term.Comcast{Ops: algebra.OpCompBSS2(a, b)} })
-	compBSS    = memoized(func(a, _ *algebra.Op) term.Term { return term.Comcast{Ops: algebra.OpCompBSS(a)} })
-	allreduce  = memoized(func(a, _ *algebra.Op) term.Term { return term.Reduce{Op: a, All: true} })
-	eachFn     = memoized(func(f, _ *term.Fn) *term.Fn { return EachFn(f) })
-	fused      = memoized(func(f, g *term.Fn) *term.Fn {
-		return local(fmt.Sprintf("(%s; %s)", f.Name, g.Name), f.Cost+g.Cost, f.Elementwise && g.Elementwise,
-			func(ar *algebra.Arena, v algebra.Value) algebra.Value { return term.Apply(ar, g, term.Apply(ar, f, v)) })
-	})
+	opSR       = memoized(func(a, _ *algebra.Op) *algebra.Op { return algebra.OpSR(a) })
+	opCompBS   = memoized(func(a, _ *algebra.Op) *algebra.RepeatOps { return algebra.OpCompBS(a) })
+	opCompBSS2 = memoized(algebra.OpCompBSS2)
+	opCompBSS  = memoized(func(a, _ *algebra.Op) *algebra.RepeatOps { return algebra.OpCompBSS(a) })
 )
 
-// reduces is op's reduce and allreduce stages.
-func reduces(op *algebra.Op, balanced bool) [2]term.Term {
-	return [2]term.Term{term.Reduce{Op: op, Balanced: balanced}, term.Reduce{Op: op, All: true, Balanced: balanced}}
+// fused is the local function (f; g).
+func fused(f, g *term.Fn) *term.Fn {
+	return local(fmt.Sprintf("(%s; %s)", f.Name, g.Name), f.Cost+g.Cost, f.Elementwise && g.Elementwise,
+		func(ar *algebra.Arena, v algebra.Value) algebra.Value { return term.Apply(ar, g, term.Apply(ar, f, v)) })
 }
 
-// memoized is build remembered by the identity of its two ingredients,
-// operators or functions (derived ones are immutable), for the last 256 it
-// built: base operators and functions may be defined without end. It is
-// safe for concurrent use.
-func memoized[K comparable, T any](build func(a, b K) T) func(a, b K) T {
+// memoized is build remembered by the identity of its two operators
+// (derived ones are immutable), for the last 256 it built: base operators
+// may be defined without end. It is safe for concurrent use.
+func memoized[T any](build func(a, b *algebra.Op) T) func(a, b *algebra.Op) T {
 	var mu sync.Mutex
-	built := make(map[[2]K]T)
-	return func(a, b K) T {
-		k := [2]K{a, b}
+	built := make(map[[2]*algebra.Op]T)
+	return func(a, b *algebra.Op) T {
+		k := [2]*algebra.Op{a, b}
 		mu.Lock()
 		defer mu.Unlock()
 		if v, ok := built[k]; ok {
@@ -136,8 +128,8 @@ func memoized[K comparable, T any](build func(a, b K) T) func(a, b K) T {
 // SR2Reduction is rule SR2-Reduction and its allreduce variant.
 var SR2Reduction = statement{name: "SR2-Reduction", class: "Reduction", cond: distributes,
 	window: "scan(⊗) ; [all]reduce(⊕)", result: "map pair ; [all]reduce(op_sr2) ; map π₁",
-	build: func(dst []term.Term, b binding) []term.Term {
-		return append(dst, term.Map{F: term.PairFn}, sr2Reduces(b.ops[otimes], b.ops[oplus])[b.all], term.Map{F: term.FirstFn})
+	build: func(b binding) []term.Term {
+		return []term.Term{term.Map{F: term.PairFn}, term.Reduce{Op: opSR2(b.ops[otimes], b.ops[oplus]), All: b.all}, term.Map{F: term.FirstFn}}
 	},
 }.rule()
 
@@ -145,24 +137,24 @@ var SR2Reduction = statement{name: "SR2-Reduction", class: "Reduction", cond: di
 // right-hand side uses the balanced reduction of §3.2.
 var SRReduction = statement{name: "SR-Reduction", class: "Reduction", cond: commutative,
 	window: "scan(⊕) ; [all]reduce(⊕)", result: "map pair ; [all]reduce_balanced(op_sr) ; map π₁",
-	build: func(dst []term.Term, b binding) []term.Term {
-		return append(dst, term.Map{F: term.PairFn}, srReduces(b.ops[oplus], nil)[b.all], term.Map{F: term.FirstFn})
+	build: func(b binding) []term.Term {
+		return []term.Term{term.Map{F: term.PairFn}, term.Reduce{Op: opSR(b.ops[oplus], nil), All: b.all, Balanced: true}, term.Map{F: term.FirstFn}}
 	},
 }.rule()
 
 // SS2Scan is rule SS2-Scan.
 var SS2Scan = statement{name: "SS2-Scan", class: "Scan", cond: distributes,
 	window: "scan(⊗) ; scan(⊕)", result: "map pair ; scan(op_sr2) ; map π₁",
-	build: func(dst []term.Term, b binding) []term.Term {
-		return append(dst, term.Map{F: term.PairFn}, term.Scan{Op: opSR2(b.ops[otimes], b.ops[oplus])}, term.Map{F: term.FirstFn})
+	build: func(b binding) []term.Term {
+		return []term.Term{term.Map{F: term.PairFn}, term.Scan{Op: opSR2(b.ops[otimes], b.ops[oplus])}, term.Map{F: term.FirstFn}}
 	},
 }.rule()
 
 // SSScan is rule SS-Scan.
 var SSScan = statement{name: "SS-Scan", class: "Scan", cond: commutative,
 	window: "scan(⊕) ; scan(⊕)", result: "map quadruple ; scan_balanced(op_ss) ; map π₁",
-	build: func(dst []term.Term, b binding) []term.Term {
-		return append(dst, term.Map{F: term.QuadrupleFn}, term.ScanBal{Op: opSS(b.ops[oplus], nil)}, term.Map{F: term.FirstFn})
+	build: func(b binding) []term.Term {
+		return []term.Term{term.Map{F: term.QuadrupleFn}, term.ScanBal{Op: opSS(b.ops[oplus], nil)}, term.Map{F: term.FirstFn}}
 	},
 }.rule()
 
@@ -170,15 +162,15 @@ var SSScan = statement{name: "SS-Scan", class: "Scan", cond: commutative,
 // (e,o) pair of §3.4.
 var BSComcast = statement{name: "BS-Comcast", class: "Comcast", cond: associative,
 	window: "bcast ; scan(⊕)", result: "bcast ; map# op_comp",
-	build: func(dst []term.Term, b binding) []term.Term { return append(dst, compBS(b.ops[oplus], nil)) },
+	build: func(b binding) []term.Term { return []term.Term{term.Comcast{Ops: opCompBS(b.ops[oplus], nil)}} },
 }.rule()
 
 // BSS2Comcast is rule BSS2-Comcast, the corollary of SS2-Scan and
 // BS-Comcast.
 var BSS2Comcast = statement{name: "BSS2-Comcast", class: "Comcast", cond: distributes,
 	window: "bcast ; scan(⊗) ; scan(⊕)", result: "bcast ; map# op_comp",
-	build: func(dst []term.Term, b binding) []term.Term {
-		return append(dst, compBSS2(b.ops[otimes], b.ops[oplus]))
+	build: func(b binding) []term.Term {
+		return []term.Term{term.Comcast{Ops: opCompBSS2(b.ops[otimes], b.ops[oplus])}}
 	},
 }.rule()
 
@@ -186,7 +178,7 @@ var BSS2Comcast = statement{name: "BSS2-Comcast", class: "Comcast", cond: distri
 // BS-Comcast (op_ss is not associative), so it is a rule of its own.
 var BSSComcast = statement{name: "BSS-Comcast", class: "Comcast", cond: commutative,
 	window: "bcast ; scan(⊕) ; scan(⊕)", result: "bcast ; map# op_comp",
-	build: func(dst []term.Term, b binding) []term.Term { return append(dst, compBSS(b.ops[oplus], nil)) },
+	build: func(b binding) []term.Term { return []term.Term{term.Comcast{Ops: opCompBSS(b.ops[oplus], nil)}} },
 }.rule()
 
 // BRLocal is rule BR-Local. Repeated squaring computes the p-fold reduction
@@ -195,8 +187,8 @@ var BSSComcast = statement{name: "BSS-Comcast", class: "Comcast", cond: commutat
 // become undetermined (§3.5).
 var BRLocal = statement{name: "BR-Local", class: "Local", cond: associative, pow2: true,
 	window: "bcast ; reduce(⊕)", result: "iter(op_br)",
-	build: func(dst []term.Term, b binding) []term.Term {
-		return append(dst, term.Iter{Op: opBR(b.ops[oplus], nil)})
+	build: func(b binding) []term.Term {
+		return []term.Term{term.Iter{Op: opBR(b.ops[oplus], nil)}}
 	},
 }.rule()
 
@@ -204,8 +196,8 @@ var BRLocal = statement{name: "BR-Local", class: "Local", cond: associative, pow
 // BR-Local. The pair/π₁ adjustments are folded into the Iter stage.
 var BSR2Local = statement{name: "BSR2-Local", class: "Local", cond: distributes, pow2: true,
 	window: "bcast ; scan(⊗) ; reduce(⊕)", result: "map pair ; iter(op_bsr2) ; map π₁",
-	build: func(dst []term.Term, b binding) []term.Term {
-		return append(dst, term.Iter{Op: opBSR2(b.ops[otimes], b.ops[oplus])})
+	build: func(b binding) []term.Term {
+		return []term.Term{term.Iter{Op: opBSR2(b.ops[otimes], b.ops[oplus])}}
 	},
 }.rule()
 
@@ -213,8 +205,8 @@ var BSR2Local = statement{name: "BSR2-Local", class: "Local", cond: distributes,
 // corollary (the result of SR-Reduction is not associative).
 var BSRLocal = statement{name: "BSR-Local", class: "Local", cond: commutative, pow2: true,
 	window: "bcast ; scan(⊕) ; reduce(⊕)", result: "map pair ; iter(op_bsr) ; map π₁",
-	build: func(dst []term.Term, b binding) []term.Term {
-		return append(dst, term.Iter{Op: opBSR(b.ops[oplus], nil)})
+	build: func(b binding) []term.Term {
+		return []term.Term{term.Iter{Op: opBSR(b.ops[oplus], nil)}}
 	},
 }.rule()
 
@@ -223,8 +215,8 @@ var BSRLocal = statement{name: "BSR-Local", class: "Local", cond: commutative, p
 // is needed everywhere.
 var CRAllLocal = statement{name: "CR-AllLocal", class: "Local", cond: associative, pow2: true,
 	window: "bcast ; allreduce(⊕)", result: "iter(op_br) ; bcast",
-	build: func(dst []term.Term, b binding) []term.Term {
-		return append(dst, term.Iter{Op: opBR(b.ops[oplus], nil)}, term.Bcast{})
+	build: func(b binding) []term.Term {
+		return []term.Term{term.Iter{Op: opBR(b.ops[oplus], nil)}, term.Bcast{}}
 	},
 }.rule()
 

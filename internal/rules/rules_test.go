@@ -15,7 +15,7 @@ func applyRule(t *testing.T, r Rule, env Env, stages ...term.Term) []term.Term {
 	if len(stages) != r.Window {
 		t.Fatalf("%s window is %d, got %d stages", r.Name, r.Window, len(stages))
 	}
-	repl, ok := r.Try(nil, stages, env)
+	repl, ok := r.Try(stages, env)
 	if !ok {
 		t.Fatalf("%s did not match %s", r.Name, term.Seq(stages))
 	}
@@ -25,7 +25,7 @@ func applyRule(t *testing.T, r Rule, env Env, stages ...term.Term) []term.Term {
 // refuseRule fails the test if the rule fires.
 func refuseRule(t *testing.T, r Rule, env Env, stages ...term.Term) {
 	t.Helper()
-	if _, ok := r.Try(nil, stages, env); ok {
+	if _, ok := r.Try(stages, env); ok {
 		t.Fatalf("%s must not match %s", r.Name, term.Seq(stages))
 	}
 }

@@ -98,22 +98,22 @@ func (s SearchStats) Improved() bool { return s.BestCost < s.GreedyCost }
 // search both, and each program the search reaches derives its matches
 // from its parent's (matcher.derive). The search never branches on a
 // window's price, so only the applications it returns are priced. Every
-// list it makes lives in its pooled state; only the returned plan and
-// applications are copied out.
+// list the search makes lives in its pooled state; only a searched plan and
+// its windows are copied out.
 func (e *Engine) SearchOptimize(t term.Seq, cfg SearchConfig) (term.Seq, []Application, SearchStats) {
 	if e.Params == nil {
 		panic("rules: SearchOptimize requires a cost-guided engine (Params set)")
 	}
 	st := searchStates.Get().(*searchState)
 	defer st.release()
-	m := e.matcher(&st.stages)
+	m := e.matcher()
 	s := &searcher{e: *e, m: m, cfg: cfg, p: *e.Params, searchState: st}
 	stages := t.Flat()
 	s.matches = m.all(s.matches, stages)
 	root := since(s.matches, 0)
 	greedyS, greedyApps := stages, []Application(nil)
 	if len(root) > 0 {
-		greedyS, greedyApps = e.greedy(m, stages, root, st)
+		greedyS, greedyApps = e.greedy(m, stages, root)
 	}
 	gCost := e.scoreSeq(greedyS, s.p)
 
@@ -126,41 +126,52 @@ func (e *Engine) SearchOptimize(t term.Seq, cfg SearchConfig) (term.Seq, []Appli
 	bt, bms, bcost := s.explore(node{stages: stages, ms: root}, self, 0)
 
 	s.stats.GreedyCost, s.stats.SourceCost = gCost, self
-	apps := greedyApps
 	if bcost >= gCost {
 		// The search found nothing better (a budget cut can even hide
 		// the greedy path): keep the greedy derivation.
-		s.stats.BestCost, bt = gCost, greedyS
-	} else {
-		s.stats.BestCost, apps = bcost, s.apps[:0]
-		for _, mt := range bms {
-			a := m.application(mt)
-			e.price(&a)
-			apps = append(apps, a)
+		s.stats.BestCost = gCost
+		if greedyApps == nil {
+			return t, nil, s.stats
 		}
-		s.apps = apps
+		return greedyS, greedyApps, s.stats
 	}
-	if len(apps) == 0 {
-		return t, nil, s.stats
+	s.stats.BestCost = bcost
+	apps := make([]Application, len(bms))
+	for i, mt := range bms {
+		apps[i] = m.application(mt)
+		e.price(&apps[i])
 	}
-	opt, apps := keep(bt, apps)
-	return opt, apps, s.stats
+	return keep(bt, apps), apps, s.stats
+}
+
+// keep copies the searched plan and its applications' windows out of the
+// pooled state, into one list; the replacements are the rules' own.
+func keep(stages []term.Term, apps []Application) []term.Term {
+	n := len(stages)
+	for _, a := range apps {
+		n += len(a.Before)
+	}
+	all := make([]term.Term, 0, n)
+	for i := range apps {
+		all = append(all, apps[i].Before...)
+		apps[i].Before = since(all, len(all)-len(apps[i].Before))
+	}
+	return append(all, stages...)[n-len(stages):]
 }
 
 // searchState is what a search keeps between its nodes: the memo, and the
-// slabs its keys, programs, replacements and match lists are appended to,
-// which only grow until the call returns: a list cut from one (since) stays
-// put. Greedy rewrites in it too. It is pooled; one grown past
-// maxPooledMemo programs or maxPooledBytes a slab is dropped rather than
-// kept behind every later search.
+// slabs its keys, programs and match lists are appended to, which only grow
+// until the call returns: a list cut from one (since) stays put. It is
+// pooled; one grown past maxPooledMemo programs or maxPooledBytes a slab is
+// dropped rather than kept behind every later search. Without the pool no
+// timed row lost, but a plan-miss request allocated 9.7 more, beyond the
+// 4.0 the planner's allocation budget allows (docs/PERF.md "What each
+// planner mechanism buys").
 type searchState struct {
 	memo    map[string]memoEntry
 	keys    []byte
 	stages  []term.Term
 	matches []match
-	// work and apps are greedy's rewritten list and its applications.
-	work []term.Term
-	apps []Application
 }
 
 var searchStates = sync.Pool{New: func() any { return &searchState{memo: make(map[string]memoEntry)} }}
@@ -171,9 +182,9 @@ const (
 )
 
 func (st *searchState) release() {
-	if len(st.memo) <= maxPooledMemo && max(size(st.keys), size(st.stages), size(st.matches), size(st.work), size(st.apps)) <= maxPooledBytes {
+	if len(st.memo) <= maxPooledMemo && max(size(st.keys), size(st.stages), size(st.matches)) <= maxPooledBytes {
 		clear(st.memo)
-		st.keys, st.stages, st.matches, st.work, st.apps = st.keys[:0], st.stages[:0], st.matches[:0], st.work[:0], st.apps[:0]
+		st.keys, st.stages, st.matches = st.keys[:0], st.stages[:0], st.matches[:0]
 		searchStates.Put(st)
 	}
 }
@@ -281,7 +292,9 @@ func (s *searcher) child(stages []term.Term, ms []match, k, depth int) ([]term.T
 	s.stages = append(append(append(s.stages, stages[:a.pos]...), a.after...), stages[a.pos+len(a.before):]...)
 	cs := since(s.stages, start)
 	bt, bms, bcost := s.explore(node{stages: cs, parent: ms, k: k}, s.e.scoreSeq(cs, s.p), depth)
-	// The key's bytes are not written again while the memo holds them.
+	// The key's bytes are not written again while the memo holds them. The
+	// pooled state this views saves 9.7 allocations a plan-miss request
+	// (docs/PERF.md "What each planner mechanism buys").
 	s.memo[unsafe.String(&key[0], len(key))] = memoEntry{cost: bcost, stages: bt, ms: bms}
 	return bt, bms, bcost
 }

@@ -219,3 +219,21 @@ func TestSearchPricesWindowsWithTheEngineModel(t *testing.T) {
 		t.Fatal("no window is priced differently by the portfolio; the case no longer tests anything")
 	}
 }
+
+// TestSearchPoolDropsOversizedStates: a search of scan(*) ; reduce(+) × 128
+// grows its memo past maxPooledMemo programs, and no state over the caps
+// comes back from the pool after it: one that big is dropped rather than
+// kept behind every later search.
+func TestSearchPoolDropsOversizedStates(t *testing.T) {
+	e := NewCostGuidedEngine(daemonParams)
+	_, _, stats := e.SearchOptimize(longShape(longShapes["scan(*) ; reduce(+)"], 128), SearchConfig{})
+	if stats.Nodes-stats.MemoHits <= maxPooledMemo {
+		t.Fatalf("the search explored %d programs, not past the cap of %d", stats.Nodes-stats.MemoHits, maxPooledMemo)
+	}
+	for range 8 {
+		st := searchStates.Get().(*searchState)
+		if n, b := len(st.memo), max(size(st.keys), size(st.stages), size(st.matches)); n > maxPooledMemo || b > maxPooledBytes {
+			t.Fatalf("the pool handed out a state of %d programs and a %d-byte slab, caps %d and %d", n, b, maxPooledMemo, maxPooledBytes)
+		}
+	}
+}

@@ -81,7 +81,7 @@ func RegroupFn(n1, n2 int) *term.Fn {
 // fires it on equality too.
 var HHCombine = statement{name: "HH-Combine", class: "Sparse", cond: isomorphic, neutral: true,
 	window: "halo(O1) ; halo(O2)", result: "halo(O2+O1) ; map regroup",
-	build: func(dst []term.Term, b binding) []term.Term {
+	build: func(b binding) []term.Term {
 		o1, o2 := b.hoods[0].Offsets, b.hoods[1].Offsets
 		combined := make([]int, 0, len(o1)*len(o2))
 		for _, q := range o2 {
@@ -89,7 +89,7 @@ var HHCombine = statement{name: "HH-Combine", class: "Sparse", cond: isomorphic,
 				combined = append(combined, q+o)
 			}
 		}
-		return append(dst, term.Halo{H: &term.Hood{Offsets: combined}}, term.Map{F: RegroupFn(len(o1), len(o2))})
+		return []term.Term{term.Halo{H: &term.Hood{Offsets: combined}}, term.Map{F: RegroupFn(len(o1), len(o2))}}
 	},
 }.rule()
 
@@ -105,8 +105,8 @@ var HHCombine = statement{name: "HH-Combine", class: "Sparse", cond: isomorphic,
 // docs/RULES.md).
 var MHMobility = statement{name: "MH-Mobility", class: "Mobility",
 	window: "map f ; halo(H)", result: "halo(H) ; map each(f)",
-	build: func(dst []term.Term, b binding) []term.Term {
-		return append(dst, term.Halo{H: b.hoods[0]}, term.Map{F: eachFn(b.fns[0], nil)})
+	build: func(b binding) []term.Term {
+		return []term.Term{term.Halo{H: b.hoods[0]}, term.Map{F: EachFn(b.fns[0])}}
 	},
 }.rule()
 
@@ -123,7 +123,7 @@ var MHMobility = statement{name: "MH-Mobility", class: "Mobility",
 // block-row products the right side never forms.
 var RSAGAllReduce = statement{name: "RSAG-AllReduce", class: "Sparse", cond: elementwise,
 	window: "reduce_scatterv(⊕,c) ; allgatherv(c)", result: "allreduce(⊕)",
-	build: func(dst []term.Term, b binding) []term.Term { return append(dst, allreduce(b.ops[oplus], nil)) },
+	build: func(b binding) []term.Term { return []term.Term{term.Reduce{Op: b.ops[oplus], All: true}} },
 }.rule()
 
 // Sparse returns the message-combining rules for the sparse and

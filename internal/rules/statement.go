@@ -27,10 +27,10 @@ type statement struct {
 	pow2 bool
 	// neutral is the rule's CostNeutral.
 	neutral bool
-	// result is the right-hand side as Result prints it; build appends it
-	// to dst for what the window bound.
+	// result is the right-hand side as Result prints it; build builds it
+	// for what the window bound.
 	result string
-	build  func(dst []term.Term, b binding) []term.Term
+	build  func(b binding) []term.Term
 	// stages[:n] is window as rule reads it, for the matcher.
 	stages [3]stage
 	n      int
@@ -71,15 +71,14 @@ func (c condition) holds(env Env, b *binding) bool {
 }
 
 // binding is what a window bound: ⊗ and ⊕, f and g, and two neighbourhoods
-// (in the slots the names select), the counts vector, and all = 1 when its
-// reduction is an allreduce — the index of a memoized [reduce, allreduce]
-// pair.
+// (in the slots the names select), the counts vector, and whether its
+// reduction is an allreduce.
 type binding struct {
 	ops    [2]*algebra.Op
 	fns    [2]*term.Fn
 	hoods  [2]*term.Hood
 	counts []int
-	all    int
+	all    bool
 }
 
 // Each name binds a slot: ⊗, f, O1 and H slot 0, ⊕, g and O2 slot 1. A
@@ -147,21 +146,21 @@ func (s statement) rule() Rule {
 
 // try is the statement's Rule.Try: every stage of w matches its position
 // and binds its name, the condition holds of what they bound, and build
-// appends the right-hand side.
-func (s *statement) try(dst, w []term.Term, env Env) ([]term.Term, bool) {
+// builds the right-hand side.
+func (s *statement) try(w []term.Term, env Env) ([]term.Term, bool) {
 	if s.pow2 && env.P&(env.P-1) != 0 {
-		return dst, false
+		return nil, false
 	}
 	var b binding
 	for i, st := range s.stages[:s.n] {
 		if !b.bind(st, w[i]) {
-			return dst, false
+			return nil, false
 		}
 	}
 	if !s.cond.holds(env, &b) {
-		return dst, false
+		return nil, false
 	}
-	return s.build(dst, b), true
+	return s.build(b), true
 }
 
 // bind reports whether t is a stage of st's kind, and binds st's name to
@@ -185,9 +184,7 @@ func (b *binding) bind(st stage, t term.Term) bool {
 		return ok && bindTo(&b.fns[st.slot], st.binds, x.F)
 	case kindReduce, kindAllReduce, kindAnyReduce:
 		x, ok := t.(term.Reduce)
-		if x.All {
-			b.all = 1
-		}
+		b.all = b.all || x.All
 		form := st.kind == kindAnyReduce || x.All == (st.kind == kindAllReduce)
 		return ok && form && !x.Balanced && bindTo(&b.ops[st.slot], st.binds, x.Op)
 	case kindHalo:

@@ -204,7 +204,10 @@ func (d *reqDecoder) field(req *Request, f int, c byte) error {
 		case f == fieldStrategy:
 			req.Strategy = strategyOf(s, esc)
 		case !esc && len(s) > 0:
-			req.Program = unsafe.String(&s[0], len(s)) // a view of the body
+			// A view of the body: a copy allocated 1.0 more a plan-miss request
+			// and no timed row lost; it is kept for the allocation budget
+			// (docs/PERF.md "What each planner mechanism buys").
+			req.Program = unsafe.String(&s[0], len(s))
 		default:
 			req.Program = unquote(s, esc)
 		}

@@ -147,8 +147,8 @@ func (pl *Planner) ParseProgram(src string) (term.Seq, error) {
 	return t, err
 }
 
-// width is the product of the sizes of the stages' halos, saturating at
-// math.MaxInt.
+// width is the product of the stages' halos' widths (term.Hood.Width),
+// saturating at math.MaxInt.
 func width(stages term.Seq) int {
 	w := 1
 	for _, st := range stages {
@@ -156,10 +156,7 @@ func width(stages term.Seq) int {
 		if !ok {
 			continue
 		}
-		n := len(h.H.Offsets)
-		for _, l := range h.H.Lists {
-			n = max(n, len(l))
-		}
+		n := h.H.Width()
 		if n > 0 && w > math.MaxInt/n {
 			return math.MaxInt
 		}
@@ -175,14 +172,10 @@ func width(stages term.Seq) int {
 // field keep working), searched plans get a distinct suffix so the two
 // strategies never serve each other's plans, and selected plans (other
 // estimates, a selection stanza) never share an entry with unselected ones.
+// AppendFloat's 'g', -1 prints what %g printed.
 func KeyOpts(canonical string, m core.Machine, strat Strategy, autoSel bool) string {
 	var buf [512]byte
-	return string(appendQualifiers(append(buf[:0], canonical...), m, strat, autoSel))
-}
-
-// appendQualifiers appends KeyOpts' qualifiers to a canonical program;
-// AppendFloat's 'g', -1 prints what %g printed.
-func appendQualifiers(q []byte, m core.Machine, strat Strategy, autoSel bool) []byte {
+	q := append(buf[:0], canonical...)
 	q = append(q, "|ts="...)
 	q = strconv.AppendFloat(q, m.Ts, 'g', -1, 64)
 	q = append(q, "|tw="...)
@@ -197,7 +190,7 @@ func appendQualifiers(q []byte, m core.Machine, strat Strategy, autoSel bool) []
 	if autoSel {
 		q = append(q, "|select"...)
 	}
-	return q
+	return string(q)
 }
 
 // PlanTermOpts returns the optimized plan of an already-parsed term
@@ -207,10 +200,8 @@ func appendQualifiers(q []byte, m core.Machine, strat Strategy, autoSel bool) []
 // plan records the per-stage algorithm selections. Strategies and
 // selected plans share the cache under qualified keys (see KeyOpts).
 func (pl *Planner) PlanTermOpts(t term.Seq, m core.Machine, strat Strategy, autoSel bool) (Plan, bool, error) {
-	// The key, rendered on the stack, is one allocation; Canonical its head.
-	var buf [512]byte
-	head := rules.AppendCanonical(buf[:0], t)
-	key := string(appendQualifiers(head, m, strat, autoSel))
+	canonical := rules.Canonical(t)
+	key := KeyOpts(canonical, m, strat, autoSel)
 	return pl.Cache.getOrCompute(key, func(e *cacheEntry) error {
 		// The single-flight body behind every miss: the optimizer and the
 		// verifier, writing the plan, and its search statistics, into e.
@@ -228,8 +219,8 @@ func (pl *Planner) PlanTermOpts(t term.Seq, m core.Machine, strat Strategy, auto
 		// derivation without applications returned the program it was given.
 		optTerm := opt.Program.Stages()
 		plan := Plan{
-			Canonical:    key[:len(head)],
-			Optimized:    key[:len(head)],
+			Canonical:    canonical,
+			Optimized:    canonical,
 			Applications: make([]string, 0, len(opt.Applications)),
 			CostBefore:   opt.EstimateBefore,
 			CostAfter:    opt.EstimateAfter,

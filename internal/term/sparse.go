@@ -67,6 +67,19 @@ func (h *Hood) Degree(i int) int {
 	return len(h.Lists[i])
 }
 
+// Width is the fan-in of the halo's output tuple, the factor by which a
+// block grows: the offset count, else the longest neighbour list.
+func (h *Hood) Width() int {
+	if h.Isomorphic() {
+		return len(h.Offsets)
+	}
+	w := 0
+	for _, l := range h.Lists {
+		w = max(w, len(l))
+	}
+	return w
+}
+
 // listsString renders per-rank source lists, "lists:[1 2],[0]".
 func listsString(lists [][]int) string {
 	b := []byte("lists:")

@@ -18,6 +18,24 @@ func TestHoodSourcesWrap(t *testing.T) {
 	}
 }
 
+// TestHoodWidth: a halo's fan-in is its offset count, or its longest
+// neighbour list, whatever rank that list is.
+func TestHoodWidth(t *testing.T) {
+	for _, c := range []struct {
+		h    *Hood
+		want int
+	}{
+		{&Hood{Offsets: []int{-1, 1, 0, 5, -7}}, 5},
+		{&Hood{Offsets: []int{}}, 0},
+		{&Hood{Lists: [][]int{{1}, {0, 2, 3}, {}}}, 3},
+		{&Hood{Lists: [][]int{{}, {}}}, 0},
+	} {
+		if got := c.h.Width(); got != c.want {
+			t.Errorf("%v: Width = %d, want %d", c.h, got, c.want)
+		}
+	}
+}
+
 func TestHoodListsPinMachineSize(t *testing.T) {
 	h := &Hood{Lists: [][]int{{1}, {0}}}
 	if h.Isomorphic() {
